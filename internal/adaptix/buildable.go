@@ -132,7 +132,9 @@ func (b *Buildable) Lookup(key string) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, m[key]...)
+		// Capped, so append copies rather than writing into spare capacity
+		// of the store's own slice, which concurrent lookups share.
+		vals = append(vals[:len(vals):len(vals)], m[key]...)
 	}
 	return vals, nil
 }

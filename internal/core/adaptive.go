@@ -76,7 +76,7 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 	}
 	total.VTime += mp1.VTime
 	total.JobsRun = 1
-	addCounters(total.Counters, mp1.Counters)
+	mapreduce.MergeCounters(total.Counters, mp1.Counters)
 
 	// Fold first-wave statistics into the catalog for the operators whose
 	// work happens before the reduce phase.
@@ -96,7 +96,7 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 			return nil, err
 		}
 		total.VTime += mpRest.VTime
-		addCounters(total.Counters, mpRest.Counters)
+		mapreduce.MergeCounters(total.Counters, mpRest.Counters)
 	}
 
 	if conf.Reducer == nil {
@@ -123,7 +123,7 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 		return nil, err
 	}
 	total.VTime += sub.VTime
-	addCounters(total.Counters, sub.Counters)
+	mapreduce.MergeCounters(total.Counters, sub.Counters)
 	rt.harvestTailStats(conf, sub.Stats)
 	out, err := rt.writeOutput(conf, sub.Shards, sub.Homes)
 	if err != nil {
@@ -269,7 +269,7 @@ func (rt *Runtime) changePlanAtMap(conf *IndexJobConf, total *JobResult, mp1 *ma
 			}
 			total.VTime += r.VTime
 			total.JobsRun++
-			addCounters(total.Counters, r.Counters)
+			mapreduce.MergeCounters(total.Counters, r.Counters)
 			if input != conf.Input {
 				if err := rt.Engine.FS.Remove(input.Name); err != nil {
 					return nil, err
@@ -286,7 +286,7 @@ func (rt *Runtime) changePlanAtMap(conf *IndexJobConf, total *JobResult, mp1 *ma
 		}
 		total.VTime += mpRest.VTime
 		total.JobsRun++
-		addCounters(total.Counters, mpRest.Counters)
+		mapreduce.MergeCounters(total.Counters, mpRest.Counters)
 		if input != conf.Input {
 			if err := rt.Engine.FS.Remove(input.Name); err != nil {
 				return nil, err
@@ -307,7 +307,7 @@ func (rt *Runtime) changePlanAtMap(conf *IndexJobConf, total *JobResult, mp1 *ma
 			return nil, err
 		}
 		total.VTime += sub.VTime
-		addCounters(total.Counters, sub.Counters)
+		mapreduce.MergeCounters(total.Counters, sub.Counters)
 		rt.harvestTailStats(conf, sub.Stats)
 		out, err := rt.writeOutput(conf, sub.Shards, sub.Homes)
 		if err != nil {
@@ -333,7 +333,7 @@ func (rt *Runtime) reducePhaseAdaptive(conf *IndexJobConf, total *JobResult, mai
 		return nil, err
 	}
 	total.VTime += sub1.VTime
-	addCounters(total.Counters, sub1.Counters)
+	mapreduce.MergeCounters(total.Counters, sub1.Counters)
 
 	newPlan, improved := rt.reoptimize(conf, curPlan, conf.tail, sub1.Stats, rwave < conf.NumReduce)
 	if !improved {
@@ -347,7 +347,7 @@ func (rt *Runtime) reducePhaseAdaptive(conf *IndexJobConf, total *JobResult, mai
 				return nil, err
 			}
 			total.VTime += sub2.VTime
-			addCounters(total.Counters, sub2.Counters)
+			mapreduce.MergeCounters(total.Counters, sub2.Counters)
 			shards = append(shards, sub2.Shards...)
 			homes = append(homes, sub2.Homes...)
 		}
@@ -378,7 +378,7 @@ func (rt *Runtime) reducePhaseAdaptive(conf *IndexJobConf, total *JobResult, mai
 		return nil, err
 	}
 	total.VTime += sub2.VTime
-	addCounters(total.Counters, sub2.Counters)
+	mapreduce.MergeCounters(total.Counters, sub2.Counters)
 
 	// Materialize the new-plan reducers' output and push it through the
 	// tail shuffling/resume jobs.
@@ -394,7 +394,7 @@ func (rt *Runtime) reducePhaseAdaptive(conf *IndexJobConf, total *JobResult, mai
 		}
 		total.VTime += r.VTime
 		total.JobsRun++
-		addCounters(total.Counters, r.Counters)
+		mapreduce.MergeCounters(total.Counters, r.Counters)
 		if err := rt.Engine.FS.Remove(input.Name); err != nil {
 			return nil, err
 		}
@@ -478,8 +478,8 @@ func mergeMapPhases(a, b *mapreduce.MapPhaseResult) *mapreduce.MapPhaseResult {
 		return a
 	}
 	counters := make(map[string]int64)
-	addCounters(counters, a.Counters)
-	addCounters(counters, b.Counters)
+	mapreduce.MergeCounters(counters, a.Counters)
+	mapreduce.MergeCounters(counters, b.Counters)
 	return &mapreduce.MapPhaseResult{
 		Outputs:  append(append([]*mapreduce.MapOutput(nil), a.Outputs...), b.Outputs...),
 		Stats:    append(append([]mapreduce.TaskStats(nil), a.Stats...), b.Stats...),

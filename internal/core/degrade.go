@@ -185,11 +185,11 @@ func (rt *Runtime) resumeDegraded(conf *IndexJobConf, partial *mapreduce.MapPhas
 	}
 	// The failed phase never folded its completed tasks' counters; the
 	// resumed phase's are already merged into rest.Counters.
-	addCounters(merged.Counters, partial.Counters)
-	addCounters(merged.Counters, rest.Counters)
+	mapreduce.MergeCounters(merged.Counters, partial.Counters)
+	mapreduce.MergeCounters(merged.Counters, rest.Counters)
 	for i, st := range partial.Stats {
 		if partial.Outputs[i] != nil {
-			addCounters(merged.Counters, st.Counters)
+			mapreduce.MergeCounters(merged.Counters, st.Counters)
 		}
 	}
 
@@ -205,14 +205,7 @@ func (rt *Runtime) resumeDegraded(conf *IndexJobConf, partial *mapreduce.MapPhas
 	}
 	res.raw = append(res.raw, r)
 	res.VTime = r.VTime
-	addCounters(res.Counters, r.Counters)
+	mapreduce.MergeCounters(res.Counters, r.Counters)
 	res.Output = r.Output
 	return res, nil
-}
-
-// addCounters folds one counter map into another.
-func addCounters(dst map[string]int64, src map[string]int64) {
-	for k, v := range src {
-		dst[k] += v
-	}
 }

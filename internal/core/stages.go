@@ -330,10 +330,14 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 			lookedUp = x.clients[pos].Access(ctx, key)
 		}
 
-		var contPipe *reducePipe
+		// The BoundaryLate continuation runs as a stage pipeline inside the
+		// reduce function. Stages are instantiated once per group; the stage
+		// factories' node-level state (caches) still dedups across groups.
+		var contPipe *mapreduce.Pipeline
 		if boundary == BoundaryLate {
-			contPipe = newReducePipe(ctx, continuation, emit)
-			defer contPipe.close()
+			contPipe = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, continuation, emit)
+			contPipe.Open()
+			defer contPipe.Close()
 		}
 
 		for _, v := range values {
@@ -350,7 +354,7 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 			}
 			switch {
 			case boundary == BoundaryLate:
-				contPipe.process(Pair{Key: key, Value: encodeCarrier(c)})
+				contPipe.Process(Pair{Key: key, Value: encodeCarrier(c)})
 			case emitNextPos >= 0:
 				nd := x.plan.Decisions[emitNextPos]
 				nk, _ := shuffleKeyFor(c, nd.Index)
@@ -359,40 +363,6 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 				emit(Pair{Key: key, Value: encodeCarrier(c)})
 			}
 		}
-	}
-}
-
-// reducePipe runs a stage pipeline inside a reduce function (the
-// BoundaryLate continuation). Stages are instantiated once per group; the
-// stage factories' node-level state (caches) still dedups across groups.
-type reducePipe struct {
-	ctx    *mapreduce.TaskContext
-	stages []mapreduce.Stage
-	emits  []Emit
-}
-
-func newReducePipe(ctx *mapreduce.TaskContext, factories []mapreduce.StageFactory, sink Emit) *reducePipe {
-	p := &reducePipe{ctx: ctx}
-	for _, f := range factories {
-		p.stages = append(p.stages, f(ctx.Node))
-	}
-	p.emits = make([]Emit, len(p.stages)+1)
-	p.emits[len(p.stages)] = sink
-	for i := len(p.stages) - 1; i >= 0; i-- {
-		st, next := p.stages[i], p.emits[i+1]
-		p.emits[i] = func(pr Pair) { st.Process(ctx, pr, next) }
-	}
-	for _, s := range p.stages {
-		s.Open(ctx)
-	}
-	return p
-}
-
-func (p *reducePipe) process(pr Pair) { p.emits[0](pr) }
-
-func (p *reducePipe) close() {
-	for i, s := range p.stages {
-		s.Close(p.ctx, p.emits[i+1])
 	}
 }
 

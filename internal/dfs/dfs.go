@@ -177,13 +177,6 @@ func (fs *FS) SetBackingOpts(dir string, opts fstore.Options) error {
 	return nil
 }
 
-// Backed reports whether newly created files are file-backed.
-func (fs *FS) Backed() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.backing != ""
-}
-
 // Close releases every file-backed snapshot mapping. The namespace is
 // done after Close: file-backed payloads are no longer readable. Closing
 // an all-in-memory namespace is a no-op.

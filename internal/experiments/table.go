@@ -39,7 +39,7 @@ func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// Cell returns the value at (rowLabel, column), or NaN-free -1 when absent.
+// Cell returns the value at (rowLabel, column), or (0, false) when absent.
 func (t *Table) Cell(rowLabel, column string) (float64, bool) {
 	ci := -1
 	for i, c := range t.Columns {

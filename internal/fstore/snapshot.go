@@ -147,9 +147,6 @@ func (s *Snapshot) Path() string { return s.path }
 // Len returns the entry count.
 func (s *Snapshot) Len() int { return s.n }
 
-// KeySize returns the fixed slot key width in bytes.
-func (s *Snapshot) KeySize() int { return s.keySize }
-
 // Mapped reports whether the snapshot is served by a real memory map
 // (false on platforms without mmap or with Options.NoMmap).
 func (s *Snapshot) Mapped() bool { return s.mapped }

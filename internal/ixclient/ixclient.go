@@ -282,11 +282,6 @@ func (c *Client) LookupBatch(t *mapreduce.TaskContext, keys []string) [][]string
 	return vals
 }
 
-// CanProbe reports whether the wrapped index answers index-only probes
-// (a file-backed kvstore does: presence and result size come from the
-// mapped slot section, no value pages are touched).
-func (c *Client) CanProbe() bool { return c.prober != nil }
-
 // Probe answers "is key present, and how many value bytes would a
 // lookup materialize?" without materializing values. It is charged like
 // a lookup — serve time T_j and, for remote keys, one round trip whose

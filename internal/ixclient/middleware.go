@@ -5,6 +5,7 @@ import (
 
 	"efind/internal/chaos"
 	"efind/internal/index"
+	"efind/internal/lru"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
@@ -73,22 +74,7 @@ func (c *Client) cache(next Handler) Handler {
 					missIdx = append(missIdx, i)
 				}
 			}
-			if len(missIdx) == 0 {
-				return out, nil
-			}
-			missKeys := make([]string, len(missIdx))
-			for j, i := range missIdx {
-				missKeys[j] = r.Keys[i]
-			}
-			vals, err := next(&Request{Task: t, Keys: missKeys, Batched: r.Batched})
-			if err != nil {
-				return out, err
-			}
-			for j, i := range missIdx {
-				out[i] = vals[j]
-				cache.Put(r.Keys[i], vals[j])
-			}
-			return out, nil
+			return fillMisses(next, r, cache, out, missIdx)
 		}
 	}
 	return func(r *Request) ([][]string, error) {
@@ -107,23 +93,29 @@ func (c *Client) cache(next Handler) Handler {
 				missIdx = append(missIdx, i)
 			}
 		}
-		if len(missIdx) == 0 {
-			return out, nil
-		}
-		missKeys := make([]string, len(missIdx))
-		for j, i := range missIdx {
-			missKeys[j] = r.Keys[i]
-		}
-		vals, err := next(&Request{Task: t, Keys: missKeys, Batched: r.Batched})
-		if err != nil {
-			return out, err
-		}
-		for j, i := range missIdx {
-			out[i] = vals[j]
-			cache.Put(r.Keys[i], vals[j])
-		}
+		return fillMisses(next, r, cache, out, missIdx)
+	}
+}
+
+// fillMisses completes a real-cache access: the keys at missIdx go
+// downstream in one request, and what comes back fills out and the cache.
+func fillMisses(next Handler, r *Request, cache *lru.Cache, out [][]string, missIdx []int) ([][]string, error) {
+	if len(missIdx) == 0 {
 		return out, nil
 	}
+	missKeys := make([]string, len(missIdx))
+	for j, i := range missIdx {
+		missKeys[j] = r.Keys[i]
+	}
+	vals, err := next(&Request{Task: r.Task, Keys: missKeys, Batched: r.Batched})
+	if err != nil {
+		return out, err
+	}
+	for j, i := range missIdx {
+		out[i] = vals[j]
+		cache.Put(r.Keys[i], vals[j])
+	}
+	return out, nil
 }
 
 // policy applies the error policy to an access whose retries (if any) are

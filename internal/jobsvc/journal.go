@@ -90,10 +90,16 @@ func (e *walEnc) u64(v uint64) {
 	e.b = append(e.b, t[:n]...)
 }
 
-func (e *walEnc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *walEnc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *walEnc) boolv(v bool)   { e.u64(map[bool]uint64{false: 0, true: 1}[v]) }
-func (e *walEnc) str(s string)   { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *walEnc) i64(v int64)   { e.u64(uint64(v)) }
+func (e *walEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *walEnc) boolv(v bool) {
+	if v {
+		e.u64(1)
+	} else {
+		e.u64(0)
+	}
+}
+func (e *walEnc) str(s string) { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *walEnc) cmap(m map[string]int64) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -126,6 +132,18 @@ func (d *walDec) u64() uint64 {
 	return v
 }
 
+// count reads an element count. Every element takes at least one byte,
+// so a count above the bytes remaining is malformed; rejecting it here
+// keeps a CRC-valid but wrong value from sizing an allocation.
+func (d *walDec) count() uint64 {
+	n := d.u64()
+	if d.err == nil && n > uint64(len(d.b)) {
+		d.err = errors.New("jobsvc: journal count exceeds payload")
+		return 0
+	}
+	return n
+}
+
 func (d *walDec) i64() int64   { return int64(d.u64()) }
 func (d *walDec) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *walDec) boolv() bool  { return d.u64() != 0 }
@@ -144,7 +162,7 @@ func (d *walDec) str() string {
 }
 
 func (d *walDec) cmap() map[string]int64 {
-	n := d.u64()
+	n := d.count()
 	if d.err != nil || n == 0 {
 		return nil
 	}
@@ -556,7 +574,7 @@ func encodeLedger(l *slotLedger) []byte {
 func decodeLedger(b []byte) (perNode int, freeAt []float64, err error) {
 	d := &walDec{b: b}
 	perNode = int(d.u64())
-	n := d.u64()
+	n := d.count()
 	freeAt = make([]float64, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		freeAt = append(freeAt, d.f64())
@@ -597,10 +615,10 @@ func decodePoolEntry(b []byte) (ixclient.PoolEntry, error) {
 	e.Node = sim.NodeID(d.u64())
 	e.Hits = d.i64()
 	e.Misses = d.i64()
-	n := d.u64()
+	n := d.count()
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		e.Keys = append(e.Keys, d.str())
-		vn := d.u64()
+		vn := d.count()
 		vals := make([]string, 0, vn)
 		for j := uint64(0); j < vn && d.err == nil; j++ {
 			vals = append(vals, d.str())

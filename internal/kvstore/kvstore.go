@@ -205,18 +205,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// PartitionSizes returns the distinct-key count per partition, for tests
-// of partition balance.
-func (s *Store) PartitionSizes() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int, len(s.parts))
-	for i, p := range s.parts {
-		out[i] = p.Len()
-	}
-	return out
-}
-
 // String describes the store.
 func (s *Store) String() string {
 	return fmt.Sprintf("kvstore(%s, %d partitions, %d keys)", s.name, s.scheme.Partitions, s.Len())

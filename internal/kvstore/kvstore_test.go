@@ -82,8 +82,8 @@ func TestHashPartitionBalance(t *testing.T) {
 	for i := 0; i < 16000; i++ {
 		s.Put(fmt.Sprintf("key-%06d", i), "v")
 	}
-	sizes := s.PartitionSizes()
-	for p, n := range sizes {
+	for p, part := range s.parts {
+		n := part.Len()
 		if n < 500 || n > 1500 {
 			t.Fatalf("partition %d badly skewed: %d keys (expect ~1000)", p, n)
 		}

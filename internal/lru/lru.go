@@ -116,17 +116,6 @@ func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits, c.misses
 }
 
-// MissRatio returns misses/(hits+misses), the paper's R term, or 1 if the
-// cache has never been probed (a pessimistic prior).
-func (c *Cache) MissRatio() float64 {
-	hits, misses := c.Stats()
-	total := hits + misses
-	if total == 0 {
-		return 1
-	}
-	return float64(misses) / float64(total)
-}
-
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	c.mu.Lock()

@@ -58,29 +58,14 @@ func TestLenNeverExceedsCapacity(t *testing.T) {
 	}
 }
 
-func TestMissRatio(t *testing.T) {
-	c := New(4)
-	if got := c.MissRatio(); got != 1 {
-		t.Fatalf("unprobed cache should report pessimistic ratio 1, got %g", got)
-	}
-	c.Get("a") // miss
-	c.Put("a", nil)
-	c.Get("a") // hit
-	c.Get("a") // hit
-	c.Get("b") // miss
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", hits, misses)
-	}
-	if got := c.MissRatio(); got != 0.5 {
-		t.Fatalf("miss ratio = %g, want 0.5", got)
-	}
-}
-
 func TestReset(t *testing.T) {
 	c := New(4)
 	c.Put("a", nil)
-	c.Get("a")
+	c.Get("a") // hit
+	c.Get("b") // miss
+	if h, m := c.Stats(); h != 1 || m != 1 {
+		t.Fatalf("stats = %d/%d, want 1/1", h, m)
+	}
 	c.Reset()
 	if c.Len() != 0 {
 		t.Fatal("reset should empty the cache")

@@ -63,26 +63,15 @@ func (p *phasePatch) mark(i int) {
 	}
 }
 
-// applyMapChaos rewrites a finished map phase per the job's chaos plan.
-func (e *JobRun) applyMapChaos(job *Job, base float64, res *MapPhaseResult, splits []int, taskErrs []error) {
-	if job.Chaos == nil || firstError(taskErrs) != nil {
+// applyChaos rewrites a finished phase per the job's chaos plan.
+func (e *JobRun) applyChaos(job *Job, p *phaseSpec, base float64) {
+	if job.Chaos == nil || firstError(p.errs) != nil {
 		return
 	}
-	patch := newPhasePatch(len(res.Phase.Assignments))
-	e.speculateMap(job, base, res, splits, patch)
-	e.crashMap(job, base, res, splits, taskErrs, patch)
-	refreshPhase(&res.Phase, patch)
-}
-
-// applyReduceChaos is applyMapChaos's reduce-side twin.
-func (e *JobRun) applyReduceChaos(job *Job, base float64, sub *ReduceSubsetResult, outputs []*MapOutput, taskErrs []error) {
-	if job.Chaos == nil || firstError(taskErrs) != nil {
-		return
-	}
-	patch := newPhasePatch(len(sub.Phase.Assignments))
-	e.speculateReduce(job, base, sub, outputs, patch)
-	e.crashReduce(job, base, sub, outputs, taskErrs, patch)
-	refreshPhase(&sub.Phase, patch)
+	patch := newPhasePatch(len(p.phase.Assignments))
+	e.speculate(job, p, base, patch)
+	e.crash(job, p, base, patch)
+	refreshPhase(p.phase, patch)
 }
 
 // medianDuration returns the median assignment duration of a phase — the
@@ -238,31 +227,22 @@ func commitBackup(a *sim.Assignment, st *TaskStats, backupNode sim.NodeID, backu
 	return true
 }
 
-// specInstant emits the race outcome as a trace instant, anchored at the
-// backup's absolute launch time for service runs.
-func (e *JobRun) specInstant(name string, task int, won bool, at float64) {
-	verdict := "lost"
-	if won {
-		verdict = "won"
-	}
-	e.instant(fmt.Sprintf("speculate:%s[%d] %s", name, task, verdict), "chaos", at)
-}
-
-// speculateMap launches backup attempts for map stragglers.
-func (e *JobRun) speculateMap(job *Job, base float64, res *MapPhaseResult, splits []int, patch *phasePatch) {
+// speculate launches backup attempts for the phase's stragglers.
+func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePatch) {
 	spec := job.Chaos.Spec()
-	if !spec.Enabled || len(res.Phase.Assignments) < 2 {
+	assigns := p.phase.Assignments
+	if !spec.Enabled || len(assigns) < 2 {
 		return
 	}
-	med := medianDuration(res.Phase.Assignments)
+	med := medianDuration(assigns)
 	if med <= 0 {
 		return
 	}
 	launched := 0
 	cfg := e.Cluster.Config()
-	bp := newBackupPlanner(e.Cluster.Nodes(), res.Phase.Assignments)
-	for ai := range res.Phase.Assignments {
-		a := &res.Phase.Assignments[ai]
+	bp := newBackupPlanner(e.Cluster.Nodes(), assigns)
+	for ai := range assigns {
+		a := &assigns[ai]
 		if a.Duration <= spec.Threshold*med {
 			continue
 		}
@@ -271,8 +251,6 @@ func (e *JobRun) speculateMap(job *Job, base float64, res *MapPhaseResult, split
 		}
 		launched++
 		i := a.Task
-		s := splits[i]
-		chunk := job.Input.Chunks[s]
 		detect := a.Start + spec.Threshold*med
 		node, freeAt := bp.pick(a.Node, job, base+detect)
 		if node < 0 {
@@ -282,106 +260,43 @@ func (e *JobRun) speculateMap(job *Job, base float64, res *MapPhaseResult, split
 		if freeAt > start {
 			start = freeAt
 		}
-		var rollback func()
-		if job.AttemptGuard != nil {
-			rollback = job.AttemptGuard(node)
-		}
-		out, st, err := e.mapAttempt(job, i, s, chunk, node, base+start)
+		rollback := e.guardAttempt(job, node)
+		r, st, err := e.attempt(job, p, i, node, base+start)
 		if rollback != nil {
 			rollback() // a backup's cache pollution never commits, win or lose
 		}
+		verdict := "lost"
 		if err != nil {
 			// The backup aborted (e.g. it straddled an outage window the
 			// original missed). Hadoop kills failed backups without
 			// failing the task; the original attempt stands.
-			res.Stats[i].Counters[chaos.CtrSpecLaunched]++
-			res.Stats[i].Counters[chaos.CtrSpecLost]++
-			e.specInstant(job.Name+"/map", i, false, base+start)
-			continue
+			p.stats[i].Counters[chaos.CtrSpecLaunched]++
+			p.stats[i].Counters[chaos.CtrSpecLost]++
+		} else {
+			dur := (cfg.TaskStartup + st.Duration) / cfg.SpeedOf(node)
+			oldNode := a.Node
+			if commitBackup(a, &p.stats[i], node, start, dur, st, sim.ContainsNode(p.preferred(i), node)) {
+				p.install(i, node, r) // identical records; the winner's node now holds them
+				bp.commit(oldNode, assigns, node, start+dur)
+				patch.mark(ai)
+				verdict = "won"
+			}
 		}
-		dur := (cfg.TaskStartup + st.Duration) / cfg.SpeedOf(node)
-		preferred := chunk.Replicas
-		if job.MapPlacement != nil {
-			preferred = job.MapPlacement(s, chunk)
-		}
-		oldNode := a.Node
-		won := commitBackup(a, &res.Stats[i], node, start, dur, st, sim.ContainsNode(preferred, node))
-		if won {
-			res.Outputs[i] = out // identical records; Node now names the winner
-			bp.commit(oldNode, res.Phase.Assignments, node, start+dur)
-			patch.mark(ai)
-		}
-		e.specInstant(job.Name+"/map", i, won, base+start)
+		// The race outcome, anchored at the backup's absolute launch time
+		// for service runs.
+		e.instant(fmt.Sprintf("speculate:%s/%s[%d] %s", job.Name, p.kind, p.id(i), verdict), "chaos", base+start)
 	}
 }
 
-// speculateReduce launches backup attempts for reduce stragglers.
-func (e *JobRun) speculateReduce(job *Job, base float64, sub *ReduceSubsetResult, outputs []*MapOutput, patch *phasePatch) {
-	spec := job.Chaos.Spec()
-	if !spec.Enabled || len(sub.Phase.Assignments) < 2 {
-		return
-	}
-	med := medianDuration(sub.Phase.Assignments)
-	if med <= 0 {
-		return
-	}
-	launched := 0
-	cfg := e.Cluster.Config()
-	bp := newBackupPlanner(e.Cluster.Nodes(), sub.Phase.Assignments)
-	for ai := range sub.Phase.Assignments {
-		a := &sub.Phase.Assignments[ai]
-		if a.Duration <= spec.Threshold*med {
-			continue
-		}
-		if spec.MaxPerPhase > 0 && launched >= spec.MaxPerPhase {
-			break
-		}
-		launched++
-		i := a.Task
-		r := sub.Reducers[i]
-		detect := a.Start + spec.Threshold*med
-		node, freeAt := bp.pick(a.Node, job, base+detect)
-		if node < 0 {
-			continue
-		}
-		start := detect
-		if freeAt > start {
-			start = freeAt
-		}
-		var rollback func()
-		if job.AttemptGuard != nil {
-			rollback = job.AttemptGuard(node)
-		}
-		shard, st, err := e.reduceAttempt(job, r, node, outputs, base+start)
-		if rollback != nil {
-			rollback()
-		}
-		if err != nil {
-			sub.Stats[i].Counters[chaos.CtrSpecLaunched]++
-			sub.Stats[i].Counters[chaos.CtrSpecLost]++
-			e.specInstant(job.Name+"/reduce", r, false, base+start)
-			continue
-		}
-		dur := (cfg.TaskStartup + st.Duration) / cfg.SpeedOf(node)
-		oldNode := a.Node
-		won := commitBackup(a, &sub.Stats[i], node, start, dur, st, false)
-		if won {
-			sub.Shards[i] = shard
-			sub.Homes[i] = node
-			bp.commit(oldNode, sub.Phase.Assignments, node, start+dur)
-			patch.mark(ai)
-		}
-		e.specInstant(job.Name+"/reduce", r, won, base+start)
-	}
-}
-
-// crashMap absorbs the crash events falling inside the map phase's
-// window: for each crash, every assignment the dead node holds is
-// discarded and re-executed as a recovery wave on the surviving nodes,
-// starting at the crash instant.
-func (e *JobRun) crashMap(job *Job, base float64, res *MapPhaseResult, splits []int, taskErrs []error, patch *phasePatch) {
-	for _, cr := range job.Chaos.CrashesIn(base, base+res.Phase.Makespan) {
-		res.Counters[chaos.CtrNodeCrashes]++
+// crash absorbs the crash events falling inside the phase's window: for
+// each crash, every assignment the dead node holds — in flight or
+// completed — is discarded and re-executed as a recovery wave on the
+// surviving nodes, starting at the crash instant. Only this phase's tasks
+// re-run: map outputs count as fetched once the reduce phase starts.
+func (e *JobRun) crash(job *Job, p *phaseSpec, base float64, patch *phasePatch) {
+	assigns := p.phase.Assignments
+	for _, cr := range job.Chaos.CrashesIn(base, base+p.phase.Makespan) {
+		p.counters[chaos.CtrNodeCrashes]++
 		e.instant(fmt.Sprintf("crash:node%d", cr.Node), "chaos", cr.At)
 		if e.Trace != nil {
 			e.Trace.Metrics.Add(chaos.CtrNodeCrashes, 1)
@@ -389,7 +304,7 @@ func (e *JobRun) crashMap(job *Job, base float64, res *MapPhaseResult, splits []
 		if job.OnNodeCrash != nil {
 			job.OnNodeCrash(cr.Node)
 		}
-		lost := assignmentsOn(res.Phase.Assignments, cr.Node)
+		lost := assignmentsOn(assigns, cr.Node)
 		if len(lost) == 0 {
 			continue
 		}
@@ -397,69 +312,21 @@ func (e *JobRun) crashMap(job *Job, base float64, res *MapPhaseResult, splits []
 		recTasks := make([]sim.Task, len(lost))
 		origTask := make([]int, len(lost))
 		for j, ai := range lost {
-			i := res.Phase.Assignments[ai].Task
+			i := assigns[ai].Task
 			origTask[j] = i
-			s := splits[i]
-			chunk := job.Input.Chunks[s]
-			preferred := chunk.Replicas
-			if job.MapPlacement != nil {
-				preferred = job.MapPlacement(s, chunk)
-			}
-			recTasks[j] = sim.Task{
-				Preferred: preferred,
-				Run:       e.mapTaskRun(job, cr.At, seq, i, s, chunk, res, taskErrs),
-			}
+			recTasks[j] = sim.Task{Preferred: p.preferred(i), Run: e.taskRun(job, p, cr.At, seq, i)}
 		}
 		// Recovery waves stay inside the job's slot lease: under the job
 		// service a crashed tenant's re-runs must not spill onto slots
 		// leased to other jobs.
-		rec := e.Cluster.SchedulePhaseLease(recTasks, e.Cluster.Config().MapSlotsPerNode, e.lease, func(n sim.NodeID) bool {
+		rec := e.Cluster.SchedulePhaseLease(recTasks, p.slots, e.lease, func(n sim.NodeID) bool {
 			return job.Chaos.NodeDown(n, cr.At)
 		})
-		spliceRecovery(res.Phase.Assignments, lost, origTask, rec.Assignments, cr.At-base, patch)
+		spliceRecovery(assigns, lost, origTask, rec.Assignments, cr.At-base, patch)
 		patch.waves += rec.Waves
 		for _, i := range origTask {
-			if res.Stats[i].Counters != nil {
-				res.Stats[i].Counters[chaos.CtrTasksLost]++
-			}
-		}
-	}
-}
-
-// crashReduce is crashMap's reduce-side twin. Map outputs survive
-// (eager shuffle); only the dead node's reduce tasks re-run.
-func (e *JobRun) crashReduce(job *Job, base float64, sub *ReduceSubsetResult, outputs []*MapOutput, taskErrs []error, patch *phasePatch) {
-	for _, cr := range job.Chaos.CrashesIn(base, base+sub.Phase.Makespan) {
-		sub.Counters[chaos.CtrNodeCrashes]++
-		e.instant(fmt.Sprintf("crash:node%d", cr.Node), "chaos", cr.At)
-		if e.Trace != nil {
-			e.Trace.Metrics.Add(chaos.CtrNodeCrashes, 1)
-		}
-		if job.OnNodeCrash != nil {
-			job.OnNodeCrash(cr.Node)
-		}
-		lost := assignmentsOn(sub.Phase.Assignments, cr.Node)
-		if len(lost) == 0 {
-			continue
-		}
-		_, seq := e.beginPhase()
-		recTasks := make([]sim.Task, len(lost))
-		origTask := make([]int, len(lost))
-		for j, ai := range lost {
-			i := sub.Phase.Assignments[ai].Task
-			origTask[j] = i
-			recTasks[j] = sim.Task{
-				Run: e.reduceTaskRun(job, cr.At, seq, i, sub.Reducers[i], outputs, sub, taskErrs),
-			}
-		}
-		rec := e.Cluster.SchedulePhaseLease(recTasks, e.Cluster.Config().ReduceSlotsPerNode, e.lease, func(n sim.NodeID) bool {
-			return job.Chaos.NodeDown(n, cr.At)
-		})
-		spliceRecovery(sub.Phase.Assignments, lost, origTask, rec.Assignments, cr.At-base, patch)
-		patch.waves += rec.Waves
-		for _, i := range origTask {
-			if sub.Stats[i].Counters != nil {
-				sub.Stats[i].Counters[chaos.CtrTasksLost]++
+			if p.stats[i].Counters != nil {
+				p.stats[i].Counters[chaos.CtrTasksLost]++
 			}
 		}
 	}

@@ -114,6 +114,58 @@ func TestChaosCrashRecoveryBitIdenticalOutput(t *testing.T) {
 	}
 }
 
+// TestChaosReduceCrashRecoveryBitIdenticalOutput crashes the node holding
+// the first reduce assignment halfway through the reduce phase, under the
+// serial and the parallel executor: only that node's reduce tasks re-run
+// (map outputs count as fetched), and output and cost counters stay
+// bit-identical to the fault-free run.
+func TestChaosReduceCrashRecoveryBitIdenticalOutput(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		fs, e := chaosEnv(t, parallelism)
+		in := makeInput(t, fs, "in", 900)
+		clean, err := e.Run(wordCountJob(in, "wc-clean", false))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		victim := clean.ReducePhase.Assignments[0].Node
+		at := clean.MapPhase.Makespan + 0.5*clean.ReducePhase.Makespan
+		fs2, e2 := chaosEnv(t, parallelism)
+		in2 := makeInput(t, fs2, "in", 900)
+		job := wordCountJob(in2, "wc-reduce-crash", false)
+		job.Chaos = chaos.MustNew(chaos.Config{
+			Seed:    1,
+			Crashes: []chaos.Crash{{Node: victim, At: at, Recover: at + 1000}},
+		}, 4)
+		crashed, err := e2.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if got := crashed.Counters[chaos.CtrNodeCrashes]; got != 1 {
+			t.Fatalf("parallelism %d: node crashes = %d, want 1", parallelism, got)
+		}
+		if crashed.Counters[chaos.CtrTasksLost] == 0 {
+			t.Fatalf("parallelism %d: crash discarded no tasks; the victim held a reduce assignment", parallelism)
+		}
+		if !reflect.DeepEqual(clean.MapPhase, crashed.MapPhase) {
+			t.Fatalf("parallelism %d: a reduce-phase crash rewrote the map phase", parallelism)
+		}
+		for _, a := range crashed.ReducePhase.Assignments {
+			if a.Node == victim {
+				t.Fatalf("parallelism %d: reduce task %d still placed on crashed node %d", parallelism, a.Task, victim)
+			}
+		}
+		if crashed.VTime <= clean.VTime {
+			t.Fatalf("parallelism %d: re-executing lost tasks should cost virtual time: %g vs clean %g", parallelism, crashed.VTime, clean.VTime)
+		}
+		sameRaw(t, "reduce-crash-recovery", rawOutput(clean), rawOutput(crashed))
+		if want, got := nonChaosCounters(clean.Counters), nonChaosCounters(crashed.Counters); !reflect.DeepEqual(want, got) {
+			t.Fatalf("parallelism %d: crash recovery skewed cost counters:\n want %v\n got  %v", parallelism, want, got)
+		}
+	}
+}
+
 // TestChaosSpeculationNeverDoubleCharges injects stragglers with
 // speculative backups across several seeds: whatever the race outcomes,
 // the output must stay bit-identical and the losing attempts' work must
@@ -156,10 +208,10 @@ func TestChaosSpeculationNeverDoubleCharges(t *testing.T) {
 	}
 }
 
-// chaosRunTraced runs one full chaos job (crash + stragglers + backups)
+// chaosRunTraced runs one full chaos job (crashes + stragglers + backups)
 // on a fresh environment with the given executor parallelism, returning
 // the result and the exported Chrome trace bytes.
-func chaosRunTraced(t *testing.T, parallelism int, crashAt float64) (*Result, []byte) {
+func chaosRunTraced(t *testing.T, parallelism int, crashes []chaos.Crash) (*Result, []byte) {
 	t.Helper()
 	fs, e := chaosEnv(t, parallelism)
 	e.Trace = obs.NewTrace()
@@ -167,7 +219,7 @@ func chaosRunTraced(t *testing.T, parallelism int, crashAt float64) (*Result, []
 	job := wordCountJob(in, "wc-chaos", false)
 	job.Chaos = chaos.MustNew(chaos.Config{
 		Seed:            42,
-		Crashes:         []chaos.Crash{{Node: 1, At: crashAt, Recover: crashAt + 1000}},
+		Crashes:         crashes,
 		Spec:            chaos.Speculation{Enabled: true},
 		StragglerRate:   0.3,
 		StragglerFactor: 5,
@@ -183,9 +235,17 @@ func chaosRunTraced(t *testing.T, parallelism int, crashAt float64) (*Result, []
 	return res, buf.Bytes()
 }
 
-// TestChaosSameSeedSerialParallelIdentical: one seed, serial and
-// parallel executors — output, every counter, the virtual makespan, and
-// the exported trace must be bit-identical.
+// tasksLost sums the crash-discarded attempts recorded on a phase's tasks.
+func tasksLost(stats []TaskStats) (n int64) {
+	for _, st := range stats {
+		n += st.Counters[chaos.CtrTasksLost]
+	}
+	return n
+}
+
+// TestChaosSameSeedSerialParallelIdentical: one seed, a crash in each
+// phase, serial and parallel executors — output, every counter, the
+// virtual makespan, and the exported trace must be bit-identical.
 func TestChaosSameSeedSerialParallelIdentical(t *testing.T) {
 	fs, e := chaosEnv(t, 1)
 	in := makeInput(t, fs, "in", 900)
@@ -194,9 +254,17 @@ func TestChaosSameSeedSerialParallelIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	crashAt := 0.4 * clean.MapPhase.Makespan
+	crashes := []chaos.Crash{{Node: 1, At: crashAt, Recover: crashAt + 1000}}
 
-	serial, serialTrace := chaosRunTraced(t, 1, crashAt)
-	parallel, parallelTrace := chaosRunTraced(t, 8, crashAt)
+	// The map-phase crash and the seed fix when the chaos run's reduce
+	// phase starts; a probe run finds that window, and a second crash is
+	// put halfway through it on a node holding a reduce assignment.
+	probe, _ := chaosRunTraced(t, 1, crashes)
+	reduceAt := probe.MapPhase.Makespan + 0.5*probe.ReducePhase.Makespan
+	crashes = append(crashes, chaos.Crash{Node: probe.ReducePhase.Assignments[0].Node, At: reduceAt, Recover: reduceAt + 1000})
+
+	serial, serialTrace := chaosRunTraced(t, 1, crashes)
+	parallel, parallelTrace := chaosRunTraced(t, 8, crashes)
 
 	if serial.VTime != parallel.VTime {
 		t.Fatalf("chaos makespan diverged: serial %g vs parallel %g", serial.VTime, parallel.VTime)
@@ -208,8 +276,11 @@ func TestChaosSameSeedSerialParallelIdentical(t *testing.T) {
 	if !bytes.Equal(serialTrace, parallelTrace) {
 		t.Fatalf("chaos trace bytes diverged: serial %d bytes vs parallel %d bytes", len(serialTrace), len(parallelTrace))
 	}
-	if serial.Counters[chaos.CtrNodeCrashes] == 0 {
-		t.Fatal("chaos run applied no crash; the determinism check is vacuous")
+	if got := serial.Counters[chaos.CtrNodeCrashes]; got != 2 {
+		t.Fatalf("chaos run applied %d crashes, want one per phase; the determinism check is vacuous", got)
+	}
+	if m, r := tasksLost(serial.MapStats), tasksLost(serial.ReduceStats); m == 0 || r == 0 {
+		t.Fatalf("tasks lost: map %d, reduce %d; each phase's crash must discard work", m, r)
 	}
 }
 

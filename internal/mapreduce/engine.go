@@ -138,134 +138,38 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 		}
 	}
 
-	ready, seq := e.beginPhase()
-	base, lease := e.grantPhase(MapTask, len(splits), ready)
 	res := &MapPhaseResult{
 		Outputs:  make([]*MapOutput, len(splits)),
 		Stats:    make([]TaskStats, len(splits)),
 		Counters: make(map[string]int64),
 	}
-	taskErrs := make([]error, len(splits))
-	tasks := make([]sim.Task, len(splits))
-	for i, s := range splits {
-		i, s := i, s
-		chunk := job.Input.Chunks[s]
-		// The scheduler only reads Preferred, so the replica list is shared
-		// rather than copied — a 1M-split phase would otherwise allocate a
-		// slice per task before scheduling even starts.
-		preferred := chunk.Replicas
-		if job.MapPlacement != nil {
-			preferred = job.MapPlacement(s, chunk)
-		}
-		tasks[i] = sim.Task{
-			Preferred: preferred,
-			Run:       e.mapTaskRun(job, base, seq, i, s, chunk, res, taskErrs),
-		}
-	}
-	res.Phase = e.Cluster.SchedulePhaseLease(tasks, e.Cluster.Config().MapSlotsPerNode, lease, job.downAt(base))
-	e.applyMapChaos(job, base, res, splits, taskErrs)
-	e.advance(res.Phase.Makespan)
-	e.endPhase(MapTask, lease, base, base+res.Phase.Makespan)
-	if err := firstError(taskErrs); err != nil {
-		if job.Chaos != nil {
-			e.emitPhase(job.Name+"/map", "map", base, res.Phase, res.Stats)
-		}
+	err := e.runPhase(job, &phaseSpec{
+		kind:  MapTask,
+		slots: e.Cluster.Config().MapSlotsPerNode,
+		id:    func(i int) int { return i },
+		label: func(i int) string { return fmt.Sprintf("map task %d (split %d)", i, splits[i]) },
+		preferred: func(i int) []sim.NodeID {
+			chunk := job.Input.Chunks[splits[i]]
+			if job.MapPlacement != nil {
+				return job.MapPlacement(splits[i], chunk)
+			}
+			return chunk.Replicas
+		},
+		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
+			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart)
+			return attemptResult{out: out}, st
+		},
+		install:     func(i int, _ sim.NodeID, r attemptResult) { res.Outputs[i] = r.out },
+		traceFailed: true,
+		stats:       res.Stats,
+		counters:    res.Counters,
+		phase:       &res.Phase,
+	})
+	if err != nil {
 		return res, err
 	}
 	res.VTime = res.Phase.Makespan
-	for _, st := range res.Stats {
-		mergeCounters(res.Counters, st.Counters)
-	}
-	e.emitPhase(job.Name+"/map", "map", base, res.Phase, res.Stats)
 	return res, nil
-}
-
-// mapTaskRun builds the scheduler callback for one map task: the
-// Hadoop-style retry loop around mapAttempt, with chaos straggler
-// slowdown applied to the task's virtual duration (never to its work —
-// records, counters, and cache traffic are those of a normal run).
-func (e *Engine) mapTaskRun(job *Job, base float64, seq, i, s int, chunk *dfs.Chunk, res *MapPhaseResult, taskErrs []error) func(sim.NodeID, float64) float64 {
-	slow := job.chaosSlow(seq, i)
-	return func(node sim.NodeID, start float64) float64 {
-		total := 0.0
-		for attempt := 1; attempt <= maxAttempts; attempt++ {
-			rollback := e.guardAttempt(job, node)
-			out, stats, err := e.mapAttempt(job, i, s, chunk, node, base+start+total)
-			if err != nil {
-				taskErrs[i] = err
-				return total
-			}
-			total += stats.Duration * slow
-			if job.failAttempt(MapTask, i, attempt) {
-				if rollback != nil {
-					rollback()
-				}
-				continue // attempt wasted; re-execute
-			}
-			stats.Duration = total
-			stats.Counters[CounterTaskRetries] = int64(attempt - 1)
-			res.Outputs[i] = out
-			res.Stats[i] = stats
-			return total
-		}
-		taskErrs[i] = fmt.Errorf("mapreduce: job %q map task %d (split %d) failed %d attempts", job.Name, i, s, maxAttempts)
-		return total
-	}
-}
-
-// mapAttempt runs one map task attempt, converting a TaskContext.Abort
-// into an error. Aborts are permanent logical failures (an index error
-// under ErrorFailJob, not a crashed machine), so the caller fails the job
-// instead of re-executing the attempt.
-func (e *Engine) mapAttempt(job *Job, task, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64) (out *MapOutput, st TaskStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ab, ok := r.(taskAbort)
-			if !ok {
-				panic(r)
-			}
-			err = fmt.Errorf("mapreduce: job %q map task %d (split %d) aborted: %w", job.Name, task, split, ab.err)
-		}
-	}()
-	out, st = e.runMapTask(job, task, split, chunk, node, absStart)
-	return out, st, nil
-}
-
-// reduceAttempt is mapAttempt's reduce-side twin.
-func (e *Engine) reduceAttempt(job *Job, r int, node sim.NodeID, outputs []*MapOutput, absStart float64) (shard []dfs.Record, st TaskStats, err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			ab, ok := rec.(taskAbort)
-			if !ok {
-				panic(rec)
-			}
-			err = fmt.Errorf("mapreduce: job %q reduce task %d aborted: %w", job.Name, r, ab.err)
-		}
-	}()
-	shard, st = e.runReduceTask(job, r, node, outputs, absStart)
-	return shard, st, nil
-}
-
-// guardAttempt snapshots node-shared stage state ahead of a task attempt
-// that might fail, returning the rollback to invoke on failure. It is a
-// no-op (nil) when no faults can be injected, so normal runs skip the
-// snapshot cost entirely.
-func (e *Engine) guardAttempt(job *Job, node sim.NodeID) func() {
-	if (job.FaultInjector == nil && job.Chaos == nil) || job.AttemptGuard == nil {
-		return nil
-	}
-	return job.AttemptGuard(node)
-}
-
-// firstError returns the lowest-indexed task error, making the job-level
-// error deterministic regardless of task completion order.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // runMapTask executes one map task on the given node. absStart anchors
@@ -322,12 +226,12 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		mapStage = &FuncStage{OnProcess: identityMap}
 	}
 	sp = ctx.StartSpan("map-pipeline", "pipeline")
-	pipe := newPipeline(ctx, node, job.MapStagesBefore, mapStage, job.MapStagesAfter, sink)
-	pipe.open()
+	pipe := NewPipeline(ctx, node, job.MapStagesBefore, mapStage, job.MapStagesAfter, sink)
+	pipe.Open()
 	for _, r := range records {
-		pipe.process(Pair{Key: r.Key, Value: r.Value})
+		pipe.Process(Pair{Key: r.Key, Value: r.Value})
 	}
-	pipe.close()
+	pipe.Close()
 	sp.End()
 
 	if job.Combine != nil && job.Reduce != nil {
@@ -451,11 +355,11 @@ func (e *JobRun) RunReducePhase(job *Job, mp *MapPhaseResult, extra ...*MapPhase
 		return nil, err
 	}
 	res.Output = out
-	mergeCounters(res.Counters, mp.Counters)
+	MergeCounters(res.Counters, mp.Counters)
 	for _, m := range extra {
-		mergeCounters(res.Counters, m.Counters)
+		MergeCounters(res.Counters, m.Counters)
 	}
-	mergeCounters(res.Counters, sub.Counters)
+	MergeCounters(res.Counters, sub.Counters)
 	return res, nil
 }
 
@@ -502,60 +406,28 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		Stats:    make([]TaskStats, len(reducers)),
 		Counters: make(map[string]int64),
 	}
-	ready, seq := e.beginPhase()
-	base, lease := e.grantPhase(ReduceTask, len(reducers), ready)
-	taskErrs := make([]error, len(reducers))
-	tasks := make([]sim.Task, len(reducers))
-	for i, r := range reducers {
-		tasks[i] = sim.Task{
-			Run: e.reduceTaskRun(job, base, seq, i, r, outputs, sub, taskErrs),
-		}
-	}
-	sub.Phase = e.Cluster.SchedulePhaseLease(tasks, e.Cluster.Config().ReduceSlotsPerNode, lease, job.downAt(base))
-	e.applyReduceChaos(job, base, sub, outputs, taskErrs)
-	e.advance(sub.Phase.Makespan)
-	e.endPhase(ReduceTask, lease, base, base+sub.Phase.Makespan)
-	if err := firstError(taskErrs); err != nil {
+	err := e.runPhase(job, &phaseSpec{
+		kind:      ReduceTask,
+		slots:     e.Cluster.Config().ReduceSlotsPerNode,
+		id:        func(i int) int { return reducers[i] },
+		label:     func(i int) string { return fmt.Sprintf("reduce task %d", reducers[i]) },
+		preferred: func(int) []sim.NodeID { return nil },
+		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
+			shard, st := e.runReduceTask(job, reducers[i], node, outputs, absStart)
+			return attemptResult{shard: shard}, st
+		},
+		install: func(i int, node sim.NodeID, r attemptResult) {
+			sub.Shards[i], sub.Homes[i] = r.shard, node
+		},
+		stats:    sub.Stats,
+		counters: sub.Counters,
+		phase:    &sub.Phase,
+	})
+	if err != nil {
 		return nil, err
 	}
 	sub.VTime = sub.Phase.Makespan
-	for _, st := range sub.Stats {
-		mergeCounters(sub.Counters, st.Counters)
-	}
-	e.emitPhase(job.Name+"/reduce", "reduce", base, sub.Phase, sub.Stats)
 	return sub, nil
-}
-
-// reduceTaskRun builds the scheduler callback for one reduce task,
-// mirroring mapTaskRun.
-func (e *Engine) reduceTaskRun(job *Job, base float64, seq, i, r int, outputs []*MapOutput, sub *ReduceSubsetResult, taskErrs []error) func(sim.NodeID, float64) float64 {
-	slow := job.chaosSlow(seq, i)
-	return func(node sim.NodeID, start float64) float64 {
-		total := 0.0
-		for attempt := 1; attempt <= maxAttempts; attempt++ {
-			rollback := e.guardAttempt(job, node)
-			shard, st, err := e.reduceAttempt(job, r, node, outputs, base+start+total)
-			if err != nil {
-				taskErrs[i] = err
-				return total
-			}
-			total += st.Duration * slow
-			if job.failAttempt(ReduceTask, r, attempt) {
-				if rollback != nil {
-					rollback()
-				}
-				continue
-			}
-			st.Duration = total
-			st.Counters[CounterTaskRetries] = int64(attempt - 1)
-			sub.Shards[i] = shard
-			sub.Homes[i] = node
-			sub.Stats[i] = st
-			return total
-		}
-		taskErrs[i] = fmt.Errorf("mapreduce: job %q reduce task %d failed %d attempts", job.Name, r, maxAttempts)
-		return total
-	}
 }
 
 // emitPhase exports one completed phase to the attached trace: a task
@@ -662,8 +534,8 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapO
 		outRecords++
 	}
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
-	pipe := newPipeline(ctx, node, nil, nil, job.ReduceStagesAfter, sink)
-	pipe.open()
+	pipe := NewPipeline(ctx, node, nil, nil, job.ReduceStagesAfter, sink)
+	pipe.Open()
 	for i := 0; i < len(input); {
 		j := i
 		for j < len(input) && input[j].Key == input[i].Key {
@@ -673,10 +545,10 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapO
 		for _, p := range input[i:j] {
 			values = append(values, p.Value)
 		}
-		job.Reduce(ctx, input[i].Key, values, pipe.process)
+		job.Reduce(ctx, input[i].Key, values, pipe.Process)
 		i = j
 	}
-	pipe.close()
+	pipe.Close()
 	sp.End()
 
 	ctx.Inc(CounterInputRecords, int64(len(input)))
@@ -721,7 +593,7 @@ func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
 		MapPhase:   mp.Phase,
 		MapOutputs: mp.Outputs,
 	}
-	mergeCounters(res.Counters, mp.Counters)
+	MergeCounters(res.Counters, mp.Counters)
 	return res, nil
 }
 
@@ -748,26 +620,28 @@ func (e *Engine) taskStats(ctx *TaskContext) TaskStats {
 	return st
 }
 
-func mergeCounters(dst map[string]int64, src map[string]int64) {
+// MergeCounters folds one counter map into another.
+func MergeCounters(dst map[string]int64, src map[string]int64) {
 	for k, v := range src {
 		dst[k] += v
 	}
 }
 
-// pipeline chains stages (before → core → after) into a single
-// record-at-a-time flow ending in sink.
-type pipeline struct {
+// Pipeline chains stages (before → core → after) into a single
+// record-at-a-time flow ending in sink. The engine runs one per task; the
+// EFind runtime runs one inside a reduce function for stages that continue
+// after a late boundary.
+type Pipeline struct {
 	ctx    *TaskContext
 	stages []Stage
-	sink   Emit
 	emits  []Emit // emits[i] feeds stage i; emits[len] is the sink
 }
 
-// newPipeline builds the chained-function pipeline for a task. core may be
+// NewPipeline builds the chained-function pipeline for a task. core may be
 // nil (reduce-side pipelines run the reduce function group-wise outside
 // the pipeline and feed only the after-stages).
-func newPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *pipeline {
-	p := &pipeline{ctx: ctx, sink: sink}
+func NewPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
+	p := &Pipeline{ctx: ctx}
 	for _, f := range before {
 		p.stages = append(p.stages, f(node))
 	}
@@ -788,17 +662,18 @@ func newPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core 
 	return p
 }
 
-func (p *pipeline) open() {
+// Open opens the stages front to back.
+func (p *Pipeline) Open() {
 	for _, s := range p.stages {
 		s.Open(p.ctx)
 	}
 }
 
-// process pushes one record into the front of the chain.
-func (p *pipeline) process(pr Pair) { p.emits[0](pr) }
+// Process pushes one record into the front of the chain.
+func (p *Pipeline) Process(pr Pair) { p.emits[0](pr) }
 
-// close closes stages front to back so trailing emissions flow downstream.
-func (p *pipeline) close() {
+// Close closes stages front to back so trailing emissions flow downstream.
+func (p *Pipeline) Close() {
 	for i, s := range p.stages {
 		s.Close(p.ctx, p.emits[i+1])
 	}

@@ -97,20 +97,6 @@ type Job struct {
 	OnNodeCrash func(node sim.NodeID)
 }
 
-// failAttempt consults the job's fault injector. The retry loops bound
-// attempts at maxAttempts and fail the job when every attempt failed.
-func (j *Job) failAttempt(kind TaskKind, task, attempt int) bool {
-	return j.FaultInjector != nil && j.FaultInjector(kind, task, attempt)
-}
-
-// chaosSlow returns the chaos-injected duration multiplier for a task.
-func (j *Job) chaosSlow(phaseSeq, task int) float64 {
-	if j.Chaos == nil {
-		return 1
-	}
-	return j.Chaos.SlowFactor(phaseSeq, task)
-}
-
 // downAt returns the node-availability predicate for a phase starting at
 // the given virtual time, or nil when the job has no chaos schedule (the
 // scheduler then admits every node with zero overhead).

@@ -1,0 +1,161 @@
+package mapreduce
+
+import (
+	"fmt"
+
+	"efind/internal/dfs"
+	"efind/internal/sim"
+)
+
+// phaseSpec describes one map or reduce phase to runPhase. Scheduling,
+// re-execution, speculation and crash recovery are written once against
+// it; everything that deliberately differs between the two sides is a
+// field here, not a second code path.
+type phaseSpec struct {
+	kind  TaskKind
+	slots int // per node
+	// id is the number task i goes by outside the phase — to the fault
+	// injector and in trace instants: the phase-local index for map tasks,
+	// the reducer for reduce tasks. label names the task in error texts.
+	id    func(i int) int
+	label func(i int) string
+	// preferred returns task i's preferred nodes (none for reduce tasks,
+	// which also makes a won reduce backup non-local).
+	preferred func(i int) []sim.NodeID
+	// run executes one attempt of task i on node, its context clock
+	// anchored at absStart; it may panic with a taskAbort. install records
+	// a finished attempt's result as the task's.
+	run     func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats)
+	install func(i int, node sim.NodeID, r attemptResult)
+	// traceFailed emits a failed phase to the trace when the job runs
+	// under a chaos plan (the map side, whose partial result is resumed).
+	traceFailed bool
+
+	// stats, counters and phase alias the caller's result, so a failed
+	// phase leaves whatever completed in place.
+	stats    []TaskStats
+	counters map[string]int64
+	phase    *sim.PhaseResult
+	errs     []error
+}
+
+// attemptResult is what one task attempt produced: a map task's
+// partitioned output or a reduce task's shard. It is returned by value so
+// an attempt costs no allocation beyond its own work.
+type attemptResult struct {
+	out   *MapOutput
+	shard []dfs.Record
+}
+
+// runPhase is the phase lifecycle: claim a sequence number, get slots
+// from the arbiter, schedule the tasks, apply the chaos plan, advance the
+// clock, return the slots, then merge counters and emit the trace. On a
+// task failure it returns the lowest-indexed task's error — deterministic
+// whatever order tasks completed in — with p.stats and p.phase holding
+// what completed.
+func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
+	n := len(p.stats)
+	ready, seq := e.beginPhase()
+	base, lease := e.grantPhase(p.kind, n, ready)
+	p.errs = make([]error, n)
+	tasks := make([]sim.Task, n)
+	for i := range tasks {
+		// The scheduler only reads Preferred, so a replica list is shared
+		// rather than copied — a 1M-split phase would otherwise allocate a
+		// slice per task before scheduling even starts.
+		tasks[i] = sim.Task{Preferred: p.preferred(i), Run: e.taskRun(job, p, base, seq, i)}
+	}
+	*p.phase = e.Cluster.SchedulePhaseLease(tasks, p.slots, lease, job.downAt(base))
+	e.applyChaos(job, p, base)
+	e.vclock += p.phase.Makespan
+	if e.arbiter != nil {
+		e.arbiter.EndPhase(p.kind, lease, base, base+p.phase.Makespan)
+	}
+	err := firstError(p.errs)
+	if err == nil {
+		for _, st := range p.stats {
+			MergeCounters(p.counters, st.Counters)
+		}
+	}
+	if err == nil || (p.traceFailed && job.Chaos != nil) {
+		e.emitPhase(job.Name+"/"+p.kind.String(), p.kind.String(), base, *p.phase, p.stats)
+	}
+	return err
+}
+
+// taskRun builds the scheduler callback for task i: the Hadoop-style
+// retry loop around attempt, with chaos straggler slowdown applied to the
+// task's virtual duration (never to its work — records, counters, and
+// cache traffic are those of a normal run). base is the absolute time the
+// scheduler's start offsets are relative to: the phase base, or the crash
+// instant for a recovery wave.
+func (e *Engine) taskRun(job *Job, p *phaseSpec, base float64, seq, i int) func(sim.NodeID, float64) float64 {
+	slow := 1.0
+	if job.Chaos != nil {
+		slow = job.Chaos.SlowFactor(seq, i)
+	}
+	return func(node sim.NodeID, start float64) float64 {
+		total := 0.0
+		for attempt := 1; attempt <= maxAttempts; attempt++ {
+			rollback := e.guardAttempt(job, node)
+			r, st, err := e.attempt(job, p, i, node, base+start+total)
+			if err != nil {
+				p.errs[i] = err
+				return total
+			}
+			total += st.Duration * slow
+			if job.FaultInjector != nil && job.FaultInjector(p.kind, p.id(i), attempt) {
+				if rollback != nil {
+					rollback()
+				}
+				continue // attempt wasted; re-execute
+			}
+			st.Duration = total
+			st.Counters[CounterTaskRetries] = int64(attempt - 1)
+			p.install(i, node, r)
+			p.stats[i] = st
+			return total
+		}
+		p.errs[i] = fmt.Errorf("mapreduce: job %q %s failed %d attempts", job.Name, p.label(i), maxAttempts)
+		return total
+	}
+}
+
+// attempt runs one task attempt, converting a TaskContext.Abort into an
+// error. Aborts are permanent logical failures (an index error under
+// ErrorFailJob, not a crashed machine), so the caller fails the job
+// instead of re-executing the attempt.
+func (e *Engine) attempt(job *Job, p *phaseSpec, i int, node sim.NodeID, absStart float64) (r attemptResult, st TaskStats, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			ab, ok := rec.(taskAbort)
+			if !ok {
+				panic(rec)
+			}
+			err = fmt.Errorf("mapreduce: job %q %s aborted: %w", job.Name, p.label(i), ab.err)
+		}
+	}()
+	r, st = p.run(i, node, absStart)
+	return r, st, nil
+}
+
+// guardAttempt snapshots node-shared stage state ahead of a task attempt
+// that might fail, returning the rollback to invoke on failure. It is a
+// no-op (nil) when no faults can be injected, so normal runs skip the
+// snapshot cost entirely.
+func (e *Engine) guardAttempt(job *Job, node sim.NodeID) func() {
+	if (job.FaultInjector == nil && job.Chaos == nil) || job.AttemptGuard == nil {
+		return nil
+	}
+	return job.AttemptGuard(node)
+}
+
+// firstError returns the lowest-indexed task error.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}

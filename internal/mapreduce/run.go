@@ -100,36 +100,21 @@ func (r *JobRun) beginPhase() (base float64, seq int) {
 	return r.vclock, seq
 }
 
-// advance moves the virtual clock past a completed phase.
-func (r *JobRun) advance(d float64) { r.vclock += d }
-
-// waitUntil jumps the clock forward to an arbiter-granted start time.
-func (r *JobRun) waitUntil(t float64) {
-	if t > r.vclock {
-		r.vclock = t
-	}
-}
-
 // grantPhase asks the arbiter (if any) for this phase's slots: it returns
-// the possibly-delayed phase base and the lease to schedule on, and
-// records the lease for chaos recovery. Without an arbiter the phase
-// starts at ready on the full cluster.
+// the possibly-delayed phase base, to which the clock jumps, and the lease
+// to schedule on, and records the lease for chaos recovery. Without an
+// arbiter the phase starts at ready on the full cluster.
 func (r *JobRun) grantPhase(kind TaskKind, tasks int, ready float64) (base float64, lease *sim.Lease) {
 	base, lease = ready, nil
 	if r.arbiter != nil {
 		g := r.arbiter.BeginPhase(kind, tasks, ready)
 		base, lease = g.Start, g.Lease
-		r.waitUntil(base)
+		if base > r.vclock {
+			r.vclock = base
+		}
 	}
 	r.lease = lease
 	return base, lease
-}
-
-// endPhase returns the phase's slots to the arbiter.
-func (r *JobRun) endPhase(kind TaskKind, lease *sim.Lease, start, end float64) {
-	if r.arbiter != nil {
-		r.arbiter.EndPhase(kind, lease, start, end)
-	}
 }
 
 // qual prefixes a span/stage name with the run's namespace.

@@ -190,18 +190,10 @@ func (c *TaskContext) Extra() float64 { return c.extra }
 // backoff time advances it, so an outage can end mid-retry.
 func (c *TaskContext) Now() float64 { return c.base + c.extra }
 
-// SetBase anchors the context clock at an absolute virtual start time.
-// The engine sets it from the scheduler's placement; exported for tests
-// that drive stages outside the engine.
-func (c *TaskContext) SetBase(t float64) { c.base = t }
-
 // EnableSpans turns on span recording for this task. The engine enables
 // it when a trace is attached; with it off, StartSpan is a no-op that
 // performs no allocation, so tracing has zero cost on the hot path.
 func (c *TaskContext) EnableSpans() { c.traced = true }
-
-// Traced reports whether span recording is on.
-func (c *TaskContext) Traced() bool { return c.traced }
 
 // StartSpan opens a sub-phase span on the task's own virtual clock (the
 // accumulated Charge time). Call End on the returned region when the

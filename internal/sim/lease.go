@@ -39,34 +39,47 @@ func (l *Lease) NodeSlots(n NodeID) []int32 {
 	return l.slots[n]
 }
 
-// newSlotHeapLease builds the initial slot heap for a phase: the leased
-// slots when lease is non-nil, otherwise every slot of every available
-// node. Slots are appended node-ascending, index-ascending — the exact
-// order newSlotHeap uses — so a full lease yields a bit-identical heap.
+// newSlotHeapLease builds the initial slot heap for a phase, every slot
+// free at time 0: the leased slots when lease is non-nil, otherwise every
+// slot of every node; nodes for which down returns true contribute none.
+// Slots are appended node-ascending, index-ascending either way, so a full
+// lease yields a heap bit-identical to the unrestricted one.
 func (c *Cluster) newSlotHeapLease(slotsPerNode int, lease *Lease, down func(NodeID) bool) slotHeap {
-	if lease == nil {
-		return c.newSlotHeap(slotsPerNode, down)
+	nodes, total := c.cfg.Nodes, c.cfg.Nodes*slotsPerNode
+	if lease != nil {
+		nodes, total = len(lease.slots), lease.total
 	}
-	h := make(slotHeap, 0, lease.total)
-	for n := range lease.slots {
+	h := make(slotHeap, 0, total)
+	for n := 0; n < nodes; n++ {
 		if down != nil && down(NodeID(n)) {
 			continue
 		}
-		for _, idx := range lease.slots[n] {
-			h = append(h, slot{node: int32(n), idx: idx, free: 0})
+		if lease != nil {
+			for _, idx := range lease.slots[n] {
+				h = append(h, slot{node: int32(n), idx: idx})
+			}
+			continue
+		}
+		for s := 0; s < slotsPerNode; s++ {
+			h = append(h, slot{node: int32(n), idx: int32(s)})
 		}
 	}
 	if len(h) == 0 {
-		panic("sim: no leased slots available to schedule on (all down)")
+		panic("sim: no slots available to schedule on (all down)")
 	}
 	h.init()
 	return h
 }
 
-// SchedulePhaseLease is SchedulePhaseAvail restricted to a slot lease:
-// when lease is non-nil, only the leased slots run tasks, so concurrent
-// jobs granted disjoint leases never contend for the same lane. A nil
-// lease admits the whole cluster.
+// SchedulePhaseLease is SchedulePhase restricted to available nodes and
+// to a slot lease. Any node for which down returns true contributes no
+// slots, so the greedy picker routes its would-be-local tasks elsewhere;
+// the failure-domain chaos engine uses it to replan placement around
+// crashed nodes. A nil down admits every node; a down that rejects all
+// nodes panics, because a cluster with zero slots can never finish a
+// phase. When lease is non-nil, only the leased slots run tasks, so
+// concurrent jobs granted disjoint leases never contend for the same
+// lane. A nil lease admits the whole cluster.
 func (c *Cluster) SchedulePhaseLease(tasks []Task, slotsPerNode int, lease *Lease, down func(NodeID) bool) PhaseResult {
 	if slotsPerNode <= 0 {
 		slotsPerNode = 1

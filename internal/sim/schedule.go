@@ -106,47 +106,34 @@ func (h *slotHeap) pop() slot {
 	q[0] = q[n]
 	q = q[:n]
 	*h = q
-	// Sift down.
-	i := 0
+	q.siftDown(0)
+	return top
+}
+
+// siftDown restores the heap invariant below position i.
+func (h slotHeap) siftDown(i int) {
+	n := len(h)
 	for {
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && slotLess(q[r], q[l]) {
+		if r := l + 1; r < n && slotLess(h[r], h[l]) {
 			min = r
 		}
-		if !slotLess(q[min], q[i]) {
+		if !slotLess(h[min], h[i]) {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-	return top
 }
 
 // init establishes the heap invariant over arbitrary contents.
 func (h slotHeap) init() {
-	n := len(h)
-	for i := n/2 - 1; i >= 0; i-- {
-		// Sift down from i.
-		j := i
-		for {
-			l := 2*j + 1
-			if l >= n {
-				break
-			}
-			min := l
-			if r := l + 1; r < n && slotLess(h[r], h[l]) {
-				min = r
-			}
-			if !slotLess(h[min], h[j]) {
-				break
-			}
-			h[j], h[min] = h[min], h[j]
-			j = min
-		}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
 	}
 }
 
@@ -255,36 +242,7 @@ func (p *taskPicker) pick(node NodeID) (ti int, local bool) {
 // order, tasks placed on the same node run one at a time in placement
 // order, and results are merged deterministically by task index.
 func (c *Cluster) SchedulePhase(tasks []Task, slotsPerNode int) PhaseResult {
-	return c.SchedulePhaseAvail(tasks, slotsPerNode, nil)
-}
-
-// SchedulePhaseAvail is SchedulePhase restricted to available nodes: any
-// node for which down returns true contributes no slots, so the greedy
-// picker routes its would-be-local tasks elsewhere. The failure-domain
-// chaos engine uses it to replan placement around crashed nodes. A nil
-// down admits every node; a down that rejects all nodes panics, because
-// a cluster with zero slots can never finish a phase.
-func (c *Cluster) SchedulePhaseAvail(tasks []Task, slotsPerNode int, down func(NodeID) bool) PhaseResult {
-	return c.SchedulePhaseLease(tasks, slotsPerNode, nil, down)
-}
-
-// newSlotHeap builds the initial heap with every available node's slots
-// free at time 0.
-func (c *Cluster) newSlotHeap(slotsPerNode int, down func(NodeID) bool) slotHeap {
-	h := make(slotHeap, 0, c.cfg.Nodes*slotsPerNode)
-	for n := 0; n < c.cfg.Nodes; n++ {
-		if down != nil && down(NodeID(n)) {
-			continue
-		}
-		for s := 0; s < slotsPerNode; s++ {
-			h = append(h, slot{node: int32(n), idx: int32(s), free: 0})
-		}
-	}
-	if len(h) == 0 {
-		panic("sim: no nodes available to schedule on (all down)")
-	}
-	h.init()
-	return h
+	return c.SchedulePhaseLease(tasks, slotsPerNode, nil, nil)
 }
 
 func (r *PhaseResult) record(a Assignment) {
@@ -332,20 +290,4 @@ func (c *Cluster) schedulePhaseSerial(tasks []Task, h slotHeap) PhaseResult {
 	}
 	res.sortAssignments()
 	return res
-}
-
-// FirstWave returns the task indices that belong to the first scheduling
-// wave (the first min(len(tasks), slots) assignments by start time). The
-// adaptive optimizer uses it to decide which tasks' statistics are
-// available at re-optimization time.
-func (r PhaseResult) FirstWave(slots int) []int {
-	n := slots
-	if n > len(r.Assignments) {
-		n = len(r.Assignments)
-	}
-	out := make([]int, 0, n)
-	for _, a := range r.Assignments[:n] {
-		out = append(out, a.Task)
-	}
-	return out
 }

@@ -160,15 +160,6 @@ func (c *Cluster) Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// TransferTime returns the virtual seconds needed to move n bytes between
-// two distinct machines. Transfers within one machine are free.
-func (c *Cluster) TransferTime(bytes float64, from, to NodeID) float64 {
-	if from == to {
-		return 0
-	}
-	return bytes / c.cfg.NetBandwidth
-}
-
 // NetTime returns the virtual seconds to move n bytes across the network
 // unconditionally (used when the peer is known to be remote).
 func (c *Cluster) NetTime(bytes float64) float64 { return bytes / c.cfg.NetBandwidth }
@@ -198,8 +189,8 @@ func (c *Cluster) PlaceReplicas(n int) []NodeID {
 	for i := range out {
 		out[i] = NodeID((c.placeNext + i) % c.cfg.Nodes)
 	}
-	// Advance by a stride coprime with small clusters to avoid all replica
-	// sets stacking on the same neighbourhoods.
+	// Advance by one node, so consecutive replica sets overlap in all but
+	// one member and the first replicas walk the cluster round-robin.
 	c.placeNext = (c.placeNext + 1) % c.cfg.Nodes
 	return out
 }

@@ -36,17 +36,6 @@ func TestConfigValidateRejectsBadValues(t *testing.T) {
 	}
 }
 
-func TestTransferTimeLocalIsFree(t *testing.T) {
-	c := NewCluster(DefaultConfig())
-	if got := c.TransferTime(1e9, 3, 3); got != 0 {
-		t.Fatalf("local transfer should be free, got %g", got)
-	}
-	want := 1e9 / DefaultConfig().NetBandwidth
-	if got := c.TransferTime(1e9, 3, 4); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("remote transfer = %g, want %g", got, want)
-	}
-}
-
 func TestCostHelpers(t *testing.T) {
 	cfg := DefaultConfig()
 	c := NewCluster(cfg)
@@ -249,23 +238,6 @@ func TestStragglerStretchesMakespan(t *testing.T) {
 	}
 }
 
-func TestFirstWave(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 2
-	cfg.MapSlotsPerNode = 1
-	cfg.TaskStartup = 0
-	c := NewCluster(cfg)
-	tasks := make([]Task, 5)
-	for i := range tasks {
-		tasks[i] = Task{Run: func(NodeID, float64) float64 { return 1 }}
-	}
-	res := c.SchedulePhase(tasks, 1)
-	fw := res.FirstWave(2)
-	if len(fw) != 2 {
-		t.Fatalf("first wave on 2 slots should have 2 tasks, got %d", len(fw))
-	}
-}
-
 // Property: makespan is always at least the longest single task and at most
 // the serial sum, and every task is assigned exactly once.
 func TestSchedulePhaseProperties(t *testing.T) {
@@ -322,7 +294,7 @@ func TestSchedulePhaseAvailExcludesDownNodes(t *testing.T) {
 		}
 	}
 	down := func(n NodeID) bool { return n == 2 }
-	res := c.SchedulePhaseAvail(tasks, 1, down)
+	res := c.SchedulePhaseLease(tasks, 1, nil, down)
 	if len(res.Assignments) != 4 {
 		t.Fatalf("want 4 assignments, got %d", len(res.Assignments))
 	}
@@ -344,5 +316,5 @@ func TestSchedulePhaseAvailExcludesDownNodes(t *testing.T) {
 			t.Fatal("scheduling with every node down must panic")
 		}
 	}()
-	c.SchedulePhaseAvail(tasks, 1, func(NodeID) bool { return true })
+	c.SchedulePhaseLease(tasks, 1, nil, func(NodeID) bool { return true })
 }

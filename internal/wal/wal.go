@@ -262,36 +262,6 @@ func (l *Log) Close() error {
 	return f.Close()
 }
 
-// Prune removes every segment before the one containing record index
-// keepFrom (0-based over the Replay order), plus any file named in
-// keepFiles staying untouched. It is opt-in — recovery sweeps rely on
-// the full history by default — and never touches the final segment.
-func Prune(fs vfs.FS, dir string, keepFrom int) (removed []string, err error) {
-	segs, err := segments(fs, dir)
-	if err != nil || len(segs) == 0 {
-		return nil, err
-	}
-	seen := 0
-	for i, name := range segs[:len(segs)-1] {
-		data, err := fs.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return removed, err
-		}
-		payloads, _, _ := decodeSegment(data)
-		seen += len(payloads)
-		if seen > keepFrom {
-			break
-		}
-		// Every record of this segment is below keepFrom and the next
-		// segment exists: safe to drop.
-		if err := fs.Remove(filepath.Join(dir, name)); err != nil {
-			return removed, err
-		}
-		removed = append(removed, segs[i])
-	}
-	return removed, nil
-}
-
 // CrashImage copies the journal directory src into dst as it would look
 // had the process crashed immediately after appending record number
 // keepRecords (counting from 1 over the Replay order): later records

@@ -186,35 +186,6 @@ func TestCrashImageSweep(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	fs := vfs.OS{}
-	dir := filepath.Join(t.TempDir(), "wal")
-	want := testPayloads(15)
-	appendAll(t, fs, dir, want[:5], false)
-	appendAll(t, fs, dir, want[5:10], false)
-	appendAll(t, fs, dir, want[10:], false)
-
-	// keepFrom 5: the first segment (records 0-4) is droppable.
-	removed, err := wal.Prune(fs, dir, 5)
-	if err != nil {
-		t.Fatalf("Prune: %v", err)
-	}
-	if len(removed) != 1 {
-		t.Fatalf("Prune removed %v, want one segment", removed)
-	}
-	checkReplay(t, fs, dir, want[5:], false)
-
-	// The final segment is never pruned even when fully below keepFrom.
-	removed, err = wal.Prune(fs, dir, 1000)
-	if err != nil {
-		t.Fatalf("Prune: %v", err)
-	}
-	if len(removed) != 1 {
-		t.Fatalf("second Prune removed %v, want exactly the middle segment", removed)
-	}
-	checkReplay(t, fs, dir, want[10:], false)
-}
-
 func TestAppendFaultsAreSticky(t *testing.T) {
 	base := vfs.OS{}
 	dir := filepath.Join(t.TempDir(), "wal")
