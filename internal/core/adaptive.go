@@ -14,7 +14,8 @@ import (
 // first wave of tasks, and re-optimize the running job at most once
 // (Algorithm 1), reusing completed-task results when the plan changes
 // (Figure 10).
-func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
+func (pr *planRun) runDynamic() error {
+	rt, conf := pr.rt, pr.conf
 	// Warm start (Figure 8): when the catalog already holds statistics
 	// for every operator — collected by previous jobs — the adaptive
 	// optimizer generates its initial plan from them and runs it
@@ -29,39 +30,32 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 			break
 		}
 	}
+	mode := ModeBaseline
 	if warm {
 		rt.traceInstant("adaptive: warm start from catalog statistics")
-		plan, err := rt.planWithMode(conf, ModeOptimized)
-		if err != nil {
-			return nil, err
-		}
+		mode = ModeOptimized
+	}
+	plan, err := pr.planFor(mode)
+	if err != nil {
+		return err
+	}
+	co, err := pr.compile(plan)
+	if err != nil {
+		return err
+	}
+	if warm {
 		// Note: no statistics are harvested from a warm run — tasks under
 		// shuffle plans measure only fragments of the Table 1 terms, and
 		// folding those in would corrupt the catalog's baseline-measured
 		// statistics.
-		return rt.runPlan(conf, plan)
-	}
-
-	basePlan, err := rt.planWithMode(conf, ModeBaseline)
-	if err != nil {
-		return nil, err
-	}
-	co, err := compilePlan(rt, conf, basePlan)
-	if err != nil {
-		return nil, err
+		return pr.runJobs(co, 0, conf.Input, nil, nil)
 	}
 	if len(co.jobs) != 1 {
-		return nil, fmt.Errorf("efind: internal: baseline plan compiled to %d jobs", len(co.jobs))
+		return fmt.Errorf("efind: internal: baseline plan compiled to %d jobs", len(co.jobs))
 	}
-	mainJob := co.engineJob(conf, 0, conf.Input)
-
-	total := &JobResult{Plan: basePlan, Counters: make(map[string]int64)}
-	changesLeft := conf.MaxPlanChanges
-	if changesLeft == 0 {
-		changesLeft = 1 // the paper changes the plan at most once
-	} else if changesLeft < 0 {
-		changesLeft = 0 // ablation: adaptive statistics without replanning
-	}
+	// The paper changes the plan at most once; a negative MaxPlanChanges
+	// is the ablation's adaptive statistics without replanning.
+	pr.cold, pr.mayChange = true, conf.MaxPlanChanges >= 0
 
 	// First wave of map tasks under the baseline plan: the statistics
 	// collection phase.
@@ -70,67 +64,34 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 	if wave > n {
 		wave = n
 	}
-	mp1, err := rt.run.RunMapPhase(mainJob, seq(0, wave))
+	mp1, err := pr.run.RunMapPhase(co.engineJob(conf, 0, conf.Input), seq(0, wave))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	total.VTime += mp1.VTime
-	total.JobsRun = 1
-	mapreduce.MergeCounters(total.Counters, mp1.Counters)
+	pr.add(mp1.VTime, mp1.Counters)
 
 	// Fold first-wave statistics into the catalog for the operators whose
 	// work happens before the reduce phase.
 	preReduce := append(append([]*Operator(nil), conf.head...), conf.body...)
-	newPlan, improved := rt.reoptimize(conf, basePlan, preReduce, mp1.Stats, wave < n)
-
-	if improved && changesLeft > 0 {
-		changesLeft--
-		return rt.changePlanAtMap(conf, total, mp1, newPlan, wave, n)
-	}
-
-	// No map-phase change: finish the map phase under the current plan.
-	var mpRest *mapreduce.MapPhaseResult
-	if wave < n {
-		mpRest, err = rt.run.RunMapPhase(mainJob, seq(wave, n))
-		if err != nil {
-			return nil, err
+	newPlan, improved := pr.reoptimize(plan, preReduce, mp1.Stats, wave < n)
+	if improved && pr.mayChange {
+		// Figure 10(a): the completed first-wave map tasks are reused
+		// as-is, the remaining splits run under the new plan (including any
+		// shuffling jobs it introduces), and the reduce phase consumes
+		// outputs from both plans. A job changes plan once: a mid-map
+		// change rules out a mid-reduce one.
+		if co, err = pr.compile(newPlan); err != nil {
+			return err
 		}
-		total.VTime += mpRest.VTime
-		mapreduce.MergeCounters(total.Counters, mpRest.Counters)
+		pr.mayChange = false
+		pr.res.JobsRun++ // the superseded baseline job
+		pr.res.Replanned = true
+		pr.res.ReplanPhase = "map"
+		rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-map to %s", newPlan))
 	}
-
-	if conf.Reducer == nil {
-		merged := mergeMapPhases(mp1, mpRest)
-		res, err := rt.run.FinishMapOnly(mainJob, merged)
-		if err != nil {
-			return nil, err
-		}
-		total.Output = res.Output
-		return total, nil
-	}
-
-	outputs := append(append([]*mapreduce.MapOutput(nil), mp1.Outputs...), outputsOf(mpRest)...)
-
-	// Reduce phase: with tail operators present and a change still
-	// allowed, run the first wave of reducers under the current plan and
-	// consider a mid-reduce change (Figure 10(b)).
-	if len(conf.tail) > 0 && changesLeft > 0 {
-		return rt.reducePhaseAdaptive(conf, total, mainJob, outputs, basePlan)
-	}
-
-	sub, err := rt.run.RunReduceSubset(mainJob, outputs, nil)
-	if err != nil {
-		return nil, err
-	}
-	total.VTime += sub.VTime
-	mapreduce.MergeCounters(total.Counters, sub.Counters)
-	rt.harvestTailStats(conf, sub.Stats)
-	out, err := rt.writeOutput(conf, sub.Shards, sub.Homes)
-	if err != nil {
-		return nil, err
-	}
-	total.Output = out
-	return total, nil
+	// Finish the map phase — under the new plan or the current one — and
+	// reduce over the first wave's outputs and the rest's.
+	return pr.runJobs(co, 0, conf.Input, seq(wave, n), mp1)
 }
 
 // reoptimize implements Algorithm 1 for the given operators: fold the
@@ -138,7 +99,8 @@ func (rt *Runtime) runDynamic(conf *IndexJobConf) (*JobResult, error) {
 // otherwise build a new plan and accept it only if it beats the current
 // plan by more than the plan-change cost. canChange is false when no work
 // remains for the new plan to improve (e.g. all splits already processed).
-func (rt *Runtime) reoptimize(conf *IndexJobConf, cur *JobPlan, ops []*Operator, tasks []mapreduce.TaskStats, canChange bool) (*JobPlan, bool) {
+func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.TaskStats, canChange bool) (*JobPlan, bool) {
+	rt, conf := pr.rt, pr.conf
 	// Algorithm 1, lines 1–3: statistics must be stable across tasks.
 	// Operators whose statistics vary too much keep their current plan;
 	// only stable ones are re-optimized (an operator-granular reading of
@@ -169,7 +131,7 @@ func (rt *Runtime) reoptimize(conf *IndexJobConf, cur *JobPlan, ops []*Operator,
 			}
 			st := rt.Catalog.Get(p.Op.Name())
 			np := OptimizeOperator(p.Op, p.Pos, st, rt.Env, conf.Planner)
-			conf.applyDegrades(&np)
+			pr.applyDegrades(&np)
 			// Both sides are credited with their build decisions' amortized
 			// payoff, so the comparison ranks plans the way the optimizer
 			// did (the plans' recorded costs stay honest per-run costs).
@@ -184,9 +146,11 @@ func (rt *Runtime) reoptimize(conf *IndexJobConf, cur *JobPlan, ops []*Operator,
 	newPlan.Tail = replace(cur.Tail)
 	newPlan.Cost = newCost
 
-	// Algorithm 1, line 10: the improvement must exceed the change cost.
-	if curCost-newCost <= conf.PlanChangeCost {
-		rt.traceInstant(fmt.Sprintf("reoptimize: keep plan (improvement %.4f <= change cost %.4f)", curCost-newCost, conf.PlanChangeCost))
+	// Algorithm 1, line 10: the improvement must exceed the modeled
+	// overhead of switching plans mid-job.
+	changeCost := 2 * rt.Engine.Cluster.Config().TaskStartup
+	if curCost-newCost <= changeCost {
+		rt.traceInstant(fmt.Sprintf("reoptimize: keep plan (improvement %.4f <= change cost %.4f)", curCost-newCost, changeCost))
 		return nil, false
 	}
 	// The new plan must actually differ.
@@ -237,219 +201,93 @@ func (rt *Runtime) traceStats(op string, st *OperatorStats) {
 	}
 }
 
-// changePlanAtMap implements Figure 10(a): completed first-wave map tasks
-// are reused as-is; the remaining splits are processed under the new plan
-// (including any shuffling jobs it introduces); the reduce phase consumes
-// outputs from both plans.
-func (rt *Runtime) changePlanAtMap(conf *IndexJobConf, total *JobResult, mp1 *mapreduce.MapPhaseResult, newPlan *JobPlan, wave, n int) (*JobResult, error) {
-	co, err := compilePlan(rt, conf, newPlan)
-	if err != nil {
-		return nil, err
+// reduceInWaves is Figure 10(b), the cut along the reducer axis: the first
+// wave of reduce tasks runs under the current plan; if re-optimization
+// then changes the tail operators' plan, the remaining reducers run the
+// new plan's reduce side and their output goes through its shuffling jobs
+// (runJobs, from job 1). Either way the shards are merged here, the
+// first-wave reducers' results untouched, and written under the
+// configured name.
+func (pr *planRun) reduceInWaves(job *mapreduce.Job, outputs []*mapreduce.MapOutput) (*dfs.File, error) {
+	conf, fs := pr.conf, pr.rt.Engine.FS
+	wave := func(job *mapreduce.Job, from, to int) (*mapreduce.ReduceSubsetResult, error) {
+		sub, err := pr.run.RunReduceSubset(job, outputs, seq(from, to))
+		if err == nil {
+			pr.add(sub.VTime, sub.Counters)
+		}
+		return sub, err
 	}
-	// The new plan's first job runs only the remaining splits; any
-	// piggyback builders must offer from those (LIAH: build only what
-	// the job reads anyway).
-	co.restrictBuilds(seq(wave, n))
-	total.Plan = newPlan
-	total.Replanned = true
-	total.ReplanPhase = "map"
-	rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-map to %s", newPlan))
-
-	input := conf.Input
-	for k := range co.jobs {
-		job := co.engineJob(conf, k, input)
-		if k == 0 {
-			job.Splits = seq(wave, n)
-		}
-		last := k == len(co.jobs)-1
-		if !last {
-			r, err := rt.run.Run(job)
-			if err != nil {
-				return nil, err
-			}
-			total.VTime += r.VTime
-			total.JobsRun++
-			mapreduce.MergeCounters(total.Counters, r.Counters)
-			if input != conf.Input {
-				if err := rt.Engine.FS.Remove(input.Name); err != nil {
-					return nil, err
-				}
-			}
-			input = r.Output
-			continue
-		}
-		// Final job: its reducers pull from both the new-plan map tasks
-		// and the completed baseline first-wave tasks.
-		mpRest, err := rt.run.RunMapPhase(job, nil)
-		if err != nil {
-			return nil, err
-		}
-		total.VTime += mpRest.VTime
-		total.JobsRun++
-		mapreduce.MergeCounters(total.Counters, mpRest.Counters)
-		if input != conf.Input {
-			if err := rt.Engine.FS.Remove(input.Name); err != nil {
-				return nil, err
-			}
-		}
-		if conf.Reducer == nil {
-			merged := mergeMapPhases(mp1, mpRest)
-			res, err := rt.run.FinishMapOnly(job, merged)
-			if err != nil {
-				return nil, err
-			}
-			total.Output = res.Output
-			return total, nil
-		}
-		outputs := append(append([]*mapreduce.MapOutput(nil), mp1.Outputs...), mpRest.Outputs...)
-		sub, err := rt.run.RunReduceSubset(job, outputs, nil)
-		if err != nil {
-			return nil, err
-		}
-		total.VTime += sub.VTime
-		mapreduce.MergeCounters(total.Counters, sub.Counters)
-		rt.harvestTailStats(conf, sub.Stats)
-		out, err := rt.writeOutput(conf, sub.Shards, sub.Homes)
-		if err != nil {
-			return nil, err
-		}
-		total.Output = out
-	}
-	return total, nil
-}
-
-// reducePhaseAdaptive implements Figure 10(b): the first wave of reduce
-// tasks runs under the current plan; if re-optimization then changes the
-// tail operators' plan, the remaining reducers run under the new plan
-// (feeding its shuffling jobs) and the outputs are merged, keeping the
-// first-wave reducers' results in the final output untouched.
-func (rt *Runtime) reducePhaseAdaptive(conf *IndexJobConf, total *JobResult, mainJob *mapreduce.Job, outputs []*mapreduce.MapOutput, curPlan *JobPlan) (*JobResult, error) {
-	rwave := rt.Engine.Cluster.ReduceSlots()
+	rwave := pr.rt.Engine.Cluster.ReduceSlots()
 	if rwave > conf.NumReduce {
 		rwave = conf.NumReduce
 	}
-	sub1, err := rt.run.RunReduceSubset(mainJob, outputs, seq(0, rwave))
+	sub1, err := wave(job, 0, rwave)
 	if err != nil {
 		return nil, err
 	}
-	total.VTime += sub1.VTime
-	mapreduce.MergeCounters(total.Counters, sub1.Counters)
+	pr.res.JobsRun++
+	shards := append([][]dfs.Record(nil), sub1.Shards...)
+	homes := append([]sim.NodeID(nil), sub1.Homes...)
 
-	newPlan, improved := rt.reoptimize(conf, curPlan, conf.tail, sub1.Stats, rwave < conf.NumReduce)
-	if !improved {
-		var shards [][]dfs.Record
-		var homes []sim.NodeID
-		shards = append(shards, sub1.Shards...)
-		homes = append(homes, sub1.Homes...)
-		if rwave < conf.NumReduce {
-			sub2, err := rt.run.RunReduceSubset(mainJob, outputs, seq(rwave, conf.NumReduce))
+	newPlan, improved := pr.reoptimize(pr.res.Plan, conf.tail, sub1.Stats, rwave < conf.NumReduce)
+	// Whatever runs from here on neither changes plan again nor measures
+	// a whole reduce phase under one plan.
+	pr.mayChange, pr.cold = false, false
+
+	switch {
+	case improved:
+		co, err := pr.compile(newPlan)
+		if err != nil {
+			return nil, err
+		}
+		pr.res.Replanned = true
+		pr.res.ReplanPhase = "reduce"
+		pr.rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-reduce to %s", newPlan))
+		// The remaining reducers run the new plan's reduce side (user
+		// reduce plus the stages that feed the tail shuffling jobs); their
+		// output is materialized and pushed through the rest of the chain.
+		sub2, err := wave(co.engineJob(conf, 0, conf.Input), rwave, conf.NumReduce)
+		if err != nil {
+			return nil, err
+		}
+		pr.temp, err = fs.CreateSharded(fs.TempName(conf.Name+"-replan"), sub2.Shards, sub2.Homes)
+		if err != nil {
+			return nil, err
+		}
+		if err := pr.runJobs(co, 1, pr.temp, nil, nil); err != nil {
+			return nil, err
+		}
+		// What the chain produced joins the first wave's shards (already
+		// post-processed by the old plan's in-reduce tail stages).
+		pr.temp = pr.res.Output
+		for _, ch := range pr.temp.Chunks {
+			recs, err := ch.Records()
 			if err != nil {
 				return nil, err
 			}
-			total.VTime += sub2.VTime
-			mapreduce.MergeCounters(total.Counters, sub2.Counters)
-			shards = append(shards, sub2.Shards...)
-			homes = append(homes, sub2.Homes...)
+			shards = append(shards, recs)
+			home := sim.NodeID(0)
+			if len(ch.Replicas) > 0 {
+				home = ch.Replicas[0]
+			}
+			homes = append(homes, home)
 		}
-		out, err := rt.writeOutput(conf, shards, homes)
+		if err := pr.drop(); err != nil {
+			return nil, err
+		}
+	case rwave < conf.NumReduce:
+		sub2, err := wave(job, rwave, conf.NumReduce)
 		if err != nil {
 			return nil, err
 		}
-		total.Output = out
-		return total, nil
+		shards = append(shards, sub2.Shards...)
+		homes = append(homes, sub2.Homes...)
 	}
-
-	// Plan change in the middle of the reduce phase.
-	total.Plan = newPlan
-	total.Replanned = true
-	total.ReplanPhase = "reduce"
-	rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-reduce to %s", newPlan))
-	co, err := compilePlan(rt, conf, newPlan)
-	if err != nil {
-		return nil, err
-	}
-	// Remaining reducers run the new plan's reduce side (user reduce plus
-	// the stages that feed the tail shuffling jobs).
-	confNoOut := *conf
-	confNoOut.OutputName = ""
-	newMain := co.engineJob(&confNoOut, 0, conf.Input)
-	sub2, err := rt.run.RunReduceSubset(newMain, outputs, seq(rwave, conf.NumReduce))
-	if err != nil {
-		return nil, err
-	}
-	total.VTime += sub2.VTime
-	mapreduce.MergeCounters(total.Counters, sub2.Counters)
-
-	// Materialize the new-plan reducers' output and push it through the
-	// tail shuffling/resume jobs.
-	input, err := rt.Engine.FS.CreateSharded(rt.Engine.FS.TempName(conf.Name+"-replan"), sub2.Shards, sub2.Homes)
-	if err != nil {
-		return nil, err
-	}
-	for k := 1; k < len(co.jobs); k++ {
-		job := co.engineJob(&confNoOut, k, input)
-		r, err := rt.run.Run(job)
-		if err != nil {
-			return nil, err
-		}
-		total.VTime += r.VTime
-		total.JobsRun++
-		mapreduce.MergeCounters(total.Counters, r.Counters)
-		if err := rt.Engine.FS.Remove(input.Name); err != nil {
-			return nil, err
-		}
-		input = r.Output
-	}
-
-	// Merge: first-wave reducers' results (already post-processed by the
-	// old plan's in-reduce tail stages) plus the new plan's output.
-	shards := append([][]dfs.Record(nil), sub1.Shards...)
-	homes := append([]sim.NodeID(nil), sub1.Homes...)
-	for _, ch := range input.Chunks {
-		recs, err := ch.Records()
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, recs)
-		home := sim.NodeID(0)
-		if len(ch.Replicas) > 0 {
-			home = ch.Replicas[0]
-		}
-		homes = append(homes, home)
-	}
-	if err := rt.Engine.FS.Remove(input.Name); err != nil {
-		return nil, err
-	}
-	out, err := rt.writeOutput(conf, shards, homes)
-	if err != nil {
-		return nil, err
-	}
-	total.Output = out
-	return total, nil
-}
-
-// planWithMode builds a plan as if the job ran under the given mode.
-func (rt *Runtime) planWithMode(conf *IndexJobConf, m Mode) (*JobPlan, error) {
-	clone := *conf
-	clone.Mode = m
-	return rt.planFor(&clone)
-}
-
-// harvestTailStats folds tail-operator statistics from reduce tasks into
-// the catalog so subsequent optimized runs can plan them.
-func (rt *Runtime) harvestTailStats(conf *IndexJobConf, tasks []mapreduce.TaskStats) {
-	for _, o := range conf.tail {
-		collectStats(rt.Catalog, o, tasks, rt.Env)
-	}
-}
-
-// writeOutput materializes the final shards under the configured name.
-func (rt *Runtime) writeOutput(conf *IndexJobConf, shards [][]dfs.Record, homes []sim.NodeID) (*dfs.File, error) {
 	name := conf.OutputName
 	if name == "" {
-		name = rt.Engine.FS.TempName(conf.Name + "-out")
+		name = fs.TempName(conf.Name + "-out")
 	}
-	return rt.Engine.FS.CreateSharded(name, shards, homes)
+	return fs.CreateSharded(name, shards, homes)
 }
 
 // seq returns [from, to).
@@ -462,28 +300,4 @@ func seq(from, to int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// outputsOf tolerates a nil phase.
-func outputsOf(mp *mapreduce.MapPhaseResult) []*mapreduce.MapOutput {
-	if mp == nil {
-		return nil
-	}
-	return mp.Outputs
-}
-
-// mergeMapPhases concatenates two map phases (the second may be nil).
-func mergeMapPhases(a, b *mapreduce.MapPhaseResult) *mapreduce.MapPhaseResult {
-	if b == nil {
-		return a
-	}
-	counters := make(map[string]int64)
-	mapreduce.MergeCounters(counters, a.Counters)
-	mapreduce.MergeCounters(counters, b.Counters)
-	return &mapreduce.MapPhaseResult{
-		Outputs:  append(append([]*mapreduce.MapOutput(nil), a.Outputs...), b.Outputs...),
-		Stats:    append(append([]mapreduce.TaskStats(nil), a.Stats...), b.Stats...),
-		Counters: counters,
-		VTime:    a.VTime + b.VTime,
-	}
 }

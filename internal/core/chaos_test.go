@@ -89,15 +89,6 @@ func TestChaosPermanentOutageExhaustsLadder(t *testing.T) {
 	if !errors.Is(err, chaos.ErrUnavailable) {
 		t.Fatalf("job failure should carry the unavailability cause, got %v", err)
 	}
-
-	// With degradation disabled the very first exhausted ladder is fatal.
-	e2 := newE2E(t, 400, 10)
-	conf := chaosConf(e2, "outage-nodegrade", plan)
-	conf.DisableDegrade = true
-	_, err = e2.rt.Submit(conf)
-	if err == nil || !errors.Is(err, chaos.ErrUnavailable) {
-		t.Fatalf("DisableDegrade should surface the unavailability error, got %v", err)
-	}
 }
 
 // TestChaosPartitionScopedOutageOnlyHitsItsKeys: an outage of one

@@ -238,7 +238,7 @@ func TestCustomPlanOrdersShufflesFirst(t *testing.T) {
 	conf.ForceStrategy("mixed", e.store.Name(), LookupCache)
 	conf.ForceStrategy("mixed", "kv2", Repartition)
 
-	plan, err := e.rt.planFor(conf)
+	plan, err := (&planRun{rt: e.rt, conf: conf}).planFor(conf.Mode)
 	if err != nil {
 		t.Fatal(err)
 	}

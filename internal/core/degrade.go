@@ -4,14 +4,20 @@ package core
 // partition outages. An access whose partition is inside an outage window
 // fails with chaos.ErrUnavailable; the ixclient retry middleware backs off
 // and polls, and only when the ladder is exhausted does the error climb
-// here (under ErrorFailJob). Instead of failing the job, the runtime
-// demotes the affected index to the always-applicable baseline strategy —
-// re-using the §4 plan-change machinery with a failure trigger instead of
-// a cost trigger — and re-runs. Completed map tasks of single-job inline
-// plans are reused (Figure 10(a) applied to faults); multi-job plans
-// restart from the original input. Each (operator, index) pair degrades at
-// most once, so a permanent outage that survives even the baseline
-// strategy fails the job with the original error.
+// here (under ErrorFailJob). Instead of failing the job, the submission
+// demotes the affected index to the always-applicable baseline strategy
+// and runs another attempt through the same executor (planRun.attempt,
+// exec.go). When the failure was in the map phase of a single-job plan and
+// the demoted plan is again a single job, that attempt is a resume: the
+// failed phase's completed tasks are handed to runJobs as done work and
+// its unfinished splits as the splits to run — exactly what a
+// cost-triggered change does with a dynamic job's first wave (Figure
+// 10(a)). Every other failure (a reduce phase, a multi-job chain, a
+// dynamic job, a resumed phase) restarts from the original input. The
+// demoted set lives on the submission, not on the caller's configuration,
+// and each (operator, index) pair degrades at most once, so an outage
+// that survives even the baseline strategy fails the job with the
+// original error.
 
 import (
 	"errors"
@@ -23,14 +29,14 @@ import (
 	"efind/internal/mapreduce"
 )
 
-// mapPhaseFailure wraps a map-phase error together with the partial phase
-// result, so a failure-triggered plan change can re-run only the splits
-// that never completed. resumable marks single-job plans, whose per-split
-// outputs are final records and thus valid under any inline plan.
+// mapPhaseFailure is a map-phase error. resumable, when non-nil, is the
+// phase's partial result: the next attempt can keep its completed splits
+// and re-run only the others. It is set for the whole map phase of a
+// single-job plan, whose per-split outputs are final records, valid under
+// any inline plan.
 type mapPhaseFailure struct {
 	jobName   string
-	mp        *mapreduce.MapPhaseResult
-	resumable bool
+	resumable *mapreduce.MapPhaseResult
 	err       error
 }
 
@@ -40,47 +46,34 @@ func (e *mapPhaseFailure) Error() string {
 
 func (e *mapPhaseFailure) Unwrap() error { return e.err }
 
-// runJob executes one compiled job like Engine.Run, but keeps the partial
-// map-phase result on failure so the degrade ladder can reuse completed
-// splits. resumable marks jobs whose map output is plan-independent (the
-// only job of a single-job plan).
-func (rt *Runtime) runJob(job *mapreduce.Job, resumable bool) (*mapreduce.Result, error) {
-	mp, err := rt.run.RunMapPhase(job, nil)
-	if err != nil {
-		return nil, &mapPhaseFailure{jobName: job.Name, mp: mp, resumable: resumable, err: err}
-	}
-	if job.Reduce == nil {
-		return rt.run.FinishMapOnly(job, mp)
-	}
-	return rt.run.RunReducePhase(job, mp)
-}
-
-// submitDegradable runs the job, degrading index strategies on exhausted
-// outages until the job completes or no fallback remains.
-func (rt *Runtime) submitDegradable(conf *IndexJobConf) (*JobResult, error) {
-	res, err := rt.submitOnce(conf)
+// submit runs the job, degrading index strategies on exhausted outages
+// until the job completes or no fallback remains.
+func (pr *planRun) submit() error {
+	err := pr.attempt(nil)
 	var reopts int64
 	for err != nil {
 		op, ix, ok := degradeTarget(err)
-		if !ok || conf.DisableDegrade || !conf.degrade(op, ix) {
-			return nil, err
+		if !ok || !pr.degrade(op, ix) {
+			return err
 		}
 		reopts++
-		if t := rt.Engine.Trace; t != nil {
+		if t := pr.rt.Engine.Trace; t != nil {
 			t.AddInstant(fmt.Sprintf("reopt:failure %s/%s -> baseline", op, ix), "chaos")
 			t.Metrics.Add(chaos.CtrReoptFailure, 1)
 		}
+		// A dynamic job re-submits from scratch: its first wave must run
+		// again to measure under the demoted plan.
+		var failed *mapreduce.MapPhaseResult
 		var mf *mapPhaseFailure
-		if errors.As(err, &mf) && mf.resumable && conf.Mode != ModeDynamic {
-			res, err = rt.resumeDegraded(conf, mf.mp)
-		} else {
-			res, err = rt.submitOnce(conf)
+		if errors.As(err, &mf) && pr.conf.Mode != ModeDynamic {
+			failed = mf.resumable
 		}
+		err = pr.attempt(failed)
 	}
 	if reopts > 0 {
-		res.Counters[chaos.CtrReoptFailure] += reopts
+		pr.res.Counters[chaos.CtrReoptFailure] += reopts
 	}
-	return res, nil
+	return nil
 }
 
 // degradeTarget extracts the (operator, index) pair whose outage exhausted
@@ -96,17 +89,14 @@ func degradeTarget(err error) (op, ix string, ok bool) {
 // degrade marks one (operator, index) pair as demoted to the baseline
 // strategy. It returns false when the pair is already degraded — the
 // ladder is exhausted and the failure is final.
-func (c *IndexJobConf) degrade(op, ix string) bool {
-	if c.degraded[op][ix] {
+func (pr *planRun) degrade(op, ix string) bool {
+	if pr.degraded[[2]string{op, ix}] {
 		return false
 	}
-	if c.degraded == nil {
-		c.degraded = make(map[string]map[string]bool)
+	if pr.degraded == nil {
+		pr.degraded = make(map[[2]string]bool)
 	}
-	if c.degraded[op] == nil {
-		c.degraded[op] = make(map[string]bool)
-	}
-	c.degraded[op][ix] = true
+	pr.degraded[[2]string{op, ix}] = true
 	return true
 }
 
@@ -116,14 +106,10 @@ func (c *IndexJobConf) degrade(op, ix string) bool {
 // the decisions are stably re-partitioned around it; the relative order
 // within each class is preserved, and per-index results are keyed by
 // index position, so output is unaffected.
-func (c *IndexJobConf) applyDegrades(p *OperatorPlan) {
-	m := c.degraded[p.Op.Name()]
-	if len(m) == 0 {
-		return
-	}
+func (pr *planRun) applyDegrades(p *OperatorPlan) {
 	changed := false
 	for i, d := range p.Decisions {
-		if m[p.Op.Indices()[d.Index].Name()] && d.Strategy != Baseline {
+		if pr.degraded[[2]string{p.Op.Name(), p.Op.Indices()[d.Index].Name()}] && d.Strategy != Baseline {
 			p.Decisions[i] = Decision{Index: d.Index, Strategy: Baseline}
 			changed = true
 		}
@@ -137,75 +123,3 @@ func (c *IndexJobConf) applyDegrades(p *OperatorPlan) {
 }
 
 func isShuffle(s Strategy) bool { return s == Repartition || s == IndexLocality }
-
-// resumeDegraded finishes a job whose single-job plan failed mid-map: the
-// (now degraded) plan is rebuilt, the splits that never completed are
-// re-run under it, and the completed splits' outputs — final records,
-// identical under every inline plan — are merged back in split order, so
-// the job's output is bit-identical to an unfailed run. Falls back to a
-// full re-run when the degraded plan is not a single inline job.
-func (rt *Runtime) resumeDegraded(conf *IndexJobConf, partial *mapreduce.MapPhaseResult) (*JobResult, error) {
-	plan, err := rt.planFor(conf)
-	if err != nil {
-		return nil, err
-	}
-	co, err := compilePlan(rt, conf, plan)
-	if err != nil {
-		return nil, err
-	}
-	if len(co.jobs) != 1 {
-		return rt.runPlan(conf, plan)
-	}
-	job := co.engineJob(conf, 0, conf.Input)
-
-	var missing []int
-	for i := range partial.Outputs {
-		if partial.Outputs[i] == nil {
-			missing = append(missing, i)
-		}
-	}
-	// Completed splits are reused, so only the re-run ones can build.
-	co.restrictBuilds(missing)
-	rest, err := rt.run.RunMapPhase(job, missing)
-	if err != nil {
-		return nil, &mapPhaseFailure{jobName: job.Name, mp: rest, err: err}
-	}
-
-	// Merge by split position so reduce input order — and with it the
-	// output — matches an unfailed run exactly.
-	merged := &mapreduce.MapPhaseResult{
-		Outputs:  append([]*mapreduce.MapOutput(nil), partial.Outputs...),
-		Stats:    append([]mapreduce.TaskStats(nil), partial.Stats...),
-		Counters: make(map[string]int64),
-		VTime:    partial.Phase.Makespan + rest.VTime,
-	}
-	for j, i := range missing {
-		merged.Outputs[i] = rest.Outputs[j]
-		merged.Stats[i] = rest.Stats[j]
-	}
-	// The failed phase never folded its completed tasks' counters; the
-	// resumed phase's are already merged into rest.Counters.
-	mapreduce.MergeCounters(merged.Counters, partial.Counters)
-	mapreduce.MergeCounters(merged.Counters, rest.Counters)
-	for i, st := range partial.Stats {
-		if partial.Outputs[i] != nil {
-			mapreduce.MergeCounters(merged.Counters, st.Counters)
-		}
-	}
-
-	res := &JobResult{Plan: plan, Counters: make(map[string]int64), JobsRun: 1}
-	var r *mapreduce.Result
-	if job.Reduce == nil {
-		r, err = rt.run.FinishMapOnly(job, merged)
-	} else {
-		r, err = rt.run.RunReducePhase(job, merged)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("efind: job %q: %w", job.Name, err)
-	}
-	res.raw = append(res.raw, r)
-	res.VTime = r.VTime
-	mapreduce.MergeCounters(res.Counters, r.Counters)
-	res.Output = r.Output
-	return res, nil
-}

@@ -112,9 +112,6 @@ type IndexJobConf struct {
 	// VarianceThreshold gates re-optimization: the largest stddev/mean of
 	// collected statistics must be below it (0 = 0.05, §4.2).
 	VarianceThreshold float64
-	// PlanChangeCost is the modeled overhead of switching plans mid-job;
-	// a new plan must win by more than this (0 = a small default).
-	PlanChangeCost float64
 	// Planner tunes plan enumeration.
 	Planner PlannerOptions
 	// MaxPlanChanges bounds how many times a dynamic job may switch plans
@@ -135,8 +132,6 @@ type IndexJobConf struct {
 	// Off by default because it deviates from the paper's per-key cost
 	// model (DESIGN.md, "Index client pipeline").
 	Batch bool
-	// BatchSize is the per-task record buffer for Batch (0 = 64).
-	BatchSize int
 
 	// Chaos subjects the job to a deterministic failure schedule: node
 	// crash/recovery windows and injected stragglers are enforced by the
@@ -147,11 +142,6 @@ type IndexJobConf struct {
 	// the plan compiles into: returning true fails that task attempt and
 	// re-executes it (classic MapReduce fault tolerance, per-attempt).
 	FaultInjector func(kind mapreduce.TaskKind, task, attempt int) bool
-	// DisableDegrade turns off failure-triggered re-optimization: an index
-	// whose outage survives the retry ladder then fails the job instead of
-	// being demoted to the baseline strategy (only meaningful with Chaos
-	// outages and ErrorFailJob).
-	DisableDegrade bool
 	// SharedCache attaches every LookupCache-strategy client of this job
 	// to a cross-job cache pool (the job service's persistent per-machine
 	// soft state). Nil keeps caches private to the submission.
@@ -160,7 +150,6 @@ type IndexJobConf struct {
 	head, body, tail []*Operator
 	forced           map[string]map[string]Strategy
 	forcedBoundary   map[string]map[string]Boundary
-	degraded         map[string]map[string]bool
 }
 
 // AddHeadIndexOperator places an operator before Map.
@@ -228,14 +217,8 @@ func (c *IndexJobConf) validate(rt *Runtime) error {
 	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = DefaultCacheCapacity
 	}
-	if c.Batch && c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
 	if c.VarianceThreshold <= 0 {
 		c.VarianceThreshold = 0.05
-	}
-	if c.PlanChangeCost <= 0 {
-		c.PlanChangeCost = 2 * rt.Engine.Cluster.Config().TaskStartup
 	}
 	ops, _ := c.Operators()
 	seen := map[string]bool{}
@@ -289,13 +272,6 @@ type Runtime struct {
 	Engine  *mapreduce.Engine
 	Catalog *Catalog
 	Env     Env
-
-	// run is the per-submission job handle all phase execution goes
-	// through. Submit threads a fresh handle per call (so two sequential
-	// submissions never share clock state); the job service threads a
-	// service-mode handle via SubmitOn. Nil only on a Runtime that has
-	// not entered a submission yet.
-	run *mapreduce.JobRun
 }
 
 // NewRuntime builds a runtime on the engine with a fresh catalog.
@@ -314,18 +290,14 @@ func (rt *Runtime) Submit(conf *IndexJobConf) (*JobResult, error) {
 // SubmitOn is Submit on an explicit job handle: the multi-tenant job
 // service uses it to execute each admitted job on a service-mode run
 // (admission-time clock, slot-lease arbitration, namespaced tracing).
-// The receiver is copied shallowly — Engine, Catalog, and Env are shared
-// with the parent runtime, while the handle stays private to this
-// submission, so one tenant's runtime can serve concurrent submissions.
+// Everything that belongs to the submission lives on its planRun, so one
+// tenant's runtime can serve concurrent submissions.
 func (rt *Runtime) SubmitOn(run *mapreduce.JobRun, conf *IndexJobConf) (*JobResult, error) {
-	sub := *rt
-	sub.run = run
-	rt = &sub
 	if err := conf.validate(rt); err != nil {
 		return nil, err
 	}
-	res, err := rt.submitDegradable(conf)
-	if err != nil {
+	pr := &planRun{rt: rt, run: run, conf: conf}
+	if err := pr.submit(); err != nil {
 		// A failed job's scans may be incomplete: abandon anything its
 		// build stages staged rather than committing half-built splits.
 		for _, b := range confBuildables(conf) {
@@ -333,6 +305,7 @@ func (rt *Runtime) SubmitOn(run *mapreduce.JobRun, conf *IndexJobConf) (*JobResu
 		}
 		return nil, err
 	}
+	res := pr.res
 	// The serial point between jobs: commit the splits the piggyback
 	// build stages staged. SubmitOn returns before the job service
 	// unparks the next job goroutine, so cross-job commit order is the
@@ -353,18 +326,6 @@ func (rt *Runtime) SubmitOn(run *mapreduce.JobRun, conf *IndexJobConf) (*JobResu
 		}
 	}
 	return res, nil
-}
-
-// submitOnce runs the job under its configured mode, one attempt.
-func (rt *Runtime) submitOnce(conf *IndexJobConf) (*JobResult, error) {
-	if conf.Mode == ModeDynamic {
-		return rt.runDynamic(conf)
-	}
-	plan, err := rt.planFor(conf)
-	if err != nil {
-		return nil, err
-	}
-	return rt.runPlan(conf, plan)
 }
 
 // confBuildables returns the distinct buildable accessors among the
@@ -402,25 +363,18 @@ func fillIndexErrors(conf *IndexJobConf, res *JobResult) {
 // populate the catalog (the "sufficient statistics" precondition of the
 // paper's optimized mode), discarding the output.
 func (rt *Runtime) CollectStats(conf *IndexJobConf) error {
-	sub := *rt
-	sub.run = rt.Engine.NewRun()
-	rt = &sub
 	if err := conf.validate(rt); err != nil {
 		return err
 	}
 	probe := *conf
 	probe.Mode = ModeBaseline
 	probe.OutputName = rt.Engine.FS.TempName(conf.Name + "-stats")
-	plan, err := rt.planFor(&probe)
-	if err != nil {
+	pr := &planRun{rt: rt, run: rt.Engine.NewRun(), conf: &probe}
+	if err := pr.attempt(nil); err != nil {
 		return err
 	}
-	res, err := rt.runPlan(&probe, plan)
-	if err != nil {
-		return err
-	}
-	rt.harvestStats(&probe, res)
-	return rt.Engine.FS.Remove(res.Output.Name)
+	rt.harvestStats(&probe, pr.res)
+	return rt.Engine.FS.Remove(pr.res.Output.Name)
 }
 
 // harvestStats folds a finished baseline run's task statistics into the
@@ -443,14 +397,16 @@ func (rt *Runtime) harvestStats(conf *IndexJobConf, res *JobResult) {
 	}
 }
 
-// planFor builds the job plan for the non-dynamic modes.
-func (rt *Runtime) planFor(conf *IndexJobConf) (*JobPlan, error) {
+// planFor builds the job plan the given non-dynamic mode prescribes, with
+// the submission's demoted indices held at baseline.
+func (pr *planRun) planFor(mode Mode) (*JobPlan, error) {
+	rt, conf := pr.rt, pr.conf
 	plan := &JobPlan{}
 	ops, positions := conf.Operators()
 	for i, o := range ops {
 		pos := positions[i]
 		var p OperatorPlan
-		switch conf.Mode {
+		switch mode {
 		case ModeBaseline:
 			p = baselinePlan(o, pos)
 		case ModeCache:
@@ -464,9 +420,9 @@ func (rt *Runtime) planFor(conf *IndexJobConf) (*JobPlan, error) {
 		case ModeOptimized:
 			p = OptimizeOperator(o, pos, rt.Catalog.Get(o.Name()), rt.Env, conf.Planner)
 		default:
-			return nil, fmt.Errorf("efind: unsupported mode %v", conf.Mode)
+			return nil, fmt.Errorf("efind: unsupported mode %v", mode)
 		}
-		conf.applyDegrades(&p)
+		pr.applyDegrades(&p)
 		switch pos {
 		case HeadOp:
 			plan.Head = append(plan.Head, p)
@@ -838,40 +794,207 @@ func (co *compiled) engineJob(conf *IndexJobConf, k int, input *dfs.File) *mapre
 		job.Combine = conf.Combiner
 		job.ReduceStagesAfter = cj.reduceStages
 	}
-	if k == len(co.jobs)-1 {
-		job.OutputName = conf.OutputName
-	}
 	return job
 }
 
-// runPlan compiles and executes a plan, chaining intermediate outputs and
-// cleaning up temporaries.
-func (rt *Runtime) runPlan(conf *IndexJobConf, plan *JobPlan) (*JobResult, error) {
-	co, err := compilePlan(rt, conf, plan)
+// planRun executes one submission. It owns everything that belongs to the
+// submission rather than to the runtime or the caller's configuration:
+// the job handle, the result being accumulated, the indices demoted by the
+// degrade ladder, the intermediate file of the job chain, and how far a
+// dynamic job may still adapt. Static runs, cost-triggered plan changes
+// (Figure 10) and failure-triggered resumes all run through runJobs.
+type planRun struct {
+	rt   *Runtime
+	run  *mapreduce.JobRun
+	conf *IndexJobConf
+	res  *JobResult
+
+	// degraded holds the (operator, index) pairs demoted to the baseline
+	// strategy; planFor and reoptimize apply it to every plan they build.
+	degraded map[[2]string]bool
+	// temp is the intermediate file the submission currently owns; drop
+	// removes it.
+	temp *dfs.File
+	// cold marks a dynamic job started without statistics: what its final
+	// reduce measures goes to the catalog. mayChange says it is still
+	// allowed its one plan change.
+	cold, mayChange bool
+}
+
+// attempt runs the job once, from a fresh result. failed, when non-nil, is
+// the map phase an earlier attempt died in: if the plan — re-planned, now
+// with the offending index demoted — is still a single inline job, the
+// splits that phase completed are kept (their outputs are final records,
+// the same under every inline plan) and only the rest run again.
+func (pr *planRun) attempt(failed *mapreduce.MapPhaseResult) error {
+	pr.res = &JobResult{Counters: make(map[string]int64)}
+	pr.cold, pr.mayChange = false, false
+	defer pr.drop()
+	if pr.conf.Mode == ModeDynamic {
+		return pr.runDynamic()
+	}
+	plan, err := pr.planFor(pr.conf.Mode)
+	if err != nil {
+		return err
+	}
+	co, err := pr.compile(plan)
+	if err != nil {
+		return err
+	}
+	if failed == nil || len(co.jobs) != 1 {
+		return pr.runJobs(co, 0, pr.conf.Input, nil, nil)
+	}
+	// The failed phase reports no VTime and never folded its tasks'
+	// counters: account its makespan and the completed tasks here.
+	pr.add(failed.Phase.Makespan, nil)
+	done, todo := &mapreduce.MapPhaseResult{}, []int{}
+	for split, out := range failed.Outputs {
+		if out == nil {
+			todo = append(todo, split)
+			continue
+		}
+		done.Outputs = append(done.Outputs, out)
+		done.Stats = append(done.Stats, failed.Stats[split])
+		pr.add(0, failed.Stats[split].Counters)
+	}
+	return pr.runJobs(co, 0, pr.conf.Input, todo, done)
+}
+
+// compile lowers plan to its job chain and makes it the result's plan.
+func (pr *planRun) compile(plan *JobPlan) (*compiled, error) {
+	co, err := compilePlan(pr.rt, pr.conf, plan)
+	if err == nil {
+		pr.res.Plan = plan
+	}
+	return co, err
+}
+
+// add folds one phase's or one whole job's virtual time and counters into
+// the result. Callers choose the grouping, because float addition order
+// decides VTime's bits: a whole job is one (map + reduce) term, while map
+// work continued from an earlier plan adds phase by phase.
+func (pr *planRun) add(vtime float64, counters map[string]int64) {
+	pr.res.VTime += vtime
+	mapreduce.MergeCounters(pr.res.Counters, counters)
+}
+
+// drop removes the intermediate file the submission owns, if any.
+func (pr *planRun) drop() error {
+	if pr.temp == nil {
+		return nil
+	}
+	name := pr.temp.Name
+	pr.temp = nil
+	return pr.rt.Engine.FS.Remove(name)
+}
+
+// runJobs is the one loop over a compiled plan's jobs, from job `from` on:
+// map phase, then reduce or map-only finish; the previous intermediate is
+// dropped and the output fed forward. input feeds the first job run; when
+// that is not conf.Input it is an intermediate the caller put in pr.temp.
+//
+// done is map work over conf.Input completed under an earlier plan — the
+// first wave of a dynamic job, or what a failed phase finished — already
+// accounted by the caller; todo then lists the splits still to run (nil
+// without done: all of them). The first job runs only todo, build targets
+// offer only from todo, and the last job's reducers pull from done and
+// from its own map tasks.
+func (pr *planRun) runJobs(co *compiled, from int, input *dfs.File, todo []int, done *mapreduce.MapPhaseResult) error {
+	if done != nil {
+		co.restrictBuilds(todo)
+	}
+	last := len(co.jobs) - 1
+	for k := from; k <= last; k++ {
+		job := co.engineJob(pr.conf, k, input)
+		if k == last && from == 0 {
+			// A chain entered past its first job yields only part of the
+			// output (Figure 10(b)); its caller merges and names the whole.
+			job.OutputName = pr.conf.OutputName
+		}
+		var splits []int // nil: every split of the job's input
+		if k == 0 {
+			splits = todo
+		}
+		mp := &mapreduce.MapPhaseResult{}
+		if splits == nil || len(splits) > 0 {
+			var err error
+			if mp, err = pr.run.RunMapPhase(job, splits); err != nil {
+				mf := &mapPhaseFailure{jobName: job.Name, err: err}
+				if done == nil && last == 0 {
+					// Only a whole single-job map phase is resumable: its
+					// outputs are final records. A resumed phase is not
+					// resumed again.
+					mf.resumable = mp
+				}
+				return mf
+			}
+		}
+		if k == last && done != nil {
+			pr.add(mp.VTime, mp.Counters)
+			mp = mergeMapWork(done, mp, k == 0)
+		}
+		out, err := pr.finishJob(job, mp)
+		if err != nil {
+			return err
+		}
+		if err := pr.drop(); err != nil {
+			return err
+		}
+		input = out
+		if k < last {
+			pr.temp = out
+		}
+	}
+	pr.res.Output = input
+	return nil
+}
+
+// mergeMapWork joins map work done under an earlier plan with the phase
+// that covered the rest, in reduce-input order — which decides the output
+// bytes. When both ran over the same input (a single-job chain) outputs
+// interleave by split number, as if one phase had run them all; the map
+// tasks of a multi-job chain's last job read a different file, so the
+// earlier plan's outputs simply come first. The result carries no time
+// or counters: both sides were accounted when they ran.
+func mergeMapWork(done, rest *mapreduce.MapPhaseResult, bySplit bool) *mapreduce.MapPhaseResult {
+	m := &mapreduce.MapPhaseResult{}
+	i, j := 0, 0
+	for i < len(done.Outputs) || j < len(rest.Outputs) {
+		src, at := rest, &j
+		if j == len(rest.Outputs) || i < len(done.Outputs) && (!bySplit || done.Outputs[i].Split < rest.Outputs[j].Split) {
+			src, at = done, &i
+		}
+		m.Outputs, m.Stats = append(m.Outputs, src.Outputs[*at]), append(m.Stats, src.Stats[*at])
+		*at++
+	}
+	return m
+}
+
+// finishJob turns a job's map work into the job's output and folds the job
+// into the result.
+func (pr *planRun) finishJob(job *mapreduce.Job, mp *mapreduce.MapPhaseResult) (*dfs.File, error) {
+	if pr.mayChange && len(pr.conf.tail) > 0 {
+		return pr.reduceInWaves(job, mp.Outputs)
+	}
+	var r *mapreduce.Result
+	var err error
+	if job.Reduce == nil {
+		r, err = pr.run.FinishMapOnly(job, mp)
+	} else {
+		r, err = pr.run.RunReducePhase(job, mp)
+	}
 	if err != nil {
 		return nil, err
 	}
-	res := &JobResult{Plan: plan, Counters: make(map[string]int64)}
-	input := conf.Input
-	for k := range co.jobs {
-		job := co.engineJob(conf, k, input)
-		r, err := rt.runJob(job, k == 0 && len(co.jobs) == 1)
-		if err != nil {
-			return nil, err
+	pr.add(r.VTime, r.Counters)
+	pr.res.JobsRun++
+	pr.res.raw = append(pr.res.raw, r)
+	if pr.cold {
+		// Tail operators ran under the baseline plan throughout: fold their
+		// statistics so later optimized runs can plan them.
+		for _, o := range pr.conf.tail {
+			collectStats(pr.rt.Catalog, o, r.ReduceStats, pr.rt.Env)
 		}
-		res.raw = append(res.raw, r)
-		res.VTime += r.VTime
-		res.JobsRun++
-		for name, v := range r.Counters {
-			res.Counters[name] += v
-		}
-		if input != conf.Input {
-			if err := rt.Engine.FS.Remove(input.Name); err != nil {
-				return nil, err
-			}
-		}
-		input = r.Output
 	}
-	res.Output = input
-	return res, nil
+	return r.Output, nil
 }

@@ -32,7 +32,7 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
 	}
 	if conf.Batch {
-		x.batchSize = conf.BatchSize
+		x.batchSize = DefaultBatchSize
 	}
 	for pos, d := range plan.Decisions {
 		mode := ixclient.CacheOff
