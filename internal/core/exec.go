@@ -786,7 +786,10 @@ func (co *compiled) engineJob(conf *IndexJobConf, k int, input *dfs.File) *mapre
 	case cj.shuffle != nil:
 		var cont []mapreduce.StageFactory
 		if cj.shuffle.boundary == BoundaryLate && k+1 < len(co.jobs) {
-			cont = co.jobs[k+1].mapStages
+			// The next job's first map stage is this operator's resume
+			// step (compilePlan put it there); the group reduce runs that
+			// itself, on the carrier it holds, and then the rest.
+			cont = co.jobs[k+1].mapStages[1:]
 		}
 		job.Reduce = cj.shuffle.x.groupReduce(cj.shuffle.pos, cj.shuffle.boundary, cj.shuffle.emitNextPos, cont)
 	case cj.userReduce:

@@ -13,6 +13,10 @@ import (
 // cost-accounting behaviour lives inside the clients (internal/ixclient);
 // this file only contains strategy logic — which key is resolved where,
 // and how results travel between jobs.
+//
+// Nothing on the per-record path builds a counter name or hashes one: the
+// names are built here, once per opExec, and every stage instance — one
+// per task — resolves them to cells when it opens (opTask).
 type opExec struct {
 	op        *Operator
 	plan      OperatorPlan
@@ -23,13 +27,32 @@ type opExec struct {
 	// Baseline); shuffle decisions get a cache-less client, because their
 	// group lookups are already deduplicated by the shuffle.
 	clients []*ixclient.Client
+
+	// Counter names, built once.
+	ctrPreIn, ctrPreInBytes, ctrPreOutBytes   string
+	ctrIdxBytes, ctrPostRecords, ctrPostBytes string
+	ctrCarrierErrors                          string
+	ctrMulti                                  []string // by index
 }
 
 func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
+	name := op.Name()
 	x := &opExec{
 		op:      op,
 		plan:    plan,
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
+
+		ctrPreIn:         ctrPreIn(name),
+		ctrPreInBytes:    ctrPreInBytes(name),
+		ctrPreOutBytes:   ctrPreOutBytes(name),
+		ctrIdxBytes:      ctrIdxBytes(name),
+		ctrPostRecords:   ctrPostRecords(name),
+		ctrPostBytes:     ctrPostBytes(name),
+		ctrCarrierErrors: "efind." + name + ".carrier.errors",
+		ctrMulti:         make([]string, op.NumIndices()),
+	}
+	for j, ix := range op.Indices() {
+		x.ctrMulti[j] = ctrMulti(name, ix.Name())
 	}
 	if conf.Batch {
 		x.batchSize = DefaultBatchSize
@@ -81,68 +104,121 @@ func (x *opExec) resetNode(node sim.NodeID) {
 	}
 }
 
-// lookupInline resolves one key under the decision at pos using the
-// Baseline or LookupCache strategy, via the decision's client (which owns
-// the real or shadow cache, §3.2/§4.2), recording the key and result
-// statistics.
-func (x *opExec) lookupInline(ctx *mapreduce.TaskContext, pos int, ik string) []string {
-	cl := x.clients[pos]
-	cl.CountKey(ctx, ik)
-	values := cl.Lookup(ctx, ik)
-	cl.CountValues(ctx, values)
-	return values
+// opTask is an operator's state in one task: what a stage instance
+// resolves when it opens and then uses record after record — the counter
+// cells, the clients' bound views, and the wrapper that counts
+// postProcess output on its way downstream. The stage types below embed
+// it. Tasks of different nodes run concurrently, so none of this lives on
+// the shared opExec.
+type opTask struct {
+	x   *opExec
+	ctx *mapreduce.TaskContext
+
+	preIn, preInBytes, preOutBytes   *mapreduce.Cell
+	idxBytes, postRecords, postBytes *mapreduce.Cell
+	multi                            []*mapreduce.Cell // by index, resolved on first use
+
+	// bound is indexed by decision position; views are bound on first use.
+	bound []*ixclient.Bound
+
+	// down is where the record being processed emits to; post counts a
+	// postProcess output and hands it to down. post is built once, so
+	// running postProcess costs no closure per record.
+	down Emit
+	post Emit
 }
 
-// runPreInstrumented runs preProcess with the N1/S1/Spre counters and
-// flags records with more than one key for any index (re-partitioning
-// feasibility).
-func (x *opExec) runPreInstrumented(ctx *mapreduce.TaskContext, in Pair) *carrier {
-	op := x.op.Name()
-	ctx.Inc(ctrPreIn(op), 1)
-	ctx.Inc(ctrPreInBytes(op), int64(in.Size()))
-	pr := x.op.runPre(in)
-	c := &carrier{
-		Pair:    pr.Pair,
-		Keys:    pr.Keys,
-		Results: make([][]KeyResult, x.op.NumIndices()),
+// open resolves the operator's cells on the task. A resolved cell that is
+// never added to is not exported, so a stage that sees no record leaves
+// no counter behind.
+func (o *opTask) open(ctx *mapreduce.TaskContext) {
+	x := o.x
+	*o = opTask{
+		x:           x,
+		ctx:         ctx,
+		preIn:       ctx.Cell(x.ctrPreIn),
+		preInBytes:  ctx.Cell(x.ctrPreInBytes),
+		preOutBytes: ctx.Cell(x.ctrPreOutBytes),
+		idxBytes:    ctx.Cell(x.ctrIdxBytes),
+		postRecords: ctx.Cell(x.ctrPostRecords),
+		postBytes:   ctx.Cell(x.ctrPostBytes),
+		bound:       make([]*ixclient.Bound, len(x.clients)),
 	}
-	ctx.Inc(ctrPreOutBytes(op), int64(c.size()))
+	o.post = func(p Pair) {
+		o.postRecords.Add(1)
+		o.postBytes.Add(int64(p.Size()))
+		o.down(p)
+	}
+}
+
+// client returns the task's view of the client for the decision at pos.
+func (o *opTask) client(pos int) *ixclient.Bound {
+	b := o.bound[pos]
+	if b == nil {
+		b = o.x.clients[pos].Bind(o.ctx)
+		o.bound[pos] = b
+	}
+	return b
+}
+
+// carrierError counts a shuffle value that failed to decode.
+func (o *opTask) carrierError() { o.ctx.Inc(o.x.ctrCarrierErrors, 1) }
+
+// runPre runs preProcess with the N1/S1/Spre counters and flags records
+// with more than one key for any index (re-partitioning feasibility).
+func (o *opTask) runPre(in Pair) *carrier {
+	op := o.x.op
+	o.preIn.Add(1)
+	o.preInBytes.Add(int64(in.Size()))
+	pr := op.runPre(in)
+	c := newCarrier(op.NumIndices())
+	c.Pair, c.Keys = pr.Pair, pr.Keys
+	o.preOutBytes.Add(int64(c.size()))
 	for j, ks := range pr.Keys {
-		if len(ks) > 1 && j < x.op.NumIndices() {
-			ctx.Inc(ctrMulti(op, x.op.Indices()[j].Name()), 1)
+		if len(ks) > 1 && j < op.NumIndices() {
+			if o.multi == nil {
+				o.multi = make([]*mapreduce.Cell, op.NumIndices())
+			}
+			if o.multi[j] == nil {
+				o.multi[j] = o.ctx.Cell(o.x.ctrMulti[j])
+			}
+			o.multi[j].Add(1)
 		}
 	}
 	return c
 }
 
-// finishCarrier performs the inline lookups for decisions[startPos:] and
-// runs postProcess, emitting (k2, v2) pairs. Decisions before startPos
-// must already have results attached (by shuffle jobs).
-func (x *opExec) finishCarrier(ctx *mapreduce.TaskContext, c *carrier, startPos int, emit Emit) {
-	for pos := startPos; pos < len(x.plan.Decisions); pos++ {
-		d := x.plan.Decisions[pos]
+// finish performs the inline lookups for decisions[startPos:] — via each
+// decision's client, which owns the real or shadow cache (§3.2/§4.2),
+// recording the key and result statistics — and runs postProcess,
+// emitting (k2, v2) pairs. Decisions before startPos must already have
+// results attached (by shuffle jobs).
+func (o *opTask) finish(c *carrier, startPos int, emit Emit) {
+	decisions := o.x.plan.Decisions
+	for pos := startPos; pos < len(decisions); pos++ {
+		d := decisions[pos]
 		if d.Index >= len(c.Keys) {
 			continue
 		}
 		keys := c.Keys[d.Index]
-		results := make([]KeyResult, 0, len(keys))
+		cl := o.client(pos)
+		results := c.keyResults(len(keys))
 		for _, ik := range keys {
-			results = append(results, KeyResult{Key: ik, Values: x.lookupInline(ctx, pos, ik)})
+			cl.CountKey(ik)
+			values := cl.Lookup(ik)
+			cl.CountValues(values)
+			results = append(results, KeyResult{Key: ik, Values: values})
 		}
 		c.Results[d.Index] = results
 	}
-	x.emitPost(ctx, c, emit)
+	o.emitPost(c, emit)
 }
 
 // emitPost charges the carrier's post-lookup size and runs postProcess.
-func (x *opExec) emitPost(ctx *mapreduce.TaskContext, c *carrier, emit Emit) {
-	op := x.op.Name()
-	ctx.Inc(ctrIdxBytes(op), int64(c.size()))
-	x.op.runPost(c.Pair, c.Results, func(p Pair) {
-		ctx.Inc(ctrPostRecords(op), 1)
-		ctx.Inc(ctrPostBytes(op), int64(p.Size()))
-		emit(p)
-	})
+func (o *opTask) emitPost(c *carrier, emit Emit) {
+	o.idxBytes.Add(int64(c.size()))
+	o.down = emit
+	o.x.op.runPost(c.Pair, c.Results, o.post)
 }
 
 // inlineStage builds the fully chained stage for an operator whose plan
@@ -151,17 +227,20 @@ func (x *opExec) emitPost(ctx *mapreduce.TaskContext, c *carrier, emit Emit) {
 // strategy only changes how lookups resolve).
 func (x *opExec) inlineStage() mapreduce.StageFactory {
 	if x.batchSize > 0 {
-		return x.batchedInlineStage()
+		return func(sim.NodeID) mapreduce.Stage { return &batchedInlineStage{opTask: opTask{x: x}} }
 	}
-	return func(node sim.NodeID) mapreduce.Stage {
-		return &mapreduce.FuncStage{
-			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				c := x.runPreInstrumented(ctx, in)
-				x.finishCarrier(ctx, c, 0, emit)
-			},
-		}
-	}
+	return func(sim.NodeID) mapreduce.Stage { return &inlineStage{opTask{x: x}} }
 }
+
+type inlineStage struct{ opTask }
+
+func (s *inlineStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
+
+func (s *inlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
+	s.finish(s.runPre(in), 0, emit)
+}
+
+func (s *inlineStage) Close(*mapreduce.TaskContext, Emit) {}
 
 // batchedInlineStage is inlineStage with record batching: carriers are
 // buffered (per task) up to the configured batch size, and each flush
@@ -170,57 +249,65 @@ func (x *opExec) inlineStage() mapreduce.StageFactory {
 // partition. The output records are identical to the unbatched stage, in
 // the same order; only the charged access cost differs (DESIGN.md,
 // "Index client pipeline").
-func (x *opExec) batchedInlineStage() mapreduce.StageFactory {
-	return func(node sim.NodeID) mapreduce.Stage {
-		var buf []*carrier
-		flush := func(ctx *mapreduce.TaskContext, emit Emit) {
-			if len(buf) == 0 {
-				return
+type batchedInlineStage struct {
+	opTask
+	buf []*carrier
+}
+
+func (s *batchedInlineStage) Open(ctx *mapreduce.TaskContext) {
+	s.open(ctx)
+	s.buf = s.buf[:0]
+}
+
+func (s *batchedInlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
+	s.buf = append(s.buf, s.runPre(in))
+	if len(s.buf) >= s.x.batchSize {
+		s.flush(emit)
+	}
+}
+
+func (s *batchedInlineStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.flush(emit) }
+
+// flush resolves and emits the buffered carriers.
+func (s *batchedInlineStage) flush(emit Emit) {
+	if len(s.buf) == 0 {
+		return
+	}
+	for pos, d := range s.x.plan.Decisions {
+		cl := s.client(pos)
+		var keys []string
+		for _, c := range s.buf {
+			if d.Index >= len(c.Keys) {
+				continue
 			}
-			for pos := range x.plan.Decisions {
-				d := x.plan.Decisions[pos]
-				cl := x.clients[pos]
-				var keys []string
-				for _, c := range buf {
-					if d.Index >= len(c.Keys) {
-						continue
-					}
-					for _, ik := range c.Keys[d.Index] {
-						cl.CountKey(ctx, ik)
-						keys = append(keys, ik)
-					}
-				}
-				vals := cl.LookupBatch(ctx, keys)
-				i := 0
-				for _, c := range buf {
-					if d.Index >= len(c.Keys) {
-						continue
-					}
-					ks := c.Keys[d.Index]
-					results := make([]KeyResult, 0, len(ks))
-					for _, ik := range ks {
-						cl.CountValues(ctx, vals[i])
-						results = append(results, KeyResult{Key: ik, Values: vals[i]})
-						i++
-					}
-					c.Results[d.Index] = results
-				}
+			for _, ik := range c.Keys[d.Index] {
+				cl.CountKey(ik)
+				keys = append(keys, ik)
 			}
-			for _, c := range buf {
-				x.emitPost(ctx, c, emit)
-			}
-			buf = buf[:0]
 		}
-		return &mapreduce.FuncStage{
-			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				buf = append(buf, x.runPreInstrumented(ctx, in))
-				if len(buf) >= x.batchSize {
-					flush(ctx, emit)
-				}
-			},
-			OnClose: flush,
+		// The batch results are kept in the carriers until postProcess
+		// has run; LookupBatch hands over a list of the caller's own.
+		vals := cl.LookupBatch(keys)
+		i := 0
+		for _, c := range s.buf {
+			if d.Index >= len(c.Keys) {
+				continue
+			}
+			ks := c.Keys[d.Index]
+			results := c.keyResults(len(ks))
+			for _, ik := range ks {
+				cl.CountValues(vals[i])
+				results = append(results, KeyResult{Key: ik, Values: vals[i]})
+				i++
+			}
+			c.Results[d.Index] = results
 		}
 	}
+	for _, c := range s.buf {
+		s.emitPost(c, emit)
+	}
+	clear(s.buf)
+	s.buf = s.buf[:0]
 }
 
 // resumeStage builds the map-side stage of the job following a shuffle:
@@ -229,38 +316,62 @@ func (x *opExec) batchedInlineStage() mapreduce.StageFactory {
 // memoization — the shuffle sorted equal keys together, so one real index
 // access serves all Θ duplicates in the run.
 func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
-	return func(node sim.NodeID) mapreduce.Stage {
-		var memoKey string
-		var memoVals []string
-		var memoValid bool
-		return &mapreduce.FuncStage{
-			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				c, err := decodeCarrier(in.Value)
-				if err != nil {
-					ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
-					return
-				}
-				next := pos
-				if memoFirst {
-					d := x.plan.Decisions[pos]
-					if d.Index < len(c.Keys) && len(c.Keys[d.Index]) > 0 {
-						ik := c.Keys[d.Index][0]
-						cl := x.clients[pos]
-						cl.CountKey(ctx, ik)
-						if !memoValid || memoKey != ik {
-							memoVals = cl.Access(ctx, ik)
-							memoKey, memoValid = ik, true
-						}
-						cl.CountValues(ctx, memoVals)
-						c.Results[d.Index] = []KeyResult{{Key: ik, Values: memoVals}}
-					}
-					next = pos + 1
-				}
-				x.finishCarrier(ctx, c, next, emit)
-			},
-		}
-	}
+	return func(sim.NodeID) mapreduce.Stage { return x.newResumeStage(pos, memoFirst) }
 }
+
+func (x *opExec) newResumeStage(pos int, memoFirst bool) *resumeStage {
+	return &resumeStage{opTask: opTask{x: x}, pos: pos, memoFirst: memoFirst}
+}
+
+type resumeStage struct {
+	opTask
+	pos       int
+	memoFirst bool
+
+	memoKey   string
+	memoVals  []string
+	memoValid bool
+}
+
+func (s *resumeStage) Open(ctx *mapreduce.TaskContext) {
+	s.open(ctx)
+	s.memoKey, s.memoVals, s.memoValid = "", nil, false
+}
+
+func (s *resumeStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
+	c, err := decodeCarrier(in.Value)
+	if err != nil {
+		s.carrierError()
+		return
+	}
+	s.resume(c, emit)
+}
+
+// resume finishes the operator for one carrier. It is Process without the
+// decoding: a BoundaryLate group reduce, which holds the carrier it just
+// attached a result to, calls it directly instead of encoding the carrier
+// for a stage three frames away to decode again.
+func (s *resumeStage) resume(c *carrier, emit Emit) {
+	next := s.pos
+	if s.memoFirst {
+		d := s.x.plan.Decisions[s.pos]
+		if d.Index < len(c.Keys) && len(c.Keys[d.Index]) > 0 {
+			ik := c.Keys[d.Index][0]
+			cl := s.client(s.pos)
+			cl.CountKey(ik)
+			if !s.memoValid || s.memoKey != ik {
+				s.memoVals = cl.Access(ik)
+				s.memoKey, s.memoValid = ik, true
+			}
+			cl.CountValues(s.memoVals)
+			c.attach(d.Index, ik, s.memoVals)
+		}
+		next = s.pos + 1
+	}
+	s.finish(c, next, emit)
+}
+
+func (s *resumeStage) Close(*mapreduce.TaskContext, Emit) {}
 
 // shuffleEmitStage builds the map-side stage that starts a shuffle for the
 // decision at pos: it runs preProcess (when the operator's records arrive
@@ -268,31 +379,41 @@ func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
 // shuffle), then emits (ik, carrier) keyed by the index key so the
 // group-by collapses duplicates.
 func (x *opExec) shuffleEmitStage(pos int, carrierIn bool) mapreduce.StageFactory {
-	return func(node sim.NodeID) mapreduce.Stage {
-		return &mapreduce.FuncStage{
-			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				var c *carrier
-				if carrierIn {
-					var err error
-					c, err = decodeCarrier(in.Value)
-					if err != nil {
-						ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
-						return
-					}
-				} else {
-					c = x.runPreInstrumented(ctx, in)
-				}
-				d := x.plan.Decisions[pos]
-				ixIdx := -1
-				if d.Index < len(c.Keys) {
-					ixIdx = d.Index
-				}
-				key, _ := shuffleKeyFor(c, ixIdx)
-				emit(Pair{Key: key, Value: encodeCarrier(c)})
-			},
-		}
+	return func(sim.NodeID) mapreduce.Stage {
+		return &shuffleEmitStage{opTask: opTask{x: x}, pos: pos, carrierIn: carrierIn}
 	}
 }
+
+type shuffleEmitStage struct {
+	opTask
+	pos       int
+	carrierIn bool
+}
+
+func (s *shuffleEmitStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
+
+func (s *shuffleEmitStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
+	var c *carrier
+	if s.carrierIn {
+		var err error
+		c, err = decodeCarrier(in.Value)
+		if err != nil {
+			s.carrierError()
+			return
+		}
+	} else {
+		c = s.runPre(in)
+	}
+	d := s.x.plan.Decisions[s.pos]
+	ixIdx := -1
+	if d.Index < len(c.Keys) {
+		ixIdx = d.Index
+	}
+	key, _ := shuffleKeyFor(c, ixIdx)
+	emit(Pair{Key: key, Value: encodeCarrier(c)})
+}
+
+func (s *shuffleEmitStage) Close(*mapreduce.TaskContext, Emit) {}
 
 // shuffleKeyFor returns the routing key for index position ixIdx of the
 // carrier (-1 or an absent key list yields a pass-through key).
@@ -313,9 +434,12 @@ func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
 //     locality placement).
 //   - BoundaryIdx: lookup once, attach the result to every carrier, emit
 //     carriers.
-//   - BoundaryLate: lookup once, attach, and run the continuation stages
-//     (the rest of the pipeline up to the next job boundary) inside this
-//     reduce, materializing their final output.
+//   - BoundaryLate: lookup once, attach, and run the continuation (the
+//     rest of the pipeline up to the next job boundary) inside this
+//     reduce, materializing its final output. The continuation is the
+//     operator's own resume step — which takes the carrier as it is,
+//     without a trip through the wire format — followed by the stages in
+//     continuation.
 //
 // When emitNextKey ≥ 0 the operator has another shuffle index after this
 // one: carriers are re-keyed by that index for the next shuffle job.
@@ -324,37 +448,45 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 		d := x.plan.Decisions[pos]
 		pass := isPassKey(key)
 
+		var cl *ixclient.Bound
 		var lookedUp []string
 		doLookup := boundary != BoundaryPre && !pass
 		if doLookup {
-			lookedUp = x.clients[pos].Access(ctx, key)
+			cl = x.clients[pos].Bind(ctx)
+			lookedUp = cl.Access(key)
 		}
 
-		// The BoundaryLate continuation runs as a stage pipeline inside the
-		// reduce function. Stages are instantiated once per group; the stage
+		// The BoundaryLate continuation runs as stages inside the reduce
+		// function. They are instantiated once per group; the stage
 		// factories' node-level state (caches) still dedups across groups.
-		var contPipe *mapreduce.Pipeline
+		var resume *resumeStage
+		var rest *mapreduce.Pipeline
 		if boundary == BoundaryLate {
-			contPipe = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, continuation, emit)
-			contPipe.Open()
-			defer contPipe.Close()
+			resume = x.newResumeStage(pos+1, false)
+			rest = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, continuation, emit)
+			resume.Open(ctx)
+			rest.Open()
+			emit = rest.Process
+			defer func() {
+				resume.Close(ctx, emit)
+				rest.Close()
+			}()
 		}
 
 		for _, v := range values {
 			c, err := decodeCarrier(v)
 			if err != nil {
-				ctx.Inc("efind."+x.op.Name()+".carrier.errors", 1)
+				ctx.Inc(x.ctrCarrierErrors, 1)
 				continue
 			}
 			if doLookup && d.Index < len(c.Results) {
-				cl := x.clients[pos]
-				cl.CountKey(ctx, key)
-				cl.CountValues(ctx, lookedUp)
-				c.Results[d.Index] = []KeyResult{{Key: key, Values: lookedUp}}
+				cl.CountKey(key)
+				cl.CountValues(lookedUp)
+				c.attach(d.Index, key, lookedUp)
 			}
 			switch {
 			case boundary == BoundaryLate:
-				contPipe.Process(Pair{Key: key, Value: encodeCarrier(c)})
+				resume.resume(c, emit)
 			case emitNextPos >= 0:
 				nd := x.plan.Decisions[emitNextPos]
 				nk, _ := shuffleKeyFor(c, nd.Index)
@@ -376,8 +508,10 @@ func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, contin
 // and counts records, staged splits, and charged nanoseconds.
 func buildStage(bt *buildTarget) mapreduce.StageFactory {
 	op, ix := bt.op, bt.b.Name()
+	ctrRecords, ctrNS, ctrSplits := ctrBuildRecords(op, ix), ctrBuildNS(op, ix), ctrBuildSplits(op, ix)
 	return func(node sim.NodeID) mapreduce.Stage {
 		var entries []index.BuildEntry
+		var records, ns *mapreduce.Cell
 		active := false
 		return &mapreduce.FuncStage{
 			OnOpen: func(ctx *mapreduce.TaskContext) {
@@ -386,21 +520,22 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 				// the global split number.
 				active = ctx.Kind == mapreduce.MapTask && bt.offer[ctx.Split]
 				entries = nil
+				records, ns = ctx.Cell(ctrRecords), ctx.Cell(ctrNS)
 			},
 			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
 				if active {
 					entries = append(entries, bt.b.Extract(in.Key, in.Value)...)
 					charge := bt.b.BuildCharge()
 					ctx.Charge(charge)
-					ctx.Inc(ctrBuildRecords(op, ix), 1)
-					ctx.Inc(ctrBuildNS(op, ix), int64(charge*1e9))
+					records.Add(1)
+					ns.Add(int64(charge * 1e9))
 				}
 				emit(in)
 			},
 			OnClose: func(ctx *mapreduce.TaskContext, emit Emit) {
 				if active {
 					bt.b.Stage(ctx.Node, ctx.Split, entries)
-					ctx.Inc(ctrBuildSplits(op, ix), 1)
+					ctx.Inc(ctrSplits, 1)
 				}
 			},
 		}
@@ -410,15 +545,29 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 // mapperStage wraps the user's original Map function, measuring its
 // output size (the paper's Smap term).
 func mapperStage(m mapreduce.MapFunc) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage {
-		return &mapreduce.FuncStage{
-			OnProcess: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
-				m(ctx, in, func(p Pair) {
-					ctx.Inc(ctrMapOutBytes, int64(p.Size()))
-					ctx.Inc(ctrMapOutRecords, 1)
-					emit(p)
-				})
-			},
-		}
+	return func(sim.NodeID) mapreduce.Stage { return &mapperStageInst{m: m} }
+}
+
+type mapperStageInst struct {
+	m              mapreduce.MapFunc
+	bytes, records *mapreduce.Cell
+	// down is where the record being mapped emits to; counted is built
+	// once and counts a map output on its way there.
+	down, counted Emit
+}
+
+func (s *mapperStageInst) Open(ctx *mapreduce.TaskContext) {
+	s.bytes, s.records = ctx.Cell(ctrMapOutBytes), ctx.Cell(ctrMapOutRecords)
+	s.counted = func(p Pair) {
+		s.bytes.Add(int64(p.Size()))
+		s.records.Add(1)
+		s.down(p)
 	}
 }
+
+func (s *mapperStageInst) Process(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
+	s.down = emit
+	s.m(ctx, in, s.counted)
+}
+
+func (s *mapperStageInst) Close(*mapreduce.TaskContext, Emit) {}

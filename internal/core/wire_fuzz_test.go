@@ -28,6 +28,8 @@ func FuzzCarrierRoundTrip(f *testing.F) {
 	f.Add("1:k1:v2;1;1:a0;0;")
 	f.Add("1:k1:v99999999999999999999;")
 	f.Add("1:k1:v1048577;")
+	f.Add("9223372036854775807:x")
+	f.Add("1:a9223372036854775800:b")
 	f.Add("garbage without any structure")
 
 	f.Fuzz(func(t *testing.T, s string) {
@@ -58,6 +60,10 @@ func TestDecodeCarrierRejectsHugeInnerCounts(t *testing.T) {
 		"0:0:0;1048577;",                 // outer result-list count (regression)
 		"0:0:1;-2;",                      // negative inner count
 		"0:0:1;1;3:abc0;1;1;1:x0;1:y0;x", // trailing bytes
+		// A length prefix near MaxInt: position + length wraps negative,
+		// so the bound must be taken against the bytes left.
+		"9223372036854775807:x",
+		"1:a9223372036854775800:b",
 	}
 	for _, s := range cases {
 		if _, err := decodeCarrier(s); err == nil {

@@ -298,6 +298,13 @@ func (fs *FS) Create(name string, records []Record) (*File, error) {
 // CreateSharded writes a file whose chunks are exactly the given shards
 // (one chunk per shard), used by reducers that each materialize their own
 // output partition on the node where they ran.
+//
+// The file takes the shards over: its chunks are windows onto the given
+// record slices, not copies, so the caller must not modify a shard
+// afterwards. (Both callers — the engine's job output and the adaptive
+// runtime's merged reduce waves — build their shards fresh, or pass on
+// records of an immutable file.) The windows are capacity-capped, so
+// nothing appended to one chunk's records can reach the next chunk's.
 func (fs *FS) CreateSharded(name string, shards [][]Record, homes []sim.NodeID) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -317,18 +324,16 @@ func (fs *FS) CreateSharded(name string, shards [][]Record, homes []sim.NodeID) 
 		// chunks so following jobs keep full map-side parallelism, as
 		// HDFS splits any file larger than a block.
 		replicas := append([]sim.NodeID{homes[i]}, otherNodes(fs.cluster, homes[i], fs.Replication-1)...)
-		cur := &Chunk{Shard: i, Replicas: replicas}
-		for _, r := range recs {
-			cur.recs = append(cur.recs, r)
-			cur.n++
-			cur.Bytes += r.Size()
-			if cur.Bytes >= fs.ChunkTarget {
-				f.Chunks = append(f.Chunks, cur)
-				cur = &Chunk{Shard: i, Replicas: replicas}
+		lo, bytes := 0, 0
+		for hi, r := range recs {
+			bytes += r.Size()
+			if bytes >= fs.ChunkTarget || hi == len(recs)-1 {
+				f.Chunks = append(f.Chunks, &Chunk{
+					Shard: i, Replicas: replicas,
+					recs: recs[lo : hi+1 : hi+1], n: hi + 1 - lo, Bytes: bytes,
+				})
+				lo, bytes = hi+1, 0
 			}
-		}
-		if len(cur.recs) > 0 {
-			f.Chunks = append(f.Chunks, cur)
 		}
 	}
 	if len(f.Chunks) == 0 {

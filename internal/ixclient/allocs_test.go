@@ -1,0 +1,53 @@
+package ixclient
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestLookupAllocs pins the bound view's allocation budget: a cache hit
+// allocates nothing, and a miss on a warm, full cache — which evicts and
+// inserts — allocates at most what the insert needs, over an accessor
+// that itself allocates nothing.
+func TestLookupAllocs(t *testing.T) {
+	f := newFake("kv")
+	const capacity = 64
+	keys := make([]string, 4*capacity)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+		f.data[keys[i]] = []string{"v"}
+	}
+	c := New(f, Options{Op: "op", CacheMode: CacheReal, CacheCapacity: capacity})
+	b := c.Bind(testCtx(0))
+	b.CountKey("a")
+	b.CountValues(b.Lookup("a"))
+
+	hit := testing.AllocsPerRun(1000, func() {
+		b.CountKey("a")
+		b.CountValues(b.Lookup("a"))
+	})
+	if hit != 0 {
+		t.Errorf("cache hit through the bound view allocates %.1f per lookup, want 0", hit)
+	}
+
+	// Cycle through four times the capacity: every lookup misses, evicts
+	// the least recently used entry and inserts.
+	for _, k := range keys {
+		b.Lookup(k)
+	}
+	i := 0
+	miss := testing.AllocsPerRun(1000, func() {
+		b.Lookup(keys[i%len(keys)])
+		i++
+	})
+	t.Logf("allocations per lookup: hit %.1f, miss with eviction %.1f", hit, miss)
+	if miss > 2 {
+		t.Errorf("miss on a warm full cache allocates %.1f per lookup, want <= 2", miss)
+	}
+
+	direct := c.Bind(testCtx(0))
+	direct.Access("a")
+	if n := testing.AllocsPerRun(1000, func() { direct.Access("a") }); n != 0 {
+		t.Errorf("uncached access through the bound view allocates %.1f per lookup, want 0", n)
+	}
+}

@@ -40,6 +40,7 @@ import (
 	"efind/internal/lru"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
+	"efind/internal/sketch"
 )
 
 // CacheMode selects how the client's Lookup path uses the per-node cache.
@@ -145,6 +146,11 @@ type Request struct {
 	Keys []string
 	// Batched marks the request as eligible for the multi-get fast path.
 	Batched bool
+
+	// view is the per-task bound view the request travels on: the
+	// client's own middleware counts through its cells and borrows its
+	// scratch. Every Client entry point sets it.
+	view *Bound
 }
 
 // Handler resolves a request to one value list per key.
@@ -199,6 +205,10 @@ type Client struct {
 	scheme  *index.Scheme       // nil when the accessor is not partitioned
 	opts    Options
 
+	// Built once: the counter names, the FM sketch name.
+	names  [numCounters]string
+	skKeys string
+
 	inline Handler // cache → policy → retry → accounting → terminal
 	direct Handler // the same chain without the cache stage
 
@@ -217,6 +227,8 @@ func New(acc index.Accessor, opts Options) *Client {
 		opts:   opts,
 		real:   make(map[sim.NodeID]*lru.Cache),
 		shadow: make(map[sim.NodeID]*lru.Cache),
+		names:  counterNames(opts.Op, acc.Name()),
+		skKeys: SkKeys(opts.Op, acc.Name()),
 	}
 	if b, ok := acc.(index.BatchAccessor); ok {
 		c.batcher = b
@@ -239,45 +251,102 @@ func New(acc index.Accessor, opts Options) *Client {
 // Accessor returns the wrapped index.
 func (c *Client) Accessor() index.Accessor { return c.acc }
 
-// Lookup resolves one key through the full stack (cache per the client's
-// CacheMode, then retry, accounting, and the index itself).
-func (c *Client) Lookup(t *mapreduce.TaskContext, key string) []string {
-	vals, err := c.inline(&Request{Task: t, Keys: []string{key}})
+// Bound is a Client bound to one task: the per-task view a stage takes
+// when it opens (Client.Bind) and then looks keys up through. It holds
+// what is constant for the task — the counter cells and the FM sketch,
+// each resolved on first use, so a counter exists iff it was counted —
+// and the scratch a single-key access needs (the request, its one-key
+// list, the one-slot results and miss lists), so a cache hit allocates
+// nothing and a miss only what the cache insert needs.
+//
+// A view belongs to its task: tasks of one node are serialized but tasks
+// of different nodes run on real goroutines, so scratch lives here and
+// never on the shared Client. The slices Lookup and Access return are the
+// accessor's (or the cache's) value lists and may be kept; only the
+// one-slot containers around them are reused.
+type Bound struct {
+	c     *Client
+	t     *mapreduce.TaskContext
+	cells [numCounters]*mapreduce.Cell
+	fm    *sketch.FM
+
+	req, missReq Request
+	key, missKey [1]string
+	res, termRes [1][]string
+	missIdx      [1]int
+}
+
+// Bind returns the client's view for one task.
+func (c *Client) Bind(t *mapreduce.TaskContext) *Bound {
+	b := &Bound{c: c, t: t}
+	b.req = Request{Task: t, view: b}
+	b.missReq = Request{Task: t, view: b}
+	return b
+}
+
+// add counts delta on counter i, resolving its cell on first use.
+func (b *Bound) add(i int, delta int64) {
+	cell := b.cells[i]
+	if cell == nil {
+		cell = b.t.Cell(b.c.names[i])
+		b.cells[i] = cell
+	}
+	cell.Add(delta)
+}
+
+// results returns the request's result list: fresh, except for the
+// single-key entry points, which get the given one-slot scratch — they
+// hand their caller the value list inside, never the container. Batched
+// requests always get a fresh list, because LookupBatch's caller keeps it.
+func (r *Request) results(scratch *[1][]string) [][]string {
+	if len(r.Keys) == 1 && !r.Batched {
+		scratch[0] = nil
+		return scratch[:]
+	}
+	return make([][]string, len(r.Keys))
+}
+
+// single runs a one-key request through h on the view's reusable request.
+func (b *Bound) single(h Handler, key string) []string {
+	b.key[0] = key
+	b.req.Keys, b.req.Batched = b.key[:], false
+	vals, err := h(&b.req)
 	if err != nil {
-		c.abort(t, err, key)
+		b.c.abort(b.t, err, key)
 	}
 	return vals[0]
 }
+
+// Lookup resolves one key through the full stack (cache per the client's
+// CacheMode, then retry, accounting, and the index itself).
+func (b *Bound) Lookup(key string) []string { return b.single(b.c.inline, key) }
 
 // Access resolves one key bypassing the cache stage — the shuffle
 // strategies' group lookups are already deduplicated, so caching them
 // would double-count the redundancy the shuffle removed.
-func (c *Client) Access(t *mapreduce.TaskContext, key string) []string {
-	vals, err := c.direct(&Request{Task: t, Keys: []string{key}})
-	if err != nil {
-		c.abort(t, err, key)
-	}
-	return vals[0]
-}
+func (b *Bound) Access(key string) []string { return b.single(b.c.direct, key) }
 
 // LookupBatch resolves many keys. With batching off (or an index without
 // a multi-get) it degenerates to per-key Lookup calls and is charged
 // identically to them; with batching on, cache misses travel as one
-// request and remote partitions are charged one round trip each.
-func (c *Client) LookupBatch(t *mapreduce.TaskContext, keys []string) [][]string {
+// request and remote partitions are charged one round trip each. The
+// returned list is the caller's to keep.
+func (b *Bound) LookupBatch(keys []string) [][]string {
 	if len(keys) == 0 {
 		return nil
 	}
+	c := b.c
 	if !c.opts.Batch || c.batcher == nil {
 		out := make([][]string, len(keys))
 		for i, k := range keys {
-			out[i] = c.Lookup(t, k)
+			out[i] = b.Lookup(k)
 		}
 		return out
 	}
-	vals, err := c.inline(&Request{Task: t, Keys: keys, Batched: true})
+	b.req.Keys, b.req.Batched = keys, true
+	vals, err := c.inline(&b.req)
 	if err != nil {
-		c.abort(t, err, keys[0])
+		c.abort(b.t, err, keys[0])
 	}
 	return vals
 }
@@ -289,23 +358,23 @@ func (c *Client) LookupBatch(t *mapreduce.TaskContext, keys []string) [][]string
 // transfer (and result decode) never happens, which is what makes
 // index-only filtering cheaper than lookup-then-discard. Indices without
 // an index-only path fall back to a full direct access.
-func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueBytes int) {
+func (b *Bound) Probe(key string) (found bool, valueBytes int) {
+	c, t := b.c, b.t
 	if c.prober == nil {
-		vals := c.Access(t, key)
+		vals := b.Access(key)
 		n := 0
 		for _, v := range vals {
 			n += len(v)
 		}
 		return len(vals) > 0, n
 	}
-	op, ix := c.opts.Op, c.acc.Name()
 	serve := c.acc.ServeTime()
 	t.Charge(serve)
-	t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-	t.Inc(CtrIndexProbes(op, ix), 1)
+	b.add(cServeNS, int64(serve*1e9))
+	b.add(cIndexProbes, 1)
 	found, bytes, err := c.prober.Probe(key)
 	if err != nil {
-		t.Inc(CtrErrors(op, ix), 1)
+		b.add(cErrors, 1)
 		if c.opts.ErrorPolicy == ErrorFailJob {
 			c.abort(t, err, key)
 		}
@@ -315,24 +384,46 @@ func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueB
 	if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 		// The answer is presence plus a size — a fixed 8-byte reply.
 		t.ChargeNet(float64(len(key) + 4 + 8))
-		t.Inc(CtrNetRoundTrips(op, ix), 1)
+		b.add(cNetRoundTrips, 1)
 	}
 	return found, bytes
 }
 
 // CountKey records the per-key statistics (Nik, Sik, the FM sketch) for
 // one extracted lookup key occurrence.
-func (c *Client) CountKey(t *mapreduce.TaskContext, key string) {
-	op, ix := c.opts.Op, c.acc.Name()
-	t.Inc(CtrKeys(op, ix), 1)
-	t.Inc(CtrKeyBytes(op, ix), int64(len(key)))
-	t.Sketch(SkKeys(op, ix), FMWidth).Add(key)
+func (b *Bound) CountKey(key string) {
+	b.add(cKeys, 1)
+	b.add(cKeyBytes, int64(len(key)))
+	if b.fm == nil {
+		b.fm = b.t.Sketch(b.c.skKeys, FMWidth)
+	}
+	b.fm.Add(key)
 }
 
 // CountValues records Siv for one key occurrence once its values are
 // known (from the index, the cache, or a shuffle-attached result).
-func (c *Client) CountValues(t *mapreduce.TaskContext, values []string) {
-	t.Inc(CtrValBytes(c.opts.Op, c.acc.Name()), int64(valueBytes(values)))
+func (b *Bound) CountValues(values []string) {
+	b.add(cValBytes, int64(valueBytes(values)))
+}
+
+// Lookup, Access, LookupBatch and Probe on the Client are the same
+// operations for callers outside a stage, which have no task-long view to
+// keep: each binds a throwaway one.
+
+// Lookup is Bind(t).Lookup(key).
+func (c *Client) Lookup(t *mapreduce.TaskContext, key string) []string { return c.Bind(t).Lookup(key) }
+
+// Access is Bind(t).Access(key).
+func (c *Client) Access(t *mapreduce.TaskContext, key string) []string { return c.Bind(t).Access(key) }
+
+// LookupBatch is Bind(t).LookupBatch(keys).
+func (c *Client) LookupBatch(t *mapreduce.TaskContext, keys []string) [][]string {
+	return c.Bind(t).LookupBatch(keys)
+}
+
+// Probe is Bind(t).Probe(key).
+func (c *Client) Probe(t *mapreduce.TaskContext, key string) (found bool, valueBytes int) {
+	return c.Bind(t).Probe(key)
 }
 
 // abort fails the running task under ErrorFailJob. ErrorCount errors

@@ -6,7 +6,6 @@ import (
 	"efind/internal/chaos"
 	"efind/internal/index"
 	"efind/internal/lru"
-	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
 
@@ -32,90 +31,77 @@ func (c *Client) spans(next Handler) Handler {
 // policy stage substitutes for counted errors, exactly as the
 // pre-middleware executor cached the nil result of a failed lookup.
 func (c *Client) cache(next Handler) Handler {
-	op, ix := c.opts.Op, c.acc.Name()
-	probes, misses := CtrProbes(op, ix), CtrMisses(op, ix)
 	if c.opts.CacheMode == CacheShadow {
 		return func(r *Request) ([][]string, error) {
 			shadow := c.cacheFor(r.Task.Node, true)
 			for _, k := range r.Keys {
-				r.Task.Inc(probes, 1)
-				if _, ok := shadow.Get(k); !ok {
-					r.Task.Inc(misses, 1)
-					shadow.Put(k, nil)
-				}
+				probeShadow(r.view, shadow, k)
 			}
 			return next(r)
 		}
 	}
-	if pool := c.opts.SharedCache; pool != nil {
-		// Pooled real cache: hits come from the cross-job shared cache,
-		// but the probe/miss counters the optimizer turns into R come
-		// from a private per-job key-only shadow replaying the same
-		// stream — an LRU over keys promotes and evicts identically
-		// whether or not values are attached, so the shadow's miss
-		// sequence is exactly what a private real cache would measure.
-		return func(r *Request) ([][]string, error) {
-			t := r.Task
-			cache := pool.cacheFor(ix, t.Node)
-			shadow := c.cacheFor(t.Node, true)
-			probeTime := t.Cluster().Config().CacheProbeTime
-			out := make([][]string, len(r.Keys))
-			var missIdx []int
-			for i, k := range r.Keys {
-				t.Charge(probeTime)
-				t.Inc(probes, 1)
-				if _, ok := shadow.Get(k); !ok {
-					t.Inc(misses, 1)
-					shadow.Put(k, nil)
-				}
-				if hit, ok := cache.Get(k); ok {
-					out[i] = hit
-				} else {
-					missIdx = append(missIdx, i)
-				}
-			}
-			return fillMisses(next, r, cache, out, missIdx)
-		}
-	}
+	// Pooled real cache: hits come from the cross-job shared cache, but
+	// the probe/miss counters the optimizer turns into R come from a
+	// private per-job key-only shadow replaying the same stream — an LRU
+	// over keys promotes and evicts identically whether or not values are
+	// attached, so the shadow's miss sequence is exactly what a private
+	// real cache would measure.
+	pool, ix := c.opts.SharedCache, c.acc.Name()
 	return func(r *Request) ([][]string, error) {
-		t := r.Task
-		cache := c.cacheFor(t.Node, false)
+		t, b := r.Task, r.view
+		var cache, shadow *lru.Cache
+		if pool != nil {
+			cache, shadow = pool.cacheFor(ix, t.Node), c.cacheFor(t.Node, true)
+		} else {
+			cache = c.cacheFor(t.Node, false)
+		}
 		probeTime := t.Cluster().Config().CacheProbeTime
-		out := make([][]string, len(r.Keys))
-		var missIdx []int
+		out := r.results(&b.res)
+		missIdx, missKeys := b.missIdx[:0], b.missKey[:0]
 		for i, k := range r.Keys {
 			t.Charge(probeTime)
-			t.Inc(probes, 1)
-			if hit, ok := cache.Get(k); ok {
+			hit, ok := cache.Get(k)
+			if shadow != nil {
+				probeShadow(b, shadow, k)
+			} else {
+				b.add(cProbes, 1)
+				if !ok {
+					b.add(cMisses, 1)
+				}
+			}
+			if ok {
 				out[i] = hit
 			} else {
-				t.Inc(misses, 1)
-				missIdx = append(missIdx, i)
+				missIdx, missKeys = append(missIdx, i), append(missKeys, k)
 			}
 		}
-		return fillMisses(next, r, cache, out, missIdx)
+		if len(missIdx) == 0 {
+			return out, nil
+		}
+		// The misses go downstream in one request; what comes back fills
+		// out and the cache. The cache keeps the accessor's value list,
+		// never a scratch container.
+		b.missReq.Keys, b.missReq.Batched = missKeys, r.Batched
+		vals, err := next(&b.missReq)
+		if err != nil {
+			return out, err
+		}
+		for j, i := range missIdx {
+			out[i] = vals[j]
+			cache.Put(missKeys[j], vals[j])
+		}
+		return out, nil
 	}
 }
 
-// fillMisses completes a real-cache access: the keys at missIdx go
-// downstream in one request, and what comes back fills out and the cache.
-func fillMisses(next Handler, r *Request, cache *lru.Cache, out [][]string, missIdx []int) ([][]string, error) {
-	if len(missIdx) == 0 {
-		return out, nil
+// probeShadow replays one key on a key-only shadow cache, counting the
+// probe and, when the key is new to it, the miss.
+func probeShadow(b *Bound, shadow *lru.Cache, k string) {
+	b.add(cProbes, 1)
+	if _, ok := shadow.Get(k); !ok {
+		b.add(cMisses, 1)
+		shadow.Put(k, nil)
 	}
-	missKeys := make([]string, len(missIdx))
-	for j, i := range missIdx {
-		missKeys[j] = r.Keys[i]
-	}
-	vals, err := next(&Request{Task: r.Task, Keys: missKeys, Batched: r.Batched})
-	if err != nil {
-		return out, err
-	}
-	for j, i := range missIdx {
-		out[i] = vals[j]
-		cache.Put(r.Keys[i], vals[j])
-	}
-	return out, nil
 }
 
 // policy applies the error policy to an access whose retries (if any) are
@@ -125,11 +111,10 @@ func fillMisses(next Handler, r *Request, cache *lru.Cache, out [][]string, miss
 // found nothing — the paper-faithful behaviour. ErrorFailJob lets the
 // error climb to the Client entry points, which abort the task.
 func (c *Client) policy(next Handler) Handler {
-	errs := CtrErrors(c.opts.Op, c.acc.Name())
 	return func(r *Request) ([][]string, error) {
 		vals, err := next(r)
 		if err != nil {
-			r.Task.Inc(errs, 1)
+			r.view.add(cErrors, 1)
 			if c.opts.ErrorPolicy == ErrorCount {
 				if vals == nil {
 					vals = make([][]string, len(r.Keys))
@@ -154,14 +139,13 @@ func (c *Client) retry(next Handler) Handler {
 		return next
 	}
 	b := chaos.Backoff{Base: p.Backoff, Factor: p.Factor, Cap: p.Cap, Jitter: p.Jitter, Seed: p.Seed}
-	retries := CtrRetries(c.opts.Op, c.acc.Name())
 	return func(r *Request) ([][]string, error) {
 		vals, err := next(r)
 		for attempt := 0; attempt < p.Max && err != nil && errors.Is(err, index.ErrTransient); attempt++ {
 			if w := b.Wait(r.Keys[0], attempt); w > 0 {
 				r.Task.Charge(w)
 			}
-			r.Task.Inc(retries, 1)
+			r.view.add(cRetries, 1)
 			vals, err = next(r)
 		}
 		return vals, err
@@ -206,7 +190,6 @@ func (c *Client) availability(next Handler) Handler {
 // serve round and one network round trip per partition group — the
 // deliberate batching cost deviation (DESIGN.md).
 func (c *Client) accounting(next Handler) Handler {
-	op, ix := c.opts.Op, c.acc.Name()
 	return func(r *Request) ([][]string, error) {
 		t := r.Task
 		serve := c.acc.ServeTime()
@@ -214,7 +197,7 @@ func (c *Client) accounting(next Handler) Handler {
 			// The index cannot answer inside the deadline: the client
 			// abandons the access after charging the wait.
 			t.Charge(float64(len(r.Keys)) * d)
-			t.Inc(CtrTimeouts(op, ix), int64(len(r.Keys)))
+			r.view.add(cTimeouts, int64(len(r.Keys)))
 			return make([][]string, len(r.Keys)), &lookupError{key: r.Keys[0], err: ErrTimeout}
 		}
 		vals, err := next(r)
@@ -222,9 +205,9 @@ func (c *Client) accounting(next Handler) Handler {
 			vals = make([][]string, len(r.Keys))
 		}
 		if r.Batched && len(r.Keys) > 1 {
-			c.chargeBatched(t, r.Keys, vals, serve)
+			c.chargeBatched(r.view, r.Keys, vals, serve)
 		} else {
-			c.chargePerKey(t, r.Keys, vals, serve)
+			c.chargePerKey(r.view, r.Keys, vals, serve)
 		}
 		return vals, err
 	}
@@ -233,16 +216,16 @@ func (c *Client) accounting(next Handler) Handler {
 // chargePerKey is the paper-faithful costing: every key is its own
 // request — serve time per key, and a network round trip per key whose
 // partition has no replica on the task node.
-func (c *Client) chargePerKey(t *mapreduce.TaskContext, keys []string, vals [][]string, serve float64) {
-	op, ix := c.opts.Op, c.acc.Name()
+func (c *Client) chargePerKey(b *Bound, keys []string, vals [][]string, serve float64) {
+	t := b.t
 	for i, k := range keys {
 		t.Charge(serve)
-		t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-		t.Inc(CtrLookups(op, ix), 1)
+		b.add(cServeNS, int64(serve*1e9))
+		b.add(cLookups, 1)
 		hosts := c.acc.HostsFor(k)
 		if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 			t.ChargeNet(float64(len(k) + 4 + valueBytes(vals[i])))
-			t.Inc(CtrNetRoundTrips(op, ix), 1)
+			b.add(cNetRoundTrips, 1)
 		}
 	}
 }
@@ -251,14 +234,14 @@ func (c *Client) chargePerKey(t *mapreduce.TaskContext, keys []string, vals [][]
 // group for unpartitioned indices) and charges one multi-get per group:
 // the serve time amortizes over the group, and remote groups cost one
 // network round trip carrying every key and result of the group.
-func (c *Client) chargeBatched(t *mapreduce.TaskContext, keys []string, vals [][]string, serve float64) {
-	op, ix := c.opts.Op, c.acc.Name()
+func (c *Client) chargeBatched(b *Bound, keys []string, vals [][]string, serve float64) {
+	t := b.t
 	order, groups := c.groupByPartition(keys)
 	for _, g := range order {
 		members := groups[g]
 		t.Charge(serve)
-		t.Inc(CtrServeNS(op, ix), int64(serve*1e9))
-		t.Inc(CtrLookups(op, ix), int64(len(members)))
+		b.add(cServeNS, int64(serve*1e9))
+		b.add(cLookups, int64(len(members)))
 		hosts := c.acc.HostsFor(keys[members[0]])
 		if hosts == nil || !sim.ContainsNode(hosts, t.Node) {
 			bytes := 0
@@ -266,7 +249,7 @@ func (c *Client) chargeBatched(t *mapreduce.TaskContext, keys []string, vals [][
 				bytes += len(keys[i]) + 4 + valueBytes(vals[i])
 			}
 			t.ChargeNet(float64(bytes))
-			t.Inc(CtrNetRoundTrips(op, ix), 1)
+			b.add(cNetRoundTrips, 1)
 		}
 	}
 }
@@ -299,7 +282,7 @@ func (c *Client) terminal(r *Request) ([][]string, error) {
 		}
 		return vals, nil
 	}
-	out := make([][]string, len(r.Keys))
+	out := r.results(&r.view.termRes)
 	for i, k := range r.Keys {
 		v, err := c.acc.Lookup(k)
 		if err != nil {

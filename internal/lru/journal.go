@@ -1,7 +1,5 @@
 package lru
 
-import "container/list"
-
 // Journal-based undo: Begin starts recording inverse operations, and the
 // returned Undo rewinds them LIFO on Rollback. This replaces the eager
 // Snapshot/Restore pair on the engine's fault-tolerance path: a task
@@ -24,9 +22,10 @@ const (
 )
 
 // undoOp is one recorded inverse operation. Element positions are stored
-// as predecessor keys, not *list.Element pointers: an eviction undo
-// reinserts a fresh element, so pointers recorded earlier would go stale,
-// while keys always resolve through the items map at rollback time.
+// as predecessor keys, not entry pointers: an evicting insert reuses the
+// victim's entry for the new key and an eviction undo reinserts a fresh
+// one, so pointers recorded earlier would go stale, while keys always
+// resolve through the items map at rollback time.
 type undoOp struct {
 	kind       uint8
 	front      bool // the moved element had no predecessor (was front)
@@ -77,20 +76,21 @@ func (u *Undo) Rollback() {
 		switch op.kind {
 		case opGetHit:
 			if !op.front {
-				c.ll.MoveAfter(c.items[op.key], c.items[op.prevKey])
+				c.items[op.key].moveAfter(c.items[op.prevKey])
 			}
 		case opPutUpdate:
-			el := c.items[op.key]
-			el.Value.(*entry).values = op.values
+			e := c.items[op.key]
+			e.values = op.values
 			if !op.front {
-				c.ll.MoveAfter(el, c.items[op.prevKey])
+				e.moveAfter(c.items[op.prevKey])
 			}
 		case opPutNew:
-			el := c.items[op.key]
-			c.ll.Remove(el)
+			c.items[op.key].unlink()
 			delete(c.items, op.key)
 			if op.evict {
-				c.items[op.evictedKey] = c.ll.PushBack(&entry{key: op.evictedKey, values: op.values})
+				e := &entry{key: op.evictedKey, values: op.values}
+				e.linkAfter(c.root.prev)
+				c.items[op.evictedKey] = e
 			}
 		}
 	}
@@ -111,11 +111,11 @@ func (u *Undo) Commit() {
 	u.ops = nil
 }
 
-// recordMove captures the pre-move position of el (by predecessor key)
+// recordMove captures the pre-move position of e (by predecessor key)
 // into op. Caller holds c.mu.
-func recordMove(op *undoOp, el *list.Element) {
-	if p := el.Prev(); p != nil {
-		op.prevKey = p.Value.(*entry).key
+func (c *Cache) recordMove(op *undoOp, e *entry) {
+	if e.prev != &c.root {
+		op.prevKey = e.prev.key
 	} else {
 		op.front = true
 	}

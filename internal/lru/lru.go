@@ -3,10 +3,7 @@
 // 1024 index key/value entries; capacity sweeps are exposed as an ablation.
 package lru
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // Cache is a string-keyed LRU cache. It is safe for concurrent use: the
 // EFind runtime shares one cache per machine across all of that machine's
@@ -17,8 +14,12 @@ import (
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List
-	items    map[string]*list.Element
+	// root is the sentinel of the recency ring: root.next is the most
+	// recently used entry, root.prev the least. The links live in the
+	// entries themselves, so an insert costs one allocation and an
+	// insert that evicts costs none (the victim's entry is reused).
+	root  entry
+	items map[string]*entry
 
 	hits   int64
 	misses int64
@@ -29,8 +30,31 @@ type Cache struct {
 }
 
 type entry struct {
-	key    string
-	values []string
+	key        string
+	values     []string
+	prev, next *entry
+}
+
+// unlink takes e out of the ring.
+func (e *entry) unlink() {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+}
+
+// linkAfter puts e into the ring right after at.
+func (e *entry) linkAfter(at *entry) {
+	e.prev, e.next = at, at.next
+	at.next.prev = e
+	at.next = e
+}
+
+// moveAfter relinks e right after at (the sentinel for "to the front").
+func (e *entry) moveAfter(at *entry) {
+	if e == at || at.next == e {
+		return
+	}
+	e.unlink()
+	e.linkAfter(at)
 }
 
 // New returns a cache holding up to capacity entries. Capacity is clamped
@@ -39,11 +63,9 @@ func New(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
-	}
+	c := &Cache{capacity: capacity, items: make(map[string]*entry, capacity)}
+	c.root.prev, c.root.next = &c.root, &c.root
+	return c
 }
 
 // Get returns the cached lookup result for key and whether it was present,
@@ -51,15 +73,15 @@ func New(capacity int) *Cache {
 func (c *Cache) Get(key string) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if e, ok := c.items[key]; ok {
 		if j := c.journal; j != nil {
 			op := undoOp{kind: opGetHit, key: key}
-			recordMove(&op, el)
+			c.recordMove(&op, e)
 			j.ops = append(j.ops, op)
 		}
-		c.ll.MoveToFront(el)
+		e.moveAfter(&c.root)
 		c.hits++
-		return el.Value.(*entry).values, true
+		return e.values, true
 	}
 	// A miss touches only the counters, which Rollback restores from the
 	// Begin-time snapshot — nothing to journal.
@@ -72,28 +94,32 @@ func (c *Cache) Get(key string) ([]string, bool) {
 func (c *Cache) Put(key string, values []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if e, ok := c.items[key]; ok {
 		if j := c.journal; j != nil {
-			op := undoOp{kind: opPutUpdate, key: key, values: el.Value.(*entry).values}
-			recordMove(&op, el)
+			op := undoOp{kind: opPutUpdate, key: key, values: e.values}
+			c.recordMove(&op, e)
 			j.ops = append(j.ops, op)
 		}
-		c.ll.MoveToFront(el)
-		el.Value.(*entry).values = values
+		e.moveAfter(&c.root)
+		e.values = values
 		return
 	}
-	el := c.ll.PushFront(&entry{key: key, values: values})
-	c.items[key] = el
 	op := undoOp{kind: opPutNew, key: key}
-	if c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		if oldest != nil {
-			victim := oldest.Value.(*entry)
-			op.evict, op.evictedKey, op.values = true, victim.key, victim.values
-			c.ll.Remove(oldest)
-			delete(c.items, victim.key)
-		}
+	var e *entry
+	if len(c.items) >= c.capacity {
+		// Full: the least recently used entry makes room, and its node
+		// carries the new key. The journal holds keys and values, never
+		// entry pointers, so an open journal does not mind the reuse.
+		e = c.root.prev
+		op.evict, op.evictedKey, op.values = true, e.key, e.values
+		delete(c.items, e.key)
+		e.unlink()
+		e.key, e.values = key, values
+	} else {
+		e = &entry{key: key, values: values}
 	}
+	e.linkAfter(&c.root)
+	c.items[key] = e
 	if j := c.journal; j != nil {
 		j.ops = append(j.ops, op)
 	}
@@ -103,7 +129,7 @@ func (c *Cache) Put(key string, values []string) {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return len(c.items)
 }
 
 // Capacity returns the configured maximum entry count.
@@ -124,8 +150,8 @@ func (c *Cache) Reset() {
 }
 
 func (c *Cache) reset() {
-	c.ll = list.New()
-	c.items = make(map[string]*list.Element, c.capacity)
+	c.root.prev, c.root.next = &c.root, &c.root
+	c.items = make(map[string]*entry, c.capacity)
 	c.hits, c.misses = 0, 0
 	// A wholesale rewind invalidates any open journal: rolling back
 	// operations recorded against the discarded list would corrupt state.
@@ -153,13 +179,12 @@ func (c *Cache) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := &Snapshot{
-		keys:   make([]string, 0, c.ll.Len()),
-		values: make([][]string, 0, c.ll.Len()),
+		keys:   make([]string, 0, len(c.items)),
+		values: make([][]string, 0, len(c.items)),
 		hits:   c.hits,
 		misses: c.misses,
 	}
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry)
+	for e := c.root.prev; e != &c.root; e = e.prev {
 		s.keys = append(s.keys, e.key)
 		s.values = append(s.values, e.values)
 	}
@@ -188,8 +213,9 @@ func (c *Cache) Restore(s *Snapshot) {
 	defer c.mu.Unlock()
 	c.reset()
 	for i, k := range s.keys {
-		el := c.ll.PushFront(&entry{key: k, values: s.values[i]})
-		c.items[k] = el
+		e := &entry{key: k, values: s.values[i]}
+		e.linkAfter(&c.root)
+		c.items[k] = e
 	}
 	c.hits, c.misses = s.hits, s.misses
 }

@@ -31,7 +31,11 @@ type Emit func(Pair)
 type MapFunc func(ctx *TaskContext, in Pair, emit Emit)
 
 // ReduceFunc is a user Reduce function, called once per key group with the
-// values in map-output order.
+// values in map-output order. The values slice is the function's own: it
+// is a capacity-capped window of the task's value slab that no other
+// group shares and the engine never reuses, so the function may keep it
+// past the call, and appending to it reallocates rather than overwriting
+// the next group's values.
 type ReduceFunc func(ctx *TaskContext, key string, values []string, emit Emit)
 
 // Stage is one chained function in a task pipeline (the paper implements
@@ -117,44 +121,129 @@ type TaskContext struct {
 	// Kind is MapTask or ReduceTask.
 	Kind TaskKind
 
-	cluster  *sim.Cluster
-	counters map[string]int64
+	cluster *sim.Cluster
+	base    float64
+	extra   float64
+	traced  bool
+	spans   []obs.Span
+
+	// Counter storage: cells are handed out from slab (first the inline
+	// array, then chunks), chained from head, and found by name through a
+	// scan of the chain until there are more than cellScanMax of them,
+	// through index afterwards. A task that touches only the engine's
+	// built-in counters allocates nothing for them.
+	inline   [4]Cell
+	slab     []Cell
+	head     *Cell
+	ncells   int
+	index    map[string]*Cell
 	sketches map[string]*sketch.FM
-	base     float64
-	extra    float64
-	traced   bool
-	spans    []obs.Span
+}
+
+// cellScanMax is the number of cells up to which resolving a name scans
+// the chain instead of hashing it.
+const cellScanMax = 8
+
+// Cell is one counter of one task, resolved from its name once
+// (TaskContext.Cell) and then added to without any string or map work.
+// Stages resolve the cells they need when they open; the per-record path
+// is Add alone. A cell is exported to TaskStats.Counters iff Add was
+// called on it, even with 0 — exactly when Inc would have created the
+// counter — so resolving a cell that is never added to leaves no trace.
+type Cell struct {
+	name    string
+	v       int64
+	touched bool
+	next    *Cell
+}
+
+// Add adds delta to the counter.
+func (c *Cell) Add(delta int64) {
+	c.v += delta
+	c.touched = true
 }
 
 // NewTaskContext builds a context; exported for tests of stages outside
 // the engine.
 func NewTaskContext(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) *TaskContext {
-	return &TaskContext{
-		Node:     node,
-		TaskID:   id,
-		Split:    id,
-		Kind:     kind,
-		cluster:  cluster,
-		counters: make(map[string]int64),
-		sketches: make(map[string]*sketch.FM),
+	c := &TaskContext{
+		Node:    node,
+		TaskID:  id,
+		Split:   id,
+		Kind:    kind,
+		cluster: cluster,
 	}
+	c.slab = c.inline[:0]
+	return c
 }
 
 // Cluster returns the simulated cluster the task runs in.
 func (c *TaskContext) Cluster() *sim.Cluster { return c.cluster }
 
+// lookupCell returns the cell resolved for name, or nil.
+func (c *TaskContext) lookupCell(name string) *Cell {
+	if c.index != nil {
+		return c.index[name]
+	}
+	for cell := c.head; cell != nil; cell = cell.next {
+		if cell.name == name {
+			return cell
+		}
+	}
+	return nil
+}
+
+// Cell resolves the named counter to its cell, creating it on first use.
+// The pointer stays valid for the life of the task. Resolving allocates
+// nothing per counter: cells come from a per-task slab.
+func (c *TaskContext) Cell(name string) *Cell {
+	if cell := c.lookupCell(name); cell != nil {
+		return cell
+	}
+	if len(c.slab) == cap(c.slab) {
+		// Earlier chunks stay alive through the chain.
+		c.slab = make([]Cell, 0, 2*cap(c.slab)+8)
+	}
+	c.slab = c.slab[:len(c.slab)+1]
+	cell := &c.slab[len(c.slab)-1]
+	cell.name, cell.next = name, c.head
+	c.head = cell
+	c.ncells++
+	switch {
+	case c.index != nil:
+		c.index[name] = cell
+	case c.ncells > cellScanMax:
+		c.index = make(map[string]*Cell, 4*cellScanMax)
+		for e := c.head; e != nil; e = e.next {
+			c.index[e.name] = e
+		}
+	}
+	return cell
+}
+
 // Inc adds delta to the named counter (the paper's globally visible
-// MapReduce counters, §4.2).
-func (c *TaskContext) Inc(name string, delta int64) { c.counters[name] += delta }
+// MapReduce counters, §4.2). It is the cold-path spelling of
+// Cell(name).Add(delta); code that counts per record resolves the cell
+// once and keeps it.
+func (c *TaskContext) Inc(name string, delta int64) { c.Cell(name).Add(delta) }
 
 // Counter returns the current task-local value of the named counter.
-func (c *TaskContext) Counter(name string) int64 { return c.counters[name] }
+func (c *TaskContext) Counter(name string) int64 {
+	if cell := c.lookupCell(name); cell != nil {
+		return cell.v
+	}
+	return 0
+}
 
 // Sketch returns the task's named FM sketch, creating it on first use with
-// the given width.
+// the given width. The returned sketch is the handle: per-record code
+// fetches it once and keeps it.
 func (c *TaskContext) Sketch(name string, width int) *sketch.FM {
 	s, ok := c.sketches[name]
 	if !ok {
+		if c.sketches == nil {
+			c.sketches = make(map[string]*sketch.FM)
+		}
 		s = sketch.New(width)
 		c.sketches[name] = s
 	}

@@ -157,8 +157,8 @@ func Setup(fs *dfs.FS, name string, cfg Config) (*Workload, error) {
 	// PartSupp dedup probes go through the index client like any runtime
 	// lookup; the generator's throwaway context absorbs the charges, and
 	// the store's stats are reset below before any experiment runs.
-	psClient := ixclient.New(w.PartSupp, ixclient.Options{Op: "tpch-gen"})
-	genCtx := mapreduce.NewTaskContext(cluster, 0, 0, mapreduce.MapTask)
+	psClient := ixclient.New(w.PartSupp, ixclient.Options{Op: "tpch-gen"}).
+		Bind(mapreduce.NewTaskContext(cluster, 0, 0, mapreduce.MapTask))
 	var lineitems []dfs.Record
 	line := 0
 	for o := 0; o < nOrders; o++ {
@@ -172,7 +172,7 @@ func Setup(fs *dfs.FS, name string, cfg Config) (*Workload, error) {
 			supp := rng.Intn(nSuppliers)
 			// PartSupp: composite key partkey:suppkey → supplycost.
 			psk := partSuppKey(part, supp)
-			if v := psClient.Access(genCtx, psk); len(v) == 0 {
+			if v := psClient.Access(psk); len(v) == 0 {
 				w.PartSupp.Put(psk, strconv.Itoa(100+rng.Intn(900)))
 			}
 			shipDate := orderDate + 1 + rng.Intn(120)
@@ -227,23 +227,54 @@ type LineItem struct {
 	Quantity, Price, Disc, ShipDate int
 }
 
+// numFields returns the number of '|'-separated fields of v.
+func numFields(v string) int { return strings.Count(v, "|") + 1 }
+
+// field returns the i-th '|'-separated field of v, "" if there is none.
+// The operators read one or two fields of a record; cutting them out
+// costs nothing, where strings.Split allocates a slice of all of them.
+func field(v string, i int) string {
+	for ; i > 0; i-- {
+		_, v, _ = strings.Cut(v, "|")
+	}
+	f, _, _ := strings.Cut(v, "|")
+	return f
+}
+
+// lineItemFields is the number of fields of a LineItem value.
+const lineItemFields = 7
+
 // ParseLineItem decodes a LineItem record value.
 func ParseLineItem(v string) (LineItem, bool) {
-	f := strings.Split(v, "|")
-	if len(f) != 7 {
+	if numFields(v) != lineItemFields {
 		return LineItem{}, false
+	}
+	li, _, ok := parseLineItemPrefix(v)
+	return li, ok
+}
+
+// parseLineItemPrefix decodes the LineItem at the front of a record value
+// that may carry joined fields after it, and returns those ("" if none).
+func parseLineItemPrefix(v string) (li LineItem, rest string, ok bool) {
+	var f [lineItemFields]string
+	rest, more := v, true
+	for i := range f {
+		if !more {
+			return LineItem{}, "", false // fewer than seven fields
+		}
+		f[i], rest, more = strings.Cut(rest, "|")
 	}
 	qty, e1 := strconv.Atoi(f[3])
 	price, e2 := strconv.Atoi(f[4])
 	disc, e3 := strconv.Atoi(f[5])
 	ship, e4 := strconv.Atoi(f[6])
 	if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-		return LineItem{}, false
+		return LineItem{}, "", false
 	}
 	return LineItem{
 		OrderKey: f[0], PartKey: f[1], SuppKey: f[2],
 		Quantity: qty, Price: price, Disc: disc, ShipDate: ship,
-	}, true
+	}, rest, true
 }
 
 // Revenue is l_extendedprice·(1−l_discount) in integer cents-ish units.

@@ -40,32 +40,30 @@ func (w *Workload) Q3Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if !ok {
 				return
 			}
-			f := strings.Split(order, "|") // custkey|orderdate|prio
-			if len(f) != 3 {
+			if numFields(order) != 3 { // custkey|orderdate|prio
 				return
 			}
-			orderDate, err := strconv.Atoi(f[1])
+			orderDate, err := strconv.Atoi(field(order, 1))
 			if err != nil || orderDate >= Q3DateCutoff {
 				return
 			}
-			emit(core.Pair{Key: pair.Key, Value: pair.Value + "|" + f[0] + "|" + f[1] + "|" + f[2]})
+			emit(core.Pair{Key: pair.Key, Value: pair.Value + "|" + order})
 		})
 	ordersOp.AddIndex(w.Orders)
 
 	customerOp := core.NewOperator("q3-customer",
 		func(in core.Pair) core.PreResult {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 10 {
+			if numFields(in.Value) != 10 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{f[7]}}} // custkey
+			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 7)}}} // custkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			cust, ok := firstValue(results[0])
 			if !ok {
 				return
 			}
-			if seg := strings.SplitN(cust, "|", 2)[0]; seg != "BUILDING" {
+			if seg := field(cust, 0); seg != "BUILDING" {
 				return
 			}
 			emit(pair)
@@ -77,16 +75,16 @@ func (w *Workload) Q3Conf(name string, mode core.Mode) *core.IndexJobConf {
 		Input: w.Input,
 		Mode:  mode,
 		Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 10 {
+			if numFields(in.Value) != 10 {
 				return
 			}
-			li, ok := ParseLineItem(strings.Join(f[:7], "|"))
+			li, joined, ok := parseLineItemPrefix(in.Value) // joined: custkey|orderdate|prio
 			if !ok {
 				return
 			}
+			_, datePrio, _ := strings.Cut(joined, "|")
 			emit(core.Pair{
-				Key:   f[0] + "|" + f[8] + "|" + f[9], // orderkey|orderdate|prio
+				Key:   li.OrderKey + "|" + datePrio, // orderkey|orderdate|prio
 				Value: strconv.Itoa(li.Revenue()),
 			})
 		},
@@ -120,25 +118,24 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if !ok {
 				return
 			}
-			nation := strings.SplitN(supp, "|", 2)[0]
+			nation := field(supp, 0)
 			emit(core.Pair{Key: pair.Key, Value: pair.Value + "|" + nation})
 		})
 	supplierOp.AddIndex(w.Supplier)
 
 	partOp := core.NewOperator("q9-part",
 		func(in core.Pair) core.PreResult {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 8 {
+			if numFields(in.Value) != 8 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{f[1]}}} // partkey
+			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 1)}}} // partkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			part, ok := firstValue(results[0])
 			if !ok {
 				return
 			}
-			name := strings.SplitN(part, "|", 2)[0]
+			name := field(part, 0)
 			if !strings.Contains(name, "green") {
 				return
 			}
@@ -148,11 +145,10 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 
 	partSuppOp := core.NewOperator("q9-partsupp",
 		func(in core.Pair) core.PreResult {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 8 {
+			if numFields(in.Value) != 8 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{f[1] + ":" + f[2]}}}
+			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 1) + ":" + field(in.Value, 2)}}}
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			cost, ok := firstValue(results[0])
@@ -165,22 +161,20 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 
 	ordersOp := core.NewOperator("q9-orders",
 		func(in core.Pair) core.PreResult {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 9 {
+			if numFields(in.Value) != 9 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{f[0]}}} // orderkey
+			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 0)}}} // orderkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			order, ok := firstValue(results[0])
 			if !ok {
 				return
 			}
-			f := strings.Split(order, "|")
-			if len(f) != 3 {
+			if numFields(order) != 3 {
 				return
 			}
-			date, err := strconv.Atoi(f[1])
+			date, err := strconv.Atoi(field(order, 1))
 			if err != nil {
 				return
 			}
@@ -190,11 +184,10 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 
 	nationOp := core.NewOperator("q9-nation",
 		func(in core.Pair) core.PreResult {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 10 {
+			if numFields(in.Value) != 10 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{f[7]}}} // nationkey
+			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 7)}}} // nationkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			nation, ok := firstValue(results[0])
@@ -210,20 +203,19 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 		Input: w.Input,
 		Mode:  mode,
 		Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
-			f := strings.Split(in.Value, "|")
-			if len(f) != 11 {
+			if numFields(in.Value) != 11 {
 				return
 			}
-			li, ok := ParseLineItem(strings.Join(f[:7], "|"))
+			li, joined, ok := parseLineItemPrefix(in.Value) // joined: nationkey|cost|year|nation
 			if !ok {
 				return
 			}
-			cost, err := strconv.Atoi(f[8])
+			cost, err := strconv.Atoi(field(joined, 1))
 			if err != nil {
 				return
 			}
 			amount := li.Revenue() - cost*li.Quantity
-			emit(core.Pair{Key: f[10] + "|" + f[9], Value: strconv.Itoa(amount)})
+			emit(core.Pair{Key: field(joined, 3) + "|" + field(joined, 2), Value: strconv.Itoa(amount)})
 		},
 		Reducer: sumReducer,
 	}
