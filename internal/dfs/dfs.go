@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"efind/internal/fstore"
 	"efind/internal/sim"
@@ -51,26 +52,54 @@ type Chunk struct {
 // bytes (file-backed, this is slot-section metadata only).
 func (c *Chunk) NumRecords() int { return c.n }
 
-// Records returns the chunk's records. In-memory chunks return the
-// resident slice; file-backed chunks decode it from the snapshot's data
-// section, and a snapshot that fails its decode checks surfaces an error
-// (wrapping fstore.ErrCorrupt) rather than ever yielding wrong records —
-// unlike an index snapshot there is no resident copy to rebuild from.
+// View calls fn once per record, in order, with key and value as
+// read-only views valid only until fn returns: an in-memory chunk lends
+// its record strings, a file-backed one the snapshot's mapping, so
+// nothing is copied. A snapshot that fails its decode checks surfaces an
+// error wrapping fstore.ErrCorrupt rather than ever yielding wrong
+// records — unlike an index snapshot there is no resident copy to
+// rebuild from. An error from fn stops the walk.
+func (c *Chunk) View(fn func(key, value []byte) error) error {
+	if c.snap == nil {
+		for _, r := range c.recs {
+			if err := fn(stringView(r.Key), stringView(r.Value)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var key []byte
+	n := 0
+	err := c.snap.View(c.slot, func(v []byte) error {
+		if n++; n%2 == 1 {
+			key = v
+			return nil
+		}
+		return fn(key, v)
+	})
+	if err == nil && n != 2*c.n {
+		err = fmt.Errorf("%w: chunk holds %d strings, want %d for %d records", fstore.ErrCorrupt, n, 2*c.n, c.n)
+	}
+	return err
+}
+
+// stringView lends s as bytes without copying, for reading only.
+func stringView(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// Records returns the chunk's records for a reader that keeps them (map
+// input, index builds): the resident slice in memory, a copy made under
+// View's checks when file-backed.
 func (c *Chunk) Records() ([]Record, error) {
 	if c.snap == nil {
 		return c.recs, nil
 	}
-	flat, err := c.snap.Values(c.slot)
+	out := make([]Record, 0, c.n)
+	err := c.View(func(key, value []byte) error {
+		out = append(out, Record{Key: string(key), Value: string(value)})
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	if len(flat) != 2*c.n {
-		return nil, fmt.Errorf("%w: chunk holds %d strings, want %d for %d records",
-			fstore.ErrCorrupt, len(flat), 2*c.n, c.n)
-	}
-	out := make([]Record, c.n)
-	for i := range out {
-		out[i] = Record{Key: flat[2*i], Value: flat[2*i+1]}
 	}
 	return out, nil
 }
@@ -185,18 +214,24 @@ func (fs *FS) Close() error {
 	defer fs.mu.Unlock()
 	var firstErr error
 	for _, f := range fs.files {
-		if f.snap == nil {
-			continue
-		}
-		if err := f.snap.Close(); err != nil && firstErr == nil {
+		if err := f.release(); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		f.snap = nil
-		for _, c := range f.Chunks {
-			c.snap = nil
 		}
 	}
 	return firstErr
+}
+
+// release closes a file-backed file's mapping and unbinds its chunks.
+func (f *File) release() error {
+	if f.snap == nil {
+		return nil
+	}
+	err := f.snap.Close()
+	f.snap = nil
+	for _, c := range f.Chunks {
+		c.snap = nil
+	}
+	return err
 }
 
 // persist renders f's chunk payloads into one snapshot file and rebinds
@@ -205,14 +240,16 @@ func (fs *FS) Close() error {
 func (fs *FS) persist(f *File) error {
 	b := fstore.NewBuilder()
 	for i, c := range f.Chunks {
-		flat := make([]string, 0, 2*len(c.recs))
-		for _, r := range c.recs {
-			flat = append(flat, r.Key, r.Value)
-		}
-		b.Add(chunkKey(i), int64(c.Shard), flat...)
+		recs := c.recs
+		b.AddSeq(chunkKey(i), int64(c.Shard), func(yield func(string)) {
+			for _, r := range recs {
+				yield(r.Key)
+				yield(r.Value)
+			}
+		})
 	}
 	fs.seq++
-	path := filepath.Join(fs.backing, fmt.Sprintf("%s-%06d.fmc1", sanitizeName(f.Name), fs.seq))
+	path := filepath.Join(fs.backing, fmt.Sprintf("%s-%06d.fmc1", fstore.FileName(f.Name), fs.seq))
 	if err := b.WriteFile(path); err != nil {
 		return err
 	}
@@ -237,21 +274,6 @@ func (fs *FS) persist(f *File) error {
 // chunkKey names chunk i inside its file's snapshot; zero-padding keeps
 // slot order equal to chunk order.
 func chunkKey(i int) string { return fmt.Sprintf("c%08d", i) }
-
-// sanitizeName makes a DFS file name safe as a filesystem name component.
-func sanitizeName(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}
 
 // Create writes a new file from records, splitting into chunks of about
 // ChunkTarget bytes and placing Replication replicas per chunk. It returns
@@ -281,9 +303,14 @@ func (fs *FS) Create(name string, records []Record) (*File, error) {
 		}
 	}
 	flush()
+	return fs.register(f)
+}
+
+// register completes a newly chunked file. An empty file still gets one
+// (empty) chunk so jobs over it run a well-defined zero-record map task.
+// Caller holds the lock.
+func (fs *FS) register(f *File) (*File, error) {
 	if len(f.Chunks) == 0 {
-		// An empty file still has one (empty) chunk so jobs over it run a
-		// well-defined zero-record map task.
 		f.Chunks = []*Chunk{{Shard: -1, Replicas: fs.cluster.PlaceReplicas(fs.Replication)}}
 	}
 	if fs.backing != "" {
@@ -291,7 +318,7 @@ func (fs *FS) Create(name string, records []Record) (*File, error) {
 			return nil, err
 		}
 	}
-	fs.files[name] = f
+	fs.files[f.Name] = f
 	return f, nil
 }
 
@@ -336,16 +363,7 @@ func (fs *FS) CreateSharded(name string, shards [][]Record, homes []sim.NodeID) 
 			}
 		}
 	}
-	if len(f.Chunks) == 0 {
-		f.Chunks = []*Chunk{{Shard: -1, Replicas: fs.cluster.PlaceReplicas(fs.Replication)}}
-	}
-	if fs.backing != "" {
-		if err := fs.persist(f); err != nil {
-			return nil, err
-		}
-	}
-	fs.files[name] = f
-	return f, nil
+	return fs.register(f)
 }
 
 func otherNodes(c *sim.Cluster, home sim.NodeID, n int) []sim.NodeID {
@@ -380,18 +398,14 @@ func (fs *FS) Remove(name string) error {
 		return fmt.Errorf("dfs: file %q does not exist", name)
 	}
 	delete(fs.files, name)
-	if f.snap != nil {
-		err := f.snap.Close()
-		f.snap = nil
-		for _, c := range f.Chunks {
-			c.snap = nil
-		}
-		if rerr := os.Remove(f.path); err == nil {
-			err = rerr
-		}
-		return err
+	if f.snap == nil {
+		return nil
 	}
-	return nil
+	err := f.release()
+	if rerr := os.Remove(f.path); err == nil {
+		err = rerr
+	}
+	return err
 }
 
 // List returns the file names in the namespace, sorted.

@@ -40,8 +40,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"path/filepath"
+	"io"
+	"math/bits"
+	"os"
 	"sort"
+	"strings"
 
 	"efind/internal/vfs"
 )
@@ -65,52 +68,65 @@ const (
 // rebuild the snapshot from the source of truth.
 var ErrCorrupt = errors.New("fstore: snapshot corrupt")
 
-// Builder accumulates entries and writes one snapshot file. Not safe for
-// concurrent use; build, write, discard.
-type Builder struct {
-	entries []entry
-	keyLen  int
-	err     error
+// FileName makes a user-facing store or DFS file name safe as a component
+// of a snapshot's file name.
+func FileName(name string) string {
+	out := []byte(name)
+	for i, c := range out {
+		switch {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
+		default:
+			out[i] = '_'
+		}
+	}
+	return string(out)
 }
 
+// Builder accumulates entries and writes one snapshot file. Not safe for
+// concurrent use; build, write, discard. Nothing added is copied or
+// checked before the write: value slices, sequences and renders are read
+// when the file image is laid out and must stay unchanged until then, and
+// a bad entry — keys must be unique, NUL-free and of 1 to MaxKeySize
+// bytes — fails WriteFile, so loading loops need no per-call handling.
+type Builder struct{ entries []entry }
+
+// entry is one slot in the making. Its values come from exactly one of
+// values (Add), seq (AddSeq) or render (AddSized).
 type entry struct {
 	key    string
 	rev    int64
 	values []string
+	seq    func(yield func(string))
+	size   int
+	render func(dst []byte) []byte
+
+	count, dataLen int // value count and data-section bytes, measured by encode
 }
 
 // NewBuilder returns an empty builder. The slot key width is derived
 // from the longest key added.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Add appends one entry. Keys must be unique, NUL-free, and at most
-// MaxKeySize bytes; violations surface from WriteFile (uniqueness) or
-// immediately poison the builder (shape), so loading loops need no
-// per-call error handling.
+// Add appends one entry holding the given values.
 func (b *Builder) Add(key string, revision int64, values ...string) {
-	if b.err != nil {
-		return
-	}
-	if len(key) == 0 || len(key) > MaxKeySize {
-		b.err = fmt.Errorf("fstore: key length %d outside [1,%d]", len(key), MaxKeySize)
-		return
-	}
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			b.err = fmt.Errorf("fstore: key %q contains NUL (keys are NUL-padded on disk)", key)
-			return
-		}
-	}
-	if len(key) > b.keyLen {
-		b.keyLen = len(key)
-	}
-	vals := make([]string, len(values))
-	copy(vals, values)
-	b.entries = append(b.entries, entry{key: key, rev: revision, values: vals})
+	b.entries = append(b.entries, entry{key: key, rev: revision, values: values})
 }
 
-// Len returns the number of entries added so far.
-func (b *Builder) Len() int { return len(b.entries) }
+// AddSeq appends one entry whose values are enumerated, not held in a
+// slice: seq calls yield once per value, in order. It runs twice — to
+// size the file image, then to fill it — and must yield the same values.
+func (b *Builder) AddSeq(key string, revision int64, seq func(yield func(string))) {
+	b.entries = append(b.entries, entry{key: key, rev: revision, seq: seq})
+}
+
+// AddSized appends one entry holding a single value of exactly size
+// bytes that is not materialised yet: when the file image is laid out,
+// render appends the value to dst — a window onto the image — and
+// returns the extended slice. A render that yields another length, or
+// anything but that window, fails the write.
+func (b *Builder) AddSized(key string, revision int64, size int, render func(dst []byte) []byte) {
+	b.entries = append(b.entries, entry{key: key, rev: revision, size: size, render: render})
+}
 
 // WriteFile encodes the snapshot and writes it atomically (temp file in
 // the same directory, then rename), so readers never observe a partially
@@ -120,120 +136,144 @@ func (b *Builder) WriteFile(path string) error {
 }
 
 // WriteFileFS is WriteFile through an explicit filesystem — the seam the
-// durability layer threads fault injection through. Before the rename
-// commits the snapshot, the temp file is read back and compared against
-// the encoded bytes: a write that lied about success (a short write
-// acknowledged in full) is caught here, while the last durable snapshot
-// at path is still intact.
+// durability layer threads fault injection through: size the image, fill
+// it in place, write, fsync, verify, rename. Verification compares the
+// temp file with the image, every byte and the length, before the rename
+// commits it: a write that lied about success (a short write acknowledged
+// in full) is caught while the last durable snapshot at path is intact.
 func (b *Builder) WriteFileFS(fs vfs.FS, path string) error {
-	data, err := b.encode()
+	img, err := b.encode()
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := fs.CreateTemp(dir, ".fstore-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	fail := func(err error) error {
-		fs.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(err)
-	}
-	got, err := fs.ReadFile(tmpName)
-	if err != nil {
-		return fail(err)
-	}
-	if !bytes.Equal(got, data) {
-		return fail(corruptf("write verification failed: %d bytes on disk, %d encoded (torn or short write)", len(got), len(data)))
-	}
-	if err := fs.Rename(tmpName, path); err != nil {
-		return fail(err)
-	}
-	return nil
+	return vfs.WriteFileAtomic(fs, path, ".fstore-*", img, true, func(tmpName string) error {
+		return verifyFile(tmpName, img)
+	})
 }
 
-// uvarintLen is the encoded size of v, without encoding it.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+// verifyFile compares the file at name with img through one fixed
+// buffer, so checking an N-byte snapshot never holds a second N-byte
+// copy. Like Open it reads beside the vfs seam, which carries mutations.
+func verifyFile(name string, img []byte) error {
+	f, err := os.Open(name)
+	if err != nil {
+		return err
 	}
-	return n
-}
-
-// encode renders the snapshot bytes: sorted slots, packed data section,
-// checksummed header.
-func (b *Builder) encode() ([]byte, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	entries := make([]entry, len(b.entries))
-	copy(entries, b.entries)
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	for i := 1; i < len(entries); i++ {
-		if entries[i].key == entries[i-1].key {
-			return nil, fmt.Errorf("fstore: duplicate key %q", entries[i].key)
+	defer f.Close()
+	buf := make([]byte, 64<<10)
+	for off := 0; ; {
+		n, err := f.Read(buf)
+		if n > len(img)-off || !bytes.Equal(buf[:n], img[off:off+n]) || (err == io.EOF && off+n != len(img)) {
+			return corruptf("write verification failed: the file departs from the %d encoded bytes within %d bytes of offset %d (torn, short or lying write)", len(img), n, off)
 		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		off += n
 	}
-	keySize := b.keyLen
-	if keySize == 0 {
-		keySize = 1 // empty snapshots still declare a valid key width
+}
+
+// valueLen is the data-section size of an n-byte value: uvarint length, bytes.
+func valueLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
+
+// each yields the values of an entry added by Add or AddSeq.
+func (e *entry) each(yield func(string)) {
+	if e.seq != nil {
+		e.seq(yield)
+		return
+	}
+	for _, v := range e.values {
+		yield(v)
+	}
+}
+
+// encode renders the snapshot bytes — sorted slots, packed data section,
+// checksummed header — into one allocation of exactly the file's size: a
+// first pass checks and measures the entries, a second fills the image.
+func (b *Builder) encode() ([]byte, error) {
+	entries := b.entries
+	keySize, dataSize, sorted := 1, 0, true // empty snapshots still declare a valid key width
+	var e *entry
+	measure := func(v string) {
+		e.count++
+		e.dataLen += valueLen(len(v))
+	}
+	for i := range entries {
+		e = &entries[i]
+		switch {
+		case len(e.key) == 0 || len(e.key) > MaxKeySize:
+			return nil, fmt.Errorf("fstore: key length %d outside [1,%d]", len(e.key), MaxKeySize)
+		case strings.IndexByte(e.key, 0) >= 0:
+			return nil, fmt.Errorf("fstore: key %q contains NUL (keys are NUL-padded on disk)", e.key)
+		case e.size < 0:
+			return nil, fmt.Errorf("fstore: key %q declares a negative value size %d", e.key, e.size)
+		}
+		keySize = max(keySize, len(e.key))
+		sorted = sorted && (i == 0 || entries[i-1].key < e.key)
+		if e.render != nil {
+			e.count, e.dataLen = 1, valueLen(e.size)
+		} else {
+			e.count, e.dataLen = 0, 0
+			e.each(measure)
+		}
+		if dataSize += e.dataLen; dataSize > maxSnapshotBytes {
+			break // refused below; stops the sum short of overflow
+		}
 	}
 	slotSize := keySize + slotExtra
-
-	// Size the data section up front: append-grown snapshots measured as
-	// the dominant allocation cost of large checkpoints before this.
-	dataSize := 0
-	for _, e := range entries {
-		for _, v := range e.values {
-			dataSize += uvarintLen(uint64(len(v))) + len(v)
+	dataStart := headerSize + len(entries)*slotSize
+	total := dataStart + dataSize
+	if total > maxSnapshotBytes {
+		return nil, fmt.Errorf("fstore: snapshot would be above %d bytes, the 4 GiB format limit — shard into more snapshots", maxSnapshotBytes)
+	}
+	if !sorted {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+		for i := 1; i < len(entries); i++ {
+			if entries[i].key == entries[i-1].key {
+				return nil, fmt.Errorf("fstore: duplicate key %q", entries[i].key)
+			}
 		}
 	}
-	data := make([]byte, 0, dataSize)
-	var varintBuf [binary.MaxVarintLen64]byte
-	slots := make([]byte, len(entries)*slotSize)
-	for i, e := range entries {
-		off := len(data)
-		for _, v := range e.values {
-			n := binary.PutUvarint(varintBuf[:], uint64(len(v)))
-			data = append(data, varintBuf[:n]...)
-			data = append(data, v...)
+
+	img := make([]byte, total)
+	var w []byte // the entry being filled: a window capped at its measured end
+	n, end := 0, dataStart
+	put := func(v string) {
+		w = append(binary.AppendUvarint(w, uint64(len(v))), v...)
+		n++
+	}
+	for i := range entries {
+		e = &entries[i]
+		off := end
+		end += e.dataLen
+		w, n = img[:off:end], 0
+		if e.render != nil {
+			w, n = e.render(binary.AppendUvarint(w, uint64(e.size))), 1
+		} else {
+			e.each(put)
 		}
-		s := slots[i*slotSize:]
+		// What outgrew the window was reallocated and left the image.
+		if n != e.count || len(w) != end || &w[0] != &img[0] {
+			return nil, fmt.Errorf("fstore: key %q did not fill the %d-byte window measured for its %d values", e.key, e.dataLen, e.count)
+		}
+		s := img[headerSize+i*slotSize:]
 		copy(s[:keySize], e.key) // remainder stays NUL
 		binary.LittleEndian.PutUint64(s[keySize:], uint64(e.rev))
-		binary.LittleEndian.PutUint32(s[keySize+8:], uint32(off))
-		binary.LittleEndian.PutUint32(s[keySize+12:], uint32(len(data)-off))
-		binary.LittleEndian.PutUint32(s[keySize+16:], uint32(len(e.values)))
-	}
-	total := headerSize + len(slots) + len(data)
-	if total > maxSnapshotBytes {
-		return nil, fmt.Errorf("fstore: snapshot would be %d bytes, above the 4 GiB format limit — shard into more snapshots", total)
+		binary.LittleEndian.PutUint32(s[keySize+8:], uint32(off-dataStart))
+		binary.LittleEndian.PutUint32(s[keySize+12:], uint32(e.dataLen))
+		binary.LittleEndian.PutUint32(s[keySize+16:], uint32(e.count))
 	}
 
-	out := make([]byte, headerSize, total)
-	copy(out[0:4], Magic)
-	binary.LittleEndian.PutUint32(out[4:], Version)
-	binary.LittleEndian.PutUint32(out[8:], uint32(keySize))
-	binary.LittleEndian.PutUint32(out[12:], uint32(len(entries)))
-	binary.LittleEndian.PutUint32(out[16:], uint32(len(data)))
-	binary.LittleEndian.PutUint32(out[20:], crc32.ChecksumIEEE(slots))
-	binary.LittleEndian.PutUint32(out[24:], crc32.ChecksumIEEE(data))
-	binary.LittleEndian.PutUint32(out[44:], crc32.ChecksumIEEE(out[0:44]))
-	out = append(out, slots...)
-	out = append(out, data...)
-	return out, nil
+	copy(img[0:4], Magic)
+	binary.LittleEndian.PutUint32(img[4:], Version)
+	binary.LittleEndian.PutUint32(img[8:], uint32(keySize))
+	binary.LittleEndian.PutUint32(img[12:], uint32(len(entries)))
+	binary.LittleEndian.PutUint32(img[16:], uint32(dataSize))
+	binary.LittleEndian.PutUint32(img[20:], crc32.ChecksumIEEE(img[headerSize:dataStart]))
+	binary.LittleEndian.PutUint32(img[24:], crc32.ChecksumIEEE(img[dataStart:]))
+	binary.LittleEndian.PutUint32(img[44:], crc32.ChecksumIEEE(img[0:44]))
+	return img, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func canonicalSnapshot() []byte {
 
 // FuzzFStoreSnapshot feeds mutated snapshot bytes to Open and asserts the
 // store's core safety property: corruption is always detected, never
-// served. Two oracles run per input:
+// served. Three oracles run per input:
 //
 //  1. The raw bytes are opened as a snapshot. If Open accepts them, every
 //     read accessor must behave sanely (no panics, keys ascending, every
@@ -37,6 +38,12 @@ func canonicalSnapshot() []byte {
 //     (pos, x). Open must reject it with ErrCorrupt — and the caller-side
 //     story is then completed by rebuilding: rewriting the snapshot makes
 //     Open succeed again with exactly the original content.
+//  3. The canonical snapshot is opened and then rewritten in place — the
+//     raw bytes over its head, the byte flip on top — under the live
+//     handle. Reads through the open snapshot must stay inside the
+//     contract: View and Values agree value for value or both report
+//     ErrCorrupt, and the NoMmap handle (its own buffer) serves the
+//     original content untouched.
 func FuzzFStoreSnapshot(f *testing.F) {
 	good := canonicalSnapshot()
 	f.Add([]byte{}, uint32(0), byte(0x01))
@@ -62,7 +69,7 @@ func FuzzFStoreSnapshot(f *testing.F) {
 				}
 				continue
 			}
-			exerciseSnapshot(t, s)
+			exerciseSnapshot(t, s, false)
 			s.Close()
 		}
 
@@ -94,17 +101,66 @@ func FuzzFStoreSnapshot(f *testing.F) {
 		if vals, ok, err := s.Lookup("alpha"); err != nil || !ok || len(vals) != 2 || vals[0] != "one" {
 			t.Fatalf("rebuilt snapshot serves wrong data: %v %v %v", vals, ok, err)
 		}
+
+		// Oracle 3: the file changes under open handles.
+		livePath := filepath.Join(dir, "live.fmc1")
+		if err := os.WriteFile(livePath, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		copy(mut, raw) // mut is still good with the flip applied
+		for _, opts := range []Options{{}, {NoMmap: true}} {
+			live, err := Open(livePath, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rewriteInPlace(t, livePath, mut)
+			exerciseSnapshot(t, live, true)
+			if opts.NoMmap {
+				if vals, err := live.Values(0); err != nil || len(vals) != 2 || vals[1] != "two" {
+					t.Fatalf("fallback buffer changed with the file: %v %v", vals, err)
+				}
+			}
+			live.Close()
+			rewriteInPlace(t, livePath, good)
+		}
 	})
+}
+
+// rewriteInPlace overwrites the file's bytes without truncating it, so a
+// live mapping sees new content at an unchanged length.
+func rewriteInPlace(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, 0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// viewed collects slot i's values through View, copying each view before
+// the callback returns.
+func viewed(s *Snapshot, i int) ([]string, error) {
+	var out []string
+	err := s.View(i, func(v []byte) error {
+		out = append(out, string(v))
+		return nil
+	})
+	return out, err
 }
 
 // exerciseSnapshot walks every accessor of an accepted snapshot; any
 // inconsistency between what validate accepted and what reads decode is
-// a bug (wrong data would be served).
-func exerciseSnapshot(t *testing.T, s *Snapshot) {
+// a bug (wrong data would be served). rewritten marks a snapshot whose
+// file changed after Open: key order was validated on the old bytes, so
+// only the per-read checks are held to account.
+func exerciseSnapshot(t *testing.T, s *Snapshot, rewritten bool) {
 	prev := ""
 	for i := 0; i < s.Len(); i++ {
 		k := s.Key(i)
-		if i > 0 && k <= prev && !(len(k) < len(prev) && prev[:len(k)] == k) {
+		if i > 0 && k <= prev && !(len(k) < len(prev) && prev[:len(k)] == k) && !rewritten {
 			// Stripped keys can only collide in order via NUL padding,
 			// which the builder forbids but raw bytes may contain; the
 			// padded slot keys themselves are checked at open.
@@ -118,6 +174,15 @@ func exerciseSnapshot(t *testing.T, s *Snapshot) {
 		vals, err := s.Values(i)
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("slot %d: decode error outside the corruption contract: %v", i, err)
+		}
+		// The visitor is the same read: exactly Values' bytes where
+		// Values decodes, ErrCorrupt where it does not.
+		views, verr := viewed(s, i)
+		if (err == nil) != (verr == nil) || (verr != nil && !errors.Is(verr, ErrCorrupt)) {
+			t.Fatalf("slot %d: View error %v, Values error %v", i, verr, err)
+		}
+		if err == nil && !reflect.DeepEqual(append([]string{}, vals...), append([]string{}, views...)) {
+			t.Fatalf("slot %d: View yields %q, Values %q", i, views, vals)
 		}
 		if err == nil {
 			got, ok, lerr := s.Lookup(s.Key(i))

@@ -2,21 +2,16 @@
 
 package fstore
 
-import "os"
+import (
+	"errors"
+	"os"
+)
 
-// mmapAvailable reports whether this platform serves snapshots via mmap.
+// mmapAvailable reports whether this platform serves snapshots via mmap;
+// without it every snapshot is a heap buffer read through plain file I/O,
+// so the store works (slower, RAM-bound) everywhere the CI matrix runs.
 const mmapAvailable = false
 
-// mapping is one opened snapshot's byte source; without mmap support it
-// is always a heap buffer read through plain file I/O.
-type mapping interface {
-	bytes() []byte
-	close() error
-}
+func mmap(*os.File, int) ([]byte, error) { return nil, errors.ErrUnsupported }
 
-// mapFile falls back to plain file reads on platforms without mmap, so
-// the store works (slower, RAM-bound) everywhere the CI matrix runs.
-func mapFile(f *os.File, size int, noMmap bool) (mapping, bool, error) {
-	m, err := readFallback(f, size)
-	return m, false, err
-}
+func munmap([]byte) error { return nil }

@@ -10,41 +10,9 @@ import (
 // mmapAvailable reports whether this platform serves snapshots via mmap.
 const mmapAvailable = true
 
-// mapping is one opened snapshot's byte source: an mmap on Unix, a heap
-// buffer elsewhere (or when NoMmap forces the fallback).
-type mapping interface {
-	bytes() []byte
-	close() error
+// mmap maps the first size (> 0) bytes of f read-only.
+func mmap(f *os.File, size int) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
-// mapFile maps size bytes of f read-only, or reads them into a heap
-// buffer when noMmap is set (or the file is empty — mmap of length 0 is
-// invalid). The returned bool reports whether a real mapping serves the
-// bytes.
-func mapFile(f *os.File, size int, noMmap bool) (mapping, bool, error) {
-	if noMmap || size == 0 {
-		m, err := readFallback(f, size)
-		return m, false, err
-	}
-	b, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, false, err
-	}
-	return &mmapMapping{b: b}, true, nil
-}
-
-// mmapMapping is a live memory map; close unmaps it.
-type mmapMapping struct {
-	b []byte
-}
-
-func (m *mmapMapping) bytes() []byte { return m.b }
-
-func (m *mmapMapping) close() error {
-	if m.b == nil {
-		return nil
-	}
-	b := m.b
-	m.b = nil
-	return syscall.Munmap(b)
-}
+func munmap(b []byte) error { return syscall.Munmap(b) }

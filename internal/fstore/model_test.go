@@ -3,6 +3,7 @@ package fstore
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -30,8 +31,9 @@ func randValues(rng *rand.Rand) []string {
 // TestModelAgainstMapOracle drives randomized build/query sequences and
 // checks every snapshot answer against a plain map holding the same
 // entries: same presence, same values, same probe sizes, under both the
-// mmap and the fallback read path. Each seed also exercises a rebuild
-// (second generation written over the first) — the fstore lifecycle.
+// mmap and the fallback read path, through Values and through View.
+// Each seed also exercises a rebuild (second generation written over the
+// first) — the fstore lifecycle — and a rewrite under the open handle.
 func TestModelAgainstMapOracle(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -76,6 +78,11 @@ func TestModelAgainstMapOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameValues(t, k, got, want)
+					views, err := viewed(s, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameValues(t, k, views, want)
 					seen++
 				}
 				if seen != len(oracle) {
@@ -112,6 +119,28 @@ func TestModelAgainstMapOracle(t *testing.T) {
 						t.Fatalf("Probe(%q) = %d bytes, oracle encodes to %d", k, n, wantN)
 					}
 				}
+				// The file is rewritten under the open snapshot: random
+				// bytes over its slot and data sections, length unchanged.
+				// The fallback buffer never notices; a mapping serves
+				// either ErrCorrupt or what View and Values agree on.
+				img, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				scribble := append([]byte(nil), img...)
+				rng.Read(scribble[headerSize:])
+				rewriteInPlace(t, path, scribble)
+				exerciseSnapshot(t, s, true)
+				if !s.Mapped() {
+					for i := 0; i < s.Len(); i++ {
+						views, err := viewed(s, i)
+						if err != nil {
+							t.Fatal(err)
+						}
+						assertSameValues(t, s.Key(i), views, oracle[s.Key(i)])
+					}
+				}
+				rewriteInPlace(t, path, img)
 				if err := s.Close(); err != nil {
 					t.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -35,8 +36,7 @@ func MmapAvailable() bool { return mmapAvailable }
 // for concurrent readers. Close releases the mapping.
 type Snapshot struct {
 	path    string
-	m       mapping
-	data    []byte // full file bytes, backed by m
+	data    []byte // full file bytes: the mapping, or a heap buffer
 	keySize int
 	n       int
 	slots   []byte // slot section view
@@ -64,25 +64,42 @@ func Open(path string, opts Options) (*Snapshot, error) {
 		f.Close()
 		return nil, corruptf("file is %d bytes, above the 4 GiB format limit", fi.Size())
 	}
-	m, mapped, err := mapFile(f, int(fi.Size()), opts.NoMmap)
+	data, mapped, err := readImage(f, int(fi.Size()), opts.NoMmap)
 	// The file descriptor is only needed to establish the mapping (or
 	// read the fallback buffer); the mapping outlives it either way.
-	if cerr := f.Close(); err == nil && cerr != nil {
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		if m != nil {
-			_ = m.close()
-		}
-		return nil, err
+	s := &Snapshot{path: path, data: data, mapped: mapped}
+	if err == nil {
+		err = s.validate()
 	}
-	s := &Snapshot{path: path, m: m, data: m.bytes(), mapped: mapped}
-	if err := s.validate(); err != nil {
-		_ = m.close()
+	if err != nil {
+		_ = s.unmap()
 		return nil, err
 	}
 	openHandles.Add(1)
 	return s, nil
+}
+
+// readImage returns the file's bytes: a read-only mapping, or a heap
+// buffer read through plain file I/O on platforms without mmap, under
+// Options.NoMmap, and for an empty file (a zero-length mmap is invalid).
+func readImage(f *os.File, size int, noMmap bool) (b []byte, mapped bool, err error) {
+	if mmapAvailable && !noMmap && size > 0 {
+		b, err = mmap(f, size)
+		return b, err == nil, err
+	}
+	b = make([]byte, size)
+	_, err = io.ReadFull(f, b)
+	return b, false, err
+}
+
+func (s *Snapshot) unmap() error {
+	if !s.mapped {
+		return nil
+	}
+	return munmap(s.data)
 }
 
 // corruptf builds an ErrCorrupt-wrapping error.
@@ -217,27 +234,49 @@ func (s *Snapshot) Probe(key string) (found bool, valueBytes int) {
 	return true, s.ValueBytes(i)
 }
 
-// Values decodes slot i's value list from the data section. Bounds and
+// View calls fn once per value of slot i, in order, with a view that
+// aliases the mapping: read-only, and valid only until fn returns, so
+// whatever outlives the callback must be copied (Values does that for a
+// whole slot). Views are never handed out as strings: nothing ties a
+// string's lifetime to the mapping's, and Close unmaps it. Bounds and
 // varint shape are checked even though the section checksum was verified
 // at open, so a file rewritten underneath a live mapping surfaces
-// ErrCorrupt instead of garbage.
-func (s *Snapshot) Values(i int) ([]string, error) {
+// ErrCorrupt instead of garbage. An error from fn ends the walk.
+func (s *Snapshot) View(i int, fn func(v []byte) error) error {
 	off, length, count := s.slotData(i)
 	if uint64(off)+uint64(length) > uint64(len(s.vals)) {
-		return nil, corruptf("slot %d data range [%d:%d) outside the %d-byte data section", i, off, off+length, len(s.vals))
+		return corruptf("slot %d data range [%d:%d) outside the %d-byte data section", i, off, off+length, len(s.vals))
 	}
 	b := s.vals[off : off+length]
-	out := make([]string, 0, count)
 	for j := uint32(0); j < count; j++ {
 		l, n := binary.Uvarint(b)
 		if n <= 0 || uint64(l) > uint64(len(b)-n) {
-			return nil, corruptf("slot %d value %d has an undecodable length", i, j)
+			return corruptf("slot %d value %d has an undecodable length", i, j)
 		}
-		out = append(out, string(b[n:n+int(l)]))
+		if err := fn(b[n : n+int(l)]); err != nil {
+			return err
+		}
 		b = b[n+int(l):]
 	}
 	if len(b) != 0 {
-		return nil, corruptf("slot %d has %d trailing bytes after its %d values", i, len(b), count)
+		return corruptf("slot %d has %d trailing bytes after its %d values", i, len(b), count)
+	}
+	return nil
+}
+
+// Values decodes slot i's value list into strings of its own, for
+// whatever retains them (caches, map input): View plus a copy per value.
+func (s *Snapshot) Values(i int) ([]string, error) {
+	// A value takes at least a byte, so the data section's size caps a
+	// count rewritten under the mapping before it sizes the allocation.
+	_, _, count := s.slotData(i)
+	out := make([]string, 0, min(int(count), len(s.vals)))
+	err := s.View(i, func(v []byte) error {
+		out = append(out, string(v))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -260,5 +299,5 @@ func (s *Snapshot) Close() error {
 		return nil
 	}
 	openHandles.Add(-1)
-	return s.m.close()
+	return s.unmap()
 }

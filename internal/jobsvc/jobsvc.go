@@ -130,9 +130,9 @@ type JobStatus struct {
 	// ServeSeconds is the index serve time the job charged, in virtual
 	// seconds — the quantity deducted from the tenant's budget.
 	ServeSeconds float64
-	// OutputFP fingerprints the job's sorted output records (0 when the
-	// job produced no output or the service is not durable). It is what
-	// a recovered coordinator compares instead of the output file.
+	// OutputFP fingerprints the multiset of the job's output records (0
+	// when the job produced no output or the service is not durable). It
+	// is what a recovered coordinator compares instead of the output file.
 	OutputFP uint64
 	// Recovered marks a status restored from a durable checkpoint: the
 	// job did not re-run; Result carries the journaled scalars and
@@ -613,7 +613,12 @@ func (s *Service) finish(ev event) {
 		t.spent += j.status.ServeSeconds
 	}
 	if s.jl != nil {
-		j.status.OutputFP = outputFingerprint(ev.res)
+		// An unreadable output is a failed job, not a job without output.
+		fp, err := outputFingerprint(ev.res)
+		if err != nil && j.status.Err == nil {
+			j.status.State, j.status.Err = JobFailed, err
+		}
+		j.status.OutputFP = fp
 		j.decided = true
 		s.jl.appendDone(j.idx, s.jl.regFingerprint(), &j.status)
 		s.jl.newlyDecided++

@@ -4,10 +4,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 
 	"efind/internal/adaptix"
 	"efind/internal/core"
@@ -78,17 +82,15 @@ const (
 	recCkpt   = 8 // checkpoint: snapshot file name + decided count
 )
 
-// journalVersion is the record format version inside recHello.
-const journalVersion = 1
+// journalVersion is the record format version inside recHello. Version
+// 2 redefined OutputFP (an order-independent digest, see
+// outputFingerprint); Recover refuses any other version.
+const journalVersion = 2
 
 // walEnc builds one record payload.
 type walEnc struct{ b []byte }
 
-func (e *walEnc) u64(v uint64) {
-	var t [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(t[:], v)
-	e.b = append(e.b, t[:n]...)
-}
+func (e *walEnc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
 func (e *walEnc) i64(v int64)   { e.u64(uint64(v)) }
 func (e *walEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
@@ -304,24 +306,12 @@ func decodeRec(payload []byte) (svcRec, error) {
 	return r, d.err
 }
 
+var recKindNames = [...]string{recHello: "hello", recTrace: "trace", recAdmit: "admit", recReject: "reject",
+	recGrant: "grant", recEnd: "end", recDone: "done", recCkpt: "ckpt"}
+
 func recKindName(kind int) string {
-	switch kind {
-	case recHello:
-		return "hello"
-	case recTrace:
-		return "trace"
-	case recAdmit:
-		return "admit"
-	case recReject:
-		return "reject"
-	case recGrant:
-		return "grant"
-	case recEnd:
-		return "end"
-	case recDone:
-		return "done"
-	case recCkpt:
-		return "ckpt"
+	if kind > 0 && kind < len(recKindNames) {
+		return recKindNames[kind]
 	}
 	return fmt.Sprintf("kind(%d)", kind)
 }
@@ -353,8 +343,7 @@ func (r svcRec) describe() string {
 // per record — the efind-plan -wal inspection surface. A torn tail is
 // reported as a final line rather than an error.
 func DescribeJournal(dir string) ([]string, error) {
-	fs := vfs.OS{}
-	recs, torn, err := wal.Replay(fs, dir)
+	recs, torn, err := wal.Replay(vfs.OS{}, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -571,28 +560,39 @@ func encodeLedger(l *slotLedger) []byte {
 	return e.b
 }
 
-func decodeLedger(b []byte) (perNode int, freeAt []float64, err error) {
-	d := &walDec{b: b}
-	perNode = int(d.u64())
+func decodeLedger(d *walDec) (l ledgerCkpt) {
+	l.perNode = int(d.u64())
 	n := d.count()
-	freeAt = make([]float64, 0, n)
+	l.freeAt = make([]float64, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		freeAt = append(freeAt, d.f64())
+		l.freeAt = append(l.freeAt, d.f64())
 	}
-	return perNode, freeAt, d.err
+	return l
 }
 
-func encodePoolEntry(e ixclient.PoolEntry) []byte {
-	// Presize: warmed caches at cluster scale make this the hottest
-	// encoder in a checkpoint, and append-growing doubled its cost.
-	size := len(e.Index) + 48
+// uvarintLen is the encoded size of v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// poolEntrySize is len(appendPoolEntry(nil, e)) without the encoding: a
+// checkpoint declares it to the snapshot builder, which has the entry
+// rendered straight into the file image — warmed caches at cluster scale
+// are nearly all of a checkpoint's bytes.
+func poolEntrySize(e ixclient.PoolEntry) int {
+	size := strLen(e.Index) + uvarintLen(uint64(e.Node)) + uvarintLen(uint64(e.Hits)) +
+		uvarintLen(uint64(e.Misses)) + uvarintLen(uint64(len(e.Keys)))
 	for i, k := range e.Keys {
-		size += len(k) + 10
+		size += strLen(k) + uvarintLen(uint64(len(e.Values[i])))
 		for _, v := range e.Values[i] {
-			size += len(v) + 5
+			size += strLen(v)
 		}
 	}
-	enc := walEnc{b: make([]byte, 0, size)}
+	return size
+}
+
+func appendPoolEntry(dst []byte, e ixclient.PoolEntry) []byte {
+	enc := walEnc{b: dst}
 	enc.str(e.Index)
 	enc.u64(uint64(e.Node))
 	enc.i64(e.Hits)
@@ -608,9 +608,7 @@ func encodePoolEntry(e ixclient.PoolEntry) []byte {
 	return enc.b
 }
 
-func decodePoolEntry(b []byte) (ixclient.PoolEntry, error) {
-	d := &walDec{b: b}
-	var e ixclient.PoolEntry
+func decodePoolEntry(d *walDec) (e ixclient.PoolEntry) {
 	e.Index = d.str()
 	e.Node = sim.NodeID(d.u64())
 	e.Hits = d.i64()
@@ -625,7 +623,7 @@ func decodePoolEntry(b []byte) (ixclient.PoolEntry, error) {
 		}
 		e.Values = append(e.Values, vals)
 	}
-	return e, d.err
+	return e
 }
 
 // writeCheckpoint folds every decided job, tenant accounting, slot
@@ -654,7 +652,8 @@ func (s *Service) writeCheckpoint() {
 	b.Add(ckptLedReduce, 0, string(encodeLedger(s.reduceLedger)))
 	if p := s.opts.SharedCache; p != nil {
 		for _, pe := range p.Dump() {
-			b.Add(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), string(encodePoolEntry(pe)))
+			b.AddSized(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), poolEntrySize(pe),
+				func(dst []byte) []byte { return appendPoolEntry(dst, pe) })
 		}
 	}
 	if reg := jl.d.Registry; reg != nil {
@@ -677,11 +676,8 @@ type checkpoint struct {
 	path    string
 	decided map[int]JobStatus
 	tenants map[string]tenantCkpt
-	ledgers map[string]struct {
-		perNode int
-		freeAt  []float64
-	}
-	pool []ixclient.PoolEntry
+	ledgers map[string]ledgerCkpt
+	pool    []ixclient.PoolEntry
 }
 
 type tenantCkpt struct {
@@ -689,98 +685,48 @@ type tenantCkpt struct {
 	spent float64
 }
 
+type ledgerCkpt struct {
+	perNode int
+	freeAt  []float64
+}
+
 // loadCheckpoint opens and fully decodes a checkpoint snapshot, merging
-// registry coverage into reg when given. Any validation or decode
-// failure surfaces as an error so Recover can fall back to an earlier
-// checkpoint.
+// registry coverage into reg when given. Entries are decoded from views
+// of the mapping; the field decoders copy out what is kept. Any
+// validation or decode failure surfaces as an error so Recover can fall
+// back to an earlier checkpoint.
 func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 	snap, err := fstore.Open(path, fstore.Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer snap.Close()
-	if _, ok := snap.Find(ckptSentinel); !ok {
+	if i, ok := snap.Find(ckptSentinel); !ok {
 		return nil, fmt.Errorf("jobsvc: %s is not a service checkpoint", path)
+	} else if rev := snap.Revision(i); rev != ckptVersion {
+		return nil, fmt.Errorf("jobsvc: checkpoint %s: unsupported version %d", path, rev)
 	}
 	ck := &checkpoint{
 		path:    path,
 		decided: make(map[int]JobStatus),
 		tenants: make(map[string]tenantCkpt),
-		ledgers: make(map[string]struct {
-			perNode int
-			freeAt  []float64
-		}),
+		ledgers: make(map[string]ledgerCkpt),
 	}
 	for i := 0; i < snap.Len(); i++ {
-		key := snap.Key(i)
-		vals, err := snap.Values(i)
+		key, rev := snap.Key(i), snap.Revision(i)
+		if key == ckptSentinel || strings.HasPrefix(key, ckptRegPrefix) {
+			continue // the registry is handled below via adaptix.LoadFrom (it validates ranges)
+		}
+		values := 0
+		err := snap.View(i, func(v []byte) error {
+			values++
+			return ck.decode(key, rev, v)
+		})
+		if err == nil && values != 1 {
+			err = fmt.Errorf("key %s has %d values, want 1", key, values)
+		}
 		if err != nil {
-			return nil, err
-		}
-		one := func() (string, error) {
-			if len(vals) != 1 {
-				return "", fmt.Errorf("jobsvc: checkpoint %s: key %s has %d values, want 1", path, key, len(vals))
-			}
-			return vals[0], nil
-		}
-		switch {
-		case key == ckptSentinel:
-			if snap.Revision(i) != ckptVersion {
-				return nil, fmt.Errorf("jobsvc: checkpoint %s: unsupported version %d", path, snap.Revision(i))
-			}
-		case key == ckptLedMap || key == ckptLedReduce:
-			v, err := one()
-			if err != nil {
-				return nil, err
-			}
-			perNode, freeAt, err := decodeLedger([]byte(v))
-			if err != nil {
-				return nil, err
-			}
-			ck.ledgers[key] = struct {
-				perNode int
-				freeAt  []float64
-			}{perNode, freeAt}
-		case len(key) > len(ckptSubPrefix) && key[:len(ckptSubPrefix)] == ckptSubPrefix:
-			v, err := one()
-			if err != nil {
-				return nil, err
-			}
-			var idx int
-			if _, err := fmt.Sscanf(key[len(ckptSubPrefix):], "%d", &idx); err != nil {
-				return nil, fmt.Errorf("jobsvc: checkpoint %s: bad sub key %q", path, key)
-			}
-			d := &walDec{b: []byte(v)}
-			st := decodeStatus(d)
-			if d.err != nil {
-				return nil, d.err
-			}
-			ck.decided[idx] = st
-		case len(key) > len(ckptTenPrefix) && key[:len(ckptTenPrefix)] == ckptTenPrefix:
-			v, err := one()
-			if err != nil {
-				return nil, err
-			}
-			d := &walDec{b: []byte(v)}
-			spent := d.f64()
-			if d.err != nil {
-				return nil, d.err
-			}
-			ck.tenants[key[len(ckptTenPrefix):]] = tenantCkpt{seq: int(snap.Revision(i)), spent: spent}
-		case len(key) > len(ckptPoolPrefix) && key[:len(ckptPoolPrefix)] == ckptPoolPrefix:
-			v, err := one()
-			if err != nil {
-				return nil, err
-			}
-			pe, err := decodePoolEntry([]byte(v))
-			if err != nil {
-				return nil, err
-			}
-			ck.pool = append(ck.pool, pe)
-		case len(key) > len(ckptRegPrefix) && key[:len(ckptRegPrefix)] == ckptRegPrefix:
-			// Handled below via adaptix.LoadFrom (it validates ranges).
-		default:
-			return nil, fmt.Errorf("jobsvc: checkpoint %s: unknown key %q", path, key)
+			return nil, fmt.Errorf("jobsvc: checkpoint %s: %w", path, err)
 		}
 	}
 	if reg != nil {
@@ -789,6 +735,28 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 		}
 	}
 	return ck, nil
+}
+
+// decode folds one single-valued checkpoint entry into ck.
+func (ck *checkpoint) decode(key string, rev int64, v []byte) error {
+	d := &walDec{b: v}
+	switch {
+	case key == ckptLedMap || key == ckptLedReduce:
+		ck.ledgers[key] = decodeLedger(d)
+	case strings.HasPrefix(key, ckptSubPrefix):
+		idx, err := strconv.Atoi(key[len(ckptSubPrefix):])
+		if err != nil {
+			return fmt.Errorf("bad sub key %q", key)
+		}
+		ck.decided[idx] = decodeStatus(d)
+	case strings.HasPrefix(key, ckptTenPrefix):
+		ck.tenants[key[len(ckptTenPrefix):]] = tenantCkpt{seq: int(rev), spent: d.f64()}
+	case strings.HasPrefix(key, ckptPoolPrefix):
+		ck.pool = append(ck.pool, decodePoolEntry(d))
+	default:
+		return fmt.Errorf("unknown key %q", key)
+	}
+	return d.err
 }
 
 // tenantHash fingerprints the tenant configuration for recHello.
@@ -813,29 +781,46 @@ func subsHash(subs []Submission) uint64 {
 	return h.Sum64()
 }
 
-// outputFingerprint hashes a job's sorted output records — the durable
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// outputFingerprint digests a job's output records — the durable
 // stand-in for the output file, which a recovered coordinator cannot
-// reproduce for jobs it never re-runs. Sorted so serial and parallel
-// executors fingerprint identically.
-func outputFingerprint(res *core.JobResult) uint64 {
+// reproduce for jobs it never re-runs: the wrapping sum of one well-mixed
+// 64-bit hash per record, plus the record count. It is independent of
+// record order, so serial and parallel executors agree without a sort; a
+// dropped, duplicated or altered record changes it. Records are hashed
+// in place through Chunk.View, and a chunk that fails its decode checks
+// is an error, never a fingerprint.
+func outputFingerprint(res *core.JobResult) (uint64, error) {
 	if res == nil || res.Output == nil {
-		return 0
+		return 0, nil
 	}
-	var recs []string
+	var n, sum uint64
 	for _, c := range res.Output.Chunks {
-		rs, err := c.Records()
+		err := c.View(func(key, value []byte) error {
+			// The value's CRC continues the key's; the key's own CRC and
+			// length pin where one ends and the other starts.
+			kc := crc32.Update(0, castagnoli, key)
+			h := uint64(kc)<<32 | uint64(crc32.Update(kc, castagnoli, value))
+			h ^= uint64(len(key)) * 0x9e3779b97f4a7c15
+			// murmur3 finalizer, so sums of CRCs do not cancel structurally.
+			h ^= h >> 33
+			h *= 0xff51afd7ed558ccd
+			h ^= h >> 33
+			h *= 0xc4ceb9fe1a85ec53
+			h ^= h >> 33
+			n++
+			sum += h
+			return nil
+		})
 		if err != nil {
-			return 0
-		}
-		for _, r := range rs {
-			recs = append(recs, r.Key+"\x00"+r.Value)
+			return 0, fmt.Errorf("jobsvc: fingerprinting %s: %w", res.Output.Name, err)
 		}
 	}
-	sort.Strings(recs)
-	h := fnv.New64a()
-	for _, r := range recs {
-		h.Write([]byte(r))
-		h.Write([]byte{0xff})
+	if n == 0 {
+		return 0, nil
 	}
-	return h.Sum64()
+	// The top bit keeps a non-empty output apart from 0 and gives every
+	// fingerprint one encoded width, whatever the records hash to.
+	return (sum + n*0x9e3779b97f4a7c15) | 1<<63, nil
 }

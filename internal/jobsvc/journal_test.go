@@ -19,7 +19,7 @@ func TestDecodersRejectOversizedCountsAndTruncation(t *testing.T) {
 	}
 
 	ledger := encodeLedger(&slotLedger{perNode: 2, freeAt: []float64{0.5, 1.25, 3}})
-	pool := encodePoolEntry(ixclient.PoolEntry{
+	pool := appendPoolEntry(nil, ixclient.PoolEntry{
 		Index: "ix", Node: 3, Hits: 4, Misses: 5,
 		Keys: []string{"a", "b"}, Values: [][]string{{"x", "y"}, {"z"}},
 	})
@@ -33,8 +33,8 @@ func TestDecodersRejectOversizedCountsAndTruncation(t *testing.T) {
 	})...)
 
 	decoders := map[string]func([]byte) error{
-		"ledger": func(b []byte) error { _, _, err := decodeLedger(b); return err },
-		"pool":   func(b []byte) error { _, err := decodePoolEntry(b); return err },
+		"ledger": func(b []byte) error { d := &walDec{b: b}; decodeLedger(d); return d.err },
+		"pool":   func(b []byte) error { d := &walDec{b: b}; decodePoolEntry(d); return d.err },
 		"rec":    func(b []byte) error { _, err := decodeRec(b); return err },
 	}
 	valid := map[string][]byte{"ledger": ledger, "pool": pool, "rec": done.b}

@@ -70,6 +70,10 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 		if err != nil {
 			return nil, nil, fmt.Errorf("jobsvc: journal record %d (%s): %w", i, r.Segment, err)
 		}
+		if dr.kind == recHello && dr.n != journalVersion {
+			return nil, nil, fmt.Errorf("jobsvc: journal %s (%s) is format version %d, this build reads version %d only (the output fingerprint was redefined): re-run from a fresh journal directory",
+				d.Dir, r.Segment, dr.n, journalVersion)
+		}
 		recs = append(recs, dr)
 	}
 
@@ -139,7 +143,7 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 			}
 			if l.perNode != led.perNode || len(l.freeAt) != len(led.freeAt) {
 				return fmt.Errorf("jobsvc: checkpoint %s ledger %q shaped %dx%d, cluster has %dx%d — recover against the same cluster config",
-					ck.path, key, len(l.freeAt)/maxInt(l.perNode, 1), l.perNode, len(led.freeAt)/maxInt(led.perNode, 1), led.perNode)
+					ck.path, key, len(l.freeAt)/max(l.perNode, 1), l.perNode, len(led.freeAt)/max(led.perNode, 1), led.perNode)
 			}
 			copy(led.freeAt, l.freeAt)
 			return nil
@@ -161,11 +165,4 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 	s.jl = jl
 	jl.appendHello(tenantHash(tenants))
 	return s, rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

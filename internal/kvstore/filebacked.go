@@ -77,20 +77,10 @@ func (s *Store) writePartition(dir string, p int) (*fstore.Snapshot, error) {
 }
 
 // partitionPath names partition p's snapshot file. Store names flow from
-// user-facing job and index names, so they are sanitized for the
-// filesystem and disambiguated by a name hash.
+// user-facing job and index names, so they are made file-name safe and
+// disambiguated by a name hash.
 func (s *Store) partitionPath(dir string, p int) string {
-	clean := make([]byte, 0, len(s.name))
-	for i := 0; i < len(s.name); i++ {
-		c := s.name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
-			clean = append(clean, c)
-		default:
-			clean = append(clean, '_')
-		}
-	}
-	return filepath.Join(dir, fmt.Sprintf("%s-%08x-p%04d.fmc1", clean, hashPartition(s.name, 1<<31), p))
+	return filepath.Join(dir, fmt.Sprintf("%s-%08x-p%04d.fmc1", fstore.FileName(s.name), hashPartition(s.name, 1<<31), p))
 }
 
 // FileBacked reports whether lookups are served from fstore snapshots.
@@ -120,11 +110,7 @@ func (s *Store) Reopen() error {
 	// would leak against OpenHandles(). The trees are the source of
 	// truth, so dropping file-backed mode loses nothing.
 	fail := func(err error) error {
-		for _, snap := range s.snaps {
-			_ = snap.Close() // idempotent; the failed partition is already closed
-		}
-		s.snaps = nil
-		s.stale = nil
+		_ = s.closeAll() // Close is idempotent; the failed partition is already closed
 		return err
 	}
 	for p, snap := range s.snaps {
@@ -156,107 +142,108 @@ func (s *Store) Reopen() error {
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.snaps == nil {
-		return nil
-	}
-	var firstErr error
+	return s.closeAll()
+}
+
+func (s *Store) closeAll() (firstErr error) {
 	for _, snap := range s.snaps {
 		if err := snap.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	s.snaps = nil
-	s.stale = nil
+	s.snaps, s.stale = nil, nil
 	return firstErr
 }
 
 // get resolves one key against the active backend. File-backed misses
 // touch only the slot section; a corrupt or stale snapshot is rebuilt
 // under the write lock and the lookup retried against the fresh file.
-func (s *Store) get(key string) ([]string, bool, error) {
+// The read lock is held across the snapshot read: a rebuild unmaps the
+// old snapshot, and a reader still inside it would fault.
+func (s *Store) get(key string) (vals []string, ok bool, err error) {
 	p := s.scheme.Fn(key)
-	s.mu.RLock()
-	if s.snaps == nil {
-		v, ok := s.parts[p].Get(key)
+	for rebuilt := false; ; rebuilt = true {
+		s.mu.RLock()
+		if s.snaps == nil {
+			v, ok := s.parts[p].Get(key)
+			s.mu.RUnlock()
+			if !ok {
+				return nil, false, nil
+			}
+			return v.([]string), true, nil
+		}
+		snap, stale := s.snaps[p], s.stale[p]
+		if !stale {
+			vals, ok, err = snap.Lookup(key)
+		}
 		s.mu.RUnlock()
-		if !ok {
-			return nil, false, nil
+		// Still corrupt right after a rebuild is an error, not a loop.
+		if !stale && (err == nil || rebuilt || !errors.Is(err, fstore.ErrCorrupt)) {
+			return vals, ok, err
 		}
-		return v.([]string), true, nil
-	}
-	snap, stale := s.snaps[p], s.stale[p]
-	s.mu.RUnlock()
-	if !stale {
-		vals, ok, err := snap.Lookup(key)
-		if err == nil {
-			return vals, ok, nil
-		}
-		if !errors.Is(err, fstore.ErrCorrupt) {
+		if err := s.rebuildPartition(p, snap); err != nil {
 			return nil, false, err
 		}
 	}
-	snap, err := s.rebuildPartition(p, snap)
-	if err != nil {
-		return nil, false, err
-	}
-	vals, ok, err := snap.Lookup(key)
-	return vals, ok, err
 }
 
 // rebuildPartition replaces partition p's snapshot with a fresh one
 // built from its tree. old identifies the snapshot the caller found
 // wanting, so concurrent detectors rebuild once.
-func (s *Store) rebuildPartition(p int, old *fstore.Snapshot) (*fstore.Snapshot, error) {
+func (s *Store) rebuildPartition(p int, old *fstore.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.snaps == nil {
-		return nil, fmt.Errorf("kvstore: %s closed during rebuild", s.name)
+		return fmt.Errorf("kvstore: %s closed during rebuild", s.name)
 	}
 	if s.snaps[p] != old {
-		return s.snaps[p], nil // somebody else already rebuilt it
+		return nil // somebody else already rebuilt it
 	}
 	if err := old.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	rebuilt, err := s.writePartition(s.dir, p)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.rebuilds.Add(1)
 	s.snaps[p] = rebuilt
 	s.stale[p] = false
-	return rebuilt, nil
+	return nil
 }
 
 // Probe implements index.Prober: key presence and result size without
 // materializing values. File-backed, it reads only the mapped slot
-// section (index-only filtering — the point of the FMC1 layout);
-// in-memory it consults the tree.
-func (s *Store) Probe(key string) (bool, int, error) {
+// section (index-only filtering — the point of the FMC1 layout), under
+// the read lock like get; in-memory it consults the tree.
+func (s *Store) Probe(key string) (found bool, bytes int, err error) {
 	p := s.scheme.Fn(key)
-	s.mu.RLock()
-	if s.snaps == nil {
-		v, ok := s.parts[p].Get(key)
+	for {
+		s.mu.RLock()
+		if s.snaps == nil {
+			v, ok := s.parts[p].Get(key)
+			s.mu.RUnlock()
+			if !ok {
+				return false, 0, nil
+			}
+			n := 0
+			for _, val := range v.([]string) {
+				n += len(val)
+			}
+			return true, n, nil
+		}
+		snap, stale := s.snaps[p], s.stale[p]
+		if !stale {
+			found, bytes = snap.Probe(key)
+		}
 		s.mu.RUnlock()
-		if !ok {
-			return false, 0, nil
+		if !stale {
+			return found, bytes, nil
 		}
-		n := 0
-		for _, val := range v.([]string) {
-			n += len(val)
-		}
-		return true, n, nil
-	}
-	snap, stale := s.snaps[p], s.stale[p]
-	s.mu.RUnlock()
-	if stale {
-		var err error
-		if snap, err = s.rebuildPartition(p, snap); err != nil {
+		if err := s.rebuildPartition(p, snap); err != nil {
 			return false, 0, err
 		}
 	}
-	found, bytes := snap.Probe(key)
-	return found, bytes, nil
 }
 
 var _ index.Prober = (*Store)(nil)

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"efind/internal/fstore"
@@ -254,4 +257,68 @@ func TestModelRandomOpSequences(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLookupsSurviveConcurrentRebuilds is the adaptive-build traffic
+// shape: Puts stale a frozen partition while query goroutines look up
+// and probe it, so every rebuild unmaps a snapshot readers may be
+// inside. A reader that outlives the lock it found the snapshot under
+// dies with "unexpected fault address" (a fatal error, not a test
+// failure) in the middle of copying a value out of the dead mapping —
+// large values keep it there long enough.
+func TestLookupsSurviveConcurrentRebuilds(t *testing.T) {
+	if !fstore.MmapAvailable() {
+		t.Skip("needs a real mapping to unmap")
+	}
+	s := NewHash(cluster(), "race", 1, 1, 1e-3)
+	big := strings.Repeat("v", 512<<10)
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%02d", i)
+		s.Put(keys[i], big)
+	}
+	if err := s.Freeze(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k := keys[i%len(keys)]
+				if vals, err := s.Lookup(k); err != nil || len(vals) == 0 || len(vals[0]) != len(big) {
+					t.Errorf("Lookup(%s) = %d values, %v", k, len(vals), err)
+					return
+				}
+				if found, _, err := s.Probe(k); err != nil || !found {
+					t.Errorf("Probe(%s) = %v, %v", k, found, err)
+					return
+				}
+				if vals, err := s.BatchLookup(keys[:2]); err != nil || len(vals[1]) == 0 {
+					t.Errorf("BatchLookup: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	// Each Put waits for the readers to rebuild the partition, so all
+	// 100 rebuilds run with lookups in flight.
+	for i := 0; i < 100 && !t.Failed(); i++ {
+		before := s.Rebuilds()
+		s.Put(fmt.Sprintf("fresh-%03d", i), "x")
+		for s.Rebuilds() == before && !t.Failed() {
+			runtime.Gosched()
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -149,10 +149,10 @@ func (s *Store) Lookup(key string) ([]string, error) {
 }
 
 // BatchLookup implements index.BatchAccessor: one request resolves many
-// keys, grouped by partition under a single read lock — the multi-get a
-// real store (Cassandra, HBase) answers with one round trip per involved
-// partition. Results align positionally with keys; missing keys yield nil
-// entries and count as misses, exactly as per-key Lookup calls would.
+// keys — the multi-get a real store (Cassandra, HBase) answers with one
+// round trip per involved partition. Results align positionally with
+// keys; missing keys yield nil entries and count as misses, exactly as
+// per-key Lookup calls would, and each key is read under the read lock.
 func (s *Store) BatchLookup(keys []string) ([][]string, error) {
 	s.lookups.Add(int64(len(keys)))
 	out := make([][]string, len(keys))

@@ -97,33 +97,31 @@ func (OS) ReadDir(dir string) ([]string, error) {
 
 // WriteFileAtomic writes data to path via the temp+rename idiom: readers
 // of path never observe a partial file, and a crash leaves either the
-// old contents or the new. The temp file is fsynced before the rename
-// when sync is true.
-func WriteFileAtomic(fs FS, path string, data []byte, sync bool) error {
-	tmp, err := fs.CreateTemp(filepath.Dir(path), ".vfs-*")
+// old contents or the new. The temp file (named after pattern, as in
+// os.CreateTemp) is fsynced before the rename when sync is true. A
+// non-nil check inspects the closed temp file before the rename commits
+// it; its error abandons the write like any other failure.
+func WriteFileAtomic(fs FS, path, pattern string, data []byte, sync bool, check func(tmpName string) error) error {
+	tmp, err := fs.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if err == nil && sync {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && check != nil {
+		err = check(name)
+	}
+	if err == nil {
+		err = fs.Rename(name, path)
+	}
+	if err != nil {
 		fs.Remove(name)
-		return err
 	}
-	if sync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			fs.Remove(name)
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		fs.Remove(name)
-		return err
-	}
-	if err := fs.Rename(name, path); err != nil {
-		fs.Remove(name)
-		return err
-	}
-	return nil
+	return err
 }

@@ -20,9 +20,9 @@ func FuzzWALReplay(f *testing.F) {
 	clean = wal.AppendFrame(clean, []byte("seed-record"))
 	clean = wal.AppendFrame(clean, nil)
 	f.Add(clean)
-	f.Add(clean[:len(clean)-2])                        // torn mid-CRC
-	f.Add([]byte{})                                    // empty segment
-	f.Add([]byte{0x03, 'a', 'b'})                      // truncated payload
+	f.Add(clean[:len(clean)-2])                       // torn mid-CRC
+	f.Add([]byte{})                                   // empty segment
+	f.Add([]byte{0x03, 'a', 'b'})                     // truncated payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // huge length prefix
 	f.Add(append(append([]byte{}, clean...), 0x01, 'x', 0, 0, 0, 0))
 

@@ -177,7 +177,7 @@ func Repair(fs vfs.FS, dir string) (discarded int, err error) {
 	if !damaged {
 		return 0, nil
 	}
-	if err := vfs.WriteFileAtomic(fs, last, data[:consumed], true); err != nil {
+	if err := vfs.WriteFileAtomic(fs, last, ".vfs-*", data[:consumed], true, nil); err != nil {
 		return 0, err
 	}
 	return len(data) - consumed, nil
@@ -286,7 +286,7 @@ func CrashImage(fs vfs.FS, src, dst string, keepRecords int, tornExtra []byte) e
 			return err
 		}
 		if segNumber(name) < 0 {
-			if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), data, false); err != nil {
+			if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", data, false, nil); err != nil {
 				return err
 			}
 			continue
@@ -295,7 +295,7 @@ func CrashImage(fs vfs.FS, src, dst string, keepRecords int, tornExtra []byte) e
 			// The whole segment is beyond the crash point. A cut at record
 			// zero still tears the very first segment.
 			if !wroteTorn {
-				if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), tornExtra, false); err != nil {
+				if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", tornExtra, false, nil); err != nil {
 					return err
 				}
 				wroteTorn = true
@@ -315,7 +315,7 @@ func CrashImage(fs vfs.FS, src, dst string, keepRecords int, tornExtra []byte) e
 			out = append(out, tornExtra...)
 			wroteTorn = true
 		}
-		if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), out, false); err != nil {
+		if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", out, false, nil); err != nil {
 			return err
 		}
 	}
