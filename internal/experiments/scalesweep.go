@@ -228,7 +228,8 @@ func sweepEngine(nodes, nTasks int) (engineTPS, chaosTPS float64, err error) {
 		return 0, 0, fmt.Errorf("scale-sweep: chaos engine leg: %w", err)
 	}
 	for i := range clean.Outputs {
-		if !reflect.DeepEqual(clean.Outputs[i].Buckets, chaotic.Outputs[i].Buckets) {
+		c, x := clean.Outputs[i], chaotic.Outputs[i]
+		if !reflect.DeepEqual(c.Buckets, x.Buckets) || !reflect.DeepEqual(c.Reducers, x.Reducers) {
 			return 0, 0, fmt.Errorf("scale-sweep: chaos changed map output of task %d", i)
 		}
 	}

@@ -2,7 +2,11 @@ package mapreduce
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"efind/internal/dfs"
 )
 
 // reduceTaskAllocs measures one reduce task over `records` records spread
@@ -11,17 +15,14 @@ func reduceTaskAllocs(t *testing.T, records, groups int) float64 {
 	t.Helper()
 	_, _, e := testEnv(t)
 	const maps = 10
-	outputs := make([]*MapOutput, maps)
-	for m := range outputs {
-		outputs[m] = &MapOutput{Split: m, Buckets: make([][]Pair, 1)}
-	}
+	runs := make([]shuffleRun, maps)
 	for i := 0; i < records; i++ {
-		o := outputs[i%maps]
-		o.Buckets[0] = append(o.Buckets[0], Pair{Key: fmt.Sprintf("g%04d", i%groups), Value: "v"})
+		run := &runs[i%maps]
+		run.pairs = append(run.pairs, Pair{Key: fmt.Sprintf("g%04d", i%groups), Value: "v"})
 	}
 	job := &Job{Name: "allocs", Reduce: IdentityReduce, NumReduce: 1}
 	return testing.AllocsPerRun(20, func() {
-		shard, st := e.runReduceTask(job, 0, 0, outputs, 0)
+		shard, st := e.runReduceTask(job, 0, 0, runs, 0)
 		if len(shard) != records || st.Counters[CounterInputRecords] != int64(records) {
 			t.Fatalf("reduce task produced %d records, counted %d", len(shard), st.Counters[CounterInputRecords])
 		}
@@ -104,5 +105,81 @@ func TestCellKeySet(t *testing.T) {
 	}
 	if st.Sketches != nil {
 		t.Errorf("sketches = %v, want none", st.Sketches)
+	}
+}
+
+// allocsAndBytes measures fn's allocations and allocated bytes per call,
+// after one warm-up call, with the collector off so nothing but fn counts.
+func allocsAndBytes(runs int, fn func()) (allocs, bytes uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestMapTaskAllocs pins what a map task pays for the shuffle: nothing
+// that grows with the reducer count. A one-record identity task costs the
+// same allocations and bytes routed 16 ways and 4,096 ways — its frame,
+// its output, the one-record slab, the sink and the counters map — because
+// the output is sparse and the staging buffer is the phase's, reused.
+func TestMapTaskAllocs(t *testing.T) {
+	_, fs, e := testEnv(t)
+	in, err := fs.Create("one", []dfs.Record{{Key: "k", Value: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(numReduce int) (allocs, bytes uint64) {
+		job := &Job{Name: "allocs", Input: in, Reduce: IdentityReduce, NumReduce: numReduce}
+		if err := job.validate(e); err != nil {
+			t.Fatal(err)
+		}
+		stagings := make(stagingPool, 1)
+		return allocsAndBytes(200, func() {
+			out, _ := e.runMapTask(job, 0, 0, in.Chunks[0], 0, 0, stagings)
+			if len(out.Buckets) != 1 || len(out.Buckets[0]) != 1 || out.Parts != numReduce {
+				t.Fatalf("map output %+v", out)
+			}
+		})
+	}
+	narrowAllocs, narrowBytes := measure(16)
+	wideAllocs, wideBytes := measure(4096)
+	t.Logf("one-record map task: %d allocations, %d B at 16 reducers; %d, %d B at 4,096", narrowAllocs, narrowBytes, wideAllocs, wideBytes)
+	if narrowAllocs != wideAllocs || narrowBytes != wideBytes {
+		t.Errorf("a one-record map task costs %d allocations / %d B at 16 reducers but %d / %d B at 4,096", narrowAllocs, narrowBytes, wideAllocs, wideBytes)
+	}
+	if wideAllocs > 9 {
+		t.Errorf("a one-record map task allocates %d times, want at most 9", wideAllocs)
+	}
+}
+
+// TestShuffleIndexAllocs: a reduce phase's shuffle index is the same two
+// allocations whatever maps × reducers.
+func TestShuffleIndexAllocs(t *testing.T) {
+	measure := func(maps, numReduce int) uint64 {
+		job := &Job{Name: "allocs", NumReduce: numReduce}
+		outputs := make([]*MapOutput, maps)
+		for m := range outputs {
+			o := &MapOutput{Split: m, Parts: numReduce}
+			for r := m % 3; r < numReduce; r += 3 {
+				o.Buckets, o.Reducers = append(o.Buckets, []Pair{{Key: "k"}}), append(o.Reducers, int32(r))
+			}
+			outputs[m] = o
+		}
+		allocs, _ := allocsAndBytes(5, func() {
+			runs, start, err := shuffleIndex(job, outputs)
+			if err != nil || start[numReduce] != len(runs) || start[numReduce-1] == len(runs) {
+				t.Fatalf("index of %d maps × %d reducers: %d runs, last reducer's from %d, %v", maps, numReduce, len(runs), start[numReduce-1], err)
+			}
+		})
+		return allocs
+	}
+	small, large := measure(3, 4), measure(2000, 1000)
+	if small != large || large > 2 {
+		t.Errorf("shuffle index: %d allocations for 3 maps × 4 reducers, %d for 2,000 × 1,000; want the same, at most 2", small, large)
 	}
 }

@@ -56,11 +56,22 @@ func (e *Engine) Close() error {
 // MapOutput is the materialized output of one map task, partitioned into
 // reducer buckets. The EFind runtime keeps these around so a mid-job plan
 // change can reuse completed map tasks (Figure 10(a)).
+//
+// The output is sparse: Buckets holds only the non-empty buckets, ascending
+// by reducer, Reducers[i] is the reducer of Buckets[i], and a bucket keeps
+// emission order. Parts is the partition count the task routed for (1 for a
+// map-only job); a reduce phase refuses an output routed for another.
 type MapOutput struct {
-	Split   int
-	Node    sim.NodeID
-	Buckets [][]Pair
-	Bytes   int
+	Split    int
+	Node     sim.NodeID
+	Buckets  [][]Pair
+	Reducers []int32
+	Parts    int
+	Bytes    int
+
+	// A one-bucket output's headers, inline.
+	one  [1][]Pair
+	oneR [1]int32
 }
 
 // MapPhaseResult is the outcome of running (a subset of) a job's map phase.
@@ -144,6 +155,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 		Stats:    make([]TaskStats, len(splits)),
 		Counters: make(map[string]int64),
 	}
+	stagings := make(stagingPool, e.Cluster.Workers())
 	err := e.runPhase(job, &phaseSpec{
 		kind:  MapTask,
 		slots: e.Cluster.Config().MapSlotsPerNode,
@@ -157,7 +169,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 			return chunk.Replicas
 		},
 		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
-			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart)
+			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart, stagings)
 			return attemptResult{out: out}, st
 		},
 		install:     func(i int, _ sim.NodeID, r attemptResult) { res.Outputs[i] = r.out },
@@ -173,16 +185,67 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 	return res, nil
 }
 
-// runMapTask executes one map task on the given node. absStart anchors
-// the task's context clock at its absolute virtual start time, so stages
-// can ask "what time is it?" (index outage windows).
-func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64) (*MapOutput, TaskStats) {
-	ctx := NewTaskContext(e.Cluster, node, taskID, MapTask)
-	ctx.Split = split
-	ctx.base = absStart
-	if e.Trace != nil {
-		ctx.EnableSpans()
+// taskFrame is what a task uses and does not retain — context, core stage,
+// pipeline, sink state — as one allocation, garbage when the task returns.
+// What it retains (MapOutput, reduce shard) is allocated apart on purpose:
+// embedded here it would pin the frame, and every scratch a stage hangs off
+// the context, for as long as the result lives.
+type taskFrame struct {
+	ctx  TaskContext
+	core FuncStage
+	pipe Pipeline
+
+	// Map sink: a multi-reducer task stages its records for the scatter; any
+	// other appends to out.one[0], sized for the split on its first record.
+	job          *Job
+	out          *MapOutput
+	splitRecords int
+	stage        *staging
+	shard        []dfs.Record // reduce sink
+	outBytes     int
+}
+
+// newFrame starts a task whose context clock is anchored at absStart, its
+// absolute virtual start time, so stages can evaluate index outage windows.
+func (e *Engine) newFrame(node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
+	f := &taskFrame{}
+	f.ctx.init(e.Cluster, node, id, kind)
+	f.ctx.base, f.ctx.traced = absStart, e.Trace != nil
+	return f
+}
+
+// emitMap is the map sink. A partitioner answering outside [0, NumReduce)
+// aborts the task — the job fails with an error, like any permanent failure
+// of user code — instead of an index panic on a node goroutine.
+func (f *taskFrame) emitMap(p Pair) {
+	part := 0
+	if job := f.job; job.Reduce != nil {
+		part = job.Partition(p.Key, job.NumReduce)
+		if part < 0 || part >= job.NumReduce {
+			f.ctx.Abort(fmt.Errorf("partitioner returned %d for key %q, want a reducer in [0,%d)", part, p.Key, job.NumReduce))
+		}
 	}
+	if f.stage != nil {
+		f.stage.add(p, int32(part))
+	} else {
+		if f.out.one[0] == nil {
+			f.out.one[0] = make([]Pair, 0, f.splitRecords)
+		}
+		f.out.one[0] = append(f.out.one[0], p)
+	}
+	f.out.Bytes += p.Size()
+}
+
+func (f *taskFrame) emitShard(p Pair) {
+	f.shard = append(f.shard, dfs.Record(p))
+	f.outBytes += p.Size()
+}
+
+// runMapTask executes one map task on the given node.
+func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, stagings stagingPool) (*MapOutput, TaskStats) {
+	f := e.newFrame(node, taskID, MapTask, absStart)
+	ctx := &f.ctx
+	ctx.Split = split
 
 	// Input read: local disk when a replica lives here, network otherwise.
 	// File-backed chunks decode their payload here; a snapshot that fails
@@ -200,42 +263,18 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	}
 	sp.End()
 
-	numBuckets := 1
-	if job.Reduce != nil {
-		numBuckets = job.NumReduce
+	out := &MapOutput{Split: split, Node: node, Parts: 1}
+	f.job, f.out, f.splitRecords = job, out, len(records)
+	if job.Reduce != nil && job.NumReduce > 1 {
+		out.Parts = job.NumReduce
+		f.stage = stagings.get(out.Parts)
 	}
-	out := &MapOutput{Split: split, Node: node, Buckets: make([][]Pair, numBuckets)}
-	// A bucket is sized when its first record arrives, for an even share
-	// of the split plus half again, instead of growing from nil through
-	// the append doubling ladder: one allocation per non-empty bucket in
-	// the common case, none for buckets a selective stage leaves empty.
-	// Map-only and single-reducer jobs funnel every record into one
-	// bucket, which then holds exactly the split.
-	bucketCap := len(records)
-	if numBuckets > 1 {
-		share := len(records) / numBuckets
-		bucketCap = share + share/2 + 1
-	}
-	outRecords := 0
-	sink := func(p Pair) {
-		b := 0
-		if job.Reduce != nil {
-			b = job.Partition(p.Key, job.NumReduce)
-		}
-		if out.Buckets[b] == nil {
-			out.Buckets[b] = make([]Pair, 0, bucketCap)
-		}
-		out.Buckets[b] = append(out.Buckets[b], p)
-		out.Bytes += p.Size()
-		outRecords++
-	}
-
-	mapStage := &FuncStage{OnProcess: job.Map}
+	f.core.OnProcess = job.Map
 	if job.Map == nil {
-		mapStage = &FuncStage{OnProcess: identityMap}
+		f.core.OnProcess = identityMap
 	}
 	sp = ctx.StartSpan("map-pipeline", "pipeline")
-	pipe := NewPipeline(ctx, node, job.MapStagesBefore, mapStage, job.MapStagesAfter, sink)
+	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, job.MapStagesAfter, f.emitMap)
 	pipe.Open()
 	for _, r := range records {
 		pipe.Process(Pair{Key: r.Key, Value: r.Value})
@@ -243,14 +282,17 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	pipe.Close()
 	sp.End()
 
+	outRecords := len(out.one[0])
+	if f.stage != nil {
+		outRecords = f.stage.scatter(out)
+		stagings.put(f.stage)
+	} else if outRecords > 0 {
+		out.Buckets, out.Reducers = out.one[:], out.oneR[:]
+	}
 	if job.Combine != nil && job.Reduce != nil {
 		sp = ctx.StartSpan("combine", "pipeline")
-		e.combineBuckets(ctx, job, out)
+		outRecords = e.combineBuckets(ctx, job, out)
 		sp.End()
-		outRecords = 0
-		for _, b := range out.Buckets {
-			outRecords += len(b)
-		}
 	}
 
 	ctx.Inc(CounterInputRecords, int64(len(records)))
@@ -272,35 +314,43 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 // combineBuckets applies the job's combiner to each reducer bucket of one
 // map task's output: values of equal keys are grouped (sort within the
 // bucket) and fed through Combine, and the bucket is replaced with the
-// combined records. The spill sort and combine CPU are charged.
-func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) {
+// combined records — or dropped, when the combiner emitted none for it,
+// so the output stays sparse. The spill sort and combine CPU are charged.
+// It returns the number of records left.
+func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (outRecords int) {
 	inRecords, inBytes := 0, 0
 	out.Bytes = 0
+	var combined []Pair
+	emit := func(p Pair) {
+		combined = append(combined, p)
+		out.Bytes += p.Size()
+	}
+	kept := 0
 	for bi, bucket := range out.Buckets {
-		if len(bucket) == 0 {
-			continue
-		}
 		inRecords += len(bucket)
 		for _, p := range bucket {
 			inBytes += p.Size()
 		}
 		sortByKey(bucket)
-		var combined []Pair
-		emit := func(p Pair) {
-			combined = append(combined, p)
-			out.Bytes += p.Size()
-		}
+		combined = nil
 		values, _ := groupValues(bucket)
 		for i := 0; i < len(bucket); {
 			j := groupEnd(bucket, i)
 			job.Combine(ctx, bucket[i].Key, values[i:j:j], emit)
 			i = j
 		}
-		out.Buckets[bi] = combined
+		if len(combined) > 0 { // else the bucket is dropped: the output stays sparse
+			out.Buckets[kept], out.Reducers[kept] = combined, out.Reducers[bi]
+			kept++
+		}
+		outRecords += len(combined)
 	}
+	clear(out.Buckets[kept:]) // a dropped bucket must not pin the slab
+	out.Buckets, out.Reducers = out.Buckets[:kept], out.Reducers[:kept]
 	ctx.Inc(CounterCombineInRecords, int64(inRecords))
-	ctx.Inc(CounterCombineOutRecords, int64(totalRecords(out.Buckets)))
+	ctx.Inc(CounterCombineOutRecords, int64(outRecords))
 	ctx.Charge(e.Cluster.CPUTime(inRecords, float64(inBytes)))
+	return outRecords
 }
 
 // sortByKey sorts pairs by key, stable so equal keys keep their order.
@@ -333,24 +383,10 @@ func groupEnd(sorted []Pair, i int) int {
 	return j
 }
 
-func totalRecords(buckets [][]Pair) int {
-	n := 0
-	for _, b := range buckets {
-		n += len(b)
-	}
-	return n
-}
-
 // RunReducePhase shuffles the given map outputs, runs the reduce side, and
 // writes the job output. The map outputs may come from several map phases
 // (plan changes merge old-plan and new-plan map results, Figure 10(a)).
 func (e *JobRun) RunReducePhase(job *Job, mp *MapPhaseResult, extra ...*MapPhaseResult) (*Result, error) {
-	if err := job.validate(e.Engine); err != nil {
-		return nil, err
-	}
-	if job.Reduce == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has no reduce function", job.Name)
-	}
 	outputs := append([]*MapOutput(nil), mp.Outputs...)
 	stats := append([]TaskStats(nil), mp.Stats...)
 	vtime := mp.VTime
@@ -359,21 +395,16 @@ func (e *JobRun) RunReducePhase(job *Job, mp *MapPhaseResult, extra ...*MapPhase
 		stats = append(stats, m.Stats...)
 		vtime += m.VTime
 	}
-	for _, o := range outputs {
-		if len(o.Buckets) != job.NumReduce {
-			return nil, fmt.Errorf("mapreduce: job %q map output has %d buckets, want %d", job.Name, len(o.Buckets), job.NumReduce)
-		}
+	// RunReduceSubset validates the job and the outputs.
+	sub, err := e.RunReduceSubset(job, outputs, nil)
+	if err != nil {
+		return nil, err
 	}
-
 	res := &Result{
 		Counters:   make(map[string]int64),
 		MapStats:   stats,
 		MapOutputs: outputs,
 		MapPhase:   mp.Phase,
-	}
-	sub, err := e.RunReduceSubset(job, outputs, nil)
-	if err != nil {
-		return nil, err
 	}
 	res.ReduceStats = sub.Stats
 	res.ReducePhase = sub.Phase
@@ -432,6 +463,10 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 			return nil, fmt.Errorf("mapreduce: job %q reducer %d out of range [0,%d)", job.Name, r, job.NumReduce)
 		}
 	}
+	runs, start, err := shuffleIndex(job, outputs)
+	if err != nil {
+		return nil, err
+	}
 	sub := &ReduceSubsetResult{
 		Reducers: reducers,
 		Shards:   make([][]dfs.Record, len(reducers)),
@@ -439,14 +474,15 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		Stats:    make([]TaskStats, len(reducers)),
 		Counters: make(map[string]int64),
 	}
-	err := e.runPhase(job, &phaseSpec{
+	err = e.runPhase(job, &phaseSpec{
 		kind:      ReduceTask,
 		slots:     e.Cluster.Config().ReduceSlotsPerNode,
 		id:        func(i int) int { return reducers[i] },
 		label:     func(i int) string { return fmt.Sprintf("reduce task %d", reducers[i]) },
 		preferred: func(int) []sim.NodeID { return nil },
 		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
-			shard, st := e.runReduceTask(job, reducers[i], node, outputs, absStart)
+			r := reducers[i]
+			shard, st := e.runReduceTask(job, r, node, runs[start[r]:start[r+1]], absStart)
 			return attemptResult{shard: shard}, st
 		},
 		install: func(i int, node sim.NodeID, r attemptResult) {
@@ -525,61 +561,43 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 	}
 }
 
-// runReduceTask executes one reduce task: shuffle in, sort, group, reduce,
-// chained tail stages, and output collection.
-func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapOutput, absStart float64) ([]dfs.Record, TaskStats) {
-	ctx := NewTaskContext(e.Cluster, node, r, ReduceTask)
-	ctx.base = absStart
-	if e.Trace != nil {
-		ctx.EnableSpans()
-	}
+// runReduceTask executes one reduce task: shuffle in its runs, sort, group,
+// reduce, chained tail stages, and output collection.
+func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64) ([]dfs.Record, TaskStats) {
+	f := e.newFrame(node, r, ReduceTask, absStart)
+	ctx := &f.ctx
 
-	// One pass over the map outputs charges the shuffle and remembers the
-	// non-empty buckets, so the input is allocated once at its exact size.
-	// (A counting pass of its own would chase every map output's bucket
-	// pointer a second time — measurable at 256 reducers × 20,000 maps.)
-	fetched := make([][]Pair, 0, min(len(outputs), 64))
+	// The input is allocated once at its exact size; the shuffle is charged
+	// run by run in map-output order, which fixes the float sum's bits.
 	inRecords, inBytes := 0, 0
+	for _, run := range runs {
+		inRecords += len(run.pairs)
+	}
+	input := make([]Pair, 0, inRecords)
 	sp := ctx.StartSpan("shuffle", "io")
-	for _, mo := range outputs {
-		bucket := mo.Buckets[r]
-		if len(bucket) == 0 {
-			continue
-		}
+	for _, run := range runs {
 		bytes := 0
-		for _, p := range bucket {
+		for _, p := range run.pairs {
 			bytes += p.Size()
 		}
 		inBytes += bytes
-		if mo.Node != node {
+		if run.node != node {
 			ctx.ChargeNet(float64(bytes))
 		} else {
 			ctx.Charge(e.Cluster.DiskTime(float64(bytes)))
 		}
-		fetched = append(fetched, bucket)
-		inRecords += len(bucket)
+		input = append(input, run.pairs...)
 	}
 	sp.End()
-	input := make([]Pair, 0, inRecords)
-	for _, bucket := range fetched {
-		input = append(input, bucket...)
-	}
 	// Merge sort by key, stable so values stay in map-output order.
 	sortByKey(input)
 
 	// One record per key group is what an aggregating reducer emits, and
 	// what an identity reducer emits over distinct keys.
 	values, groups := groupValues(input)
-	shard := make([]dfs.Record, 0, groups)
-	outBytes := 0
-	outRecords := 0
-	sink := func(p Pair) {
-		shard = append(shard, dfs.Record{Key: p.Key, Value: p.Value})
-		outBytes += p.Size()
-		outRecords++
-	}
+	f.shard = make([]dfs.Record, 0, groups)
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
-	pipe := NewPipeline(ctx, node, nil, nil, job.ReduceStagesAfter, sink)
+	pipe := f.pipe.init(ctx, node, nil, nil, job.ReduceStagesAfter, f.emitShard)
 	pipe.Open()
 	emit := Emit(pipe.Process)
 	for i := 0; i < len(input); {
@@ -590,6 +608,7 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapO
 	pipe.Close()
 	sp.End()
 
+	outRecords, outBytes := len(f.shard), f.outBytes
 	ctx.Inc(CounterInputRecords, int64(len(input)))
 	ctx.Inc(CounterInputBytes, int64(inBytes))
 	ctx.Inc(CounterOutputRecords, int64(outRecords))
@@ -600,7 +619,7 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, outputs []*MapO
 	sp = ctx.StartSpan("dfs-write", "io")
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))
 	sp.End()
-	return shard, e.taskStats(ctx)
+	return f.shard, e.taskStats(ctx)
 }
 
 // FinishMapOnly materializes a map-only job's output (one shard per map
@@ -614,10 +633,10 @@ func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
 	homes := make([]sim.NodeID, len(mp.Outputs))
 	for i, mo := range mp.Outputs {
 		homes[i] = mo.Node
-		shards[i] = make([]dfs.Record, 0, totalRecords(mo.Buckets))
-		for _, b := range mo.Buckets {
+		for _, b := range mo.Buckets { // a map-only output is its one bucket
+			shards[i] = slices.Grow(shards[i], len(b))
 			for _, p := range b {
-				shards[i] = append(shards[i], dfs.Record{Key: p.Key, Value: p.Value})
+				shards[i] = append(shards[i], dfs.Record(p))
 			}
 		}
 	}
@@ -685,17 +704,22 @@ type Pipeline struct {
 	ctx    *TaskContext
 	stages []Stage
 	emits  []Emit // emits[i] feeds stage i; emits[len] is the sink
+
+	// Backing of stages and emits for up to three stages, the common case.
+	stageArr [3]Stage
+	emitArr  [4]Emit
 }
 
 // NewPipeline builds the chained-function pipeline for a task. core may be
 // nil (reduce-side pipelines run the reduce function group-wise outside
 // the pipeline and feed only the after-stages).
 func NewPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
-	n := len(before) + len(after)
-	if core != nil {
-		n++
-	}
-	p := &Pipeline{ctx: ctx, stages: make([]Stage, 0, n)}
+	return new(Pipeline).init(ctx, node, before, core, after, sink)
+}
+
+func (p *Pipeline) init(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
+	p.ctx = ctx
+	p.stages = p.stageArr[:0] // a fourth stage makes append move them to the heap
 	for _, f := range before {
 		p.stages = append(p.stages, f(node))
 	}
@@ -705,12 +729,16 @@ func NewPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core 
 	for _, f := range after {
 		p.stages = append(p.stages, f(node))
 	}
-	// Build emit chain back to front.
-	p.emits = make([]Emit, len(p.stages)+1)
-	p.emits[len(p.stages)] = sink
-	for i := len(p.stages) - 1; i >= 0; i-- {
-		stage := p.stages[i]
-		next := p.emits[i+1]
+	// Build the emit chain back to front. Stage 0 gets no closure: Process
+	// calls it directly.
+	n := len(p.stages)
+	if p.emits = p.emitArr[:]; n >= len(p.emits) {
+		p.emits = make([]Emit, n+1)
+	}
+	p.emits = p.emits[:n+1]
+	p.emits[n] = sink
+	for i := n - 1; i >= 1; i-- {
+		stage, next := p.stages[i], p.emits[i+1]
 		p.emits[i] = func(pr Pair) { stage.Process(ctx, pr, next) }
 	}
 	return p
@@ -724,7 +752,13 @@ func (p *Pipeline) Open() {
 }
 
 // Process pushes one record into the front of the chain.
-func (p *Pipeline) Process(pr Pair) { p.emits[0](pr) }
+func (p *Pipeline) Process(pr Pair) {
+	if len(p.stages) == 0 {
+		p.emits[0](pr)
+		return
+	}
+	p.stages[0].Process(p.ctx, pr, p.emits[1])
+}
 
 // Close closes stages front to back so trailing emissions flow downstream.
 func (p *Pipeline) Close() {

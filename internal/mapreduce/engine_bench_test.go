@@ -64,3 +64,50 @@ func BenchmarkShufflePartitioning(b *testing.B) {
 		HashPartition(keys[i%len(keys)], 48)
 	}
 }
+
+// BenchmarkShuffle runs an identity map+reduce job at the wall-clock
+// benchmark's two shuffle shapes: sched_scale's (one-record splits routed
+// 256 ways, where the per-task and per-bucket overheads are all there is)
+// and the job workloads' (≈ 125-record splits routed 48 ways). One op is
+// one job; allocs/op ÷ the shape's record count is allocations per record.
+func BenchmarkShuffle(b *testing.B) {
+	for _, shape := range []struct {
+		name                        string
+		splits, perSplit, numReduce int
+	}{
+		{"1rec×256", 2000, 1, 256},
+		{"125rec×48", 240, 125, 48},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := sim.DefaultConfig()
+			cfg.Nodes = 100
+			cluster := sim.NewCluster(cfg)
+			fs := dfs.New(cluster)
+			shards := make([][]dfs.Record, shape.splits)
+			homes := make([]sim.NodeID, shape.splits)
+			for s := range shards {
+				homes[s] = sim.NodeID(s % cfg.Nodes)
+				for j := 0; j < shape.perSplit; j++ {
+					shards[s] = append(shards[s], dfs.Record{Key: fmt.Sprintf("k%05d-%03d", s, j), Value: "v"})
+				}
+			}
+			in, err := fs.CreateSharded("shuffle-in", shards, homes)
+			if err != nil || len(in.Chunks) != shape.splits {
+				b.Fatalf("input: %d splits, %v", len(in.Chunks), err)
+			}
+			e := New(cluster, fs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := e.Run(&Job{Name: "shuffle", Input: in, Reduce: IdentityReduce, NumReduce: shape.numReduce})
+				if err != nil || res.Output.Records() != shape.splits*shape.perSplit {
+					b.Fatalf("job: %v", err)
+				}
+				if err := fs.Remove(res.Output.Name); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.splits*shape.perSplit), "ns/record")
+		})
+	}
+}

@@ -133,11 +133,11 @@ const minDefaultReduce = 256
 // DefaultNumReduce sizes a job's reducer count when the user leaves it
 // unset. Small clusters use every reduce slot (Hadoop's classic ~1×
 // slots rule of thumb); large clusters cap the default near the
-// input's map-side parallelism, because reducers far in excess of map
-// tasks are pure overhead — every map task allocates one shuffle
-// bucket per reducer and every reducer becomes a scheduled task, so an
-// uncapped default on a 10k-node cluster sprays a 240-chunk input over
-// 20k mostly-empty reduce tasks. A job that wants wider reduce
+// input's map-side parallelism, because every reducer is a scheduled
+// task — start-up charge, statistics, an output shard — and an uncapped
+// default on a 10k-node cluster sprays a 240-chunk input over 20k
+// mostly-empty ones. (The shuffle does not argue for the cap: an empty
+// map task × reducer pair costs nothing.) A job that wants wider reduce
 // parallelism sets NumReduce explicitly.
 func DefaultNumReduce(c *sim.Cluster, mapTasks int) int {
 	slots := c.ReduceSlots()

@@ -86,7 +86,7 @@ func TestTraceRecordsPhases(t *testing.T) {
 }
 
 // TestSpanHotPathAllocs pins the zero-overhead promise: with tracing off
-// (no EnableSpans), StartSpan/End must not allocate.
+// (no trace attached), StartSpan/End must not allocate.
 func TestSpanHotPathAllocs(t *testing.T) {
 	ctx := NewTaskContext(nil, 0, 0, MapTask)
 	allocs := testing.AllocsPerRun(1000, func() {

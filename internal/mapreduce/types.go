@@ -166,15 +166,16 @@ func (c *Cell) Add(delta int64) {
 // NewTaskContext builds a context; exported for tests of stages outside
 // the engine.
 func NewTaskContext(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) *TaskContext {
-	c := &TaskContext{
-		Node:    node,
-		TaskID:  id,
-		Split:   id,
-		Kind:    kind,
-		cluster: cluster,
-	}
-	c.slab = c.inline[:0]
+	c := &TaskContext{}
+	c.init(cluster, node, id, kind)
 	return c
+}
+
+// init readies a zero context, wherever it lives (the engine embeds one in
+// each task's frame).
+func (c *TaskContext) init(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) {
+	c.Node, c.TaskID, c.Split, c.Kind, c.cluster = node, id, id, kind, cluster
+	c.slab = c.inline[:0]
 }
 
 // Cluster returns the simulated cluster the task runs in.
@@ -279,16 +280,12 @@ func (c *TaskContext) Extra() float64 { return c.extra }
 // backoff time advances it, so an outage can end mid-retry.
 func (c *TaskContext) Now() float64 { return c.base + c.extra }
 
-// EnableSpans turns on span recording for this task. The engine enables
-// it when a trace is attached; with it off, StartSpan is a no-op that
-// performs no allocation, so tracing has zero cost on the hot path.
-func (c *TaskContext) EnableSpans() { c.traced = true }
-
 // StartSpan opens a sub-phase span on the task's own virtual clock (the
-// accumulated Charge time). Call End on the returned region when the
-// sub-phase's charges are complete. Span times are relative to the task
-// body; the engine rebases them to absolute phase time once the task's
-// placement is known.
+// accumulated Charge time); a no-op that allocates nothing unless the
+// engine has a trace attached, so tracing costs the hot path nothing. Call
+// End on the returned region when the sub-phase's charges are complete.
+// Span times are relative to the task body; the engine rebases them to
+// absolute phase time once the task's placement is known.
 func (c *TaskContext) StartSpan(name, cat string) SpanRegion {
 	if !c.traced {
 		return SpanRegion{}

@@ -52,7 +52,7 @@ func TestScaleSerialParallelBitIdentical(t *testing.T) {
 // buildReplicatedTasks is the taskPicker's worst case: every task lists
 // the same few nodes as preferred (heavily replicated hot chunks), so a
 // task picked via one hot node's queue leaves dead entries in the other
-// hot queues. Without skip-compaction each pick on a hot node re-crawls
+// hot queues. Unless scans consume them, each pick on a hot node re-crawls
 // an ever-longer dead prefix, turning the phase quadratic.
 func buildReplicatedTasks(n, nodes int) []Task {
 	hot := []NodeID{0, 1, 2}
@@ -67,11 +67,11 @@ func buildReplicatedTasks(n, nodes int) []Task {
 	return tasks
 }
 
-// TestPickerCompactsDeadEntries pins the skip-compaction: after a phase
-// where every task preferred the same nodes, the hot queues must not
-// retain dead prefixes proportional to the task count.
+// TestPickerCompactsDeadEntries pins that scans consume dead entries:
+// after a phase where every task preferred the same nodes, the hot queues
+// must not retain entries in proportion to the task count.
 func TestPickerCompactsDeadEntries(t *testing.T) {
-	const n, nodes = 10_000, 100
+	const n, nodes, maxRetained = 10_000, 100, 128
 	p := newTaskPicker(buildReplicatedTasks(n, nodes), nodes)
 	// Drain round-robin across all nodes, like slots freeing cluster-wide;
 	// the hot queues go stale as other nodes steal their tasks.
@@ -83,16 +83,15 @@ func TestPickerCompactsDeadEntries(t *testing.T) {
 		}
 	}
 	for _, node := range []NodeID{0, 1, 2} {
-		if retained := len(p.byNode[node]) - p.head[node]; retained > 2*compactThreshold {
-			t.Fatalf("node %d queue retains %d entries after drain (head %d, len %d); compaction is not kicking in",
-				node, retained, p.head[node], len(p.byNode[node]))
+		if retained := len(p.byNode[node]); retained > maxRetained {
+			t.Fatalf("node %d queue retains %d entries after drain; scans are not consuming dead entries", node, retained)
 		}
 	}
 }
 
 // BenchmarkPickerReplicatedWorstCase schedules a phase whose every task
-// prefers the same three nodes — the dead-entry crawl that motivated
-// skip-compaction. ns/op here is the whole phase.
+// prefers the same three nodes — the dead-entry crawl that consuming
+// scans avoid. ns/op here is the whole phase.
 func BenchmarkPickerReplicatedWorstCase(b *testing.B) {
 	const nTasks, nodes = 50_000, 1000
 	b.ReportAllocs()
@@ -126,5 +125,44 @@ func BenchmarkSchedulePhaseParallel10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := scaleCluster(nodes, 8)
 		c.SchedulePhase(tasks, 2)
+	}
+}
+
+// TestTaskPickerAllocs pins the picker's set-up: the per-node queues are
+// windows of one flat array, so building them is the same handful of
+// allocations for 1,000 tasks and for 100,000 — and they are the queues
+// growing each by append built: every node's preferring tasks in task
+// order, out-of-range preferences ignored.
+func TestTaskPickerAllocs(t *testing.T) {
+	const nodes = 1000
+	build := func(n int) []Task {
+		tasks := buildVariedTasks(n, nodes)
+		tasks[0].Preferred = []NodeID{-1, 7, nodes, 7}
+		return tasks
+	}
+	small, large := build(1000), build(100_000)
+	for _, tasks := range [][]Task{small, large} {
+		want := make([][]int32, nodes)
+		for i, task := range tasks {
+			for _, n := range task.Preferred {
+				if n >= 0 && int(n) < nodes {
+					want[n] = append(want[n], int32(i))
+				}
+			}
+		}
+		p := newTaskPicker(tasks, nodes)
+		for n := range want {
+			if !reflect.DeepEqual(append([]int32(nil), p.byNode[n]...), want[n]) {
+				t.Fatalf("%d tasks: node %d queue = %v, want %v", len(tasks), n, p.byNode[n], want[n])
+			}
+			if cap(p.byNode[n]) != len(want[n]) {
+				t.Fatalf("%d tasks: node %d queue has capacity %d for %d entries: it could grow into its neighbour", len(tasks), n, cap(p.byNode[n]), len(want[n]))
+			}
+		}
+	}
+	atSmall := testing.AllocsPerRun(5, func() { newTaskPicker(small, nodes) })
+	atLarge := testing.AllocsPerRun(5, func() { newTaskPicker(large, nodes) })
+	if atSmall != atLarge || atLarge > 6 {
+		t.Errorf("newTaskPicker allocates %.0f times for 1,000 tasks and %.0f for 100,000; want the same, at most 6", atSmall, atLarge)
 	}
 }

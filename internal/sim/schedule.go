@@ -1,7 +1,8 @@
 package sim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 )
 
 // Task is one schedulable unit of work (a map or reduce task). The
@@ -145,43 +146,52 @@ func (h slotHeap) init() {
 // placements — and therefore durations and makespans — are bit-identical.
 //
 // Per-node preference queues are dense slices indexed by node (node IDs
-// are dense in [0, Nodes)) with a consumed-prefix cursor per queue. A
-// task picked via one node's queue leaves dead entries in the queues of
-// its other preferred nodes; those are skipped on scan and the consumed
-// prefix is compacted away once it dominates the queue, so replicated
-// preferences at 10k nodes neither pin memory nor degrade pick into a
-// dead-entry crawl.
+// are dense in [0, Nodes)), all windows of one flat array. A task picked
+// via one node's queue leaves dead entries in the queues of its other
+// preferred nodes; a scan consumes what it passes, dead entries included,
+// so replicated preferences at 10k nodes never turn pick into a crawl.
 type taskPicker struct {
 	tasks   []Task
 	pending []bool
 	byNode  [][]int32 // per-node FIFO of preferring task indices
-	head    []int     // consumed prefix of each node's queue
 	next    int       // cursor for non-local pickup, in task order
 	left    int
 }
 
+// newTaskPicker lays the queues out by count → prefix → fill, each window
+// capped at its queue's length, so set-up is a fixed number of allocations
+// whatever the task count.
 func newTaskPicker(tasks []Task, nodes int) *taskPicker {
 	p := &taskPicker{
 		tasks:   tasks,
 		pending: make([]bool, len(tasks)),
 		byNode:  make([][]int32, nodes),
-		head:    make([]int, nodes),
 		left:    len(tasks),
 	}
+	prefers := func(n NodeID) bool { return n >= 0 && int(n) < nodes }
+	counts, total := make([]int, nodes), 0
 	for i, t := range tasks {
 		p.pending[i] = true
 		for _, n := range t.Preferred {
-			if n >= 0 && int(n) < nodes {
+			if prefers(n) {
+				counts[n]++
+				total++
+			}
+		}
+	}
+	flat := make([]int32, total)
+	for n, c := range counts {
+		p.byNode[n], flat = flat[:0:c], flat[c:]
+	}
+	for i, t := range tasks {
+		for _, n := range t.Preferred {
+			if prefers(n) {
 				p.byNode[n] = append(p.byNode[n], int32(i))
 			}
 		}
 	}
 	return p
 }
-
-// compactThreshold is the consumed-prefix length beyond which a queue is
-// shifted down; below it the cursor advance alone is cheaper.
-const compactThreshold = 64
 
 // pick takes the next task for a freed slot on node, or -1 when no tasks
 // remain.
@@ -191,30 +201,13 @@ func (p *taskPicker) pick(node NodeID) (ti int, local bool) {
 	}
 	ti = -1
 	q := p.byNode[node]
-	h := p.head[node]
-	for h < len(q) {
-		cand := int(q[h])
-		h++
-		if p.pending[cand] {
-			ti = cand
-			local = true
-			break
+	for ti < 0 && len(q) > 0 {
+		if cand := int(q[0]); p.pending[cand] {
+			ti, local = cand, true
 		}
+		q = q[1:]
 	}
-	// Skip-compact: drop the consumed prefix once it dominates the queue
-	// so dead entries are released instead of rescanned via a long head
-	// offset on a retained backing array.
-	switch {
-	case h >= len(q):
-		p.byNode[node] = q[:0]
-		p.head[node] = 0
-	case h >= compactThreshold && h*2 >= len(q):
-		n := copy(q, q[h:])
-		p.byNode[node] = q[:n]
-		p.head[node] = 0
-	default:
-		p.head[node] = h
-	}
+	p.byNode[node] = q
 	if ti < 0 {
 		for p.next < len(p.tasks) && !p.pending[p.next] {
 			p.next++
@@ -256,11 +249,11 @@ func (r *PhaseResult) record(a Assignment) {
 }
 
 func (r *PhaseResult) sortAssignments() {
-	sort.Slice(r.Assignments, func(i, j int) bool {
-		if r.Assignments[i].Start != r.Assignments[j].Start {
-			return r.Assignments[i].Start < r.Assignments[j].Start
+	slices.SortFunc(r.Assignments, func(a, b Assignment) int {
+		if a.Start != b.Start {
+			return cmp.Compare(a.Start, b.Start)
 		}
-		return r.Assignments[i].Task < r.Assignments[j].Task
+		return cmp.Compare(a.Task, b.Task)
 	})
 }
 
