@@ -79,7 +79,11 @@ type (
 	PreResult = core.PreResult
 	// KeyResult is one index lookup outcome.
 	KeyResult = core.KeyResult
-	// PreFunc and PostFunc are the operator customization points.
+	// PreFunc and PostFunc are the operator customization points. The
+	// results a PostFunc receives, and their inner slices, are valid until
+	// it returns and must not be modified or kept; the strings inside may
+	// be. The key lists a PreFunc returns are read until the record's
+	// PostFunc has returned and must not be rewritten before then.
 	PreFunc  = core.PreFunc
 	PostFunc = core.PostFunc
 	// IndexJobConf configures an EFind-enhanced MapReduce job.

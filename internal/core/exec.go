@@ -625,7 +625,7 @@ func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, err
 				return fmt.Errorf("efind: operator %q plan has shuffle strategies after inline ones (violates Property 4)", p.Op.Name())
 			}
 		}
-		appendStage(x.shuffleEmitStage(0, false))
+		appendStage(x.shuffleEmitStage(0))
 		for i := 0; i < s; i++ {
 			d := p.Decisions[i]
 			spec := &shuffleSpec{x: x, pos: i, emitNextPos: -1}
@@ -787,11 +787,12 @@ func (co *compiled) engineJob(conf *IndexJobConf, k int, input *dfs.File) *mapre
 		var cont []mapreduce.StageFactory
 		if cj.shuffle.boundary == BoundaryLate && k+1 < len(co.jobs) {
 			// The next job's first map stage is this operator's resume
-			// step (compilePlan put it there); the group reduce runs that
+			// step (compilePlan put it there); the group stage runs that
 			// itself, on the carrier it holds, and then the rest.
 			cont = co.jobs[k+1].mapStages[1:]
 		}
-		job.Reduce = cj.shuffle.x.groupReduce(cj.shuffle.pos, cj.shuffle.boundary, cj.shuffle.emitNextPos, cont)
+		job.Reduce = forwardGroup
+		job.ReduceStagesAfter = []mapreduce.StageFactory{cj.shuffle.x.groupStage(cj.shuffle.pos, cj.shuffle.boundary, cj.shuffle.emitNextPos, cont)}
 	case cj.userReduce:
 		job.Reduce = conf.Reducer
 		job.Combine = conf.Combiner

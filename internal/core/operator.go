@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"efind/internal/index"
 	"efind/internal/mapreduce"
@@ -47,13 +48,23 @@ type KeyResult struct {
 	Values []string
 }
 
-// PreFunc is the user preProcess method.
+// PreFunc is the user preProcess method. The runtime reads the key lists it
+// returns until the record's postProcess has returned — with batching,
+// after preProcess has run for later records — and keeps nothing
+// afterwards: it may return shared read-only lists, but not ones it
+// rewrites from call to call.
 type PreFunc func(in Pair) PreResult
 
 // PostFunc is the user postProcess method: it combines the (possibly
 // modified) pair with the per-index lookup results into output pairs
 // (k2, v2), optionally filtering (emit zero times) or fanning out.
 // results[j][i] corresponds to Keys[j][i] from preProcess.
+//
+// results and its inner slices (each []KeyResult, each Values list) are
+// the task's scratch, refilled for the next record: they are valid until
+// the function returns and must not be modified or kept — copy what has to
+// outlive the call. The strings inside (pair, keys, values) are never
+// reused and may be kept.
 type PostFunc func(pair Pair, results [][]KeyResult, emit Emit)
 
 // Operator is the paper's IndexOperator: invocation-specific pre/post
@@ -90,25 +101,29 @@ func (o *Operator) Indices() []index.Accessor { return o.accessors }
 // NumIndices returns m, the number of indices at this operator.
 func (o *Operator) NumIndices() int { return len(o.accessors) }
 
-// runPre applies the user preProcess (or the default) and normalizes the
-// key-list shape to exactly one list per index.
-func (o *Operator) runPre(in Pair) PreResult {
-	var r PreResult
-	if o.pre != nil {
-		r = o.pre(in)
-	} else {
-		keys := make([][]string, len(o.accessors))
-		for j := range keys {
-			keys[j] = []string{in.Key}
+// runPre applies the user preProcess (or the default) into the carrier,
+// one key list per index: a preProcess that returned fewer — how an
+// operator skips a record — is padded from the carrier's own headers.
+func (o *Operator) runPre(in Pair, c *carrier) {
+	n := len(o.accessors)
+	c.reset(n)
+	if o.pre == nil {
+		c.Pair, c.strs = in, append(c.strs, in.Key)
+		for j := 0; j < n; j++ {
+			c.lists = append(c.lists, window(c.strs, len(c.strs)-1))
 		}
-		r = PreResult{Pair: in, Keys: keys}
+		c.Keys = c.lists
+		return
 	}
-	if len(r.Keys) < len(o.accessors) {
-		padded := make([][]string, len(o.accessors))
-		copy(padded, r.Keys)
-		r.Keys = padded
+	r := o.pre(in)
+	c.Pair, c.Keys = r.Pair, r.Keys
+	if len(r.Keys) < n {
+		c.lists = append(c.lists, r.Keys...)
+		for len(c.lists) < n {
+			c.lists = append(c.lists, nil)
+		}
+		c.Keys = c.lists
 	}
-	return r
 }
 
 // runPost applies the user postProcess (or the default).
@@ -117,15 +132,26 @@ func (o *Operator) runPost(pair Pair, results [][]KeyResult, emit Emit) {
 		o.post(pair, results, emit)
 		return
 	}
-	v := pair.Value
+	size := len(pair.Value)
 	for _, rs := range results {
 		for _, kr := range rs {
 			for _, iv := range kr.Values {
-				v += "\t" + iv
+				size += 1 + len(iv)
 			}
 		}
 	}
-	emit(Pair{Key: pair.Key, Value: v})
+	var v strings.Builder
+	v.Grow(size)
+	v.WriteString(pair.Value)
+	for _, rs := range results {
+		for _, kr := range rs {
+			for _, iv := range kr.Values {
+				v.WriteByte('\t')
+				v.WriteString(iv)
+			}
+		}
+	}
+	emit(Pair{Key: pair.Key, Value: v.String()})
 }
 
 // validate rejects operators that cannot run.

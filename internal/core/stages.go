@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"efind/internal/index"
 	"efind/internal/ixclient"
 	"efind/internal/mapreduce"
@@ -31,7 +33,6 @@ type opExec struct {
 	// Counter names, built once.
 	ctrPreIn, ctrPreInBytes, ctrPreOutBytes   string
 	ctrIdxBytes, ctrPostRecords, ctrPostBytes string
-	ctrCarrierErrors                          string
 	ctrMulti                                  []string // by index
 }
 
@@ -42,14 +43,13 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
 		plan:    plan,
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
 
-		ctrPreIn:         ctrPreIn(name),
-		ctrPreInBytes:    ctrPreInBytes(name),
-		ctrPreOutBytes:   ctrPreOutBytes(name),
-		ctrIdxBytes:      ctrIdxBytes(name),
-		ctrPostRecords:   ctrPostRecords(name),
-		ctrPostBytes:     ctrPostBytes(name),
-		ctrCarrierErrors: "efind." + name + ".carrier.errors",
-		ctrMulti:         make([]string, op.NumIndices()),
+		ctrPreIn:       ctrPreIn(name),
+		ctrPreInBytes:  ctrPreInBytes(name),
+		ctrPreOutBytes: ctrPreOutBytes(name),
+		ctrIdxBytes:    ctrIdxBytes(name),
+		ctrPostRecords: ctrPostRecords(name),
+		ctrPostBytes:   ctrPostBytes(name),
+		ctrMulti:       make([]string, op.NumIndices()),
 	}
 	for j, ix := range op.Indices() {
 		x.ctrMulti[j] = ctrMulti(name, ix.Name())
@@ -106,13 +106,17 @@ func (x *opExec) resetNode(node sim.NodeID) {
 
 // opTask is an operator's state in one task: what a stage instance
 // resolves when it opens and then uses record after record — the counter
-// cells, the clients' bound views, and the wrapper that counts
-// postProcess output on its way downstream. The stage types below embed
-// it. Tasks of different nodes run concurrently, so none of this lives on
-// the shared opExec.
+// cells, the clients' bound views, the scratch carrier, and the wrapper
+// that counts postProcess output on its way downstream. The stage types
+// below embed it. Tasks of different nodes run concurrently, so none of
+// this lives on the shared opExec.
 type opTask struct {
 	x   *opExec
 	ctx *mapreduce.TaskContext
+
+	// c is the record in flight: refilled by runPre or decode for every
+	// record, and done with when the stage's Process call returns.
+	c carrier
 
 	preIn, preInBytes, preOutBytes   *mapreduce.Cell
 	idxBytes, postRecords, postBytes *mapreduce.Cell
@@ -161,20 +165,27 @@ func (o *opTask) client(pos int) *ixclient.Bound {
 	return b
 }
 
-// carrierError counts a shuffle value that failed to decode.
-func (o *opTask) carrierError() { o.ctx.Inc(o.x.ctrCarrierErrors, 1) }
+// decode refills the task's carrier from a shuffle value. The engine wrote
+// that value itself, so one that does not decode is a bug or corrupted
+// intermediate data: the task aborts and the job fails by name rather than
+// finishing without the record.
+func (o *opTask) decode(stage, value string) *carrier {
+	if err := o.c.decode(value); err != nil {
+		o.ctx.Abort(fmt.Errorf("efind: operator %q %s: %w", o.x.op.Name(), stage, err))
+	}
+	return &o.c
+}
 
-// runPre runs preProcess with the N1/S1/Spre counters and flags records
-// with more than one key for any index (re-partitioning feasibility).
-func (o *opTask) runPre(in Pair) *carrier {
+// runPre runs preProcess into c with the N1/S1/Spre counters and flags
+// records with more than one key for any index (re-partitioning
+// feasibility).
+func (o *opTask) runPre(c *carrier, in Pair) {
 	op := o.x.op
 	o.preIn.Add(1)
 	o.preInBytes.Add(int64(in.Size()))
-	pr := op.runPre(in)
-	c := newCarrier(op.NumIndices())
-	c.Pair, c.Keys = pr.Pair, pr.Keys
+	op.runPre(in, c)
 	o.preOutBytes.Add(int64(c.size()))
-	for j, ks := range pr.Keys {
+	for j, ks := range c.Keys {
 		if len(ks) > 1 && j < op.NumIndices() {
 			if o.multi == nil {
 				o.multi = make([]*mapreduce.Cell, op.NumIndices())
@@ -185,7 +196,6 @@ func (o *opTask) runPre(in Pair) *carrier {
 			o.multi[j].Add(1)
 		}
 	}
-	return c
 }
 
 // finish performs the inline lookups for decisions[startPos:] — via each
@@ -237,7 +247,8 @@ type inlineStage struct{ opTask }
 func (s *inlineStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
 
 func (s *inlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	s.finish(s.runPre(in), 0, emit)
+	s.runPre(&s.c, in)
+	s.finish(&s.c, 0, emit)
 }
 
 func (s *inlineStage) Close(*mapreduce.TaskContext, Emit) {}
@@ -248,20 +259,28 @@ func (s *inlineStage) Close(*mapreduce.TaskContext, Emit) {}
 // call, which lets BatchAccessor indices answer with one multi-get per
 // partition. The output records are identical to the unbatched stage, in
 // the same order; only the charged access cost differs (DESIGN.md,
-// "Index client pipeline").
+// "Index client pipeline"). It is the one stage that holds carriers across
+// records, so it has a slab of them, made on the task's first record and
+// reused flush after flush. Close is a flush and leaves the stage usable:
+// a BoundaryLate group reduce closes its continuation after every group.
 type batchedInlineStage struct {
 	opTask
-	buf []*carrier
+	buf  []carrier // buf[:n] are buffered
+	n    int
+	keys []string // one decision's keys over the batch
 }
 
 func (s *batchedInlineStage) Open(ctx *mapreduce.TaskContext) {
 	s.open(ctx)
-	s.buf = s.buf[:0]
+	s.n = 0
 }
 
 func (s *batchedInlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	s.buf = append(s.buf, s.runPre(in))
-	if len(s.buf) >= s.x.batchSize {
+	if s.buf == nil {
+		s.buf = make([]carrier, s.x.batchSize)
+	}
+	s.runPre(&s.buf[s.n], in)
+	if s.n++; s.n == len(s.buf) {
 		s.flush(emit)
 	}
 }
@@ -270,26 +289,28 @@ func (s *batchedInlineStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.flus
 
 // flush resolves and emits the buffered carriers.
 func (s *batchedInlineStage) flush(emit Emit) {
-	if len(s.buf) == 0 {
+	if s.n == 0 {
 		return
 	}
+	buf := s.buf[:s.n]
 	for pos, d := range s.x.plan.Decisions {
 		cl := s.client(pos)
-		var keys []string
-		for _, c := range s.buf {
-			if d.Index >= len(c.Keys) {
-				continue
-			}
-			for _, ik := range c.Keys[d.Index] {
-				cl.CountKey(ik)
-				keys = append(keys, ik)
+		keys := s.keys[:0]
+		for i := range buf {
+			if c := &buf[i]; d.Index < len(c.Keys) {
+				for _, ik := range c.Keys[d.Index] {
+					cl.CountKey(ik)
+					keys = append(keys, ik)
+				}
 			}
 		}
+		s.keys = keys
 		// The batch results are kept in the carriers until postProcess
 		// has run; LookupBatch hands over a list of the caller's own.
 		vals := cl.LookupBatch(keys)
 		i := 0
-		for _, c := range s.buf {
+		for j := range buf {
+			c := &buf[j]
 			if d.Index >= len(c.Keys) {
 				continue
 			}
@@ -303,11 +324,10 @@ func (s *batchedInlineStage) flush(emit Emit) {
 			c.Results[d.Index] = results
 		}
 	}
-	for _, c := range s.buf {
-		s.emitPost(c, emit)
+	for i := range buf {
+		s.emitPost(&buf[i], emit)
 	}
-	clear(s.buf)
-	s.buf = s.buf[:0]
+	s.n = 0
 }
 
 // resumeStage builds the map-side stage of the job following a shuffle:
@@ -316,11 +336,9 @@ func (s *batchedInlineStage) flush(emit Emit) {
 // memoization — the shuffle sorted equal keys together, so one real index
 // access serves all Θ duplicates in the run.
 func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage { return x.newResumeStage(pos, memoFirst) }
-}
-
-func (x *opExec) newResumeStage(pos int, memoFirst bool) *resumeStage {
-	return &resumeStage{opTask: opTask{x: x}, pos: pos, memoFirst: memoFirst}
+	return func(sim.NodeID) mapreduce.Stage {
+		return &resumeStage{opTask: opTask{x: x}, pos: pos, memoFirst: memoFirst}
+	}
 }
 
 type resumeStage struct {
@@ -339,19 +357,7 @@ func (s *resumeStage) Open(ctx *mapreduce.TaskContext) {
 }
 
 func (s *resumeStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	c, err := decodeCarrier(in.Value)
-	if err != nil {
-		s.carrierError()
-		return
-	}
-	s.resume(c, emit)
-}
-
-// resume finishes the operator for one carrier. It is Process without the
-// decoding: a BoundaryLate group reduce, which holds the carrier it just
-// attached a result to, calls it directly instead of encoding the carrier
-// for a stage three frames away to decode again.
-func (s *resumeStage) resume(c *carrier, emit Emit) {
+	c := s.decode("resume stage", in.Value)
 	next := s.pos
 	if s.memoFirst {
 		d := s.x.plan.Decisions[s.pos]
@@ -373,50 +379,32 @@ func (s *resumeStage) resume(c *carrier, emit Emit) {
 
 func (s *resumeStage) Close(*mapreduce.TaskContext, Emit) {}
 
-// shuffleEmitStage builds the map-side stage that starts a shuffle for the
-// decision at pos: it runs preProcess (when the operator's records arrive
-// as plain pairs) or decodes carriers (when chained after an earlier
-// shuffle), then emits (ik, carrier) keyed by the index key so the
-// group-by collapses duplicates.
-func (x *opExec) shuffleEmitStage(pos int, carrierIn bool) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage {
-		return &shuffleEmitStage{opTask: opTask{x: x}, pos: pos, carrierIn: carrierIn}
-	}
+// shuffleEmitStage builds the map-side stage that starts an operator's
+// first shuffle, for the decision at pos: it runs preProcess and emits
+// (ik, carrier) keyed by the index key so the group-by collapses
+// duplicates. (A later shuffle of the same operator is fed by the group
+// stage before it, which re-keys the carriers it emits.)
+func (x *opExec) shuffleEmitStage(pos int) mapreduce.StageFactory {
+	return func(sim.NodeID) mapreduce.Stage { return &shuffleEmitStage{opTask: opTask{x: x}, pos: pos} }
 }
 
 type shuffleEmitStage struct {
 	opTask
-	pos       int
-	carrierIn bool
+	pos int
 }
 
 func (s *shuffleEmitStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
 
 func (s *shuffleEmitStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	var c *carrier
-	if s.carrierIn {
-		var err error
-		c, err = decodeCarrier(in.Value)
-		if err != nil {
-			s.carrierError()
-			return
-		}
-	} else {
-		c = s.runPre(in)
-	}
-	d := s.x.plan.Decisions[s.pos]
-	ixIdx := -1
-	if d.Index < len(c.Keys) {
-		ixIdx = d.Index
-	}
-	key, _ := shuffleKeyFor(c, ixIdx)
-	emit(Pair{Key: key, Value: encodeCarrier(c)})
+	s.runPre(&s.c, in)
+	key, _ := shuffleKeyFor(&s.c, s.x.plan.Decisions[s.pos].Index)
+	emit(Pair{Key: key, Value: encodeCarrier(&s.c)})
 }
 
 func (s *shuffleEmitStage) Close(*mapreduce.TaskContext, Emit) {}
 
 // shuffleKeyFor returns the routing key for index position ixIdx of the
-// carrier (-1 or an absent key list yields a pass-through key).
+// carrier (an absent key list yields a pass-through key).
 func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
 	if ixIdx >= 0 && ixIdx < len(c.Keys) && len(c.Keys[ixIdx]) > 0 {
 		return c.Keys[ixIdx][0], true
@@ -424,79 +412,117 @@ func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
 	return passKeyPrefix + c.Pair.Key, false
 }
 
-// groupReduce builds the reduce function of a shuffle job for the decision
-// at pos. The group key is the index key; one real lookup serves the whole
-// group (the Θ deduplication of §3.3). Behaviour then depends on the
-// boundary:
+// forwardGroup is the Reduce of every shuffle job: it hands each (key,
+// value) of a key group, in order, to the job's one reduce-side stage.
+// The group-by itself is groupStage, which the engine instantiates once
+// per task like any stage — so what a group needs (the client's view, the
+// continuation) is set up per task, not per key.
+func forwardGroup(_ *mapreduce.TaskContext, key string, values []string, emit Emit) {
+	for _, v := range values {
+		emit(Pair{Key: key, Value: v})
+	}
+}
+
+// groupStage builds the reduce side of a shuffle job for the decision at
+// pos. Its input is sorted by key; a run of equal keys is one group, and
+// one real lookup serves the whole group (the Θ deduplication of §3.3).
+// Behaviour then depends on the boundary:
 //
 //   - BoundaryPre: no lookup here; grouped carriers are re-emitted so the
 //     next job's map can do memoized lookups (possibly with index
-//     locality placement).
+//     locality placement). Nothing is attached, so the value is decoded
+//     only to check it and emitted as the string it came in as — which is
+//     what encoding it again would produce, a carrier having one encoding.
 //   - BoundaryIdx: lookup once, attach the result to every carrier, emit
 //     carriers.
 //   - BoundaryLate: lookup once, attach, and run the continuation (the
 //     rest of the pipeline up to the next job boundary) inside this
 //     reduce, materializing its final output. The continuation is the
-//     operator's own resume step — which takes the carrier as it is,
+//     operator's own finish step — which takes the carrier as it is,
 //     without a trip through the wire format — followed by the stages in
-//     continuation.
+//     continuation, closed (flushed) at the end of every group: a batch
+//     never spans two groups.
 //
-// When emitNextKey ≥ 0 the operator has another shuffle index after this
+// When emitNextPos ≥ 0 the operator has another shuffle index after this
 // one: carriers are re-keyed by that index for the next shuffle job.
-func (x *opExec) groupReduce(pos int, boundary Boundary, emitNextPos int, continuation []mapreduce.StageFactory) mapreduce.ReduceFunc {
-	return func(ctx *mapreduce.TaskContext, key string, values []string, emit Emit) {
-		d := x.plan.Decisions[pos]
-		pass := isPassKey(key)
-
-		var cl *ixclient.Bound
-		var lookedUp []string
-		doLookup := boundary != BoundaryPre && !pass
-		if doLookup {
-			cl = x.clients[pos].Bind(ctx)
-			lookedUp = cl.Access(key)
-		}
-
-		// The BoundaryLate continuation runs as stages inside the reduce
-		// function. They are instantiated once per group; the stage
-		// factories' node-level state (caches) still dedups across groups.
-		var resume *resumeStage
-		var rest *mapreduce.Pipeline
-		if boundary == BoundaryLate {
-			resume = x.newResumeStage(pos+1, false)
-			rest = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, continuation, emit)
-			resume.Open(ctx)
-			rest.Open()
-			emit = rest.Process
-			defer func() {
-				resume.Close(ctx, emit)
-				rest.Close()
-			}()
-		}
-
-		for _, v := range values {
-			c, err := decodeCarrier(v)
-			if err != nil {
-				ctx.Inc(x.ctrCarrierErrors, 1)
-				continue
-			}
-			if doLookup && d.Index < len(c.Results) {
-				cl.CountKey(key)
-				cl.CountValues(lookedUp)
-				c.attach(d.Index, key, lookedUp)
-			}
-			switch {
-			case boundary == BoundaryLate:
-				resume.resume(c, emit)
-			case emitNextPos >= 0:
-				nd := x.plan.Decisions[emitNextPos]
-				nk, _ := shuffleKeyFor(c, nd.Index)
-				emit(Pair{Key: nk, Value: encodeCarrier(c)})
-			default:
-				emit(Pair{Key: key, Value: encodeCarrier(c)})
-			}
-		}
+func (x *opExec) groupStage(pos int, boundary Boundary, emitNextPos int, continuation []mapreduce.StageFactory) mapreduce.StageFactory {
+	return func(sim.NodeID) mapreduce.Stage {
+		return &groupStage{opTask: opTask{x: x}, pos: pos, boundary: boundary, emitNextPos: emitNextPos, continuation: continuation}
 	}
 }
+
+type groupStage struct {
+	opTask
+	pos, emitNextPos int
+	boundary         Boundary
+	continuation     []mapreduce.StageFactory
+
+	// The group being read: its key, and what the index holds for it when
+	// this boundary looks up (not BoundaryPre, not a pass key).
+	key      string
+	inGroup  bool
+	doLookup bool
+	lookedUp []string
+
+	// BoundaryLate: the continuation, its entry, and where its output goes
+	// for the record in flight.
+	rest   *mapreduce.Pipeline
+	restIn Emit
+	out    Emit
+}
+
+func (s *groupStage) Open(ctx *mapreduce.TaskContext) {
+	s.open(ctx)
+	s.inGroup = false
+	if s.boundary == BoundaryLate {
+		s.rest = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, s.continuation, func(p Pair) { s.out(p) })
+		s.rest.Open()
+		s.restIn = s.rest.Process
+	}
+}
+
+func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
+	if s.boundary == BoundaryPre && s.emitNextPos < 0 {
+		s.decode("group reduce", in.Value) // only to check it
+		emit(in)
+		return
+	}
+	if !s.inGroup || in.Key != s.key {
+		s.endGroup(emit)
+		s.key, s.inGroup = in.Key, true
+		if s.doLookup = s.boundary != BoundaryPre && !isPassKey(in.Key); s.doLookup {
+			s.lookedUp = s.client(s.pos).Access(in.Key)
+		}
+	}
+	c := s.decode("group reduce", in.Value)
+	if d := s.x.plan.Decisions[s.pos]; s.doLookup && d.Index < len(c.Results) {
+		cl := s.client(s.pos)
+		cl.CountKey(in.Key)
+		cl.CountValues(s.lookedUp)
+		c.attach(d.Index, in.Key, s.lookedUp)
+	}
+	switch {
+	case s.boundary == BoundaryLate:
+		s.out = emit
+		s.finish(c, s.pos+1, s.restIn)
+	case s.emitNextPos >= 0:
+		nk, _ := shuffleKeyFor(c, s.x.plan.Decisions[s.emitNextPos].Index)
+		emit(Pair{Key: nk, Value: encodeCarrier(c)})
+	default:
+		emit(Pair{Key: in.Key, Value: encodeCarrier(c)})
+	}
+}
+
+// endGroup flushes the continuation's batched stages behind a finished
+// group.
+func (s *groupStage) endGroup(emit Emit) {
+	if s.rest != nil && s.inGroup {
+		s.out = emit
+		s.rest.Close()
+	}
+}
+
+func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.endGroup(emit) }
 
 // buildStage is the piggyback index builder: a pass-through stage on the
 // main job's map scan that, for offered splits, extracts index entries

@@ -22,9 +22,10 @@ func ValidateOperator(op *Operator, samples []Pair) error {
 		return err
 	}
 	for i, s := range samples {
-		a := op.runPre(s)
-		b := op.runPre(s)
-		if err := samePre(a, b); err != nil {
+		var a, b carrier
+		op.runPre(s, &a)
+		op.runPre(s, &b)
+		if err := samePre(&a, &b); err != nil {
 			return fmt.Errorf("efind: operator %q preProcess is not deterministic on sample %d: %w", op.Name(), i, err)
 		}
 		if len(a.Keys) > op.NumIndices() {
@@ -60,8 +61,8 @@ func ValidateOperator(op *Operator, samples []Pair) error {
 	return nil
 }
 
-// samePre compares two PreResults structurally.
-func samePre(a, b PreResult) error {
+// samePre compares the outcomes of two preProcess runs structurally.
+func samePre(a, b *carrier) error {
 	if a.Pair != b.Pair {
 		return fmt.Errorf("pair %v vs %v", a.Pair, b.Pair)
 	}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -10,45 +12,49 @@ import (
 // (possibly pre-processed) pair, the pending per-index key lists, and the
 // lookup results attached so far. Carriers are serialized into the shuffle
 // value with a length-prefixed encoding that is safe for arbitrary bytes.
+//
+// A carrier is scratch its task owns (opTask.c; one per buffered record in
+// batchedInlineStage): reset or decode refills it for the next record, and
+// everything that reads it — the lookups, postProcess, the stages
+// downstream of emit, encodeCarrier — runs before that. What it points at
+// (Keys, Results, their inner slices) is therefore valid until the stage's
+// Process call returns; the strings themselves are never reused.
 type carrier struct {
 	Pair    Pair
 	Keys    [][]string
-	Results [][]KeyResult
+	Results [][]KeyResult // also the slab of result-list headers
 
-	// Backing for the common shape — an operator with up to two indices
-	// and one lookup result — so that such a carrier, its Results list and
-	// the result are one allocation. Handed out by newCarrier and
-	// keyResults; larger shapes fall back to slices of their own.
-	resLists [2][]KeyResult
-	kr       [1]KeyResult
-	krUsed   int
+	// Slabs the lists are cut from, kept from record to record so that
+	// steady state allocates nothing. A slab that grows while a record is
+	// being filled leaves the windows cut earlier on the old array, which
+	// still holds what they were given.
+	lists [][]string  // key-list headers: decoded, padded and default Keys
+	strs  []string    // decoded keys and values
+	krs   []KeyResult // decoded and looked-up results
+
+	// First backing of Results and krs: the common shape — up to two
+	// indices, one result — costs a task no slab at all.
+	resArr [2][]KeyResult
+	krArr  [1]KeyResult
 }
 
-// newCarrier returns a carrier with one empty result list per index.
-func newCarrier(indices int) *carrier {
-	c := &carrier{}
-	c.setResultLists(indices)
-	return c
-}
-
-// setResultLists gives the carrier n empty result lists.
-func (c *carrier) setResultLists(n int) {
-	if n <= len(c.resLists) {
-		c.Results = c.resLists[:n:n]
-	} else {
-		c.Results = make([][]KeyResult, n)
+// reset empties the carrier and gives it n empty result lists.
+func (c *carrier) reset(n int) {
+	if c.krs == nil {
+		c.Results, c.krs = c.resArr[:0], c.krArr[:0]
 	}
+	c.Pair, c.Keys = Pair{}, nil
+	c.lists, c.strs, c.krs = c.lists[:0], c.strs[:0], c.krs[:0]
+	c.Results = slices.Grow(c.Results[:0], n)[:n]
+	clear(c.Results) // no index inherits the previous record's results
 }
 
-// keyResults returns an empty result list with room for n results, from
-// the carrier's own backing while it lasts.
+// keyResults returns an empty result list with room for n results, cut
+// from the krs slab.
 func (c *carrier) keyResults(n int) []KeyResult {
-	if c.krUsed+n <= len(c.kr) {
-		s := c.kr[c.krUsed : c.krUsed : c.krUsed+n]
-		c.krUsed += n
-		return s
-	}
-	return make([]KeyResult, 0, n)
+	start := len(c.krs)
+	c.krs = slices.Grow(c.krs, n)[:start+n]
+	return c.krs[start : start : start+n]
 }
 
 // attach sets the result list of index ix to the one result (key, values).
@@ -165,113 +171,98 @@ func writeInt(b *strings.Builder, n int) { writeDecimal(b, n, ';') }
 // corrupt or hostile length prefix cannot drive huge decode loops.
 const maxListLen = 1 << 20
 
-// decodeCarrier parses a serialized carrier. It walks the input twice: the
-// first pass checks every length and count and totals the strings and
-// results, the second slices them out of one []string slab and one
-// []KeyResult slab, so decoding allocates a constant number of times
-// however many lists the carrier has. It never panics on corrupt input.
+// decodeCarrier parses a serialized carrier into a fresh one. The stages
+// decode into their task's carrier; this is for tests and the fuzz target.
 func decodeCarrier(s string) (*carrier, error) {
-	d := decoder{s: s}
-	d.carrier()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(d.s) {
-		return nil, fmt.Errorf("efind: corrupt carrier: %d trailing bytes", len(d.s)-d.pos)
-	}
 	c := &carrier{}
-	fill := decoder{s: s, c: c, strs: make([]string, 0, d.nstrs), krs: c.keyResults(d.nkrs)}
-	fill.carrier()
+	if err := c.decode(s); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
-// decoder reads the wire format. Without a destination carrier it only
-// checks and counts (nstrs list strings, nkrs results); with one it fills
-// it, cutting every list from the strs and krs slabs, which the caller
-// sized from a counting pass over the same input.
+// decode refills the carrier from its encoding in one pass, appending to
+// the slabs; the strings alias s. It never panics on corrupt input, and
+// nothing it allocates is sized from a count it read: every list grows by
+// one element per element actually present. Each carrier has exactly one
+// encoding (readLen), so a value that decodes is byte for byte what
+// encoding the result would produce.
+func (c *carrier) decode(s string) error {
+	c.reset(0)
+	d := decoder{s: s, c: c}
+	key, value := d.str(), d.str()
+	nk := d.count("key lists")
+	for i := 0; i < nk && d.err == nil; i++ {
+		c.lists = append(c.lists, d.strings("keys in a list"))
+	}
+	c.Pair, c.Keys = Pair{Key: key, Value: value}, c.lists
+	nr := d.count("result lists")
+	for i := 0; i < nr && d.err == nil; i++ {
+		n, start := d.count("results in a list"), len(c.krs)
+		for j := 0; j < n && d.err == nil; j++ {
+			c.krs = append(c.krs, KeyResult{Key: d.str(), Values: d.strings("values of a result")})
+		}
+		c.Results = append(c.Results, window(c.krs, start))
+	}
+	if d.err == nil && d.pos != len(d.s) {
+		d.err = fmt.Errorf("corrupt carrier: %d trailing bytes", len(d.s)-d.pos)
+	}
+	return d.err
+}
+
+// decoder reads the wire format's elements off s for the carrier c.
 type decoder struct {
 	s   string
 	pos int
 	err error
-
-	nstrs, nkrs int
-
-	c    *carrier
-	strs []string
-	krs  []KeyResult
+	c   *carrier
 }
 
-// carrier reads one whole carrier.
-func (d *decoder) carrier() {
-	c := d.c
-	key, value := d.str(), d.str()
-	nk := d.count("key lists")
-	if c != nil {
-		c.Pair = Pair{Key: key, Value: value}
-		c.Keys = make([][]string, nk)
-	}
-	for i := 0; i < nk && d.err == nil; i++ {
-		ks := d.strings("keys in a list")
-		if c != nil {
-			c.Keys[i] = ks
-		}
-	}
-	nr := d.count("result lists")
-	if c != nil {
-		c.setResultLists(nr)
-	}
-	for i := 0; i < nr && d.err == nil; i++ {
-		n := d.count("results in a list")
-		d.nkrs += n
-		start := len(d.krs)
-		for j := 0; j < n && d.err == nil; j++ {
-			k := d.str()
-			vs := d.strings("values of a result")
-			if c != nil {
-				d.krs = append(d.krs, KeyResult{Key: k, Values: vs})
-			}
-		}
-		if c != nil && n > 0 {
-			c.Results[i] = d.krs[start:len(d.krs):len(d.krs)]
-		}
-	}
-}
-
-// strings reads a count and that many strings: when filling, as a window
-// of the strs slab (nil for an empty list); when counting, into nstrs.
-func (d *decoder) strings(what string) []string {
-	n := d.count(what)
-	d.nstrs += n
-	start := len(d.strs)
-	for j := 0; j < n && d.err == nil; j++ {
-		if s := d.str(); d.c != nil {
-			d.strs = append(d.strs, s)
-		}
-	}
-	if len(d.strs) == start {
+// window returns slab[start:] capped at its length, or nil when empty.
+func window[T any](slab []T, start int) []T {
+	if len(slab) == start {
 		return nil
 	}
-	return d.strs[start:len(d.strs):len(d.strs)]
+	return slab[start:len(slab):len(slab)]
 }
 
+// strings reads a count and that many strings, as a window of the
+// carrier's strs slab (nil for an empty list).
+func (d *decoder) strings(what string) []string {
+	n, c := d.count(what), d.c
+	start := len(c.strs)
+	for j := 0; j < n && d.err == nil; j++ {
+		c.strs = append(c.strs, d.str())
+	}
+	return window(c.strs, start)
+}
+
+// readLen reads a decimal and its terminator. Only the canonical form is
+// accepted — digits, no sign, no leading zero but "0" itself — so that a
+// carrier has one encoding, and a value that would overflow is an error
+// before it is used.
 func (d *decoder) readLen(term byte) int {
 	if d.err != nil {
 		return 0
 	}
-	start := d.pos
-	for d.pos < len(d.s) && d.s[d.pos] != term {
-		d.pos++
+	s, start := d.s, d.pos
+	pos, n := start, 0
+	for ; pos < len(s) && s[pos]-'0' <= 9; pos++ {
+		if n > (math.MaxInt-9)/10 {
+			d.err = fmt.Errorf("corrupt carrier: length at %d overflows", start)
+			return 0
+		}
+		n = n*10 + int(s[pos]-'0')
 	}
-	if d.pos >= len(d.s) {
-		d.err = fmt.Errorf("efind: corrupt carrier: missing %q at %d", term, start)
+	switch digits := pos - start; {
+	case pos >= len(s) || s[pos] != term:
+		d.err = fmt.Errorf("corrupt carrier: missing %q after length at %d", term, start)
+		return 0
+	case digits == 0 || digits > 1 && s[start] == '0':
+		d.err = fmt.Errorf("corrupt carrier: bad length at %d", start)
 		return 0
 	}
-	n, err := strconv.Atoi(d.s[start:d.pos])
-	if err != nil || n < 0 {
-		d.err = fmt.Errorf("efind: corrupt carrier: bad length at %d", start)
-		return 0
-	}
-	d.pos++ // skip terminator
+	d.pos = pos + 1 // past the terminator
 	return n
 }
 
@@ -283,7 +274,7 @@ func (d *decoder) str() string {
 	// Compared against the bytes left: pos+n would wrap for a length
 	// prefix near MaxInt and slip past the check.
 	if n > len(d.s)-d.pos {
-		d.err = fmt.Errorf("efind: corrupt carrier: string overruns input at %d", d.pos)
+		d.err = fmt.Errorf("corrupt carrier: string overruns input at %d", d.pos)
 		return ""
 	}
 	s := d.s[d.pos : d.pos+n]
@@ -295,7 +286,7 @@ func (d *decoder) str() string {
 func (d *decoder) count(what string) int {
 	n := d.readLen(';')
 	if d.err == nil && n > maxListLen {
-		d.err = fmt.Errorf("efind: corrupt carrier: %d %s", n, what)
+		d.err = fmt.Errorf("corrupt carrier: %d %s", n, what)
 		return 0
 	}
 	return n

@@ -3,9 +3,10 @@ package core
 import "testing"
 
 // FuzzCarrierRoundTrip exercises the carrier codec with arbitrary byte
-// strings: decoding must never panic, and anything that decodes must
-// re-encode into a canonical form that survives a second round trip
-// bit-identically.
+// strings: decoding must never panic, and a carrier has exactly one
+// encoding — anything that decodes re-encodes into the very bytes it came
+// from, which is what lets the BoundaryPre group reduce forward a value it
+// has only checked.
 func FuzzCarrierRoundTrip(f *testing.F) {
 	seed := []*carrier{
 		{},
@@ -31,21 +32,49 @@ func FuzzCarrierRoundTrip(f *testing.F) {
 	f.Add("9223372036854775807:x")
 	f.Add("1:a9223372036854775800:b")
 	f.Add("garbage without any structure")
+	f.Add("+1:k1:v0;0;")
+	f.Add("01:k1:v0;0;")
+	f.Add("1:k1:v00;0;")
+	f.Add("1234567890123456789:k1:v0;0;")
+	f.Add("12345678901234567890:k1:v0;0;")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		c, err := decodeCarrier(s)
 		if err != nil {
 			return // rejecting corrupt input is fine; panicking is not
 		}
-		enc := encodeCarrier(c)
-		c2, err := decodeCarrier(enc)
-		if err != nil {
-			t.Fatalf("re-decoding own encoding failed: %v\ninput: %q\nencoded: %q", err, s, enc)
-		}
-		if enc2 := encodeCarrier(c2); enc2 != enc {
-			t.Fatalf("encoding is not canonical after one round trip:\n first: %q\nsecond: %q", enc, enc2)
+		if enc := encodeCarrier(c); enc != s {
+			t.Fatalf("accepted a second encoding of a carrier:\n   input: %q\nencoding: %q", s, enc)
 		}
 	})
+}
+
+// TestDecodeCarrierRejectsNonCanonicalLengths pins the one-encoding rule:
+// a length or count is digits only, with no sign and no leading zero but
+// "0" itself, and one that would overflow is an error, not a wrapped value.
+func TestDecodeCarrierRejectsNonCanonicalLengths(t *testing.T) {
+	if _, err := decodeCarrier("1:k1:v0;0;"); err != nil {
+		t.Fatalf("canonical form rejected: %v", err)
+	}
+	for _, s := range []string{
+		"+1:k1:v0;0;",                      // sign on a length
+		"01:k1:v0;0;",                      // leading zero on a length
+		"00:1:v0;0;",                       // "00" for zero
+		"1:k1:v+0;0;",                      // sign on a count
+		"1:k1:v00;0;",                      // leading zero on a count
+		"1:k1:v0;01;0;",                    // leading zero on a later count
+		" 1:k1:v0;0;",                      // space
+		":1:v0;0;",                         // no digits
+		"1:k1:v;0;",                        // no digits in a count
+		"1234567890123456789:k1:v0;0;",     // 19 digits: fits an int, overruns the input
+		"12345678901234567890:k1:v0;0;",    // 20 digits: overflows an int
+		"1:k1:v12345678901234567890;0;",    // an overflowing count
+		"1:k1:v0;99999999999999999999999;", // far past any int
+	} {
+		if _, err := decodeCarrier(s); err == nil {
+			t.Errorf("decodeCarrier(%q) should fail", s)
+		}
+	}
 }
 
 // TestDecodeCarrierRejectsHugeInnerCounts pins the per-list element bound:

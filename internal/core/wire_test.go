@@ -132,7 +132,8 @@ func TestShuffleKeyPassThrough(t *testing.T) {
 
 func TestOperatorDefaults(t *testing.T) {
 	op := NewOperator("dflt", nil, nil)
-	pr := op.runPre(Pair{Key: "k", Value: "v"})
+	var pr carrier
+	op.runPre(Pair{Key: "k", Value: "v"}, &pr)
 	if pr.Pair.Key != "k" || pr.Pair.Value != "v" {
 		t.Fatalf("default pre should not modify pair: %+v", pr.Pair)
 	}
@@ -166,7 +167,8 @@ func TestOperatorPreNormalizesKeyLists(t *testing.T) {
 	}, nil)
 	op.AddIndex(fakeAccessor{name: "a"})
 	op.AddIndex(fakeAccessor{name: "b"})
-	pr := op.runPre(Pair{Key: "k"})
+	var pr carrier
+	op.runPre(Pair{Key: "k"}, &pr)
 	if len(pr.Keys) != 2 {
 		t.Fatalf("pre keys should be padded to index count, got %d", len(pr.Keys))
 	}
