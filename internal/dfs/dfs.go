@@ -154,9 +154,9 @@ func (f *File) All() []Record {
 // FS is the namespace: a set of named files plus the cluster whose nodes
 // hold replicas.
 type FS struct {
-	mu      sync.Mutex
+	mu      sync.Mutex // guards the name table and the backing configuration, never I/O
 	cluster *sim.Cluster
-	files   map[string]*File
+	files   map[string]*File // a nil file is a name reserved by a create in flight
 	// ChunkTarget is the split size in bytes (HDFS default 64 MB; tests and
 	// experiments usually shrink it so jobs have multiple waves).
 	ChunkTarget int
@@ -165,9 +165,10 @@ type FS struct {
 
 	// backing, when set, makes newly created files persist their record
 	// payloads into fstore snapshots under that directory (see SetBacking).
-	backing string
-	opts    fstore.Options
-	seq     int
+	backing    string
+	opts       fstore.Options
+	seq        int
+	persisting func(name string) // test seam: called, unlocked, before a file is persisted
 }
 
 // New creates an empty file system on the cluster with the paper's
@@ -223,7 +224,7 @@ func (fs *FS) Close() error {
 
 // release closes a file-backed file's mapping and unbinds its chunks.
 func (f *File) release() error {
-	if f.snap == nil {
+	if f == nil || f.snap == nil {
 		return nil
 	}
 	err := f.snap.Close()
@@ -234,10 +235,10 @@ func (f *File) release() error {
 	return err
 }
 
-// persist renders f's chunk payloads into one snapshot file and rebinds
-// every chunk to it, dropping the resident slices. Caller holds the lock
-// and has not yet registered f in the namespace.
-func (fs *FS) persist(f *File) error {
+// persist renders f's chunk payloads into one snapshot file at path — a
+// cache write: nothing reopens a payload after a crash — and rebinds every
+// chunk to it, dropping the resident slices. Called without the lock.
+func (f *File) persist(path string, opts fstore.Options) error {
 	b := fstore.NewBuilder()
 	for i, c := range f.Chunks {
 		recs := c.recs
@@ -248,12 +249,10 @@ func (fs *FS) persist(f *File) error {
 			}
 		})
 	}
-	fs.seq++
-	path := filepath.Join(fs.backing, fmt.Sprintf("%s-%06d.fmc1", fstore.FileName(f.Name), fs.seq))
 	if err := b.WriteFile(path); err != nil {
 		return err
 	}
-	snap, err := fstore.Open(path, fs.opts)
+	snap, err := fstore.Open(path, opts)
 	if err != nil {
 		os.Remove(path)
 		return fmt.Errorf("dfs: reopening just-written %q: %w", f.Name, err)
@@ -279,46 +278,63 @@ func chunkKey(i int) string { return fmt.Sprintf("c%08d", i) }
 // ChunkTarget bytes and placing Replication replicas per chunk. It returns
 // an error if the name already exists.
 func (fs *FS) Create(name string, records []Record) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("dfs: file %q already exists", name)
-	}
-	f := &File{Name: name}
-	cur := &Chunk{Shard: -1}
-	flush := func() {
-		if len(cur.recs) == 0 {
-			return
+	return fs.create(name, func(f *File) {
+		cur := &Chunk{Shard: -1}
+		flush := func() {
+			if len(cur.recs) == 0 {
+				return
+			}
+			cur.Replicas = fs.cluster.PlaceReplicas(fs.Replication)
+			f.Chunks = append(f.Chunks, cur)
+			cur = &Chunk{Shard: -1}
 		}
-		cur.Replicas = fs.cluster.PlaceReplicas(fs.Replication)
-		f.Chunks = append(f.Chunks, cur)
-		cur = &Chunk{Shard: -1}
-	}
-	for _, r := range records {
-		cur.recs = append(cur.recs, r)
-		cur.n++
-		cur.Bytes += r.Size()
-		if cur.Bytes >= fs.ChunkTarget {
-			flush()
+		for _, r := range records {
+			cur.recs = append(cur.recs, r)
+			cur.n++
+			cur.Bytes += r.Size()
+			if cur.Bytes >= fs.ChunkTarget {
+				flush()
+			}
 		}
-	}
-	flush()
-	return fs.register(f)
+		flush()
+	})
 }
 
-// register completes a newly chunked file. An empty file still gets one
-// (empty) chunk so jobs over it run a well-defined zero-record map task.
-// Caller holds the lock.
-func (fs *FS) register(f *File) (*File, error) {
+// create makes a file in three steps: reserve the name under the lock —
+// Open, Remove and List do not see it yet, TempName and other creates find
+// it taken —, chunk and persist outside it, publish (or release the name)
+// under it. An empty file still gets one (empty) chunk so jobs over it run
+// a well-defined zero-record map task.
+func (fs *FS) create(name string, chunk func(f *File)) (*File, error) {
+	fs.mu.Lock()
+	if _, ok := fs.files[name]; ok {
+		fs.mu.Unlock()
+		return nil, fmt.Errorf("dfs: file %q already exists", name)
+	}
+	fs.files[name] = nil
+	fs.seq++
+	backing, opts, seq := fs.backing, fs.opts, fs.seq
+	fs.mu.Unlock()
+
+	f := &File{Name: name}
+	chunk(f)
 	if len(f.Chunks) == 0 {
 		f.Chunks = []*Chunk{{Shard: -1, Replicas: fs.cluster.PlaceReplicas(fs.Replication)}}
 	}
-	if fs.backing != "" {
-		if err := fs.persist(f); err != nil {
-			return nil, err
+	var err error
+	if backing != "" {
+		if fs.persisting != nil {
+			fs.persisting(name)
 		}
+		err = f.persist(filepath.Join(backing, fmt.Sprintf("%s-%06d.fmc1", fstore.FileName(name), seq)), opts)
 	}
-	fs.files[f.Name] = f
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if err != nil {
+		delete(fs.files, name)
+		return nil, err
+	}
+	fs.files[name] = f
 	return f, nil
 }
 
@@ -333,37 +349,32 @@ func (fs *FS) register(f *File) (*File, error) {
 // records of an immutable file.) The windows are capacity-capped, so
 // nothing appended to one chunk's records can reach the next chunk's.
 func (fs *FS) CreateSharded(name string, shards [][]Record, homes []sim.NodeID) (*File, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("dfs: file %q already exists", name)
-	}
 	if len(homes) != len(shards) {
 		return nil, fmt.Errorf("dfs: %d shards but %d home nodes", len(shards), len(homes))
 	}
-	f := &File{Name: name}
-	for i, recs := range shards {
-		if len(recs) == 0 {
-			continue
-		}
-		// First replica on the writer's node (HDFS write pipeline), the
-		// rest placed by the cluster. Oversized shards split into several
-		// chunks so following jobs keep full map-side parallelism, as
-		// HDFS splits any file larger than a block.
-		replicas := append([]sim.NodeID{homes[i]}, otherNodes(fs.cluster, homes[i], fs.Replication-1)...)
-		lo, bytes := 0, 0
-		for hi, r := range recs {
-			bytes += r.Size()
-			if bytes >= fs.ChunkTarget || hi == len(recs)-1 {
-				f.Chunks = append(f.Chunks, &Chunk{
-					Shard: i, Replicas: replicas,
-					recs: recs[lo : hi+1 : hi+1], n: hi + 1 - lo, Bytes: bytes,
-				})
-				lo, bytes = hi+1, 0
+	return fs.create(name, func(f *File) {
+		for i, recs := range shards {
+			if len(recs) == 0 {
+				continue
+			}
+			// First replica on the writer's node (HDFS write pipeline), the
+			// rest placed by the cluster. Oversized shards split into several
+			// chunks so following jobs keep full map-side parallelism, as
+			// HDFS splits any file larger than a block.
+			replicas := append([]sim.NodeID{homes[i]}, otherNodes(fs.cluster, homes[i], fs.Replication-1)...)
+			lo, bytes := 0, 0
+			for hi, r := range recs {
+				bytes += r.Size()
+				if bytes >= fs.ChunkTarget || hi == len(recs)-1 {
+					f.Chunks = append(f.Chunks, &Chunk{
+						Shard: i, Replicas: replicas,
+						recs: recs[lo : hi+1 : hi+1], n: hi + 1 - lo, Bytes: bytes,
+					})
+					lo, bytes = hi+1, 0
+				}
 			}
 		}
-	}
-	return fs.register(f)
+	})
 }
 
 func otherNodes(c *sim.Cluster, home sim.NodeID, n int) []sim.NodeID {
@@ -379,8 +390,8 @@ func otherNodes(c *sim.Cluster, home sim.NodeID, n int) []sim.NodeID {
 func (fs *FS) Open(name string) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
+	f := fs.files[name]
+	if f == nil {
 		return nil, fmt.Errorf("dfs: file %q does not exist", name)
 	}
 	return f, nil
@@ -393,8 +404,8 @@ func (fs *FS) Open(name string) (*File, error) {
 func (fs *FS) Remove(name string) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
+	f := fs.files[name]
+	if f == nil {
 		return fmt.Errorf("dfs: file %q does not exist", name)
 	}
 	delete(fs.files, name)
@@ -413,8 +424,10 @@ func (fs *FS) List() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	names := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		names = append(names, n)
+	for n, f := range fs.files {
+		if f != nil {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"efind/internal/fstore"
 	"efind/internal/sim"
@@ -191,5 +194,91 @@ func TestCorruptChunkSurfacesError(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("no chunk reported corruption")
+	}
+}
+
+// TestCreatesPersistOutsideTheLock: the namespace lock covers the name
+// table, not the I/O. Two creates of different file-backed names are
+// inside persist at the same time (the seam blocks each there until the
+// test has seen both); their names are reserved meanwhile — taken for
+// creates and TempName, absent for Open, Remove and List — and published
+// when persist returns. A failed persist frees the name and leaves no
+// file behind. Run under -race.
+func TestCreatesPersistOutsideTheLock(t *testing.T) {
+	fs := newBackedFS(t, fstore.Options{})
+	arrived, release := make(chan string), make(chan struct{})
+	fs.persisting = func(name string) {
+		arrived <- name
+		<-release
+	}
+	names := []string{"out-0000", "out-0001"}
+	done := make(chan error)
+	go func() {
+		_, err := fs.Create(names[0], makeRecords(50))
+		done <- err
+	}()
+	go func() {
+		_, err := fs.CreateSharded(names[1], [][]Record{makeRecords(50)}, []sim.NodeID{0})
+		done <- err
+	}()
+	for range names {
+		select {
+		case <-arrived:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the second create never reached persist: the first holds the lock across its I/O")
+		}
+	}
+	for _, name := range names {
+		if _, err := fs.Open(name); err == nil {
+			t.Errorf("Open(%s) sees a file that is not published yet", name)
+		}
+		if err := fs.Remove(name); err == nil {
+			t.Errorf("Remove(%s) removed a reservation", name)
+		}
+		if _, err := fs.Create(name, nil); err == nil || !strings.Contains(err.Error(), "already exists") {
+			t.Errorf("second Create(%s) = %v, want already exists", name, err)
+		}
+	}
+	if got := fs.List(); len(got) != 0 {
+		t.Errorf("List = %v while both creates are in flight", got)
+	}
+	if got := fs.TempName("out"); got != "out-0002" {
+		t.Errorf("TempName = %s, want out-0002: reserved names are taken", got)
+	}
+	close(release)
+	for range names {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.persisting = nil
+	if got := fs.List(); !reflect.DeepEqual(got, names) {
+		t.Fatalf("List = %v after both creates returned, want %v", got, names)
+	}
+	for _, name := range names {
+		if f, err := fs.Open(name); err != nil || f.Records() != 50 || !f.FileBacked() {
+			t.Fatalf("Open(%s) = %v, %v", name, f, err)
+		}
+	}
+
+	// A persist that fails: the backing directory is gone.
+	dir := fs.backing
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create("lost", makeRecords(5)); err == nil {
+		t.Fatal("create into a missing directory succeeded")
+	}
+	if err := os.Rename(dir+".away", dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Open("lost"); err == nil || len(fs.List()) != 2 {
+		t.Fatalf("a failed create left its name behind: %v", fs.List())
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("a failed create left files behind: %d entries, want the two snapshots", len(ents))
+	}
+	if _, err := fs.Create("lost", makeRecords(5)); err != nil {
+		t.Fatalf("the name of a failed create is not free: %v", err)
 	}
 }

@@ -107,30 +107,50 @@ func TestViewOfCorruptChunkIsAnError(t *testing.T) {
 	}
 }
 
-// TestPersistAllocs budgets the file-backed create: the snapshot image
-// plus a constant — no staging copy of the records on the way to it.
-// (CreateSharded takes its shards over, so the records themselves are
-// not part of the bill.)
+// TestPersistAllocs budgets the file-backed create: a constant — the
+// window the snapshot streams through and the buffer it is read back
+// through — whatever the records weigh, with no image of the file and no
+// staging copy of the records on the way to it. (CreateSharded takes its
+// shards over, so the records themselves are not part of the bill.)
 func TestPersistAllocs(t *testing.T) {
-	value := strings.Repeat("v", 1<<10)
-	recs := make([]Record, 4096)
-	for i := range recs {
-		recs[i] = Record{Key: "k", Value: value}
+	// The least of three creates: what the runtime allocates on the side now
+	// and then (a thread for a blocking write, lazy set-up on a first call)
+	// is not on the bill.
+	persist := func(valueBytes int) (got uint64, size int64) {
+		value := strings.Repeat("v", valueBytes)
+		got = ^uint64(0)
+		for i := 0; i < 3; i++ {
+			recs := make([]Record, 4096)
+			for i := range recs {
+				recs[i] = Record{Key: "k", Value: value}
+			}
+			fs := newBackedFS(t, fstore.Options{})
+			fs.ChunkTarget = 256 * recs[0].Size() // the same 16 chunks at either size
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f, err := fs.CreateSharded("sized", [][]Record{recs}, []sim.NodeID{0})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := os.Stat(f.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, size = min(got, after.TotalAlloc-before.TotalAlloc), info.Size()
+		}
+		return got, size
 	}
-	fs := newBackedFS(t, fstore.Options{})
-	fs.ChunkTarget = 256 << 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f, err := fs.CreateSharded("big", [][]Record{recs}, []sim.NodeID{0})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	const window = 128 << 10 // fstore's
+	small, smallSize := persist(64)
+	big, bigSize := persist(16 * 64)
+	if bigSize < 12*smallSize || bigSize < 16*window {
+		t.Fatalf("snapshots of %d and %d bytes: want values 16x apart and many windows", smallSize, bigSize)
 	}
-	info, err := os.Stat(f.path)
-	if err != nil {
-		t.Fatal(err)
+	if diff := int64(big) - int64(small); diff < -1<<10 || diff > 1<<10 {
+		t.Errorf("persisting %d bytes allocated %d, persisting %d bytes allocated %d: want the same within 1 KB", smallSize, small, bigSize, big)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(info.Size())+256<<10; got > limit {
-		t.Fatalf("persisting a %d-byte snapshot allocated %d bytes, want <= %d", info.Size(), got, limit)
+	if limit := uint64(2*window + 16<<10); big > limit {
+		t.Errorf("persisting a %d-byte snapshot allocated %d bytes, want <= %d (two windows and a constant)", bigSize, big, limit)
 	}
 }

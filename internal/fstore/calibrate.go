@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"efind/internal/vfs"
 )
 
 // CalibrateConfig shapes the calibration workload: Entries keys of
@@ -80,7 +82,7 @@ func Calibrate(dir string, cfg CalibrateConfig) (Calibration, error) {
 	defer os.Remove(path)
 
 	writeStart := time.Now()
-	if err := b.WriteFile(path); err != nil {
+	if err := b.WriteFileFS(vfs.OS{}, path); err != nil { // the synced write: f prices a byte that is stored
 		return Calibration{}, err
 	}
 	writeDur := time.Since(writeStart)

@@ -1,7 +1,9 @@
 package fstore
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,4 +153,152 @@ func TestOpenMissingFileLeaksNoHandles(t *testing.T) {
 	if got := OpenHandles(); got != base {
 		t.Fatalf("OpenHandles = %d, want %d", got, base)
 	}
+}
+
+// TestStreamedWriteFaults is the fault matrix of a snapshot that streams
+// through several windows: every fault kind at every Write the stream
+// makes — a lying short write in the middle shifts everything after it —
+// surfaces as an error while the generation-1 snapshot at the path stays
+// byte-identical and loadable, leaves no temp file, and an immediate
+// retry on the same Builder commits.
+func TestStreamedWriteFaults(t *testing.T) {
+	value := strings.Repeat("0123456789abcdef", 256) // 4 KB
+	mkBuilder := func(rev int64) *Builder {
+		b := NewBuilder()
+		for i := 0; i < 150; i++ {
+			b.Add(fmt.Sprintf("key-%04d", i), rev, value)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.fmc1")
+	if err := mkBuilder(1).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	gen1, _ := os.ReadFile(path)
+
+	for _, kind := range []chaos.FaultKind{chaos.TornWrite, chaos.ShortWrite, chaos.NoSpace, chaos.RenameFail} {
+		writes := 0
+		for nth := 1; ; nth++ {
+			fault := chaos.FileFault{Kind: kind, Match: ".fstore-", Nth: nth}
+			if kind == chaos.RenameFail {
+				fault.Match = "snap.fmc1"
+			}
+			ffs := chaos.NewFaultFS(vfs.OS{}, fault)
+			b := mkBuilder(2)
+			err := b.WriteFileFS(ffs, path)
+			if len(ffs.Injected()) == 0 {
+				// The stream makes fewer than nth writes: this write
+				// committed generation 2. Restore generation 1 and stop.
+				if err != nil {
+					t.Fatalf("%v: fault-free write failed: %v", kind, err)
+				}
+				if err := os.WriteFile(path, gen1, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			writes = nth
+			if err == nil {
+				t.Fatalf("%v at write %d: no error", kind, nth)
+			}
+			if kind == chaos.ShortWrite && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("short write at write %d: error = %v, want ErrCorrupt from verification", nth, err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, gen1) {
+				t.Fatalf("%v at write %d damaged the snapshot at the path", kind, nth)
+			}
+			s, err := Open(path, Options{})
+			if err != nil {
+				t.Fatalf("%v at write %d: generation 1 unreadable: %v", kind, nth, err)
+			}
+			if i, ok := s.Find("key-0149"); !ok || s.Revision(i) != 1 {
+				t.Fatalf("%v at write %d: generation 1 lost its entries", kind, nth)
+			}
+			s.Close()
+			if left := tempLeft(t, dir); len(left) != 0 {
+				t.Fatalf("%v at write %d left temp files behind: %v", kind, nth, left)
+			}
+			// The fault was one-shot: the same builder now commits.
+			if err := b.WriteFileFS(ffs, path); err != nil {
+				t.Fatalf("%v at write %d: retry: %v", kind, nth, err)
+			}
+			s, err = Open(path, Options{})
+			if err != nil {
+				t.Fatalf("%v at write %d: retried snapshot: %v", kind, nth, err)
+			}
+			if i, ok := s.Find("key-0000"); !ok || s.Revision(i) != 2 {
+				t.Fatalf("%v at write %d: retry did not commit generation 2", kind, nth)
+			}
+			s.Close()
+			if err := os.WriteFile(path, gen1, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if want := 4; kind != chaos.RenameFail && writes < want {
+			t.Fatalf("%v: the snapshot streamed in %d writes, want >= %d windows", kind, writes, want)
+		}
+	}
+
+	// Damage between the write and its verification: the temp file changes
+	// as it is closed, after every Write was acknowledged in full.
+	damage := map[string]func(name string) error{
+		"flipped": func(name string) error {
+			data, err := os.ReadFile(name)
+			if err != nil {
+				return err
+			}
+			data[len(data)/2] ^= 0x01
+			return os.WriteFile(name, data, 0o644)
+		},
+		"appended": func(name string) error {
+			f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			_, err = f.Write([]byte{0})
+			return err
+		},
+		"truncated": func(name string) error { return os.Truncate(name, int64(len(gen1))-1) },
+	}
+	for name, hurt := range damage {
+		err := mkBuilder(2).WriteFileFS(damagingFS{vfs.OS{}, hurt}, path)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("temp file %s before verification: error = %v, want ErrCorrupt", name, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, gen1) {
+			t.Fatalf("temp file %s: the snapshot at the path changed", name)
+		}
+		if left := tempLeft(t, dir); len(left) != 0 {
+			t.Fatalf("temp file %s: temp files left behind: %v", name, left)
+		}
+	}
+}
+
+// damagingFS hands out temp files that are damaged as they are closed —
+// after the last write, before the writer verifies what it wrote.
+type damagingFS struct {
+	vfs.FS
+	hurt func(name string) error
+}
+
+func (d damagingFS) CreateTemp(dir, pattern string) (vfs.File, error) {
+	f, err := d.FS.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return damagedOnClose{f, d.hurt}, nil
+}
+
+type damagedOnClose struct {
+	vfs.File
+	hurt func(name string) error
+}
+
+func (f damagedOnClose) Close() error {
+	if err := f.File.Close(); err != nil {
+		return err
+	}
+	return f.hurt(f.Name())
 }

@@ -3,10 +3,14 @@ package fstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -14,11 +18,7 @@ import (
 // spellFMC1 is an independent spelling of the on-disk format, written
 // from the layout table in the package comment and sharing no code with
 // the builder: entries must arrive sorted by key.
-func spellFMC1(entries []struct {
-	key    string
-	rev    int64
-	values []string
-}) []byte {
+func spellFMC1(entries []wireEntry) []byte {
 	keySize := 1
 	for _, e := range entries {
 		if len(e.key) > keySize {
@@ -52,16 +52,18 @@ func spellFMC1(entries []struct {
 	return append(append(h, slots...), data...)
 }
 
+// wireEntry is one entry as spellFMC1 takes it.
+type wireEntry = struct {
+	key    string
+	rev    int64
+	values []string
+}
+
 // TestEncodeWireFormat pins the FMC1 bytes: however an entry's values
-// reach the builder — held in a slice, enumerated, or rendered in place
-// at a declared size — the image is the one the format table spells,
-// and the file on disk is that image.
+// reach the builder — held in a slice or enumerated — the file on disk
+// is the one the format table spells.
 func TestEncodeWireFormat(t *testing.T) {
-	type want = struct {
-		key    string
-		rev    int64
-		values []string
-	}
+	type want = wireEntry
 	long := strings.Repeat("L", 300) // two-byte uvarint length
 	cases := []struct {
 		name  string
@@ -75,10 +77,10 @@ func TestEncodeWireFormat(t *testing.T) {
 			b.Add("alpha", 2)
 			b.Add("mu", 3, "one", "two")
 		}, []want{{"alpha", 2, nil}, {"mu", 3, []string{"one", "two"}}, {"zeta", -1, []string{"", long, "x"}}}},
-		{"sized render and sequence", func(b *Builder) {
+		{"slice and sequence", func(b *Builder) {
 			b.Add("a", 1, "plain")
-			b.AddSized("b", 2, len(long), func(dst []byte) []byte { return append(dst, long...) })
-			b.AddSized("c", 3, 0, func(dst []byte) []byte { return dst })
+			b.Add("b", 2, long)
+			b.Add("c", 3, "")
 			b.AddSeq("d", 4, func(yield func(string)) {
 				for _, v := range []string{"k1", long, "k2", ""} {
 					yield(v)
@@ -94,116 +96,210 @@ func TestEncodeWireFormat(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := NewBuilder()
 			tc.build(b)
-			got, err := b.encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := spellFMC1(tc.want)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("encoded image differs from the format's spelling:\n got % x\nwant % x", got, want)
-			}
 			path := filepath.Join(t.TempDir(), "wire.fmc1")
 			if err := b.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
-			if onDisk, _ := os.ReadFile(path); !bytes.Equal(onDisk, want) {
-				t.Fatal("file on disk differs from the encoded image")
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := spellFMC1(tc.want); !bytes.Equal(got, want) {
+				t.Fatalf("file on disk differs from the format's spelling:\n got % x\nwant % x", got, want)
 			}
 		})
 	}
 }
 
-// TestRenderMustFillItsDeclaredWindow: a value rendered at another
-// length than declared, or anywhere but the window it was handed, and a
-// sequence that changes between the sizing and the filling pass, fail
-// the write — nothing reaches the path, no temp file stays behind.
-func TestRenderMustFillItsDeclaredWindow(t *testing.T) {
-	flip := false
-	cases := map[string]func(b *Builder){
-		"short": func(b *Builder) { b.AddSized("k", 1, 8, func(dst []byte) []byte { return append(dst, "1234567"...) }) },
-		"long": func(b *Builder) {
-			b.AddSized("k", 1, 8, func(dst []byte) []byte { return append(dst, "123456789"...) })
-		},
-		"long, last": func(b *Builder) {
-			b.Add("a", 1, "v")
-			b.AddSized("k", 1, 2, func(dst []byte) []byte { return append(dst, "123"...) })
-		},
-		"own buffer": func(b *Builder) { b.AddSized("k", 1, 8, func(dst []byte) []byte { return make([]byte, len(dst)+8) }) },
-		"shifted": func(b *Builder) {
-			b.AddSized("k", 1, 8, func(dst []byte) []byte { return append(dst, "12345678"...)[1:] })
-		},
-		"nil":      func(b *Builder) { b.AddSized("k", 1, 8, func(dst []byte) []byte { return nil }) },
-		"negative": func(b *Builder) { b.AddSized("k", 1, -1, func(dst []byte) []byte { return dst }) },
-		"unstable seq": func(b *Builder) {
-			b.AddSeq("k", 1, func(yield func(string)) {
-				if flip = !flip; flip {
-					yield("sized")
-				} else {
-					yield("filled!")
-				}
-			})
-		},
-	}
-	cases["unstable seq, same bytes"] = func(b *Builder) {
-		b.AddSeq("k", 1, func(yield func(string)) {
-			if flip = !flip; flip {
-				yield("abc")
-			} else {
-				yield("a")
-				yield("b")
+// TestStreamedFileMatchesReferenceBytes is the reference-bytes property:
+// whatever the entries — none, thousands, added unsorted, with empty
+// lists, empty values, values that straddle a window boundary and values
+// larger than the window — the streamed file is byte for byte the one
+// spellFMC1 assembles in memory, and Open + View hand the entries back.
+func TestStreamedFileMatchesReferenceBytes(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := []int{0, 1, 2000}[seed%3]
+		if seed >= 3 {
+			n = rng.Intn(2001)
+		}
+		var want []wireEntry
+		seen := map[string]bool{}
+		for len(want) < n {
+			k := make([]byte, 1+rng.Intn(64))
+			for i := range k {
+				k[i] = byte(1 + rng.Intn(255))
 			}
-		})
+			if seen[string(k)] {
+				continue
+			}
+			seen[string(k)] = true
+			e := wireEntry{key: string(k), rev: rng.Int63() - 1<<62}
+			for v := rng.Intn(4); v > 0; v-- {
+				size := rng.Intn(200)
+				switch rng.Intn(200) {
+				case 0:
+					size = window + rng.Intn(window) // passes through the window in pieces
+				case 1, 2, 3:
+					size = window/8 + rng.Intn(window/4) // a few of these and one straddles a boundary
+				case 4, 5, 6, 7:
+					size = 0
+				}
+				val := make([]byte, size)
+				rng.Read(val)
+				e.values = append(e.values, string(val))
+			}
+			want = append(want, e)
+		}
+		b := NewBuilder()
+		for i, e := range want { // unsorted: map order is not key order
+			if values := e.values; i%2 == 0 {
+				b.Add(e.key, e.rev, values...)
+			} else {
+				b.AddSeq(e.key, e.rev, func(yield func(string)) {
+					for _, v := range values {
+						yield(v)
+					}
+				})
+			}
+		}
+		rng.Shuffle(len(b.entries), func(i, j int) { b.entries[i], b.entries[j] = b.entries[j], b.entries[i] })
+		path := filepath.Join(t.TempDir(), "prop.fmc1")
+		if err := b.WriteFile(path); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].key < want[j].key })
+		if ref := spellFMC1(want); !bytes.Equal(got, ref) {
+			t.Fatalf("seed %d (%d entries): the %d streamed bytes differ from the %d reference bytes", seed, n, len(got), len(ref))
+		}
+		s, err := Open(path, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if s.Len() != len(want) {
+			t.Fatalf("seed %d: Len = %d, want %d", seed, s.Len(), len(want))
+		}
+		for i, e := range want {
+			vals, err := viewed(s, i)
+			if s.Key(i) != e.key || s.Revision(i) != e.rev || err != nil || !slices.Equal(vals, e.values) {
+				t.Fatalf("seed %d slot %d: key %q rev %d err %v, %d values; want %q rev %d, %d values", seed, i, s.Key(i), s.Revision(i), err, len(vals), e.key, e.rev, len(e.values))
+			}
+		}
+		s.Close()
 	}
-	for name, build := range cases {
+}
+
+// byPass is a sequence that yields passes[i] on its i-th run (the last
+// one from then on): a snapshot write runs it three times — measure,
+// write, compare.
+func byPass(passes ...[]string) func(yield func(string)) {
+	run := 0
+	return func(yield func(string)) {
+		vals := passes[min(run, len(passes)-1)]
+		run++
+		for _, v := range vals {
+			yield(v)
+		}
+	}
+}
+
+// TestRenderMustFillItsDeclaredWindow: a sequence must yield on every
+// pass what it yielded when it was measured. One that changes before the
+// write fails the per-entry check; one that changes before the compare
+// fails that check too or, at equal sizes, the byte-for-byte
+// verification — in every case nothing reaches the path and no temp file
+// stays behind.
+func TestRenderMustFillItsDeclaredWindow(t *testing.T) {
+	m := []string{"12345678"} // as measured
+	cases := map[string]struct {
+		key     string
+		passes  [][]string
+		corrupt bool // caught by verification, not by the per-entry check
+	}{
+		"short":                    {"k", [][]string{m, {"1234567"}}, false},
+		"long":                     {"k", [][]string{m, {"123456789"}}, false},
+		"long, last":               {"zz", [][]string{m, {"123456789"}}, false},
+		"nil":                      {"k", [][]string{m, nil}, false},
+		"unstable seq":             {"k", [][]string{{"sized"}, {"filled!"}}, false},
+		"unstable seq, same bytes": {"k", [][]string{{"abc"}, {"a", "b"}}, false},
+		"shifted":                  {"k", [][]string{m, m, {"23456781"}}, true},
+		"short on compare":         {"k", [][]string{m, m, {"1234567"}}, false},
+		"regrouped on compare":     {"k", [][]string{{"abc"}, {"abc"}, {"a", "b"}}, false},
+		"extra value on compare":   {"zz", [][]string{m, m, {"12345678", ""}}, false},
+	}
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "never.fmc1")
-			flip = false
 			b := NewBuilder()
 			b.Add("before", 0, "x")
-			build(b)
+			b.AddSeq(tc.key, 1, byPass(tc.passes...))
 			b.Add("z-after", 0, "y")
-			if err := b.WriteFile(path); err == nil {
+			err := b.WriteFile(path)
+			if err == nil {
 				t.Fatal("write succeeded")
 			}
+			if errors.Is(err, ErrCorrupt) != tc.corrupt {
+				t.Fatalf("error = %v, want from verification: %v", err, tc.corrupt)
+			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-				t.Fatalf("a failed render left %d files behind", len(ents))
+				t.Fatalf("a failed write left %d files behind", len(ents))
 			}
 		})
 	}
 }
 
-// allocated reports the heap bytes f allocates.
+// allocated reports the heap bytes f allocates: the least of three runs,
+// so what the runtime allocates on the side now and then (a thread for a
+// blocking write, lazy set-up on a first call) is not on f's bill.
 func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
-// TestWriteAllocs budgets the write pipeline: an N-byte snapshot costs
-// its one image plus a constant (entry table, verify buffer) — no second
-// image to assemble it from, none to read it back into.
+// TestWriteAllocs budgets the write pipeline: a snapshot costs a constant
+// — the window it streams through, the buffer it is read back through,
+// the plan — whatever its size. No image to assemble it in, none to read
+// it back into.
 func TestWriteAllocs(t *testing.T) {
-	value := strings.Repeat("v", 4<<10)
-	path := filepath.Join(t.TempDir(), "big.fmc1")
-	b := NewBuilder()
-	for i := 0; i < 1024; i++ {
-		b.Add(string(rune('a'+i/26/26))+string(rune('a'+i/26%26))+string(rune('a'+i%26)), 1, value)
+	write := func(valueBytes int) (got uint64, size int64) {
+		value := strings.Repeat("v", valueBytes)
+		path := filepath.Join(t.TempDir(), "sized.fmc1")
+		b := NewBuilder()
+		for i := 0; i < 1024; i++ {
+			b.Add(string(rune('a'+i/26/26))+string(rune('a'+i/26%26))+string(rune('a'+i%26)), 1, value)
+		}
+		var err error
+		got = allocated(func() { err = b.WriteFile(path) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, info.Size()
 	}
-	big := strings.Repeat("s", 1<<20)
-	b.AddSized("zz-sized", 1, len(big), func(dst []byte) []byte { return append(dst, big...) })
-	var err error
-	got := allocated(func() { err = b.WriteFile(path) })
-	if err != nil {
-		t.Fatal(err)
+	small, smallSize := write(256)
+	big, bigSize := write(16 * 256)
+	if bigSize < 14*smallSize || bigSize < 16*window {
+		t.Fatalf("snapshots of %d and %d bytes: want values 16x apart and many windows", smallSize, bigSize)
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	if diff := int64(big) - int64(small); diff < -1<<10 || diff > 1<<10 {
+		t.Errorf("writing %d bytes allocated %d, writing %d bytes allocated %d: want the same within 1 KB", smallSize, small, bigSize, big)
 	}
-	if limit := uint64(info.Size()) + 512<<10; got > limit {
-		t.Fatalf("writing a %d-byte snapshot allocated %d bytes, want <= %d", info.Size(), got, limit)
+	if limit := uint64(2*window + 16<<10); big > limit {
+		t.Errorf("writing a %d-byte snapshot allocated %d bytes, want <= %d (two windows and a constant)", bigSize, big, limit)
 	}
 }

@@ -35,6 +35,7 @@
 package fstore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -43,8 +44,9 @@ import (
 	"io"
 	"math/bits"
 	"os"
-	"sort"
+	"slices"
 	"strings"
+	"unsafe"
 
 	"efind/internal/vfs"
 )
@@ -84,23 +86,21 @@ func FileName(name string) string {
 
 // Builder accumulates entries and writes one snapshot file. Not safe for
 // concurrent use; build, write, discard. Nothing added is copied or
-// checked before the write: value slices, sequences and renders are read
-// when the file image is laid out and must stay unchanged until then, and
-// a bad entry — keys must be unique, NUL-free and of 1 to MaxKeySize
-// bytes — fails WriteFile, so loading loops need no per-call handling.
+// checked before the write: value slices and sequences are read during it
+// and must stay unchanged until it returns, and a bad entry — keys must
+// be unique, NUL-free and of 1 to MaxKeySize bytes — fails the write, so
+// loading loops need no per-call handling.
 type Builder struct{ entries []entry }
 
-// entry is one slot in the making. Its values come from exactly one of
-// values (Add), seq (AddSeq) or render (AddSized).
+// entry is one slot in the making. Its values come from values (Add) or
+// seq (AddSeq).
 type entry struct {
 	key    string
 	rev    int64
 	values []string
 	seq    func(yield func(string))
-	size   int
-	render func(dst []byte) []byte
 
-	count, dataLen int // value count and data-section bytes, measured by encode
+	count, dataLen int // value count and data-section bytes, measured by plan
 }
 
 // NewBuilder returns an empty builder. The slot key width is derived
@@ -113,73 +113,43 @@ func (b *Builder) Add(key string, revision int64, values ...string) {
 }
 
 // AddSeq appends one entry whose values are enumerated, not held in a
-// slice: seq calls yield once per value, in order. It runs twice — to
-// size the file image, then to fill it — and must yield the same values.
+// slice: seq calls yield once per value, in order. It runs three times —
+// to measure and checksum, to write, to compare the file with — and must
+// yield the same values each time.
 func (b *Builder) AddSeq(key string, revision int64, seq func(yield func(string))) {
 	b.entries = append(b.entries, entry{key: key, rev: revision, seq: seq})
 }
 
-// AddSized appends one entry holding a single value of exactly size
-// bytes that is not materialised yet: when the file image is laid out,
-// render appends the value to dst — a window onto the image — and
-// returns the extended slice. A render that yields another length, or
-// anything but that window, fails the write.
-func (b *Builder) AddSized(key string, revision int64, size int, render func(dst []byte) []byte) {
-	b.entries = append(b.entries, entry{key: key, rev: revision, size: size, render: render})
-}
+// WriteFile is the cache write: atomic (temp file in the same directory,
+// then rename, so readers never observe a partial snapshot) and verified,
+// but not fsynced — for snapshots nobody reads after a crash without
+// checksumming them and rebuilding from the source of truth.
+func (b *Builder) WriteFile(path string) error { return b.write(vfs.OS{}, path, false) }
 
-// WriteFile encodes the snapshot and writes it atomically (temp file in
-// the same directory, then rename), so readers never observe a partially
-// written snapshot.
-func (b *Builder) WriteFile(path string) error {
-	return b.WriteFileFS(vfs.OS{}, path)
-}
+// WriteFileFS is the durable write: WriteFile plus an fsync before the
+// rename, through an explicit filesystem — the seam the durability layer
+// threads fault injection through.
+func (b *Builder) WriteFileFS(fs vfs.FS, path string) error { return b.write(fs, path, true) }
 
-// WriteFileFS is WriteFile through an explicit filesystem — the seam the
-// durability layer threads fault injection through: size the image, fill
-// it in place, write, fsync, verify, rename. Verification compares the
-// temp file with the image, every byte and the length, before the rename
-// commits it: a write that lied about success (a short write acknowledged
-// in full) is caught while the last durable snapshot at path is intact.
-func (b *Builder) WriteFileFS(fs vfs.FS, path string) error {
-	img, err := b.encode()
+// write plans the snapshot, so its header is known before a byte is
+// written, then emits it twice through one window: into the temp file
+// and, once that is closed, against the temp file read back — every byte
+// and the length, before the rename commits it. A write that lied about
+// success (a short write acknowledged in full shifts all that follows) is
+// caught while the last snapshot at path is intact, and no file-sized
+// buffer ever exists.
+func (b *Builder) write(fs vfs.FS, path string, sync bool) error {
+	l, err := b.plan()
 	if err != nil {
 		return err
 	}
-	return vfs.WriteFileAtomic(fs, path, ".fstore-*", img, true, func(tmpName string) error {
-		return verifyFile(tmpName, img)
-	})
-}
-
-// verifyFile compares the file at name with img through one fixed
-// buffer, so checking an N-byte snapshot never holds a second N-byte
-// copy. Like Open it reads beside the vfs seam, which carries mutations.
-func verifyFile(name string, img []byte) error {
-	f, err := os.Open(name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	buf := make([]byte, 64<<10)
-	for off := 0; ; {
-		n, err := f.Read(buf)
-		if n > len(img)-off || !bytes.Equal(buf[:n], img[off:off+n]) || (err == io.EOF && off+n != len(img)) {
-			return corruptf("write verification failed: the file departs from the %d encoded bytes within %d bytes of offset %d (torn, short or lying write)", len(img), n, off)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		off += n
-	}
+	return vfs.WriteFileAtomic(fs, path, ".fstore-*", sync, l.emit, l.verify)
 }
 
 // valueLen is the data-section size of an n-byte value: uvarint length, bytes.
 func valueLen(n int) int { return (bits.Len64(uint64(n)|1)+6)/7 + n }
 
-// each yields the values of an entry added by Add or AddSeq.
+// each yields the values of an entry.
 func (e *entry) each(yield func(string)) {
 	if e.seq != nil {
 		e.seq(yield)
@@ -190,16 +160,35 @@ func (e *entry) each(yield func(string)) {
 	}
 }
 
-// encode renders the snapshot bytes — sorted slots, packed data section,
-// checksummed header — into one allocation of exactly the file's size: a
-// first pass checks and measures the entries, a second fills the image.
-func (b *Builder) encode() ([]byte, error) {
-	entries := b.entries
-	keySize, dataSize, sorted := 1, 0, true // empty snapshots still declare a valid key width
+// window is the size of the one buffer a snapshot streams through.
+const window = 128 << 10
+
+// layout is a planned snapshot: the entries in slot order, each measured,
+// the finished header, and the window every pass goes through.
+type layout struct {
+	entries []entry
+	keySize int
+	header  [headerSize]byte
+	bw      *bufio.Writer
+}
+
+// plan sorts the entries if needed — the data section and its checksum
+// follow slot order —, checks and measures each, folding the data checksum
+// into that same walk, and derives the slot checksum by emitting the slot
+// section into a hash.
+func (b *Builder) plan() (*layout, error) {
+	entries := b.entries // sorted in place; entries that arrive in key order cost one pass
+	slices.SortFunc(entries, func(x, y entry) int { return strings.Compare(x.key, y.key) })
+	// Empty snapshots still declare a valid key width.
+	l := &layout{entries: entries, keySize: 1, bw: bufio.NewWriterSize(nil, window)}
 	var e *entry
+	dataSize, dataCRC := 0, uint32(0)
+	var prefix [binary.MaxVarintLen64]byte
 	measure := func(v string) {
 		e.count++
 		e.dataLen += valueLen(len(v))
+		dataCRC = crc32.Update(dataCRC, crc32.IEEETable, binary.AppendUvarint(prefix[:0], uint64(len(v))))
+		dataCRC = crc32.Update(dataCRC, crc32.IEEETable, unsafe.Slice(unsafe.StringData(v), len(v))) // read in place
 	}
 	for i := range entries {
 		e = &entries[i]
@@ -208,72 +197,115 @@ func (b *Builder) encode() ([]byte, error) {
 			return nil, fmt.Errorf("fstore: key length %d outside [1,%d]", len(e.key), MaxKeySize)
 		case strings.IndexByte(e.key, 0) >= 0:
 			return nil, fmt.Errorf("fstore: key %q contains NUL (keys are NUL-padded on disk)", e.key)
-		case e.size < 0:
-			return nil, fmt.Errorf("fstore: key %q declares a negative value size %d", e.key, e.size)
+		case i > 0 && entries[i-1].key == e.key:
+			return nil, fmt.Errorf("fstore: duplicate key %q", e.key)
 		}
-		keySize = max(keySize, len(e.key))
-		sorted = sorted && (i == 0 || entries[i-1].key < e.key)
-		if e.render != nil {
-			e.count, e.dataLen = 1, valueLen(e.size)
-		} else {
-			e.count, e.dataLen = 0, 0
-			e.each(measure)
-		}
+		l.keySize = max(l.keySize, len(e.key))
+		e.count, e.dataLen = 0, 0
+		e.each(measure)
 		if dataSize += e.dataLen; dataSize > maxSnapshotBytes {
 			break // refused below; stops the sum short of overflow
 		}
 	}
-	slotSize := keySize + slotExtra
-	dataStart := headerSize + len(entries)*slotSize
-	total := dataStart + dataSize
-	if total > maxSnapshotBytes {
+	if headerSize+len(entries)*(l.keySize+slotExtra)+dataSize > maxSnapshotBytes {
 		return nil, fmt.Errorf("fstore: snapshot would be above %d bytes, the 4 GiB format limit — shard into more snapshots", maxSnapshotBytes)
 	}
-	if !sorted {
-		sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-		for i := 1; i < len(entries); i++ {
-			if entries[i].key == entries[i-1].key {
-				return nil, fmt.Errorf("fstore: duplicate key %q", entries[i].key)
-			}
-		}
+	slotCRC := crc32.NewIEEE()
+	l.bw.Reset(slotCRC)
+	l.emitSlots()
+	if err := l.bw.Flush(); err != nil {
+		return nil, err
 	}
+	h := append(l.header[:0], Magic...)
+	for _, field := range []uint32{Version, uint32(l.keySize), uint32(len(entries)), uint32(dataSize), slotCRC.Sum32(), dataCRC} {
+		h = binary.LittleEndian.AppendUint32(h, field)
+	}
+	binary.LittleEndian.PutUint32(l.header[44:], crc32.ChecksumIEEE(l.header[:44]))
+	return l, nil
+}
 
-	img := make([]byte, total)
-	var w []byte // the entry being filled: a window capped at its measured end
-	n, end := 0, dataStart
+var zeros [MaxKeySize]byte // pads slot keys to the key width
+
+// emitSlots sends the slot section; errors stick to bw until its Flush.
+func (l *layout) emitSlots() {
+	off := 0
+	for i := range l.entries {
+		e := &l.entries[i]
+		s := append(append(l.bw.AvailableBuffer(), e.key...), zeros[:l.keySize-len(e.key)]...)
+		s = binary.LittleEndian.AppendUint64(s, uint64(e.rev))
+		s = binary.LittleEndian.AppendUint32(s, uint32(off))
+		s = binary.LittleEndian.AppendUint32(s, uint32(e.dataLen))
+		l.bw.Write(binary.LittleEndian.AppendUint32(s, uint32(e.count)))
+		off += e.dataLen
+	}
+}
+
+// emit sends the whole file — header, slots, data — to sink through the
+// window (a value larger than the window passes in pieces) and checks per
+// entry that exactly the measured values came out.
+func (l *layout) emit(sink io.Writer) error {
+	l.bw.Reset(sink)
+	l.bw.Write(l.header[:])
+	l.emitSlots()
+	var n, size int
+	var err error
 	put := func(v string) {
-		w = append(binary.AppendUvarint(w, uint64(len(v))), v...)
 		n++
+		size += valueLen(len(v))
+		l.bw.Write(binary.AppendUvarint(l.bw.AvailableBuffer(), uint64(len(v))))
+		_, err = l.bw.WriteString(v)
 	}
-	for i := range entries {
-		e = &entries[i]
-		off := end
-		end += e.dataLen
-		w, n = img[:off:end], 0
-		if e.render != nil {
-			w, n = e.render(binary.AppendUvarint(w, uint64(e.size))), 1
-		} else {
-			e.each(put)
+	for i := range l.entries {
+		e := &l.entries[i]
+		n, size = 0, 0
+		e.each(put)
+		if err != nil {
+			return err
 		}
-		// What outgrew the window was reallocated and left the image.
-		if n != e.count || len(w) != end || &w[0] != &img[0] {
-			return nil, fmt.Errorf("fstore: key %q did not fill the %d-byte window measured for its %d values", e.key, e.dataLen, e.count)
+		if n != e.count || size != e.dataLen {
+			return fmt.Errorf("fstore: key %q yielded %d values in %d bytes, measured %d in %d", e.key, n, size, e.count, e.dataLen)
 		}
-		s := img[headerSize+i*slotSize:]
-		copy(s[:keySize], e.key) // remainder stays NUL
-		binary.LittleEndian.PutUint64(s[keySize:], uint64(e.rev))
-		binary.LittleEndian.PutUint32(s[keySize+8:], uint32(off-dataStart))
-		binary.LittleEndian.PutUint32(s[keySize+12:], uint32(e.dataLen))
-		binary.LittleEndian.PutUint32(s[keySize+16:], uint32(e.count))
 	}
+	return l.bw.Flush()
+}
 
-	copy(img[0:4], Magic)
-	binary.LittleEndian.PutUint32(img[4:], Version)
-	binary.LittleEndian.PutUint32(img[8:], uint32(keySize))
-	binary.LittleEndian.PutUint32(img[12:], uint32(len(entries)))
-	binary.LittleEndian.PutUint32(img[16:], uint32(dataSize))
-	binary.LittleEndian.PutUint32(img[20:], crc32.ChecksumIEEE(img[headerSize:dataStart]))
-	binary.LittleEndian.PutUint32(img[24:], crc32.ChecksumIEEE(img[dataStart:]))
-	binary.LittleEndian.PutUint32(img[44:], crc32.ChecksumIEEE(img[0:44]))
-	return img, nil
+// verify emits the file once more, into a comparison with the temp file.
+// Like Open it reads beside the vfs seam, which carries mutations.
+func (l *layout) verify(name string) error {
+	f, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	c := &comparer{f: f, buf: make([]byte, window)}
+	if err := l.emit(c); err != nil {
+		return err
+	}
+	if n, _ := f.Read(c.buf[:1]); n != 0 {
+		return corruptf("write verification failed: the file continues past the planned bytes")
+	}
+	return nil
+}
+
+// comparer is the sink of the verification pass: what is written to it
+// must be what the file, read through one fixed buffer, holds next.
+type comparer struct {
+	f   *os.File
+	buf []byte
+}
+
+func (c *comparer) Write(p []byte) (int, error) {
+	for rest := p; len(rest) > 0; {
+		b := c.buf[:min(len(rest), len(c.buf))]
+		n, err := io.ReadFull(c.f, b)
+		if !bytes.Equal(b[:n], rest[:n]) || err == io.EOF || err == io.ErrUnexpectedEOF {
+			end, _ := c.f.Seek(0, io.SeekCurrent)
+			return 0, corruptf("write verification failed: the file departs from the planned bytes within the %d bytes before offset %d (torn, short or lying write)", len(b), end)
+		}
+		if err != nil {
+			return 0, err
+		}
+		rest = rest[n:]
+	}
+	return len(p), nil
 }

@@ -13,15 +13,19 @@ import (
 // canonicalSnapshot returns the deterministic snapshot bytes the fuzz
 // target mutates: a handful of entries spanning empty values, multiple
 // values, and a value large enough that slot offsets are non-trivial.
-func canonicalSnapshot() []byte {
+func canonicalSnapshot(tb testing.TB) []byte {
 	b := NewBuilder()
 	b.Add("alpha", 1, "one", "two")
 	b.Add("beta", 2)
 	b.Add("gamma", 3, string(bytes.Repeat([]byte{'g'}, 300)))
 	b.Add("delta", 4, "", "x")
-	data, err := b.encode()
+	path := filepath.Join(tb.TempDir(), "canonical.fmc1")
+	if err := b.WriteFile(path); err != nil {
+		tb.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
-		panic(err)
+		tb.Fatal(err)
 	}
 	return data
 }
@@ -45,7 +49,7 @@ func canonicalSnapshot() []byte {
 //     ErrCorrupt, and the NoMmap handle (its own buffer) serves the
 //     original content untouched.
 func FuzzFStoreSnapshot(f *testing.F) {
-	good := canonicalSnapshot()
+	good := canonicalSnapshot(f)
 	f.Add([]byte{}, uint32(0), byte(0x01))
 	f.Add(good, uint32(0), byte(0x5a))
 	f.Add(good, uint32(4), byte(0xff))

@@ -244,62 +244,82 @@ func TestRecoverRefusesOtherJournalVersions(t *testing.T) {
 	}
 }
 
-// TestCheckpointAllocs budgets a checkpoint over a warm pool: P bytes of
-// cached values cost the snapshot image (P plus framing) and a constant
-// — the pool entries are rendered into the image, not staged beside it.
-func TestCheckpointAllocs(t *testing.T) {
-	e := newEnv(t, 1)
-	pool := ixclient.NewPool(0)
-	value := strings.Repeat("c", 1<<10)
+// warmPool returns a pool of nodes caches over one index, each holding
+// the same keys, every entry its own copy of a valueBytes-byte value — as
+// every node of a cluster caches its own copy of an index value.
+func warmPool(nodes, keys, valueBytes int) *ixclient.Pool {
+	pool := ixclient.NewPool(keys)
 	var entries []ixclient.PoolEntry
-	poolBytes := 0
-	for node := 0; node < 4; node++ {
+	for node := 0; node < nodes; node++ {
 		pe := ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(node), Hits: 10, Misses: 1000}
-		for k := 0; k < 1000; k++ {
+		for k := 0; k < keys; k++ {
 			pe.Keys = append(pe.Keys, fmt.Sprintf("ik%06d", k))
-			pe.Values = append(pe.Values, []string{value})
-			poolBytes += len(value)
+			pe.Values = append(pe.Values, []string{strings.Repeat(string(rune('a'+k%26)), valueBytes)})
 		}
 		entries = append(entries, pe)
 	}
 	pool.Restore(entries)
-	dir := t.TempDir()
-	svc, err := New(e.rt, []TenantConfig{{Name: "alpha"}}, Options{SharedCache: pool, Durable: &Durability{Dir: dir}})
-	if err != nil {
-		t.Fatal(err)
+	return pool
+}
+
+// TestCheckpointAllocs budgets a checkpoint over a warm pool. In bytes it
+// costs a constant whatever the cached values weigh: they stream from the
+// caches into the file through fstore's window, each distinct one once.
+// In allocations it costs per cache, not per cached entry: the value
+// table is one sequence over the cached strings, its bookkeeping one map
+// and one slice per index.
+func TestCheckpointAllocs(t *testing.T) {
+	e := newEnv(t, 1)
+	// The least of three checkpoints: what the runtime allocates on the side
+	// now and then (a thread for a blocking write, lazy set-up on a first
+	// call) is not on the bill.
+	checkpoint := func(pool *ixclient.Pool) (bytes, mallocs uint64, dir string) {
+		bytes, mallocs = ^uint64(0), ^uint64(0)
+		for i := 0; i < 3; i++ {
+			dir = t.TempDir()
+			svc, err := New(e.rt, []TenantConfig{{Name: "alpha"}}, Options{SharedCache: pool, Durable: &Durability{Dir: dir}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			svc.writeCheckpoint()
+			runtime.ReadMemStats(&after)
+			svc.jl.close()
+			if err := svc.DurableErr(); err != nil {
+				t.Fatal(err)
+			}
+			bytes, mallocs = min(bytes, after.TotalAlloc-before.TotalAlloc), min(mallocs, after.Mallocs-before.Mallocs)
+		}
+		return bytes, mallocs, dir
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	svc.writeCheckpoint()
-	runtime.ReadMemStats(&after)
-	svc.jl.close()
-	if err := svc.DurableErr(); err != nil {
-		t.Fatal(err)
+
+	const window = 128 << 10 // fstore's
+	small, _, _ := checkpoint(warmPool(4, 32, 4<<10))
+	big, _, dir := checkpoint(warmPool(4, 32, 64<<10))
+	if diff := int64(big) - int64(small); diff < -1<<10 || diff > 1<<10 {
+		t.Errorf("checkpoints over 4 KB and 64 KB values allocated %d and %d bytes, want the same within 1 KB", small, big)
 	}
-	got, limit := after.TotalAlloc-before.TotalAlloc, uint64(poolBytes)*11/10+512<<10
-	if got > limit {
-		t.Fatalf("checkpointing a %d-byte pool allocated %d bytes, want <= %d", poolBytes, got, limit)
+	// Per cached entry: Dump's key and value-list headers (40 B) and a share of the table.
+	if limit := uint64(2*window + 16<<10 + 4*32*64); big > limit {
+		t.Errorf("checkpointing 8 MB of cached values allocated %d bytes, want <= %d (two windows, a constant, 64 B per cached entry)", big, limit)
 	}
 	ck, err := loadCheckpoint(filepath.Join(dir, "ckpt-000001.fst"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ck.pool) != len(entries) || len(ck.pool[3].Keys) != 1000 || ck.pool[3].Values[999][0] != value {
+	if len(ck.pool) != 4 || len(ck.pool[3].Keys) != 32 || ck.pool[3].Values[31][0] != strings.Repeat("f", 64<<10) {
 		t.Fatalf("checkpoint does not read back the pool it was written from")
 	}
-}
+	if info, err := os.Stat(filepath.Join(dir, "ckpt-000001.fst")); err != nil || info.Size() > 33*64<<10 {
+		t.Fatalf("checkpoint of 32 distinct 64 KB values cached on 4 nodes is %d bytes (err %v): each value must be stored once", info.Size(), err)
+	}
 
-// TestPoolEntrySizeIsExact: the size a checkpoint declares for a pool
-// entry is the size its encoder produces.
-func TestPoolEntrySizeIsExact(t *testing.T) {
-	for _, pe := range []ixclient.PoolEntry{
-		{},
-		{Index: "ix", Node: 300, Hits: -1, Misses: 1 << 40},
-		{Index: strings.Repeat("i", 200), Keys: []string{"", "k", strings.Repeat("k", 130)},
-			Values: [][]string{nil, {""}, {strings.Repeat("v", 20000), "w"}}},
-	} {
-		if got, want := poolEntrySize(pe), len(appendPoolEntry(nil, pe)); got != want {
-			t.Errorf("poolEntrySize = %d, encoder wrote %d bytes for %+v", got, want, pe)
-		}
+	_, few, _ := checkpoint(warmPool(4, 250, 16))
+	_, many, _ := checkpoint(warmPool(4, 4000, 16))
+	// The slack is the doublings of the encode buffer, the table and the
+	// row map (112 and 160 allocations at the time of writing).
+	if many > few+128 {
+		t.Errorf("checkpoints over 1,000 and 16,000 cached entries made %d and %d allocations, want the same within 128: the bookkeeping is per cache, not per entry", few, many)
 	}
 }

@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"math"
-	"math/bits"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,8 +36,11 @@ type Durability struct {
 	// through (nil = the real one). Chaos tests thread a fault-injecting
 	// chaos.FaultFS here.
 	FS vfs.FS
-	// Sync fsyncs every journal append (slower; crash images in tests
-	// are byte-constructed, so they do not rely on it).
+	// Sync makes decisions durable when journalled: a done, reject or ckpt
+	// record and the close fsync the log, and with it every record before
+	// them. The records between (hello, trace, admit, grant, end) are not
+	// durable on their own: a crash loses at most that suffix, which a
+	// deterministic re-run re-derives. (Test crash images are byte-constructed.)
 	Sync bool
 	// CheckpointEvery is how many newly decided jobs accumulate before
 	// the next quiescent point writes a checkpoint (0 = 1: checkpoint at
@@ -373,11 +376,12 @@ type journal struct {
 	// Recovery state (empty on a fresh service).
 	decided map[int]JobStatus // checkpoint-decided statuses by sub index
 	seeds   map[int]int64     // journaled backoff seeds by sub index
-	expect  map[string][][]byte
+	expect  map[expectKey][][]byte
 	report  *RecoveryReport
 
 	newlyDecided int
 	ckptSeq      int
+	buf          []byte // encode buffer: the last record's payload, reused for the next
 }
 
 func openJournal(d *Durability) (*journal, error) {
@@ -392,7 +396,7 @@ func openJournal(d *Durability) (*journal, error) {
 		log:     log,
 		decided: make(map[int]JobStatus),
 		seeds:   make(map[int]int64),
-		expect:  make(map[string][][]byte),
+		expect:  make(map[expectKey][][]byte),
 	}, nil
 }
 
@@ -404,7 +408,7 @@ func (jl *journal) fail(err error) {
 
 // expectKey groups records for replay verification: one FIFO per (kind,
 // sub index); hello and trace use index -1.
-func expectKey(kind, subIdx int) string { return fmt.Sprintf("%d/%d", kind, subIdx) }
+type expectKey struct{ kind, subIdx int }
 
 // installExpectations loads replayed records as the verification
 // baseline for a recovered run: every decision the resumed service
@@ -419,10 +423,10 @@ func (jl *journal) installExpectations(recs []svcRec) {
 		case recAdmit:
 			jl.seeds[r.subIdx] = r.seed
 		case recHello, recTrace:
-			jl.expect[expectKey(r.kind, -1)] = append(jl.expect[expectKey(r.kind, -1)], r.payload)
+			jl.expect[expectKey{r.kind, -1}] = append(jl.expect[expectKey{r.kind, -1}], r.payload)
 			continue
 		}
-		k := expectKey(r.kind, r.subIdx)
+		k := expectKey{r.kind, r.subIdx}
 		jl.expect[k] = append(jl.expect[k], r.payload)
 	}
 }
@@ -432,7 +436,7 @@ func (jl *journal) installExpectations(recs []svcRec) {
 // via Service.DurableErr, but never fail the run: the scheduler's
 // decisions stand, they just stop being durable.
 func (jl *journal) append(kind, subIdx int, payload []byte) {
-	k := expectKey(kind, subIdx)
+	k := expectKey{kind, subIdx}
 	if q := jl.expect[k]; len(q) > 0 {
 		want := q[0]
 		jl.expect[k] = q[1:]
@@ -442,13 +446,20 @@ func (jl *journal) append(kind, subIdx int, payload []byte) {
 					recKindName(kind), subIdx, len(payload), len(want)))
 		}
 	}
-	if err := jl.log.Append(payload); err != nil {
+	jl.buf = payload
+	// A record recovery acts on — a decision, a checkpoint — commits the
+	// journal up to itself; the others ride to the next sync.
+	write := jl.log.AppendLazy
+	if kind == recDone || kind == recReject || kind == recCkpt {
+		write = jl.log.Append
+	}
+	if err := write(payload); err != nil {
 		jl.fail(err)
 	}
 }
 
 func (jl *journal) appendHello(tenantHash uint64) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recHello)
 	e.u64(journalVersion)
 	e.u64(tenantHash)
@@ -456,7 +467,7 @@ func (jl *journal) appendHello(tenantHash uint64) {
 }
 
 func (jl *journal) appendTrace(subsHash uint64, n int) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recTrace)
 	e.u64(subsHash)
 	e.u64(uint64(n))
@@ -464,7 +475,7 @@ func (jl *journal) appendTrace(subsHash uint64, n int) {
 }
 
 func (jl *journal) appendAdmit(subIdx, seq int, id string, at float64, seed int64) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recAdmit)
 	e.u64(uint64(subIdx))
 	e.u64(uint64(seq))
@@ -475,7 +486,7 @@ func (jl *journal) appendAdmit(subIdx, seq int, id string, at float64, seed int6
 }
 
 func (jl *journal) appendReject(subIdx int, reason string) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recReject)
 	e.u64(uint64(subIdx))
 	e.str(reason)
@@ -483,7 +494,7 @@ func (jl *journal) appendReject(subIdx int, reason string) {
 }
 
 func (jl *journal) appendGrant(subIdx, taskKind, want int, ready, start float64) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recGrant)
 	e.u64(uint64(subIdx))
 	e.u64(uint64(taskKind))
@@ -494,7 +505,7 @@ func (jl *journal) appendGrant(subIdx, taskKind, want int, ready, start float64)
 }
 
 func (jl *journal) appendEnd(subIdx, taskKind int, start, end float64) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recEnd)
 	e.u64(uint64(subIdx))
 	e.u64(uint64(taskKind))
@@ -504,7 +515,7 @@ func (jl *journal) appendEnd(subIdx, taskKind int, start, end float64) {
 }
 
 func (jl *journal) appendDone(subIdx int, regFP uint64, st *JobStatus) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recDone)
 	e.u64(uint64(subIdx))
 	e.u64(regFP)
@@ -513,7 +524,7 @@ func (jl *journal) appendDone(subIdx int, regFP uint64, st *JobStatus) {
 }
 
 func (jl *journal) appendCkpt(file string, decided int) {
-	var e walEnc
+	e := walEnc{b: jl.buf[:0]}
 	e.u64(recCkpt)
 	e.str(file)
 	e.u64(uint64(decided))
@@ -541,10 +552,11 @@ func (jl *journal) regFingerprint() uint64 {
 // Checkpoint snapshot schema (an fstore file in the journal directory).
 const (
 	ckptSentinel   = "jobsvc-ckpt"
-	ckptVersion    = 1
+	ckptVersion    = 2 // 1 stored every cache's values inline
 	ckptSubPrefix  = "sub:"
 	ckptTenPrefix  = "tn:"
 	ckptPoolPrefix = "pool:"
+	ckptPoolValues = "values"
 	ckptRegPrefix  = "reg:"
 	ckptLedMap     = "led:m"
 	ckptLedReduce  = "led:r"
@@ -570,58 +582,59 @@ func decodeLedger(d *walDec) (l ledgerCkpt) {
 	return l
 }
 
-// uvarintLen is the encoded size of v.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-// poolEntrySize is len(appendPoolEntry(nil, e)) without the encoding: a
-// checkpoint declares it to the snapshot builder, which has the entry
-// rendered straight into the file image — warmed caches at cluster scale
-// are nearly all of a checkpoint's bytes.
-func poolEntrySize(e ixclient.PoolEntry) int {
-	size := strLen(e.Index) + uvarintLen(uint64(e.Node)) + uvarintLen(uint64(e.Hits)) +
-		uvarintLen(uint64(e.Misses)) + uvarintLen(uint64(len(e.Keys)))
-	for i, k := range e.Keys {
-		size += strLen(k) + uvarintLen(uint64(len(e.Values[i])))
-		for _, v := range e.Values[i] {
-			size += strLen(v)
+// addPool adds the dumped caches to a checkpoint. Every node caches its
+// own copy of an index value, so the caches mostly hold the same entries:
+// each distinct one is stored once, in one value table — per row the key,
+// then its values: the cached strings themselves — and per cache only
+// where its entries' rows start and how many values they hold, in recency
+// order. Rows are distinct by content, not by key: an index promises
+// idempotent lookups within a job, not across jobs, so a list that differs
+// from the first one cached under its key gets its own row. buf is reused.
+func addPool(b *fstore.Builder, dump []ixclient.PoolEntry, buf []byte) []byte {
+	var table []string
+	first := make(map[[2]string]int) // {index, key} → where the first row under that key starts
+	for _, pe := range dump {
+		enc := walEnc{b: buf[:0]}
+		enc.str(pe.Index)
+		enc.u64(uint64(pe.Node))
+		enc.i64(pe.Hits)
+		enc.i64(pe.Misses)
+		enc.u64(uint64(len(pe.Keys)))
+		for i, k := range pe.Keys {
+			values := pe.Values[i]
+			at, seen := first[[2]string{pe.Index, k}]
+			if end := at + 1 + len(values); !seen || end > len(table) || !slices.Equal(table[at+1:end], values) {
+				if at = len(table); !seen {
+					first[[2]string{pe.Index, k}] = at
+				}
+				table = append(append(table, k), values...)
+			}
+			enc.u64(uint64(at))
+			enc.u64(uint64(len(values)))
 		}
+		buf = enc.b
+		b.Add(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), string(buf))
 	}
-	return size
+	b.Add(ckptPoolValues, int64(len(table)), table...)
+	return buf
 }
 
-func appendPoolEntry(dst []byte, e ixclient.PoolEntry) []byte {
-	enc := walEnc{b: dst}
-	enc.str(e.Index)
-	enc.u64(uint64(e.Node))
-	enc.i64(e.Hits)
-	enc.i64(e.Misses)
-	enc.u64(uint64(len(e.Keys)))
-	for i, k := range e.Keys {
-		enc.str(k)
-		enc.u64(uint64(len(e.Values[i])))
-		for _, v := range e.Values[i] {
-			enc.str(v)
-		}
-	}
-	return enc.b
-}
-
-func decodePoolEntry(d *walDec) (e ixclient.PoolEntry) {
+// decodePool reads one pooled cache, resolving its entries against the
+// value table; caches then share the table's strings.
+func decodePool(d *walDec, table []string) (e ixclient.PoolEntry) {
 	e.Index = d.str()
 	e.Node = sim.NodeID(d.u64())
 	e.Hits = d.i64()
 	e.Misses = d.i64()
 	n := d.count()
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		e.Keys = append(e.Keys, d.str())
-		vn := d.count()
-		vals := make([]string, 0, vn)
-		for j := uint64(0); j < vn && d.err == nil; j++ {
-			vals = append(vals, d.str())
+		at, vn := d.u64(), d.u64()
+		if d.err == nil && (at >= uint64(len(table)) || vn >= uint64(len(table))-at) {
+			d.err = fmt.Errorf("jobsvc: pool entry of %d values at %d lies outside the %d-string value table", vn, at, len(table))
+		} else if d.err == nil {
+			e.Keys = append(e.Keys, table[at])
+			e.Values = append(e.Values, table[at+1:at+1+vn:at+1+vn])
 		}
-		e.Values = append(e.Values, vals)
 	}
 	return e
 }
@@ -633,6 +646,9 @@ func decodePoolEntry(d *walDec) (e ixclient.PoolEntry) {
 // reaches after the same decided prefix.
 func (s *Service) writeCheckpoint() {
 	jl := s.jl
+	if jl.log.Err() != nil {
+		return // a dead journal cannot name a checkpoint, and Recover reads none it does not name
+	}
 	b := fstore.NewBuilder()
 	b.Add(ckptSentinel, ckptVersion)
 	decided := 0
@@ -651,10 +667,7 @@ func (s *Service) writeCheckpoint() {
 	b.Add(ckptLedMap, 0, string(encodeLedger(s.mapLedger)))
 	b.Add(ckptLedReduce, 0, string(encodeLedger(s.reduceLedger)))
 	if p := s.opts.SharedCache; p != nil {
-		for _, pe := range p.Dump() {
-			b.AddSized(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), poolEntrySize(pe),
-				func(dst []byte) []byte { return appendPoolEntry(dst, pe) })
-		}
+		jl.buf = addPool(b, p.Dump(), jl.buf)
 	}
 	if reg := jl.d.Registry; reg != nil {
 		reg.AppendTo(b, ckptRegPrefix)
@@ -704,7 +717,7 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 	if i, ok := snap.Find(ckptSentinel); !ok {
 		return nil, fmt.Errorf("jobsvc: %s is not a service checkpoint", path)
 	} else if rev := snap.Revision(i); rev != ckptVersion {
-		return nil, fmt.Errorf("jobsvc: checkpoint %s: unsupported version %d", path, rev)
+		return nil, fmt.Errorf("jobsvc: checkpoint %s is layout version %d, this build reads version %d only", path, rev, ckptVersion)
 	}
 	ck := &checkpoint{
 		path:    path,
@@ -712,15 +725,24 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 		tenants: make(map[string]tenantCkpt),
 		ledgers: make(map[string]ledgerCkpt),
 	}
+	var table []string // its revision is its length: a lost string is an error, not a shift
+	if i, ok := snap.Find(ckptPoolValues); ok {
+		if table, err = snap.Values(i); err == nil && int64(len(table)) != snap.Revision(i) {
+			err = fmt.Errorf("value table holds %d strings, want %d", len(table), snap.Revision(i))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("jobsvc: checkpoint %s: %w", path, err)
+		}
+	}
 	for i := 0; i < snap.Len(); i++ {
 		key, rev := snap.Key(i), snap.Revision(i)
-		if key == ckptSentinel || strings.HasPrefix(key, ckptRegPrefix) {
+		if key == ckptSentinel || key == ckptPoolValues || strings.HasPrefix(key, ckptRegPrefix) {
 			continue // the registry is handled below via adaptix.LoadFrom (it validates ranges)
 		}
 		values := 0
 		err := snap.View(i, func(v []byte) error {
 			values++
-			return ck.decode(key, rev, v)
+			return ck.decode(key, rev, v, table)
 		})
 		if err == nil && values != 1 {
 			err = fmt.Errorf("key %s has %d values, want 1", key, values)
@@ -738,7 +760,7 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 }
 
 // decode folds one single-valued checkpoint entry into ck.
-func (ck *checkpoint) decode(key string, rev int64, v []byte) error {
+func (ck *checkpoint) decode(key string, rev int64, v []byte, table []string) error {
 	d := &walDec{b: v}
 	switch {
 	case key == ckptLedMap || key == ckptLedReduce:
@@ -752,7 +774,7 @@ func (ck *checkpoint) decode(key string, rev int64, v []byte) error {
 	case strings.HasPrefix(key, ckptTenPrefix):
 		ck.tenants[key[len(ckptTenPrefix):]] = tenantCkpt{seq: int(rev), spent: d.f64()}
 	case strings.HasPrefix(key, ckptPoolPrefix):
-		ck.pool = append(ck.pool, decodePoolEntry(d))
+		ck.pool = append(ck.pool, decodePool(d, table))
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}

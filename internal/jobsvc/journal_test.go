@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"efind/internal/core"
-	"efind/internal/ixclient"
 )
 
 // TestDecodersRejectOversizedCountsAndTruncation feeds the checkpoint and
@@ -19,10 +18,8 @@ func TestDecodersRejectOversizedCountsAndTruncation(t *testing.T) {
 	}
 
 	ledger := encodeLedger(&slotLedger{perNode: 2, freeAt: []float64{0.5, 1.25, 3}})
-	pool := appendPoolEntry(nil, ixclient.PoolEntry{
-		Index: "ix", Node: 3, Hits: 4, Misses: 5,
-		Keys: []string{"a", "b"}, Values: [][]string{{"x", "y"}, {"z"}},
-	})
+	table := []string{"a", "x", "y", "b", "z"}
+	pool := []byte{2, 'i', 'x', 3, 4, 5, 2, 0, 2, 3, 1} // index, node, hits, misses, two entries: 2 values at 0, 1 at 3
 	var done walEnc
 	done.u64(recDone)
 	done.u64(7)
@@ -34,7 +31,7 @@ func TestDecodersRejectOversizedCountsAndTruncation(t *testing.T) {
 
 	decoders := map[string]func([]byte) error{
 		"ledger": func(b []byte) error { d := &walDec{b: b}; decodeLedger(d); return d.err },
-		"pool":   func(b []byte) error { d := &walDec{b: b}; decodePoolEntry(d); return d.err },
+		"pool":   func(b []byte) error { d := &walDec{b: b}; decodePool(d, table); return d.err },
 		"rec":    func(b []byte) error { _, err := decodeRec(b); return err },
 	}
 	valid := map[string][]byte{"ledger": ledger, "pool": pool, "rec": done.b}
@@ -55,8 +52,9 @@ func TestDecodersRejectOversizedCountsAndTruncation(t *testing.T) {
 	}{
 		{"ledger slot count", "ledger", with([]byte{1})},
 		{"ledger slot count with tail", "ledger", with([]byte{1}, 0, 0, 0)},
-		{"pool key count", "pool", with(pool[:len("ix")+1+3])},
-		{"pool value count", "pool", with(append(pool[:len("ix")+1+3:len("ix")+1+3], 1, 1, 'a'))},
+		{"pool entry count", "pool", with(pool[:len("ix")+1+3])},
+		{"pool row starts outside the table", "pool", append(pool[:len("ix")+1+3:len("ix")+1+3], 1, 5, 0)},
+		{"pool row ends outside the table", "pool", append(pool[:len("ix")+1+3:len("ix")+1+3], 1, 3, 2)},
 		{"done record counter count", "rec", with(done.b[:len(done.b)-len(tail.b)], 1, 'c', 1)},
 	}
 	for name, b := range valid {

@@ -3,6 +3,7 @@ package jobsvc
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 
 	"efind/internal/core"
 	"efind/internal/wal"
@@ -27,6 +28,9 @@ type RecoveryReport struct {
 	// DecidedJobs is how many submissions the checkpoint already
 	// decided; they report cached results without re-running.
 	DecidedJobs int
+	// OrphansRemoved counts the temp files of cut-short atomic writes
+	// that recovery deleted.
+	OrphansRemoved int
 	// Divergences lists re-derived decisions that failed to byte-match
 	// their journaled record. Empty on a faithful recovery; non-empty
 	// means the environment or trace handed to Recover differs from the
@@ -108,6 +112,13 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 		return nil, nil, err
 	}
 	rep.TornBytesDiscarded = discarded
+	// Best effort: the temp file of an atomic write the crash cut short.
+	names, _ := fs.ReadDir(d.Dir)
+	for _, name := range names {
+		if (strings.HasPrefix(name, ".fstore-") || strings.HasPrefix(name, ".vfs-")) && fs.Remove(filepath.Join(d.Dir, name)) == nil {
+			rep.OrphansRemoved++
+		}
+	}
 
 	s, err := newService(rt, tenants, opts)
 	if err != nil {

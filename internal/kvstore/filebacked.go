@@ -55,8 +55,9 @@ func (s *Store) FreezeOpts(dir string, opts fstore.Options) error {
 	return nil
 }
 
-// writePartition renders partition p's tree into its snapshot file and
-// opens it. Caller holds the write lock.
+// writePartition renders partition p's tree into its snapshot file (a cache
+// write: Reopen rebuilds what fails validation) and opens it. Caller holds
+// the write lock.
 func (s *Store) writePartition(dir string, p int) (*fstore.Snapshot, error) {
 	b := fstore.NewBuilder()
 	s.generation++

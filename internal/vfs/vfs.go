@@ -95,19 +95,19 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// WriteFileAtomic writes data to path via the temp+rename idiom: readers
-// of path never observe a partial file, and a crash leaves either the
-// old contents or the new. The temp file (named after pattern, as in
-// os.CreateTemp) is fsynced before the rename when sync is true. A
+// WriteFileAtomic writes what fill produces to path via the temp+rename
+// idiom: readers of path never observe a partial file, and a crash leaves
+// either the old contents or the new. The temp file (named after pattern,
+// as in os.CreateTemp) is fsynced before the rename when sync is true. A
 // non-nil check inspects the closed temp file before the rename commits
 // it; its error abandons the write like any other failure.
-func WriteFileAtomic(fs FS, path, pattern string, data []byte, sync bool, check func(tmpName string) error) error {
+func WriteFileAtomic(fs FS, path, pattern string, sync bool, fill func(w io.Writer) error, check func(tmpName string) error) error {
 	tmp, err := fs.CreateTemp(filepath.Dir(path), pattern)
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	_, err = tmp.Write(data)
+	err = fill(tmp)
 	if err == nil && sync {
 		err = tmp.Sync()
 	}

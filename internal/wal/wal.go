@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -160,6 +161,12 @@ func Replay(fs vfs.FS, dir string) (recs []Record, torn bool, err error) {
 	return recs, torn, nil
 }
 
+// writeFile replaces path with data, atomically.
+func writeFile(fs vfs.FS, path string, data []byte, sync bool) error {
+	fill := func(w io.Writer) error { _, err := w.Write(data); return err }
+	return vfs.WriteFileAtomic(fs, path, ".vfs-*", sync, fill, nil)
+}
+
 // Repair truncates a torn final segment to its valid frame prefix, via
 // temp+rename so the repair itself is crash-atomic. Undamaged journals
 // are left untouched. It returns the number of bytes discarded.
@@ -177,7 +184,7 @@ func Repair(fs vfs.FS, dir string) (discarded int, err error) {
 	if !damaged {
 		return 0, nil
 	}
-	if err := vfs.WriteFileAtomic(fs, last, ".vfs-*", data[:consumed], true, nil); err != nil {
+	if err := writeFile(fs, last, data[:consumed], true); err != nil {
 		return 0, err
 	}
 	return len(data) - consumed, nil
@@ -187,12 +194,11 @@ func Repair(fs vfs.FS, dir string) (discarded int, err error) {
 // records. Not safe for concurrent use; the job service appends only
 // from its scheduler loop.
 type Log struct {
-	fs   vfs.FS
-	dir  string
-	f    vfs.File
-	sync bool
-	err  error // sticky first append failure
-	n    int   // records appended to this Log
+	f     vfs.File
+	sync  bool
+	err   error  // sticky first append failure
+	n     int    // records appended to this Log
+	frame []byte // the last frame written, reused for the next
 }
 
 // Open creates the journal directory if needed and starts a fresh
@@ -214,11 +220,8 @@ func Open(fs vfs.FS, dir string, sync bool) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Log{fs: fs, dir: dir, f: f, sync: sync}, nil
+	return &Log{f: f, sync: sync}, nil
 }
-
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Records returns how many records this Log has appended successfully.
 func (l *Log) Records() int { return l.n }
@@ -226,19 +229,26 @@ func (l *Log) Records() int { return l.n }
 // Err returns the sticky error of the first failed append, or nil.
 func (l *Log) Err() error { return l.err }
 
-// Append writes one framed record. The first failure is sticky: later
-// appends return it without touching the file, so a journal never holds
-// records logically after a hole.
-func (l *Log) Append(payload []byte) error {
+// Append writes one framed record; on a synced log it — and every record
+// before it — is durable on return. The first failure is sticky: later appends
+// return it without touching the file, so no record ever follows a hole.
+func (l *Log) Append(payload []byte) error { return l.append(payload, l.sync) }
+
+// AppendLazy writes one framed record that may wait for the next Append or
+// Close to sync the segment: one fsync covers every earlier write to it, so
+// what is durable is always a prefix of what was appended.
+func (l *Log) AppendLazy(payload []byte) error { return l.append(payload, false) }
+
+func (l *Log) append(payload []byte, sync bool) error {
 	if l.err != nil {
 		return l.err
 	}
-	frame := AppendFrame(nil, payload)
-	if _, err := l.f.Write(frame); err != nil {
+	l.frame = AppendFrame(l.frame[:0], payload)
+	if _, err := l.f.Write(l.frame); err != nil {
 		l.err = fmt.Errorf("wal: append: %w", err)
 		return l.err
 	}
-	if l.sync {
+	if sync {
 		if err := l.f.Sync(); err != nil {
 			l.err = fmt.Errorf("wal: sync: %w", err)
 			return l.err
@@ -281,41 +291,29 @@ func CrashImage(fs vfs.FS, src, dst string, keepRecords int, tornExtra []byte) e
 	kept := 0
 	wroteTorn := false
 	for _, name := range names {
-		data, err := fs.ReadFile(filepath.Join(src, name))
+		out, err := fs.ReadFile(filepath.Join(src, name)) // not a segment: copied verbatim
 		if err != nil {
 			return err
 		}
-		if segNumber(name) < 0 {
-			if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", data, false, nil); err != nil {
-				return err
+		if segNumber(name) >= 0 {
+			if kept >= keepRecords && wroteTorn {
+				continue // the whole segment is beyond the crash point
 			}
-			continue
-		}
-		if kept >= keepRecords {
-			// The whole segment is beyond the crash point. A cut at record
-			// zero still tears the very first segment.
-			if !wroteTorn {
-				if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", tornExtra, false, nil); err != nil {
-					return err
+			payloads, _, _ := decodeSegment(out)
+			out = nil // a segment keeps its frames up to the cut
+			for _, p := range payloads {
+				if kept >= keepRecords {
+					break
 				}
+				out = AppendFrame(out, p)
+				kept++
+			}
+			if kept >= keepRecords { // a cut at record zero still tears the very first segment
+				out = append(out, tornExtra...)
 				wroteTorn = true
 			}
-			continue
 		}
-		payloads, _, _ := decodeSegment(data)
-		var out []byte
-		for _, p := range payloads {
-			if kept >= keepRecords {
-				break
-			}
-			out = AppendFrame(out, p)
-			kept++
-		}
-		if kept >= keepRecords && !wroteTorn {
-			out = append(out, tornExtra...)
-			wroteTorn = true
-		}
-		if err := vfs.WriteFileAtomic(fs, filepath.Join(dst, name), ".vfs-*", out, false, nil); err != nil {
+		if err := writeFile(fs, filepath.Join(dst, name), out, false); err != nil {
 			return err
 		}
 	}
