@@ -1,0 +1,259 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// ran is what one task body observed.
+type ran struct {
+	task  int
+	start float64
+}
+
+// execCase is one random phase: cluster shape, task bag, optional lease and
+// down nodes. Everything derives from the seed, so a failure reproduces.
+type execCase struct {
+	cfg   Config
+	slots int
+	prefs [][]NodeID
+	lease *Lease
+	down  []bool // nil: none
+}
+
+func randomExecCase(seed int64) execCase {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := DefaultConfig()
+	cfg.Nodes = 1 + rng.Intn(64)
+	cfg.TaskStartup = []float64{0.005, 0}[seed%2] // 0: the gate admits one task per round
+	cfg.NodeSpeed = make([]float64, cfg.Nodes)
+	for i := range cfg.NodeSpeed {
+		cfg.NodeSpeed[i] = []float64{1, 1, 0.5, 2}[rng.Intn(4)]
+	}
+	ec := execCase{cfg: cfg, slots: 1 + rng.Intn(8)}
+	nTasks := rng.Intn(2001)
+	if seed%5 == 0 {
+		nTasks = rng.Intn(4) // the edges: no task, one task, fewer tasks than workers
+	}
+	ec.prefs = make([][]NodeID, nTasks)
+	for i := range ec.prefs {
+		for k := rng.Intn(4); k > 0; k-- {
+			// Two past either end: out of range; repeats happen by themselves.
+			ec.prefs[i] = append(ec.prefs[i], NodeID(rng.Intn(cfg.Nodes+4)-2))
+		}
+	}
+	up := 0 // a node that stays up and keeps a slot
+	if rng.Intn(2) == 0 {
+		ec.down = make([]bool, cfg.Nodes)
+		up = rng.Intn(cfg.Nodes)
+		for n := range ec.down {
+			ec.down[n] = n != up && rng.Intn(4) == 0
+		}
+	}
+	if rng.Intn(2) == 0 {
+		slots := make([][]int32, up+1+rng.Intn(cfg.Nodes-up)) // may stop short of the cluster
+		for n := range slots {
+			for s := 0; s < ec.slots; s++ {
+				if (n == up && s == 0) || rng.Intn(3) > 0 {
+					slots[n] = append(slots[n], int32(s))
+				}
+			}
+		}
+		ec.lease = NewLease(slots)
+	}
+	return ec
+}
+
+// run schedules the case at the given parallelism and returns the result,
+// what each node's bodies observed in order, how often each task ran, and
+// the most bodies that ran at once. A body that finds another one running
+// on its node fails the test.
+func (ec execCase) run(t *testing.T, parallelism int) (res PhaseResult, perNode [][]ran, runs []int32, peak int32) {
+	t.Helper()
+	cfg := ec.cfg
+	cfg.Parallelism = parallelism
+	perNode = make([][]ran, cfg.Nodes)
+	runs = make([]int32, len(ec.prefs))
+	busy := make([]atomic.Int32, cfg.Nodes)
+	var running, high atomic.Int32
+	tasks := make([]Task, len(ec.prefs))
+	for i := range tasks {
+		i := i
+		tasks[i] = Task{Preferred: ec.prefs[i], Run: func(node NodeID, start float64) float64 {
+			now := running.Add(1)
+			for {
+				h := high.Load()
+				if now <= h || high.CompareAndSwap(h, now) {
+					break
+				}
+			}
+			if busy[node].Add(1) != 1 {
+				t.Errorf("parallelism %d: task %d found another body running on node %d", parallelism, i, node)
+			}
+			// The node's owner alone appends here; -race checks that it is alone.
+			perNode[node] = append(perNode[node], ran{i, start})
+			atomic.AddInt32(&runs[i], 1)
+			if i%3 == 0 {
+				runtime.Gosched() // let the other workers interleave
+			}
+			busy[node].Add(-1)
+			running.Add(-1)
+			// Pure in (task, node), zero now and then.
+			return float64((i*7+int(node)*3)%5) * 0.0015
+		}}
+	}
+	var down func(NodeID) bool
+	if ec.down != nil {
+		down = func(n NodeID) bool { return ec.down[n] }
+	}
+	res = NewCluster(cfg).SchedulePhaseLease(tasks, ec.slots, ec.lease, down)
+	return res, perNode, runs, high.Load()
+}
+
+// TestExecutorProperties holds the pool executor to the serial one over
+// random phases: the same PhaseResult, the same (task, start) sequence seen
+// by each node's bodies, every task run exactly once, never more bodies at
+// once than workers and never two on one node. Run under -race as well.
+func TestExecutorProperties(t *testing.T) {
+	cases := int64(60)
+	if testing.Short() {
+		cases = 20
+	}
+	for seed := int64(0); seed < cases; seed++ {
+		ec := randomExecCase(seed)
+		name := fmt.Sprintf("seed %d (%d nodes × %d slots, %d tasks, startup %g, lease %v, down %v)",
+			seed, ec.cfg.Nodes, ec.slots, len(ec.prefs), ec.cfg.TaskStartup, ec.lease != nil, ec.down != nil)
+		serial, serialSeen, _, _ := ec.run(t, 1)
+		if len(serial.Assignments) != len(ec.prefs) {
+			t.Fatalf("%s: serial executor made %d assignments", name, len(serial.Assignments))
+		}
+		for _, workers := range []int{2, 4, 16} {
+			par, seen, runs, peak := ec.run(t, workers)
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%s, %d workers: schedule diverged\nserial:   %+v\nparallel: %+v", name, workers, serial, par)
+			}
+			if !reflect.DeepEqual(serialSeen, seen) {
+				t.Fatalf("%s, %d workers: per-node body order diverged\nserial:   %v\nparallel: %v", name, workers, serialSeen, seen)
+			}
+			for i, n := range runs {
+				if n != 1 {
+					t.Fatalf("%s, %d workers: task %d ran %d times", name, workers, i, n)
+				}
+			}
+			if int(peak) > workers {
+				t.Fatalf("%s: %d bodies ran at once on %d workers", name, peak, workers)
+			}
+		}
+	}
+}
+
+// TestPanicReachesCaller: a panicking task body fails the phase the same
+// way under both executors — the value arrives at the caller of
+// SchedulePhase, no other task runs twice, and the pool is gone. With a
+// goroutine per node the parallel leg was an unrecovered panic on a node
+// goroutine: the process died whatever the caller did.
+func TestPanicReachesCaller(t *testing.T) {
+	boom := errors.New("boom")
+	for _, parallelism := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Nodes = 6
+		cfg.Parallelism = parallelism
+		const n = 60
+		runs := make([]int32, n)
+		tasks := make([]Task, n)
+		for i := range tasks {
+			i := i
+			tasks[i] = Task{Run: func(NodeID, float64) float64 {
+				atomic.AddInt32(&runs[i], 1)
+				if i == 7 {
+					panic(boom)
+				}
+				return 1
+			}}
+		}
+		baseline := runtime.NumGoroutine()
+		var got any
+		func() {
+			defer func() { got = recover() }()
+			NewCluster(cfg).SchedulePhase(tasks, 2)
+		}()
+		if got != boom {
+			t.Fatalf("parallelism %d: the caller recovered %v, want %v", parallelism, got, boom)
+		}
+		for i, r := range runs {
+			if r > 1 || (i == 7 && r != 1) {
+				t.Fatalf("parallelism %d: task %d ran %d times", parallelism, i, r)
+			}
+		}
+		waitForGoroutines(t, baseline)
+	}
+}
+
+// waitForGoroutines fails the test unless the goroutine count is back at
+// baseline within a second.
+func waitForGoroutines(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines a second after the phase returned, %d before it", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestExecutorFootprintAllocs pins what the pool costs beside the tasks: a
+// fixed number of arrays sized once per phase, so a 10,000-node phase makes
+// as many allocations as a 100-node one, and a fixed number of goroutines —
+// the workers, not one per node that got work — gone when the phase returns.
+func TestExecutorFootprintAllocs(t *testing.T) {
+	const workers, slots = 4, 2 // 2 slots per node: every node gets work
+	var peak atomic.Int32
+	build := func(nodes int) (*Cluster, []Task) {
+		tasks := buildVariedTasks(2*nodes, nodes)
+		for i := range tasks {
+			inner := tasks[i].Run
+			tasks[i].Run = func(node NodeID, start float64) float64 {
+				now := int32(runtime.NumGoroutine())
+				for {
+					h := peak.Load()
+					if now <= h || peak.CompareAndSwap(h, now) {
+						break
+					}
+				}
+				return inner(node, start)
+			}
+		}
+		return scaleCluster(nodes, workers), tasks
+	}
+	measure := func(nodes int) float64 {
+		c, tasks := build(nodes)
+		least := math.Inf(1) // of three: the runtime's own caches (sudogs, dead goroutines) refill now and then
+		for i := 0; i < 3; i++ {
+			least = min(least, testing.AllocsPerRun(3, func() {
+				if res := c.SchedulePhase(tasks, slots); len(res.Assignments) != len(tasks) {
+					t.Fatalf("%d assignments for %d tasks", len(res.Assignments), len(tasks))
+				}
+			}))
+		}
+		return least
+	}
+	baseline := runtime.NumGoroutine()
+	small, large := measure(100), measure(10_000)
+	t.Logf("pool executor: %.0f allocations for 100 nodes × 200 tasks, %.0f for 10,000 × 20,000; at most %d goroutines seen from a body, %d outside the phase",
+		small, large, peak.Load(), baseline)
+	if small != large || large > 24 {
+		t.Errorf("a phase allocates %.0f times on 100 nodes and %.0f on 10,000; want the same, at most 24", small, large)
+	}
+	if got, limit := int(peak.Load()), baseline+workers+1; got > limit {
+		t.Errorf("a body saw %d goroutines, want at most %d (%d outside the phase + %d workers + 1)", got, limit, baseline, workers)
+	}
+	waitForGoroutines(t, baseline)
+}

@@ -89,7 +89,7 @@ func (c *Cluster) SchedulePhaseLease(tasks []Task, slotsPerNode int, lease *Leas
 	}
 	h := c.newSlotHeapLease(slotsPerNode, lease, down)
 	if w := c.Workers(); w > 1 && len(tasks) > 1 {
-		return c.schedulePhaseParallel(tasks, slotsPerNode, w, h)
+		return c.schedulePhaseParallel(tasks, w, h)
 	}
 	return c.schedulePhaseSerial(tasks, h)
 }
