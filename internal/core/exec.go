@@ -859,7 +859,7 @@ func (pr *planRun) attempt(failed *mapreduce.MapPhaseResult) error {
 		}
 		done.Outputs = append(done.Outputs, out)
 		done.Stats = append(done.Stats, failed.Stats[split])
-		pr.add(0, failed.Stats[split].Counters)
+		failed.Stats[split].Counters.MergeInto(pr.res.Counters)
 	}
 	return pr.runJobs(co, 0, pr.conf.Input, todo, done)
 }

@@ -237,7 +237,12 @@ func renderKeySets(b *strings.Builder, res *JobResult) {
 		}{{"map", r.MapStats}, {"reduce", r.ReduceStats}} {
 			for i, st := range phase.stats {
 				fmt.Fprintf(b, "mr-job %d %s task %d (id %d)\n", j, phase.kind, i, st.ID)
-				lines("  ", st.Counters, st.Sketches)
+				counters := make(map[string]int64, len(st.Counters))
+				st.Counters.MergeInto(counters)
+				if len(counters) != len(st.Counters) {
+					fmt.Fprintf(b, "  a counter is listed twice: %v\n", st.Counters)
+				}
+				lines("  ", counters, st.Sketches)
 			}
 		}
 	}

@@ -211,8 +211,21 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi int64
 	}
 	totals := make(map[string]*idxTotals)
-	for _, a := range op.Indices() {
-		totals[a.Name()] = &idxTotals{}
+	// The counter names, spelled once and not once per task.
+	nPreIn, nPreInBytes, nPreOutBytes := ctrPreIn(name), ctrPreInBytes(name), ctrPreOutBytes(name)
+	nIdxBytes, nPostBytes, nPostRecords := ctrIdxBytes(name), ctrPostBytes(name), ctrPostRecords(name)
+	type idxNames struct {
+		ix, keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi, sketch, nik string
+	}
+	names := make([]idxNames, len(op.Indices()))
+	for i, a := range op.Indices() {
+		ix := a.Name()
+		totals[ix] = &idxTotals{}
+		names[i] = idxNames{
+			ix: ix, keys: ctrKeys(name, ix), keyBytes: ctrKeyBytes(name, ix), valBytes: ctrValBytes(name, ix),
+			lookups: ctrLookups(name, ix), serveNS: ctrServeNS(name, ix), probes: ctrProbes(name, ix),
+			misses: ctrMisses(name, ix), multi: ctrMulti(name, ix), sketch: skKeys(name, ix), nik: "nik." + ix,
+		}
 	}
 
 	// Per-task samples of the per-record sizes, for the variance gate.
@@ -220,38 +233,41 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 
 	used := 0
 	for _, t := range tasks {
-		r := t.Counters[ctrPreIn(name)]
+		r := t.Counters.Get(nPreIn)
 		if r == 0 {
 			continue // task saw no records for this operator
 		}
 		used++
 		records += r
-		preInBytes += t.Counters[ctrPreInBytes(name)]
-		preOutBytes += t.Counters[ctrPreOutBytes(name)]
-		idxBytes += t.Counters[ctrIdxBytes(name)]
-		postBytes += t.Counters[ctrPostBytes(name)]
-		postRecords += t.Counters[ctrPostRecords(name)]
-		mapBytes += t.Counters[ctrMapOutBytes]
+		taskPreIn, taskPreOut := t.Counters.Get(nPreInBytes), t.Counters.Get(nPreOutBytes)
+		taskIdx, taskPost := t.Counters.Get(nIdxBytes), t.Counters.Get(nPostBytes)
+		preInBytes += taskPreIn
+		preOutBytes += taskPreOut
+		idxBytes += taskIdx
+		postBytes += taskPost
+		postRecords += t.Counters.Get(nPostRecords)
+		mapBytes += t.Counters.Get(ctrMapOutBytes)
 
 		sample := map[string]float64{
-			"s1":    float64(t.Counters[ctrPreInBytes(name)]) / float64(r),
-			"spre":  float64(t.Counters[ctrPreOutBytes(name)]) / float64(r),
-			"sidx":  float64(t.Counters[ctrIdxBytes(name)]) / float64(r),
-			"spost": float64(t.Counters[ctrPostBytes(name)]) / float64(r),
+			"s1":    float64(taskPreIn) / float64(r),
+			"spre":  float64(taskPreOut) / float64(r),
+			"sidx":  float64(taskIdx) / float64(r),
+			"spost": float64(taskPost) / float64(r),
 		}
-		for _, a := range op.Indices() {
-			ix := a.Name()
+		for i := range names {
+			n := &names[i]
+			ix, keys := n.ix, t.Counters.Get(n.keys)
 			tt := totals[ix]
-			tt.keys += t.Counters[ctrKeys(name, ix)]
-			tt.keyBytes += t.Counters[ctrKeyBytes(name, ix)]
-			tt.valBytes += t.Counters[ctrValBytes(name, ix)]
-			tt.lookups += t.Counters[ctrLookups(name, ix)]
-			tt.serveNS += t.Counters[ctrServeNS(name, ix)]
-			tt.probes += t.Counters[ctrProbes(name, ix)]
-			tt.misses += t.Counters[ctrMisses(name, ix)]
-			tt.multi += t.Counters[ctrMulti(name, ix)]
-			sample["nik."+ix] = float64(t.Counters[ctrKeys(name, ix)]) / float64(r)
-			if vecs, ok := t.Sketches[skKeys(name, ix)]; ok {
+			tt.keys += keys
+			tt.keyBytes += t.Counters.Get(n.keyBytes)
+			tt.valBytes += t.Counters.Get(n.valBytes)
+			tt.lookups += t.Counters.Get(n.lookups)
+			tt.serveNS += t.Counters.Get(n.serveNS)
+			tt.probes += t.Counters.Get(n.probes)
+			tt.misses += t.Counters.Get(n.misses)
+			tt.multi += t.Counters.Get(n.multi)
+			sample[n.nik] = float64(keys) / float64(r)
+			if vecs, ok := t.Sketches[n.sketch]; ok {
 				fm := sketch.FromVectors(vecs)
 				if cur, ok := sketches[ix]; ok {
 					cur.Merge(fm)

@@ -155,7 +155,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 		Stats:    make([]TaskStats, len(splits)),
 		Counters: make(map[string]int64),
 	}
-	stagings := make(stagingPool, e.Cluster.Workers())
+	frames := e.newFramePool()
 	err := e.runPhase(job, &phaseSpec{
 		kind:  MapTask,
 		slots: e.Cluster.Config().MapSlotsPerNode,
@@ -169,7 +169,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 			return chunk.Replicas
 		},
 		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
-			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart, stagings)
+			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart, frames)
 			return attemptResult{out: out}, st
 		},
 		install:     func(i int, _ sim.NodeID, r attemptResult) { res.Outputs[i] = r.out },
@@ -186,10 +186,11 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 }
 
 // taskFrame is what a task uses and does not retain — context, core stage,
-// pipeline, sink state — as one allocation, garbage when the task returns.
-// What it retains (MapOutput, reduce shard) is allocated apart on purpose:
-// embedded here it would pin the frame, and every scratch a stage hangs off
-// the context, for as long as the result lives.
+// pipeline, sink state — as one allocation, handed on to the phase's next
+// task when this one returns. What a task retains (MapOutput, reduce shard,
+// counter set) is allocated apart on purpose: embedded here it would pin the
+// frame, and every scratch a stage hangs off the context, for as long as the
+// result lives.
 type taskFrame struct {
 	ctx  TaskContext
 	core FuncStage
@@ -200,18 +201,44 @@ type taskFrame struct {
 	job          *Job
 	out          *MapOutput
 	splitRecords int
-	stage        *staging
 	shard        []dfs.Record // reduce sink
 	outBytes     int
+
+	// stage is the one thing a frame keeps from task to task: the staging
+	// buffer, which the scatter wipes and whose capacity is worth keeping.
+	stage *staging
 }
 
-// newFrame starts a task whose context clock is anchored at absStart, its
+// framePool hands one phase's task frames from task to task, so a phase
+// allocates as many as it runs tasks at once. Only a task that ran to its
+// end puts its frame back, zeroed; an attempt that aborts drops its frame,
+// half-filled staging buffer and all, so no task starts on a dirty one.
+type framePool chan *taskFrame
+
+func (e *Engine) newFramePool() framePool { return make(framePool, e.Cluster.Workers()) }
+
+// get starts a task whose context clock is anchored at absStart, its
 // absolute virtual start time, so stages can evaluate index outage windows.
-func (e *Engine) newFrame(node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
-	f := &taskFrame{}
+func (fp framePool) get(e *Engine, node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
+	var f *taskFrame
+	select {
+	case f = <-fp:
+	default:
+		f = &taskFrame{}
+	}
 	f.ctx.init(e.Cluster, node, id, kind)
 	f.ctx.base, f.ctx.traced = absStart, e.Trace != nil
 	return f
+}
+
+// put hands a finished task's frame on. Zeroing drops — does not clear —
+// what the task's statistics took from the context: spans and sketches.
+func (fp framePool) put(f *taskFrame) {
+	*f = taskFrame{stage: f.stage}
+	select {
+	case fp <- f:
+	default: // full: more attempts ran at once than the phase has workers
+	}
 }
 
 // emitMap is the map sink. A partitioner answering outside [0, NumReduce)
@@ -242,8 +269,8 @@ func (f *taskFrame) emitShard(p Pair) {
 }
 
 // runMapTask executes one map task on the given node.
-func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, stagings stagingPool) (*MapOutput, TaskStats) {
-	f := e.newFrame(node, taskID, MapTask, absStart)
+func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, frames framePool) (*MapOutput, TaskStats) {
+	f := frames.get(e, node, taskID, MapTask, absStart)
 	ctx := &f.ctx
 	ctx.Split = split
 
@@ -265,9 +292,12 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 
 	out := &MapOutput{Split: split, Node: node, Parts: 1}
 	f.job, f.out, f.splitRecords = job, out, len(records)
-	if job.Reduce != nil && job.NumReduce > 1 {
+	staged := job.Reduce != nil && job.NumReduce > 1
+	if staged {
 		out.Parts = job.NumReduce
-		f.stage = stagings.get(out.Parts)
+		if f.stage == nil {
+			f.stage = &staging{counts: make([]int32, out.Parts)}
+		}
 	}
 	f.core.OnProcess = job.Map
 	if job.Map == nil {
@@ -283,9 +313,8 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	sp.End()
 
 	outRecords := len(out.one[0])
-	if f.stage != nil {
+	if staged {
 		outRecords = f.stage.scatter(out)
-		stagings.put(f.stage)
 	} else if outRecords > 0 {
 		out.Buckets, out.Reducers = out.one[:], out.oneR[:]
 	}
@@ -308,7 +337,9 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		ctx.Charge(e.Cluster.DFSTime(float64(out.Bytes)))
 		sp.End()
 	}
-	return out, e.taskStats(ctx)
+	st := e.taskStats(ctx)
+	frames.put(f)
+	return out, st
 }
 
 // combineBuckets applies the job's combiner to each reducer bucket of one
@@ -474,6 +505,7 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		Stats:    make([]TaskStats, len(reducers)),
 		Counters: make(map[string]int64),
 	}
+	frames := e.newFramePool()
 	err = e.runPhase(job, &phaseSpec{
 		kind:      ReduceTask,
 		slots:     e.Cluster.Config().ReduceSlotsPerNode,
@@ -482,7 +514,7 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		preferred: func(int) []sim.NodeID { return nil },
 		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
 			r := reducers[i]
-			shard, st := e.runReduceTask(job, r, node, runs[start[r]:start[r+1]], absStart)
+			shard, st := e.runReduceTask(job, r, node, runs[start[r]:start[r+1]], absStart, frames)
 			return attemptResult{shard: shard}, st
 		},
 		install: func(i int, node sim.NodeID, r attemptResult) {
@@ -528,7 +560,7 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 		st := stats[a.Task]
 		speed := cfg.SpeedOf(a.Node)
 		taskName := fmt.Sprintf("%s[%d]", name, st.ID)
-		if n := st.Counters[CounterTaskRetries]; n > 0 {
+		if n := st.Counters.Get(CounterTaskRetries); n > 0 {
 			taskName = fmt.Sprintf("%s (retries=%d)", taskName, n)
 		}
 		if a.Start > 0 {
@@ -563,8 +595,8 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 
 // runReduceTask executes one reduce task: shuffle in its runs, sort, group,
 // reduce, chained tail stages, and output collection.
-func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64) ([]dfs.Record, TaskStats) {
-	f := e.newFrame(node, r, ReduceTask, absStart)
+func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64, frames framePool) ([]dfs.Record, TaskStats) {
+	f := frames.get(e, node, r, ReduceTask, absStart)
 	ctx := &f.ctx
 
 	// The input is allocated once at its exact size; the shuffle is charged
@@ -619,7 +651,9 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	sp = ctx.StartSpan("dfs-write", "io")
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))
 	sp.End()
-	return f.shard, e.taskStats(ctx)
+	shard, st := f.shard, e.taskStats(ctx)
+	frames.put(f)
+	return shard, st
 }
 
 // FinishMapOnly materializes a map-only job's output (one shard per map
@@ -670,14 +704,14 @@ func (e *Engine) taskStats(ctx *TaskContext) TaskStats {
 		ID:       ctx.TaskID,
 		Kind:     ctx.Kind,
 		Node:     ctx.Node,
-		Counters: make(map[string]int64, n),
+		Counters: make(CounterSet, 0, n+1), // and task.retries, which every task gets
 		Duration: ctx.extra,
 		BodyTime: ctx.extra,
 		Spans:    ctx.spans,
 	}
 	for c := ctx.head; c != nil; c = c.next {
 		if c.touched {
-			st.Counters[c.name] = c.v
+			st.Counters = append(st.Counters, Counter{Name: c.name, Value: c.v})
 		}
 	}
 	if len(ctx.sketches) > 0 {
@@ -689,7 +723,7 @@ func (e *Engine) taskStats(ctx *TaskContext) TaskStats {
 	return st
 }
 
-// MergeCounters folds one counter map into another.
+// MergeCounters folds one phase- or job-level counter map into another.
 func MergeCounters(dst map[string]int64, src map[string]int64) {
 	for k, v := range src {
 		dst[k] += v

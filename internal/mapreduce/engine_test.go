@@ -274,7 +274,7 @@ func TestCountersAggregated(t *testing.T) {
 	}
 	var sum int64
 	for _, st := range res.MapStats {
-		sum += st.Counters["custom.seen"]
+		sum += st.Counters.Get("custom.seen")
 	}
 	if sum != 200 {
 		t.Fatalf("per-task counters sum to %d, want 200", sum)

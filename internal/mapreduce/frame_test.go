@@ -1,0 +1,309 @@
+package mapreduce
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"efind/internal/chaos"
+	"efind/internal/obs"
+	"efind/internal/sim"
+)
+
+// The frame tests run tasks that leave as much as they can in their
+// context — counters past the inline cells and past the scan limit, a
+// sketch, charges, spans — over frames handed from task to task, and hold
+// every task to what it yields on a frame of its own.
+
+// hygieneCounters is how many counters split s touches: some fit the
+// context's inline cells, some need slab chunks, some the name index.
+var hygieneCounters = [shuffleSplits]int{2, 12, 5, 3, 20, 9}
+
+// hygieneJob fans each split out like the shuffle tests do, and has every
+// stage that opens — map side and reduce side — check that its context
+// carries nothing of another task.
+func hygieneJob(t *testing.T, c shuffleCase, e *Engine, name string) *Job {
+	t.Helper()
+	fs := e.FS
+	job := c.job(shuffleInput(t, fs, name))
+	fan := job.Map
+	job.Map = func(ctx *TaskContext, in Pair, emit Emit) {
+		var s int
+		fmt.Sscan(in.Key, &s)
+		for i := 0; i < hygieneCounters[s]; i++ {
+			ctx.Inc(fmt.Sprintf("hygiene.c%02d", i), int64(s+i))
+		}
+		ctx.Sketch("hygiene.sk", 16).Add(in.Key)
+		ctx.Charge(0.001 * float64(s+1))
+		fan(ctx, in, emit)
+	}
+	fresh := func(sim.NodeID) Stage {
+		return &FuncStage{OnOpen: func(ctx *TaskContext) {
+			if ctx.head != nil || ctx.ncells != 0 || ctx.index != nil || ctx.sketches != nil || len(ctx.slab) != 0 || ctx.inline != [4]Cell{} {
+				t.Errorf("%s task %d opens on a context with counters or sketches: %d cells, index %v, sketches %v", ctx.Kind, ctx.TaskID, ctx.ncells, ctx.index, ctx.sketches)
+			}
+			if ctx.Split != ctx.TaskID {
+				t.Errorf("%s task %d opens with Split %d", ctx.Kind, ctx.TaskID, ctx.Split)
+			}
+			// Its own input read or shuffle is all it has been charged for:
+			// when spans are recorded, one span covers the whole charge.
+			own := len(ctx.spans) == 0
+			if ctx.traced && ctx.extra != 0 {
+				own = len(ctx.spans) == 1 && ctx.spans[0].Start == 0 && ctx.spans[0].Dur == ctx.extra
+			}
+			if !own {
+				t.Errorf("%s task %d opens charged %g with spans %v", ctx.Kind, ctx.TaskID, ctx.extra, ctx.spans)
+			}
+		}}
+	}
+	job.MapStagesBefore = []StageFactory{fresh}
+	job.ReduceStagesAfter = []StageFactory{fresh}
+	if err := job.validate(e); err != nil {
+		t.Fatal(err)
+	}
+	return job
+}
+
+// cloneStats copies everything a TaskStats points to.
+func cloneStats(st TaskStats) TaskStats {
+	st.Counters, st.Spans = slices.Clone(st.Counters), slices.Clone(st.Spans)
+	if st.Sketches != nil {
+		sk := make(map[string][]uint64, len(st.Sketches))
+		for k, v := range st.Sketches {
+			sk[k] = slices.Clone(v)
+		}
+		st.Sketches = sk
+	}
+	return st
+}
+
+func cloneBuckets(o *MapOutput) [][]Pair {
+	out := make([][]Pair, len(o.Buckets))
+	for i, b := range o.Buckets {
+		out[i] = slices.Clone(b)
+	}
+	return out
+}
+
+// TestFrameHygiene: a task on a frame other tasks have used yields what it
+// yields on a frame of its own, whatever happened to those tasks — they
+// completed, were failed by the injector after completing, aborted
+// half-way, lost or won a speculation race — and what a completed task
+// retains (counters, spans, sketch vectors, output) does not change when
+// its frame goes on to other tasks. Run under -race -count=10.
+func TestFrameHygiene(t *testing.T) {
+	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
+	boom := errors.New("boom")
+	for _, parallelism := range []int{1, 4} {
+		_, e := parEnv(t, parallelism)
+		e.Trace = obs.NewTrace() // tasks record spans
+		job := hygieneJob(t, c, e, "in")
+		attempt := func(frames framePool, s int, abort bool) (*MapOutput, TaskStats, error) {
+			j := *job
+			if fan := job.Map; abort {
+				j.Map = func(ctx *TaskContext, in Pair, emit Emit) {
+					n := 0
+					fan(ctx, in, func(p Pair) {
+						if n++; n > c.perSplit/2 {
+							ctx.Abort(boom)
+						}
+						emit(p)
+					})
+				}
+			}
+			r, st, err := e.attempt(&j, &phaseSpec{
+				label: func(i int) string { return fmt.Sprint("map task ", i) },
+				run: func(i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
+					out, st := e.runMapTask(&j, i, i, j.Input.Chunks[i], node, at, frames)
+					return attemptResult{out: out}, st
+				},
+			}, s, sim.NodeID(s%4), 0)
+			return r.out, st, err
+		}
+
+		// The reference: every split on a frame of its own.
+		refStats, refOut := make([]TaskStats, shuffleSplits), make([]*MapOutput, shuffleSplits)
+		for s := range refStats {
+			var err error
+			if refOut[s], refStats[s], err = attempt(e.newFramePool(), s, false); err != nil {
+				t.Fatal(err)
+			}
+			if got := len(refStats[s].Counters); got != hygieneCounters[s]+4 || len(refStats[s].Spans) == 0 || refStats[s].Sketches["hygiene.sk"] == nil {
+				t.Fatalf("split %d: %d counters, spans %v, sketches %v: the task leaves too little behind to test with", s, got, refStats[s].Spans, refStats[s].Sketches)
+			}
+		}
+
+		// One frame, attempt after attempt, an abort in between: every
+		// completed attempt equals its reference, when it returns and after
+		// the frame has served every later attempt.
+		frames := e.newFramePool()
+		type kept struct {
+			s      int
+			st, cp TaskStats
+			out    *MapOutput
+			bk     [][]Pair
+		}
+		var keep []kept
+		for round := 0; round < 3; round++ {
+			for s := 0; s < shuffleSplits; s++ {
+				if s == 3 {
+					if _, _, err := attempt(frames, 2, true); !errors.Is(err, boom) {
+						t.Fatalf("aborting attempt: %v", err)
+					}
+				}
+				out, st, err := attempt(frames, s, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(st, refStats[s]) || !reflect.DeepEqual(out.Buckets, refOut[s].Buckets) {
+					t.Fatalf("parallelism %d round %d split %d on a used frame:\n got %+v\nwant %+v", parallelism, round, s, st, refStats[s])
+				}
+				keep = append(keep, kept{s, st, cloneStats(st), out, cloneBuckets(out)})
+			}
+		}
+		for _, k := range keep {
+			if !reflect.DeepEqual(k.st, k.cp) || !reflect.DeepEqual(k.out.Buckets, k.bk) {
+				t.Fatalf("parallelism %d: what split %d retained changed while its frame served other tasks:\n now %+v\n was %+v", parallelism, k.s, k.st, k.cp)
+			}
+		}
+
+		// Through the engine, map and reduce phases, with first attempts of
+		// odd tasks failed by the injector and stragglers raced by backups:
+		// what each task counted is what it counts alone, in the same order,
+		// plus the retry and race counters; the reducers see every record.
+		job.FaultInjector = func(kind TaskKind, task, attempt int) bool { return task%2 == 1 && attempt == 1 }
+		job.Chaos = chaos.MustNew(chaos.Config{
+			Seed: 7, Spec: chaos.Speculation{Enabled: true}, StragglerRate: 0.4, StragglerFactor: 6,
+		}, 4)
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Counters[chaos.CtrSpecLaunched] == 0 || res.Counters[CounterTaskRetries] == 0 {
+			t.Fatalf("no backup launched or no attempt failed: %v", res.Counters)
+		}
+		for s, st := range res.MapStats {
+			own := slices.DeleteFunc(slices.Clone(st.Counters), func(c Counter) bool {
+				return c.Name == CounterTaskRetries || strings.HasPrefix(c.Name, "chaos.") || strings.HasPrefix(c.Name, "task.speculative.")
+			})
+			if !reflect.DeepEqual(own, refStats[s].Counters) || !reflect.DeepEqual(st.Sketches, refStats[s].Sketches) {
+				t.Errorf("parallelism %d map task %d counted\n %v %v\nwant\n %v %v", parallelism, s, own, st.Sketches, refStats[s].Counters, refStats[s].Sketches)
+			}
+			if !reflect.DeepEqual(res.MapOutputs[s].Buckets, refOut[s].Buckets) {
+				t.Errorf("parallelism %d map task %d: output differs from the lone attempt's", parallelism, s)
+			}
+		}
+		got, want := res.Output.All(), c.want()
+		for _, shard := range want {
+			for _, rec := range shard {
+				if !slices.Contains(got, rec) {
+					t.Fatalf("parallelism %d: the job's output lacks %v", parallelism, rec)
+				}
+			}
+		}
+	}
+}
+
+// TestCounterSet pins the set's three operations.
+func TestCounterSet(t *testing.T) {
+	var s CounterSet
+	if got := s.Get("missing"); got != 0 {
+		t.Errorf("Get of a missing name on an empty set = %d, want 0", got)
+	}
+	s.Add("a", 0) // a counter added to by zero exists
+	s.Add("b", 2)
+	s.Add("a", 3)
+	s.Add("b", 4)
+	if want := (CounterSet{{Name: "a", Value: 3}, {Name: "b", Value: 6}}); !reflect.DeepEqual(s, want) {
+		t.Errorf("set = %v, want %v: Add appends a name once and accumulates after", s, want)
+	}
+	if s.Get("b") != 6 || s.Get("missing") != 0 {
+		t.Errorf("Get(b) = %d, Get(missing) = %d, want 6 and 0", s.Get("b"), s.Get("missing"))
+	}
+	total := map[string]int64{"b": 1, "c": 1}
+	s.MergeInto(total)
+	if want := map[string]int64{"a": 3, "b": 7, "c": 1}; !reflect.DeepEqual(total, want) {
+		t.Errorf("merged = %v, want %v", total, want)
+	}
+}
+
+// TestCommitBackupKeepsOriginalCounters: whoever wins a speculation race,
+// the task keeps the original attempt's counters and sketches, with the
+// race outcome added; a winning backup brings the rest.
+func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
+	orig := func() TaskStats {
+		return TaskStats{
+			ID: 3, Node: 1, Duration: 10, BodyTime: 10,
+			Counters: CounterSet{{Name: "work", Value: 5}, {Name: CounterTaskRetries}},
+			Sketches: map[string][]uint64{"sk": {1}},
+		}
+	}
+	backup := TaskStats{
+		ID: 3, Node: 2, Duration: 2, BodyTime: 2,
+		Counters: CounterSet{{Name: "work", Value: 99}},
+		Sketches: map[string][]uint64{"sk": {7}},
+	}
+	a := sim.Assignment{Task: 3, Node: 1, Start: 0, Duration: 10}
+
+	st, lost := orig(), a
+	if commitBackup(&lost, &st, 2, 9, 2, backup, false) {
+		t.Fatal("a backup ending at 11 beat an attempt ending at 10")
+	}
+	want := orig()
+	want.Counters = append(want.Counters, Counter{Name: chaos.CtrSpecLaunched, Value: 1}, Counter{Name: chaos.CtrSpecLost, Value: 1})
+	if !reflect.DeepEqual(st, want) || lost != a {
+		t.Errorf("after a lost race: %+v on %+v\nwant %+v on %+v", st, lost, want, a)
+	}
+
+	st, won := orig(), a
+	if !commitBackup(&won, &st, 2, 4, 2, backup, true) {
+		t.Fatal("a backup ending at 6 lost to an attempt ending at 10")
+	}
+	want = backup
+	want.Sketches = orig().Sketches
+	want.Counters = append(orig().Counters, Counter{Name: chaos.CtrSpecLaunched, Value: 1}, Counter{Name: chaos.CtrSpecWon, Value: 1})
+	if !reflect.DeepEqual(st, want) {
+		t.Errorf("after a won race: %+v\nwant %+v", st, want)
+	}
+	if wantA := (sim.Assignment{Task: 3, Node: 2, Start: 4, Duration: 2, Local: true}); won != wantA {
+		t.Errorf("after a won race the assignment is %+v, want %+v", won, wantA)
+	}
+}
+
+// TestCounterSetOrderAcrossExecutors: a task's set lists its names in the
+// order its context chained them — newest first, then what the engine
+// appends —, the same under both executors. The key-set golden sorts, so
+// it cannot show this.
+func TestCounterSetOrderAcrossExecutors(t *testing.T) {
+	names := func(parallelism int) [][]string {
+		_, e := parEnv(t, parallelism)
+		job := hygieneJob(t, shuffleCase{numReduce: 3, perSplit: 5, combine: "on"}, e, "in")
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [][]string
+		for _, st := range append(res.MapStats, res.ReduceStats...) {
+			var task []string
+			for _, c := range st.Counters {
+				task = append(task, c.Name)
+			}
+			out = append(out, task)
+		}
+		return out
+	}
+	serial, parallel := names(1), names(4)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("counter order differs:\nserial   %v\nparallel %v", serial, parallel)
+	}
+	want := []string{
+		CounterOutputBytes, CounterOutputRecords, CounterInputBytes, CounterInputRecords,
+		CounterCombineOutRecords, CounterCombineInRecords, "hygiene.c01", "hygiene.c00", CounterTaskRetries,
+	}
+	if !reflect.DeepEqual(serial[0], want) {
+		t.Errorf("map task 0 lists %v, want %v", serial[0], want)
+	}
+}

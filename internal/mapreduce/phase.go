@@ -74,7 +74,7 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	err := firstError(p.errs)
 	if err == nil {
 		for _, st := range p.stats {
-			MergeCounters(p.counters, st.Counters)
+			st.Counters.MergeInto(p.counters)
 		}
 	}
 	if err == nil || (p.traceFailed && job.Chaos != nil) {
@@ -111,7 +111,7 @@ func (e *Engine) taskRun(job *Job, p *phaseSpec, base float64, seq, i int) func(
 				continue // attempt wasted; re-execute
 			}
 			st.Duration = total
-			st.Counters[CounterTaskRetries] = int64(attempt - 1)
+			st.Counters.Add(CounterTaskRetries, int64(attempt-1))
 			p.install(i, node, r)
 			p.stats[i] = st
 			return total

@@ -140,10 +140,10 @@ func (r *JobRun) instant(name, cat string, at float64) {
 
 // addCountersToTrace folds one task's counters into the trace registry,
 // under the run's namespace when set.
-func (r *JobRun) addCountersToTrace(t *obs.Trace, counters map[string]int64) {
+func (r *JobRun) addCountersToTrace(t *obs.Trace, counters CounterSet) {
+	prefix := ""
 	if r.ns != "" {
-		t.Metrics.AddAllPrefix(r.ns+"/", counters)
-		return
+		prefix = r.ns + "/"
 	}
-	t.Metrics.AddAll(counters)
+	t.Metrics.AddAll(prefix, counters)
 }

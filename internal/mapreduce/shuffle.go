@@ -8,35 +8,14 @@ import (
 )
 
 // staging is a multi-reducer map task's transient shuffle buffer: what it
-// emitted, in order, and the per-partition counts the scatter needs.
+// emitted, in order, and the per-partition counts the scatter needs. It
+// rides on its task frame from task to task of one map phase, so it counts
+// that phase's job's NumReduce partitions.
 type staging struct {
 	recs    []Pair
 	parts   []int32 // parts[i] is the partition of recs[i]
 	counts  []int32 // per partition; all zero between tasks
 	touched []int32 // the partitions with a non-zero count
-}
-
-// stagingPool hands one map phase's staging buffers from task to task, so
-// a phase allocates as many as it runs tasks at once, each counting the
-// job's NumReduce partitions. Only a task that completed its scatter, which
-// wipes the buffer, puts it back; an attempt that aborts mid-task drops its
-// buffer, so no task starts on a dirty one.
-type stagingPool chan *staging
-
-func (sp stagingPool) get(parts int) *staging {
-	select {
-	case s := <-sp:
-		return s
-	default:
-		return &staging{counts: make([]int32, parts)}
-	}
-}
-
-func (sp stagingPool) put(s *staging) {
-	select {
-	case sp <- s:
-	default: // full: more attempts ran at once than the phase has workers
-	}
 }
 
 func (s *staging) add(p Pair, part int32) {

@@ -289,9 +289,10 @@ func TestPartitionerOutOfRangeFailsJob(t *testing.T) {
 
 // TestStagingBuffersComeBackClean: whatever happens to an attempt — it
 // completes, it is failed by the injector after completing, it aborts
-// half-way through its emissions — the next task on that worker starts on
-// a buffer with no record and no count in it, and every completed task's
-// output holds exactly its own records. Run under -race -count=10.
+// half-way through its emissions — the next task of the phase starts on a
+// zero frame whose staging buffer has no record and no count in it, and
+// every completed task's output holds exactly its own records. Run under
+// -race -count=10.
 func TestStagingBuffersComeBackClean(t *testing.T) {
 	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
 	boom := errors.New("boom")
@@ -311,14 +312,14 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 		if err := job.validate(e); err != nil {
 			t.Fatal(err)
 		}
-		stagings := make(stagingPool, 4)
+		frames := e.newFramePool()
 		outputs := make([]*MapOutput, shuffleSplits)
-		for round := 0; round < 2; round++ { // the second round reuses the first's buffers
+		for round := 0; round < 2; round++ { // the second round reuses the first's frames
 			for s, chunk := range job.Input.Chunks {
 				out, _, err := e.attempt(job, &phaseSpec{
 					label: func(i int) string { return fmt.Sprint("map task ", i) },
 					run: func(i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
-						out, st := e.runMapTask(job, i, i, chunk, node, at, stagings)
+						out, st := e.runMapTask(job, i, i, chunk, node, at, frames)
 						return attemptResult{out: out}, st
 					},
 				}, s, 0, 0)
@@ -326,13 +327,17 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 					t.Fatalf("split %d: err = %v", s, err)
 				}
 				outputs[s] = out.out
-				// Attempts run one at a time here, so they share one buffer,
+				// Attempts run one at a time here, so they share one frame,
 				// which the aborted attempt loses.
-				if free := len(stagings); free > 1 || (s == 2 && free != 0) {
-					t.Fatalf("after split %d: %d free buffers", s, free)
+				if free := len(frames); free > 1 || (s == 2 && free != 0) {
+					t.Fatalf("after split %d: %d free frames", s, free)
 				}
-				for n := len(stagings); n > 0; n-- {
-					buf := <-stagings
+				for n := len(frames); n > 0; n-- {
+					f := <-frames
+					buf := f.stage
+					if !reflect.DeepEqual(*f, taskFrame{stage: buf}) {
+						t.Fatalf("a free frame is not zero: %+v", *f)
+					}
 					if len(buf.recs) != 0 || len(buf.parts) != 0 || len(buf.touched) != 0 {
 						t.Fatalf("a free buffer holds %d records, %d partitions, %d touched", len(buf.recs), len(buf.parts), len(buf.touched))
 					}
@@ -346,7 +351,7 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 							t.Fatalf("a free buffer counts %d records for partition %d", n, part)
 						}
 					}
-					stagings <- buf
+					frames <- f
 				}
 			}
 		}

@@ -106,6 +106,11 @@ func (k TaskKind) String() string {
 // TaskContext is handed to every user function and stage. It identifies
 // the executing task and node and accumulates the task's counters,
 // sketches, and virtual-time charges.
+//
+// The context, and every Cell resolved from it, is valid until the task's
+// last stage has closed: the engine then takes the task's statistics out of
+// it and hands it, zeroed, to another task of the phase. A stage or user
+// function must not keep it, or anything that points into it, past Close.
 type TaskContext struct {
 	// Node is the machine this task was scheduled on.
 	Node sim.NodeID
@@ -317,6 +322,46 @@ func (r SpanRegion) End() {
 	})
 }
 
+// Counter is one named counter value of a task. It is the trace registry's
+// metric type, so a task's set folds into the registry as it is.
+type Counter = obs.Metric
+
+// CounterSet is a finished task's counters: a handful of values that are
+// written once and read a few times, so a slice found by scan, in the order
+// the task's context lists its cells, not a map. Job- and phase-level
+// totals are maps; MergeInto folds a set into one.
+type CounterSet []Counter
+
+// Get returns the named counter's value, 0 when the task has no such
+// counter.
+func (s CounterSet) Get(name string) int64 {
+	for i := range s {
+		if s[i].Name == name {
+			return s[i].Value
+		}
+	}
+	return 0
+}
+
+// Add adds delta to the named counter, appending it when the task does not
+// have it yet.
+func (s *CounterSet) Add(name string, delta int64) {
+	for i := range *s {
+		if (*s)[i].Name == name {
+			(*s)[i].Value += delta
+			return
+		}
+	}
+	*s = append(*s, Counter{Name: name, Value: delta})
+}
+
+// MergeInto folds the set into a counter map.
+func (s CounterSet) MergeInto(dst map[string]int64) {
+	for _, c := range s {
+		dst[c.Name] += c.Value
+	}
+}
+
 // TaskStats is the per-task statistics record the adaptive optimizer
 // consumes: one sample per completed task (§4.2 treats each task's
 // statistics as a random sample for the variance test).
@@ -324,7 +369,7 @@ type TaskStats struct {
 	ID       int
 	Kind     TaskKind
 	Node     sim.NodeID
-	Counters map[string]int64
+	Counters CounterSet
 	Sketches map[string][]uint64
 	Duration float64
 	// BodyTime is the virtual time of the final successful attempt's body

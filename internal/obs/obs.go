@@ -130,22 +130,18 @@ func (r *Registry) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// AddAll folds a loose counter map into the registry.
-func (r *Registry) AddAll(m map[string]int64) {
+// AddAll folds one task's counters into the registry under one lock, every
+// name prefixed when prefix is not empty — the job service namespaces each
+// job's counters by "tenant/job#n/" so interleaved jobs stay separable in
+// one registry.
+func (r *Registry) AddAll(prefix string, ms []Metric) {
 	r.mu.Lock()
-	for k, v := range m {
-		r.counters[k] += v
-	}
-	r.mu.Unlock()
-}
-
-// AddAllPrefix folds a loose counter map into the registry with every
-// name prefixed — the job service namespaces each job's counters by
-// "tenant/job#n/" so interleaved jobs stay separable in one registry.
-func (r *Registry) AddAllPrefix(prefix string, m map[string]int64) {
-	r.mu.Lock()
-	for k, v := range m {
-		r.counters[prefix+k] += v
+	for _, m := range ms {
+		name := m.Name
+		if prefix != "" {
+			name = prefix + name
+		}
+		r.counters[name] += m.Value
 	}
 	r.mu.Unlock()
 }

@@ -44,9 +44,10 @@ func TestRegistrySnapshotsSorted(t *testing.T) {
 func TestAddAllFoldsLooseCounters(t *testing.T) {
 	r := NewRegistry()
 	r.Add("x", 1)
-	r.AddAll(map[string]int64{"x": 2, "y": 7})
-	if r.Counter("x") != 3 || r.Counter("y") != 7 {
-		t.Fatalf("fold wrong: x=%d y=%d", r.Counter("x"), r.Counter("y"))
+	r.AddAll("", []Metric{{"x", 2}, {"y", 7}})
+	r.AddAll("ns/", []Metric{{"x", 5}})
+	if r.Counter("x") != 3 || r.Counter("y") != 7 || r.Counter("ns/x") != 5 {
+		t.Fatalf("fold wrong: x=%d y=%d ns/x=%d", r.Counter("x"), r.Counter("y"), r.Counter("ns/x"))
 	}
 }
 
