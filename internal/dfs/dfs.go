@@ -240,9 +240,11 @@ func (f *File) release() error {
 // chunk to it, dropping the resident slices. Called without the lock.
 func (f *File) persist(path string, opts fstore.Options) error {
 	b := fstore.NewBuilder()
+	keys := make([]string, len(f.Chunks)) // named once, for the write and for the reopen
 	for i, c := range f.Chunks {
 		recs := c.recs
-		b.AddSeq(chunkKey(i), int64(c.Shard), func(yield func(string)) {
+		keys[i] = chunkKey(i)
+		b.AddSeq(keys[i], int64(c.Shard), func(yield func(string)) {
 			for _, r := range recs {
 				yield(r.Key)
 				yield(r.Value)
@@ -258,7 +260,7 @@ func (f *File) persist(path string, opts fstore.Options) error {
 		return fmt.Errorf("dfs: reopening just-written %q: %w", f.Name, err)
 	}
 	for i, c := range f.Chunks {
-		slot, ok := snap.Find(chunkKey(i))
+		slot, ok := snap.Find(keys[i])
 		if !ok {
 			snap.Close()
 			os.Remove(path)
@@ -270,9 +272,20 @@ func (f *File) persist(path string, opts fstore.Options) error {
 	return nil
 }
 
-// chunkKey names chunk i inside its file's snapshot; zero-padding keeps
-// slot order equal to chunk order.
-func chunkKey(i int) string { return fmt.Sprintf("c%08d", i) }
+// chunkKey names chunk i inside its file's snapshot, as "c%08d" spells it;
+// zero-padding keeps slot order equal to chunk order. A file names a
+// thousand chunks, so the eight-digit case is rendered without fmt.
+func chunkKey(i int) string {
+	if i < 0 || i >= 1e8 {
+		return fmt.Sprintf("c%08d", i)
+	}
+	key := [9]byte{0: 'c'}
+	for p := 8; p > 0; p-- {
+		key[p] = byte('0' + i%10)
+		i /= 10
+	}
+	return string(key[:])
+}
 
 // Create writes a new file from records, splitting into chunks of about
 // ChunkTarget bytes and placing Replication replicas per chunk. It returns

@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -107,25 +108,38 @@ func TestViewOfCorruptChunkIsAnError(t *testing.T) {
 	}
 }
 
+// TestChunkKeySpelling: the hand-rendered key is the one fmt spells, on
+// both sides of the eight digits it is rendered for, so no snapshot byte
+// changes.
+func TestChunkKeySpelling(t *testing.T) {
+	for _, i := range []int{0, 1, 255, 256, 99_999_999, 100_000_000} {
+		if got, want := chunkKey(i), fmt.Sprintf("c%08d", i); got != want {
+			t.Errorf("chunkKey(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
 // TestPersistAllocs budgets the file-backed create: a constant — the
 // window the snapshot streams through and the buffer it is read back
 // through — whatever the records weigh, with no image of the file and no
-// staging copy of the records on the way to it. (CreateSharded takes its
-// shards over, so the records themselves are not part of the bill.)
+// staging copy of the records on the way to it, and three allocations per
+// chunk: the chunk, its key, the closure that enumerates its records.
+// (CreateSharded takes its shards over, so the records themselves are not
+// part of the bill.)
 func TestPersistAllocs(t *testing.T) {
 	// The least of three creates: what the runtime allocates on the side now
 	// and then (a thread for a blocking write, lazy set-up on a first call)
 	// is not on the bill.
-	persist := func(valueBytes int) (got uint64, size int64) {
+	persist := func(valueBytes, perChunk int) (got, count uint64, size int64) {
 		value := strings.Repeat("v", valueBytes)
-		got = ^uint64(0)
+		got, count = ^uint64(0), ^uint64(0)
 		for i := 0; i < 3; i++ {
 			recs := make([]Record, 4096)
 			for i := range recs {
 				recs[i] = Record{Key: "k", Value: value}
 			}
 			fs := newBackedFS(t, fstore.Options{})
-			fs.ChunkTarget = 256 * recs[0].Size() // the same 16 chunks at either size
+			fs.ChunkTarget = perChunk * recs[0].Size()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			f, err := fs.CreateSharded("sized", [][]Record{recs}, []sim.NodeID{0})
@@ -137,13 +151,16 @@ func TestPersistAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, size = min(got, after.TotalAlloc-before.TotalAlloc), info.Size()
+			if want := len(recs) / perChunk; len(f.Chunks) != want {
+				t.Fatalf("%d chunks, want %d", len(f.Chunks), want)
+			}
+			got, count, size = min(got, after.TotalAlloc-before.TotalAlloc), min(count, after.Mallocs-before.Mallocs), info.Size()
 		}
-		return got, size
+		return got, count, size
 	}
-	const window = 128 << 10 // fstore's
-	small, smallSize := persist(64)
-	big, bigSize := persist(16 * 64)
+	const window = 128 << 10                  // fstore's
+	small, few, smallSize := persist(64, 256) // the same 16 chunks at either size
+	big, _, bigSize := persist(16*64, 256)
 	if bigSize < 12*smallSize || bigSize < 16*window {
 		t.Fatalf("snapshots of %d and %d bytes: want values 16x apart and many windows", smallSize, bigSize)
 	}
@@ -152,5 +169,11 @@ func TestPersistAllocs(t *testing.T) {
 	}
 	if limit := uint64(2*window + 16<<10); big > limit {
 		t.Errorf("persisting a %d-byte snapshot allocated %d bytes, want <= %d (two windows and a constant)", bigSize, big, limit)
+	}
+	_, many, _ := persist(64, 4)
+	t.Logf("persisting 4,096 records: %d allocations in 16 chunks, %d in 1,024: %.2f per extra chunk", few, many, float64(many-few)/(1024-16))
+	// And the doublings of the slices that list the chunks.
+	if limit := few + 3*(1024-16) + 32; many > limit {
+		t.Errorf("persisting allocates %d times for 16 chunks and %d for 1,024, want at most %d: 3 per extra chunk", few, many, limit)
 	}
 }
