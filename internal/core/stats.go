@@ -207,24 +207,21 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 	var records, preInBytes, preOutBytes, idxBytes, postBytes, postRecords int64
 	var mapBytes int64
 	sketches := make(map[string]*sketch.FM)
-	type idxTotals struct {
-		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi int64
-	}
-	totals := make(map[string]*idxTotals)
-	// The counter names, spelled once and not once per task.
+	// The counter names are spelled here, once, and not once per task.
 	nPreIn, nPreInBytes, nPreOutBytes := ctrPreIn(name), ctrPreInBytes(name), ctrPreOutBytes(name)
 	nIdxBytes, nPostBytes, nPostRecords := ctrIdxBytes(name), ctrPostBytes(name), ctrPostRecords(name)
-	type idxNames struct {
-		ix, keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi, sketch, nik string
+	type idxTotals struct {
+		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi int64
+
+		nKeys, nKeyBytes, nValBytes, nLookups, nServeNS, nProbes, nMisses, nMulti, nSketch, nNik string
 	}
-	names := make([]idxNames, len(op.Indices()))
-	for i, a := range op.Indices() {
+	totals := make(map[string]*idxTotals)
+	for _, a := range op.Indices() {
 		ix := a.Name()
-		totals[ix] = &idxTotals{}
-		names[i] = idxNames{
-			ix: ix, keys: ctrKeys(name, ix), keyBytes: ctrKeyBytes(name, ix), valBytes: ctrValBytes(name, ix),
-			lookups: ctrLookups(name, ix), serveNS: ctrServeNS(name, ix), probes: ctrProbes(name, ix),
-			misses: ctrMisses(name, ix), multi: ctrMulti(name, ix), sketch: skKeys(name, ix), nik: "nik." + ix,
+		totals[ix] = &idxTotals{
+			nKeys: ctrKeys(name, ix), nKeyBytes: ctrKeyBytes(name, ix), nValBytes: ctrValBytes(name, ix),
+			nLookups: ctrLookups(name, ix), nServeNS: ctrServeNS(name, ix), nProbes: ctrProbes(name, ix),
+			nMisses: ctrMisses(name, ix), nMulti: ctrMulti(name, ix), nSketch: skKeys(name, ix), nNik: "nik." + ix,
 		}
 	}
 
@@ -239,35 +236,32 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 		}
 		used++
 		records += r
-		taskPreIn, taskPreOut := t.Counters.Get(nPreInBytes), t.Counters.Get(nPreOutBytes)
-		taskIdx, taskPost := t.Counters.Get(nIdxBytes), t.Counters.Get(nPostBytes)
-		preInBytes += taskPreIn
-		preOutBytes += taskPreOut
-		idxBytes += taskIdx
-		postBytes += taskPost
+		preInBytes += t.Counters.Get(nPreInBytes)
+		preOutBytes += t.Counters.Get(nPreOutBytes)
+		idxBytes += t.Counters.Get(nIdxBytes)
+		postBytes += t.Counters.Get(nPostBytes)
 		postRecords += t.Counters.Get(nPostRecords)
 		mapBytes += t.Counters.Get(ctrMapOutBytes)
 
 		sample := map[string]float64{
-			"s1":    float64(taskPreIn) / float64(r),
-			"spre":  float64(taskPreOut) / float64(r),
-			"sidx":  float64(taskIdx) / float64(r),
-			"spost": float64(taskPost) / float64(r),
+			"s1":    float64(t.Counters.Get(nPreInBytes)) / float64(r),
+			"spre":  float64(t.Counters.Get(nPreOutBytes)) / float64(r),
+			"sidx":  float64(t.Counters.Get(nIdxBytes)) / float64(r),
+			"spost": float64(t.Counters.Get(nPostBytes)) / float64(r),
 		}
-		for i := range names {
-			n := &names[i]
-			ix, keys := n.ix, t.Counters.Get(n.keys)
+		for _, a := range op.Indices() {
+			ix := a.Name()
 			tt := totals[ix]
-			tt.keys += keys
-			tt.keyBytes += t.Counters.Get(n.keyBytes)
-			tt.valBytes += t.Counters.Get(n.valBytes)
-			tt.lookups += t.Counters.Get(n.lookups)
-			tt.serveNS += t.Counters.Get(n.serveNS)
-			tt.probes += t.Counters.Get(n.probes)
-			tt.misses += t.Counters.Get(n.misses)
-			tt.multi += t.Counters.Get(n.multi)
-			sample[n.nik] = float64(keys) / float64(r)
-			if vecs, ok := t.Sketches[n.sketch]; ok {
+			tt.keys += t.Counters.Get(tt.nKeys)
+			tt.keyBytes += t.Counters.Get(tt.nKeyBytes)
+			tt.valBytes += t.Counters.Get(tt.nValBytes)
+			tt.lookups += t.Counters.Get(tt.nLookups)
+			tt.serveNS += t.Counters.Get(tt.nServeNS)
+			tt.probes += t.Counters.Get(tt.nProbes)
+			tt.misses += t.Counters.Get(tt.nMisses)
+			tt.multi += t.Counters.Get(tt.nMulti)
+			sample[tt.nNik] = float64(t.Counters.Get(tt.nKeys)) / float64(r)
+			if vecs, ok := t.Sketches[tt.nSketch]; ok {
 				fm := sketch.FromVectors(vecs)
 				if cur, ok := sketches[ix]; ok {
 					cur.Merge(fm)

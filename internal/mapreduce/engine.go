@@ -292,8 +292,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 
 	out := &MapOutput{Split: split, Node: node, Parts: 1}
 	f.job, f.out, f.splitRecords = job, out, len(records)
-	staged := job.Reduce != nil && job.NumReduce > 1
-	if staged {
+	if job.Reduce != nil && job.NumReduce > 1 {
 		out.Parts = job.NumReduce
 		if f.stage == nil {
 			f.stage = &staging{counts: make([]int32, out.Parts)}
@@ -313,7 +312,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	sp.End()
 
 	outRecords := len(out.one[0])
-	if staged {
+	if f.stage != nil { // set above, or by an earlier task of this phase: the same job
 		outRecords = f.stage.scatter(out)
 	} else if outRecords > 0 {
 		out.Buckets, out.Reducers = out.one[:], out.oneR[:]
@@ -550,7 +549,7 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 	if t == nil {
 		return
 	}
-	name = e.qual(name)
+	name, prefix := e.qual(name), e.qual("") // counters fold in under the run's namespace
 	base := phaseBase
 	if !e.svc {
 		base = t.Clock()
@@ -582,7 +581,7 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 				Start: base + bodyStart + s.Start/speed, Dur: s.Dur / speed,
 			})
 		}
-		e.addCountersToTrace(t, st.Counters)
+		t.Metrics.AddAll(prefix, st.Counters)
 	}
 	t.AddStage(obs.StageProfile{
 		Name: t.Qualify(name), Kind: kind, VTime: phase.Makespan,

@@ -1,9 +1,6 @@
 package mapreduce
 
-import (
-	"efind/internal/obs"
-	"efind/internal/sim"
-)
+import "efind/internal/sim"
 
 // JobRun is the per-job execution handle: it owns every piece of mutable
 // state one job's execution needs — the virtual clock, the phase sequence
@@ -136,14 +133,4 @@ func (r *JobRun) instant(name, cat string, at float64) {
 		return
 	}
 	r.Trace.AddInstant(r.qual(name), cat)
-}
-
-// addCountersToTrace folds one task's counters into the trace registry,
-// under the run's namespace when set.
-func (r *JobRun) addCountersToTrace(t *obs.Trace, counters CounterSet) {
-	prefix := ""
-	if r.ns != "" {
-		prefix = r.ns + "/"
-	}
-	t.Metrics.AddAll(prefix, counters)
 }

@@ -137,11 +137,7 @@ func (r *Registry) Add(name string, delta int64) {
 func (r *Registry) AddAll(prefix string, ms []Metric) {
 	r.mu.Lock()
 	for _, m := range ms {
-		name := m.Name
-		if prefix != "" {
-			name = prefix + name
-		}
-		r.counters[name] += m.Value
+		r.counters[prefix+m.Name] += m.Value // no copy when prefix is empty
 	}
 	r.mu.Unlock()
 }

@@ -238,23 +238,21 @@ func (c *Cluster) SchedulePhase(tasks []Task, slotsPerNode int) PhaseResult {
 	return c.SchedulePhaseLease(tasks, slotsPerNode, nil, nil)
 }
 
-func (r *PhaseResult) record(a Assignment) {
-	r.Assignments = append(r.Assignments, a)
-	if a.Local {
-		r.LocalTasks++
-	}
-	if end := a.Start + a.Duration; end > r.Makespan {
-		r.Makespan = end
-	}
-}
-
-func (r *PhaseResult) sortAssignments() {
+// finish sorts a phase's assignments, which arrive in the order the executor
+// made or completed them, by (start, task) — a total order — and sums them up.
+func (r *PhaseResult) finish() {
 	slices.SortFunc(r.Assignments, func(a, b Assignment) int {
 		if a.Start != b.Start {
 			return cmp.Compare(a.Start, b.Start)
 		}
 		return cmp.Compare(a.Task, b.Task)
 	})
+	for _, a := range r.Assignments {
+		if a.Local {
+			r.LocalTasks++
+		}
+		r.Makespan = max(r.Makespan, a.Start+a.Duration)
+	}
 }
 
 // schedulePhaseSerial executes every task body inline in the event loop.
@@ -272,15 +270,10 @@ func (c *Cluster) schedulePhaseSerial(tasks []Task, h slotHeap) PhaseResult {
 	for scheduled := 0; scheduled < len(tasks); scheduled++ {
 		s := h.pop()
 		ti, local := picker.pick(NodeID(s.node))
-		if ti < 0 {
-			// All remaining tasks are already taken: shouldn't happen
-			// because the pending count drives the loop.
-			break
-		}
 		dur := (c.cfg.TaskStartup + tasks[ti].Run(NodeID(s.node), s.free)) / c.cfg.SpeedOf(NodeID(s.node))
-		res.record(Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Duration: dur, Local: local})
+		res.Assignments = append(res.Assignments, Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Duration: dur, Local: local})
 		h.push(slot{node: s.node, idx: s.idx, free: s.free + dur})
 	}
-	res.sortAssignments()
+	res.finish()
 	return res
 }
