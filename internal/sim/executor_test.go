@@ -18,6 +18,12 @@ type ran struct {
 	start float64
 }
 
+// raise lifts a high-water mark to v.
+func raise(mark *atomic.Int32, v int32) {
+	for h := mark.Load(); v > h && !mark.CompareAndSwap(h, v); h = mark.Load() {
+	}
+}
+
 // execCase is one random phase: cluster shape, task bag, optional lease and
 // down nodes. Everything derives from the seed, so a failure reproduces.
 type execCase struct {
@@ -87,13 +93,7 @@ func (ec execCase) run(t *testing.T, parallelism int) (res PhaseResult, perNode 
 	for i := range tasks {
 		i := i
 		tasks[i] = Task{Preferred: ec.prefs[i], Run: func(node NodeID, start float64) float64 {
-			now := running.Add(1)
-			for {
-				h := high.Load()
-				if now <= h || high.CompareAndSwap(h, now) {
-					break
-				}
-			}
+			raise(&high, running.Add(1))
 			if busy[node].Add(1) != 1 {
 				t.Errorf("parallelism %d: task %d found another body running on node %d", parallelism, i, node)
 			}
@@ -221,13 +221,7 @@ func TestExecutorFootprintAllocs(t *testing.T) {
 		for i := range tasks {
 			inner := tasks[i].Run
 			tasks[i].Run = func(node NodeID, start float64) float64 {
-				now := int32(runtime.NumGoroutine())
-				for {
-					h := peak.Load()
-					if now <= h || peak.CompareAndSwap(h, now) {
-						break
-					}
-				}
+				raise(&peak, int32(runtime.NumGoroutine()))
 				return inner(node, start)
 			}
 		}
