@@ -211,8 +211,7 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 	nPreIn, nPreInBytes, nPreOutBytes := ctrPreIn(name), ctrPreInBytes(name), ctrPreOutBytes(name)
 	nIdxBytes, nPostBytes, nPostRecords := ctrIdxBytes(name), ctrPostBytes(name), ctrPostRecords(name)
 	type idxTotals struct {
-		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi int64
-
+		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi                        int64
 		nKeys, nKeyBytes, nValBytes, nLookups, nServeNS, nProbes, nMisses, nMulti, nSketch, nNik string
 	}
 	totals := make(map[string]*idxTotals)

@@ -279,12 +279,11 @@ func chunkKey(i int) string {
 	if i < 0 || i >= 1e8 {
 		return fmt.Sprintf("c%08d", i)
 	}
-	key := [9]byte{0: 'c'}
-	for p := 8; p > 0; p-- {
-		key[p] = byte('0' + i%10)
-		i /= 10
+	key := []byte("c00000000")
+	for p := 8; i > 0; p, i = p-1, i/10 {
+		key[p] += byte(i % 10)
 	}
-	return string(key[:])
+	return string(key)
 }
 
 // Create writes a new file from records, splitting into chunks of about

@@ -203,9 +203,7 @@ type taskFrame struct {
 	splitRecords int
 	shard        []dfs.Record // reduce sink
 	outBytes     int
-
-	// stage is the one thing a frame keeps from task to task: the staging
-	// buffer, which the scatter wipes and whose capacity is worth keeping.
+	// stage, which the scatter wipes, is all a frame keeps from task to task.
 	stage *staging
 }
 

@@ -71,7 +71,7 @@ type parNode struct {
 // for the phase: placed[seq] is the placement — the phase's assignment
 // record, its Duration written by the worker that ran it — and next[seq]
 // links it first into its node's chain, then into the chain of finished
-// work. ready lists the nodes that have work and no owner.
+// work. ready queues the nodes that have work and no owner.
 //
 // mu guards nodes, ready, the finished chain and the links of any sequence
 // number on them; a detached chain belongs to its worker alone until it is
@@ -87,8 +87,10 @@ type workerPool struct {
 	work    sync.Cond // workers wait here for a ready node
 	done    sync.Cond // the coordinator waits here for finished work, and for the workers to end
 	workers int
-	live    int // workers that have not ended
-	ready   []int32
+	live    int     // workers that have not ended
+	ready   []int32 // a ring: nready nodes from index first on
+	first   int
+	nready  int
 	fin     int32 // head of the finished chain
 	closed  bool
 	// A panicking body fails the phase: failSeq is the lowest sequence
@@ -101,8 +103,7 @@ func (c *Cluster) newWorkerPool(tasks []Task, placed []Assignment, workers int) 
 	p := &workerPool{
 		c: c, tasks: tasks, placed: placed, workers: workers, live: workers,
 		next: make([]int32, len(tasks)), nodes: make([]parNode, c.cfg.Nodes),
-		ready: make([]int32, 0, min(len(tasks), c.cfg.Nodes)), // a node is listed at most once
-		fin:   none, failSeq: none,
+		ready: make([]int32, c.cfg.Nodes), fin: none, failSeq: none,
 	}
 	p.work.L, p.done.L = &p.mu, &p.mu
 	for n := range p.nodes {
@@ -144,48 +145,56 @@ func (p *workerPool) worker() {
 
 // turn is a worker's one critical section per batch. It hands in the chain
 // the worker has run (none the first time): the nodes on it lose their
-// owner — one given more work meanwhile becomes ready again — and the chain
-// joins the finished ones. Then it waits for ready nodes and claims a
-// 4·workers-th of them, so that a round of many nodes spreads over all
-// workers in few turns: their chains joined into one, none once closed.
+// owner — one that still has work goes to the back of the ready queue — and
+// the chain joins the finished ones. Then it waits for ready nodes and
+// claims the first placement of a 4·workers-th of them, from the front of
+// the queue, joined into one chain (none once closed). A round of many nodes
+// spreads over all workers in few turns, and a wave's nodes advance together:
+// its last placements sit on different nodes, not in one worker's chain.
 func (p *workerPool) turn(ran int32) (head int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ran != none {
 		last := ran
 		for seq := ran; seq != none; seq = p.next[seq] {
-			if n := p.placed[seq].Node; p.nodes[n].owned {
-				p.nodes[n].owned = false
-				if p.nodes[n].head != none {
-					p.ready = append(p.ready, int32(n))
-				}
+			n := p.placed[seq].Node
+			if p.nodes[n].owned = false; p.nodes[n].head != none {
+				p.pushReady(int32(n))
 			}
 			last = seq
 		}
 		p.next[last], p.fin = p.fin, ran
 		p.done.Signal()
 	}
-	for len(p.ready) == 0 && !p.closed {
+	for p.nready == 0 && !p.closed {
 		p.work.Wait()
 	}
 	if p.closed {
 		return none
 	}
 	head, tail := none, none
-	rest := len(p.ready) - (len(p.ready)+4*p.workers-1)/(4*p.workers)
-	for _, ni := range p.ready[rest:] {
-		n := &p.nodes[ni]
+	for k := (p.nready + 4*p.workers - 1) / (4 * p.workers); k > 0; k-- {
+		n := &p.nodes[p.ready[p.first]]
+		p.first, p.nready = (p.first+1)%len(p.ready), p.nready-1
 		if head == none {
 			head = n.head
 		} else {
 			p.next[tail] = n.head
 		}
-		tail, n.head, n.owned = n.tail, none, true
+		tail, n.owned = n.head, true
+		n.head = p.next[tail] // what is left waits for this owner to let go
 	}
-	if p.ready = p.ready[:rest]; rest > 0 {
-		p.work.Signal() // this worker was woken for the ready list, not for one node
+	p.next[tail] = none
+	if p.nready > 0 {
+		p.work.Signal() // this worker was woken for the queue, not for one node
 	}
 	return head
+}
+
+// pushReady appends node n to the ready queue: a ring, a node is in it once.
+func (p *workerPool) pushReady(n int32) {
+	p.ready[(p.first+p.nready)%len(p.ready)] = n
+	p.nready++
 }
 
 // exchange is the coordinator's one critical section per round. It
@@ -203,11 +212,11 @@ func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 		if n.head != none {
 			p.next[n.tail] = seq
 		} else if n.head = seq; !n.owned {
-			p.ready = append(p.ready, ni)
+			p.pushReady(ni)
 		}
 		n.tail = seq
 	}
-	if len(p.ready) > 0 {
+	if p.nready > 0 {
 		p.work.Signal()
 	}
 	for p.fin == none && p.failSeq == none {
