@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sync"
 )
 
@@ -35,9 +36,7 @@ import (
 // a heap of slots keyed by that lower bound, idx carrying the task's
 // dispatch sequence number, with lazy deletion — completions mark their
 // sequence number retired, and stale tops are popped on the next min query.
-// The dispatch loop consults the minimum once per placement, so this keeps
-// coordination O(log inflight); a scan per dispatch went quadratic at 10k
-// nodes × 8 slots.
+// The dispatch loop asks for the minimum once per placement: O(log inflight).
 type lbHeap struct {
 	h       slotHeap
 	retired []bool // indexed by seq; seq < len(tasks) always
@@ -136,6 +135,9 @@ func (p *workerPool) worker() {
 	}()
 	cfg := &p.c.cfg
 	for head := p.turn(none); head != none; head = p.turn(head) {
+		// The turn readied the coordinator on this worker's processor: let it
+		// place the next round now, not once the workers have run dry.
+		runtime.Gosched()
 		for seq = head; seq != none; seq = p.next[seq] {
 			a := &p.placed[seq]
 			a.Duration = (cfg.TaskStartup + p.tasks[a.Task].Run(a.Node, a.Start)) / cfg.SpeedOf(a.Node)
