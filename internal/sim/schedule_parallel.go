@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -135,9 +134,6 @@ func (p *workerPool) worker() {
 	}()
 	cfg := &p.c.cfg
 	for head := p.turn(none); head != none; head = p.turn(head) {
-		// The turn readied the coordinator on this worker's processor: let it
-		// place the next round now, not once the workers have run dry.
-		runtime.Gosched()
 		for seq = head; seq != none; seq = p.next[seq] {
 			a := &p.placed[seq]
 			a.Duration = (cfg.TaskStartup + p.tasks[a.Task].Run(a.Node, a.Start)) / cfg.SpeedOf(a.Node)
