@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sync"
 )
 
@@ -134,6 +135,9 @@ func (p *workerPool) worker() {
 	}()
 	cfg := &p.c.cfg
 	for head := p.turn(none); head != none; head = p.turn(head) {
+		// The turn readied the coordinator behind this worker: let it place
+		// the next round now, not once the workers have run dry.
+		runtime.Gosched()
 		for seq = head; seq != none; seq = p.next[seq] {
 			a := &p.placed[seq]
 			a.Duration = (cfg.TaskStartup + p.tasks[a.Task].Run(a.Node, a.Start)) / cfg.SpeedOf(a.Node)
