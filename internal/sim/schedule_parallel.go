@@ -24,13 +24,13 @@ import (
 //
 // Determinism of the task bodies themselves comes from per-node ordering,
 // which is ownership: a node's placements wait on a chain in placement
-// order, a node has at most one owner among the pool's workers, and the
-// owner runs the chain front to back. Tasks sharing that node's state (the
-// per-machine lookup caches of §3.2) therefore observe the same access
-// sequence as under the serial executor, and the pool's mutex orders one
-// owner's accesses before the next one's. State shared across nodes must be
-// synchronized and order-independent (atomic counters, OR-able sketches);
-// see the concurrency model note in DESIGN.md.
+// order, a node has at most one owner among the pool's workers, and only
+// an owner takes a placement, off the front. Tasks sharing that node's
+// state (the per-machine lookup caches of §3.2) therefore observe the same
+// access sequence as under the serial executor, and the pool's mutex orders
+// one owner's accesses before the next one's. State shared across nodes
+// must be synchronized and order-independent (atomic counters, OR-able
+// sketches); see the concurrency model note in DESIGN.md.
 
 // lbHeap tracks the earliest time any in-flight task's slot could free up:
 // a heap of slots keyed by that lower bound, idx carrying the task's
@@ -59,7 +59,7 @@ const none = int32(-1)
 
 // parNode is one node's place in the pool: the chain of its placements no
 // worker has taken yet, and whether a worker owns it — is running, or about
-// to run, a chain detached from it.
+// to run, a placement taken off the front of it.
 type parNode struct {
 	head, tail int32 // dispatch sequence numbers; head is none when empty
 	owned      bool
