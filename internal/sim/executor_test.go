@@ -196,6 +196,36 @@ func TestPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// TestPanicOnBodyExit: a body that ends its goroutine (runtime.Goexit, which
+// is what t.FailNow does) in the middle of a chain would leave its node owned
+// and the coordinator waiting for ever. The pool fails the phase instead, by
+// name, on the caller's goroutine.
+func TestPanicOnBodyExit(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nodes = 6
+	cfg.Parallelism = 4
+	tasks := make([]Task, 60)
+	for i := range tasks {
+		i := i
+		tasks[i] = Task{Run: func(NodeID, float64) float64 {
+			if i == 7 {
+				runtime.Goexit()
+			}
+			return 1
+		}}
+	}
+	baseline := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		NewCluster(cfg).SchedulePhase(tasks, 2)
+	}()
+	if got != errBodyExited {
+		t.Fatalf("the caller recovered %v, want %v", got, errBodyExited)
+	}
+	waitForGoroutines(t, baseline)
+}
+
 // waitForGoroutines fails the test unless the goroutine count is back at
 // baseline within a second.
 func waitForGoroutines(t *testing.T, baseline int) {

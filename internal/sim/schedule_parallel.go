@@ -1,8 +1,8 @@
 package sim
 
 import (
+	"errors"
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -24,8 +24,8 @@ import (
 //
 // Determinism of the task bodies themselves comes from per-node ordering,
 // which is ownership: a node's placements wait on a chain in placement
-// order, a node has at most one owner among the pool's workers, and only
-// an owner takes a placement, off the front. Tasks sharing that node's
+// order, a node has at most one owner among the pool's workers, and the
+// owner runs the chain it detached front to back. Tasks sharing that node's
 // state (the per-machine lookup caches of §3.2) therefore observe the same
 // access sequence as under the serial executor, and the pool's mutex orders
 // one owner's accesses before the next one's. State shared across nodes
@@ -59,7 +59,7 @@ const none = int32(-1)
 
 // parNode is one node's place in the pool: the chain of its placements no
 // worker has taken yet, and whether a worker owns it — is running, or about
-// to run, a placement taken off the front of it.
+// to run, a chain detached from it.
 type parNode struct {
 	head, tail int32 // dispatch sequence numbers; head is none when empty
 	owned      bool
@@ -70,7 +70,7 @@ type parNode struct {
 // for the phase: placed[seq] is the placement — the phase's assignment
 // record, its Duration written by the worker that ran it — and next[seq]
 // links it first into its node's chain, then into the chain of finished
-// work. ready queues the nodes that have work and no owner.
+// work. ready lists the nodes that have work and no owner.
 //
 // mu guards nodes, ready, the finished chain and the links of any sequence
 // number on them; a detached chain belongs to its worker alone until it is
@@ -86,23 +86,25 @@ type workerPool struct {
 	work    sync.Cond // workers wait here for a ready node
 	done    sync.Cond // the coordinator waits here for finished work, and for the workers to end
 	workers int
-	live    int     // workers that have not ended
-	ready   []int32 // a ring: nready nodes from index first on
-	first   int
-	nready  int
+	live    int // workers that have not ended
+	ready   []int32
 	fin     int32 // head of the finished chain
 	closed  bool
-	// A panicking body fails the phase: failSeq is the lowest sequence
-	// number whose body panicked, failure what it panicked with.
+	// A body that does not return fails the phase: failSeq is the lowest
+	// sequence number whose body panicked, failure what it panicked with —
+	// errBodyExited for one that ended its goroutine instead.
 	failSeq int32
 	failure any
 }
+
+var errBodyExited = errors.New("sim: a task body exited its goroutine (runtime.Goexit, t.FailNow) instead of returning")
 
 func (c *Cluster) newWorkerPool(tasks []Task, placed []Assignment, workers int) *workerPool {
 	p := &workerPool{
 		c: c, tasks: tasks, placed: placed, workers: workers, live: workers,
 		next: make([]int32, len(tasks)), nodes: make([]parNode, c.cfg.Nodes),
-		ready: make([]int32, c.cfg.Nodes), fin: none, failSeq: none,
+		ready: make([]int32, 0, min(len(tasks), c.cfg.Nodes)), // a node is listed at most once
+		fin:   none, failSeq: none,
 	}
 	p.work.L, p.done.L = &p.mu, &p.mu
 	for n := range p.nodes {
@@ -115,12 +117,17 @@ func (c *Cluster) newWorkerPool(tasks []Task, placed []Assignment, workers int) 
 }
 
 // worker claims chains and runs them front to back until the pool closes or
-// a body panics. The panic is caught here — once per worker, not per task —
-// and recorded against the pool, which it closes: no worker claims again.
+// a body does not return: it panicked, or it ended the goroutine, which
+// leaves seq on its placement. Either is caught here — once per worker, not
+// per task — and recorded against the pool, which it closes: no worker
+// claims again.
 func (p *workerPool) worker() {
 	seq := none // the placement being run
 	defer func() {
 		v := recover()
+		if v == nil && seq != none {
+			v = errBodyExited
+		}
 		p.mu.Lock()
 		if v != nil {
 			if p.failSeq == none || seq < p.failSeq {
@@ -135,9 +142,6 @@ func (p *workerPool) worker() {
 	}()
 	cfg := &p.c.cfg
 	for head := p.turn(none); head != none; head = p.turn(head) {
-		// The turn readied the coordinator behind this worker: let it place
-		// the next round now, not once the workers have run dry.
-		runtime.Gosched()
 		for seq = head; seq != none; seq = p.next[seq] {
 			a := &p.placed[seq]
 			a.Duration = (cfg.TaskStartup + p.tasks[a.Task].Run(a.Node, a.Start)) / cfg.SpeedOf(a.Node)
@@ -147,63 +151,55 @@ func (p *workerPool) worker() {
 
 // turn is a worker's one critical section per batch. It hands in the chain
 // the worker has run (none the first time): the nodes on it lose their
-// owner — one that still has work goes to the back of the ready queue — and
-// the chain joins the finished ones. Then it waits for ready nodes and
-// claims the first placement of a 4·workers-th of them, from the front of
-// the queue, joined into one chain (none once closed). A round of many nodes
-// spreads over all workers in few turns, and a wave's nodes advance together:
-// its last placements sit on different nodes, not in one worker's chain.
+// owner — one given more work meanwhile becomes ready again — and the chain
+// joins the finished ones. Then it waits for ready nodes and claims a
+// 4·workers-th of them, so that a round of many nodes spreads over all
+// workers in few turns: their chains joined into one, none once closed.
 func (p *workerPool) turn(ran int32) (head int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if ran != none {
 		last := ran
 		for seq := ran; seq != none; seq = p.next[seq] {
-			n := p.placed[seq].Node
-			if p.nodes[n].owned = false; p.nodes[n].head != none {
-				p.pushReady(int32(n))
+			if n := p.placed[seq].Node; p.nodes[n].owned {
+				p.nodes[n].owned = false
+				if p.nodes[n].head != none {
+					p.ready = append(p.ready, int32(n))
+				}
 			}
 			last = seq
 		}
 		p.next[last], p.fin = p.fin, ran
 		p.done.Signal()
 	}
-	for p.nready == 0 && !p.closed {
+	for len(p.ready) == 0 && !p.closed {
 		p.work.Wait()
 	}
 	if p.closed {
 		return none
 	}
 	head, tail := none, none
-	for k := (p.nready + 4*p.workers - 1) / (4 * p.workers); k > 0; k-- {
-		n := &p.nodes[p.ready[p.first]]
-		p.first, p.nready = (p.first+1)%len(p.ready), p.nready-1
+	rest := len(p.ready) - (len(p.ready)+4*p.workers-1)/(4*p.workers)
+	for _, ni := range p.ready[rest:] {
+		n := &p.nodes[ni]
 		if head == none {
 			head = n.head
 		} else {
 			p.next[tail] = n.head
 		}
-		tail, n.owned = n.head, true
-		n.head = p.next[tail] // what is left waits for this owner to let go
+		tail, n.head, n.owned = n.tail, none, true
 	}
-	p.next[tail] = none
-	if p.nready > 0 {
-		p.work.Signal() // this worker was woken for the queue, not for one node
+	if p.ready = p.ready[:rest]; rest > 0 {
+		p.work.Signal() // this worker was woken for the ready list, not for one node
 	}
 	return head
-}
-
-// pushReady appends node n to the ready queue: a ring, a node is in it once.
-func (p *workerPool) pushReady(n int32) {
-	p.ready[(p.first+p.nready)%len(p.ready)] = n
-	p.nready++
 }
 
 // exchange is the coordinator's one critical section per round. It
 // publishes the placements [from, to) — each joins its node's chain, and a
 // node without an owner becomes ready — and collects the finished chain,
 // waiting for one when there is none: the round placed all the virtual
-// clock allows. Once a body has panicked it publishes nothing: !ok.
+// clock allows. Once a body has failed the phase it publishes nothing: !ok.
 func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -214,11 +210,11 @@ func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 		if n.head != none {
 			p.next[n.tail] = seq
 		} else if n.head = seq; !n.owned {
-			p.pushReady(ni)
+			p.ready = append(p.ready, ni)
 		}
 		n.tail = seq
 	}
-	if p.nready > 0 {
+	if len(p.ready) > 0 {
 		p.work.Signal()
 	}
 	for p.fin == none && p.failSeq == none {
