@@ -158,13 +158,24 @@ func TestExecutorProperties(t *testing.T) {
 // way under both executors — the value arrives at the caller of
 // SchedulePhase, no other task runs twice, and the pool is gone. With a
 // goroutine per node the parallel leg was an unrecovered panic on a node
-// goroutine: the process died whatever the caller did.
+// goroutine: the process died whatever the caller did. A body that ends its
+// goroutine instead (runtime.Goexit, which is what t.FailNow does) would
+// leave its node owned and the coordinator waiting for ever; the pool fails
+// the phase by name.
 func TestPanicReachesCaller(t *testing.T) {
 	boom := errors.New("boom")
-	for _, parallelism := range []int{1, 4} {
+	for _, tc := range []struct {
+		parallelism int
+		fail        func()
+		want        any
+	}{
+		{1, func() { panic(boom) }, boom},
+		{4, func() { panic(boom) }, boom},
+		{4, runtime.Goexit, errBodyExited},
+	} {
 		cfg := DefaultConfig()
 		cfg.Nodes = 6
-		cfg.Parallelism = parallelism
+		cfg.Parallelism = tc.parallelism
 		const n = 60
 		runs := make([]int32, n)
 		tasks := make([]Task, n)
@@ -173,7 +184,7 @@ func TestPanicReachesCaller(t *testing.T) {
 			tasks[i] = Task{Run: func(NodeID, float64) float64 {
 				atomic.AddInt32(&runs[i], 1)
 				if i == 7 {
-					panic(boom)
+					tc.fail()
 				}
 				return 1
 			}}
@@ -184,46 +195,16 @@ func TestPanicReachesCaller(t *testing.T) {
 			defer func() { got = recover() }()
 			NewCluster(cfg).SchedulePhase(tasks, 2)
 		}()
-		if got != boom {
-			t.Fatalf("parallelism %d: the caller recovered %v, want %v", parallelism, got, boom)
+		if got != tc.want {
+			t.Fatalf("parallelism %d: the caller recovered %v, want %v", tc.parallelism, got, tc.want)
 		}
 		for i, r := range runs {
 			if r > 1 || (i == 7 && r != 1) {
-				t.Fatalf("parallelism %d: task %d ran %d times", parallelism, i, r)
+				t.Fatalf("parallelism %d: task %d ran %d times", tc.parallelism, i, r)
 			}
 		}
 		waitForGoroutines(t, baseline)
 	}
-}
-
-// TestPanicOnBodyExit: a body that ends its goroutine (runtime.Goexit, which
-// is what t.FailNow does) in the middle of a chain would leave its node owned
-// and the coordinator waiting for ever. The pool fails the phase instead, by
-// name, on the caller's goroutine.
-func TestPanicOnBodyExit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Nodes = 6
-	cfg.Parallelism = 4
-	tasks := make([]Task, 60)
-	for i := range tasks {
-		i := i
-		tasks[i] = Task{Run: func(NodeID, float64) float64 {
-			if i == 7 {
-				runtime.Goexit()
-			}
-			return 1
-		}}
-	}
-	baseline := runtime.NumGoroutine()
-	var got any
-	func() {
-		defer func() { got = recover() }()
-		NewCluster(cfg).SchedulePhase(tasks, 2)
-	}()
-	if got != errBodyExited {
-		t.Fatalf("the caller recovered %v, want %v", got, errBodyExited)
-	}
-	waitForGoroutines(t, baseline)
 }
 
 // waitForGoroutines fails the test unless the goroutine count is back at
