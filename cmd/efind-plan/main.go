@@ -39,6 +39,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -49,7 +50,13 @@ import (
 	"efind/internal/sim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flag := flag.NewFlagSet("efind-plan", flag.ContinueOnError)
+	flag.SetOutput(stderr)
 	var (
 		profile = flag.String("profile", "", "render this BENCH profile JSON instead of running the what-if model")
 		walDir  = flag.String("wal", "", "render this job-service journal directory instead of running the what-if model")
@@ -76,30 +83,32 @@ func main() {
 		buildOffer   = flag.Float64("build-offer", 0.25, "buildable index: fraction of total splits offered to build per run")
 		buildHorizon = flag.Float64("build-horizon", 0, "build amortization horizon in future runs (0 = default 4, negative disables the build strategy)")
 	)
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		return 2
+	}
 
 	if *profile != "" {
 		p, err := obs.ReadProfile(*profile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "efind-plan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "efind-plan: %v\n", err)
+			return 1
 		}
 		for _, line := range core.RenderProfile(p) {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		return
+		return 0
 	}
 
 	if *walDir != "" {
 		lines, err := jobsvc.DescribeJournal(*walDir)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "efind-plan: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "efind-plan: %v\n", err)
+			return 1
 		}
 		for _, line := range lines {
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
-		return
+		return 0
 	}
 
 	env := core.Env{
@@ -128,16 +137,16 @@ func main() {
 		position = core.TailOp
 	case "body":
 	default:
-		fmt.Fprintf(os.Stderr, "efind-plan: unknown position %q (head|body|tail)\n", *pos)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "efind-plan: unknown position %q (head|body|tail)\n", *pos)
+		return 1
 	}
 
 	var model core.BuildModel
 	buildable := *buildTotal > 0
 	if buildable {
 		if *buildCovered < 0 || *buildCovered > *buildTotal {
-			fmt.Fprintf(os.Stderr, "efind-plan: -build-covered must be in [0, %d]\n", *buildTotal)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "efind-plan: -build-covered must be in [0, %d]\n", *buildTotal)
+			return 1
 		}
 		offer := int(*buildOffer*float64(*buildTotal) + 0.999999)
 		if remainder := *buildTotal - *buildCovered; offer > remainder {
@@ -178,17 +187,17 @@ func main() {
 	opts.BuildHorizon = *buildHorizon
 
 	if *explain {
-		fmt.Println("EFind cost model (per-lane virtual seconds, formulas (1)-(4) of the paper + adaptive build)")
-		fmt.Printf("  inputs: N1=%.0f Nik=%.2f Sik=%.0fB Siv=%.0fB Tj=%v Θ=%.2f R=%.2f Spre=%.0fB position=%s\n",
+		fmt.Fprintln(stdout, "EFind cost model (per-lane virtual seconds, formulas (1)-(4) of the paper + adaptive build)")
+		fmt.Fprintf(stdout, "  inputs: N1=%.0f Nik=%.2f Sik=%.0fB Siv=%.0fB Tj=%v Θ=%.2f R=%.2f Spre=%.0fB position=%s\n",
 			*n1, *nik, *sik, *siv, *tj, *theta, *r, *spre, position)
 		if buildable {
-			fmt.Printf("  buildable: %d/%d splits covered, scan=%v/split, charge=%v/record, offer rate %.2f\n",
+			fmt.Fprintf(stdout, "  buildable: %d/%d splits covered, scan=%v/split, charge=%v/record, offer rate %.2f\n",
 				model.Covered, model.Total, *buildScan, *buildCharge, *buildOffer)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 
 		for _, line := range core.ExplainCosts(st, is, env, position) {
-			fmt.Println("  " + line)
+			fmt.Fprintln(stdout, "  "+line)
 		}
 		if buildable {
 			horizon := *buildHorizon
@@ -202,17 +211,18 @@ func main() {
 			altOpts.BuildHorizon = -1
 			alt := core.OptimizeOperator(op, position, st, env, altOpts).Cost
 			for _, line := range core.ExplainBuild(st, is, env, model, horizon, alt) {
-				fmt.Println("  " + line)
+				fmt.Fprintln(stdout, "  "+line)
 			}
 			if position != core.HeadOp {
-				fmt.Println("  build      (only head operators can build: the piggyback stage rides the map scan)")
+				fmt.Fprintln(stdout, "  build      (only head operators can build: the piggyback stage rides the map scan)")
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	plan := core.OptimizeOperator(op, position, st, env, opts)
-	fmt.Printf("chosen plan: %s   (modeled cost %.4f s)\n", plan.String(), plan.Cost)
+	fmt.Fprintf(stdout, "chosen plan: %s   (modeled cost %.4f s)\n", plan.String(), plan.Cost)
+	return 0
 }
 
 // plainIdx and partitionedIdx are stat-only stand-ins; the optimizer only

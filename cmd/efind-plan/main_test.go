@@ -1,0 +1,75 @@
+package main
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/whatif.golden")
+
+// whatIfInvocations are the what-if command lines the README and the
+// command's doc comment show, plus the shapes they leave out: the chosen
+// plan alone, an index without a partition scheme, and a buildable index
+// that cannot build (tail operator, build strategy disabled).
+var whatIfInvocations = []string{
+	"-n1 100000 -nik 1 -sik 20 -siv 1024 -tj 0.8ms -theta 8 -r 0.9",
+	"-theta 1 -r 1 -siv 30720",
+	"-pos head -build-total 240 -build-covered 60",
+	"-theta 8 -r 0.9 -siv 1024 -tj 0.8ms",
+	"-explain -pos head -build-total 240 -build-covered 60",
+	"-explain=false -theta 8 -r 0.9",
+	"-explain=false -pos head -build-total 240 -build-covered 60",
+	"-partitioned=false -pos tail -theta 40 -r 0.95",
+	"-pos tail -build-total 16 -build-covered 16 -build-horizon -1 -partitioned=false",
+	"-pos head -build-total 10 -build-covered 9 -build-offer 0.5 -build-horizon 2.5 -r 0.2",
+}
+
+// TestWhatIfGolden pins every byte the what-if mode prints. The golden was
+// generated before the tool stopped assembling build models and stand-in
+// accessors of its own, and that change does not regenerate it.
+func TestWhatIfGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, inv := range whatIfInvocations {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(inv), &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+			t.Fatalf("efind-plan %s: exit %d, stderr %q", inv, code, stderr.String())
+		}
+		fmt.Fprintf(&got, "$ efind-plan %s\n%s\n", inv, stdout.String())
+	}
+	const path = "testdata/whatif.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got.Bytes()) {
+		t.Fatalf("what-if output moved; want\n%s\ngot\n%s", want, got.Bytes())
+	}
+}
+
+// TestRejectedFlags: a flag value the model cannot price is one line on
+// stderr and exit status 1, with nothing on stdout.
+func TestRejectedFlags(t *testing.T) {
+	for _, tc := range []struct{ args, want string }{
+		{"-pos middle", `unknown position "middle"`},
+		{"-build-total 8 -build-covered 9", "-build-covered must be in [0, 8]"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(strings.Fields(tc.args), &stdout, &stderr)
+		msg := stderr.String()
+		if code != 1 || stdout.Len() != 0 || !strings.Contains(msg, tc.want) ||
+			!strings.HasPrefix(msg, "efind-plan: ") || strings.Count(msg, "\n") != 1 {
+			t.Errorf("efind-plan %s: exit %d, stdout %q, stderr %q; want exit 1 and one line naming %q",
+				tc.args, code, stdout.String(), msg, tc.want)
+		}
+	}
+}

@@ -339,3 +339,44 @@ func TestStrategyAndBoundaryStrings(t *testing.T) {
 		t.Fatal("position names changed")
 	}
 }
+
+// TestOptimizeOperatorAllocs holds enumeration to the allocations it made
+// before the cost model became one price list (measured on that code: 10
+// for a partitioned and a plain index at a body operator, 14 when the
+// first is buildable at a head operator, where each order also asks the
+// accessor for its offered splits): pricing returns a fixed-size array and
+// resolves an accessor's facts once, so it must not add any.
+func TestOptimizeOperatorAllocs(t *testing.T) {
+	env := testEnv12()
+	env.JobOverhead, env.LaneFactor = 0.02, 2
+	hot := IndexStats{Nik: 1, Sik: 20, Siv: 100, Tj: 0.0008, Theta: 10, R: 0.95}
+	cold := IndexStats{Nik: 1, Sik: 10, Siv: 50, Tj: 0.0005, Theta: 20, R: 0.02}
+	st := &OperatorStats{
+		N1: 1e5, Records: 12e5, S1: 100, Spre: 60, Sidx: 200, Spost: 80,
+		Index: map[string]IndexStats{"hot": hot, "cold": cold},
+	}
+	_, fb := buildStats()
+	fb.name = "hot"
+	var sink OperatorPlan
+	for _, tc := range []struct {
+		name  string
+		first index.Accessor
+		pos   OpPosition
+		want  string
+		max   float64
+	}{
+		{"partitioned+plain", planIdx{fakeAccessor{name: "hot"}, schemeOf(16)}, BodyOp, "hot[repart/pre] cold[cache]", 10},
+		{"buildable+plain", fb, HeadOp, "hot[build] cold[cache]", 14},
+	} {
+		op := NewOperator("o", nil, nil).AddIndex(tc.first).AddIndex(fakeAccessor{name: "cold"})
+		got := testing.AllocsPerRun(200, func() {
+			sink = OptimizeOperator(op, tc.pos, st, env, DefaultPlannerOptions())
+		})
+		if sink.String() != tc.want {
+			t.Fatalf("%s: plan %v, want %s", tc.name, sink, tc.want)
+		}
+		if got > tc.max {
+			t.Errorf("%s: OptimizeOperator allocates %.0f times, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
