@@ -131,8 +131,8 @@ func main() {
 		fmt.Printf("storage calibration (mmap=%v): %s\n\n", fstore.MmapAvailable(), cal)
 		experiments.SetCalibration(&cal)
 		if tr != nil {
-			// Wall-clock measurements, so deliberately NOT named *.vms /
-			// *.tps: they are recorded in the profile for inspection but
+			// Wall-clock measurements, so deliberately NOT named *.vms:
+			// they are recorded in the profile for inspection but
 			// never gated — machine variance is the signal here, not a
 			// regression.
 			tr.Metrics.SetGauge("calibrate.f.s_per_byte", cal.F)

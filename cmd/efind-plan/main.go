@@ -25,6 +25,11 @@
 // break-even run count. The build strategy applies to head operators only
 // (the piggyback stage rides the map scan).
 //
+// Values the model cannot price are rejected with one line on stderr and
+// exit status 1: a bandwidth that is not positive, a negative count, size,
+// time or cost, a miss ratio outside [0, 1], an unknown position, a build
+// coverage outside [0, -build-total].
+//
 // With -profile, the tool instead renders a machine-readable job profile
 // written by `efind-bench -profile` as a human-readable report: per-stage
 // virtual times, per-index modeled-vs-observed costs, and the sorted
@@ -44,10 +49,8 @@ import (
 	"time"
 
 	"efind/internal/core"
-	"efind/internal/index"
 	"efind/internal/jobsvc"
 	"efind/internal/obs"
-	"efind/internal/sim"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -55,60 +58,84 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the whole command: it parses args, writes the report to stdout
 // and diagnostics to stderr, and returns the exit status.
 func run(args []string, stdout, stderr io.Writer) int {
-	flag := flag.NewFlagSet("efind-plan", flag.ContinueOnError)
-	flag.SetOutput(stderr)
+	fs := flag.NewFlagSet("efind-plan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		profile = flag.String("profile", "", "render this BENCH profile JSON instead of running the what-if model")
-		walDir  = flag.String("wal", "", "render this job-service journal directory instead of running the what-if model")
-		explain = flag.Bool("explain", true, "print the per-strategy cost breakdown (false: chosen plan only)")
-		n1      = flag.Float64("n1", 50000, "records per parallel lookup lane (Table 1's N1)")
-		nik     = flag.Float64("nik", 1, "average lookup keys per record (Nik)")
-		sik     = flag.Float64("sik", 20, "average key size in bytes (Sik)")
-		siv     = flag.Float64("siv", 1024, "average result size per key in bytes (Siv)")
-		tj      = flag.Duration("tj", 800*time.Microsecond, "index serve time per lookup (Tj; the fully-built store's Tj when -build-total > 0)")
-		theta   = flag.Float64("theta", 2, "average duplicates per distinct key (Θ)")
-		r       = flag.Float64("r", 0.8, "lookup cache miss ratio (R)")
-		spre    = flag.Float64("spre", 120, "carrier size after preProcess in bytes (Spre)")
-		spost   = flag.Float64("spost", 150, "output size after postProcess in bytes (Spost)")
-		pos     = flag.String("pos", "body", "operator position: head, body, or tail")
-		part    = flag.Bool("partitioned", true, "index exposes a partition scheme (enables index locality)")
-		bw      = flag.Float64("bw", 125e6, "network bandwidth, bytes/s (BW)")
-		fCost   = flag.Float64("f", 2.5e-8, "DFS store+retrieve cost, s/byte (f)")
-		startup = flag.Float64("startup", 0.005, "task startup, s (drives the extra-job overhead)")
+		profile = fs.String("profile", "", "render this BENCH profile JSON instead of running the what-if model")
+		walDir  = fs.String("wal", "", "render this job-service journal directory instead of running the what-if model")
+		explain = fs.Bool("explain", true, "print the per-strategy cost breakdown (false: chosen plan only)")
+		n1      = fs.Float64("n1", 50000, "records per parallel lookup lane (Table 1's N1)")
+		nik     = fs.Float64("nik", 1, "average lookup keys per record (Nik)")
+		sik     = fs.Float64("sik", 20, "average key size in bytes (Sik)")
+		siv     = fs.Float64("siv", 1024, "average result size per key in bytes (Siv)")
+		tj      = fs.Duration("tj", 800*time.Microsecond, "index serve time per lookup (Tj; the fully-built store's Tj when -build-total > 0)")
+		theta   = fs.Float64("theta", 2, "average duplicates per distinct key (Θ)")
+		r       = fs.Float64("r", 0.8, "lookup cache miss ratio (R), in [0, 1]")
+		spre    = fs.Float64("spre", 120, "carrier size after preProcess in bytes (Spre)")
+		spost   = fs.Float64("spost", 150, "output size after postProcess in bytes (Spost)")
+		pos     = fs.String("pos", "body", "operator position: head, body, or tail")
+		part    = fs.Bool("partitioned", true, "index exposes a partition scheme (enables index locality)")
+		bw      = fs.Float64("bw", 125e6, "network bandwidth, bytes/s (BW), positive")
+		fCost   = fs.Float64("f", 2.5e-8, "DFS store+retrieve cost, s/byte (f)")
+		startup = fs.Float64("startup", 0.005, "task startup, s (drives the extra-job overhead)")
 
-		buildTotal   = flag.Int("build-total", 0, "buildable index: total build units (input splits); 0 = not buildable")
-		buildCovered = flag.Int("build-covered", 0, "buildable index: splits already committed in the registry")
-		buildScan    = flag.Duration("build-scan", 50*time.Microsecond, "buildable index: scan-fallback serve penalty per uncovered split")
-		buildCharge  = flag.Duration("build-charge", 20*time.Microsecond, "buildable index: piggyback build charge per scanned record")
-		buildOffer   = flag.Float64("build-offer", 0.25, "buildable index: fraction of total splits offered to build per run")
-		buildHorizon = flag.Float64("build-horizon", 0, "build amortization horizon in future runs (0 = default 4, negative disables the build strategy)")
+		buildTotal   = fs.Int("build-total", 0, "buildable index: total build units (input splits); 0 = not buildable")
+		buildCovered = fs.Int("build-covered", 0, "buildable index: splits already committed in the registry")
+		buildScan    = fs.Duration("build-scan", 50*time.Microsecond, "buildable index: scan-fallback serve penalty per uncovered split")
+		buildCharge  = fs.Duration("build-charge", 20*time.Microsecond, "buildable index: piggyback build charge per scanned record")
+		buildOffer   = fs.Float64("build-offer", 0.25, "buildable index: fraction of total splits offered to build per run")
+		buildHorizon = fs.Float64("build-horizon", 0, "build amortization horizon in future runs (0 = default 4, negative disables the build strategy)")
 	)
-	if err := flag.Parse(args); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *profile != "" {
-		p, err := obs.ReadProfile(*profile)
-		if err != nil {
-			fmt.Fprintf(stderr, "efind-plan: %v\n", err)
-			return 1
-		}
-		for _, line := range core.RenderProfile(p) {
-			fmt.Fprintln(stdout, line)
-		}
-		return 0
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "efind-plan: "+format+"\n", a...)
+		return 1
 	}
-
-	if *walDir != "" {
-		lines, err := jobsvc.DescribeJournal(*walDir)
+	render := func(lines []string, err error) int {
 		if err != nil {
-			fmt.Fprintf(stderr, "efind-plan: %v\n", err)
-			return 1
+			return fail("%v", err)
 		}
 		for _, line := range lines {
 			fmt.Fprintln(stdout, line)
 		}
 		return 0
+	}
+
+	if *profile != "" {
+		p, err := obs.ReadProfile(*profile)
+		if err != nil {
+			return fail("%v", err)
+		}
+		return render(core.RenderProfile(p), nil)
+	}
+	if *walDir != "" {
+		return render(jobsvc.DescribeJournal(*walDir))
+	}
+
+	// The formulas divide by BW and multiply everything else: outside
+	// these ranges they print infinities and negative costs.
+	if !(*bw > 0) {
+		return fail("-bw must be positive, got %g", *bw)
+	}
+	for _, v := range []struct {
+		name  string
+		value float64
+	}{
+		{"n1", *n1}, {"nik", *nik}, {"sik", *sik}, {"siv", *siv}, {"spre", *spre}, {"spost", *spost},
+		{"f", *fCost}, {"startup", *startup}, {"tj", tj.Seconds()},
+	} {
+		if !(v.value >= 0) {
+			return fail("-%s must not be negative, got %g", v.name, v.value)
+		}
+	}
+	if !(*r >= 0 && *r <= 1) {
+		return fail("-r must be in [0, 1], got %g", *r)
+	}
+	position, ok := map[string]core.OpPosition{"head": core.HeadOp, "body": core.BodyOp, "tail": core.TailOp}[*pos]
+	if !ok {
+		return fail("unknown position %q (head|body|tail)", *pos)
 	}
 
 	env := core.Env{
@@ -119,98 +146,48 @@ func run(args []string, stdout, stderr io.Writer) int {
 		JobOverhead: 4 * *startup,
 		LaneFactor:  2,
 	}
-	is := core.IndexStats{
-		Nik: *nik, Sik: *sik, Siv: *siv,
-		Tj: tj.Seconds(), Theta: *theta, R: *r,
-	}
 	st := &core.OperatorStats{
 		N1: *n1, Records: int64(*n1 * 96),
 		S1: *spre, Spre: *spre, Sidx: *spre + *nik*(*sik+*siv), Spost: *spost, Smap: *spost,
-		Index: map[string]core.IndexStats{"ix": is},
 	}
-
-	position := core.BodyOp
-	switch *pos {
-	case "head":
-		position = core.HeadOp
-	case "tail":
-		position = core.TailOp
-	case "body":
-	default:
-		fmt.Fprintf(stderr, "efind-plan: unknown position %q (head|body|tail)\n", *pos)
-		return 1
+	facts := core.IndexFacts{
+		Stats: core.IndexStats{
+			Nik: *nik, Sik: *sik, Siv: *siv,
+			Tj: tj.Seconds(), Theta: *theta, R: *r,
+		},
+		Partitioned: *part,
 	}
-
-	var model core.BuildModel
-	buildable := *buildTotal > 0
-	if buildable {
+	if *buildTotal > 0 {
 		if *buildCovered < 0 || *buildCovered > *buildTotal {
-			fmt.Fprintf(stderr, "efind-plan: -build-covered must be in [0, %d]\n", *buildTotal)
-			return 1
+			return fail("-build-covered must be in [0, %d]", *buildTotal)
 		}
-		offer := int(*buildOffer*float64(*buildTotal) + 0.999999)
-		if remainder := *buildTotal - *buildCovered; offer > remainder {
-			offer = remainder
-		}
-		if offer < 0 {
-			offer = 0
-		}
-		model = core.BuildModel{
-			Covered:   *buildCovered,
-			Total:     *buildTotal,
-			ScanTime:  buildScan.Seconds(),
-			BuildTime: buildCharge.Seconds(),
-			Offer:     offer,
-			TjIdx:     tj.Seconds(),
-		}
-		// Every strategy is priced at the blended serve time of the
-		// current coverage, exactly as the planner's effective stats do.
-		is.Tj = model.TjAt(model.Covered)
-		st.Index["ix"] = is
+		// Pricing blends the serve time for the coverage and caps the
+		// offer to what is left, exactly as it does for the planner.
+		facts.Buildable = true
+		facts.Covered, facts.Total = *buildCovered, *buildTotal
+		facts.Offer = int(*buildOffer*float64(*buildTotal) + 0.999999)
+		facts.ScanTime, facts.BuildTime = buildScan.Seconds(), buildCharge.Seconds()
+		facts.TjIdx = tj.Seconds()
 	}
-
-	op := core.NewOperator("what-if", nil, nil)
-	var accessor index.Accessor
-	switch {
-	case buildable && *part:
-		accessor = partitionedBuildableIdx{&buildableIdx{model: model}}
-	case buildable:
-		accessor = &buildableIdx{model: model}
-	case *part:
-		accessor = partitionedIdx{}
-	default:
-		accessor = plainIdx{}
-	}
-	op.AddIndex(accessor)
-
 	opts := core.DefaultPlannerOptions()
 	opts.BuildHorizon = *buildHorizon
+	list, chosen, _ := core.WhatIf(position, st, facts, env, opts)
 
 	if *explain {
 		fmt.Fprintln(stdout, "EFind cost model (per-lane virtual seconds, formulas (1)-(4) of the paper + adaptive build)")
 		fmt.Fprintf(stdout, "  inputs: N1=%.0f Nik=%.2f Sik=%.0fB Siv=%.0fB Tj=%v Θ=%.2f R=%.2f Spre=%.0fB position=%s\n",
 			*n1, *nik, *sik, *siv, *tj, *theta, *r, *spre, position)
-		if buildable {
+		if facts.Buildable {
 			fmt.Fprintf(stdout, "  buildable: %d/%d splits covered, scan=%v/split, charge=%v/record, offer rate %.2f\n",
-				model.Covered, model.Total, *buildScan, *buildCharge, *buildOffer)
+				facts.Covered, facts.Total, *buildScan, *buildCharge, *buildOffer)
 		}
 		fmt.Fprintln(stdout)
 
-		for _, line := range core.ExplainCosts(st, is, env, position) {
+		for _, line := range core.ExplainCosts(list, facts) {
 			fmt.Fprintln(stdout, "  "+line)
 		}
-		if buildable {
-			horizon := *buildHorizon
-			switch {
-			case horizon == 0:
-				horizon = core.DefaultBuildHorizon
-			case horizon < 0:
-				horizon = 0
-			}
-			altOpts := opts
-			altOpts.BuildHorizon = -1
-			alt := core.OptimizeOperator(op, position, st, env, altOpts).Cost
-			for _, line := range core.ExplainBuild(st, is, env, model, horizon, alt) {
+		if facts.Buildable {
+			for _, line := range core.ExplainBuild(list, st, facts, env) {
 				fmt.Fprintln(stdout, "  "+line)
 			}
 			if position != core.HeadOp {
@@ -220,67 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 
-	plan := core.OptimizeOperator(op, position, st, env, opts)
-	fmt.Fprintf(stdout, "chosen plan: %s   (modeled cost %.4f s)\n", plan.String(), plan.Cost)
+	fmt.Fprintf(stdout, "chosen plan: ix[%s]   (modeled cost %.4f s)\n", chosen, chosen.Cost())
 	return 0
 }
-
-// plainIdx and partitionedIdx are stat-only stand-ins; the optimizer only
-// inspects their interfaces, never calls Lookup.
-type plainIdx struct{}
-
-func (plainIdx) Name() string                    { return "ix" }
-func (plainIdx) Lookup(string) ([]string, error) { return nil, nil }
-func (plainIdx) ServeTime() float64              { return 0 }
-func (plainIdx) HostsFor(string) []sim.NodeID    { return nil }
-
-type partitionedIdx struct{ plainIdx }
-
-func (partitionedIdx) Scheme() *index.Scheme { return whatIfScheme() }
-
-func whatIfScheme() *index.Scheme {
-	hosts := make([][]sim.NodeID, 32)
-	for i := range hosts {
-		hosts[i] = []sim.NodeID{sim.NodeID(i % 12)}
-	}
-	return &index.Scheme{Partitions: 32, Fn: func(string) int { return 0 }, Hosts: hosts}
-}
-
-// buildableIdx is the stat-only stand-in for a partially built adaptix
-// index: it reports the flag-configured registry coverage and build
-// geometry so the planner derives the same BuildModel the explain
-// section renders. The mutating half of the protocol is inert — the
-// what-if tool never runs a job.
-type buildableIdx struct{ model core.BuildModel }
-
-func (b *buildableIdx) Name() string                    { return "ix" }
-func (b *buildableIdx) Lookup(string) ([]string, error) { return nil, nil }
-func (b *buildableIdx) HostsFor(string) []sim.NodeID    { return nil }
-
-// ServeTime is the blended serve time at the configured coverage;
-// the planner recovers TjIdx from it by subtracting the scan term.
-func (b *buildableIdx) ServeTime() float64 { return b.model.TjAt(b.model.Covered) }
-
-func (b *buildableIdx) BuildProgress() (int, int) { return b.model.Covered, b.model.Total }
-func (b *buildableIdx) IsBuilt(split int) bool    { return split < b.model.Covered }
-func (b *buildableIdx) ScanServeTime() float64    { return b.model.ScanTime }
-func (b *buildableIdx) BuildCharge() float64      { return b.model.BuildTime }
-
-func (b *buildableIdx) OfferSplits() []int {
-	splits := make([]int, 0, b.model.Offer)
-	for s := b.model.Covered; s < b.model.Covered+b.model.Offer && s < b.model.Total; s++ {
-		splits = append(splits, s)
-	}
-	return splits
-}
-
-func (b *buildableIdx) Extract(string, string) []index.BuildEntry { return nil }
-func (b *buildableIdx) Stage(sim.NodeID, int, []index.BuildEntry) {}
-func (b *buildableIdx) SnapshotBuild(sim.NodeID) func()           { return func() {} }
-func (b *buildableIdx) ResetBuild(sim.NodeID)                     {}
-func (b *buildableIdx) Commit() int                               { return 0 }
-func (b *buildableIdx) Abandon()                                  {}
-
-type partitionedBuildableIdx struct{ *buildableIdx }
-
-func (partitionedBuildableIdx) Scheme() *index.Scheme { return whatIfScheme() }

@@ -62,6 +62,21 @@ func TestRejectedFlags(t *testing.T) {
 	for _, tc := range []struct{ args, want string }{
 		{"-pos middle", `unknown position "middle"`},
 		{"-build-total 8 -build-covered 9", "-build-covered must be in [0, 8]"},
+		{"-bw 0", "-bw must be positive"},
+		{"-bw -125e6", "-bw must be positive"},
+		{"-bw NaN", "-bw must be positive"},
+		{"-n1 -1", "-n1 must not be negative"},
+		{"-nik -0.5", "-nik must not be negative"},
+		{"-sik -20", "-sik must not be negative"},
+		{"-siv -1024", "-siv must not be negative"},
+		{"-spre -1", "-spre must not be negative"},
+		{"-spost -1", "-spost must not be negative"},
+		{"-f -2.5e-8", "-f must not be negative"},
+		{"-startup -0.005", "-startup must not be negative"},
+		{"-tj -1ms", "-tj must not be negative"},
+		{"-r 1.01", "-r must be in [0, 1]"},
+		{"-r -0.1", "-r must be in [0, 1]"},
+		{"-explain=false -r NaN", "-r must be in [0, 1]"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(strings.Fields(tc.args), &stdout, &stderr)

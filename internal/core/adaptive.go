@@ -125,26 +125,27 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 	replace := func(plans []OperatorPlan) []OperatorPlan {
 		out := make([]OperatorPlan, 0, len(plans))
 		for _, p := range plans {
-			if !opSet[p.Op.Name()] {
-				out = append(out, p)
-				continue
+			if opSet[p.Op.Name()] {
+				st := rt.Catalog.Get(p.Op.Name())
+				np := OptimizeOperator(p.Op, p.Pos, st, rt.Env, conf.Planner)
+				pr.applyDegrades(&np, st)
+				// Both sides are credited with their build decisions' amortized
+				// payoff, so the comparison ranks plans the way the optimizer
+				// did (the plans' recorded costs stay honest per-run costs).
+				cost, credit := planPrice(p, st, rt.Env, conf.Planner)
+				curCost += cost - credit
+				_, credit = planPrice(np, st, rt.Env, conf.Planner)
+				newCost += np.Cost - credit
+				p = np
 			}
-			st := rt.Catalog.Get(p.Op.Name())
-			np := OptimizeOperator(p.Op, p.Pos, st, rt.Env, conf.Planner)
-			pr.applyDegrades(&np)
-			// Both sides are credited with their build decisions' amortized
-			// payoff, so the comparison ranks plans the way the optimizer
-			// did (the plans' recorded costs stay honest per-run costs).
-			curCost += PlanCost(p, st, rt.Env) - planBuildCredit(p, st, rt.Env, conf.Planner)
-			newCost += np.Cost - planBuildCredit(np, st, rt.Env, conf.Planner)
-			out = append(out, np)
+			out = append(out, p)
+			newPlan.Cost += p.Cost
 		}
 		return out
 	}
 	newPlan.Head = replace(cur.Head)
 	newPlan.Body = replace(cur.Body)
 	newPlan.Tail = replace(cur.Tail)
-	newPlan.Cost = newCost
 
 	// Algorithm 1, line 10: the improvement must exceed the modeled
 	// overhead of switching plans mid-job.

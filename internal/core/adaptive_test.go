@@ -268,3 +268,106 @@ func TestCollectStatsMeasuresTable1Terms(t *testing.T) {
 		t.Fatal("single-key workload flagged multi-key")
 	}
 }
+
+// honestPrice checks that a job plan says what it costs: every operator
+// plan's Cost is the sum of its decisions' and what PlanCost finds under
+// the catalog's statistics, and the job plan's Cost is the sum of those.
+func honestPrice(t *testing.T, what string, rt *Runtime, plan *JobPlan) {
+	t.Helper()
+	total := 0.0
+	for _, p := range plan.All() {
+		sum := 0.0
+		for _, d := range p.Decisions {
+			sum += d.Cost
+		}
+		if st := rt.Catalog.Get(p.Op.Name()); p.Cost != sum || p.Cost != PlanCost(p, st, rt.Env) {
+			t.Errorf("%s: operator %s {%v} says %g, its decisions sum to %g, PlanCost finds %g",
+				what, p.Op.Name(), p, p.Cost, sum, PlanCost(p, st, rt.Env))
+		}
+		total += p.Cost
+	}
+	if plan.Cost != total {
+		t.Errorf("%s: job plan says %g, its operators sum to %g", what, plan.Cost, total)
+	}
+}
+
+// TestDegradedPlansKeepAnHonestPrice: demoting an index to baseline — in
+// an optimized plan, and in the plan a dynamic job re-optimizes to — must
+// re-price the plan. A demoted decision used to cost 0 inside a plan that
+// still charged for the strategy it had lost, and the re-optimized job
+// plan recorded the credit-reduced sum of its stable operators only.
+func TestDegradedPlansKeepAnHonestPrice(t *testing.T) {
+	e := newAdaptiveE2E(t, 4000, 40) // Θ = 100, slow index → repart-worthy
+	kv2 := kvstore.NewHash(e.cluster, "kv2", 16, 3, 0.002)
+	for i := 0; i < 40; i++ {
+		kv2.Put(fmt.Sprintf("ik%04d", i), fmt.Sprintf("second-%04d", i))
+	}
+	twoIndexOp := func(name string) *Operator {
+		return NewOperator(name, func(in Pair) PreResult {
+			fields := strings.Fields(in.Value)
+			ik := fields[len(fields)-1]
+			return PreResult{Pair: in, Keys: [][]string{{ik}, {ik}}}
+		}, nil).AddIndex(e.store).AddIndex(kv2)
+	}
+
+	// Statically: optimize from statistics that re-partition both indices,
+	// then demote the one that goes first — the other then shuffles a
+	// carrier without the demoted index's results, so its price moves too.
+	conf := e.conf("job-honest", ModeOptimized, twoIndexOp("op-honest"), headPlace)
+	is := IndexStats{Nik: 1, Sik: 20, Siv: 100, Tj: 0.002, Theta: 10, R: 0.95}
+	e.rt.Catalog.put("op-honest", opStats(1e5, is, "kv", "kv2"))
+	pr := &planRun{rt: e.rt, conf: conf}
+	plan, err := pr.planFor(ModeOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honestPrice(t, "optimized", e.rt, plan)
+	first := plan.Head[0].Decisions[0]
+	if !isShuffle(first.Strategy) || !isShuffle(plan.Head[0].Decisions[1].Strategy) {
+		t.Fatalf("fixture should re-partition both indices, got %v", plan)
+	}
+	demoted, other := plan.Head[0].Op.Indices()[first.Index].Name(), plan.Head[0].Decisions[1]
+	pr.degrade("op-honest", demoted)
+	plan, err = pr.planFor(ModeOptimized)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honestPrice(t, "optimized, "+demoted+" demoted", e.rt, plan)
+	last := plan.Head[0].Decisions[1]
+	if last.Index != first.Index || last.Strategy != Baseline || last.Cost != 1e5*((20.0+100.0)/e.rt.Env.BW+0.002) {
+		t.Fatalf("%s should run baseline, after the shuffle, at formula (1)'s price; got %v with decision %+v", demoted, plan, last)
+	}
+	if moved := plan.Head[0].Decisions[0]; moved.Index != other.Index || moved.Cost >= other.Cost {
+		t.Fatalf("the shuffle now carries less and should cost less than %g; got %+v", other.Cost, moved)
+	}
+
+	// Dynamically: the first wave runs the baseline plan, and the plan it
+	// is re-optimized to holds the same demotion.
+	dyn := e.conf("job-honest-dyn", ModeDynamic, twoIndexOp("op-honest-dyn"), headPlace)
+	dyn.VarianceThreshold = 0.9
+	if err := dyn.validate(e.rt); err != nil {
+		t.Fatal(err)
+	}
+	pr = &planRun{rt: e.rt, run: e.rt.Engine.NewRun(), conf: dyn, res: &JobResult{Counters: map[string]int64{}}}
+	pr.degrade("op-honest-dyn", demoted)
+	cur, err := pr.planFor(ModeBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := pr.compile(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wave, err := pr.run.RunMapPhase(co.engineJob(dyn, 0, dyn.Input), seq(0, e.cluster.MapSlots()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replanned, improved := pr.reoptimize(cur, dyn.head, wave.Stats, true)
+	if !improved {
+		t.Fatal("fixture should re-optimize: the index left to the planner has a better strategy than baseline")
+	}
+	honestPrice(t, "re-optimized, "+demoted+" demoted", e.rt, replanned)
+	if s := replanned.String(); strings.Count(s, "[baseline]") != 1 || !strings.Contains(s, demoted+"[baseline]") {
+		t.Fatalf("re-optimized plan %s should hold %s, and nothing else, at baseline", s, demoted)
+	}
+}

@@ -70,16 +70,24 @@ func TestOptimizeOperatorPicksBuild(t *testing.T) {
 	// amortized rank: cache-fronted lookups at the blended T_j plus the
 	// BuildCost term.
 	env := testEnv12()
-	is, bm, ok := effectiveIndexStats(fb, st.Index["ix"])
-	if !ok {
+	f := factsOf(fb, st.Index["ix"])
+	if !f.Buildable {
 		t.Fatal("fakeBuildable not recognized as buildable")
 	}
-	if want := costBuild(st, is, env, bm); p.Decisions[0].Cost != want {
+	if want := costBuild(st, f, env); p.Decisions[0].Cost != want {
 		t.Fatalf("decision cost %g, want honest build cost %g", p.Decisions[0].Cost, want)
 	}
-	if want := fb.ServeTime(); is.Tj != want {
-		t.Fatalf("effective Tj %g should equal the accessor's modeled serve time %g (stale catalog Tj overridden)", is.Tj, want)
+	if want := costCache(st, f.Stats, env) + st.N1*float64(f.Offer)/float64(f.Total)*f.BuildTime; p.Decisions[0].Cost != want {
+		t.Fatalf("decision cost %g, want cache-fronted lookups plus the BuildCost term %g", p.Decisions[0].Cost, want)
 	}
+	if want := fb.ServeTime(); f.Stats.Tj != want {
+		t.Fatalf("effective Tj %g should equal the accessor's modeled serve time %g (stale catalog Tj overridden)", f.Stats.Tj, want)
+	}
+}
+
+// costBuild is the build candidate's honest per-run cost.
+func costBuild(st *OperatorStats, f IndexFacts, env Env) float64 {
+	return price(HeadOp, st, &f, env, st.Spre, 0)[qBuild].Cost()
 }
 
 func TestOptimizeOperatorBuildOnlyAtHead(t *testing.T) {
@@ -115,32 +123,37 @@ func TestNegativeHorizonDisablesBuild(t *testing.T) {
 func TestPredictBuildRuns(t *testing.T) {
 	st, fb := buildStats()
 	env := testEnv12()
-	is, bm, _ := effectiveIndexStats(fb, st.Index["ix"])
+	f := factsOf(fb, st.Index["ix"])
+	is := f.Stats
 
 	// Alternative more expensive than even the first (priciest) build
 	// run: breaks even immediately.
-	if n := PredictBuildRuns(st, is, env, bm, costBuild(st, is, env, bm)+1, 100); n != 1 {
+	if n := PredictBuildRuns(st, f, env, costBuild(st, f, env)+1, 100); n != 1 {
 		t.Fatalf("alt above first-run build cost should break even at run 1, got %d", n)
 	}
 	// Alternative cheaper than the fully-built cache plan: never.
 	isFull := is
-	isFull.Tj = bm.TjAt(bm.Total)
-	if n := PredictBuildRuns(st, is, env, bm, 0.9*costCache(st, isFull, env), 100); n != -1 {
+	isFull.Tj = f.TjAt(f.Total)
+	if n := PredictBuildRuns(st, f, env, 0.9*costCache(st, isFull, env), 100); n != -1 {
 		t.Fatalf("alt below the converged cost must never break even, got %d", n)
 	}
 	// Alternative equal to the coverage-0 cache cost: later runs win it
 	// back within the build-out.
-	n := PredictBuildRuns(st, is, env, bm, costCache(st, is, env), 100)
-	if n < 2 || n > bm.Total {
-		t.Fatalf("break-even against the coverage-0 cache cost should land in [2,%d], got %d", bm.Total, n)
+	n := PredictBuildRuns(st, f, env, costCache(st, is, env), 100)
+	if n < 2 || n > f.Total {
+		t.Fatalf("break-even against the coverage-0 cache cost should land in [2,%d], got %d", f.Total, n)
 	}
 }
 
 func TestExplainBuildRendersTerms(t *testing.T) {
 	st, fb := buildStats()
 	env := testEnv12()
-	is, bm, _ := effectiveIndexStats(fb, st.Index["ix"])
-	lines := ExplainBuild(st, is, env, bm, DefaultBuildHorizon, costCache(st, is, env))
+	f := factsOf(fb, st.Index["ix"])
+	list, chosen, alt := WhatIf(HeadOp, st, f, env, DefaultPlannerOptions())
+	if chosen.Strategy != Build || alt.Strategy == Build || alt.Cost() > costCache(st, f.Stats, env) {
+		t.Fatalf("what-if chose %v over %v; want build over a candidate no dearer than the cache", chosen, alt)
+	}
+	lines := ExplainBuild(list, st, f, env)
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"0/8 splits covered", "BuildCost", "rank = cost − horizon·savings", "break-even"} {
 		if !strings.Contains(joined, want) {
@@ -255,7 +268,7 @@ func TestForcedBuildConvergesAcrossRuns(t *testing.T) {
 		}
 		// The accessor's serve time and the cost model's blended T_j must
 		// agree by construction at every coverage.
-		if bm, ok := buildModelOf(a.bix); !ok || bm.TjAt(bm.Covered) != a.bix.ServeTime() {
+		if f := factsOf(a.bix, IndexStats{}); !f.Buildable || f.TjAt(f.Covered) != a.bix.ServeTime() {
 			t.Fatalf("run %d: modeled TjAt(%d) diverged from accessor serve time", k, covered)
 		}
 		vtimes = append(vtimes, res.VTime)

@@ -210,7 +210,9 @@ func TestExplainCostsListsAllStrategies(t *testing.T) {
 	env := testEnv12()
 	is := IndexStats{Nik: 1, Sik: 20, Siv: 1024, Tj: 0.0008, Theta: 4, R: 0.8}
 	st := opStats(1e4, is)
-	lines := ExplainCosts(st, is, env, BodyOp)
+	f := IndexFacts{Stats: is}
+	list, _, _ := WhatIf(BodyOp, st, f, env, DefaultPlannerOptions())
+	lines := ExplainCosts(list, f)
 	joined := strings.Join(lines, "\n")
 	for _, want := range []string{"baseline", "cache", "repart/pre", "repart/idx", "repart/late", "idxloc"} {
 		if !strings.Contains(joined, want) {

@@ -105,8 +105,11 @@ func (pr *planRun) degrade(op, ix string) bool {
 // shuffle decision can break Property 4's "shuffles first" ordering, so
 // the decisions are stably re-partitioned around it; the relative order
 // within each class is preserved, and per-index results are keyed by
-// index position, so output is unaffected.
-func (pr *planRun) applyDegrades(p *OperatorPlan) {
+// index position, so output is unaffected. The rewritten plan is priced
+// again under st, the statistics it was optimized from (nil for a plan
+// that was never priced): the demoted index takes its baseline quote, and
+// the re-ordering moves what the shuffles after it carry.
+func (pr *planRun) applyDegrades(p *OperatorPlan, st *OperatorStats) {
 	changed := false
 	for i, d := range p.Decisions {
 		if pr.degraded[[2]string{p.Op.Name(), p.Op.Indices()[d.Index].Name()}] && d.Strategy != Baseline {
@@ -120,6 +123,11 @@ func (pr *planRun) applyDegrades(p *OperatorPlan) {
 	sort.SliceStable(p.Decisions, func(i, j int) bool {
 		return isShuffle(p.Decisions[i].Strategy) && !isShuffle(p.Decisions[j].Strategy)
 	})
+	p.Cost = 0
+	for i, q := range planQuotes(*p, st, pr.rt.Env, pr.conf.Planner) {
+		p.Decisions[i].Cost = q.Cost()
+		p.Cost += q.Cost()
+	}
 }
 
 func isShuffle(s Strategy) bool { return s == Repartition || s == IndexLocality }

@@ -406,6 +406,7 @@ func (pr *planRun) planFor(mode Mode) (*JobPlan, error) {
 	for i, o := range ops {
 		pos := positions[i]
 		var p OperatorPlan
+		var st *OperatorStats // what the plan was priced from, if it was
 		switch mode {
 		case ModeBaseline:
 			p = baselinePlan(o, pos)
@@ -418,11 +419,12 @@ func (pr *planRun) planFor(mode Mode) (*JobPlan, error) {
 				return nil, err
 			}
 		case ModeOptimized:
-			p = OptimizeOperator(o, pos, rt.Catalog.Get(o.Name()), rt.Env, conf.Planner)
+			st = rt.Catalog.Get(o.Name())
+			p = OptimizeOperator(o, pos, st, rt.Env, conf.Planner)
 		default:
 			return nil, fmt.Errorf("efind: unsupported mode %v", mode)
 		}
-		pr.applyDegrades(&p)
+		pr.applyDegrades(&p, st)
 		switch pos {
 		case HeadOp:
 			plan.Head = append(plan.Head, p)

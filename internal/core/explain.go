@@ -7,61 +7,44 @@ import (
 	"efind/internal/obs"
 )
 
-// ExplainCosts renders a human-readable breakdown of the four strategies'
-// modeled costs for one index at one operator, used by cmd/efind-plan.
-func ExplainCosts(st *OperatorStats, is IndexStats, env Env, pos OpPosition) []string {
-	var out []string
-	unit := lookupUnit(is, env)
-	out = append(out, fmt.Sprintf("lookup unit (Sik+Siv)/BW + Tj           = %.6f s", unit))
-
-	base := costBaseline(st, is, env)
-	out = append(out, fmt.Sprintf("baseline   N1·Nik·unit                  = %.4f s", base))
-
-	cache := costCache(st, is, env)
-	out = append(out, fmt.Sprintf("cache      N1·Nik·(Tcache + R·unit)     = %.4f s  (R=%.2f)", cache, is.R))
-
-	spreEff := st.Spre
-	sidxEff := spreEff + is.Nik*(is.Sik+is.Siv)
-	sizes := boundarySizes(pos, st, spreEff, sidxEff)
-	for _, b := range []Boundary{BoundaryPre, BoundaryIdx, BoundaryLate} {
-		shuffle, result, lookup := repartParts(st, is, env, spreEff, sizes[b])
-		if b != BoundaryPre {
-			lookup *= env.laneFactor()
-		}
-		total := shuffle + result + lookup + env.JobOverhead
+// ExplainCosts renders a human-readable breakdown of the four classic
+// strategies' modeled costs from a price list (see WhatIf), used by
+// cmd/efind-plan. It formats candidates and knows no formula.
+func ExplainCosts(list []Quote, f IndexFacts) []string {
+	out := []string{
+		fmt.Sprintf("lookup unit (Sik+Siv)/BW + Tj           = %.6f s", list[qBaseline].Unit),
+		fmt.Sprintf("baseline   N1·Nik·unit                  = %.4f s", list[qBaseline].Cost()),
+		fmt.Sprintf("cache      N1·Nik·(Tcache + R·unit)     = %.4f s  (R=%.2f)", list[qCache].Cost(), f.Stats.R),
+	}
+	for _, q := range list[qRepartPre : qRepartLate+1] {
 		out = append(out, fmt.Sprintf(
 			"repart/%-4s shuffle=%.4f + result=%.4f + lookup=%.4f + job=%.4f = %.4f s (S_min=%.0fB)",
-			b, shuffle, result, lookup, env.JobOverhead, total, sizes[b]))
+			q.Boundary, q.Shuffle, q.Result, q.Lookup, q.Job, q.Cost(), q.SMin))
 	}
-
-	idxloc := costIdxLoc(st, is, env, spreEff)
-	out = append(out, fmt.Sprintf("idxloc     (local lookups + input move)  = %.4f s", idxloc))
-	return out
+	return append(out, fmt.Sprintf("idxloc     (local lookups + input move)  = %.4f s", list[qIdxLoc].Cost()))
 }
 
 // ExplainBuild renders the fifth strategy's cost breakdown for a
-// buildable index: the registry's completeness, the blended serve time
-// at current coverage, the BuildCost term, the amortized rank the
-// planner actually compares, and the predicted break-even run count
-// against the best non-build alternative. is.Tj must already be the
-// modeled TjAt(covered) (see effectiveIndexStats).
-func ExplainBuild(st *OperatorStats, is IndexStats, env Env, m BuildModel, horizon float64, alt float64) []string {
-	var out []string
-	out = append(out, fmt.Sprintf("build      registry %d/%d splits covered (%.0f%% complete), Tj(c)=%.6f s",
-		m.Covered, m.Total, 100*m.Completeness(), m.TjAt(m.Covered)))
-	cache := costCache(st, is, env)
-	total := costBuild(st, is, env, m)
-	out = append(out, fmt.Sprintf("build      lookups=%.4f + BuildCost N1·(offer/total)·Tbuild=%.4f = %.4f s  (offer=%d)",
-		cache, total-cache, total, m.Offer))
-	savings := buildSavings(st, is, env, m)
-	out = append(out, fmt.Sprintf("build      rank = cost − horizon·savings = %.4f − %.0f·%.4f = %.4f s",
-		total, horizon, savings, total-horizon*savings))
-	if n := PredictBuildRuns(st, is, env, m, alt, 1000); n >= 0 {
-		out = append(out, fmt.Sprintf("build      predicted break-even: run %d (vs best alternative %.4f s/run)", n, alt))
-	} else {
-		out = append(out, fmt.Sprintf("build      no break-even within 1000 runs (vs best alternative %.4f s/run)", alt))
+// buildable index from the same price list: the registry's completeness,
+// the blended serve time at current coverage, the BuildCost term, the
+// amortized rank the planner actually compares, and the predicted
+// break-even run count against the best candidate that does not build.
+func ExplainBuild(list []Quote, st *OperatorStats, f IndexFacts, env Env) []string {
+	f = f.atCoverage(f.Covered)
+	q := list[qBuild]
+	alt := cheapest(list, true, false).Cost()
+	out := []string{
+		fmt.Sprintf("build      registry %d/%d splits covered (%.0f%% complete), Tj(c)=%.6f s",
+			f.Covered, f.Total, 100*f.Completeness(), f.Stats.Tj),
+		fmt.Sprintf("build      lookups=%.4f + BuildCost N1·(offer/total)·Tbuild=%.4f = %.4f s  (offer=%d)",
+			q.Lookup, q.Cost()-q.Lookup, q.Cost(), f.Offer),
+		fmt.Sprintf("build      rank = cost − horizon·savings = %.4f − %.0f·%.4f = %.4f s",
+			q.Cost(), q.Horizon, q.Savings, q.Rank()),
 	}
-	return out
+	if n := PredictBuildRuns(st, f, env, alt, 1000); n >= 0 {
+		return append(out, fmt.Sprintf("build      predicted break-even: run %d (vs best alternative %.4f s/run)", n, alt))
+	}
+	return append(out, fmt.Sprintf("build      no break-even within 1000 runs (vs best alternative %.4f s/run)", alt))
 }
 
 // IndexProfiles derives the per-index modeled-vs-observed rows of a

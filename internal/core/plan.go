@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"efind/internal/index"
 )
 
 // Decision fixes the strategy (and, for re-partitioning, the job boundary)
@@ -37,12 +35,7 @@ type OperatorPlan struct {
 func (p OperatorPlan) String() string {
 	parts := make([]string, 0, len(p.Decisions))
 	for _, d := range p.Decisions {
-		name := p.Op.Indices()[d.Index].Name()
-		if d.Strategy == Repartition {
-			parts = append(parts, fmt.Sprintf("%s[%s/%s]", name, d.Strategy, d.Boundary))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s[%s]", name, d.Strategy))
-		}
+		parts = append(parts, fmt.Sprintf("%s[%s]", p.Op.Indices()[d.Index].Name(), Quote{Strategy: d.Strategy, Boundary: d.Boundary}))
 	}
 	return strings.Join(parts, " ")
 }
@@ -148,27 +141,6 @@ func uniformPlan(op *Operator, pos OpPosition, s Strategy) OperatorPlan {
 	return p
 }
 
-// repartFeasible reports whether a shuffle-based strategy can be applied
-// to the index: re-partitioning needs at most one lookup key per record
-// (carriers are routed by their single key).
-func repartFeasible(is IndexStats) bool {
-	return !is.MultiKey && is.Nik > 0
-}
-
-// idxLocFeasible additionally requires the index to expose its partition
-// scheme with known hosts.
-func idxLocFeasible(a index.Accessor, is IndexStats) bool {
-	if !repartFeasible(is) {
-		return false
-	}
-	p, ok := a.(index.Partitioned)
-	if !ok {
-		return false
-	}
-	sch := p.Scheme()
-	return sch != nil && sch.Partitions > 0 && len(sch.Hosts) == sch.Partitions
-}
-
 // OptimizeOperator computes the best plan for one operator from its
 // statistics using FullEnumerate when m is small and k-Repart otherwise.
 // A nil st yields the baseline plan.
@@ -189,9 +161,16 @@ func OptimizeOperator(op *Operator, pos OpPosition, st *OperatorStats, env Env, 
 	} else {
 		orders = kPermutations(m, opts.KRepart)
 	}
+	// Facts are read off each accessor once, not once per order: asking a
+	// buildable accessor for its offer allocates.
+	var buf [8]IndexFacts
+	facts := buf[:0]
+	for _, a := range op.Indices() {
+		facts = append(facts, factsOf(a, st.Index[a.Name()]))
+	}
 	best := OperatorPlan{Cost: -1}
 	for _, order := range orders {
-		p := planForOrder(op, pos, st, env, order, opts)
+		p := planForOrder(op, pos, st, env, order, facts, opts.buildHorizon())
 		if best.Cost < 0 || p.Cost < best.Cost {
 			best = p
 		}
@@ -201,57 +180,22 @@ func OptimizeOperator(op *Operator, pos OpPosition, st *OperatorStats, env Env, 
 
 // planForOrder applies Property 3 (fixed order ⇒ per-index strategy
 // choices independent) and Property 4 (repartitioned indices first) to
-// compute the cheapest plan for one access order. Candidates are ranked
-// by per-run cost, except the build strategy, which is ranked with its
-// modeled future savings credited over the planner's BuildHorizon —
-// "pay a little now, win on the next runs" (the Decision still records
-// the honest per-run cost).
-func planForOrder(op *Operator, pos OpPosition, st *OperatorStats, env Env, order []int, opts PlannerOptions) OperatorPlan {
-	p := OperatorPlan{Op: op, Pos: pos}
+// compute the cheapest plan for one access order: per index, the cheapest
+// candidate of the price list.
+func planForOrder(op *Operator, pos OpPosition, st *OperatorStats, env Env, order []int, facts []IndexFacts, horizon float64) OperatorPlan {
+	p := OperatorPlan{Op: op, Pos: pos, Decisions: make([]Decision, 0, len(order))}
 	spreEff := st.Spre
 	allowShuffle := true
 	for _, idx := range order {
-		a := op.Indices()[idx]
-		is, bm, buildable := effectiveIndexStats(a, st.Index[a.Name()])
-		d := Decision{Index: idx, Strategy: Baseline, Cost: costBaseline(st, is, env)}
-		rank := d.Cost
-		if c := costCache(st, is, env); c < rank {
-			d = Decision{Index: idx, Strategy: LookupCache, Cost: c}
-			rank = c
-		}
-		if allowShuffle && repartFeasible(is) {
-			sidxEff := spreEff + is.Nik*(is.Sik+is.Siv)
-			b, c := bestRepartBoundary(pos, st, is, env, spreEff, sidxEff)
-			if c < rank {
-				d = Decision{Index: idx, Strategy: Repartition, Boundary: b, Cost: c}
-				rank = c
-			}
-			if idxLocFeasible(a, is) {
-				if c := costIdxLoc(st, is, env, spreEff); c < rank {
-					d = Decision{Index: idx, Strategy: IndexLocality, Boundary: BoundaryPre, Cost: c}
-					rank = c
-				}
-			}
-		}
-		// The build strategy rides the map scan of the job input, so
-		// only head operators qualify; there must be something left to
-		// build and an offer to build it with.
-		if buildable && pos == HeadOp && bm.Covered < bm.Total && bm.Offer > 0 && opts.buildHorizon() > 0 {
-			c := costBuild(st, is, env, bm)
-			if r := c - opts.buildHorizon()*buildSavings(st, is, env, bm); r < rank {
-				d = Decision{Index: idx, Strategy: Build, Cost: c}
-				rank = r
-			}
-		}
-		if !isShuffle(d.Strategy) {
-			// Property 4: once a non-shuffle strategy is chosen, the
-			// remaining indices only consider non-shuffle ones.
-			allowShuffle = false
-		}
-		// Later shuffles carry this index's attached results.
-		spreEff += is.Nik * (is.Sik + is.Siv)
+		list := price(pos, st, &facts[idx], env, spreEff, horizon)
+		q := cheapest(list[:], allowShuffle, true)
+		// Property 4: once a non-shuffle strategy is chosen, the
+		// remaining indices only consider non-shuffle ones.
+		allowShuffle = allowShuffle && isShuffle(q.Strategy)
+		d := Decision{Index: idx, Strategy: q.Strategy, Boundary: q.Boundary, Cost: q.Cost()}
 		p.Decisions = append(p.Decisions, d)
 		p.Cost += d.Cost
+		spreEff += attached(&facts[idx].Stats)
 	}
 	return p
 }
@@ -320,62 +264,45 @@ func kPermutations(m, k int) [][]int {
 	return out
 }
 
+// planQuotes prices an existing plan under (possibly newer) statistics:
+// the candidate each decision chose, in plan order, feasible or not. A
+// nil st yields nil: a plan without statistics has no price.
+func planQuotes(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) []Quote {
+	if st == nil {
+		return nil
+	}
+	out := make([]Quote, 0, len(p.Decisions))
+	spreEff := st.Spre
+	for _, d := range p.Decisions {
+		a := p.Op.Indices()[d.Index]
+		f := factsOf(a, st.Index[a.Name()])
+		list := price(p.Pos, st, &f, env, spreEff, opts.buildHorizon())
+		out = append(out, quoteFor(list[:], d.Strategy, d.Boundary))
+		spreEff += attached(&f.Stats)
+	}
+	return out
+}
+
 // PlanCost re-evaluates an operator plan's cost under (possibly newer)
 // statistics; used by Algorithm 1 to compare the current plan against a
 // re-optimized one.
 func PlanCost(p OperatorPlan, st *OperatorStats, env Env) float64 {
-	if st == nil {
-		return 0
-	}
-	total := 0.0
-	spreEff := st.Spre
-	for _, d := range p.Decisions {
-		a := p.Op.Indices()[d.Index]
-		is, bm, _ := effectiveIndexStats(a, st.Index[a.Name()])
-		switch d.Strategy {
-		case Baseline:
-			total += costBaseline(st, is, env)
-		case LookupCache:
-			total += costCache(st, is, env)
-		case Repartition:
-			sidxEff := spreEff + is.Nik*(is.Sik+is.Siv)
-			smin := boundarySizes(p.Pos, st, spreEff, sidxEff)[d.Boundary]
-			total += costRepartAt(d.Boundary, st, is, env, spreEff, smin)
-		case IndexLocality:
-			total += costIdxLoc(st, is, env, spreEff)
-		case Build:
-			total += costBuild(st, is, env, bm)
-		}
-		spreEff += is.Nik * (is.Sik + is.Siv)
-	}
-	return total
+	cost, _ := planPrice(p, st, env, PlannerOptions{})
+	return cost
 }
 
-// planBuildCredit is the amortized future payoff of an operator plan's
-// build decisions: BuildHorizon × the per-future-run savings of the
-// splits this run would commit. The mid-job re-optimization comparison
-// subtracts it from both sides so a build plan competes on the same
+// planPrice is PlanCost together with the amortized future payoff of the
+// plan's build decisions. The mid-job re-optimization comparison subtracts
+// the credit from both sides so a build plan competes on the same
 // amortized ranking the planner used to select it — otherwise "pay a
 // little now, win later" could never be accepted mid-job, since its
 // honest per-run cost always exceeds the cache strategy's.
-func planBuildCredit(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) float64 {
-	h := opts.buildHorizon()
-	if h <= 0 || st == nil {
-		return 0
+func planPrice(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) (cost, credit float64) {
+	for _, q := range planQuotes(p, st, env, opts) {
+		cost += q.Cost()
+		credit += q.Credit()
 	}
-	credit := 0.0
-	for _, d := range p.Decisions {
-		if d.Strategy != Build {
-			continue
-		}
-		a := p.Op.Indices()[d.Index]
-		is, bm, ok := effectiveIndexStats(a, st.Index[a.Name()])
-		if !ok {
-			continue
-		}
-		credit += h * buildSavings(st, is, env, bm)
-	}
-	return credit
+	return cost, credit
 }
 
 // planHasBuild reports whether any decision of the plan uses the build

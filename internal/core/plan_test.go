@@ -28,6 +28,20 @@ func opStats(n1 float64, is IndexStats, names ...string) *OperatorStats {
 	return st
 }
 
+// quotes is the price list of an index with no partition scheme and no
+// build, first in its operator's access order unless spreEff says otherwise.
+func quotes(pos OpPosition, st *OperatorStats, is IndexStats, env Env, spreEff float64) [numQuotes]Quote {
+	return price(pos, st, &IndexFacts{Stats: is}, env, spreEff, 0)
+}
+
+func costBaseline(st *OperatorStats, is IndexStats, env Env) float64 {
+	return quotes(BodyOp, st, is, env, st.Spre)[qBaseline].Cost()
+}
+
+func costCache(st *OperatorStats, is IndexStats, env Env) float64 {
+	return quotes(BodyOp, st, is, env, st.Spre)[qCache].Cost()
+}
+
 func TestCostBaselineFormula(t *testing.T) {
 	env := testEnv12()
 	is := IndexStats{Nik: 1, Sik: 20, Siv: 100, Tj: 0.0008, Theta: 1, R: 1}
@@ -53,7 +67,8 @@ func TestCostRepartFormula(t *testing.T) {
 	env := testEnv12()
 	is := IndexStats{Nik: 1, Sik: 20, Siv: 100, Tj: 0.0008, Theta: 10, R: 1}
 	st := opStats(1000, is)
-	shuffle, result, lookup := repartParts(st, is, env, 60, 60)
+	q := quotes(BodyOp, st, is, env, 60)[qRepartPre]
+	shuffle, result, lookup := q.Shuffle, q.Result, q.Lookup
 	if math.Abs(shuffle-1000*60/125e6) > 1e-12 {
 		t.Fatalf("shuffle = %g", shuffle)
 	}
@@ -90,7 +105,7 @@ func TestRepartWinsWithGlobalRedundancy(t *testing.T) {
 	// Many duplicates across machines, bad cache locality.
 	is := IndexStats{Nik: 1, Sik: 20, Siv: 100, Tj: 0.0008, Theta: 10, R: 0.95}
 	st := opStats(1e5, is)
-	repart := costRepart(st, is, env, st.Spre, st.Spre)
+	repart := quotes(BodyOp, st, is, env, st.Spre)[qRepartPre].Cost()
 	if repart >= costCache(st, is, env) || repart >= costBaseline(st, is, env) {
 		t.Fatalf("repart (%g) should win with Θ=10, R=0.95 (base %g, cache %g)",
 			repart, costBaseline(st, is, env), costCache(st, is, env))
@@ -104,33 +119,54 @@ func TestIdxLocWinsForLargeResults(t *testing.T) {
 	is := IndexStats{Nik: 1, Sik: 20, Siv: 30000, Tj: 0.0002, Theta: 2, R: 1}
 	st := opStats(1e5, is)
 	st.Spre = 60
-	repart := costRepart(st, is, env, st.Spre, st.Spre)
-	idxloc := costIdxLoc(st, is, env, st.Spre)
+	list := quotes(BodyOp, st, is, env, st.Spre)
+	repart, idxloc := list[qRepartPre].Cost(), list[qIdxLoc].Cost()
 	if idxloc >= repart {
 		t.Fatalf("idxloc (%g) should beat repart (%g) at 30KB results", idxloc, repart)
 	}
 	// And the opposite for tiny results.
 	is.Siv = 10
-	repart = costRepart(st, is, env, st.Spre, st.Spre)
-	idxloc = costIdxLoc(st, is, env, st.Spre)
+	list = quotes(BodyOp, st, is, env, st.Spre)
+	repart, idxloc = list[qRepartPre].Cost(), list[qIdxLoc].Cost()
 	if idxloc <= repart {
 		t.Fatalf("idxloc (%g) should lose to repart (%g) at 10B results", idxloc, repart)
 	}
 }
 
 func TestBoundaryChoice(t *testing.T) {
-	st := &OperatorStats{Spre: 100, Spost: 50, Smap: 500}
-	b, size := bestBoundary(boundarySizes(BodyOp, st, 100, 300))
+	// One lookup lane factor and a positive f: the three re-partitioning
+	// candidates differ by their materialized size alone, so the cheapest
+	// is the smallest, and so many duplicates that re-partitioning wins.
+	env := testEnv12()
+	choose := func(pos OpPosition, st *OperatorStats, is IndexStats, spreEff float64) (Boundary, float64) {
+		list := quotes(pos, st, is, env, spreEff)
+		q := cheapest(list[:], true, true)
+		if q.Strategy != Repartition {
+			t.Fatalf("fixture should re-partition, got %v", q)
+		}
+		return q.Boundary, q.SMin
+	}
+	is := IndexStats{Nik: 1, Sik: 20, Siv: 180, Tj: 0.0008, Theta: 1000, R: 1}
+	st := &OperatorStats{N1: 1e5, Spre: 100, Spost: 50, Smap: 500}
+	b, size := choose(BodyOp, st, is, 100)
 	if b != BoundaryLate || size != 50 {
 		t.Fatalf("body op with small Spost should pick late: got %v/%g", b, size)
 	}
-	b, size = bestBoundary(boundarySizes(HeadOp, st, 100, 300))
+	b, size = choose(HeadOp, st, is, 100)
 	if b != BoundaryPre || size != 100 {
 		t.Fatalf("head op with big Smap should pick pre: got %v/%g", b, size)
 	}
-	b, _ = bestBoundary(boundarySizes(HeadOp, &OperatorStats{Spre: 400, Spost: 600, Smap: 600}, 400, 90))
-	if b != BoundaryIdx {
-		t.Fatalf("small Sidx should pick idx boundary, got %v", b)
+	// A carrier that shrinks at the lookup can only be stated with a
+	// negative result size; what is checked is the choice by size.
+	is.Sik, is.Siv = 0, -310
+	b, size = choose(HeadOp, &OperatorStats{N1: 1e5, Spre: 400, Spost: 600, Smap: 600}, is, 400)
+	if b != BoundaryIdx || size != 90 {
+		t.Fatalf("small Sidx should pick idx boundary, got %v/%g", b, size)
+	}
+	// Equal sizes: the earlier boundary (less work in the reduce).
+	is.Sik, is.Siv = 0, 0
+	if b, _ = choose(BodyOp, &OperatorStats{N1: 1e5, Spre: 70, Spost: 70}, is, 70); b != BoundaryPre {
+		t.Fatalf("equal sizes should pick the earliest boundary, got %v", b)
 	}
 }
 

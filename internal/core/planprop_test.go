@@ -69,16 +69,17 @@ func TestOptimizerProperties(t *testing.T) {
 				return false
 			}
 			seen[d.Index] = true
-			is := st.Index[op.Indices()[d.Index].Name()]
+			a := op.Indices()[d.Index]
+			is := st.Index[a.Name()]
 			switch d.Strategy {
 			case Repartition, IndexLocality:
 				if sawInline {
 					return false // Property 4 violated
 				}
-				if !repartFeasible(is) {
-					return false
+				if is.MultiKey || is.Nik <= 0 {
+					return false // carriers are routed by their single key
 				}
-				if d.Strategy == IndexLocality && !idxLocFeasible(op.Indices()[d.Index], is) {
+				if _, partitioned := a.(planIdx); d.Strategy == IndexLocality && !partitioned {
 					return false
 				}
 			default:

@@ -179,21 +179,15 @@ func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool,
 		if st == nil {
 			return nil, fmt.Errorf("adaptive-build/%s: no statistics for operator syn", label)
 		}
-		is := st.Index[abIndexName]
-		covered, total := bix.BuildProgress()
-		offer := len(bix.OfferSplits())
-		if offer > total-covered {
-			offer = total - covered
+		facts := core.IndexFacts{
+			Stats: st.Index[abIndexName], Buildable: true,
+			Offer: len(bix.OfferSplits()), ScanTime: abScanTime, BuildTime: abBuildTime,
+			TjIdx: store.ServeTime(),
 		}
-		m := core.BuildModel{
-			Covered: covered, Total: total,
-			ScanTime: abScanTime, BuildTime: abBuildTime,
-			Offer: offer, TjIdx: store.ServeTime(),
-		}
-		is.Tj = m.TjAt(covered)
-		alt := core.OptimizeOperator(abOperator(bix), core.HeadOp, st, l.rt.Env, core.PlannerOptions{BuildHorizon: -1})
-		leg.altCost = alt.Cost
-		leg.predicted = core.PredictBuildRuns(st, is, l.rt.Env, m, alt.Cost, runs)
+		facts.Covered, facts.Total = bix.BuildProgress()
+		_, _, alt := core.WhatIf(core.HeadOp, st, facts, l.rt.Env, core.DefaultPlannerOptions())
+		leg.altCost = alt.Cost()
+		leg.predicted = core.PredictBuildRuns(st, facts, l.rt.Env, leg.altCost, runs)
 	}
 
 	tenants := []jobsvc.TenantConfig{{Name: "ab", MaxInFlight: 1}}

@@ -33,7 +33,6 @@ func All() []Experiment {
 		{ID: "batchcmp", Description: "Batched multi-get vs per-key lookups on the synthetic sweep", Run: BatchCompare},
 		{ID: "multi-tenant", Description: "Job service: 2 tenants sharing the cluster — fair makespans, pooled-cache uplift, cross-tenant outage", Run: MultiTenant},
 		{ID: "adaptive-build", Description: "Adaptive index creation: repeated query converges from scan cost to the indexed plan; break-even matches the cost model", Run: AdaptiveBuild},
-		{ID: "scale-sweep", Description: "Scheduler and engine wall-clock throughput at 100–10k nodes, clean and under chaos", Run: ScaleSweep},
 		{ID: "fstore-sweep", Description: "In-memory vs mmap-snapshot storage backend on the synthetic sweep — same answer required", Run: FStoreSweep},
 		{ID: "chaos-multitenant", Description: "Cross-job chaos at scale: crashes, speculation, and outages across tenants' concurrent jobs, plus coordinator crash recovery — same decisions required", Run: ChaosMultiTenant},
 	}

@@ -99,13 +99,6 @@ type Scale struct {
 	SpatialA          int
 	SpatialB          int
 	KNNK              int
-	// Scale-sweep sizes: node counts to sweep, raw-scheduler tasks at the
-	// largest node count (smaller counts scale down proportionally), and
-	// engine-job tasks likewise (engine tasks run real record pipelines,
-	// so they are fewer).
-	SweepNodes       []int
-	SweepTasks       int
-	SweepEngineTasks int
 	// Chaos multi-tenant sizes: the shared cluster's node count, the
 	// tenant count, and the jobs each tenant submits (full scale: 64
 	// concurrent jobs on a 10k-node cluster). ChaosMTRecords,
@@ -133,9 +126,6 @@ func QuickScale() Scale {
 		SpatialA:          1500,
 		SpatialB:          6000,
 		KNNK:              10,
-		SweepNodes:        []int{100, 1000, 10000},
-		SweepTasks:        100_000,
-		SweepEngineTasks:  20_000,
 		ChaosMTNodes:      96,
 		ChaosMTTenants:    3,
 		ChaosMTJobs:       4,
@@ -155,9 +145,6 @@ func FullScale() Scale {
 		SpatialA:          6000,
 		SpatialB:          20000,
 		KNNK:              10,
-		SweepNodes:        []int{100, 1000, 10000},
-		SweepTasks:        1_000_000,
-		SweepEngineTasks:  100_000,
 		ChaosMTNodes:      10_000,
 		ChaosMTTenants:    4,
 		ChaosMTJobs:       16,

@@ -1,12 +1,14 @@
 package mapreduce
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"efind/internal/chaos"
+	"efind/internal/dfs"
 	"efind/internal/sim"
 )
 
@@ -228,5 +230,66 @@ func TestCrashRecoveryRefreshesPhaseAggregates(t *testing.T) {
 	}
 	if math.Abs(crashed.MapPhase.Makespan-makespan) > 1e-12 {
 		t.Fatalf("Makespan stale after splice: field %g, recount %g", crashed.MapPhase.Makespan, makespan)
+	}
+}
+
+// TestChaosMapOnlyAtClusterScale is the check the scale-sweep experiment
+// made beside its timings: on a cluster of a few hundred nodes of mixed
+// speeds, a map-only job of one-record splits — a node crash halfway,
+// stragglers, and speculation capped per phase — must produce the map
+// outputs of the fault-free run, and the cap must hold.
+func TestChaosMapOnlyAtClusterScale(t *testing.T) {
+	const nodes, splits, maxBackups = 200, 800, 16 // uncapped, this seed launches 41 backups
+	run := func(name string, plan *chaos.Plan) *MapPhaseResult {
+		cfg := sim.DefaultConfig()
+		cfg.Nodes = nodes
+		cfg.Parallelism = 1
+		cfg.TaskStartup = 0.005
+		cfg.NodeSpeed = make([]float64, nodes)
+		for i := range cfg.NodeSpeed {
+			cfg.NodeSpeed[i] = []float64{1, 1, 0.5, 2}[i%4]
+		}
+		cluster := sim.NewCluster(cfg)
+		fs := dfs.New(cluster)
+		fs.ChunkTarget = 1 // one record per chunk = one task per record
+		records := make([]dfs.Record, splits)
+		for i := range records {
+			records[i] = dfs.Record{Key: fmt.Sprintf("k%07d", i), Value: "v"}
+		}
+		in, err := fs.Create("scale-in", records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := New(cluster, fs).NewRun().RunMapPhase(&Job{Name: name, Input: in, Chaos: plan}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	clean := run("scale-clean", nil)
+	at := 0.5 * clean.Phase.Makespan
+	chaotic := run("scale-chaos", chaos.MustNew(chaos.Config{
+		Seed:            1,
+		Crashes:         []chaos.Crash{{Node: clean.Phase.Assignments[0].Node, At: at, Recover: at + 1e6}},
+		Spec:            chaos.Speculation{Enabled: true, MaxPerPhase: maxBackups},
+		StragglerRate:   0.2,
+		StragglerFactor: 8,
+	}, nodes))
+
+	if len(chaotic.Outputs) != splits {
+		t.Fatalf("chaos run has %d map outputs, want %d", len(chaotic.Outputs), splits)
+	}
+	for i := range clean.Outputs {
+		c, x := clean.Outputs[i], chaotic.Outputs[i]
+		if !reflect.DeepEqual(c.Buckets, x.Buckets) || !reflect.DeepEqual(c.Reducers, x.Reducers) {
+			t.Fatalf("chaos changed the map output of split %d", i)
+		}
+	}
+	if got := chaotic.Counters[chaos.CtrNodeCrashes]; got != 1 {
+		t.Fatalf("node crashes = %d, want 1", got)
+	}
+	launched := chaotic.Counters[chaos.CtrSpecLaunched]
+	if launched != maxBackups {
+		t.Fatalf("%d speculative backups launched, want the cap of %d", launched, maxBackups)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 )
 
 // Profile is the machine-readable job profile (BENCH_<label>.json): the
@@ -97,8 +98,7 @@ func CompareProfiles(base, cur *Profile, tol float64) []string {
 		curGauges[g.Name] = g.Value
 	}
 	for _, b := range base.Gauges {
-		dir := gaugeDirection(b.Name)
-		if dir == gaugeUngated || b.Value <= 0 {
+		if !gated(b.Name) || b.Value <= 0 {
 			continue
 		}
 		c, ok := curGauges[b.Name]
@@ -106,17 +106,7 @@ func CompareProfiles(base, cur *Profile, tol float64) []string {
 			regressions = append(regressions, fmt.Sprintf("gauge %q: present in baseline, missing from current profile", b.Name))
 			continue
 		}
-		ratio := c / b.Value
-		if dir == gaugeHigherBetter {
-			// Throughput: fail when current falls more than tol below base.
-			if ratio < 1/(1+tol) {
-				regressions = append(regressions, fmt.Sprintf(
-					"gauge %q: %.6f → %.6f (%+.1f%%, budget -%.0f%%)",
-					b.Name, b.Value, c, (ratio-1)*100, tol*100))
-			}
-			continue
-		}
-		if ratio > 1+tol {
+		if ratio := c / b.Value; ratio > 1+tol {
 			regressions = append(regressions, fmt.Sprintf(
 				"gauge %q: %.6f → %.6f (%+.1f%%, budget %+.0f%%)",
 				b.Name, b.Value, c, (ratio-1)*100, tol*100))
@@ -125,30 +115,9 @@ func CompareProfiles(base, cur *Profile, tol float64) []string {
 	return regressions
 }
 
-// Gauge gating directions. Which way a gauge may drift is encoded in its
-// name suffix, so experiments opt metrics into the gate just by naming
-// them: ".vms" virtual-time latencies and ".allocs" allocation counts
-// must not rise, ".tps" real-time throughputs must not fall, and
-// everything else (Θ or R readings, sizes) is descriptive and ungated.
-type gaugeGateDir int
-
-const (
-	gaugeUngated gaugeGateDir = iota
-	gaugeLowerBetter
-	gaugeHigherBetter
-)
-
-func gaugeDirection(name string) gaugeGateDir {
-	switch {
-	case hasSuffix(name, ".vms"), hasSuffix(name, ".allocs"):
-		return gaugeLowerBetter
-	case hasSuffix(name, ".tps"):
-		return gaugeHigherBetter
-	default:
-		return gaugeUngated
-	}
-}
-
-func hasSuffix(name, suffix string) bool {
-	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
-}
+// gated reports whether a gauge takes part in the gate. That is encoded in
+// its name, so experiments opt metrics in just by naming them: ".vms"
+// virtual-time latencies must not rise; everything else (Θ or R readings,
+// sizes) is descriptive. Wall-clock numbers are not gauges of this program:
+// they are measured by bench/, in paired runs.
+func gated(name string) bool { return strings.HasSuffix(name, ".vms") }
