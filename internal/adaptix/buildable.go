@@ -142,7 +142,7 @@ func (b *Buildable) Lookup(key string) ([]string, error) {
 // ServeTime implements index.Accessor: the store's fully-built T_j plus
 // the scan penalty of every still-uncovered split. Coverage only changes
 // at serial points, so the value is stable for the duration of a job —
-// the cost model's BuildModel.TjAt mirrors this formula.
+// the cost model's IndexFacts.TjAt mirrors this formula.
 func (b *Buildable) ServeTime() float64 {
 	covered, total := b.BuildProgress()
 	return b.cfg.Store.ServeTime() + float64(total-covered)*b.cfg.ScanTime

@@ -132,10 +132,8 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 				// Both sides are credited with their build decisions' amortized
 				// payoff, so the comparison ranks plans the way the optimizer
 				// did (the plans' recorded costs stay honest per-run costs).
-				cost, credit := planPrice(p, st, rt.Env, conf.Planner)
-				curCost += cost - credit
-				_, credit = planPrice(np, st, rt.Env, conf.Planner)
-				newCost += np.Cost - credit
+				curCost += planRank(p, st, rt.Env, conf.Planner)
+				newCost += planRank(np, st, rt.Env, conf.Planner)
 				p = np
 			}
 			out = append(out, p)

@@ -239,11 +239,14 @@ func (q Quote) Credit() float64 { return q.Horizon * q.Savings }
 func (q Quote) Rank() float64 { return q.Cost() - q.Credit() }
 
 // String renders the candidate the way a plan does: "cache", "repart/pre".
-func (q Quote) String() string {
-	if q.Strategy == Repartition {
-		return q.Strategy.String() + "/" + q.Boundary.String()
+func (q Quote) String() string { return candidateName(q.Strategy, q.Boundary) }
+
+// candidateName names a strategy, with its boundary where it has one.
+func candidateName(s Strategy, b Boundary) string {
+	if s == Repartition {
+		return s.String() + "/" + b.String()
 	}
-	return q.Strategy.String()
+	return s.String()
 }
 
 // The price list's fixed order. Ties go to the earlier candidate, so the

@@ -124,7 +124,7 @@ func (pr *planRun) applyDegrades(p *OperatorPlan, st *OperatorStats) {
 		return isShuffle(p.Decisions[i].Strategy) && !isShuffle(p.Decisions[j].Strategy)
 	})
 	p.Cost = 0
-	for i, q := range planQuotes(*p, st, pr.rt.Env, pr.conf.Planner) {
+	for i, q := range planQuotes(*p, st, pr.rt.Env, 0) {
 		p.Decisions[i].Cost = q.Cost()
 		p.Cost += q.Cost()
 	}

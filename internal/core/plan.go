@@ -35,7 +35,7 @@ type OperatorPlan struct {
 func (p OperatorPlan) String() string {
 	parts := make([]string, 0, len(p.Decisions))
 	for _, d := range p.Decisions {
-		parts = append(parts, fmt.Sprintf("%s[%s]", p.Op.Indices()[d.Index].Name(), Quote{Strategy: d.Strategy, Boundary: d.Boundary}))
+		parts = append(parts, fmt.Sprintf("%s[%s]", p.Op.Indices()[d.Index].Name(), candidateName(d.Strategy, d.Boundary)))
 	}
 	return strings.Join(parts, " ")
 }
@@ -265,9 +265,10 @@ func kPermutations(m, k int) [][]int {
 }
 
 // planQuotes prices an existing plan under (possibly newer) statistics:
-// the candidate each decision chose, in plan order, feasible or not. A
-// nil st yields nil: a plan without statistics has no price.
-func planQuotes(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) []Quote {
+// the candidate each decision chose, in plan order, feasible or not, a
+// build credited over horizon future runs. A nil st yields nil: a plan
+// without statistics has no price.
+func planQuotes(p OperatorPlan, st *OperatorStats, env Env, horizon float64) []Quote {
 	if st == nil {
 		return nil
 	}
@@ -276,7 +277,7 @@ func planQuotes(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions)
 	for _, d := range p.Decisions {
 		a := p.Op.Indices()[d.Index]
 		f := factsOf(a, st.Index[a.Name()])
-		list := price(p.Pos, st, &f, env, spreEff, opts.buildHorizon())
+		list := price(p.Pos, st, &f, env, spreEff, horizon)
 		out = append(out, quoteFor(list[:], d.Strategy, d.Boundary))
 		spreEff += attached(&f.Stats)
 	}
@@ -287,22 +288,26 @@ func planQuotes(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions)
 // statistics; used by Algorithm 1 to compare the current plan against a
 // re-optimized one.
 func PlanCost(p OperatorPlan, st *OperatorStats, env Env) float64 {
-	cost, _ := planPrice(p, st, env, PlannerOptions{})
+	cost := 0.0
+	for _, q := range planQuotes(p, st, env, 0) {
+		cost += q.Cost()
+	}
 	return cost
 }
 
-// planPrice is PlanCost together with the amortized future payoff of the
-// plan's build decisions. The mid-job re-optimization comparison subtracts
-// the credit from both sides so a build plan competes on the same
+// planRank is what the mid-job re-optimization compares plans by: PlanCost
+// less the amortized future payoff of the plan's build decisions. Both
+// sides of the comparison are credited, so a build plan competes on the
 // amortized ranking the planner used to select it — otherwise "pay a
 // little now, win later" could never be accepted mid-job, since its
 // honest per-run cost always exceeds the cache strategy's.
-func planPrice(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) (cost, credit float64) {
-	for _, q := range planQuotes(p, st, env, opts) {
+func planRank(p OperatorPlan, st *OperatorStats, env Env, opts PlannerOptions) float64 {
+	cost, credit := 0.0, 0.0
+	for _, q := range planQuotes(p, st, env, opts.buildHorizon()) {
 		cost += q.Cost()
 		credit += q.Credit()
 	}
-	return cost, credit
+	return cost - credit
 }
 
 // planHasBuild reports whether any decision of the plan uses the build

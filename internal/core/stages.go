@@ -62,7 +62,7 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
 		switch d.Strategy {
 		case LookupCache, Build:
 			// The build strategy's lookups are cache-fronted like the
-			// lookup-cache strategy (costBuild prices them that way); the
+			// lookup-cache strategy (the price list prices them that way); the
 			// piggyback building itself is a separate map stage.
 			mode = ixclient.CacheReal
 		case Baseline:
