@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"efind/internal/core"
 	"efind/internal/sketch"
@@ -29,9 +28,7 @@ func AblationCacheCapacity(scale Scale) (*Table, error) {
 
 func runSynWithCache(scale Scale, capacity int) (float64, float64, error) {
 	l := newLab()
-	cfg := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, store, err := generateSyn(l, cfg)
+	input, store, err := l.genSyn(scale, 1024)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -59,23 +56,11 @@ func AblationVarianceThreshold(scale Scale) (*Table, error) {
 		Columns: []string{"runtime", "replanned"},
 	}
 	for _, th := range []float64{0.001, 0.05, 0.2, 1.0} {
-		l := newLab()
-		l.fs.ChunkTarget = chunkTargetFor(scale.LogEvents * 90)
-		input, geo, err := setupLog(l, logScaleConfig(scale), 2)
+		err := addLogDynamicRow(t, scale, fmt.Sprintf("threshold=%g", th), fmt.Sprintf("log-th%g", th),
+			func(conf *core.IndexJobConf) { conf.VarianceThreshold = th })
 		if err != nil {
 			return nil, err
 		}
-		conf := logJobConf(fmt.Sprintf("log-th%g", th), input, geo, core.ModeDynamic)
-		conf.VarianceThreshold = th
-		res, err := l.rt.Submit(conf)
-		if err != nil {
-			return nil, err
-		}
-		replanned := 0.0
-		if res.Replanned {
-			replanned = 1
-		}
-		t.Add(fmt.Sprintf("threshold=%g", th), res.VTime, replanned)
 	}
 	return t, nil
 }
@@ -88,39 +73,47 @@ func AblationReplanDisabled(scale Scale) (*Table, error) {
 		Title:   "Ablation: plan change at most once vs disabled (LOG, dynamic, +2ms)",
 		Columns: []string{"runtime", "replanned"},
 	}
-	for _, disable := range []bool{false, true} {
-		l := newLab()
-		l.fs.ChunkTarget = chunkTargetFor(scale.LogEvents * 90)
-		input, geo, err := setupLog(l, logScaleConfig(scale), 2)
-		if err != nil {
-			return nil, err
-		}
-		conf := logJobConf("log-replan", input, geo, core.ModeDynamic)
-		label := "replan=once"
-		if disable {
-			conf.MaxPlanChanges = -1
-			label = "replan=never"
-		}
-		res, err := l.rt.Submit(conf)
-		if err != nil {
-			return nil, err
-		}
-		replanned := 0.0
-		if res.Replanned {
-			replanned = 1
-		}
-		t.Add(label, res.VTime, replanned)
+	if err := addLogDynamicRow(t, scale, "replan=once", "log-replan", func(*core.IndexJobConf) {}); err != nil {
+		return nil, err
+	}
+	never := func(conf *core.IndexJobConf) { conf.MaxPlanChanges = -1 }
+	if err := addLogDynamicRow(t, scale, "replan=never", "log-replan", never); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
+// addLogDynamicRow runs the LOG application's index job at +2 ms under the
+// dynamic runtime in a fresh lab, tune having edited the job, and adds the
+// row: runtime, and 1 when the job replanned.
+func addLogDynamicRow(t *Table, scale Scale, label, name string, tune func(*core.IndexJobConf)) error {
+	l := newLab()
+	input, geo, err := setupLog(l, scale, 2)
+	if err != nil {
+		return err
+	}
+	conf := logJobConf(name, input, geo, core.ModeDynamic)
+	tune(conf)
+	res, err := l.rt.Submit(conf)
+	if err != nil {
+		return err
+	}
+	replanned := 0.0
+	if res.Replanned {
+		replanned = 1
+	}
+	t.Add(label, res.VTime, replanned)
+	return nil
+}
+
 // AblationPlanner compares FullEnumerate with k-Repart on synthetic
-// operator statistics over m independent indices: plan cost achieved and
-// planning time (§3.5's tradeoff).
+// operator statistics over m independent indices: the plan cost each
+// achieves (§3.5's tradeoff; what planning costs in wall time is bench/'s
+// core.plan_us_per_operator).
 func AblationPlanner(scale Scale) (*Table, error) {
 	t := &Table{
-		Title:   "Ablation: FullEnumerate vs k-Repart (m=6 indices, modeled cost and plan time)",
-		Columns: []string{"planCost", "planMicros"},
+		Title:   "Ablation: FullEnumerate vs k-Repart (m=6 indices, modeled cost)",
+		Columns: []string{"planCost"},
 	}
 	env := core.Env{BW: 125e6, F: 2.5e-8, Tcache: 1e-6, Nodes: 12}
 	op := core.NewOperator("m6", nil, nil)
@@ -145,10 +138,8 @@ func AblationPlanner(scale Scale) (*Table, error) {
 		{"2-repart", core.PlannerOptions{FullEnumerateLimit: 1, KRepart: 2}},
 	}
 	for _, cse := range cases {
-		start := time.Now()
 		p := core.OptimizeOperator(op, core.BodyOp, st, env, cse.opts)
-		elapsed := time.Since(start)
-		t.Add(cse.label, p.Cost, float64(elapsed.Microseconds()))
+		t.Add(cse.label, p.Cost)
 		t.Note("%s picked: %v", cse.label, p)
 	}
 	return t, nil
@@ -191,9 +182,7 @@ func AblationBoundary(scale Scale) (*Table, error) {
 
 func runQ3Boundary(scale Scale, b core.Boundary) (float64, error) {
 	l := newLab()
-	cfg := tpchScaleConfig(scale, 1)
-	l.fs.ChunkTarget = chunkTargetFor(int(6000*scale.TPCHSF) * 60)
-	w, err := tpchSetup(l, cfg)
+	w, err := setupTPCH(l, scale, 1)
 	if err != nil {
 		return 0, err
 	}

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"efind/internal/adaptix"
 	"efind/internal/core"
@@ -11,7 +9,6 @@ import (
 	"efind/internal/index"
 	"efind/internal/jobsvc"
 	"efind/internal/kvstore"
-	"efind/internal/mapreduce"
 	"efind/internal/workloads"
 )
 
@@ -39,8 +36,7 @@ const abOfferRate = 0.25
 // pre-built "syn-index", which this experiment deliberately ignores.
 const abIndexName = "syn-adx"
 
-// Fixed build geometry, independent of calibration so the CI-gated
-// per-run gauges stay stable: the store's fully-built serve time, the
+// Fixed build geometry: the store's fully-built serve time, the
 // per-lookup penalty of one uncovered split, and the per-record charge
 // of the piggyback build stage.
 const (
@@ -58,37 +54,10 @@ func abExtract(_, value string) []index.BuildEntry {
 	return []index.BuildEntry{{Key: k, Value: "ix(" + k + ")"}}
 }
 
-// abOperator is synOperator with the buildable accessor in place of the
-// pre-built store.
-func abOperator(bix *adaptix.Buildable) *core.Operator {
-	op := core.NewOperator("syn",
-		func(in core.Pair) core.PreResult {
-			return core.PreResult{Pair: in, Keys: [][]string{{workloads.SyntheticKey(in.Value)}}}
-		},
-		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
-			joined := ""
-			if len(results[0]) > 0 && len(results[0][0].Values) > 0 {
-				joined = results[0][0].Values[0]
-			}
-			emit(core.Pair{Key: pair.Key, Value: pair.Value + "\x00" + joined})
-		})
-	op.AddIndex(bix)
-	return op
-}
-
 // abConf composes one run of the query family over the buildable index.
 func abConf(name string, input *dfs.File, bix *adaptix.Buildable, mode core.Mode) *core.IndexJobConf {
-	conf := &core.IndexJobConf{
-		Name:  name,
-		Input: input,
-		Mode:  mode,
-		Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
-			emit(in)
-		},
-		Reducer:           mapreduce.IdentityReduce,
-		VarianceThreshold: experimentVarianceThreshold,
-	}
-	conf.AddHeadIndexOperator(abOperator(bix))
+	conf := buildSynConf(name, input, bix, mode)
+	conf.VarianceThreshold = experimentVarianceThreshold
 	return conf
 }
 
@@ -96,37 +65,14 @@ func abConf(name string, input *dfs.File, bix *adaptix.Buildable, mode core.Mode
 // splits, the plans chosen, the final registry coverage, and — for the
 // building leg — the cost model's break-even prediction.
 type abLeg struct {
-	makespans  []float64
-	committed  []int64
-	plans      []string
-	outputs    []uint64
-	covered    int
-	total      int
-	predicted  int
-	altCost    float64
-	firstPlan  string
-	steadyPlan string
-}
-
-// abOutputHash fingerprints a run's output records order-insensitively
-// (sorted), so legs whose optimizers chose different plan shapes can
-// still be compared on content.
-func abOutputHash(out *dfs.File) uint64 {
-	recs := append([]dfs.Record(nil), out.All()...)
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key != recs[j].Key {
-			return recs[i].Key < recs[j].Key
-		}
-		return recs[i].Value < recs[j].Value
-	})
-	h := fnv.New64a()
-	for _, r := range recs {
-		h.Write([]byte(r.Key))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Value))
-		h.Write([]byte{0xff})
-	}
-	return h.Sum64()
+	makespans []float64
+	committed []int64
+	plans     []string
+	outputs   []uint64
+	covered   int
+	total     int
+	predicted int
+	altCost   float64
 }
 
 // runAdaptiveLeg runs one leg in a fresh lab: `runs` identical
@@ -137,9 +83,7 @@ func abOutputHash(out *dfs.File) uint64 {
 func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool, runs int) (*abLeg, error) {
 	section("adaptive-build/" + label)
 	l := newLab()
-	cfg := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, _, err := generateSyn(l, cfg)
+	input, _, err := l.genSyn(scale, 1024)
 	if err != nil {
 		return nil, err
 	}
@@ -199,22 +143,17 @@ func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool,
 			Conf:   abConf(fmt.Sprintf("ab-%s-%d", label, i), input, bix, core.ModeOptimized),
 		})
 	}
-	svc, err := jobsvc.New(l.rt, tenants, jobsvc.Options{})
+	run, err := runTrace("adaptive-build/"+label, l, tenants, subs, jobsvc.Options{}, false)
 	if err != nil {
 		return nil, err
 	}
-	for _, st := range svc.Run(subs) {
-		if st.State != jobsvc.JobCompleted {
-			return nil, fmt.Errorf("adaptive-build/%s: job %s %s: %s%v", label, st.Name, st.State, st.Reason, st.Err)
-		}
+	for _, st := range run.statuses {
 		leg.makespans = append(leg.makespans, st.Makespan())
 		leg.committed = append(leg.committed, st.Result.Counters[core.CtrBuildCommitted])
 		leg.plans = append(leg.plans, st.Result.Plan.String())
-		leg.outputs = append(leg.outputs, abOutputHash(st.Result.Output))
+		leg.outputs = append(leg.outputs, outputDigest(st.Result.Output))
 	}
 	leg.covered, leg.total = bix.BuildProgress()
-	leg.firstPlan = leg.plans[0]
-	leg.steadyPlan = leg.plans[len(leg.plans)-1]
 	return leg, nil
 }
 
@@ -308,7 +247,7 @@ func AdaptiveBuild(scale Scale) (*Table, error) {
 	gauge("adaptivebuild.breakeven.runs", float64(observed))
 
 	t.Note("coverage %d/%d splits after %d runs; first plan %s; steady plan %s",
-		adaptive.covered, adaptive.total, abRuns, adaptive.firstPlan, adaptive.steadyPlan)
+		adaptive.covered, adaptive.total, abRuns, adaptive.plans[0], adaptive.plans[abRuns-1])
 	t.Note("break-even: model predicts run %d (alternative %.4f s/run), observed run %d",
 		adaptive.predicted, adaptive.altCost, observed)
 	t.Note("convergence: run1 %.4f -> run%d %.4f (%.2fx), prebuilt plan %.4f",

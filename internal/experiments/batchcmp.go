@@ -14,9 +14,7 @@ import (
 // what the batching amortizes).
 func runSynBatch(scale Scale, l int, batch bool) (*core.JobResult, float64, error) {
 	env := newLab()
-	cfg := synScaleConfig(scale, l)
-	env.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, store, err := generateSyn(env, cfg)
+	input, store, err := env.genSyn(scale, l)
 	if err != nil {
 		return nil, 0, err
 	}

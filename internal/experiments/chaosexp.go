@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"efind/internal/chaos"
 	"efind/internal/core"
-	"efind/internal/dfs"
 	"efind/internal/mapreduce"
 	"efind/internal/obs"
 	"efind/internal/sim"
@@ -33,27 +31,33 @@ func AblationChaos(scale Scale) (*Table, error) {
 		Columns: []string{"runtime", "overhead", "crashes", "spec", "reopt"},
 	}
 
-	clean, err := runSynChaos(scale, "chaos-clean", nil)
-	if err != nil {
-		return nil, err
-	}
-	cleanMap := clean.mapSpan
-	want := chaosSorted(clean.res.Output)
-	addRow := func(label string, r *chaosRun) error {
-		if got := chaosSorted(r.res.Output); !equalStrings(want, got) {
-			return fmt.Errorf("chaos ablation: %s output diverged from fault-free run (%d vs %d records)",
-				label, len(got), len(want))
+	// row runs the join under one schedule and adds its row; the first
+	// call is the fault-free run every later output must equal.
+	var clean *chaosRun
+	var want uint64
+	row := func(label, name string, cfg *chaos.Config) (*chaosRun, error) {
+		r, err := runSynChaos(scale, name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if clean == nil {
+			clean, want = r, outputDigest(r.res.Output)
+		}
+		if outputDigest(r.res.Output) != want {
+			return nil, fmt.Errorf("chaos ablation: %s output diverged from fault-free run (%d vs %d records)",
+				label, r.res.Output.Records(), clean.res.Output.Records())
 		}
 		m := r.trace.Metrics
 		t.Add(label, r.res.VTime, r.res.VTime/clean.res.VTime,
 			float64(m.Counter(chaos.CtrNodeCrashes)),
 			float64(m.Counter(chaos.CtrSpecLaunched)),
 			float64(m.Counter(chaos.CtrReoptFailure)))
-		return nil
+		return r, nil
 	}
-	if err := addRow("fault-free", clean); err != nil {
+	if _, err := row("fault-free", "chaos-clean", nil); err != nil {
 		return nil, err
 	}
+	cleanMap := clean.mapSpan
 
 	// One node dies halfway through the map phase and never comes back:
 	// survivors re-run the lost tasks.
@@ -61,11 +65,7 @@ func AblationChaos(scale Scale) (*Table, error) {
 		Seed:    ChaosSeed,
 		Crashes: []chaos.Crash{{Node: 2, At: 0.5 * cleanMap, Recover: 0.5*cleanMap + 1e6}},
 	}
-	crashed, err := runSynChaos(scale, "chaos-crash", &crashCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := addRow("node-crash", crashed); err != nil {
+	if _, err := row("node-crash", "chaos-crash", &crashCfg); err != nil {
 		return nil, err
 	}
 
@@ -76,11 +76,7 @@ func AblationChaos(scale Scale) (*Table, error) {
 		StragglerRate:   0.25,
 		StragglerFactor: 6,
 	}
-	spec, err := runSynChaos(scale, "chaos-spec", &specCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := addRow("stragglers+spec", spec); err != nil {
+	if _, err := row("stragglers+spec", "chaos-spec", &specCfg); err != nil {
 		return nil, err
 	}
 
@@ -92,35 +88,27 @@ func AblationChaos(scale Scale) (*Table, error) {
 		Seed:    ChaosSeed,
 		Outages: []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: 2 * cleanMap}},
 	}
-	outage, err := runSynChaos(scale, "chaos-outage", &outCfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := addRow("index-outage", outage); err != nil {
+	if _, err := row("index-outage", "chaos-outage", &outCfg); err != nil {
 		return nil, err
 	}
 
 	// Everything at once. Stragglers stretch the map phase and the crash
-	// stretches it further, so two calibration runs learn the real map
+	// stretches it further, so two sizing runs learn the real map
 	// makespan before the outage window is cut to cover exactly the
 	// first reduce attempt and end before the degraded re-run's reduce.
-	comboCal := specCfg
-	cal1, err := runSynChaos(scale, "chaos-combo-cal1", &comboCal)
+	comboCfg := specCfg
+	size1, err := runSynChaos(scale, "chaos-combo-cal1", &comboCfg)
 	if err != nil {
 		return nil, err
 	}
-	comboCal.Crashes = []chaos.Crash{{Node: 2, At: 0.5 * cal1.mapSpan, Recover: 0.5*cal1.mapSpan + 1e6}}
-	cal2, err := runSynChaos(scale, "chaos-combo-cal2", &comboCal)
+	comboCfg.Crashes = []chaos.Crash{{Node: 2, At: 0.5 * size1.mapSpan, Recover: 0.5*size1.mapSpan + 1e6}}
+	size2, err := runSynChaos(scale, "chaos-combo-cal2", &comboCfg)
 	if err != nil {
 		return nil, err
 	}
-	comboCfg := comboCal
-	comboCfg.Outages = []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: cal2.mapSpan + cleanMap}}
-	combo, err := runSynChaos(scale, "chaos-combo", &comboCfg)
+	comboCfg.Outages = []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: size2.mapSpan + cleanMap}}
+	combo, err := row("combined", "chaos-combo", &comboCfg)
 	if err != nil {
-		return nil, err
-	}
-	if err := addRow("combined", combo); err != nil {
 		return nil, err
 	}
 
@@ -147,10 +135,7 @@ func runSynChaos(scale Scale, name string, cfg *chaos.Config) (*chaosRun, error)
 	l := newLab()
 	tr := obs.NewTrace()
 	l.engine.Trace = tr
-
-	sc := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (sc.ValueSize + 30))
-	input, store, err := generateSyn(l, sc)
+	input, store, err := l.genSyn(scale, 1024)
 	if err != nil {
 		return nil, err
 	}
@@ -184,26 +169,4 @@ func runSynChaos(scale Scale, name string, cfg *chaos.Config) (*chaosRun, error)
 		}
 	}
 	return run, nil
-}
-
-// chaosSorted flattens an output file to sorted key\x00value strings.
-func chaosSorted(f *dfs.File) []string {
-	out := make([]string, 0, f.Records())
-	for _, r := range f.All() {
-		out = append(out, r.Key+"\x00"+r.Value)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -2,69 +2,38 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"efind/internal/chaos"
-	"efind/internal/core"
 	"efind/internal/dfs"
 	"efind/internal/ixclient"
 	"efind/internal/jobsvc"
 	"efind/internal/kvstore"
-	"efind/internal/mapreduce"
 	"efind/internal/obs"
-	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
 )
 
-// cmWorld is one rebuilt deterministic environment for a chaos
-// multi-tenant leg: every leg (and the recovered coordinator) gets a
-// fresh cluster, input, and store so nothing leaks between runs and the
-// recovery contract — "rebuild the same world, Recover replays the
-// decisions" — is exercised exactly as documented.
-type cmWorld struct {
-	l     *lab
-	trace *obs.Trace
-	input *dfs.File
-	store *kvstore.Store
-}
-
-// cmLab is newLab at an arbitrary cluster size: the chaos multi-tenant
-// experiment runs far beyond the paper's 12 nodes (10k at full scale).
-func cmLab(nodes int) *lab {
-	cfg := sim.DefaultConfig()
-	cfg.Nodes = nodes
-	cfg.TaskStartup = 0.005
-	if calibration != nil && calibration.F > 0 {
-		cfg.DFSWriteCost = calibration.F
-	}
-	cluster := sim.NewCluster(cfg)
-	fs := dfs.New(cluster)
-	engine := mapreduce.New(cluster, fs)
-	return &lab{cluster: cluster, fs: fs, engine: engine, rt: core.NewRuntime(engine)}
-}
-
-// cmBuildWorld rebuilds the leg environment from scratch. The engine
-// records into a private trace so each leg's chaos counters (crashes,
-// speculative launches) are observable in isolation.
-func cmBuildWorld(scale Scale) (*cmWorld, error) {
+// cmLab rebuilds one leg's deterministic environment from scratch: every
+// leg (and the recovered coordinator) gets a fresh cluster — far beyond
+// the paper's 12 nodes, 10k at full scale —, input, and store, so nothing
+// leaks between runs and the recovery contract — "rebuild the same world,
+// Recover replays the decisions" — is exercised exactly as documented.
+// The engine records into a private trace so each leg's chaos counters
+// (crashes, speculative launches) are observable in isolation.
+func cmLab(scale Scale) (*lab, *dfs.File, *kvstore.Store, error) {
 	if scale.ChaosMTRecords > 0 {
 		scale.SynRecords = scale.ChaosMTRecords
 		scale.SynKeyDomain = scale.ChaosMTRecords / 2
 	}
-	l := cmLab(scale.ChaosMTNodes)
-	tr := obs.NewTrace()
-	l.engine.Trace = tr
-	cfg := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, store, err := generateSyn(l, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &cmWorld{l: l, trace: tr, input: input, store: store}, nil
+	cfg := labConfig()
+	cfg.Nodes = scale.ChaosMTNodes
+	l := newLabOn(cfg)
+	l.engine.Trace = obs.NewTrace()
+	input, store, err := l.genSyn(scale, 1024)
+	return l, input, store, err
 }
 
 // cmCheckpointEvery sets the durable legs' checkpoint cadence so the
@@ -81,71 +50,20 @@ func cmCheckpointEvery(scale Scale) int {
 	return every
 }
 
-// cmTenantNames returns the tenant names in configuration order.
-func cmTenantNames(scale Scale) []string {
-	names := make([]string, scale.ChaosMTTenants)
-	for i := range names {
-		names[i] = fmt.Sprintf("t%02d", i)
-	}
-	return names
-}
-
 // cmTenants configures the tenants: alternating fair-share weights and
 // an in-flight cap small enough that the arrival burst builds real
 // admission queues on every tenant.
 func cmTenants(scale Scale) []jobsvc.TenantConfig {
 	tcs := make([]jobsvc.TenantConfig, scale.ChaosMTTenants)
-	for i, name := range cmTenantNames(scale) {
+	for i := range tcs {
 		tcs[i] = jobsvc.TenantConfig{
-			Name:        name,
+			Name:        fmt.Sprintf("t%02d", i),
 			Weight:      1 + i%2,
 			MaxInFlight: 4,
 			QueueCap:    2 * scale.ChaosMTJobs,
 		}
 	}
 	return tcs
-}
-
-// cmSubs builds the submission trace against one world: every tenant
-// submits ChaosMTJobs ModeCache synthetic joins in a staggered burst, so
-// the service holds many concurrent jobs while later arrivals queue.
-// wave2At > 0 delays the second half of each tenant's jobs to that
-// arrival time: the service drains the first wave, passes a quiescent
-// point — where the durable legs fold decided state into a checkpoint —
-// and then absorbs the second burst.
-func cmSubs(w *cmWorld, scale Scale, wave2At float64) []jobsvc.Submission {
-	var subs []jobsvc.Submission
-	for i := 0; i < scale.ChaosMTJobs; i++ {
-		at := 0.02 * float64(i)
-		if wave2At > 0 && i >= (scale.ChaosMTJobs+1)/2 {
-			at += wave2At
-		}
-		for _, tn := range cmTenantNames(scale) {
-			conf := buildSynConf(fmt.Sprintf("cm-%s-%d", tn, i), w.input, w.store, core.ModeCache)
-			conf.VarianceThreshold = experimentVarianceThreshold
-			conf.Retry = core.RetryPolicy{Max: 2, Backoff: 0.001, Factor: 2}
-			subs = append(subs, jobsvc.Submission{Tenant: tn, At: at, Conf: conf})
-		}
-	}
-	return subs
-}
-
-// cmSpecLaunched sums the speculative backups launched across all jobs.
-// In service mode per-task counters land in each job's namespaced
-// result, not the bare trace counter, so this reads the statuses.
-func cmSpecLaunched(r *mtRun) int64 {
-	var n int64
-	for _, st := range r.statuses {
-		if st.Result == nil {
-			continue
-		}
-		for k, v := range st.Result.Counters {
-			if strings.HasSuffix(k, chaos.CtrSpecLaunched) {
-				n += v
-			}
-		}
-	}
-	return n
 }
 
 // cmChaosConfig sizes the combined fault schedule from the clean run's
@@ -166,66 +84,48 @@ func cmChaosConfig(span float64) chaos.Config {
 	}
 }
 
-// cmRun executes the trace through the job service in a fresh world.
-// cfg, when non-nil, becomes the service-wide chaos plan (windows are
-// absolute on the service clock, so faults race across tenants); durable,
-// when non-nil, journals the run. Every job must complete.
-func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durability, wave2At float64) (*cmWorld, *mtRun, *jobsvc.Service, error) {
+// cmRun executes the trace through the job service in a fresh world:
+// every tenant submits ChaosMTJobs ModeCache synthetic joins in a
+// staggered burst, so the service holds many concurrent jobs while later
+// arrivals queue. wave2At > 0 delays the second half of each tenant's
+// jobs to that arrival time: the service drains the first wave, passes a
+// quiescent point — where the durable legs fold decided state into a
+// checkpoint — and then absorbs the second burst. cfg, when non-nil,
+// becomes the service-wide chaos plan (windows are absolute on the
+// service clock, so faults race across tenants); durable, when non-nil,
+// journals the run, or with recovered set holds the crash image the
+// service starts from.
+func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durability, wave2At float64, recovered bool) (*mtRun, error) {
 	section("chaos-mt/" + label)
-	w, err := cmBuildWorld(scale)
+	l, input, store, err := cmLab(scale)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
 	opts := jobsvc.Options{SharedCache: ixclient.NewPool(0), Durable: durable}
 	if cfg != nil {
 		opts.Chaos = chaos.MustNew(*cfg, scale.ChaosMTNodes)
 	}
-	svc, err := jobsvc.New(w.l.rt, cmTenants(scale), opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	run := &mtRun{statuses: svc.Run(cmSubs(w, scale, wave2At)), pool: opts.SharedCache}
-	for _, st := range run.statuses {
-		if st.State != jobsvc.JobCompleted {
-			return nil, nil, nil, fmt.Errorf("chaos-mt/%s: job %s/%s %s: %s%v",
-				label, st.Tenant, st.Name, st.State, st.Reason, st.Err)
+	at := func(i int) float64 {
+		t := 0.02 * float64(i)
+		if wave2At > 0 && i >= (scale.ChaosMTJobs+1)/2 {
+			t += wave2At
 		}
+		return t
 	}
-	if err := svc.DurableErr(); err != nil {
-		return nil, nil, nil, fmt.Errorf("chaos-mt/%s: durability degraded: %w", label, err)
-	}
-	return w, run, svc, nil
+	tenants := cmTenants(scale)
+	subs := synSubs("cm", tenants, scale.ChaosMTJobs, at, true, input, store)
+	return runTrace("chaos-mt/"+label, l, tenants, subs, opts, recovered)
 }
 
-// cmMakespan is the whole trace's makespan: the last finish time across
-// every tenant.
-func cmMakespan(r *mtRun) float64 {
-	max := 0.0
-	for _, st := range r.statuses {
-		if st.Finished > max {
-			max = st.Finished
-		}
-	}
-	return max
-}
-
-// cmOutputHashes fingerprints each job's sorted output, in submission
-// order, so cross-leg identity checks hold hashes instead of the record
-// sets themselves (full scale runs hundreds of jobs).
-func cmOutputHashes(r *mtRun) []uint64 {
-	hashes := make([]uint64, len(r.statuses))
+// outputDigests fingerprints each job's output, in submission order, so
+// cross-leg identity checks hold digests instead of the record sets
+// themselves (full scale runs hundreds of jobs).
+func (r *mtRun) outputDigests() []uint64 {
+	digests := make([]uint64, len(r.statuses))
 	for i, st := range r.statuses {
-		if st.Result == nil || st.Result.Output == nil {
-			continue
-		}
-		h := fnv.New64a()
-		for _, rec := range chaosSorted(st.Result.Output) {
-			h.Write([]byte(rec))
-			h.Write([]byte{0xff})
-		}
-		hashes[i] = h.Sum64()
+		digests[i] = outputDigest(st.Result.Output)
 	}
-	return hashes
+	return digests
 }
 
 // cmCompareStatuses enforces the recovery identity: every scheduling
@@ -260,7 +160,7 @@ func cmCompareStatuses(ref, got []jobsvc.JobStatus) error {
 // speculative backups, and a cross-tenant index outage race across their
 // phases. Five legs:
 //
-//   - clean: the fault-free reference; its per-job sorted outputs are
+//   - clean: the fault-free reference; its per-job output digests are
 //     the identity baseline and its makespan sizes the fault windows.
 //   - crash+spec: crashes and speculation only — every job's output must
 //     be identical to the clean run's (fault tolerance never changes the
@@ -284,20 +184,20 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 			scale.ChaosMTTenants, scale.ChaosMTJobs, scale.ChaosMTNodes),
 		Columns: []string{"jobs", "makespan", "lookups", "ixerrs", "crashes", "spec"},
 	}
-	addRow := func(label string, r *mtRun, tr *obs.Trace) {
-		t.Add(label, float64(totalJobs), cmMakespan(r),
+	addRow := func(label string, r *mtRun) {
+		t.Add(label, float64(totalJobs), r.span(""),
 			float64(r.lookups()), float64(r.indexErrors()),
-			float64(tr.Metrics.Counter(chaos.CtrNodeCrashes)),
-			float64(cmSpecLaunched(r)))
+			float64(r.trace.Metrics.Counter(chaos.CtrNodeCrashes)),
+			float64(r.counterSum(chaos.CtrSpecLaunched)))
 	}
 
-	cleanW, clean, _, err := cmRun(scale, "clean", nil, nil, 0)
+	clean, err := cmRun(scale, "clean", nil, nil, 0, false)
 	if err != nil {
 		return nil, err
 	}
-	addRow("clean", clean, cleanW.trace)
-	cleanHashes := cmOutputHashes(clean)
-	span := cmMakespan(clean)
+	addRow("clean", clean)
+	cleanDigests := clean.outputDigests()
+	span := clean.span("")
 	// The second wave arrives well after chaos (~2x slower than clean)
 	// can have drained the first, so every leg below passes a quiescent
 	// point mid-trace — where the durable legs write a checkpoint.
@@ -305,19 +205,19 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 
 	// Crashes and speculation only: the answer must not change.
 	crashCfg := cmChaosConfig(span)
-	crashW, crashed, _, err := cmRun(scale, "crash+spec", &crashCfg, nil, waveGap)
+	crashed, err := cmRun(scale, "crash+spec", &crashCfg, nil, waveGap, false)
 	if err != nil {
 		return nil, err
 	}
-	addRow("crash+spec", crashed, crashW.trace)
-	if got := crashW.trace.Metrics.Counter(chaos.CtrNodeCrashes); got == 0 {
+	addRow("crash+spec", crashed)
+	if crashed.trace.Metrics.Counter(chaos.CtrNodeCrashes) == 0 {
 		return nil, fmt.Errorf("chaos-mt: no crash event fired; the crash+spec row is vacuous")
 	}
-	if cmSpecLaunched(crashed) == 0 {
+	if crashed.counterSum(chaos.CtrSpecLaunched) == 0 {
 		return nil, fmt.Errorf("chaos-mt: no speculative backup launched; the crash+spec row is vacuous")
 	}
-	for i, h := range cmOutputHashes(crashed) {
-		if h != cleanHashes[i] {
+	for i, d := range crashed.outputDigests() {
+		if d != cleanDigests[i] {
 			return nil, fmt.Errorf("chaos-mt: job %d (%s/%s) output diverged from the fault-free run under crash+spec",
 				i, crashed.statuses[i].Tenant, crashed.statuses[i].Name)
 		}
@@ -328,18 +228,18 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	// per index; jobs complete degraded.
 	comboCfg := cmChaosConfig(span)
 	comboCfg.Outages = []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0.1 * span, Until: 0.3 * span}}
-	comboW, combo, _, err := cmRun(scale, "combo", &comboCfg, nil, waveGap)
+	combo, err := cmRun(scale, "combo", &comboCfg, nil, waveGap, false)
 	if err != nil {
 		return nil, err
 	}
-	addRow("+outage", combo, comboW.trace)
+	addRow("+outage", combo)
 	if combo.indexErrors() == 0 {
 		return nil, fmt.Errorf("chaos-mt: outage window hit no lookups; the cross-tenant outage row is vacuous")
 	}
-	for _, tn := range cmTenantNames(scale) {
-		gauge(fmt.Sprintf("chaosmt.%s.makespan.vms", tn), combo.span(tn)*1000)
+	for _, tn := range cmTenants(scale) {
+		gauge(fmt.Sprintf("chaosmt.%s.makespan.vms", tn.Name), combo.span(tn.Name)*1000)
 	}
-	gauge("chaosmt.total.makespan.vms", cmMakespan(combo)*1000)
+	gauge("chaosmt.total.makespan.vms", combo.span("")*1000)
 	gauge("chaosmt.pool.hit_ratio", combo.pool.HitRatio())
 
 	// Durable leg: same full schedule, journaled. Journal appends cost no
@@ -349,16 +249,14 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	refDir := filepath.Join(dir, "ref")
-	durableCfg := cmChaosConfig(span)
-	durableCfg.Outages = comboCfg.Outages
-	durableW, ref, refSvc, err := cmRun(scale, "durable", &durableCfg,
-		&jobsvc.Durability{Dir: refDir, CheckpointEvery: cmCheckpointEvery(scale)}, waveGap)
+	refDir, crashDir := filepath.Join(dir, "ref"), filepath.Join(dir, "crash")
+	every := cmCheckpointEvery(scale)
+	ref, err := cmRun(scale, "durable", &comboCfg, &jobsvc.Durability{Dir: refDir, CheckpointEvery: every}, waveGap, false)
 	if err != nil {
 		return nil, err
 	}
-	addRow("durable", ref, durableW.trace)
-	if got, want := cmMakespan(ref), cmMakespan(combo); got != want {
+	addRow("durable", ref)
+	if got, want := ref.span(""), combo.span(""); got != want {
 		return nil, fmt.Errorf("chaos-mt: journaling changed the virtual makespan: %v vs %v", got, want)
 	}
 
@@ -367,7 +265,6 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	// restores decided first-wave jobs from the checkpoint AND replays a
 	// journal tail — with a torn frame appended, then Recover in a
 	// rebuilt world and run the same trace to completion.
-	nrec := refSvc.JournalRecords()
 	lines, err := jobsvc.DescribeJournal(refDir)
 	if err != nil {
 		return nil, err
@@ -382,27 +279,15 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	if firstCkpt < 0 {
 		return nil, fmt.Errorf("chaos-mt: durable run wrote no checkpoint; the inter-wave quiescent point never folded the first wave")
 	}
-	keep := firstCkpt + 1 + (nrec-firstCkpt-1)/2
-	crashDir := filepath.Join(dir, "crash")
+	keep := firstCkpt + 1 + (ref.journal-firstCkpt-1)/2
 	if err := wal.CrashImage(vfs.OS{}, refDir, crashDir, keep, []byte{0x1f, 0xaa, 0x03}); err != nil {
 		return nil, err
 	}
-	section("chaos-mt/recovered")
-	recW, err := cmBuildWorld(scale)
+	recovered, err := cmRun(scale, "recovered", &comboCfg, &jobsvc.Durability{Dir: crashDir, CheckpointEvery: every}, waveGap, true)
 	if err != nil {
 		return nil, err
 	}
-	recCfg := cmChaosConfig(span)
-	recCfg.Outages = comboCfg.Outages
-	recOpts := jobsvc.Options{
-		SharedCache: ixclient.NewPool(0),
-		Chaos:       chaos.MustNew(recCfg, scale.ChaosMTNodes),
-		Durable:     &jobsvc.Durability{Dir: crashDir, CheckpointEvery: cmCheckpointEvery(scale)},
-	}
-	svc2, rep, err := jobsvc.Recover(recW.l.rt, cmTenants(scale), recOpts)
-	if err != nil {
-		return nil, err
-	}
+	rep := recovered.recovery
 	if !rep.TornTail {
 		return nil, fmt.Errorf("chaos-mt: crash image carried a torn frame the recovery did not see")
 	}
@@ -410,20 +295,16 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, fmt.Errorf("chaos-mt: no checkpoint before the coordinator crash (checkpoint %q, %d decided); the first wave should have been folded at the inter-wave quiescent point",
 			rep.Checkpoint, rep.DecidedJobs)
 	}
-	recovered := &mtRun{statuses: svc2.Run(cmSubs(recW, scale, waveGap)), pool: recOpts.SharedCache}
-	if err := svc2.DurableErr(); err != nil {
-		return nil, fmt.Errorf("chaos-mt/recovered: durability degraded: %w", err)
-	}
 	if len(rep.Divergences) != 0 {
 		return nil, fmt.Errorf("chaos-mt: recovery diverged from the journal: %v", rep.Divergences)
 	}
 	if err := cmCompareStatuses(ref.statuses, recovered.statuses); err != nil {
 		return nil, err
 	}
-	addRow("recovered", recovered, recW.trace)
+	addRow("recovered", recovered)
 
 	t.Note("crash+spec outputs identical to the fault-free run for all %d jobs", totalJobs)
 	t.Note("recovered coordinator (crash at record %d/%d, torn tail, checkpoint %q, %d decided) matched the uninterrupted run bit for bit",
-		keep, nrec, rep.Checkpoint, rep.DecidedJobs)
+		keep, ref.journal, rep.Checkpoint, rep.DecidedJobs)
 	return t, nil
 }

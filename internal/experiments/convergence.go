@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"efind/internal/core"
-)
+import "fmt"
 
 // AblationDynamicConvergence reproduces the scaling claim of §5.3: the
 // adaptive runtime's overhead (the baseline-plan statistics collection
@@ -18,34 +14,21 @@ func AblationDynamicConvergence(scale Scale) (*Table, error) {
 		Columns: []string{"optimized", "dynamic", "ratio"},
 	}
 	base := scale.LogEvents
-	prevRatio := 0.0
 	for _, factor := range []int{1, 3, 9} {
 		s := scale
 		s.LogEvents = base * factor
 		// Fixed chunk size: larger inputs run more task waves, so the
 		// first-wave statistics phase becomes a shrinking fraction.
 		s.FixedLogChunk = chunkTargetFor(base * 90)
-		run := func(column string) (float64, error) {
-			vt, _, _, err := runLogOnce(s, 3, column)
-			return vt, err
-		}
-		opt, err := run("optimized")
+		opt, _, err := runLogOnce(s, 3, "optimized")
 		if err != nil {
 			return nil, err
 		}
-		dyn, err := run("dynamic")
+		dyn, _, err := runLogOnce(s, 3, "dynamic")
 		if err != nil {
 			return nil, err
 		}
-		ratio := dyn / opt
-		t.Add(fmt.Sprintf("events=%d", s.LogEvents), opt, dyn, ratio)
-		prevRatio = ratio
+		t.Add(fmt.Sprintf("events=%d", s.LogEvents), opt, dyn, dyn/opt)
 	}
-	_ = prevRatio
 	return t, nil
 }
-
-// init-time registration happens in suite.go; this file only adds the
-// experiment body. (Kept separate because the convergence sweep is the
-// longest-running ablation.)
-var _ = core.ModeDynamic

@@ -5,10 +5,11 @@ import (
 
 	"efind/internal/core"
 	"efind/internal/dfs"
-	"efind/internal/fstore"
+	"efind/internal/kvstore"
 	"efind/internal/mapreduce"
 	"efind/internal/obs"
 	"efind/internal/sim"
+	"efind/internal/workloads"
 )
 
 // obsTrace, when set, is attached to the engine of every lab created
@@ -21,18 +22,6 @@ var obsTrace *obs.Trace
 // record into. Call it once before running experiments.
 func SetTrace(t *obs.Trace) { obsTrace = t }
 
-// calibration, when set, replaces the cost model's stipulated storage
-// constants with values measured on this machine (efind-bench
-// -calibrate): the paper's f term (DFS store-and-retrieve cost per byte)
-// becomes the measured snapshot write + cold-read cost, and the
-// synthetic index's serve time T_j becomes the measured warm lookup
-// latency of the mmap-backed store.
-var calibration *fstore.Calibration
-
-// SetCalibration installs (or, with nil, removes) measured storage costs
-// for every lab created afterwards.
-func SetCalibration(c *fstore.Calibration) { calibration = c }
-
 // section labels subsequent trace stages, instants, and index-profile
 // rows with a run context (e.g. "11f/l=10/base"); no-op without a trace.
 func section(s string) {
@@ -41,9 +30,9 @@ func section(s string) {
 	}
 }
 
-// gauge records one figure measurement into the trace's registry; names
-// ending in ".vms" (virtual milliseconds) are latency budgets the CI
-// regression gate guards. No-op without a trace.
+// gauge records one figure measurement into the trace's registry, and so
+// into the profile the CI gate holds to equality (".vms" names a virtual
+// time in milliseconds). No-op without a trace.
 func gauge(name string, v float64) {
 	if obsTrace != nil {
 		obsTrace.Metrics.SetGauge(name, v)
@@ -59,23 +48,41 @@ type lab struct {
 	rt      *core.Runtime
 }
 
-// newLab builds the paper's 12-node environment with chunk sizes small
-// enough that jobs run multiple task waves at simulation scale.
-func newLab() *lab {
+// labConfig is the paper's 12-node cluster with task startup scaled like
+// everything else: the paper's jobs run for hundreds to thousands of
+// seconds against ~1 s task launches; the simulated jobs run for ~1 s, so
+// startup scales to milliseconds.
+func labConfig() sim.Config {
 	cfg := sim.DefaultConfig()
-	// Task startup scaled like everything else: the paper's jobs run for
-	// hundreds to thousands of seconds against ~1 s task launches; the
-	// simulated jobs run for ~1 s, so startup scales to milliseconds.
 	cfg.TaskStartup = 0.005
-	if calibration != nil && calibration.F > 0 {
-		cfg.DFSWriteCost = calibration.F
-	}
+	return cfg
+}
+
+// newLab builds the paper's environment; the workload generators size its
+// chunks so that jobs run multiple task waves at simulation scale.
+func newLab() *lab { return newLabOn(labConfig()) }
+
+// newLabOn builds a lab on a cluster of the caller's shape (a straggler's
+// node speeds, the chaos experiment's node count).
+func newLabOn(cfg sim.Config) *lab {
 	cluster := sim.NewCluster(cfg)
 	fs := dfs.New(cluster)
-	fs.ChunkTarget = 32 << 10
 	engine := mapreduce.New(cluster, fs)
 	engine.Trace = obsTrace
 	return &lab{cluster: cluster, fs: fs, engine: engine, rt: core.NewRuntime(engine)}
+}
+
+// genSyn writes the synthetic workload of §5.1 into the lab — records
+// with a 256 B payload and an index whose values are size bytes — in
+// chunks sized for ~2.5 map waves.
+func (l *lab) genSyn(scale Scale, size int) (*dfs.File, *kvstore.Store, error) {
+	cfg := workloads.DefaultSyntheticConfig()
+	cfg.Records = scale.SynRecords
+	cfg.KeyDomain = scale.SynKeyDomain
+	cfg.IndexValueSize = size
+	cfg.ValueSize = 256
+	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
+	return workloads.GenerateSynthetic(l.fs, "syn", cfg)
 }
 
 // strategyColumns is the experiment matrix of §5.1: the four fixed
@@ -89,9 +96,56 @@ var strategyColumns = []string{"base", "cache", "repart", "idxloc", "optimized",
 // inherently ~√1000 larger for the same underlying distribution.
 const experimentVarianceThreshold = 0.35
 
+// strategyJob is what one strategy column runs in its lab: build
+// composes the job under a name (twice for "optimized", whose statistics
+// run comes first); op and ix name the index the repart and idxloc
+// columns force.
+type strategyJob struct {
+	build  func(name string) *core.IndexJobConf
+	op, ix string
+}
+
+// runColumn runs one strategy column of a figure in a lab of its own, so
+// caches, catalogs and index statistics cannot leak between columns:
+// setup generates the workload into the fresh lab and says how to compose
+// the job. Only "optimized" collects statistics first (the paper's
+// offline statistics run); every other column starts cold.
+func runColumn(column, prefix string, setup func(*lab) (strategyJob, error)) (*lab, *core.JobResult, error) {
+	l := newLab()
+	job, err := setup(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	if column == "optimized" {
+		if err := l.rt.CollectStats(job.build(prefix + "-stats")); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, err := submitMode(l.rt, job.build(prefix+"-"+column), column, job.op, job.ix)
+	return l, res, err
+}
+
+// strategyCells runs every column of one figure row through run and
+// returns the row's cells, noting the optimized column's plan behind
+// planTag.
+func strategyCells(t *Table, cols []string, planTag string, run func(column string) (float64, *core.JobResult, error)) ([]float64, error) {
+	cells := make([]float64, 0, len(cols))
+	for _, c := range cols {
+		vt, res, err := run(c)
+		if err != nil {
+			return nil, fmt.Errorf("%s, column %s: %w", t.Title, c, err)
+		}
+		cells = append(cells, vt)
+		if c == "optimized" {
+			t.Note("%s%v", planTag, res.Plan)
+		}
+	}
+	return cells, nil
+}
+
 // submitMode runs one job configuration under a named strategy column.
 // For "repart"/"idxloc" the forced target operator/index is required; for
-// "optimized" the runtime must already hold statistics.
+// "optimized" the runtime must already hold statistics (runColumn's job).
 func submitMode(rt *core.Runtime, conf *core.IndexJobConf, column, forceOp, forceIx string) (*core.JobResult, error) {
 	if conf.VarianceThreshold == 0 {
 		conf.VarianceThreshold = experimentVarianceThreshold

@@ -128,35 +128,24 @@ func topKJob(engine *mapreduce.Engine, input *dfs.File) (*mapreduce.Result, erro
 }
 
 // runLogOnce executes the LOG application end to end in a fresh lab and
-// returns its total virtual time and the final top-k output.
-func runLogOnce(scale Scale, extraDelayMs float64, column string) (float64, *dfs.File, *core.JobResult, error) {
-	l := newLab()
-	if scale.FixedLogChunk > 0 {
-		l.fs.ChunkTarget = scale.FixedLogChunk
-	} else {
-		l.fs.ChunkTarget = chunkTargetFor(scale.LogEvents * 90)
-	}
-	input, geo, err := setupLog(l, logScaleConfig(scale), extraDelayMs)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-
-	if column == "optimized" {
-		statsConf := logJobConf("log-stats", input, geo, core.ModeBaseline)
-		if err := l.rt.CollectStats(statsConf); err != nil {
-			return 0, nil, nil, err
+// returns its total virtual time, top-k job included.
+func runLogOnce(scale Scale, extraDelayMs float64, column string) (float64, *core.JobResult, error) {
+	l, res, err := runColumn(column, "log", func(l *lab) (strategyJob, error) {
+		input, geo, err := setupLog(l, scale, extraDelayMs)
+		if err != nil {
+			return strategyJob{}, err
 		}
-	}
-	conf := logJobConf("log-"+column, input, geo, core.ModeBaseline)
-	res, err := submitMode(l.rt, conf, column, "geo", geo.Name())
+		build := func(name string) *core.IndexJobConf { return logJobConf(name, input, geo, core.ModeBaseline) }
+		return strategyJob{build, "geo", geo.Name()}, nil
+	})
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	topk, err := topKJob(l.engine, res.Output)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
-	return res.VTime + topk.VTime, topk.Output, res, nil
+	return res.VTime + topk.VTime, res, nil
 }
 
 // chunkTargetFor sizes chunks so a workload of roughly totalBytes spans
@@ -178,21 +167,17 @@ func Fig11a(scale Scale) (*Table, error) {
 	cols := []string{"base", "cache", "repart", "optimized", "dynamic"}
 	t := &Table{Title: "Figure 11(a): LOG — runtime (virtual s) vs extra lookup delay", Columns: cols}
 	for _, d := range scale.LogDelaysMs {
-		row := make([]float64, 0, len(cols))
-		for _, c := range cols {
-			vt, _, res, err := runLogOnce(scale, d, c)
-			if err != nil {
-				return nil, fmt.Errorf("fig11a %s delay %gms: %w", c, d, err)
-			}
-			row = append(row, vt)
-			if c == "dynamic" && res.Replanned {
+		cells, err := strategyCells(t, cols, fmt.Sprintf("delay %gms: optimized plan ", d), func(c string) (float64, *core.JobResult, error) {
+			vt, res, err := runLogOnce(scale, d, c)
+			if err == nil && c == "dynamic" && res.Replanned {
 				t.Note("delay %gms: dynamic replanned at %s phase to %v", d, res.ReplanPhase, res.Plan)
 			}
-			if c == "optimized" {
-				t.Note("delay %gms: optimized plan %v", d, res.Plan)
-			}
+			return vt, res, err
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Add(fmt.Sprintf("delay=%gms", d), row...)
+		t.Add(fmt.Sprintf("delay=%gms", d), cells...)
 	}
 	return t, nil
 }

@@ -15,69 +15,54 @@ const (
 	queryQ9
 )
 
-// runTPCHOnce executes one TPC-H query under one strategy in a fresh lab.
-func runTPCHOnce(scale Scale, q tpchQuery, dup int, column string) (float64, *core.JobResult, int64, error) {
-	l := newLab()
-	cfg := tpch.DefaultConfig()
-	cfg.ScaleFactor = scale.TPCHSF
-	cfg.SupplierScale = scale.TPCHSupplierScale
-	cfg.DupFactor = dup
-	l.fs.ChunkTarget = chunkTargetFor(int(6000*scale.TPCHSF) * dup * 60)
-	w, err := tpch.Setup(l.fs, "lineitem", cfg)
-	if err != nil {
-		return 0, nil, 0, err
-	}
-
-	build := func(name string) (*core.IndexJobConf, string, string) {
-		if q == queryQ3 {
-			conf := w.Q3Conf(name, core.ModeBaseline)
-			op, ix := w.Q3RepartTarget()
-			return conf, op, ix
-		}
-		conf := w.Q9Conf(name, core.ModeBaseline)
-		op, ix := w.Q9RepartTarget()
-		return conf, op, ix
-	}
-
+// runTPCHOnce executes one TPC-H query under one strategy in a fresh lab
+// and returns the result with the index lookups that run issued.
+func runTPCHOnce(scale Scale, q tpchQuery, dup int, column string) (*core.JobResult, int64, error) {
 	// The paper's cache holds 1024 entries against SF10 dictionaries of
 	// 10^5–10^7 distinct keys; at simulation scale the capacity is scaled
 	// with the data so the capacity:distinct-keys ratios (the drivers of
 	// the miss ratio R) are preserved.
 	const cacheCapacity = 64
 
-	if column == "optimized" {
-		statsConf, _, _ := build("tpch-stats")
-		statsConf.CacheCapacity = cacheCapacity
-		if err := l.rt.CollectStats(statsConf); err != nil {
-			return 0, nil, 0, err
+	var w *tpch.Workload
+	_, res, err := runColumn(column, "tpch", func(l *lab) (strategyJob, error) {
+		var err error
+		if w, err = setupTPCH(l, scale, dup); err != nil {
+			return strategyJob{}, err
 		}
-	}
-	w.ResetIndexStats()
-	conf, op, ix := build("tpch-" + column)
-	conf.CacheCapacity = cacheCapacity
-	res, err := submitMode(l.rt, conf, column, op, ix)
+		query, target := w.Q3Conf, w.Q3RepartTarget
+		if q == queryQ9 {
+			query, target = w.Q9Conf, w.Q9RepartTarget
+		}
+		op, ix := target()
+		return strategyJob{func(name string) *core.IndexJobConf {
+			w.ResetIndexStats() // so the lookups counted are this job's alone
+			conf := query(name, core.ModeBaseline)
+			conf.CacheCapacity = cacheCapacity
+			return conf
+		}, op, ix}, nil
+	})
 	if err != nil {
-		return 0, nil, 0, err
+		return nil, 0, err
 	}
-	return res.VTime, res, w.TotalLookups(), nil
+	return res, w.TotalLookups(), nil
 }
 
 // fig11TPCH runs one query's full strategy row.
 func fig11TPCH(title string, scale Scale, q tpchQuery, dup int) (*Table, error) {
 	t := &Table{Title: title, Columns: strategyColumns}
-	row := make([]float64, 0, len(strategyColumns))
-	for _, c := range strategyColumns {
-		vt, res, lookups, err := runTPCHOnce(scale, q, dup, c)
+	cells, err := strategyCells(t, strategyColumns, "optimized plan: ", func(c string) (float64, *core.JobResult, error) {
+		res, lookups, err := runTPCHOnce(scale, q, dup, c)
 		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", title, c, err)
+			return 0, nil, err
 		}
-		row = append(row, vt)
 		t.Note("%s: %d jobs, %d index lookups%s", c, res.JobsRun, lookups, replanNote(res))
-		if c == "optimized" {
-			t.Note("optimized plan: %v", res.Plan)
-		}
+		return res.VTime, res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.Add("runtime", row...)
+	t.Add("runtime", cells...)
 	return t, nil
 }
 

@@ -5,33 +5,14 @@ import (
 
 	"efind/internal/core"
 	"efind/internal/dfs"
-	"efind/internal/kvstore"
+	"efind/internal/index"
 	"efind/internal/mapreduce"
 	"efind/internal/workloads"
 )
 
-// synScaleConfig derives the synthetic generator config from a scale and
-// an index value size l.
-func synScaleConfig(scale Scale, l int) workloads.SyntheticConfig {
-	cfg := workloads.DefaultSyntheticConfig()
-	cfg.Records = scale.SynRecords
-	cfg.KeyDomain = scale.SynKeyDomain
-	cfg.IndexValueSize = l
-	cfg.ValueSize = 256
-	if calibration != nil && calibration.TjWarm > 0 {
-		cfg.ServeTime = calibration.TjWarm
-	}
-	return cfg
-}
-
-// generateSyn writes the synthetic input and index into the lab.
-func generateSyn(l *lab, cfg workloads.SyntheticConfig) (*dfs.File, *kvstore.Store, error) {
-	return workloads.GenerateSynthetic(l.fs, "syn", cfg)
-}
-
 // synOperator builds the synthetic join's index operator: look up each
 // record's key, attach the l-sized index value.
-func synOperator(store *kvstore.Store) *core.Operator {
+func synOperator(ix index.Accessor) *core.Operator {
 	op := core.NewOperator("syn",
 		func(in core.Pair) core.PreResult {
 			return core.PreResult{Pair: in, Keys: [][]string{{workloads.SyntheticKey(in.Value)}}}
@@ -43,15 +24,15 @@ func synOperator(store *kvstore.Store) *core.Operator {
 			}
 			emit(core.Pair{Key: pair.Key, Value: pair.Value + "\x00" + joined})
 		})
-	op.AddIndex(store)
+	op.AddIndex(ix)
 	return op
 }
 
 // buildSynConf composes the synthetic join of §5.1 as an EFind job: look
 // up every record's key in the index, attach the l-sized value, group by
 // record key.
-func buildSynConf(name string, input *dfs.File, store *kvstore.Store, mode core.Mode) *core.IndexJobConf {
-	op := synOperator(store)
+func buildSynConf(name string, input *dfs.File, ix index.Accessor, mode core.Mode) *core.IndexJobConf {
+	op := synOperator(ix)
 	conf := &core.IndexJobConf{
 		Name:  name,
 		Input: input,
@@ -67,26 +48,17 @@ func buildSynConf(name string, input *dfs.File, store *kvstore.Store, mode core.
 
 // runSynOnce executes the synthetic join for one index value size l under
 // one strategy in a fresh lab.
-func runSynOnce(scale Scale, l int, column string) (float64, *core.JobResult, error) {
+func runSynOnce(scale Scale, l int, column string) (*core.JobResult, error) {
 	section(fmt.Sprintf("11f/l=%d/%s", l, column))
-	env := newLab()
-	cfg := synScaleConfig(scale, l)
-	env.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, store, err := generateSyn(env, cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	if column == "optimized" {
-		if err := env.rt.CollectStats(buildSynConf("syn-stats", input, store, core.ModeBaseline)); err != nil {
-			return 0, nil, err
+	_, res, err := runColumn(column, "syn", func(env *lab) (strategyJob, error) {
+		input, store, err := env.genSyn(scale, l)
+		if err != nil {
+			return strategyJob{}, err
 		}
-	}
-	conf := buildSynConf("syn-"+column, input, store, core.ModeBaseline)
-	res, err := submitMode(env.rt, conf, column, "syn", store.Name())
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.VTime, res, nil
+		build := func(name string) *core.IndexJobConf { return buildSynConf(name, input, store, core.ModeBaseline) }
+		return strategyJob{build, "syn", store.Name()}, nil
+	})
+	return res, err
 }
 
 // Fig11f reproduces Figure 11(f): the synthetic join across strategies
@@ -94,18 +66,17 @@ func runSynOnce(scale Scale, l int, column string) (float64, *core.JobResult, er
 func Fig11f(scale Scale) (*Table, error) {
 	t := &Table{Title: "Figure 11(f): Synthetic — runtime (virtual s) vs index value size l", Columns: strategyColumns}
 	for _, l := range scale.SynSizes {
-		row := make([]float64, 0, len(strategyColumns))
-		for _, c := range strategyColumns {
-			vt, res, err := runSynOnce(scale, l, c)
+		cells, err := strategyCells(t, strategyColumns, fmt.Sprintf("l=%dB optimized plan: ", l), func(c string) (float64, *core.JobResult, error) {
+			res, err := runSynOnce(scale, l, c)
 			if err != nil {
-				return nil, fmt.Errorf("fig11f l=%d %s: %w", l, c, err)
+				return 0, nil, err
 			}
-			row = append(row, vt)
-			if c == "optimized" {
-				t.Note("l=%dB optimized plan: %v", l, res.Plan)
-			}
+			return res.VTime, res, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		t.Add(fmt.Sprintf("l=%dB", l), row...)
+		t.Add(fmt.Sprintf("l=%dB", l), cells...)
 	}
 	return t, nil
 }

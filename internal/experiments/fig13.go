@@ -23,54 +23,44 @@ func Fig13(scale Scale) (*Table, error) {
 	b := relabel(workloads.GenerateSpatialPoints(genB), "b")
 	exact := knnj.BruteForceKNN(a, b, scale.KNNK)
 
-	row := make([]float64, 0, len(cols))
-
 	// Hand-tuned comparator.
-	{
-		l := newLab()
-		l.fs.ChunkTarget = chunkTargetFor((scale.SpatialA + scale.SpatialB) * 40)
-		hzCfg := knnj.DefaultHZConfig(scale.KNNK)
-		hzCfg.Epsilon = 0.02
-		res, err := knnj.RunHZKNNJ(l.engine, a, b, 1000, hzCfg)
-		if err != nil {
-			return nil, fmt.Errorf("fig13 h-zknnj: %w", err)
-		}
-		row = append(row, res.VTime)
-		t.Note("h-zknnj: %d jobs, recall %.3f", res.Jobs, knnj.Recall(res.Join, exact))
+	l := newLab()
+	l.fs.ChunkTarget = chunkTargetFor((scale.SpatialA + scale.SpatialB) * 40)
+	hzCfg := knnj.DefaultHZConfig(scale.KNNK)
+	hzCfg.Epsilon = 0.02
+	hz, err := knnj.RunHZKNNJ(l.engine, a, b, 1000, hzCfg)
+	if err != nil {
+		return nil, fmt.Errorf("fig13 h-zknnj: %w", err)
 	}
+	t.Note("h-zknnj: %d jobs, recall %.3f", hz.Jobs, knnj.Recall(hz.Join, exact))
 
 	// EFind strategies.
-	for _, c := range strategyColumns {
-		l := newLab()
-		l.fs.ChunkTarget = chunkTargetFor(scale.SpatialA * 40)
-		idxCfg := knnj.DefaultSpatialIndexConfig(1000)
-		idxCfg.K = scale.KNNK
-		idx, err := knnj.BuildSpatialIndex(l.cluster, "spatial", b, idxCfg)
-		if err != nil {
-			return nil, err
-		}
-		input, err := workloads.WriteSpatial(l.fs, "a-points", a)
-		if err != nil {
-			return nil, err
-		}
-		if c == "optimized" {
-			if err := l.rt.CollectStats(knnj.EFindConf("knn-stats", input, idx, core.ModeBaseline)); err != nil {
-				return nil, err
+	cells, err := strategyCells(t, strategyColumns, "optimized plan: ", func(c string) (float64, *core.JobResult, error) {
+		_, res, err := runColumn(c, "knn", func(l *lab) (strategyJob, error) {
+			l.fs.ChunkTarget = chunkTargetFor(scale.SpatialA * 40)
+			idxCfg := knnj.DefaultSpatialIndexConfig(1000)
+			idxCfg.K = scale.KNNK
+			idx, err := knnj.BuildSpatialIndex(l.cluster, "spatial", b, idxCfg)
+			if err != nil {
+				return strategyJob{}, err
 			}
-		}
-		conf := knnj.EFindConf("knn-"+c, input, idx, core.ModeBaseline)
-		res, err := submitMode(l.rt, conf, c, "knn", idx.Name())
+			input, err := workloads.WriteSpatial(l.fs, "a-points", a)
+			if err != nil {
+				return strategyJob{}, err
+			}
+			build := func(name string) *core.IndexJobConf { return knnj.EFindConf(name, input, idx, core.ModeBaseline) }
+			return strategyJob{build, "knn", idx.Name()}, nil
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fig13 %s: %w", c, err)
+			return 0, nil, err
 		}
-		row = append(row, res.VTime)
-		join := knnj.CollectJoin(res.Output)
-		t.Note("%s: recall %.3f%s", c, knnj.Recall(join, exact), replanNote(res))
-		if c == "optimized" {
-			t.Note("optimized plan: %v", res.Plan)
-		}
+		t.Note("%s: recall %.3f%s", c, knnj.Recall(knnj.CollectJoin(res.Output), exact), replanNote(res))
+		return res.VTime, res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.Add("knnj", row...)
+	t.Add("knnj", append([]float64{hz.VTime}, cells...)...)
 	return t, nil
 }
 

@@ -2,24 +2,23 @@ package experiments
 
 import (
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"efind/internal/core"
 	"efind/internal/fstore"
 )
 
-// synRunSignature fingerprints everything a backend change must not
-// alter: the output records (in deterministic chunk order), the task
-// counters, and the index's lookup/miss totals. Virtual time is compared
-// separately so a divergence report can say which of the two moved.
+// synRunSignature holds everything a backend change must not alter: the
+// virtual time, the output records' digest, the task counters (printed,
+// which sorts them by name), and the index's lookup/miss totals — apart,
+// so a divergence report can say which of them moved.
 type synRunSignature struct {
-	vtime   float64
-	fp      uint64
-	lookups int64
-	misses  int64
+	vtime    float64
+	out      uint64
+	counters string
+	lookups  int64
+	misses   int64
 }
 
 // runSynBackend executes the Fig. 11(f) synthetic join under the
@@ -35,8 +34,6 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 	section(fmt.Sprintf("fstore-sweep/l=%d/%s", l, backend))
 	handles0 := fstore.OpenHandles()
 	env := newLab()
-	cfg := synScaleConfig(scale, l)
-	env.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
 
 	var dir string
 	if fileBacked {
@@ -50,7 +47,7 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 			return synRunSignature{}, err
 		}
 	}
-	input, store, err := generateSyn(env, cfg)
+	input, store, err := env.genSyn(scale, l)
 	if err != nil {
 		return synRunSignature{}, err
 	}
@@ -65,26 +62,12 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 		return synRunSignature{}, err
 	}
 
-	h := fnv.New64a()
-	for _, r := range res.Output.All() {
-		h.Write([]byte(r.Key))
-		h.Write([]byte{0})
-		h.Write([]byte(r.Value))
-		h.Write([]byte{0xff})
-	}
-	names := make([]string, 0, len(res.Counters))
-	for n := range res.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(h, "%s=%d;", n, res.Counters[n])
-	}
 	sig := synRunSignature{
-		vtime:   res.VTime,
-		fp:      h.Sum64(),
-		lookups: store.Lookups(),
-		misses:  store.Misses(),
+		vtime:    res.VTime,
+		out:      outputDigest(res.Output),
+		counters: fmt.Sprint(res.Counters),
+		lookups:  store.Lookups(),
+		misses:   store.Misses(),
 	}
 
 	if err := env.engine.Close(); err != nil {
@@ -104,15 +87,12 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 // agree bit-for-bit — same output records, same counters, same index
 // traffic, same virtual time — because file-backing changes only where
 // bytes live, never what the simulation computes; the "identical" column
-// is 1 exactly when they do. The virtual times also feed the CI
-// regression gate per backend.
+// is 1 exactly when they do. The virtual times are also gauges, per
+// backend, of the profile the CI gate compares.
 func FStoreSweep(scale Scale) (*Table, error) {
 	t := &Table{
 		Title:   "fstore sweep: in-memory vs mmap-snapshot backend — runtime (virtual s) vs index value size l",
 		Columns: []string{"mem", "file", "identical"},
-	}
-	if cal := calibration; cal != nil {
-		t.Note("calibrated: %s", cal)
 	}
 	if !fstore.MmapAvailable() {
 		t.Note("mmap unavailable on this platform; file-backed runs use the read fallback")
@@ -130,8 +110,8 @@ func FStoreSweep(scale Scale) (*Table, error) {
 		if mem == file {
 			identical = 1.0
 		} else {
-			t.Note("l=%dB DIVERGED: mem={vt=%.6f fp=%016x lk=%d ms=%d} file={vt=%.6f fp=%016x lk=%d ms=%d}",
-				l, mem.vtime, mem.fp, mem.lookups, mem.misses, file.vtime, file.fp, file.lookups, file.misses)
+			t.Note("l=%dB DIVERGED: mem={vt=%.6f out=%016x lk=%d ms=%d} file={vt=%.6f out=%016x lk=%d ms=%d} counters equal: %v",
+				l, mem.vtime, mem.out, mem.lookups, mem.misses, file.vtime, file.out, file.lookups, file.misses, mem.counters == file.counters)
 		}
 		gauge(fmt.Sprintf("fstore.l%d.mem.vms", l), mem.vtime*1000)
 		gauge(fmt.Sprintf("fstore.l%d.file.vms", l), file.vtime*1000)

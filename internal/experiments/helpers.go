@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"hash/fnv"
+	"sort"
+
 	"efind/internal/cloudsvc"
 	"efind/internal/dfs"
 	"efind/internal/sim"
@@ -8,36 +11,50 @@ import (
 	"efind/internal/workloads"
 )
 
-// logScaleConfig derives the LOG generator config from a scale.
-func logScaleConfig(scale Scale) workloads.LogConfig {
+// setupLog generates the LOG input in the lab — in chunks scaled with the
+// event count unless the scale pins them — and stands up the cloud geo
+// service with the given extra delay (milliseconds).
+func setupLog(l *lab, scale Scale, extraDelayMs float64) (*dfs.File, *cloudsvc.Service, error) {
+	l.fs.ChunkTarget = chunkTargetFor(scale.LogEvents * 90)
+	if scale.FixedLogChunk > 0 {
+		l.fs.ChunkTarget = scale.FixedLogChunk
+	}
 	cfg := workloads.DefaultLogConfig()
 	cfg.Events = scale.LogEvents
-	return cfg
-}
-
-// setupLog generates the LOG input in the lab and stands up the cloud geo
-// service with the given extra delay (milliseconds).
-func setupLog(l *lab, cfg workloads.LogConfig, extraDelayMs float64) (*dfs.File, *cloudsvc.Service, error) {
 	input, err := workloads.GenerateLog(l.fs, "log", cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	geo := cloudsvc.NewGeoService(0, geoBaseDelay+extraDelayMs/1000, 50)
-	return input, geo, nil
+	return input, cloudsvc.NewGeoService(0, geoBaseDelay+extraDelayMs/1000, 50), nil
 }
 
-// tpchScaleConfig derives the TPC-H generator config from a scale.
-func tpchScaleConfig(scale Scale, dup int) tpch.Config {
+// setupTPCH generates the TPC-H workload in the lab, lineitem duplicated
+// dup times (the paper's DUP10).
+func setupTPCH(l *lab, scale Scale, dup int) (*tpch.Workload, error) {
 	cfg := tpch.DefaultConfig()
 	cfg.ScaleFactor = scale.TPCHSF
 	cfg.SupplierScale = scale.TPCHSupplierScale
 	cfg.DupFactor = dup
-	return cfg
+	l.fs.ChunkTarget = chunkTargetFor(int(6000*scale.TPCHSF) * dup * 60)
+	return tpch.Setup(l.fs, "lineitem", cfg)
 }
 
-// tpchSetup generates the TPC-H workload in the lab.
-func tpchSetup(l *lab, cfg tpch.Config) (*tpch.Workload, error) {
-	return tpch.Setup(l.fs, "lineitem", cfg)
+// outputDigest fingerprints a job's output as a multiset of records —
+// FNV-1a over the sorted key\x00value\xff records — so runs whose plans
+// shuffled differently, whose tasks were re-executed, or whose bytes lived
+// on another backend compare on content alone.
+func outputDigest(out *dfs.File) uint64 {
+	recs := make([]string, 0, out.Records())
+	for _, r := range out.All() {
+		recs = append(recs, r.Key+"\x00"+r.Value)
+	}
+	sort.Strings(recs)
+	h := fnv.New64a()
+	for _, r := range recs {
+		h.Write([]byte(r))
+		h.Write([]byte{0xff})
+	}
+	return h.Sum64()
 }
 
 // fakeIdx is a stats-only accessor used by planner ablations (never

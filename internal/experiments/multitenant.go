@@ -6,8 +6,11 @@ import (
 
 	"efind/internal/chaos"
 	"efind/internal/core"
+	"efind/internal/dfs"
 	"efind/internal/ixclient"
 	"efind/internal/jobsvc"
+	"efind/internal/kvstore"
+	"efind/internal/obs"
 	"efind/internal/sim"
 )
 
@@ -19,37 +22,50 @@ const mtPerTenant = 4
 type mtRun struct {
 	statuses []jobsvc.JobStatus
 	pool     *ixclient.Pool
+	// trace is what the lab's engine recorded into — private for the
+	// chaos legs, whose crash counters must be read in isolation.
+	trace *obs.Trace
+	// journal counts the records a durable service wrote; recovery is the
+	// report of a service that started from a crash image.
+	journal  int
+	recovery *jobsvc.RecoveryReport
 }
 
-// span returns the tenant's workload makespan: all its jobs arrive near
-// t=0, so the last finish time is the time to drain the tenant's queue.
+// span returns the tenant's workload makespan (every tenant's for ""):
+// all jobs arrive near t=0, so the last finish time is the time to drain
+// the queue.
 func (r *mtRun) span(tenant string) float64 {
 	max := 0.0
 	for _, st := range r.statuses {
-		if st.Tenant == tenant && st.Finished > max {
+		if (tenant == "" || st.Tenant == tenant) && st.Finished > max {
 			max = st.Finished
 		}
 	}
 	return max
 }
 
-// lookups sums the index lookups every job actually issued (counter
-// suffix ".lookups"); pooled runs issue fewer because warm pool entries
-// serve repeats without touching the index.
-func (r *mtRun) lookups() int64 {
+// counterSum adds up, over every job, the counters whose name ends in
+// suffix. In service mode per-task counters land in each job's namespaced
+// result, not the bare trace counter, so sums read the statuses:
+// ".lookups" is the index lookups actually issued (pooled runs issue
+// fewer because warm pool entries serve repeats without touching the
+// index), chaos.CtrSpecLaunched the speculative backups.
+func (r *mtRun) counterSum(suffix string) int64 {
 	var n int64
 	for _, st := range r.statuses {
 		if st.Result == nil {
 			continue
 		}
 		for k, v := range st.Result.Counters {
-			if strings.HasSuffix(k, ".lookups") {
+			if strings.HasSuffix(k, suffix) {
 				n += v
 			}
 		}
 	}
 	return n
 }
+
+func (r *mtRun) lookups() int64 { return r.counterSum(".lookups") }
 
 // indexErrors sums per-job index access failures — non-zero only when a
 // fault schedule put the index inside an outage window.
@@ -65,6 +81,56 @@ func (r *mtRun) indexErrors() int64 {
 	return n
 }
 
+// synSubs builds an admission trace over a lab's synthetic workload:
+// every tenant submits jobs ModeCache joins, job i of each arriving at
+// at(i) and named "<prefix>-<tenant>-<i>". With retry, lookups that land
+// in an outage window burn a retry ladder, get charged, and are counted
+// per index under the default ErrorCount policy — the jobs complete,
+// slower, with IndexErrors > 0.
+func synSubs(prefix string, tenants []jobsvc.TenantConfig, jobs int, at func(i int) float64, retry bool, input *dfs.File, store *kvstore.Store) []jobsvc.Submission {
+	var subs []jobsvc.Submission
+	for i := 0; i < jobs; i++ {
+		for _, tn := range tenants {
+			conf := buildSynConf(fmt.Sprintf("%s-%s-%d", prefix, tn.Name, i), input, store, core.ModeCache)
+			conf.VarianceThreshold = experimentVarianceThreshold
+			if retry {
+				conf.Retry = core.RetryPolicy{Max: 2, Backoff: 0.001, Factor: 2}
+			}
+			subs = append(subs, jobsvc.Submission{Tenant: tn.Name, At: at(i), Conf: conf})
+		}
+	}
+	return subs
+}
+
+// runTrace pushes one admission trace through a job service on the lab's
+// runtime — a new one, or with recovered set one that first restores the
+// crash image in opts.Durable.Dir. Every job must complete and the
+// journal must not have degraded.
+func runTrace(label string, l *lab, tenants []jobsvc.TenantConfig, subs []jobsvc.Submission, opts jobsvc.Options, recovered bool) (*mtRun, error) {
+	run := &mtRun{pool: opts.SharedCache, trace: l.engine.Trace}
+	var svc *jobsvc.Service
+	var err error
+	if recovered {
+		svc, run.recovery, err = jobsvc.Recover(l.rt, tenants, opts)
+	} else {
+		svc, err = jobsvc.New(l.rt, tenants, opts)
+	}
+	if err != nil {
+		return nil, err
+	}
+	run.statuses = svc.Run(subs)
+	for _, st := range run.statuses {
+		if st.State != jobsvc.JobCompleted {
+			return nil, fmt.Errorf("%s: job %s/%s %s: %s%v", label, st.Tenant, st.Name, st.State, st.Reason, st.Err)
+		}
+	}
+	if err := svc.DurableErr(); err != nil {
+		return nil, fmt.Errorf("%s: durability degraded: %w", label, err)
+	}
+	run.journal = svc.JournalRecords()
+	return run, nil
+}
+
 // runMultiTenant executes one 2-tenant admission trace — alpha at weight
 // 2, beta at weight 1, each submitting mtPerTenant ModeCache synthetic
 // joins at staggered arrivals — in a fresh lab. usePool attaches the
@@ -73,32 +139,14 @@ func (r *mtRun) indexErrors() int64 {
 func runMultiTenant(scale Scale, label string, usePool bool, outageUntil float64) (*mtRun, error) {
 	section("multi-tenant/" + label)
 	l := newLab()
-	cfg := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (cfg.ValueSize + 30))
-	input, store, err := generateSyn(l, cfg)
+	input, store, err := l.genSyn(scale, 1024)
 	if err != nil {
 		return nil, err
 	}
-
 	tenants := []jobsvc.TenantConfig{
 		{Name: "alpha", Weight: 2, MaxInFlight: 2, QueueCap: 2 * mtPerTenant},
 		{Name: "beta", Weight: 1, MaxInFlight: 2, QueueCap: 2 * mtPerTenant},
 	}
-	var subs []jobsvc.Submission
-	for i := 0; i < mtPerTenant; i++ {
-		for _, tn := range []string{"alpha", "beta"} {
-			conf := buildSynConf(fmt.Sprintf("mt-%s-%s-%d", label, tn, i), input, store, core.ModeCache)
-			conf.VarianceThreshold = experimentVarianceThreshold
-			if outageUntil > 0 {
-				// Default ErrorCount policy: in-window lookups burn the
-				// retry ladder, get charged, and are counted per index —
-				// the jobs complete, slower, with IndexErrors > 0.
-				conf.Retry = core.RetryPolicy{Max: 2, Backoff: 0.001, Factor: 2}
-			}
-			subs = append(subs, jobsvc.Submission{Tenant: tn, At: 0.05 * float64(i), Conf: conf})
-		}
-	}
-
 	var opts jobsvc.Options
 	if usePool {
 		opts.SharedCache = ixclient.NewPool(0)
@@ -109,19 +157,9 @@ func runMultiTenant(scale Scale, label string, usePool bool, outageUntil float64
 			Outages: []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: outageUntil}},
 		}, sim.DefaultConfig().Nodes)
 	}
-
-	svc, err := jobsvc.New(l.rt, tenants, opts)
-	if err != nil {
-		return nil, err
-	}
-	run := &mtRun{statuses: svc.Run(subs), pool: opts.SharedCache}
-	for _, st := range run.statuses {
-		if st.State != jobsvc.JobCompleted {
-			return nil, fmt.Errorf("multi-tenant/%s: job %s/%s %s: %s%v",
-				label, st.Tenant, st.Name, st.State, st.Reason, st.Err)
-		}
-	}
-	return run, nil
+	at := func(i int) float64 { return 0.05 * float64(i) }
+	subs := synSubs("mt-"+label, tenants, mtPerTenant, at, outageUntil > 0, input, store)
+	return runTrace("multi-tenant/"+label, l, tenants, subs, opts, false)
 }
 
 // MultiTenant drives the job service end to end: two tenants push the

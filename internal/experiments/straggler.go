@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"efind/internal/core"
-	"efind/internal/dfs"
-	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
 
@@ -26,8 +24,7 @@ func AblationStraggler(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := sim.DefaultConfig()
-	speeds := make([]float64, cfg.Nodes)
+	speeds := make([]float64, sim.DefaultConfig().Nodes)
 	for i := range speeds {
 		speeds[i] = 1
 	}
@@ -45,17 +42,10 @@ func AblationStraggler(scale Scale) (*Table, error) {
 // runSynIdxlocOn runs the synthetic join with forced index locality on a
 // cluster with the given node speeds (nil = uniform).
 func runSynIdxlocOn(scale Scale, speeds []float64) (float64, error) {
-	cfg := sim.DefaultConfig()
-	cfg.TaskStartup = 0.005
+	cfg := labConfig()
 	cfg.NodeSpeed = speeds
-	cluster := sim.NewCluster(cfg)
-	fs := dfs.New(cluster)
-	rt := core.NewRuntime(mapreduce.New(cluster, fs))
-	l := &lab{cluster: cluster, fs: fs, engine: rt.Engine, rt: rt}
-
-	sc := synScaleConfig(scale, 1024)
-	l.fs.ChunkTarget = chunkTargetFor(scale.SynRecords * (sc.ValueSize + 30))
-	input, store, err := generateSyn(l, sc)
+	l := newLabOn(cfg)
+	input, store, err := l.genSyn(scale, 1024)
 	if err != nil {
 		return 0, err
 	}

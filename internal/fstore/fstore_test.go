@@ -255,23 +255,3 @@ func TestOpenHandlesAndDoubleClose(t *testing.T) {
 		t.Fatalf("OpenHandles after close = %d, want %d", got, base)
 	}
 }
-
-func TestCalibrate(t *testing.T) {
-	cfg := CalibrateConfig{Entries: 500, KeyBytes: 8, ValueBytes: 64, Lookups: 2000, Seed: 1}
-	cal, err := Calibrate(t.TempDir(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.F <= 0 || cal.TjCold <= 0 || cal.TjWarm <= 0 || cal.TjProbe <= 0 {
-		t.Fatalf("non-positive measurement: %+v", cal)
-	}
-	if cal.Entries != cfg.Entries || cal.Bytes <= 0 {
-		t.Fatalf("bad shape: %+v", cal)
-	}
-	if s := cal.String(); !strings.Contains(s, "f=") {
-		t.Fatalf("String() = %q", s)
-	}
-	if _, err := Calibrate(t.TempDir(), CalibrateConfig{}); err == nil {
-		t.Fatal("zero config should be rejected")
-	}
-}

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -142,47 +143,64 @@ func TestProfileRoundTripAndCompare(t *testing.T) {
 		TotalVTime: 10,
 		Stages: []StageProfile{
 			{Name: "a/map", Kind: "map", VTime: 1.0},
-			{Name: "a/reduce", Kind: "reduce", VTime: 2.0},
+			{Name: "a/reduce", Kind: "reduce", VTime: 2.0, Tasks: 4},
 			{Name: "gone/map", Kind: "map", VTime: 1.0},
 		},
+		Indexes: []IndexProfile{
+			{Key: "a op/ix", Lookups: 10},
+			{Key: "a op/ix", Lookups: 20}, // a second job of the same section
+		},
+		Counters: []Metric{{Name: "efind.lookups", Value: 30}},
 		Gauges: []Gauge{
 			{Name: "fig12.local.10B.vms", Value: 0.2},
-			{Name: "stats.theta", Value: 3.0}, // descriptive, never gated
+			{Name: "stats.theta", Value: 3.0},
 		},
 	}
 	cur := &Profile{
-		Label:      "current",
-		TotalVTime: 11,
+		Label:      "current", // labels are not compared
+		TotalVTime: 10,
 		Stages: []StageProfile{
-			{Name: "a/map", Kind: "map", VTime: 1.05},      // +5%: inside budget
-			{Name: "a/reduce", Kind: "reduce", VTime: 2.5}, // +25%: regression
-			{Name: "new/map", Kind: "map", VTime: 9.9},     // addition: ignored
+			{Name: "a/map", Kind: "map", VTime: 1.0},                 // equal
+			{Name: "a/reduce", Kind: "reduce", VTime: 2.5, Tasks: 4}, // slower
+			{Name: "new/map", Kind: "map", VTime: 9.9},               // only here
 		},
+		Indexes: []IndexProfile{
+			{Key: "a op/ix", Lookups: 21}, // equal keys come in no fixed order:
+			{Key: "a op/ix", Lookups: 10}, // one row moved, the other did not
+		},
+		Counters: []Metric{{Name: "efind.lookups", Value: 31}},
 		Gauges: []Gauge{
-			{Name: "fig12.local.10B.vms", Value: 0.5}, // +150%: regression
-			{Name: "stats.theta", Value: 99},
+			{Name: "fig12.local.10B.vms", Value: 0.1}, // faster: still a difference
+			{Name: "stats.theta", Value: 3.0},
 		},
 	}
-	regs := CompareProfiles(base, cur, 0.10)
-	if len(regs) != 3 {
-		t.Fatalf("got %d regressions, want 3 (stage, missing stage, gauge):\n%s", len(regs), strings.Join(regs, "\n"))
+	diffs := CompareProfiles(base, cur)
+	joined := strings.Join(diffs, "\n")
+	if len(diffs) != 6 {
+		t.Fatalf("got %d differences, want 6 (stage, index row, counter, gauge, a stage group on each side):\n%s", len(diffs), joined)
 	}
-	joined := strings.Join(regs, "\n")
-	for _, want := range []string{"a/reduce", "gone/map", "fig12.local.10B.vms"} {
+	for _, want := range []string{
+		`stage "a/reduce": baseline`, "VTime:2 ", "VTime:2.5 ",
+		`index "a op/ix" #2`, "Lookups:20", "Lookups:21",
+		`counter "efind.lookups": baseline 30, current 31`,
+		`gauge "fig12.local.10B.vms": baseline 0.2, current 0.1`,
+		`stage "gone" only in the baseline (1)`,
+		`stage "new" only in the current profile (1)`,
+	} {
 		if !strings.Contains(joined, want) {
-			t.Fatalf("regressions missing %q:\n%s", want, joined)
+			t.Fatalf("differences missing %q:\n%s", want, joined)
 		}
 	}
-	if strings.Contains(joined, "theta") || strings.Contains(joined, "new/map") || strings.Contains(joined, "a/map\"") {
-		t.Fatalf("false positive in:\n%s", joined)
+	if strings.Contains(joined, "theta") || strings.Contains(joined, `a/map"`) || strings.Contains(joined, "#1") || strings.Contains(joined, "total_vtime") {
+		t.Fatalf("equal row reported in:\n%s", joined)
 	}
 
 	// Identical profiles pass the gate.
-	if regs := CompareProfiles(base, base, 0.10); len(regs) != 0 {
-		t.Fatalf("self-compare regressed: %v", regs)
+	if diffs := CompareProfiles(base, base); len(diffs) != 0 {
+		t.Fatalf("self-compare differs: %v", diffs)
 	}
 
-	// Round-trip through the file format.
+	// Round-trip through the file format: every value survives.
 	path := t.TempDir() + "/BENCH_test.json"
 	if err := base.WriteFile(path); err != nil {
 		t.Fatal(err)
@@ -194,48 +212,57 @@ func TestProfileRoundTripAndCompare(t *testing.T) {
 	if got.Label != base.Label || got.TotalVTime != base.TotalVTime || len(got.Stages) != len(base.Stages) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
+	if diffs := CompareProfiles(base, got); len(diffs) != 0 {
+		t.Fatalf("round trip changed values: %v", diffs)
+	}
 }
 
-// TestCompareProfilesGaugeDirections: the gate holds ".vms" virtual-time
-// gauges to the budget in one direction — they must not rise — and reads
-// nothing else; a wall-clock throughput or an allocation count under any
-// name is descriptive here (bench/ measures those, in paired runs).
-func TestCompareProfilesGaugeDirections(t *testing.T) {
+// TestCompareProfilesEitherDirection: the gate is equality. A value one
+// ulp above or below the baseline's fails it, a fall as much as a rise,
+// under any name — ".vms" virtual times, readings like Θ, counts — and so
+// does a row either side lacks; whole figures present on one side only
+// are reported once each, not row by row.
+func TestCompareProfilesEitherDirection(t *testing.T) {
 	base := &Profile{
-		Label: "baseline",
+		Label:      "baseline",
+		TotalVTime: 5,
 		Gauges: []Gauge{
 			{Name: "fig12.q9.optimized.vms", Value: 120},
 			{Name: "fig12.q9.dynamic.vms", Value: 200},
-			{Name: "old.sched.tps", Value: 500_000},
-			{Name: "old.sched.allocs", Value: 4.0},
-			{Name: "efind.q9.stats.theta", Value: 100}, // descriptive
+			{Name: "efind.q9.stats.theta", Value: 100},
 		},
 	}
-	cur := &Profile{
-		Label: "current",
-		Gauges: []Gauge{
-			{Name: "fig12.q9.optimized.vms", Value: 150},  // +25%: regression
-			{Name: "fig12.q9.dynamic.vms", Value: 201.6},  // +0.8%: inside budget
-			{Name: "old.sched.tps", Value: 300_000},       // -40%, but ungated
-			{Name: "old.sched.allocs", Value: 9.0},        // +125%, but ungated
-			{Name: "efind.q9.stats.theta", Value: 50_000}, // ungated
-		},
-	}
-	regs := CompareProfiles(base, cur, 0.10)
-	if len(regs) != 1 || !strings.Contains(regs[0], "optimized.vms") {
-		t.Fatalf("got %d regressions, want the one .vms rise:\n%s", len(regs), strings.Join(regs, "\n"))
-	}
-
-	// A virtual time that falls never fails the gate.
-	if regs := CompareProfiles(cur, base, 0.10); len(regs) != 0 {
-		t.Fatalf("improvements flagged as regressions: %v", regs)
+	for _, i := range []int{0, 2} {
+		name, v := base.Gauges[i].Name, base.Gauges[i].Value
+		for _, next := range []float64{math.Nextafter(v, math.Inf(1)), math.Nextafter(v, math.Inf(-1))} {
+			cur := *base
+			cur.Gauges = append([]Gauge(nil), base.Gauges...)
+			cur.Gauges[i].Value = next
+			for _, diffs := range [][]string{CompareProfiles(base, &cur), CompareProfiles(&cur, base)} {
+				if len(diffs) != 1 || !strings.Contains(diffs[0], name) {
+					t.Fatalf("%s moved one ulp to %v: got %v, want the one gauge named", name, next, diffs)
+				}
+			}
+		}
 	}
 
-	// A gated gauge that disappears is a regression, not a pass; an
-	// ungated one may come and go.
-	missing := &Profile{Label: "missing", Gauges: []Gauge{{Name: "efind.q9.stats.theta", Value: 1}}}
-	if regs := CompareProfiles(base, missing, 0.10); len(regs) != 2 {
-		t.Fatalf("got %d regressions for missing gated gauges, want 2: %v", len(regs), regs)
+	// The total virtual time is a row like any other.
+	later := *base
+	later.TotalVTime = math.Nextafter(5, 6)
+	if diffs := CompareProfiles(base, &later); len(diffs) != 1 || !strings.Contains(diffs[0], "total_vtime") {
+		t.Fatalf("total_vtime moved one ulp: got %v", diffs)
+	}
+
+	// A gauge family that one side lacks is a difference whichever side
+	// that is, reported once for the family.
+	missing := &Profile{Label: "missing", TotalVTime: 5, Gauges: []Gauge{{Name: "efind.q9.stats.theta", Value: 100}}}
+	for side, diffs := range map[string][]string{
+		"only in the baseline":        CompareProfiles(base, missing),
+		"only in the current profile": CompareProfiles(missing, base),
+	} {
+		if len(diffs) != 1 || !strings.Contains(diffs[0], `gauge "fig12" `+side+" (2)") {
+			t.Fatalf("two fig12 gauges %s: got %v", side, diffs)
+		}
 	}
 }
 

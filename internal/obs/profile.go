@@ -5,13 +5,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strings"
 )
 
 // Profile is the machine-readable job profile (BENCH_<label>.json): the
-// per-stage virtual times the CI regression gate compares, the per-index
-// modeled-vs-observed cost rows, and the full sorted counter and gauge
-// snapshot of the run. Everything is virtual time, so serial and
+// per-stage virtual times, the per-index modeled-vs-observed cost rows,
+// and the full sorted counter and gauge snapshot of the run — all of it
+// held to equality by the CI gate. Everything is virtual time, so serial and
 // parallel runs of the same seed produce bit-identical files.
 type Profile struct {
 	Label      string         `json:"label"`
@@ -67,57 +68,73 @@ func ReadProfile(path string) (*Profile, error) {
 	return &p, nil
 }
 
-// CompareProfiles is the benchmark-regression gate: it returns one
-// message per stage (or per latency gauge) of base whose virtual time
-// regressed by more than tol in cur (tol 0.10 = fail above +10%), and
-// per base stage that disappeared. Stages only cur has are additions,
-// not regressions. Speedups never fail the gate.
-func CompareProfiles(base, cur *Profile, tol float64) []string {
-	var regressions []string
-	curStages := make(map[string]StageProfile, len(cur.Stages))
-	for _, s := range cur.Stages {
-		curStages[s.Name] = s
-	}
-	for _, b := range base.Stages {
-		c, ok := curStages[b.Name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("stage %q: present in baseline, missing from current profile", b.Name))
-			continue
-		}
-		if b.VTime <= 0 {
-			continue
-		}
-		if ratio := c.VTime / b.VTime; ratio > 1+tol {
-			regressions = append(regressions, fmt.Sprintf(
-				"stage %q: virtual time %.4fs → %.4fs (%+.1f%%, budget %+.0f%%)",
-				b.Name, b.VTime, c.VTime, (ratio-1)*100, tol*100))
+// CompareProfiles is the benchmark gate: the differences between two
+// profiles, one message each, none exactly when the total virtual time
+// and every stage, index row, counter and gauge of one is in the other
+// with the same value. A profile holds virtual times and counts only, so
+// there is no tolerance and no direction: a run reproduces the baseline,
+// or the baseline is regenerated on purpose, like any golden. Rows only
+// one side has are reported per group — the figure leading their name —
+// and not one by one: they mean the two runs covered different figures.
+func CompareProfiles(base, cur *Profile) []string {
+	b, c := base.rows(), cur.rows()
+	var diffs []string
+	oneSided := make(map[string]int)
+	for name, bv := range b {
+		if cv, ok := c[name]; !ok {
+			oneSided[rowGroup(name)+" only in the baseline"]++
+		} else if bv != cv {
+			diffs = append(diffs, fmt.Sprintf("%s: baseline %s, current %s", name, bv, cv))
 		}
 	}
-	curGauges := make(map[string]float64, len(cur.Gauges))
-	for _, g := range cur.Gauges {
-		curGauges[g.Name] = g.Value
-	}
-	for _, b := range base.Gauges {
-		if !gated(b.Name) || b.Value <= 0 {
-			continue
-		}
-		c, ok := curGauges[b.Name]
-		if !ok {
-			regressions = append(regressions, fmt.Sprintf("gauge %q: present in baseline, missing from current profile", b.Name))
-			continue
-		}
-		if ratio := c / b.Value; ratio > 1+tol {
-			regressions = append(regressions, fmt.Sprintf(
-				"gauge %q: %.6f → %.6f (%+.1f%%, budget %+.0f%%)",
-				b.Name, b.Value, c, (ratio-1)*100, tol*100))
+	for name := range c {
+		if _, ok := b[name]; !ok {
+			oneSided[rowGroup(name)+" only in the current profile"]++
 		}
 	}
-	return regressions
+	for group, n := range oneSided {
+		diffs = append(diffs, fmt.Sprintf("%s (%d) — recorded for a different set of figures?", group, n))
+	}
+	sort.Strings(diffs)
+	return diffs
 }
 
-// gated reports whether a gauge takes part in the gate. That is encoded in
-// its name, so experiments opt metrics in just by naming them: ".vms"
-// virtual-time latencies must not rise; everything else (Θ or R readings,
-// sizes) is descriptive. Wall-clock numbers are not gauges of this program:
-// they are measured by bench/, in paired runs.
-func gated(name string) bool { return strings.HasSuffix(name, ".vms") }
+// rows flattens a profile to one printed value per named row (%v prints a
+// float64 with the digits that tell it from its neighbours, so rows are
+// equal exactly when their values are). The jobs of one section share an
+// index key and IndexProfiles' sort leaves equal keys in no fixed order, so
+// those rows compare as a multiset: numbered in the order of their values.
+func (p *Profile) rows() map[string]string {
+	rows := map[string]string{"total_vtime": fmt.Sprint(p.TotalVTime)}
+	for _, s := range p.Stages {
+		rows[fmt.Sprintf("stage %q", s.Name)] = fmt.Sprintf("%+v", s)
+	}
+	byKey := make(map[string][]string)
+	for _, ix := range p.Indexes {
+		byKey[ix.Key] = append(byKey[ix.Key], fmt.Sprintf("%+v", ix))
+	}
+	for key, vals := range byKey {
+		sort.Strings(vals)
+		for i, v := range vals {
+			rows[fmt.Sprintf("index %q #%d", key, i+1)] = v
+		}
+	}
+	for _, m := range p.Counters {
+		rows[fmt.Sprintf("counter %q", m.Name)] = fmt.Sprint(m.Value)
+	}
+	for _, g := range p.Gauges {
+		rows[fmt.Sprintf("gauge %q", g.Name)] = fmt.Sprint(g.Value)
+	}
+	return rows
+}
+
+// rowGroup cuts a row name after the first element of its path: the
+// section's figure ID for stages and index rows ("stage \"11f"), the
+// family for dotted gauge and counter names ("gauge \"fig12").
+func rowGroup(name string) string {
+	kind := strings.IndexByte(name, '"') + 1
+	if i := strings.IndexAny(name[kind:], `/ ."`); i >= 0 {
+		return name[:kind+i] + `"`
+	}
+	return name
+}
