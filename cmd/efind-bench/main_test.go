@@ -39,6 +39,21 @@ func TestListEqualsRegistry(t *testing.T) {
 	}
 }
 
+// TestFlagSet pins the command's options: the one-clock harness has nine,
+// none of them a tolerance or a second source of constants.
+func TestFlagSet(t *testing.T) {
+	code, _, usage := bench(t, "-h")
+	var flags []string
+	for _, line := range strings.Split(usage, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
+		}
+	}
+	if got, want := strings.Join(flags, " "), "-batch -chaos -fig -gate -label -list -profile -quick -trace"; code != 0 || got != want {
+		t.Fatalf("-h: exit %d, flags %s; want %s", code, got, want)
+	}
+}
+
 // TestRejectedFlags: what the command cannot do as asked is one line on
 // stderr, nothing run, and a non-zero status — 2 for flags that make no
 // sense together or no longer exist.
@@ -52,8 +67,6 @@ func TestRejectedFlags(t *testing.T) {
 		{"-chaos seven", 1, `invalid -chaos value "seven"`},
 		{"-quick -batch -fig 12", 2, "-batch runs the batchcmp experiment alone"},
 		{"-quick -chaos seed=7 -gate " + fig12Golden, 2, "drop -chaos or -gate"},
-		{"-quick -fig 12 -calibrate", 2, "flag provided but not defined: -calibrate"},
-		{"-quick -fig 12 -calibrate-out x.json", 2, "flag provided but not defined: -calibrate-out"},
 		{"-quick -fig 12 -gate-tol 0.1", 2, "flag provided but not defined: -gate-tol"},
 	} {
 		code, stdout, stderr := bench(t, strings.Fields(tc.args)...)

@@ -40,10 +40,11 @@ func AblationChaos(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		got := outputDigest(r.res.Output)
 		if clean == nil {
-			clean, want = r, outputDigest(r.res.Output)
+			clean, want = r, got
 		}
-		if outputDigest(r.res.Output) != want {
+		if got != want {
 			return nil, fmt.Errorf("chaos ablation: %s output diverged from fault-free run (%d vs %d records)",
 				label, r.res.Output.Records(), clean.res.Output.Records())
 		}

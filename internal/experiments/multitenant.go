@@ -44,8 +44,8 @@ func (r *mtRun) span(tenant string) float64 {
 	return max
 }
 
-// counterSum adds up, over every job, the counters whose name ends in
-// suffix. In service mode per-task counters land in each job's namespaced
+// counterSum adds up, over every job (runTrace lets none fail, so each
+// has a result), the counters whose name ends in suffix. In service mode per-task counters land in each job's namespaced
 // result, not the bare trace counter, so sums read the statuses:
 // ".lookups" is the index lookups actually issued (pooled runs issue
 // fewer because warm pool entries serve repeats without touching the
@@ -53,9 +53,6 @@ func (r *mtRun) span(tenant string) float64 {
 func (r *mtRun) counterSum(suffix string) int64 {
 	var n int64
 	for _, st := range r.statuses {
-		if st.Result == nil {
-			continue
-		}
 		for k, v := range st.Result.Counters {
 			if strings.HasSuffix(k, suffix) {
 				n += v
@@ -72,10 +69,8 @@ func (r *mtRun) lookups() int64 { return r.counterSum(".lookups") }
 func (r *mtRun) indexErrors() int64 {
 	var n int64
 	for _, st := range r.statuses {
-		if st.Result != nil {
-			for _, v := range st.Result.IndexErrors {
-				n += v
-			}
+		for _, v := range st.Result.IndexErrors {
+			n += v
 		}
 	}
 	return n

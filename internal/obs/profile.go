@@ -80,16 +80,16 @@ func CompareProfiles(base, cur *Profile) []string {
 	b, c := base.rows(), cur.rows()
 	var diffs []string
 	oneSided := make(map[string]int)
-	for name, bv := range b {
-		if cv, ok := c[name]; !ok {
-			oneSided[rowGroup(name)+" only in the baseline"]++
+	for row, bv := range b {
+		if cv, ok := c[row]; !ok {
+			oneSided[row.group()+" only in the baseline"]++
 		} else if bv != cv {
-			diffs = append(diffs, fmt.Sprintf("%s: baseline %s, current %s", name, bv, cv))
+			diffs = append(diffs, fmt.Sprintf("%s: baseline %s, current %s", row, bv, cv))
 		}
 	}
-	for name := range c {
-		if _, ok := b[name]; !ok {
-			oneSided[rowGroup(name)+" only in the current profile"]++
+	for row := range c {
+		if _, ok := b[row]; !ok {
+			oneSided[row.group()+" only in the current profile"]++
 		}
 	}
 	for group, n := range oneSided {
@@ -99,15 +99,40 @@ func CompareProfiles(base, cur *Profile) []string {
 	return diffs
 }
 
-// rows flattens a profile to one printed value per named row (%v prints a
+// profileRow names one value of a profile: a stage, counter or gauge by
+// its name, an index row by its key and — the jobs of one section share a
+// key, and IndexProfiles' sort leaves equal keys in no fixed order, so
+// they compare as a multiset — its rank among the rows of that key.
+type profileRow struct {
+	kind, name string
+	nth        int
+}
+
+func (r profileRow) String() string {
+	if r.nth > 0 {
+		return fmt.Sprintf("%s %q #%d", r.kind, r.name, r.nth)
+	}
+	return fmt.Sprintf("%s %q", r.kind, r.name)
+}
+
+// group names the rows that come and go together: those whose name starts
+// with the same path element — the section's figure ID for stages and
+// index rows, the family for dotted gauge and counter names.
+func (r profileRow) group() string {
+	first := r.name
+	if i := strings.IndexAny(first, "/ ."); i >= 0 {
+		first = first[:i]
+	}
+	return fmt.Sprintf("%s %q", r.kind, first)
+}
+
+// rows flattens a profile to one printed value per row (%v prints a
 // float64 with the digits that tell it from its neighbours, so rows are
-// equal exactly when their values are). The jobs of one section share an
-// index key and IndexProfiles' sort leaves equal keys in no fixed order, so
-// those rows compare as a multiset: numbered in the order of their values.
-func (p *Profile) rows() map[string]string {
-	rows := map[string]string{"total_vtime": fmt.Sprint(p.TotalVTime)}
+// equal exactly when their values are).
+func (p *Profile) rows() map[profileRow]string {
+	rows := map[profileRow]string{{kind: "profile", name: "total_vtime"}: fmt.Sprint(p.TotalVTime)}
 	for _, s := range p.Stages {
-		rows[fmt.Sprintf("stage %q", s.Name)] = fmt.Sprintf("%+v", s)
+		rows[profileRow{kind: "stage", name: s.Name}] = fmt.Sprintf("%+v", s)
 	}
 	byKey := make(map[string][]string)
 	for _, ix := range p.Indexes {
@@ -116,25 +141,14 @@ func (p *Profile) rows() map[string]string {
 	for key, vals := range byKey {
 		sort.Strings(vals)
 		for i, v := range vals {
-			rows[fmt.Sprintf("index %q #%d", key, i+1)] = v
+			rows[profileRow{kind: "index", name: key, nth: i + 1}] = v
 		}
 	}
 	for _, m := range p.Counters {
-		rows[fmt.Sprintf("counter %q", m.Name)] = fmt.Sprint(m.Value)
+		rows[profileRow{kind: "counter", name: m.Name}] = fmt.Sprint(m.Value)
 	}
 	for _, g := range p.Gauges {
-		rows[fmt.Sprintf("gauge %q", g.Name)] = fmt.Sprint(g.Value)
+		rows[profileRow{kind: "gauge", name: g.Name}] = fmt.Sprint(g.Value)
 	}
 	return rows
-}
-
-// rowGroup cuts a row name after the first element of its path: the
-// section's figure ID for stages and index rows ("stage \"11f"), the
-// family for dotted gauge and counter names ("gauge \"fig12").
-func rowGroup(name string) string {
-	kind := strings.IndexByte(name, '"') + 1
-	if i := strings.IndexAny(name[kind:], `/ ."`); i >= 0 {
-		return name[:kind+i] + `"`
-	}
-	return name
 }
