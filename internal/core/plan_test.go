@@ -350,15 +350,17 @@ func TestOptimizedNeverWorseThanFixedStrategies(t *testing.T) {
 }
 
 func TestMaxRelStdDev(t *testing.T) {
-	uniform := []map[string]float64{{"x": 5}, {"x": 5}, {"x": 5}}
-	if got := maxRelStdDev(uniform); got != 0 {
+	if got := maxRelStdDev([]float64{5, 5, 5}, 1); got != 0 {
 		t.Fatalf("uniform samples should have zero variance, got %g", got)
 	}
-	spread := []map[string]float64{{"x": 1}, {"x": 9}}
-	if got := maxRelStdDev(spread); got < 1 {
+	if got := maxRelStdDev([]float64{1, 9}, 1); got < 1 {
 		t.Fatalf("spread samples should have high rel stddev, got %g", got)
 	}
-	if got := maxRelStdDev([]map[string]float64{{"x": 1}}); !math.IsInf(got, 1) {
+	// The worst of the statistics counts: the first is uniform, the second spread.
+	if got := maxRelStdDev([]float64{5, 1, 5, 9}, 2); got < 1 {
+		t.Fatalf("one spread statistic of two should have high rel stddev, got %g", got)
+	}
+	if got := maxRelStdDev([]float64{1}, 1); !math.IsInf(got, 1) {
 		t.Fatalf("single sample should be infinite variance, got %g", got)
 	}
 }

@@ -195,6 +195,31 @@ func (c *Catalog) String() string {
 	return fmt.Sprintf("catalog(%d operators)", len(c.ops))
 }
 
+// The counters one operator's statistics read, as slots of a task's values:
+// the operator's own first, then each index's block.
+const (
+	cPreIn = iota
+	cPreInBytes
+	cPreOutBytes
+	cIdxBytes
+	cPostBytes
+	cPostRecords
+	cMapOutBytes
+	opCounters
+)
+
+const (
+	xKeys = iota
+	xKeyBytes
+	xValBytes
+	xLookups
+	xServeNS
+	xProbes
+	xMisses
+	xMulti
+	ixCounters
+)
+
 // collectStats folds per-task counter samples into OperatorStats for one
 // operator, updating the catalog. It is called after a wave of tasks
 // completes (the paper updates the catalog whenever a Map or Reduce task
@@ -202,75 +227,66 @@ func (c *Catalog) String() string {
 // re-optimization decision, which happens at the wave boundary too).
 func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env Env) *OperatorStats {
 	st := &OperatorStats{Index: make(map[string]IndexStats)}
-	name := op.Name()
+	name, indices := op.Name(), op.Indices()
 
-	var records, preInBytes, preOutBytes, idxBytes, postBytes, postRecords int64
-	var mapBytes int64
-	sketches := make(map[string]*sketch.FM)
-	// The counter names are spelled here, once, and not once per task.
-	nPreIn, nPreInBytes, nPreOutBytes := ctrPreIn(name), ctrPreInBytes(name), ctrPreOutBytes(name)
-	nIdxBytes, nPostBytes, nPostRecords := ctrIdxBytes(name), ctrPostBytes(name), ctrPostRecords(name)
-	type idxTotals struct {
-		keys, keyBytes, valBytes, lookups, serveNS, probes, misses, multi                        int64
-		nKeys, nKeyBytes, nValBytes, nLookups, nServeNS, nProbes, nMisses, nMulti, nSketch, nNik string
+	// The counter names are spelled here, once, and not once per task: a
+	// task's set is walked once and each counter read lands in its slot.
+	slot := map[string]int{
+		ctrPreIn(name): cPreIn, ctrPreInBytes(name): cPreInBytes, ctrPreOutBytes(name): cPreOutBytes,
+		ctrIdxBytes(name): cIdxBytes, ctrPostBytes(name): cPostBytes, ctrPostRecords(name): cPostRecords,
+		ctrMapOutBytes: cMapOutBytes,
 	}
-	totals := make(map[string]*idxTotals)
-	for _, a := range op.Indices() {
-		ix := a.Name()
-		totals[ix] = &idxTotals{
-			nKeys: ctrKeys(name, ix), nKeyBytes: ctrKeyBytes(name, ix), nValBytes: ctrValBytes(name, ix),
-			nLookups: ctrLookups(name, ix), nServeNS: ctrServeNS(name, ix), nProbes: ctrProbes(name, ix),
-			nMisses: ctrMisses(name, ix), nMulti: ctrMulti(name, ix), nSketch: skKeys(name, ix), nNik: "nik." + ix,
+	sketchNames := make([]string, len(indices))
+	for i, a := range indices {
+		ix, base := a.Name(), opCounters+i*ixCounters
+		for x, ctr := range [ixCounters]func(op, ix string) string{
+			xKeys: ctrKeys, xKeyBytes: ctrKeyBytes, xValBytes: ctrValBytes, xLookups: ctrLookups,
+			xServeNS: ctrServeNS, xProbes: ctrProbes, xMisses: ctrMisses, xMulti: ctrMulti,
+		} {
+			slot[ctr(name, ix)] = base + x
 		}
+		sketchNames[i] = skKeys(name, ix)
 	}
+	slots := opCounters + len(indices)*ixCounters
+	vals, total := make([]int64, slots), make([]int64, slots) // one task's counters; all tasks'
+	sketches := make([]*sketch.FM, len(indices))
 
-	// Per-task samples of the per-record sizes, for the variance gate.
-	var samples []map[string]float64
+	// Per-task samples of the per-record sizes, for the variance gate: S1,
+	// Spre, Sidx, Spost and each index's Nik, width numbers per task.
+	width := 4 + len(indices)
+	samples := make([]float64, 0, width*len(tasks))
 
 	used := 0
 	for _, t := range tasks {
-		r := t.Counters.Get(nPreIn)
+		clear(vals)
+		for _, c := range t.Counters {
+			if i, ok := slot[c.Name]; ok {
+				vals[i] = c.Value
+			}
+		}
+		r := float64(vals[cPreIn])
 		if r == 0 {
 			continue // task saw no records for this operator
 		}
 		used++
-		records += r
-		preInBytes += t.Counters.Get(nPreInBytes)
-		preOutBytes += t.Counters.Get(nPreOutBytes)
-		idxBytes += t.Counters.Get(nIdxBytes)
-		postBytes += t.Counters.Get(nPostBytes)
-		postRecords += t.Counters.Get(nPostRecords)
-		mapBytes += t.Counters.Get(ctrMapOutBytes)
-
-		sample := map[string]float64{
-			"s1":    float64(t.Counters.Get(nPreInBytes)) / float64(r),
-			"spre":  float64(t.Counters.Get(nPreOutBytes)) / float64(r),
-			"sidx":  float64(t.Counters.Get(nIdxBytes)) / float64(r),
-			"spost": float64(t.Counters.Get(nPostBytes)) / float64(r),
+		for i, v := range vals {
+			total[i] += v
 		}
-		for _, a := range op.Indices() {
-			ix := a.Name()
-			tt := totals[ix]
-			tt.keys += t.Counters.Get(tt.nKeys)
-			tt.keyBytes += t.Counters.Get(tt.nKeyBytes)
-			tt.valBytes += t.Counters.Get(tt.nValBytes)
-			tt.lookups += t.Counters.Get(tt.nLookups)
-			tt.serveNS += t.Counters.Get(tt.nServeNS)
-			tt.probes += t.Counters.Get(tt.nProbes)
-			tt.misses += t.Counters.Get(tt.nMisses)
-			tt.multi += t.Counters.Get(tt.nMulti)
-			sample[tt.nNik] = float64(t.Counters.Get(tt.nKeys)) / float64(r)
-			if vecs, ok := t.Sketches[tt.nSketch]; ok {
+		samples = append(samples, float64(vals[cPreInBytes])/r, float64(vals[cPreOutBytes])/r,
+			float64(vals[cIdxBytes])/r, float64(vals[cPostBytes])/r)
+		for i := range indices {
+			samples = append(samples, float64(vals[opCounters+i*ixCounters+xKeys])/r)
+			if vecs, ok := t.Sketches[sketchNames[i]]; ok {
 				fm := sketch.FromVectors(vecs)
-				if cur, ok := sketches[ix]; ok {
-					cur.Merge(fm)
+				if sketches[i] != nil {
+					sketches[i].Merge(fm)
 				} else {
-					sketches[ix] = fm
+					sketches[i] = fm
 				}
 			}
 		}
-		samples = append(samples, sample)
 	}
+	records := total[cPreIn]
 	if records == 0 {
 		return nil
 	}
@@ -278,69 +294,65 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 	st.Tasks = used
 	st.Records = records
 	st.N1 = float64(records) / float64(env.Nodes)
-	st.S1 = float64(preInBytes) / float64(records)
-	st.Spre = float64(preOutBytes) / float64(records)
-	st.Sidx = float64(idxBytes) / float64(records)
-	st.Spost = float64(postBytes) / float64(records)
-	st.PostRecords = postRecords
-	st.Smap = float64(mapBytes) / float64(records)
+	st.S1 = float64(total[cPreInBytes]) / float64(records)
+	st.Spre = float64(total[cPreOutBytes]) / float64(records)
+	st.Sidx = float64(total[cIdxBytes]) / float64(records)
+	st.Spost = float64(total[cPostBytes]) / float64(records)
+	st.PostRecords = total[cPostRecords]
+	st.Smap = float64(total[cMapOutBytes]) / float64(records)
 
-	for _, a := range op.Indices() {
-		ix := a.Name()
-		tt := totals[ix]
-		is := IndexStats{Lookups: tt.lookups, MultiKey: tt.multi > 0}
-		if tt.keys > 0 {
-			is.Nik = float64(tt.keys) / float64(records)
-			is.Sik = float64(tt.keyBytes) / float64(tt.keys)
-			is.Siv = float64(tt.valBytes) / float64(tt.keys)
+	for i, a := range indices {
+		tt := total[opCounters+i*ixCounters:][:ixCounters]
+		is := IndexStats{Lookups: tt[xLookups], MultiKey: tt[xMulti] > 0}
+		if tt[xKeys] > 0 {
+			is.Nik = float64(tt[xKeys]) / float64(records)
+			is.Sik = float64(tt[xKeyBytes]) / float64(tt[xKeys])
+			is.Siv = float64(tt[xValBytes]) / float64(tt[xKeys])
 		}
-		if tt.lookups > 0 {
-			is.Tj = float64(tt.serveNS) / 1e9 / float64(tt.lookups)
+		if tt[xLookups] > 0 {
+			is.Tj = float64(tt[xServeNS]) / 1e9 / float64(tt[xLookups])
 		}
-		if tt.probes > 0 {
-			is.R = float64(tt.misses) / float64(tt.probes)
+		if tt[xProbes] > 0 {
+			is.R = float64(tt[xMisses]) / float64(tt[xProbes])
 		} else {
 			is.R = 1 // pessimistic prior: never probed
 		}
 		is.Theta = 1
-		if fm, ok := sketches[ix]; ok {
+		if fm := sketches[i]; fm != nil {
 			if d := fm.Estimate(); d >= 1 {
-				is.Theta = float64(tt.keys) / d
+				is.Theta = float64(tt[xKeys]) / d
 				if is.Theta < 1 {
 					is.Theta = 1
 				}
 			}
 		}
-		st.Index[ix] = is
+		st.Index[a.Name()] = is
 	}
 
-	st.MaxRelStdDev = maxRelStdDev(samples)
+	st.MaxRelStdDev = maxRelStdDev(samples, width)
 	cat.put(name, st)
 	return st
 }
 
 // maxRelStdDev computes the largest stddev/mean over the per-task samples
-// of each statistic (equation (5) of the paper). Statistics with zero mean
-// are skipped (they carry no signal for the cost model).
-func maxRelStdDev(samples []map[string]float64) float64 {
-	if len(samples) < 2 {
+// of each statistic (equation (5) of the paper): samples holds width
+// statistics per task, task by task. Statistics with zero mean are skipped
+// (they carry no signal for the cost model).
+func maxRelStdDev(samples []float64, width int) float64 {
+	n := float64(len(samples) / width)
+	if n < 2 {
 		// A single sample gives no variance information; report a large
 		// value so Algorithm 1 waits for more tasks.
 		return math.Inf(1)
 	}
-	keys := make([]string, 0, len(samples[0]))
-	for k := range samples[0] {
-		keys = append(keys, k)
-	}
 	worst := 0.0
-	for _, k := range keys {
+	for k := 0; k < width; k++ {
 		var sum, sumSq float64
-		for _, s := range samples {
-			v := s[k]
+		for i := k; i < len(samples); i += width {
+			v := samples[i]
 			sum += v
 			sumSq += v * v
 		}
-		n := float64(len(samples))
 		mean := sum / n
 		if mean == 0 {
 			continue

@@ -10,39 +10,93 @@ import (
 	"efind/internal/dfs"
 )
 
-// reduceTaskAllocs measures one reduce task over `records` records spread
-// over `groups` keys, delivered by ten map outputs.
-func reduceTaskAllocs(t *testing.T, records, groups int) float64 {
-	t.Helper()
-	_, _, e := testEnv(t)
-	const maps = 10
+// firstValue emits one record per key group, as an aggregating reduce or
+// combine function does, and allocates nothing.
+func firstValue(_ *TaskContext, key string, values []string, emit Emit) {
+	emit(Pair{Key: key, Value: values[0]})
+}
+
+// groupedRuns deals records pairs over groups keys round-robin into maps runs.
+func groupedRuns(records, groups, maps int) []shuffleRun {
 	runs := make([]shuffleRun, maps)
 	for i := 0; i < records; i++ {
 		run := &runs[i%maps]
 		run.pairs = append(run.pairs, Pair{Key: fmt.Sprintf("g%04d", i%groups), Value: "v"})
 	}
-	job := &Job{Name: "allocs", Reduce: IdentityReduce, NumReduce: 1}
-	frames := e.newFramePool()
-	return testing.AllocsPerRun(20, func() {
-		shard, st := e.runReduceTask(job, 0, 0, runs, 0, frames)
-		if len(shard) != records || st.Counters.Get(CounterInputRecords) != int64(records) {
-			t.Fatalf("reduce task produced %d records, counted %d", len(shard), st.Counters.Get(CounterInputRecords))
-		}
-	})
+	return runs
 }
 
-// TestReduceTaskAllocs pins the reduce task's buffers: the input is
-// allocated once at its exact size, the values of every group are windows
-// of one slab, and the sort needs no reflection — so the allocation count
-// does not grow with the number of key groups.
+// sortBudget is what grouping records input records into groups output
+// records may allocate: a 16-byte ref and a 16-byte value header per input
+// record, the output at its exact size, and a constant for the rest — the
+// allocator's rounding of those three to its size classes, mostly.
+func sortBudget(records, groups int) uint64 { return uint64(32*records + 32*groups + 2048) }
+
+// TestReduceTaskAllocs pins the reduce task's buffers: no copy of the input —
+// one ref per record, sorted in place of the records —, the values of every
+// group windows of one slab, the shard sized by the groups. So the
+// allocation count depends neither on the number of key groups nor on the
+// number of runs, and the bytes are the sort's budget.
 func TestReduceTaskAllocs(t *testing.T) {
-	few, many := reduceTaskAllocs(t, 1000, 5), reduceTaskAllocs(t, 1000, 500)
-	t.Logf("reduce task over 1000 records: %.0f allocations in 5 groups, %.0f in 500 groups", few, many)
-	if many > few+4 {
-		t.Errorf("reduce task allocations grow with the groups: %.0f in 5 groups, %.0f in 500", few, many)
+	_, _, e := testEnv(t)
+	job := &Job{Name: "allocs", Reduce: firstValue, NumReduce: 1}
+	const records = 1000
+	measure := func(groups, maps int) (allocs, bytes uint64) {
+		runs := groupedRuns(records, groups, maps)
+		frames := e.newFramePool()
+		return allocsAndBytes(20, func() {
+			shard, st := e.runReduceTask(job, 0, 0, runs, 0, frames)
+			if len(shard) != groups || st.Counters.Get(CounterInputRecords) != records {
+				t.Fatalf("reduce task produced %d records, counted %d", len(shard), st.Counters.Get(CounterInputRecords))
+			}
+		})
 	}
-	if many > 30 {
-		t.Errorf("reduce task over 1000 records in 500 groups allocates %.0f times, want a small constant", many)
+	few, fewBytes := measure(5, 10)
+	many, manyBytes := measure(500, 10)
+	wide, wideBytes := measure(500, 250)
+	t.Logf("reduce task over %d records: %d allocations / %d B in 5 groups, %d / %d B in 500, %d / %d B from 250 runs", records, few, fewBytes, many, manyBytes, wide, wideBytes)
+	if few != many || many != wide || many > 8 {
+		t.Errorf("reduce task allocations: %d in 5 groups, %d in 500, %d from 250 runs; want the same small constant", few, many, wide)
+	}
+	for _, c := range []struct{ bytes, budget uint64 }{{fewBytes, sortBudget(records, 5)}, {manyBytes, sortBudget(records, 500)}, {wideBytes, sortBudget(records, 500)}} {
+		if c.bytes > c.budget {
+			t.Errorf("reduce task over %d records allocates %d B, want at most %d", records, c.bytes, c.budget)
+		}
+	}
+}
+
+// TestCombineAllocs pins the same for the combiner: a bucket is sorted by
+// reference like a reduce task's one run, on refs the task's buckets share,
+// and replaced by a bucket sized by its groups — two allocations per bucket
+// whatever the number of groups, inside the sort's budget.
+func TestCombineAllocs(t *testing.T) {
+	_, _, e := testEnv(t)
+	job := &Job{Name: "allocs", Reduce: firstValue, Combine: firstValue, NumReduce: 10}
+	const records = 1000
+	measure := func(groups, buckets int) (allocs, bytes uint64) {
+		runs := groupedRuns(records, groups*buckets, buckets) // bucket b holds the keys ≡ b mod buckets
+		out := &MapOutput{Parts: job.NumReduce}
+		return allocsAndBytes(20, func() {
+			out.Buckets, out.Reducers = out.Buckets[:0], out.Reducers[:0]
+			for r, run := range runs {
+				out.Buckets, out.Reducers = append(out.Buckets, run.pairs), append(out.Reducers, int32(r))
+			}
+			if left := e.combineBuckets(NewTaskContext(e.Cluster, 0, 0, MapTask), job, out); left != groups*buckets {
+				t.Fatalf("combiner left %d records, want %d", left, groups*buckets)
+			}
+		})
+	}
+	few, fewBytes := measure(5, 1)
+	many, manyBytes := measure(500, 1)
+	split, splitBytes := measure(50, 10)
+	t.Logf("combiner over %d records: %d allocations / %d B in 5 groups, %d / %d B in 500, %d / %d B in 10 buckets of 50", records, few, fewBytes, many, manyBytes, split, splitBytes)
+	if few != many || split != many+2*9 || many > 8 {
+		t.Errorf("combiner allocations: %d in 5 groups, %d in 500, %d in 10 buckets; want the same small constant, and 2 more per further bucket", few, many, split)
+	}
+	for _, c := range []struct{ bytes, budget uint64 }{{fewBytes, sortBudget(records, 5)}, {manyBytes, sortBudget(records, 500)}, {splitBytes, sortBudget(records, 500)}} {
+		if c.bytes > c.budget {
+			t.Errorf("combiner over %d records allocates %d B, want at most %d", records, c.bytes, c.budget)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"efind/internal/dfs"
 	"efind/internal/obs"
@@ -340,11 +339,11 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 }
 
 // combineBuckets applies the job's combiner to each reducer bucket of one
-// map task's output: values of equal keys are grouped (sort within the
-// bucket) and fed through Combine, and the bucket is replaced with the
-// combined records — or dropped, when the combiner emitted none for it,
-// so the output stays sparse. The spill sort and combine CPU are charged.
-// It returns the number of records left.
+// map task's output: values of equal keys are grouped (a bucket is sorted as
+// a reduce task's one run would be, by reference) and fed through Combine,
+// and the bucket is replaced with the combined records — or dropped, when
+// the combiner emitted none for it, so the output stays sparse. The spill
+// sort and combine CPU are charged. It returns the number of records left.
 func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (outRecords int) {
 	inRecords, inBytes := 0, 0
 	out.Bytes = 0
@@ -353,18 +352,29 @@ func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (out
 		combined = append(combined, p)
 		out.Bytes += p.Size()
 	}
+	var (
+		in  keyOrder
+		run [1]shuffleRun
+	)
 	kept := 0
 	for bi, bucket := range out.Buckets {
+		if len(bucket) > maxRef {
+			ctx.Abort(fmt.Errorf("a map output of %d records for reducer %d is more than the %d a combiner can index", len(bucket), out.Reducers[bi], maxRef))
+		}
 		inRecords += len(bucket)
+		run[0].pairs = bucket
+		in = keyOrder{runs: run[:], refs: in.refs[:0]} // the task's buckets share the refs' memory
 		for _, p := range bucket {
 			inBytes += p.Size()
+			in.add(p.Key)
 		}
-		sortByKey(bucket)
-		combined = nil
-		values, _ := groupValues(bucket)
-		for i := 0; i < len(bucket); {
-			j := groupEnd(bucket, i)
-			job.Combine(ctx, bucket[i].Key, values[i:j:j], emit)
+		in.sort()
+		// One record per key group is what an aggregating combiner emits.
+		values, groups := in.values()
+		combined = make([]Pair, 0, groups)
+		for i := 0; i < len(values); {
+			j := in.nextGroup(i)
+			job.Combine(ctx, in.key(i), values[i:j:j], emit)
 			i = j
 		}
 		if len(combined) > 0 { // else the bucket is dropped: the output stays sparse
@@ -379,36 +389,6 @@ func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (out
 	ctx.Inc(CounterCombineOutRecords, int64(outRecords))
 	ctx.Charge(e.Cluster.CPUTime(inRecords, float64(inBytes)))
 	return outRecords
-}
-
-// sortByKey sorts pairs by key, stable so equal keys keep their order.
-func sortByKey(pairs []Pair) {
-	slices.SortStableFunc(pairs, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
-}
-
-// groupValues copies the values of key-sorted pairs into one slab, in
-// order, and counts the key groups. The values of the group sorted[i:j]
-// are slab[i:j:j]: disjoint, capacity-capped windows that are never
-// reused, so a reduce function may keep its values slice or append to it
-// without seeing or disturbing another group's.
-func groupValues(sorted []Pair) (slab []string, groups int) {
-	slab = make([]string, len(sorted))
-	for i, p := range sorted {
-		slab[i] = p.Value
-		if i == 0 || sorted[i-1].Key != p.Key {
-			groups++
-		}
-	}
-	return slab, groups
-}
-
-// groupEnd returns the end of the key group starting at sorted[i].
-func groupEnd(sorted []Pair, i int) int {
-	j := i + 1
-	for j < len(sorted) && sorted[j].Key == sorted[i].Key {
-		j++
-	}
-	return j
 }
 
 // RunReducePhase shuffles the given map outputs, runs the reduce side, and
@@ -485,10 +465,17 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		for i := range reducers {
 			reducers[i] = i
 		}
-	}
-	for _, r := range reducers {
-		if r < 0 || r >= job.NumReduce {
-			return nil, fmt.Errorf("mapreduce: job %q reducer %d out of range [0,%d)", job.Name, r, job.NumReduce)
+	} else {
+		// A reducer run twice would hand the caller its shard twice.
+		asked := make([]bool, job.NumReduce)
+		for _, r := range reducers {
+			if r < 0 || r >= job.NumReduce {
+				return nil, fmt.Errorf("mapreduce: job %q reducer %d out of range [0,%d)", job.Name, r, job.NumReduce)
+			}
+			if asked[r] {
+				return nil, fmt.Errorf("mapreduce: job %q reducer %d requested more than once", job.Name, r)
+			}
+			asked[r] = true
 		}
 	}
 	runs, start, err := shuffleIndex(job, outputs)
@@ -596,18 +583,16 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	f := frames.get(e, node, r, ReduceTask, absStart)
 	ctx := &f.ctx
 
-	// The input is allocated once at its exact size; the shuffle is charged
-	// run by run in map-output order, which fixes the float sum's bits.
-	inRecords, inBytes := 0, 0
-	for _, run := range runs {
-		inRecords += len(run.pairs)
-	}
-	input := make([]Pair, 0, inRecords)
+	// The shuffle is charged run by run in map-output order, which fixes the
+	// float sum's bits; the same pass shows the sort every key.
+	in := keyOrder{runs: runs}
+	inBytes := 0
 	sp := ctx.StartSpan("shuffle", "io")
 	for _, run := range runs {
 		bytes := 0
 		for _, p := range run.pairs {
 			bytes += p.Size()
+			in.add(p.Key)
 		}
 		inBytes += bytes
 		if run.node != node {
@@ -615,35 +600,35 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 		} else {
 			ctx.Charge(e.Cluster.DiskTime(float64(bytes)))
 		}
-		input = append(input, run.pairs...)
 	}
 	sp.End()
-	// Merge sort by key, stable so values stay in map-output order.
-	sortByKey(input)
+	// Merge sort by key, values in map-output order; the runs stay as they are.
+	in.sort()
 
 	// One record per key group is what an aggregating reducer emits, and
 	// what an identity reducer emits over distinct keys.
-	values, groups := groupValues(input)
+	values, groups := in.values()
+	inRecords := len(values)
 	f.shard = make([]dfs.Record, 0, groups)
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
 	pipe := f.pipe.init(ctx, node, nil, nil, job.ReduceStagesAfter, f.emitShard)
 	pipe.Open()
 	emit := Emit(pipe.Process)
-	for i := 0; i < len(input); {
-		j := groupEnd(input, i)
-		job.Reduce(ctx, input[i].Key, values[i:j:j], emit)
+	for i := 0; i < inRecords; {
+		j := in.nextGroup(i)
+		job.Reduce(ctx, in.key(i), values[i:j:j], emit)
 		i = j
 	}
 	pipe.Close()
 	sp.End()
 
 	outRecords, outBytes := len(f.shard), f.outBytes
-	ctx.Inc(CounterInputRecords, int64(len(input)))
+	ctx.Inc(CounterInputRecords, int64(inRecords))
 	ctx.Inc(CounterInputBytes, int64(inBytes))
 	ctx.Inc(CounterOutputRecords, int64(outRecords))
 	ctx.Inc(CounterOutputBytes, int64(outBytes))
 	sp = ctx.StartSpan("cpu", "cpu")
-	ctx.Charge(e.Cluster.CPUTime(len(input)+outRecords, float64(inBytes+outBytes)))
+	ctx.Charge(e.Cluster.CPUTime(inRecords+outRecords, float64(inBytes+outBytes)))
 	sp.End()
 	sp = ctx.StartSpan("dfs-write", "io")
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))

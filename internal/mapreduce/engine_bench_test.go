@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -108,6 +110,47 @@ func BenchmarkShuffle(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.splits*shape.perSplit), "ns/record")
+		})
+	}
+}
+
+// BenchmarkReduceShuffle runs one identity reduce task — shuffle in, sort,
+// group, reduce — over the two inputs the wall-clock benchmark's reducers
+// see: a job workload's (240 map outputs of two or three records, `s%08d`
+// keys that each occur twice) and sched_scale's NumReduce = 256 leg (78
+// one-record outputs, keys distinct). One op is one task.
+func BenchmarkReduceShuffle(b *testing.B) {
+	for _, shape := range []struct {
+		name                  string
+		runs, records, perKey int
+	}{
+		{"240runs×2.6rec", 240, 624, 2},
+		{"78runs×1rec", 78, 78, 1},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cluster := sim.NewCluster(sim.DefaultConfig())
+			e := New(cluster, dfs.New(cluster))
+			runs := make([]shuffleRun, shape.runs)
+			for i, k := range rand.New(rand.NewSource(1)).Perm(shape.records) {
+				run := &runs[i%shape.runs]
+				run.node = sim.NodeID(i % shape.runs % cluster.Config().Nodes)
+				run.pairs = append(run.pairs, Pair{Key: fmt.Sprintf("s%08d", 48*(k/shape.perKey)+7), Value: "v"})
+			}
+			job := &Job{Name: "reduce-shuffle", Reduce: IdentityReduce, NumReduce: 1}
+			frames := e.newFramePool()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if shard, _ := e.runReduceTask(job, 0, 0, runs, 0, frames); len(shard) != shape.records {
+					b.Fatalf("reduce task emitted %d records, want %d", len(shard), shape.records)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shape.records), "ns/record")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*shape.records), "B/record")
 		})
 	}
 }

@@ -338,6 +338,9 @@ func TestRunReduceSubsetValidation(t *testing.T) {
 	if _, err := r.RunReduceSubset(job, mp.Outputs, []int{5}); err == nil {
 		t.Fatal("out-of-range reducer should fail")
 	}
+	if _, err := r.RunReduceSubset(job, mp.Outputs, []int{1, 1}); err == nil || !strings.Contains(err.Error(), "reducer 1 requested more than once") {
+		t.Fatalf("a reducer requested twice should fail by name, got %v", err)
+	}
 	if _, err := r.RunReduceSubset(&Job{Name: "nored", Input: in}, mp.Outputs, nil); err == nil {
 		t.Fatal("reduce subset without reduce function should fail")
 	}

@@ -1,8 +1,11 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
+	"strings"
 
 	"efind/internal/sim"
 )
@@ -69,12 +72,17 @@ type shuffleRun struct {
 	node  sim.NodeID
 }
 
+// maxRef is the most runs a reducer, and the most records a bucket, can have:
+// a keyRef counts both in 32 bits.
+const maxRef = math.MaxUint32
+
 // shuffleIndex transposes a reduce phase's map outputs once (count →
 // prefix → fill): reducer r's runs are runs[start[r]:start[r+1]], in
 // map-output order — the order a walk over every output's buckets visits
 // them in, so each reduce task charges the same float sum. O(non-empty
 // buckets) and two allocations whatever maps × reducers. A missing output
-// (its map task failed) or one partitioned for another count is an error.
+// (its map task failed), one partitioned for another count, a bucket of more
+// than maxRef records or a reducer with more than maxRef runs is an error.
 func shuffleIndex(job *Job, outputs []*MapOutput) (runs []shuffleRun, start []int, err error) {
 	start = make([]int, job.NumReduce+1)
 	for i, o := range outputs {
@@ -84,12 +92,18 @@ func shuffleIndex(job *Job, outputs []*MapOutput) (runs []shuffleRun, start []in
 		if o.Parts != job.NumReduce {
 			return nil, nil, fmt.Errorf("mapreduce: job %q map output %d is partitioned for %d reducers, want %d", job.Name, i, o.Parts, job.NumReduce)
 		}
-		for _, r := range o.Reducers {
+		for bi, r := range o.Reducers {
+			if n := len(o.Buckets[bi]); n > maxRef {
+				return nil, nil, fmt.Errorf("mapreduce: job %q map output %d holds %d records for reducer %d, more than the %d a reduce task can index", job.Name, i, n, r, maxRef)
+			}
 			start[r+1]++
 		}
 	}
 	at := 0
 	for r := 1; r <= job.NumReduce; r++ {
+		if start[r] > maxRef {
+			return nil, nil, fmt.Errorf("mapreduce: job %q reducer %d receives %d map-output buckets, more than the %d a reduce task can index", job.Name, r-1, start[r], maxRef)
+		}
 		start[r], at = at, at+start[r] // r-1's fill cursor, until the fill has passed
 	}
 	runs = make([]shuffleRun, at)
@@ -100,4 +114,121 @@ func shuffleIndex(job *Job, outputs []*MapOutput) (runs []shuffleRun, start []in
 		}
 	}
 	return runs, start, nil
+}
+
+// keyRef names one record of a task's runs — runs[run].pairs[pos] — and
+// carries the eight key bytes behind the prefix all the task's keys share,
+// big-endian and zero-padded, so that most comparisons read no record. It
+// holds no pointer: sorting refs moves 16 bytes at a time under no write
+// barrier, and the records, which the phase's map outputs retain, stay where
+// they are.
+type keyRef struct {
+	prefix   uint64
+	run, pos uint32
+}
+
+// keyOrder puts the records of a task's runs in key order, equal keys in the
+// order of the runs' concatenation, without moving one: add every key, in
+// any order, then sort. The runs are only read.
+type keyOrder struct {
+	runs  []shuffleRun
+	first string // the first key added; first[:lcp] is the prefix all share
+	lcp   int
+	n     int // keys added
+	refs  []keyRef
+}
+
+// add notes one key of the runs: the shared prefix can only shrink.
+func (o *keyOrder) add(key string) {
+	if o.n++; o.n == 1 {
+		o.first, o.lcp = key, len(key)
+		return
+	}
+	if len(key) >= o.lcp && key[:o.lcp] == o.first[:o.lcp] {
+		return
+	}
+	i, n := 0, min(o.lcp, len(key))
+	for i < n && key[i] == o.first[i] {
+		i++
+	}
+	o.lcp = i
+}
+
+// window is key's eight bytes from lcp on, big-endian, zero-padded.
+func window(key string, lcp int) (w uint64) {
+	tail := key[lcp:]
+	for i := 0; i < min(len(tail), 8); i++ {
+		w |= uint64(tail[i]) << (56 - 8*i)
+	}
+	return w
+}
+
+// sort builds one ref per record and sorts them by (key, run, pos). That
+// order is total and is the stable order of the runs' concatenation, so an
+// unstable sort yields it.
+func (o *keyOrder) sort() {
+	o.refs = slices.Grow(o.refs, o.n)
+	for ri, run := range o.runs {
+		for pi := range run.pairs {
+			o.refs = append(o.refs, keyRef{window(run.pairs[pi].Key, o.lcp), uint32(ri), uint32(pi)})
+		}
+	}
+	slices.SortFunc(o.refs, o.compare)
+}
+
+func (o *keyOrder) pair(r keyRef) *Pair { return &o.runs[r.run].pairs[r.pos] }
+
+// compare orders two refs by key, then position. Keys with different windows
+// compare as their windows do. With equal windows, two keys that both run on
+// past the window compare by what follows it; otherwise the zero padding
+// stood for nothing or for real zero bytes, the shorter key is a prefix of
+// the longer, and the lengths decide.
+func (o *keyOrder) compare(a, b keyRef) int {
+	if a.prefix != b.prefix {
+		return cmp.Compare(a.prefix, b.prefix)
+	}
+	ka, kb, w := o.pair(a).Key, o.pair(b).Key, o.lcp+8
+	c := cmp.Compare(len(ka), len(kb))
+	if len(ka) > w && len(kb) > w {
+		c = strings.Compare(ka[w:], kb[w:])
+	}
+	if c != 0 {
+		return c
+	}
+	return cmp.Compare(uint64(a.run)<<32|uint64(a.pos), uint64(b.run)<<32|uint64(b.pos))
+}
+
+// key returns the key of the i-th record in key order.
+func (o *keyOrder) key(i int) string { return o.pair(o.refs[i]).Key }
+
+// sameKey reports whether the i-th and j-th records in key order have one
+// key; it reads the records only when the windows tie.
+func (o *keyOrder) sameKey(i, j int) bool {
+	return o.refs[i].prefix == o.refs[j].prefix && o.key(i) == o.key(j)
+}
+
+// nextGroup returns where the key group after the one starting at the i-th
+// record starts.
+func (o *keyOrder) nextGroup(i int) int {
+	j := i + 1
+	for j < len(o.refs) && o.sameKey(i, j) {
+		j++
+	}
+	return j
+}
+
+// values copies the records' values into one slab, in key order, and counts
+// the key groups. The values of the group [i, j) are slab[i:j:j]: disjoint,
+// capacity-capped windows that are never reused, so a reduce function may
+// keep its values slice or append to it without seeing or disturbing another
+// group's.
+func (o *keyOrder) values() (slab []string, groups int) {
+	slab = make([]string, len(o.refs))
+	for i, r := range o.refs {
+		slab[i] = o.pair(r).Value
+		if i == 0 || !o.sameKey(i-1, i) {
+			groups++
+		}
+	}
+	return slab, groups
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"efind/internal/dfs"
 	"efind/internal/sim"
@@ -234,9 +235,9 @@ func TestShuffleMergedPhasesAndSubsets(t *testing.T) {
 }
 
 // TestReduceRejectsUnusableMapOutputs: an output partitioned for another
-// reducer count, and a hole a failed map phase left behind, are errors
-// naming the job and the position — not a wrong shuffle, not a nil
-// dereference.
+// reducer count, a bucket too long to index, and a hole a failed map phase
+// left behind, are errors naming the job and the position — not a wrong
+// shuffle, not a wrapped index, not a nil dereference.
 func TestReduceRejectsUnusableMapOutputs(t *testing.T) {
 	fs, e := parEnv(t, 1)
 	in := shuffleInput(t, fs, "in")
@@ -251,6 +252,20 @@ func TestReduceRejectsUnusableMapOutputs(t *testing.T) {
 	_, err = run.RunReducePhase(other, mp)
 	if err == nil || !strings.Contains(err.Error(), `"five-way"`) || !strings.Contains(err.Error(), "partitioned for 7 reducers, want 5") {
 		t.Fatalf("reducing a 7-way output 5 ways: %v", err)
+	}
+
+	// A bucket longer than a keyRef can count, by its header alone: the index
+	// must refuse it on its length, before anything reads a record of it.
+	long := *mp.Outputs[1]
+	long.Buckets = slices.Clone(long.Buckets)
+	header := (*[3]int)(unsafe.Pointer(&long.Buckets[0])) // data, len, cap
+	header[1], header[2] = maxRef+1, maxRef+1
+	outputs := slices.Clone(mp.Outputs)
+	outputs[1] = &long
+	_, err = run.RunReduceSubset(c.job(in), outputs, nil)
+	want := fmt.Sprintf("map output 1 holds %d records for reducer %d, more than the %d", maxRef+1, long.Reducers[0], maxRef)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("reducing a bucket of %d records: %v, want %q", maxRef+1, err, want)
 	}
 
 	mp.Outputs[2] = nil
