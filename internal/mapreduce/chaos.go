@@ -261,7 +261,7 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 			start = freeAt
 		}
 		rollback := e.guardAttempt(job, node)
-		r, st, err := e.attempt(job, p, i, node, base+start)
+		r, st, err := e.attempt(job, p, p.backupOn, i, node, base+start)
 		if rollback != nil {
 			rollback() // a backup's cache pollution never commits, win or lose
 		}
@@ -309,19 +309,14 @@ func (e *JobRun) crash(job *Job, p *phaseSpec, base float64, patch *phasePatch) 
 			continue
 		}
 		_, seq := e.beginPhase() // fresh deterministic key for recovery draws
-		recTasks := make([]sim.Task, len(lost))
 		origTask := make([]int, len(lost))
 		for j, ai := range lost {
-			i := assigns[ai].Task
-			origTask[j] = i
-			recTasks[j] = sim.Task{Preferred: p.preferred(i), Run: e.taskRun(job, p, cr.At, seq, i)}
+			origTask[j] = assigns[ai].Task
 		}
 		// Recovery waves stay inside the job's slot lease: under the job
 		// service a crashed tenant's re-runs must not spill onto slots
 		// leased to other jobs.
-		rec := e.Cluster.SchedulePhaseLease(recTasks, p.slots, e.lease, func(n sim.NodeID) bool {
-			return job.Chaos.NodeDown(n, cr.At)
-		})
+		rec := (&wave{e: e.Engine, job: job, p: p, base: cr.At, seq: seq, task: origTask}).schedule(len(lost), e.lease, job.downAt(cr.At))
 		spliceRecovery(assigns, lost, origTask, rec.Assignments, cr.At-base, patch)
 		patch.waves += rec.Waves
 		for _, i := range origTask {

@@ -143,10 +143,16 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 			splits[i] = i
 		}
 	}
+	// A split listed twice would be mapped twice and its records output twice.
+	listed := make([]bool, len(job.Input.Chunks))
 	for _, s := range splits {
 		if s < 0 || s >= len(job.Input.Chunks) {
 			return nil, fmt.Errorf("mapreduce: job %q split %d out of range [0,%d)", job.Name, s, len(job.Input.Chunks))
 		}
+		if listed[s] {
+			return nil, fmt.Errorf("mapreduce: job %q split %d listed more than once", job.Name, s)
+		}
+		listed[s] = true
 	}
 
 	res := &MapPhaseResult{
@@ -154,7 +160,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 		Stats:    make([]TaskStats, len(splits)),
 		Counters: make(map[string]int64),
 	}
-	frames := e.newFramePool()
+	frames := e.newPhaseFrames(len(splits))
 	err := e.runPhase(job, &phaseSpec{
 		kind:  MapTask,
 		slots: e.Cluster.Config().MapSlotsPerNode,
@@ -167,11 +173,12 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 			}
 			return chunk.Replicas
 		},
-		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
-			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart, frames)
+		run: func(worker, i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
+			out, st := e.runMapTask(job, i, splits[i], job.Input.Chunks[splits[i]], node, absStart, frames, worker)
 			return attemptResult{out: out}, st
 		},
 		install:     func(i int, _ sim.NodeID, r attemptResult) { res.Outputs[i] = r.out },
+		backupOn:    frames.coordinator(),
 		traceFailed: true,
 		stats:       res.Stats,
 		counters:    res.Counters,
@@ -185,11 +192,11 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 }
 
 // taskFrame is what a task uses and does not retain — context, core stage,
-// pipeline, sink state — as one allocation, handed on to the phase's next
-// task when this one returns. What a task retains (MapOutput, reduce shard,
-// counter set) is allocated apart on purpose: embedded here it would pin the
-// frame, and every scratch a stage hangs off the context, for as long as the
-// result lives.
+// pipeline, sink state — as one allocation, which its worker's next task of
+// the phase starts on. What a task retains (MapOutput, reduce shard, counter
+// set) is allocated apart on purpose: embedded here it would pin the frame,
+// and every scratch a stage hangs off the context, for as long as the result
+// lives.
 type taskFrame struct {
 	ctx  TaskContext
 	core FuncStage
@@ -202,40 +209,58 @@ type taskFrame struct {
 	splitRecords int
 	shard        []dfs.Record // reduce sink
 	outBytes     int
-	// stage, which the scatter wipes, is all a frame keeps from task to task.
-	stage *staging
+
+	frameKeeps
 }
 
-// framePool hands one phase's task frames from task to task, so a phase
-// allocates as many as it runs tasks at once. Only a task that ran to its
-// end puts its frame back, zeroed; an attempt that aborts drops its frame,
-// half-filled staging buffer and all, so no task starts on a dirty one.
-type framePool chan *taskFrame
+// frameKeeps is all a frame keeps from task to task: the staging buffer,
+// which the scatter wipes, and the frame's own methods as the values the
+// pipeline is handed — bound to the frame, not to anything a task put in
+// it, and one allocation each were they made per task.
+type frameKeeps struct {
+	stage *staging
 
-func (e *Engine) newFramePool() framePool { return make(framePool, e.Cluster.Workers()) }
+	mapSink, shardSink Emit // emitMap, emitShard
+	process            Emit // pipe.Process
+}
 
-// get starts a task whose context clock is anchored at absStart, its
-// absolute virtual start time, so stages can evaluate index outage windows.
-func (fp framePool) get(e *Engine, node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
-	var f *taskFrame
-	select {
-	case f = <-fp:
-	default:
+// phaseFrames holds one phase's task frames, made when first asked for: slot
+// w is the frame of the scheduler's worker w (sim.Phase.Run: at most one
+// body per index at a time, so a slot needs no lock), the last slot the
+// coordinator's, on which speculative backups run once the phase is
+// scheduled. A slot is empty while its task runs and refilled only by a task
+// that ran to its end: an attempt that aborts drops its frame, half-filled
+// staging buffer and all, so no task starts on a dirty one.
+type phaseFrames []*taskFrame
+
+// newPhaseFrames sizes the slots for a phase of the given task count; a
+// crash's recovery wave, never of more tasks, runs on the same ones.
+func (e *Engine) newPhaseFrames(tasks int) phaseFrames {
+	return make(phaseFrames, e.Cluster.PhaseWorkers(tasks)+1)
+}
+
+func (fr phaseFrames) coordinator() int { return len(fr) - 1 }
+
+// start takes the worker's frame for a task whose context clock is anchored
+// at absStart, its absolute virtual start time, so stages can evaluate index
+// outage windows.
+func (fr phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
+	f := fr[worker]
+	fr[worker] = nil
+	if f == nil {
 		f = &taskFrame{}
+		f.mapSink, f.shardSink, f.process = f.emitMap, f.emitShard, f.pipe.Process
 	}
 	f.ctx.init(e.Cluster, node, id, kind)
 	f.ctx.base, f.ctx.traced = absStart, e.Trace != nil
 	return f
 }
 
-// put hands a finished task's frame on. Zeroing drops — does not clear —
+// done puts a finished task's frame back. Zeroing drops — does not clear —
 // what the task's statistics took from the context: spans and sketches.
-func (fp framePool) put(f *taskFrame) {
-	*f = taskFrame{stage: f.stage}
-	select {
-	case fp <- f:
-	default: // full: more attempts ran at once than the phase has workers
-	}
+func (fr phaseFrames) done(worker int, f *taskFrame) {
+	*f = taskFrame{frameKeeps: f.frameKeeps}
+	fr[worker] = f
 }
 
 // emitMap is the map sink. A partitioner answering outside [0, NumReduce)
@@ -265,9 +290,9 @@ func (f *taskFrame) emitShard(p Pair) {
 	f.outBytes += p.Size()
 }
 
-// runMapTask executes one map task on the given node.
-func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, frames framePool) (*MapOutput, TaskStats) {
-	f := frames.get(e, node, taskID, MapTask, absStart)
+// runMapTask executes one map task on the given node, on the worker's frame.
+func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, frames phaseFrames, worker int) (*MapOutput, TaskStats) {
+	f := frames.start(worker, e, node, taskID, MapTask, absStart)
 	ctx := &f.ctx
 	ctx.Split = split
 
@@ -300,7 +325,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		f.core.OnProcess = identityMap
 	}
 	sp = ctx.StartSpan("map-pipeline", "pipeline")
-	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, job.MapStagesAfter, f.emitMap)
+	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, job.MapStagesAfter, f.mapSink)
 	pipe.Open()
 	for _, r := range records {
 		pipe.Process(Pair{Key: r.Key, Value: r.Value})
@@ -334,7 +359,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		sp.End()
 	}
 	st := e.taskStats(ctx)
-	frames.put(f)
+	frames.done(worker, f)
 	return out, st
 }
 
@@ -489,21 +514,22 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		Stats:    make([]TaskStats, len(reducers)),
 		Counters: make(map[string]int64),
 	}
-	frames := e.newFramePool()
+	frames := e.newPhaseFrames(len(reducers))
 	err = e.runPhase(job, &phaseSpec{
 		kind:      ReduceTask,
 		slots:     e.Cluster.Config().ReduceSlotsPerNode,
 		id:        func(i int) int { return reducers[i] },
 		label:     func(i int) string { return fmt.Sprintf("reduce task %d", reducers[i]) },
 		preferred: func(int) []sim.NodeID { return nil },
-		run: func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
+		run: func(worker, i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats) {
 			r := reducers[i]
-			shard, st := e.runReduceTask(job, r, node, runs[start[r]:start[r+1]], absStart, frames)
+			shard, st := e.runReduceTask(job, r, node, runs[start[r]:start[r+1]], absStart, frames, worker)
 			return attemptResult{shard: shard}, st
 		},
 		install: func(i int, node sim.NodeID, r attemptResult) {
 			sub.Shards[i], sub.Homes[i] = r.shard, node
 		},
+		backupOn: frames.coordinator(),
 		stats:    sub.Stats,
 		counters: sub.Counters,
 		phase:    &sub.Phase,
@@ -578,9 +604,9 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 }
 
 // runReduceTask executes one reduce task: shuffle in its runs, sort, group,
-// reduce, chained tail stages, and output collection.
-func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64, frames framePool) ([]dfs.Record, TaskStats) {
-	f := frames.get(e, node, r, ReduceTask, absStart)
+// reduce, chained tail stages, and output collection, on the worker's frame.
+func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64, frames phaseFrames, worker int) ([]dfs.Record, TaskStats) {
+	f := frames.start(worker, e, node, r, ReduceTask, absStart)
 	ctx := &f.ctx
 
 	// The shuffle is charged run by run in map-output order, which fixes the
@@ -611,12 +637,11 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	inRecords := len(values)
 	f.shard = make([]dfs.Record, 0, groups)
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
-	pipe := f.pipe.init(ctx, node, nil, nil, job.ReduceStagesAfter, f.emitShard)
+	pipe := f.pipe.init(ctx, node, nil, nil, job.ReduceStagesAfter, f.shardSink)
 	pipe.Open()
-	emit := Emit(pipe.Process)
 	for i := 0; i < inRecords; {
 		j := in.nextGroup(i)
-		job.Reduce(ctx, in.key(i), values[i:j:j], emit)
+		job.Reduce(ctx, in.key(i), values[i:j:j], f.process)
 		i = j
 	}
 	pipe.Close()
@@ -634,7 +659,7 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))
 	sp.End()
 	shard, st := f.shard, e.taskStats(ctx)
-	frames.put(f)
+	frames.done(worker, f)
 	return shard, st
 }
 

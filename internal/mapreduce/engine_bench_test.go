@@ -137,13 +137,13 @@ func BenchmarkReduceShuffle(b *testing.B) {
 				run.pairs = append(run.pairs, Pair{Key: fmt.Sprintf("s%08d", 48*(k/shape.perKey)+7), Value: "v"})
 			}
 			job := &Job{Name: "reduce-shuffle", Reduce: IdentityReduce, NumReduce: 1}
-			frames := e.newFramePool()
+			frames := e.newPhaseFrames(1)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if shard, _ := e.runReduceTask(job, 0, 0, runs, 0, frames); len(shard) != shape.records {
+				if shard, _ := e.runReduceTask(job, 0, 0, runs, 0, frames, 0); len(shard) != shape.records {
 					b.Fatalf("reduce task emitted %d records, want %d", len(shard), shape.records)
 				}
 			}

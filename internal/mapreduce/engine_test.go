@@ -357,6 +357,35 @@ func TestRunReduceSubsetValidation(t *testing.T) {
 	}
 }
 
+// TestRunMapPhaseSplitValidation: a split out of range or listed twice — in
+// Job.Splits or in the argument — fails the phase by name; mapped twice, its
+// records would be output twice with a nil error.
+func TestRunMapPhaseSplitValidation(t *testing.T) {
+	_, fs, e := testEnv(t)
+	in := makeInput(t, fs, "in", 200)
+	if len(in.Chunks) < 3 {
+		t.Fatalf("input has %d chunks, the test wants three", len(in.Chunks))
+	}
+	for _, tc := range []struct {
+		jobSplits, arg []int
+		want           string
+	}{
+		{nil, []int{len(in.Chunks)}, "out of range"},
+		{[]int{-1}, nil, "out of range"},
+		{nil, []int{1, 1}, "split 1 listed more than once"},
+		{[]int{2, 0, 2}, nil, "split 2 listed more than once"},
+		{[]int{1, 1}, []int{1, 0}, ""}, // the argument, when given, is the list
+	} {
+		mp, err := e.NewRun().RunMapPhase(&Job{Name: "splits", Input: in, Splits: tc.jobSplits}, tc.arg)
+		switch {
+		case tc.want == "" && (err != nil || len(mp.Outputs) != len(tc.arg)):
+			t.Errorf("Job.Splits %v, splits %v: %d outputs, %v", tc.jobSplits, tc.arg, len(mp.Outputs), err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), `job "splits"`) || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("Job.Splits %v, splits %v: err = %v, want one naming the job and %q", tc.jobSplits, tc.arg, err, tc.want)
+		}
+	}
+}
+
 func TestFinishMapOnlyNamedOutput(t *testing.T) {
 	_, fs, e := testEnv(t)
 	in := makeInput(t, fs, "in", 40)

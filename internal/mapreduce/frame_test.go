@@ -15,8 +15,8 @@ import (
 
 // The frame tests run tasks that leave as much as they can in their
 // context — counters past the inline cells and past the scan limit, a
-// sketch, charges, spans — over frames handed from task to task, and hold
-// every task to what it yields on a frame of its own.
+// sketch, charges, spans — over frames a worker keeps from task to task, and
+// hold every task to what it yields on a frame of its own.
 
 // hygieneCounters is how many counters split s touches: some fit the
 // context's inline cells, some need slab chunks, some the name index.
@@ -88,12 +88,14 @@ func cloneBuckets(o *MapOutput) [][]Pair {
 	return out
 }
 
-// TestFrameHygiene: a task on a frame other tasks have used yields what it
-// yields on a frame of its own, whatever happened to those tasks — they
-// completed, were failed by the injector after completing, aborted
-// half-way, lost or won a speculation race — and what a completed task
-// retains (counters, spans, sketch vectors, output) does not change when
-// its frame goes on to other tasks. Run under -race -count=10.
+// TestFrameHygiene: a task on a frame its worker's earlier tasks have used
+// yields what it yields on a frame of its own, whatever happened to those
+// tasks — they completed, were failed by the injector after completing,
+// aborted half-way, lost or won a speculation race — and what a completed
+// task retains (counters, spans, sketch vectors, output) does not change
+// when its frame goes on to other tasks. An abort costs the worker its
+// frame — the next attempt starts on a new one — and the coordinator's
+// frame, on which backups run, is no worker's. Run under -race -count=10.
 func TestFrameHygiene(t *testing.T) {
 	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
 	boom := errors.New("boom")
@@ -101,7 +103,7 @@ func TestFrameHygiene(t *testing.T) {
 		_, e := parEnv(t, parallelism)
 		e.Trace = obs.NewTrace() // tasks record spans
 		job := hygieneJob(t, c, e, "in")
-		attempt := func(frames framePool, s int, abort bool) (*MapOutput, TaskStats, error) {
+		attempt := func(frames phaseFrames, worker, s int, abort bool) (*MapOutput, TaskStats, error) {
 			j := *job
 			if fan := job.Map; abort {
 				j.Map = func(ctx *TaskContext, in Pair, emit Emit) {
@@ -116,11 +118,11 @@ func TestFrameHygiene(t *testing.T) {
 			}
 			r, st, err := e.attempt(&j, &phaseSpec{
 				label: func(i int) string { return fmt.Sprint("map task ", i) },
-				run: func(i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
-					out, st := e.runMapTask(&j, i, i, j.Input.Chunks[i], node, at, frames)
+				run: func(worker, i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
+					out, st := e.runMapTask(&j, i, i, j.Input.Chunks[i], node, at, frames, worker)
 					return attemptResult{out: out}, st
 				},
-			}, s, sim.NodeID(s%4), 0)
+			}, worker, s, sim.NodeID(s%4), 0)
 			return r.out, st, err
 		}
 
@@ -128,7 +130,7 @@ func TestFrameHygiene(t *testing.T) {
 		refStats, refOut := make([]TaskStats, shuffleSplits), make([]*MapOutput, shuffleSplits)
 		for s := range refStats {
 			var err error
-			if refOut[s], refStats[s], err = attempt(e.newFramePool(), s, false); err != nil {
+			if refOut[s], refStats[s], err = attempt(e.newPhaseFrames(1), 0, s, false); err != nil {
 				t.Fatal(err)
 			}
 			if got := len(refStats[s].Counters); got != hygieneCounters[s]+4 || len(refStats[s].Spans) == 0 || refStats[s].Sketches["hygiene.sk"] == nil {
@@ -136,10 +138,15 @@ func TestFrameHygiene(t *testing.T) {
 			}
 		}
 
-		// One frame, attempt after attempt, an abort in between: every
-		// completed attempt equals its reference, when it returns and after
-		// the frame has served every later attempt.
-		frames := e.newFramePool()
+		// One worker's frame, attempt after attempt, an abort in between:
+		// every completed attempt equals its reference, when it returns and
+		// after the frame has served every later attempt. The abort empties
+		// the worker's slot, and the attempt after it runs on a frame that is
+		// not the one the abort dirtied.
+		frames := e.newPhaseFrames(shuffleSplits)
+		if want := min(parallelism, shuffleSplits) + 1; len(frames) != want || frames.coordinator() != want-1 {
+			t.Fatalf("parallelism %d: %d frame slots, the coordinator's at %d, want %d: one per worker and the coordinator's last", parallelism, len(frames), frames.coordinator(), want)
+		}
 		type kept struct {
 			s      int
 			st, cp TaskStats
@@ -149,20 +156,48 @@ func TestFrameHygiene(t *testing.T) {
 		var keep []kept
 		for round := 0; round < 3; round++ {
 			for s := 0; s < shuffleSplits; s++ {
+				dirtied := frames[0]
 				if s == 3 {
-					if _, _, err := attempt(frames, 2, true); !errors.Is(err, boom) {
+					if _, _, err := attempt(frames, 0, 2, true); !errors.Is(err, boom) {
 						t.Fatalf("aborting attempt: %v", err)
 					}
+					if frames[0] != nil {
+						t.Fatalf("round %d: the aborted attempt left its frame in the worker's slot", round)
+					}
 				}
-				out, st, err := attempt(frames, s, false)
+				out, st, err := attempt(frames, 0, s, false)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(st, refStats[s]) || !reflect.DeepEqual(out.Buckets, refOut[s].Buckets) {
 					t.Fatalf("parallelism %d round %d split %d on a used frame:\n got %+v\nwant %+v", parallelism, round, s, st, refStats[s])
 				}
+				if fresh := frames[0] != dirtied; fresh != (s == 3 || dirtied == nil) {
+					t.Fatalf("round %d split %d: ran on a fresh frame: %v; want one exactly for the worker's first task and after the abort", round, s, fresh)
+				}
 				keep = append(keep, kept{s, st, cloneStats(st), out, cloneBuckets(out)})
 			}
+		}
+		// A backup runs as the coordinator: on a frame of that slot, whatever
+		// the workers' slots hold, and it leaves theirs alone.
+		worker0 := frames[0]
+		for round := 0; round < 2; round++ {
+			out, st, err := attempt(frames, frames.coordinator(), 4, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st, refStats[4]) || !reflect.DeepEqual(out.Buckets, refOut[4].Buckets) {
+				t.Fatalf("parallelism %d: split 4 on the coordinator's frame:\n got %+v\nwant %+v", parallelism, st, refStats[4])
+			}
+			keep = append(keep, kept{4, st, cloneStats(st), out, cloneBuckets(out)})
+		}
+		for w, f := range frames {
+			if own := w == 0 || w == frames.coordinator(); (f != nil) != own {
+				t.Fatalf("parallelism %d: slot %d holds a frame: %v, want one in worker 0's and the coordinator's alone", parallelism, w, f != nil)
+			}
+		}
+		if co := frames[frames.coordinator()]; co == worker0 || frames[0] != worker0 {
+			t.Fatalf("parallelism %d: the coordinator's frame is worker 0's, or moved it", parallelism)
 		}
 		for _, k := range keep {
 			if !reflect.DeepEqual(k.st, k.cp) || !reflect.DeepEqual(k.out.Buckets, k.bk) {
@@ -227,6 +262,31 @@ func TestCounterSet(t *testing.T) {
 	s.MergeInto(total)
 	if want := map[string]int64{"a": 3, "b": 7, "c": 1}; !reflect.DeepEqual(total, want) {
 		t.Errorf("merged = %v, want %v", total, want)
+	}
+}
+
+// TestFoldCountersMatchesMergeInto: a phase's fold of its tasks' sets is what
+// merging them one by one gives — names out of position, names only some
+// tasks have and counters added to by zero included — on top of what the
+// map already holds.
+func TestFoldCountersMatchesMergeInto(t *testing.T) {
+	sets := []CounterSet{
+		{{Name: "a", Value: 1}, {Name: "b", Value: 2}, {Name: "c", Value: 3}},
+		{{Name: "a", Value: 10}, {Name: "b", Value: 20}, {Name: "c", Value: 30}},
+		{{Name: "b", Value: 100}, {Name: "a", Value: 200}},
+		nil,
+		{{Name: "zero"}, {Name: "c", Value: -3}, {Name: "a", Value: 1000}, {Name: "d", Value: 4}},
+		{{Name: "a", Value: 1}, {Name: "b", Value: 2}, {Name: "c", Value: 3}, {Name: "d", Value: 4}, {Name: "e", Value: 5}},
+	}
+	want, got := map[string]int64{"b": 7, "held": 1}, map[string]int64{"b": 7, "held": 1}
+	stats := make([]TaskStats, len(sets))
+	for i, s := range sets {
+		s.MergeInto(want)
+		stats[i].Counters = s
+	}
+	foldCounters(got, stats)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded %v, merged one by one %v", got, want)
 	}
 }
 

@@ -56,7 +56,8 @@ type Job struct {
 	// MapPlacement overrides the preferred nodes of the map task for a
 	// split (the index-locality strategy schedules map tasks on index
 	// partition hosts instead of input chunk replicas). Nil = data
-	// locality (chunk replicas).
+	// locality (chunk replicas). The scheduler asks more than once per
+	// split and only reads the list: same answer every time.
 	MapPlacement func(split int, chunk *dfs.Chunk) []sim.NodeID
 	// AttemptGuard, when set, is called before each task attempt that can
 	// still be retried, with the node the attempt runs on; the returned

@@ -158,7 +158,7 @@ func cloneRuns(runs []shuffleRun) []shuffleRun {
 func TestKeyOrderMatchesStableSort(t *testing.T) {
 	_, _, e := testEnv(t)
 	rng := rand.New(rand.NewSource(23))
-	frames := e.newFramePool()
+	frames := e.newPhaseFrames(1)
 	for trial := 0; trial < 120; trial++ {
 		pool := keyPools[trial%len(keyPools)]
 		prefix := []string{"", "k", "a-long-shared-prefix/", "\x00p"}[rng.Intn(4)]
@@ -172,7 +172,7 @@ func TestKeyOrderMatchesStableSort(t *testing.T) {
 			emit(Pair{Key: key, Value: strings.Join(values, ",")})
 		}
 		want := refGroups(runs)
-		shard, st := e.runReduceTask(&Job{Name: "order", Reduce: record, NumReduce: 1}, 0, 0, runs, 0, frames)
+		shard, st := e.runReduceTask(&Job{Name: "order", Reduce: record, NumReduce: 1}, 0, 0, runs, 0, frames, 0)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the reduce task saw\n%q\nwant\n%q", name, got, want)
 		}

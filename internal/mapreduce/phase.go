@@ -22,11 +22,15 @@ type phaseSpec struct {
 	// preferred returns task i's preferred nodes (none for reduce tasks,
 	// which also makes a won reduce backup non-local).
 	preferred func(i int) []sim.NodeID
-	// run executes one attempt of task i on node, its context clock
-	// anchored at absStart; it may panic with a taskAbort. install records
-	// a finished attempt's result as the task's.
-	run     func(i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats)
+	// run executes one attempt of task i on node, on the frame of the
+	// scheduler's worker (sim.Phase.Run), its context clock anchored at
+	// absStart; it may panic with a taskAbort. install records a finished
+	// attempt's result as the task's.
+	run     func(worker, i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats)
 	install func(i int, node sim.NodeID, r attemptResult)
+	// backupOn is the worker speculative backups run as, after the
+	// scheduler's own are gone: the coordinator's frame.
+	backupOn int
 	// traceFailed emits a failed phase to the trace when the job runs
 	// under a chaos plan (the map side, whose partial result is resumed).
 	traceFailed bool
@@ -58,14 +62,8 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	ready, seq := e.beginPhase()
 	base, lease := e.grantPhase(p.kind, n, ready)
 	p.errs = make([]error, n)
-	tasks := make([]sim.Task, n)
-	for i := range tasks {
-		// The scheduler only reads Preferred, so a replica list is shared
-		// rather than copied — a 1M-split phase would otherwise allocate a
-		// slice per task before scheduling even starts.
-		tasks[i] = sim.Task{Preferred: p.preferred(i), Run: e.taskRun(job, p, base, seq, i)}
-	}
-	*p.phase = e.Cluster.SchedulePhaseLease(tasks, p.slots, lease, job.downAt(base))
+	w := &wave{e: e.Engine, job: job, p: p, base: base, seq: seq}
+	*p.phase = w.schedule(n, lease, job.downAt(base))
 	e.applyChaos(job, p, base)
 	e.vclock += p.phase.Makespan
 	if e.arbiter != nil {
@@ -73,9 +71,7 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	}
 	err := firstError(p.errs)
 	if err == nil {
-		for _, st := range p.stats {
-			st.Counters.MergeInto(p.counters)
-		}
+		foldCounters(p.counters, p.stats)
 	}
 	if err == nil || (p.traceFailed && job.Chaos != nil) {
 		e.emitPhase(job.Name+"/"+p.kind.String(), p.kind.String(), base, *p.phase, p.stats)
@@ -83,49 +79,106 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	return err
 }
 
-// taskRun builds the scheduler callback for task i: the Hadoop-style
-// retry loop around attempt, with chaos straggler slowdown applied to the
-// task's virtual duration (never to its work — records, counters, and
-// cache traffic are those of a normal run). base is the absolute time the
-// scheduler's start offsets are relative to: the phase base, or the crash
-// instant for a recovery wave.
-func (e *Engine) taskRun(job *Job, p *phaseSpec, base float64, seq, i int) func(sim.NodeID, float64) float64 {
+// foldCounters adds the tasks' counter sets into dst, writing the map once
+// per name, not once per counter per task. A phase's tasks mostly list the
+// same names in the same order, so a counter is first looked for where the
+// sets before it had theirs, and through the name table otherwise. The sums
+// are integers: dst ends as it does merging set by set.
+func foldCounters(dst map[string]int64, stats []TaskStats) {
+	var (
+		names []string
+		sums  []int64
+		slot  = map[string]int{}
+	)
+	for _, st := range stats {
+		for k, c := range st.Counters {
+			i := k
+			if k >= len(names) || names[k] != c.Name {
+				var ok bool
+				if i, ok = slot[c.Name]; !ok {
+					i = len(names)
+					slot[c.Name], names, sums = i, append(names, c.Name), append(sums, 0)
+				}
+			}
+			sums[i] += c.Value
+		}
+	}
+	for i, name := range names {
+		dst[name] += sums[i]
+	}
+}
+
+// wave is one scheduling of a phase's tasks — the whole phase, or the
+// recovery wave that re-runs what a crash lost — as the scheduler consumes
+// it: the tasks by index and this one value behind them, not a closure and
+// a sim.Task each.
+type wave struct {
+	e   *Engine
+	job *Job
+	p   *phaseSpec
+	// base is the absolute time the scheduler's start offsets are relative
+	// to: the phase base, or the crash instant for a recovery wave.
+	base float64
+	seq  int   // the sequence number the wave's chaos draws key off
+	task []int // a recovery wave's tasks, as the phase numbers them; nil: all, in order
+}
+
+func (w *wave) schedule(n int, lease *sim.Lease, down func(sim.NodeID) bool) sim.PhaseResult {
+	return w.e.Cluster.RunPhase(sim.Phase{Tasks: n, Preferred: w.preferred, Run: w.run}, w.p.slots, lease, down)
+}
+
+// orig returns the phase's number of the wave's task j.
+func (w *wave) orig(j int) int {
+	if w.task != nil {
+		return w.task[j]
+	}
+	return j
+}
+
+// preferred shares the task's replica list with the scheduler, which only
+// reads it.
+func (w *wave) preferred(j int) []sim.NodeID { return w.p.preferred(w.orig(j)) }
+
+// run is the scheduler's callback: the Hadoop-style retry loop around
+// attempt, with chaos straggler slowdown applied to the task's virtual
+// duration (never to its work — records, counters, and cache traffic are
+// those of a normal run).
+func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
+	e, job, p, i := w.e, w.job, w.p, w.orig(j)
 	slow := 1.0
 	if job.Chaos != nil {
-		slow = job.Chaos.SlowFactor(seq, i)
+		slow = job.Chaos.SlowFactor(w.seq, i)
 	}
-	return func(node sim.NodeID, start float64) float64 {
-		total := 0.0
-		for attempt := 1; attempt <= maxAttempts; attempt++ {
-			rollback := e.guardAttempt(job, node)
-			r, st, err := e.attempt(job, p, i, node, base+start+total)
-			if err != nil {
-				p.errs[i] = err
-				return total
-			}
-			total += st.Duration * slow
-			if job.FaultInjector != nil && job.FaultInjector(p.kind, p.id(i), attempt) {
-				if rollback != nil {
-					rollback()
-				}
-				continue // attempt wasted; re-execute
-			}
-			st.Duration = total
-			st.Counters.Add(CounterTaskRetries, int64(attempt-1))
-			p.install(i, node, r)
-			p.stats[i] = st
+	total := 0.0
+	for attempt := 1; attempt <= maxAttempts; attempt++ {
+		rollback := e.guardAttempt(job, node)
+		r, st, err := e.attempt(job, p, worker, i, node, w.base+start+total)
+		if err != nil {
+			p.errs[i] = err
 			return total
 		}
-		p.errs[i] = fmt.Errorf("mapreduce: job %q %s failed %d attempts", job.Name, p.label(i), maxAttempts)
+		total += st.Duration * slow
+		if job.FaultInjector != nil && job.FaultInjector(p.kind, p.id(i), attempt) {
+			if rollback != nil {
+				rollback()
+			}
+			continue // attempt wasted; re-execute
+		}
+		st.Duration = total
+		st.Counters.Add(CounterTaskRetries, int64(attempt-1))
+		p.install(i, node, r)
+		p.stats[i] = st
 		return total
 	}
+	p.errs[i] = fmt.Errorf("mapreduce: job %q %s failed %d attempts", job.Name, p.label(i), maxAttempts)
+	return total
 }
 
 // attempt runs one task attempt, converting a TaskContext.Abort into an
 // error. Aborts are permanent logical failures (an index error under
 // ErrorFailJob, not a crashed machine), so the caller fails the job
 // instead of re-executing the attempt.
-func (e *Engine) attempt(job *Job, p *phaseSpec, i int, node sim.NodeID, absStart float64) (r attemptResult, st TaskStats, err error) {
+func (e *Engine) attempt(job *Job, p *phaseSpec, worker, i int, node sim.NodeID, absStart float64) (r attemptResult, st TaskStats, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			ab, ok := rec.(taskAbort)
@@ -135,7 +188,7 @@ func (e *Engine) attempt(job *Job, p *phaseSpec, i int, node sim.NodeID, absStar
 			err = fmt.Errorf("mapreduce: job %q %s aborted: %w", job.Name, p.label(i), ab.err)
 		}
 	}()
-	r, st = p.run(i, node, absStart)
+	r, st = p.run(worker, i, node, absStart)
 	return r, st, nil
 }
 

@@ -304,10 +304,10 @@ func TestPartitionerOutOfRangeFailsJob(t *testing.T) {
 
 // TestStagingBuffersComeBackClean: whatever happens to an attempt — it
 // completes, it is failed by the injector after completing, it aborts
-// half-way through its emissions — the next task of the phase starts on a
-// zero frame whose staging buffer has no record and no count in it, and
-// every completed task's output holds exactly its own records. Run under
-// -race -count=10.
+// half-way through its emissions — its worker's next task starts on a frame
+// that is zero but for what a frame keeps: its own sinks, and a staging
+// buffer with no record and no count in it. Every completed task's output
+// holds exactly its own records. Run under -race -count=10.
 func TestStagingBuffersComeBackClean(t *testing.T) {
 	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
 	boom := errors.New("boom")
@@ -327,30 +327,34 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 		if err := job.validate(e); err != nil {
 			t.Fatal(err)
 		}
-		frames := e.newFramePool()
+		frames := e.newPhaseFrames(1)
 		outputs := make([]*MapOutput, shuffleSplits)
 		for round := 0; round < 2; round++ { // the second round reuses the first's frames
 			for s, chunk := range job.Input.Chunks {
 				out, _, err := e.attempt(job, &phaseSpec{
 					label: func(i int) string { return fmt.Sprint("map task ", i) },
-					run: func(i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
-						out, st := e.runMapTask(job, i, i, chunk, node, at, frames)
+					run: func(worker, i int, node sim.NodeID, at float64) (attemptResult, TaskStats) {
+						out, st := e.runMapTask(job, i, i, chunk, node, at, frames, worker)
 						return attemptResult{out: out}, st
 					},
-				}, s, 0, 0)
+				}, 0, s, 0, 0)
 				if (s == 2) != errors.Is(err, boom) {
 					t.Fatalf("split %d: err = %v", s, err)
 				}
 				outputs[s] = out.out
-				// Attempts run one at a time here, so they share one frame,
-				// which the aborted attempt loses.
-				if free := len(frames); free > 1 || (s == 2 && free != 0) {
-					t.Fatalf("after split %d: %d free frames", s, free)
+				// The attempts are all worker 0's, so they share its frame, which
+				// the aborted attempt loses; nobody ran as the coordinator.
+				if (frames[0] == nil) != (s == 2) || frames[frames.coordinator()] != nil {
+					t.Fatalf("after split %d: worker 0's slot holds a frame: %v, the coordinator's: %v", s, frames[0] != nil, frames[1] != nil)
 				}
-				for n := len(frames); n > 0; n-- {
-					f := <-frames
+				if f := frames[0]; f != nil {
 					buf := f.stage
-					if !reflect.DeepEqual(*f, taskFrame{stage: buf}) {
+					if f.mapSink == nil || f.shardSink == nil || f.process == nil {
+						t.Fatalf("a free frame lost its sinks: %+v", f.frameKeeps)
+					}
+					zeroed := *f
+					zeroed.frameKeeps = frameKeeps{stage: buf} // DeepEqual holds no func equal to itself
+					if !reflect.DeepEqual(zeroed, taskFrame{frameKeeps: frameKeeps{stage: buf}}) {
 						t.Fatalf("a free frame is not zero: %+v", *f)
 					}
 					if len(buf.recs) != 0 || len(buf.parts) != 0 || len(buf.touched) != 0 {
@@ -366,7 +370,6 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 							t.Fatalf("a free buffer counts %d records for partition %d", n, part)
 						}
 					}
-					frames <- f
 				}
 			}
 		}

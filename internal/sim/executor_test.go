@@ -109,12 +109,16 @@ func (ec execCase) run(t *testing.T, parallelism int) (res PhaseResult, perNode 
 			return float64((i*7+int(node)*3)%5) * 0.0015
 		}}
 	}
-	var down func(NodeID) bool
-	if ec.down != nil {
-		down = func(n NodeID) bool { return ec.down[n] }
-	}
-	res = NewCluster(cfg).SchedulePhaseLease(tasks, ec.slots, ec.lease, down)
+	res = NewCluster(cfg).SchedulePhaseLease(tasks, ec.slots, ec.lease, ec.downFn())
 	return res, perNode, runs, high.Load()
+}
+
+// downFn is the case's down nodes as the scheduler takes them.
+func (ec execCase) downFn() func(NodeID) bool {
+	if ec.down == nil {
+		return nil
+	}
+	return func(n NodeID) bool { return ec.down[n] }
 }
 
 // TestExecutorProperties holds the pool executor to the serial one over
@@ -149,6 +153,92 @@ func TestExecutorProperties(t *testing.T) {
 			}
 			if int(peak) > workers {
 				t.Fatalf("%s: %d bodies ran at once on %d workers", name, peak, workers)
+			}
+		}
+	}
+}
+
+// TestExecutorWorkerIndex holds both executors to what Phase.Run promises of
+// its worker index, over random phases: every body is told an index below
+// PhaseWorkers — 0 under the serial executor —, no two bodies ever run at
+// once under one index, and a phase run through the []Task adapter ends as
+// it does through RunPhase, bit for bit — also when a body panics or ends
+// its goroutine, and the caller gets that instead of a result.
+func TestExecutorWorkerIndex(t *testing.T) {
+	cases := int64(45)
+	if testing.Short() {
+		cases = 15
+	}
+	boom := errors.New("boom")
+	// outcome is how a phase ended: its result, or what its caller recovered.
+	type outcome struct {
+		res      PhaseResult
+		panicked any
+	}
+	end := func(phase func() PhaseResult) (o outcome) {
+		defer func() { o.panicked = recover() }()
+		o.res = phase()
+		return o
+	}
+	for seed := int64(0); seed < cases; seed++ {
+		ec := randomExecCase(seed)
+		n, down := len(ec.prefs), ec.downFn()
+		var serial outcome
+		for _, parallelism := range []int{1, 2, 4, 16} {
+			cfg := ec.cfg
+			cfg.Parallelism = parallelism
+			workers := NewCluster(cfg).PhaseWorkers(n)
+			if workers < 1 || workers > parallelism || (n > 0 && workers > n) {
+				t.Fatalf("seed %d: PhaseWorkers(%d) = %d at parallelism %d", seed, n, workers, parallelism)
+			}
+			// Two seeds in three, one body does not return.
+			failAt, fail, want := -1, func() {}, any(nil)
+			if n > 0 && seed%3 != 0 {
+				failAt, fail, want = int(seed)%n, func() { panic(boom) }, boom
+				if seed%3 == 2 && workers > 1 { // on the caller's goroutine Goexit would end the test
+					fail, want = runtime.Goexit, errBodyExited
+				}
+			}
+			duration := func(i int, node NodeID) float64 {
+				if i == failAt {
+					fail()
+				}
+				return float64((i*7+int(node)*3)%5) * 0.0015
+			}
+			inUse := make([]atomic.Bool, workers)
+			byIndex := end(func() PhaseResult {
+				return NewCluster(cfg).RunPhase(Phase{
+					Tasks:     n,
+					Preferred: func(i int) []NodeID { return ec.prefs[i] },
+					Run: func(worker, i int, node NodeID, _ float64) float64 {
+						if worker < 0 || worker >= workers || (parallelism == 1 && worker != 0) {
+							t.Errorf("seed %d, parallelism %d: task %d was told worker %d of %d", seed, parallelism, i, worker, workers)
+							return duration(i, node)
+						}
+						if !inUse[worker].CompareAndSwap(false, true) {
+							t.Errorf("seed %d, parallelism %d: task %d found another body running as worker %d", seed, parallelism, i, worker)
+						}
+						if i%3 == 0 {
+							runtime.Gosched() // let the other workers interleave
+						}
+						inUse[worker].Store(false)
+						return duration(i, node)
+					},
+				}, ec.slots, ec.lease, down)
+			})
+			tasks := make([]Task, n)
+			for i := range tasks {
+				i := i
+				tasks[i] = Task{Preferred: ec.prefs[i], Run: func(node NodeID, _ float64) float64 { return duration(i, node) }}
+			}
+			bySlice := end(func() PhaseResult { return NewCluster(cfg).SchedulePhaseLease(tasks, ec.slots, ec.lease, down) })
+			if byIndex.panicked != want || !reflect.DeepEqual(byIndex, bySlice) {
+				t.Fatalf("seed %d, parallelism %d, failing body %d (%v):\nRunPhase:           %+v\nSchedulePhaseLease: %+v", seed, parallelism, failAt, want, byIndex, bySlice)
+			}
+			if parallelism == 1 {
+				serial = byIndex
+			} else if want != errBodyExited && !reflect.DeepEqual(serial, byIndex) {
+				t.Fatalf("seed %d: %d workers ended the phase %+v, the serial executor %+v", seed, workers, byIndex, serial)
 			}
 		}
 	}

@@ -81,15 +81,21 @@ func (c *Cluster) newSlotHeapLease(slotsPerNode int, lease *Lease, down func(Nod
 // concurrent jobs granted disjoint leases never contend for the same
 // lane. A nil lease admits the whole cluster.
 func (c *Cluster) SchedulePhaseLease(tasks []Task, slotsPerNode int, lease *Lease, down func(NodeID) bool) PhaseResult {
+	return c.RunPhase(phaseOf(tasks), slotsPerNode, lease, down)
+}
+
+// RunPhase is SchedulePhaseLease over a phase given by index: the one
+// entry both executors sit behind.
+func (c *Cluster) RunPhase(ph Phase, slotsPerNode int, lease *Lease, down func(NodeID) bool) PhaseResult {
 	if slotsPerNode <= 0 {
 		slotsPerNode = 1
 	}
-	if len(tasks) == 0 {
+	if ph.Tasks == 0 {
 		return PhaseResult{}
 	}
 	h := c.newSlotHeapLease(slotsPerNode, lease, down)
-	if w := c.Workers(); w > 1 && len(tasks) > 1 {
-		return c.schedulePhaseParallel(tasks, w, h)
+	if w := c.PhaseWorkers(ph.Tasks); w > 1 {
+		return c.schedulePhaseParallel(ph, w, h)
 	}
-	return c.schedulePhaseSerial(tasks, h)
+	return c.schedulePhaseSerial(ph, h)
 }

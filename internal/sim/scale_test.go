@@ -72,7 +72,7 @@ func buildReplicatedTasks(n, nodes int) []Task {
 // must not retain entries in proportion to the task count.
 func TestPickerCompactsDeadEntries(t *testing.T) {
 	const n, nodes, maxRetained = 10_000, 100, 128
-	p := newTaskPicker(buildReplicatedTasks(n, nodes), nodes)
+	p := newTaskPicker(phaseOf(buildReplicatedTasks(n, nodes)), nodes)
 	// Drain round-robin across all nodes, like slots freeing cluster-wide;
 	// the hot queues go stale as other nodes steal their tasks.
 	for left := n; left > 0; {
@@ -150,7 +150,7 @@ func TestTaskPickerAllocs(t *testing.T) {
 				}
 			}
 		}
-		p := newTaskPicker(tasks, nodes)
+		p := newTaskPicker(phaseOf(tasks), nodes)
 		for n := range want {
 			if !reflect.DeepEqual(append([]int32(nil), p.byNode[n]...), want[n]) {
 				t.Fatalf("%d tasks: node %d queue = %v, want %v", len(tasks), n, p.byNode[n], want[n])
@@ -160,8 +160,9 @@ func TestTaskPickerAllocs(t *testing.T) {
 			}
 		}
 	}
-	atSmall := testing.AllocsPerRun(5, func() { newTaskPicker(small, nodes) })
-	atLarge := testing.AllocsPerRun(5, func() { newTaskPicker(large, nodes) })
+	smallPhase, largePhase := phaseOf(small), phaseOf(large)
+	atSmall := testing.AllocsPerRun(5, func() { newTaskPicker(smallPhase, nodes) })
+	atLarge := testing.AllocsPerRun(5, func() { newTaskPicker(largePhase, nodes) })
 	if atSmall != atLarge || atLarge > 6 {
 		t.Errorf("newTaskPicker allocates %.0f times for 1,000 tasks and %.0f for 100,000; want the same, at most 6", atSmall, atLarge)
 	}

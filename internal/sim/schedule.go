@@ -5,26 +5,52 @@ import (
 	"slices"
 )
 
-// Task is one schedulable unit of work (a map or reduce task). The
-// scheduler picks a node; the Run callback then executes the task "on"
-// that node and reports its virtual duration, which may depend on the
-// placement (local vs remote input, local vs remote index partitions).
-type Task struct {
-	// Preferred lists nodes where this task would run with locality (input
+// Phase is a phase as the executors consume it: Tasks schedulable units of
+// work (map or reduce tasks) told apart by index, not a value — and a
+// closure — each. The scheduler picks a node for task i; Run then executes
+// it "on" that node and reports its virtual duration, which may depend on
+// the placement (local vs remote input, local vs remote index partitions).
+type Phase struct {
+	Tasks int
+	// Preferred lists the nodes where task i would run with locality (input
 	// chunk replicas for data locality, index partition hosts for the
-	// index-locality strategy). Empty means no preference.
-	Preferred []NodeID
-	// Run executes the task on the chosen node and returns its virtual
+	// index-locality strategy); empty means no preference. The scheduler
+	// asks more than once per task and only reads the list, so it must be
+	// the same every time and may be shared between tasks.
+	Preferred func(i int) []NodeID
+	// Run executes task i on the chosen node and returns its virtual
 	// duration in seconds. start is the task's virtual start time within
 	// the phase, known at placement; task bodies use it to locate
 	// themselves on the job's virtual clock (index outage windows open
-	// and close against that clock). Run is called exactly once. Under
-	// the parallel executor, Run bodies for different nodes execute
+	// and close against that clock). Run is called exactly once per task.
+	// Under the parallel executor, bodies for different nodes execute
 	// concurrently; bodies for the same node always execute one at a
 	// time, in the order the scheduler placed them, so per-node shared
 	// state (the paper's per-machine lookup caches) sees the same access
 	// sequence as the serial executor.
-	Run func(node NodeID, start float64) float64
+	//
+	// worker is the index of the worker running the body, in
+	// [0, PhaseWorkers(Tasks)) and 0 under the serial executor. At most one
+	// body runs under one index at a time, so scratch kept per index needs
+	// no lock; which index a task is told differs from run to run.
+	Run func(worker, i int, node NodeID, start float64) float64
+}
+
+// Task is one task of a phase given as a slice, which SchedulePhase and
+// SchedulePhaseLease adapt onto Phase: Run is the adapter's form of
+// Phase.Run, with the same guarantees and not told its worker.
+type Task struct {
+	Preferred []NodeID
+	Run       func(node NodeID, start float64) float64
+}
+
+// phaseOf adapts a task slice onto the form the executors consume.
+func phaseOf(tasks []Task) Phase {
+	return Phase{
+		Tasks:     len(tasks),
+		Preferred: func(i int) []NodeID { return tasks[i].Preferred },
+		Run:       func(_, i int, node NodeID, start float64) float64 { return tasks[i].Run(node, start) },
+	}
 }
 
 // Assignment records where and when a task ran. Fields are ordered and
@@ -151,7 +177,7 @@ func (h slotHeap) init() {
 // preferred nodes; a scan consumes what it passes, dead entries included,
 // so replicated preferences at 10k nodes never turn pick into a crawl.
 type taskPicker struct {
-	tasks   []Task
+	prefs   func(i int) []NodeID
 	pending []bool
 	byNode  [][]int32 // per-node FIFO of preferring task indices
 	next    int       // cursor for non-local pickup, in task order
@@ -161,18 +187,18 @@ type taskPicker struct {
 // newTaskPicker lays the queues out by count → prefix → fill, each window
 // capped at its queue's length, so set-up is a fixed number of allocations
 // whatever the task count.
-func newTaskPicker(tasks []Task, nodes int) *taskPicker {
+func newTaskPicker(ph Phase, nodes int) *taskPicker {
 	p := &taskPicker{
-		tasks:   tasks,
-		pending: make([]bool, len(tasks)),
+		prefs:   ph.Preferred,
+		pending: make([]bool, ph.Tasks),
 		byNode:  make([][]int32, nodes),
-		left:    len(tasks),
+		left:    ph.Tasks,
 	}
 	prefers := func(n NodeID) bool { return n >= 0 && int(n) < nodes }
 	counts, total := make([]int, nodes), 0
-	for i, t := range tasks {
+	for i := range p.pending {
 		p.pending[i] = true
-		for _, n := range t.Preferred {
+		for _, n := range p.prefs(i) {
 			if prefers(n) {
 				counts[n]++
 				total++
@@ -183,8 +209,8 @@ func newTaskPicker(tasks []Task, nodes int) *taskPicker {
 	for n, c := range counts {
 		p.byNode[n], flat = flat[:0:c], flat[c:]
 	}
-	for i, t := range tasks {
-		for _, n := range t.Preferred {
+	for i := range p.pending {
+		for _, n := range p.prefs(i) {
 			if prefers(n) {
 				p.byNode[n] = append(p.byNode[n], int32(i))
 			}
@@ -209,14 +235,14 @@ func (p *taskPicker) pick(node NodeID) (ti int, local bool) {
 	}
 	p.byNode[node] = q
 	if ti < 0 {
-		for p.next < len(p.tasks) && !p.pending[p.next] {
+		for p.next < len(p.pending) && !p.pending[p.next] {
 			p.next++
 		}
-		if p.next >= len(p.tasks) {
+		if p.next >= len(p.pending) {
 			return -1, false
 		}
 		ti = p.next
-		local = ContainsNode(p.tasks[ti].Preferred, node)
+		local = ContainsNode(p.prefs(ti), node)
 	}
 	p.pending[ti] = false
 	p.left--
@@ -257,20 +283,17 @@ func (r *PhaseResult) finish() {
 
 // schedulePhaseSerial executes every task body inline in the event loop.
 // h is the initial slot heap (full cluster or a job's lease).
-func (c *Cluster) schedulePhaseSerial(tasks []Task, h slotHeap) PhaseResult {
+func (c *Cluster) schedulePhaseSerial(ph Phase, h slotHeap) PhaseResult {
 	res := PhaseResult{}
-	if len(tasks) == 0 {
-		return res
-	}
-	picker := newTaskPicker(tasks, c.cfg.Nodes)
+	picker := newTaskPicker(ph, c.cfg.Nodes)
 	totalSlots := len(h)
-	res.Waves = (len(tasks) + totalSlots - 1) / totalSlots
-	res.Assignments = make([]Assignment, 0, len(tasks))
+	res.Waves = (ph.Tasks + totalSlots - 1) / totalSlots
+	res.Assignments = make([]Assignment, 0, ph.Tasks)
 
-	for scheduled := 0; scheduled < len(tasks); scheduled++ {
+	for scheduled := 0; scheduled < ph.Tasks; scheduled++ {
 		s := h.pop()
 		ti, local := picker.pick(NodeID(s.node))
-		dur := (c.cfg.TaskStartup + tasks[ti].Run(NodeID(s.node), s.free)) / c.cfg.SpeedOf(NodeID(s.node))
+		dur := (c.cfg.TaskStartup + ph.Run(0, ti, NodeID(s.node), s.free)) / c.cfg.SpeedOf(NodeID(s.node))
 		res.Assignments = append(res.Assignments, Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Duration: dur, Local: local})
 		h.push(slot{node: s.node, idx: s.idx, free: s.free + dur})
 	}

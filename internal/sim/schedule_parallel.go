@@ -39,7 +39,7 @@ import (
 // The dispatch loop asks for the minimum once per placement: O(log inflight).
 type lbHeap struct {
 	h       slotHeap
-	retired []bool // indexed by seq; seq < len(tasks) always
+	retired []bool // indexed by seq; seq < ph.Tasks always
 }
 
 // min returns the earliest possible end time of any in-flight task, or
@@ -77,7 +77,7 @@ type parNode struct {
 // handed back, a collected one to the coordinator.
 type workerPool struct {
 	c      *Cluster
-	tasks  []Task
+	run    func(worker, i int, node NodeID, start float64) float64
 	placed []Assignment
 	next   []int32
 	nodes  []parNode
@@ -99,19 +99,19 @@ type workerPool struct {
 
 var errBodyExited = errors.New("sim: a task body exited its goroutine (runtime.Goexit, t.FailNow) instead of returning")
 
-func (c *Cluster) newWorkerPool(tasks []Task, placed []Assignment, workers int) *workerPool {
+func (c *Cluster) newWorkerPool(ph Phase, placed []Assignment, workers int) *workerPool {
 	p := &workerPool{
-		c: c, tasks: tasks, placed: placed, workers: workers, live: workers,
-		next: make([]int32, len(tasks)), nodes: make([]parNode, c.cfg.Nodes),
-		ready: make([]int32, 0, min(len(tasks), c.cfg.Nodes)), // a node is listed at most once
+		c: c, run: ph.Run, placed: placed, workers: workers, live: workers,
+		next: make([]int32, ph.Tasks), nodes: make([]parNode, c.cfg.Nodes),
+		ready: make([]int32, 0, min(ph.Tasks, c.cfg.Nodes)), // a node is listed at most once
 		fin:   none, failSeq: none,
 	}
 	p.work.L, p.done.L = &p.mu, &p.mu
 	for n := range p.nodes {
 		p.nodes[n].head = none
 	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
+	for w := 0; w < workers; w++ {
+		go p.worker(w)
 	}
 	return p
 }
@@ -120,8 +120,9 @@ func (c *Cluster) newWorkerPool(tasks []Task, placed []Assignment, workers int) 
 // a body does not return: it panicked, or it ended the goroutine, which
 // leaves seq on its placement. Either is caught here — once per worker, not
 // per task — and recorded against the pool, which it closes: no worker
-// claims again.
-func (p *workerPool) worker() {
+// claims again. w is the index its bodies are told: a worker runs one body
+// at a time, so no two run under one index.
+func (p *workerPool) worker(w int) {
 	seq := none // the placement being run
 	defer func() {
 		v := recover()
@@ -144,7 +145,7 @@ func (p *workerPool) worker() {
 	for head := p.turn(none); head != none; head = p.turn(head) {
 		for seq = head; seq != none; seq = p.next[seq] {
 			a := &p.placed[seq]
-			a.Duration = (cfg.TaskStartup + p.tasks[a.Task].Run(a.Node, a.Start)) / cfg.SpeedOf(a.Node)
+			a.Duration = (cfg.TaskStartup + p.run(w, a.Task, a.Node, a.Start)) / cfg.SpeedOf(a.Node)
 		}
 	}
 }
@@ -224,31 +225,31 @@ func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 	return fin, p.failSeq == none
 }
 
-// schedulePhaseParallel executes task bodies on a pool of up to `workers`
-// goroutines, keeping results bit-identical to schedulePhaseSerial — a
-// body's panic included: it is re-raised here, on the caller's goroutine,
-// once the pool is down.
-func (c *Cluster) schedulePhaseParallel(tasks []Task, workers int, h slotHeap) PhaseResult {
+// schedulePhaseParallel executes task bodies on a pool of `workers`
+// goroutines (PhaseWorkers of the phase), keeping results bit-identical to
+// schedulePhaseSerial — a body's panic included: it is re-raised here, on
+// the caller's goroutine, once the pool is down.
+func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) PhaseResult {
 	res := PhaseResult{}
-	picker := newTaskPicker(tasks, c.cfg.Nodes)
+	picker := newTaskPicker(ph, c.cfg.Nodes)
 	totalSlots := len(h)
-	res.Waves = (len(tasks) + totalSlots - 1) / totalSlots
+	res.Waves = (ph.Tasks + totalSlots - 1) / totalSlots
 	// Indexed by dispatch sequence number until the phase is over: the pool
 	// runs placements straight out of the result.
-	res.Assignments = make([]Assignment, len(tasks))
-	pool := c.newWorkerPool(tasks, res.Assignments, min(workers, len(tasks), c.cfg.Nodes))
+	res.Assignments = make([]Assignment, ph.Tasks)
+	pool := c.newWorkerPool(ph, res.Assignments, workers)
 
 	// At most one task per slot is in flight; entries retired below the top
 	// linger, which is what append is for.
-	infl := lbHeap{h: make(slotHeap, 0, min(len(tasks), totalSlots)), retired: make([]bool, len(tasks))}
+	infl := lbHeap{h: make(slotHeap, 0, min(ph.Tasks, totalSlots)), retired: make([]bool, ph.Tasks)}
 	seq, completed := int32(0), 0
-	for completed < len(tasks) {
+	for completed < ph.Tasks {
 		// Place every task the virtual clock has already decided: the
 		// earliest idle slot strictly precedes any possible in-flight
 		// completion, so it is exactly the slot the serial executor pops
 		// next.
 		from := seq
-		for int(seq) < len(tasks) && h.Len() > 0 && h[0].free < infl.min() {
+		for int(seq) < ph.Tasks && h.Len() > 0 && h[0].free < infl.min() {
 			s := h.pop()
 			ti, local := picker.pick(NodeID(s.node))
 			res.Assignments[seq] = Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Local: local}

@@ -150,14 +150,16 @@ func (c *Cluster) MapSlots() int { return c.cfg.Nodes * c.cfg.MapSlotsPerNode }
 // ReduceSlots returns the total number of reduce slots across the cluster.
 func (c *Cluster) ReduceSlots() int { return c.cfg.Nodes * c.cfg.ReduceSlotsPerNode }
 
-// Workers returns the number of goroutines the parallel executor may run
-// task bodies on: Config.Parallelism, defaulting to runtime.GOMAXPROCS(0)
-// when unset.
-func (c *Cluster) Workers() int {
-	if c.cfg.Parallelism > 0 {
-		return c.cfg.Parallelism
+// PhaseWorkers returns the number of workers a phase of the given task
+// count runs its bodies on — the bound on Phase.Run's worker index:
+// Config.Parallelism, runtime.GOMAXPROCS(0) when unset, and no more than
+// the phase has tasks or the cluster nodes. 1 is the serial executor.
+func (c *Cluster) PhaseWorkers(tasks int) int {
+	w := c.cfg.Parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return max(1, min(w, tasks, c.cfg.Nodes))
 }
 
 // NetTime returns the virtual seconds to move n bytes across the network
