@@ -261,7 +261,7 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 			start = freeAt
 		}
 		rollback := e.guardAttempt(job, node)
-		r, st, err := e.attempt(job, p, p.backupOn, i, node, base+start)
+		r, st, err := e.attempt(job, p, p.workers, i, node, base+start)
 		if rollback != nil {
 			rollback() // a backup's cache pollution never commits, win or lose
 		}

@@ -178,7 +178,7 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 			return attemptResult{out: out}, st
 		},
 		install:     func(i int, _ sim.NodeID, r attemptResult) { res.Outputs[i] = r.out },
-		backupOn:    frames.coordinator(),
+		workers:     frames.coordinator(),
 		traceFailed: true,
 		stats:       res.Stats,
 		counters:    res.Counters,
@@ -234,7 +234,9 @@ type frameKeeps struct {
 type phaseFrames []*taskFrame
 
 // newPhaseFrames sizes the slots for a phase of the given task count; a
-// crash's recovery wave, never of more tasks, runs on the same ones.
+// crash's recovery wave, never of more tasks, runs on the same ones. This is
+// the phase's one reading of the worker count: the scheduler is capped at it
+// (phaseSpec.workers), so no index passes the slots.
 func (e *Engine) newPhaseFrames(tasks int) phaseFrames {
 	return make(phaseFrames, e.Cluster.PhaseWorkers(tasks)+1)
 }
@@ -529,7 +531,7 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 		install: func(i int, node sim.NodeID, r attemptResult) {
 			sub.Shards[i], sub.Homes[i] = r.shard, node
 		},
-		backupOn: frames.coordinator(),
+		workers:  frames.coordinator(),
 		stats:    sub.Stats,
 		counters: sub.Counters,
 		phase:    &sub.Phase,

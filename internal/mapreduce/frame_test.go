@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -238,6 +239,42 @@ func TestFrameHygiene(t *testing.T) {
 					t.Fatalf("parallelism %d: the job's output lacks %v", parallelism, rec)
 				}
 			}
+		}
+	}
+}
+
+// raiseProcs is an arbiter that grants the whole cluster and raises
+// GOMAXPROCS while doing so: between the engine sizing a phase's frames and
+// the scheduler sizing its pool.
+type raiseProcs struct{ to int }
+
+func (a raiseProcs) BeginPhase(_ TaskKind, _ int, ready float64) PhaseGrant {
+	runtime.GOMAXPROCS(a.to)
+	return PhaseGrant{Start: ready}
+}
+func (raiseProcs) EndPhase(TaskKind, *sim.Lease, float64, float64) {}
+
+// TestFramesOutliveARaisedGOMAXPROCS: with Parallelism unset the worker count
+// follows GOMAXPROCS, which the engine reads once per phase — the pool is
+// capped at the count the frames were sized for, so a worker index never
+// reaches the coordinator's slot or passes the last one.
+func TestFramesOutliveARaisedGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
+	_, e := parEnv(t, 0)
+	job := c.job(shuffleInput(t, e.FS, "in"))
+	want, err := e.Run(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, to := range []int{2, 8} {
+		runtime.GOMAXPROCS(1)
+		got, err := e.NewServiceRun(RunConfig{Arbiter: raiseProcs{to}}).Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Output.All(), want.Output.All()) || !reflect.DeepEqual(got.Counters, want.Counters) || got.VTime != want.VTime {
+			t.Fatalf("GOMAXPROCS raised to %d mid-phase: the job ended differently", to)
 		}
 	}
 }

@@ -28,9 +28,10 @@ type phaseSpec struct {
 	// attempt's result as the task's.
 	run     func(worker, i int, node sim.NodeID, absStart float64) (attemptResult, TaskStats)
 	install func(i int, node sim.NodeID, r attemptResult)
-	// backupOn is the worker speculative backups run as, after the
-	// scheduler's own are gone: the coordinator's frame.
-	backupOn int
+	// workers bounds the index the scheduler's workers run tasks under
+	// (sim.Phase.Workers: the frames were sized for it); speculative backups,
+	// run once those are gone, go by workers itself: the coordinator's frame.
+	workers int
 	// traceFailed emits a failed phase to the trace when the job runs
 	// under a chaos plan (the map side, whose partial result is resumed).
 	traceFailed bool
@@ -79,31 +80,23 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	return err
 }
 
-// foldCounters adds the tasks' counter sets into dst, writing the map once
-// per name, not once per counter per task. A phase's tasks mostly list the
-// same names in the same order, so a counter is first looked for where the
-// sets before it had theirs, and through the name table otherwise. The sums
-// are integers: dst ends as it does merging set by set.
+// foldCounters adds the tasks' counter sets into dst through one name → slot
+// table, writing the map once per name, not once per counter per task. The
+// sums are integers: dst ends as it does merging set by set.
 func foldCounters(dst map[string]int64, stats []TaskStats) {
-	var (
-		names []string
-		sums  []int64
-		slot  = map[string]int{}
-	)
+	var sums []int64
+	slot := map[string]int{}
 	for _, st := range stats {
-		for k, c := range st.Counters {
-			i := k
-			if k >= len(names) || names[k] != c.Name {
-				var ok bool
-				if i, ok = slot[c.Name]; !ok {
-					i = len(names)
-					slot[c.Name], names, sums = i, append(names, c.Name), append(sums, 0)
-				}
+		for _, c := range st.Counters {
+			i, ok := slot[c.Name]
+			if !ok {
+				i = len(sums)
+				slot[c.Name], sums = i, append(sums, 0)
 			}
 			sums[i] += c.Value
 		}
 	}
-	for i, name := range names {
+	for name, i := range slot {
 		dst[name] += sums[i]
 	}
 }
@@ -124,7 +117,7 @@ type wave struct {
 }
 
 func (w *wave) schedule(n int, lease *sim.Lease, down func(sim.NodeID) bool) sim.PhaseResult {
-	return w.e.Cluster.RunPhase(sim.Phase{Tasks: n, Preferred: w.preferred, Run: w.run}, w.p.slots, lease, down)
+	return w.e.Cluster.RunPhase(sim.Phase{Tasks: n, Workers: w.p.workers, Preferred: w.preferred, Run: w.run}, w.p.slots, lease, down)
 }
 
 // orig returns the phase's number of the wave's task j.

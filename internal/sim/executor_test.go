@@ -160,8 +160,9 @@ func TestExecutorProperties(t *testing.T) {
 
 // TestExecutorWorkerIndex holds both executors to what Phase.Run promises of
 // its worker index, over random phases: every body is told an index below
-// PhaseWorkers — 0 under the serial executor —, no two bodies ever run at
-// once under one index, and a phase run through the []Task adapter ends as
+// PhaseWorkers and below the phase's own cap — 0 under the serial executor,
+// a cap of 1 included —, no two bodies ever run at once under one index, and
+// a phase run through the []Task adapter, which sets no cap, ends as
 // it does through RunPhase, bit for bit — also when a body panics or ends
 // its goroutine, and the caller gets that instead of a result.
 func TestExecutorWorkerIndex(t *testing.T) {
@@ -191,6 +192,11 @@ func TestExecutorWorkerIndex(t *testing.T) {
 			if workers < 1 || workers > parallelism || (n > 0 && workers > n) {
 				t.Fatalf("seed %d: PhaseWorkers(%d) = %d at parallelism %d", seed, n, workers, parallelism)
 			}
+			// Three phases in four cap their workers (Phase.Workers) at 1 to 3.
+			limit := (int(seed) + parallelism) % 4
+			if limit > 0 {
+				workers = min(workers, limit)
+			}
 			// Two seeds in three, one body does not return.
 			failAt, fail, want := -1, func() {}, any(nil)
 			if n > 0 && seed%3 != 0 {
@@ -209,9 +215,10 @@ func TestExecutorWorkerIndex(t *testing.T) {
 			byIndex := end(func() PhaseResult {
 				return NewCluster(cfg).RunPhase(Phase{
 					Tasks:     n,
+					Workers:   limit,
 					Preferred: func(i int) []NodeID { return ec.prefs[i] },
 					Run: func(worker, i int, node NodeID, _ float64) float64 {
-						if worker < 0 || worker >= workers || (parallelism == 1 && worker != 0) {
+						if worker < 0 || worker >= workers {
 							t.Errorf("seed %d, parallelism %d: task %d was told worker %d of %d", seed, parallelism, i, worker, workers)
 							return duration(i, node)
 						}
@@ -255,16 +262,17 @@ func TestExecutorWorkerIndex(t *testing.T) {
 func TestPanicReachesCaller(t *testing.T) {
 	boom := errors.New("boom")
 	for _, tc := range []struct {
-		parallelism int
-		fail        func()
-		want        any
+		parallelism, nodes int
+		fail               func()
+		want               any
 	}{
-		{1, func() { panic(boom) }, boom},
-		{4, func() { panic(boom) }, boom},
-		{4, runtime.Goexit, errBodyExited},
+		{1, 6, func() { panic(boom) }, boom},
+		{4, 6, func() { panic(boom) }, boom},
+		{4, 6, runtime.Goexit, errBodyExited},
+		{4, 1, func() { panic(boom) }, boom}, // one node, one worker: the serial executor
 	} {
 		cfg := DefaultConfig()
-		cfg.Nodes = 6
+		cfg.Nodes = tc.nodes
 		cfg.Parallelism = tc.parallelism
 		const n = 60
 		runs := make([]int32, n)
@@ -294,6 +302,25 @@ func TestPanicReachesCaller(t *testing.T) {
 			}
 		}
 		waitForGoroutines(t, baseline)
+	}
+
+	// One worker runs the bodies on the caller's goroutine: a Goexit in one
+	// ends the caller as it would from a plain call — no result, no panic.
+	cfg := DefaultConfig()
+	cfg.Nodes, cfg.Parallelism = 1, 4
+	returned, ended := false, make(chan struct{})
+	go func() {
+		defer close(ended)
+		defer func() { returned = returned || recover() != nil }()
+		NewCluster(cfg).SchedulePhase([]Task{
+			{Run: func(NodeID, float64) float64 { return 1 }},
+			{Run: func(NodeID, float64) float64 { runtime.Goexit(); return 1 }},
+		}, 2)
+		returned = true
+	}()
+	<-ended
+	if returned {
+		t.Fatal("one node: SchedulePhase came back, or panicked, from a body that ended its goroutine")
 	}
 }
 

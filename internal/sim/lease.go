@@ -85,7 +85,11 @@ func (c *Cluster) SchedulePhaseLease(tasks []Task, slotsPerNode int, lease *Leas
 }
 
 // RunPhase is SchedulePhaseLease over a phase given by index: the one
-// entry both executors sit behind.
+// entry both executors sit behind. A phase of one worker — Parallelism 1,
+// one task, a one-node cluster, Phase.Workers 1 — runs its bodies on the
+// caller's goroutine: a body's panic passes through as it is, and one that
+// ends its goroutine (runtime.Goexit, t.FailNow) ends the caller's, where
+// the pool fails the phase with errBodyExited.
 func (c *Cluster) RunPhase(ph Phase, slotsPerNode int, lease *Lease, down func(NodeID) bool) PhaseResult {
 	if slotsPerNode <= 0 {
 		slotsPerNode = 1
@@ -94,7 +98,11 @@ func (c *Cluster) RunPhase(ph Phase, slotsPerNode int, lease *Lease, down func(N
 		return PhaseResult{}
 	}
 	h := c.newSlotHeapLease(slotsPerNode, lease, down)
-	if w := c.PhaseWorkers(ph.Tasks); w > 1 {
+	w := c.PhaseWorkers(ph.Tasks)
+	if ph.Workers > 0 {
+		w = min(w, ph.Workers)
+	}
+	if w > 1 {
 		return c.schedulePhaseParallel(ph, w, h)
 	}
 	return c.schedulePhaseSerial(ph, h)

@@ -12,6 +12,11 @@ import (
 // the placement (local vs remote input, local vs remote index partitions).
 type Phase struct {
 	Tasks int
+	// Workers, when positive, caps the workers the phase runs on. A caller
+	// that sized scratch per worker index from PhaseWorkers passes the count
+	// it read, so Run's indexes stay below it whatever the executor reads
+	// (GOMAXPROCS may have been raised in between).
+	Workers int
 	// Preferred lists the nodes where task i would run with locality (input
 	// chunk replicas for data locality, index partition hosts for the
 	// index-locality strategy); empty means no preference. The scheduler
@@ -30,9 +35,10 @@ type Phase struct {
 	// sequence as the serial executor.
 	//
 	// worker is the index of the worker running the body, in
-	// [0, PhaseWorkers(Tasks)) and 0 under the serial executor. At most one
-	// body runs under one index at a time, so scratch kept per index needs
-	// no lock; which index a task is told differs from run to run.
+	// [0, PhaseWorkers(Tasks)) — and below Workers, when that is set —, 0
+	// under the serial executor. At most one body runs under one index at a
+	// time, so scratch kept per index needs no lock; which index a task is
+	// told differs from run to run.
 	Run func(worker, i int, node NodeID, start float64) float64
 }
 
