@@ -12,7 +12,6 @@
 //	efind-bench -quick             # run everything at quick (test) scale
 //	efind-bench -fig 11a           # run one experiment
 //	efind-bench -fig 11f,12        # run several
-//	efind-bench -batch             # batched multi-get vs per-key lookups
 //	efind-bench -list              # list experiment IDs
 //	efind-bench -chaos seed=7      # chaos ablation under fault schedule 7
 //
@@ -61,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		fig        = fs.String("fig", "", "comma-separated experiment IDs to run (default: all)")
 		quick      = fs.Bool("quick", false, "use the quick (test) scale instead of full scale")
-		batch      = fs.Bool("batch", false, "run the batched multi-get vs per-key lookup comparison (Fig. 11(f) sweep)")
 		list       = fs.Bool("list", false, "list experiment IDs and exit")
 		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in Perfetto)")
 		profileOut = fs.String("profile", "", "write the machine-readable job profile (BENCH JSON) to this file")
@@ -79,10 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "efind-bench: "+format+"\n", a...)
 		return code
 	}
-	switch {
-	case *batch && *fig != "":
-		return fail(2, "-batch runs the batchcmp experiment alone; with -fig, name it there (-fig %s,batchcmp)", *fig)
-	case *chaosSeed != "" && *gate != "":
+	if *chaosSeed != "" && *gate != "" {
 		return fail(2, "-gate compares against a baseline recorded under the default fault seed; drop -chaos or -gate")
 	}
 
@@ -112,9 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	todo := experiments.All()
-	if *batch {
-		*fig = "batchcmp"
-	}
 	if *fig != "" {
 		todo = nil
 		for _, id := range strings.Split(*fig, ",") {

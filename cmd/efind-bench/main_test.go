@@ -39,7 +39,7 @@ func TestListEqualsRegistry(t *testing.T) {
 	}
 }
 
-// TestFlagSet pins the command's options: the one-clock harness has nine,
+// TestFlagSet pins the command's options: the one-clock harness has eight,
 // none of them a tolerance or a second source of constants.
 func TestFlagSet(t *testing.T) {
 	code, _, usage := bench(t, "-h")
@@ -49,7 +49,7 @@ func TestFlagSet(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if got, want := strings.Join(flags, " "), "-batch -chaos -fig -gate -label -list -profile -quick -trace"; code != 0 || got != want {
+	if got, want := strings.Join(flags, " "), "-chaos -fig -gate -label -list -profile -quick -trace"; code != 0 || got != want {
 		t.Fatalf("-h: exit %d, flags %s; want %s", code, got, want)
 	}
 }
@@ -65,7 +65,7 @@ func TestRejectedFlags(t *testing.T) {
 	}{
 		{"-quick -fig 12,fig99", 1, `unknown experiment "fig99"`},
 		{"-chaos seven", 1, `invalid -chaos value "seven"`},
-		{"-quick -batch -fig 12", 2, "-batch runs the batchcmp experiment alone"},
+		{"-quick -batch", 2, "flag provided but not defined: -batch"},
 		{"-quick -chaos seed=7 -gate " + fig12Golden, 2, "drop -chaos or -gate"},
 		{"-quick -fig 12 -gate-tol 0.1", 2, "flag provided but not defined: -gate-tol"},
 	} {

@@ -102,7 +102,7 @@ type (
 	BatchAccessor = index.BatchAccessor
 	// PartitionScheme describes a distributed index's partitioning.
 	PartitionScheme = index.Scheme
-	// IndexClient wraps an Accessor with the runtime's access pipeline
+	// IndexClient wraps an Accessor with the runtime's index access path
 	// (cache, error policy, retry, cost accounting, batching).
 	IndexClient = ixclient.Client
 	// IndexClientOptions configures an IndexClient.
@@ -110,7 +110,7 @@ type (
 	// ErrorPolicy decides what an index error does to a running job.
 	ErrorPolicy = ixclient.ErrorPolicy
 	// RetryPolicy configures transient-error retries and the lookup
-	// deadline of the access pipeline.
+	// deadline of the index access path.
 	RetryPolicy = ixclient.RetryPolicy
 	// IndexError reports a failed index access under ErrorFailJob, naming
 	// the operator, index, and lookup key.
@@ -150,11 +150,11 @@ const (
 )
 
 // ErrTransient marks an index error as retryable; accessors wrap it to
-// opt into the pipeline's retry middleware.
+// opt into the index client's retry ladder.
 var ErrTransient = index.ErrTransient
 
 // NewIndexClient wraps an Accessor with the runtime's index access
-// pipeline, for use outside of jobs (tools, generators, tests). Inside a
+// path, for use outside of jobs (tools, generators, tests). Inside a
 // job the runtime builds the clients itself from IndexJobConf.
 func NewIndexClient(acc Accessor, opts IndexClientOptions) *IndexClient {
 	return ixclient.New(acc, opts)

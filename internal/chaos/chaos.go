@@ -10,7 +10,7 @@
 // The package is deliberately passive: it answers questions ("is node 3
 // down at t=1.2?", "is partition 7 of index kv reachable now?", "how
 // long should attempt 4 back off?") and owns the counter names; the
-// mapreduce engine, the ixclient availability middleware, and the core
+// mapreduce engine, the ixclient availability check, and the core
 // runtime's failure-triggered re-optimization do the acting.
 package chaos
 
@@ -52,7 +52,7 @@ const (
 
 // ErrUnavailable marks an index access that failed because every replica
 // of the key's partition is inside an outage window. It wraps
-// index.ErrTransient so the retry middleware backs off and re-attempts
+// index.ErrTransient so the ixclient retry ladder backs off and re-attempts
 // (the outage may end within the backoff budget); when retries are
 // exhausted it surfaces to the core runtime, which degrades the
 // operator's strategy before giving up.
@@ -283,7 +283,7 @@ func (p *Plan) SlowFactor(phaseSeq, task int) float64 {
 }
 
 // Backoff is the deterministic capped-exponential backoff policy shared
-// by the ixclient retry middleware: attempt k (0-based) waits
+// by the ixclient retry ladder: attempt k (0-based) waits
 // min(Base·Factor^k, Cap) scaled by a seeded jitter in [1-Jitter,
 // 1+Jitter]. The jitter is a pure function of (seed, token, attempt), so
 // two tasks backing off against the same recovering partition desynchronize

@@ -155,7 +155,7 @@ func TestBackoffCapJitterDeterminism(t *testing.T) {
 }
 
 func TestErrUnavailableIsTransient(t *testing.T) {
-	// The retry middleware only re-attempts transient errors; an outage
+	// The retry ladder only re-attempts transient errors; an outage
 	// must be one so the backoff ladder can poll for the window's end.
 	if !errors.Is(ErrUnavailable, index.ErrTransient) {
 		t.Fatalf("ErrUnavailable must wrap index.ErrTransient")

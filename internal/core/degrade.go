@@ -2,7 +2,7 @@ package core
 
 // Failure-triggered re-optimization: the degradation ladder for index
 // partition outages. An access whose partition is inside an outage window
-// fails with chaos.ErrUnavailable; the ixclient retry middleware backs off
+// fails with chaos.ErrUnavailable; the ixclient retry ladder backs off
 // and polls, and only when the ladder is exhausted does the error climb
 // here (under ErrorFailJob). Instead of failing the job, the submission
 // demotes the affected index to the always-applicable baseline strategy

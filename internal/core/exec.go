@@ -136,7 +136,7 @@ type IndexJobConf struct {
 	// Chaos subjects the job to a deterministic failure schedule: node
 	// crash/recovery windows and injected stragglers are enforced by the
 	// MapReduce engine, index partition outages by the index clients'
-	// availability middleware. Nil (the default) runs fault-free.
+	// availability check. Nil (the default) runs fault-free.
 	Chaos *chaos.Plan
 	// FaultInjector forwards to mapreduce.Job.FaultInjector on every job
 	// the plan compiles into: returning true fails that task attempt and

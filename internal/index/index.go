@@ -59,16 +59,6 @@ type BatchAccessor interface {
 	BatchLookup(keys []string) ([][]string, error)
 }
 
-// Prober is implemented by indices that can answer "is this key present,
-// and how large is its result?" without materializing values — on a
-// file-backed index this reads only the fixed-size slot section of the
-// snapshot (index-only filtering), never the value pages. Filters that
-// only need presence use it to skip the data-section read entirely.
-type Prober interface {
-	Accessor
-	Probe(key string) (found bool, valueBytes int, err error)
-}
-
 // BuildEntry is one index entry extracted from a scanned record by a
 // buildable index (key → value, like a Put).
 type BuildEntry struct {
@@ -125,7 +115,7 @@ type Buildable interface {
 
 // ErrTransient marks an index error as retryable: accessors wrap it
 // (fmt.Errorf("...: %w", index.ErrTransient)) to tell the client's retry
-// middleware that re-attempting the lookup could succeed. Errors not
+// ladder that re-attempting the lookup could succeed. Errors not
 // marked transient fail fast — a deterministic logic error would fail
 // identically on every attempt.
 var ErrTransient = errors.New("transient index error")

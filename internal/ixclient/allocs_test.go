@@ -50,4 +50,15 @@ func TestLookupAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { direct.Access("a") }); n != 0 {
 		t.Errorf("uncached access through the bound view allocates %.1f per lookup, want 0", n)
 	}
+
+	// A shadow hit forwards the key to the index and inserts nothing; a
+	// pooled hit is served by the pool and replayed on the job's shadow.
+	shadow := New(f, Options{Op: "op", CacheMode: CacheShadow}).Bind(testCtx(0))
+	pooled := New(f, Options{Op: "op", CacheMode: CacheReal, SharedCache: NewPool(0)}).Bind(testCtx(0))
+	for i, v := range []*Bound{shadow, pooled} {
+		v.Lookup("a")
+		if n := testing.AllocsPerRun(1000, func() { v.Lookup("a") }); n != 0 {
+			t.Errorf("%s hit through the bound view allocates %.1f per lookup, want 0", [...]string{"shadow", "pooled"}[i], n)
+		}
+	}
 }

@@ -1,8 +1,8 @@
 package ixclient
 
 // Counter name helpers: EFind statistics ride on MapReduce counters
-// (§4.2), namespaced per operator and per index. The client's accounting
-// middleware is the single writer of these counters; the planner's
+// (§4.2), namespaced per operator and per index. The client's access
+// path is the single writer of these counters; the planner's
 // statistics collector (core/stats.go) reads them back by the same names.
 func prefix(op, ix string) string { return "efind." + op + ".ix." + ix + "." }
 
@@ -44,10 +44,6 @@ func CtrTimeouts(op, ix string) string { return prefix(op, ix) + "timeouts" }
 // per remote key without batching, one per remote partition group with it.
 func CtrNetRoundTrips(op, ix string) string { return prefix(op, ix) + "net.roundtrips" }
 
-// CtrIndexProbes counts index-only probes: presence/size answered from
-// the index's slot section without materializing values (index.Prober).
-func CtrIndexProbes(op, ix string) string { return prefix(op, ix) + "iprobes" }
-
 // SkKeys names the FM sketch of distinct lookup keys (Theta).
 func SkKeys(op, ix string) string { return prefix(op, ix) + "fm" }
 
@@ -69,7 +65,6 @@ const (
 	cErrors
 	cRetries
 	cTimeouts
-	cIndexProbes
 	numCounters
 )
 
@@ -88,6 +83,5 @@ func counterNames(op, ix string) [numCounters]string {
 		cErrors:        CtrErrors(op, ix),
 		cRetries:       CtrRetries(op, ix),
 		cTimeouts:      CtrTimeouts(op, ix),
-		cIndexProbes:   CtrIndexProbes(op, ix),
 	}
 }

@@ -319,25 +319,6 @@ func TestBatchGroupsRoundTripsByPartition(t *testing.T) {
 	}
 }
 
-func TestChainOrder(t *testing.T) {
-	var order []string
-	mk := func(name string) Middleware {
-		return func(next Handler) Handler {
-			return func(r *Request) ([][]string, error) {
-				order = append(order, name)
-				return next(r)
-			}
-		}
-	}
-	h := Chain(func(*Request) ([][]string, error) { return nil, nil }, mk("inner"), mk("outer"))
-	if _, err := h(&Request{Keys: []string{"k"}}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"outer", "inner"}) {
-		t.Fatalf("chain order = %v", order)
-	}
-}
-
 func TestIndexErrorMessage(t *testing.T) {
 	e := &IndexError{Op: "join", Index: "orders", Key: "o42", Err: errors.New("boom")}
 	msg := e.Error()

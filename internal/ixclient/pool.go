@@ -1,6 +1,7 @@
 package ixclient
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -8,14 +9,20 @@ import (
 	"efind/internal/sim"
 )
 
-// Pool is the cross-job shared lookup cache of the multi-tenant job
-// service: real per-(index, node) LRU caches that outlive any single job,
-// so a tenant's repeated query family finds the per-machine caches
-// already warm (the paper's per-machine lookup cache of §3.2 promoted to
-// service soft state). Clients attach via Options.SharedCache; a pooled
-// client serves real hits from the pool but keeps its own per-job shadow
-// cache, so the miss ratio R each job's optimizer observes is the value
-// the job would measure running alone (per-job shadow accounting).
+// Pool is a set of per-(index, node) LRU lookup caches — the paper's
+// per-machine lookup cache of §3.2 — with the journal-based per-node
+// snapshot/rollback the engine's fault tolerance needs. Every Client keeps
+// its private caches (real or shadow) in a Pool of its own. Shared, a Pool
+// is the cross-job lookup cache of the multi-tenant job service: caches
+// that outlive any single job, so a tenant's repeated query family finds
+// the per-machine caches already warm (service soft state). Clients attach
+// via Options.SharedCache; a pooled client serves real hits from the pool
+// but keeps its own per-job shadow cache, so the miss ratio R each job's
+// optimizer observes is the value the job would measure running alone
+// (per-job shadow accounting).
+//
+// Caches are kept by node first, so the per-attempt guard (SnapshotNode)
+// and a crash (ResetNode) touch one node's caches, never the whole pool.
 //
 // Concurrency and determinism: the pool and its caches are individually
 // locked, so access is memory-safe under any schedule. Determinism of
@@ -28,13 +35,15 @@ import (
 type Pool struct {
 	capacity int
 
-	mu     sync.Mutex
-	caches map[poolKey]*lru.Cache
+	mu    sync.Mutex
+	nodes map[sim.NodeID][]poolCache // append-only per node until ResetNode
 }
 
-type poolKey struct {
+// poolCache is one index's cache on a node. A node holds a cache per
+// index its tasks looked up — a handful — so a scan finds it.
+type poolCache struct {
 	index string
-	node  sim.NodeID
+	cache *lru.Cache
 }
 
 // NewPool returns an empty pool whose per-(index, node) caches hold up to
@@ -43,72 +52,71 @@ func NewPool(capacity int) *Pool {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
-	return &Pool{capacity: capacity, caches: make(map[poolKey]*lru.Cache)}
+	return &Pool{capacity: capacity, nodes: make(map[sim.NodeID][]poolCache)}
 }
 
 // Capacity returns the per-cache entry bound.
 func (p *Pool) Capacity() int { return p.capacity }
 
-// cacheFor returns the pooled cache for one index on one node, creating
-// it lazily. All clients attached to the pool share it.
+// cacheFor returns the pool's cache for one index on one node, creating
+// it lazily. Every client using the pool shares it.
 func (p *Pool) cacheFor(index string, node sim.NodeID) *lru.Cache {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := poolKey{index: index, node: node}
-	cc, ok := p.caches[k]
-	if !ok {
-		cc = lru.New(p.capacity)
-		p.caches[k] = cc
+	caches := p.nodes[node]
+	for _, e := range caches {
+		if e.index == index {
+			return e.cache
+		}
 	}
+	cc := lru.New(p.capacity)
+	p.nodes[node] = append(caches, poolCache{index, cc})
 	return cc
 }
 
-// SnapshotNode begins an undo journal on every pooled cache of one node
-// and returns a rollback that rewinds them, resetting any cache the node
-// acquired after the snapshot. The compiled plan's attempt guard calls it
-// once per task attempt — alongside, not through, the per-client guards,
-// because pooled caches are shared across clients and a second Begin on
-// the same cache would supersede the first journal.
+// SnapshotNode begins an undo journal on every cache of one node and
+// returns a rollback that rewinds them, resetting any cache the node
+// acquired after the snapshot. The engine calls it once per task attempt
+// that can fail. A shared pool is guarded by the compiled plan's attempt
+// guard — alongside, not through, the clients' guards of their own pools,
+// because its caches are shared across clients and a second Begin on the
+// same cache would supersede the first journal.
+//
+// The guard is journal-based (lru.Cache.Begin): O(1) per cache at
+// snapshot time plus O(cache operations during the attempt) at rollback,
+// instead of copying every cache entry eagerly — the difference between
+// guarding 1024-entry caches across 10k nodes and not affording it (see
+// BenchmarkSnapshotNode10kNodes). A guard that is never rolled back costs
+// nothing further: the next attempt's Begin on the same cache supersedes
+// its journal.
 func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 	p.mu.Lock()
-	var caches []*lru.Cache
-	var undos []*lru.Undo
-	for k, cc := range p.caches {
-		if k.node == node {
-			caches = append(caches, cc)
-			undos = append(undos, cc.Begin())
-		}
+	before := p.nodes[node] // its entries never change: the list only grows
+	undos := make([]*lru.Undo, len(before))
+	for i, e := range before {
+		undos[i] = e.cache.Begin()
 	}
 	p.mu.Unlock()
 	return func() {
 		for _, u := range undos {
 			u.Rollback()
 		}
-		known := make(map[*lru.Cache]bool, len(caches))
-		for _, cc := range caches {
-			known[cc] = true
-		}
 		p.mu.Lock()
-		for k, cc := range p.caches {
-			if k.node == node && !known[cc] {
-				cc.Reset()
+		for _, e := range p.nodes[node] {
+			if !slices.Contains(before, e) {
+				e.cache.Reset()
 			}
 		}
 		p.mu.Unlock()
 	}
 }
 
-// ResetNode drops every pooled cache on one node: a crashed machine
-// reboots with its service soft state cold, for every index and every
-// job alike.
+// ResetNode drops every cache on one node: a crashed machine reboots with
+// its soft state cold, for every index and every job alike.
 func (p *Pool) ResetNode(node sim.NodeID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k := range p.caches {
-		if k.node == node {
-			delete(p.caches, k)
-		}
-	}
+	delete(p.nodes, node)
 }
 
 // PoolEntry is the serializable state of one pooled cache, produced by
@@ -128,23 +136,26 @@ type PoolEntry struct {
 // a fresh pool is empty.
 func (p *Pool) Dump() []PoolEntry {
 	p.mu.Lock()
-	keys := make([]poolKey, 0, len(p.caches))
-	for k := range p.caches {
-		keys = append(keys, k)
+	n := 0
+	for _, caches := range p.nodes {
+		n += len(caches)
+	}
+	out := make([]PoolEntry, 0, n)
+	for node, caches := range p.nodes {
+		for _, e := range caches {
+			out = append(out, PoolEntry{Index: e.index, Node: node})
+		}
 	}
 	p.mu.Unlock()
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].index != keys[b].index {
-			return keys[a].index < keys[b].index
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Index != out[b].Index {
+			return out[a].Index < out[b].Index
 		}
-		return keys[a].node < keys[b].node
+		return out[a].Node < out[b].Node
 	})
-	out := make([]PoolEntry, 0, len(keys))
-	for _, k := range keys {
-		cc := p.cacheFor(k.index, k.node)
-		e := PoolEntry{Index: k.index, Node: k.node}
-		e.Keys, e.Values, e.Hits, e.Misses = cc.Dump()
-		out = append(out, e)
+	for i := range out {
+		e := &out[i]
+		e.Keys, e.Values, e.Hits, e.Misses = p.cacheFor(e.Index, e.Node).Dump()
 	}
 	return out
 }
@@ -153,23 +164,24 @@ func (p *Pool) Dump() []PoolEntry {
 // named in entries are dropped.
 func (p *Pool) Restore(entries []PoolEntry) {
 	p.mu.Lock()
-	p.caches = make(map[poolKey]*lru.Cache, len(entries))
+	p.nodes = make(map[sim.NodeID][]poolCache)
 	p.mu.Unlock()
 	for _, e := range entries {
-		cc := p.cacheFor(e.Index, e.Node)
-		cc.Load(e.Keys, e.Values, e.Hits, e.Misses)
+		p.cacheFor(e.Index, e.Node).Load(e.Keys, e.Values, e.Hits, e.Misses)
 	}
 }
 
-// Stats sums probe hits and misses over every pooled cache — the
-// service-level view of how much cross-job reuse the pool delivers.
+// Stats sums probe hits and misses over every cache — the service-level
+// view of how much cross-job reuse a shared pool delivers.
 func (p *Pool) Stats() (hits, misses int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, cc := range p.caches {
-		h, m := cc.Stats()
-		hits += h
-		misses += m
+	for _, caches := range p.nodes {
+		for _, e := range caches {
+			h, m := e.cache.Stats()
+			hits += h
+			misses += m
+		}
 	}
 	return hits, misses
 }

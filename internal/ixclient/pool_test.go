@@ -2,8 +2,11 @@ package ixclient
 
 import (
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
+	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
 
@@ -139,10 +142,128 @@ func TestPoolResetNode(t *testing.T) {
 	}
 }
 
+// TestPoolNodeScopedOps holds SnapshotNode and ResetNode to one node: two
+// clients on two indices share a pool warmed on three nodes, and a guarded
+// attempt on node 1 that also touches node 2 — then node 1's crash — must
+// leave every other node's caches and statistics as they were. Dump keeps
+// its (index, node) order throughout.
+func TestPoolNodeScopedOps(t *testing.T) {
+	p := NewPool(0)
+	x := New(newFake("kx"), Options{Op: "op", CacheMode: CacheReal, SharedCache: p})
+	y := New(newFake("ky"), Options{Op: "op", CacheMode: CacheReal, SharedCache: p})
+	for _, n := range []sim.NodeID{2, 0, 1} {
+		for _, c := range []*Client{y, x} {
+			for _, k := range []string{"a", "a", "b"} {
+				c.Lookup(testCtx(n), k)
+			}
+		}
+	}
+	byNode := func(entries []PoolEntry) map[sim.NodeID][]PoolEntry {
+		m := make(map[sim.NodeID][]PoolEntry)
+		for i, e := range entries {
+			if i > 0 {
+				if prev := entries[i-1]; prev.Index > e.Index || prev.Index == e.Index && prev.Node >= e.Node {
+					t.Fatalf("Dump lists %s/%d after %s/%d, want (index, node) order", e.Index, e.Node, prev.Index, prev.Node)
+				}
+			}
+			m[e.Node] = append(m[e.Node], e)
+		}
+		return m
+	}
+	before := byNode(p.Dump())
+	if len(before) != 3 || len(before[1]) != 2 {
+		t.Fatalf("warm pool holds %v", before)
+	}
+
+	rollback := p.SnapshotNode(1)
+	x.Lookup(testCtx(1), "c")
+	y.Lookup(testCtx(1), "a")
+	x.Lookup(testCtx(2), "c") // outside the guard's node: kept
+	rollback()
+	after := byNode(p.Dump())
+	if !reflect.DeepEqual(after[0], before[0]) || !reflect.DeepEqual(after[1], before[1]) {
+		t.Fatalf("rollback on node 1: node 0 %v → %v, node 1 %v → %v", before[0], after[0], before[1], after[1])
+	}
+	if kx2 := after[2][0]; kx2.Index != "kx" || !reflect.DeepEqual(kx2.Keys, []string{"a", "b", "c"}) || kx2.Misses != 3 {
+		t.Fatalf("node 2's kx cache after node 1's rollback = %+v, want c kept", kx2)
+	}
+
+	p.ResetNode(1)
+	reset := byNode(p.Dump())
+	if _, ok := reset[1]; ok {
+		t.Fatalf("node 1 keeps caches after its reset: %v", reset[1])
+	}
+	if !reflect.DeepEqual(reset[0], after[0]) || !reflect.DeepEqual(reset[2], after[2]) {
+		t.Fatalf("ResetNode(1) touched other nodes: %v → %v", after, reset)
+	}
+}
+
+// readOnlyIndex serves the fake's data and counts nothing, so tasks of
+// many nodes may share it.
+type readOnlyIndex struct{ *fakeIndex }
+
+func (r readOnlyIndex) Lookup(key string) ([]string, error) { return r.data[key], nil }
+
+// TestPoolConcurrentNodes runs tasks of eight nodes at once through a
+// private real, a shadow and a pooled client, guarding, rolling back and
+// crashing their own node while another goroutine dumps the shared pool:
+// every lookup answers right, and the race detector sees the pools'
+// locking.
+func TestPoolConcurrentNodes(t *testing.T) {
+	shared := NewPool(0)
+	acc := readOnlyIndex{newFake("kv")}
+	clients := []*Client{
+		New(acc, Options{Op: "op", CacheMode: CacheReal, CacheCapacity: 2}),
+		New(acc, Options{Op: "op", CacheMode: CacheShadow, CacheCapacity: 2}),
+		New(acc, Options{Op: "op", CacheMode: CacheReal, SharedCache: shared}),
+	}
+	var wg sync.WaitGroup
+	for n := 0; n < 8; n++ {
+		wg.Add(1)
+		go func(node sim.NodeID) {
+			defer wg.Done()
+			cluster := sim.NewCluster(sim.DefaultConfig())
+			for i := 0; i < 100; i++ {
+				ctx := mapreduce.NewTaskContext(cluster, node, i, mapreduce.MapTask)
+				guards := []func(){shared.SnapshotNode(node)}
+				for _, c := range clients {
+					guards = append(guards, c.SnapshotNode(node))
+				}
+				for _, c := range clients {
+					for _, k := range []string{"a", "b", "c", "a"} {
+						if got := c.Lookup(ctx, k); !reflect.DeepEqual(got, acc.data[k]) {
+							t.Errorf("node %d: Lookup(%s) = %v", node, k, got)
+							return
+						}
+					}
+				}
+				switch i % 3 {
+				case 0:
+					for _, g := range guards {
+						g()
+					}
+				case 1:
+					shared.ResetNode(node)
+					for _, c := range clients {
+						c.ResetNode(node)
+					}
+				}
+			}
+		}(sim.NodeID(n))
+	}
+	for i := 0; i < 50; i++ {
+		shared.Dump()
+		shared.Stats()
+	}
+	wg.Wait()
+}
+
 // BenchmarkSnapshotNode10kNodes shows the satellite win: the per-attempt
 // cache guard at 10k warmed nodes. "journal" is the shipping
 // Client.SnapshotNode (O(1) begin + O(ops) rollback); "eager" reproduces
-// the replaced implementation, which copied every cache entry per guard.
+// the replaced implementation, which copied every cache entry per guard;
+// "pooled" is Pool.SnapshotNode over a pool warmed on every node, which
+// must touch the guarded node's caches alone.
 func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 	const nodes = 10000
 	const warm = 128
@@ -150,7 +271,7 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 	build := func() *Client {
 		c := New(newFake("kv"), Options{Op: "op", CacheMode: CacheReal})
 		for n := 0; n < nodes; n++ {
-			cc := c.cacheFor(sim.NodeID(n), false)
+			cc := c.real.cacheFor("kv", sim.NodeID(n))
 			for i := 0; i < warm; i++ {
 				cc.Put(fmt.Sprintf("k%06d", i), nil)
 			}
@@ -164,7 +285,7 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			node := sim.NodeID(i % nodes)
 			rollback := c.SnapshotNode(node)
-			c.cacheFor(node, false).Put("hot", nil)
+			c.real.cacheFor("kv", node).Put("hot", nil)
 			rollback()
 		}
 	})
@@ -172,10 +293,26 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 		c := build()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cc := c.cacheFor(sim.NodeID(i%nodes), false)
+			cc := c.real.cacheFor("kv", sim.NodeID(i%nodes))
 			snap := cc.Snapshot()
 			cc.Put("hot", nil)
 			cc.Restore(snap)
+		}
+	})
+	b.Run("pooled", func(b *testing.B) {
+		p := NewPool(0)
+		for n := 0; n < nodes; n++ {
+			cc := p.cacheFor("kv", sim.NodeID(n))
+			for i := 0; i < warm; i++ {
+				cc.Put(fmt.Sprintf("k%06d", i), nil)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			node := sim.NodeID(i % nodes)
+			rollback := p.SnapshotNode(node)
+			p.cacheFor("kv", node).Put("hot", nil)
+			rollback()
 		}
 	})
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"efind/internal/fstore"
-	"efind/internal/index"
 )
 
 // Freeze snapshots every partition's B+tree into an fstore file under
@@ -212,39 +211,3 @@ func (s *Store) rebuildPartition(p int, old *fstore.Snapshot) error {
 	s.stale[p] = false
 	return nil
 }
-
-// Probe implements index.Prober: key presence and result size without
-// materializing values. File-backed, it reads only the mapped slot
-// section (index-only filtering — the point of the FMC1 layout), under
-// the read lock like get; in-memory it consults the tree.
-func (s *Store) Probe(key string) (found bool, bytes int, err error) {
-	p := s.scheme.Fn(key)
-	for {
-		s.mu.RLock()
-		if s.snaps == nil {
-			v, ok := s.parts[p].Get(key)
-			s.mu.RUnlock()
-			if !ok {
-				return false, 0, nil
-			}
-			n := 0
-			for _, val := range v.([]string) {
-				n += len(val)
-			}
-			return true, n, nil
-		}
-		snap, stale := s.snaps[p], s.stale[p]
-		if !stale {
-			found, bytes = snap.Probe(key)
-		}
-		s.mu.RUnlock()
-		if !stale {
-			return found, bytes, nil
-		}
-		if err := s.rebuildPartition(p, snap); err != nil {
-			return false, 0, err
-		}
-	}
-}
-
-var _ index.Prober = (*Store)(nil)

@@ -108,11 +108,6 @@ func TestPutAfterFreezeRebuildsPartition(t *testing.T) {
 	if s.Rebuilds() == 0 {
 		t.Fatal("stale partition should have been rebuilt")
 	}
-	// Probe sees the new key too (and rebuilds at most once more).
-	found, n, err := s.Probe("fresh-key")
-	if err != nil || !found || n == 0 {
-		t.Fatalf("Probe(fresh-key) = %v, %d, %v", found, n, err)
-	}
 }
 
 func TestCorruptSnapshotRebuiltOnReopen(t *testing.T) {
@@ -171,28 +166,6 @@ func TestCloseReleasesMappingsAndFallsBackToMemory(t *testing.T) {
 	assertOracle(t, s, oracle)
 	if err := s.Close(); err != nil {
 		t.Fatal("closing an unfrozen store must be a no-op, got", err)
-	}
-}
-
-func TestProbeIndexOnly(t *testing.T) {
-	s, _ := loadStore(t, 4)
-	memFound, memBytes, err := s.Probe("key-0001")
-	if err != nil || !memFound {
-		t.Fatalf("in-memory Probe: %v, %v", memFound, err)
-	}
-	if err := s.Freeze(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	found, bytes, err := s.Probe("key-0001")
-	if err != nil || !found {
-		t.Fatalf("file-backed Probe: %v, %v", found, err)
-	}
-	if bytes == 0 || memBytes == 0 {
-		t.Fatal("probe should report value bytes")
-	}
-	if found, bytes, err := s.Probe("absent"); err != nil || found || bytes != 0 {
-		t.Fatalf("absent Probe = %v, %d, %v", found, bytes, err)
 	}
 }
 
@@ -297,10 +270,6 @@ func TestLookupsSurviveConcurrentRebuilds(t *testing.T) {
 				k := keys[i%len(keys)]
 				if vals, err := s.Lookup(k); err != nil || len(vals) == 0 || len(vals[0]) != len(big) {
 					t.Errorf("Lookup(%s) = %d values, %v", k, len(vals), err)
-					return
-				}
-				if found, _, err := s.Probe(k); err != nil || !found {
-					t.Errorf("Probe(%s) = %v, %v", k, found, err)
 					return
 				}
 				if vals, err := s.BatchLookup(keys[:2]); err != nil || len(vals[1]) == 0 {

@@ -86,7 +86,7 @@ type Job struct {
 	// seeded node crash/recovery windows, injected stragglers with
 	// speculative backup attempts, and virtual-time straggler slowdowns.
 	// (Index partition outages from the same plan are enforced by the
-	// ixclient availability middleware, not the engine.) All chaos is
+	// ixclient availability check, not the engine.) All chaos is
 	// deterministic in the plan's seed.
 	Chaos *chaos.Plan
 

@@ -72,7 +72,7 @@ type StageProfile struct {
 }
 
 // IndexProfile compares, for one (operator, index) pair of one run, the
-// cost model's modeled charge against what the accounting middleware
+// cost model's modeled charge against what the index client's accounting
 // actually charged.
 type IndexProfile struct {
 	// Key identifies the run and pair, e.g. "11f/l=10/base syn/kv".
