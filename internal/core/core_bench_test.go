@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"testing"
+
+	"efind/internal/dfs"
+	"efind/internal/mapreduce"
 )
 
 func BenchmarkCarrierEncodeDecode(b *testing.B) {
@@ -64,6 +67,62 @@ func BenchmarkOptimizeKRepart(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		OptimizeOperator(op, BodyOp, st, env, opts)
+	}
+}
+
+// BenchmarkCollectStats measures the statistics collector on the shape a
+// catalog harvest folds: five head operators over the 240 map tasks of one
+// baseline job, 78 counters a task. One op is one harvest of all five;
+// "counters" drops the tasks' FM sketches first, leaving the counter walk.
+func BenchmarkCollectStats(b *testing.B) {
+	e := newE2E(b, 50, 50)
+	e.fs.ChunkTarget = 64
+	recs := make([]dfs.Record, 720)
+	for i := range recs {
+		recs[i] = dfs.Record{Key: fmt.Sprintf("r%05d", i), Value: fmt.Sprintf("payload ik%04d", i%50)}
+	}
+	input, err := e.fs.Create("stats-input", recs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	conf := &IndexJobConf{
+		Name: "stats", Input: input, Mode: ModeBaseline, NumReduce: 4,
+		Mapper: func(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
+			ctx.Inc("stats.mapped", 1)
+			emit(in)
+		},
+		Reducer: mapreduce.IdentityReduce,
+	}
+	for i := 0; i < 5; i++ {
+		// Every lookup is a remote cache miss: 8 counters an index, 6 an
+		// operator.
+		conf.AddHeadIndexOperator(NewOperator(fmt.Sprintf("op%d", i), func(in Pair) PreResult {
+			return PreResult{Pair: in, Keys: [][]string{{in.Key}}}
+		}, nil).AddIndex(fakeAccessor{name: "ix"}))
+	}
+	res, err := e.rt.Submit(conf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks, counters := res.raw[0].MapStats, 0
+	for _, t := range tasks {
+		counters += len(t.Counters)
+	}
+	if len(tasks) != 240 || counters != 78*240 {
+		b.Fatalf("%d map tasks of %d counters, want 240 of 78", len(tasks), counters/len(tasks))
+	}
+	for _, name := range []string{"sketches", "counters"} {
+		if name == "counters" {
+			for i := range tasks {
+				tasks[i].Sketches = nil
+			}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.rt.harvestStats(conf, res)
+			}
+		})
 	}
 }
 
