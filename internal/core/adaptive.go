@@ -108,7 +108,7 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 	// few records per task and would otherwise block the whole job).
 	opSet := map[string]bool{}
 	for _, o := range ops {
-		st := collectStats(rt.Catalog, o, tasks, rt.Env)
+		st := collectStats(rt.Catalog, rt.Engine.CounterTable(), o, tasks, rt.Env)
 		rt.traceStats(o.Name(), st)
 		if st == nil || st.MaxRelStdDev > conf.VarianceThreshold {
 			rt.traceInstant(fmt.Sprintf("reoptimize: operator %q skipped (unstable or missing statistics)", o.Name()))

@@ -380,7 +380,7 @@ func TestBuildRetryRollbackKeepsCommitExact(t *testing.T) {
 	if got, want := faulty.Counters[CtrBuildCommitted], clean.Counters[CtrBuildCommitted]; got != want {
 		t.Fatalf("retries skewed the commit count: faulty %d vs clean %d", got, want)
 	}
-	splits := ctrBuildSplits("bf-op", "adx")
+	splits := "efind.bf-op.adx.build.splits"
 	if clean.Counters[splits] == 0 {
 		t.Fatal("build stage staged no splits; test is vacuous")
 	}

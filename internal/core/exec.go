@@ -384,16 +384,15 @@ func (rt *Runtime) harvestStats(conf *IndexJobConf, res *JobResult) {
 	if len(res.raw) == 0 {
 		return
 	}
-	first := res.raw[0]
-	last := res.raw[len(res.raw)-1]
+	first, last, tab := res.raw[0], res.raw[len(res.raw)-1], rt.Engine.CounterTable()
 	for _, o := range conf.head {
-		collectStats(rt.Catalog, o, first.MapStats, rt.Env)
+		collectStats(rt.Catalog, tab, o, first.MapStats, rt.Env)
 	}
 	for _, o := range conf.body {
-		collectStats(rt.Catalog, o, first.MapStats, rt.Env)
+		collectStats(rt.Catalog, tab, o, first.MapStats, rt.Env)
 	}
 	for _, o := range conf.tail {
-		collectStats(rt.Catalog, o, last.ReduceStats, rt.Env)
+		collectStats(rt.Catalog, tab, o, last.ReduceStats, rt.Env)
 	}
 }
 
@@ -553,7 +552,9 @@ func (co *compiled) restrictBuilds(splits []int) {
 // Pooled caches on the node go cold with it.
 func (co *compiled) resetNode(node sim.NodeID) {
 	for _, x := range co.execs {
-		x.resetNode(node)
+		for _, c := range x.clients {
+			c.ResetNode(node)
+		}
 	}
 	for _, bt := range co.builds {
 		// A crashed node's staged build splits are discarded; the
@@ -570,9 +571,11 @@ func (co *compiled) resetNode(node sim.NodeID) {
 // so a re-executed task re-measures its cache misses from the same state
 // and the miss ratio R feeding the cost model stays unskewed.
 func (co *compiled) attemptGuard(node sim.NodeID) func() {
-	rollbacks := make([]func(), 0, len(co.execs)+len(co.builds)+1)
+	var rollbacks []func()
 	for _, x := range co.execs {
-		rollbacks = append(rollbacks, x.snapshotNode(node))
+		for _, c := range x.clients {
+			rollbacks = append(rollbacks, c.SnapshotNode(node))
+		}
 	}
 	for _, bt := range co.builds {
 		// Build staging follows the same discipline as the caches: a
@@ -594,8 +597,9 @@ func (co *compiled) attemptGuard(node sim.NodeID) func() {
 // implementer will run (Figure 7's layouts generalized to whole jobs).
 func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, error) {
 	co := &compiled{execs: make(map[string]*opExec), pool: conf.SharedCache}
+	tab := rt.Engine.CounterTable()
 	for _, p := range plan.All() {
-		co.execs[p.Op.Name()] = newOpExec(p.Op, p, conf)
+		co.execs[p.Op.Name()] = newOpExec(p.Op, p, conf, tab)
 	}
 
 	cur := &cjob{name: fmt.Sprintf("%s-j0", conf.Name)}
@@ -696,7 +700,7 @@ func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, err
 		}
 	}
 	if conf.Mapper != nil {
-		appendStage(mapperStage(conf.Mapper))
+		appendStage(mapperStage(conf.Mapper, tab))
 	}
 	for _, p := range plan.Body {
 		if err := compileOp(p); err != nil {
@@ -713,7 +717,7 @@ func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, err
 			}
 		}
 	}
-	co.attachBuildStages(conf, plan)
+	co.attachBuildStages(conf, plan, tab)
 	return co, nil
 }
 
@@ -733,7 +737,7 @@ type buildSourced interface {
 // job input. The offer set is frozen here, once per compiled plan, so
 // every task — serial or parallel executor — agrees on which splits
 // build.
-func (co *compiled) attachBuildStages(conf *IndexJobConf, plan *JobPlan) {
+func (co *compiled) attachBuildStages(conf *IndexJobConf, plan *JobPlan, tab *mapreduce.CounterTable) {
 	var stages []mapreduce.StageFactory
 	for _, p := range plan.Head {
 		for _, d := range p.Decisions {
@@ -755,7 +759,7 @@ func (co *compiled) attachBuildStages(conf *IndexJobConf, plan *JobPlan) {
 			}
 			bt := &buildTarget{b: b, op: p.Op.Name(), quota: len(offered), offer: offer}
 			co.builds = append(co.builds, bt)
-			stages = append(stages, buildStage(bt))
+			stages = append(stages, buildStage(bt, tab))
 		}
 	}
 	if len(stages) > 0 {
@@ -851,7 +855,8 @@ func (pr *planRun) attempt(failed *mapreduce.MapPhaseResult) error {
 		return pr.runJobs(co, 0, pr.conf.Input, nil, nil)
 	}
 	// The failed phase reports no VTime and never folded its tasks'
-	// counters: account its makespan and the completed tasks here.
+	// counters: account its makespan and the completed tasks here, in the
+	// fold a phase's totals get.
 	pr.add(failed.Phase.Makespan, nil)
 	done, todo := &mapreduce.MapPhaseResult{}, []int{}
 	for split, out := range failed.Outputs {
@@ -861,7 +866,9 @@ func (pr *planRun) attempt(failed *mapreduce.MapPhaseResult) error {
 		}
 		done.Outputs = append(done.Outputs, out)
 		done.Stats = append(done.Stats, failed.Stats[split])
-		failed.Stats[split].Counters.MergeInto(pr.res.Counters)
+	}
+	for _, c := range pr.rt.Engine.FoldCounters(done.Stats) {
+		pr.res.Counters[c.Name] += c.Value
 	}
 	return pr.runJobs(co, 0, pr.conf.Input, todo, done)
 }
@@ -999,7 +1006,7 @@ func (pr *planRun) finishJob(job *mapreduce.Job, mp *mapreduce.MapPhaseResult) (
 		// Tail operators ran under the baseline plan throughout: fold their
 		// statistics so later optimized runs can plan them.
 		for _, o := range pr.conf.tail {
-			collectStats(pr.rt.Catalog, o, r.ReduceStats, pr.rt.Env)
+			collectStats(pr.rt.Catalog, pr.rt.Engine.CounterTable(), o, r.ReduceStats, pr.rt.Env)
 		}
 	}
 	return r.Output, nil

@@ -55,14 +55,14 @@ func keySetMapper(ctx *mapreduce.TaskContext, in Pair, emit Emit) {
 type keySetScenario struct {
 	name string
 	// submit builds a fresh environment at the given executor parallelism
-	// and runs the job.
-	submit func(t *testing.T, parallelism int) *JobResult
+	// and runs the job; the table names the tasks' counters.
+	submit func(t *testing.T, parallelism int) (*JobResult, *mapreduce.CounterTable)
 }
 
 func keySetScenarios() []keySetScenario {
 	// job runs conf-building fn on a fresh e2e environment.
-	job := func(records int, build func(e *e2eEnv) *IndexJobConf) func(*testing.T, int) *JobResult {
-		return func(t *testing.T, parallelism int) *JobResult {
+	job := func(records int, build func(e *e2eEnv) *IndexJobConf) func(*testing.T, int) (*JobResult, *mapreduce.CounterTable) {
+		return func(t *testing.T, parallelism int) (*JobResult, *mapreduce.CounterTable) {
 			e := parE2E(t, parallelism, records, 25)
 			conf := build(e)
 			conf.Mapper = keySetMapper
@@ -71,7 +71,7 @@ func keySetScenarios() []keySetScenario {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, e.rt.Engine.CounterTable()
 		}
 	}
 	repart := func(b Boundary, place func(*IndexJobConf, *Operator)) func(e *e2eEnv) *IndexJobConf {
@@ -104,7 +104,7 @@ func keySetScenarios() []keySetScenario {
 			conf.VarianceThreshold = 0.5
 			return conf
 		})},
-		{"dynamic-replan", func(t *testing.T, parallelism int) *JobResult {
+		{"dynamic-replan", func(t *testing.T, parallelism int) (*JobResult, *mapreduce.CounterTable) {
 			cfg := sim.DefaultConfig()
 			cfg.Nodes = 4
 			cfg.MapSlotsPerNode = 2 // 8 map slots: several map waves
@@ -122,14 +122,14 @@ func keySetScenarios() []keySetScenario {
 			if !res.Replanned {
 				t.Fatal("scenario is meant to change plan mid-job")
 			}
-			return res
+			return res, e.rt.Engine.CounterTable()
 		}},
 		{"batch", job(400, func(e *e2eEnv) *IndexJobConf {
 			conf := e.conf("job", ModeCache, e.lookupOp("op"), headPlace)
 			conf.Batch = true
 			return conf
 		})},
-		{"build-zero-charge", func(t *testing.T, parallelism int) *JobResult {
+		{"build-zero-charge", func(t *testing.T, parallelism int) (*JobResult, *mapreduce.CounterTable) {
 			a := newAdxEnv(t, parallelism, 400, 25, 0.5)
 			zero, err := adaptix.New(adaptix.Config{
 				Name:      "adx0",
@@ -153,7 +153,7 @@ func keySetScenarios() []keySetScenario {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res
+			return res, a.rt.Engine.CounterTable()
 		}},
 		{"body-tail-base", job(400, func(e *e2eEnv) *IndexJobConf {
 			conf := e.conf("job", ModeBaseline, e.lookupOp("body"), bodyPlace)
@@ -208,7 +208,7 @@ func keySetScenarios() []keySetScenario {
 // renderKeySets prints a job's merged counters and, for every task of
 // every MapReduce job the result retained, the sorted name=value counter
 // lines and the sketch names.
-func renderKeySets(b *strings.Builder, res *JobResult) {
+func renderKeySets(b *strings.Builder, res *JobResult, tab *mapreduce.CounterTable) {
 	lines := func(indent string, counters map[string]int64, sketches map[string][]uint64) {
 		names := make([]string, 0, len(counters))
 		for k := range counters {
@@ -237,8 +237,10 @@ func renderKeySets(b *strings.Builder, res *JobResult) {
 		}{{"map", r.MapStats}, {"reduce", r.ReduceStats}} {
 			for i, st := range phase.stats {
 				fmt.Fprintf(b, "mr-job %d %s task %d (id %d)\n", j, phase.kind, i, st.ID)
-				counters := make(map[string]int64, len(st.Counters))
-				st.Counters.MergeInto(counters)
+				counters, names := make(map[string]int64, len(st.Counters)), tab.Names()
+				for _, c := range st.Counters {
+					counters[names[c.Slot]] += c.Value
+				}
 				if len(counters) != len(st.Counters) {
 					fmt.Fprintf(b, "  a counter is listed twice: %v\n", st.Counters)
 				}
@@ -262,7 +264,8 @@ func TestCounterKeySetGolden(t *testing.T) {
 		var serial string
 		for _, parallelism := range []int{1, 4} {
 			var s strings.Builder
-			renderKeySets(&s, sc.submit(t, parallelism))
+			res, tab := sc.submit(t, parallelism)
+			renderKeySets(&s, res, tab)
 			if parallelism == 1 {
 				serial = s.String()
 			} else if s.String() != serial {

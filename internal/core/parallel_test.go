@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"efind/internal/ixclient"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
@@ -127,7 +128,7 @@ func TestRetriesDoNotSkewCacheStats(t *testing.T) {
 	if faulty.Counters[mapreduce.CounterTaskRetries] == 0 {
 		t.Fatal("fault injector did not fire")
 	}
-	probes, misses := ctrProbes("rollback", "kv"), ctrMisses("rollback", "kv")
+	probes, misses := ixclient.CtrProbes("rollback", "kv"), ixclient.CtrMisses("rollback", "kv")
 	if clean.Counters[probes] == 0 {
 		t.Fatal("cache strategy recorded no probes; test is vacuous")
 	}

@@ -142,13 +142,17 @@ func allocOp(name string) *Operator {
 	return op.AddIndex(constIndex{vals: []string{"value"}})
 }
 
+// standaloneCounters is the table the contexts mapreduce.NewTaskContext
+// builds count in.
+var standaloneCounters = mapreduce.NewTaskContext(nil, 0, 0, mapreduce.MapTask).CounterTable()
+
 // stageAllocs opens one stage of an operator planned with decision d on a
 // fresh task and returns the steady-state allocations of fn, which gets
 // the stage's Process bound to a discarding sink.
 func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func(*opExec) mapreduce.StageFactory, fn func(process func(Pair))) float64 {
 	t.Helper()
 	op := allocOp("op")
-	x := newOpExec(op, OperatorPlan{Op: op, Pos: HeadOp, Decisions: []Decision{d}}, &IndexJobConf{})
+	x := newOpExec(op, OperatorPlan{Op: op, Pos: HeadOp, Decisions: []Decision{d}}, &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(sim.NewCluster(sim.DefaultConfig()), 0, 0, kind)
 	stage := factory(x)(0)
 	stage.Open(ctx)
@@ -182,7 +186,7 @@ func TestStageAllocs(t *testing.T) {
 	}
 	inlineNext := func(x *opExec) []mapreduce.StageFactory {
 		next := allocOp("next")
-		nx := newOpExec(next, uniformPlan(next, HeadOp, LookupCache), &IndexJobConf{})
+		nx := newOpExec(next, uniformPlan(next, HeadOp, LookupCache), &IndexJobConf{}, standaloneCounters)
 		return []mapreduce.StageFactory{nx.inlineStage()}
 	}
 	for _, tc := range []struct {
@@ -234,7 +238,7 @@ func TestInlineStageAllocs(t *testing.T) {
 		func(pair Pair, _ [][]KeyResult, emit Emit) { emit(pair) })
 	op.AddIndex(e.store)
 	plan := uniformPlan(op, HeadOp, LookupCache)
-	x := newOpExec(op, plan, &IndexJobConf{})
+	x := newOpExec(op, plan, &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(e.cluster, 0, 0, mapreduce.MapTask)
 	stage := x.inlineStage()(0)
 	stage.Open(ctx)
@@ -244,7 +248,7 @@ func TestInlineStageAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { stage.Process(ctx, in, sink) }); n != 0 {
 		t.Errorf("one record through inlineStage allocates %.1f times, want 0", n)
 	}
-	if got := ctx.Counter(ctrPostRecords("op")); got != 1002 {
+	if got := ctx.Counter("efind.op.post.out.records"); got != 1002 {
 		t.Errorf("post records = %d, want 1002", got)
 	}
 }

@@ -227,7 +227,7 @@ func TestScratchHygiene(t *testing.T) {
 // record, however many records pass.
 func TestScratchHygieneCarrier(t *testing.T) {
 	e := newHygieneEnv(t, 1)
-	x := newOpExec(e.a, uniformPlan(e.a, HeadOp, LookupCache), &IndexJobConf{})
+	x := newOpExec(e.a, uniformPlan(e.a, HeadOp, LookupCache), &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(e.rt.Engine.Cluster, 0, 0, mapreduce.MapTask)
 	stage := x.inlineStage()(0).(*inlineStage)
 	stage.Open(ctx)

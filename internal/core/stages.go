@@ -17,8 +17,9 @@ import (
 // and how results travel between jobs.
 //
 // Nothing on the per-record path builds a counter name or hashes one: the
-// names are built here, once per opExec, and every stage instance — one
-// per task — resolves them to cells when it opens (opTask).
+// names are resolved to slots of the engine's counter table here, once per
+// opExec, and every stage instance — one per task — binds them when it opens
+// (opTask).
 type opExec struct {
 	op        *Operator
 	plan      OperatorPlan
@@ -30,29 +31,17 @@ type opExec struct {
 	// group lookups are already deduplicated by the shuffle.
 	clients []*ixclient.Client
 
-	// Counter names, built once.
-	ctrPreIn, ctrPreInBytes, ctrPreOutBytes   string
-	ctrIdxBytes, ctrPostRecords, ctrPostBytes string
-	ctrMulti                                  []string // by index
+	// slots are the operator's statistics counters (statSlots).
+	slots []mapreduce.Slot
 }
 
-func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
-	name := op.Name()
+// newOpExec builds the operator's runtime state for tasks that count in tab.
+func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf, tab *mapreduce.CounterTable) *opExec {
 	x := &opExec{
 		op:      op,
 		plan:    plan,
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
-
-		ctrPreIn:       ctrPreIn(name),
-		ctrPreInBytes:  ctrPreInBytes(name),
-		ctrPreOutBytes: ctrPreOutBytes(name),
-		ctrIdxBytes:    ctrIdxBytes(name),
-		ctrPostRecords: ctrPostRecords(name),
-		ctrPostBytes:   ctrPostBytes(name),
-		ctrMulti:       make([]string, op.NumIndices()),
-	}
-	for j, ix := range op.Indices() {
-		x.ctrMulti[j] = ctrMulti(name, ix.Name())
+		slots:   statSlots(tab, op),
 	}
 	if conf.Batch {
 		x.batchSize = DefaultBatchSize
@@ -78,34 +67,13 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf) *opExec {
 			Chaos:         conf.Chaos,
 			SharedCache:   conf.SharedCache,
 		})
+		x.clients[pos].Resolve(tab)
 	}
 	return x
 }
 
-// snapshotNode captures the state of the operator's clients' caches on one
-// node and returns a rollback that rewinds them (see Client.SnapshotNode).
-func (x *opExec) snapshotNode(node sim.NodeID) func() {
-	rollbacks := make([]func(), len(x.clients))
-	for i, c := range x.clients {
-		rollbacks[i] = c.SnapshotNode(node)
-	}
-	return func() {
-		for _, rb := range rollbacks {
-			rb()
-		}
-	}
-}
-
-// resetNode drops the operator clients' caches on one node (node crash:
-// per-machine soft state restarts cold).
-func (x *opExec) resetNode(node sim.NodeID) {
-	for _, c := range x.clients {
-		c.ResetNode(node)
-	}
-}
-
 // opTask is an operator's state in one task: what a stage instance
-// resolves when it opens and then uses record after record — the counter
+// binds when it opens and then uses record after record — the counter
 // cells, the clients' bound views, the scratch carrier, and the wrapper
 // that counts postProcess output on its way downstream. The stage types
 // below embed it. Tasks of different nodes run concurrently, so none of
@@ -118,9 +86,8 @@ type opTask struct {
 	// record, and done with when the stage's Process call returns.
 	c carrier
 
-	preIn, preInBytes, preOutBytes   *mapreduce.Cell
-	idxBytes, postRecords, postBytes *mapreduce.Cell
-	multi                            []*mapreduce.Cell // by index, resolved on first use
+	preIn, preInBytes, preOutBytes   mapreduce.Cell
+	idxBytes, postRecords, postBytes mapreduce.Cell
 
 	// bound is indexed by decision position; views are bound on first use.
 	bound []*ixclient.Bound
@@ -132,20 +99,20 @@ type opTask struct {
 	post Emit
 }
 
-// open resolves the operator's cells on the task. A resolved cell that is
-// never added to is not exported, so a stage that sees no record leaves
-// no counter behind.
+// open binds the operator's cells on the task. A bound cell that is never
+// added to is not exported, so a stage that sees no record leaves no
+// counter behind.
 func (o *opTask) open(ctx *mapreduce.TaskContext) {
-	x := o.x
+	x, s := o.x, o.x.slots
 	*o = opTask{
 		x:           x,
 		ctx:         ctx,
-		preIn:       ctx.Cell(x.ctrPreIn),
-		preInBytes:  ctx.Cell(x.ctrPreInBytes),
-		preOutBytes: ctx.Cell(x.ctrPreOutBytes),
-		idxBytes:    ctx.Cell(x.ctrIdxBytes),
-		postRecords: ctx.Cell(x.ctrPostRecords),
-		postBytes:   ctx.Cell(x.ctrPostBytes),
+		preIn:       ctx.Cell(s[cPreIn]),
+		preInBytes:  ctx.Cell(s[cPreInBytes]),
+		preOutBytes: ctx.Cell(s[cPreOutBytes]),
+		idxBytes:    ctx.Cell(s[cIdxBytes]),
+		postRecords: ctx.Cell(s[cPostRecords]),
+		postBytes:   ctx.Cell(s[cPostBytes]),
 		bound:       make([]*ixclient.Bound, len(x.clients)),
 	}
 	o.post = func(p Pair) {
@@ -187,13 +154,7 @@ func (o *opTask) runPre(c *carrier, in Pair) {
 	o.preOutBytes.Add(int64(c.size()))
 	for j, ks := range c.Keys {
 		if len(ks) > 1 && j < op.NumIndices() {
-			if o.multi == nil {
-				o.multi = make([]*mapreduce.Cell, op.NumIndices())
-			}
-			if o.multi[j] == nil {
-				o.multi[j] = o.ctx.Cell(o.x.ctrMulti[j])
-			}
-			o.multi[j].Add(1)
+			o.ctx.Cell(o.x.slots[opCounters+j*ixCounters+xMulti]).Add(1) // bound on first use
 		}
 	}
 }
@@ -531,13 +492,16 @@ func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.endGroup(emi
 // adaptive runtime can re-freeze it for subset phases; it is immutable
 // while a job runs, so tasks read it without synchronization. Charges
 // BuildCharge per extracted record — the cost model's BuildCost term —
-// and counts records, staged splits, and charged nanoseconds.
-func buildStage(bt *buildTarget) mapreduce.StageFactory {
-	op, ix := bt.op, bt.b.Name()
-	ctrRecords, ctrNS, ctrSplits := ctrBuildRecords(op, ix), ctrBuildNS(op, ix), ctrBuildSplits(op, ix)
+// and counts records, staged splits, and charged nanoseconds. The time
+// counter deliberately ends in ".build.ns", not ".serve.ns": the job
+// service's tenant budgets sum every ".serve.ns" counter, and build time
+// is a deliberate investment, not serve traffic.
+func buildStage(bt *buildTarget, tab *mapreduce.CounterTable) mapreduce.StageFactory {
+	p := "efind." + bt.op + "." + bt.b.Name() + ".build."
+	ctrRecords, ctrNS, ctrSplits := tab.Slot(p+"records"), tab.Slot(p+"ns"), tab.Slot(p+"splits")
 	return func(node sim.NodeID) mapreduce.Stage {
 		var entries []index.BuildEntry
-		var records, ns *mapreduce.Cell
+		var records, ns mapreduce.Cell
 		active := false
 		return &mapreduce.FuncStage{
 			OnOpen: func(ctx *mapreduce.TaskContext) {
@@ -561,7 +525,7 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 			OnClose: func(ctx *mapreduce.TaskContext, emit Emit) {
 				if active {
 					bt.b.Stage(ctx.Node, ctx.Split, entries)
-					ctx.Inc(ctrSplits, 1)
+					ctx.Cell(ctrSplits).Add(1)
 				}
 			},
 		}
@@ -569,21 +533,25 @@ func buildStage(bt *buildTarget) mapreduce.StageFactory {
 }
 
 // mapperStage wraps the user's original Map function, measuring its
-// output size (the paper's Smap term).
-func mapperStage(m mapreduce.MapFunc) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage { return &mapperStageInst{m: m} }
+// output size (the paper's Smap term) in tab.
+func mapperStage(m mapreduce.MapFunc, tab *mapreduce.CounterTable) mapreduce.StageFactory {
+	bytes, records := tab.Slot(ctrMapOutBytes), tab.Slot(ctrMapOutRecords)
+	return func(sim.NodeID) mapreduce.Stage {
+		return &mapperStageInst{m: m, bytesSlot: bytes, recordsSlot: records}
+	}
 }
 
 type mapperStageInst struct {
-	m              mapreduce.MapFunc
-	bytes, records *mapreduce.Cell
+	m                      mapreduce.MapFunc
+	bytesSlot, recordsSlot mapreduce.Slot
+	bytes, records         mapreduce.Cell
 	// down is where the record being mapped emits to; counted is built
 	// once and counts a map output on its way there.
 	down, counted Emit
 }
 
 func (s *mapperStageInst) Open(ctx *mapreduce.TaskContext) {
-	s.bytes, s.records = ctx.Cell(ctrMapOutBytes), ctx.Cell(ctrMapOutRecords)
+	s.bytes, s.records = ctx.Cell(s.bytesSlot), ctx.Cell(s.recordsSlot)
 	s.counted = func(p Pair) {
 		s.bytes.Add(int64(p.Size()))
 		s.records.Add(1)

@@ -12,50 +12,20 @@ import (
 	"efind/internal/sketch"
 )
 
-// Counter name helpers: EFind statistics ride on MapReduce counters
-// (§4.2), namespaced per operator. The per-operator record/byte counters
-// live here; the per-index counters are owned by the index client pipeline
-// (internal/ixclient), which maintains them, and are aliased for the
-// statistics collector below.
-func ctrPreIn(op string) string { return "efind." + op + ".pre.in.records" }
-
-// Piggyback-build counters (adaptive index creation). The time counter
-// deliberately ends in ".build.ns", not ".serve.ns": the job service's
-// tenant budgets sum every ".serve.ns" counter, and build time is a
-// deliberate investment, not serve traffic.
-func ctrBuildRecords(op, ix string) string { return "efind." + op + "." + ix + ".build.records" }
-func ctrBuildSplits(op, ix string) string  { return "efind." + op + "." + ix + ".build.splits" }
-func ctrBuildNS(op, ix string) string      { return "efind." + op + "." + ix + ".build.ns" }
+// EFind statistics ride on MapReduce counters (§4.2), namespaced per
+// operator — "efind.<op>.<stat>", resolved in statSlots and buildStage —;
+// the per-index ones are the index client's (internal/ixclient), which
+// writes them.
 
 // CtrBuildCommitted counts the splits committed into buildable indices
 // at the job's post-run serial point.
 const CtrBuildCommitted = "efind.build.splits.committed"
-
-func ctrPreInBytes(op string) string  { return "efind." + op + ".pre.in.bytes" }
-func ctrPreOutBytes(op string) string { return "efind." + op + ".pre.out.bytes" }
-func ctrIdxBytes(op string) string    { return "efind." + op + ".idx.out.bytes" }
-func ctrPostBytes(op string) string   { return "efind." + op + ".post.out.bytes" }
-func ctrPostRecords(op string) string { return "efind." + op + ".post.out.records" }
-
-// Per-index counter names, defined by the index client pipeline.
-var (
-	ctrKeys     = ixclient.CtrKeys
-	ctrKeyBytes = ixclient.CtrKeyBytes
-	ctrValBytes = ixclient.CtrValBytes
-	ctrLookups  = ixclient.CtrLookups
-	ctrServeNS  = ixclient.CtrServeNS
-	ctrProbes   = ixclient.CtrProbes
-	ctrMisses   = ixclient.CtrMisses
-	ctrMulti    = ixclient.CtrMulti
-	skKeys      = ixclient.SkKeys
-)
 
 // ctrMapOutBytes measures the paper's Smap term (output size of the
 // original Map per input record of the head operators).
 const (
 	ctrMapOutBytes   = "efind.map.out.bytes"
 	ctrMapOutRecords = "efind.map.out.records"
-	fmWidth          = ixclient.FMWidth
 )
 
 // IndexStats aggregates one (operator, index) pair's Table 1 terms.
@@ -195,7 +165,7 @@ func (c *Catalog) String() string {
 	return fmt.Sprintf("catalog(%d operators)", len(c.ops))
 }
 
-// The counters one operator's statistics read, as slots of a task's values:
+// The counters one operator's statistics read, as positions of statSlots:
 // the operator's own first, then each index's block.
 const (
 	cPreIn = iota
@@ -220,35 +190,53 @@ const (
 	ixCounters
 )
 
+// statSlots resolves the counters one operator's statistics read in tab, at
+// the positions above. The plan compiler resolves them once per plan, for
+// the operator's stages to bind; collectStats once per call.
+func statSlots(tab *mapreduce.CounterTable, op *Operator) []mapreduce.Slot {
+	name, indices := op.Name(), op.Indices()
+	slots := make([]mapreduce.Slot, opCounters+len(indices)*ixCounters)
+	for i, stat := range [cMapOutBytes]string{
+		cPreIn: "pre.in.records", cPreInBytes: "pre.in.bytes", cPreOutBytes: "pre.out.bytes",
+		cIdxBytes: "idx.out.bytes", cPostBytes: "post.out.bytes", cPostRecords: "post.out.records",
+	} {
+		slots[i] = tab.Slot("efind." + name + "." + stat)
+	}
+	slots[cMapOutBytes] = tab.Slot(ctrMapOutBytes)
+	for i, a := range indices {
+		for x, ctr := range [ixCounters]func(op, ix string) string{
+			xKeys: ixclient.CtrKeys, xKeyBytes: ixclient.CtrKeyBytes, xValBytes: ixclient.CtrValBytes,
+			xLookups: ixclient.CtrLookups, xServeNS: ixclient.CtrServeNS, xProbes: ixclient.CtrProbes,
+			xMisses: ixclient.CtrMisses, xMulti: ixclient.CtrMulti,
+		} {
+			slots[opCounters+i*ixCounters+x] = tab.Slot(ctr(name, a.Name()))
+		}
+	}
+	return slots
+}
+
 // collectStats folds per-task counter samples into OperatorStats for one
 // operator, updating the catalog. It is called after a wave of tasks
 // completes (the paper updates the catalog whenever a Map or Reduce task
 // finishes; folding a batch at the wave boundary is equivalent for the
-// re-optimization decision, which happens at the wave boundary too).
-func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env Env) *OperatorStats {
+// re-optimization decision, which happens at the wave boundary too). tab is
+// the table the tasks counted in.
+func collectStats(cat *Catalog, tab *mapreduce.CounterTable, op *Operator, tasks []mapreduce.TaskStats, env Env) *OperatorStats {
 	st := &OperatorStats{Index: make(map[string]IndexStats)}
 	name, indices := op.Name(), op.Indices()
 
-	// The counter names are spelled here, once, and not once per task: a
-	// task's set is walked once and each counter read lands in its slot.
-	slot := map[string]int{
-		ctrPreIn(name): cPreIn, ctrPreInBytes(name): cPreInBytes, ctrPreOutBytes(name): cPreOutBytes,
-		ctrIdxBytes(name): cIdxBytes, ctrPostBytes(name): cPostBytes, ctrPostRecords(name): cPostRecords,
-		ctrMapOutBytes: cMapOutBytes,
+	// A task's set is walked once, each counter read landing at its position:
+	// at[slot] is 1 + the slot's position, 0 for a slot the statistics skip.
+	slots := statSlots(tab, op)
+	at := make([]int32, len(tab.Names()))
+	for i, s := range slots {
+		at[s] = int32(i + 1)
 	}
 	sketchNames := make([]string, len(indices))
 	for i, a := range indices {
-		ix, base := a.Name(), opCounters+i*ixCounters
-		for x, ctr := range [ixCounters]func(op, ix string) string{
-			xKeys: ctrKeys, xKeyBytes: ctrKeyBytes, xValBytes: ctrValBytes, xLookups: ctrLookups,
-			xServeNS: ctrServeNS, xProbes: ctrProbes, xMisses: ctrMisses, xMulti: ctrMulti,
-		} {
-			slot[ctr(name, ix)] = base + x
-		}
-		sketchNames[i] = skKeys(name, ix)
+		sketchNames[i] = ixclient.SkKeys(name, a.Name())
 	}
-	slots := opCounters + len(indices)*ixCounters
-	vals, total := make([]int64, slots), make([]int64, slots) // one task's counters; all tasks'
+	vals, total := make([]int64, len(slots)), make([]int64, len(slots)) // one task's counters; all tasks'
 	sketches := make([]*sketch.FM, len(indices))
 
 	// Per-task samples of the per-record sizes, for the variance gate: S1,
@@ -260,8 +248,8 @@ func collectStats(cat *Catalog, op *Operator, tasks []mapreduce.TaskStats, env E
 	for _, t := range tasks {
 		clear(vals)
 		for _, c := range t.Counters {
-			if i, ok := slot[c.Name]; ok {
-				vals[i] = c.Value
+			if i := at[c.Slot]; i > 0 {
+				vals[i-1] = c.Value
 			}
 		}
 		r := float64(vals[cPreIn])

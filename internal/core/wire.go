@@ -171,16 +171,6 @@ func writeInt(b *strings.Builder, n int) { writeDecimal(b, n, ';') }
 // corrupt or hostile length prefix cannot drive huge decode loops.
 const maxListLen = 1 << 20
 
-// decodeCarrier parses a serialized carrier into a fresh one. The stages
-// decode into their task's carrier; this is for tests and the fuzz target.
-func decodeCarrier(s string) (*carrier, error) {
-	c := &carrier{}
-	if err := c.decode(s); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // decode refills the carrier from its encoding in one pass, appending to
 // the slabs; the strings alias s. It never panics on corrupt input, and
 // nothing it allocates is sized from a count it read: every list grows by

@@ -10,6 +10,16 @@ import (
 	"efind/internal/sim"
 )
 
+// decodeCarrier parses a serialized carrier into a fresh one. The stages
+// decode into their task's carrier; the tests and the fuzz target use this.
+func decodeCarrier(s string) (*carrier, error) {
+	c := &carrier{}
+	if err := c.decode(s); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 func TestCarrierRoundTrip(t *testing.T) {
 	c := &carrier{
 		Pair: Pair{Key: "k1", Value: "v1\twith\ttabs and 4:colons;semis"},

@@ -151,7 +151,7 @@ func (b *Bound) attempt(keys []string, batched bool) ([][]string, error) {
 		now := t.Now()
 		for _, k := range keys {
 			if c.outages.PartitionDown(c.ix, c.partition(k), now) {
-				t.Inc(chaos.CtrUnavailable, 1)
+				b.add(cUnavailable, 1)
 				return make([][]string, len(keys)), &lookupError{key: k, err: chaos.ErrUnavailable}
 			}
 		}

@@ -167,7 +167,7 @@ var accessCases = []accessCase{
 // runAccessCase runs the case as a job. With recoverAbort the map function
 // recovers an abort itself, so the task completes and its counter set
 // survives; without it, the abort fails the job and err carries it.
-func runAccessCase(t *testing.T, tc accessCase, recoverAbort bool) (f *fakeIndex, got [][]string, extra float64, aborted bool, res *mapreduce.Result, err error) {
+func runAccessCase(t *testing.T, tc accessCase, recoverAbort bool) (f *fakeIndex, got [][]string, extra float64, aborted bool, res *mapreduce.Result, names []string, err error) {
 	t.Helper()
 	f = newFake("kv")
 	if tc.setup != nil {
@@ -223,13 +223,13 @@ func runAccessCase(t *testing.T, tc accessCase, recoverAbort bool) (f *fakeIndex
 	e := mapreduce.New(cluster, fs)
 	e.Trace = obs.NewTrace()
 	res, err = e.Run(job)
-	return f, got, extra, aborted, res, err
+	return f, got, extra, aborted, res, e.CounterTable().Names(), err
 }
 
-func renderCounters(set mapreduce.CounterSet) string {
+func renderCounters(names []string, set mapreduce.CounterSet) string {
 	parts := make([]string, len(set))
 	for i, c := range set {
-		parts[i] = strings.TrimPrefix(c.Name, prefix("op", "kv")) + "=" + strconv.FormatInt(c.Value, 10)
+		parts[i] = strings.TrimPrefix(names[c.Slot], prefix("op", "kv")) + "=" + strconv.FormatInt(c.Value, 10)
 	}
 	return strings.Join(parts, " ")
 }
@@ -240,7 +240,7 @@ func renderCounters(set mapreduce.CounterSet) string {
 func TestAccessPath(t *testing.T) {
 	for _, tc := range accessCases {
 		t.Run(tc.name, func(t *testing.T) {
-			f, got, extra, aborted, res, err := runAccessCase(t, tc, true)
+			f, got, extra, aborted, res, names, err := runAccessCase(t, tc, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +264,7 @@ func TestAccessPath(t *testing.T) {
 			// so listed first) and appends the retry count to the set.
 			want := "task.output.bytes=0 task.output.records=0 task.input.bytes=10 task.input.records=1 " +
 				tc.counters + " task.retries=0"
-			if s := renderCounters(res.MapStats[0].Counters); s != want {
+			if s := renderCounters(names, res.MapStats[0].Counters); s != want {
 				t.Errorf("counter set\n got %s\nwant %s", s, want)
 			}
 			spans := 0
@@ -280,7 +280,7 @@ func TestAccessPath(t *testing.T) {
 				return
 			}
 			// Unrecovered, the same abort fails the job naming index and key.
-			_, _, _, _, _, err = runAccessCase(t, tc, false)
+			_, _, _, _, _, _, err = runAccessCase(t, tc, false)
 			var ie *IndexError
 			if !errors.As(err, &ie) || ie.Op != "op" || ie.Index != "kv" || ie.Key != "b" || !errors.Is(err, chaos.ErrUnavailable) {
 				t.Fatalf("job error = %v, want an IndexError for key %q wrapping %v", err, "b", chaos.ErrUnavailable)

@@ -50,9 +50,8 @@ func SkKeys(op, ix string) string { return prefix(op, ix) + "fm" }
 // FMWidth is the per-task FM sketch width used for the Theta estimate.
 const FMWidth = 64
 
-// The per-index counters the client itself writes, as indices into the
-// name table a Client builds once (counterNames) and into the cells a
-// Bound view resolves once per task.
+// The counters the client itself writes, as indices into the slots it
+// resolves them to (Client.Resolve).
 const (
 	cKeys = iota
 	cKeyBytes
@@ -65,23 +64,6 @@ const (
 	cErrors
 	cRetries
 	cTimeouts
+	cUnavailable
 	numCounters
 )
-
-// counterNames builds the client's counter names for one (operator,
-// index) pair — once per Client, never per lookup.
-func counterNames(op, ix string) [numCounters]string {
-	return [numCounters]string{
-		cKeys:          CtrKeys(op, ix),
-		cKeyBytes:      CtrKeyBytes(op, ix),
-		cValBytes:      CtrValBytes(op, ix),
-		cLookups:       CtrLookups(op, ix),
-		cServeNS:       CtrServeNS(op, ix),
-		cNetRoundTrips: CtrNetRoundTrips(op, ix),
-		cProbes:        CtrProbes(op, ix),
-		cMisses:        CtrMisses(op, ix),
-		cErrors:        CtrErrors(op, ix),
-		cRetries:       CtrRetries(op, ix),
-		cTimeouts:      CtrTimeouts(op, ix),
-	}
-}

@@ -33,6 +33,7 @@ package ixclient
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"efind/internal/chaos"
 	"efind/internal/index"
@@ -163,19 +164,18 @@ func (e *lookupError) Unwrap() error { return e.err }
 
 // Client is the batched, cached, retrying, accounted view of one index
 // from one operator decision. It is safe for concurrent use: tasks of
-// different nodes run on real goroutines, and the only mutable state, the
-// per-node caches, lives in Pools, which lock.
+// different nodes run on real goroutines, the per-node caches live in
+// Pools, which lock, and the counter slots are swapped atomically.
 type Client struct {
 	acc     index.Accessor
 	batcher index.BatchAccessor // nil when the accessor has no multi-get
 	scheme  *index.Scheme       // nil when the accessor is not partitioned
 	opts    Options
 
-	// Built once: the index name, the counter names, the FM sketch name,
-	// the span name, the retry ladder's backoff, and the outage plan (nil
-	// when it has no outages).
+	// Built once: the index name, the FM sketch name, the span name, the
+	// retry ladder's backoff, and the outage plan (nil when it has no
+	// outages).
 	ix      string
-	names   [numCounters]string
 	skKeys  string
 	span    string
 	backoff chaos.Backoff
@@ -185,6 +185,16 @@ type Client struct {
 	// Options.SharedCache or a Pool private to the client. shadow, always
 	// private, measures R key-only for CacheShadow and pooled CacheReal.
 	real, shadow *Pool
+
+	// slots are the client's counters in the table of the engine its tasks
+	// run on (Resolve).
+	slots atomic.Pointer[clientSlots]
+}
+
+// clientSlots are a client's counters as slots of one table.
+type clientSlots struct {
+	table *mapreduce.CounterTable
+	s     [numCounters]mapreduce.Slot
 }
 
 // New wraps an accessor with the access path configured by opts.
@@ -198,7 +208,6 @@ func New(acc index.Accessor, opts Options) *Client {
 		acc:     acc,
 		opts:    opts,
 		ix:      ix,
-		names:   counterNames(opts.Op, ix),
 		skKeys:  SkKeys(opts.Op, ix),
 		span:    "lookup " + opts.Op + "/" + ix,
 		backoff: chaos.Backoff{Base: r.Backoff, Factor: r.Factor, Cap: r.Cap, Jitter: r.Jitter, Seed: r.Seed},
@@ -235,11 +244,32 @@ func (c *Client) private() *Pool {
 // Accessor returns the wrapped index.
 func (c *Client) Accessor() index.Accessor { return c.acc }
 
+// Resolve gives the client's counters their slots in tab, the table of the
+// engine whose tasks bind it (the EFind runtime's plan compiler calls it).
+func (c *Client) Resolve(tab *mapreduce.CounterTable) { c.slotsIn(tab) }
+
+func (c *Client) slotsIn(tab *mapreduce.CounterTable) *clientSlots {
+	if r := c.slots.Load(); r != nil && r.table == tab {
+		return r
+	}
+	op, ix, r := c.opts.Op, c.ix, &clientSlots{table: tab}
+	for i, name := range [numCounters]string{
+		cKeys: CtrKeys(op, ix), cKeyBytes: CtrKeyBytes(op, ix), cValBytes: CtrValBytes(op, ix),
+		cLookups: CtrLookups(op, ix), cServeNS: CtrServeNS(op, ix), cNetRoundTrips: CtrNetRoundTrips(op, ix),
+		cProbes: CtrProbes(op, ix), cMisses: CtrMisses(op, ix), cErrors: CtrErrors(op, ix),
+		cRetries: CtrRetries(op, ix), cTimeouts: CtrTimeouts(op, ix), cUnavailable: chaos.CtrUnavailable,
+	} {
+		r.s[i] = tab.Slot(name)
+	}
+	c.slots.Store(r)
+	return r
+}
+
 // Bound is a Client bound to one task: the per-task view a stage takes
 // when it opens (Client.Bind) and then looks keys up through. It holds
-// what is constant for the task — the counter cells and the FM sketch,
-// each resolved on first use, so a counter exists iff it was counted —
-// and the scratch a single-key access needs (its one-key list, the
+// what is constant for the task — the counters' slots, each bound on the
+// task on first use, so a counter exists iff it was counted, and the FM
+// sketch — and the scratch a single-key access needs (its one-key list, the
 // one-slot results and miss lists), so a cache hit allocates nothing and
 // a miss only what the cache insert needs.
 //
@@ -251,7 +281,7 @@ func (c *Client) Accessor() index.Accessor { return c.acc }
 type Bound struct {
 	c     *Client
 	t     *mapreduce.TaskContext
-	cells [numCounters]*mapreduce.Cell
+	slots *clientSlots
 	fm    *sketch.FM
 
 	key, missKey  [1]string
@@ -260,17 +290,12 @@ type Bound struct {
 }
 
 // Bind returns the client's view for one task.
-func (c *Client) Bind(t *mapreduce.TaskContext) *Bound { return &Bound{c: c, t: t} }
-
-// add counts delta on counter i, resolving its cell on first use.
-func (b *Bound) add(i int, delta int64) {
-	cell := b.cells[i]
-	if cell == nil {
-		cell = b.t.Cell(b.c.names[i])
-		b.cells[i] = cell
-	}
-	cell.Add(delta)
+func (c *Client) Bind(t *mapreduce.TaskContext) *Bound {
+	return &Bound{c: c, t: t, slots: c.slotsIn(t.CounterTable())}
 }
+
+// add counts delta on counter i, binding it on the task on first use.
+func (b *Bound) add(i int, delta int64) { b.t.Cell(b.slots.s[i]).Add(delta) }
 
 // single runs a one-key request on the view's one-key list.
 func (b *Bound) single(key string, cacheable bool) []string {

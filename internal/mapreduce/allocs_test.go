@@ -5,10 +5,13 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"testing"
+	"time"
 
 	"efind/internal/dfs"
+	"efind/internal/obs"
 )
 
 // firstValue emits one record per key group, as an aggregating reduce or
@@ -47,8 +50,8 @@ func TestReduceTaskAllocs(t *testing.T) {
 		frames := e.newPhaseFrames(1)
 		return allocsAndBytes(20, func() {
 			shard, st := e.runReduceTask(job, 0, 0, runs, 0, frames, 0)
-			if len(shard) != groups || st.Counters.Get(CounterInputRecords) != records {
-				t.Fatalf("reduce task produced %d records, counted %d", len(shard), st.Counters.Get(CounterInputRecords))
+			if len(shard) != groups || st.Counters.Get(slotInputRecords) != records {
+				t.Fatalf("reduce task produced %d records, counted %d", len(shard), st.Counters.Get(slotInputRecords))
 			}
 		})
 	}
@@ -108,59 +111,58 @@ func TestCombineAllocs(t *testing.T) {
 }
 
 // TestTaskContextCellAllocs pins what a task pays for its counters: a task
-// that touches only a handful — the engine's built-ins — allocates nothing
-// for them beyond the context itself, and resolving more costs a slab
-// chunk now and then, never an allocation per counter.
+// that touches only the engine's built-ins allocates nothing for them beyond
+// the context itself, and binding more grows its row and order list now and
+// then, never an allocation per counter.
 func TestTaskContextCellAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		ctx := NewTaskContext(nil, 0, 0, MapTask)
-		ctx.Inc(CounterInputRecords, 1)
-		ctx.Inc(CounterInputBytes, 10)
-		ctx.Inc(CounterOutputRecords, 1)
-		ctx.Inc(CounterOutputBytes, 10)
+		ctx.Cell(slotInputRecords).Add(1)
+		ctx.Cell(slotInputBytes).Add(10)
+		ctx.Cell(slotOutputRecords).Add(1)
+		ctx.Cell(slotOutputBytes).Add(10)
 	}); n > 1 {
 		t.Errorf("a task with the four built-in counters allocates %.0f times, want 1 (the context)", n)
 	}
-	names := make([]string, 64)
-	for i := range names {
-		names[i] = fmt.Sprintf("efind.op.counter.%02d", i)
-	}
 	ctx := NewTaskContext(nil, 0, 0, MapTask)
-	cells := make([]*Cell, len(names))
-	for i, name := range names {
-		cells[i] = ctx.Cell(name)
+	slots, cells := make([]Slot, 64), make([]Cell, 64)
+	for i := range slots {
+		slots[i] = ctx.CounterTable().Slot(fmt.Sprintf("efind.op.counter.%02d", i))
+		cells[i] = ctx.Cell(slots[i])
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		for i, name := range names {
-			if ctx.Cell(name) != cells[i] {
-				t.Fatal("a resolved cell moved")
+		for i, s := range slots {
+			if ctx.Cell(s) != cells[i] {
+				t.Fatal("a bound cell moved")
 			}
 			cells[i].Add(1)
-			ctx.Inc(name, 1)
+			ctx.Cell(s).Add(1)
 		}
 	}); n != 0 {
-		t.Errorf("adding to resolved cells allocates %.1f times, want 0", n)
+		t.Errorf("adding to bound cells allocates %.1f times, want 0", n)
 	}
-	if got := ctx.Counter(names[63]); got != 202 {
+	if got := ctx.Counter("efind.op.counter.63"); got != 202 {
 		t.Errorf("counter = %d, want 202", got)
 	}
 }
 
 // TestCellKeySet pins the export rule: a counter exists in the task's
 // statistics iff it was added to — even by zero — not because its cell
-// was resolved.
+// was bound; and taking them leaves the frame's row clear.
 func TestCellKeySet(t *testing.T) {
 	_, _, e := testEnv(t)
-	ctx := NewTaskContext(nil, 0, 0, MapTask)
-	ctx.Cell("resolved.only")
-	ctx.Cell("added.zero").Add(0)
+	frames := e.newPhaseFrames(1)
+	f := frames.start(0, e, 0, 0, MapTask, 0)
+	tab, ctx := e.CounterTable(), &f.ctx
+	ctx.Cell(tab.Slot("resolved.only"))
+	ctx.Cell(tab.Slot("added.zero")).Add(0)
 	ctx.Inc("inc.zero", 0)
-	ctx.Cell("added").Add(3)
-	st := e.taskStats(ctx)
-	// The order the context chains its cells in: newest first.
-	want := CounterSet{{Name: "added", Value: 3}, {Name: "inc.zero"}, {Name: "added.zero"}}
-	if !reflect.DeepEqual(st.Counters, want) {
-		t.Fatalf("counters = %v, want %v", st.Counters, want)
+	ctx.Cell(tab.Slot("added")).Add(3)
+	st := frames.done(0, f)
+	// The order the task bound its counters in: newest first.
+	want := []obs.Metric{{Name: "added", Value: 3}, {Name: "inc.zero"}, {Name: "added.zero"}}
+	if got := named(tab, st.Counters); !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters = %v, want %v", got, want)
 	}
 	if cap(st.Counters) != len(want)+1 {
 		t.Errorf("the set has room for %d counters, want its %d and task.retries", cap(st.Counters), len(want))
@@ -168,14 +170,39 @@ func TestCellKeySet(t *testing.T) {
 	if st.Sketches != nil {
 		t.Errorf("sketches = %v, want none", st.Sketches)
 	}
+	if f.ctrs.last != 0 || slices.ContainsFunc(f.ctrs.row, func(e slotState) bool { return e != slotState{} }) {
+		t.Errorf("the frame's row is not clear after its task: last bound %d", f.ctrs.last)
+	}
+}
+
+// named spells a set out with its table's names.
+func named(tab *CounterTable, set CounterSet) []obs.Metric {
+	names, out := tab.Names(), make([]obs.Metric, len(set))
+	for i, c := range set {
+		out[i] = obs.Metric{Name: names[c.Slot], Value: c.Value}
+	}
+	return out
 }
 
 // allocsAndBytes measures fn's allocations and allocated bytes per call,
 // after one warm-up call, with the collector off so nothing but fn counts.
+// MemStats counts the whole process, and what else allocated in the window
+// was the runtime starting a thread — an m, two g and two profiling stacks:
+// 2,048 B + 2×448 B + 2×1,152 B — for a collection's background work. So it
+// first finishes a collection and waits for a millisecond in which the
+// process allocates nothing.
 func allocsAndBytes(runs int, fn func()) (allocs, bytes uint64) {
+	runtime.GC()
+	var before, after runtime.MemStats
+	for i := 0; i < 50; i++ {
+		runtime.ReadMemStats(&before)
+		time.Sleep(time.Millisecond)
+		if runtime.ReadMemStats(&after); after.Mallocs == before.Mallocs {
+			break
+		}
+	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn()
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		fn()
@@ -186,23 +213,25 @@ func allocsAndBytes(runs int, fn func()) (allocs, bytes uint64) {
 
 // TestMapTaskAllocs pins what a map task pays: what it retains and nothing
 // that grows with the reducer count. On its worker's frame a one-record
-// identity task costs the same three allocations routed 16 ways and 4,096
-// ways — its output, the one-record slab and the counter set — because the
-// output is sparse and the frame, staging buffer and sinks included, is the
-// worker's, kept from task to task.
+// identity task costs the same two allocations routed 16 ways and 4,096
+// ways — its output and the one-record slab — because the output is sparse,
+// the frame is the worker's, kept from task to task with its staging buffer,
+// sinks and counter row, and the task's counter set is a window of the
+// phase's slab, made once for the phase.
 func TestMapTaskAllocs(t *testing.T) {
 	_, fs, e := testEnv(t)
 	in, err := fs.Create("one", []dfs.Record{{Key: "k", Value: "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	const runs = 200
 	measure := func(numReduce int) (allocs, bytes uint64) {
 		job := &Job{Name: "allocs", Input: in, Reduce: IdentityReduce, NumReduce: numReduce}
 		if err := job.validate(e); err != nil {
 			t.Fatal(err)
 		}
-		frames := e.newPhaseFrames(1)
-		return allocsAndBytes(200, func() {
+		frames := e.newPhaseFrames(runs + 1) // the warm-up task makes the slab
+		return allocsAndBytes(runs, func() {
 			out, _ := e.runMapTask(job, 0, 0, in.Chunks[0], 0, 0, frames, 0)
 			if len(out.Buckets) != 1 || len(out.Buckets[0]) != 1 || out.Parts != numReduce {
 				t.Fatalf("map output %+v", out)
@@ -215,22 +244,22 @@ func TestMapTaskAllocs(t *testing.T) {
 	if narrowAllocs != wideAllocs || narrowBytes != wideBytes {
 		t.Errorf("a one-record map task costs %d allocations / %d B at 16 reducers but %d / %d B at 4,096", narrowAllocs, narrowBytes, wideAllocs, wideBytes)
 	}
-	if wideAllocs > 3 || wideBytes > 288 {
-		t.Errorf("a one-record map task on a used frame costs %d allocations / %d B, want at most 3 / 288 B", wideAllocs, wideBytes)
+	if wideAllocs > 2 || wideBytes > 160 {
+		t.Errorf("a one-record map task on a used frame costs %d allocations / %d B, want at most 2 / 160 B", wideAllocs, wideBytes)
 	}
 }
 
 // TestPhaseAllocsPerTask pins what a phase pays per task beside the task's
 // own work: nothing. A phase of one-record tasks allocates what its tasks
-// retain — a map task its output, the one-record slab and the counter set,
-// a reduce task its refs, value slab, shard and counter set — times the
-// task count, plus a constant that is the same for 200 tasks and for 2,000:
-// no closure, scheduler entry or sink per task.
+// retain — a map task its output and the one-record slab, a reduce task its
+// refs, value slab and shard — times the task count, plus a constant that is
+// the same for 200 tasks and for 2,000: no closure, scheduler entry, sink or
+// counter set per task (the sets are windows of one slab per phase).
 func TestPhaseAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race a reduce task allocates once more than it does without: the per-task count is exact only outside it")
 	}
-	const perMap, perReduce = 3, 4
+	const perMap, perReduce = 2, 3
 	ordinal := func(key string, n int) int { // key i to reducer i: one record each
 		i, _ := strconv.Atoi(key)
 		return i % n

@@ -210,12 +210,12 @@ func (bp *backupPlanner) commit(oldNode sim.NodeID, assigns []sim.Assignment, no
 // own counters so it flows through job results, trace metrics, and
 // profiles like any other counter.
 func commitBackup(a *sim.Assignment, st *TaskStats, backupNode sim.NodeID, backupStart, backupDur float64, backupStats TaskStats, local bool) bool {
-	st.Counters.Add(chaos.CtrSpecLaunched, 1)
+	st.Counters.Add(slotSpecLaunched, 1)
 	if backupStart+backupDur >= a.Start+a.Duration {
-		st.Counters.Add(chaos.CtrSpecLost, 1)
+		st.Counters.Add(slotSpecLost, 1)
 		return false
 	}
-	st.Counters.Add(chaos.CtrSpecWon, 1)
+	st.Counters.Add(slotSpecWon, 1)
 	backupStats.Counters = st.Counters
 	backupStats.Sketches = st.Sketches
 	*st = backupStats
@@ -270,8 +270,8 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 			// The backup aborted (e.g. it straddled an outage window the
 			// original missed). Hadoop kills failed backups without
 			// failing the task; the original attempt stands.
-			p.stats[i].Counters.Add(chaos.CtrSpecLaunched, 1)
-			p.stats[i].Counters.Add(chaos.CtrSpecLost, 1)
+			p.stats[i].Counters.Add(slotSpecLaunched, 1)
+			p.stats[i].Counters.Add(slotSpecLost, 1)
 		} else {
 			dur := (cfg.TaskStartup + st.Duration) / cfg.SpeedOf(node)
 			oldNode := a.Node
@@ -321,7 +321,7 @@ func (e *JobRun) crash(job *Job, p *phaseSpec, base float64, patch *phasePatch) 
 		patch.waves += rec.Waves
 		for _, i := range origTask {
 			if p.stats[i].Counters != nil {
-				p.stats[i].Counters.Add(chaos.CtrTasksLost, 1)
+				p.stats[i].Counters.Add(slotTasksLost, 1)
 			}
 		}
 	}

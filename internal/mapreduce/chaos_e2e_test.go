@@ -238,7 +238,7 @@ func chaosRunTraced(t *testing.T, parallelism int, crashes []chaos.Crash) (*Resu
 // tasksLost sums the crash-discarded attempts recorded on a phase's tasks.
 func tasksLost(stats []TaskStats) (n int64) {
 	for _, st := range stats {
-		n += st.Counters.Get(chaos.CtrTasksLost)
+		n += st.Counters.Get(slotTasksLost)
 	}
 	return n
 }

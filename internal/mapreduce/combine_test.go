@@ -82,7 +82,7 @@ func TestCombinerReducesShuffleBytes(t *testing.T) {
 		}
 		var mapOutBytes int64
 		for _, st := range res.MapStats {
-			mapOutBytes += st.Counters.Get(CounterOutputBytes)
+			mapOutBytes += st.Counters.Get(slotOutputBytes)
 		}
 		return res, mapOutBytes
 	}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"efind/internal/dfs"
 	"efind/internal/obs"
@@ -18,9 +19,10 @@ import (
 // Fault injection and chaos schedules are per-Job configuration (see
 // Job.FaultInjector and Job.Chaos), and all per-job mutable state — the
 // virtual clock, phase sequence, slot lease — lives on the JobRun handle
-// (see run.go). The Engine itself is immutable after construction, so any
-// number of runs, sequential or interleaved by the job service, share one
-// Engine without leaking state into each other.
+// (see run.go). The Engine itself is immutable after construction — its
+// counter table only ever gains names —, so any number of runs, sequential
+// or interleaved by the job service, share one Engine without leaking state
+// into each other.
 type Engine struct {
 	Cluster *sim.Cluster
 	FS      *dfs.FS
@@ -30,6 +32,8 @@ type Engine struct {
 	// default) keeps the hot path untouched: task contexts skip span
 	// recording entirely and allocate nothing for it.
 	Trace *obs.Trace
+
+	counters *CounterTable
 }
 
 // CounterTaskRetries counts failed task attempts that were re-executed.
@@ -41,8 +45,11 @@ const maxAttempts = 4
 
 // New returns an engine bound to the cluster and file system.
 func New(cluster *sim.Cluster, fs *dfs.FS) *Engine {
-	return &Engine{Cluster: cluster, FS: fs}
+	return &Engine{Cluster: cluster, FS: fs, counters: newCounterTable()}
 }
+
+// CounterTable returns the table naming the slots of the engine's task sets.
+func (e *Engine) CounterTable() *CounterTable { return e.counters }
 
 // Close releases resources the engine's file system holds outside the Go
 // heap — the mmap'd snapshots of file-backed chunks. It is the shutdown
@@ -192,11 +199,11 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 }
 
 // taskFrame is what a task uses and does not retain — context, core stage,
-// pipeline, sink state — as one allocation, which its worker's next task of
-// the phase starts on. What a task retains (MapOutput, reduce shard, counter
-// set) is allocated apart on purpose: embedded here it would pin the frame,
-// and every scratch a stage hangs off the context, for as long as the result
-// lives.
+// pipeline, sink state, counter row — as one allocation, which its worker's
+// next task of the phase starts on. What a task retains (MapOutput, reduce
+// shard, counter set) lives apart on purpose: embedded here it would pin the
+// frame, and every scratch a stage hangs off the context, for as long as the
+// result lives.
 type taskFrame struct {
 	ctx  TaskContext
 	core FuncStage
@@ -213,12 +220,15 @@ type taskFrame struct {
 	frameKeeps
 }
 
-// frameKeeps is all a frame keeps from task to task: the staging buffer,
-// which the scatter wipes, and the frame's own methods as the values the
+// frameKeeps is all a frame keeps from task to task: the staging buffer and
+// the counter row, which a task leaves clear, the windows it holds for its
+// tasks' counter sets, and the frame's own methods as the values the
 // pipeline is handed — bound to the frame, not to anything a task put in
 // it, and one allocation each were they made per task.
 type frameKeeps struct {
 	stage *staging
+	ctrs  taskCounters
+	slab  CounterSet
 
 	mapSink, shardSink Emit // emitMap, emitShard
 	process            Emit // pipe.Process
@@ -231,38 +241,77 @@ type frameKeeps struct {
 // scheduled. A slot is empty while its task runs and refilled only by a task
 // that ran to its end: an attempt that aborts drops its frame, half-filled
 // staging buffer and all, so no task starts on a dirty one.
-type phaseFrames []*taskFrame
+// Beside them is the phase's counter slab, made when short for every task not
+// yet given a window of it — once for a phase of like tasks —, which frames
+// take windows from 16 tasks at a time.
+type phaseFrames struct {
+	slot []*taskFrame
+
+	mu   sync.Mutex
+	slab CounterSet // what is left of it
+	left int        // tasks not yet given a window
+}
 
 // newPhaseFrames sizes the slots for a phase of the given task count; a
 // crash's recovery wave, never of more tasks, runs on the same ones. This is
 // the phase's one reading of the worker count: the scheduler is capped at it
 // (phaseSpec.workers), so no index passes the slots.
-func (e *Engine) newPhaseFrames(tasks int) phaseFrames {
-	return make(phaseFrames, e.Cluster.PhaseWorkers(tasks)+1)
+func (e *Engine) newPhaseFrames(tasks int) *phaseFrames {
+	return &phaseFrames{slot: make([]*taskFrame, e.Cluster.PhaseWorkers(tasks)+1), left: tasks}
 }
 
-func (fr phaseFrames) coordinator() int { return len(fr) - 1 }
+func (fr *phaseFrames) coordinator() int { return len(fr.slot) - 1 }
 
 // start takes the worker's frame for a task whose context clock is anchored
 // at absStart, its absolute virtual start time, so stages can evaluate index
 // outage windows.
-func (fr phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
-	f := fr[worker]
-	fr[worker] = nil
+func (fr *phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kind TaskKind, absStart float64) *taskFrame {
+	f := fr.slot[worker]
+	fr.slot[worker] = nil
 	if f == nil {
 		f = &taskFrame{}
 		f.mapSink, f.shardSink, f.process = f.emitMap, f.emitShard, f.pipe.Process
+		f.ctrs.table = e.counters
 	}
-	f.ctx.init(e.Cluster, node, id, kind)
-	f.ctx.base, f.ctx.traced = absStart, e.Trace != nil
+	ctx := &f.ctx
+	ctx.Node, ctx.TaskID, ctx.Split, ctx.Kind, ctx.cluster = node, id, id, kind, e.Cluster
+	ctx.base, ctx.traced, ctx.ctrs = absStart, e.Trace != nil, &f.ctrs
 	return f
 }
 
-// done puts a finished task's frame back. Zeroing drops — does not clear —
-// what the task's statistics took from the context: spans and sketches.
-func (fr phaseFrames) done(worker int, f *taskFrame) {
+// done takes a finished task's statistics out of its frame and puts the
+// frame back. The counters it added go to a window of the frame's slab, with
+// room for the task.retries the engine appends; zeroing drops — does not
+// clear — what the statistics took from the context: spans and sketches.
+func (fr *phaseFrames) done(worker int, f *taskFrame) TaskStats {
+	if n := f.ctrs.bound + 1; cap(f.slab)-len(f.slab) < n { // room for what the task bound
+		fr.mu.Lock()
+		k := min(max(fr.left, 1), 16)
+		if len(fr.slab) < k*n {
+			fr.slab = make(CounterSet, max(fr.left, 16)*n)
+		}
+		f.slab, fr.slab, fr.left = fr.slab[:0:k*n], fr.slab[k*n:], fr.left-k
+		fr.mu.Unlock()
+	}
+	at := len(f.slab)
+	f.slab = f.ctrs.take(f.slab)
+	end := len(f.slab)
+	set := f.slab[at : end : end+1]
+	f.slab = f.slab[:end+1]
+	ctx := &f.ctx
+	st := TaskStats{
+		ID: ctx.TaskID, Kind: ctx.Kind, Node: ctx.Node, Counters: set,
+		Duration: ctx.extra, BodyTime: ctx.extra, Spans: ctx.spans,
+	}
+	if len(ctx.sketches) > 0 {
+		st.Sketches = make(map[string][]uint64, len(ctx.sketches))
+		for k, s := range ctx.sketches {
+			st.Sketches[k] = s.Vectors()
+		}
+	}
 	*f = taskFrame{frameKeeps: f.frameKeeps}
-	fr[worker] = f
+	fr.slot[worker] = f
+	return st
 }
 
 // emitMap is the map sink. A partitioner answering outside [0, NumReduce)
@@ -293,7 +342,7 @@ func (f *taskFrame) emitShard(p Pair) {
 }
 
 // runMapTask executes one map task on the given node, on the worker's frame.
-func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, frames phaseFrames, worker int) (*MapOutput, TaskStats) {
+func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node sim.NodeID, absStart float64, frames *phaseFrames, worker int) (*MapOutput, TaskStats) {
 	f := frames.start(worker, e, node, taskID, MapTask, absStart)
 	ctx := &f.ctx
 	ctx.Split = split
@@ -347,10 +396,10 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		sp.End()
 	}
 
-	ctx.Inc(CounterInputRecords, int64(len(records)))
-	ctx.Inc(CounterInputBytes, int64(chunk.Bytes))
-	ctx.Inc(CounterOutputRecords, int64(outRecords))
-	ctx.Inc(CounterOutputBytes, int64(out.Bytes))
+	ctx.Cell(slotInputRecords).Add(int64(len(records)))
+	ctx.Cell(slotInputBytes).Add(int64(chunk.Bytes))
+	ctx.Cell(slotOutputRecords).Add(int64(outRecords))
+	ctx.Cell(slotOutputBytes).Add(int64(out.Bytes))
 	sp = ctx.StartSpan("cpu", "cpu")
 	ctx.Charge(e.Cluster.CPUTime(len(records)+outRecords, float64(chunk.Bytes+out.Bytes)))
 	sp.End()
@@ -360,9 +409,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		ctx.Charge(e.Cluster.DFSTime(float64(out.Bytes)))
 		sp.End()
 	}
-	st := e.taskStats(ctx)
-	frames.done(worker, f)
-	return out, st
+	return out, frames.done(worker, f)
 }
 
 // combineBuckets applies the job's combiner to each reducer bucket of one
@@ -412,52 +459,26 @@ func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (out
 	}
 	clear(out.Buckets[kept:]) // a dropped bucket must not pin the slab
 	out.Buckets, out.Reducers = out.Buckets[:kept], out.Reducers[:kept]
-	ctx.Inc(CounterCombineInRecords, int64(inRecords))
-	ctx.Inc(CounterCombineOutRecords, int64(outRecords))
+	ctx.Cell(slotCombineIn).Add(int64(inRecords))
+	ctx.Cell(slotCombineOut).Add(int64(outRecords))
 	ctx.Charge(e.Cluster.CPUTime(inRecords, float64(inBytes)))
 	return outRecords
 }
 
-// RunReducePhase shuffles the given map outputs, runs the reduce side, and
-// writes the job output. The map outputs may come from several map phases
-// (plan changes merge old-plan and new-plan map results, Figure 10(a)).
-func (e *JobRun) RunReducePhase(job *Job, mp *MapPhaseResult, extra ...*MapPhaseResult) (*Result, error) {
-	outputs := append([]*MapOutput(nil), mp.Outputs...)
-	stats := append([]TaskStats(nil), mp.Stats...)
-	vtime := mp.VTime
-	for _, m := range extra {
-		outputs = append(outputs, m.Outputs...)
-		stats = append(stats, m.Stats...)
-		vtime += m.VTime
-	}
+// RunReducePhase shuffles the map phase's outputs, runs the reduce side, and
+// writes the job output. Map work of several phases — a plan change's,
+// Figure 10(a) — comes merged into one result.
+func (e *JobRun) RunReducePhase(job *Job, mp *MapPhaseResult) (*Result, error) {
 	// RunReduceSubset validates the job and the outputs.
-	sub, err := e.RunReduceSubset(job, outputs, nil)
+	sub, err := e.RunReduceSubset(job, mp.Outputs, nil)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Counters:   make(map[string]int64),
-		MapStats:   stats,
-		MapOutputs: outputs,
-		MapPhase:   mp.Phase,
-	}
-	res.ReduceStats = sub.Stats
-	res.ReducePhase = sub.Phase
-	res.VTime = vtime + sub.VTime
-
-	name := job.OutputName
-	if name == "" {
-		name = e.FS.TempName(job.Name + "-out")
-	}
-	out, err := e.FS.CreateSharded(name, sub.Shards, sub.Homes)
+	res, err := e.result(job, mp, sub.Shards, sub.Homes)
 	if err != nil {
 		return nil, err
 	}
-	res.Output = out
-	MergeCounters(res.Counters, mp.Counters)
-	for _, m := range extra {
-		MergeCounters(res.Counters, m.Counters)
-	}
+	res.ReduceStats, res.ReducePhase, res.VTime = sub.Stats, sub.Phase, res.VTime+sub.VTime
 	MergeCounters(res.Counters, sub.Counters)
 	return res, nil
 }
@@ -546,8 +567,8 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 // emitPhase exports one completed phase to the attached trace: a task
 // span per assignment (on the node/slot lane the scheduler placed it),
 // the task's rebased sub-phase spans, a queued→scheduled wait for tasks
-// that did not start at phase begin, the per-task counters (folded into
-// the unified registry), and a stage profile carrying the makespan the
+// that did not start at phase begin, the phase's folded counters (into the
+// unified registry), and a stage profile carrying the makespan the
 // CI regression gate budgets. Assignments arrive sorted by (start,
 // task), so emission order — and the exported file — is deterministic
 // and identical for serial and parallel executions.
@@ -557,7 +578,7 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 // absolute start on the service timeline — so spans of interleaved jobs
 // land where they actually ran, and counters are folded in under the
 // run's (tenant, job) namespace.
-func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.PhaseResult, stats []TaskStats) {
+func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.PhaseResult, stats []TaskStats, sums []obs.Metric) {
 	t := e.Trace
 	if t == nil {
 		return
@@ -572,7 +593,7 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 		st := stats[a.Task]
 		speed := cfg.SpeedOf(a.Node)
 		taskName := fmt.Sprintf("%s[%d]", name, st.ID)
-		if n := st.Counters.Get(CounterTaskRetries); n > 0 {
+		if n := st.Counters.Get(slotRetries); n > 0 {
 			taskName = fmt.Sprintf("%s (retries=%d)", taskName, n)
 		}
 		if a.Start > 0 {
@@ -594,8 +615,8 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 				Start: base + bodyStart + s.Start/speed, Dur: s.Dur / speed,
 			})
 		}
-		t.Metrics.AddAll(prefix, st.Counters)
 	}
+	t.Metrics.AddAll(prefix, sums)
 	t.AddStage(obs.StageProfile{
 		Name: t.Qualify(name), Kind: kind, VTime: phase.Makespan,
 		Tasks: len(stats), LocalTasks: phase.LocalTasks, Waves: phase.Waves,
@@ -607,7 +628,7 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 
 // runReduceTask executes one reduce task: shuffle in its runs, sort, group,
 // reduce, chained tail stages, and output collection, on the worker's frame.
-func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64, frames phaseFrames, worker int) ([]dfs.Record, TaskStats) {
+func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleRun, absStart float64, frames *phaseFrames, worker int) ([]dfs.Record, TaskStats) {
 	f := frames.start(worker, e, node, r, ReduceTask, absStart)
 	ctx := &f.ctx
 
@@ -650,28 +671,23 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	sp.End()
 
 	outRecords, outBytes := len(f.shard), f.outBytes
-	ctx.Inc(CounterInputRecords, int64(inRecords))
-	ctx.Inc(CounterInputBytes, int64(inBytes))
-	ctx.Inc(CounterOutputRecords, int64(outRecords))
-	ctx.Inc(CounterOutputBytes, int64(outBytes))
+	ctx.Cell(slotInputRecords).Add(int64(inRecords))
+	ctx.Cell(slotInputBytes).Add(int64(inBytes))
+	ctx.Cell(slotOutputRecords).Add(int64(outRecords))
+	ctx.Cell(slotOutputBytes).Add(int64(outBytes))
 	sp = ctx.StartSpan("cpu", "cpu")
 	ctx.Charge(e.Cluster.CPUTime(inRecords+outRecords, float64(inBytes+outBytes)))
 	sp.End()
 	sp = ctx.StartSpan("dfs-write", "io")
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))
 	sp.End()
-	shard, st := f.shard, e.taskStats(ctx)
-	frames.done(worker, f)
-	return shard, st
+	shard := f.shard
+	return shard, frames.done(worker, f)
 }
 
 // FinishMapOnly materializes a map-only job's output (one shard per map
 // task, first replica on the task's node, as Hadoop's zero-reducer jobs).
 func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
-	name := job.OutputName
-	if name == "" {
-		name = e.FS.TempName(job.Name + "-out")
-	}
 	shards := make([][]dfs.Record, len(mp.Outputs))
 	homes := make([]sim.NodeID, len(mp.Outputs))
 	for i, mo := range mp.Outputs {
@@ -683,53 +699,23 @@ func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
 			}
 		}
 	}
+	return e.result(job, mp, shards, homes)
+}
+
+// result writes a job's output shards and reports its map work.
+func (e *Engine) result(job *Job, mp *MapPhaseResult, shards [][]dfs.Record, homes []sim.NodeID) (*Result, error) {
+	name := job.OutputName
+	if name == "" {
+		name = e.FS.TempName(job.Name + "-out")
+	}
 	out, err := e.FS.CreateSharded(name, shards, homes)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
-		Output:     out,
-		VTime:      mp.VTime,
-		Counters:   make(map[string]int64),
-		MapStats:   mp.Stats,
-		MapPhase:   mp.Phase,
-		MapOutputs: mp.Outputs,
-	}
+	res := &Result{Output: out, VTime: mp.VTime, Counters: make(map[string]int64),
+		MapStats: mp.Stats, MapPhase: mp.Phase, MapOutputs: mp.Outputs}
 	MergeCounters(res.Counters, mp.Counters)
 	return res, nil
-}
-
-// taskStats snapshots a finished task's context. Only cells that were
-// added to become counters: a cell that was merely resolved is not a
-// counter the task had.
-func (e *Engine) taskStats(ctx *TaskContext) TaskStats {
-	n := 0
-	for c := ctx.head; c != nil; c = c.next {
-		if c.touched {
-			n++
-		}
-	}
-	st := TaskStats{
-		ID:       ctx.TaskID,
-		Kind:     ctx.Kind,
-		Node:     ctx.Node,
-		Counters: make(CounterSet, 0, n+1), // and task.retries, which every task gets
-		Duration: ctx.extra,
-		BodyTime: ctx.extra,
-		Spans:    ctx.spans,
-	}
-	for c := ctx.head; c != nil; c = c.next {
-		if c.touched {
-			st.Counters = append(st.Counters, Counter{Name: c.name, Value: c.v})
-		}
-	}
-	if len(ctx.sketches) > 0 {
-		st.Sketches = make(map[string][]uint64, len(ctx.sketches))
-		for k, s := range ctx.sketches {
-			st.Sketches[k] = s.Vectors()
-		}
-	}
-	return st
 }
 
 // MergeCounters folds one phase- or job-level counter map into another.

@@ -274,7 +274,7 @@ func TestCountersAggregated(t *testing.T) {
 	}
 	var sum int64
 	for _, st := range res.MapStats {
-		sum += st.Counters.Get("custom.seen")
+		sum += st.Counters.Get(e.CounterTable().Slot("custom.seen"))
 	}
 	if sum != 200 {
 		t.Fatalf("per-task counters sum to %d, want 200", sum)
@@ -306,7 +306,8 @@ func TestRunMapPhaseSubsetAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.RunReducePhase(job, first, second)
+	merged := &MapPhaseResult{Outputs: append(first.Outputs, second.Outputs...), VTime: first.VTime + second.VTime}
+	res, err := r.RunReducePhase(job, merged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestFaultInjectionReduceRetries(t *testing.T) {
 	}
 	var retries int64
 	for _, st := range res.ReduceStats {
-		retries += st.Counters.Get(CounterTaskRetries)
+		retries += st.Counters.Get(slotRetries)
 	}
 	if retries != 3 {
 		t.Fatalf("reduce retries = %d, want one per reducer", retries)
@@ -98,8 +98,8 @@ func TestFaultInjectionLastAttemptSucceeds(t *testing.T) {
 		t.Fatalf("records = %d", res.Output.Records())
 	}
 	for _, st := range res.MapStats {
-		if st.Counters.Get(CounterTaskRetries) != maxAttempts-1 {
-			t.Fatalf("map retries = %d, want %d", st.Counters.Get(CounterTaskRetries), maxAttempts-1)
+		if st.Counters.Get(slotRetries) != maxAttempts-1 {
+			t.Fatalf("map retries = %d, want %d", st.Counters.Get(slotRetries), maxAttempts-1)
 		}
 	}
 }

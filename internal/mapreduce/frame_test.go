@@ -6,8 +6,9 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"efind/internal/chaos"
 	"efind/internal/obs"
@@ -15,12 +16,12 @@ import (
 )
 
 // The frame tests run tasks that leave as much as they can in their
-// context — counters past the inline cells and past the scan limit, a
-// sketch, charges, spans — over frames a worker keeps from task to task, and
-// hold every task to what it yields on a frame of its own.
+// context — counters of their own, a sketch, charges, spans — over frames a
+// worker keeps from task to task, and hold every task to what it yields on a
+// frame of its own.
 
-// hygieneCounters is how many counters split s touches: some fit the
-// context's inline cells, some need slab chunks, some the name index.
+// hygieneCounters is how many counters of its own split s touches: the
+// first task on a frame grows its row, a later one may need more or fewer.
 var hygieneCounters = [shuffleSplits]int{2, 12, 5, 3, 20, 9}
 
 // hygieneJob fans each split out like the shuffle tests do, and has every
@@ -43,8 +44,8 @@ func hygieneJob(t *testing.T, c shuffleCase, e *Engine, name string) *Job {
 	}
 	fresh := func(sim.NodeID) Stage {
 		return &FuncStage{OnOpen: func(ctx *TaskContext) {
-			if ctx.head != nil || ctx.ncells != 0 || ctx.index != nil || ctx.sketches != nil || len(ctx.slab) != 0 || ctx.inline != [4]Cell{} {
-				t.Errorf("%s task %d opens on a context with counters or sketches: %d cells, index %v, sketches %v", ctx.Kind, ctx.TaskID, ctx.ncells, ctx.index, ctx.sketches)
+			if ctx.ctrs.last != 0 || slices.ContainsFunc(ctx.ctrs.row, func(e slotState) bool { return e != slotState{} }) || ctx.sketches != nil {
+				t.Errorf("%s task %d opens on a context with counters or sketches: last bound %d, sketches %v", ctx.Kind, ctx.TaskID, ctx.ctrs.last, ctx.sketches)
 			}
 			if ctx.Split != ctx.TaskID {
 				t.Errorf("%s task %d opens with Split %d", ctx.Kind, ctx.TaskID, ctx.Split)
@@ -104,7 +105,7 @@ func TestFrameHygiene(t *testing.T) {
 		_, e := parEnv(t, parallelism)
 		e.Trace = obs.NewTrace() // tasks record spans
 		job := hygieneJob(t, c, e, "in")
-		attempt := func(frames phaseFrames, worker, s int, abort bool) (*MapOutput, TaskStats, error) {
+		attempt := func(frames *phaseFrames, worker, s int, abort bool) (*MapOutput, TaskStats, error) {
 			j := *job
 			if fan := job.Map; abort {
 				j.Map = func(ctx *TaskContext, in Pair, emit Emit) {
@@ -145,8 +146,8 @@ func TestFrameHygiene(t *testing.T) {
 		// the worker's slot, and the attempt after it runs on a frame that is
 		// not the one the abort dirtied.
 		frames := e.newPhaseFrames(shuffleSplits)
-		if want := min(parallelism, shuffleSplits) + 1; len(frames) != want || frames.coordinator() != want-1 {
-			t.Fatalf("parallelism %d: %d frame slots, the coordinator's at %d, want %d: one per worker and the coordinator's last", parallelism, len(frames), frames.coordinator(), want)
+		if want := min(parallelism, shuffleSplits) + 1; len(frames.slot) != want || frames.coordinator() != want-1 {
+			t.Fatalf("parallelism %d: %d frame slots, the coordinator's at %d, want %d: one per worker and the coordinator's last", parallelism, len(frames.slot), frames.coordinator(), want)
 		}
 		type kept struct {
 			s      int
@@ -157,12 +158,12 @@ func TestFrameHygiene(t *testing.T) {
 		var keep []kept
 		for round := 0; round < 3; round++ {
 			for s := 0; s < shuffleSplits; s++ {
-				dirtied := frames[0]
+				dirtied := frames.slot[0]
 				if s == 3 {
 					if _, _, err := attempt(frames, 0, 2, true); !errors.Is(err, boom) {
 						t.Fatalf("aborting attempt: %v", err)
 					}
-					if frames[0] != nil {
+					if frames.slot[0] != nil {
 						t.Fatalf("round %d: the aborted attempt left its frame in the worker's slot", round)
 					}
 				}
@@ -173,7 +174,7 @@ func TestFrameHygiene(t *testing.T) {
 				if !reflect.DeepEqual(st, refStats[s]) || !reflect.DeepEqual(out.Buckets, refOut[s].Buckets) {
 					t.Fatalf("parallelism %d round %d split %d on a used frame:\n got %+v\nwant %+v", parallelism, round, s, st, refStats[s])
 				}
-				if fresh := frames[0] != dirtied; fresh != (s == 3 || dirtied == nil) {
+				if fresh := frames.slot[0] != dirtied; fresh != (s == 3 || dirtied == nil) {
 					t.Fatalf("round %d split %d: ran on a fresh frame: %v; want one exactly for the worker's first task and after the abort", round, s, fresh)
 				}
 				keep = append(keep, kept{s, st, cloneStats(st), out, cloneBuckets(out)})
@@ -181,7 +182,7 @@ func TestFrameHygiene(t *testing.T) {
 		}
 		// A backup runs as the coordinator: on a frame of that slot, whatever
 		// the workers' slots hold, and it leaves theirs alone.
-		worker0 := frames[0]
+		worker0 := frames.slot[0]
 		for round := 0; round < 2; round++ {
 			out, st, err := attempt(frames, frames.coordinator(), 4, false)
 			if err != nil {
@@ -192,12 +193,12 @@ func TestFrameHygiene(t *testing.T) {
 			}
 			keep = append(keep, kept{4, st, cloneStats(st), out, cloneBuckets(out)})
 		}
-		for w, f := range frames {
+		for w, f := range frames.slot {
 			if own := w == 0 || w == frames.coordinator(); (f != nil) != own {
 				t.Fatalf("parallelism %d: slot %d holds a frame: %v, want one in worker 0's and the coordinator's alone", parallelism, w, f != nil)
 			}
 		}
-		if co := frames[frames.coordinator()]; co == worker0 || frames[0] != worker0 {
+		if co := frames.slot[frames.coordinator()]; co == worker0 || frames.slot[0] != worker0 {
 			t.Fatalf("parallelism %d: the coordinator's frame is worker 0's, or moved it", parallelism)
 		}
 		for _, k := range keep {
@@ -222,8 +223,8 @@ func TestFrameHygiene(t *testing.T) {
 			t.Fatalf("no backup launched or no attempt failed: %v", res.Counters)
 		}
 		for s, st := range res.MapStats {
-			own := slices.DeleteFunc(slices.Clone(st.Counters), func(c Counter) bool {
-				return c.Name == CounterTaskRetries || strings.HasPrefix(c.Name, "chaos.") || strings.HasPrefix(c.Name, "task.speculative.")
+			own := slices.DeleteFunc(slices.Clone(st.Counters), func(c TaskCounter) bool {
+				return c.Slot == slotRetries || c.Slot == slotTasksLost || c.Slot >= slotSpecLaunched && c.Slot <= slotSpecLost
 			})
 			if !reflect.DeepEqual(own, refStats[s].Counters) || !reflect.DeepEqual(st.Sketches, refStats[s].Sketches) {
 				t.Errorf("parallelism %d map task %d counted\n %v %v\nwant\n %v %v", parallelism, s, own, st.Sketches, refStats[s].Counters, refStats[s].Sketches)
@@ -279,35 +280,31 @@ func TestFramesOutliveARaisedGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestCounterSet pins the set's three operations.
+// TestCounterSet pins the set's two operations.
 func TestCounterSet(t *testing.T) {
 	var s CounterSet
-	if got := s.Get("missing"); got != 0 {
-		t.Errorf("Get of a missing name on an empty set = %d, want 0", got)
+	if got := s.Get(slotRetries); got != 0 {
+		t.Errorf("Get of a missing slot on an empty set = %d, want 0", got)
 	}
-	s.Add("a", 0) // a counter added to by zero exists
-	s.Add("b", 2)
-	s.Add("a", 3)
-	s.Add("b", 4)
-	if want := (CounterSet{{Name: "a", Value: 3}, {Name: "b", Value: 6}}); !reflect.DeepEqual(s, want) {
-		t.Errorf("set = %v, want %v: Add appends a name once and accumulates after", s, want)
+	s.Add(slotRetries, 0) // a counter added to by zero exists
+	s.Add(slotSpecWon, 2)
+	s.Add(slotRetries, 3)
+	s.Add(slotSpecWon, 4)
+	if want := (CounterSet{{slotRetries, 3}, {slotSpecWon, 6}}); !reflect.DeepEqual(s, want) {
+		t.Errorf("set = %v, want %v: Add appends a slot once and accumulates after", s, want)
 	}
-	if s.Get("b") != 6 || s.Get("missing") != 0 {
-		t.Errorf("Get(b) = %d, Get(missing) = %d, want 6 and 0", s.Get("b"), s.Get("missing"))
-	}
-	total := map[string]int64{"b": 1, "c": 1}
-	s.MergeInto(total)
-	if want := map[string]int64{"a": 3, "b": 7, "c": 1}; !reflect.DeepEqual(total, want) {
-		t.Errorf("merged = %v, want %v", total, want)
+	if s.Get(slotSpecWon) != 6 || s.Get(slotSpecLost) != 0 {
+		t.Errorf("Get(won) = %d, Get(lost) = %d, want 6 and 0", s.Get(slotSpecWon), s.Get(slotSpecLost))
 	}
 }
 
-// TestFoldCountersMatchesMergeInto: a phase's fold of its tasks' sets is what
-// merging them one by one gives — names out of position, names only some
-// tasks have and counters added to by zero included — on top of what the
-// map already holds.
-func TestFoldCountersMatchesMergeInto(t *testing.T) {
-	sets := []CounterSet{
+// TestFoldCountersMatchesMergeByName: a phase's fold of its tasks' sets is
+// what adding them into the map name by name gives — names out of position,
+// names only some tasks have and counters added to by zero included — on top
+// of what the map already holds.
+func TestFoldCountersMatchesMergeByName(t *testing.T) {
+	_, _, e := testEnv(t)
+	sets := [][]obs.Metric{
 		{{Name: "a", Value: 1}, {Name: "b", Value: 2}, {Name: "c", Value: 3}},
 		{{Name: "a", Value: 10}, {Name: "b", Value: 20}, {Name: "c", Value: 30}},
 		{{Name: "b", Value: 100}, {Name: "a", Value: 200}},
@@ -317,13 +314,17 @@ func TestFoldCountersMatchesMergeInto(t *testing.T) {
 	}
 	want, got := map[string]int64{"b": 7, "held": 1}, map[string]int64{"b": 7, "held": 1}
 	stats := make([]TaskStats, len(sets))
-	for i, s := range sets {
-		s.MergeInto(want)
-		stats[i].Counters = s
+	for i, set := range sets {
+		for _, c := range set {
+			want[c.Name] += c.Value
+			stats[i].Counters = append(stats[i].Counters, TaskCounter{e.CounterTable().Slot(c.Name), c.Value})
+		}
 	}
-	foldCounters(got, stats)
+	for _, c := range e.FoldCounters(stats) {
+		got[c.Name] += c.Value
+	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("folded %v, merged one by one %v", got, want)
+		t.Errorf("folded %v, merged name by name %v", got, want)
 	}
 }
 
@@ -334,13 +335,13 @@ func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
 	orig := func() TaskStats {
 		return TaskStats{
 			ID: 3, Node: 1, Duration: 10, BodyTime: 10,
-			Counters: CounterSet{{Name: "work", Value: 5}, {Name: CounterTaskRetries}},
+			Counters: CounterSet{{slotInputRecords, 5}, {slotRetries, 0}},
 			Sketches: map[string][]uint64{"sk": {1}},
 		}
 	}
 	backup := TaskStats{
 		ID: 3, Node: 2, Duration: 2, BodyTime: 2,
-		Counters: CounterSet{{Name: "work", Value: 99}},
+		Counters: CounterSet{{slotInputRecords, 99}},
 		Sketches: map[string][]uint64{"sk": {7}},
 	}
 	a := sim.Assignment{Task: 3, Node: 1, Start: 0, Duration: 10}
@@ -350,7 +351,7 @@ func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
 		t.Fatal("a backup ending at 11 beat an attempt ending at 10")
 	}
 	want := orig()
-	want.Counters = append(want.Counters, Counter{Name: chaos.CtrSpecLaunched, Value: 1}, Counter{Name: chaos.CtrSpecLost, Value: 1})
+	want.Counters = append(want.Counters, TaskCounter{slotSpecLaunched, 1}, TaskCounter{slotSpecLost, 1})
 	if !reflect.DeepEqual(st, want) || lost != a {
 		t.Errorf("after a lost race: %+v on %+v\nwant %+v on %+v", st, lost, want, a)
 	}
@@ -361,7 +362,7 @@ func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
 	}
 	want = backup
 	want.Sketches = orig().Sketches
-	want.Counters = append(orig().Counters, Counter{Name: chaos.CtrSpecLaunched, Value: 1}, Counter{Name: chaos.CtrSpecWon, Value: 1})
+	want.Counters = append(orig().Counters, TaskCounter{slotSpecLaunched, 1}, TaskCounter{slotSpecWon, 1})
 	if !reflect.DeepEqual(st, want) {
 		t.Errorf("after a won race: %+v\nwant %+v", st, want)
 	}
@@ -371,7 +372,7 @@ func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
 }
 
 // TestCounterSetOrderAcrossExecutors: a task's set lists its names in the
-// order its context chained them — newest first, then what the engine
+// order its context bound them — newest first, then what the engine
 // appends —, the same under both executors. The key-set golden sorts, so
 // it cannot show this.
 func TestCounterSetOrderAcrossExecutors(t *testing.T) {
@@ -385,7 +386,7 @@ func TestCounterSetOrderAcrossExecutors(t *testing.T) {
 		var out [][]string
 		for _, st := range append(res.MapStats, res.ReduceStats...) {
 			var task []string
-			for _, c := range st.Counters {
+			for _, c := range named(e.CounterTable(), st.Counters) {
 				task = append(task, c.Name)
 			}
 			out = append(out, task)
@@ -402,5 +403,57 @@ func TestCounterSetOrderAcrossExecutors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial[0], want) {
 		t.Errorf("map task 0 lists %v, want %v", serial[0], want)
+	}
+}
+
+// TestCounterTableFirstUseAcrossWorkers: a counter name first seen inside a
+// user MapFunc, by the tasks of four workers at once, takes one slot, and
+// each task's value and the phase total are what the serial executor
+// counts. Run under -race -count=10.
+func TestCounterTableFirstUseAcrossWorkers(t *testing.T) {
+	const name = "user.first.seen"
+	run := func(parallelism int) (perTask []int64, total int64) {
+		fs, e := parEnv(t, parallelism)
+		job := &Job{Name: "first-use", Input: makeInput(t, fs, "in", 400), Map: func(ctx *TaskContext, p Pair, emit Emit) {
+			ctx.Inc(name, int64(len(p.Value)))
+			emit(p)
+		}}
+		if parallelism > 1 {
+			// The first four tasks open together, so their first records
+			// name the counter at once.
+			var arrived atomic.Int32
+			gate := make(chan struct{})
+			job.MapStagesBefore = []StageFactory{func(sim.NodeID) Stage {
+				return &FuncStage{OnOpen: func(*TaskContext) {
+					if arrived.Add(1) == 4 {
+						close(gate)
+					}
+					select {
+					case <-gate:
+					case <-time.After(time.Second):
+					}
+				}}
+			}}
+		}
+		res, err := e.Run(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.MapStats) < 8 {
+			t.Fatalf("%d map tasks: too few to run four at once", len(res.MapStats))
+		}
+		names := e.CounterTable().Names()
+		if n := len(names); n != int(numBuiltins)+1 || names[numBuiltins] != name {
+			t.Fatalf("parallelism %d: the table lists %v past its built-ins, want %q once", parallelism, names[numBuiltins:], name)
+		}
+		for _, st := range res.MapStats {
+			perTask = append(perTask, st.Counters.Get(numBuiltins))
+		}
+		return perTask, res.Counters[name]
+	}
+	serial, serialTotal := run(1)
+	parallel, parallelTotal := run(4)
+	if !reflect.DeepEqual(serial, parallel) || serialTotal != parallelTotal || serialTotal == 0 {
+		t.Fatalf("per task %v, total %d at Parallelism 4; want %v, %d as at 1", parallel, parallelTotal, serial, serialTotal)
 	}
 }

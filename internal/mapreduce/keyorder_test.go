@@ -176,8 +176,8 @@ func TestKeyOrderMatchesStableSort(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: the reduce task saw\n%q\nwant\n%q", name, got, want)
 		}
-		if len(shard) != len(want) || st.Counters.Get(CounterOutputRecords) != int64(len(want)) {
-			t.Fatalf("%s: %d records in the shard, %d counted, want %d", name, len(shard), st.Counters.Get(CounterOutputRecords), len(want))
+		if len(shard) != len(want) || st.Counters.Get(slotOutputRecords) != int64(len(want)) {
+			t.Fatalf("%s: %d records in the shard, %d counted, want %d", name, len(shard), st.Counters.Get(slotOutputRecords), len(want))
 		}
 		for i, g := range want {
 			if shard[i].Key != g.key || shard[i].Value != strings.Join(g.values, ",") {

@@ -54,10 +54,10 @@ type attemptResult struct {
 
 // runPhase is the phase lifecycle: claim a sequence number, get slots
 // from the arbiter, schedule the tasks, apply the chaos plan, advance the
-// clock, return the slots, then merge counters and emit the trace. On a
-// task failure it returns the lowest-indexed task's error — deterministic
-// whatever order tasks completed in — with p.stats and p.phase holding
-// what completed.
+// clock, return the slots, then fold the tasks' counters into the phase's
+// and emit the trace. On a task failure it returns the lowest-indexed task's
+// error — deterministic whatever order tasks completed in — with p.stats and
+// p.phase holding what completed.
 func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	n := len(p.stats)
 	ready, seq := e.beginPhase()
@@ -71,34 +71,17 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 		e.arbiter.EndPhase(p.kind, lease, base, base+p.phase.Makespan)
 	}
 	err := firstError(p.errs)
+	if err != nil && (!p.traceFailed || job.Chaos == nil) {
+		return err
+	}
+	sums := e.FoldCounters(p.stats)
 	if err == nil {
-		foldCounters(p.counters, p.stats)
-	}
-	if err == nil || (p.traceFailed && job.Chaos != nil) {
-		e.emitPhase(job.Name+"/"+p.kind.String(), p.kind.String(), base, *p.phase, p.stats)
-	}
-	return err
-}
-
-// foldCounters adds the tasks' counter sets into dst through one name → slot
-// table, writing the map once per name, not once per counter per task. The
-// sums are integers: dst ends as it does merging set by set.
-func foldCounters(dst map[string]int64, stats []TaskStats) {
-	var sums []int64
-	slot := map[string]int{}
-	for _, st := range stats {
-		for _, c := range st.Counters {
-			i, ok := slot[c.Name]
-			if !ok {
-				i = len(sums)
-				slot[c.Name], sums = i, append(sums, 0)
-			}
-			sums[i] += c.Value
+		for _, c := range sums {
+			p.counters[c.Name] += c.Value
 		}
 	}
-	for name, i := range slot {
-		dst[name] += sums[i]
-	}
+	e.emitPhase(job.Name+"/"+p.kind.String(), p.kind.String(), base, *p.phase, p.stats, sums)
+	return err
 }
 
 // wave is one scheduling of a phase's tasks — the whole phase, or the
@@ -158,7 +141,7 @@ func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
 			continue // attempt wasted; re-execute
 		}
 		st.Duration = total
-		st.Counters.Add(CounterTaskRetries, int64(attempt-1))
+		st.Counters.Add(slotRetries, int64(attempt-1))
 		p.install(i, node, r)
 		p.stats[i] = st
 		return total

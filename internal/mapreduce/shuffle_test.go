@@ -205,7 +205,7 @@ func TestShuffleMergedPhasesAndSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := run.RunReducePhase(job, first, rest)
+	res, err := run.RunReducePhase(job, &MapPhaseResult{Outputs: append(first.Outputs, rest.Outputs...)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +344,10 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 				outputs[s] = out.out
 				// The attempts are all worker 0's, so they share its frame, which
 				// the aborted attempt loses; nobody ran as the coordinator.
-				if (frames[0] == nil) != (s == 2) || frames[frames.coordinator()] != nil {
-					t.Fatalf("after split %d: worker 0's slot holds a frame: %v, the coordinator's: %v", s, frames[0] != nil, frames[1] != nil)
+				if (frames.slot[0] == nil) != (s == 2) || frames.slot[frames.coordinator()] != nil {
+					t.Fatalf("after split %d: worker 0's slot holds a frame: %v, the coordinator's: %v", s, frames.slot[0] != nil, frames.slot[1] != nil)
 				}
-				if f := frames[0]; f != nil {
+				if f := frames.slot[0]; f != nil {
 					buf := f.stage
 					if f.mapSink == nil || f.shardSink == nil || f.process == nil {
 						t.Fatalf("a free frame lost its sinks: %+v", f.frameKeeps)

@@ -107,7 +107,7 @@ func (k TaskKind) String() string {
 // the executing task and node and accumulates the task's counters,
 // sketches, and virtual-time charges.
 //
-// The context, and every Cell resolved from it, is valid until the task's
+// The context, and every Cell bound on it, is valid until the task's
 // last stage has closed: the engine then takes the task's statistics out of
 // it and hands it, zeroed, to another task of the phase. A stage or user
 // function must not keep it, or anything that points into it, past Close.
@@ -132,114 +132,28 @@ type TaskContext struct {
 	traced  bool
 	spans   []obs.Span
 
-	// Counter storage: cells are handed out from slab (first the inline
-	// array, then chunks), chained from head, and found by name through a
-	// scan of the chain until there are more than cellScanMax of them,
-	// through index afterwards. A task that touches only the engine's
-	// built-in counters allocates nothing for them.
-	inline   [4]Cell
-	slab     []Cell
-	head     *Cell
-	ncells   int
-	index    map[string]*Cell
+	ctrs     *taskCounters // on the task's frame, or beside a context made alone
 	sketches map[string]*sketch.FM
 }
 
-// cellScanMax is the number of cells up to which resolving a name scans
-// the chain instead of hashing it.
-const cellScanMax = 8
-
-// Cell is one counter of one task, resolved from its name once
-// (TaskContext.Cell) and then added to without any string or map work.
-// Stages resolve the cells they need when they open; the per-record path
-// is Add alone. A cell is exported to TaskStats.Counters iff Add was
-// called on it, even with 0 — exactly when Inc would have created the
-// counter — so resolving a cell that is never added to leaves no trace.
-type Cell struct {
-	name    string
-	v       int64
-	touched bool
-	next    *Cell
-}
-
-// Add adds delta to the counter.
-func (c *Cell) Add(delta int64) {
-	c.v += delta
-	c.touched = true
-}
-
-// NewTaskContext builds a context; exported for tests of stages outside
-// the engine.
+// NewTaskContext builds a context outside any engine, its counters slots of
+// a table all such contexts share; exported for tests of stages outside the
+// engine. The context and a row for the engine's built-in counters are one
+// allocation.
 func NewTaskContext(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) *TaskContext {
-	c := &TaskContext{}
-	c.init(cluster, node, id, kind)
-	return c
-}
-
-// init readies a zero context, wherever it lives (the engine embeds one in
-// each task's frame).
-func (c *TaskContext) init(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind) {
+	c := &struct {
+		TaskContext
+		own taskCounters
+		row [numBuiltins]slotState
+	}{}
 	c.Node, c.TaskID, c.Split, c.Kind, c.cluster = node, id, id, kind, cluster
-	c.slab = c.inline[:0]
+	c.own = taskCounters{table: standalone, row: c.row[:]}
+	c.ctrs = &c.own
+	return &c.TaskContext
 }
 
 // Cluster returns the simulated cluster the task runs in.
 func (c *TaskContext) Cluster() *sim.Cluster { return c.cluster }
-
-// lookupCell returns the cell resolved for name, or nil.
-func (c *TaskContext) lookupCell(name string) *Cell {
-	if c.index != nil {
-		return c.index[name]
-	}
-	for cell := c.head; cell != nil; cell = cell.next {
-		if cell.name == name {
-			return cell
-		}
-	}
-	return nil
-}
-
-// Cell resolves the named counter to its cell, creating it on first use.
-// The pointer stays valid for the life of the task. Resolving allocates
-// nothing per counter: cells come from a per-task slab.
-func (c *TaskContext) Cell(name string) *Cell {
-	if cell := c.lookupCell(name); cell != nil {
-		return cell
-	}
-	if len(c.slab) == cap(c.slab) {
-		// Earlier chunks stay alive through the chain.
-		c.slab = make([]Cell, 0, 2*cap(c.slab)+8)
-	}
-	c.slab = c.slab[:len(c.slab)+1]
-	cell := &c.slab[len(c.slab)-1]
-	cell.name, cell.next = name, c.head
-	c.head = cell
-	c.ncells++
-	switch {
-	case c.index != nil:
-		c.index[name] = cell
-	case c.ncells > cellScanMax:
-		c.index = make(map[string]*Cell, 4*cellScanMax)
-		for e := c.head; e != nil; e = e.next {
-			c.index[e.name] = e
-		}
-	}
-	return cell
-}
-
-// Inc adds delta to the named counter (the paper's globally visible
-// MapReduce counters, §4.2). It is the cold-path spelling of
-// Cell(name).Add(delta); code that counts per record resolves the cell
-// once and keeps it.
-func (c *TaskContext) Inc(name string, delta int64) { c.Cell(name).Add(delta) }
-
-// Counter returns the current task-local value of the named counter.
-func (c *TaskContext) Counter(name string) int64 {
-	if cell := c.lookupCell(name); cell != nil {
-		return cell.v
-	}
-	return 0
-}
 
 // Sketch returns the task's named FM sketch, creating it on first use with
 // the given width. The returned sketch is the handle: per-record code
@@ -320,46 +234,6 @@ func (r SpanRegion) End() {
 	r.ctx.spans = append(r.ctx.spans, obs.Span{
 		Name: r.name, Cat: r.cat, Node: int(r.ctx.Node), Start: r.start, Dur: d,
 	})
-}
-
-// Counter is one named counter value of a task. It is the trace registry's
-// metric type, so a task's set folds into the registry as it is.
-type Counter = obs.Metric
-
-// CounterSet is a finished task's counters: a handful of values that are
-// written once and read a few times, so a slice found by scan, in the order
-// the task's context lists its cells, not a map. Job- and phase-level
-// totals are maps; MergeInto folds a set into one.
-type CounterSet []Counter
-
-// Get returns the named counter's value, 0 when the task has no such
-// counter.
-func (s CounterSet) Get(name string) int64 {
-	for i := range s {
-		if s[i].Name == name {
-			return s[i].Value
-		}
-	}
-	return 0
-}
-
-// Add adds delta to the named counter, appending it when the task does not
-// have it yet.
-func (s *CounterSet) Add(name string, delta int64) {
-	for i := range *s {
-		if (*s)[i].Name == name {
-			(*s)[i].Value += delta
-			return
-		}
-	}
-	*s = append(*s, Counter{Name: name, Value: delta})
-}
-
-// MergeInto folds the set into a counter map.
-func (s CounterSet) MergeInto(dst map[string]int64) {
-	for _, c := range s {
-		dst[c.Name] += c.Value
-	}
 }
 
 // TaskStats is the per-task statistics record the adaptive optimizer

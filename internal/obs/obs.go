@@ -130,7 +130,7 @@ func (r *Registry) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// AddAll folds one task's counters into the registry under one lock, every
+// AddAll folds one phase's counters into the registry under one lock, every
 // name prefixed when prefix is not empty — the job service namespaces each
 // job's counters by "tenant/job#n/" so interleaved jobs stay separable in
 // one registry.
@@ -168,12 +168,7 @@ func (r *Registry) Gauge(name string) float64 {
 func (r *Registry) Counters() []Metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Metric, 0, len(r.counters))
-	for k, v := range r.counters {
-		out = append(out, Metric{Name: k, Value: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return SortedCounters(r.counters)
 }
 
 // Gauges returns a deterministic snapshot: every gauge, sorted by name.
