@@ -128,6 +128,44 @@ func BenchmarkSchedulePhaseParallel10k(b *testing.B) {
 	}
 }
 
+// BenchmarkRunPhaseOneWave10k is sched_scale's two phase shapes through
+// RunPhase on a 10,000-node cluster with mixed speeds: a one-wave map phase
+// of 20,000 single-preference tasks on 8 slots per node, and a reduce phase
+// of 256 tasks without preferences on 4. Both use a fraction of the
+// cluster's slots. The executor follows -cpu, as Parallelism is unset.
+func BenchmarkRunPhaseOneWave10k(b *testing.B) {
+	const nodes = 10_000
+	c := scaleCluster(nodes, 0)
+	for _, bc := range []struct {
+		name         string
+		tasks, slots int
+		preferred    bool
+	}{
+		{"map/20000tasks×8slots", 20_000, 8, true},
+		{"reduce/256tasks×4slots", 256, 4, false},
+	} {
+		prefs := make([][]NodeID, bc.tasks)
+		if bc.preferred {
+			for i := range prefs {
+				prefs[i] = []NodeID{NodeID(i % nodes)}
+			}
+		}
+		ph := Phase{
+			Tasks:     bc.tasks,
+			Preferred: func(i int) []NodeID { return prefs[i] },
+			Run:       func(_, i int, node NodeID, _ float64) float64 { return 0.001 * float64(1+(i+int(node))%3) },
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res := c.RunPhase(ph, bc.slots, nil, nil); res.Waves != 1 {
+					b.Fatalf("%d waves, want 1", res.Waves)
+				}
+			}
+		})
+	}
+}
+
 // TestTaskPickerAllocs pins the picker's set-up: the per-node queues are
 // windows of one flat array, so building them is the same handful of
 // allocations for 1,000 tasks and for 100,000 — and they are the queues
