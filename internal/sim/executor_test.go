@@ -378,4 +378,31 @@ func TestExecutorFootprintAllocs(t *testing.T) {
 		t.Errorf("a body saw %d goroutines, want at most %d (%d outside the phase + %d workers + 1)", got, limit, baseline, workers)
 	}
 	waitForGoroutines(t, baseline)
+
+	// Nothing is sized by slots: 256 tasks on 10,000 nodes allocate the
+	// same bytes at 1 and at 8 slots per node — exactly under the serial
+	// executor, and within the runtime's goroutine bookkeeping under the
+	// pool (a slot-sized array would be 10,000 entries or more).
+	tasks := buildVariedTasks(256, 10_000)
+	for _, tc := range []struct {
+		parallelism int
+		slack       uint64
+	}{{1, 0}, {workers, 4 << 10}} {
+		c := scaleCluster(10_000, tc.parallelism)
+		bytes := func(slots int) uint64 {
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				c.SchedulePhase(tasks, slots)
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		if one, eight := bytes(1), bytes(8); max(one, eight)-min(one, eight) > tc.slack {
+			t.Errorf("parallelism %d: 256 tasks on 10,000 nodes allocate %d B at 1 slot per node and %d B at 8; want the same, within %d B",
+				tc.parallelism, one, eight, tc.slack)
+		}
+	}
 }

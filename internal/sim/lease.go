@@ -7,9 +7,9 @@ package sim
 // a phase scheduled under a lease touches no slot outside it.
 //
 // A lease covering every slot of every node is bit-identical to
-// unrestricted scheduling: the slot heap is built in the same node-major,
-// index-ascending order either way, so the greedy picker makes the same
-// sequence of placement decisions.
+// unrestricted scheduling: the slot queue's cursor walks the same
+// node-major, index-ascending order either way, so the greedy picker makes
+// the same sequence of placement decisions.
 type Lease struct {
 	// slots[n] lists the leased slot indices on node n, ascending. A nil
 	// entry means no slots on that node. len(slots) may be shorter than
@@ -39,36 +39,58 @@ func (l *Lease) NodeSlots(n NodeID) []int32 {
 	return l.slots[n]
 }
 
-// newSlotHeapLease builds the initial slot heap for a phase, every slot
-// free at time 0: the leased slots when lease is non-nil, otherwise every
-// slot of every node; nodes for which down returns true contribute none.
-// Slots are appended node-ascending, index-ascending either way, so a full
-// lease yields a heap bit-identical to the unrestricted one.
-func (c *Cluster) newSlotHeapLease(slotsPerNode int, lease *Lease, down func(NodeID) bool) slotHeap {
-	nodes, total := c.cfg.Nodes, c.cfg.Nodes*slotsPerNode
+// newSlotQueue starts a phase's slot queue, every slot unused: the leased
+// slots when lease is non-nil, otherwise every slot of every node; nodes
+// for which down returns true contribute none. It counts them, and panics
+// naming the cause when there are none.
+func (c *Cluster) newSlotQueue(tasks, slotsPerNode int, lease *Lease, down func(NodeID) bool) slotQueue {
+	q := slotQueue{nodes: c.cfg.Nodes, perNode: slotsPerNode, lease: lease, down: down, node: -1}
+	q.total = q.nodes * slotsPerNode
 	if lease != nil {
-		nodes, total = len(lease.slots), lease.total
+		q.nodes, q.total = len(lease.slots), lease.total
 	}
-	h := make(slotHeap, 0, total)
-	for n := 0; n < nodes; n++ {
-		if down != nil && down(NodeID(n)) {
-			continue
-		}
-		if lease != nil {
-			for _, idx := range lease.slots[n] {
-				h = append(h, slot{node: int32(n), idx: idx})
-			}
-			continue
-		}
-		for s := 0; s < slotsPerNode; s++ {
-			h = append(h, slot{node: int32(n), idx: int32(s)})
+	if down != nil {
+		q.total = 0
+		for n := range q.nodes {
+			q.total += q.slotsOn(n)
 		}
 	}
-	if len(h) == 0 {
-		panic("sim: no slots available to schedule on (all down)")
+	if q.total == 0 {
+		cause := "every node with a slot down"
+		if lease != nil && lease.total == 0 {
+			cause = "empty lease"
+		}
+		panic("sim: no slots available to schedule on (" + cause + ")")
 	}
-	h.init()
-	return h
+	q.freed = make(slotHeap, 0, min(tasks, q.total))
+	q.advance()
+	return q
+}
+
+// slotsOn returns how many slots node n offers the phase: none when down.
+func (q *slotQueue) slotsOn(n int) int {
+	switch {
+	case q.down != nil && q.down(NodeID(n)):
+		return 0
+	case q.lease != nil:
+		return len(q.lease.slots[n])
+	}
+	return q.perNode
+}
+
+// advance moves the cursor to the next slot no task has used, node by node;
+// past the last node the cursor is spent.
+func (q *slotQueue) advance() {
+	for q.k++; q.k >= q.width; q.k = 0 {
+		if q.node++; q.node == q.nodes {
+			return
+		}
+		q.width = q.slotsOn(q.node)
+	}
+	q.next = slot{node: int32(q.node), idx: int32(q.k)}
+	if q.lease != nil {
+		q.next.idx = q.lease.slots[q.node][q.k]
+	}
 }
 
 // SchedulePhaseLease is SchedulePhase restricted to available nodes and
@@ -97,13 +119,13 @@ func (c *Cluster) RunPhase(ph Phase, slotsPerNode int, lease *Lease, down func(N
 	if ph.Tasks == 0 {
 		return PhaseResult{}
 	}
-	h := c.newSlotHeapLease(slotsPerNode, lease, down)
+	q := c.newSlotQueue(ph.Tasks, slotsPerNode, lease, down)
 	w := c.PhaseWorkers(ph.Tasks)
 	if ph.Workers > 0 {
 		w = min(w, ph.Workers)
 	}
 	if w > 1 {
-		return c.schedulePhaseParallel(ph, w, h)
+		return c.schedulePhaseParallel(ph, w, &q)
 	}
-	return c.schedulePhaseSerial(ph, h)
+	return c.schedulePhaseSerial(ph, &q)
 }

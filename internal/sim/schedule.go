@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"cmp"
-	"slices"
-)
+import "math"
 
 // Phase is a phase as the executors consume it: Tasks schedulable units of
 // work (map or reduce tasks) told apart by index, not a value — and a
@@ -89,20 +86,18 @@ type PhaseResult struct {
 // slot is one execution slot on a node, ordered by the time it frees up.
 // The within-node index identifies the lane a task ran on for trace
 // export; the ordering is total (free, node, idx), so the pop sequence is
-// a pure function of the heap's contents — the parallel executor pushes
+// a pure function of the queue's contents — the parallel executor pushes
 // completions back in arrival order, and a total order keeps its picks
 // bit-identical to the serial executor's. node and idx are int32 so the
-// entry packs into 16 bytes; a 10k-node cluster holds 80k of them.
+// entry packs into 16 bytes.
 type slot struct {
 	free float64
 	node int32
 	idx  int32
 }
 
-// slotHeap is a typed binary min-heap of slots. It replaces the previous
-// container/heap implementation: push and pop move concrete values, so
-// dispatch no longer boxes a slot into an interface{} (one allocation per
-// push and one per pop) on the scheduler's hottest loop.
+// slotHeap is a typed binary min-heap of slots: push and pop move concrete
+// values, where container/heap boxed each into an interface{}.
 type slotHeap []slot
 
 func slotLess(a, b slot) bool {
@@ -115,14 +110,10 @@ func slotLess(a, b slot) bool {
 	return a.idx < b.idx
 }
 
-func (h slotHeap) Len() int { return len(h) }
-
 func (h *slotHeap) push(s slot) {
 	*h = append(*h, s)
 	q := *h
-	// Sift up.
-	i := len(q) - 1
-	for i > 0 {
+	for i := len(q) - 1; i > 0; { // sift up
 		parent := (i - 1) / 2
 		if !slotLess(q[i], q[parent]) {
 			break
@@ -133,41 +124,68 @@ func (h *slotHeap) push(s slot) {
 }
 
 func (h *slotHeap) pop() slot {
-	q := *h
+	q, n := *h, len(*h)-1
 	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
+	q[0], q = q[n], q[:n]
 	*h = q
-	q.siftDown(0)
-	return top
-}
-
-// siftDown restores the heap invariant below position i.
-func (h slotHeap) siftDown(i int) {
-	n := len(h)
-	for {
+	for i := 0; ; { // sift down
 		l := 2*i + 1
 		if l >= n {
 			break
 		}
 		min := l
-		if r := l + 1; r < n && slotLess(h[r], h[l]) {
+		if r := l + 1; r < n && slotLess(q[r], q[l]) {
 			min = r
 		}
-		if !slotLess(h[min], h[i]) {
+		if !slotLess(q[min], q[i]) {
 			break
 		}
-		h[i], h[min] = h[min], h[i]
+		q[i], q[min] = q[min], q[i]
 		i = min
 	}
+	return top
 }
 
-// init establishes the heap invariant over arbitrary contents.
-func (h slotHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
+// slotQueue is a phase's slots, popped least first by slotLess. An unused
+// slot is free at 0, so the unused ones, walked node by node and lane by
+// lane, come in slotLess order: a cursor yields them without materialising
+// any, and only the slots completed tasks freed wait in a heap. pop takes
+// the lesser head, so the pop sequence is the one a single heap of every
+// slot gives (slotLess is total), at a cost that follows the tasks.
+type slotQueue struct {
+	next  slot     // the cursor's slot, while node < nodes
+	freed slotHeap // pushed by the executors
+	total int      // slots in the phase
+
+	node, k, width int // the cursor: the k-th of node's width slots
+	nodes, perNode int
+	lease          *Lease
+	down           func(NodeID) bool
+}
+
+// fromCursor reports whether the least slot is the cursor's.
+func (q *slotQueue) fromCursor() bool {
+	return q.node < q.nodes && (len(q.freed) == 0 || slotLess(q.next, q.freed[0]))
+}
+
+// min returns the least slot's free time, or +Inf when none is left.
+func (q *slotQueue) min() float64 {
+	switch {
+	case q.fromCursor():
+		return 0 // an unused slot is free at 0
+	case len(q.freed) > 0:
+		return q.freed[0].free
 	}
+	return math.Inf(1)
+}
+
+func (q *slotQueue) pop() slot {
+	if !q.fromCursor() {
+		return q.freed.pop()
+	}
+	s := q.next
+	q.advance()
+	return s
 }
 
 // taskPicker implements the deterministic locality-preferring greedy
@@ -270,39 +288,58 @@ func (c *Cluster) SchedulePhase(tasks []Task, slotsPerNode int) PhaseResult {
 	return c.SchedulePhaseLease(tasks, slotsPerNode, nil, nil)
 }
 
-// finish sorts a phase's assignments, which arrive in the order the executor
-// made or completed them, by (start, task) — a total order — and sums them up.
-func (r *PhaseResult) finish() {
-	slices.SortFunc(r.Assignments, func(a, b Assignment) int {
-		if a.Start != b.Start {
-			return cmp.Compare(a.Start, b.Start)
+const errStartOrder = "sim: a phase's starts decrease in dispatch order: a task's duration was negative"
+
+// finish puts a phase's assignments into (start, task) order and sums them
+// up. They come in dispatch order, which is by start: a slot goes back at
+// free + duration, no earlier than it was popped, unless a duration was
+// negative (errStartOrder). So only runs of equal start need ordering, and
+// tasks being 0..n-1 once each, one pass over them hands the run at lo its
+// positions lo, lo+1, … in task order; an in-place permutation moves the
+// records there. runs is scratch of len(Assignments), any contents.
+func (r *PhaseResult) finish(runs []int32) {
+	as := r.Assignments
+	pos := make([]int32, len(as)) // by task: the start of its run, then its position
+	lo := 0
+	for j, a := range as {
+		if j == 0 || a.Start != as[lo].Start {
+			if a.Start < as[lo].Start {
+				panic(errStartOrder)
+			}
+			lo, runs[j] = j, int32(j)
 		}
-		return cmp.Compare(a.Task, b.Task)
-	})
-	for _, a := range r.Assignments {
+		pos[a.Task] = int32(lo)
 		if a.Local {
 			r.LocalTasks++
 		}
 		r.Makespan = max(r.Makespan, a.Start+a.Duration)
 	}
+	for t, lo := range pos {
+		pos[t] = runs[lo]
+		runs[lo]++
+	}
+	for i := range as {
+		for p := pos[as[i].Task]; int(p) != i; p = pos[as[i].Task] {
+			as[i], as[p] = as[p], as[i]
+		}
+	}
 }
 
-// schedulePhaseSerial executes every task body inline in the event loop.
-// h is the initial slot heap (full cluster or a job's lease).
-func (c *Cluster) schedulePhaseSerial(ph Phase, h slotHeap) PhaseResult {
+// schedulePhaseSerial executes every task body inline in the event loop,
+// taking slots from q (the full cluster or a job's lease).
+func (c *Cluster) schedulePhaseSerial(ph Phase, q *slotQueue) PhaseResult {
 	res := PhaseResult{}
 	picker := newTaskPicker(ph, c.cfg.Nodes)
-	totalSlots := len(h)
-	res.Waves = (ph.Tasks + totalSlots - 1) / totalSlots
+	res.Waves = (ph.Tasks + q.total - 1) / q.total
 	res.Assignments = make([]Assignment, 0, ph.Tasks)
 
 	for scheduled := 0; scheduled < ph.Tasks; scheduled++ {
-		s := h.pop()
+		s := q.pop()
 		ti, local := picker.pick(NodeID(s.node))
 		dur := (c.cfg.TaskStartup + ph.Run(0, ti, NodeID(s.node), s.free)) / c.cfg.SpeedOf(NodeID(s.node))
 		res.Assignments = append(res.Assignments, Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Duration: dur, Local: local})
-		h.push(slot{node: s.node, idx: s.idx, free: s.free + dur})
+		q.freed.push(slot{node: s.node, idx: s.idx, free: s.free + dur})
 	}
-	res.finish()
+	res.finish(make([]int32, ph.Tasks))
 	return res
 }

@@ -9,7 +9,7 @@ import (
 // The parallel executor runs task bodies on real goroutines while
 // reproducing the serial executor's virtual-time schedule exactly. The
 // coordinator below replays the same greedy policy (taskPicker over a
-// slot heap); the one thing it must get right is the ORDER of placement
+// slot queue); the one thing it must get right is the ORDER of placement
 // decisions, because each decision consumes picker state.
 //
 // The serial executor pops the slot with the minimum (free, node) at
@@ -229,11 +229,10 @@ func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 // goroutines (PhaseWorkers of the phase), keeping results bit-identical to
 // schedulePhaseSerial — a body's panic included: it is re-raised here, on
 // the caller's goroutine, once the pool is down.
-func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) PhaseResult {
+func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, q *slotQueue) PhaseResult {
 	res := PhaseResult{}
 	picker := newTaskPicker(ph, c.cfg.Nodes)
-	totalSlots := len(h)
-	res.Waves = (ph.Tasks + totalSlots - 1) / totalSlots
+	res.Waves = (ph.Tasks + q.total - 1) / q.total
 	// Indexed by dispatch sequence number until the phase is over: the pool
 	// runs placements straight out of the result.
 	res.Assignments = make([]Assignment, ph.Tasks)
@@ -241,7 +240,7 @@ func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) Phase
 
 	// At most one task per slot is in flight; entries retired below the top
 	// linger, which is what append is for.
-	infl := lbHeap{h: make(slotHeap, 0, min(ph.Tasks, totalSlots)), retired: make([]bool, ph.Tasks)}
+	infl := lbHeap{h: make(slotHeap, 0, min(ph.Tasks, q.total)), retired: make([]bool, ph.Tasks)}
 	seq, completed := int32(0), 0
 	for completed < ph.Tasks {
 		// Place every task the virtual clock has already decided: the
@@ -249,8 +248,8 @@ func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) Phase
 		// completion, so it is exactly the slot the serial executor pops
 		// next.
 		from := seq
-		for int(seq) < ph.Tasks && h.Len() > 0 && h[0].free < infl.min() {
-			s := h.pop()
+		for int(seq) < ph.Tasks && q.min() < infl.min() {
+			s := q.pop()
 			ti, local := picker.pick(NodeID(s.node))
 			res.Assignments[seq] = Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Local: local}
 			infl.h.push(slot{free: s.free + c.cfg.TaskStartup/c.cfg.SpeedOf(NodeID(s.node)), idx: seq})
@@ -260,13 +259,13 @@ func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) Phase
 		if !ok {
 			break
 		}
-		// Completion order does not matter: the slot heap's order is total
-		// and the assignments are sorted below.
+		// Completion order does not matter: the slot queue's order is total
+		// and the assignments stay in dispatch order.
 		for ; fin != none; fin = pool.next[fin] {
 			a := &res.Assignments[fin]
 			completed++
 			infl.retired[fin] = true // its heap entry is dropped by a later min query
-			h.push(slot{node: int32(a.Node), idx: a.Slot, free: a.Start + a.Duration})
+			q.freed.push(slot{node: int32(a.Node), idx: a.Slot, free: a.Start + a.Duration})
 		}
 	}
 	// Stop the workers — each finishes the chain it is running — and wait.
@@ -280,6 +279,6 @@ func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, h slotHeap) Phase
 	if pool.failSeq != none {
 		panic(pool.failure)
 	}
-	res.finish()
+	res.finish(pool.next) // the chains are done with
 	return res
 }
