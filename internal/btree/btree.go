@@ -1,8 +1,7 @@
-// Package btree implements an in-memory B+tree with string keys, the
-// ordered storage engine behind each kvstore partition (the paper's
-// indices are "tree-based or hash-based"; the tree form also serves the
-// range-partitioned event index). Leaves are chained for ordered
-// iteration and range scans.
+// Package btree implements an in-memory B+tree with string keys. Leaves
+// are chained for ordered iteration and range scans. No package of the
+// module imports it; the benchmark's btree.* probe rows are its only
+// users.
 package btree
 
 import "sort"
