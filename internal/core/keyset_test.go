@@ -124,11 +124,6 @@ func keySetScenarios() []keySetScenario {
 			}
 			return res, e.rt.Engine.CounterTable()
 		}},
-		{"batch", job(400, func(e *e2eEnv) *IndexJobConf {
-			conf := e.conf("job", ModeCache, e.lookupOp("op"), headPlace)
-			conf.Batch = true
-			return conf
-		})},
 		{"build-zero-charge", func(t *testing.T, parallelism int) (*JobResult, *mapreduce.CounterTable) {
 			a := newAdxEnv(t, parallelism, 400, 25, 0.5)
 			zero, err := adaptix.New(adaptix.Config{
@@ -158,11 +153,6 @@ func keySetScenarios() []keySetScenario {
 		{"body-tail-base", job(400, func(e *e2eEnv) *IndexJobConf {
 			conf := e.conf("job", ModeBaseline, e.lookupOp("body"), bodyPlace)
 			conf.AddTailIndexOperator(e.lookupOp("tail"))
-			return conf
-		})},
-		{"body-cache-batch", job(400, func(e *e2eEnv) *IndexJobConf {
-			conf := e.conf("job", ModeCache, e.lookupOp("body"), bodyPlace)
-			conf.Batch = true
 			return conf
 		})},
 		{"tail-repart-late", job(400, repart(BoundaryLate, tailPlace))},
