@@ -98,12 +98,10 @@ type (
 	Strategy = core.Strategy
 	// Accessor is the index-side contract (the paper's IndexAccessor).
 	Accessor = index.Accessor
-	// BatchAccessor is an Accessor with a multi-get fast path.
-	BatchAccessor = index.BatchAccessor
 	// PartitionScheme describes a distributed index's partitioning.
 	PartitionScheme = index.Scheme
 	// IndexClient wraps an Accessor with the runtime's index access path
-	// (cache, error policy, retry, cost accounting, batching).
+	// (cache, error policy, retry, cost accounting).
 	IndexClient = ixclient.Client
 	// IndexClientOptions configures an IndexClient.
 	IndexClientOptions = ixclient.Options

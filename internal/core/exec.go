@@ -37,10 +37,6 @@ const (
 	ErrorFailJob = ixclient.ErrorFailJob
 )
 
-// DefaultBatchSize is the number of records buffered per task before the
-// batched inline stage flushes their lookups as multi-gets.
-const DefaultBatchSize = 64
-
 // Mode selects how the runtime chooses index access strategies.
 type Mode int
 
@@ -126,12 +122,6 @@ type IndexJobConf struct {
 	// deadline (zero value: no retries, no deadline — bit-identical to
 	// the pre-pipeline executor).
 	Retry RetryPolicy
-	// Batch enables record batching on inline lookups: carriers are
-	// buffered per task and their keys resolved via multi-gets, charged
-	// one network round trip per index partition instead of one per key.
-	// Off by default because it deviates from the paper's per-key cost
-	// model (DESIGN.md, "Index client pipeline").
-	Batch bool
 
 	// Chaos subjects the job to a deterministic failure schedule: node
 	// crash/recovery windows and injected stragglers are enforced by the

@@ -49,10 +49,9 @@ type KeyResult struct {
 }
 
 // PreFunc is the user preProcess method. The runtime reads the key lists it
-// returns until the record's postProcess has returned — with batching,
-// after preProcess has run for later records — and keeps nothing
+// returns until the record's postProcess has returned and keeps nothing
 // afterwards: it may return shared read-only lists, but not ones it
-// rewrites from call to call.
+// rewrites from call to call — tasks on different nodes call it at once.
 type PreFunc func(in Pair) PreResult
 
 // PostFunc is the user postProcess method: it combines the (possibly

@@ -21,9 +21,8 @@ import (
 // opExec, and every stage instance — one per task — binds them when it opens
 // (opTask).
 type opExec struct {
-	op        *Operator
-	plan      OperatorPlan
-	batchSize int
+	op   *Operator
+	plan OperatorPlan
 
 	// clients is indexed by decision position. Decisions with an inline
 	// strategy get a caching client (real for LookupCache, shadow for
@@ -43,9 +42,6 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf, tab *mapredu
 		clients: make([]*ixclient.Client, len(plan.Decisions)),
 		slots:   statSlots(tab, op),
 	}
-	if conf.Batch {
-		x.batchSize = DefaultBatchSize
-	}
 	for pos, d := range plan.Decisions {
 		mode := ixclient.CacheOff
 		switch d.Strategy {
@@ -63,7 +59,6 @@ func newOpExec(op *Operator, plan OperatorPlan, conf *IndexJobConf, tab *mapredu
 			CacheCapacity: conf.CacheCapacity,
 			ErrorPolicy:   conf.ErrorPolicy,
 			Retry:         conf.Retry,
-			Batch:         conf.Batch,
 			Chaos:         conf.Chaos,
 			SharedCache:   conf.SharedCache,
 		})
@@ -197,9 +192,6 @@ func (o *opTask) emitPost(c *carrier, emit Emit) {
 // within the enclosing task (Figure 6's baseline layout; the lookup-cache
 // strategy only changes how lookups resolve).
 func (x *opExec) inlineStage() mapreduce.StageFactory {
-	if x.batchSize > 0 {
-		return func(sim.NodeID) mapreduce.Stage { return &batchedInlineStage{opTask: opTask{x: x}} }
-	}
 	return func(sim.NodeID) mapreduce.Stage { return &inlineStage{opTask{x: x}} }
 }
 
@@ -213,83 +205,6 @@ func (s *inlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 }
 
 func (s *inlineStage) Close(*mapreduce.TaskContext, Emit) {}
-
-// batchedInlineStage is inlineStage with record batching: carriers are
-// buffered (per task) up to the configured batch size, and each flush
-// resolves all buffered keys of each decision through one LookupBatch
-// call, which lets BatchAccessor indices answer with one multi-get per
-// partition. The output records are identical to the unbatched stage, in
-// the same order; only the charged access cost differs (DESIGN.md,
-// "Index client pipeline"). It is the one stage that holds carriers across
-// records, so it has a slab of them, made on the task's first record and
-// reused flush after flush. Close is a flush and leaves the stage usable:
-// a BoundaryLate group reduce closes its continuation after every group.
-type batchedInlineStage struct {
-	opTask
-	buf  []carrier // buf[:n] are buffered
-	n    int
-	keys []string // one decision's keys over the batch
-}
-
-func (s *batchedInlineStage) Open(ctx *mapreduce.TaskContext) {
-	s.open(ctx)
-	s.n = 0
-}
-
-func (s *batchedInlineStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	if s.buf == nil {
-		s.buf = make([]carrier, s.x.batchSize)
-	}
-	s.runPre(&s.buf[s.n], in)
-	if s.n++; s.n == len(s.buf) {
-		s.flush(emit)
-	}
-}
-
-func (s *batchedInlineStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.flush(emit) }
-
-// flush resolves and emits the buffered carriers.
-func (s *batchedInlineStage) flush(emit Emit) {
-	if s.n == 0 {
-		return
-	}
-	buf := s.buf[:s.n]
-	for pos, d := range s.x.plan.Decisions {
-		cl := s.client(pos)
-		keys := s.keys[:0]
-		for i := range buf {
-			if c := &buf[i]; d.Index < len(c.Keys) {
-				for _, ik := range c.Keys[d.Index] {
-					cl.CountKey(ik)
-					keys = append(keys, ik)
-				}
-			}
-		}
-		s.keys = keys
-		// The batch results are kept in the carriers until postProcess
-		// has run; LookupBatch hands over a list of the caller's own.
-		vals := cl.LookupBatch(keys)
-		i := 0
-		for j := range buf {
-			c := &buf[j]
-			if d.Index >= len(c.Keys) {
-				continue
-			}
-			ks := c.Keys[d.Index]
-			results := c.keyResults(len(ks))
-			for _, ik := range ks {
-				cl.CountValues(vals[i])
-				results = append(results, KeyResult{Key: ik, Values: vals[i]})
-				i++
-			}
-			c.Results[d.Index] = results
-		}
-	}
-	for i := range buf {
-		s.emitPost(&buf[i], emit)
-	}
-	s.n = 0
-}
 
 // resumeStage builds the map-side stage of the job following a shuffle:
 // it decodes carriers and finishes the operator. When memoFirst is true
@@ -401,8 +316,7 @@ func forwardGroup(_ *mapreduce.TaskContext, key string, values []string, emit Em
 //     reduce, materializing its final output. The continuation is the
 //     operator's own finish step — which takes the carrier as it is,
 //     without a trip through the wire format — followed by the stages in
-//     continuation, closed (flushed) at the end of every group: a batch
-//     never spans two groups.
+//     continuation, which open and close once per task, with this stage.
 //
 // When emitNextPos ≥ 0 the operator has another shuffle index after this
 // one: carriers are re-keyed by that index for the next shuffle job.
@@ -449,7 +363,6 @@ func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 		return
 	}
 	if !s.inGroup || in.Key != s.key {
-		s.endGroup(emit)
 		s.key, s.inGroup = in.Key, true
 		if s.doLookup = s.boundary != BoundaryPre && !isPassKey(in.Key); s.doLookup {
 			s.lookedUp = s.client(s.pos).Access(in.Key)
@@ -474,16 +387,12 @@ func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 	}
 }
 
-// endGroup flushes the continuation's batched stages behind a finished
-// group.
-func (s *groupStage) endGroup(emit Emit) {
-	if s.rest != nil && s.inGroup {
+func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) {
+	if s.rest != nil {
 		s.out = emit
 		s.rest.Close()
 	}
 }
-
-func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) { s.endGroup(emit) }
 
 // buildStage is the piggyback index builder: a pass-through stage on the
 // main job's map scan that, for offered splits, extracts index entries

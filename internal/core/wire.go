@@ -13,12 +13,12 @@ import (
 // lookup results attached so far. Carriers are serialized into the shuffle
 // value with a length-prefixed encoding that is safe for arbitrary bytes.
 //
-// A carrier is scratch its task owns (opTask.c; one per buffered record in
-// batchedInlineStage): reset or decode refills it for the next record, and
-// everything that reads it — the lookups, postProcess, the stages
-// downstream of emit, encodeCarrier — runs before that. What it points at
-// (Keys, Results, their inner slices) is therefore valid until the stage's
-// Process call returns; the strings themselves are never reused.
+// A carrier is scratch its task owns (opTask.c): reset or decode refills
+// it for the next record, and everything that reads it — the lookups,
+// postProcess, the stages downstream of emit, encodeCarrier — runs before
+// that. What it points at (Keys, Results, their inner slices) is therefore
+// valid until the stage's Process call returns; the strings themselves are
+// never reused.
 type carrier struct {
 	Pair    Pair
 	Keys    [][]string

@@ -30,7 +30,6 @@ func All() []Experiment {
 		{ID: "ablation-convergence", Description: "Dynamic converges to optimized as input grows (§5.3)", Run: AblationDynamicConvergence},
 		{ID: "ablation-straggler", Description: "Index locality under a straggler node (footnote 3)", Run: AblationStraggler},
 		{ID: "ablation-chaos", Description: "Seeded fault schedules: crash, speculation, index outage — same answer", Run: AblationChaos},
-		{ID: "batchcmp", Description: "Batched multi-get vs per-key lookups on the synthetic sweep", Run: BatchCompare},
 		{ID: "multi-tenant", Description: "Job service: 2 tenants sharing the cluster — fair makespans, pooled-cache uplift, cross-tenant outage", Run: MultiTenant},
 		{ID: "adaptive-build", Description: "Adaptive index creation: repeated query converges from scan cost to the indexed plan; break-even matches the cost model", Run: AdaptiveBuild},
 		{ID: "fstore-sweep", Description: "In-memory vs mmap-snapshot storage backend on the synthetic sweep — same answer required", Run: FStoreSweep},

@@ -50,15 +50,6 @@ type Partitioned interface {
 	Scheme() *Scheme
 }
 
-// BatchAccessor is implemented by indices that offer a multi-get fast
-// path: one request resolves many keys, letting the client charge one
-// network round trip per index partition instead of one per key. Results
-// align positionally with the requested keys.
-type BatchAccessor interface {
-	Accessor
-	BatchLookup(keys []string) ([][]string, error)
-}
-
 // BuildEntry is one index entry extracted from a scanned record by a
 // buildable index (key → value, like a Put).
 type BuildEntry struct {

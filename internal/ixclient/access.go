@@ -178,8 +178,8 @@ func (b *Bound) attempt(keys []string, batched bool) ([][]string, error) {
 // multi-key requests, a per-key loop otherwise.
 func (b *Bound) fetch(keys []string, batched bool) ([][]string, error) {
 	c := b.c
-	if batched && len(keys) > 1 && c.batcher != nil {
-		vals, err := c.batcher.BatchLookup(keys)
+	if batched && len(keys) > 1 && c.multi != nil {
+		vals, err := c.multi.BatchLookup(keys)
 		if err != nil {
 			return vals, &lookupError{key: keys[0], err: err}
 		}
@@ -216,8 +216,9 @@ func (b *Bound) chargePerKey(keys []string, vals [][]string, serve float64) {
 // chargeBatched groups the request's keys by index partition (single
 // group for unpartitioned indices) and charges one multi-get per group:
 // the serve time amortizes over the group, and remote groups cost one
-// network round trip carrying every key and result of the group — the
-// deliberate batching cost deviation (DESIGN.md).
+// network round trip carrying every key and result of the group. Only
+// Client.LookupBatch's multi-get is charged so; the cost model has no
+// formula for it.
 func (b *Bound) chargeBatched(keys []string, vals [][]string, serve float64) {
 	c, t := b.c, b.t
 	order, groups := c.groupByPartition(keys)

@@ -212,7 +212,7 @@ func runAccessCase(t *testing.T, tc accessCase, recoverAbort bool) (f *fakeIndex
 					vals = append(vals, b.Access(k))
 				}
 			case "B":
-				vals = b.LookupBatch(keys)
+				vals = c.LookupBatch(ctx, keys)
 			}
 			for _, v := range vals {
 				b.CountValues(v)

@@ -41,7 +41,7 @@ func CtrRetries(op, ix string) string { return prefix(op, ix) + "retries" }
 func CtrTimeouts(op, ix string) string { return prefix(op, ix) + "timeouts" }
 
 // CtrNetRoundTrips counts charged network round trips to the index — one
-// per remote key without batching, one per remote partition group with it.
+// per remote key (one per remote partition group of a multi-get).
 func CtrNetRoundTrips(op, ix string) string { return prefix(op, ix) + "net.roundtrips" }
 
 // SkKeys names the FM sketch of distinct lookup keys (Theta).

@@ -45,10 +45,7 @@ type Store struct {
 	rebuilds   atomic.Int64
 }
 
-var (
-	_ index.Partitioned   = (*Store)(nil)
-	_ index.BatchAccessor = (*Store)(nil)
-)
+var _ index.Partitioned = (*Store)(nil)
 
 // NewHash creates a hash-partitioned store (the paper's setup: 32
 // partitions via HashPartitioner, each replicated to 3 nodes).
@@ -145,11 +142,13 @@ func (s *Store) Lookup(key string) ([]string, error) {
 	return v, nil
 }
 
-// BatchLookup implements index.BatchAccessor: one request resolves many
-// keys — the multi-get a real store (Cassandra, HBase) answers with one
-// round trip per involved partition. Results align positionally with
-// keys; missing keys yield nil entries and count as misses, exactly as
-// per-key Lookup calls would, and each key is read under the read lock.
+// BatchLookup resolves many keys in one request — the multi-get a real
+// store (Cassandra, HBase) answers with one round trip per involved
+// partition. Results align positionally with keys; missing keys yield nil
+// entries and count as misses, exactly as per-key Lookup calls would, and
+// each key is read under the read lock. The job runtime never calls it:
+// it exists only for bench's kvstore.batch_lookup_ns_per_key and
+// ixclient.batch_ns_per_key rows and goes with them (ROADMAP 3(f)).
 func (s *Store) BatchLookup(keys []string) ([][]string, error) {
 	s.lookups.Add(int64(len(keys)))
 	out := make([][]string, len(keys))
