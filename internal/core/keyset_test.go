@@ -23,7 +23,6 @@ var updateKeySetGolden = flag.Bool("update-keyset-golden", false, "rewrite testd
 // not depend on how the executor interleaves tasks.
 type keyFailAccessor struct {
 	fakeAccessor
-	serve float64
 }
 
 func (a keyFailAccessor) Lookup(k string) ([]string, error) {
@@ -31,13 +30,6 @@ func (a keyFailAccessor) Lookup(k string) ([]string, error) {
 		return nil, fmt.Errorf("key-fail: %w", index.ErrTransient)
 	}
 	return a.fakeAccessor.Lookup(k)
-}
-
-func (a keyFailAccessor) ServeTime() float64 {
-	if a.serve > 0 {
-		return a.serve
-	}
-	return a.fakeAccessor.ServeTime()
 }
 
 // keySetMapper drops every record of split 0 and folds the rest onto three
@@ -184,12 +176,6 @@ func keySetScenarios() []keySetScenario {
 			op := NewOperator("op", nil, nil).AddIndex(keyFailAccessor{fakeAccessor: fakeAccessor{name: "flaky"}})
 			conf := e.conf("job", ModeCache, op, headPlace)
 			conf.Retry = RetryPolicy{Max: 2, Backoff: 0.0001}
-			return conf
-		})},
-		{"timeouts", job(400, func(e *e2eEnv) *IndexJobConf {
-			op := NewOperator("op", nil, nil).AddIndex(keyFailAccessor{fakeAccessor: fakeAccessor{name: "slow"}, serve: 0.05})
-			conf := e.conf("job", ModeBaseline, op, headPlace)
-			conf.Retry = RetryPolicy{Timeout: 0.01}
 			return conf
 		})},
 	}
