@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"math/rand"
 	"sort"
 
 	"efind/internal/index"
@@ -83,38 +82,32 @@ type Outage struct {
 
 // Speculation configures Hadoop-style speculative execution: once a
 // phase's median task duration is known, any task still running past
-// Threshold× the median gets a backup attempt on the earliest-free
+// SpecThreshold× the median gets a backup attempt on the earliest-free
 // surviving node; the first finisher wins, and the loser's side effects
 // are rolled back so output and cost accounting stay bit-identical to a
 // fault-free run.
 type Speculation struct {
 	// Enabled turns speculative execution on.
 	Enabled bool
-	// Threshold is the straggler multiple of the median task duration
-	// (0 = 2.0, mirroring Hadoop's conservative default).
-	Threshold float64
 	// MaxPerPhase bounds backups per phase (0 = unlimited).
 	MaxPerPhase int
 }
 
-// Config describes a chaos schedule. Explicit events (Crashes, Outages,
-// Stragglers) are always honoured; the Seed additionally drives the
-// randomized generators (CrashCount random crashes, OutageCount random
-// outages, StragglerRate random slowdowns) so a bench can ask for "some
-// chaos, seed 7" without hand-writing a schedule.
+// SpecThreshold is the straggler multiple of the median task duration
+// past which speculation launches a backup: 2.0, Hadoop's conservative
+// default.
+const SpecThreshold = 2.0
+
+// Config describes a chaos schedule: explicit crashes and outages, and
+// seeded random slowdowns (StragglerRate), so a bench can ask for "some
+// stragglers, seed 7" without listing the slowed tasks.
 type Config struct {
-	// Seed drives every randomized choice. Two Plans built from equal
-	// Configs are identical.
+	// Seed drives the straggler draws. Two Plans built from equal Configs
+	// are identical.
 	Seed int64
 
-	// Crashes are explicit node crash events.
+	// Crashes are the node crash events.
 	Crashes []Crash
-	// CrashCount generates this many random crashes across [CrashFrom,
-	// CrashUntil), each recovering after CrashRecovery virtual seconds.
-	CrashCount    int
-	CrashFrom     float64
-	CrashUntil    float64
-	CrashRecovery float64
 
 	// Spec configures speculative execution.
 	Spec Speculation
@@ -144,9 +137,6 @@ func (c Config) Validate() error {
 	if c.StragglerRate < 0 || c.StragglerRate > 1 {
 		return fmt.Errorf("chaos: straggler rate %g outside [0,1]", c.StragglerRate)
 	}
-	if c.CrashCount > 0 && c.CrashUntil <= c.CrashFrom {
-		return fmt.Errorf("chaos: %d random crashes requested but window [%g,%g) is empty", c.CrashCount, c.CrashFrom, c.CrashUntil)
-	}
 	return nil
 }
 
@@ -158,8 +148,7 @@ type Plan struct {
 	outages []Outage
 }
 
-// New resolves a Config against a cluster of the given node count,
-// expanding the seeded random generators into concrete events.
+// New resolves a Config against a cluster of the given node count.
 func New(cfg Config, nodes int) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -169,22 +158,6 @@ func New(cfg Config, nodes int) (*Plan, error) {
 	}
 	p := &Plan{cfg: cfg}
 	p.crashes = append(p.crashes, cfg.Crashes...)
-	if cfg.CrashCount > 0 {
-		rng := rand.New(rand.NewSource(mix(cfg.Seed, 0x6372736800000001))) // "crsh"
-		span := cfg.CrashUntil - cfg.CrashFrom
-		for i := 0; i < cfg.CrashCount; i++ {
-			at := cfg.CrashFrom + rng.Float64()*span
-			rec := cfg.CrashRecovery
-			if rec <= 0 {
-				rec = span // default: out for the rest of the window
-			}
-			p.crashes = append(p.crashes, Crash{
-				Node:    sim.NodeID(rng.Intn(nodes)),
-				At:      at,
-				Recover: at + rec,
-			})
-		}
-	}
 	sort.Slice(p.crashes, func(i, j int) bool {
 		if p.crashes[i].At != p.crashes[j].At {
 			return p.crashes[i].At < p.crashes[j].At
@@ -204,17 +177,8 @@ func MustNew(cfg Config, nodes int) *Plan {
 	return p
 }
 
-// Seed returns the schedule's seed (labels trace sections and tables).
-func (p *Plan) Seed() int64 { return p.cfg.Seed }
-
-// Spec returns the speculative-execution settings with defaults filled.
-func (p *Plan) Spec() Speculation {
-	s := p.cfg.Spec
-	if s.Threshold <= 0 {
-		s.Threshold = 2.0
-	}
-	return s
-}
+// Spec returns the speculative-execution settings.
+func (p *Plan) Spec() Speculation { return p.cfg.Spec }
 
 // NodeDown reports whether the node is inside a crash window at virtual
 // time t.

@@ -122,18 +122,19 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 	}
 	newPlan := &JobPlan{}
 	curCost, newCost := 0.0, 0.0
+	opts := DefaultPlannerOptions()
 	replace := func(plans []OperatorPlan) []OperatorPlan {
 		out := make([]OperatorPlan, 0, len(plans))
 		for _, p := range plans {
 			if opSet[p.Op.Name()] {
 				st := rt.Catalog.Get(p.Op.Name())
-				np := OptimizeOperator(p.Op, p.Pos, st, rt.Env, conf.Planner)
+				np := OptimizeOperator(p.Op, p.Pos, st, rt.Env, opts)
 				pr.applyDegrades(&np, st)
 				// Both sides are credited with their build decisions' amortized
 				// payoff, so the comparison ranks plans the way the optimizer
 				// did (the plans' recorded costs stay honest per-run costs).
-				curCost += planRank(p, st, rt.Env, conf.Planner)
-				newCost += planRank(np, st, rt.Env, conf.Planner)
+				curCost += planRank(p, st, rt.Env, opts)
+				newCost += planRank(np, st, rt.Env, opts)
 				p = np
 			}
 			out = append(out, p)

@@ -114,7 +114,9 @@ func TestOptimizeOperatorStopsBuildingWhenCovered(t *testing.T) {
 func TestNegativeHorizonDisablesBuild(t *testing.T) {
 	st, fb := buildStats()
 	op := NewOperator("o", nil, nil).AddIndex(fb)
-	p := OptimizeOperator(op, HeadOp, st, testEnv12(), PlannerOptions{BuildHorizon: -1})
+	opts := DefaultPlannerOptions()
+	opts.BuildHorizon = -1
+	p := OptimizeOperator(op, HeadOp, st, testEnv12(), opts)
 	if p.Decisions[0].Strategy == Build {
 		t.Fatalf("negative BuildHorizon must disable building, got %v", p)
 	}

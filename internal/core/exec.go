@@ -108,19 +108,18 @@ type IndexJobConf struct {
 	// VarianceThreshold gates re-optimization: the largest stddev/mean of
 	// collected statistics must be below it (0 = 0.05, §4.2).
 	VarianceThreshold float64
-	// Planner tunes plan enumeration.
-	Planner PlannerOptions
-	// MaxPlanChanges bounds how many times a dynamic job may switch plans
-	// (0 = the paper's "at most once"; exposed for the ablation bench).
+	// MaxPlanChanges is read only by its sign: any value ≥ 0 lets a
+	// dynamic job switch plans at most once (the paper's rule); a negative
+	// one never lets it switch (the ablation's statistics without
+	// replanning).
 	MaxPlanChanges int
 
 	// ErrorPolicy decides what an index error does to the job: count and
 	// continue with an empty result (default, paper-faithful) or fail the
 	// job naming the index and key.
 	ErrorPolicy ErrorPolicy
-	// Retry configures transient-error retries and the client-side lookup
-	// deadline (zero value: no retries, no deadline — bit-identical to
-	// the pre-pipeline executor).
+	// Retry configures transient-error retries (zero value: a failed
+	// lookup is not retried).
 	Retry RetryPolicy
 
 	// Chaos subjects the job to a deterministic failure schedule: node
@@ -409,7 +408,7 @@ func (pr *planRun) planFor(mode Mode) (*JobPlan, error) {
 			}
 		case ModeOptimized:
 			st = rt.Catalog.Get(o.Name())
-			p = OptimizeOperator(o, pos, st, rt.Env, conf.Planner)
+			p = OptimizeOperator(o, pos, st, rt.Env, DefaultPlannerOptions())
 		default:
 			return nil, fmt.Errorf("efind: unsupported mode %v", mode)
 		}

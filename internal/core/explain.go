@@ -70,7 +70,6 @@ func IndexProfiles(res *JobResult) []obs.IndexProfile {
 				CacheMisses:   res.Counters[ixclient.CtrMisses(op, ix)],
 				Errors:        res.Counters[ixclient.CtrErrors(op, ix)],
 				Retries:       res.Counters[ixclient.CtrRetries(op, ix)],
-				Timeouts:      res.Counters[ixclient.CtrTimeouts(op, ix)],
 				NetRoundTrips: res.Counters[ixclient.CtrNetRoundTrips(op, ix)],
 			})
 		}
@@ -93,9 +92,9 @@ func RenderProfile(p *obs.Profile) []string {
 	if len(p.Indexes) > 0 {
 		out = append(out, "indexes (modeled vs observed):")
 		for _, ix := range p.Indexes {
-			out = append(out, fmt.Sprintf("  %-34s %-9s modeled=%.4fs served=%.4fs lookups=%d misses=%d/%d errors=%d retries=%d timeouts=%d rtts=%d",
+			out = append(out, fmt.Sprintf("  %-34s %-9s modeled=%.4fs served=%.4fs lookups=%d misses=%d/%d errors=%d retries=%d rtts=%d",
 				ix.Key, ix.Strategy, ix.ModeledCost, ix.ObservedServe, ix.Lookups,
-				ix.CacheMisses, ix.CacheProbes, ix.Errors, ix.Retries, ix.Timeouts, ix.NetRoundTrips))
+				ix.CacheMisses, ix.CacheProbes, ix.Errors, ix.Retries, ix.NetRoundTrips))
 		}
 	}
 	if len(p.Counters) > 0 {

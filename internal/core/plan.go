@@ -149,12 +149,6 @@ func OptimizeOperator(op *Operator, pos OpPosition, st *OperatorStats, env Env, 
 		return baselinePlan(op, pos)
 	}
 	m := op.NumIndices()
-	if opts.FullEnumerateLimit <= 0 {
-		opts.FullEnumerateLimit = 5
-	}
-	if opts.KRepart <= 0 {
-		opts.KRepart = 2
-	}
 	var orders [][]int
 	if m <= opts.FullEnumerateLimit {
 		orders = permutations(m)

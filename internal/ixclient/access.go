@@ -107,8 +107,8 @@ func (b *Bound) probeShadow(shadow *lru.Cache, k string) {
 //
 // The ladder re-attempts transient failures with capped exponential
 // backoff and deterministic seeded jitter, charged as virtual time. Only
-// errors marked transient (index.ErrTransient: the client-side deadline,
-// an outage window) are retried; a deterministic logic error would fail
+// errors marked transient (index.ErrTransient: an outage window, a
+// flaky index) are retried; a deterministic logic error would fail
 // identically every attempt. The backoff charge advances Task.Now, so an
 // outage whose window ends inside the retry budget is survived.
 func (b *Bound) resolve(keys []string, batched bool) ([][]string, error) {
@@ -140,9 +140,7 @@ func (b *Bound) resolve(keys []string, batched bool) ([][]string, error) {
 // billed. The error is transient, so the retry ladder polls for the
 // window's end; once retries are exhausted it climbs to the core runtime,
 // which degrades the operator's strategy before failing the job. Then the
-// client-side deadline: an index that cannot answer inside it has the
-// attempt abandoned after charging the wait. Then the accessor, and the
-// charges the cost model expects: the serve time T_j and the network
+// accessor, and the charges the cost model expects: the serve time T_j and the network
 // transfer of key and result when no replica of the key's partition lives
 // on the task node.
 func (b *Bound) attempt(keys []string, batched bool) ([][]string, error) {
@@ -157,11 +155,6 @@ func (b *Bound) attempt(keys []string, batched bool) ([][]string, error) {
 		}
 	}
 	serve := c.acc.ServeTime()
-	if d := c.opts.Retry.Timeout; d > 0 && serve > d {
-		t.Charge(float64(len(keys)) * d)
-		b.add(cTimeouts, int64(len(keys)))
-		return make([][]string, len(keys)), &lookupError{key: keys[0], err: ErrTimeout}
-	}
 	vals, err := b.fetch(keys, batched)
 	if vals == nil {
 		vals = make([][]string, len(keys))

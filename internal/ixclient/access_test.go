@@ -105,7 +105,7 @@ var accessCases = []accessCase{
 	},
 	{
 		name:     "retry with backoff and jitter",
-		opts:     Options{Retry: RetryPolicy{Max: 3, Backoff: 0.1, Factor: 2, Cap: 0.15, Jitter: 0.5, Seed: 7, Timeout: 0.01}},
+		opts:     Options{Retry: RetryPolicy{Max: 3, Backoff: 0.1, Factor: 2, Cap: 0.15, Jitter: 0.5, Seed: 7}},
 		setup:    func(f *fakeIndex) { f.failFirst = 2 },
 		ops:      []string{"A a b"},
 		want:     [][]string{{"va"}, {"vb1", "vb2"}},
@@ -113,16 +113,6 @@ var accessCases = []accessCase{
 		extra:    0.3236014496630333,
 		spans:    2,
 		counters: "val.bytes=20 retries=2 net.roundtrips=4 lookups=4 serve.ns=4000000 key.bytes=2 keys=2",
-	},
-	{
-		name:     "deadline exhausts retries",
-		opts:     Options{Retry: RetryPolicy{Max: 2, Backoff: 0.05, Timeout: 0.01}},
-		setup:    func(f *fakeIndex) { f.serve = 0.5 },
-		ops:      []string{"A a"},
-		want:     [][]string{nil},
-		extra:    0.18000006666666668,
-		spans:    1,
-		counters: "val.bytes=0 errors=1 retries=2 timeouts=3 key.bytes=1 keys=1",
 	},
 	{
 		name:  "outage counted",

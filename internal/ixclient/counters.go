@@ -37,9 +37,6 @@ func CtrErrors(op, ix string) string { return prefix(op, ix) + "errors" }
 // CtrRetries counts index-level retry attempts after transient errors.
 func CtrRetries(op, ix string) string { return prefix(op, ix) + "retries" }
 
-// CtrTimeouts counts lookups abandoned at the client-side deadline.
-func CtrTimeouts(op, ix string) string { return prefix(op, ix) + "timeouts" }
-
 // CtrNetRoundTrips counts charged network round trips to the index — one
 // per remote key (one per remote partition group of a multi-get).
 func CtrNetRoundTrips(op, ix string) string { return prefix(op, ix) + "net.roundtrips" }
@@ -63,7 +60,6 @@ const (
 	cMisses
 	cErrors
 	cRetries
-	cTimeouts
 	cUnavailable
 	numCounters
 )

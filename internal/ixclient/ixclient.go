@@ -16,7 +16,6 @@
 //   - availability: the chaos plan's index partition outages — a down
 //     partition fails the attempt with a transient error before anything
 //     is charged;
-//   - deadline: the optional client-side deadline;
 //   - accessor and accounting: the index itself, then the serve-time
 //     charge T_j, network transfer charges and the lookup/miss/error
 //     counters. The Nik/Sik/FM-sketch statistics the optimizer consumes
@@ -95,10 +94,6 @@ type RetryPolicy struct {
 	Jitter float64
 	// Seed drives the jitter draws.
 	Seed int64
-	// Timeout is a client-side deadline: an index whose serve time
-	// exceeds it has the access abandoned after Timeout virtual seconds
-	// and surfaces a transient error (0 = no deadline).
-	Timeout float64
 }
 
 // Options configures a Client.
@@ -111,7 +106,7 @@ type Options struct {
 	CacheCapacity int
 	// ErrorPolicy decides what index errors do to the job.
 	ErrorPolicy ErrorPolicy
-	// Retry configures transient-error retries and the deadline.
+	// Retry configures transient-error retries.
 	Retry RetryPolicy
 	// Batch enables LookupBatch's multi-get: cache misses travel as one
 	// request, resolved by the accessor's BatchLookup when it has one,
@@ -148,11 +143,6 @@ func (e *IndexError) Error() string {
 }
 
 func (e *IndexError) Unwrap() error { return e.Err }
-
-// ErrTimeout marks a lookup abandoned at the client-side deadline. It is
-// transient: retrying against a replica or a recovered index could
-// succeed, so the retry ladder re-attempts it.
-var ErrTimeout = fmt.Errorf("lookup deadline exceeded: %w", index.ErrTransient)
 
 // lookupError carries the failing key up to the entry points so the
 // job-failure report can name it.
@@ -263,7 +253,7 @@ func (c *Client) slotsIn(tab *mapreduce.CounterTable) *clientSlots {
 		cKeys: CtrKeys(op, ix), cKeyBytes: CtrKeyBytes(op, ix), cValBytes: CtrValBytes(op, ix),
 		cLookups: CtrLookups(op, ix), cServeNS: CtrServeNS(op, ix), cNetRoundTrips: CtrNetRoundTrips(op, ix),
 		cProbes: CtrProbes(op, ix), cMisses: CtrMisses(op, ix), cErrors: CtrErrors(op, ix),
-		cRetries: CtrRetries(op, ix), cTimeouts: CtrTimeouts(op, ix), cUnavailable: chaos.CtrUnavailable,
+		cRetries: CtrRetries(op, ix), cUnavailable: chaos.CtrUnavailable,
 	} {
 		r.s[i] = tab.Slot(name)
 	}

@@ -183,26 +183,6 @@ func TestErrorCountCachesEmptyResult(t *testing.T) {
 	}
 }
 
-func TestTimeoutAbandonsLookup(t *testing.T) {
-	f := newFake("kv")
-	f.serve = 0.5
-	c := New(f, Options{Op: "op", Retry: RetryPolicy{Timeout: 0.01}})
-	ctx := testCtx(0)
-
-	if got := c.Access(ctx, "a"); len(got) != 0 {
-		t.Fatalf("timed-out lookup = %v, want empty", got)
-	}
-	if f.calls != 0 {
-		t.Fatalf("abandoned lookup still reached the index (%d calls)", f.calls)
-	}
-	if to := ctx.Counter(CtrTimeouts("op", "kv")); to != 1 {
-		t.Fatalf("timeouts = %d, want 1", to)
-	}
-	if math.Abs(ctx.Extra()-0.01) > 1e-12 {
-		t.Fatalf("charged %.4f, want the 0.01 deadline wait", ctx.Extra())
-	}
-}
-
 // TestSnapshotRollbackWithRetry is the fault-tolerance composition the
 // engine depends on: a task attempt that performed (possibly retried)
 // lookups is rolled back, and the re-executed attempt re-measures its

@@ -14,7 +14,7 @@ import (
 // executor too:
 //
 //   - Speculative execution replays Hadoop's backup-task policy against
-//     the known schedule: any task that ran past Threshold× the phase's
+//     the known schedule: any task that ran past chaos.SpecThreshold× the phase's
 //     median duration gets a backup attempt on the least-loaded
 //     surviving node, launched the moment the task became officially
 //     late. The first finisher wins the assignment; the loser's side
@@ -243,7 +243,7 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 	bp := newBackupPlanner(e.Cluster.Nodes(), assigns)
 	for ai := range assigns {
 		a := &assigns[ai]
-		if a.Duration <= spec.Threshold*med {
+		if a.Duration <= chaos.SpecThreshold*med {
 			continue
 		}
 		if spec.MaxPerPhase > 0 && launched >= spec.MaxPerPhase {
@@ -251,7 +251,7 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 		}
 		launched++
 		i := a.Task
-		detect := a.Start + spec.Threshold*med
+		detect := a.Start + chaos.SpecThreshold*med
 		node, freeAt := bp.pick(a.Node, job, base+detect)
 		if node < 0 {
 			continue

@@ -285,7 +285,8 @@ func TestChaosSameSeedSerialParallelIdentical(t *testing.T) {
 }
 
 // TestChaosDifferentSeedsSameOutput: the fault schedule changes with the
-// seed, the answer never does.
+// seed — each seed crashes another node at another time and slows other
+// tasks — the answer never does.
 func TestChaosDifferentSeedsSameOutput(t *testing.T) {
 	fs, e := chaosEnv(t, 1)
 	in := makeInput(t, fs, "in", 900)
@@ -299,12 +300,10 @@ func TestChaosDifferentSeedsSameOutput(t *testing.T) {
 		fs2, e2 := chaosEnv(t, 1)
 		in2 := makeInput(t, fs2, "in", 900)
 		job := wordCountJob(in2, fmt.Sprintf("wc-seed-%d", seed), false)
+		at := (0.2 + 0.25*float64(seed-1)) * window
 		job.Chaos = chaos.MustNew(chaos.Config{
 			Seed:            seed,
-			CrashCount:      1,
-			CrashFrom:       0.1 * window,
-			CrashUntil:      0.9 * window,
-			CrashRecovery:   1000,
+			Crashes:         []chaos.Crash{{Node: sim.NodeID(seed), At: at, Recover: at + 1000}},
 			Spec:            chaos.Speculation{Enabled: true},
 			StragglerRate:   0.3,
 			StragglerFactor: 5,
@@ -312,6 +311,9 @@ func TestChaosDifferentSeedsSameOutput(t *testing.T) {
 		res, err := e2.Run(job)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := res.Counters[chaos.CtrNodeCrashes]; got != 1 {
+			t.Fatalf("seed %d: node crashes = %d, want 1", seed, got)
 		}
 		sameRaw(t, fmt.Sprintf("seed-%d", seed), rawOutput(clean), rawOutput(res))
 	}

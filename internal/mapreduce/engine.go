@@ -109,10 +109,9 @@ func (e *Engine) Run(job *Job) (*Result, error) {
 	return e.NewRun().Run(job)
 }
 
-// Run executes the whole job and returns its result. Splits limits the map
-// phase to the given split indices when non-nil (used by the adaptive
-// runtime to process first-wave splits under one plan and the rest under
-// another).
+// Run executes the whole job over every split and returns its result. The
+// adaptive runtime, which processes first-wave splits under one plan and
+// the rest under another, calls RunMapPhase with the splits instead.
 func (e *JobRun) Run(job *Job) (*Result, error) {
 	if err := job.validate(e.Engine); err != nil {
 		return nil, err
@@ -128,8 +127,8 @@ func (e *JobRun) Run(job *Job) (*Result, error) {
 }
 
 // RunMapPhase executes the map side of the job over the given split
-// indices (nil means all splits). Chained MapStagesBefore, Map, and
-// MapStagesAfter run per record; outputs are partitioned for NumReduce
+// indices (nil means all splits). Chained MapStagesBefore and Map run
+// per record; outputs are partitioned for NumReduce
 // reducers (or kept whole for map-only jobs).
 //
 // On a task failure the returned error is non-nil AND the result carries
@@ -140,9 +139,6 @@ func (e *JobRun) Run(job *Job) (*Result, error) {
 func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 	if err := job.validate(e.Engine); err != nil {
 		return nil, err
-	}
-	if splits == nil {
-		splits = job.Splits
 	}
 	if splits == nil {
 		splits = make([]int, len(job.Input.Chunks))
@@ -376,7 +372,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		f.core.OnProcess = identityMap
 	}
 	sp = ctx.StartSpan("map-pipeline", "pipeline")
-	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, job.MapStagesAfter, f.mapSink)
+	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, nil, f.mapSink)
 	pipe.Open()
 	for _, r := range records {
 		pipe.Process(Pair{Key: r.Key, Value: r.Value})

@@ -219,7 +219,9 @@ func TestChainedStagesOrderAndClose(t *testing.T) {
 		Map: func(_ *TaskContext, p Pair, emit Emit) {
 			emit(Pair{Key: p.Key, Value: p.Value + ">map"})
 		},
-		MapStagesAfter: []StageFactory{mk(">post")},
+		NumReduce:         1,
+		Reduce:            IdentityReduce,
+		ReduceStagesAfter: []StageFactory{mk(">post")},
 	}
 	res, err := e.Run(job)
 	if err != nil {
@@ -232,7 +234,8 @@ func TestChainedStagesOrderAndClose(t *testing.T) {
 	if got := byKey["a"]; len(got) != 1 || got[0] != "1>pre1>pre2>map>post" {
 		t.Fatalf("chained value = %v, want 1>pre1>pre2>map>post", got)
 	}
-	// Close of pre1 flows through pre2, map, post; close of post emits raw.
+	// Close of pre1 flows through pre2, map, the shuffle and post; close of
+	// post emits raw.
 	found := map[string]bool{}
 	for _, v := range byKey["close"] {
 		found[v] = true
@@ -358,9 +361,9 @@ func TestRunReduceSubsetValidation(t *testing.T) {
 	}
 }
 
-// TestRunMapPhaseSplitValidation: a split out of range or listed twice — in
-// Job.Splits or in the argument — fails the phase by name; mapped twice, its
-// records would be output twice with a nil error.
+// TestRunMapPhaseSplitValidation: a split out of range or listed twice
+// fails the phase by name; mapped twice, its records would be output twice
+// with a nil error.
 func TestRunMapPhaseSplitValidation(t *testing.T) {
 	_, fs, e := testEnv(t)
 	in := makeInput(t, fs, "in", 200)
@@ -368,21 +371,21 @@ func TestRunMapPhaseSplitValidation(t *testing.T) {
 		t.Fatalf("input has %d chunks, the test wants three", len(in.Chunks))
 	}
 	for _, tc := range []struct {
-		jobSplits, arg []int
-		want           string
+		arg  []int
+		want string
 	}{
-		{nil, []int{len(in.Chunks)}, "out of range"},
-		{[]int{-1}, nil, "out of range"},
-		{nil, []int{1, 1}, "split 1 listed more than once"},
-		{[]int{2, 0, 2}, nil, "split 2 listed more than once"},
-		{[]int{1, 1}, []int{1, 0}, ""}, // the argument, when given, is the list
+		{[]int{len(in.Chunks)}, "out of range"},
+		{[]int{-1}, "out of range"},
+		{[]int{1, 1}, "split 1 listed more than once"},
+		{[]int{2, 0, 2}, "split 2 listed more than once"},
+		{[]int{1, 0}, ""},
 	} {
-		mp, err := e.NewRun().RunMapPhase(&Job{Name: "splits", Input: in, Splits: tc.jobSplits}, tc.arg)
+		mp, err := e.NewRun().RunMapPhase(&Job{Name: "splits", Input: in}, tc.arg)
 		switch {
 		case tc.want == "" && (err != nil || len(mp.Outputs) != len(tc.arg)):
-			t.Errorf("Job.Splits %v, splits %v: %d outputs, %v", tc.jobSplits, tc.arg, len(mp.Outputs), err)
+			t.Errorf("splits %v: %d outputs, %v", tc.arg, len(mp.Outputs), err)
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), `job "splits"`) || !strings.Contains(err.Error(), tc.want)):
-			t.Errorf("Job.Splits %v, splits %v: err = %v, want one naming the job and %q", tc.jobSplits, tc.arg, err, tc.want)
+			t.Errorf("splits %v: err = %v, want one naming the job and %q", tc.arg, err, tc.want)
 		}
 	}
 }

@@ -24,9 +24,6 @@ type Job struct {
 	MapStagesBefore []StageFactory
 	// Map is the user map function; nil means identity.
 	Map MapFunc
-	// MapStagesAfter are chained functions executed after Map as part of
-	// the map computation (body IndexOperators, Figure 6(b)).
-	MapStagesAfter []StageFactory
 
 	// Combine, when set on a job with a Reduce function, runs on each map
 	// task's output per reducer bucket before the shuffle (Hadoop's
@@ -49,10 +46,6 @@ type Job struct {
 
 	// OutputName names the output file; empty picks a fresh temp name.
 	OutputName string
-	// Splits restricts the map phase to the given split indices (nil =
-	// all). The adaptive EFind runtime uses it to process first-wave
-	// splits under one plan and the remainder under another.
-	Splits []int
 	// MapPlacement overrides the preferred nodes of the map task for a
 	// split (the index-locality strategy schedules map tasks on index
 	// partition hosts instead of input chunk replicas). Nil = data

@@ -117,7 +117,7 @@ type TaskContext struct {
 	// TaskID is the task's index within its phase.
 	TaskID int
 	// Split is the input split a map task reads. It differs from TaskID
-	// when a phase runs a subset of splits (Job.Splits, adaptive
+	// when a phase runs a subset of splits (RunMapPhase's splits, adaptive
 	// plan-change phases): TaskID is then the position within the subset
 	// while Split stays the global split number. Stages that key state by
 	// input split — the piggyback index builder — must use Split. For

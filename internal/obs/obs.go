@@ -84,14 +84,13 @@ type IndexProfile struct {
 	ModeledCost float64 `json:"modeled_cost"`
 	// ObservedServe is the serve time actually charged, in virtual seconds.
 	ObservedServe float64 `json:"observed_serve"`
-	// Lookups, CacheProbes, CacheMisses, Errors, Retries, Timeouts, and
-	// NetRoundTrips are the observed per-index counters.
+	// Lookups, CacheProbes, CacheMisses, Errors, Retries and NetRoundTrips
+	// are the observed per-index counters.
 	Lookups       int64 `json:"lookups"`
 	CacheProbes   int64 `json:"cache_probes"`
 	CacheMisses   int64 `json:"cache_misses"`
 	Errors        int64 `json:"errors"`
 	Retries       int64 `json:"retries"`
-	Timeouts      int64 `json:"timeouts"`
 	NetRoundTrips int64 `json:"net_roundtrips"`
 }
 
