@@ -331,12 +331,13 @@ func (t *Trace) Stages() []StageProfile {
 	return out
 }
 
-// IndexProfiles returns the per-index rows sorted by key.
+// IndexProfiles returns the per-index rows sorted by key; the rows of one
+// key — the jobs of one section — keep the order they were recorded in.
 func (t *Trace) IndexProfiles() []IndexProfile {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]IndexProfile, len(t.indexes))
 	copy(out, t.indexes)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
