@@ -151,7 +151,11 @@ func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool,
 		leg.makespans = append(leg.makespans, st.Makespan())
 		leg.committed = append(leg.committed, st.Result.Counters[core.CtrBuildCommitted])
 		leg.plans = append(leg.plans, st.Result.Plan.String())
-		leg.outputs = append(leg.outputs, outputDigest(st.Result.Output))
+		fp, err := st.Result.Output.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		leg.outputs = append(leg.outputs, fp)
 	}
 	leg.covered, leg.total = bix.BuildProgress()
 	return leg, nil

@@ -40,7 +40,10 @@ func AblationChaos(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		got := outputDigest(r.res.Output)
+		got, err := r.res.Output.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
 		if clean == nil {
 			clean, want = r, got
 		}

@@ -120,12 +120,16 @@ func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durabil
 // outputDigests fingerprints each job's output, in submission order, so
 // cross-leg identity checks hold digests instead of the record sets
 // themselves (full scale runs hundreds of jobs).
-func (r *mtRun) outputDigests() []uint64 {
+func (r *mtRun) outputDigests() ([]uint64, error) {
 	digests := make([]uint64, len(r.statuses))
 	for i, st := range r.statuses {
-		digests[i] = outputDigest(st.Result.Output)
+		fp, err := st.Result.Output.Fingerprint()
+		if err != nil {
+			return nil, err
+		}
+		digests[i] = fp
 	}
-	return digests
+	return digests, nil
 }
 
 // cmCompareStatuses enforces the recovery identity: every scheduling
@@ -196,7 +200,10 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	addRow("clean", clean)
-	cleanDigests := clean.outputDigests()
+	cleanDigests, err := clean.outputDigests()
+	if err != nil {
+		return nil, err
+	}
 	span := clean.span("")
 	// The second wave arrives well after chaos (~2x slower than clean)
 	// can have drained the first, so every leg below passes a quiescent
@@ -216,7 +223,11 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	if crashed.counterSum(chaos.CtrSpecLaunched) == 0 {
 		return nil, fmt.Errorf("chaos-mt: no speculative backup launched; the crash+spec row is vacuous")
 	}
-	for i, d := range crashed.outputDigests() {
+	crashedDigests, err := crashed.outputDigests()
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range crashedDigests {
 		if d != cleanDigests[i] {
 			return nil, fmt.Errorf("chaos-mt: job %d (%s/%s) output diverged from the fault-free run under crash+spec",
 				i, crashed.statuses[i].Tenant, crashed.statuses[i].Name)

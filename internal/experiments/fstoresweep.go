@@ -62,9 +62,13 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 		return synRunSignature{}, err
 	}
 
+	fp, err := res.Output.Fingerprint()
+	if err != nil {
+		return synRunSignature{}, err
+	}
 	sig := synRunSignature{
 		vtime:    res.VTime,
-		out:      outputDigest(res.Output),
+		out:      fp,
 		counters: fmt.Sprint(res.Counters),
 		lookups:  store.Lookups(),
 		misses:   store.Misses(),

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"hash/fnv"
-	"sort"
-
 	"efind/internal/cloudsvc"
 	"efind/internal/dfs"
 	"efind/internal/sim"
@@ -37,24 +34,6 @@ func setupTPCH(l *lab, scale Scale, dup int) (*tpch.Workload, error) {
 	cfg.DupFactor = dup
 	l.fs.ChunkTarget = chunkTargetFor(int(6000*scale.TPCHSF) * dup * 60)
 	return tpch.Setup(l.fs, "lineitem", cfg)
-}
-
-// outputDigest fingerprints a job's output as a multiset of records —
-// FNV-1a over the sorted key\x00value\xff records — so runs whose plans
-// shuffled differently, whose tasks were re-executed, or whose bytes lived
-// on another backend compare on content alone.
-func outputDigest(out *dfs.File) uint64 {
-	recs := make([]string, 0, out.Records())
-	for _, r := range out.All() {
-		recs = append(recs, r.Key+"\x00"+r.Value)
-	}
-	sort.Strings(recs)
-	h := fnv.New64a()
-	for _, r := range recs {
-		h.Write([]byte(r))
-		h.Write([]byte{0xff})
-	}
-	return h.Sum64()
 }
 
 // fakeIdx is a stats-only accessor used by planner ablations (never

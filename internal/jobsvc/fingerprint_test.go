@@ -22,7 +22,7 @@ import (
 // given sizes, in memory or (backed) in a snapshot under a temp dir.
 func fpOf(t *testing.T, backed bool, recs []dfs.Record, shardSizes ...int) uint64 {
 	t.Helper()
-	fp, err := outputFingerprint(&core.JobResult{Output: outputFile(t, backed, recs, shardSizes...)})
+	fp, err := outputFile(t, backed, recs, shardSizes...).Fingerprint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestOutputFingerprintAcrossExecutors(t *testing.T) {
 // mapping alike.
 func TestFingerprintAllocs(t *testing.T) {
 	for _, backed := range []bool{false, true} {
-		res := &core.JobResult{Output: outputFile(t, backed, fpRecords(5000), 2500, 2500)}
-		if len(res.Output.Chunks) < 100 {
-			t.Fatalf("only %d chunks: the per-chunk path is barely exercised", len(res.Output.Chunks))
+		out := outputFile(t, backed, fpRecords(5000), 2500, 2500)
+		if len(out.Chunks) < 100 {
+			t.Fatalf("only %d chunks: the per-chunk path is barely exercised", len(out.Chunks))
 		}
-		if n := testing.AllocsPerRun(5, func() { outputFingerprint(res) }); n != 0 {
+		if n := testing.AllocsPerRun(5, func() { out.Fingerprint() }); n != 0 {
 			t.Errorf("backed=%v: fingerprinting 5000 records allocates %.0f times, want 0", backed, n)
 		}
 	}
@@ -190,8 +190,8 @@ func TestUnreadableOutputFailsTheDecision(t *testing.T) {
 	trash(t, snaps[0])
 
 	res := &core.JobResult{Output: out, Counters: map[string]int64{}}
-	if fp, err := outputFingerprint(res); !errors.Is(err, fstore.ErrCorrupt) || fp != 0 {
-		t.Fatalf("outputFingerprint = %#x, %v; want 0 and ErrCorrupt", fp, err)
+	if fp, err := out.Fingerprint(); !errors.Is(err, fstore.ErrCorrupt) || fp != 0 {
+		t.Fatalf("Fingerprint = %#x, %v; want 0 and ErrCorrupt", fp, err)
 	}
 
 	walDir := filepath.Join(dir, "wal")

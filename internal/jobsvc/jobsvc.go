@@ -614,7 +614,11 @@ func (s *Service) finish(ev event) {
 	}
 	if s.jl != nil {
 		// An unreadable output is a failed job, not a job without output.
-		fp, err := outputFingerprint(ev.res)
+		var fp uint64
+		var err error
+		if ev.res != nil {
+			fp, err = ev.res.Output.Fingerprint()
+		}
 		if err != nil && j.status.Err == nil {
 			j.status.State, j.status.Err = JobFailed, err
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 	"path/filepath"
@@ -87,7 +86,7 @@ const (
 
 // journalVersion is the record format version inside recHello. Version
 // 2 redefined OutputFP (an order-independent digest, see
-// outputFingerprint); Recover refuses any other version.
+// dfs.File.Fingerprint); Recover refuses any other version.
 const journalVersion = 2
 
 // walEnc builds one record payload.
@@ -801,48 +800,4 @@ func subsHash(subs []Submission) uint64 {
 		fmt.Fprintf(h, "%s|%x|%s;", s.Tenant, math.Float64bits(s.At), name)
 	}
 	return h.Sum64()
-}
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// outputFingerprint digests a job's output records — the durable
-// stand-in for the output file, which a recovered coordinator cannot
-// reproduce for jobs it never re-runs: the wrapping sum of one well-mixed
-// 64-bit hash per record, plus the record count. It is independent of
-// record order, so serial and parallel executors agree without a sort; a
-// dropped, duplicated or altered record changes it. Records are hashed
-// in place through Chunk.View, and a chunk that fails its decode checks
-// is an error, never a fingerprint.
-func outputFingerprint(res *core.JobResult) (uint64, error) {
-	if res == nil || res.Output == nil {
-		return 0, nil
-	}
-	var n, sum uint64
-	for _, c := range res.Output.Chunks {
-		err := c.View(func(key, value []byte) error {
-			// The value's CRC continues the key's; the key's own CRC and
-			// length pin where one ends and the other starts.
-			kc := crc32.Update(0, castagnoli, key)
-			h := uint64(kc)<<32 | uint64(crc32.Update(kc, castagnoli, value))
-			h ^= uint64(len(key)) * 0x9e3779b97f4a7c15
-			// murmur3 finalizer, so sums of CRCs do not cancel structurally.
-			h ^= h >> 33
-			h *= 0xff51afd7ed558ccd
-			h ^= h >> 33
-			h *= 0xc4ceb9fe1a85ec53
-			h ^= h >> 33
-			n++
-			sum += h
-			return nil
-		})
-		if err != nil {
-			return 0, fmt.Errorf("jobsvc: fingerprinting %s: %w", res.Output.Name, err)
-		}
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	// The top bit keeps a non-empty output apart from 0 and gives every
-	// fingerprint one encoded width, whatever the records hash to.
-	return (sum + n*0x9e3779b97f4a7c15) | 1<<63, nil
 }
