@@ -107,8 +107,8 @@ type (
 	IndexClientOptions = ixclient.Options
 	// ErrorPolicy decides what an index error does to a running job.
 	ErrorPolicy = ixclient.ErrorPolicy
-	// RetryPolicy configures transient-error retries and the lookup
-	// deadline of the index access path.
+	// RetryPolicy configures transient-error retries of the index access
+	// path.
 	RetryPolicy = ixclient.RetryPolicy
 	// IndexError reports a failed index access under ErrorFailJob, naming
 	// the operator, index, and lookup key.

@@ -22,8 +22,7 @@ const DefaultCacheCapacity = ixclient.DefaultCacheCapacity
 type (
 	// ErrorPolicy decides what an index error does to the running job.
 	ErrorPolicy = ixclient.ErrorPolicy
-	// RetryPolicy configures transient-error retries and the client-side
-	// lookup deadline.
+	// RetryPolicy configures transient-error retries.
 	RetryPolicy = ixclient.RetryPolicy
 )
 

@@ -225,8 +225,8 @@ func renderCounters(names []string, set mapreduce.CounterSet) string {
 }
 
 // TestAccessPath pins every step of the access path — span, cache or
-// shadow, error policy, retry ladder, availability, deadline, accessor and
-// charging — by what it leaves on the task.
+// shadow, error policy, retry ladder, availability, accessor and charging
+// — by what it leaves on the task.
 func TestAccessPath(t *testing.T) {
 	for _, tc := range accessCases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -73,8 +73,7 @@ const (
 	ErrorFailJob
 )
 
-// RetryPolicy configures the retry ladder and the client-side deadline.
-// The zero value disables both.
+// RetryPolicy configures the retry ladder. The zero value disables it.
 type RetryPolicy struct {
 	// Max is the number of re-attempts after the first failed access.
 	Max int
