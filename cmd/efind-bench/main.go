@@ -28,7 +28,7 @@
 //
 //	efind-bench -quick -fig 11f -trace trace.json   # Chrome trace (Perfetto)
 //	efind-bench -quick -fig 11f,12 -profile BENCH_ci.json -label ci
-//	efind-bench -quick -fig 11f,12 -profile BENCH_ci.json -gate BENCH_baseline.json
+//	efind-bench -quick -profile BENCH_ci.json -gate BENCH_baseline.json   # CI's gate: all experiments
 //
 // With -gate, the run's profile is compared against the baseline profile
 // and the command exits 1 unless the two are equal: total virtual time,
