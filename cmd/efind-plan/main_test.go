@@ -5,8 +5,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"efind/internal/core"
+	"efind/internal/dfs"
+	"efind/internal/jobsvc"
+	"efind/internal/kvstore"
+	"efind/internal/mapreduce"
+	"efind/internal/obs"
+	"efind/internal/sim"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/whatif.golden")
@@ -86,5 +95,69 @@ func TestRejectedFlags(t *testing.T) {
 			t.Errorf("efind-plan %s: exit %d, stdout %q, stderr %q; want exit 1 and one line naming %q",
 				tc.args, code, stdout.String(), msg, tc.want)
 		}
+	}
+}
+
+// TestProfileMode: -profile prints core.RenderProfile of the file, one
+// line each.
+func TestProfileMode(t *testing.T) {
+	const path = "../efind-bench/testdata/fig12.json"
+	p, err := obs.ReadProfile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(core.RenderProfile(p), "\n") + "\n"
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-profile", path}, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("efind-plan -profile: exit %d, stderr %q", code, stderr.String())
+	}
+	if stdout.String() != want {
+		t.Fatalf("efind-plan -profile printed\n%s\nwant\n%s", stdout.String(), want)
+	}
+}
+
+// TestWALMode: -wal prints jobsvc.DescribeJournal of the journal a
+// one-job durable service writes, and rejects a directory without one.
+func TestWALMode(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	cluster := sim.NewCluster(sim.DefaultConfig())
+	fs := dfs.New(cluster)
+	input, err := fs.Create("in", []dfs.Record{{Key: "r1", Value: "k1"}, {Key: "r2", Value: "k2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := kvstore.NewHash(cluster, "kv", 4, 2, 1e-4)
+	store.Put("k1", "v1")
+	conf := &core.IndexJobConf{Name: "solo", Input: input, Mode: core.ModeBaseline}
+	conf.AddHeadIndexOperator(core.NewOperator("op", func(in core.Pair) core.PreResult {
+		return core.PreResult{Pair: in, Keys: [][]string{{in.Value}}}
+	}, nil).AddIndex(store))
+	svc, err := jobsvc.New(core.NewRuntime(mapreduce.New(cluster, fs)), []jobsvc.TenantConfig{{Name: "t"}},
+		jobsvc.Options{Durable: &jobsvc.Durability{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Run([]jobsvc.Submission{{Tenant: "t", Conf: conf}}); st[0].State != jobsvc.JobCompleted {
+		t.Fatalf("job state %v, err %v", st[0].State, st[0].Err)
+	}
+	lines, err := jobsvc.DescribeJournal(dir)
+	if err != nil || len(lines) == 0 {
+		t.Fatalf("DescribeJournal: %d lines, err %v", len(lines), err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-wal", dir}, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("efind-plan -wal: exit %d, stderr %q", code, stderr.String())
+	}
+	if want := strings.Join(lines, "\n") + "\n"; stdout.String() != want {
+		t.Fatalf("efind-plan -wal printed\n%s\nwant\n%s", stdout.String(), want)
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	missing := filepath.Join(t.TempDir(), "no-such-journal")
+	code := run([]string{"-wal", missing}, &stdout, &stderr)
+	msg := stderr.String()
+	if code != 1 || stdout.Len() != 0 || !strings.HasPrefix(msg, "efind-plan: no journal segment in ") || strings.Count(msg, "\n") != 1 {
+		t.Fatalf("efind-plan -wal %s: exit %d, stdout %q, stderr %q; want exit 1 and one line", missing, code, stdout.String(), msg)
 	}
 }

@@ -343,8 +343,16 @@ func (r svcRec) describe() string {
 
 // DescribeJournal renders every record of a journal directory, one line
 // per record — the efind-plan -wal inspection surface. A torn tail is
-// reported as a final line rather than an error.
+// reported as a final line rather than an error; a directory without a
+// journal segment — missing, or a mistyped path — is an error.
 func DescribeJournal(dir string) ([]string, error) {
+	segs, err := wal.Segments(vfs.OS{}, dir)
+	if err == nil && len(segs) == 0 {
+		err = fmt.Errorf("no journal segment in %s", dir)
+	}
+	if err != nil {
+		return nil, err
+	}
 	recs, torn, err := wal.Replay(vfs.OS{}, dir)
 	if err != nil {
 		return nil, err

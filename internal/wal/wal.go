@@ -68,8 +68,9 @@ func segNumber(name string) int {
 	return n
 }
 
-// segments lists the directory's segment file names in segment order.
-func segments(fs vfs.FS, dir string) ([]string, error) {
+// Segments lists the directory's segment file names in segment order. A
+// missing directory is an empty journal: none, and no error.
+func Segments(fs vfs.FS, dir string) ([]string, error) {
 	names, err := fs.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -139,7 +140,7 @@ func decodeSegment(data []byte) (payloads [][]byte, consumed int, torn bool) {
 // damage profile a crash mid-append can produce) and reported via torn;
 // the same damage on an earlier segment returns ErrCorrupt.
 func Replay(fs vfs.FS, dir string) (recs []Record, torn bool, err error) {
-	segs, err := segments(fs, dir)
+	segs, err := Segments(fs, dir)
 	if err != nil {
 		return nil, false, err
 	}
@@ -171,7 +172,7 @@ func writeFile(fs vfs.FS, path string, data []byte, sync bool) error {
 // temp+rename so the repair itself is crash-atomic. Undamaged journals
 // are left untouched. It returns the number of bytes discarded.
 func Repair(fs vfs.FS, dir string) (discarded int, err error) {
-	segs, err := segments(fs, dir)
+	segs, err := Segments(fs, dir)
 	if err != nil || len(segs) == 0 {
 		return 0, err
 	}
@@ -208,7 +209,7 @@ func Open(fs vfs.FS, dir string, sync bool) (*Log, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	segs, err := segments(fs, dir)
+	segs, err := Segments(fs, dir)
 	if err != nil {
 		return nil, err
 	}
