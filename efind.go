@@ -100,11 +100,6 @@ type (
 	Accessor = index.Accessor
 	// PartitionScheme describes a distributed index's partitioning.
 	PartitionScheme = index.Scheme
-	// IndexClient wraps an Accessor with the runtime's index access path
-	// (cache, error policy, retry, cost accounting).
-	IndexClient = ixclient.Client
-	// IndexClientOptions configures an IndexClient.
-	IndexClientOptions = ixclient.Options
 	// ErrorPolicy decides what an index error does to a running job.
 	ErrorPolicy = ixclient.ErrorPolicy
 	// RetryPolicy configures transient-error retries of the index access
@@ -151,25 +146,10 @@ const (
 // opt into the index client's retry ladder.
 var ErrTransient = index.ErrTransient
 
-// NewIndexClient wraps an Accessor with the runtime's index access
-// path, for use outside of jobs (tools, generators, tests). Inside a
-// job the runtime builds the clients itself from IndexJobConf.
-func NewIndexClient(acc Accessor, opts IndexClientOptions) *IndexClient {
-	return ixclient.New(acc, opts)
-}
-
 // NewOperator builds an IndexOperator from pre/post functions (nil picks
 // defaults: key-as-lookup-key pre, append-results post).
 func NewOperator(name string, pre PreFunc, post PostFunc) *Operator {
 	return core.NewOperator(name, pre, post)
-}
-
-// ValidateOperator dry-runs an operator against sample records and checks
-// the contracts EFind's strategy equivalence depends on: deterministic
-// preProcess, key lists matching the attached indices, and a postProcess
-// that tolerates empty lookup results. Use it in application tests.
-func ValidateOperator(op *Operator, samples []Pair) error {
-	return core.ValidateOperator(op, samples)
 }
 
 // DefaultConfig returns the paper's testbed configuration: 12 nodes, 8
@@ -219,10 +199,4 @@ func (c *Cluster) NewCloudService(name string, host NodeID, delay float64, fn fu
 // Submit runs an EFind-enhanced job under its configured mode.
 func (c *Cluster) Submit(conf *IndexJobConf) (*JobResult, error) {
 	return c.Runtime.Submit(conf)
-}
-
-// CollectStats runs a statistics-gathering baseline pass so a later
-// ModeOptimized submission can plan from the catalog.
-func (c *Cluster) CollectStats(conf *IndexJobConf) error {
-	return c.Runtime.CollectStats(conf)
 }

@@ -91,18 +91,6 @@ func TestCloudServiceThroughFacade(t *testing.T) {
 	}
 }
 
-func TestValidateOperatorThroughFacade(t *testing.T) {
-	op := efind.NewOperator("v",
-		func(in efind.Pair) efind.PreResult {
-			return efind.PreResult{Pair: in, Keys: [][]string{{in.Key}}}
-		}, nil)
-	cluster := efind.NewCluster(efind.DefaultConfig())
-	op.AddIndex(cluster.NewKVStore("s", 4, 2, 0))
-	if err := efind.ValidateOperator(op, []efind.Pair{{Key: "a", Value: "1"}}); err != nil {
-		t.Fatalf("valid operator rejected: %v", err)
-	}
-}
-
 func TestRangeStoreThroughFacade(t *testing.T) {
 	cluster := efind.NewCluster(efind.DefaultConfig())
 	store := cluster.NewRangeKVStore("ranged", []string{"m"}, 3, 0)

@@ -82,16 +82,6 @@ func (r *Registry) IsCovered(name string, split int) bool {
 	return ok && p.covered[split]
 }
 
-// Completeness returns the covered fraction in [0,1]. An unknown or
-// empty index reports 0.
-func (r *Registry) Completeness(name string) float64 {
-	c, t := r.Covered(name)
-	if t == 0 {
-		return 0
-	}
-	return float64(c) / float64(t)
-}
-
 // MarkBuilt commits one build unit, reporting whether it was newly
 // covered (idempotent: duplicate marks return false). Splits outside
 // [0, total) are rejected — a corrupted persisted registry must not

@@ -12,6 +12,7 @@ import (
 	"efind/internal/index"
 	"efind/internal/kvstore"
 	"efind/internal/sim"
+	"efind/internal/vfs"
 )
 
 func testCluster() *sim.Cluster { return sim.NewCluster(sim.DefaultConfig()) }
@@ -89,11 +90,11 @@ func TestRegistryBasics(t *testing.T) {
 	if got := r.CoveredSplits("a"); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("CoveredSplits = %v, want [1]", got)
 	}
-	if f := r.Completeness("a"); f != 0.25 {
-		t.Fatalf("Completeness = %v, want 0.25", f)
+	if c, tot := r.Covered("a"); c != 1 || tot != 4 {
+		t.Fatalf("Covered = %d/%d, want 1/4", c, tot)
 	}
-	if f := r.Completeness("missing"); f != 0 {
-		t.Fatalf("Completeness(missing) = %v, want 0", f)
+	if c, tot := r.Covered("missing"); c != 0 || tot != 0 {
+		t.Fatalf("Covered(missing) = %d/%d, want 0/0", c, tot)
 	}
 }
 
@@ -178,7 +179,7 @@ func TestBuildableLookupExactAtAnyCoverage(t *testing.T) {
 		t.Fatalf("BuildProgress = %d/%d, want full %d", c, tot, len(f.Chunks))
 	}
 	check("full coverage")
-	if st, want := b.ServeTime(), b.Store().ServeTime(); st != want {
+	if st, want := b.ServeTime(), b.cfg.Store.ServeTime(); st != want {
 		t.Fatalf("full-coverage ServeTime = %v, want store's %v", st, want)
 	}
 	if b.HostsFor("k001") == nil {
@@ -196,12 +197,12 @@ func TestStageRollbackAndRefcount(t *testing.T) {
 	// Attempt on node 0 stages split 0, then fails: rollback.
 	undo := b.SnapshotBuild(0)
 	scanAndStage(t, b, f, 0, 0)
-	if b.Staged() != 1 {
-		t.Fatalf("Staged = %d, want 1", b.Staged())
+	if len(b.staged) != 1 {
+		t.Fatalf("Staged = %d, want 1", len(b.staged))
 	}
 	undo()
-	if b.Staged() != 0 {
-		t.Fatalf("Staged after rollback = %d, want 0", b.Staged())
+	if len(b.staged) != 0 {
+		t.Fatalf("Staged after rollback = %d, want 0", len(b.staged))
 	}
 
 	// Speculative duplicate: winner on node 0, backup on node 1; backup's
@@ -210,8 +211,8 @@ func TestStageRollbackAndRefcount(t *testing.T) {
 	undoBackup := b.SnapshotBuild(1)
 	scanAndStage(t, b, f, 1, 1)
 	undoBackup()
-	if b.Staged() != 1 {
-		t.Fatalf("Staged after losing backup rollback = %d, want 1", b.Staged())
+	if len(b.staged) != 1 {
+		t.Fatalf("Staged after losing backup rollback = %d, want 1", len(b.staged))
 	}
 	if got := b.Commit(); got != 1 {
 		t.Fatalf("Commit = %d, want 1", got)
@@ -225,13 +226,13 @@ func TestStageRollbackAndRefcount(t *testing.T) {
 	scanAndStage(t, b, f, 2, 3)
 	scanAndStage(t, b, f, 3, 4)
 	b.ResetBuild(2)
-	if b.Staged() != 1 {
-		t.Fatalf("Staged after crash reset = %d, want 1 (node 3's)", b.Staged())
+	if len(b.staged) != 1 {
+		t.Fatalf("Staged after crash reset = %d, want 1 (node 3's)", len(b.staged))
 	}
 	// Abandon drops the rest.
 	b.Abandon()
-	if b.Staged() != 0 {
-		t.Fatalf("Staged after Abandon = %d, want 0", b.Staged())
+	if len(b.staged) != 0 {
+		t.Fatalf("Staged after Abandon = %d, want 0", len(b.staged))
 	}
 	if c, _ := b.BuildProgress(); c != 1 {
 		t.Fatalf("coverage changed by rollback paths: %d, want 1", c)
@@ -266,12 +267,12 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 		r.MarkBuilt("alpha", s)
 	}
 	r.MarkBuilt("beta", 1)
-	if err := r.Save(path); err != nil {
+	if err := save(vfs.OS{}, r, path); err != nil {
 		t.Fatal(err)
 	}
 
 	r2 := NewRegistry()
-	if err := r2.Load(path); err != nil {
+	if err := load(r2, path); err != nil {
 		t.Fatal(err)
 	}
 	if r.Fingerprint() != r2.Fingerprint() {
@@ -280,27 +281,27 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 
 	// Loading merges with in-memory progress.
 	r2.MarkBuilt("beta", 2)
-	if err := r2.Load(path); err != nil {
+	if err := load(r2, path); err != nil {
 		t.Fatal(err)
 	}
 	if got := r2.CoveredSplits("beta"); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("merge = %v, want [1 2]", got)
 	}
 
-	// An arbitrary non-registry snapshot is rejected.
-	if err := r2.Load(filepath.Join(dir, "missing.fmc")); err == nil {
-		t.Fatal("Load of missing file succeeded")
+	// A missing file is an error, not an empty registry.
+	if err := load(r2, filepath.Join(dir, "missing.fmc")); err == nil {
+		t.Fatal("load of a missing file succeeded")
 	}
 }
 
 func TestPersistEmptyRegistry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.fmc")
 	r := NewRegistry()
-	if err := r.Save(path); err != nil {
+	if err := save(vfs.OS{}, r, path); err != nil {
 		t.Fatal(err)
 	}
 	r2 := NewRegistry()
-	if err := r2.Load(path); err != nil {
+	if err := load(r2, path); err != nil {
 		t.Fatal(err)
 	}
 	if len(r2.Names()) != 0 {

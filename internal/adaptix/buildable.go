@@ -106,10 +106,6 @@ func New(cfg Config) (*Buildable, error) {
 // Name implements index.Accessor.
 func (b *Buildable) Name() string { return b.cfg.Name }
 
-// Store returns the underlying kvstore (the experiment inspects its
-// lookup counters).
-func (b *Buildable) Store() *kvstore.Store { return b.cfg.Store }
-
 // Source returns the file whose splits are the build units. The plan
 // compiler checks it against the job input before piggybacking a build
 // stage — entries extracted from a different file's records would index
@@ -307,13 +303,6 @@ func (b *Buildable) Abandon() {
 	defer b.mu.Unlock()
 	b.staged = make(map[int]*stagedSplit)
 	b.journal = make(map[sim.NodeID][]int)
-}
-
-// Staged returns how many splits are currently staged (tests).
-func (b *Buildable) Staged() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.staged)
 }
 
 // Materialize re-extracts every registry-covered split into the store.

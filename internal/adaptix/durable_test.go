@@ -7,8 +7,26 @@ import (
 	"testing"
 
 	"efind/internal/chaos"
+	"efind/internal/fstore"
 	"efind/internal/vfs"
 )
+
+// save and load persist a registry the way the job service's checkpoint
+// does: AppendTo into an fstore snapshot, LoadFrom out of it.
+func save(fs vfs.FS, r *Registry, path string) error {
+	b := fstore.NewBuilder()
+	r.AppendTo(b, "ix:")
+	return b.WriteFileFS(fs, path)
+}
+
+func load(r *Registry, path string) error {
+	snap, err := fstore.Open(path, fstore.Options{})
+	if err != nil {
+		return err
+	}
+	defer snap.Close()
+	return r.LoadFrom(snap, "ix:")
+}
 
 // TestSaveFaultsNeverYieldPhantomSplits drives the registry save through
 // every injected write fault at a mid-commit moment: coverage has grown
@@ -31,7 +49,7 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 			scanAndStage(t, b, f, 1, 0)
 			b.Commit()
 			path := filepath.Join(t.TempDir(), "registry.fmc1")
-			if err := reg.Save(path); err != nil {
+			if err := save(vfs.OS{}, reg, path); err != nil {
 				t.Fatal(err)
 			}
 
@@ -44,14 +62,14 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 				match = "registry.fmc1"
 			}
 			ffs := chaos.NewFaultFS(vfs.OS{}, chaos.FileFault{Kind: kind, Match: match})
-			if err := reg.SaveFS(ffs, path); err == nil {
+			if err := save(ffs, reg, path); err == nil {
 				t.Fatalf("%v during save must surface as an error", kind)
 			}
 
 			// A recovering process loads the file: exactly split 0, no
 			// phantom coverage from the failed save.
 			fresh := NewRegistry()
-			if err := fresh.Load(path); err != nil {
+			if err := load(fresh, path); err != nil {
 				t.Fatalf("last durable registry unreadable after %v: %v", kind, err)
 			}
 			if got := fresh.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0}) {
@@ -62,11 +80,11 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 			}
 
 			// The retry (fault was one-shot) persists the full coverage.
-			if err := reg.SaveFS(ffs, path); err != nil {
+			if err := save(ffs, reg, path); err != nil {
 				t.Fatalf("retry save: %v", err)
 			}
 			fresh2 := NewRegistry()
-			if err := fresh2.Load(path); err != nil {
+			if err := load(fresh2, path); err != nil {
 				t.Fatal(err)
 			}
 			if got := fresh2.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0, 1, 2}) {
@@ -77,7 +95,7 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 }
 
 // TestMaterializeReproducesCommittedEntries models the recovery path: the
-// registry's coverage survives a crash (via checkpoint or Save) but the
+// registry's coverage survives a crash (via the checkpoint) but the
 // in-memory kvstore's entries do not. Materialize on a fresh Buildable
 // must re-extract the covered splits so every lookup answers exactly as
 // the pre-crash index did.
@@ -104,11 +122,11 @@ func TestMaterializeReproducesCommittedEntries(t *testing.T) {
 
 	// Crash: registry persisted, store contents gone.
 	path := filepath.Join(t.TempDir(), "registry.fmc1")
-	if err := reg.Save(path); err != nil {
+	if err := save(vfs.OS{}, reg, path); err != nil {
 		t.Fatal(err)
 	}
 	reg2 := NewRegistry()
-	if err := reg2.Load(path); err != nil {
+	if err := load(reg2, path); err != nil {
 		t.Fatal(err)
 	}
 	if reg2.Fingerprint() != wantFP {

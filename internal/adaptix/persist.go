@@ -6,26 +6,14 @@ import (
 	"strings"
 
 	"efind/internal/fstore"
-	"efind/internal/vfs"
-)
-
-// The registry persists as one fstore snapshot: a version sentinel entry
-// plus one entry per index (key "ix:<name>", revision = total build
-// units, values = the covered splits as decimal strings). fstore's
-// atomic temp+rename write, write-verification, and eager corruption
-// validation apply, so a torn or bit-flipped registry file surfaces as
-// an error at Load (or is refused before the rename replaces the last
-// durable file) rather than as silently inflated completeness.
-const (
-	persistSentinel = "adaptix-registry"
-	persistVersion  = 1
-	persistPrefix   = "ix:"
 )
 
 // AppendTo adds the registry's state to an fstore builder under the
-// given key prefix — the encoding Save uses, exposed so the job
-// service's checkpoint writer can fold registry coverage into its own
-// snapshot instead of managing a second file.
+// given key prefix: one entry per index (prefix + name, revision = total
+// build units, values = the covered splits as decimal strings). The job
+// service's checkpoint carries it, so fstore's atomic write, verification
+// and corruption checks apply: a torn or bit-flipped file is an error at
+// open, never silently inflated completeness.
 func (r *Registry) AppendTo(b *fstore.Builder, prefix string) {
 	for _, name := range r.Names() {
 		_, total := r.Covered(name)
@@ -68,32 +56,4 @@ func (r *Registry) LoadFrom(snap *fstore.Snapshot, prefix string) error {
 		}
 	}
 	return nil
-}
-
-// Save writes the registry's state to path as an fstore snapshot.
-func (r *Registry) Save(path string) error {
-	return r.SaveFS(vfs.OS{}, path)
-}
-
-// SaveFS is Save through an explicit filesystem — the fault-injection
-// seam. The write is atomic and read-back-verified, so an injected torn
-// or short write leaves the previous durable registry file untouched.
-func (r *Registry) SaveFS(fs vfs.FS, path string) error {
-	b := fstore.NewBuilder()
-	b.Add(persistSentinel, persistVersion)
-	r.AppendTo(b, persistPrefix)
-	return b.WriteFileFS(fs, path)
-}
-
-// Load merges a saved registry into r (see LoadFrom).
-func (r *Registry) Load(path string) error {
-	snap, err := fstore.Open(path, fstore.Options{})
-	if err != nil {
-		return err
-	}
-	defer snap.Close()
-	if _, ok := snap.Find(persistSentinel); !ok {
-		return fmt.Errorf("adaptix: %s is not a registry snapshot", path)
-	}
-	return r.LoadFrom(snap, persistPrefix)
 }

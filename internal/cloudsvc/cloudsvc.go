@@ -48,19 +48,12 @@ func (s *Service) Lookup(key string) ([]string, error) {
 // ServeTime implements index.Accessor.
 func (s *Service) ServeTime() float64 { return s.delay }
 
-// SetServeTime adjusts the per-lookup delay (the LOG experiment sweeps an
-// extra 0–5 ms on top of the base 0.8 ms).
-func (s *Service) SetServeTime(d float64) { s.delay = d }
-
 // HostsFor implements index.Accessor: the single service host.
 func (s *Service) HostsFor(string) []sim.NodeID { return s.hostSet }
 
 // Calls returns the number of lookups served (the pay-per-use meter the
 // paper wants minimized).
 func (s *Service) Calls() int64 { return s.calls.Load() }
-
-// ResetStats clears the call counter.
-func (s *Service) ResetStats() { s.calls.Store(0) }
 
 // NewGeoService builds the LOG experiment's cloud service: IP address →
 // geographical region, deterministically derived from the IP so results
@@ -71,19 +64,6 @@ func NewGeoService(host sim.NodeID, delay float64, regions int) *Service {
 	}
 	return New("geo-service", host, delay, func(ip string) []string {
 		return []string{fmt.Sprintf("region-%02d", hashOf(ip)%uint32(regions))}
-	})
-}
-
-// NewTopicService builds Example 2.1's knowledge-base service: keywords →
-// topic, "computed by machine-learning classifiers" — simulated by a
-// deterministic hash-based classifier over the keyword set, which
-// preserves the property that any input is a valid key.
-func NewTopicService(host sim.NodeID, delay float64, topics int) *Service {
-	if topics < 1 {
-		topics = 1
-	}
-	return New("topic-service", host, delay, func(keywords string) []string {
-		return []string{fmt.Sprintf("topic-%03d", hashOf(keywords)%uint32(topics))}
 	})
 }
 

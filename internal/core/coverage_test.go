@@ -277,9 +277,6 @@ func TestCatalogIntrospection(t *testing.T) {
 	if len(got) != 2 || got[0] != "a-op" || got[1] != "b-op" {
 		t.Fatalf("operators = %v, want sorted [a-op b-op]", got)
 	}
-	if s := c.String(); !strings.Contains(s, "2") {
-		t.Fatalf("catalog string = %q", s)
-	}
 }
 
 func TestModeStrings(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"efind/internal/index"
 	"efind/internal/ixclient"
 	"efind/internal/mapreduce"
-	"efind/internal/obs"
 	"efind/internal/sim"
 )
 
@@ -248,11 +247,6 @@ type JobResult struct {
 
 	raw []*mapreduce.Result
 }
-
-// SortedCounters returns the result's counters as a sorted snapshot —
-// the one way they should reach report output (map iteration order is
-// randomized and would make run-to-run diffs flaky).
-func (r *JobResult) SortedCounters() []obs.Metric { return obs.SortedCounters(r.Counters) }
 
 // Runtime executes EFind jobs: it owns the plan optimizer, the statistics
 // catalog, and the plan implementer (Figure 8).

@@ -142,7 +142,11 @@ func TestResumeMergesNonPrefixCompletedSplits(t *testing.T) {
 	for split := range failed.Outputs {
 		if !completed[split] {
 			failed.Outputs[split] = nil
-			missingRecords += e.input.Chunks[split].NumRecords()
+			recs, err := e.input.Chunks[split].Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			missingRecords += len(recs)
 		}
 	}
 

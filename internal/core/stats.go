@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -156,13 +155,6 @@ func (c *Catalog) Operators() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// String summarizes the catalog.
-func (c *Catalog) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return fmt.Sprintf("catalog(%d operators)", len(c.ops))
 }
 
 // The counters one operator's statistics read, as positions of statSlots:

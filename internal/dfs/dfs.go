@@ -49,10 +49,6 @@ type Chunk struct {
 	Shard int
 }
 
-// NumRecords returns the chunk's record count without touching payload
-// bytes (file-backed, this is slot-section metadata only).
-func (c *Chunk) NumRecords() int { return c.n }
-
 // View calls fn once per record, in order, with key and value as
 // read-only views valid only until fn returns: an in-memory chunk lends
 // its record strings, a file-backed one the snapshot's mapping, so
@@ -112,19 +108,6 @@ type File struct {
 
 	snap *fstore.Snapshot // non-nil when the payload is file-backed
 	path string           // snapshot file, for Remove cleanup
-}
-
-// FileBacked reports whether the file's record payloads live in an
-// fstore snapshot rather than in memory.
-func (f *File) FileBacked() bool { return f.snap != nil }
-
-// Bytes returns the total payload size of the file.
-func (f *File) Bytes() int {
-	total := 0
-	for _, c := range f.Chunks {
-		total += c.Bytes
-	}
-	return total
 }
 
 // Records returns the total record count of the file.

@@ -87,7 +87,7 @@ func TestChunkSplitting(t *testing.T) {
 		if len(c.Replicas) != fs.Replication {
 			t.Fatalf("chunk has %d replicas, want %d", len(c.Replicas), fs.Replication)
 		}
-		total += c.NumRecords()
+		total += c.n
 	}
 	if total != 50 {
 		t.Fatalf("records lost in chunking: %d != 50", total)
@@ -204,7 +204,7 @@ func TestShardedChunkingPreservesShards(t *testing.T) {
 			if c.Shard < -1 || c.Shard >= len(sizes) {
 				return false
 			}
-			if c.Shard >= 0 && c.NumRecords() > 0 && c.Replicas[0] != homes[c.Shard] {
+			if c.Shard >= 0 && c.n > 0 && c.Replicas[0] != homes[c.Shard] {
 				return false
 			}
 			recs, err := c.Records()

@@ -50,16 +50,16 @@ func TestFileBackedMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ff.FileBacked() || mf.FileBacked() {
-			t.Fatalf("backing flags wrong: mem=%v file=%v", mf.FileBacked(), ff.FileBacked())
+		if ff.snap == nil || mf.snap != nil {
+			t.Fatalf("backing wrong: mem=%v file=%v", mf.snap != nil, ff.snap != nil)
 		}
-		if len(ff.Chunks) != len(mf.Chunks) || ff.Bytes() != mf.Bytes() || ff.Records() != mf.Records() {
-			t.Fatalf("shape differs: %d/%d chunks, %d/%d bytes, %d/%d records",
-				len(ff.Chunks), len(mf.Chunks), ff.Bytes(), mf.Bytes(), ff.Records(), mf.Records())
+		if len(ff.Chunks) != len(mf.Chunks) || ff.Records() != mf.Records() {
+			t.Fatalf("shape differs: %d/%d chunks, %d/%d records",
+				len(ff.Chunks), len(mf.Chunks), ff.Records(), mf.Records())
 		}
 		for i := range ff.Chunks {
 			fc, mc := ff.Chunks[i], mf.Chunks[i]
-			if fc.Bytes != mc.Bytes || fc.Shard != mc.Shard || fc.NumRecords() != mc.NumRecords() {
+			if fc.Bytes != mc.Bytes || fc.Shard != mc.Shard || fc.n != mc.n {
 				t.Fatalf("chunk %d metadata differs", i)
 			}
 		}
@@ -80,7 +80,7 @@ func TestFileBackedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.FileBacked() {
+	if f.snap == nil {
 		t.Fatal("sharded file should be file-backed")
 	}
 	if f.Records() != 8 {
@@ -91,8 +91,8 @@ func TestFileBackedSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != c.NumRecords() {
-			t.Fatalf("chunk decode length %d != %d", len(recs), c.NumRecords())
+		if len(recs) != c.n {
+			t.Fatalf("chunk decode length %d != %d", len(recs), c.n)
 		}
 	}
 }
@@ -256,7 +256,7 @@ func TestCreatesPersistOutsideTheLock(t *testing.T) {
 		t.Fatalf("List = %v after both creates returned, want %v", got, names)
 	}
 	for _, name := range names {
-		if f, err := fs.Open(name); err != nil || f.Records() != 50 || !f.FileBacked() {
+		if f, err := fs.Open(name); err != nil || f.Records() != 50 || f.snap == nil {
 			t.Fatalf("Open(%s) = %v, %v", name, f, err)
 		}
 	}

@@ -82,10 +82,10 @@ func TestRoundtrip(t *testing.T) {
 func TestMmapVsFallbackParity(t *testing.T) {
 	path := writeSnapshot(t, map[string][]string{"k1": {"a"}, "k2": {"bb", "cc"}})
 	snaps := openBoth(t, path)
-	if MmapAvailable() && !snaps[0].Mapped() {
+	if MmapAvailable() && !snaps[0].mapped {
 		t.Fatal("default open should mmap where available")
 	}
-	if snaps[1].Mapped() {
+	if snaps[1].mapped {
 		t.Fatal("NoMmap open must not be mapped")
 	}
 	for i := 0; i < snaps[0].Len(); i++ {

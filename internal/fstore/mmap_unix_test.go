@@ -27,7 +27,7 @@ func TestMmapIsTheDefaultOnUnix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Mapped() {
+	if !s.mapped {
 		t.Fatal("unix Open without NoMmap should memory-map the snapshot")
 	}
 	f, err := Open(path, Options{NoMmap: true})
@@ -35,7 +35,7 @@ func TestMmapIsTheDefaultOnUnix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Mapped() {
+	if f.mapped {
 		t.Fatal("NoMmap snapshot reports a live mapping")
 	}
 }

@@ -131,7 +131,7 @@ func TestModelAgainstMapOracle(t *testing.T) {
 				rng.Read(scribble[headerSize:])
 				rewriteInPlace(t, path, scribble)
 				exerciseSnapshot(t, s, true)
-				if !s.Mapped() {
+				if !s.mapped {
 					for i := 0; i < s.Len(); i++ {
 						views, err := viewed(s, i)
 						if err != nil {

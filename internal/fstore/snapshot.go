@@ -164,13 +164,6 @@ func (s *Snapshot) Path() string { return s.path }
 // Len returns the entry count.
 func (s *Snapshot) Len() int { return s.n }
 
-// Mapped reports whether the snapshot is served by a real memory map
-// (false on platforms without mmap or with Options.NoMmap).
-func (s *Snapshot) Mapped() bool { return s.mapped }
-
-// Bytes returns the total file size.
-func (s *Snapshot) Bytes() int { return len(s.data) }
-
 // slotKey returns the padded key bytes of slot i.
 func (s *Snapshot) slotKey(i int) []byte {
 	return s.slots[i*(s.keySize+slotExtra) : i*(s.keySize+slotExtra)+s.keySize]

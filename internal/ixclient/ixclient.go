@@ -236,9 +236,6 @@ func (c *Client) private() *Pool {
 	return c.real
 }
 
-// Accessor returns the wrapped index.
-func (c *Client) Accessor() index.Accessor { return c.acc }
-
 // Resolve gives the client's counters their slots in tab, the table of the
 // engine whose tasks bind it (the EFind runtime's plan compiler calls it).
 func (c *Client) Resolve(tab *mapreduce.CounterTable) { c.slotsIn(tab) }

@@ -55,9 +55,6 @@ func NewPool(capacity int) *Pool {
 	return &Pool{capacity: capacity, nodes: make(map[sim.NodeID][]poolCache)}
 }
 
-// Capacity returns the per-cache entry bound.
-func (p *Pool) Capacity() int { return p.capacity }
-
 // cacheFor returns the pool's cache for one index on one node, creating
 // it lazily. Every client using the pool shares it.
 func (p *Pool) cacheFor(index string, node sim.NodeID) *lru.Cache {

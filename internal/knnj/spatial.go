@@ -17,7 +17,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"efind/internal/index"
 	"efind/internal/rtree"
@@ -39,7 +38,6 @@ type SpatialIndex struct {
 	cells     []*rtree.Tree
 	scheme    index.Scheme
 	serveTime float64
-	lookups   atomic.Int64
 }
 
 var _ index.Partitioned = (*SpatialIndex)(nil)
@@ -148,7 +146,6 @@ func (s *SpatialIndex) Name() string { return s.name }
 // ascending distance order (a dynamic index in the paper's sense — any
 // coordinate is a valid key).
 func (s *SpatialIndex) Lookup(key string) ([]string, error) {
-	s.lookups.Add(1)
 	x, y, ok := workloads.ParseSpatialValue(key)
 	if !ok {
 		return nil, fmt.Errorf("knnj: bad spatial key %q", key)
@@ -171,15 +168,6 @@ func (s *SpatialIndex) HostsFor(key string) []sim.NodeID {
 
 // Scheme implements index.Partitioned.
 func (s *SpatialIndex) Scheme() *index.Scheme { return &s.scheme }
-
-// Lookups returns the number of kNN searches served.
-func (s *SpatialIndex) Lookups() int64 { return s.lookups.Load() }
-
-// ResetStats clears the lookup counter.
-func (s *SpatialIndex) ResetStats() { s.lookups.Store(0) }
-
-// K returns the configured neighbour count.
-func (s *SpatialIndex) K() int { return s.k }
 
 // Neighbor is a parsed kNN result entry.
 type Neighbor struct {

@@ -12,20 +12,13 @@ func TestSpatialIndexStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.K() != 7 {
-		t.Fatalf("K = %d", idx.K())
+	if idx.k != 7 {
+		t.Fatalf("k = %d", idx.k)
 	}
 	if _, err := idx.Lookup("10.0,10.0"); err != nil {
 		t.Fatal(err)
 	}
-	if idx.Lookups() != 1 {
-		t.Fatalf("lookups = %d", idx.Lookups())
-	}
-	idx.ResetStats()
-	if idx.Lookups() != 0 {
-		t.Fatal("reset failed")
-	}
-	// Bad keys error but still count.
+	// Bad keys error.
 	if _, err := idx.Lookup("not-a-point"); err == nil {
 		t.Fatal("bad spatial key should error")
 	}

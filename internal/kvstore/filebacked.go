@@ -56,7 +56,7 @@ func (s *Store) FreezeOpts(dir string, opts fstore.Options) error {
 }
 
 // writePartition renders partition p's map into its snapshot file (a cache
-// write: Reopen rebuilds what fails validation) and opens it. The builder
+// write: a lookup rebuilds what fails validation) and opens it. The builder
 // sorts the entries, so the file's bytes do not depend on map order.
 // Caller holds the write lock.
 func (s *Store) writePartition(dir string, p int) (*fstore.Snapshot, error) {
@@ -94,48 +94,6 @@ func (s *Store) FileBacked() bool {
 // Rebuilds returns how many partition snapshots were rebuilt after
 // corruption was detected or a post-freeze Put staled them.
 func (s *Store) Rebuilds() int64 { return s.rebuilds.Load() }
-
-// Reopen drops and re-establishes every partition mapping, as a process
-// restart would. Partitions whose snapshot files fail validation are
-// rebuilt from the in-memory maps; only I/O errors (the directory
-// itself is gone) surface.
-func (s *Store) Reopen() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snaps == nil {
-		return fmt.Errorf("kvstore: %s is not file-backed", s.name)
-	}
-	// On any error, fall back to in-memory serving and release every
-	// mapping: a half-reopened snaps slice would mix live, closed, and
-	// stale handles — lookups would touch a closed mapping and the rest
-	// would leak against OpenHandles(). The maps are the source of
-	// truth, so dropping file-backed mode loses nothing.
-	fail := func(err error) error {
-		_ = s.closeAll() // Close is idempotent; the failed partition is already closed
-		return err
-	}
-	for p, snap := range s.snaps {
-		if err := snap.Close(); err != nil {
-			return fail(err)
-		}
-		reopened, err := fstore.Open(snap.Path(), s.openOpts)
-		if err == nil {
-			s.snaps[p] = reopened
-			continue
-		}
-		if !errors.Is(err, fstore.ErrCorrupt) && !os.IsNotExist(err) {
-			return fail(err)
-		}
-		rebuilt, err := s.writePartition(s.dir, p)
-		if err != nil {
-			return fail(err)
-		}
-		s.rebuilds.Add(1)
-		s.snaps[p] = rebuilt
-		s.stale[p] = false
-	}
-	return nil
-}
 
 // Close releases every partition mapping and returns the store to
 // in-memory serving (the maps were the source of truth all along).

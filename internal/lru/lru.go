@@ -132,9 +132,6 @@ func (c *Cache) Len() int {
 	return len(c.items)
 }
 
-// Capacity returns the configured maximum entry count.
-func (c *Cache) Capacity() int { return c.capacity }
-
 // Stats returns the hit and miss counts since creation or the last Reset.
 func (c *Cache) Stats() (hits, misses int64) {
 	c.mu.Lock()

@@ -78,8 +78,8 @@ func TestReset(t *testing.T) {
 func TestCapacityClamped(t *testing.T) {
 	c := New(0)
 	c.Put("a", nil)
-	if c.Capacity() != 1 || c.Len() != 1 {
-		t.Fatalf("capacity clamp failed: cap=%d len=%d", c.Capacity(), c.Len())
+	if c.capacity != 1 || c.Len() != 1 {
+		t.Fatalf("capacity clamp failed: cap=%d len=%d", c.capacity, c.Len())
 	}
 }
 
@@ -96,7 +96,7 @@ func TestRecentKeyAlwaysPresent(t *testing.T) {
 			if _, ok := c.Get(k); !ok {
 				return false
 			}
-			if c.Len() > c.Capacity() {
+			if c.Len() > c.capacity {
 				return false
 			}
 		}

@@ -155,13 +155,6 @@ func (r *Registry) SetGauge(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Gauge returns the latest reading of the named gauge.
-func (r *Registry) Gauge(name string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
-}
-
 // Counters returns a deterministic snapshot: every counter, sorted by
 // name.
 func (r *Registry) Counters() []Metric {

@@ -31,14 +31,11 @@ func TestRegistrySnapshotsSorted(t *testing.T) {
 		t.Fatalf("alpha = %+v, want value 5", cs[0])
 	}
 	gs := r.Gauges()
-	if gs[0].Name != "a.g" || gs[1].Name != "z.g" {
-		t.Fatalf("gauges not sorted: %+v", gs)
+	if gs[0].Name != "a.g" || gs[1].Name != "z.g" || gs[1].Value != 1.5 {
+		t.Fatalf("gauges = %+v, want a.g then z.g = 1.5", gs)
 	}
 	if got := r.Counter("mid"); got != 2 {
 		t.Fatalf("Counter(mid) = %d, want 2", got)
-	}
-	if got := r.Gauge("z.g"); got != 1.5 {
-		t.Fatalf("Gauge(z.g) = %g, want 1.5", got)
 	}
 }
 

@@ -28,9 +28,6 @@ func NewLease(slots [][]int32) *Lease {
 	return l
 }
 
-// Total returns the number of leased slots.
-func (l *Lease) Total() int { return l.total }
-
 // NodeSlots returns the leased slot indices on node n, ascending.
 func (l *Lease) NodeSlots(n NodeID) []int32 {
 	if int(n) >= len(l.slots) {

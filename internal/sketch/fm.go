@@ -60,13 +60,6 @@ func (f *FM) Merge(other *FM) {
 	}
 }
 
-// Clone returns an independent copy.
-func (f *FM) Clone() *FM {
-	c := &FM{vectors: make([]uint64, len(f.vectors))}
-	copy(c.vectors, f.vectors)
-	return c
-}
-
 // Estimate returns the estimated number of distinct keys added.
 func (f *FM) Estimate() float64 {
 	if len(f.vectors) == 0 {

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -69,14 +70,18 @@ func TestMergeWidthMismatchPanics(t *testing.T) {
 	New(8).Merge(New(16))
 }
 
+// TestCloneIndependent: a copy through Vectors and FromVectors — how a
+// sketch leaves its task — shares no state with its source.
 func TestCloneIndependent(t *testing.T) {
 	a := New(16)
 	a.Add("x")
-	c := a.Clone()
-	c.Add("y")
-	c.Add("z")
-	if a.Estimate() >= c.Estimate() && a.Estimate() != c.Estimate() {
-		t.Fatalf("clone mutated original? a=%g c=%g", a.Estimate(), c.Estimate())
+	before := a.Vectors()
+	c := FromVectors(before)
+	for i := 0; i < 100; i++ {
+		c.Add(fmt.Sprintf("y%d", i))
+	}
+	if !slices.Equal(a.Vectors(), before) || slices.Equal(c.Vectors(), before) {
+		t.Fatalf("copy shares state: a=%x c=%x, a was %x", a.Vectors(), c.Vectors(), before)
 	}
 }
 

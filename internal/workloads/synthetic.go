@@ -89,11 +89,6 @@ type SpatialConfig struct {
 	Seed     int64
 }
 
-// DefaultSpatialConfig scales the paper's 40M-point OSM subsets down.
-func DefaultSpatialConfig() SpatialConfig {
-	return SpatialConfig{Points: 20000, Extent: 1000, Clusters: 24, Seed: 11}
-}
-
 // SpatialPoint is one location record.
 type SpatialPoint struct {
 	ID   string

@@ -134,8 +134,7 @@ func TestSyntheticKeyParsing(t *testing.T) {
 }
 
 func TestGenerateSpatialPoints(t *testing.T) {
-	cfg := DefaultSpatialConfig()
-	cfg.Points = 3000
+	cfg := SpatialConfig{Points: 3000, Extent: 1000, Clusters: 24, Seed: 11}
 	pts := GenerateSpatialPoints(cfg)
 	if len(pts) != 3000 {
 		t.Fatalf("points = %d", len(pts))
@@ -162,8 +161,7 @@ func TestGenerateSpatialPoints(t *testing.T) {
 func TestSpatialClustering(t *testing.T) {
 	// Clustered generation should be visibly non-uniform: the densest 10%
 	// of a coarse grid should hold far more than 10% of points.
-	cfg := DefaultSpatialConfig()
-	cfg.Points = 10000
+	cfg := SpatialConfig{Points: 10000, Extent: 1000, Clusters: 24, Seed: 11}
 	pts := GenerateSpatialPoints(cfg)
 	const g = 10
 	var cells [g][g]int
