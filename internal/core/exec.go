@@ -771,6 +771,11 @@ func (co *compiled) engineJob(conf *IndexJobConf, k int, input *dfs.File) *mapre
 		job.MapStagesBefore = cj.mapStages
 	}
 	switch {
+	case cj.shuffle != nil && cj.shuffle.boundary == BoundaryPre:
+		// The last shuffle of an operator that looks up in the next job:
+		// the group-by is the sort itself, and the carriers go on as they
+		// came. The next job's resume stage decodes, and so checks, each.
+		job.Reduce = forwardGroup
 	case cj.shuffle != nil:
 		var cont []mapreduce.StageFactory
 		if cj.shuffle.boundary == BoundaryLate && k+1 < len(co.jobs) {

@@ -276,22 +276,25 @@ func TestScratchHygieneCarrier(t *testing.T) {
 }
 
 // TestCorruptCarrierFailsJob feeds one corrupt carrier into each place
-// that reads one — the group reduce that forwards checked values, the one
+// that carries one — the group reduce that forwards values unread, the one
 // that decodes to attach a result, and the resume stage of the next job —
-// and requires the job to fail by name. A carrier is the engine's own
+// and requires the chain to fail by name. A carrier is the engine's own
 // intermediate data: dropping one that does not decode would finish the
-// job with a record missing and no error.
+// job with a record missing and no error. A forwarding group reduce does not
+// decode, so a carrier corrupted ahead of it fails the next job's resume
+// stage.
 func TestCorruptCarrierFailsJob(t *testing.T) {
 	for _, site := range []struct {
 		name     string
 		boundary Boundary
 		job      int  // the chain's job that gets the corrupting stage
 		before   bool // ahead of the job's own map stages, or behind them
+		fails    int  // the chain's job that fails
 		stage    string
 	}{
-		{"group reduce, forwarding", BoundaryPre, 0, false, "group reduce"},
-		{"group reduce, attaching", BoundaryIdx, 0, false, "group reduce"},
-		{"resume stage", BoundaryPre, 1, true, "resume stage"},
+		{"group reduce, forwarding", BoundaryPre, 0, false, 1, "resume stage"},
+		{"group reduce, attaching", BoundaryIdx, 0, false, 0, "group reduce"},
+		{"resume stage", BoundaryPre, 1, true, 1, "resume stage"},
 	} {
 		for _, parallelism := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/par=%d", site.name, parallelism), func(t *testing.T) {
@@ -342,7 +345,7 @@ func TestCorruptCarrierFailsJob(t *testing.T) {
 				if err == nil {
 					t.Fatalf("the job succeeded with %d of 300 records", records)
 				}
-				for _, part := range []string{fmt.Sprintf("corrupt-j%d", site.job), `operator "victim"`, site.stage, "corrupt carrier"} {
+				for _, part := range []string{fmt.Sprintf("corrupt-j%d", site.fails), `operator "victim"`, site.stage, "corrupt carrier"} {
 					if !strings.Contains(err.Error(), part) {
 						t.Errorf("error does not name %q: %v", part, err)
 					}

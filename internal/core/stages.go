@@ -289,7 +289,8 @@ func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
 }
 
 // forwardGroup is the Reduce of every shuffle job: it hands each (key,
-// value) of a key group, in order, to the job's one reduce-side stage.
+// value) of a key group, in order, to the job's one reduce-side stage — or,
+// after a BoundaryPre shuffle, which has none, to the job's output.
 // The group-by itself is groupStage, which the engine instantiates once
 // per task like any stage — so what a group needs (the client's view, the
 // continuation) is set up per task, not per key.
@@ -302,13 +303,10 @@ func forwardGroup(_ *mapreduce.TaskContext, key string, values []string, emit Em
 // groupStage builds the reduce side of a shuffle job for the decision at
 // pos. Its input is sorted by key; a run of equal keys is one group, and
 // one real lookup serves the whole group (the Θ deduplication of §3.3).
-// Behaviour then depends on the boundary:
+// A BoundaryPre shuffle has no group stage: it attaches nothing, so its job
+// writes the sorted carriers as they came, and the next job's resume stage
+// does the memoized lookups (engineJob). Behaviour depends on the boundary:
 //
-//   - BoundaryPre: no lookup here; grouped carriers are re-emitted so the
-//     next job's map can do memoized lookups (possibly with index
-//     locality placement). Nothing is attached, so the value is decoded
-//     only to check it and emitted as the string it came in as — which is
-//     what encoding it again would produce, a carrier having one encoding.
 //   - BoundaryIdx: lookup once, attach the result to every carrier, emit
 //     carriers.
 //   - BoundaryLate: lookup once, attach, and run the continuation (the
@@ -333,7 +331,7 @@ type groupStage struct {
 	continuation     []mapreduce.StageFactory
 
 	// The group being read: its key, and what the index holds for it when
-	// this boundary looks up (not BoundaryPre, not a pass key).
+	// it is not a pass key.
 	key      string
 	inGroup  bool
 	doLookup bool
@@ -357,14 +355,9 @@ func (s *groupStage) Open(ctx *mapreduce.TaskContext) {
 }
 
 func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
-	if s.boundary == BoundaryPre && s.emitNextPos < 0 {
-		s.decode("group reduce", in.Value) // only to check it
-		emit(in)
-		return
-	}
 	if !s.inGroup || in.Key != s.key {
 		s.key, s.inGroup = in.Key, true
-		if s.doLookup = s.boundary != BoundaryPre && !isPassKey(in.Key); s.doLookup {
+		if s.doLookup = !isPassKey(in.Key); s.doLookup {
 			s.lookedUp = s.client(s.pos).Access(in.Key)
 		}
 	}

@@ -5,8 +5,9 @@ import "testing"
 // FuzzCarrierRoundTrip exercises the carrier codec with arbitrary byte
 // strings: decoding must never panic, and a carrier has exactly one
 // encoding — anything that decodes re-encodes into the very bytes it came
-// from, which is what lets the BoundaryPre group reduce forward a value it
-// has only checked.
+// from. The decoder is the carrier's only validator: a BoundaryPre shuffle
+// forwards values unread, and the next job's resume stage, decoding them,
+// is what fails a corrupt one.
 func FuzzCarrierRoundTrip(f *testing.F) {
 	seed := []*carrier{
 		{},

@@ -31,16 +31,17 @@ func groupedRuns(records, groups, maps int) []shuffleRun {
 }
 
 // sortBudget is what grouping records input records into groups output
-// records may allocate: a 16-byte ref and a 16-byte value header per input
-// record, the output at its exact size, and a constant for the rest — the
-// allocator's rounding of those three to its size classes, mostly.
-func sortBudget(records, groups int) uint64 { return uint64(32*records + 32*groups + 2048) }
+// records may allocate: a 16-byte value header per input record and the
+// output at its exact size — the refs the records are sorted by live on the
+// frame —, an eighth more, the most the allocator's size classes round a
+// small allocation up by, and a constant for the rest.
+func sortBudget(records, groups int) uint64 { return uint64((16*records+32*groups)*9/8 + 2048) }
 
 // TestReduceTaskAllocs pins the reduce task's buffers: no copy of the input —
-// one ref per record, sorted in place of the records —, the values of every
-// group windows of one slab, the shard sized by the groups. So the
-// allocation count depends neither on the number of key groups nor on the
-// number of runs, and the bytes are the sort's budget.
+// one ref per record, sorted in place of the records, on the frame's
+// buffers —, the values of every group windows of one slab, the shard sized
+// by the groups. So the allocation count depends neither on the number of
+// key groups nor on the number of runs, and the bytes are the sort's budget.
 func TestReduceTaskAllocs(t *testing.T) {
 	_, _, e := testEnv(t)
 	job := &Job{Name: "allocs", Reduce: firstValue, NumReduce: 1}
@@ -73,8 +74,8 @@ func TestReduceTaskAllocs(t *testing.T) {
 }
 
 // TestCombineAllocs pins the same for the combiner: a bucket is sorted by
-// reference like a reduce task's one run, on refs the task's buckets share,
-// and replaced by a bucket sized by its groups — two allocations per bucket
+// reference like a reduce task's one run, on the frame's buffers, and
+// replaced by a bucket sized by its groups — two allocations per bucket
 // whatever the number of groups, inside the sort's budget.
 func TestCombineAllocs(t *testing.T) {
 	_, _, e := testEnv(t)
@@ -83,12 +84,13 @@ func TestCombineAllocs(t *testing.T) {
 	measure := func(groups, buckets int) (allocs, bytes uint64) {
 		runs := groupedRuns(records, groups*buckets, buckets) // bucket b holds the keys ≡ b mod buckets
 		out := &MapOutput{Parts: job.NumReduce}
+		var bufs sortBufs // a frame's
 		return allocsAndBytes(20, func() {
 			out.Buckets, out.Reducers = out.Buckets[:0], out.Reducers[:0]
 			for r, run := range runs {
 				out.Buckets, out.Reducers = append(out.Buckets, run.pairs), append(out.Reducers, int32(r))
 			}
-			if left := e.combineBuckets(NewTaskContext(e.Cluster, 0, 0, MapTask), job, out); left != groups*buckets {
+			if left := e.combineBuckets(NewTaskContext(e.Cluster, 0, 0, MapTask), job, out, &bufs); left != groups*buckets {
 				t.Fatalf("combiner left %d records, want %d", left, groups*buckets)
 			}
 		})
@@ -252,14 +254,14 @@ func TestMapTaskAllocs(t *testing.T) {
 // TestPhaseAllocsPerTask pins what a phase pays per task beside the task's
 // own work: nothing. A phase of one-record tasks allocates what its tasks
 // retain — a map task its output and the one-record slab, a reduce task its
-// refs, value slab and shard — times the task count, plus a constant that is
+// value slab and shard — times the task count, plus a constant that is
 // the same for 200 tasks and for 2,000: no closure, scheduler entry, sink or
 // counter set per task (the sets are windows of one slab per phase).
 func TestPhaseAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race a reduce task allocates once more than it does without: the per-task count is exact only outside it")
 	}
-	const perMap, perReduce = 2, 3
+	const perMap, perReduce = 2, 2
 	ordinal := func(key string, n int) int { // key i to reducer i: one record each
 		i, _ := strconv.Atoi(key)
 		return i % n

@@ -217,13 +217,15 @@ type taskFrame struct {
 }
 
 // frameKeeps is all a frame keeps from task to task: the staging buffer and
-// the counter row, which a task leaves clear, the windows it holds for its
-// tasks' counter sets, and the frame's own methods as the values the
-// pipeline is handed — bound to the frame, not to anything a task put in
-// it, and one allocation each were they made per task.
+// the counter row, which a task leaves clear, the sort's buffers, which hold
+// no pointer, the windows it holds for its tasks' counter sets, and the
+// frame's own methods as the values the pipeline is handed — bound to the
+// frame, not to anything a task put in it, and one allocation each were
+// they made per task.
 type frameKeeps struct {
 	stage *staging
 	ctrs  taskCounters
+	sort  sortBufs
 	slab  CounterSet
 
 	mapSink, shardSink Emit // emitMap, emitShard
@@ -388,7 +390,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	}
 	if job.Combine != nil && job.Reduce != nil {
 		sp = ctx.StartSpan("combine", "pipeline")
-		outRecords = e.combineBuckets(ctx, job, out)
+		outRecords = e.combineBuckets(ctx, job, out, &f.sort)
 		sp.End()
 	}
 
@@ -412,9 +414,10 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 // map task's output: values of equal keys are grouped (a bucket is sorted as
 // a reduce task's one run would be, by reference) and fed through Combine,
 // and the bucket is replaced with the combined records — or dropped, when
-// the combiner emitted none for it, so the output stays sparse. The spill
-// sort and combine CPU are charged. It returns the number of records left.
-func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (outRecords int) {
+// the combiner emitted none for it, so the output stays sparse. The buckets
+// are sorted one after the other on bufs, the frame's. The spill sort and
+// combine CPU are charged. It returns the number of records left.
+func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput, bufs *sortBufs) (outRecords int) {
 	inRecords, inBytes := 0, 0
 	out.Bytes = 0
 	var combined []Pair
@@ -433,12 +436,12 @@ func (e *Engine) combineBuckets(ctx *TaskContext, job *Job, out *MapOutput) (out
 		}
 		inRecords += len(bucket)
 		run[0].pairs = bucket
-		in = keyOrder{runs: run[:], refs: in.refs[:0]} // the task's buckets share the refs' memory
+		in = keyOrder{runs: run[:]}
 		for _, p := range bucket {
 			inBytes += p.Size()
 			in.add(p.Key)
 		}
-		in.sort()
+		in.sort(bufs)
 		// One record per key group is what an aggregating combiner emits.
 		values, groups := in.values()
 		combined = make([]Pair, 0, groups)
@@ -647,8 +650,8 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 		}
 	}
 	sp.End()
-	// Merge sort by key, values in map-output order; the runs stay as they are.
-	in.sort()
+	// Sort by key, values in map-output order; the runs stay as they are.
+	in.sort(&f.sort)
 
 	// One record per key group is what an aggregating reducer emits, and
 	// what an identity reducer emits over distinct keys.

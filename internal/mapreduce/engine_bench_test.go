@@ -118,14 +118,22 @@ func BenchmarkShuffle(b *testing.B) {
 // group, reduce — over the two inputs the wall-clock benchmark's reducers
 // see: a job workload's (240 map outputs of two or three records, `s%08d`
 // keys that each occur twice) and sched_scale's NumReduce = 256 leg (78
-// one-record outputs, keys distinct). One op is one task.
+// one-record outputs, keys distinct). A third shape has the first's runs
+// with TPC-H Q3's long `orderkey|date|prio` keys: eight records, four keys,
+// behind each eight-byte window, so the sort's tie pass is measured. One op
+// is one task.
 func BenchmarkReduceShuffle(b *testing.B) {
+	short := func(k, perKey int) string { return fmt.Sprintf("s%08d", 48*(k/perKey)+7) }
 	for _, shape := range []struct {
 		name                  string
 		runs, records, perKey int
+		key                   func(k, perKey int) string
 	}{
-		{"240runs×2.6rec", 240, 624, 2},
-		{"78runs×1rec", 78, 78, 1},
+		{"240runs×2.6rec", 240, 624, 2, short},
+		{"78runs×1rec", 78, 78, 1, short},
+		{"240runs×2.6rec×longkey", 240, 624, 2, func(k, perKey int) string {
+			return fmt.Sprintf("o%07d|1995-03-%02d|1-URGENT", 48*(k/8)+7, 1+k%8/perKey)
+		}},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			cluster := sim.NewCluster(sim.DefaultConfig())
@@ -134,7 +142,7 @@ func BenchmarkReduceShuffle(b *testing.B) {
 			for i, k := range rand.New(rand.NewSource(1)).Perm(shape.records) {
 				run := &runs[i%shape.runs]
 				run.node = sim.NodeID(i % shape.runs % cluster.Config().Nodes)
-				run.pairs = append(run.pairs, Pair{Key: fmt.Sprintf("s%08d", 48*(k/shape.perKey)+7), Value: "v"})
+				run.pairs = append(run.pairs, Pair{Key: shape.key(k, shape.perKey), Value: "v"})
 			}
 			job := &Job{Name: "reduce-shuffle", Reduce: IdentityReduce, NumReduce: 1}
 			frames := e.newPhaseFrames(1)

@@ -135,15 +135,33 @@ type keyOrder struct {
 	first string // the first key added; first[:lcp] is the prefix all share
 	lcp   int
 	n     int // keys added
-	refs  []keyRef
+	// The shortest and the longest key added: equal windows are equal keys
+	// when the two are one length the window covers.
+	minLen, maxLen int
+	exact          bool // equal windows are equal keys: set by sort
+	refs           []keyRef
 }
+
+// sortBufs is what sorting keeps on a worker's frame from task to task: the
+// refs and the radix passes' second buffer. Neither holds a pointer, so
+// keeping them pins no record.
+type sortBufs struct {
+	refs, tmp []keyRef
+}
+
+// radixMin is the fewest records the radix passes sort. Below it pdqsort's
+// comparisons cost less than up to eight passes' 256 counters: the two cross
+// between 48 and 64 records of distinct, paired and Q3-like keys.
+const radixMin = 64
 
 // add notes one key of the runs: the shared prefix can only shrink.
 func (o *keyOrder) add(key string) {
 	if o.n++; o.n == 1 {
 		o.first, o.lcp = key, len(key)
+		o.minLen, o.maxLen = len(key), len(key)
 		return
 	}
+	o.minLen, o.maxLen = min(o.minLen, len(key)), max(o.maxLen, len(key))
 	if len(key) >= o.lcp && key[:o.lcp] == o.first[:o.lcp] {
 		return
 	}
@@ -163,17 +181,67 @@ func window(key string, lcp int) (w uint64) {
 	return w
 }
 
-// sort builds one ref per record and sorts them by (key, run, pos). That
-// order is total and is the stable order of the runs' concatenation, so an
-// unstable sort yields it.
-func (o *keyOrder) sort() {
-	o.refs = slices.Grow(o.refs, o.n)
+// sort builds one ref per record, on the frame's buffers, and sorts them by
+// (key, run, pos). That order is total and is the stable order of the runs'
+// concatenation, so an unstable sort yields it. Below radixMin records
+// pdqsort does; from it, a stable LSD radix sort on the windows does — one
+// pass per window byte that varies, the refs starting in (run, pos) order —,
+// and only runs of equal windows go through compare, unless the keys are one
+// length the window covers, which makes equal windows equal keys.
+func (o *keyOrder) sort(bufs *sortBufs) {
+	o.exact = o.minLen == o.maxLen && o.maxLen <= o.lcp+8
+	refs := slices.Grow(bufs.refs[:0], o.n)
+	and, or := ^uint64(0), uint64(0)
 	for ri, run := range o.runs {
 		for pi := range run.pairs {
-			o.refs = append(o.refs, keyRef{window(run.pairs[pi].Key, o.lcp), uint32(ri), uint32(pi)})
+			w := window(run.pairs[pi].Key, o.lcp)
+			and, or = and&w, or|w
+			refs = append(refs, keyRef{w, uint32(ri), uint32(pi)})
 		}
 	}
-	slices.SortFunc(o.refs, o.compare)
+	bufs.refs, o.refs = refs, refs
+	if len(refs) < radixMin {
+		slices.SortFunc(refs, o.compare)
+		return
+	}
+	tmp := slices.Grow(bufs.tmp[:0], len(refs))[:len(refs)]
+	for shift := 0; shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff != 0 {
+			radixPass(refs, tmp, shift)
+			refs, tmp = tmp, refs
+		}
+	}
+	bufs.refs, bufs.tmp, o.refs = refs, tmp, refs
+	if o.exact {
+		return // ties are equal keys, already in (run, pos) order
+	}
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && refs[j].prefix == refs[i].prefix {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(refs[i:j], o.compare)
+		}
+		i = j
+	}
+}
+
+// radixPass moves src into dst stably by the prefixes' byte at shift.
+func radixPass(src, dst []keyRef, shift int) {
+	var at [256]int
+	for _, r := range src {
+		at[byte(r.prefix>>shift)]++
+	}
+	sum := 0
+	for b, n := range at {
+		at[b], sum = sum, sum+n
+	}
+	for _, r := range src {
+		b := byte(r.prefix >> shift)
+		dst[at[b]] = r
+		at[b]++
+	}
 }
 
 func (o *keyOrder) pair(r keyRef) *Pair { return &o.runs[r.run].pairs[r.pos] }
@@ -202,9 +270,9 @@ func (o *keyOrder) compare(a, b keyRef) int {
 func (o *keyOrder) key(i int) string { return o.pair(o.refs[i]).Key }
 
 // sameKey reports whether the i-th and j-th records in key order have one
-// key; it reads the records only when the windows tie.
+// key; it reads the records only when the windows tie and do not decide.
 func (o *keyOrder) sameKey(i, j int) bool {
-	return o.refs[i].prefix == o.refs[j].prefix && o.key(i) == o.key(j)
+	return o.refs[i].prefix == o.refs[j].prefix && (o.exact || o.key(i) == o.key(j))
 }
 
 // nextGroup returns where the key group after the one starting at the i-th
