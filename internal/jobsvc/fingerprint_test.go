@@ -228,11 +228,8 @@ func TestRecoverRefusesOtherJournalVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hello walEnc
-	hello.u64(recHello)
-	hello.u64(1)
-	hello.u64(tenantHash([]TenantConfig{{Name: "alpha"}}))
-	if err := log.Append(hello.b); err != nil {
+	hello := (&svcRec{kind: recHello, n: 1, hash: tenantHash([]TenantConfig{{Name: "alpha"}})}).encode(nil)
+	if err := log.Append(hello); err != nil {
 		t.Fatal(err)
 	}
 	if err := log.Close(); err != nil {

@@ -248,7 +248,7 @@ func New(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, erro
 			return nil, err
 		}
 		s.jl = jl
-		jl.appendHello(tenantHash(tenants))
+		jl.append(svcRec{kind: recHello, n: journalVersion, hash: tenantHash(tenants)})
 	}
 	return s, nil
 }
@@ -293,7 +293,7 @@ func (s *Service) Run(subs []Submission) []JobStatus {
 	}
 	s.jobs = jobs
 	if s.jl != nil {
-		s.jl.appendTrace(subsHash(subs), len(subs))
+		s.jl.append(svcRec{kind: recTrace, hash: subsHash(subs), n: len(subs)})
 		// Checkpoint-decided submissions report their cached status and
 		// never arrive: their effect on tenants, ledgers, pool, and
 		// registry was restored wholesale from the checkpoint.
@@ -390,7 +390,7 @@ func (s *Service) Run(subs []Submission) []JobStatus {
 			want := s.wantSlots(req.job, led, req.tasks)
 			start := led.grantTime(req.ready, want)
 			if s.jl != nil {
-				s.jl.appendGrant(req.job.idx, int(req.taskKind), want, req.ready, start)
+				s.jl.append(svcRec{kind: recGrant, subIdx: req.job.idx, taskKind: int(req.taskKind), want: want, at: req.ready, start: start})
 			}
 			lease := led.take(want)
 			req.reply <- mapreduce.PhaseGrant{Lease: lease, Start: start}
@@ -509,7 +509,7 @@ func (s *Service) reject(j *jobState, reason string) {
 	j.status.Reason = reason
 	j.decided = true
 	if s.jl != nil {
-		s.jl.appendReject(j.idx, reason)
+		s.jl.append(svcRec{kind: recReject, subIdx: j.idx, reason: reason})
 		s.jl.newlyDecided++
 	}
 }
@@ -552,7 +552,7 @@ func (s *Service) start(j *jobState, at float64) {
 			}
 		}
 		cc.Retry.Seed = seed
-		s.jl.appendAdmit(j.idx, t.seq, ns, at, seed)
+		s.jl.append(svcRec{kind: recAdmit, subIdx: j.idx, seq: t.seq, id: ns, at: at, seed: seed})
 	}
 	conf := &cc
 
@@ -578,7 +578,7 @@ func (s *Service) drain() {
 		switch ev.kind {
 		case evEnd:
 			if s.jl != nil {
-				s.jl.appendEnd(ev.job.idx, int(ev.taskKind), ev.start, ev.end)
+				s.jl.append(svcRec{kind: recEnd, subIdx: ev.job.idx, taskKind: int(ev.taskKind), start: ev.start, end: ev.end})
 			}
 			s.ledger(ev.taskKind).release(ev.lease, ev.end)
 		case evReq:
@@ -624,7 +624,7 @@ func (s *Service) finish(ev event) {
 		}
 		j.status.OutputFP = fp
 		j.decided = true
-		s.jl.appendDone(j.idx, s.jl.regFingerprint(), &j.status)
+		s.jl.append(svcRec{kind: recDone, subIdx: j.idx, regFP: s.jl.regFingerprint(), st: j.status})
 		s.jl.newlyDecided++
 	}
 	for len(t.queue) > 0 && s.overBudget(t) {

@@ -16,7 +16,6 @@ import (
 	"efind/internal/core"
 	"efind/internal/fstore"
 	"efind/internal/ixclient"
-	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
 )
@@ -89,160 +88,166 @@ const (
 // dfs.File.Fingerprint); Recover refuses any other version.
 const journalVersion = 2
 
-// walEnc builds one record payload.
-type walEnc struct{ b []byte }
-
-func (e *walEnc) u64(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-
-func (e *walEnc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *walEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *walEnc) boolv(v bool) {
-	if v {
-		e.u64(1)
-	} else {
-		e.u64(0)
-	}
-}
-func (e *walEnc) str(s string) { e.u64(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *walEnc) cmap(m map[string]int64) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.i64(m[k])
-	}
-}
-
-// walDec reads one record payload; the first malformed field poisons it.
-type walDec struct {
+// walCodec walks one payload's fields in either direction. Each method
+// takes a pointer to a field: it appends the field to b, or, with dec set,
+// reads the field back from b, where the first malformed field poisons the
+// rest. Writing never stores through the pointer — a JobStatus being
+// encoded shares its Result with the caller.
+type walCodec struct {
 	b   []byte
+	dec bool
 	err error
 }
 
-func (d *walDec) u64() uint64 {
-	if d.err != nil {
+// uv appends v, or reads a uvarint and returns it (0 once poisoned).
+func (c *walCodec) uv(v uint64) uint64 {
+	if !c.dec {
+		c.b = binary.AppendUvarint(c.b, v)
+		return v
+	}
+	if c.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint(d.b)
+	v, n := binary.Uvarint(c.b)
 	if n <= 0 {
-		d.err = errors.New("jobsvc: journal record truncated")
+		c.err = errors.New("jobsvc: journal record truncated")
 		return 0
 	}
-	d.b = d.b[n:]
+	c.b = c.b[n:]
 	return v
 }
 
-// count reads an element count. Every element takes at least one byte,
-// so a count above the bytes remaining is malformed; rejecting it here
-// keeps a CRC-valid but wrong value from sizing an allocation.
-func (d *walDec) count() uint64 {
-	n := d.u64()
-	if d.err == nil && n > uint64(len(d.b)) {
-		d.err = errors.New("jobsvc: journal count exceeds payload")
-		return 0
+func (c *walCodec) u64(p *uint64) {
+	if v := c.uv(*p); c.dec {
+		*p = v
 	}
-	return n
 }
 
-func (d *walDec) i64() int64   { return int64(d.u64()) }
-func (d *walDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *walDec) boolv() bool  { return d.u64() != 0 }
-func (d *walDec) str() string {
-	l := d.u64()
-	if d.err != nil {
-		return ""
+func (c *walCodec) int(p *int) {
+	if v := c.uv(uint64(*p)); c.dec {
+		*p = int(v)
 	}
-	if uint64(len(d.b)) < l {
-		d.err = errors.New("jobsvc: journal string truncated")
-		return ""
-	}
-	s := string(d.b[:l])
-	d.b = d.b[l:]
-	return s
 }
 
-func (d *walDec) cmap() map[string]int64 {
-	n := d.count()
-	if d.err != nil || n == 0 {
-		return nil
+func (c *walCodec) i64(p *int64) {
+	if v := c.uv(uint64(*p)); c.dec {
+		*p = int64(v)
 	}
-	m := make(map[string]int64, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		k := d.str()
-		m[k] = d.i64()
-	}
-	return m
 }
 
-// encodeStatus renders a decided JobStatus as the stable byte form used
-// both inside recDone records and in checkpoint "sub:" entries. The
-// Recovered flag and the Output file are deliberately not encoded:
-// recovery synthesizes a Result carrying the scalars, counters, and the
-// output fingerprint, and marks the status Recovered itself.
-func encodeStatus(st *JobStatus) []byte {
-	var e walEnc
-	e.u64(uint64(st.State))
-	e.str(st.Tenant)
-	e.str(st.Name)
-	e.str(st.ID)
-	e.str(st.Reason)
-	e.f64(st.Submitted)
-	e.f64(st.Admitted)
-	e.f64(st.Finished)
-	e.f64(st.ServeSeconds)
-	e.u64(st.OutputFP)
-	errMsg := ""
+func (c *walCodec) f64(p *float64) {
+	if v := c.uv(math.Float64bits(*p)); c.dec {
+		*p = math.Float64frombits(v)
+	}
+}
+
+func (c *walCodec) boolv(p *bool) {
+	var v uint64
+	if *p {
+		v = 1
+	}
+	if v = c.uv(v); c.dec {
+		*p = v != 0
+	}
+}
+
+func (c *walCodec) str(p *string) {
+	l := c.uv(uint64(len(*p)))
+	if !c.dec {
+		c.b = append(c.b, *p...)
+		return
+	}
+	if c.err == nil && uint64(len(c.b)) < l {
+		c.err = errors.New("jobsvc: journal string truncated")
+	}
+	if c.err != nil {
+		l = 0
+	}
+	*p = string(c.b[:l])
+	c.b = c.b[l:]
+}
+
+// count walks an element count. Every element takes at least one byte,
+// so a count read above the bytes remaining is malformed; rejecting it
+// here keeps a CRC-valid but wrong value from sizing an allocation.
+func (c *walCodec) count(p *int) {
+	c.int(p)
+	if c.dec && c.err == nil && uint64(*p) > uint64(len(c.b)) {
+		c.err = errors.New("jobsvc: journal count exceeds payload")
+		*p = 0
+	}
+}
+
+// cmap walks a counter map in key order; an empty one reads back nil.
+func (c *walCodec) cmap(p *map[string]int64) {
+	n := len(*p)
+	c.count(&n)
+	if c.dec {
+		*p = nil
+		if n > 0 {
+			*p = make(map[string]int64, n)
+		}
+		for i := 0; i < n && c.err == nil; i++ {
+			var k string
+			var v int64
+			c.str(&k)
+			c.i64(&v)
+			(*p)[k] = v
+		}
+		return
+	}
+	keys := make([]string, 0, n)
+	for k := range *p {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		v := (*p)[k]
+		c.str(&k)
+		c.i64(&v)
+	}
+}
+
+// fields walks a decided JobStatus: the stable form inside recDone
+// records and in checkpoint "sub:" entries. The Recovered flag and the
+// Output file are deliberately absent: recovery synthesizes a Result
+// carrying the scalars, counters, and the output fingerprint, and marks
+// the status Recovered itself.
+func (st *JobStatus) fields(c *walCodec) {
+	c.int((*int)(&st.State))
+	c.str(&st.Tenant)
+	c.str(&st.Name)
+	c.str(&st.ID)
+	c.str(&st.Reason)
+	c.f64(&st.Submitted)
+	c.f64(&st.Admitted)
+	c.f64(&st.Finished)
+	c.f64(&st.ServeSeconds)
+	c.u64(&st.OutputFP)
+	var msg string
 	if st.Err != nil {
-		errMsg = st.Err.Error()
+		msg = st.Err.Error()
 	}
-	e.str(errMsg)
-	if r := st.Result; r != nil {
-		e.boolv(true)
-		e.f64(r.VTime)
-		e.u64(uint64(r.JobsRun))
-		e.boolv(r.Replanned)
-		e.str(r.ReplanPhase)
-		e.cmap(r.Counters)
-		e.cmap(r.IndexErrors)
-	} else {
-		e.boolv(false)
-	}
-	return e.b
-}
-
-func decodeStatus(d *walDec) JobStatus {
-	var st JobStatus
-	st.State = JobState(d.u64())
-	st.Tenant = d.str()
-	st.Name = d.str()
-	st.ID = d.str()
-	st.Reason = d.str()
-	st.Submitted = d.f64()
-	st.Admitted = d.f64()
-	st.Finished = d.f64()
-	st.ServeSeconds = d.f64()
-	st.OutputFP = d.u64()
-	if msg := d.str(); msg != "" {
+	if c.str(&msg); c.dec && msg != "" {
 		st.Err = errors.New(msg)
 	}
-	if d.boolv() {
-		r := &core.JobResult{}
-		r.VTime = d.f64()
-		r.JobsRun = int(d.u64())
-		r.Replanned = d.boolv()
-		r.ReplanPhase = d.str()
-		r.Counters = d.cmap()
-		r.IndexErrors = d.cmap()
+	r, has := st.Result, st.Result != nil
+	if c.boolv(&has); !has {
+		return
+	}
+	if c.dec {
+		r = &core.JobResult{}
 		st.Result = r
 	}
-	return st
+	c.f64(&r.VTime)
+	c.int(&r.JobsRun)
+	c.boolv(&r.Replanned)
+	c.str(&r.ReplanPhase)
+	c.cmap(&r.Counters)
+	c.cmap(&r.IndexErrors)
 }
 
-// svcRec is one decoded journal record (a tagged union over the kinds).
+// svcRec is one journal record (a tagged union over the kinds).
 type svcRec struct {
 	kind     int
 	subIdx   int
@@ -260,52 +265,67 @@ type svcRec struct {
 	file     string
 	st       JobStatus
 	regFP    uint64
-	payload  []byte
+	payload  []byte // the decoded bytes
+}
+
+// fields is the record schema: each kind's field order, walked by both
+// encode and decodeRec.
+func (r *svcRec) fields(c *walCodec) {
+	c.int(&r.kind)
+	switch r.kind {
+	case recHello:
+		c.int(&r.n) // format version
+		c.u64(&r.hash)
+	case recTrace:
+		c.u64(&r.hash)
+		c.int(&r.n)
+	case recAdmit:
+		c.int(&r.subIdx)
+		c.int(&r.seq)
+		c.str(&r.id)
+		c.f64(&r.at)
+		c.i64(&r.seed)
+	case recReject:
+		c.int(&r.subIdx)
+		c.str(&r.reason)
+	case recGrant:
+		c.int(&r.subIdx)
+		c.int(&r.taskKind)
+		c.int(&r.want)
+		c.f64(&r.at)
+		c.f64(&r.start)
+	case recEnd:
+		c.int(&r.subIdx)
+		c.int(&r.taskKind)
+		c.f64(&r.start)
+		c.f64(&r.end)
+	case recDone:
+		c.int(&r.subIdx)
+		c.u64(&r.regFP)
+		r.st.fields(c)
+	case recCkpt:
+		c.str(&r.file)
+		c.int(&r.n)
+	default:
+		if c.err == nil {
+			c.err = fmt.Errorf("jobsvc: unknown journal record kind %d", r.kind)
+		}
+	}
+}
+
+// encode appends the record's payload to b.
+func (r *svcRec) encode(b []byte) []byte {
+	c := walCodec{b: b}
+	r.fields(&c)
+	return c.b
 }
 
 // decodeRec parses one journal payload.
 func decodeRec(payload []byte) (svcRec, error) {
-	d := &walDec{b: payload}
 	r := svcRec{payload: payload}
-	r.kind = int(d.u64())
-	switch r.kind {
-	case recHello:
-		r.n = int(d.u64()) // format version
-		r.hash = d.u64()
-	case recTrace:
-		r.hash = d.u64()
-		r.n = int(d.u64())
-	case recAdmit:
-		r.subIdx = int(d.u64())
-		r.seq = int(d.u64())
-		r.id = d.str()
-		r.at = d.f64()
-		r.seed = d.i64()
-	case recReject:
-		r.subIdx = int(d.u64())
-		r.reason = d.str()
-	case recGrant:
-		r.subIdx = int(d.u64())
-		r.taskKind = int(d.u64())
-		r.want = int(d.u64())
-		r.at = d.f64()
-		r.start = d.f64()
-	case recEnd:
-		r.subIdx = int(d.u64())
-		r.taskKind = int(d.u64())
-		r.start = d.f64()
-		r.end = d.f64()
-	case recDone:
-		r.subIdx = int(d.u64())
-		r.regFP = d.u64()
-		r.st = decodeStatus(d)
-	case recCkpt:
-		r.file = d.str()
-		r.n = int(d.u64())
-	default:
-		return r, fmt.Errorf("jobsvc: unknown journal record kind %d", r.kind)
-	}
-	return r, d.err
+	c := walCodec{b: payload, dec: true}
+	r.fields(&c)
+	return r, c.err
 }
 
 var recKindNames = [...]string{recHello: "hello", recTrace: "trace", recAdmit: "admit", recReject: "reject",
@@ -414,7 +434,7 @@ func (jl *journal) fail(err error) {
 }
 
 // expectKey groups records for replay verification: one FIFO per (kind,
-// sub index); hello and trace use index -1.
+// sub index).
 type expectKey struct{ kind, subIdx int }
 
 // installExpectations loads replayed records as the verification
@@ -429,9 +449,6 @@ func (jl *journal) installExpectations(recs []svcRec) {
 			continue
 		case recAdmit:
 			jl.seeds[r.subIdx] = r.seed
-		case recHello, recTrace:
-			jl.expect[expectKey{r.kind, -1}] = append(jl.expect[expectKey{r.kind, -1}], r.payload)
-			continue
 		}
 		k := expectKey{r.kind, r.subIdx}
 		jl.expect[k] = append(jl.expect[k], r.payload)
@@ -442,100 +459,28 @@ func (jl *journal) installExpectations(recs []svcRec) {
 // baseline when one exists. Journaling failures are sticky and reported
 // via Service.DurableErr, but never fail the run: the scheduler's
 // decisions stand, they just stop being durable.
-func (jl *journal) append(kind, subIdx int, payload []byte) {
-	k := expectKey{kind, subIdx}
+func (jl *journal) append(r svcRec) {
+	payload := r.encode(jl.buf[:0])
+	jl.buf = payload
+	k := expectKey{r.kind, r.subIdx}
 	if q := jl.expect[k]; len(q) > 0 {
 		want := q[0]
 		jl.expect[k] = q[1:]
 		if string(want) != string(payload) && jl.report != nil {
 			jl.report.Divergences = append(jl.report.Divergences,
 				fmt.Sprintf("%s record for sub %d diverges from the journal (%d vs %d bytes)",
-					recKindName(kind), subIdx, len(payload), len(want)))
+					recKindName(r.kind), r.subIdx, len(payload), len(want)))
 		}
 	}
-	jl.buf = payload
 	// A record recovery acts on — a decision, a checkpoint — commits the
 	// journal up to itself; the others ride to the next sync.
 	write := jl.log.AppendLazy
-	if kind == recDone || kind == recReject || kind == recCkpt {
+	if r.kind == recDone || r.kind == recReject || r.kind == recCkpt {
 		write = jl.log.Append
 	}
 	if err := write(payload); err != nil {
 		jl.fail(err)
 	}
-}
-
-func (jl *journal) appendHello(tenantHash uint64) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recHello)
-	e.u64(journalVersion)
-	e.u64(tenantHash)
-	jl.append(recHello, -1, e.b)
-}
-
-func (jl *journal) appendTrace(subsHash uint64, n int) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recTrace)
-	e.u64(subsHash)
-	e.u64(uint64(n))
-	jl.append(recTrace, -1, e.b)
-}
-
-func (jl *journal) appendAdmit(subIdx, seq int, id string, at float64, seed int64) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recAdmit)
-	e.u64(uint64(subIdx))
-	e.u64(uint64(seq))
-	e.str(id)
-	e.f64(at)
-	e.i64(seed)
-	jl.append(recAdmit, subIdx, e.b)
-}
-
-func (jl *journal) appendReject(subIdx int, reason string) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recReject)
-	e.u64(uint64(subIdx))
-	e.str(reason)
-	jl.append(recReject, subIdx, e.b)
-}
-
-func (jl *journal) appendGrant(subIdx, taskKind, want int, ready, start float64) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recGrant)
-	e.u64(uint64(subIdx))
-	e.u64(uint64(taskKind))
-	e.u64(uint64(want))
-	e.f64(ready)
-	e.f64(start)
-	jl.append(recGrant, subIdx, e.b)
-}
-
-func (jl *journal) appendEnd(subIdx, taskKind int, start, end float64) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recEnd)
-	e.u64(uint64(subIdx))
-	e.u64(uint64(taskKind))
-	e.f64(start)
-	e.f64(end)
-	jl.append(recEnd, subIdx, e.b)
-}
-
-func (jl *journal) appendDone(subIdx int, regFP uint64, st *JobStatus) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recDone)
-	e.u64(uint64(subIdx))
-	e.u64(regFP)
-	e.b = append(e.b, encodeStatus(st)...)
-	jl.append(recDone, subIdx, e.b)
-}
-
-func (jl *journal) appendCkpt(file string, decided int) {
-	e := walEnc{b: jl.buf[:0]}
-	e.u64(recCkpt)
-	e.str(file)
-	e.u64(uint64(decided))
-	jl.append(recCkpt, -1, e.b)
 }
 
 func (jl *journal) close() {
@@ -569,26 +514,6 @@ const (
 	ckptLedReduce  = "led:r"
 )
 
-func encodeLedger(l *slotLedger) []byte {
-	var e walEnc
-	e.u64(uint64(l.perNode))
-	e.u64(uint64(len(l.freeAt)))
-	for _, t := range l.freeAt {
-		e.f64(t)
-	}
-	return e.b
-}
-
-func decodeLedger(d *walDec) (l ledgerCkpt) {
-	l.perNode = int(d.u64())
-	n := d.count()
-	l.freeAt = make([]float64, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		l.freeAt = append(l.freeAt, d.f64())
-	}
-	return l
-}
-
 // addPool adds the dumped caches to a checkpoint. Every node caches its
 // own copy of an index value, so the caches mostly hold the same entries:
 // each distinct one is stored once, in one value table — per row the key,
@@ -601,12 +526,13 @@ func addPool(b *fstore.Builder, dump []ixclient.PoolEntry, buf []byte) []byte {
 	var table []string
 	first := make(map[[2]string]int) // {index, key} → where the first row under that key starts
 	for _, pe := range dump {
-		enc := walEnc{b: buf[:0]}
-		enc.str(pe.Index)
-		enc.u64(uint64(pe.Node))
-		enc.i64(pe.Hits)
-		enc.i64(pe.Misses)
-		enc.u64(uint64(len(pe.Keys)))
+		c := walCodec{b: buf[:0]}
+		c.str(&pe.Index)
+		c.int((*int)(&pe.Node))
+		c.i64(&pe.Hits)
+		c.i64(&pe.Misses)
+		n := len(pe.Keys)
+		c.count(&n)
 		for i, k := range pe.Keys {
 			values := pe.Values[i]
 			at, seen := first[[2]string{pe.Index, k}]
@@ -616,10 +542,11 @@ func addPool(b *fstore.Builder, dump []ixclient.PoolEntry, buf []byte) []byte {
 				}
 				table = append(append(table, k), values...)
 			}
-			enc.u64(uint64(at))
-			enc.u64(uint64(len(values)))
+			row, vn := uint64(at), uint64(len(values))
+			c.u64(&row)
+			c.u64(&vn)
 		}
-		buf = enc.b
+		buf = c.b
 		b.Add(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), string(buf))
 	}
 	b.Add(ckptPoolValues, int64(len(table)), table...)
@@ -628,17 +555,20 @@ func addPool(b *fstore.Builder, dump []ixclient.PoolEntry, buf []byte) []byte {
 
 // decodePool reads one pooled cache, resolving its entries against the
 // value table; caches then share the table's strings.
-func decodePool(d *walDec, table []string) (e ixclient.PoolEntry) {
-	e.Index = d.str()
-	e.Node = sim.NodeID(d.u64())
-	e.Hits = d.i64()
-	e.Misses = d.i64()
-	n := d.count()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		at, vn := d.u64(), d.u64()
-		if d.err == nil && (at >= uint64(len(table)) || vn >= uint64(len(table))-at) {
-			d.err = fmt.Errorf("jobsvc: pool entry of %d values at %d lies outside the %d-string value table", vn, at, len(table))
-		} else if d.err == nil {
+func decodePool(c *walCodec, table []string) (e ixclient.PoolEntry) {
+	c.str(&e.Index)
+	c.int((*int)(&e.Node))
+	c.i64(&e.Hits)
+	c.i64(&e.Misses)
+	var n int
+	c.count(&n)
+	for i := 0; i < n && c.err == nil; i++ {
+		var at, vn uint64
+		c.u64(&at)
+		c.u64(&vn)
+		if c.err == nil && (at >= uint64(len(table)) || vn >= uint64(len(table))-at) {
+			c.err = fmt.Errorf("jobsvc: pool entry of %d values at %d lies outside the %d-string value table", vn, at, len(table))
+		} else if c.err == nil {
 			e.Keys = append(e.Keys, table[at])
 			e.Values = append(e.Values, table[at+1:at+1+vn:at+1+vn])
 		}
@@ -658,21 +588,30 @@ func (s *Service) writeCheckpoint() {
 	}
 	b := fstore.NewBuilder()
 	b.Add(ckptSentinel, ckptVersion)
+	c := walCodec{b: jl.buf[:0]}
+	add := func(key string, rev int64) {
+		b.Add(key, rev, string(c.b))
+		c.b = c.b[:0]
+	}
 	decided := 0
 	for _, j := range s.jobs {
 		if !j.decided {
 			continue
 		}
-		b.Add(fmt.Sprintf("%s%06d", ckptSubPrefix, j.idx), int64(j.status.State), string(encodeStatus(&j.status)))
+		j.status.fields(&c)
+		add(fmt.Sprintf("%s%06d", ckptSubPrefix, j.idx), int64(j.status.State))
 		decided++
 	}
 	for _, t := range s.order {
-		var e walEnc
-		e.f64(t.spent)
-		b.Add(ckptTenPrefix+t.cfg.Name, int64(t.seq), string(e.b))
+		tc := tenantCkpt{spent: t.spent}
+		tc.fields(&c)
+		add(ckptTenPrefix+t.cfg.Name, int64(t.seq))
 	}
-	b.Add(ckptLedMap, 0, string(encodeLedger(s.mapLedger)))
-	b.Add(ckptLedReduce, 0, string(encodeLedger(s.reduceLedger)))
+	s.mapLedger.fields(&c)
+	add(ckptLedMap, 0)
+	s.reduceLedger.fields(&c)
+	add(ckptLedReduce, 0)
+	jl.buf = c.b
 	if p := s.opts.SharedCache; p != nil {
 		jl.buf = addPool(b, p.Dump(), jl.buf)
 	}
@@ -687,7 +626,7 @@ func (s *Service) writeCheckpoint() {
 		return
 	}
 	jl.ckptSeq++
-	jl.appendCkpt(name, decided)
+	jl.append(svcRec{kind: recCkpt, file: name, n: decided})
 	jl.newlyDecided = 0
 }
 
@@ -696,23 +635,34 @@ type checkpoint struct {
 	path    string
 	decided map[int]JobStatus
 	tenants map[string]tenantCkpt
-	ledgers map[string]ledgerCkpt
+	ledgers map[string]slotLedger
 	pool    []ixclient.PoolEntry
 }
 
 type tenantCkpt struct {
-	seq   int
+	seq   int // the entry's revision
 	spent float64
 }
 
-type ledgerCkpt struct {
-	perNode int
-	freeAt  []float64
+func (t *tenantCkpt) fields(c *walCodec) { c.f64(&t.spent) }
+
+// fields walks a ledger's slot shape and free times; a decoded one is
+// only compared against the cluster's and copied into its ledger.
+func (l *slotLedger) fields(c *walCodec) {
+	c.int(&l.perNode)
+	n := len(l.freeAt)
+	c.count(&n)
+	if c.dec {
+		l.freeAt = make([]float64, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		c.f64(&l.freeAt[i])
+	}
 }
 
 // loadCheckpoint opens and fully decodes a checkpoint snapshot, merging
 // registry coverage into reg when given. Entries are decoded from views
-// of the mapping; the field decoders copy out what is kept. Any
+// of the mapping; the fields walks copy out what they keep. Any
 // validation or decode failure surfaces as an error so Recover can fall
 // back to an earlier checkpoint.
 func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
@@ -730,7 +680,7 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 		path:    path,
 		decided: make(map[int]JobStatus),
 		tenants: make(map[string]tenantCkpt),
-		ledgers: make(map[string]ledgerCkpt),
+		ledgers: make(map[string]slotLedger),
 	}
 	var table []string // its revision is its length: a lost string is an error, not a shift
 	if i, ok := snap.Find(ckptPoolValues); ok {
@@ -768,24 +718,30 @@ func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
 
 // decode folds one single-valued checkpoint entry into ck.
 func (ck *checkpoint) decode(key string, rev int64, v []byte, table []string) error {
-	d := &walDec{b: v}
+	c := &walCodec{b: v, dec: true}
 	switch {
 	case key == ckptLedMap || key == ckptLedReduce:
-		ck.ledgers[key] = decodeLedger(d)
+		var l slotLedger
+		l.fields(c)
+		ck.ledgers[key] = l
 	case strings.HasPrefix(key, ckptSubPrefix):
 		idx, err := strconv.Atoi(key[len(ckptSubPrefix):])
 		if err != nil {
 			return fmt.Errorf("bad sub key %q", key)
 		}
-		ck.decided[idx] = decodeStatus(d)
+		var st JobStatus
+		st.fields(c)
+		ck.decided[idx] = st
 	case strings.HasPrefix(key, ckptTenPrefix):
-		ck.tenants[key[len(ckptTenPrefix):]] = tenantCkpt{seq: int(rev), spent: d.f64()}
+		tc := tenantCkpt{seq: int(rev)}
+		tc.fields(c)
+		ck.tenants[key[len(ckptTenPrefix):]] = tc
 	case strings.HasPrefix(key, ckptPoolPrefix):
-		ck.pool = append(ck.pool, decodePool(d, table))
+		ck.pool = append(ck.pool, decodePool(c, table))
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}
-	return d.err
+	return c.err
 }
 
 // tenantHash fingerprints the tenant configuration for recHello.

@@ -174,6 +174,6 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 	}
 
 	s.jl = jl
-	jl.appendHello(tenantHash(tenants))
+	jl.append(svcRec{kind: recHello, n: journalVersion, hash: tenantHash(tenants)})
 	return s, rep, nil
 }

@@ -260,7 +260,10 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 		if freeAt > start {
 			start = freeAt
 		}
-		rollback := e.guardAttempt(job, node)
+		var rollback func()
+		if job.AttemptGuard != nil {
+			rollback = job.AttemptGuard(node)
+		}
 		r, st, err := e.attempt(job, p, p.workers, i, node, base+start)
 		if rollback != nil {
 			rollback() // a backup's cache pollution never commits, win or lose

@@ -52,15 +52,16 @@ type Job struct {
 	// locality (chunk replicas). The scheduler asks more than once per
 	// split and only reads the list: same answer every time.
 	MapPlacement func(split int, chunk *dfs.Chunk) []sim.NodeID
-	// AttemptGuard, when set, is called before each task attempt that can
-	// still be retried, with the node the attempt runs on; the returned
-	// rollback is invoked iff that attempt fails, rewinding node-shared
-	// stage state (per-machine lookup caches) the failed attempt polluted.
-	// The engine only consults it while this job injects faults or chaos,
-	// so fault-free runs pay nothing. The EFind runtime wires this to
-	// cache snapshot/restore so retries do not skew the measured miss
-	// ratio R. Speculative execution uses the same hook to roll back a
-	// backup attempt's cache pollution.
+	// AttemptGuard, when set, is called before each task attempt a
+	// FaultInjector may fail, with the node the attempt runs on; the
+	// returned rollback is invoked iff that attempt fails, rewinding
+	// node-shared stage state (per-machine lookup caches) the failed
+	// attempt polluted. Without an injector no attempt is guarded, so
+	// fault-free and chaos-only runs pay nothing: a crash resets the node
+	// through OnNodeCrash instead. The EFind runtime wires this to cache
+	// snapshot/restore so retries do not skew the measured miss ratio R.
+	// Speculative execution calls the same hook to roll back every backup
+	// attempt's cache pollution, win or lose.
 	AttemptGuard func(node sim.NodeID) (rollback func())
 
 	// FaultInjector, when set, is consulted after each task attempt of

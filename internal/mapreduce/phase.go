@@ -127,7 +127,12 @@ func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
 	}
 	total := 0.0
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		rollback := e.guardAttempt(job, node)
+		// Only an injected fault rolls an attempt back: a crash resets the
+		// node instead, and a backup takes its own guard.
+		var rollback func()
+		if job.FaultInjector != nil && job.AttemptGuard != nil {
+			rollback = job.AttemptGuard(node)
+		}
 		r, st, err := e.attempt(job, p, worker, i, node, w.base+start+total)
 		if err != nil {
 			p.errs[i] = err
@@ -166,17 +171,6 @@ func (e *Engine) attempt(job *Job, p *phaseSpec, worker, i int, node sim.NodeID,
 	}()
 	r, st = p.run(worker, i, node, absStart)
 	return r, st, nil
-}
-
-// guardAttempt snapshots node-shared stage state ahead of a task attempt
-// that might fail, returning the rollback to invoke on failure. It is a
-// no-op (nil) when no faults can be injected, so normal runs skip the
-// snapshot cost entirely.
-func (e *Engine) guardAttempt(job *Job, node sim.NodeID) func() {
-	if (job.FaultInjector == nil && job.Chaos == nil) || job.AttemptGuard == nil {
-		return nil
-	}
-	return job.AttemptGuard(node)
 }
 
 // firstError returns the lowest-indexed task error.
