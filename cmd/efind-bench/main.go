@@ -3,8 +3,10 @@
 // DESIGN.md calls out. Results are virtual times from the cluster
 // simulation under the cost model's stipulated constants, so everything
 // the command prints or writes is identical from run to run and across
-// GOMAXPROCS values; the reproduced claims are the relative shapes. What
-// the Go code costs in wall time is measured by bench/, in paired runs.
+// GOMAXPROCS values; the reproduced claims are the relative shapes, which
+// every experiment checks on its own table: the command prints the table
+// and exits 1 naming the first claim that does not hold. What the Go code
+// costs in wall time is measured by bench/, in paired runs.
 //
 // Usage:
 //
@@ -32,9 +34,10 @@
 //
 // With -gate, the run's profile is compared against the baseline profile
 // and the command exits 1 unless the two are equal: total virtual time,
-// every stage, index row, counter and gauge, in both directions. A change
-// that moves a virtual time on purpose regenerates the baseline with
-// -profile, like any golden file.
+// every stage, index row, counter and gauge, in both directions. Every
+// printed table cell is gauge <ID>/<row>/<column>. A change that moves a
+// virtual time on purpose regenerates the baseline with -profile, like any
+// golden file.
 package main
 
 import (
@@ -132,11 +135,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tr.SetSection(e.ID)
 		}
 		tbl, err := e.Run(scale)
+		if tbl != nil { // a table whose claim failed is shown too
+			tbl.Print(stdout)
+			fmt.Fprintln(stdout)
+		}
 		if err != nil {
 			return fail(1, "experiment %s failed: %v", e.ID, err)
 		}
-		tbl.Print(stdout)
-		fmt.Fprintln(stdout)
 	}
 
 	if tr == nil {

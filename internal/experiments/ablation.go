@@ -23,7 +23,13 @@ func AblationCacheCapacity(scale Scale) (*Table, error) {
 		}
 		t.Add(fmt.Sprintf("cap=%d", capacity), vt, miss)
 	}
-	return t, nil
+	prev := 1.1
+	for _, r := range t.Rows {
+		miss := t.at(r.Label, "missRatio")
+		t.claim(miss <= prev+1e-9, "%s: miss ratio %g rose with capacity (prev %g)", r.Label, miss, prev)
+		prev = miss
+	}
+	return t, t.err
 }
 
 func runSynWithCache(scale Scale, capacity int) (float64, float64, error) {
@@ -62,7 +68,15 @@ func AblationVarianceThreshold(scale Scale) (*Table, error) {
 			return nil, err
 		}
 	}
-	return t, nil
+	// The tightest threshold must block replanning; a sane one must not.
+	first := t.Rows[0].Label
+	t.claim(t.at(first, "replanned") == 0, "%s should block replanning", first)
+	replannedSomewhere := false
+	for _, r := range t.Rows[1:] {
+		replannedSomewhere = replannedSomewhere || t.at(r.Label, "replanned") == 1
+	}
+	t.claim(replannedSomewhere, "no threshold allowed a replan")
+	return t, t.err
 }
 
 // AblationReplanDisabled compares the dynamic runtime with replanning
@@ -80,7 +94,9 @@ func AblationReplanDisabled(scale Scale) (*Table, error) {
 	if err := addLogDynamicRow(t, scale, "replan=never", "log-replan", never); err != nil {
 		return nil, err
 	}
-	return t, nil
+	once, off := t.at("replan=once", "runtime"), t.at("replan=never", "runtime")
+	t.claim(once < off, "replanning should pay off: %g with vs %g without", once, off)
+	return t, t.err
 }
 
 // addLogDynamicRow runs the LOG application's index job at +2 ms under the
@@ -142,7 +158,10 @@ func AblationPlanner(scale Scale) (*Table, error) {
 		t.Add(cse.label, p.Cost)
 		t.Note("%s picked: %v", cse.label, p)
 	}
-	return t, nil
+	full, k1, k2 := t.at("full-enumerate", "planCost"), t.at("1-repart", "planCost"), t.at("2-repart", "planCost")
+	t.claim(full <= k1 && full <= k2, "FullEnumerate (%g) must find the cheapest plan (1-repart %g, 2-repart %g)", full, k1, k2)
+	t.claim(k2 <= k1, "2-Repart (%g) should be at least as good as 1-Repart (%g)", k2, k1)
+	return t, t.err
 }
 
 // AblationFMAccuracy measures the Flajolet–Martin Θ-estimation error
@@ -160,7 +179,11 @@ func AblationFMAccuracy(Scale) (*Table, error) {
 		est := fm.Estimate()
 		t.Add(fmt.Sprintf("n=%d", n), float64(n), est, est/float64(n))
 	}
-	return t, nil
+	for _, r := range t.Rows {
+		ratio := t.at(r.Label, "ratio")
+		t.claim(ratio >= 0.5 && ratio <= 2, "%s: FM estimate off by more than 2x (ratio %g)", r.Label, ratio)
+	}
+	return t, t.err
 }
 
 // AblationBoundary forces each re-partitioning boundary on TPC-H Q3's
@@ -177,7 +200,8 @@ func AblationBoundary(scale Scale) (*Table, error) {
 		}
 		t.Add("boundary="+b.String(), vt)
 	}
-	return t, nil
+	t.claim(len(t.Rows) == 3, "%d rows, want one per boundary (3)", len(t.Rows))
+	return t, t.err
 }
 
 func runQ3Boundary(scale Scale, b core.Boundary) (float64, error) {

@@ -170,8 +170,7 @@ func cmCompareStatuses(ref, got []jobsvc.JobStatus) error {
 //     be identical to the clean run's (fault tolerance never changes the
 //     answer), and both crash and speculation events must actually fire.
 //   - +outage: the full schedule with the index outage window — jobs
-//     complete degraded (IndexErrors > 0); this leg's makespans are the
-//     gated chaosmt gauges.
+//     complete degraded (IndexErrors > 0), every tenant's makespan > 0.
 //   - durable: the full schedule journaled through the write-ahead log;
 //     virtual-time behaviour must be unchanged by durability.
 //   - recovered: a crash image is cut from the durable journal (torn
@@ -183,16 +182,24 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 			scale.ChaosMTNodes, scale.ChaosMTTenants, scale.ChaosMTJobs)
 	}
 	totalJobs := scale.ChaosMTTenants * scale.ChaosMTJobs
+	tenants := cmTenants(scale)
+	cols := []string{"jobs", "makespan"}
+	for _, tn := range tenants {
+		cols = append(cols, tn.Name+"_span")
+	}
 	t := &Table{
 		Title: fmt.Sprintf("Cross-job chaos: %d tenants x %d jobs on %d nodes — crashes, speculation, outages, coordinator recovery",
 			scale.ChaosMTTenants, scale.ChaosMTJobs, scale.ChaosMTNodes),
-		Columns: []string{"jobs", "makespan", "lookups", "ixerrs", "crashes", "spec"},
+		Columns: append(cols, "lookups", "hit_ratio", "ixerrs", "crashes", "spec"),
 	}
 	addRow := func(label string, r *mtRun) {
-		t.Add(label, float64(totalJobs), r.span(""),
-			float64(r.lookups()), float64(r.indexErrors()),
+		cells := []float64{float64(totalJobs), r.span("")}
+		for _, tn := range tenants {
+			cells = append(cells, r.span(tn.Name))
+		}
+		t.Add(label, append(cells, float64(r.lookups()), r.pool.HitRatio(), float64(r.indexErrors()),
 			float64(r.trace.Metrics.Counter(chaos.CtrNodeCrashes)),
-			float64(r.counterSum(chaos.CtrSpecLaunched)))
+			float64(r.counterSum(chaos.CtrSpecLaunched)))...)
 	}
 
 	clean, err := cmRun(scale, "clean", nil, nil, 0, false)
@@ -217,12 +224,6 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	addRow("crash+spec", crashed)
-	if crashed.trace.Metrics.Counter(chaos.CtrNodeCrashes) == 0 {
-		return nil, fmt.Errorf("chaos-mt: no crash event fired; the crash+spec row is vacuous")
-	}
-	if crashed.counterSum(chaos.CtrSpecLaunched) == 0 {
-		return nil, fmt.Errorf("chaos-mt: no speculative backup launched; the crash+spec row is vacuous")
-	}
 	crashedDigests, err := crashed.outputDigests()
 	if err != nil {
 		return nil, err
@@ -244,14 +245,6 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	addRow("+outage", combo)
-	if combo.indexErrors() == 0 {
-		return nil, fmt.Errorf("chaos-mt: outage window hit no lookups; the cross-tenant outage row is vacuous")
-	}
-	for _, tn := range cmTenants(scale) {
-		gauge(fmt.Sprintf("chaosmt.%s.makespan.vms", tn.Name), combo.span(tn.Name)*1000)
-	}
-	gauge("chaosmt.total.makespan.vms", combo.span("")*1000)
-	gauge("chaosmt.pool.hit_ratio", combo.pool.HitRatio())
 
 	// Durable leg: same full schedule, journaled. Journal appends cost no
 	// virtual time, so the trace's virtual behaviour must be unchanged.
@@ -267,9 +260,6 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	addRow("durable", ref)
-	if got, want := ref.span(""), combo.span(""); got != want {
-		return nil, fmt.Errorf("chaos-mt: journaling changed the virtual makespan: %v vs %v", got, want)
-	}
 
 	// Coordinator crash: cut a byte-accurate crash image midway between
 	// the inter-wave checkpoint and the journal's end — so recovery both
@@ -314,8 +304,19 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	}
 	addRow("recovered", recovered)
 
+	t.claim(len(t.Rows) == 5, "%d rows, want one per leg (5)", len(t.Rows))
+	t.claim(t.at("crash+spec", "crashes") > 0, "no crash event fired; the crash+spec row is vacuous")
+	t.claim(t.at("crash+spec", "spec") > 0, "no speculative backup launched; the crash+spec row is vacuous")
+	t.claim(t.at("+outage", "ixerrs") > 0, "outage window hit no lookups; the cross-tenant outage row is vacuous")
+	for _, c := range t.Columns[1 : 2+len(tenants)] {
+		t.claim(t.at("+outage", c) > 0, "+outage %s is %g, want > 0", c, t.at("+outage", c))
+	}
+	// Journal appends cost no virtual time.
+	durable, outage := t.at("durable", "makespan"), t.at("+outage", "makespan")
+	t.claim(durable == outage, "journaling changed the virtual makespan: %v vs %v", durable, outage)
+
 	t.Note("crash+spec outputs identical to the fault-free run for all %d jobs", totalJobs)
 	t.Note("recovered coordinator (crash at record %d/%d, torn tail, checkpoint %q, %d decided) matched the uninterrupted run bit for bit",
 		keep, ref.journal, rep.Checkpoint, rep.DecidedJobs)
-	return t, nil
+	return t, t.err
 }

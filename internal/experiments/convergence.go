@@ -30,5 +30,13 @@ func AblationDynamicConvergence(scale Scale) (*Table, error) {
 		}
 		t.Add(fmt.Sprintf("events=%d", s.LogEvents), opt, dyn, dyn/opt)
 	}
-	return t, nil
+	// The dynamic/optimized ratio shrinks monotonically as the input grows.
+	t.claim(len(t.Rows) >= 3, "%d rows, want at least 3 input sizes", len(t.Rows))
+	prev := t.at(t.Rows[0].Label, "ratio")
+	for _, r := range t.Rows[1:] {
+		ratio := t.at(r.Label, "ratio")
+		t.claim(ratio < prev, "%s: dynamic/optimized ratio %g did not shrink (prev %g)", r.Label, ratio, prev)
+		prev = ratio
+	}
+	return t, t.err
 }

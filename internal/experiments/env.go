@@ -30,15 +30,6 @@ func section(s string) {
 	}
 }
 
-// gauge records one figure measurement into the trace's registry, and so
-// into the profile the CI gate holds to equality (".vms" names a virtual
-// time in milliseconds). No-op without a trace.
-func gauge(name string, v float64) {
-	if obsTrace != nil {
-		obsTrace.Metrics.SetGauge(name, v)
-	}
-}
-
 // lab is one fresh simulated environment. Every strategy run gets its own
 // lab so caches, catalogs, and index statistics cannot leak between runs.
 type lab struct {

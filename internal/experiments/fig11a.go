@@ -179,5 +179,26 @@ func Fig11a(scale Scale) (*Table, error) {
 		}
 		t.Add(fmt.Sprintf("delay=%gms", d), cells...)
 	}
-	return t, nil
+
+	// Paper: cache 1.2–2.8x over base, repart an additional gain, both
+	// growing with the delay; optimized tracks the best fixed strategy and
+	// dynamic sits between it and the baseline.
+	prevGain := 0.0
+	for _, r := range t.Rows {
+		cell := func(col string) float64 { return t.at(r.Label, col) }
+		base, cache, repart, opt, dyn := cell("base"), cell("cache"), cell("repart"), cell("optimized"), cell("dynamic")
+		t.claim(cache < base, "%s: cache (%g) should beat base (%g)", r.Label, cache, base)
+		t.claim(repart < cache*1.05, "%s: repart (%g) should be at least on par with cache (%g)", r.Label, repart, cache)
+		gain := base / cache
+		t.claim(gain >= prevGain*0.95, "%s: cache gain %.2f should not shrink with delay (prev %.2f)", r.Label, gain, prevGain)
+		prevGain = gain
+		best := min(base, cache, repart)
+		t.claim(opt <= best*1.15, "%s: optimized (%g) strays from best fixed (%g)", r.Label, opt, best)
+		t.claim(dyn < base && dyn >= opt*0.95, "%s: dynamic (%g) should be between optimized (%g) and base (%g)", r.Label, dyn, opt, base)
+	}
+	// Improvements at the largest delay are substantial (paper: 2–8x overall).
+	last := t.Rows[len(t.Rows)-1].Label
+	base, opt := t.at(last, "base"), t.at(last, "optimized")
+	t.claim(base/opt >= 2, "optimized should win ≥2x at %s, got %.2fx", last, base/opt)
+	return t, t.err
 }

@@ -78,5 +78,18 @@ func Fig11f(scale Scale) (*Table, error) {
 		}
 		t.Add(fmt.Sprintf("l=%dB", l), cells...)
 	}
-	return t, nil
+
+	// Paper: repart 2.0–2.8x over base at all l; idxloc loses (slightly)
+	// to repart for small results and wins for large ones (crossover
+	// above 1KB).
+	for _, r := range t.Rows {
+		base, repart := t.at(r.Label, "base"), t.at(r.Label, "repart")
+		t.claim(repart < base, "%s: repart (%g) should beat base (%g)", r.Label, repart, base)
+	}
+	small, big := t.Rows[0].Label, t.Rows[len(t.Rows)-1].Label
+	repart, idxloc := t.at(small, "repart"), t.at(small, "idxloc")
+	t.claim(idxloc >= repart*0.98, "%s: idxloc (%g) should not clearly beat repart (%g)", small, idxloc, repart)
+	repart, idxloc = t.at(big, "repart"), t.at(big, "idxloc")
+	t.claim(idxloc < repart, "%s: idxloc (%g) should beat repart (%g)", big, idxloc, repart)
+	return t, t.err
 }

@@ -47,10 +47,18 @@ func Fig12(scale Scale) (*Table, error) {
 			client.Access(ctx, key)
 			return ctx.Extra()
 		}
-		local, remote := probe(localNode)*1000, probe(remoteNode)*1000
-		gauge(fmt.Sprintf("fig12.local.%dB.vms", size), local)
-		gauge(fmt.Sprintf("fig12.remote.%dB.vms", size), remote)
-		t.Add(fmt.Sprintf("%dB", size), local, remote)
+		t.Add(fmt.Sprintf("%dB", size), probe(localNode)*1000, probe(remoteNode)*1000)
 	}
-	return t, nil
+
+	// Remote ≥ local everywhere; the gap grows with result size.
+	prevGap := -1.0
+	for _, r := range t.Rows {
+		local, remote := t.at(r.Label, "local"), t.at(r.Label, "remote")
+		t.claim(remote >= local, "%s: remote (%g) below local (%g)", r.Label, remote, local)
+		gap := remote - local
+		t.claim(gap >= prevGap, "%s: gap %g shrank (prev %g)", r.Label, gap, prevGap)
+		prevGap = gap
+	}
+	t.claim(prevGap > 0, "largest result size should show a clear remote penalty")
+	return t, t.err
 }

@@ -61,7 +61,14 @@ func Fig13(scale Scale) (*Table, error) {
 		return nil, err
 	}
 	t.Add("knnj", append([]float64{hz.VTime}, cells...)...)
-	return t, nil
+
+	// Paper: the EFind solution performs like the hand-tuned one. In this
+	// simulation EFind is at least competitive (within 3x either way; it
+	// is usually faster because index-server contention is not modeled).
+	tuned, opt, base := t.at("knnj", "h-zknnj"), t.at("knnj", "optimized"), t.at("knnj", "base")
+	t.claim(opt <= tuned*3 && tuned <= opt*10, "EFind optimized (%g) and H-zkNNJ (%g) should be comparable", opt, tuned)
+	t.claim(base <= tuned*3, "EFind base (%g) should stay within a small factor of H-zkNNJ (%g)", base, tuned)
+	return t, t.err
 }
 
 // relabel gives a generated point set a distinct ID prefix.

@@ -91,8 +91,7 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 // agree bit-for-bit — same output records, same counters, same index
 // traffic, same virtual time — because file-backing changes only where
 // bytes live, never what the simulation computes; the "identical" column
-// is 1 exactly when they do. The virtual times are also gauges, per
-// backend, of the profile the CI gate compares.
+// is 1 exactly when they do, and a 0 fails the experiment.
 func FStoreSweep(scale Scale) (*Table, error) {
 	t := &Table{
 		Title:   "fstore sweep: in-memory vs mmap-snapshot backend — runtime (virtual s) vs index value size l",
@@ -117,9 +116,14 @@ func FStoreSweep(scale Scale) (*Table, error) {
 			t.Note("l=%dB DIVERGED: mem={vt=%.6f out=%016x lk=%d ms=%d} file={vt=%.6f out=%016x lk=%d ms=%d} counters equal: %v",
 				l, mem.vtime, mem.out, mem.lookups, mem.misses, file.vtime, file.out, file.lookups, file.misses, mem.counters == file.counters)
 		}
-		gauge(fmt.Sprintf("fstore.l%d.mem.vms", l), mem.vtime*1000)
-		gauge(fmt.Sprintf("fstore.l%d.file.vms", l), file.vtime*1000)
 		t.Add(fmt.Sprintf("l=%dB", l), mem.vtime, file.vtime, identical)
 	}
-	return t, nil
+	t.claim(len(t.Rows) == len(scale.SynSizes), "%d rows, want one per size (%d)", len(t.Rows), len(scale.SynSizes))
+	for _, r := range t.Rows {
+		mem, file := t.at(r.Label, "mem"), t.at(r.Label, "file")
+		t.claim(t.at(r.Label, "identical") == 1, "%s: file-backed leg diverged from in-memory (see the note)", r.Label)
+		t.claim(mem > 0 && file > 0, "%s: runtimes non-positive: mem=%v file=%v", r.Label, mem, file)
+		t.claim(mem == file, "%s: virtual runtimes differ: mem=%v file=%v", r.Label, mem, file)
+	}
+	return t, t.err
 }

@@ -36,7 +36,9 @@ func AblationStraggler(scale Scale) (*Table, error) {
 	t.Add("uniform-cluster", uniform)
 	t.Add("one-node-at-25%", slowed)
 	t.Note("slowdown %.2fx — bounded well below the 4x a hard-pinned placement would suffer", slowed/uniform)
-	return t, nil
+	t.claim(slowed > uniform, "straggler should cost something: %g vs %g", slowed, uniform)
+	t.claim(slowed/uniform < 3.5, "soft placement should bound the slowdown below the pin-equivalent 4x, got %.2fx", slowed/uniform)
+	return t, t.err
 }
 
 // runSynIdxlocOn runs the synthetic join with forced index locality on a

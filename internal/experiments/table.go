@@ -3,9 +3,10 @@
 // comparisons over LOG, TPC-H Q3/Q9 (±DUP10) and the synthetic l-sweep,
 // Figure 12's lookup latency curves, Figure 13's kNN join comparison
 // against H-zkNNJ, and the ablations DESIGN.md calls out. Results are
-// virtual times from the calibrated cost model; the claims under test are
-// the relative shapes (who wins, by what factor, where the crossovers
-// fall), not absolute seconds.
+// virtual times from the calibrated cost model. Each experiment checks
+// the paper's claims on its own table — the relative shapes: who wins, by
+// what factor, where the crossovers fall — and fails when one does not
+// hold; the benchmark gate pins every cell of every table exactly.
 package experiments
 
 import (
@@ -21,6 +22,8 @@ type Table struct {
 	Rows    []Row
 	// Notes records per-run observations (chosen plans, recall, replans).
 	Notes []string
+	// err is the first claim that failed on the table, if any.
+	err error
 }
 
 // Row is one parameter setting's measurements.
@@ -56,6 +59,23 @@ func (t *Table) Cell(rowLabel, column string) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// claim states one of the experiment's claims about its table. The first
+// claim that fails sticks, as the experiment's error, prefixed by the
+// title; later ones, failing or not, leave it alone.
+func (t *Table) claim(ok bool, format string, args ...interface{}) {
+	if !ok && t.err == nil {
+		t.err = fmt.Errorf("%s: %s", t.Title, fmt.Sprintf(format, args...))
+	}
+}
+
+// at returns the cell at (rowLabel, column); a missing cell fails a claim,
+// since none about it can hold.
+func (t *Table) at(rowLabel, column string) float64 {
+	v, ok := t.Cell(rowLabel, column)
+	t.claim(ok, "no cell (%s, %s)", rowLabel, column)
+	return v
 }
 
 // Print renders the table in aligned columns.

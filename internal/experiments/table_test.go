@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"efind/internal/obs"
 )
 
 func TestTablePrintLayout(t *testing.T) {
@@ -36,6 +39,45 @@ func TestTableCellLookup(t *testing.T) {
 	}
 	if _, ok := tbl.Cell("z", "x"); ok {
 		t.Fatal("unknown row resolved")
+	}
+}
+
+// TestTableClaim: the first failed claim sticks, named with the table's
+// title; later claims, failing or not, leave it. A missing cell fails one.
+func TestTableClaim(t *testing.T) {
+	tbl := &Table{Title: "demo table", Columns: []string{"x"}}
+	tbl.Add("r", 7)
+	tbl.claim(tbl.at("r", "x") == 7, "held")
+	tbl.claim(false, "first %d", 1)
+	tbl.claim(false, "second")
+	tbl.claim(true, "third")
+	if fmt.Sprint(tbl.err) != "demo table: first 1" {
+		t.Fatalf("err = %v, want the first failure under the title", tbl.err)
+	}
+	if tbl := (&Table{Title: "t"}); tbl.at("r", "x") != 0 || fmt.Sprint(tbl.err) != "t: no cell (r, x)" {
+		t.Fatalf("a missing cell gave err = %v", tbl.err)
+	}
+}
+
+// TestPinCells: every cell of a run's table — its claims failed or not —
+// lands in the attached trace as gauge <id>/<row>/<column>.
+func TestPinCells(t *testing.T) {
+	tr := obs.NewTrace()
+	SetTrace(tr)
+	defer SetTrace(nil)
+	_, err := pinCells("demo", func(Scale) (*Table, error) {
+		tbl := &Table{Title: "demo", Columns: []string{"a", "b"}}
+		tbl.Add("r1", 1, 2)
+		tbl.Add("r2", 3, 4)
+		tbl.claim(false, "failed")
+		return tbl, tbl.err
+	})(Scale{})
+	var got []string
+	for _, g := range tr.Metrics.Gauges() {
+		got = append(got, fmt.Sprintf("%s=%g", g.Name, g.Value))
+	}
+	if want := "demo/r1/a=1 demo/r1/b=2 demo/r2/a=3 demo/r2/b=4"; err == nil || strings.Join(got, " ") != want {
+		t.Fatalf("err %v, gauges %v; want the claim's error and %s", err, got, want)
 	}
 }
 
