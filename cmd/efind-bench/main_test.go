@@ -126,7 +126,7 @@ func TestGateIsEquality(t *testing.T) {
 		t.Fatalf("baseline with a Fig. 11(f) stage: exit %d, stderr %q", code, stderr)
 	}
 	code, stderr = gateAgainst(func(p *obs.Profile) { p.Gauges = nil })
-	if want := fmt.Sprintf(`gauge "fig12" only in the current profile (%d)`, len(golden.Gauges)); code != 1 || !strings.Contains(stderr, want) {
+	if want := fmt.Sprintf(`gauge "12" only in the current profile (%d)`, len(golden.Gauges)); code != 1 || !strings.Contains(stderr, want) {
 		t.Fatalf("baseline without Figure 12: exit %d, stderr %q; want %q", code, stderr, want)
 	}
 }
