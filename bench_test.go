@@ -89,9 +89,6 @@ func BenchmarkAblationVarianceThreshold(b *testing.B) {
 	benchFigure(b, "ablation-variance", "threshold=0.05")
 }
 
-// BenchmarkAblationReplan compares at-most-once replanning vs disabled.
-func BenchmarkAblationReplan(b *testing.B) { benchFigure(b, "ablation-replan", "replan=once") }
-
 // BenchmarkAblationPlanner compares FullEnumerate against k-Repart.
 func BenchmarkAblationPlanner(b *testing.B) { benchFigure(b, "ablation-planner", "full-enumerate") }
 

@@ -15,16 +15,6 @@
 //	efind-bench -fig 11a           # run one experiment
 //	efind-bench -fig 11f,12        # run several
 //	efind-bench -list              # list experiment IDs
-//	efind-bench -chaos seed=7      # chaos ablation under fault schedule 7
-//
-// The -chaos mode runs the seeded chaos ablation (node crash, stragglers
-// with speculative backups, index outage with degradation to baseline)
-// and exits 1 if any faulty run's output diverges from the fault-free
-// run. Combine with -fig to run other experiments under the same seed.
-// The ablation's runs keep private traces (each row is judged on its own
-// isolated counters), so -trace captures only the regular experiments;
-// chaos trace instants (crash:node, speculate:, reopt:failure) are
-// pinned by the Chaos test suites instead.
 //
 // Observability:
 //
@@ -46,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 
 	"efind/internal/experiments"
@@ -56,7 +45,7 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: 0 on success, 1 when an experiment or the gate
-// fails, 2 when the flags make no sense.
+// fails, 2 when a flag does not parse.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("efind-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -68,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		profileOut = fs.String("profile", "", "write the machine-readable job profile (BENCH JSON) to this file")
 		label      = fs.String("label", "bench", "label recorded in the -profile output")
 		gate       = fs.String("gate", "", "baseline BENCH JSON the run's profile must equal; exit 1 on any difference")
-		chaosSeed  = fs.String("chaos", "", "run the chaos ablation under this fault-schedule seed (seed=N or N)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -80,21 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "efind-bench: "+format+"\n", a...)
 		return code
 	}
-	if *chaosSeed != "" && *gate != "" {
-		return fail(2, "-gate compares against a baseline recorded under the default fault seed; drop -chaos or -gate")
-	}
-
-	if *chaosSeed != "" {
-		seed, err := parseChaosSeed(*chaosSeed)
-		if err != nil {
-			return fail(1, "%v", err)
-		}
-		experiments.ChaosSeed = seed
-		if *fig == "" {
-			*fig = "ablation-chaos"
-		}
-	}
-
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Fprintf(stdout, "%-18s %s\n", e.ID, e.Description)
@@ -171,16 +144,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "benchmark gate passed: profile equal to %s\n", *gate)
 	}
 	return 0
-}
-
-// parseChaosSeed accepts "seed=N" (the documented spelling) or bare "N".
-func parseChaosSeed(s string) (int64, error) {
-	s = strings.TrimPrefix(s, "seed=")
-	seed, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("invalid -chaos value %q: want seed=N", s)
-	}
-	return seed, nil
 }
 
 // writeTrace writes the Chrome trace-event file.

@@ -39,7 +39,7 @@ func TestListEqualsRegistry(t *testing.T) {
 	}
 }
 
-// TestFlagSet pins the command's options: the one-clock harness has eight,
+// TestFlagSet pins the command's options: the one-clock harness has seven,
 // none of them a tolerance or a second source of constants.
 func TestFlagSet(t *testing.T) {
 	code, _, usage := bench(t, "-h")
@@ -49,14 +49,14 @@ func TestFlagSet(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	if got, want := strings.Join(flags, " "), "-chaos -fig -gate -label -list -profile -quick -trace"; code != 0 || got != want {
+	if got, want := strings.Join(flags, " "), "-fig -gate -label -list -profile -quick -trace"; code != 0 || got != want {
 		t.Fatalf("-h: exit %d, flags %s; want %s", code, got, want)
 	}
 }
 
 // TestRejectedFlags: what the command cannot do as asked is one line on
-// stderr, nothing run, and a non-zero status — 2 for flags that make no
-// sense together or no longer exist.
+// stderr, nothing run, and a non-zero status — 2 for a flag that does not
+// exist.
 func TestRejectedFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -64,9 +64,8 @@ func TestRejectedFlags(t *testing.T) {
 		want string
 	}{
 		{"-quick -fig 12,fig99", 1, `unknown experiment "fig99"`},
-		{"-chaos seven", 1, `invalid -chaos value "seven"`},
 		{"-quick -batch", 2, "flag provided but not defined: -batch"},
-		{"-quick -chaos seed=7 -gate " + fig12Golden, 2, "drop -chaos or -gate"},
+		{"-quick -chaos seed=7", 2, "flag provided but not defined: -chaos"},
 		{"-quick -fig 12 -gate-tol 0.1", 2, "flag provided but not defined: -gate-tol"},
 	} {
 		code, stdout, stderr := bench(t, strings.Fields(tc.args)...)
@@ -74,9 +73,6 @@ func TestRejectedFlags(t *testing.T) {
 			t.Errorf("efind-bench %s: exit %d, stdout %q, stderr %q; want exit %d naming %q and no table",
 				tc.args, code, stdout, stderr, tc.code, tc.want)
 		}
-	}
-	if experiments.ChaosSeed != 42 {
-		t.Fatalf("a rejected command line moved the fault seed to %d", experiments.ChaosSeed)
 	}
 }
 

@@ -53,9 +53,8 @@ func (pr *planRun) runDynamic() error {
 	if len(co.jobs) != 1 {
 		return fmt.Errorf("efind: internal: baseline plan compiled to %d jobs", len(co.jobs))
 	}
-	// The paper changes the plan at most once; a negative MaxPlanChanges
-	// is the ablation's adaptive statistics without replanning.
-	pr.cold, pr.mayChange = true, conf.MaxPlanChanges >= 0
+	// The paper changes the plan at most once.
+	pr.cold, pr.mayChange = true, true
 
 	// First wave of map tasks under the baseline plan: the statistics
 	// collection phase.

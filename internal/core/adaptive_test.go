@@ -135,23 +135,6 @@ func TestDynamicSticksWithBaselineWhenOptimal(t *testing.T) {
 	}
 }
 
-func TestDynamicReplanDisabledByAblationKnob(t *testing.T) {
-	e := newAdaptiveE2E(t, 4000, 40)
-	op := e.lookupOp("op-noreplan")
-	conf := e.conf("job-noreplan", ModeDynamic, op, headPlace)
-	conf.MaxPlanChanges = -1
-	res, err := e.rt.Submit(conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Replanned {
-		t.Fatal("MaxPlanChanges=-1 must disable replanning")
-	}
-	if res.Output.Records() != 4000 {
-		t.Fatalf("records = %d", res.Output.Records())
-	}
-}
-
 func TestDynamicHighVarianceBlocksReplan(t *testing.T) {
 	// Skewed input: some chunks have all-duplicate keys, others all
 	// distinct → per-task statistics vary wildly → Algorithm 1 refuses.

@@ -16,15 +16,27 @@ import (
 // complete output file.
 func TestDynamicMapOnlyNoReplan(t *testing.T) {
 	e := newAdaptiveE2E(t, 3000, 30)
+	// Record sizes that change every 100 records: the first wave's tasks
+	// measure statistics ≈ 0.37 stddev/mean apart, and a 0.01 variance
+	// threshold refuses to replan (at 10 the job replans).
+	recs := make([]dfs.Record, 3000)
+	for i := range recs {
+		pad := strings.Repeat("x", 1+(i/100)%4*20)
+		recs[i] = dfs.Record{Key: fmt.Sprintf("r%05d", i), Value: fmt.Sprintf("%s ik%04d", pad, i%30)}
+	}
+	input, err := e.fs.Create("input-sized", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	op := e.lookupOp("mo-stay")
-	conf := &IndexJobConf{Name: "maponly-stay", Input: e.input, Mode: ModeDynamic, MaxPlanChanges: -1}
+	conf := &IndexJobConf{Name: "maponly-stay", Input: input, Mode: ModeDynamic, VarianceThreshold: 0.01}
 	conf.AddHeadIndexOperator(op)
 	res, err := e.rt.Submit(conf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Replanned {
-		t.Fatal("replanning was disabled")
+		t.Fatal("the variance gate refused, yet the job replanned")
 	}
 	if res.Output.Records() != 3000 {
 		t.Fatalf("map-only dynamic output = %d records", res.Output.Records())

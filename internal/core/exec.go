@@ -106,11 +106,6 @@ type IndexJobConf struct {
 	// VarianceThreshold gates re-optimization: the largest stddev/mean of
 	// collected statistics must be below it (0 = 0.05, §4.2).
 	VarianceThreshold float64
-	// MaxPlanChanges is read only by its sign: any value ≥ 0 lets a
-	// dynamic job switch plans at most once (the paper's rule); a negative
-	// one never lets it switch (the ablation's statistics without
-	// replanning).
-	MaxPlanChanges int
 
 	// ErrorPolicy decides what an index error does to the job: count and
 	// continue with an empty result (default, paper-faithful) or fail the

@@ -72,7 +72,7 @@ func cmTenants(scale Scale) []jobsvc.TenantConfig {
 // index outage window that hits whichever jobs' lookups overlap it.
 func cmChaosConfig(span float64) chaos.Config {
 	return chaos.Config{
-		Seed: ChaosSeed,
+		Seed: faultSeed,
 		Crashes: []chaos.Crash{
 			{Node: 2, At: 0.15 * span, Recover: 0.55 * span},
 			{Node: 5, At: 0.35 * span, Recover: 0.75 * span},

@@ -17,14 +17,14 @@ func AblationDynamicConvergence(scale Scale) (*Table, error) {
 	for _, factor := range []int{1, 3, 9} {
 		s := scale
 		s.LogEvents = base * factor
-		// Fixed chunk size: larger inputs run more task waves, so the
-		// first-wave statistics phase becomes a shrinking fraction.
-		s.FixedLogChunk = chunkTargetFor(base * 90)
-		opt, _, err := runLogOnce(s, 3, "optimized")
+		// Chunks sized for the base input: larger inputs run more task
+		// waves, so the first-wave statistics phase becomes a shrinking
+		// fraction.
+		opt, _, err := runLogOnce(s, base, 3, "optimized")
 		if err != nil {
 			return nil, err
 		}
-		dyn, _, err := runLogOnce(s, 3, "dynamic")
+		dyn, _, err := runLogOnce(s, base, 3, "dynamic")
 		if err != nil {
 			return nil, err
 		}

@@ -127,11 +127,12 @@ func topKJob(engine *mapreduce.Engine, input *dfs.File) (*mapreduce.Result, erro
 	})
 }
 
-// runLogOnce executes the LOG application end to end in a fresh lab and
-// returns its total virtual time, top-k job included.
-func runLogOnce(scale Scale, extraDelayMs float64, column string) (float64, *core.JobResult, error) {
+// runLogOnce executes the LOG application end to end in a fresh lab, its
+// input chunked as for chunkEvents events, and returns its total virtual
+// time, top-k job included.
+func runLogOnce(scale Scale, chunkEvents int, extraDelayMs float64, column string) (float64, *core.JobResult, error) {
 	l, res, err := runColumn(column, "log", func(l *lab) (strategyJob, error) {
-		input, geo, err := setupLog(l, scale, extraDelayMs)
+		input, geo, err := setupLog(l, scale, chunkEvents, extraDelayMs)
 		if err != nil {
 			return strategyJob{}, err
 		}
@@ -168,7 +169,7 @@ func Fig11a(scale Scale) (*Table, error) {
 	t := &Table{Title: "Figure 11(a): LOG — runtime (virtual s) vs extra lookup delay", Columns: cols}
 	for _, d := range scale.LogDelaysMs {
 		cells, err := strategyCells(t, cols, fmt.Sprintf("delay %gms: optimized plan ", d), func(c string) (float64, *core.JobResult, error) {
-			vt, res, err := runLogOnce(scale, d, c)
+			vt, res, err := runLogOnce(scale, scale.LogEvents, d, c)
 			if err == nil && c == "dynamic" && res.Replanned {
 				t.Note("delay %gms: dynamic replanned at %s phase to %v", d, res.ReplanPhase, res.Plan)
 			}

@@ -8,14 +8,11 @@ import (
 	"efind/internal/workloads"
 )
 
-// setupLog generates the LOG input in the lab — in chunks scaled with the
-// event count unless the scale pins them — and stands up the cloud geo
-// service with the given extra delay (milliseconds).
-func setupLog(l *lab, scale Scale, extraDelayMs float64) (*dfs.File, *cloudsvc.Service, error) {
-	l.fs.ChunkTarget = chunkTargetFor(scale.LogEvents * 90)
-	if scale.FixedLogChunk > 0 {
-		l.fs.ChunkTarget = scale.FixedLogChunk
-	}
+// setupLog generates the LOG input in the lab, in the chunks that suit an
+// input of chunkEvents events, and stands up the cloud geo service with
+// the given extra delay (milliseconds).
+func setupLog(l *lab, scale Scale, chunkEvents int, extraDelayMs float64) (*dfs.File, *cloudsvc.Service, error) {
+	l.fs.ChunkTarget = chunkTargetFor(chunkEvents * 90)
 	cfg := workloads.DefaultLogConfig()
 	cfg.Events = scale.LogEvents
 	input, err := workloads.GenerateLog(l.fs, "log", cfg)

@@ -148,7 +148,7 @@ func runMultiTenant(scale Scale, label string, usePool bool, outageUntil float64
 	}
 	if outageUntil > 0 {
 		opts.Chaos = chaos.MustNew(chaos.Config{
-			Seed:    ChaosSeed,
+			Seed:    faultSeed,
 			Outages: []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: outageUntil}},
 		}, sim.DefaultConfig().Nodes)
 	}

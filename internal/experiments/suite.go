@@ -24,7 +24,6 @@ func All() []Experiment {
 		{ID: "13", Description: "kNN join: EFind vs hand-tuned H-zkNNJ", Run: Fig13},
 		{ID: "ablation-cache", Description: "Lookup-cache capacity sweep", Run: AblationCacheCapacity},
 		{ID: "ablation-variance", Description: "Variance threshold for re-optimization", Run: AblationVarianceThreshold},
-		{ID: "ablation-replan", Description: "Plan change at most once vs disabled", Run: AblationReplanDisabled},
 		{ID: "ablation-planner", Description: "FullEnumerate vs k-Repart", Run: AblationPlanner},
 		{ID: "ablation-fm", Description: "FM sketch accuracy", Run: AblationFMAccuracy},
 		{ID: "ablation-boundary", Description: "Re-partitioning job boundary choice", Run: AblationBoundary},

@@ -104,13 +104,8 @@ func (t *Table) Print(w io.Writer) {
 // fast; Full is the cmd/efind-bench default and stresses multiple task
 // waves per phase.
 type Scale struct {
-	LogEvents   int
-	LogDelaysMs []float64
-	// FixedLogChunk, when non-zero, pins the LOG input's chunk size
-	// instead of scaling it with the event count — so larger inputs run
-	// more task waves, as with HDFS's fixed 64 MB blocks. Used by the
-	// dynamic-convergence ablation.
-	FixedLogChunk     int
+	LogEvents         int
+	LogDelaysMs       []float64
 	TPCHSF            float64
 	TPCHSupplierScale int
 	SynRecords        int

@@ -7,7 +7,7 @@
 # stripped, so unrelated edits do not churn it — to unreached.txt beside
 # this script. The traffic:
 #   - efind-bench -quick (all experiments) with -gate -profile -trace,
-#     and -quick -chaos seed=7;
+#     and -quick -fig 12 (the -fig lookup);
 #   - efind-plan with no flags, with -build-total, and -profile of the
 #     run's profile;
 #   - the four examples;
@@ -37,7 +37,7 @@ done
 run() { "$@" >/dev/null 2>&1 || { echo "reach: $* failed" >&2; exit 1; }; }
 run "$tmp/bin/efind-bench" -quick -label reach -gate BENCH_baseline.json \
 	-profile "$tmp/out/profile.json" -trace "$tmp/out/trace.json"
-run "$tmp/bin/efind-bench" -quick -chaos seed=7
+run "$tmp/bin/efind-bench" -quick -fig 12
 run "$tmp/bin/efind-plan"
 run "$tmp/bin/efind-plan" -pos head -build-total 240 -build-covered 60
 run "$tmp/bin/efind-plan" -profile "$tmp/out/profile.json"
