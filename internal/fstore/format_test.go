@@ -81,12 +81,12 @@ func TestEncodeWireFormat(t *testing.T) {
 			b.Add("a", 1, "plain")
 			b.Add("b", 2, long)
 			b.Add("c", 3, "")
-			b.AddSeq("d", 4, func(yield func(string)) {
+			b.AddSeq("d", 4, seqFunc(func(yield func(string)) {
 				for _, v := range []string{"k1", long, "k2", ""} {
 					yield(v)
 				}
-			})
-			b.AddSeq("e", 5, func(func(string)) {})
+			}))
+			b.AddSeq("e", 5, seqFunc(func(func(string)) {}))
 		}, []want{
 			{"a", 1, []string{"plain"}}, {"b", 2, []string{long}}, {"c", 3, []string{""}},
 			{"d", 4, []string{"k1", long, "k2", ""}}, {"e", 5, nil},
@@ -156,11 +156,11 @@ func TestStreamedFileMatchesReferenceBytes(t *testing.T) {
 			if values := e.values; i%2 == 0 {
 				b.Add(e.key, e.rev, values...)
 			} else {
-				b.AddSeq(e.key, e.rev, func(yield func(string)) {
+				b.AddSeq(e.key, e.rev, seqFunc(func(yield func(string)) {
 					for _, v := range values {
 						yield(v)
 					}
-				})
+				}))
 			}
 		}
 		rng.Shuffle(len(b.entries), func(i, j int) { b.entries[i], b.entries[j] = b.entries[j], b.entries[i] })
@@ -193,10 +193,15 @@ func TestStreamedFileMatchesReferenceBytes(t *testing.T) {
 	}
 }
 
+// seqFunc adapts a function to the Seq an entry's values are enumerated by.
+type seqFunc func(yield func(string))
+
+func (f seqFunc) Each(yield func(string)) { f(yield) }
+
 // byPass is a sequence that yields passes[i] on its i-th run (the last
 // one from then on): a snapshot write runs it three times — measure,
 // write, compare.
-func byPass(passes ...[]string) func(yield func(string)) {
+func byPass(passes ...[]string) seqFunc {
 	run := 0
 	return func(yield func(string)) {
 		vals := passes[min(run, len(passes)-1)]

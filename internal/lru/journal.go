@@ -23,9 +23,9 @@ const (
 
 // undoOp is one recorded inverse operation. Element positions are stored
 // as predecessor keys, not entry pointers: an evicting insert reuses the
-// victim's entry for the new key and an eviction undo reinserts a fresh
-// one, so pointers recorded earlier would go stale, while keys always
-// resolve through the items map at rollback time.
+// victim's entry for the new key and its undo reuses the insert's for the
+// evicted key, so pointers recorded earlier would go stale, while keys
+// always resolve through the items map at rollback time.
 type undoOp struct {
 	kind       uint8
 	front      bool // the moved element had no predecessor (was front)
@@ -85,12 +85,16 @@ func (u *Undo) Rollback() {
 				e.moveAfter(c.items[op.prevKey])
 			}
 		case opPutNew:
-			c.items[op.key].unlink()
+			// The insert's entry carries the evicted key back, or is dropped.
+			e := c.items[op.key]
+			e.unlink()
 			delete(c.items, op.key)
 			if op.evict {
-				e := &entry{key: op.evictedKey, values: op.values}
+				e.key, e.values = op.evictedKey, op.values
 				e.linkAfter(c.root.prev)
 				c.items[op.evictedKey] = e
+			} else {
+				*e, c.free = entry{next: c.free}, e
 			}
 		}
 	}

@@ -16,10 +16,16 @@ type Cache struct {
 	capacity int
 	// root is the sentinel of the recency ring: root.next is the most
 	// recently used entry, root.prev the least. The links live in the
-	// entries themselves, so an insert costs one allocation and an
-	// insert that evicts costs none (the victim's entry is reused).
+	// entries themselves, so an insert that evicts costs no allocation (the
+	// victim's entry is reused), and the others take theirs from blocks.
 	root  entry
 	items map[string]*entry
+	// Entries come from blocks: spare is the rest of the newest, free what
+	// rollbacks dropped (by next), made the blocks' total since the last
+	// reset. Blocks double from 16 entries to 64, never past the capacity.
+	spare []entry
+	free  *entry
+	made  int
 
 	hits   int64
 	misses int64
@@ -116,7 +122,7 @@ func (c *Cache) Put(key string, values []string) {
 		e.unlink()
 		e.key, e.values = key, values
 	} else {
-		e = &entry{key: key, values: values}
+		e = c.newEntry(key, values)
 	}
 	e.linkAfter(&c.root)
 	c.items[key] = e
@@ -146,9 +152,27 @@ func (c *Cache) Reset() {
 	c.reset()
 }
 
+// newEntry takes a dropped entry, else a spare one, else starts a block:
+// an insert below capacity calls it, so a block has room under it.
+func (c *Cache) newEntry(key string, values []string) (e *entry) {
+	if e = c.free; e != nil {
+		c.free = e.next
+	} else {
+		if len(c.spare) == 0 {
+			n := min(max(c.made, 16), 64, c.capacity-c.made)
+			c.spare, c.made = make([]entry, n), c.made+n
+		}
+		e, c.spare = &c.spare[0], c.spare[1:]
+	}
+	*e = entry{key: key, values: values}
+	return e
+}
+
+// reset drops the blocks too, so no value from before it stays alive.
 func (c *Cache) reset() {
 	c.root.prev, c.root.next = &c.root, &c.root
 	c.items = make(map[string]*entry, c.capacity)
+	c.spare, c.free, c.made = nil, nil, 0
 	c.hits, c.misses = 0, 0
 	// A wholesale rewind invalidates any open journal: rolling back
 	// operations recorded against the discarded list would corrupt state.
@@ -204,13 +228,14 @@ func (c *Cache) Load(keys []string, values [][]string, hits, misses int64) {
 }
 
 // Restore rewinds the cache to a snapshot taken from it (or from a cache
-// of the same capacity).
+// of the same capacity). Its entries are one block.
 func (c *Cache) Restore(s *Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reset()
+	c.spare, c.made = make([]entry, len(s.keys)), len(s.keys)
 	for i, k := range s.keys {
-		e := &entry{key: k, values: s.values[i]}
+		e := c.newEntry(k, s.values[i])
 		e.linkAfter(&c.root)
 		c.items[k] = e
 	}

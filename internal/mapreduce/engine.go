@@ -74,10 +74,6 @@ type MapOutput struct {
 	Reducers []int32
 	Parts    int
 	Bytes    int
-
-	// A one-bucket output's headers, inline.
-	one  [1][]Pair
-	oneR [1]int32
 }
 
 // MapPhaseResult is the outcome of running (a subset of) a job's map phase.
@@ -196,17 +192,17 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 
 // taskFrame is what a task uses and does not retain — context, core stage,
 // pipeline, sink state, counter row — as one allocation, which its worker's
-// next task of the phase starts on. What a task retains (MapOutput, reduce
-// shard, counter set) lives apart on purpose: embedded here it would pin the
-// frame, and every scratch a stage hangs off the context, for as long as the
-// result lives.
+// next task of the phase starts on. What a task retains (MapOutput, its
+// pairs, reduce shard, counter set) lives apart on purpose: embedded here it
+// would pin the frame, and every scratch a stage hangs off the context, for
+// as long as the result lives.
 type taskFrame struct {
 	ctx  TaskContext
 	core FuncStage
 	pipe Pipeline
 
 	// Map sink: a multi-reducer task stages its records for the scatter; any
-	// other appends to out.one[0], sized for the split on its first record.
+	// other appends to its one bucket, sized for the split on its first record.
 	job          *Job
 	out          *MapOutput
 	splitRecords int
@@ -218,15 +214,20 @@ type taskFrame struct {
 
 // frameKeeps is all a frame keeps from task to task: the staging buffer and
 // the counter row, which a task leaves clear, the sort's buffers, which hold
-// no pointer, the windows it holds for its tasks' counter sets, and the
-// frame's own methods as the values the pipeline is handed — bound to the
-// frame, not to anything a task put in it, and one allocation each were
-// they made per task.
+// no pointer, the windows it holds for its tasks' counter sets and outputs
+// and the blocks of their pairs — each window one attempt's, whatever
+// became of it —, and the frame's own methods as the values the pipeline
+// is handed — bound to the frame, not to anything a task put in it, and one
+// allocation each were they made per task.
 type frameKeeps struct {
-	stage *staging
-	ctrs  taskCounters
-	sort  sortBufs
-	slab  CounterSet
+	stage   *staging
+	ctrs    taskCounters
+	sort    sortBufs
+	slab    CounterSet
+	outs    []MapOutput
+	pairs   block[Pair]
+	buckets block[[]Pair]
+	parts   block[int32]
 
 	mapSink, shardSink Emit // emitMap, emitShard
 	process            Emit // pipe.Process
@@ -239,15 +240,16 @@ type frameKeeps struct {
 // scheduled. A slot is empty while its task runs and refilled only by a task
 // that ran to its end: an attempt that aborts drops its frame, half-filled
 // staging buffer and all, so no task starts on a dirty one.
-// Beside them is the phase's counter slab, made when short for every task not
-// yet given a window of it — once for a phase of like tasks —, which frames
-// take windows from 16 tasks at a time.
+// Beside them are the phase's counter and output slabs, each made when short
+// for every task not yet given a window of it — once for a phase of like
+// tasks —, which frames take windows from 16 tasks at a time.
 type phaseFrames struct {
 	slot []*taskFrame
 
-	mu   sync.Mutex
-	slab CounterSet // what is left of it
-	left int        // tasks not yet given a window
+	mu             sync.Mutex
+	slab           CounterSet  // what is left of it
+	outs           []MapOutput // what is left of it
+	left, outsLeft int         // tasks not yet given a window of either
 }
 
 // newPhaseFrames sizes the slots for a phase of the given task count; a
@@ -255,7 +257,39 @@ type phaseFrames struct {
 // the phase's one reading of the worker count: the scheduler is capped at it
 // (phaseSpec.workers), so no index passes the slots.
 func (e *Engine) newPhaseFrames(tasks int) *phaseFrames {
-	return &phaseFrames{slot: make([]*taskFrame, e.Cluster.PhaseWorkers(tasks)+1), left: tasks}
+	return &phaseFrames{slot: make([]*taskFrame, e.Cluster.PhaseWorkers(tasks)+1), left: tasks, outsLeft: tasks}
+}
+
+// share takes n elements for each of up to 16 tasks not yet given any off
+// a phase slab, made anew for all of them when it is short.
+func share[S ~[]T, T any](mu *sync.Mutex, slab *S, left *int, n int) (w S) {
+	mu.Lock()
+	defer mu.Unlock()
+	k := min(max(*left, 1), 16)
+	if len(*slab) < k*n {
+		*slab = make(S, max(*left, 16)*n)
+	}
+	w, *slab, *left = (*slab)[:k*n:k*n], (*slab)[k*n:], *left-k
+	return w
+}
+
+// block hands out capacity-capped windows, each once, cut from slabs that
+// double from 16 elements to 128; one of more than an eighth of the next
+// slab is made alone, so a slab is left at most an eighth unused.
+type block[T any] struct {
+	spare []T
+	size  int
+}
+
+func (b *block[T]) cut(n int) (w []T) {
+	if len(b.spare) < n {
+		if b.size = min(max(2*b.size, 16), 128); 8*n > b.size {
+			return make([]T, n)
+		}
+		b.spare = make([]T, b.size)
+	}
+	w, b.spare = b.spare[:n:n], b.spare[n:]
+	return w
 }
 
 func (fr *phaseFrames) coordinator() int { return len(fr.slot) - 1 }
@@ -283,13 +317,7 @@ func (fr *phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kin
 // clear — what the statistics took from the context: spans and sketches.
 func (fr *phaseFrames) done(worker int, f *taskFrame) TaskStats {
 	if n := f.ctrs.bound + 1; cap(f.slab)-len(f.slab) < n { // room for what the task bound
-		fr.mu.Lock()
-		k := min(max(fr.left, 1), 16)
-		if len(fr.slab) < k*n {
-			fr.slab = make(CounterSet, max(fr.left, 16)*n)
-		}
-		f.slab, fr.slab, fr.left = fr.slab[:0:k*n], fr.slab[k*n:], fr.left-k
-		fr.mu.Unlock()
+		f.slab = share(&fr.mu, &fr.slab, &fr.left, n)[:0]
 	}
 	at := len(f.slab)
 	f.slab = f.ctrs.take(f.slab)
@@ -326,10 +354,11 @@ func (f *taskFrame) emitMap(p Pair) {
 	if f.stage != nil {
 		f.stage.add(p, int32(part))
 	} else {
-		if f.out.one[0] == nil {
-			f.out.one[0] = make([]Pair, 0, f.splitRecords)
+		if f.out.Buckets == nil {
+			f.out.Buckets, f.out.Reducers = f.buckets.cut(1), f.parts.cut(1)
+			f.out.Buckets[0] = f.pairs.cut(f.splitRecords)[:0]
 		}
-		f.out.one[0] = append(f.out.one[0], p)
+		f.out.Buckets[0] = append(f.out.Buckets[0], p)
 	}
 	f.out.Bytes += p.Size()
 }
@@ -361,7 +390,11 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	}
 	sp.End()
 
-	out := &MapOutput{Split: split, Node: node, Parts: 1}
+	if len(f.outs) == 0 {
+		f.outs = share(&frames.mu, &frames.outs, &frames.outsLeft, 1)
+	}
+	out := &f.outs[0]
+	f.outs, out.Split, out.Node, out.Parts = f.outs[1:], split, node, 1
 	f.job, f.out, f.splitRecords = job, out, len(records)
 	if job.Reduce != nil && job.NumReduce > 1 {
 		out.Parts = job.NumReduce
@@ -382,11 +415,11 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	pipe.Close()
 	sp.End()
 
-	outRecords := len(out.one[0])
+	outRecords := 0
 	if f.stage != nil { // set above, or by an earlier task of this phase: the same job
-		outRecords = f.stage.scatter(out)
-	} else if outRecords > 0 {
-		out.Buckets, out.Reducers = out.one[:], out.oneR[:]
+		outRecords = f.stage.scatter(out, &f.frameKeeps)
+	} else if out.Buckets != nil {
+		outRecords = len(out.Buckets[0])
 	}
 	if job.Combine != nil && job.Reduce != nil {
 		sp = ctx.StartSpan("combine", "pipeline")

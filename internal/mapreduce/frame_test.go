@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"efind/internal/chaos"
+	"efind/internal/dfs"
 	"efind/internal/obs"
 	"efind/internal/sim"
 )
@@ -95,16 +96,30 @@ func cloneBuckets(o *MapOutput) [][]Pair {
 // tasks — they completed, were failed by the injector after completing,
 // aborted half-way, lost or won a speculation race — and what a completed
 // task retains (counters, spans, sketch vectors, output) does not change
-// when its frame goes on to other tasks. An abort costs the worker its
+// when its frame goes on to other tasks, retries or backups: the output
+// pairs, bucket lists and MapOutput cut from the frame's blocks and the
+// phase's slab are windows no other attempt is handed, on the scatter's path
+// (seven reducers) and the map-only sink's. An abort costs the worker its
 // frame — the next attempt starts on a new one — and the coordinator's
 // frame, on which backups run, is no worker's. Run under -race -count=10.
 func TestFrameHygiene(t *testing.T) {
-	c := shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}
 	boom := errors.New("boom")
-	for _, parallelism := range []int{1, 4} {
+	for _, tc := range []struct {
+		parallelism int
+		c           shuffleCase
+	}{
+		{1, shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}},
+		{4, shuffleCase{numReduce: 7, perSplit: 40, combine: "off"}},
+		{1, shuffleCase{perSplit: 1}}, // map-only: a one-pair window per task
+		{4, shuffleCase{perSplit: 1}},
+	} {
+		parallelism, c := tc.parallelism, tc.c
 		_, e := parEnv(t, parallelism)
 		e.Trace = obs.NewTrace() // tasks record spans
 		job := hygieneJob(t, c, e, "in")
+		if c.numReduce == 0 {
+			job.Reduce, job.NumReduce, job.ReduceStagesAfter = nil, 0, nil
+		}
 		attempt := func(frames *phaseFrames, worker, s int, abort bool) (*MapOutput, TaskStats, error) {
 			j := *job
 			if fan := job.Map; abort {
@@ -178,6 +193,13 @@ func TestFrameHygiene(t *testing.T) {
 					t.Fatalf("round %d split %d: ran on a fresh frame: %v; want one exactly for the worker's first task and after the abort", round, s, fresh)
 				}
 				keep = append(keep, kept{s, st, cloneStats(st), out, cloneBuckets(out)})
+				if s%2 == 1 { // a retry on the frame: the attempt before it is kept too
+					out, st, err := attempt(frames, 0, s, false)
+					if err != nil || !reflect.DeepEqual(st, refStats[s]) || !reflect.DeepEqual(out.Buckets, refOut[s].Buckets) {
+						t.Fatalf("parallelism %d round %d split %d retried on its frame: %v\n got %+v\nwant %+v", parallelism, round, s, err, st, refStats[s])
+					}
+					keep = append(keep, kept{s, st, cloneStats(st), out, cloneBuckets(out)})
+				}
 			}
 		}
 		// A backup runs as the coordinator: on a frame of that slot, whatever
@@ -201,9 +223,22 @@ func TestFrameHygiene(t *testing.T) {
 		if co := frames.slot[frames.coordinator()]; co == worker0 || frames.slot[0] != worker0 {
 			t.Fatalf("parallelism %d: the coordinator's frame is worker 0's, or moved it", parallelism)
 		}
+		outs, pairs := map[*MapOutput]bool{}, map[*Pair]bool{}
 		for _, k := range keep {
 			if !reflect.DeepEqual(k.st, k.cp) || !reflect.DeepEqual(k.out.Buckets, k.bk) {
 				t.Fatalf("parallelism %d: what split %d retained changed while its frame served other tasks:\n now %+v\n was %+v", parallelism, k.s, k.st, k.cp)
+			}
+			if outs[k.out] {
+				t.Fatalf("parallelism %d: split %d was handed a MapOutput another attempt holds", parallelism, k.s)
+			}
+			outs[k.out] = true
+			for _, b := range k.out.Buckets {
+				for i := range b {
+					if pairs[&b[i]] {
+						t.Fatalf("parallelism %d: split %d was handed a pair another attempt holds", parallelism, k.s)
+					}
+					pairs[&b[i]] = true
+				}
 			}
 		}
 
@@ -233,13 +268,22 @@ func TestFrameHygiene(t *testing.T) {
 				t.Errorf("parallelism %d map task %d: output differs from the lone attempt's", parallelism, s)
 			}
 		}
-		got, want := res.Output.All(), c.want()
-		for _, shard := range want {
-			for _, rec := range shard {
-				if !slices.Contains(got, rec) {
-					t.Fatalf("parallelism %d: the job's output lacks %v", parallelism, rec)
-				}
+		var want []dfs.Record
+		if c.numReduce == 0 {
+			for s := range shuffleSplits {
+				want = append(want, dfs.Record(emission(s, 0)))
 			}
+		} else {
+			want = slices.Concat(c.want()...)
+		}
+		got := res.Output.All()
+		for _, rec := range want {
+			if !slices.Contains(got, rec) {
+				t.Fatalf("parallelism %d: the job's output lacks %v", parallelism, rec)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("parallelism %d: the job's output holds %d records, want %d", parallelism, len(got), len(want))
 		}
 	}
 }

@@ -30,20 +30,18 @@ func (s *staging) add(p Pair, part int32) {
 }
 
 // scatter moves the staged records into out as windows of one exact-size
-// slab, ascending by reducer (count → prefix → fill; stable, so a bucket
-// keeps emission order), and wipes the buffer, which then pins none of
-// them. It returns the number of records moved.
-func (s *staging) scatter(out *MapOutput) int {
+// window of the frame's pairs, ascending by reducer (count → prefix → fill;
+// stable, so a bucket keeps emission order), and wipes the buffer, which
+// then pins none of them. The bucket and reducer lists are windows of the
+// frame's blocks too. It returns the number of records moved.
+func (s *staging) scatter(out *MapOutput, keeps *frameKeeps) int {
 	n := len(s.recs)
 	if n == 0 {
 		return 0
 	}
 	slices.Sort(s.touched)
-	out.Buckets, out.Reducers = out.one[:], out.oneR[:]
-	if len(s.touched) > 1 {
-		out.Buckets, out.Reducers = make([][]Pair, len(s.touched)), make([]int32, len(s.touched))
-	}
-	slab := make([]Pair, n)
+	out.Buckets, out.Reducers = keeps.buckets.cut(len(s.touched)), keeps.parts.cut(len(s.touched))
+	slab := keeps.pairs.cut(n)
 	off := 0
 	for i, part := range s.touched {
 		end := off + int(s.counts[part])

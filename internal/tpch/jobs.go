@@ -9,7 +9,8 @@ import (
 	"efind/internal/mapreduce"
 )
 
-// field appends a lookup result field to a record value.
+// firstValue returns the first value of a lookup's first result, and
+// whether there is one.
 func firstValue(results []core.KeyResult) (string, bool) {
 	if len(results) == 0 || len(results[0].Values) == 0 {
 		return "", false
