@@ -385,7 +385,7 @@ func (pr *planRun) planFor(mode Mode) (*JobPlan, error) {
 		var st *OperatorStats // what the plan was priced from, if it was
 		switch mode {
 		case ModeBaseline:
-			p = baselinePlan(o, pos)
+			p = uniformPlan(o, pos, Baseline)
 		case ModeCache:
 			p = uniformPlan(o, pos, LookupCache)
 		case ModeCustom:
@@ -510,8 +510,8 @@ type compiled struct {
 	builds []*buildTarget
 	// pool is the job's cross-job shared cache, if attached. Guarded and
 	// crash-reset at this level — once per node — because pooled caches
-	// are shared across every client of every operator, and journaling
-	// one cache twice would supersede the first guard.
+	// are shared across every client of every operator, which would
+	// otherwise each copy and restore them.
 	pool *ixclient.Pool
 }
 

@@ -122,17 +122,9 @@ func DefaultPlannerOptions() PlannerOptions {
 	return PlannerOptions{FullEnumerateLimit: 5, KRepart: 2}
 }
 
-// baselinePlan is the no-statistics default: natural order, all Baseline.
-func baselinePlan(op *Operator, pos OpPosition) OperatorPlan {
-	p := OperatorPlan{Op: op, Pos: pos}
-	for i := range op.Indices() {
-		p.Decisions = append(p.Decisions, Decision{Index: i, Strategy: Baseline})
-	}
-	return p
-}
-
-// uniformPlan assigns one strategy to every index (forced Base/Cache
-// experiment modes).
+// uniformPlan assigns one strategy to every index in natural order: the
+// forced Base/Cache experiment modes, and with Baseline the
+// no-statistics default.
 func uniformPlan(op *Operator, pos OpPosition, s Strategy) OperatorPlan {
 	p := OperatorPlan{Op: op, Pos: pos}
 	for i := range op.Indices() {
@@ -146,7 +138,7 @@ func uniformPlan(op *Operator, pos OpPosition, s Strategy) OperatorPlan {
 // A nil st yields the baseline plan.
 func OptimizeOperator(op *Operator, pos OpPosition, st *OperatorStats, env Env, opts PlannerOptions) OperatorPlan {
 	if st == nil {
-		return baselinePlan(op, pos)
+		return uniformPlan(op, pos, Baseline)
 	}
 	m := op.NumIndices()
 	var orders [][]int

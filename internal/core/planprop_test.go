@@ -91,7 +91,7 @@ func TestOptimizerProperties(t *testing.T) {
 			return false
 		}
 
-		basePlan := baselinePlan(op, p.Pos)
+		basePlan := uniformPlan(op, p.Pos, Baseline)
 		baseCost := PlanCost(basePlan, st, env)
 		return p.Cost <= baseCost+1e-9
 	}

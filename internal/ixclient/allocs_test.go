@@ -62,3 +62,35 @@ func TestLookupAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotNodeAllocs pins what an attempt guard costs: guarding a
+// node's two caches and rolling them back allocates as often at 1,024
+// entries per cache as at 16. The guard copies the caches, so it costs a
+// constant number of allocations per cache plus an O(entries) copy — paid
+// only around backups and injected faults.
+func TestSnapshotNodeAllocs(t *testing.T) {
+	const caches = 2
+	guard := func(entries int) float64 {
+		p := NewPool(0)
+		for _, ix := range []string{"kx", "ky"} {
+			cc := p.cacheFor(ix, 0)
+			for i := range entries {
+				cc.Put(fmt.Sprintf("k%04d", i), nil)
+			}
+		}
+		cc := p.cacheFor("kx", 0)
+		return testing.AllocsPerRun(20, func() {
+			rollback := p.SnapshotNode(0)
+			cc.Put("hot", nil)
+			rollback()
+		})
+	}
+	small, large := guard(16), guard(1024)
+	t.Logf("guard and rollback of %d caches: %.0f allocations at 16 entries each, %.0f at 1,024", caches, small, large)
+	if small-large > 2 || large-small > 2 {
+		t.Errorf("guard and rollback allocate %.0f times at 16 entries per cache and %.0f at 1,024, want within 2", small, large)
+	}
+	if limit := 12.0 * caches; max(small, large) > limit {
+		t.Errorf("guard and rollback of %d caches allocate %.0f times, want at most %.0f", caches, max(small, large), limit)
+	}
+}

@@ -377,8 +377,8 @@ func (c *Client) abort(t *mapreduce.TaskContext, err error, fallbackKey string) 
 // tolerance uses it so a failed task attempt does not leave the node's
 // shared caches warmed — which would skew the measured miss ratio R the
 // cost model consumes. Pooled caches (Options.SharedCache) are NOT guarded
-// here — they are shared across clients, so the plan-level guard journals
-// them exactly once via the pool's own SnapshotNode.
+// here — they are shared across clients, so the plan-level guard copies
+// them once via the pool's own SnapshotNode.
 func (c *Client) SnapshotNode(node sim.NodeID) func() {
 	if p := c.private(); p != nil {
 		return p.SnapshotNode(node)

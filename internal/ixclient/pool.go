@@ -10,10 +10,10 @@ import (
 )
 
 // Pool is a set of per-(index, node) LRU lookup caches — the paper's
-// per-machine lookup cache of §3.2 — with the journal-based per-node
-// snapshot/rollback the engine's fault tolerance needs. Every Client keeps
-// its private caches (real or shadow) in a Pool of its own. Shared, a Pool
-// is the cross-job lookup cache of the multi-tenant job service: caches
+// per-machine lookup cache of §3.2 — with the per-node snapshot/rollback
+// the engine's fault tolerance needs. Every Client keeps its private
+// caches (real or shadow) in a Pool of its own. Shared, a Pool is the
+// cross-job lookup cache of the multi-tenant job service: caches
 // that outlive any single job, so a tenant's repeated query family finds
 // the per-machine caches already warm (service soft state). Clients attach
 // via Options.SharedCache; a pooled client serves real hits from the pool
@@ -71,32 +71,28 @@ func (p *Pool) cacheFor(index string, node sim.NodeID) *lru.Cache {
 	return cc
 }
 
-// SnapshotNode begins an undo journal on every cache of one node and
-// returns a rollback that rewinds them, resetting any cache the node
-// acquired after the snapshot. The engine calls it once per task attempt
-// that can fail. A shared pool is guarded by the compiled plan's attempt
-// guard — alongside, not through, the clients' guards of their own pools,
-// because its caches are shared across clients and a second Begin on the
-// same cache would supersede the first journal.
+// SnapshotNode copies every cache of one node (lru.Cache.Snapshot) and
+// returns a rollback that restores them, resetting any cache the node
+// acquired after the snapshot. The engine calls it around a backup attempt
+// and, with a fault injector, around every attempt. A shared pool is
+// guarded by the compiled plan's attempt guard — alongside, not through,
+// the clients' guards of their own pools — so each of its caches, shared
+// across clients, is copied once per guard.
 //
-// The guard is journal-based (lru.Cache.Begin): O(1) per cache at
-// snapshot time plus O(cache operations during the attempt) at rollback,
-// instead of copying every cache entry eagerly — the difference between
-// guarding 1024-entry caches across 10k nodes and not affording it (see
-// BenchmarkSnapshotNode10kNodes). A guard that is never rolled back costs
-// nothing further: the next attempt's Begin on the same cache supersedes
-// its journal.
+// A guard costs a constant number of allocations per cache plus a copy
+// of its entries, and a rollback rebuilds each cache from its copy (see
+// TestSnapshotNodeAllocs).
 func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 	p.mu.Lock()
 	before := p.nodes[node] // its entries never change: the list only grows
-	undos := make([]*lru.Undo, len(before))
-	for i, e := range before {
-		undos[i] = e.cache.Begin()
-	}
 	p.mu.Unlock()
+	snaps := make([]*lru.Snapshot, len(before))
+	for i, e := range before {
+		snaps[i] = e.cache.Snapshot()
+	}
 	return func() {
-		for _, u := range undos {
-			u.Rollback()
+		for i, e := range before {
+			e.cache.Restore(snaps[i])
 		}
 		p.mu.Lock()
 		for _, e := range p.nodes[node] {

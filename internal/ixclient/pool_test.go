@@ -2,6 +2,7 @@ package ixclient
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -114,6 +115,53 @@ func TestPoolSnapshotRollback(t *testing.T) {
 	}
 	if _, ok := cc.Get("a"); !ok {
 		t.Fatal("pre-snapshot entry lost by rollback")
+	}
+
+	// Random Gets and Puts inside the guard, on two indices of the guarded
+	// node and enough keys to evict: the rollback leaves the pool's Dump —
+	// entries, recency order, values, hit/miss counts — as it was, node
+	// 1's caches included. Once through a client's private pool and once
+	// through a shared one.
+	for _, capacity := range []int{1, 3, 8, 64} {
+		for seed := int64(0); seed < 20; seed++ {
+			client := New(newFake("kv"), Options{Op: "op", CacheMode: CacheReal, CacheCapacity: capacity})
+			shared := NewPool(capacity)
+			for _, g := range []struct {
+				name  string
+				pool  *Pool
+				guard func(sim.NodeID) func()
+			}{
+				{"private", client.real, client.SnapshotNode},
+				{"shared", shared, shared.SnapshotNode},
+			} {
+				rng := rand.New(rand.NewSource(seed))
+				stream := func(node sim.NodeID, n int) {
+					for i := range n {
+						cc := g.pool.cacheFor([]string{"kx", "ky"}[rng.Intn(2)], node)
+						key := fmt.Sprintf("k%d", rng.Intn(2*capacity+2))
+						if rng.Intn(2) == 0 {
+							cc.Get(key)
+						} else {
+							cc.Put(key, []string{fmt.Sprint(i)})
+						}
+					}
+				}
+				stream(0, 8*capacity)
+				stream(1, 20)
+				want := g.pool.Dump()
+				rollback := g.guard(0)
+				stream(0, 8*capacity)
+				for _, ix := range []string{"kx", "ky"} {
+					if n := g.pool.cacheFor(ix, 0).Len(); n != capacity {
+						t.Fatalf("%s pool, capacity %d, seed %d: the guarded stream left %s with %d entries, want it full and evicting", g.name, capacity, seed, ix, n)
+					}
+				}
+				rollback()
+				if got := g.pool.Dump(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s pool, capacity %d, seed %d: rollback left\n %+v\nwant\n %+v", g.name, capacity, seed, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -258,12 +306,10 @@ func TestPoolConcurrentNodes(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkSnapshotNode10kNodes shows the satellite win: the per-attempt
-// cache guard at 10k warmed nodes. "journal" is the shipping
-// Client.SnapshotNode (O(1) begin + O(ops) rollback); "eager" reproduces
-// the replaced implementation, which copied every cache entry per guard;
-// "pooled" is Pool.SnapshotNode over a pool warmed on every node, which
-// must touch the guarded node's caches alone.
+// BenchmarkSnapshotNode10kNodes times the per-attempt cache guard at 10k
+// warmed nodes: "private" is Client.SnapshotNode over the client's own
+// pool, "pooled" Pool.SnapshotNode over a shared pool warmed on every
+// node. Both copy and restore the guarded node's caches alone.
 func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 	const nodes = 10000
 	const warm = 128
@@ -279,7 +325,7 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 		return c
 	}
 
-	b.Run("journal", func(b *testing.B) {
+	b.Run("private", func(b *testing.B) {
 		c := build()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -287,16 +333,6 @@ func BenchmarkSnapshotNode10kNodes(b *testing.B) {
 			rollback := c.SnapshotNode(node)
 			c.real.cacheFor("kv", node).Put("hot", nil)
 			rollback()
-		}
-	})
-	b.Run("eager", func(b *testing.B) {
-		c := build()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cc := c.real.cacheFor("kv", sim.NodeID(i%nodes))
-			snap := cc.Snapshot()
-			cc.Put("hot", nil)
-			cc.Restore(snap)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {

@@ -20,19 +20,14 @@ type Cache struct {
 	// victim's entry is reused), and the others take theirs from blocks.
 	root  entry
 	items map[string]*entry
-	// Entries come from blocks: spare is the rest of the newest, free what
-	// rollbacks dropped (by next), made the blocks' total since the last
-	// reset. Blocks double from 16 entries to 64, never past the capacity.
+	// Entries come from blocks: spare is the rest of the newest, made the
+	// blocks' total since the last reset. Blocks double from 16 entries to
+	// 64, never past the capacity.
 	spare []entry
-	free  *entry
 	made  int
 
 	hits   int64
 	misses int64
-
-	// journal, when non-nil, records inverse operations for the open
-	// Undo (see journal.go). Nil on the untouched hot path.
-	journal *Undo
 }
 
 type entry struct {
@@ -80,17 +75,10 @@ func (c *Cache) Get(key string) ([]string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
-		if j := c.journal; j != nil {
-			op := undoOp{kind: opGetHit, key: key}
-			c.recordMove(&op, e)
-			j.ops = append(j.ops, op)
-		}
 		e.moveAfter(&c.root)
 		c.hits++
 		return e.values, true
 	}
-	// A miss touches only the counters, which Rollback restores from the
-	// Begin-time snapshot — nothing to journal.
 	c.misses++
 	return nil, false
 }
@@ -101,23 +89,15 @@ func (c *Cache) Put(key string, values []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
-		if j := c.journal; j != nil {
-			op := undoOp{kind: opPutUpdate, key: key, values: e.values}
-			c.recordMove(&op, e)
-			j.ops = append(j.ops, op)
-		}
 		e.moveAfter(&c.root)
 		e.values = values
 		return
 	}
-	op := undoOp{kind: opPutNew, key: key}
 	var e *entry
 	if len(c.items) >= c.capacity {
 		// Full: the least recently used entry makes room, and its node
-		// carries the new key. The journal holds keys and values, never
-		// entry pointers, so an open journal does not mind the reuse.
+		// carries the new key.
 		e = c.root.prev
-		op.evict, op.evictedKey, op.values = true, e.key, e.values
 		delete(c.items, e.key)
 		e.unlink()
 		e.key, e.values = key, values
@@ -126,9 +106,6 @@ func (c *Cache) Put(key string, values []string) {
 	}
 	e.linkAfter(&c.root)
 	c.items[key] = e
-	if j := c.journal; j != nil {
-		j.ops = append(j.ops, op)
-	}
 }
 
 // Len returns the number of live entries.
@@ -152,18 +129,14 @@ func (c *Cache) Reset() {
 	c.reset()
 }
 
-// newEntry takes a dropped entry, else a spare one, else starts a block:
-// an insert below capacity calls it, so a block has room under it.
+// newEntry takes a spare entry, else starts a block: an insert below
+// capacity calls it, so a block has room under it.
 func (c *Cache) newEntry(key string, values []string) (e *entry) {
-	if e = c.free; e != nil {
-		c.free = e.next
-	} else {
-		if len(c.spare) == 0 {
-			n := min(max(c.made, 16), 64, c.capacity-c.made)
-			c.spare, c.made = make([]entry, n), c.made+n
-		}
-		e, c.spare = &c.spare[0], c.spare[1:]
+	if len(c.spare) == 0 {
+		n := min(max(c.made, 16), 64, c.capacity-c.made)
+		c.spare, c.made = make([]entry, n), c.made+n
 	}
+	e, c.spare = &c.spare[0], c.spare[1:]
 	*e = entry{key: key, values: values}
 	return e
 }
@@ -172,14 +145,8 @@ func (c *Cache) newEntry(key string, values []string) (e *entry) {
 func (c *Cache) reset() {
 	c.root.prev, c.root.next = &c.root, &c.root
 	c.items = make(map[string]*entry, c.capacity)
-	c.spare, c.free, c.made = nil, nil, 0
+	c.spare, c.made = nil, 0
 	c.hits, c.misses = 0, 0
-	// A wholesale rewind invalidates any open journal: rolling back
-	// operations recorded against the discarded list would corrupt state.
-	if c.journal != nil {
-		c.journal.active = false
-		c.journal = nil
-	}
 }
 
 // Snapshot is a point-in-time copy of a cache's entries and statistics,
