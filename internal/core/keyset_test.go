@@ -185,7 +185,7 @@ func keySetScenarios() []keySetScenario {
 // every MapReduce job the result retained, the sorted name=value counter
 // lines and the sketch names.
 func renderKeySets(b *strings.Builder, res *JobResult, tab *mapreduce.CounterTable) {
-	lines := func(indent string, counters map[string]int64, sketches map[string][]uint64) {
+	lines := func(indent string, counters map[string]int64, sketches mapreduce.SketchSet) {
 		names := make([]string, 0, len(counters))
 		for k := range counters {
 			names = append(names, k)
@@ -195,8 +195,8 @@ func renderKeySets(b *strings.Builder, res *JobResult, tab *mapreduce.CounterTab
 			fmt.Fprintf(b, "%s%s=%d\n", indent, k, counters[k])
 		}
 		names = names[:0]
-		for k := range sketches {
-			names = append(names, k)
+		for _, sk := range sketches {
+			names = append(names, sk.Name)
 		}
 		sort.Strings(names)
 		for _, k := range names {

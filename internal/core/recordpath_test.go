@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
+	"efind/internal/dfs"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
@@ -154,7 +158,7 @@ func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func
 	op := allocOp("op")
 	x := newOpExec(op, OperatorPlan{Op: op, Pos: HeadOp, Decisions: []Decision{d}}, &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(sim.NewCluster(sim.DefaultConfig()), 0, 0, kind)
-	stage := factory(x)(0)
+	stage := factory(x)()
 	stage.Open(ctx)
 	sink := func(Pair) {}
 	process := func(in Pair) { stage.Process(ctx, in, sink) }
@@ -222,6 +226,84 @@ func TestStageAllocs(t *testing.T) {
 	}
 }
 
+// TestOperatorPhaseAllocsPerTask pins what an operator's map phase pays per
+// task beside the output the task retains: nothing. A phase of one-record
+// tasks through an inline one-index operator, whose own functions allocate
+// nothing and whose lookups hit the warm cache, allocates the blocks its
+// tasks' output pairs, bucket lists and reducer lists are cut from (each 16,
+// 32, 64, then 128 windows) and a constant that is the same for 64 tasks and
+// for 512: the worker's frame keeps its stage, the stage its client view and
+// closures, and the tasks' counter and sketch sets are windows of the phase's
+// slabs. Exact under the serial executor, whose one frame serves every task.
+func TestOperatorPhaseAllocsPerTask(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own: the count is exact only outside it")
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Nodes, cfg.MapSlotsPerNode, cfg.Parallelism = 6, 2, 1
+	cluster := sim.NewCluster(cfg)
+	fs := dfs.New(cluster)
+	fs.ChunkTarget = 1 // one record per chunk = one map task per record
+	e := mapreduce.New(cluster, fs)
+	op := allocOp("op")
+	x := newOpExec(op, uniformPlan(op, HeadOp, LookupCache), &IndexJobConf{}, e.CounterTable())
+	blocks := func(tasks int) (k uint64) {
+		for size := 16; tasks > 0; size = min(2*size, 128) {
+			tasks, k = tasks-size, k+1
+		}
+		return 3 * k
+	}
+	measure := func(tasks int) uint64 {
+		records := make([]dfs.Record, tasks)
+		for i := range records {
+			records[i] = dfs.Record{Key: fmt.Sprintf("r%04d", i), Value: "v"}
+		}
+		in, err := fs.Create(fmt.Sprintf("in-%d", tasks), records)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := &mapreduce.Job{Name: "allocs", Input: in, MapStagesBefore: []mapreduce.StageFactory{x.inlineStage()}}
+		run := func() {
+			mp, err := e.NewRun().RunMapPhase(job, nil)
+			if err != nil || len(mp.Outputs) != tasks || mp.Counters["efind.op.post.out.records"] != int64(tasks) || mp.Stats[tasks-1].Sketches == nil {
+				t.Fatalf("a phase of %d tasks: %d outputs, counters %v, %v", tasks, len(mp.Outputs), mp.Counters, err)
+			}
+		}
+		run()               // warms every node's cache
+		least := ^uint64(0) // of three: the runtime's own caches refill now and then
+		for i := 0; i < 3; i++ {
+			least = min(least, mallocs(run))
+		}
+		return least
+	}
+	small, large := measure(64), measure(512)
+	t.Logf("%d allocations for 64 tasks, %d for 512", small, large)
+	if fixed, fixedLarge := small-blocks(64), large-blocks(512); fixed != fixedLarge || fixed > 64 {
+		t.Errorf("an operator phase allocates %d times for 64 tasks and %d for 512: beside %d and %d blocks, want the same constant, at most 64",
+			small, large, blocks(64), blocks(512))
+	}
+}
+
+// mallocs counts what one run of fn allocates, measured once a collection has
+// finished and the runtime has gone an allocation-free millisecond, with the
+// collector off while fn runs.
+func mallocs(fn func()) uint64 {
+	runtime.GC()
+	var before, after runtime.MemStats
+	for i := 0; i < 50; i++ {
+		runtime.ReadMemStats(&before)
+		time.Sleep(time.Millisecond)
+		if runtime.ReadMemStats(&after); after.Mallocs == before.Mallocs {
+			break
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // TestInlineStageAllocs pins the per-record budget of the fully inline
 // stage against a real store: with no-op user functions and a warm cache a
 // record allocates nothing — no carrier, no counter name, no closure, no
@@ -236,7 +318,7 @@ func TestInlineStageAllocs(t *testing.T) {
 	plan := uniformPlan(op, HeadOp, LookupCache)
 	x := newOpExec(op, plan, &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(e.cluster, 0, 0, mapreduce.MapTask)
-	stage := x.inlineStage()(0)
+	stage := x.inlineStage()()
 	stage.Open(ctx)
 	sink := func(Pair) {}
 	in := Pair{Key: "r1", Value: "v"}

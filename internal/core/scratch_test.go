@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -161,11 +162,37 @@ func (e *hygieneEnv) want(t *testing.T) []string {
 	return out
 }
 
+// taskLines spells out what every task of every MapReduce job of a result
+// counted — its counter set by name, in the set's order — and its sketches'
+// vectors.
+func taskLines(res *JobResult, tab *mapreduce.CounterTable) []string {
+	names := tab.Names()
+	var out []string
+	for j, r := range res.raw {
+		for i, st := range append(slices.Clone(r.MapStats), r.ReduceStats...) {
+			var b strings.Builder
+			fmt.Fprintf(&b, "job %d task %d (id %d):", j, i, st.ID)
+			for _, c := range st.Counters {
+				fmt.Fprintf(&b, " %s=%d", names[c.Slot], c.Value)
+			}
+			for _, sk := range st.Sketches {
+				fmt.Fprintf(&b, " sketch %s=%x", sk.Name, sk.Vectors)
+			}
+			out = append(out, b.String())
+		}
+	}
+	return out
+}
+
 // TestScratchHygiene runs the two-operator chain under every strategy,
 // boundary and executor and compares each output with the reference.
 // Each configuration runs twice, as its batch=false and batch=true cases:
 // the names are those of the record-batching axis the runtime no longer
 // has, and the second run starts on the engine state the first left.
+// At par=1 one worker frame serves every task of a phase, each on the same
+// stage instances, reopened; at par=4 four frames take the tasks in no set
+// order. Every task must count the same counters and sketch vectors under
+// both, so no count, carrier or client view outlives its task.
 func TestScratchHygiene(t *testing.T) {
 	type force struct{ op, ix string }
 	cells := []struct {
@@ -184,6 +211,7 @@ func TestScratchHygiene(t *testing.T) {
 		// Two shuffles in opA: the first group reduce re-keys.
 		{"repart×2", ModeCustom, Repartition, []force{{"opA", "b"}, {"opA", "c"}, {"opB", "d"}}, []Boundary{BoundaryPre, BoundaryLate}},
 	}
+	counted := map[string][]string{} // by case name without its executor, at par=1
 	for _, parallelism := range []int{1, 4} {
 		e := newHygieneEnv(t, parallelism)
 		want := e.want(t)
@@ -215,6 +243,19 @@ func TestScratchHygiene(t *testing.T) {
 							t.Fatal(err)
 						}
 						sameOutput(t, name, want, sortedOutput(res.Output))
+						key, tasks := strings.TrimSuffix(name, fmt.Sprintf("-par=%d", parallelism)), taskLines(res, e.rt.Engine.CounterTable())
+						if parallelism == 1 {
+							counted[key] = tasks
+						} else if serial, ok := counted[key]; !ok {
+							t.Fatalf("no par=1 run of %s to compare with", key)
+						} else if !slices.Equal(tasks, serial) {
+							for i := range min(len(tasks), len(serial)) {
+								if tasks[i] != serial[i] {
+									t.Fatalf("%d tasks counted, %d at par=1; the first that differs:\n%s\nat par=1:\n%s", len(tasks), len(serial), tasks[i], serial[i])
+								}
+							}
+							t.Fatalf("%d tasks counted, %d at par=1", len(tasks), len(serial))
+						}
 					})
 				}
 			}
@@ -231,7 +272,7 @@ func TestScratchHygieneCarrier(t *testing.T) {
 	e := newHygieneEnv(t, 1)
 	x := newOpExec(e.a, uniformPlan(e.a, HeadOp, LookupCache), &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(e.rt.Engine.Cluster, 0, 0, mapreduce.MapTask)
-	stage := x.inlineStage()(0).(*inlineStage)
+	stage := x.inlineStage()().(*inlineStage)
 	stage.Open(ctx)
 	c := &stage.c
 	for i := 0; i < 6000; i++ {
@@ -319,7 +360,7 @@ func TestCorruptCarrierFailsJob(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Cut the last byte off the carrier of record r00007.
-				corrupt := func(sim.NodeID) mapreduce.Stage {
+				corrupt := func() mapreduce.Stage {
 					return &mapreduce.FuncStage{OnProcess: func(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 						if strings.Contains(in.Value, "6:r00007") {
 							in.Value = in.Value[:len(in.Value)-1]

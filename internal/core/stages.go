@@ -6,7 +6,6 @@ import (
 	"efind/internal/index"
 	"efind/internal/ixclient"
 	"efind/internal/mapreduce"
-	"efind/internal/sim"
 )
 
 // opExec is the runtime state of one operator under one plan: one index
@@ -18,8 +17,8 @@ import (
 //
 // Nothing on the per-record path builds a counter name or hashes one: the
 // names are resolved to slots of the engine's counter table here, once per
-// opExec, and every stage instance — one per task — binds them when it opens
-// (opTask).
+// opExec, and every stage instance — one per worker frame, reopened for each
+// of its tasks — binds them when it opens (opTask).
 type opExec struct {
 	op   *Operator
 	plan OperatorPlan
@@ -84,36 +83,37 @@ type opTask struct {
 	preIn, preInBytes, preOutBytes   mapreduce.Cell
 	idxBytes, postRecords, postBytes mapreduce.Cell
 
-	// bound is indexed by decision position; views are bound on first use.
+	// bound is indexed by decision position; views are bound on first use
+	// and rebound, not rebuilt, when the stage reopens for another task.
 	bound []*ixclient.Bound
 
 	// down is where the record being processed emits to; post counts a
 	// postProcess output and hands it to down. post is built once, so
-	// running postProcess costs no closure per record.
+	// running postProcess costs no closure per record or task.
 	down Emit
 	post Emit
 }
 
-// open binds the operator's cells on the task. A bound cell that is never
-// added to is not exported, so a stage that sees no record leaves no
-// counter behind.
+// open binds the operator's cells on the task and rebinds the views an
+// earlier task of the instance bound. A bound cell that is never added to
+// is not exported, so a stage that sees no record leaves no counter behind.
 func (o *opTask) open(ctx *mapreduce.TaskContext) {
-	x, s := o.x, o.x.slots
-	*o = opTask{
-		x:           x,
-		ctx:         ctx,
-		preIn:       ctx.Cell(s[cPreIn]),
-		preInBytes:  ctx.Cell(s[cPreInBytes]),
-		preOutBytes: ctx.Cell(s[cPreOutBytes]),
-		idxBytes:    ctx.Cell(s[cIdxBytes]),
-		postRecords: ctx.Cell(s[cPostRecords]),
-		postBytes:   ctx.Cell(s[cPostBytes]),
-		bound:       make([]*ixclient.Bound, len(x.clients)),
+	s := o.x.slots
+	o.ctx, o.down = ctx, nil
+	o.preIn, o.preInBytes, o.preOutBytes = ctx.Cell(s[cPreIn]), ctx.Cell(s[cPreInBytes]), ctx.Cell(s[cPreOutBytes])
+	o.idxBytes, o.postRecords, o.postBytes = ctx.Cell(s[cIdxBytes]), ctx.Cell(s[cPostRecords]), ctx.Cell(s[cPostBytes])
+	if o.bound == nil {
+		o.bound = make([]*ixclient.Bound, len(o.x.clients))
+		o.post = func(p Pair) {
+			o.postRecords.Add(1)
+			o.postBytes.Add(int64(p.Size()))
+			o.down(p)
+		}
 	}
-	o.post = func(p Pair) {
-		o.postRecords.Add(1)
-		o.postBytes.Add(int64(p.Size()))
-		o.down(p)
+	for _, b := range o.bound {
+		if b != nil {
+			b.Rebind(ctx)
+		}
 	}
 }
 
@@ -192,7 +192,7 @@ func (o *opTask) emitPost(c *carrier, emit Emit) {
 // within the enclosing task (Figure 6's baseline layout; the lookup-cache
 // strategy only changes how lookups resolve).
 func (x *opExec) inlineStage() mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage { return &inlineStage{opTask{x: x}} }
+	return func() mapreduce.Stage { return &inlineStage{opTask{x: x}} }
 }
 
 type inlineStage struct{ opTask }
@@ -212,7 +212,7 @@ func (s *inlineStage) Close(*mapreduce.TaskContext, Emit) {}
 // memoization — the shuffle sorted equal keys together, so one real index
 // access serves all Θ duplicates in the run.
 func (x *opExec) resumeStage(pos int, memoFirst bool) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage {
+	return func() mapreduce.Stage {
 		return &resumeStage{opTask: opTask{x: x}, pos: pos, memoFirst: memoFirst}
 	}
 }
@@ -261,7 +261,7 @@ func (s *resumeStage) Close(*mapreduce.TaskContext, Emit) {}
 // duplicates. (A later shuffle of the same operator is fed by the group
 // stage before it, which re-keys the carriers it emits.)
 func (x *opExec) shuffleEmitStage(pos int) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage { return &shuffleEmitStage{opTask: opTask{x: x}, pos: pos} }
+	return func() mapreduce.Stage { return &shuffleEmitStage{opTask: opTask{x: x}, pos: pos} }
 }
 
 type shuffleEmitStage struct {
@@ -292,8 +292,9 @@ func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
 // value) of a key group, in order, to the job's one reduce-side stage — or,
 // after a BoundaryPre shuffle, which has none, to the job's output.
 // The group-by itself is groupStage, which the engine instantiates once
-// per task like any stage — so what a group needs (the client's view, the
-// continuation) is set up per task, not per key.
+// per worker frame and reopens per task like any stage — so what a group
+// needs (the client's view, the continuation) is set up per frame and
+// reset per task, not per key.
 func forwardGroup(_ *mapreduce.TaskContext, key string, values []string, emit Emit) {
 	for _, v := range values {
 		emit(Pair{Key: key, Value: v})
@@ -314,12 +315,13 @@ func forwardGroup(_ *mapreduce.TaskContext, key string, values []string, emit Em
 //     reduce, materializing its final output. The continuation is the
 //     operator's own finish step — which takes the carrier as it is,
 //     without a trip through the wire format — followed by the stages in
-//     continuation, which open and close once per task, with this stage.
+//     continuation: one instance each, chained when this stage first
+//     opens and reopened and closed with it for every task.
 //
 // When emitNextPos ≥ 0 the operator has another shuffle index after this
 // one: carriers are re-keyed by that index for the next shuffle job.
 func (x *opExec) groupStage(pos int, boundary Boundary, emitNextPos int, continuation []mapreduce.StageFactory) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage {
+	return func() mapreduce.Stage {
 		return &groupStage{opTask: opTask{x: x}, pos: pos, boundary: boundary, emitNextPos: emitNextPos, continuation: continuation}
 	}
 }
@@ -337,20 +339,24 @@ type groupStage struct {
 	doLookup bool
 	lookedUp []string
 
-	// BoundaryLate: the continuation, its entry, and where its output goes
-	// for the record in flight.
-	rest   *mapreduce.Pipeline
-	restIn Emit
-	out    Emit
+	// BoundaryLate: the continuation, chained for the context it first
+	// opened on, its entry, and where its output goes for the record in
+	// flight.
+	rest    *mapreduce.Pipeline
+	restCtx *mapreduce.TaskContext
+	restIn  Emit
+	out     Emit
 }
 
 func (s *groupStage) Open(ctx *mapreduce.TaskContext) {
 	s.open(ctx)
 	s.inGroup = false
 	if s.boundary == BoundaryLate {
-		s.rest = mapreduce.NewPipeline(ctx, ctx.Node, nil, nil, s.continuation, func(p Pair) { s.out(p) })
+		if s.restCtx != ctx {
+			s.rest = mapreduce.NewPipeline(ctx, nil, nil, s.continuation, func(p Pair) { s.out(p) })
+			s.restCtx, s.restIn = ctx, s.rest.Process
+		}
 		s.rest.Open()
-		s.restIn = s.rest.Process
 	}
 }
 
@@ -401,7 +407,7 @@ func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) {
 func buildStage(bt *buildTarget, tab *mapreduce.CounterTable) mapreduce.StageFactory {
 	p := "efind." + bt.op + "." + bt.b.Name() + ".build."
 	ctrRecords, ctrNS, ctrSplits := tab.Slot(p+"records"), tab.Slot(p+"ns"), tab.Slot(p+"splits")
-	return func(node sim.NodeID) mapreduce.Stage {
+	return func() mapreduce.Stage {
 		var entries []index.BuildEntry
 		var records, ns mapreduce.Cell
 		active := false
@@ -438,7 +444,7 @@ func buildStage(bt *buildTarget, tab *mapreduce.CounterTable) mapreduce.StageFac
 // output size (the paper's Smap term) in tab.
 func mapperStage(m mapreduce.MapFunc, tab *mapreduce.CounterTable) mapreduce.StageFactory {
 	bytes, records := tab.Slot(ctrMapOutBytes), tab.Slot(ctrMapOutRecords)
-	return func(sim.NodeID) mapreduce.Stage {
+	return func() mapreduce.Stage {
 		return &mapperStageInst{m: m, bytesSlot: bytes, recordsSlot: records}
 	}
 }
@@ -454,10 +460,12 @@ type mapperStageInst struct {
 
 func (s *mapperStageInst) Open(ctx *mapreduce.TaskContext) {
 	s.bytes, s.records = ctx.Cell(s.bytesSlot), ctx.Cell(s.recordsSlot)
-	s.counted = func(p Pair) {
-		s.bytes.Add(int64(p.Size()))
-		s.records.Add(1)
-		s.down(p)
+	if s.counted == nil {
+		s.counted = func(p Pair) {
+			s.bytes.Add(int64(p.Size()))
+			s.records.Add(1)
+			s.down(p)
+		}
 	}
 }
 

@@ -256,13 +256,12 @@ func collectStats(cat *Catalog, tab *mapreduce.CounterTable, op *Operator, tasks
 			float64(vals[cIdxBytes])/r, float64(vals[cPostBytes])/r)
 		for i := range indices {
 			samples = append(samples, float64(vals[opCounters+i*ixCounters+xKeys])/r)
-			if vecs, ok := t.Sketches[sketchNames[i]]; ok {
-				fm := sketch.FromVectors(vecs)
-				if sketches[i] != nil {
-					sketches[i].Merge(fm)
-				} else {
-					sketches[i] = fm
-				}
+			switch vecs := t.Sketches.Get(sketchNames[i]); {
+			case vecs == nil:
+			case sketches[i] == nil:
+				sketches[i] = sketch.FromVectors(vecs)
+			default:
+				sketches[i].MergeVectors(vecs)
 			}
 		}
 	}

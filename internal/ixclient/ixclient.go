@@ -258,18 +258,19 @@ func (c *Client) slotsIn(tab *mapreduce.CounterTable) *clientSlots {
 }
 
 // Bound is a Client bound to one task: the per-task view a stage takes
-// when it opens (Client.Bind) and then looks keys up through. It holds
-// what is constant for the task — the counters' slots, each bound on the
-// task on first use, so a counter exists iff it was counted, and the FM
-// sketch — and the scratch a single-key access needs (its one-key list, the
-// one-slot results and miss lists), so a cache hit allocates nothing and
-// a miss only what the cache insert needs.
+// when it first opens (Client.Bind), rebinds to each later task it opens
+// for (Rebind), and looks keys up through. It holds what is constant for
+// the task — the counters' slots, each bound on the task on first use, so
+// a counter exists iff it was counted, and the FM sketch — and the scratch
+// a single-key access needs (its one-key list, the one-slot results and
+// miss lists), so a cache hit allocates nothing and a miss only what the
+// cache insert needs.
 //
-// A view belongs to its task: tasks of one node are serialized but tasks
-// of different nodes run on real goroutines, so scratch lives here and
-// never on the shared Client. The slices Lookup and Access return are the
-// accessor's (or the cache's) value lists and may be kept; only the
-// one-slot containers around them are reused.
+// A view belongs to one task at a time: tasks of one worker are
+// serialized but tasks of different workers run on real goroutines, so
+// scratch lives here and never on the shared Client. The slices Lookup and
+// Access return are the accessor's (or the cache's) value lists and may be
+// kept; only the one-slot containers around them are reused.
 type Bound struct {
 	c     *Client
 	t     *mapreduce.TaskContext
@@ -284,6 +285,13 @@ type Bound struct {
 // Bind returns the client's view for one task.
 func (c *Client) Bind(t *mapreduce.TaskContext) *Bound {
 	return &Bound{c: c, t: t, slots: c.slotsIn(t.CounterTable())}
+}
+
+// Rebind points the view at another task, as Bind would for it: a stage
+// reopened for its frame's next task keeps its views instead of building
+// new ones. The sketch handle is the task's, so it is fetched anew.
+func (b *Bound) Rebind(t *mapreduce.TaskContext) {
+	b.t, b.slots, b.fm = t, b.c.slotsIn(t.CounterTable()), nil
 }
 
 // add counts delta on counter i, binding it on the task on first use.

@@ -9,7 +9,6 @@ import (
 
 	"efind/internal/dfs"
 	"efind/internal/mapreduce"
-	"efind/internal/sim"
 	"efind/internal/workloads"
 	"efind/internal/zorder"
 )
@@ -256,11 +255,13 @@ type taggedPoint struct {
 // candidateStage buffers a reduce task's z-sorted records and, at close,
 // emits for every query point the real distances to its k z-order
 // predecessors and successors from set B (the C_i(a) candidate set of
-// H-zkNNJ).
+// H-zkNNJ). The buffer is the instance's, kept for its frame's next task,
+// which empties it when it opens.
 func candidateStage(k int) mapreduce.StageFactory {
-	return func(sim.NodeID) mapreduce.Stage {
+	return func() mapreduce.Stage {
 		var buf []taggedPoint
 		return &mapreduce.FuncStage{
+			OnOpen: func(*mapreduce.TaskContext) { buf = buf[:0] },
 			OnProcess: func(ctx *mapreduce.TaskContext, in mapreduce.Pair, _ mapreduce.Emit) {
 				parts := strings.SplitN(in.Value, "|", 2)
 				if len(parts) != 2 {
@@ -306,7 +307,6 @@ func candidateStage(k int) mapreduce.StageFactory {
 						emit(mapreduce.Pair{Key: p.id, Value: fmt.Sprintf("%s:%.6f", q.id, d)})
 					}
 				}
-				buf = nil
 			},
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 	"efind/internal/workloads"
+	"efind/internal/zorder"
 )
 
 func knnEnv(t *testing.T) (*sim.Cluster, *dfs.FS, *mapreduce.Engine) {
@@ -216,5 +217,61 @@ func TestHZKNNJNoTempLeaks(t *testing.T) {
 	}
 	if after := len(fs.List()); after != before {
 		t.Fatalf("temp files leaked: %v", fs.List())
+	}
+}
+
+// TestCandidateStageReopens: at Parallelism 1 one worker frame serves every
+// reduce task of a shifted copy, each on the same candidateStage instance,
+// reopened. A query point lies in one z-range partition, so it is in one
+// task's buffer and gets at most 2k candidates, each once; a buffer kept
+// from the task before would hand that task's query points 2k more.
+func TestCandidateStageReopens(t *testing.T) {
+	cfg := sim.DefaultConfig()
+	cfg.Nodes, cfg.MapSlotsPerNode, cfg.ReduceSlotsPerNode, cfg.Parallelism = 6, 2, 2, 1
+	cluster := sim.NewCluster(cfg)
+	fs := dfs.New(cluster)
+	fs.ChunkTarget = 8 << 10
+	engine := mapreduce.New(cluster, fs)
+	a, b := points(200, 12), points(1500, 13)
+	var recs []dfs.Record
+	for _, p := range a {
+		recs = append(recs, dfs.Record{Key: "A:" + p.ID, Value: p.Value()})
+	}
+	for _, p := range b {
+		recs = append(recs, dfs.Record{Key: "B:" + p.ID, Value: p.Value()})
+	}
+	input, err := fs.Create("hz-input", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hz := DefaultHZConfig(4)
+	hz.Epsilon = 0.05
+	grid := zorder.NewGrid(0, 0, 1000, 1000, hz.Bits)
+	bounds, _, err := sampleBoundaries(engine, input, grid, [][2]float64{{}}, hz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bounds[0]) < 3 {
+		t.Fatalf("%d partition boundaries: too few reduce tasks to share a frame", len(bounds[0]))
+	}
+	out, _, err := candidateJob(engine, input, grid, [2]float64{}, bounds[0], 0, hz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	per, seen := map[string]int{}, map[dfs.Record]bool{}
+	for _, r := range out.All() {
+		if seen[r] {
+			t.Fatalf("query %s got candidate %s twice", r.Key, r.Value)
+		}
+		seen[r] = true
+		per[r.Key]++
+	}
+	if len(per) != len(a) {
+		t.Fatalf("candidates for %d of %d query points", len(per), len(a))
+	}
+	for id, n := range per {
+		if n > 2*hz.K {
+			t.Fatalf("query %s got %d candidates, want at most %d", id, n, 2*hz.K)
+		}
 	}
 }

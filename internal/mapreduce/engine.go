@@ -190,12 +190,14 @@ func (e *JobRun) RunMapPhase(job *Job, splits []int) (*MapPhaseResult, error) {
 	return res, nil
 }
 
-// taskFrame is what a task uses and does not retain — context, core stage,
-// pipeline, sink state, counter row — as one allocation, which its worker's
-// next task of the phase starts on. What a task retains (MapOutput, its
-// pairs, reduce shard, counter set) lives apart on purpose: embedded here it
-// would pin the frame, and every scratch a stage hangs off the context, for
-// as long as the result lives.
+// taskFrame is what a task uses and does not retain — context, stage
+// pipeline, sink state, counter row, sketches, scratch — as one allocation,
+// which its worker's next task of the phase starts on. A frame lives for one
+// phase, so it always serves one job: its pipeline is chained once, by the
+// frame's first task, and reopened by every later one. What a task retains
+// (MapOutput, its pairs, reduce shard, counter and sketch sets) is cut from
+// windows, each handed out once, so a result never pins the frame, and
+// every scratch a stage keeps, for as long as it lives.
 type taskFrame struct {
 	ctx  TaskContext
 	core FuncStage
@@ -209,26 +211,23 @@ type taskFrame struct {
 	shard        []dfs.Record // reduce sink
 	outBytes     int
 
-	frameKeeps
-}
+	// The staging buffer and the counter row, which a task leaves clear; the
+	// sort's buffers, which hold no pointer; the windows the frame holds for
+	// its tasks' counter and sketch sets and outputs, and the blocks of their
+	// pairs.
+	stage    *staging
+	ctrs     taskCounters
+	sort     sortBufs
+	slab     CounterSet
+	outs     []MapOutput
+	sketches SketchSet
+	vectors  []uint64
+	pairs    block[Pair]
+	buckets  block[[]Pair]
+	parts    block[int32]
 
-// frameKeeps is all a frame keeps from task to task: the staging buffer and
-// the counter row, which a task leaves clear, the sort's buffers, which hold
-// no pointer, the windows it holds for its tasks' counter sets and outputs
-// and the blocks of their pairs — each window one attempt's, whatever
-// became of it —, and the frame's own methods as the values the pipeline
-// is handed — bound to the frame, not to anything a task put in it, and one
-// allocation each were they made per task.
-type frameKeeps struct {
-	stage   *staging
-	ctrs    taskCounters
-	sort    sortBufs
-	slab    CounterSet
-	outs    []MapOutput
-	pairs   block[Pair]
-	buckets block[[]Pair]
-	parts   block[int32]
-
+	// The frame's own methods as the values the pipeline is handed: one
+	// allocation each were they made per task.
 	mapSink, shardSink Emit // emitMap, emitShard
 	process            Emit // pipe.Process
 }
@@ -239,17 +238,20 @@ type frameKeeps struct {
 // coordinator's, on which speculative backups run once the phase is
 // scheduled. A slot is empty while its task runs and refilled only by a task
 // that ran to its end: an attempt that aborts drops its frame, half-filled
-// staging buffer and all, so no task starts on a dirty one.
-// Beside them are the phase's counter and output slabs, each made when short
-// for every task not yet given a window of it — once for a phase of like
-// tasks —, which frames take windows from 16 tasks at a time.
+// staging buffer, half-run stages and all, so no task starts on a dirty one.
+// Beside them are the phase's counter, output and sketch slabs, each made
+// when short for every task not yet given a window of it — once for a phase
+// of like tasks —, which frames take windows from 16 tasks at a time.
 type phaseFrames struct {
 	slot []*taskFrame
 
-	mu             sync.Mutex
-	slab           CounterSet  // what is left of it
-	outs           []MapOutput // what is left of it
-	left, outsLeft int         // tasks not yet given a window of either
+	mu                        sync.Mutex
+	slab                      CounterSet  // what is left of it
+	outs                      []MapOutput // what is left of it
+	sketches                  SketchSet   // what is left of it
+	vectors                   []uint64    // what is left of it
+	left, outsLeft            int         // tasks not yet given a window of either
+	sketchesLeft, vectorsLeft int         // the same for the sketch slabs
 }
 
 // newPhaseFrames sizes the slots for a phase of the given task count; a
@@ -257,7 +259,10 @@ type phaseFrames struct {
 // the phase's one reading of the worker count: the scheduler is capped at it
 // (phaseSpec.workers), so no index passes the slots.
 func (e *Engine) newPhaseFrames(tasks int) *phaseFrames {
-	return &phaseFrames{slot: make([]*taskFrame, e.Cluster.PhaseWorkers(tasks)+1), left: tasks, outsLeft: tasks}
+	return &phaseFrames{
+		slot: make([]*taskFrame, e.Cluster.PhaseWorkers(tasks)+1),
+		left: tasks, outsLeft: tasks, sketchesLeft: tasks, vectorsLeft: tasks,
+	}
 }
 
 // share takes n elements for each of up to 16 tasks not yet given any off
@@ -270,6 +275,16 @@ func share[S ~[]T, T any](mu *sync.Mutex, slab *S, left *int, n int) (w S) {
 		*slab = make(S, max(*left, 16)*n)
 	}
 	w, *slab, *left = (*slab)[:k*n:k*n], (*slab)[k*n:], *left-k
+	return w
+}
+
+// cut hands a task a capacity-capped window of n elements off a frame's
+// spare, which it refills off the phase slab when short.
+func cut[S ~[]T, T any](mu *sync.Mutex, spare, slab *S, left *int, n int) (w S) {
+	if len(*spare) < n {
+		*spare = share(mu, slab, left, n)
+	}
+	w, *spare = (*spare)[:n:n], (*spare)[n:]
 	return w
 }
 
@@ -304,17 +319,29 @@ func (fr *phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kin
 		f = &taskFrame{}
 		f.mapSink, f.shardSink, f.process = f.emitMap, f.emitShard, f.pipe.Process
 		f.ctrs.table = e.counters
+		f.ctx.ctrs = &f.ctrs
 	}
 	ctx := &f.ctx
 	ctx.Node, ctx.TaskID, ctx.Split, ctx.Kind, ctx.cluster = node, id, id, kind, e.Cluster
-	ctx.base, ctx.traced, ctx.ctrs = absStart, e.Trace != nil, &f.ctrs
+	ctx.base, ctx.traced = absStart, e.Trace != nil
 	return f
 }
 
+// pipeline returns the frame's pipeline, chaining it on the frame's first
+// task; every later task of the phase reopens the same stages.
+func (f *taskFrame) pipeline(before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
+	if f.pipe.ctx == nil {
+		f.pipe.init(&f.ctx, before, core, after, sink)
+	}
+	return &f.pipe
+}
+
 // done takes a finished task's statistics out of its frame and puts the
-// frame back. The counters it added go to a window of the frame's slab, with
-// room for the task.retries the engine appends; zeroing drops — does not
-// clear — what the statistics took from the context: spans and sketches.
+// frame back, reset where the task wrote to it: the context's clock, the
+// spans and sketches the statistics took, and the sink state. The counters
+// the task added go to a window of the frame's slab, with room for the
+// task.retries the engine appends; its sketches' vectors are copied to
+// windows of the sketch slabs, and the sketches emptied for the next task.
 func (fr *phaseFrames) done(worker int, f *taskFrame) TaskStats {
 	if n := f.ctrs.bound + 1; cap(f.slab)-len(f.slab) < n { // room for what the task bound
 		f.slab = share(&fr.mu, &fr.slab, &fr.left, n)[:0]
@@ -326,16 +353,26 @@ func (fr *phaseFrames) done(worker int, f *taskFrame) TaskStats {
 	f.slab = f.slab[:end+1]
 	ctx := &f.ctx
 	st := TaskStats{
-		ID: ctx.TaskID, Kind: ctx.Kind, Node: ctx.Node, Counters: set,
+		ID: ctx.TaskID, Counters: set,
 		Duration: ctx.extra, BodyTime: ctx.extra, Spans: ctx.spans,
 	}
-	if len(ctx.sketches) > 0 {
-		st.Sketches = make(map[string][]uint64, len(ctx.sketches))
-		for k, s := range ctx.sketches {
-			st.Sketches[k] = s.Vectors()
+	if used := ctx.sketches[:ctx.inUse]; len(used) > 0 {
+		width := 0
+		for _, s := range used {
+			width += len(s.fm.Vectors())
+		}
+		st.Sketches = cut(&fr.mu, &f.sketches, &fr.sketches, &fr.sketchesLeft, len(used))
+		vectors := cut(&fr.mu, &f.vectors, &fr.vectors, &fr.vectorsLeft, width)
+		for i, s := range used {
+			v := s.fm.Vectors()
+			st.Sketches[i] = TaskSketch{Name: s.name, Vectors: vectors[:len(v):len(v)]}
+			copy(vectors, v)
+			vectors = vectors[len(v):]
+			s.fm.Reset()
 		}
 	}
-	*f = taskFrame{frameKeeps: f.frameKeeps}
+	ctx.extra, ctx.spans, ctx.inUse = 0, nil, 0
+	f.out, f.splitRecords, f.shard, f.outBytes = nil, 0, nil, 0
 	fr.slot[worker] = f
 	return st
 }
@@ -390,11 +427,8 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	}
 	sp.End()
 
-	if len(f.outs) == 0 {
-		f.outs = share(&frames.mu, &frames.outs, &frames.outsLeft, 1)
-	}
-	out := &f.outs[0]
-	f.outs, out.Split, out.Node, out.Parts = f.outs[1:], split, node, 1
+	out := &cut(&frames.mu, &f.outs, &frames.outs, &frames.outsLeft, 1)[0]
+	out.Split, out.Node, out.Parts = split, node, 1
 	f.job, f.out, f.splitRecords = job, out, len(records)
 	if job.Reduce != nil && job.NumReduce > 1 {
 		out.Parts = job.NumReduce
@@ -407,7 +441,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 		f.core.OnProcess = identityMap
 	}
 	sp = ctx.StartSpan("map-pipeline", "pipeline")
-	pipe := f.pipe.init(ctx, node, job.MapStagesBefore, &f.core, nil, f.mapSink)
+	pipe := f.pipeline(job.MapStagesBefore, &f.core, nil, f.mapSink)
 	pipe.Open()
 	for _, r := range records {
 		pipe.Process(Pair{Key: r.Key, Value: r.Value})
@@ -417,7 +451,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 
 	outRecords := 0
 	if f.stage != nil { // set above, or by an earlier task of this phase: the same job
-		outRecords = f.stage.scatter(out, &f.frameKeeps)
+		outRecords = f.stage.scatter(out, f)
 	} else if out.Buckets != nil {
 		outRecords = len(out.Buckets[0])
 	}
@@ -692,7 +726,7 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	inRecords := len(values)
 	f.shard = make([]dfs.Record, 0, groups)
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
-	pipe := f.pipe.init(ctx, node, nil, nil, job.ReduceStagesAfter, f.shardSink)
+	pipe := f.pipeline(nil, nil, job.ReduceStagesAfter, f.shardSink)
 	pipe.Open()
 	for i := 0; i < inRecords; {
 		j := in.nextGroup(i)
@@ -758,9 +792,9 @@ func MergeCounters(dst map[string]int64, src map[string]int64) {
 }
 
 // Pipeline chains stages (before → core → after) into a single
-// record-at-a-time flow ending in sink. The engine runs one per task; the
-// EFind runtime runs one inside a reduce function for stages that continue
-// after a late boundary.
+// record-at-a-time flow ending in sink. The engine keeps one per worker
+// frame and reopens it for each task; the EFind runtime keeps one inside a
+// reduce-side stage for stages that continue after a late boundary.
 type Pipeline struct {
 	ctx    *TaskContext
 	stages []Stage
@@ -771,24 +805,25 @@ type Pipeline struct {
 	emitArr  [4]Emit
 }
 
-// NewPipeline builds the chained-function pipeline for a task. core may be
-// nil (reduce-side pipelines run the reduce function group-wise outside
-// the pipeline and feed only the after-stages).
-func NewPipeline(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
-	return new(Pipeline).init(ctx, node, before, core, after, sink)
+// NewPipeline chains one instance of each factory's stage, around core, for
+// the tasks that run on ctx. core may be nil (reduce-side pipelines run the
+// reduce function group-wise outside the pipeline and feed only the
+// after-stages).
+func NewPipeline(ctx *TaskContext, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
+	return new(Pipeline).init(ctx, before, core, after, sink)
 }
 
-func (p *Pipeline) init(ctx *TaskContext, node sim.NodeID, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
+func (p *Pipeline) init(ctx *TaskContext, before []StageFactory, core Stage, after []StageFactory, sink Emit) *Pipeline {
 	p.ctx = ctx
 	p.stages = p.stageArr[:0] // a fourth stage makes append move them to the heap
 	for _, f := range before {
-		p.stages = append(p.stages, f(node))
+		p.stages = append(p.stages, f())
 	}
 	if core != nil {
 		p.stages = append(p.stages, core)
 	}
 	for _, f := range after {
-		p.stages = append(p.stages, f(node))
+		p.stages = append(p.stages, f())
 	}
 	// Build the emit chain back to front. Stage 0 gets no closure: Process
 	// calls it directly.

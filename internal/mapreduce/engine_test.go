@@ -201,7 +201,7 @@ func TestChainedStagesOrderAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(tag string) StageFactory {
-		return func(sim.NodeID) Stage {
+		return func() Stage {
 			return &FuncStage{
 				OnProcess: func(_ *TaskContext, p Pair, emit Emit) {
 					emit(Pair{Key: p.Key, Value: p.Value + tag})
@@ -448,8 +448,8 @@ func TestMapPlacementHintHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range mp.Stats {
-		nodes = append(nodes, st.Node)
+	for _, a := range mp.Phase.Assignments {
+		nodes = append(nodes, a.Node)
 	}
 	// With few tasks and 2 slots on the target, at least the first tasks
 	// must land on the hinted node; all preferred assignments count.

@@ -43,10 +43,13 @@ func hygieneJob(t *testing.T, c shuffleCase, e *Engine, name string) *Job {
 		ctx.Charge(0.001 * float64(s+1))
 		fan(ctx, in, emit)
 	}
-	fresh := func(sim.NodeID) Stage {
+	fresh := func() Stage {
 		return &FuncStage{OnOpen: func(ctx *TaskContext) {
-			if ctx.ctrs.last != 0 || slices.ContainsFunc(ctx.ctrs.row, func(e slotState) bool { return e != slotState{} }) || ctx.sketches != nil {
-				t.Errorf("%s task %d opens on a context with counters or sketches: last bound %d, sketches %v", ctx.Kind, ctx.TaskID, ctx.ctrs.last, ctx.sketches)
+			kept := slices.ContainsFunc(ctx.sketches, func(s taskSketch) bool {
+				return slices.ContainsFunc(s.fm.Vectors(), func(v uint64) bool { return v != 0 })
+			})
+			if ctx.ctrs.last != 0 || slices.ContainsFunc(ctx.ctrs.row, func(e slotState) bool { return e != slotState{} }) || ctx.inUse != 0 || kept {
+				t.Errorf("%s task %d opens on a context with counters or sketches: last bound %d, %d sketches in use, %v", ctx.Kind, ctx.TaskID, ctx.ctrs.last, ctx.inUse, ctx.sketches)
 			}
 			if ctx.Split != ctx.TaskID {
 				t.Errorf("%s task %d opens with Split %d", ctx.Kind, ctx.TaskID, ctx.Split)
@@ -72,13 +75,9 @@ func hygieneJob(t *testing.T, c shuffleCase, e *Engine, name string) *Job {
 
 // cloneStats copies everything a TaskStats points to.
 func cloneStats(st TaskStats) TaskStats {
-	st.Counters, st.Spans = slices.Clone(st.Counters), slices.Clone(st.Spans)
-	if st.Sketches != nil {
-		sk := make(map[string][]uint64, len(st.Sketches))
-		for k, v := range st.Sketches {
-			sk[k] = slices.Clone(v)
-		}
-		st.Sketches = sk
+	st.Counters, st.Spans, st.Sketches = slices.Clone(st.Counters), slices.Clone(st.Spans), slices.Clone(st.Sketches)
+	for i := range st.Sketches {
+		st.Sketches[i].Vectors = slices.Clone(st.Sketches[i].Vectors)
 	}
 	return st
 }
@@ -91,8 +90,26 @@ func cloneBuckets(o *MapOutput) [][]Pair {
 	return out
 }
 
-// TestFrameHygiene: a task on a frame its worker's earlier tasks have used
-// yields what it yields on a frame of its own, whatever happened to those
+// sinceOpen is a stage with state of its own: it counts the records it has
+// seen since it opened, and at Close adds the count to a counter. An
+// instance serves every task of its frame, so a count that Open did not
+// reset shows in the next task's counters.
+func sinceOpen() Stage {
+	var n int64
+	var seen Cell
+	return &FuncStage{
+		OnOpen: func(ctx *TaskContext) { n, seen = 0, ctx.Cell(ctx.CounterTable().Slot("hygiene.since.open")) },
+		OnProcess: func(_ *TaskContext, in Pair, emit Emit) {
+			n++
+			emit(in)
+		},
+		OnClose: func(*TaskContext, Emit) { seen.Add(n) },
+	}
+}
+
+// TestFrameHygiene: a task on a frame its worker's earlier tasks have used —
+// their stage instances, reopened, sinceOpen's among them — yields what it
+// yields on a frame of its own, whatever happened to those
 // tasks — they completed, were failed by the injector after completing,
 // aborted half-way, lost or won a speculation race — and what a completed
 // task retains (counters, spans, sketch vectors, output) does not change
@@ -117,6 +134,8 @@ func TestFrameHygiene(t *testing.T) {
 		_, e := parEnv(t, parallelism)
 		e.Trace = obs.NewTrace() // tasks record spans
 		job := hygieneJob(t, c, e, "in")
+		job.MapStagesBefore = append(job.MapStagesBefore, sinceOpen)
+		job.ReduceStagesAfter = append(job.ReduceStagesAfter, sinceOpen)
 		if c.numReduce == 0 {
 			job.Reduce, job.NumReduce, job.ReduceStagesAfter = nil, 0, nil
 		}
@@ -150,7 +169,7 @@ func TestFrameHygiene(t *testing.T) {
 			if refOut[s], refStats[s], err = attempt(e.newPhaseFrames(1), 0, s, false); err != nil {
 				t.Fatal(err)
 			}
-			if got := len(refStats[s].Counters); got != hygieneCounters[s]+4 || len(refStats[s].Spans) == 0 || refStats[s].Sketches["hygiene.sk"] == nil {
+			if got := len(refStats[s].Counters); got != hygieneCounters[s]+5 || len(refStats[s].Spans) == 0 || refStats[s].Sketches.Get("hygiene.sk") == nil {
 				t.Fatalf("split %d: %d counters, spans %v, sketches %v: the task leaves too little behind to test with", s, got, refStats[s].Spans, refStats[s].Sketches)
 			}
 		}
@@ -268,6 +287,20 @@ func TestFrameHygiene(t *testing.T) {
 				t.Errorf("parallelism %d map task %d: output differs from the lone attempt's", parallelism, s)
 			}
 		}
+		// sinceOpen runs ahead of Map and behind the identity Reduce: it sees
+		// a map task's input records and a reduce task's output records.
+		since := e.CounterTable().Slot("hygiene.since.open")
+		for kind, stats := range map[TaskKind][]TaskStats{MapTask: res.MapStats, ReduceTask: res.ReduceStats} {
+			for _, st := range stats {
+				want := st.Counters.Get(slotInputRecords)
+				if kind == ReduceTask {
+					want = st.Counters.Get(slotOutputRecords)
+				}
+				if got := st.Counters.Get(since); got != want {
+					t.Errorf("parallelism %d %s task %d: its stage counted %d records since it opened, want %d", parallelism, kind, st.ID, got, want)
+				}
+			}
+		}
 		var want []dfs.Record
 		if c.numReduce == 0 {
 			for s := range shuffleSplits {
@@ -378,15 +411,15 @@ func TestFoldCountersMatchesMergeByName(t *testing.T) {
 func TestCommitBackupKeepsOriginalCounters(t *testing.T) {
 	orig := func() TaskStats {
 		return TaskStats{
-			ID: 3, Node: 1, Duration: 10, BodyTime: 10,
+			ID: 3, Duration: 10, BodyTime: 10,
 			Counters: CounterSet{{slotInputRecords, 5}, {slotRetries, 0}},
-			Sketches: map[string][]uint64{"sk": {1}},
+			Sketches: SketchSet{{"sk", []uint64{1}}},
 		}
 	}
 	backup := TaskStats{
-		ID: 3, Node: 2, Duration: 2, BodyTime: 2,
+		ID: 3, Duration: 2, BodyTime: 2,
 		Counters: CounterSet{{slotInputRecords, 99}},
-		Sketches: map[string][]uint64{"sk": {7}},
+		Sketches: SketchSet{{"sk", []uint64{7}}},
 	}
 	a := sim.Assignment{Task: 3, Node: 1, Start: 0, Duration: 10}
 
@@ -467,7 +500,7 @@ func TestCounterTableFirstUseAcrossWorkers(t *testing.T) {
 			// name the counter at once.
 			var arrived atomic.Int32
 			gate := make(chan struct{})
-			job.MapStagesBefore = []StageFactory{func(sim.NodeID) Stage {
+			job.MapStagesBefore = []StageFactory{func() Stage {
 				return &FuncStage{OnOpen: func(*TaskContext) {
 					if arrived.Add(1) == 4 {
 						close(gate)

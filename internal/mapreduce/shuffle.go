@@ -34,7 +34,7 @@ func (s *staging) add(p Pair, part int32) {
 // stable, so a bucket keeps emission order), and wipes the buffer, which
 // then pins none of them. The bucket and reducer lists are windows of the
 // frame's blocks too. It returns the number of records moved.
-func (s *staging) scatter(out *MapOutput, keeps *frameKeeps) int {
+func (s *staging) scatter(out *MapOutput, keeps *taskFrame) int {
 	n := len(s.recs)
 	if n == 0 {
 		return 0

@@ -305,7 +305,8 @@ func TestPartitionerOutOfRangeFailsJob(t *testing.T) {
 // TestStagingBuffersComeBackClean: whatever happens to an attempt — it
 // completes, it is failed by the injector after completing, it aborts
 // half-way through its emissions — its worker's next task starts on a frame
-// that is zero but for what a frame keeps: its own sinks, and a staging
+// reset where a task writes — no sink state, its clock at zero, no span,
+// sketch or counter in use — with its own sinks and pipeline, and a staging
 // buffer with no record and no count in it. Every completed task's output
 // holds exactly its own records. Run under -race -count=10.
 func TestStagingBuffersComeBackClean(t *testing.T) {
@@ -349,13 +350,12 @@ func TestStagingBuffersComeBackClean(t *testing.T) {
 				}
 				if f := frames.slot[0]; f != nil {
 					buf := f.stage
-					if f.mapSink == nil || f.shardSink == nil || f.process == nil {
-						t.Fatalf("a free frame lost its sinks: %+v", f.frameKeeps)
+					if f.mapSink == nil || f.shardSink == nil || f.process == nil || f.pipe.ctx != &f.ctx {
+						t.Fatalf("a free frame lost its sinks or its pipeline: %+v", *f)
 					}
-					zeroed := *f
-					zeroed.frameKeeps = frameKeeps{stage: buf} // DeepEqual holds no func equal to itself
-					if !reflect.DeepEqual(zeroed, taskFrame{frameKeeps: frameKeeps{stage: buf}}) {
-						t.Fatalf("a free frame is not zero: %+v", *f)
+					ctx := &f.ctx
+					if f.out != nil || f.splitRecords != 0 || f.shard != nil || f.outBytes != 0 || ctx.extra != 0 || ctx.spans != nil || ctx.inUse != 0 || f.ctrs.last != 0 {
+						t.Fatalf("a free frame keeps what its task wrote: %+v", *f)
 					}
 					if len(buf.recs) != 0 || len(buf.parts) != 0 || len(buf.touched) != 0 {
 						t.Fatalf("a free buffer holds %d records, %d partitions, %d touched", len(buf.recs), len(buf.parts), len(buf.touched))

@@ -40,22 +40,22 @@ type ReduceFunc func(ctx *TaskContext, key string, values []string, emit Emit)
 
 // Stage is one chained function in a task pipeline (the paper implements
 // preProcess, lookup and postProcess as chained functions, Figure 6).
-// Open runs once before the task's records, Close once after; Close may
-// emit trailing records.
+// An instance serves every task its worker's frame runs in one phase, one
+// task at a time: Open is the per-task reset — it runs before each task's
+// records and must leave nothing of the previous task behind —, Close runs
+// once after them and may emit trailing records.
 type Stage interface {
 	Open(ctx *TaskContext)
 	Process(ctx *TaskContext, in Pair, emit Emit)
 	Close(ctx *TaskContext, emit Emit)
 }
 
-// StageFactory builds the Stage instance for a task running on the given
-// node. Factories that want node-level shared state (e.g. a per-machine
-// lookup cache) can key it by node; the executor serializes the tasks of
-// each node, so per-node state sees one task at a time, but the factory
-// itself — and any structure shared across nodes — must be safe for
-// concurrent use because tasks of different nodes run on real goroutines
-// (sim.Config.Parallelism).
-type StageFactory func(node sim.NodeID) Stage
+// StageFactory builds a Stage instance. The engine calls it once per
+// worker per phase and reopens the instance for each task the worker runs,
+// whatever node a task runs on (TaskContext.Node). The tasks of different
+// workers run on real goroutines (sim.Config.Parallelism), so a factory,
+// and any structure its instances share, must be safe for concurrent use.
+type StageFactory func() Stage
 
 // FuncStage adapts plain functions into a Stage. Nil fields are no-ops.
 type FuncStage struct {
@@ -109,8 +109,9 @@ func (k TaskKind) String() string {
 //
 // The context, and every Cell bound on it, is valid until the task's
 // last stage has closed: the engine then takes the task's statistics out of
-// it and hands it, zeroed, to another task of the phase. A stage or user
-// function must not keep it, or anything that points into it, past Close.
+// it and hands it, reset, to its worker's next task of the phase, whose
+// stages are the same instances, reopened. A Cell or sketch handle is the
+// task's: a stage binds its own again when it opens.
 type TaskContext struct {
 	// Node is the machine this task was scheduled on.
 	Node sim.NodeID
@@ -132,8 +133,17 @@ type TaskContext struct {
 	traced  bool
 	spans   []obs.Span
 
-	ctrs     *taskCounters // on the task's frame, or beside a context made alone
-	sketches map[string]*sketch.FM
+	ctrs *taskCounters // on the task's frame, or beside a context made alone
+	// sketches are those the context's tasks have used, each kept for the
+	// next task; the running task's are the first inUse, in order of use.
+	sketches []taskSketch
+	inUse    int
+}
+
+// taskSketch is a sketch a context keeps from task to task.
+type taskSketch struct {
+	name string
+	fm   *sketch.FM
 }
 
 // NewTaskContext builds a context outside any engine, its counters slots of
@@ -155,19 +165,24 @@ func NewTaskContext(cluster *sim.Cluster, node sim.NodeID, id int, kind TaskKind
 // Cluster returns the simulated cluster the task runs in.
 func (c *TaskContext) Cluster() *sim.Cluster { return c.cluster }
 
-// Sketch returns the task's named FM sketch, creating it on first use with
-// the given width. The returned sketch is the handle: per-record code
-// fetches it once and keeps it.
+// Sketch returns the task's named FM sketch, empty on the task's first use
+// with the given width. The returned sketch is the handle: per-record code
+// fetches it once per task and keeps it until Close.
 func (c *TaskContext) Sketch(name string, width int) *sketch.FM {
-	s, ok := c.sketches[name]
-	if !ok {
-		if c.sketches == nil {
-			c.sketches = make(map[string]*sketch.FM)
-		}
-		s = sketch.New(width)
-		c.sketches[name] = s
+	i := 0
+	for i < len(c.sketches) && c.sketches[i].name != name {
+		i++
 	}
-	return s
+	if i == len(c.sketches) {
+		c.sketches = append(c.sketches, taskSketch{name, sketch.New(width)})
+	} else if s := &c.sketches[i]; i >= c.inUse && len(s.fm.Vectors()) != max(width, 1) {
+		s.fm = sketch.New(width) // an earlier task used the name at another width
+	}
+	if i >= c.inUse { // first use by this task: it joins the task's own
+		c.sketches[i], c.sketches[c.inUse] = c.sketches[c.inUse], c.sketches[i]
+		i, c.inUse = c.inUse, c.inUse+1
+	}
+	return c.sketches[i].fm
 }
 
 // Charge adds virtual seconds to the task's duration (index serve time,
@@ -238,13 +253,13 @@ func (r SpanRegion) End() {
 
 // TaskStats is the per-task statistics record the adaptive optimizer
 // consumes: one sample per completed task (§4.2 treats each task's
-// statistics as a random sample for the variance test).
+// statistics as a random sample for the variance test). Which side of the
+// job a task ran on is the list it is in (MapStats, ReduceStats), and which
+// node ran it is its phase's assignment (sim.Assignment).
 type TaskStats struct {
 	ID       int
-	Kind     TaskKind
-	Node     sim.NodeID
 	Counters CounterSet
-	Sketches map[string][]uint64
+	Sketches SketchSet
 	Duration float64
 	// BodyTime is the virtual time of the final successful attempt's body
 	// (Duration additionally includes failed attempts). The trace
@@ -253,6 +268,25 @@ type TaskStats struct {
 	// Spans are the task body's sub-phase spans, relative to the body's
 	// own virtual clock; nil when tracing is off.
 	Spans []obs.Span
+}
+
+// TaskSketch is one FM sketch of a finished task: its name and bit vectors.
+type TaskSketch struct {
+	Name    string
+	Vectors []uint64
+}
+
+// SketchSet is a finished task's sketches, in the order it first used them.
+type SketchSet []TaskSketch
+
+// Get returns the vectors of the named sketch, nil when the set has none.
+func (s SketchSet) Get(name string) []uint64 {
+	for _, sk := range s {
+		if sk.Name == name {
+			return sk.Vectors
+		}
+	}
+	return nil
 }
 
 // FNV-1a parameters, per hash/fnv.

@@ -48,17 +48,20 @@ func (f *FM) Add(key string) {
 	f.vectors[idx] |= 1 << uint(r)
 }
 
-// Merge ORs another sketch into this one. Both sketches must have been
-// created with the same m; Merge panics otherwise because the result would
-// silently be wrong.
-func (f *FM) Merge(other *FM) {
-	if len(f.vectors) != len(other.vectors) {
+// MergeVectors ORs another sketch's vectors, as Vectors returned them, into
+// this one. Both sketches must have been created with the same m;
+// MergeVectors panics otherwise because the result would silently be wrong.
+func (f *FM) MergeVectors(vs []uint64) {
+	if len(f.vectors) != len(vs) {
 		panic("sketch: merging FM sketches of different widths")
 	}
-	for i := range f.vectors {
-		f.vectors[i] |= other.vectors[i]
+	for i, v := range vs {
+		f.vectors[i] |= v
 	}
 }
+
+// Reset empties the sketch, keeping its width.
+func (f *FM) Reset() { clear(f.vectors) }
 
 // Estimate returns the estimated number of distinct keys added.
 func (f *FM) Estimate() float64 {
@@ -82,13 +85,9 @@ func (f *FM) Estimate() float64 {
 	return m * math.Pow(2, mean) / phi
 }
 
-// Vectors exposes the raw bit vectors so the MapReduce counter layer can
-// ship them between tasks as int64 counters.
-func (f *FM) Vectors() []uint64 {
-	out := make([]uint64, len(f.vectors))
-	copy(out, f.vectors)
-	return out
-}
+// Vectors exposes the raw bit vectors, not a copy, so the MapReduce layer
+// can ship them out of a task: they change with the next Add or Reset.
+func (f *FM) Vectors() []uint64 { return f.vectors }
 
 // FromVectors rebuilds a sketch from raw vectors.
 func FromVectors(vs []uint64) *FM {

@@ -36,6 +36,6 @@ func BenchmarkMerge(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Merge(c)
+		a.MergeVectors(c.Vectors())
 	}
 }

@@ -55,7 +55,7 @@ func TestMergeEqualsUnion(t *testing.T) {
 		b.Add(k)
 		u.Add(k)
 	}
-	a.Merge(b)
+	a.MergeVectors(b.Vectors())
 	if math.Abs(a.Estimate()-u.Estimate()) > 1e-9 {
 		t.Fatalf("merge != union: %g vs %g", a.Estimate(), u.Estimate())
 	}
@@ -67,16 +67,16 @@ func TestMergeWidthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on width mismatch")
 		}
 	}()
-	New(8).Merge(New(16))
+	New(8).MergeVectors(New(16).Vectors())
 }
 
-// TestCloneIndependent: a copy through Vectors and FromVectors — how a
-// sketch leaves its task — shares no state with its source.
+// TestCloneIndependent: a copy through FromVectors — how the statistics
+// catalog starts from a task's vectors — shares no state with its source.
 func TestCloneIndependent(t *testing.T) {
 	a := New(16)
 	a.Add("x")
-	before := a.Vectors()
-	c := FromVectors(before)
+	before := slices.Clone(a.Vectors())
+	c := FromVectors(a.Vectors())
 	for i := 0; i < 100; i++ {
 		c.Add(fmt.Sprintf("y%d", i))
 	}
@@ -101,5 +101,23 @@ func TestNewClampsWidth(t *testing.T) {
 	f.Add("x")
 	if f.Estimate() <= 0 {
 		t.Fatal("clamped sketch should still count")
+	}
+}
+
+// TestResetEmpties: a reset sketch — how a task's sketch is handed to the
+// worker's next task — estimates nothing and counts anew at its width.
+func TestResetEmpties(t *testing.T) {
+	a, fresh := New(16), New(16)
+	for i := 0; i < 100; i++ {
+		a.Add(fmt.Sprintf("k%d", i))
+	}
+	a.Reset()
+	if a.Estimate() != 0 || len(a.Vectors()) != 16 {
+		t.Fatalf("after Reset: estimate %g over %d vectors, want 0 over 16", a.Estimate(), len(a.Vectors()))
+	}
+	a.Add("x")
+	fresh.Add("x")
+	if !slices.Equal(a.Vectors(), fresh.Vectors()) {
+		t.Fatalf("a reset sketch counts %x, a new one %x", a.Vectors(), fresh.Vectors())
 	}
 }
