@@ -27,7 +27,7 @@ func benchFigure(b *testing.B, id, row string) {
 	scale := experiments.QuickScale()
 	var last *experiments.Table
 	for i := 0; i < b.N; i++ {
-		tbl, err := e.Run(scale)
+		tbl, err := e.Run(scale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -98,8 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tr *obs.Trace
 	if *traceOut != "" || *profileOut != "" || *gate != "" {
 		tr = obs.NewTrace()
-		experiments.SetTrace(tr)
-		defer experiments.SetTrace(nil)
 	}
 
 	fmt.Fprintf(stdout, "EFind evaluation harness — %d experiment(s) at %s scale\n\n", len(todo), scaleName)
@@ -107,8 +105,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if tr != nil {
 			tr.SetSection(e.ID)
 		}
-		tbl, err := e.Run(scale)
-		if tbl != nil { // a table whose claim failed is shown too
+		tbl, err := e.Run(scale, tr)
+		if tbl != nil { // a table whose claim failed is shown and recorded too
+			if tr != nil {
+				tbl.Record(tr.Metrics, e.ID)
+			}
 			tbl.Print(stdout)
 			fmt.Fprintln(stdout)
 		}

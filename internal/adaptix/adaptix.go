@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // progress is one index's build state: how many build units (input
@@ -38,6 +39,9 @@ type progress struct {
 type Registry struct {
 	mu      sync.Mutex
 	indices map[string]*progress
+	// gen counts coverage changes (under mu): a Buildable's cached list
+	// of uncovered splits is good while gen has not moved.
+	gen atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -55,10 +59,12 @@ func (r *Registry) Register(name string, total int) {
 	p, ok := r.indices[name]
 	if !ok {
 		r.indices[name] = &progress{total: total, covered: make(map[int]bool)}
+		r.gen.Add(1)
 		return
 	}
 	if total > p.total {
 		p.total = total
+		r.gen.Add(1)
 	}
 }
 
@@ -94,7 +100,23 @@ func (r *Registry) MarkBuilt(name string, split int) bool {
 		return false
 	}
 	p.covered[split] = true
+	r.gen.Add(1)
 	return true
+}
+
+// uncovered returns the index's uncovered splits among the first total,
+// ascending, and the generation they were read at.
+func (r *Registry) uncovered(name string, total int) ([]int, uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.indices[name]
+	out := make([]int, 0, total)
+	for s := 0; s < total; s++ {
+		if p == nil || !p.covered[s] {
+			out = append(out, s)
+		}
+	}
+	return out, r.gen.Load()
 }
 
 // CoveredSplits returns the committed build units in ascending order.

@@ -2,8 +2,10 @@ package adaptix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"efind/internal/dfs"
 	"efind/internal/index"
@@ -73,6 +75,17 @@ type Buildable struct {
 	// key → values in record order. Entries are dropped once a split
 	// commits (the store serves it from then on).
 	scans map[int]map[string][]string
+
+	// unc caches uncovered(): every lookup walks the uncovered splits, and
+	// coverage changes only between jobs.
+	unc atomic.Pointer[coverage]
+}
+
+// coverage is the registry's uncovered splits of one index as of a
+// registry generation.
+type coverage struct {
+	gen    uint64
+	splits []int
 }
 
 var _ index.Buildable = (*Buildable)(nil)
@@ -190,10 +203,7 @@ func (b *Buildable) OfferSplits() []int {
 		n = 1
 	}
 	unc := b.uncovered()
-	if len(unc) > n {
-		unc = unc[:n]
-	}
-	return unc
+	return slices.Clone(unc[:min(n, len(unc))])
 }
 
 // Extract implements index.Buildable.
@@ -360,15 +370,18 @@ func (b *Buildable) BuildAll() error {
 	return nil
 }
 
-// uncovered returns the uncovered splits ascending.
+// uncovered returns the uncovered splits ascending, shared: callers must
+// not modify it. The list is rebuilt only when the registry's coverage
+// has changed since it was cached, by this index or by anyone else (a
+// registry loaded from a checkpoint).
 func (b *Buildable) uncovered() []int {
-	out := make([]int, 0, b.total)
-	for s := 0; s < b.total; s++ {
-		if !b.cfg.Registry.IsCovered(b.cfg.Name, s) {
-			out = append(out, s)
-		}
+	gen := b.cfg.Registry.gen.Load()
+	if c := b.unc.Load(); c != nil && c.gen == gen {
+		return c.splits
 	}
-	return out
+	splits, gen := b.cfg.Registry.uncovered(b.cfg.Name, b.total)
+	b.unc.Store(&coverage{gen: gen, splits: splits})
+	return splits
 }
 
 // scanOf returns split s's memoized scan map, computing it on first use.

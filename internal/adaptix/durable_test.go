@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"efind/internal/chaos"
@@ -164,5 +166,73 @@ func TestMaterializeReproducesCommittedEntries(t *testing.T) {
 		if !reflect.DeepEqual(vs, want[k]) {
 			t.Fatalf("second Materialize changed lookup %q: %v, want %v", k, vs, want[k])
 		}
+	}
+}
+
+// TestLoadedCoverageReachesLookups: a Buildable caches its uncovered
+// splits between coverage changes, and coverage it did not commit itself
+// — a checkpoint's registry loaded into its own on recovery — must reach
+// its next lookup and offer. Until Materialize the loaded splits serve
+// from the empty store, so their records drop out of a lookup; after it,
+// every lookup answers as before the load.
+func TestLoadedCoverageReachesLookups(t *testing.T) {
+	reg := NewRegistry()
+	b, _, f := testIndex(t, reg, 300, 12)
+	before, err := b.Lookup("k005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.OfferSplits(); len(got) == 0 || got[0] != 0 {
+		t.Fatalf("offer before the load = %v, want the lowest splits from 0", got)
+	}
+
+	// Another coordinator's registry with splits 0 and 2 built, loaded.
+	other := NewRegistry()
+	ob, _, _ := testIndex(t, other, 300, 12)
+	scanAndStage(t, ob, f, 1, 0)
+	scanAndStage(t, ob, f, 1, 2)
+	ob.Commit()
+	path := filepath.Join(t.TempDir(), "registry.fmc1")
+	if err := save(vfs.OS{}, other, path); err != nil {
+		t.Fatal(err)
+	}
+	if err := load(reg, path); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := b.OfferSplits(); len(got) == 0 || got[0] != 1 || (len(got) > 1 && got[1] != 3) {
+		t.Fatalf("offer after the load = %v, want it to skip the loaded splits 0 and 2", got)
+	}
+	loaded := map[string]bool{} // k005's records in splits 0 and 2
+	for _, split := range []int{0, 2} {
+		recs, err := f.Chunks[split].Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if strings.HasPrefix(r.Value, "k005 ") {
+				loaded[r.Key] = true
+			}
+		}
+	}
+	after, err := b.Lookup("k005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.DeleteFunc(slices.Clone(before), func(k string) bool { return loaded[k] })
+	if len(loaded) == 0 || !reflect.DeepEqual(after, want) {
+		t.Fatalf("lookup after the load = %v, want %v: %v without splits 0 and 2", after, want, before)
+	}
+	if err := b.Materialize(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := b.Lookup("k005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(before)
+	slices.Sort(again)
+	if !reflect.DeepEqual(again, before) {
+		t.Fatalf("lookup after Materialize = %v, want %v", again, before)
 	}
 }

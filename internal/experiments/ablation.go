@@ -5,24 +5,33 @@ import (
 	"math"
 
 	"efind/internal/core"
+	"efind/internal/obs"
 	"efind/internal/sketch"
+	"efind/internal/workloads"
 )
 
 // AblationCacheCapacity sweeps the lookup-cache capacity (the paper fixes
 // 1024 entries and leaves the sweep to future work): the synthetic join,
 // whose uniform-random keys make the miss ratio a direct function of
 // capacity vs key-domain size.
-func AblationCacheCapacity(scale Scale) (*Table, error) {
+func AblationCacheCapacity(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: lookup-cache capacity (synthetic join, cache strategy)",
 		Columns: []string{"runtime", "missRatio"},
 	}
 	for _, capacity := range []int{64, 256, 1024, 4096, 16384} {
-		vt, miss, err := runSynWithCache(scale, capacity)
+		tune := func(conf *core.IndexJobConf) { conf.CacheCapacity = capacity }
+		run, err := runLeg(leg{trace: tr, column: "cache", job: fmt.Sprintf("syn-cap%d", capacity), tune: tune}, synJob(scale, 1024))
 		if err != nil {
 			return nil, err
 		}
-		t.Add(fmt.Sprintf("cap=%d", capacity), vt, miss)
+		probes := run.res.Counters["efind.syn.ix."+synIndexName+".cache.probes"]
+		misses := run.res.Counters["efind.syn.ix."+synIndexName+".cache.misses"]
+		miss := 1.0
+		if probes > 0 {
+			miss = float64(misses) / float64(probes)
+		}
+		t.Add(fmt.Sprintf("cap=%d", capacity), run.res.VTime, miss)
 	}
 	prev := 1.1
 	for _, r := range t.Rows {
@@ -33,40 +42,35 @@ func AblationCacheCapacity(scale Scale) (*Table, error) {
 	return t, t.err
 }
 
-func runSynWithCache(scale Scale, capacity int) (float64, float64, error) {
-	l := newLab()
-	input, store, err := l.genSyn(scale, 1024)
-	if err != nil {
-		return 0, 0, err
-	}
-	conf := buildSynConf(fmt.Sprintf("syn-cap%d", capacity), input, store, core.ModeCache)
-	conf.CacheCapacity = capacity
-	res, err := l.rt.Submit(conf)
-	if err != nil {
-		return 0, 0, err
-	}
-	probes := res.Counters["efind.syn.ix."+store.Name()+".cache.probes"]
-	misses := res.Counters["efind.syn.ix."+store.Name()+".cache.misses"]
-	miss := 1.0
-	if probes > 0 {
-		miss = float64(misses) / float64(probes)
-	}
-	return res.VTime, miss, nil
-}
-
 // AblationVarianceThreshold sweeps Algorithm 1's variance gate on the LOG
 // application: tight thresholds refuse to replan, loose ones replan from
 // shaky statistics. The refusing row is the dynamic runtime without its
 // plan change, so it also prices the paper's at-most-once switch.
-func AblationVarianceThreshold(scale Scale) (*Table, error) {
+func AblationVarianceThreshold(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: variance threshold for re-optimization (LOG, dynamic)",
 		Columns: []string{"runtime", "replanned"},
 	}
+	cfg := workloads.DefaultLogConfig()
+	cfg.Events = scale.LogEvents
+	recs, err := workloads.GenerateLog(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Each row runs the LOG application's index job at +2 ms under the
+	// dynamic runtime with its variance threshold: runtime, and 1 when
+	// the job replanned.
 	for _, th := range []float64{0.001, 0.05, 0.2, 1.0} {
-		if err := addLogDynamicRow(t, scale, th); err != nil {
+		tune := func(conf *core.IndexJobConf) { conf.VarianceThreshold = th }
+		run, err := runLeg(leg{trace: tr, column: "dynamic", job: fmt.Sprintf("log-th%g", th), tune: tune}, logJob(recs, scale.LogEvents, 2))
+		if err != nil {
 			return nil, err
 		}
+		replanned := 0.0
+		if run.res.Replanned {
+			replanned = 1
+		}
+		t.Add(fmt.Sprintf("threshold=%g", th), run.res.VTime, replanned)
 	}
 	// The tightest threshold must block replanning; a sane one must
 	// replan, and run faster for it.
@@ -84,34 +88,11 @@ func AblationVarianceThreshold(scale Scale) (*Table, error) {
 	return t, t.err
 }
 
-// addLogDynamicRow runs the LOG application's index job at +2 ms under the
-// dynamic runtime with the given variance threshold, in a fresh lab, and
-// adds the row: runtime, and 1 when the job replanned.
-func addLogDynamicRow(t *Table, scale Scale, threshold float64) error {
-	l := newLab()
-	input, geo, err := setupLog(l, scale, scale.LogEvents, 2)
-	if err != nil {
-		return err
-	}
-	conf := logJobConf(fmt.Sprintf("log-th%g", threshold), input, geo, core.ModeDynamic)
-	conf.VarianceThreshold = threshold
-	res, err := l.rt.Submit(conf)
-	if err != nil {
-		return err
-	}
-	replanned := 0.0
-	if res.Replanned {
-		replanned = 1
-	}
-	t.Add(fmt.Sprintf("threshold=%g", threshold), res.VTime, replanned)
-	return nil
-}
-
 // AblationPlanner compares FullEnumerate with k-Repart on synthetic
 // operator statistics over m independent indices: the plan cost each
 // achieves (§3.5's tradeoff; what planning costs in wall time is bench/'s
 // core.plan_us_per_operator).
-func AblationPlanner(scale Scale) (*Table, error) {
+func AblationPlanner(Scale, *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: FullEnumerate vs k-Repart (m=6 indices, modeled cost)",
 		Columns: []string{"planCost"},
@@ -151,7 +132,7 @@ func AblationPlanner(scale Scale) (*Table, error) {
 
 // AblationFMAccuracy measures the Flajolet–Martin Θ-estimation error
 // against exact distinct counts across cardinalities.
-func AblationFMAccuracy(Scale) (*Table, error) {
+func AblationFMAccuracy(Scale, *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: FM sketch distinct-count estimate vs exact",
 		Columns: []string{"exact", "estimated", "ratio"},
@@ -173,35 +154,29 @@ func AblationFMAccuracy(Scale) (*Table, error) {
 
 // AblationBoundary forces each re-partitioning boundary on TPC-H Q3's
 // Orders index (the S_min choice of §3.3).
-func AblationBoundary(scale Scale) (*Table, error) {
+func AblationBoundary(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: re-partitioning job boundary (TPC-H Q3, Orders index)",
 		Columns: []string{"runtime"},
 	}
 	for _, b := range []core.Boundary{core.BoundaryPre, core.BoundaryIdx, core.BoundaryLate} {
-		vt, err := runQ3Boundary(scale, b)
+		run, err := runLeg(leg{trace: tr, column: "repart", job: "q3-boundary-" + b.String()}, func(l *lab) (strategyJob, error) {
+			w, err := setupTPCH(l, scale, 1)
+			if err != nil {
+				return strategyJob{}, err
+			}
+			op, ix := w.Q3RepartTarget()
+			return strategyJob{build: func(name string) *core.IndexJobConf {
+				conf := w.Q3Conf(name, core.ModeCustom)
+				conf.ForceBoundary(op, ix, b)
+				return conf
+			}, op: op, ix: ix}, nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		t.Add("boundary="+b.String(), vt)
+		t.Add("boundary="+b.String(), run.res.VTime)
 	}
 	t.claim(len(t.Rows) == 3, "%d rows, want one per boundary (3)", len(t.Rows))
 	return t, t.err
-}
-
-func runQ3Boundary(scale Scale, b core.Boundary) (float64, error) {
-	l := newLab()
-	w, err := setupTPCH(l, scale, 1)
-	if err != nil {
-		return 0, err
-	}
-	conf := w.Q3Conf("q3-boundary-"+b.String(), core.ModeCustom)
-	op, ix := w.Q3RepartTarget()
-	conf.ForceStrategy(op, ix, core.Repartition)
-	conf.ForceBoundary(op, ix, b)
-	res, err := l.rt.Submit(conf)
-	if err != nil {
-		return 0, err
-	}
-	return res.VTime, nil
 }

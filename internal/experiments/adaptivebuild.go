@@ -10,6 +10,7 @@ import (
 	"efind/internal/index"
 	"efind/internal/jobsvc"
 	"efind/internal/kvstore"
+	"efind/internal/obs"
 	"efind/internal/workloads"
 )
 
@@ -62,18 +63,13 @@ func abConf(name string, input *dfs.File, bix *adaptix.Buildable, mode core.Mode
 	return conf
 }
 
-// abLeg is one leg's measurements: per-run makespans and committed
-// splits, the plans chosen, the final registry coverage, and — for the
-// building leg — the cost model's break-even prediction.
+// abLeg is one leg: its runs' statuses, the final registry coverage and
+// — for the building leg — the cost model's break-even prediction.
 type abLeg struct {
-	makespans []float64
-	committed []int64
-	plans     []string
-	outputs   []uint64
-	covered   int
-	total     int
-	predicted int
-	altCost   float64
+	*lab
+	covered, total int
+	predicted      int
+	altCost        float64
 }
 
 // runAdaptiveLeg runs one leg in a fresh lab: `runs` identical
@@ -81,85 +77,73 @@ type abLeg struct {
 // job service (MaxInFlight 1, so coverage grows strictly between runs).
 // offerRate 0 never builds; prebuilt additionally bulk-builds the index
 // before the first run (the convergence target).
-func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool, runs int) (*abLeg, error) {
-	section("adaptive-build/" + label)
-	l := newLab()
-	input, _, err := l.genSyn(scale, 1024)
-	if err != nil {
-		return nil, err
-	}
+func runAdaptiveLeg(scale Scale, tr *obs.Trace, label string, offerRate float64, prebuilt bool, runs int) (*abLeg, error) {
+	out := &abLeg{predicted: -1}
+	var bix *adaptix.Buildable
+	run, err := runLeg(leg{trace: tr, section: "adaptive-build/" + label}, func(l *lab) (strategyJob, error) {
+		input, _, err := l.genSyn(scale, 1024)
+		if err != nil {
+			return strategyJob{}, err
+		}
+		store := kvstore.NewHash(l.cluster, abIndexName, 16, 3, abStoreServe)
+		bix, err = adaptix.New(adaptix.Config{
+			Name:      abIndexName,
+			Source:    input,
+			Extract:   abExtract,
+			Store:     store,
+			Registry:  adaptix.NewRegistry(),
+			ScanTime:  abScanTime,
+			BuildTime: abBuildTime,
+			OfferRate: offerRate,
+		})
+		if err != nil {
+			return strategyJob{}, err
+		}
+		if prebuilt {
+			if err := bix.BuildAll(); err != nil {
+				return strategyJob{}, err
+			}
+		}
+		if err := l.rt.CollectStats(abConf("ab-"+label+"-stats", input, bix, core.ModeBaseline)); err != nil {
+			return strategyJob{}, err
+		}
 
-	reg := adaptix.NewRegistry()
-	store := kvstore.NewHash(l.cluster, abIndexName, 16, 3, abStoreServe)
-	bix, err := adaptix.New(adaptix.Config{
-		Name:      abIndexName,
-		Source:    input,
-		Extract:   abExtract,
-		Store:     store,
-		Registry:  reg,
-		ScanTime:  abScanTime,
-		BuildTime: abBuildTime,
-		OfferRate: offerRate,
+		// The break-even prediction is made once, up front, from the same
+		// inputs the first run's planner will see: the collected statistics,
+		// the registry's (empty) coverage, and the best non-build plan as the
+		// alternative.
+		if offerRate > 0 && !prebuilt {
+			st := l.rt.Catalog.Get("syn")
+			if st == nil {
+				return strategyJob{}, fmt.Errorf("adaptive-build/%s: no statistics for operator syn", label)
+			}
+			facts := core.IndexFacts{
+				Stats: st.Index[abIndexName], Buildable: true,
+				Offer: len(bix.OfferSplits()), ScanTime: abScanTime, BuildTime: abBuildTime,
+				TjIdx: store.ServeTime(),
+			}
+			facts.Covered, facts.Total = bix.BuildProgress()
+			_, _, alt := core.WhatIf(core.HeadOp, st, facts, l.rt.Env, core.DefaultPlannerOptions())
+			out.altCost = alt.Cost()
+			out.predicted = core.PredictBuildRuns(st, facts, l.rt.Env, out.altCost, runs)
+		}
+
+		job := strategyJob{tenants: []jobsvc.TenantConfig{{Name: "ab", MaxInFlight: 1}}}
+		for i := 0; i < runs; i++ {
+			job.subs = append(job.subs, jobsvc.Submission{
+				Tenant: "ab",
+				At:     0.05 * float64(i),
+				Conf:   abConf(fmt.Sprintf("ab-%s-%d", label, i), input, bix, core.ModeOptimized),
+			})
+		}
+		return job, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if prebuilt {
-		if err := bix.BuildAll(); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := l.rt.CollectStats(abConf("ab-"+label+"-stats", input, bix, core.ModeBaseline)); err != nil {
-		return nil, err
-	}
-
-	leg := &abLeg{predicted: -1}
-	// The break-even prediction is made once, up front, from the same
-	// inputs the first run's planner will see: the collected statistics,
-	// the registry's (empty) coverage, and the best non-build plan as the
-	// alternative.
-	if offerRate > 0 && !prebuilt {
-		st := l.rt.Catalog.Get("syn")
-		if st == nil {
-			return nil, fmt.Errorf("adaptive-build/%s: no statistics for operator syn", label)
-		}
-		facts := core.IndexFacts{
-			Stats: st.Index[abIndexName], Buildable: true,
-			Offer: len(bix.OfferSplits()), ScanTime: abScanTime, BuildTime: abBuildTime,
-			TjIdx: store.ServeTime(),
-		}
-		facts.Covered, facts.Total = bix.BuildProgress()
-		_, _, alt := core.WhatIf(core.HeadOp, st, facts, l.rt.Env, core.DefaultPlannerOptions())
-		leg.altCost = alt.Cost()
-		leg.predicted = core.PredictBuildRuns(st, facts, l.rt.Env, leg.altCost, runs)
-	}
-
-	tenants := []jobsvc.TenantConfig{{Name: "ab", MaxInFlight: 1}}
-	var subs []jobsvc.Submission
-	for i := 0; i < runs; i++ {
-		subs = append(subs, jobsvc.Submission{
-			Tenant: "ab",
-			At:     0.05 * float64(i),
-			Conf:   abConf(fmt.Sprintf("ab-%s-%d", label, i), input, bix, core.ModeOptimized),
-		})
-	}
-	run, err := runTrace("adaptive-build/"+label, l, tenants, subs, jobsvc.Options{}, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range run.statuses {
-		leg.makespans = append(leg.makespans, st.Makespan())
-		leg.committed = append(leg.committed, st.Result.Counters[core.CtrBuildCommitted])
-		leg.plans = append(leg.plans, st.Result.Plan.String())
-		fp, err := st.Result.Output.Fingerprint()
-		if err != nil {
-			return nil, err
-		}
-		leg.outputs = append(leg.outputs, fp)
-	}
-	leg.covered, leg.total = bix.BuildProgress()
-	return leg, nil
+	out.lab = run
+	out.covered, out.total = bix.BuildProgress()
+	return out, nil
 }
 
 // AdaptiveBuild runs the adaptive index creation experiment: the same
@@ -171,26 +155,33 @@ func runAdaptiveLeg(scale Scale, label string, offerRate float64, prebuilt bool,
 // leg, identical outputs everywhere, and a predicted break-even within
 // ±1 run of the observed crossover — the last three as claims on the
 // table, whose cells they are computed from.
-func AdaptiveBuild(scale Scale) (*Table, error) {
-	adaptive, err := runAdaptiveLeg(scale, "adaptive", abOfferRate, false, abRuns)
+func AdaptiveBuild(scale Scale, tr *obs.Trace) (*Table, error) {
+	adaptive, err := runAdaptiveLeg(scale, tr, "adaptive", abOfferRate, false, abRuns)
 	if err != nil {
 		return nil, err
 	}
-	scanonly, err := runAdaptiveLeg(scale, "scan-only", 0, false, abRuns)
+	scanonly, err := runAdaptiveLeg(scale, tr, "scan-only", 0, false, abRuns)
 	if err != nil {
 		return nil, err
 	}
-	prebuilt, err := runAdaptiveLeg(scale, "prebuilt", 0, true, abRuns)
+	prebuilt, err := runAdaptiveLeg(scale, tr, "prebuilt", 0, true, abRuns)
 	if err != nil {
 		return nil, err
 	}
 
 	// Every run of every leg computes the same join.
-	want := prebuilt.outputs[0]
-	for _, leg := range []*abLeg{adaptive, scanonly, prebuilt} {
-		for k, h := range leg.outputs {
-			if h != want {
-				return nil, fmt.Errorf("adaptive-build: output diverged (run %d, hash %x vs %x)", k+1, h, want)
+	var want []uint64
+	for _, lg := range []*abLeg{prebuilt, adaptive, scanonly} {
+		got, err := lg.outputDigests()
+		if err != nil {
+			return nil, err
+		}
+		if want == nil {
+			want = got
+		}
+		for k, h := range got {
+			if h != want[0] {
+				return nil, fmt.Errorf("adaptive-build: output diverged (run %d, hash %x vs %x)", k+1, h, want[0])
 			}
 		}
 	}
@@ -209,8 +200,8 @@ func AdaptiveBuild(scale Scale) (*Table, error) {
 	}
 	for k := 0; k < abRuns; k++ {
 		t.Add(fmt.Sprintf("run%d", k+1),
-			adaptive.makespans[k], scanonly.makespans[k], prebuilt.makespans[k],
-			float64(adaptive.committed[k]))
+			adaptive.statuses[k].Makespan(), scanonly.statuses[k].Makespan(), prebuilt.statuses[k].Makespan(),
+			float64(adaptive.statuses[k].Result.Counters[core.CtrBuildCommitted]))
 	}
 	t.claim(len(t.Rows) == abRuns, "%d rows, want %d", len(t.Rows), abRuns)
 
@@ -251,7 +242,7 @@ func AdaptiveBuild(scale Scale) (*Table, error) {
 	t.claim(math.Abs(float64(observed-adaptive.predicted)) <= 1, "predicted break-even run %d vs observed %d (tolerance ±1)", adaptive.predicted, observed)
 
 	t.Note("coverage %d/%d splits after %d runs; first plan %s; steady plan %s",
-		adaptive.covered, adaptive.total, abRuns, adaptive.plans[0], adaptive.plans[abRuns-1])
+		adaptive.covered, adaptive.total, abRuns, adaptive.statuses[0].Result.Plan, adaptive.statuses[abRuns-1].Result.Plan)
 	t.Note("break-even: model predicts run %d (alternative %.4f s/run), observed run %d",
 		adaptive.predicted, adaptive.altCost, observed)
 	t.Note("convergence: run1 %.4f -> run%d %.4f (%.2fx), prebuilt plan %.4f",

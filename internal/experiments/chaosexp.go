@@ -28,7 +28,7 @@ const faultSeed = 42
 // overhead over the fault-free run, and the chaos events that fired. Any
 // output divergence fails the experiment, and so does a row whose faults
 // did not fire.
-func AblationChaos(scale Scale) (*Table, error) {
+func AblationChaos(scale Scale, _ *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: chaos schedules (s = straggler seed) — fault tolerance never changes the answer",
 		Columns: []string{"runtime", "overhead", "crashes", "spec", "reopt"},
@@ -38,7 +38,7 @@ func AblationChaos(scale Scale) (*Table, error) {
 	// call is the fault-free run every later output must equal. fired
 	// names the columns whose fault the schedule injects: each must count
 	// at least one event, and a failure re-optimizes exactly once.
-	var clean *chaosRun
+	var clean *lab
 	var want uint64
 	row := func(label, name string, cfg *chaos.Config, fired ...string) error {
 		r, err := runSynChaos(scale, name, cfg)
@@ -56,7 +56,7 @@ func AblationChaos(scale Scale) (*Table, error) {
 			return fmt.Errorf("chaos ablation: %s output diverged from fault-free run (%d vs %d records)",
 				label, r.res.Output.Records(), clean.res.Output.Records())
 		}
-		m := r.trace.Metrics
+		m := r.engine.Trace.Metrics
 		t.Add(label, r.res.VTime, r.res.VTime/clean.res.VTime,
 			float64(m.Counter(chaos.CtrNodeCrashes)),
 			float64(m.Counter(chaos.CtrSpecLaunched)),
@@ -72,7 +72,7 @@ func AblationChaos(scale Scale) (*Table, error) {
 	if err := row("fault-free", "chaos-clean", nil); err != nil {
 		return nil, err
 	}
-	cleanMap := clean.mapSpan
+	cleanMap := clean.mapSpan()
 
 	// One node dies halfway through the map phase and never comes back:
 	// survivors re-run the lost tasks.
@@ -118,12 +118,12 @@ func AblationChaos(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		comboCfg.Crashes = []chaos.Crash{{Node: 2, At: 0.5 * size1.mapSpan, Recover: 0.5*size1.mapSpan + 1e6}}
+		comboCfg.Crashes = []chaos.Crash{{Node: 2, At: 0.5 * size1.mapSpan(), Recover: 0.5*size1.mapSpan() + 1e6}}
 		size2, err := runSynChaos(scale, "chaos-combo-cal2", &comboCfg)
 		if err != nil {
 			return nil, err
 		}
-		comboCfg.Outages = []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: size2.mapSpan + cleanMap}}
+		comboCfg.Outages = []chaos.Outage{{Index: synIndexName, Partition: -1, From: 0, Until: size2.mapSpan() + cleanMap}}
 		if err := row(fmt.Sprintf("combined s=%d", seed), "chaos-combo", &comboCfg, "crashes", "spec", "reopt"); err != nil {
 			return nil, err
 		}
@@ -134,55 +134,45 @@ func AblationChaos(scale Scale) (*Table, error) {
 	return t, t.err
 }
 
-// chaosRun is one synthetic-join execution with its private trace (the
-// chaos counters of a failed first attempt survive only there) and the
-// first map phase's makespan, which sizes downstream fault schedules.
-type chaosRun struct {
-	res     *core.JobResult
-	mapSpan float64
-	trace   *obs.Trace
+// runSynChaos executes the synthetic join under a fault schedule, in a
+// lab recording into a private trace (the chaos counters of a failed
+// first attempt survive only there), with the operator at the tail —
+// lookups run in the reduce phase, so the map phase advances the virtual
+// clock before the first index access and an outage window can end
+// between a failed attempt and its degraded re-run.
+func runSynChaos(scale Scale, name string, cfg *chaos.Config) (*lab, error) {
+	return runLeg(leg{trace: obs.NewTrace(), column: "cache", job: name}, func(l *lab) (strategyJob, error) {
+		input, store, err := l.genSyn(scale, 1024)
+		if err != nil {
+			return strategyJob{}, err
+		}
+		return strategyJob{build: func(name string) *core.IndexJobConf {
+			conf := &core.IndexJobConf{
+				Name:  name,
+				Input: input,
+				Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
+					emit(in)
+				},
+				Reducer:     mapreduce.IdentityReduce,
+				ErrorPolicy: core.ErrorFailJob,
+				Retry:       core.RetryPolicy{Max: 2, Backoff: 0.001, Factor: 2},
+			}
+			conf.AddTailIndexOperator(synOperator(store))
+			if cfg != nil {
+				conf.Chaos = chaos.MustNew(*cfg, sim.DefaultConfig().Nodes)
+			}
+			return conf
+		}}, nil
+	})
 }
 
-// runSynChaos executes the synthetic join with the operator at the tail
-// — lookups run in the reduce phase, so the map phase advances the
-// virtual clock before the first index access and an outage window can
-// end between a failed attempt and its degraded re-run.
-func runSynChaos(scale Scale, name string, cfg *chaos.Config) (*chaosRun, error) {
-	l := newLab()
-	tr := obs.NewTrace()
-	l.engine.Trace = tr
-	input, store, err := l.genSyn(scale, 1024)
-	if err != nil {
-		return nil, err
-	}
-
-	op := synOperator(store)
-	conf := &core.IndexJobConf{
-		Name:  name,
-		Input: input,
-		Mode:  core.ModeCache,
-		Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
-			emit(in)
-		},
-		Reducer:     mapreduce.IdentityReduce,
-		ErrorPolicy: core.ErrorFailJob,
-		Retry:       core.RetryPolicy{Max: 2, Backoff: 0.001, Factor: 2},
-	}
-	conf.AddTailIndexOperator(op)
-	if cfg != nil {
-		conf.Chaos = chaos.MustNew(*cfg, sim.DefaultConfig().Nodes)
-	}
-
-	res, err := l.rt.Submit(conf)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
-	run := &chaosRun{res: res, trace: tr}
-	for _, s := range tr.Stages() {
+// mapSpan is the makespan of the leg's first map phase, which sizes
+// downstream fault schedules.
+func (r *lab) mapSpan() float64 {
+	for _, s := range r.engine.Trace.Stages() {
 		if s.Kind == "map" {
-			run.mapSpan = s.VTime
-			break
+			return s.VTime
 		}
 	}
-	return run, nil
+	return 0
 }

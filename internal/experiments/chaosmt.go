@@ -7,48 +7,13 @@ import (
 	"strings"
 
 	"efind/internal/chaos"
-	"efind/internal/dfs"
 	"efind/internal/ixclient"
 	"efind/internal/jobsvc"
-	"efind/internal/kvstore"
 	"efind/internal/obs"
+	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
 )
-
-// cmLab rebuilds one leg's deterministic environment from scratch: every
-// leg (and the recovered coordinator) gets a fresh cluster — far beyond
-// the paper's 12 nodes, 10k at full scale —, input, and store, so nothing
-// leaks between runs and the recovery contract — "rebuild the same world,
-// Recover replays the decisions" — is exercised exactly as documented.
-// The engine records into a private trace so each leg's chaos counters
-// (crashes, speculative launches) are observable in isolation.
-func cmLab(scale Scale) (*lab, *dfs.File, *kvstore.Store, error) {
-	if scale.ChaosMTRecords > 0 {
-		scale.SynRecords = scale.ChaosMTRecords
-		scale.SynKeyDomain = scale.ChaosMTRecords / 2
-	}
-	cfg := labConfig()
-	cfg.Nodes = scale.ChaosMTNodes
-	l := newLabOn(cfg)
-	l.engine.Trace = obs.NewTrace()
-	input, store, err := l.genSyn(scale, 1024)
-	return l, input, store, err
-}
-
-// cmCheckpointEvery sets the durable legs' checkpoint cadence so the
-// trace checkpoints roughly twice: at the inter-wave quiescent point
-// (half the jobs newly decided comfortably clears a quarter-trace
-// threshold) and at the final drain. At cluster scale every checkpoint
-// serializes the whole shared cache pool, so checkpointing after every
-// decided job would dominate the experiment's wall clock.
-func cmCheckpointEvery(scale Scale) int {
-	every := scale.ChaosMTTenants * scale.ChaosMTJobs / 4
-	if every < 1 {
-		every = 1
-	}
-	return every
-}
 
 // cmTenants configures the tenants: alternating fair-share weights and
 // an in-flight cap small enough that the arrival burst builds real
@@ -84,8 +49,11 @@ func cmChaosConfig(span float64) chaos.Config {
 	}
 }
 
-// cmRun executes the trace through the job service in a fresh world:
-// every tenant submits ChaosMTJobs ModeCache synthetic joins in a
+// cmRun executes the trace through the job service in a fresh world — a
+// cluster far beyond the paper's 12 nodes (10k at full scale), input and
+// store —, so the recovery contract "rebuild the same world, Recover
+// replays the decisions" is exercised as documented, and with a private
+// trace, whose chaos counters are the leg's alone. Every tenant submits ChaosMTJobs ModeCache synthetic joins in a
 // staggered burst, so the service holds many concurrent jobs while later
 // arrivals queue. wave2At > 0 delays the second half of each tenant's
 // jobs to that arrival time: the service drains the first wave, passes a
@@ -95,32 +63,41 @@ func cmChaosConfig(span float64) chaos.Config {
 // service clock, so faults race across tenants); durable, when non-nil,
 // journals the run, or with recovered set holds the crash image the
 // service starts from.
-func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durability, wave2At float64, recovered bool) (*mtRun, error) {
-	section("chaos-mt/" + label)
-	l, input, store, err := cmLab(scale)
-	if err != nil {
-		return nil, err
+func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durability, wave2At float64, recovered bool) (*lab, error) {
+	if scale.ChaosMTRecords > 0 {
+		scale.SynRecords = scale.ChaosMTRecords
+		scale.SynKeyDomain = scale.ChaosMTRecords / 2
 	}
-	opts := jobsvc.Options{SharedCache: ixclient.NewPool(0), Durable: durable}
-	if cfg != nil {
-		opts.Chaos = chaos.MustNew(*cfg, scale.ChaosMTNodes)
-	}
-	at := func(i int) float64 {
-		t := 0.02 * float64(i)
-		if wave2At > 0 && i >= (scale.ChaosMTJobs+1)/2 {
-			t += wave2At
+	shape := func(c *sim.Config) { c.Nodes = scale.ChaosMTNodes }
+	return runLeg(leg{trace: obs.NewTrace(), section: "chaos-mt/" + label, shape: shape}, func(l *lab) (strategyJob, error) {
+		input, store, err := l.genSyn(scale, 1024)
+		if err != nil {
+			return strategyJob{}, err
 		}
-		return t
-	}
-	tenants := cmTenants(scale)
-	subs := synSubs("cm", tenants, scale.ChaosMTJobs, at, true, input, store)
-	return runTrace("chaos-mt/"+label, l, tenants, subs, opts, recovered)
+		job := strategyJob{
+			tenants:   cmTenants(scale),
+			opts:      jobsvc.Options{SharedCache: ixclient.NewPool(0), Durable: durable},
+			recovered: recovered,
+		}
+		if cfg != nil {
+			job.opts.Chaos = chaos.MustNew(*cfg, scale.ChaosMTNodes)
+		}
+		at := func(i int) float64 {
+			t := 0.02 * float64(i)
+			if wave2At > 0 && i >= (scale.ChaosMTJobs+1)/2 {
+				t += wave2At
+			}
+			return t
+		}
+		job.subs = synSubs("cm", job.tenants, scale.ChaosMTJobs, at, true, input, store)
+		return job, nil
+	})
 }
 
 // outputDigests fingerprints each job's output, in submission order, so
 // cross-leg identity checks hold digests instead of the record sets
 // themselves (full scale runs hundreds of jobs).
-func (r *mtRun) outputDigests() ([]uint64, error) {
+func (r *lab) outputDigests() ([]uint64, error) {
 	digests := make([]uint64, len(r.statuses))
 	for i, st := range r.statuses {
 		fp, err := st.Result.Output.Fingerprint()
@@ -176,7 +153,7 @@ func cmCompareStatuses(ref, got []jobsvc.JobStatus) error {
 //   - recovered: a crash image is cut from the durable journal (torn
 //     tail included), a fresh world Recovers from it and re-runs; every
 //     status must byte-match the uninterrupted durable run.
-func ChaosMultiTenant(scale Scale) (*Table, error) {
+func ChaosMultiTenant(scale Scale, _ *obs.Trace) (*Table, error) {
 	if scale.ChaosMTNodes <= 8 || scale.ChaosMTTenants <= 0 || scale.ChaosMTJobs <= 0 {
 		return nil, fmt.Errorf("chaos-mt: scale not configured (nodes %d, tenants %d, jobs %d)",
 			scale.ChaosMTNodes, scale.ChaosMTTenants, scale.ChaosMTJobs)
@@ -192,13 +169,13 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 			scale.ChaosMTTenants, scale.ChaosMTJobs, scale.ChaosMTNodes),
 		Columns: append(cols, "lookups", "hit_ratio", "ixerrs", "crashes", "spec"),
 	}
-	addRow := func(label string, r *mtRun) {
+	addRow := func(label string, r *lab) {
 		cells := []float64{float64(totalJobs), r.span("")}
 		for _, tn := range tenants {
 			cells = append(cells, r.span(tn.Name))
 		}
 		t.Add(label, append(cells, float64(r.lookups()), r.pool.HitRatio(), float64(r.indexErrors()),
-			float64(r.trace.Metrics.Counter(chaos.CtrNodeCrashes)),
+			float64(r.engine.Trace.Metrics.Counter(chaos.CtrNodeCrashes)),
 			float64(r.counterSum(chaos.CtrSpecLaunched)))...)
 	}
 
@@ -254,7 +231,12 @@ func ChaosMultiTenant(scale Scale) (*Table, error) {
 	}
 	defer os.RemoveAll(dir)
 	refDir, crashDir := filepath.Join(dir, "ref"), filepath.Join(dir, "crash")
-	every := cmCheckpointEvery(scale)
+	// Checkpoint roughly twice: at the inter-wave quiescent point (half
+	// the jobs newly decided comfortably clears a quarter-trace threshold)
+	// and at the final drain. At cluster scale every checkpoint serializes
+	// the whole shared cache pool, so checkpointing after every decided
+	// job would dominate the experiment's wall clock.
+	every := max(scale.ChaosMTTenants*scale.ChaosMTJobs/4, 1)
 	ref, err := cmRun(scale, "durable", &comboCfg, &jobsvc.Durability{Dir: refDir, CheckpointEvery: every}, waveGap, false)
 	if err != nil {
 		return nil, err

@@ -5,6 +5,8 @@ import (
 
 	"efind/internal/core"
 	"efind/internal/dfs"
+	"efind/internal/ixclient"
+	"efind/internal/jobsvc"
 	"efind/internal/kvstore"
 	"efind/internal/mapreduce"
 	"efind/internal/obs"
@@ -12,54 +14,39 @@ import (
 	"efind/internal/workloads"
 )
 
-// obsTrace, when set, is attached to the engine of every lab created
-// afterwards, so one benchmark invocation accumulates a single
-// virtual-time trace and profile across its experiments (each strategy
-// run still gets a fresh lab — only the observability record is shared).
-var obsTrace *obs.Trace
-
-// SetTrace attaches (or, with nil, detaches) the trace future labs
-// record into. Call it once before running experiments.
-func SetTrace(t *obs.Trace) { obsTrace = t }
-
-// section labels subsequent trace stages, instants, and index-profile
-// rows with a run context (e.g. "11f/l=10/base"); no-op without a trace.
-func section(s string) {
-	if obsTrace != nil {
-		obsTrace.SetSection(s)
-	}
-}
-
-// lab is one fresh simulated environment. Every strategy run gets its own
-// lab so caches, catalogs, and index statistics cannot leak between runs.
+// lab is one fresh simulated environment and what a leg ran in it: the
+// job's result, or the service trace's statuses in submission order with
+// the service's shared cache pool, journal length and recovery report.
+// Every leg gets its own lab so caches, catalogs, and index statistics
+// cannot leak between legs.
 type lab struct {
 	cluster *sim.Cluster
 	fs      *dfs.FS
 	engine  *mapreduce.Engine
 	rt      *core.Runtime
+
+	res      *core.JobResult
+	statuses []jobsvc.JobStatus
+	pool     *ixclient.Pool
+	journal  int
+	recovery *jobsvc.RecoveryReport
 }
 
-// labConfig is the paper's 12-node cluster with task startup scaled like
-// everything else: the paper's jobs run for hundreds to thousands of
-// seconds against ~1 s task launches; the simulated jobs run for ~1 s, so
-// startup scales to milliseconds.
-func labConfig() sim.Config {
+// newLab builds the paper's 12-node cluster, reshaped by shape when set,
+// its engine recording into tr. Task startup is scaled like everything
+// else: the paper's jobs run for hundreds to thousands of seconds against
+// ~1 s task launches; the simulated jobs run for ~1 s, so startup scales
+// to milliseconds.
+func newLab(tr *obs.Trace, shape func(*sim.Config)) *lab {
 	cfg := sim.DefaultConfig()
 	cfg.TaskStartup = 0.005
-	return cfg
-}
-
-// newLab builds the paper's environment; the workload generators size its
-// chunks so that jobs run multiple task waves at simulation scale.
-func newLab() *lab { return newLabOn(labConfig()) }
-
-// newLabOn builds a lab on a cluster of the caller's shape (a straggler's
-// node speeds, the chaos experiment's node count).
-func newLabOn(cfg sim.Config) *lab {
+	if shape != nil {
+		shape(&cfg)
+	}
 	cluster := sim.NewCluster(cfg)
 	fs := dfs.New(cluster)
 	engine := mapreduce.New(cluster, fs)
-	engine.Trace = obsTrace
+	engine.Trace = tr
 	return &lab{cluster: cluster, fs: fs, engine: engine, rt: core.NewRuntime(engine)}
 }
 
@@ -87,77 +74,142 @@ var strategyColumns = []string{"base", "cache", "repart", "idxloc", "optimized",
 // inherently ~√1000 larger for the same underlying distribution.
 const experimentVarianceThreshold = 0.35
 
-// strategyJob is what one strategy column runs in its lab: build
-// composes the job under a name (twice for "optimized", whose statistics
-// run comes first); op and ix name the index the repart and idxloc
-// columns force.
+// leg is one run of an experiment in a lab of its own: a strategy column
+// of a figure, a parameter row of an ablation, a trace through the job
+// service.
+type leg struct {
+	// trace is what the lab records into (nil: nothing): the experiment's,
+	// or a private one whose counters the leg reads in isolation. section,
+	// when set, labels its records from here on (e.g. "11f/l=10/base").
+	trace   *obs.Trace
+	section string
+	// shape reshapes the lab's cluster: a straggler's node speeds, the
+	// chaos experiment's node count.
+	shape func(*sim.Config)
+	// column is the strategy column the job runs under, job its name;
+	// under "optimized" the statistics job named stats runs first — the
+	// paper's offline statistics run —, every other column starts cold.
+	// tune, when set, adjusts the measured job once it is composed.
+	column, job, stats string
+	tune               func(*core.IndexJobConf)
+}
+
+// columnLegs gives the leg of each strategy column of a figure, its jobs
+// named <prefix>-stats and <prefix>-<column>.
+func columnLegs(tr *obs.Trace, prefix string) func(column string) leg {
+	return func(c string) leg { return leg{trace: tr, column: c, job: prefix + "-" + c, stats: prefix + "-stats"} }
+}
+
+// strategyJob is what setup hands its leg to run: build composes the job
+// under a name, and op and ix name the index the repart and idxloc
+// columns force. A service leg sets subs instead: the tenants'
+// submissions through a job service with opts, which with recovered
+// first restores the crash image in opts.Durable.Dir.
 type strategyJob struct {
-	build  func(name string) *core.IndexJobConf
-	op, ix string
+	build     func(name string) *core.IndexJobConf
+	op, ix    string
+	tenants   []jobsvc.TenantConfig
+	subs      []jobsvc.Submission
+	opts      jobsvc.Options
+	recovered bool
 }
 
-// runColumn runs one strategy column of a figure in a lab of its own, so
-// caches, catalogs and index statistics cannot leak between columns:
-// setup generates the workload into the fresh lab and says how to compose
-// the job. Only "optimized" collects statistics first (the paper's
-// offline statistics run); every other column starts cold.
-func runColumn(column, prefix string, setup func(*lab) (strategyJob, error)) (*lab, *core.JobResult, error) {
-	l := newLab()
-	job, err := setup(l)
+// columnModes is the runtime mode of each strategy column; repart and
+// idxloc also force their strategy on the leg's index.
+var columnModes = map[string]core.Mode{
+	"base": core.ModeBaseline, "cache": core.ModeCache, "repart": core.ModeCustom,
+	"idxloc": core.ModeCustom, "optimized": core.ModeOptimized, "dynamic": core.ModeDynamic,
+}
+
+// runLeg runs one leg: it builds the lab, labels the section, lets setup
+// generate the workload into the lab and say what to run, and runs it —
+// the job under the leg's column, or the service trace, whose jobs must
+// all complete without the journal degrading.
+func runLeg(lg leg, setup func(*lab) (strategyJob, error)) (*lab, error) {
+	r := newLab(lg.trace, lg.shape)
+	if lg.section != "" && lg.trace != nil {
+		lg.trace.SetSection(lg.section)
+	}
+	job, err := setup(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if column == "optimized" {
-		if err := l.rt.CollectStats(job.build(prefix + "-stats")); err != nil {
-			return nil, nil, err
+	if job.subs != nil {
+		return r, r.serve(lg.section, job)
+	}
+	mode, ok := columnModes[lg.column]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown strategy column %q", lg.column)
+	}
+	if lg.column == "optimized" {
+		if err := r.rt.CollectStats(job.build(lg.stats)); err != nil {
+			return nil, err
 		}
 	}
-	res, err := submitMode(l.rt, job.build(prefix+"-"+column), column, job.op, job.ix)
-	return l, res, err
-}
-
-// strategyCells runs every column of one figure row through run and
-// returns the row's cells, noting the optimized column's plan behind
-// planTag.
-func strategyCells(t *Table, cols []string, planTag string, run func(column string) (float64, *core.JobResult, error)) ([]float64, error) {
-	cells := make([]float64, 0, len(cols))
-	for _, c := range cols {
-		vt, res, err := run(c)
-		if err != nil {
-			return nil, fmt.Errorf("%s, column %s: %w", t.Title, c, err)
-		}
-		cells = append(cells, vt)
-		if c == "optimized" {
-			t.Note("%s%v", planTag, res.Plan)
-		}
+	conf := job.build(lg.job)
+	if lg.tune != nil {
+		lg.tune(conf)
 	}
-	return cells, nil
-}
-
-// submitMode runs one job configuration under a named strategy column.
-// For "repart"/"idxloc" the forced target operator/index is required; for
-// "optimized" the runtime must already hold statistics (runColumn's job).
-func submitMode(rt *core.Runtime, conf *core.IndexJobConf, column, forceOp, forceIx string) (*core.JobResult, error) {
 	if conf.VarianceThreshold == 0 {
 		conf.VarianceThreshold = experimentVarianceThreshold
 	}
-	switch column {
-	case "base":
-		conf.Mode = core.ModeBaseline
-	case "cache":
-		conf.Mode = core.ModeCache
+	conf.Mode = mode
+	switch lg.column {
 	case "repart":
-		conf.Mode = core.ModeCustom
-		conf.ForceStrategy(forceOp, forceIx, core.Repartition)
+		conf.ForceStrategy(job.op, job.ix, core.Repartition)
 	case "idxloc":
-		conf.Mode = core.ModeCustom
-		conf.ForceStrategy(forceOp, forceIx, core.IndexLocality)
-	case "optimized":
-		conf.Mode = core.ModeOptimized
-	case "dynamic":
-		conf.Mode = core.ModeDynamic
-	default:
-		return nil, fmt.Errorf("experiments: unknown strategy column %q", column)
+		conf.ForceStrategy(job.op, job.ix, core.IndexLocality)
 	}
-	return rt.Submit(conf)
+	r.res, err = r.rt.Submit(conf)
+	return r, err
+}
+
+// serve pushes a service leg's trace through a job service on the lab's
+// runtime; label names the leg in the errors.
+func (r *lab) serve(label string, job strategyJob) error {
+	r.pool = job.opts.SharedCache
+	var svc *jobsvc.Service
+	var err error
+	if job.recovered {
+		svc, r.recovery, err = jobsvc.Recover(r.rt, job.tenants, job.opts)
+	} else {
+		svc, err = jobsvc.New(r.rt, job.tenants, job.opts)
+	}
+	if err != nil {
+		return err
+	}
+	r.statuses = svc.Run(job.subs)
+	for _, st := range r.statuses {
+		if st.State != jobsvc.JobCompleted {
+			return fmt.Errorf("%s: job %s/%s %s: %s%v", label, st.Tenant, st.Name, st.State, st.Reason, st.Err)
+		}
+	}
+	if err := svc.DurableErr(); err != nil {
+		return fmt.Errorf("%s: durability degraded: %w", label, err)
+	}
+	r.journal = svc.JournalRecords()
+	return nil
+}
+
+// strategyCells runs one figure row: each column runs as the leg lg
+// gives it, on setup's workload, and cell reads the column's value off
+// the run. It returns the row's cells, noting the optimized column's plan
+// behind planTag unless that is empty.
+func strategyCells(t *Table, cols []string, planTag string, lg func(column string) leg, setup func(*lab) (strategyJob, error), cell func(column string, r *lab) (float64, error)) ([]float64, error) {
+	cells := make([]float64, 0, len(cols))
+	for _, c := range cols {
+		r, err := runLeg(lg(c), setup)
+		var v float64
+		if err == nil {
+			v, err = cell(c, r)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s, column %s: %w", t.Title, c, err)
+		}
+		cells = append(cells, v)
+		if c == "optimized" && planTag != "" {
+			t.Note("%s%v", planTag, r.res.Plan)
+		}
+	}
+	return cells, nil
 }

@@ -7,8 +7,8 @@ import (
 	"efind/internal/core"
 )
 
-// TestRunColumnFreshLabStatsForOptimizedOnly pins the strategy-sweep
-// runner's two promises. Every column gets a lab of its own: the
+// TestRunColumnFreshLabStatsForOptimizedOnly pins the leg runner's two
+// promises for a strategy sweep. Every column gets a lab of its own: the
 // statistics the optimized and dynamic columns leave in their catalog are
 // gone when the next column sets up, and no lab, file system or runtime
 // is handed out twice. And only "optimized" runs the statistics job,
@@ -19,7 +19,7 @@ func TestRunColumnFreshLabStatsForOptimizedOnly(t *testing.T) {
 	seen := make(map[interface{}]string)
 	var built []string
 	for _, c := range []string{"optimized", "base", "dynamic", "cache", "optimized", "repart", "idxloc"} {
-		l, res, err := runColumn(c, "probe", func(l *lab) (strategyJob, error) {
+		run, err := runLeg(columnLegs(nil, "probe")(c), func(l *lab) (strategyJob, error) {
 			if ops := l.rt.Catalog.Operators(); len(ops) != 0 {
 				t.Fatalf("column %s starts with statistics for %v", c, ops)
 			}
@@ -37,15 +37,15 @@ func TestRunColumnFreshLabStatsForOptimizedOnly(t *testing.T) {
 				built = append(built, name)
 				return buildSynConf(name, input, store, core.ModeBaseline)
 			}
-			return strategyJob{build, "syn", store.Name()}, nil
+			return strategyJob{build: build, op: "syn", ix: store.Name()}, nil
 		})
 		if err != nil {
 			t.Fatalf("column %s: %v", c, err)
 		}
-		if res.Output.Records() != scale.SynRecords {
-			t.Fatalf("column %s: %d output records, want %d", c, res.Output.Records(), scale.SynRecords)
+		if run.res.Output.Records() != scale.SynRecords {
+			t.Fatalf("column %s: %d output records, want %d", c, run.res.Output.Records(), scale.SynRecords)
 		}
-		if c == "optimized" && l.rt.Catalog.Get("syn") == nil {
+		if c == "optimized" && run.rt.Catalog.Get("syn") == nil {
 			t.Fatal("optimized column ran without statistics in its catalog")
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"efind/internal/core"
 	"efind/internal/dfs"
 	"efind/internal/mapreduce"
+	"efind/internal/obs"
 	"efind/internal/workloads"
 )
 
@@ -20,10 +21,28 @@ const geoBaseDelay = 0.0008
 // logTopK is the k of the LOG application's top-k frequent URLs.
 const logTopK = 10
 
+// logJob is the setup of a leg running the LOG application's index job:
+// it writes recs into the lab in the chunks that suit an input of
+// chunkEvents events and stands up the cloud geo service with the given
+// extra delay (milliseconds). An experiment generates recs once per input
+// size: every leg's fresh lab creates its file from the same records.
+func logJob(recs []dfs.Record, chunkEvents int, extraDelayMs float64) func(*lab) (strategyJob, error) {
+	return func(l *lab) (strategyJob, error) {
+		l.fs.ChunkTarget = chunkTargetFor(chunkEvents * 90)
+		input, err := l.fs.Create("log", recs)
+		if err != nil {
+			return strategyJob{}, err
+		}
+		geo := cloudsvc.NewGeoService(0, geoBaseDelay+extraDelayMs/1000, 50)
+		build := func(name string) *core.IndexJobConf { return logJobConf(name, input, geo) }
+		return strategyJob{build: build, op: "geo", ix: geo.Name()}, nil
+	}
+}
+
 // logJobConf builds the LOG application of §5.1: look up each event's
 // source IP in the cloud geo service (head operator), then count URL
 // visits per (region, URL) pair.
-func logJobConf(name string, input *dfs.File, geo *cloudsvc.Service, mode core.Mode) *core.IndexJobConf {
+func logJobConf(name string, input *dfs.File, geo *cloudsvc.Service) *core.IndexJobConf {
 	geoOp := core.NewOperator("geo",
 		func(in core.Pair) core.PreResult {
 			ip, _, _, ok := workloads.ParseLogValue(in.Value)
@@ -44,7 +63,6 @@ func logJobConf(name string, input *dfs.File, geo *cloudsvc.Service, mode core.M
 	conf := &core.IndexJobConf{
 		Name:  name,
 		Input: input,
-		Mode:  mode,
 		Mapper: func(_ *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
 			parts := strings.SplitN(in.Value, "\x00", 2)
 			if len(parts) != 2 {
@@ -127,53 +145,40 @@ func topKJob(engine *mapreduce.Engine, input *dfs.File) (*mapreduce.Result, erro
 	})
 }
 
-// runLogOnce executes the LOG application end to end in a fresh lab, its
-// input chunked as for chunkEvents events, and returns its total virtual
-// time, top-k job included.
-func runLogOnce(scale Scale, chunkEvents int, extraDelayMs float64, column string) (float64, *core.JobResult, error) {
-	l, res, err := runColumn(column, "log", func(l *lab) (strategyJob, error) {
-		input, geo, err := setupLog(l, scale, chunkEvents, extraDelayMs)
-		if err != nil {
-			return strategyJob{}, err
-		}
-		build := func(name string) *core.IndexJobConf { return logJobConf(name, input, geo, core.ModeBaseline) }
-		return strategyJob{build, "geo", geo.Name()}, nil
-	})
+// logTotal is the cell of a LOG column: the application's total virtual
+// time, the follow-on top-k job run in the column's lab included.
+func logTotal(_ string, r *lab) (float64, error) {
+	topk, err := topKJob(r.engine, r.res.Output)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	topk, err := topKJob(l.engine, res.Output)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.VTime + topk.VTime, res, nil
+	return r.res.VTime + topk.VTime, nil
 }
 
 // chunkTargetFor sizes chunks so a workload of roughly totalBytes spans
-// ~2.5 waves of map tasks on the 12×8-slot cluster.
-func chunkTargetFor(totalBytes int) int {
-	const targetChunks = 240
-	t := totalBytes / targetChunks
-	if t < 2048 {
-		t = 2048
-	}
-	return t
-}
+// ~2.5 waves of map tasks on the 12×8-slot cluster: 240 chunks of at
+// least 2 KB.
+func chunkTargetFor(totalBytes int) int { return max(totalBytes/240, 2048) }
 
 // Fig11a reproduces Figure 11(a): the LOG application under extra lookup
 // delays of 0–5 ms, for every applicable strategy. Index locality does
 // not apply (the cloud service is a single external node), mirroring the
 // paper.
-func Fig11a(scale Scale) (*Table, error) {
+func Fig11a(scale Scale, tr *obs.Trace) (*Table, error) {
 	cols := []string{"base", "cache", "repart", "optimized", "dynamic"}
 	t := &Table{Title: "Figure 11(a): LOG — runtime (virtual s) vs extra lookup delay", Columns: cols}
+	cfg := workloads.DefaultLogConfig()
+	cfg.Events = scale.LogEvents
+	recs, err := workloads.GenerateLog(cfg)
+	if err != nil {
+		return nil, err
+	}
 	for _, d := range scale.LogDelaysMs {
-		cells, err := strategyCells(t, cols, fmt.Sprintf("delay %gms: optimized plan ", d), func(c string) (float64, *core.JobResult, error) {
-			vt, res, err := runLogOnce(scale, scale.LogEvents, d, c)
-			if err == nil && c == "dynamic" && res.Replanned {
-				t.Note("delay %gms: dynamic replanned at %s phase to %v", d, res.ReplanPhase, res.Plan)
+		cells, err := strategyCells(t, cols, fmt.Sprintf("delay %gms: optimized plan ", d), columnLegs(tr, "log"), logJob(recs, scale.LogEvents, d), func(c string, r *lab) (float64, error) {
+			if c == "dynamic" && r.res.Replanned {
+				t.Note("delay %gms: dynamic replanned at %s phase to %v", d, r.res.ReplanPhase, r.res.Plan)
 			}
-			return vt, res, err
+			return logTotal(c, r)
 		})
 		if err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 	"efind/internal/dfs"
 	"efind/internal/index"
 	"efind/internal/mapreduce"
+	"efind/internal/obs"
 	"efind/internal/workloads"
 )
 
@@ -46,33 +47,29 @@ func buildSynConf(name string, input *dfs.File, ix index.Accessor, mode core.Mod
 	return conf
 }
 
-// runSynOnce executes the synthetic join for one index value size l under
-// one strategy in a fresh lab.
-func runSynOnce(scale Scale, l int, column string) (*core.JobResult, error) {
-	section(fmt.Sprintf("11f/l=%d/%s", l, column))
-	_, res, err := runColumn(column, "syn", func(env *lab) (strategyJob, error) {
-		input, store, err := env.genSyn(scale, l)
+// synJob is the setup of a leg running the synthetic join with index
+// values of size bytes.
+func synJob(scale Scale, size int) func(*lab) (strategyJob, error) {
+	return func(l *lab) (strategyJob, error) {
+		input, store, err := l.genSyn(scale, size)
 		if err != nil {
 			return strategyJob{}, err
 		}
 		build := func(name string) *core.IndexJobConf { return buildSynConf(name, input, store, core.ModeBaseline) }
-		return strategyJob{build, "syn", store.Name()}, nil
-	})
-	return res, err
+		return strategyJob{build: build, op: "syn", ix: store.Name()}, nil
+	}
 }
 
 // Fig11f reproduces Figure 11(f): the synthetic join across strategies
 // while the index lookup result size l sweeps from 10 B to 30 KB.
-func Fig11f(scale Scale) (*Table, error) {
+func Fig11f(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{Title: "Figure 11(f): Synthetic — runtime (virtual s) vs index value size l", Columns: strategyColumns}
 	for _, l := range scale.SynSizes {
-		cells, err := strategyCells(t, strategyColumns, fmt.Sprintf("l=%dB optimized plan: ", l), func(c string) (float64, *core.JobResult, error) {
-			res, err := runSynOnce(scale, l, c)
-			if err != nil {
-				return 0, nil, err
-			}
-			return res.VTime, res, nil
-		})
+		cells, err := strategyCells(t, strategyColumns, fmt.Sprintf("l=%dB optimized plan: ", l), func(c string) leg {
+			lg := columnLegs(tr, "syn")(c)
+			lg.section = fmt.Sprintf("11f/l=%d/%s", l, c)
+			return lg
+		}, synJob(scale, l), func(_ string, r *lab) (float64, error) { return r.res.VTime, nil })
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"efind/internal/ixclient"
 	"efind/internal/kvstore"
 	"efind/internal/mapreduce"
+	"efind/internal/obs"
 	"efind/internal/sim"
 )
 
@@ -16,8 +17,8 @@ import (
 // latencies are exactly what the runtime charges per lookup: the index
 // serve time T_j, plus the network transfer of key and result when the
 // task node does not host the key's partition.
-func Fig12(scale Scale) (*Table, error) {
-	l := newLab()
+func Fig12(scale Scale, _ *obs.Trace) (*Table, error) {
+	l := newLab(nil, nil)
 	sizes := scale.SynSizes
 	t := &Table{
 		Title:   "Figure 12: index lookup latency (virtual ms) vs result size",

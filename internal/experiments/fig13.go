@@ -5,6 +5,7 @@ import (
 
 	"efind/internal/core"
 	"efind/internal/knnj"
+	"efind/internal/obs"
 	"efind/internal/workloads"
 )
 
@@ -13,7 +14,7 @@ import (
 // EFind-based index nested-loop join under every strategy. The paper's
 // claim: the effortless EFind version with the optimal strategy (index
 // locality) performs like the hand-tuned two-phase join.
-func Fig13(scale Scale) (*Table, error) {
+func Fig13(scale Scale, tr *obs.Trace) (*Table, error) {
 	cols := append([]string{"h-zknnj"}, strategyColumns...)
 	t := &Table{Title: "Figure 13: kNN join (k=10) — runtime (virtual s)", Columns: cols}
 
@@ -24,7 +25,7 @@ func Fig13(scale Scale) (*Table, error) {
 	exact := knnj.BruteForceKNN(a, b, scale.KNNK)
 
 	// Hand-tuned comparator.
-	l := newLab()
+	l := newLab(tr, nil)
 	l.fs.ChunkTarget = chunkTargetFor((scale.SpatialA + scale.SpatialB) * 40)
 	hzCfg := knnj.DefaultHZConfig(scale.KNNK)
 	hzCfg.Epsilon = 0.02
@@ -35,27 +36,24 @@ func Fig13(scale Scale) (*Table, error) {
 	t.Note("h-zknnj: %d jobs, recall %.3f", hz.Jobs, knnj.Recall(hz.Join, exact))
 
 	// EFind strategies.
-	cells, err := strategyCells(t, strategyColumns, "optimized plan: ", func(c string) (float64, *core.JobResult, error) {
-		_, res, err := runColumn(c, "knn", func(l *lab) (strategyJob, error) {
-			l.fs.ChunkTarget = chunkTargetFor(scale.SpatialA * 40)
-			idxCfg := knnj.DefaultSpatialIndexConfig(1000)
-			idxCfg.K = scale.KNNK
-			idx, err := knnj.BuildSpatialIndex(l.cluster, "spatial", b, idxCfg)
-			if err != nil {
-				return strategyJob{}, err
-			}
-			input, err := workloads.WriteSpatial(l.fs, "a-points", a)
-			if err != nil {
-				return strategyJob{}, err
-			}
-			build := func(name string) *core.IndexJobConf { return knnj.EFindConf(name, input, idx, core.ModeBaseline) }
-			return strategyJob{build, "knn", idx.Name()}, nil
-		})
+	setup := func(l *lab) (strategyJob, error) {
+		l.fs.ChunkTarget = chunkTargetFor(scale.SpatialA * 40)
+		idxCfg := knnj.DefaultSpatialIndexConfig(1000)
+		idxCfg.K = scale.KNNK
+		idx, err := knnj.BuildSpatialIndex(l.cluster, "spatial", b, idxCfg)
 		if err != nil {
-			return 0, nil, err
+			return strategyJob{}, err
 		}
-		t.Note("%s: recall %.3f%s", c, knnj.Recall(knnj.CollectJoin(res.Output), exact), replanNote(res))
-		return res.VTime, res, nil
+		input, err := workloads.WriteSpatial(l.fs, "a-points", a)
+		if err != nil {
+			return strategyJob{}, err
+		}
+		build := func(name string) *core.IndexJobConf { return knnj.EFindConf(name, input, idx, core.ModeBaseline) }
+		return strategyJob{build: build, op: "knn", ix: idx.Name()}, nil
+	}
+	cells, err := strategyCells(t, strategyColumns, "optimized plan: ", columnLegs(tr, "knn"), setup, func(c string, r *lab) (float64, error) {
+		t.Note("%s: recall %.3f%s", c, knnj.Recall(knnj.CollectJoin(r.res.Output), exact), replanNote(r.res))
+		return r.res.VTime, nil
 	})
 	if err != nil {
 		return nil, err

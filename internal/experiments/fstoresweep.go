@@ -7,6 +7,8 @@ import (
 
 	"efind/internal/core"
 	"efind/internal/fstore"
+	"efind/internal/kvstore"
+	"efind/internal/obs"
 )
 
 // synRunSignature holds everything a backend change must not alter: the
@@ -26,15 +28,12 @@ type synRunSignature struct {
 // put both the DFS (input and every intermediate file) and the index
 // store onto fstore snapshots, then release every mapping and verify
 // none leaked.
-func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error) {
+func runSynBackend(scale Scale, tr *obs.Trace, l int, fileBacked bool) (synRunSignature, error) {
 	backend := "mem"
 	if fileBacked {
 		backend = "file"
 	}
-	section(fmt.Sprintf("fstore-sweep/l=%d/%s", l, backend))
 	handles0 := fstore.OpenHandles()
-	env := newLab()
-
 	var dir string
 	if fileBacked {
 		var err error
@@ -43,38 +42,44 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 			return synRunSignature{}, err
 		}
 		defer os.RemoveAll(dir)
-		if err := env.fs.SetBacking(filepath.Join(dir, "dfs")); err != nil {
-			return synRunSignature{}, err
-		}
-	}
-	input, store, err := env.genSyn(scale, l)
-	if err != nil {
-		return synRunSignature{}, err
-	}
-	if fileBacked {
-		if err := store.Freeze(filepath.Join(dir, "kv")); err != nil {
-			return synRunSignature{}, err
-		}
-	}
-	conf := buildSynConf("syn-"+backend, input, store, core.ModeBaseline)
-	res, err := submitMode(env.rt, conf, "base", "syn", store.Name())
-	if err != nil {
-		return synRunSignature{}, err
 	}
 
-	fp, err := res.Output.Fingerprint()
+	var store *kvstore.Store
+	lg := leg{trace: tr, section: fmt.Sprintf("fstore-sweep/l=%d/%s", l, backend), column: "base", job: "syn-" + backend}
+	run, err := runLeg(lg, func(env *lab) (strategyJob, error) {
+		if fileBacked {
+			if err := env.fs.SetBacking(filepath.Join(dir, "dfs")); err != nil {
+				return strategyJob{}, err
+			}
+		}
+		input, s, err := env.genSyn(scale, l)
+		if err != nil {
+			return strategyJob{}, err
+		}
+		if store = s; fileBacked {
+			if err := store.Freeze(filepath.Join(dir, "kv")); err != nil {
+				return strategyJob{}, err
+			}
+		}
+		build := func(name string) *core.IndexJobConf { return buildSynConf(name, input, store, core.ModeBaseline) }
+		return strategyJob{build: build, op: "syn", ix: store.Name()}, nil
+	})
+	if err != nil {
+		return synRunSignature{}, err
+	}
+	fp, err := run.res.Output.Fingerprint()
 	if err != nil {
 		return synRunSignature{}, err
 	}
 	sig := synRunSignature{
-		vtime:    res.VTime,
+		vtime:    run.res.VTime,
 		out:      fp,
-		counters: fmt.Sprint(res.Counters),
+		counters: fmt.Sprint(run.res.Counters),
 		lookups:  store.Lookups(),
 		misses:   store.Misses(),
 	}
 
-	if err := env.engine.Close(); err != nil {
+	if err := run.engine.Close(); err != nil {
 		return synRunSignature{}, err
 	}
 	if err := store.Close(); err != nil {
@@ -92,7 +97,7 @@ func runSynBackend(scale Scale, l int, fileBacked bool) (synRunSignature, error)
 // traffic, same virtual time — because file-backing changes only where
 // bytes live, never what the simulation computes; the "identical" column
 // is 1 exactly when they do, and a 0 fails the experiment.
-func FStoreSweep(scale Scale) (*Table, error) {
+func FStoreSweep(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "fstore sweep: in-memory vs mmap-snapshot backend — runtime (virtual s) vs index value size l",
 		Columns: []string{"mem", "file", "identical"},
@@ -101,11 +106,11 @@ func FStoreSweep(scale Scale) (*Table, error) {
 		t.Note("mmap unavailable on this platform; file-backed runs use the read fallback")
 	}
 	for _, l := range scale.SynSizes {
-		mem, err := runSynBackend(scale, l, false)
+		mem, err := runSynBackend(scale, tr, l, false)
 		if err != nil {
 			return nil, err
 		}
-		file, err := runSynBackend(scale, l, true)
+		file, err := runSynBackend(scale, tr, l, true)
 		if err != nil {
 			return nil, err
 		}

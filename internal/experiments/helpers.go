@@ -1,26 +1,9 @@
 package experiments
 
 import (
-	"efind/internal/cloudsvc"
-	"efind/internal/dfs"
 	"efind/internal/sim"
 	"efind/internal/tpch"
-	"efind/internal/workloads"
 )
-
-// setupLog generates the LOG input in the lab, in the chunks that suit an
-// input of chunkEvents events, and stands up the cloud geo service with
-// the given extra delay (milliseconds).
-func setupLog(l *lab, scale Scale, chunkEvents int, extraDelayMs float64) (*dfs.File, *cloudsvc.Service, error) {
-	l.fs.ChunkTarget = chunkTargetFor(chunkEvents * 90)
-	cfg := workloads.DefaultLogConfig()
-	cfg.Events = scale.LogEvents
-	input, err := workloads.GenerateLog(l.fs, "log", cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return input, cloudsvc.NewGeoService(0, geoBaseDelay+extraDelayMs/1000, 50), nil
-}
 
 // setupTPCH generates the TPC-H workload in the lab, lineitem duplicated
 // dup times (the paper's DUP10).

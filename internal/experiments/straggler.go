@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"efind/internal/core"
+	"efind/internal/obs"
 	"efind/internal/sim"
 )
 
@@ -15,12 +15,22 @@ import (
 // cluster and on one where a node runs at quarter speed; with soft
 // placement the slowdown stays bounded (stragglers simply win fewer
 // tasks), far below the 4x a pinned design would suffer.
-func AblationStraggler(scale Scale) (*Table, error) {
+func AblationStraggler(scale Scale, tr *obs.Trace) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: index locality under a straggler node (soft placement, footnote 3)",
 		Columns: []string{"runtime"},
 	}
-	uniform, err := runSynIdxlocOn(scale, nil)
+	// idxloc runs the join with forced index locality on a cluster of
+	// the given node speeds (nil: uniform).
+	idxloc := func(speeds []float64) (float64, error) {
+		shape := func(cfg *sim.Config) { cfg.NodeSpeed = speeds }
+		run, err := runLeg(leg{trace: tr, shape: shape, column: "idxloc", job: fmt.Sprintf("syn-straggler-%v", speeds == nil)}, synJob(scale, 1024))
+		if err != nil {
+			return 0, err
+		}
+		return run.res.VTime, nil
+	}
+	uniform, err := idxloc(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -29,7 +39,7 @@ func AblationStraggler(scale Scale) (*Table, error) {
 		speeds[i] = 1
 	}
 	speeds[0] = 0.25
-	slowed, err := runSynIdxlocOn(scale, speeds)
+	slowed, err := idxloc(speeds)
 	if err != nil {
 		return nil, err
 	}
@@ -39,23 +49,4 @@ func AblationStraggler(scale Scale) (*Table, error) {
 	t.claim(slowed > uniform, "straggler should cost something: %g vs %g", slowed, uniform)
 	t.claim(slowed/uniform < 3.5, "soft placement should bound the slowdown below the pin-equivalent 4x, got %.2fx", slowed/uniform)
 	return t, t.err
-}
-
-// runSynIdxlocOn runs the synthetic join with forced index locality on a
-// cluster with the given node speeds (nil = uniform).
-func runSynIdxlocOn(scale Scale, speeds []float64) (float64, error) {
-	cfg := labConfig()
-	cfg.NodeSpeed = speeds
-	l := newLabOn(cfg)
-	input, store, err := l.genSyn(scale, 1024)
-	if err != nil {
-		return 0, err
-	}
-	conf := buildSynConf(fmt.Sprintf("syn-straggler-%v", speeds == nil), input, store, core.ModeCustom)
-	conf.ForceStrategy("syn", store.Name(), core.IndexLocality)
-	res, err := l.rt.Submit(conf)
-	if err != nil {
-		return 0, err
-	}
-	return res.VTime, nil
 }

@@ -1,19 +1,21 @@
 package experiments
 
+import "efind/internal/obs"
+
 // Experiment is one named, runnable experiment.
 type Experiment struct {
 	// ID matches the paper's figure number or the ablation name.
 	ID string
 	// Description says what the experiment reproduces.
 	Description string
-	// Run executes the experiment at the given scale.
-	Run func(Scale) (*Table, error)
+	// Run executes the experiment at the given scale, its labs recording
+	// into the trace (nil: none).
+	Run func(Scale, *obs.Trace) (*Table, error)
 }
 
-// All returns every experiment in presentation order, each recording the
-// cells of the table it returns (see pinCells).
+// All returns every experiment in presentation order.
 func All() []Experiment {
-	all := []Experiment{
+	return []Experiment{
 		{ID: "11a", Description: "LOG strategy comparison vs extra lookup delay", Run: Fig11a},
 		{ID: "11b", Description: "TPC-H Q3 strategy comparison", Run: Fig11b},
 		{ID: "11c", Description: "TPC-H Q9 strategy comparison", Run: Fig11c},
@@ -34,27 +36,6 @@ func All() []Experiment {
 		{ID: "adaptive-build", Description: "Adaptive index creation: repeated query converges from scan cost to the indexed plan; break-even matches the cost model", Run: AdaptiveBuild},
 		{ID: "fstore-sweep", Description: "In-memory vs mmap-snapshot storage backend on the synthetic sweep — same answer required", Run: FStoreSweep},
 		{ID: "chaos-multitenant", Description: "Cross-job chaos at scale: crashes, speculation, and outages across tenants' concurrent jobs, plus coordinator crash recovery — same decisions required", Run: ChaosMultiTenant},
-	}
-	for i := range all {
-		all[i].Run = pinCells(all[i].ID, all[i].Run)
-	}
-	return all
-}
-
-// pinCells records every cell of the table run returns, its claims failed
-// or not, as gauge <id>/<row>/<column> of the attached trace: the profile
-// the benchmark gate holds to equality. No-op without a trace.
-func pinCells(id string, run func(Scale) (*Table, error)) func(Scale) (*Table, error) {
-	return func(scale Scale) (*Table, error) {
-		t, err := run(scale)
-		if t != nil && obsTrace != nil {
-			for _, r := range t.Rows {
-				for i, v := range r.Cells {
-					obsTrace.Metrics.SetGauge(id+"/"+r.Label+"/"+t.Columns[i], v)
-				}
-			}
-		}
-		return t, err
 	}
 }
 

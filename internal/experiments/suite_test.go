@@ -20,7 +20,7 @@ func TestExperiments(t *testing.T) {
 			default:
 				t.Parallel()
 			}
-			if _, err := e.Run(s); err != nil {
+			if _, err := e.Run(s, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -44,7 +44,7 @@ func TestSuiteRegistryComplete(t *testing.T) {
 
 // TestChaosMultiTenantRejectsEmptyConfig pins the configuration guard.
 func TestChaosMultiTenantRejectsEmptyConfig(t *testing.T) {
-	if _, err := ChaosMultiTenant(Scale{}); err == nil {
+	if _, err := ChaosMultiTenant(Scale{}, nil); err == nil {
 		t.Fatal("ChaosMultiTenant with no sizes must error")
 	}
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"efind/internal/obs"
 )
 
 // Table is one experiment's result: labeled rows of named columns.
@@ -30,6 +32,16 @@ type Table struct {
 type Row struct {
 	Label string
 	Cells []float64
+}
+
+// Record sets gauge <id>/<row>/<column> of m to every cell of the table,
+// its claims failed or not: what the benchmark gate holds to equality.
+func (t *Table) Record(m *obs.Registry, id string) {
+	for _, r := range t.Rows {
+		for i, v := range r.Cells {
+			m.SetGauge(id+"/"+r.Label+"/"+t.Columns[i], v)
+		}
+	}
 }
 
 // Add appends a row.

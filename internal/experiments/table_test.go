@@ -59,25 +59,21 @@ func TestTableClaim(t *testing.T) {
 	}
 }
 
-// TestPinCells: every cell of a run's table — its claims failed or not —
-// lands in the attached trace as gauge <id>/<row>/<column>.
+// TestPinCells: every cell of a table — its claims failed or not — lands
+// in the registry as gauge <id>/<row>/<column>.
 func TestPinCells(t *testing.T) {
 	tr := obs.NewTrace()
-	SetTrace(tr)
-	defer SetTrace(nil)
-	_, err := pinCells("demo", func(Scale) (*Table, error) {
-		tbl := &Table{Title: "demo", Columns: []string{"a", "b"}}
-		tbl.Add("r1", 1, 2)
-		tbl.Add("r2", 3, 4)
-		tbl.claim(false, "failed")
-		return tbl, tbl.err
-	})(Scale{})
+	tbl := &Table{Title: "demo", Columns: []string{"a", "b"}}
+	tbl.Add("r1", 1, 2)
+	tbl.Add("r2", 3, 4)
+	tbl.claim(false, "failed")
+	tbl.Record(tr.Metrics, "demo")
 	var got []string
 	for _, g := range tr.Metrics.Gauges() {
 		got = append(got, fmt.Sprintf("%s=%g", g.Name, g.Value))
 	}
-	if want := "demo/r1/a=1 demo/r1/b=2 demo/r2/a=3 demo/r2/b=4"; err == nil || strings.Join(got, " ") != want {
-		t.Fatalf("err %v, gauges %v; want the claim's error and %s", err, got, want)
+	if want := "demo/r1/a=1 demo/r1/b=2 demo/r2/a=3 demo/r2/b=4"; tbl.err == nil || strings.Join(got, " ") != want {
+		t.Fatalf("err %v, gauges %v; want the claim's error and %s", tbl.err, got, want)
 	}
 }
 

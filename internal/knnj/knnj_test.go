@@ -2,6 +2,9 @@ package knnj
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"efind/internal/core"
@@ -272,6 +275,44 @@ func TestCandidateStageReopens(t *testing.T) {
 	for id, n := range per {
 		if n > 2*hz.K {
 			t.Fatalf("query %s got %d candidates, want at most %d", id, n, 2*hz.K)
+		}
+	}
+}
+
+// TestBruteForceKNNMatchesStableSort: the bounded top-k insertion keeps
+// what a stable sort of b by distance, cut to k, keeps, in the same order
+// — the first of equal distances first, and kept at the k-th place — on
+// seeded point sets on a small grid, a third of whose points duplicate an
+// earlier one.
+func TestBruteForceKNNMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		gen := func(n int, prefix string) []workloads.SpatialPoint {
+			pts := make([]workloads.SpatialPoint, n)
+			for i := range pts {
+				if i > 0 && rng.Intn(3) == 0 {
+					pts[i] = pts[rng.Intn(i)]
+				} else {
+					pts[i] = workloads.SpatialPoint{X: float64(rng.Intn(16)), Y: float64(rng.Intn(16))}
+				}
+				pts[i].ID = fmt.Sprintf("%s%d", prefix, i)
+			}
+			return pts
+		}
+		a, b := gen(25, "a"), gen(1+rng.Intn(60), "b")
+		for _, k := range []int{0, 1, 2, 7, len(b), len(b) + 3} {
+			got := BruteForceKNN(a, b, k)
+			for _, p := range a {
+				want := make([]Neighbor, 0, len(b))
+				for _, q := range b {
+					want = append(want, Neighbor{ID: q.ID, DistSq: (p.X-q.X)*(p.X-q.X) + (p.Y-q.Y)*(p.Y-q.Y)})
+				}
+				sort.SliceStable(want, func(i, j int) bool { return want[i].DistSq < want[j].DistSq })
+				want = want[:min(k, len(want))]
+				if !slices.Equal(got[p.ID], want) {
+					t.Fatalf("seed %d, k %d, point %s:\n got %v\nwant %v", seed, k, p.ID, got[p.ID], want)
+				}
+			}
 		}
 	}
 }

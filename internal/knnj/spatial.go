@@ -14,7 +14,6 @@ package knnj
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -193,18 +192,29 @@ func ParseNeighbors(values []string) []Neighbor {
 }
 
 // BruteForceKNN computes the exact kNN join of a against b (reference for
-// recall measurements in tests and the experiment harness).
+// recall measurements in tests and the experiment harness). Each point's
+// neighbours come nearest first, kept by a bounded insertion into the k
+// best so far: of equal distances the one earlier in b comes first and,
+// at the k-th place, is the one kept — what a stable sort of b by
+// distance, cut to k, yields.
 func BruteForceKNN(a, b []workloads.SpatialPoint, k int) map[string][]Neighbor {
 	out := make(map[string][]Neighbor, len(a))
 	for _, p := range a {
-		nbrs := make([]Neighbor, 0, len(b))
+		nbrs := make([]Neighbor, 0, min(k, len(b)))
 		for _, q := range b {
 			d := (p.X-q.X)*(p.X-q.X) + (p.Y-q.Y)*(p.Y-q.Y)
-			nbrs = append(nbrs, Neighbor{ID: q.ID, DistSq: d})
-		}
-		sort.Slice(nbrs, func(i, j int) bool { return nbrs[i].DistSq < nbrs[j].DistSq })
-		if len(nbrs) > k {
-			nbrs = nbrs[:k]
+			i := len(nbrs)
+			if i < k {
+				nbrs = append(nbrs, Neighbor{})
+			} else if k == 0 || d >= nbrs[k-1].DistSq {
+				continue
+			} else {
+				i = k - 1 // the farthest drops out
+			}
+			for ; i > 0 && nbrs[i-1].DistSq > d; i-- {
+				nbrs[i] = nbrs[i-1]
+			}
+			nbrs[i] = Neighbor{ID: q.ID, DistSq: d}
 		}
 		out[p.ID] = nbrs
 	}

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"efind/internal/dfs"
@@ -401,7 +400,7 @@ func (f *taskFrame) emitMap(p Pair) {
 }
 
 func (f *taskFrame) emitShard(p Pair) {
-	f.shard = append(f.shard, dfs.Record(p))
+	f.shard = append(f.shard, p)
 	f.outBytes += p.Size()
 }
 
@@ -444,7 +443,7 @@ func (e *Engine) runMapTask(job *Job, taskID, split int, chunk *dfs.Chunk, node 
 	pipe := f.pipeline(job.MapStagesBefore, &f.core, nil, f.mapSink)
 	pipe.Open()
 	for _, r := range records {
-		pipe.Process(Pair{Key: r.Key, Value: r.Value})
+		pipe.Process(r)
 	}
 	pipe.Close()
 	sp.End()
@@ -759,10 +758,7 @@ func (e *Engine) FinishMapOnly(job *Job, mp *MapPhaseResult) (*Result, error) {
 	for i, mo := range mp.Outputs {
 		homes[i] = mo.Node
 		for _, b := range mo.Buckets { // a map-only output is its one bucket
-			shards[i] = slices.Grow(shards[i], len(b))
-			for _, p := range b {
-				shards[i] = append(shards[i], dfs.Record(p))
-			}
+			shards[i] = append(shards[i], b...)
 		}
 	}
 	return e.result(job, mp, shards, homes)

@@ -8,21 +8,17 @@
 package mapreduce
 
 import (
+	"efind/internal/dfs"
 	"efind/internal/obs"
 	"efind/internal/sim"
 	"efind/internal/sketch"
 )
 
 // Pair is the key/value record flowing through a job, following the
-// MapReduce convention of (k1, v1) inputs and (k2, v2) outputs.
-type Pair struct {
-	Key   string
-	Value string
-}
-
-// Size returns the payload size in bytes of the pair, including framing,
-// matching dfs.Record sizing so cost terms line up across layers.
-func (p Pair) Size() int { return len(p.Key) + len(p.Value) + 8 }
+// MapReduce convention of (k1, v1) inputs and (k2, v2) outputs. It is the
+// file system's record, so input records, map outputs and output shards
+// pass between the layers as they are, sized alike.
+type Pair = dfs.Record
 
 // Emit passes one record downstream.
 type Emit func(Pair)

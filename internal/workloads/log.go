@@ -80,13 +80,13 @@ func ParseLogValue(v string) (ip, url string, ts int64, ok bool) {
 	return fields[2], fields[3], t, true
 }
 
-// GenerateLog writes the LOG data set into the file system under name.
+// GenerateLog generates the LOG data set's records in file order.
 // Events are generated session by session: an IP visits VisitsPerSession
 // URLs within a short time window, and each visit is appended to a
 // round-robin chosen server's log stream; the streams are concatenated so
 // one session's events land in different regions of the file (hence
 // different splits).
-func GenerateLog(fs *dfs.FS, name string, cfg LogConfig) (*dfs.File, error) {
+func GenerateLog(cfg LogConfig) ([]dfs.Record, error) {
 	if cfg.Events <= 0 {
 		return nil, fmt.Errorf("workloads: log config needs events > 0")
 	}
@@ -117,11 +117,11 @@ func GenerateLog(fs *dfs.FS, name string, cfg LogConfig) (*dfs.File, error) {
 		}
 	}
 
-	var recs []dfs.Record
+	recs := make([]dfs.Record, 0, cfg.Events)
 	for _, stream := range streams {
 		for _, e := range stream {
 			recs = append(recs, dfs.Record{Key: e.EventID, Value: e.Value()})
 		}
 	}
-	return fs.Create(name, recs)
+	return recs, nil
 }

@@ -15,10 +15,13 @@ func newFS() *dfs.FS {
 }
 
 func TestGenerateLogShape(t *testing.T) {
-	fs := newFS()
 	cfg := DefaultLogConfig()
 	cfg.Events = 5000
-	f, err := GenerateLog(fs, "log", cfg)
+	recs, err := GenerateLog(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := newFS().Create("log", recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,15 +72,14 @@ func TestGenerateLogShape(t *testing.T) {
 func TestGenerateLogDeterministic(t *testing.T) {
 	cfg := DefaultLogConfig()
 	cfg.Events = 1000
-	a, err := GenerateLog(newFS(), "log", cfg)
+	ra, err := GenerateLog(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateLog(newFS(), "log", cfg)
+	rb, err := GenerateLog(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, rb := a.All(), b.All()
 	if len(ra) != len(rb) {
 		t.Fatal("nondeterministic event count")
 	}
@@ -89,7 +91,7 @@ func TestGenerateLogDeterministic(t *testing.T) {
 }
 
 func TestGenerateLogRejectsEmpty(t *testing.T) {
-	if _, err := GenerateLog(newFS(), "log", LogConfig{}); err == nil {
+	if _, err := GenerateLog(LogConfig{}); err == nil {
 		t.Fatal("empty config should fail")
 	}
 }
