@@ -286,10 +286,12 @@ func (f *File) release() error {
 
 // persist renders f's chunk payloads into one snapshot file at path — a
 // cache write: nothing reopens a payload after a crash — and rebinds every
-// chunk to it, dropping the resident slices. Called without the lock.
+// chunk to the snapshot the write serves, dropping the resident slices.
+// Chunk keys sort in chunk order, so chunk i is slot i. Called without
+// the lock.
 func (f *File) persist(path string, opts fstore.Options) error {
 	b := fstore.NewBuilder()
-	keys := make([]string, len(f.Chunks)) // named once, for the write and for the reopen
+	keys := make([]string, len(f.Chunks)) // named once, for the write and for the binding
 	var names strings.Builder             // the one string every key is cut out of
 	names.Grow(9 * len(keys))
 	for i, c := range f.Chunks {
@@ -298,22 +300,19 @@ func (f *File) persist(path string, opts fstore.Options) error {
 		keys[i] = names.String()[at:]
 		b.AddSeq(keys[i], int64(c.Shard), (*chunkValues)(c))
 	}
-	if err := b.WriteFile(path); err != nil {
+	snap, err := b.WriteSnapshot(path, opts)
+	if err != nil {
 		return err
 	}
-	snap, err := fstore.Open(path, opts)
-	if err != nil {
-		os.Remove(path)
-		return fmt.Errorf("dfs: reopening just-written %q: %w", f.Name, err)
-	}
-	for i, c := range f.Chunks {
-		slot, ok := snap.Find(keys[i])
-		if !ok {
+	for i := range f.Chunks {
+		if !snap.KeyIs(i, keys[i]) {
 			snap.Close()
 			os.Remove(path)
-			return fmt.Errorf("dfs: chunk %d of %q missing from its snapshot", i, f.Name)
+			return fmt.Errorf("dfs: chunk %d of %q is not slot %d of its snapshot", i, f.Name, i)
 		}
-		c.snap, c.slot, c.recs = snap, slot, nil
+	}
+	for i, c := range f.Chunks {
+		c.snap, c.slot, c.recs = snap, i, nil
 	}
 	f.snap, f.path = snap, path
 	return nil

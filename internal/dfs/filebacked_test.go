@@ -282,3 +282,46 @@ func TestCreatesPersistOutsideTheLock(t *testing.T) {
 		t.Fatalf("the name of a failed create is not free: %v", err)
 	}
 }
+
+// BenchmarkPersist times one file-backed create shaped like a job output
+// of the svc_durable workload: 48 reducer shards, 2,000 records of about
+// 1.3 KB, and a ChunkTarget of 2,383 B, two records per chunk — about
+// 1,000 snapshot entries. Each op writes, verifies and serves the
+// snapshot, then removes the file. MB/s counts the records' bytes.
+func BenchmarkPersist(b *testing.B) {
+	const shards, records = 48, 2000
+	value := strings.Repeat("0123456789abcdef", 81) // 1,296 B
+	all := make([]Record, records)
+	userBytes := 0
+	for i := range all {
+		all[i] = Record{Key: fmt.Sprintf("out-%06d", i), Value: value}
+		userBytes += len(all[i].Key) + len(value)
+	}
+	parts := make([][]Record, shards)
+	homes := make([]sim.NodeID, shards)
+	for i := range parts {
+		parts[i] = all[i*records/shards : (i+1)*records/shards]
+		homes[i] = sim.NodeID(i)
+	}
+	fs := New(sim.NewCluster(sim.DefaultConfig()))
+	fs.ChunkTarget = 2383
+	if err := fs.SetBacking(b.TempDir()); err != nil {
+		b.Fatal(err)
+	}
+	defer fs.Close()
+	b.SetBytes(int64(userBytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := fs.CreateSharded("out", parts, homes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(len(f.Chunks)), "entries")
+		}
+		if err := fs.Remove("out"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

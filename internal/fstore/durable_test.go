@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -242,27 +243,7 @@ func TestStreamedWriteFaults(t *testing.T) {
 
 	// Damage between the write and its verification: the temp file changes
 	// as it is closed, after every Write was acknowledged in full.
-	damage := map[string]func(name string) error{
-		"flipped": func(name string) error {
-			data, err := os.ReadFile(name)
-			if err != nil {
-				return err
-			}
-			data[len(data)/2] ^= 0x01
-			return os.WriteFile(name, data, 0o644)
-		},
-		"appended": func(name string) error {
-			f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, err = f.Write([]byte{0})
-			return err
-		},
-		"truncated": func(name string) error { return os.Truncate(name, int64(len(gen1))-1) },
-	}
-	for name, hurt := range damage {
+	for name, hurt := range tempDamage {
 		err := mkBuilder(2).WriteFileFS(damagingFS{vfs.OS{}, hurt}, path)
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("temp file %s before verification: error = %v, want ErrCorrupt", name, err)
@@ -274,6 +255,34 @@ func TestStreamedWriteFaults(t *testing.T) {
 			t.Fatalf("temp file %s: temp files left behind: %v", name, left)
 		}
 	}
+}
+
+// tempDamage hurts a closed temp file, by name, before it is verified.
+var tempDamage = map[string]func(name string) error{
+	"flipped": func(name string) error {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0x01
+		return os.WriteFile(name, data, 0o644)
+	},
+	"appended": func(name string) error {
+		f, err := os.OpenFile(name, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		_, err = f.Write([]byte{0})
+		return err
+	},
+	"truncated": func(name string) error {
+		info, err := os.Stat(name)
+		if err != nil {
+			return err
+		}
+		return os.Truncate(name, info.Size()-1)
+	},
 }
 
 // damagingFS hands out temp files that are damaged as they are closed —
@@ -301,4 +310,150 @@ func (f damagedOnClose) Close() error {
 		return err
 	}
 	return f.hurt(f.Name())
+}
+
+// TestWriteSnapshotServesWhatOpenReads: the snapshot a write returns is
+// the file at the path as Open reads it — length, keys, revisions and
+// values — under either read path, and it counts as one open handle until
+// it is closed.
+func TestWriteSnapshotServesWhatOpenReads(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", 3*window/16) // spans windows
+	for _, opts := range []Options{{}, {NoMmap: true}} {
+		for _, n := range []int{0, 1, 300} {
+			b := NewBuilder()
+			for i := n - 1; i >= 0; i-- { // out of order: the write sorts
+				switch i % 3 {
+				case 0:
+					b.Add(fmt.Sprintf("key-%04d", i), int64(i), fmt.Sprint(i), "")
+				case 1:
+					b.Add(fmt.Sprintf("key-%04d", i), -int64(i))
+				default:
+					b.AddSeq(fmt.Sprintf("k-%d", i), int64(i)<<40, byPass([]string{big, "tail"}))
+				}
+			}
+			base := OpenHandles()
+			path := filepath.Join(t.TempDir(), "served.fmc1")
+			s, err := b.WriteSnapshot(path, opts)
+			if err != nil {
+				t.Fatalf("%+v, %d entries: %v", opts, n, err)
+			}
+			if got := OpenHandles(); got != base+1 {
+				t.Fatalf("%+v, %d entries: OpenHandles = %d after the write, want %d", opts, n, got, base+1)
+			}
+			if s.Path() != path {
+				t.Fatalf("Path() = %q, want %q", s.Path(), path)
+			}
+			o, err := Open(path, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != n || o.Len() != n {
+				t.Fatalf("%+v: written snapshot holds %d entries, reopened %d, want %d", opts, s.Len(), o.Len(), n)
+			}
+			for i := 0; i < n; i++ {
+				sv, serr := s.Values(i)
+				ov, oerr := o.Values(i)
+				if s.Key(i) != o.Key(i) || s.Revision(i) != o.Revision(i) || serr != nil || oerr != nil || !slices.Equal(sv, ov) {
+					t.Fatalf("%+v: slot %d served as %q/%d/%d values (%v), reopened as %q/%d/%d values (%v)",
+						opts, i, s.Key(i), s.Revision(i), len(sv), serr, o.Key(i), o.Revision(i), len(ov), oerr)
+				}
+				if !s.KeyIs(i, o.Key(i)) || s.KeyIs(i, o.Key(i)+"x") || s.KeyIs(i, o.Key(i)[:len(o.Key(i))-1]) {
+					t.Fatalf("KeyIs(%d) disagrees with Key(%d) = %q", i, i, o.Key(i))
+				}
+			}
+			s.Close()
+			o.Close()
+			if got := OpenHandles(); got != base {
+				t.Fatalf("OpenHandles = %d after closing both, want %d", got, base)
+			}
+		}
+	}
+}
+
+// TestFailedWritesLeakNothing: a write that fails — a sequence that does
+// not render what it measured, any injected storage fault at any write of
+// a streamed snapshot, a rename that fails after verification, a temp file
+// damaged before it — leaves the open-handle count where it was and no
+// temp file behind.
+func TestFailedWritesLeakNothing(t *testing.T) {
+	check := func(t *testing.T, what string, dir string, base int64, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: write succeeded", what)
+		}
+		if got := OpenHandles(); got != base {
+			t.Fatalf("%s: OpenHandles = %d, want %d (error %v)", what, got, base, err)
+		}
+		if left := tempLeft(t, dir); len(left) != 0 {
+			t.Fatalf("%s: temp files left behind: %v", what, left)
+		}
+	}
+
+	// The passes of TestRenderMustFillItsDeclaredWindow's cases.
+	m := []string{"12345678"}
+	renders := map[string][][]string{
+		"short":                    {m, {"1234567"}},
+		"long":                     {m, {"123456789"}},
+		"nil":                      {m, nil},
+		"unstable seq":             {{"sized"}, {"filled!"}},
+		"unstable seq, same bytes": {{"abc"}, {"a", "b"}},
+		"shifted":                  {m, m, {"23456781"}},
+		"short on compare":         {m, m, {"1234567"}},
+		"regrouped on compare":     {{"abc"}, {"abc"}, {"a", "b"}},
+		"extra value on compare":   {m, m, {"12345678", ""}},
+		// Same sizes, other bytes from the write on: the file is what the
+		// compare sees, but not what the plan checksummed.
+		"rewritten after measuring": {m, {"87654321"}},
+	}
+	for name, passes := range renders {
+		for _, key := range []string{"k", "zz"} {
+			for _, opts := range []Options{{}, {NoMmap: true}} {
+				dir := t.TempDir()
+				b := NewBuilder()
+				b.Add("before", 0, "x")
+				b.AddSeq(key, 1, byPass(passes...))
+				b.Add("z-after", 0, "y")
+				base := OpenHandles()
+				s, err := b.WriteSnapshot(filepath.Join(dir, "never.fmc1"), opts)
+				if s != nil {
+					t.Fatalf("%s: a failed write returned a snapshot", name)
+				}
+				check(t, fmt.Sprintf("%s (key %q, %+v)", name, key, opts), dir, base, err)
+			}
+		}
+	}
+
+	value := strings.Repeat("0123456789abcdef", 256)
+	mkBuilder := func() *Builder {
+		b := NewBuilder()
+		for i := 0; i < 150; i++ {
+			b.Add(fmt.Sprintf("key-%04d", i), 2, value)
+		}
+		return b
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.fmc1")
+	for _, kind := range []chaos.FaultKind{chaos.TornWrite, chaos.ShortWrite, chaos.NoSpace, chaos.RenameFail} {
+		for nth := 1; ; nth++ {
+			fault := chaos.FileFault{Kind: kind, Match: ".fstore-", Nth: nth}
+			if kind == chaos.RenameFail {
+				fault.Match = "snap.fmc1"
+			}
+			ffs := chaos.NewFaultFS(vfs.OS{}, fault)
+			base := OpenHandles()
+			err := mkBuilder().WriteFileFS(ffs, path)
+			if len(ffs.Injected()) == 0 {
+				if err != nil || OpenHandles() != base {
+					t.Fatalf("%v: fault-free write: %v, OpenHandles %d, want %d", kind, err, OpenHandles(), base)
+				}
+				break
+			}
+			check(t, fmt.Sprintf("%v at write %d", kind, nth), dir, base, err)
+		}
+	}
+	for name, hurt := range tempDamage {
+		base := OpenHandles()
+		err := mkBuilder().WriteFileFS(damagingFS{vfs.OS{}, hurt}, path)
+		check(t, "temp file "+name, dir, base, err)
+	}
 }

@@ -36,16 +36,15 @@ package fstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math/bits"
-	"os"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 
 	"efind/internal/vfs"
@@ -121,30 +120,73 @@ func (b *Builder) AddSeq(key string, revision int64, seq interface{ Each(yield f
 	b.entries = append(b.entries, entry{key: key, rev: revision, seq: seq})
 }
 
-// WriteFile is the cache write: atomic (temp file in the same directory,
-// then rename, so readers never observe a partial snapshot) and verified,
-// but not fsynced — for snapshots nobody reads after a crash without
-// checksumming them and rebuilding from the source of truth.
-func (b *Builder) WriteFile(path string) error { return b.write(vfs.OS{}, path, false) }
+// WriteSnapshot is the cache write: atomic (temp file in the same
+// directory, then rename, so readers never observe a partial snapshot)
+// and verified, but not fsynced — for snapshots nobody reads after a
+// crash without checksumming them and rebuilding from the source of
+// truth. It returns the snapshot at path, served from the mapping (or,
+// under opts.NoMmap, the buffer) it was verified through, so the caller
+// does not open what it just wrote; the caller closes it.
+func (b *Builder) WriteSnapshot(path string, opts Options) (*Snapshot, error) {
+	return b.write(vfs.OS{}, path, false, opts)
+}
 
-// WriteFileFS is the durable write: WriteFile plus an fsync before the
-// rename, through an explicit filesystem — the seam the durability layer
-// threads fault injection through.
-func (b *Builder) WriteFileFS(fs vfs.FS, path string) error { return b.write(fs, path, true) }
+// WriteFile is WriteSnapshot for a caller that does not serve the
+// snapshot: it closes what it gets back.
+func (b *Builder) WriteFile(path string) error {
+	return closed(b.WriteSnapshot(path, Options{}))
+}
 
-// write plans the snapshot, so its header is known before a byte is
-// written, then emits it twice through one window: into the temp file
-// and, once that is closed, against the temp file read back — every byte
-// and the length, before the rename commits it. A write that lied about
-// success (a short write acknowledged in full shifts all that follows) is
-// caught while the last snapshot at path is intact, and no file-sized
-// buffer ever exists.
-func (b *Builder) write(fs vfs.FS, path string, sync bool) error {
-	l, err := b.plan()
+// WriteFileFS is the durable write: the cache write plus an fsync before
+// the temp file is closed and verified, through an explicit filesystem —
+// the seam the durability layer threads fault injection through. Nobody
+// serves a durable snapshot until recovery opens it, so WriteFileFS closes
+// the snapshot it verified.
+func (b *Builder) WriteFileFS(fs vfs.FS, path string) error {
+	return closed(b.write(fs, path, true, Options{}))
+}
+
+// closed closes a snapshot that was written only to be kept on disk.
+func closed(s *Snapshot, err error) error {
 	if err != nil {
 		return err
 	}
-	return vfs.WriteFileAtomic(fs, path, ".fstore-*", sync, l.emit, l.verify)
+	return s.Close()
+}
+
+// write is plan → emit → (fsync) → close → map, compare, validate →
+// rename → serve. The plan fixes the header before a byte is written; the
+// snapshot streams into the temp file through one reused window; once the
+// file is closed, the one mapping the snapshot will be served from is held
+// to the plan — header, slots and every value compared in place, byte for
+// byte and in length — and passes Open's validation before the rename
+// commits it. A write that lied about success (a short write acknowledged
+// in full shifts all that follows) is caught while the last snapshot at
+// path is intact, and no file-sized buffer ever exists other than the
+// NoMmap fallback's image, which such a snapshot serves from.
+func (b *Builder) write(fs vfs.FS, path string, sync bool, opts Options) (*Snapshot, error) {
+	bw := spare.Swap(nil)
+	if bw == nil {
+		bw = bufio.NewWriterSize(nil, window)
+	}
+	defer func() {
+		bw.Reset(nil) // holds no file for the next write
+		spare.Store(bw)
+	}()
+	l, err := b.plan(bw)
+	if err != nil {
+		return nil, err
+	}
+	var s *Snapshot
+	err = vfs.WriteFileAtomic(fs, path, ".fstore-*", sync, l.emit, func(tmp string) (err error) {
+		s, err = open(tmp, path, opts, l.compare)
+		return err
+	})
+	if err != nil && s != nil {
+		s.Close() // verified, but the rename failed
+		s = nil
+	}
+	return s, err
 }
 
 // valueLen is the data-section size of an n-byte value: uvarint length, bytes.
@@ -164,11 +206,20 @@ func (e *entry) each(yield func(string)) {
 // window is the size of the one buffer a snapshot streams through.
 const window = 128 << 10
 
+// spare is the window of the last write to finish, kept for the next: a
+// write takes it for its plan and emit passes, or makes its own while
+// another write holds it. Unlike a sync.Pool it survives collections and
+// is never dropped at random (as the race detector's pool does), so a
+// write's allocations are the same constant every time.
+var spare atomic.Pointer[bufio.Writer]
+
 // layout is a planned snapshot: the entries in slot order, each measured,
-// the finished header, and the window every pass goes through.
+// the finished header, the file's size, and the window the slot checksum
+// and the file stream through.
 type layout struct {
 	entries []entry
 	keySize int
+	size    int
 	header  [headerSize]byte
 	bw      *bufio.Writer
 }
@@ -176,20 +227,29 @@ type layout struct {
 // plan sorts the entries if needed — the data section and its checksum
 // follow slot order —, checks and measures each, folding the data checksum
 // into that same walk, and derives the slot checksum by emitting the slot
-// section into a hash.
-func (b *Builder) plan() (*layout, error) {
+// section through bw into a hash.
+func (b *Builder) plan(bw *bufio.Writer) (*layout, error) {
 	entries := b.entries // sorted in place; entries that arrive in key order cost one pass
 	slices.SortFunc(entries, func(x, y entry) int { return strings.Compare(x.key, y.key) })
 	// Empty snapshots still declare a valid key width.
-	l := &layout{entries: entries, keySize: 1, bw: bufio.NewWriterSize(nil, window)}
+	l := &layout{entries: entries, keySize: 1, bw: bw}
 	var e *entry
 	dataSize, dataCRC := 0, uint32(0)
-	var prefix [binary.MaxVarintLen64]byte
+	tab := crc32.IEEETable
 	measure := func(v string) {
 		e.count++
 		e.dataLen += valueLen(len(v))
-		dataCRC = crc32.Update(dataCRC, crc32.IEEETable, binary.AppendUvarint(prefix[:0], uint64(len(v))))
-		dataCRC = crc32.Update(dataCRC, crc32.IEEETable, unsafe.Slice(unsafe.StringData(v), len(v))) // read in place
+		// The length prefix goes into the checksum byte by byte, as
+		// crc32.Update would take it, the value in one call after it.
+		c := ^dataCRC
+		for x := uint64(len(v)); ; x >>= 7 {
+			if x < 0x80 {
+				c = tab[byte(c)^byte(x)] ^ c>>8
+				break
+			}
+			c = tab[byte(c)^(byte(x)|0x80)] ^ c>>8
+		}
+		dataCRC = crc32.Update(^c, tab, unsafe.Slice(unsafe.StringData(v), len(v))) // read in place
 	}
 	for i := range entries {
 		e = &entries[i]
@@ -208,7 +268,7 @@ func (b *Builder) plan() (*layout, error) {
 			break // refused below; stops the sum short of overflow
 		}
 	}
-	if headerSize+len(entries)*(l.keySize+slotExtra)+dataSize > maxSnapshotBytes {
+	if l.size = headerSize + len(entries)*(l.keySize+slotExtra) + dataSize; l.size > maxSnapshotBytes {
 		return nil, fmt.Errorf("fstore: snapshot would be above %d bytes, the 4 GiB format limit — shard into more snapshots", maxSnapshotBytes)
 	}
 	slotCRC := crc32.NewIEEE()
@@ -263,50 +323,77 @@ func (l *layout) emit(sink io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if n != e.count || size != e.dataLen {
-			return fmt.Errorf("fstore: key %q yielded %d values in %d bytes, measured %d in %d", e.key, n, size, e.count, e.dataLen)
+		if err := e.yielded(n, size); err != nil {
+			return err
 		}
 	}
 	return l.bw.Flush()
 }
 
-// verify emits the file once more, into a comparison with the temp file.
-// Like Open it reads beside the vfs seam, which carries mutations.
-func (l *layout) verify(name string) error {
-	f, err := os.Open(name)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	c := &comparer{f: f, buf: make([]byte, window)}
-	if err := l.emit(c); err != nil {
-		return err
-	}
-	if n, _ := f.Read(c.buf[:1]); n != 0 {
-		return corruptf("write verification failed: the file continues past the planned bytes")
+// yielded checks that a pass over e yielded n values in size bytes, as
+// measured: a sequence that changes between passes is the caller's
+// error, not the file's.
+func (e *entry) yielded(n, size int) error {
+	if n != e.count || size != e.dataLen {
+		return fmt.Errorf("fstore: key %q yielded %d values in %d bytes, measured %d in %d", e.key, n, size, e.count, e.dataLen)
 	}
 	return nil
 }
 
-// comparer is the sink of the verification pass: what is written to it
-// must be what the file, read through one fixed buffer, holds next.
-type comparer struct {
-	f   *os.File
-	buf []byte
+// compare holds the bytes of the written file to the plan in place: its
+// length, then header and slots as the emitter sends them, then each
+// entry's values, enumerated once more, against the data section. An
+// entry whose sequence yields other counts than it was measured with
+// fails as emit fails; any other difference is the file's, ErrCorrupt.
+func (l *layout) compare(d []byte) error {
+	if len(d) != l.size {
+		return corruptf("write verification failed: the file is %d bytes, planned %d (torn, short or lying write)", len(d), l.size)
+	}
+	rest := inPlace(d)
+	l.bw.Reset(&rest)
+	l.bw.Write(l.header[:])
+	l.emitSlots()
+	if l.bw.Flush() != nil {
+		return corruptf("write verification failed: the header or the slots depart from the plan")
+	}
+	var n, size int
+	same := true
+	check := func(v string) {
+		n++
+		size += valueLen(len(v))
+		var prefix [binary.MaxVarintLen64]byte
+		same = same && rest.next(binary.AppendUvarint(prefix[:0], uint64(len(v)))) && rest.next(unsafe.Slice(unsafe.StringData(v), len(v)))
+	}
+	for i := range l.entries {
+		e := &l.entries[i]
+		n, size = 0, 0
+		e.each(check)
+		if err := e.yielded(n, size); err != nil {
+			return err
+		}
+		if !same {
+			return corruptf("write verification failed: the values of key %q depart from the file %d bytes before its end (torn, short or lying write)", e.key, len(rest))
+		}
+	}
+	return nil
 }
 
-func (c *comparer) Write(p []byte) (int, error) {
-	for rest := p; len(rest) > 0; {
-		b := c.buf[:min(len(rest), len(c.buf))]
-		n, err := io.ReadFull(c.f, b)
-		if !bytes.Equal(b[:n], rest[:n]) || err == io.EOF || err == io.ErrUnexpectedEOF {
-			end, _ := c.f.Seek(0, io.SeekCurrent)
-			return 0, corruptf("write verification failed: the file departs from the planned bytes within the %d bytes before offset %d (torn, short or lying write)", len(b), end)
-		}
-		if err != nil {
-			return 0, err
-		}
-		rest = rest[n:]
+// inPlace is the part of a written file that compare has not reached yet.
+type inPlace []byte
+
+// next reports whether the file continues with p, and moves past it if so.
+func (f *inPlace) next(p []byte) bool {
+	if len(p) > len(*f) || string((*f)[:len(p)]) != string(p) {
+		return false
+	}
+	*f = (*f)[len(p):]
+	return true
+}
+
+// Write is next for the emitter's window.
+func (f *inPlace) Write(p []byte) (int, error) {
+	if !f.next(p) {
+		return 0, ErrCorrupt
 	}
 	return len(p), nil
 }

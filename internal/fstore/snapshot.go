@@ -50,8 +50,13 @@ type Snapshot struct {
 // checksums, and slot key ordering. Any failure returns an error
 // wrapping ErrCorrupt (except I/O errors opening the file itself), so
 // callers can distinguish "rebuild the cache" from "the disk is gone".
-func Open(path string, opts Options) (*Snapshot, error) {
-	f, err := os.Open(path)
+func Open(path string, opts Options) (*Snapshot, error) { return open(path, path, opts, nil) }
+
+// open maps the file at name as a snapshot that serves as path: a
+// non-nil check sees the bytes first (the writer holds them to its plan),
+// then Open's validation runs.
+func open(name, path string, opts Options, check func(data []byte) error) (*Snapshot, error) {
+	f, err := os.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -71,6 +76,9 @@ func Open(path string, opts Options) (*Snapshot, error) {
 		err = cerr
 	}
 	s := &Snapshot{path: path, data: data, mapped: mapped}
+	if err == nil && check != nil {
+		err = check(data)
+	}
 	if err == nil {
 		err = s.validate()
 	}
@@ -158,7 +166,7 @@ func (s *Snapshot) validate() error {
 	return nil
 }
 
-// Path returns the file the snapshot was opened from.
+// Path returns the file the snapshot was opened from, or written to.
 func (s *Snapshot) Path() string { return s.path }
 
 // Len returns the entry count.
@@ -183,6 +191,13 @@ func (s *Snapshot) Key(i int) string {
 		end--
 	}
 	return string(k[:end])
+}
+
+// KeyIs reports whether slot i holds key (keys are NUL-free), as
+// Key(i) == key would, without making the string.
+func (s *Snapshot) KeyIs(i int, key string) bool {
+	k := s.slotKey(i)
+	return len(key) <= len(k) && string(k[:len(key)]) == key && string(k[len(key):]) == string(zeros[:len(k)-len(key)])
 }
 
 // Revision returns slot i's caller-supplied revision.

@@ -56,9 +56,9 @@ func (s *Store) FreezeOpts(dir string, opts fstore.Options) error {
 }
 
 // writePartition renders partition p's map into its snapshot file (a cache
-// write: a lookup rebuilds what fails validation) and opens it. The builder
-// sorts the entries, so the file's bytes do not depend on map order.
-// Caller holds the write lock.
+// write: a lookup rebuilds what fails validation) and returns the snapshot
+// the write verified, to serve from. The builder sorts the entries, so the
+// file's bytes do not depend on map order. Caller holds the write lock.
 func (s *Store) writePartition(dir string, p int) (*fstore.Snapshot, error) {
 	b := fstore.NewBuilder()
 	s.generation++
@@ -66,15 +66,7 @@ func (s *Store) writePartition(dir string, p int) (*fstore.Snapshot, error) {
 	for k, vs := range s.parts[p] {
 		b.Add(k, gen, vs...)
 	}
-	path := s.partitionPath(dir, p)
-	if err := b.WriteFile(path); err != nil {
-		return nil, err
-	}
-	snap, err := fstore.Open(path, s.openOpts)
-	if err != nil {
-		return nil, fmt.Errorf("kvstore: reopening just-written partition %d of %s: %w", p, s.name, err)
-	}
-	return snap, nil
+	return b.WriteSnapshot(s.partitionPath(dir, p), s.openOpts)
 }
 
 // partitionPath names partition p's snapshot file. Store names flow from
@@ -155,9 +147,9 @@ func (s *Store) rebuildPartition(p int, old *fstore.Snapshot) error {
 	if s.snaps[p] != old {
 		return nil // somebody else already rebuilt it
 	}
-	if err := old.Close(); err != nil {
-		return err
-	}
+	// The old snapshot stays mapped until its replacement is in place: a
+	// failed write leaves it stale or corrupt, so the next lookup retries,
+	// rather than unmapped under a lookup.
 	rebuilt, err := s.writePartition(s.dir, p)
 	if err != nil {
 		return err
@@ -165,5 +157,5 @@ func (s *Store) rebuildPartition(p int, old *fstore.Snapshot) error {
 	s.rebuilds.Add(1)
 	s.snaps[p] = rebuilt
 	s.stale[p] = false
-	return nil
+	return old.Close()
 }
