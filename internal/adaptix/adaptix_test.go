@@ -2,8 +2,10 @@ package adaptix
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -187,6 +189,20 @@ func TestBuildableLookupExactAtAnyCoverage(t *testing.T) {
 	}
 }
 
+// stagedSplits returns the distinct splits staged on any node, ascending.
+func stagedSplits(b *Buildable) []int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []int
+	for _, list := range b.staged {
+		for _, st := range list {
+			out = append(out, st.split)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 func TestStageRollbackAndRefcount(t *testing.T) {
 	reg := NewRegistry()
 	b, _, f := testIndex(t, reg, 60, 5)
@@ -195,24 +211,24 @@ func TestStageRollbackAndRefcount(t *testing.T) {
 	}
 
 	// Attempt on node 0 stages split 0, then fails: rollback.
-	undo := b.SnapshotBuild(0)
+	undo := b.SnapshotNode(0)
 	scanAndStage(t, b, f, 0, 0)
-	if len(b.staged) != 1 {
-		t.Fatalf("Staged = %d, want 1", len(b.staged))
+	if got := stagedSplits(b); !slices.Equal(got, []int{0}) {
+		t.Fatalf("Staged = %v, want [0]", got)
 	}
 	undo()
-	if len(b.staged) != 0 {
-		t.Fatalf("Staged after rollback = %d, want 0", len(b.staged))
+	if got := stagedSplits(b); len(got) != 0 {
+		t.Fatalf("Staged after rollback = %v, want []", got)
 	}
 
 	// Speculative duplicate: winner on node 0, backup on node 1; backup's
 	// rollback must not discard the winner's entries.
 	scanAndStage(t, b, f, 0, 1)
-	undoBackup := b.SnapshotBuild(1)
+	undoBackup := b.SnapshotNode(1)
 	scanAndStage(t, b, f, 1, 1)
 	undoBackup()
-	if len(b.staged) != 1 {
-		t.Fatalf("Staged after losing backup rollback = %d, want 1", len(b.staged))
+	if got := stagedSplits(b); !slices.Equal(got, []int{1}) {
+		t.Fatalf("Staged after losing backup rollback = %v, want [1]", got)
 	}
 	if got := b.Commit(); got != 1 {
 		t.Fatalf("Commit = %d, want 1", got)
@@ -221,18 +237,18 @@ func TestStageRollbackAndRefcount(t *testing.T) {
 		t.Fatal("split 1 not covered after commit")
 	}
 
-	// Node crash: ResetBuild discards everything the node staged.
+	// Node crash: ResetNode discards everything the node staged.
 	scanAndStage(t, b, f, 2, 2)
 	scanAndStage(t, b, f, 2, 3)
 	scanAndStage(t, b, f, 3, 4)
-	b.ResetBuild(2)
-	if len(b.staged) != 1 {
-		t.Fatalf("Staged after crash reset = %d, want 1 (node 3's)", len(b.staged))
+	b.ResetNode(2)
+	if got := stagedSplits(b); !slices.Equal(got, []int{4}) {
+		t.Fatalf("Staged after crash reset = %v, want [4] (node 3's)", got)
 	}
 	// Abandon drops the rest.
 	b.Abandon()
-	if len(b.staged) != 0 {
-		t.Fatalf("Staged after Abandon = %d, want 0", len(b.staged))
+	if got := stagedSplits(b); len(got) != 0 {
+		t.Fatalf("Staged after Abandon = %v, want []", got)
 	}
 	if c, _ := b.BuildProgress(); c != 1 {
 		t.Fatalf("coverage changed by rollback paths: %d, want 1", c)
@@ -392,5 +408,144 @@ func TestBuildAllMatchesIncrementalBuild(t *testing.T) {
 	}
 	if regA.Fingerprint() != regB.Fingerprint() {
 		t.Fatalf("registry fingerprints diverge:\n%s\nvs\n%s", regA.Fingerprint(), regB.Fingerprint())
+	}
+}
+
+// TestStagingMatchesModel drives the staging protocol with seeded random
+// sequences — stages, nested guards kept or rolled back, node resets,
+// commits and abandons on 3 nodes × 8 splits — against a model that keeps
+// each node's staged splits as a list. After every Commit, the count it
+// returns, the registry's coverage and the store's contents must be the
+// model's: each covered split installed exactly once.
+func TestStagingMatchesModel(t *testing.T) {
+	const nodes, splits = 3, 8
+	for seed := int64(1); seed <= 200; seed++ {
+		reg := NewRegistry()
+		b, store, f := testIndex(t, reg, 120, 7)
+		if len(f.Chunks) < splits {
+			t.Fatalf("want >= %d chunks, got %d", splits, len(f.Chunks))
+		}
+		// want[s] is what split s puts in the store: index key → values.
+		want := make([]map[string][]string, splits)
+		for s := range want {
+			want[s] = map[string][]string{}
+			recs, err := f.Chunks[s].Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				for _, e := range b.Extract(r.Key, r.Value) {
+					want[s][e.Key] = append(want[s][e.Key], e.Value)
+				}
+			}
+		}
+		type guard struct {
+			rollback func()
+			mark     int
+		}
+		var (
+			model   [nodes][]int
+			guards  [nodes][]guard
+			covered = map[int]bool{}
+			rng     = rand.New(rand.NewSource(seed))
+		)
+		for step := 0; step < 60; step++ {
+			n := rng.Intn(nodes)
+			node := sim.NodeID(n)
+			where := func() string { return fmt.Sprintf("seed %d step %d", seed, step) }
+			switch op := rng.Intn(10); {
+			case op < 4: // stage
+				s := rng.Intn(splits)
+				scanAndStage(t, b, f, node, s)
+				model[n] = append(model[n], s)
+			case op < 6: // open a guard, nested in any open one
+				guards[n] = append(guards[n], guard{b.SnapshotNode(node), len(model[n])})
+			case op < 8: // close the innermost guard, if one is open
+				if len(guards[n]) == 0 {
+					break
+				}
+				g := guards[n][len(guards[n])-1]
+				guards[n] = guards[n][:len(guards[n])-1]
+				if op == 6 {
+					g.rollback()
+					model[n] = model[n][:min(g.mark, len(model[n]))]
+				}
+			case op == 8:
+				b.ResetNode(node)
+				model[n] = nil
+			case rng.Intn(4) == 0:
+				b.Abandon()
+				model = [nodes][]int{}
+			default:
+				built := 0
+				for _, list := range model {
+					for _, s := range list {
+						if !covered[s] {
+							covered[s] = true
+							built++
+						}
+					}
+				}
+				model = [nodes][]int{}
+				if got := b.Commit(); got != built {
+					t.Fatalf("%s: Commit = %d, model %d", where(), got, built)
+				}
+				var wantSplits []int
+				wantVals := map[string][]string{}
+				for s := 0; s < splits; s++ {
+					if covered[s] {
+						wantSplits = append(wantSplits, s)
+						for k, vs := range want[s] {
+							wantVals[k] = append(wantVals[k], vs...)
+						}
+					}
+				}
+				if got := reg.CoveredSplits("bix"); !slices.Equal(got, wantSplits) {
+					t.Fatalf("%s: coverage %v, model %v", where(), got, wantSplits)
+				}
+				if store.Len() != len(wantVals) {
+					t.Fatalf("%s: store holds %d keys, model %d", where(), store.Len(), len(wantVals))
+				}
+				for k, vs := range wantVals {
+					got, err := store.Lookup(k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = slices.Clone(got)
+					slices.Sort(got)
+					if slices.Sort(vs); !slices.Equal(got, vs) {
+						t.Fatalf("%s: store[%s] = %v, model %v", where(), k, got, vs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaterializeRejectsCoverageOutsideSource loads a registry whose
+// coverage names a split the source does not have (a checkpoint of a
+// larger file): Materialize must fail naming the index, the split and
+// the chunk count, not index past the source's chunks.
+func TestMaterializeRejectsCoverageOutsideSource(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "registry.fmc")
+	saved := NewRegistry()
+	saved.Register("bix", 1000)
+	saved.MarkBuilt("bix", 999)
+	if err := save(vfs.OS{}, saved, path); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := load(reg, path); err != nil {
+		t.Fatal(err)
+	}
+	b, _, f := testIndex(t, reg, 60, 5)
+	err := b.Materialize()
+	if err == nil {
+		t.Fatal("Materialize accepted split 999 of a source with fewer chunks")
+	}
+	for _, want := range []string{`"bix"`, "999", fmt.Sprintf("%d chunks", len(f.Chunks))} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Materialize error %q does not name %s", err, want)
+		}
 	}
 }

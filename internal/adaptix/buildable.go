@@ -1,9 +1,9 @@
 package adaptix
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,12 +46,9 @@ type Config struct {
 	OfferRate float64
 }
 
-// stagedSplit is one split's extracted entries awaiting commit. count
-// refcounts concurrent stagings of the same split (speculative backup
-// attempts): a loser's rollback decrements without discarding the
-// winner's entries.
+// stagedSplit is one fully scanned split's entries awaiting commit.
 type stagedSplit struct {
-	count   int
+	split   int
 	entries []index.BuildEntry
 }
 
@@ -64,9 +61,11 @@ type Buildable struct {
 	cfg   Config
 	total int
 
-	mu      sync.Mutex
-	staged  map[int]*stagedSplit
-	journal map[sim.NodeID][]int
+	mu sync.Mutex
+	// staged holds each node's staged splits in staging order: a guard
+	// is a length, its rollback a truncation. A split two attempts
+	// scanned is staged on both nodes; Commit installs it once.
+	staged map[sim.NodeID][]stagedSplit
 	// resident tracks splits whose entries this process has put into the
 	// store (via Commit, BuildAll, or Materialize), so Materialize never
 	// double-inserts what is already being served.
@@ -109,8 +108,7 @@ func New(cfg Config) (*Buildable, error) {
 	b := &Buildable{
 		cfg:      cfg,
 		total:    len(cfg.Source.Chunks),
-		staged:   make(map[int]*stagedSplit),
-		journal:  make(map[sim.NodeID][]int),
+		staged:   make(map[sim.NodeID][]stagedSplit),
 		scans:    make(map[int]map[string][]string),
 		resident: make(map[int]bool),
 	}
@@ -212,98 +210,62 @@ func (b *Buildable) Extract(key, value string) []index.BuildEntry {
 }
 
 // Stage implements index.Buildable: records one fully scanned split's
-// entries pre-commit. A split staged twice (speculative duplicate
-// attempts scan identical records) keeps the first copy and bumps the
-// refcount, so whichever attempt loses can roll back without discarding
-// the winner's entries.
+// entries pre-commit, on the node that scanned it.
 func (b *Buildable) Stage(node sim.NodeID, split int, entries []index.BuildEntry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if st, ok := b.staged[split]; ok {
-		st.count++
-	} else {
-		b.staged[split] = &stagedSplit{count: 1, entries: entries}
-	}
-	b.journal[node] = append(b.journal[node], split)
+	b.staged[node] = append(b.staged[node], stagedSplit{split, entries})
 }
 
-// SnapshotBuild implements index.Buildable: marks the node's staging
-// journal ahead of a task attempt; the returned rollback unwinds splits
-// staged by this node since the mark (the AttemptGuard discipline every
-// stateful stage follows, so a failed or losing-speculative attempt
-// leaves no trace).
-func (b *Buildable) SnapshotBuild(node sim.NodeID) func() {
+// SnapshotNode implements index.Buildable: marks the node's staged
+// splits ahead of a task attempt; the returned rollback drops what the
+// node staged since, so a failed or losing-speculative attempt leaves no
+// trace. A reset, commit or abandon in between only shortens the list.
+func (b *Buildable) SnapshotNode(node sim.NodeID) func() {
 	b.mu.Lock()
-	mark := len(b.journal[node])
+	mark := len(b.staged[node])
 	b.mu.Unlock()
 	return func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		j := b.journal[node]
-		if mark > len(j) {
-			mark = len(j)
+		if list := b.staged[node]; mark < len(list) {
+			b.staged[node] = list[:mark]
 		}
-		for _, split := range j[mark:] {
-			b.unstageLocked(split)
-		}
-		b.journal[node] = j[:mark]
 	}
 }
 
-// ResetBuild implements index.Buildable: discards everything the node
+// ResetNode implements index.Buildable: discards everything the node
 // has staged (node crash — the splits re-stage when the recovery wave
 // re-runs the dead node's tasks).
-func (b *Buildable) ResetBuild(node sim.NodeID) {
+func (b *Buildable) ResetNode(node sim.NodeID) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, split := range b.journal[node] {
-		b.unstageLocked(split)
-	}
-	delete(b.journal, node)
-}
-
-func (b *Buildable) unstageLocked(split int) {
-	st, ok := b.staged[split]
-	if !ok {
-		return
-	}
-	st.count--
-	if st.count <= 0 {
-		delete(b.staged, split)
-	}
+	delete(b.staged, node)
 }
 
 // Commit implements index.Buildable: installs the staged splits into the
-// store and registry in ascending split order, returning how many became
-// newly covered. Runs at a serial point between jobs, so concurrent
-// lookups never observe a half-committed split.
+// store and registry, each once, in ascending split order, returning how
+// many became newly covered. Runs at a serial point between jobs, so
+// concurrent lookups never observe a half-committed split.
 func (b *Buildable) Commit() int {
 	b.mu.Lock()
-	splits := make([]int, 0, len(b.staged))
-	for s := range b.staged {
-		splits = append(splits, s)
+	var all []stagedSplit
+	for _, list := range b.staged {
+		all = append(all, list...)
 	}
-	sort.Ints(splits)
-	staged := b.staged
-	b.staged = make(map[int]*stagedSplit)
-	b.journal = make(map[sim.NodeID][]int)
+	clear(b.staged)
 	b.mu.Unlock()
-
+	// Copies of a split hold equal entries (Extract is deterministic over
+	// the same records), so which one installs does not matter.
+	slices.SortFunc(all, func(x, y stagedSplit) int { return cmp.Compare(x.split, y.split) })
 	built := 0
-	for _, s := range splits {
-		if b.cfg.Registry.IsCovered(b.cfg.Name, s) {
+	for i, st := range all {
+		if i > 0 && all[i-1].split == st.split || b.cfg.Registry.IsCovered(b.cfg.Name, st.split) {
 			continue
 		}
-		for _, e := range staged[s].entries {
-			b.cfg.Store.Put(e.Key, e.Value)
-		}
-		if b.cfg.Registry.MarkBuilt(b.cfg.Name, s) {
+		if b.install(st.split, st.entries) {
 			built++
 		}
-		b.mu.Lock()
-		b.resident[s] = true
-		delete(b.scans, s)
-		b.mu.Unlock()
 	}
 	return built
 }
@@ -313,8 +275,7 @@ func (b *Buildable) Commit() int {
 func (b *Buildable) Abandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.staged = make(map[int]*stagedSplit)
-	b.journal = make(map[sim.NodeID][]int)
+	clear(b.staged)
 }
 
 // Materialize re-extracts every registry-covered split into the store.
@@ -323,7 +284,8 @@ func (b *Buildable) Abandon() {
 // the deterministic Extract over exactly the covered splits reproduces
 // the entries the pre-crash commits installed, bit for bit. Splits this
 // process already put into the store (a prior Materialize or Commit) are
-// skipped, so the call is idempotent.
+// skipped, so the call is idempotent. A covered split the source does
+// not have (a checkpoint of another file) is an error.
 func (b *Buildable) Materialize() error {
 	for _, s := range b.cfg.Registry.CoveredSplits(b.cfg.Name) {
 		b.mu.Lock()
@@ -332,18 +294,11 @@ func (b *Buildable) Materialize() error {
 		if done {
 			continue
 		}
-		recs, err := b.cfg.Source.Chunks[s].Records()
+		entries, err := b.extract(s)
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			for _, e := range b.cfg.Extract(rec.Key, rec.Value) {
-				b.cfg.Store.Put(e.Key, e.Value)
-			}
-		}
-		b.mu.Lock()
-		b.resident[s] = true
-		b.mu.Unlock()
+		b.install(s, entries)
 	}
 	return nil
 }
@@ -353,21 +308,46 @@ func (b *Buildable) Materialize() error {
 // convergence target.
 func (b *Buildable) BuildAll() error {
 	for _, s := range b.uncovered() {
-		recs, err := b.cfg.Source.Chunks[s].Records()
+		entries, err := b.extract(s)
 		if err != nil {
 			return err
 		}
-		for _, rec := range recs {
-			for _, e := range b.cfg.Extract(rec.Key, rec.Value) {
-				b.cfg.Store.Put(e.Key, e.Value)
-			}
-		}
-		b.cfg.Registry.MarkBuilt(b.cfg.Name, s)
-		b.mu.Lock()
-		b.resident[s] = true
-		b.mu.Unlock()
+		b.install(s, entries)
 	}
 	return nil
+}
+
+// install puts one split's entries into the store and marks the split
+// built and resident, reporting whether it was newly covered. Its scan
+// memo goes: the store serves the split from now on.
+func (b *Buildable) install(s int, entries []index.BuildEntry) bool {
+	for _, e := range entries {
+		b.cfg.Store.Put(e.Key, e.Value)
+	}
+	built := b.cfg.Registry.MarkBuilt(b.cfg.Name, s)
+	b.mu.Lock()
+	b.resident[s] = true
+	delete(b.scans, s)
+	b.mu.Unlock()
+	return built
+}
+
+// extract reads split s and derives every record's entries, in record
+// order.
+func (b *Buildable) extract(s int) ([]index.BuildEntry, error) {
+	chunks := b.cfg.Source.Chunks
+	if s < 0 || s >= len(chunks) {
+		return nil, fmt.Errorf("adaptix: index %q: split %d is outside its source's %d chunks", b.cfg.Name, s, len(chunks))
+	}
+	recs, err := chunks[s].Records()
+	if err != nil {
+		return nil, err
+	}
+	var out []index.BuildEntry
+	for _, rec := range recs {
+		out = append(out, b.cfg.Extract(rec.Key, rec.Value)...)
+	}
+	return out, nil
 }
 
 // uncovered returns the uncovered splits ascending, shared: callers must
@@ -394,15 +374,13 @@ func (b *Buildable) scanOf(s int) (map[string][]string, error) {
 	if m, ok := b.scans[s]; ok {
 		return m, nil
 	}
-	recs, err := b.cfg.Source.Chunks[s].Records()
+	entries, err := b.extract(s)
 	if err != nil {
 		return nil, err
 	}
 	m := make(map[string][]string)
-	for _, rec := range recs {
-		for _, e := range b.cfg.Extract(rec.Key, rec.Value) {
-			m[e.Key] = append(m[e.Key], e.Value)
-		}
+	for _, e := range entries {
+		m[e.Key] = append(m[e.Key], e.Value)
 	}
 	b.scans[s] = m
 	return m, nil

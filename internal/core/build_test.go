@@ -42,8 +42,8 @@ func (f *fakeBuildable) OfferSplits() []int {
 }
 func (f *fakeBuildable) Extract(string, string) []index.BuildEntry { return nil }
 func (f *fakeBuildable) Stage(sim.NodeID, int, []index.BuildEntry) {}
-func (f *fakeBuildable) SnapshotBuild(sim.NodeID) func()           { return func() {} }
-func (f *fakeBuildable) ResetBuild(sim.NodeID)                     {}
+func (f *fakeBuildable) SnapshotNode(sim.NodeID) func()            { return func() {} }
+func (f *fakeBuildable) ResetNode(sim.NodeID)                      {}
 func (f *fakeBuildable) Commit() int                               { return 0 }
 func (f *fakeBuildable) Abandon()                                  {}
 
@@ -350,7 +350,7 @@ func TestBuildSerialParallelBitIdentical(t *testing.T) {
 }
 
 // TestBuildRetryRollbackKeepsCommitExact: failed map attempts re-stage
-// their splits; without the SnapshotBuild rollback in the attempt guard
+// their splits; without the SnapshotNode rollback in the attempt guard
 // the commit would double-count them (or commit a half-scanned split).
 // A faulty run must commit exactly the clean run's splits and report
 // identical build counters and output.
@@ -394,7 +394,7 @@ func TestBuildRetryRollbackKeepsCommitExact(t *testing.T) {
 
 // TestBuildNodeCrashRollsBackStagedSplits is the chaos leg: a node
 // crash mid-map kills in-flight builder tasks; their staged splits are
-// discarded (ResetBuild) and re-staged by the recovery wave, so the
+// discarded (ResetNode) and re-staged by the recovery wave, so the
 // committed registry state and the output match a fault-free run —
 // pinned bit-identical across the serial and parallel executors.
 func TestBuildNodeCrashRollsBackStagedSplits(t *testing.T) {

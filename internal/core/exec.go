@@ -508,11 +508,10 @@ type compiled struct {
 	// builds are the plan's piggyback build targets (Build-strategy
 	// decisions of head operators whose accessor is buildable).
 	builds []*buildTarget
-	// pool is the job's cross-job shared cache, if attached. Guarded and
-	// crash-reset at this level — once per node — because pooled caches
-	// are shared across every client of every operator, which would
-	// otherwise each copy and restore them.
-	pool *ixclient.Pool
+	// state is the plan's per-node soft state in compile order: every
+	// operator client's private caches, every build target's staging,
+	// then the shared pool, whose caches are guarded once, not per client.
+	state []mapreduce.NodeState
 }
 
 // restrictBuilds re-freezes every build target's offer set to the given
@@ -523,45 +522,15 @@ func (co *compiled) restrictBuilds(splits []int) {
 	}
 }
 
-// resetNode drops every operator client's caches on a crashed node: a
-// rebooted TaskTracker restarts with cold per-machine lookup caches
-// (wired to mapreduce.Job.OnNodeCrash when a chaos plan is attached).
-// Pooled caches on the node go cold with it.
-func (co *compiled) resetNode(node sim.NodeID) {
-	for _, x := range co.execs {
-		for _, c := range x.clients {
-			c.ResetNode(node)
-		}
-	}
-	for _, bt := range co.builds {
-		// A crashed node's staged build splits are discarded; the
-		// recovery wave re-runs its tasks and re-stages them.
-		bt.b.ResetBuild(node)
-	}
-	if co.pool != nil {
-		co.pool.ResetNode(node)
-	}
-}
-
-// attemptGuard snapshots every operator's node-shared caches ahead of a
-// task attempt; the returned rollback rewinds them if the attempt fails,
+// SnapshotNode guards every piece of the plan's node state ahead of a
+// task attempt (mapreduce.Job.NodeState); the rollback rewinds them all,
 // so a re-executed task re-measures its cache misses from the same state
-// and the miss ratio R feeding the cost model stays unskewed.
-func (co *compiled) attemptGuard(node sim.NodeID) func() {
-	var rollbacks []func()
-	for _, x := range co.execs {
-		for _, c := range x.clients {
-			rollbacks = append(rollbacks, c.SnapshotNode(node))
-		}
-	}
-	for _, bt := range co.builds {
-		// Build staging follows the same discipline as the caches: a
-		// failed or losing-speculative attempt's staged splits are
-		// rolled back so the commit sees each split exactly once.
-		rollbacks = append(rollbacks, bt.b.SnapshotBuild(node))
-	}
-	if co.pool != nil {
-		rollbacks = append(rollbacks, co.pool.SnapshotNode(node))
+// — the miss ratio R stays unskewed — and a commit sees each staged split
+// once.
+func (co *compiled) SnapshotNode(node sim.NodeID) func() {
+	rollbacks := make([]func(), len(co.state))
+	for i, s := range co.state {
+		rollbacks[i] = s.SnapshotNode(node)
 	}
 	return func() {
 		for _, rb := range rollbacks {
@@ -570,13 +539,24 @@ func (co *compiled) attemptGuard(node sim.NodeID) func() {
 	}
 }
 
+// ResetNode drops every piece of the plan's node state on a crashed node.
+func (co *compiled) ResetNode(node sim.NodeID) {
+	for _, s := range co.state {
+		s.ResetNode(node)
+	}
+}
+
 // compilePlan lowers a job plan into the MapReduce job chain the plan
 // implementer will run (Figure 7's layouts generalized to whole jobs).
 func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, error) {
-	co := &compiled{execs: make(map[string]*opExec), pool: conf.SharedCache}
+	co := &compiled{execs: make(map[string]*opExec)}
 	tab := rt.Engine.CounterTable()
 	for _, p := range plan.All() {
-		co.execs[p.Op.Name()] = newOpExec(p.Op, p, conf, tab)
+		x := newOpExec(p.Op, p, conf, tab)
+		co.execs[p.Op.Name()] = x
+		for _, c := range x.clients {
+			co.state = append(co.state, c)
+		}
 	}
 
 	cur := &cjob{name: fmt.Sprintf("%s-j0", conf.Name)}
@@ -695,6 +675,9 @@ func compilePlan(rt *Runtime, conf *IndexJobConf, plan *JobPlan) (*compiled, err
 		}
 	}
 	co.attachBuildStages(conf, plan, tab)
+	if conf.SharedCache != nil {
+		co.state = append(co.state, conf.SharedCache)
+	}
 	return co, nil
 }
 
@@ -736,6 +719,7 @@ func (co *compiled) attachBuildStages(conf *IndexJobConf, plan *JobPlan, tab *ma
 			}
 			bt := &buildTarget{b: b, op: p.Op.Name(), quota: len(offered), offer: offer}
 			co.builds = append(co.builds, bt)
+			co.state = append(co.state, b)
 			stages = append(stages, buildStage(bt, tab))
 		}
 	}
@@ -755,12 +739,9 @@ func (co *compiled) engineJob(conf *IndexJobConf, k int, input *dfs.File) *mapre
 		Partition:     cj.partition,
 		NumReduce:     cj.numReduce,
 		MapPlacement:  cj.mapPlacement,
-		AttemptGuard:  co.attemptGuard,
+		NodeState:     co,
 		FaultInjector: conf.FaultInjector,
 		Chaos:         conf.Chaos,
-	}
-	if conf.Chaos != nil {
-		job.OnNodeCrash = co.resetNode
 	}
 	if !cj.stagesRanUpstream {
 		job.MapStagesBefore = cj.mapStages

@@ -400,10 +400,7 @@ func (s *groupStage) Close(_ *mapreduce.TaskContext, emit Emit) {
 // adaptive runtime can re-freeze it for subset phases; it is immutable
 // while a job runs, so tasks read it without synchronization. Charges
 // BuildCharge per extracted record — the cost model's BuildCost term —
-// and counts records, staged splits, and charged nanoseconds. The time
-// counter deliberately ends in ".build.ns", not ".serve.ns": the job
-// service's tenant budgets sum every ".serve.ns" counter, and build time
-// is a deliberate investment, not serve traffic.
+// and counts records, staged splits, and charged nanoseconds.
 func buildStage(bt *buildTarget, tab *mapreduce.CounterTable) mapreduce.StageFactory {
 	p := "efind." + bt.op + "." + bt.b.Name() + ".build."
 	ctrRecords, ctrNS, ctrSplits := tab.Slot(p+"records"), tab.Slot(p+"ns"), tab.Slot(p+"splits")

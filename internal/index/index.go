@@ -67,8 +67,9 @@ type BuildEntry struct {
 // splits this run should build, the piggyback map stage extracts entries
 // from the records it scans anyway and Stages them per (node, split),
 // and the runtime Commits the staged splits at one serial point after
-// the job (or Abandons them on failure). SnapshotBuild/ResetBuild mirror
-// the lookup caches' attempt-guard and node-crash hooks so failed or
+// the job (or Abandons them on failure). Staging is per-node soft state
+// like the lookup caches, rewound by the same protocol
+// (mapreduce.NodeState: SnapshotNode/ResetNode), so failed or
 // speculative attempts never leak half-scanned splits into the index.
 type Buildable interface {
 	Accessor
@@ -91,11 +92,11 @@ type Buildable interface {
 	Extract(key, value string) []BuildEntry
 	// Stage records the entries of one fully scanned split, pre-commit.
 	Stage(node sim.NodeID, split int, entries []BuildEntry)
-	// SnapshotBuild marks the node's staging state ahead of a task
-	// attempt; the returned rollback discards entries staged since.
-	SnapshotBuild(node sim.NodeID) func()
-	// ResetBuild discards everything the node has staged (node crash).
-	ResetBuild(node sim.NodeID)
+	// SnapshotNode marks the node's staging state ahead of a task
+	// attempt; the returned rollback discards splits staged since.
+	SnapshotNode(node sim.NodeID) func()
+	// ResetNode discards everything the node has staged (node crash).
+	ResetNode(node sim.NodeID)
 	// Commit installs the staged splits into the index and its registry,
 	// returning how many splits became covered. Must be called at a
 	// serial point (between jobs).

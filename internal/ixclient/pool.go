@@ -1,8 +1,9 @@
 package ixclient
 
 import (
+	"cmp"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"efind/internal/lru"
@@ -73,15 +74,10 @@ func (p *Pool) cacheFor(index string, node sim.NodeID) *lru.Cache {
 
 // SnapshotNode copies every cache of one node (lru.Cache.Snapshot) and
 // returns a rollback that restores them, resetting any cache the node
-// acquired after the snapshot. The engine calls it around a backup attempt
-// and, with a fault injector, around every attempt. A shared pool is
-// guarded by the compiled plan's attempt guard — alongside, not through,
-// the clients' guards of their own pools — so each of its caches, shared
-// across clients, is copied once per guard.
-//
+// acquired after the snapshot (mapreduce.NodeState). A shared pool is
+// guarded once in a plan's list of node state, not through each client.
 // A guard costs a constant number of allocations per cache plus a copy
-// of its entries, and a rollback rebuilds each cache from its copy (see
-// TestSnapshotNodeAllocs).
+// of its entries (TestSnapshotNodeAllocs).
 func (p *Pool) SnapshotNode(node sim.NodeID) func() {
 	p.mu.Lock()
 	before := p.nodes[node] // its entries never change: the list only grows
@@ -112,16 +108,14 @@ func (p *Pool) ResetNode(node sim.NodeID) {
 	delete(p.nodes, node)
 }
 
-// PoolEntry is the serializable state of one pooled cache, produced by
-// Dump and consumed by Restore — the job service checkpoints these so a
-// recovered coordinator re-warms the cross-job caches to their exact
-// pre-crash contents (entries in recency order, statistics included).
+// PoolEntry is one pooled cache's snapshot, produced by Dump and consumed
+// by Restore — the job service checkpoints these so a recovered
+// coordinator re-warms the cross-job caches to their exact pre-crash
+// contents (entries in recency order, statistics included).
 type PoolEntry struct {
-	Index        string
-	Node         sim.NodeID
-	Keys         []string // oldest → newest
-	Values       [][]string
-	Hits, Misses int64
+	Index string
+	Node  sim.NodeID
+	lru.Snapshot
 }
 
 // Dump returns every pooled cache's state in deterministic (index, node)
@@ -140,15 +134,11 @@ func (p *Pool) Dump() []PoolEntry {
 		}
 	}
 	p.mu.Unlock()
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Index != out[b].Index {
-			return out[a].Index < out[b].Index
-		}
-		return out[a].Node < out[b].Node
+	slices.SortFunc(out, func(a, b PoolEntry) int {
+		return cmp.Or(strings.Compare(a.Index, b.Index), cmp.Compare(a.Node, b.Node))
 	})
 	for i := range out {
-		e := &out[i]
-		e.Keys, e.Values, e.Hits, e.Misses = p.cacheFor(e.Index, e.Node).Dump()
+		out[i].Snapshot = *p.cacheFor(out[i].Index, out[i].Node).Snapshot()
 	}
 	return out
 }
@@ -159,8 +149,8 @@ func (p *Pool) Restore(entries []PoolEntry) {
 	p.mu.Lock()
 	p.nodes = make(map[sim.NodeID][]poolCache)
 	p.mu.Unlock()
-	for _, e := range entries {
-		p.cacheFor(e.Index, e.Node).Load(e.Keys, e.Values, e.Hits, e.Misses)
+	for i := range entries {
+		p.cacheFor(entries[i].Index, entries[i].Node).Restore(&entries[i].Snapshot)
 	}
 }
 

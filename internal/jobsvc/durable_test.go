@@ -12,6 +12,7 @@ import (
 	"efind/internal/chaos"
 	"efind/internal/fstore"
 	"efind/internal/ixclient"
+	"efind/internal/lru"
 	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
@@ -243,7 +244,7 @@ func TestRecoverCheckpointRoundTrip(t *testing.T) {
 	for _, nodes := range []int{1, 2, 64} {
 		var entries []ixclient.PoolEntry
 		for node := 0; node < nodes; node++ {
-			pe := ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(node), Hits: int64(node), Misses: 7}
+			pe := ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(node), Snapshot: lru.Snapshot{Hits: int64(node), Misses: 7}}
 			for k := 0; k < 20; k++ {
 				pe.Keys = append(pe.Keys, fmt.Sprintf("ik%04d", (k+node)%25))
 				pe.Values = append(pe.Values, []string{fmt.Sprintf("value-%d", (k+node)%25), "second"})
@@ -254,8 +255,8 @@ func TestRecoverCheckpointRoundTrip(t *testing.T) {
 			entries = append(entries, pe)
 		}
 		entries = append(entries,
-			ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(nodes), Hits: 3, Misses: 9}, // empty, with history
-			ixclient.PoolEntry{Index: "other", Node: 0, Keys: []string{"contested"}, Values: [][]string{{"another index's"}}})
+			ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(nodes), Snapshot: lru.Snapshot{Hits: 3, Misses: 9}}, // empty, with history
+			ixclient.PoolEntry{Index: "other", Node: 0, Snapshot: lru.Snapshot{Keys: []string{"contested"}, Values: [][]string{{"another index's"}}}})
 		pool := ixclient.NewPool(0)
 		pool.Restore(entries)
 		want := pool.Dump()

@@ -13,6 +13,7 @@ import (
 	"efind/internal/dfs"
 	"efind/internal/fstore"
 	"efind/internal/ixclient"
+	"efind/internal/lru"
 	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
@@ -248,7 +249,7 @@ func warmPool(nodes, keys, valueBytes int) *ixclient.Pool {
 	pool := ixclient.NewPool(keys)
 	var entries []ixclient.PoolEntry
 	for node := 0; node < nodes; node++ {
-		pe := ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(node), Hits: 10, Misses: 1000}
+		pe := ixclient.PoolEntry{Index: "kv", Node: sim.NodeID(node), Snapshot: lru.Snapshot{Hits: 10, Misses: 1000}}
 		for k := 0; k < keys; k++ {
 			pe.Keys = append(pe.Keys, fmt.Sprintf("ik%06d", k))
 			pe.Values = append(pe.Values, []string{strings.Repeat(string(rune('a'+k%26)), valueBytes)})

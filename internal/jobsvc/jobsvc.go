@@ -31,7 +31,6 @@ package jobsvc
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"efind/internal/chaos"
 	"efind/internal/core"
@@ -609,7 +608,7 @@ func (s *Service) finish(ev event) {
 		j.status.State = JobCompleted
 	}
 	if ev.res != nil {
-		j.status.ServeSeconds = serveSeconds(ev.res.Counters)
+		j.status.ServeSeconds = serveSeconds(j.sub.Conf, ev.res.Counters)
 		t.spent += j.status.ServeSeconds
 	}
 	if s.jl != nil {
@@ -643,13 +642,16 @@ func (s *Service) finish(ev event) {
 	}
 }
 
-// serveSeconds sums the job's charged index serve time across every
-// (operator, index) pair — the budget currency.
-func serveSeconds(counters map[string]int64) float64 {
+// serveSeconds sums the job's charged index serve time over the
+// submission's (operator, index) pairs — the budget currency. It reads
+// each pair's ixclient.CtrServeNS by name, so a counter a user function
+// names alike is not billed.
+func serveSeconds(conf *core.IndexJobConf, counters map[string]int64) float64 {
 	var ns int64
-	for name, v := range counters {
-		if strings.HasSuffix(name, ".serve.ns") {
-			ns += v
+	ops, _ := conf.Operators()
+	for _, o := range ops {
+		for _, a := range o.Indices() {
+			ns += counters[ixclient.CtrServeNS(o.Name(), a.Name())]
 		}
 	}
 	return float64(ns) / 1e9

@@ -242,6 +242,33 @@ func TestAdmissionBudget(t *testing.T) {
 	}
 }
 
+// TestServeBudgetCountsIndexServeOnly: a tenant is billed the serve time
+// of its job's (operator, index) pairs, by counter name — a user counter
+// whose name ends like one (a mapper's "mine.serve.ns") is not charged.
+func TestServeBudgetCountsIndexServeOnly(t *testing.T) {
+	e := newEnv(t, 0)
+	svc, err := New(e.rt, []TenantConfig{{Name: "t"}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := e.conf("mine", core.ModeBaseline)
+	conf.Mapper = func(ctx *mapreduce.TaskContext, in core.Pair, emit core.Emit) {
+		ctx.Inc("mine.serve.ns", 1e9)
+		emit(in)
+	}
+	st := svc.Run([]Submission{{Tenant: "t", Conf: conf}})[0]
+	if st.State != JobCompleted {
+		t.Fatalf("job = %v (err %v)", st.State, st.Err)
+	}
+	if st.Result.Counters["mine.serve.ns"] == 0 {
+		t.Fatal("the mapper's counter did not reach the result; test is vacuous")
+	}
+	serve := st.Result.Counters[ixclient.CtrServeNS("op-mine", "kv")]
+	if serve == 0 || st.ServeSeconds != float64(serve)/1e9 {
+		t.Fatalf("ServeSeconds = %g, want the index's %d ns alone", st.ServeSeconds, serve)
+	}
+}
+
 func TestUnknownTenantRejected(t *testing.T) {
 	e := newEnv(t, 0)
 	svc, err := New(e.rt, []TenantConfig{{Name: "t"}}, Options{})

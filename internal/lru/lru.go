@@ -150,14 +150,15 @@ func (c *Cache) reset() {
 }
 
 // Snapshot is a point-in-time copy of a cache's entries and statistics,
-// used by the MapReduce engine's fault tolerance: a failed task attempt
-// pollutes its node's shared caches, and restoring the pre-attempt
-// snapshot keeps the measured miss ratio R honest for the re-execution.
+// and the one form a cache's state takes outside it: the MapReduce
+// engine's fault tolerance restores a pre-attempt snapshot, so a failed
+// task attempt's pollution of its node's shared caches does not skew the
+// measured miss ratio R, and the job service checkpoints snapshots so a
+// recovered coordinator re-warms its caches exactly.
 type Snapshot struct {
-	keys   []string // oldest → newest
-	values [][]string
-	hits   int64
-	misses int64
+	Keys         []string // oldest → newest
+	Values       [][]string
+	Hits, Misses int64
 }
 
 // Snapshot captures the cache's current entries (in recency order) and
@@ -167,31 +168,16 @@ func (c *Cache) Snapshot() *Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := &Snapshot{
-		keys:   make([]string, 0, len(c.items)),
-		values: make([][]string, 0, len(c.items)),
-		hits:   c.hits,
-		misses: c.misses,
+		Keys:   make([]string, 0, len(c.items)),
+		Values: make([][]string, 0, len(c.items)),
+		Hits:   c.hits,
+		Misses: c.misses,
 	}
 	for e := c.root.prev; e != &c.root; e = e.prev {
-		s.keys = append(s.keys, e.key)
-		s.values = append(s.values, e.values)
+		s.Keys = append(s.Keys, e.key)
+		s.Values = append(s.Values, e.values)
 	}
 	return s
-}
-
-// Dump returns the cache's entries in recency order (oldest → newest)
-// plus its hit/miss statistics — the serializable form of a Snapshot,
-// used by the job service's checkpoint writer. Values are shared, not
-// deep-copied, like Snapshot.
-func (c *Cache) Dump() (keys []string, values [][]string, hits, misses int64) {
-	s := c.Snapshot()
-	return s.keys, s.values, s.hits, s.misses
-}
-
-// Load replaces the cache's contents and statistics with a previously
-// dumped state: keys oldest → newest, so recency order round-trips.
-func (c *Cache) Load(keys []string, values [][]string, hits, misses int64) {
-	c.Restore(&Snapshot{keys: keys, values: values, hits: hits, misses: misses})
 }
 
 // Restore rewinds the cache to a snapshot taken from it (or from a cache
@@ -200,11 +186,11 @@ func (c *Cache) Restore(s *Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reset()
-	c.spare, c.made = make([]entry, len(s.keys)), len(s.keys)
-	for i, k := range s.keys {
-		e := c.newEntry(k, s.values[i])
+	c.spare, c.made = make([]entry, len(s.Keys)), len(s.Keys)
+	for i, k := range s.Keys {
+		e := c.newEntry(k, s.Values[i])
 		e.linkAfter(&c.root)
 		c.items[k] = e
 	}
-	c.hits, c.misses = s.hits, s.misses
+	c.hits, c.misses = s.Hits, s.Misses
 }

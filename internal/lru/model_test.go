@@ -60,8 +60,8 @@ func dump(c *Cache) []string {
 	hits, misses := c.Stats()
 	out = append(out, fmt.Sprintf("hits=%d misses=%d", hits, misses))
 	s := c.Snapshot()
-	for i, k := range s.keys {
-		out = append(out, fmt.Sprintf("%s=%v", k, s.values[i]))
+	for i, k := range s.Keys {
+		out = append(out, fmt.Sprintf("%s=%v", k, s.Values[i]))
 	}
 	return out
 }

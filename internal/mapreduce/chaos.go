@@ -18,7 +18,7 @@ import (
 //     median duration gets a backup attempt on the least-loaded
 //     surviving node, launched the moment the task became officially
 //     late. The first finisher wins the assignment; the loser's side
-//     effects are rolled back (backup cache pollution via AttemptGuard)
+//     effects are rolled back (backup cache pollution via Job.NodeState)
 //     or never committed (task-local counters are dropped with the
 //     losing attempt). Cost accounting keeps the ORIGINAL attempt's
 //     counters either way — chaos only slowed that attempt down, so its
@@ -261,8 +261,8 @@ func (e *JobRun) speculate(job *Job, p *phaseSpec, base float64, patch *phasePat
 			start = freeAt
 		}
 		var rollback func()
-		if job.AttemptGuard != nil {
-			rollback = job.AttemptGuard(node)
+		if job.NodeState != nil {
+			rollback = job.NodeState.SnapshotNode(node)
 		}
 		r, st, err := e.attempt(job, p, p.workers, i, node, base+start)
 		if rollback != nil {
@@ -304,8 +304,8 @@ func (e *JobRun) crash(job *Job, p *phaseSpec, base float64, patch *phasePatch) 
 		if e.Trace != nil {
 			e.Trace.Metrics.Add(chaos.CtrNodeCrashes, 1)
 		}
-		if job.OnNodeCrash != nil {
-			job.OnNodeCrash(cr.Node)
+		if job.NodeState != nil {
+			job.NodeState.ResetNode(cr.Node)
 		}
 		lost := assignmentsOn(assigns, cr.Node)
 		if len(lost) == 0 {

@@ -52,17 +52,14 @@ type Job struct {
 	// locality (chunk replicas). The scheduler asks more than once per
 	// split and only reads the list: same answer every time.
 	MapPlacement func(split int, chunk *dfs.Chunk) []sim.NodeID
-	// AttemptGuard, when set, is called before each task attempt a
-	// FaultInjector may fail, with the node the attempt runs on; the
-	// returned rollback is invoked iff that attempt fails, rewinding
-	// node-shared stage state (per-machine lookup caches) the failed
-	// attempt polluted. Without an injector no attempt is guarded, so
-	// fault-free and chaos-only runs pay nothing: a crash resets the node
-	// through OnNodeCrash instead. The EFind runtime wires this to cache
-	// snapshot/restore so retries do not skew the measured miss ratio R.
-	// Speculative execution calls the same hook to roll back every backup
-	// attempt's cache pollution, win or lose.
-	AttemptGuard func(node sim.NodeID) (rollback func())
+	// NodeState, when set, is the per-node soft state the job's stages
+	// share across tasks. It is guarded before each task attempt a
+	// FaultInjector may fail, rolled back iff the attempt fails, and
+	// guarded and rolled back around every speculative backup, win or
+	// lose. A crash resets the node after its task attempts have been
+	// discarded and before their re-execution is scheduled: a rebooted
+	// TaskTracker restarts cold. Fault-free runs call neither.
+	NodeState NodeState
 
 	// FaultInjector, when set, is consulted after each task attempt of
 	// THIS job: returning true fails that attempt after it has consumed
@@ -83,13 +80,15 @@ type Job struct {
 	// ixclient availability check, not the engine.) All chaos is
 	// deterministic in the plan's seed.
 	Chaos *chaos.Plan
+}
 
-	// OnNodeCrash, when set, is invoked once per applied crash event with
-	// the crashed node, after the node's task attempts have been
-	// discarded and before their re-execution is scheduled. The EFind
-	// runtime wires it to drop the node's per-machine lookup caches: a
-	// rebooted TaskTracker restarts cold.
-	OnNodeCrash func(node sim.NodeID)
+// NodeState is per-node soft state (the EFind runtime's lookup caches
+// and build staging) that a failed or speculative task attempt must not
+// leave polluted and a node crash must drop. SnapshotNode marks the
+// node's state and its rollback rewinds it; ResetNode drops it all.
+type NodeState interface {
+	SnapshotNode(node sim.NodeID) (rollback func())
+	ResetNode(node sim.NodeID)
 }
 
 // downAt returns the node-availability predicate for a phase starting at

@@ -130,8 +130,8 @@ func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
 		// Only an injected fault rolls an attempt back: a crash resets the
 		// node instead, and a backup takes its own guard.
 		var rollback func()
-		if job.FaultInjector != nil && job.AttemptGuard != nil {
-			rollback = job.AttemptGuard(node)
+		if job.FaultInjector != nil && job.NodeState != nil {
+			rollback = job.NodeState.SnapshotNode(node)
 		}
 		r, st, err := e.attempt(job, p, worker, i, node, w.base+start+total)
 		if err != nil {
