@@ -1,6 +1,6 @@
 // Command spatialknn reproduces the k-nearest-neighbour join comparison
 // of §5.4 interactively: the same join runs (a) through EFind as an index
-// nested-loop over a grid of R*-trees and (b) through the hand-tuned
+// nested-loop over a grid spatial index and (b) through the hand-tuned
 // H-zkNNJ implementation, printing runtimes and result quality.
 //
 // Run with:

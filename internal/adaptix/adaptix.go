@@ -68,18 +68,6 @@ func (r *Registry) Register(name string, total int) {
 	}
 }
 
-// Covered returns how many of the index's build units are committed.
-// Unknown indices report (0, 0).
-func (r *Registry) Covered(name string) (covered, total int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.indices[name]
-	if !ok {
-		return 0, 0
-	}
-	return len(p.covered), p.total
-}
-
 // IsCovered reports whether one build unit is committed.
 func (r *Registry) IsCovered(name string, split int) bool {
 	r.mu.Lock()
@@ -119,20 +107,21 @@ func (r *Registry) uncovered(name string, total int) ([]int, uint64) {
 	return out, r.gen.Load()
 }
 
-// CoveredSplits returns the committed build units in ascending order.
-func (r *Registry) CoveredSplits(name string) []int {
+// CoveredSplits returns the committed build units in ascending order and
+// the index's total build units. Unknown indices report (nil, 0).
+func (r *Registry) CoveredSplits(name string) (splits []int, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	p, ok := r.indices[name]
 	if !ok {
-		return nil
+		return nil, 0
 	}
-	out := make([]int, 0, len(p.covered))
+	splits = make([]int, 0, len(p.covered))
 	for s := range p.covered {
-		out = append(out, s)
+		splits = append(splits, s)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(splits)
+	return splits, p.total
 }
 
 // Names returns the registered index names in sorted order.
@@ -153,8 +142,7 @@ func (r *Registry) Names() []string {
 func (r *Registry) Fingerprint() string {
 	var b strings.Builder
 	for _, name := range r.Names() {
-		covered := r.CoveredSplits(name)
-		_, total := r.Covered(name)
+		covered, total := r.CoveredSplits(name)
 		fmt.Fprintf(&b, "%s total=%d covered=%v\n", name, total, covered)
 	}
 	return b.String()

@@ -76,8 +76,8 @@ func scanAndStage(t *testing.T, b *Buildable, f *dfs.File, node sim.NodeID, spli
 func TestRegistryBasics(t *testing.T) {
 	r := NewRegistry()
 	r.Register("a", 4)
-	if c, tot := r.Covered("a"); c != 0 || tot != 4 {
-		t.Fatalf("Covered = %d/%d, want 0/4", c, tot)
+	if s, tot := r.CoveredSplits("a"); len(s) != 0 || tot != 4 {
+		t.Fatalf("CoveredSplits = %v of %d, want none of 4", s, tot)
 	}
 	if !r.MarkBuilt("a", 1) {
 		t.Fatal("MarkBuilt(1) = false on fresh split")
@@ -89,14 +89,14 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatal("out-of-range or unknown-index MarkBuilt accepted")
 	}
 	r.Register("a", 4) // idempotent re-register keeps coverage
-	if got := r.CoveredSplits("a"); !reflect.DeepEqual(got, []int{1}) {
+	if got, _ := r.CoveredSplits("a"); !reflect.DeepEqual(got, []int{1}) {
 		t.Fatalf("CoveredSplits = %v, want [1]", got)
 	}
-	if c, tot := r.Covered("a"); c != 1 || tot != 4 {
-		t.Fatalf("Covered = %d/%d, want 1/4", c, tot)
+	if s, tot := r.CoveredSplits("a"); len(s) != 1 || tot != 4 {
+		t.Fatalf("CoveredSplits = %v of %d, want one of 4", s, tot)
 	}
-	if c, tot := r.Covered("missing"); c != 0 || tot != 0 {
-		t.Fatalf("Covered(missing) = %d/%d, want 0/0", c, tot)
+	if s, tot := r.CoveredSplits("missing"); s != nil || tot != 0 {
+		t.Fatalf("CoveredSplits(missing) = %v of %d, want nil of 0", s, tot)
 	}
 }
 
@@ -300,7 +300,7 @@ func TestRegistryPersistRoundTrip(t *testing.T) {
 	if err := load(r2, path); err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.CoveredSplits("beta"); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got, _ := r2.CoveredSplits("beta"); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("merge = %v, want [1 2]", got)
 	}
 
@@ -500,7 +500,7 @@ func TestStagingMatchesModel(t *testing.T) {
 						}
 					}
 				}
-				if got := reg.CoveredSplits("bix"); !slices.Equal(got, wantSplits) {
+				if got, _ := reg.CoveredSplits("bix"); !slices.Equal(got, wantSplits) {
 					t.Fatalf("%s: coverage %v, model %v", where(), got, wantSplits)
 				}
 				if store.Len() != len(wantVals) {
@@ -547,5 +547,29 @@ func TestMaterializeRejectsCoverageOutsideSource(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("Materialize error %q does not name %s", err, want)
 		}
+	}
+}
+
+// TestBuildProgressCountsSourceSplits loads a registry whose coverage
+// names a split past the source's chunks (a checkpoint of a larger file):
+// progress and serve time must price the source's own splits, all six
+// uncovered, not the checkpoint's thousand.
+func TestBuildProgressCountsSourceSplits(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register("bix", 1000)
+	reg.MarkBuilt("bix", 999)
+	b, store, f := testIndex(t, reg, 60, 5)
+	n := len(f.Chunks)
+	if n != 6 {
+		t.Fatalf("source has %d chunks, the case wants 6", n)
+	}
+	if c, total := b.BuildProgress(); c != 0 || total != n {
+		t.Fatalf("BuildProgress = (%d, %d), want (0, %d)", c, total, n)
+	}
+	if got, want := b.ServeTime(), store.ServeTime()+float64(n)*b.ScanServeTime(); got != want {
+		t.Fatalf("ServeTime = %g, want store + %d × scan = %g", got, n, want)
+	}
+	if s, total := reg.CoveredSplits("bix"); !slices.Equal(s, []int{999}) || total != 1000 {
+		t.Fatalf("registry reads %v of %d, want its own [999] of 1000", s, total)
 	}
 }

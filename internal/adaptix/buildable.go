@@ -168,13 +168,11 @@ func (b *Buildable) HostsFor(key string) []sim.NodeID {
 	return b.cfg.Store.HostsFor(key)
 }
 
-// BuildProgress implements index.Buildable.
+// BuildProgress implements index.Buildable over the source's splits: a
+// registry loaded from a checkpoint of a larger source may count
+// coverage past them, which no lookup of this index can use.
 func (b *Buildable) BuildProgress() (covered, total int) {
-	c, t := b.cfg.Registry.Covered(b.cfg.Name)
-	if t < b.total {
-		t = b.total
-	}
-	return c, t
+	return b.total - len(b.uncovered()), b.total
 }
 
 // IsBuilt implements index.Buildable.
@@ -287,7 +285,8 @@ func (b *Buildable) Abandon() {
 // skipped, so the call is idempotent. A covered split the source does
 // not have (a checkpoint of another file) is an error.
 func (b *Buildable) Materialize() error {
-	for _, s := range b.cfg.Registry.CoveredSplits(b.cfg.Name) {
+	covered, _ := b.cfg.Registry.CoveredSplits(b.cfg.Name)
+	for _, s := range covered {
 		b.mu.Lock()
 		done := b.resident[s]
 		b.mu.Unlock()

@@ -74,10 +74,11 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 			if err := load(fresh, path); err != nil {
 				t.Fatalf("last durable registry unreadable after %v: %v", kind, err)
 			}
-			if got := fresh.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0}) {
+			got, tot := fresh.CoveredSplits("bix")
+			if !reflect.DeepEqual(got, []int{0}) {
 				t.Fatalf("recovered coverage = %v, want [0] — %v leaked phantom splits", got, kind)
 			}
-			if _, tot := fresh.Covered("bix"); tot != total {
+			if tot != total {
 				t.Fatalf("recovered total = %d, want %d", tot, total)
 			}
 
@@ -89,7 +90,7 @@ func TestSaveFaultsNeverYieldPhantomSplits(t *testing.T) {
 			if err := load(fresh2, path); err != nil {
 				t.Fatal(err)
 			}
-			if got := fresh2.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+			if got, _ := fresh2.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 				t.Fatalf("post-retry coverage = %v, want [0 1 2]", got)
 			}
 		})
@@ -135,8 +136,8 @@ func TestMaterializeReproducesCommittedEntries(t *testing.T) {
 		t.Fatalf("registry fingerprint changed across save/load: %s vs %s", reg2.Fingerprint(), wantFP)
 	}
 	b2, _, _ := testIndex(t, reg2, 300, 12)
-	if cov, _ := reg2.Covered("bix"); cov != 2 {
-		t.Fatalf("recovered coverage = %d, want 2", cov)
+	if cov, _ := reg2.CoveredSplits("bix"); len(cov) != 2 {
+		t.Fatalf("recovered coverage = %v, want 2 splits", cov)
 	}
 
 	// Before Materialize the store is empty: covered splits would serve

@@ -16,8 +16,7 @@ import (
 // open, never silently inflated completeness.
 func (r *Registry) AppendTo(b *fstore.Builder, prefix string) {
 	for _, name := range r.Names() {
-		_, total := r.Covered(name)
-		covered := r.CoveredSplits(name)
+		covered, total := r.CoveredSplits(name)
 		vals := make([]string, len(covered))
 		for i, s := range covered {
 			vals[i] = strconv.Itoa(s)

@@ -265,8 +265,8 @@ func TestForcedBuildConvergesAcrossRuns(t *testing.T) {
 			t.Fatalf("run %d committed %d splits, want %d", k, got, wantCommit)
 		}
 		covered += wantCommit
-		if gotCov, gotTotal := a.reg.Covered("adx"); gotCov != covered || gotTotal != total {
-			t.Fatalf("run %d registry coverage %d/%d, want %d/%d", k, gotCov, gotTotal, covered, total)
+		if gotCov, gotTotal := a.reg.CoveredSplits("adx"); len(gotCov) != covered || gotTotal != total {
+			t.Fatalf("run %d registry coverage %d/%d, want %d/%d", k, len(gotCov), gotTotal, covered, total)
 		}
 		// The accessor's serve time and the cost model's blended T_j must
 		// agree by construction at every coverage.
@@ -484,7 +484,8 @@ func TestDynamicJobStartsBuildMidJob(t *testing.T) {
 	if got := res.Counters[CtrBuildCommitted]; got != int64(offer) {
 		t.Fatalf("mid-job build committed %d splits, want %d", got, offer)
 	}
-	for _, s := range a.reg.CoveredSplits("adx") {
+	built, _ := a.reg.CoveredSplits("adx")
+	for _, s := range built {
 		if s < wave {
 			t.Fatalf("split %d was built but only splits >= %d were re-read under the new plan", s, wave)
 		}

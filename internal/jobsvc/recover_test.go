@@ -153,8 +153,8 @@ func runDurableRef(t *testing.T, parallelism int, dir string, salt int64) ([]Job
 			t.Fatalf("reference job %d has no output fingerprint", i)
 		}
 	}
-	if cov, total := e.reg.Covered("bix"); cov == 0 || cov >= total {
-		t.Fatalf("build job should leave partial coverage, got %d/%d — the trace no longer exercises build recovery", cov, total)
+	if cov, total := e.reg.CoveredSplits("bix"); len(cov) == 0 || len(cov) >= total {
+		t.Fatalf("build job should leave partial coverage, got %d/%d — the trace no longer exercises build recovery", len(cov), total)
 	}
 	return statuses, e.reg.Fingerprint()
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"efind/internal/core"
@@ -67,7 +68,129 @@ func TestSpatialIndexLookupAccuracy(t *testing.T) {
 	// bar is high recall, not exactness.
 	r := Recall(got, exact)
 	if r < 0.85 {
-		t.Fatalf("grid R*-tree recall = %.3f, want ≥0.85", r)
+		t.Fatalf("spatial grid recall = %.3f, want ≥0.85", r)
+	}
+}
+
+// TestSpatialIndexLookupExactPerCell: a lookup returns the k nearest of
+// its query cell's overlap-widened points — the same distances, nearest
+// first, as a stable sort of a scan of that cell cut to k, each ID a
+// point of the cell at the distance given, no ID twice, and the same IDs
+// when the lookup repeats. The cell is recomputed here from the
+// configuration: the cell containing the query point, clamped to the grid
+// for keys outside the extent.
+func TestSpatialIndexLookupExactPerCell(t *testing.T) {
+	const extent = 1000
+	cfg := DefaultSpatialIndexConfig(extent)
+	cw, ch := extent/float64(cfg.GX), extent/float64(cfg.GY)
+	rng := rand.New(rand.NewSource(42))
+	labelled := func(prefix string, pts []workloads.SpatialPoint) []workloads.SpatialPoint {
+		for i := range pts {
+			pts[i].ID = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return pts
+	}
+	// onLines puts n points on the grid's cell edges and on the edges of
+	// the overlap-widened bounds (quarters of a cell), a third of them on
+	// a point drawn before.
+	onLines := func(n int) []workloads.SpatialPoint {
+		pts := make([]workloads.SpatialPoint, n)
+		for i := range pts {
+			if i > 0 && rng.Intn(3) == 0 {
+				pts[i] = pts[rng.Intn(i)]
+				continue
+			}
+			pts[i] = workloads.SpatialPoint{X: float64(rng.Intn(4*cfg.GX)) * cw / 4, Y: float64(rng.Intn(4*cfg.GY)) * ch / 4}
+		}
+		return labelled("e", pts)
+	}
+	keys := func(pts []workloads.SpatialPoint) []string {
+		out := make([]string, len(pts))
+		for i, p := range pts {
+			out[i] = p.Value()
+		}
+		return out
+	}
+	uniform := make([]workloads.SpatialPoint, 48)
+	for i := range uniform {
+		uniform[i] = workloads.SpatialPoint{X: rng.Float64() * extent, Y: rng.Float64() * extent}
+	}
+	dups := make([]workloads.SpatialPoint, 600)
+	for i := range dups {
+		if i > 0 && rng.Intn(3) == 0 {
+			dups[i] = dups[rng.Intn(i)]
+		} else {
+			dups[i] = workloads.SpatialPoint{X: 5 + float64(rng.Intn(40))*25, Y: 5 + float64(rng.Intn(40))*25}
+		}
+	}
+	edges := onLines(800)
+	for _, tc := range []struct {
+		name string
+		b    []workloads.SpatialPoint
+		keys []string
+		k    int
+	}{
+		{"clustered", points(4000, 2), keys(points(300, 3)), 10},
+		{"sparse cells", labelled("u", uniform), keys(points(100, 4)), 10},
+		{"duplicates", labelled("d", dups), keys(dups[:150]), 7},
+		{"edges", edges, keys(edges[:200]), 10},
+		{"outside extent", points(2000, 5), []string{"-40.0000,500.0000", "1000.0000,1000.0000", "2500.0000,-7.5000", "499.9999,1200.0000", "-1.0000,-1.0000"}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cluster, _, _ := knnEnv(t)
+			c := cfg
+			c.K = tc.k
+			idx, err := BuildSpatialIndex(cluster, "bidx", tc.b, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			short := 0
+			for _, key := range tc.keys {
+				x, y, ok := workloads.ParseSpatialValue(key)
+				if !ok {
+					t.Fatalf("bad key %q", key)
+				}
+				cx := min(max(int(x/extent*float64(c.GX)), 0), c.GX-1)
+				cy := min(max(int(y/extent*float64(c.GY)), 0), c.GY-1)
+				minX, maxX := (float64(cx)-c.Overlap)*cw, (float64(cx+1)+c.Overlap)*cw
+				minY, maxY := (float64(cy)-c.Overlap)*ch, (float64(cy+1)+c.Overlap)*ch
+				dist := map[string]string{}
+				var want []Neighbor
+				for _, p := range tc.b {
+					if p.X >= minX && p.X < maxX && p.Y >= minY && p.Y < maxY {
+						d := (p.X-x)*(p.X-x) + (p.Y-y)*(p.Y-y)
+						want = append(want, Neighbor{ID: p.ID, DistSq: d})
+						dist[p.ID] = fmt.Sprintf("%.6f", d)
+					}
+				}
+				sort.SliceStable(want, func(i, j int) bool { return want[i].DistSq < want[j].DistSq })
+				want = want[:min(tc.k, len(want))]
+				if len(want) < tc.k {
+					short++
+				}
+				got, err := idx.Lookup(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("key %s, cell (%d,%d): %d neighbours, want %d:\n got %v\nwant %v", key, cx, cy, len(got), len(want), got, want)
+				}
+				seen := map[string]bool{}
+				for i, v := range got {
+					id, d, _ := strings.Cut(v, ":")
+					if w := fmt.Sprintf("%.6f", want[i].DistSq); d != w || dist[id] != d || seen[id] {
+						t.Fatalf("key %s, cell (%d,%d), neighbour %d: %s; want distance %s from a point of the cell, each once:\n got %v\nwant %v", key, cx, cy, i, v, w, got, want)
+					}
+					seen[id] = true
+				}
+				if again, _ := idx.Lookup(key); !slices.Equal(again, got) {
+					t.Fatalf("key %s: repeated lookup returned %v, first %v", key, again, got)
+				}
+			}
+			if tc.name == "sparse cells" && short == 0 {
+				t.Fatal("no query cell held fewer than k points")
+			}
+		})
 	}
 }
 

@@ -2,10 +2,12 @@
 // join experiment (§5.4, Figure 13):
 //
 //   - an EFind solution: set A is the main MapReduce input and set B is
-//     indexed by a grid of R*-trees (4×8 cells with small overlapping
-//     regions, each replicated to 3 machines) exposed as an
-//     index.Partitioned accessor, so the whole join is an index
-//     nested-loop through the ordinary EFind strategies;
+//     indexed by a grid of 4×8 cells with small overlapping regions, each
+//     replicated to 3 machines and answering exact kNN over its points
+//     (the paper builds an R*-tree per cell; here each cell keeps its
+//     points sorted by x), exposed as an index.Partitioned accessor, so
+//     the whole join is an index nested-loop through the ordinary EFind
+//     strategies;
 //   - the hand-tuned comparator H-zkNNJ (Zhang, Li, Jestes — EDBT 2012):
 //     α shifted copies, z-value range partitioning from sampled
 //     quantiles, per-partition candidate generation over the z-order, and
@@ -13,28 +15,29 @@
 package knnj
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	"efind/internal/index"
-	"efind/internal/rtree"
 	"efind/internal/sim"
 	"efind/internal/workloads"
 )
 
-// SpatialIndex is a distributed grid of R*-trees over point set B,
-// answering "k nearest neighbours of (x, y)" lookups. It implements
-// index.Partitioned: the partition of a lookup key is the grid cell
-// containing the query point, which is exactly what the index-locality
-// strategy needs.
+// SpatialIndex is a distributed grid over point set B, answering "k
+// nearest neighbours of (x, y)" lookups exactly over the points of the
+// query's cell. It implements index.Partitioned: the partition of a
+// lookup key is the grid cell containing the query point, which is
+// exactly what the index-locality strategy needs.
 type SpatialIndex struct {
-	name      string
-	k         int
-	extent    float64
-	gx, gy    int
-	overlap   float64
-	cells     []*rtree.Tree
+	name   string
+	k      int
+	extent float64
+	gx, gy int
+	// cells holds each cell's overlap-widened points, stably sorted by x.
+	cells     [][]workloads.SpatialPoint
 	scheme    index.Scheme
 	serveTime float64
 }
@@ -78,12 +81,8 @@ func BuildSpatialIndex(cluster *sim.Cluster, name string, pts []workloads.Spatia
 		extent:    cfg.Extent,
 		gx:        cfg.GX,
 		gy:        cfg.GY,
-		overlap:   cfg.Overlap,
-		cells:     make([]*rtree.Tree, cfg.GX*cfg.GY),
+		cells:     make([][]workloads.SpatialPoint, cfg.GX*cfg.GY),
 		serveTime: cfg.ServeTime,
-	}
-	for i := range s.cells {
-		s.cells[i] = rtree.New()
 	}
 	cw := cfg.Extent / float64(cfg.GX)
 	ch := cfg.Extent / float64(cfg.GY)
@@ -97,10 +96,14 @@ func BuildSpatialIndex(cluster *sim.Cluster, name string, pts []workloads.Spatia
 				minY := float64(cy)*ch - cfg.Overlap*ch
 				maxY := float64(cy+1)*ch + cfg.Overlap*ch
 				if p.X >= minX && p.X < maxX && p.Y >= minY && p.Y < maxY {
-					s.cells[cy*cfg.GX+cx].Insert(rtree.Point{X: p.X, Y: p.Y, ID: p.ID})
+					c := cy*cfg.GX + cx
+					s.cells[c] = append(s.cells[c], p)
 				}
 			}
 		}
+	}
+	for _, c := range s.cells {
+		slices.SortStableFunc(c, func(p, q workloads.SpatialPoint) int { return cmp.Compare(p.X, q.X) })
 	}
 	hosts := make([][]sim.NodeID, len(s.cells))
 	for i := range hosts {
@@ -120,6 +123,12 @@ func (s *SpatialIndex) cellOf(key string) int {
 	if !ok {
 		return 0
 	}
+	return s.cellAt(x, y)
+}
+
+// cellAt maps a point to the grid cell containing it, clamping points
+// outside the extent to the nearest edge cell.
+func (s *SpatialIndex) cellAt(x, y float64) int {
 	cx := int(x / s.extent * float64(s.gx))
 	cy := int(y / s.extent * float64(s.gy))
 	if cx < 0 {
@@ -149,10 +158,40 @@ func (s *SpatialIndex) Lookup(key string) ([]string, error) {
 	if !ok {
 		return nil, fmt.Errorf("knnj: bad spatial key %q", key)
 	}
-	nbrs := s.cells[s.cellOf(key)].KNN(x, y, s.k)
-	out := make([]string, 0, len(nbrs))
-	for _, n := range nbrs {
-		out = append(out, fmt.Sprintf("%s:%.6f", n.Point.ID, n.DistSq))
+	cell := s.cells[s.cellAt(x, y)]
+	// Sweep outward from x, always to the side with the smaller Δx; once
+	// the next Δx² reaches the k-th best distance, no point left can beat it.
+	hi, _ := slices.BinarySearchFunc(cell, x, func(p workloads.SpatialPoint, x float64) int { return cmp.Compare(p.X, x) })
+	lo := hi - 1
+	best := make([]Neighbor, 0, min(s.k, len(cell)))
+	for lo >= 0 || hi < len(cell) {
+		var p workloads.SpatialPoint
+		if hi == len(cell) || lo >= 0 && x-cell[lo].X < cell[hi].X-x {
+			p, lo = cell[lo], lo-1
+		} else {
+			p, hi = cell[hi], hi+1
+		}
+		dx, dy := p.X-x, p.Y-y
+		if len(best) == s.k && dx*dx >= best[s.k-1].DistSq {
+			break
+		}
+		d := dx*dx + dy*dy
+		i := len(best)
+		if i < s.k {
+			best = append(best, Neighbor{})
+		} else if d >= best[i-1].DistSq {
+			continue
+		} else {
+			i-- // the farthest drops out
+		}
+		for ; i > 0 && best[i-1].DistSq > d; i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = Neighbor{ID: p.ID, DistSq: d}
+	}
+	out := make([]string, len(best))
+	for i, n := range best {
+		out[i] = n.ID + ":" + strconv.FormatFloat(n.DistSq, 'f', 6, 64)
 	}
 	return out, nil
 }
