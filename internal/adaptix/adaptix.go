@@ -8,12 +8,12 @@
 // converge from scan-cost plans to indexed plans.
 //
 // The package has two halves. Registry tracks per-index build progress
-// (which input splits are covered) and persists it as an fstore
-// snapshot. Buildable wraps a kvstore.Store plus its source file into an
-// index.Buildable accessor that is usable at any coverage: lookups serve
-// covered splits from the store and fall back to scanning the uncovered
-// remainder, so results are always exact and only the serve time shrinks
-// as coverage grows.
+// (which input splits are covered); the job service's checkpoint makes it
+// durable (jobsvc.Durability.Registry). Buildable wraps a kvstore.Store
+// plus its source file into an index.Buildable accessor that is usable at
+// any coverage: lookups serve covered splits from the store and fall back
+// to scanning the uncovered remainder, so results are always exact and
+// only the serve time shrinks as coverage grows.
 package adaptix
 
 import (
@@ -50,9 +50,10 @@ func NewRegistry() *Registry {
 }
 
 // Register declares an index with the given number of build units. It is
-// idempotent: re-registering keeps existing coverage, so a registry
-// loaded from disk survives accessor reconstruction. Growing the total
-// (the source file gained chunks) is accepted; shrinking is ignored.
+// idempotent: re-registering keeps existing coverage, so coverage
+// recovered from a checkpoint survives accessor reconstruction. Growing
+// the total (the source file gained chunks) is accepted; shrinking is
+// ignored.
 func (r *Registry) Register(name string, total int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -3,7 +3,6 @@ package adaptix
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -14,7 +13,6 @@ import (
 	"efind/internal/index"
 	"efind/internal/kvstore"
 	"efind/internal/sim"
-	"efind/internal/vfs"
 )
 
 func testCluster() *sim.Cluster { return sim.NewCluster(sim.DefaultConfig()) }
@@ -272,59 +270,6 @@ func TestCommitIsIdempotentAcrossDuplicateSplits(t *testing.T) {
 	}
 }
 
-func TestRegistryPersistRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "registry.fmc")
-
-	r := NewRegistry()
-	r.Register("alpha", 8)
-	r.Register("beta", 3)
-	for _, s := range []int{0, 2, 5} {
-		r.MarkBuilt("alpha", s)
-	}
-	r.MarkBuilt("beta", 1)
-	if err := save(vfs.OS{}, r, path); err != nil {
-		t.Fatal(err)
-	}
-
-	r2 := NewRegistry()
-	if err := load(r2, path); err != nil {
-		t.Fatal(err)
-	}
-	if r.Fingerprint() != r2.Fingerprint() {
-		t.Fatalf("round trip mismatch:\n%s\nvs\n%s", r.Fingerprint(), r2.Fingerprint())
-	}
-
-	// Loading merges with in-memory progress.
-	r2.MarkBuilt("beta", 2)
-	if err := load(r2, path); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := r2.CoveredSplits("beta"); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Fatalf("merge = %v, want [1 2]", got)
-	}
-
-	// A missing file is an error, not an empty registry.
-	if err := load(r2, filepath.Join(dir, "missing.fmc")); err == nil {
-		t.Fatal("load of a missing file succeeded")
-	}
-}
-
-func TestPersistEmptyRegistry(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.fmc")
-	r := NewRegistry()
-	if err := save(vfs.OS{}, r, path); err != nil {
-		t.Fatal(err)
-	}
-	r2 := NewRegistry()
-	if err := load(r2, path); err != nil {
-		t.Fatal(err)
-	}
-	if len(r2.Names()) != 0 {
-		t.Fatalf("empty round trip yielded %v", r2.Names())
-	}
-}
-
 // TestFreezeMidBuildRebuildsSnapshot is the kvstore.Freeze interaction
 // satellite: a store frozen to disk mid-build must serve post-commit
 // lookups from a rebuilt snapshot, never the stale pre-commit one.
@@ -522,22 +467,14 @@ func TestStagingMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMaterializeRejectsCoverageOutsideSource loads a registry whose
-// coverage names a split the source does not have (a checkpoint of a
-// larger file): Materialize must fail naming the index, the split and
-// the chunk count, not index past the source's chunks.
+// TestMaterializeRejectsCoverageOutsideSource: a registry whose coverage
+// names a split the source does not have (recovered from a checkpoint of
+// a larger file) must make Materialize fail naming the index, the split
+// and the chunk count, not index past the source's chunks.
 func TestMaterializeRejectsCoverageOutsideSource(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "registry.fmc")
-	saved := NewRegistry()
-	saved.Register("bix", 1000)
-	saved.MarkBuilt("bix", 999)
-	if err := save(vfs.OS{}, saved, path); err != nil {
-		t.Fatal(err)
-	}
 	reg := NewRegistry()
-	if err := load(reg, path); err != nil {
-		t.Fatal(err)
-	}
+	reg.Register("bix", 1000)
+	reg.MarkBuilt("bix", 999)
 	b, _, f := testIndex(t, reg, 60, 5)
 	err := b.Materialize()
 	if err == nil {

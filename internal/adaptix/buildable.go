@@ -90,8 +90,8 @@ type coverage struct {
 var _ index.Buildable = (*Buildable)(nil)
 
 // New wraps cfg into a Buildable, registering the index with the
-// registry (idempotently, so a registry loaded from disk keeps its
-// coverage).
+// registry (idempotently, so coverage recovered from a checkpoint
+// stays).
 func New(cfg Config) (*Buildable, error) {
 	switch {
 	case cfg.Name == "":
@@ -286,27 +286,20 @@ func (b *Buildable) Abandon() {
 // not have (a checkpoint of another file) is an error.
 func (b *Buildable) Materialize() error {
 	covered, _ := b.cfg.Registry.CoveredSplits(b.cfg.Name)
-	for _, s := range covered {
-		b.mu.Lock()
-		done := b.resident[s]
-		b.mu.Unlock()
-		if done {
-			continue
-		}
-		entries, err := b.extract(s)
-		if err != nil {
-			return err
-		}
-		b.install(s, entries)
-	}
-	return nil
+	b.mu.Lock()
+	covered = slices.DeleteFunc(covered, func(s int) bool { return b.resident[s] })
+	b.mu.Unlock()
+	return b.installAll(covered)
 }
 
 // BuildAll scans and commits every uncovered split immediately — the
 // offline bulk build an experiment's pre-built leg uses as the
 // convergence target.
-func (b *Buildable) BuildAll() error {
-	for _, s := range b.uncovered() {
+func (b *Buildable) BuildAll() error { return b.installAll(b.uncovered()) }
+
+// installAll extracts and installs the given splits, in order.
+func (b *Buildable) installAll(splits []int) error {
+	for _, s := range splits {
 		entries, err := b.extract(s)
 		if err != nil {
 			return err

@@ -32,7 +32,7 @@ func (pr *planRun) runDynamic() error {
 	}
 	mode := ModeBaseline
 	if warm {
-		rt.traceInstant("adaptive: warm start from catalog statistics")
+		pr.run.Instant("adaptive: warm start from catalog statistics", "adaptive")
 		mode = ModeOptimized
 	}
 	plan, err := pr.planFor(mode)
@@ -86,7 +86,7 @@ func (pr *planRun) runDynamic() error {
 		pr.res.JobsRun++ // the superseded baseline job
 		pr.res.Replanned = true
 		pr.res.ReplanPhase = "map"
-		rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-map to %s", newPlan))
+		pr.run.Instant(fmt.Sprintf("adaptive: plan changed mid-map to %s", newPlan), "adaptive")
 	}
 	// Finish the map phase — under the new plan or the current one — and
 	// reduce over the first wave's outputs and the rest's.
@@ -110,13 +110,13 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 		st := collectStats(rt.Catalog, rt.Engine.CounterTable(), o, tasks, rt.Env)
 		rt.traceStats(o.Name(), st)
 		if st == nil || st.MaxRelStdDev > conf.VarianceThreshold {
-			rt.traceInstant(fmt.Sprintf("reoptimize: operator %q skipped (unstable or missing statistics)", o.Name()))
+			pr.run.Instant(fmt.Sprintf("reoptimize: operator %q skipped (unstable or missing statistics)", o.Name()), "adaptive")
 			continue
 		}
 		opSet[o.Name()] = true
 	}
 	if len(opSet) == 0 || !canChange {
-		rt.traceInstant("reoptimize: no change (no stable operators or no remaining work)")
+		pr.run.Instant("reoptimize: no change (no stable operators or no remaining work)", "adaptive")
 		return nil, false
 	}
 	newPlan := &JobPlan{}
@@ -149,29 +149,21 @@ func (pr *planRun) reoptimize(cur *JobPlan, ops []*Operator, tasks []mapreduce.T
 	// overhead of switching plans mid-job.
 	changeCost := 2 * rt.Engine.Cluster.Config().TaskStartup
 	if curCost-newCost <= changeCost {
-		rt.traceInstant(fmt.Sprintf("reoptimize: keep plan (improvement %.4f <= change cost %.4f)", curCost-newCost, changeCost))
+		pr.run.Instant(fmt.Sprintf("reoptimize: keep plan (improvement %.4f <= change cost %.4f)", curCost-newCost, changeCost), "adaptive")
 		return nil, false
 	}
 	// The new plan must actually differ.
 	if newPlan.String() == cur.String() {
-		rt.traceInstant("reoptimize: keep plan (re-optimized plan is identical)")
+		pr.run.Instant("reoptimize: keep plan (re-optimized plan is identical)", "adaptive")
 		return nil, false
 	}
-	rt.traceInstant(fmt.Sprintf("reoptimize: plan change accepted (modeled cost %.4f -> %.4f)", curCost, newCost))
+	pr.run.Instant(fmt.Sprintf("reoptimize: plan change accepted (modeled cost %.4f -> %.4f)", curCost, newCost), "adaptive")
 	if planHasBuild(newPlan) {
 		// Observed redundancy became a build trigger: the re-optimized
 		// plan starts (or continues) piggyback index creation mid-job.
-		rt.traceInstant("adaptive: piggyback index build started mid-job")
+		pr.run.Instant("adaptive: piggyback index build started mid-job", "adaptive")
 	}
 	return newPlan, true
-}
-
-// traceInstant marks an adaptive-optimizer event on the engine's trace
-// timeline, if a trace is attached.
-func (rt *Runtime) traceInstant(name string) {
-	if t := rt.Engine.Trace; t != nil {
-		t.AddInstant(name, "adaptive")
-	}
 }
 
 // traceStats publishes the optimizer's view of an operator's collected
@@ -241,7 +233,7 @@ func (pr *planRun) reduceInWaves(job *mapreduce.Job, outputs []*mapreduce.MapOut
 		}
 		pr.res.Replanned = true
 		pr.res.ReplanPhase = "reduce"
-		pr.rt.traceInstant(fmt.Sprintf("adaptive: plan changed mid-reduce to %s", newPlan))
+		pr.run.Instant(fmt.Sprintf("adaptive: plan changed mid-reduce to %s", newPlan), "adaptive")
 		// The remaining reducers run the new plan's reduce side (user
 		// reduce plus the stages that feed the tail shuffling jobs); their
 		// output is materialized and pushed through the rest of the chain.

@@ -57,8 +57,8 @@ func (pr *planRun) submit() error {
 			return err
 		}
 		reopts++
+		pr.run.Instant(fmt.Sprintf("reopt:failure %s/%s -> baseline", op, ix), "chaos")
 		if t := pr.rt.Engine.Trace; t != nil {
-			t.AddInstant(fmt.Sprintf("reopt:failure %s/%s -> baseline", op, ix), "chaos")
 			t.Metrics.Add(chaos.CtrReoptFailure, 1)
 		}
 		// A dynamic job re-submits from scratch: its first wave must run

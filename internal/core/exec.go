@@ -293,7 +293,7 @@ func (rt *Runtime) SubmitOn(run *mapreduce.JobRun, conf *IndexJobConf) (*JobResu
 	}
 	if committed > 0 {
 		res.Counters[CtrBuildCommitted] += int64(committed)
-		rt.traceInstant(fmt.Sprintf("adaptive: committed %d built split(s)", committed))
+		run.Instant(fmt.Sprintf("adaptive: committed %d built split(s)", committed), "adaptive")
 	}
 	fillIndexErrors(conf, res)
 	if t := rt.Engine.Trace; t != nil {

@@ -140,13 +140,11 @@ func OptimizeOperator(op *Operator, pos OpPosition, st *OperatorStats, env Env, 
 	if st == nil {
 		return uniformPlan(op, pos, Baseline)
 	}
-	m := op.NumIndices()
-	var orders [][]int
+	m, k := op.NumIndices(), opts.KRepart
 	if m <= opts.FullEnumerateLimit {
-		orders = permutations(m)
-	} else {
-		orders = kPermutations(m, opts.KRepart)
+		k = m // FullEnumerate: every order
 	}
+	orders := kPermutations(m, k)
 	// Facts are read off each accessor once, not once per order: asking a
 	// buildable accessor for its offer allocates.
 	var buf [8]IndexFacts
@@ -186,40 +184,13 @@ func planForOrder(op *Operator, pos OpPosition, st *OperatorStats, env Env, orde
 	return p
 }
 
-// permutations returns all orders of [0, m).
-func permutations(m int) [][]int {
-	cur := make([]int, 0, m)
-	used := make([]bool, m)
-	var out [][]int
-	var rec func()
-	rec = func() {
-		if len(cur) == m {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i := 0; i < m; i++ {
-			if used[i] {
-				continue
-			}
-			used[i] = true
-			cur = append(cur, i)
-			rec()
-			cur = cur[:len(cur)-1]
-			used[i] = false
-		}
-	}
-	rec()
-	return out
-}
-
 // kPermutations returns the orders of Algorithm k-Repart: each
 // k-permutation of [0, m) followed by the remaining indices in natural
 // order (only the first k are candidates for shuffle strategies; cost
-// evaluation of the rest is order-independent by Property 1).
+// evaluation of the rest is order-independent by Property 1). With
+// k >= m that is every order of [0, m).
 func kPermutations(m, k int) [][]int {
-	if k >= m {
-		return permutations(m)
-	}
+	k = min(k, m)
 	var out [][]int
 	cur := make([]int, 0, k)
 	used := make([]bool, m)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"efind/internal/index"
@@ -170,26 +171,27 @@ func TestBoundaryChoice(t *testing.T) {
 	}
 }
 
+// TestPermutationsCount: kPermutations(m, m) is FullEnumerate's every
+// order of [0, m), each once, in lexicographic order — the sequence a
+// plan's tie-break between equal costs depends on.
 func TestPermutationsCount(t *testing.T) {
-	if got := len(permutations(1)); got != 1 {
+	if got := len(kPermutations(1, 1)); got != 1 {
 		t.Fatalf("1! = %d", got)
 	}
-	if got := len(permutations(3)); got != 6 {
+	if got := len(kPermutations(3, 3)); got != 6 {
 		t.Fatalf("3! = %d", got)
 	}
-	if got := len(permutations(5)); got != 120 {
+	if got := len(kPermutations(5, 5)); got != 120 {
 		t.Fatalf("5! = %d", got)
 	}
-	seen := map[string]bool{}
-	for _, p := range permutations(4) {
-		key := ""
-		for _, v := range p {
-			key += string(rune('0' + v))
+	orders := kPermutations(4, 4)
+	if len(orders) != 24 {
+		t.Fatalf("4! = %d", len(orders))
+	}
+	for i := 1; i < len(orders); i++ {
+		if slices.Compare(orders[i-1], orders[i]) >= 0 {
+			t.Fatalf("order %v follows %v: not strictly lexicographic (a duplicate, or a changed tie-break)", orders[i], orders[i-1])
 		}
-		if seen[key] {
-			t.Fatalf("duplicate permutation %s", key)
-		}
-		seen[key] = true
 	}
 }
 

@@ -1,6 +1,9 @@
 package jobsvc
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +14,7 @@ import (
 	"efind/internal/ixclient"
 	"efind/internal/kvstore"
 	"efind/internal/mapreduce"
+	"efind/internal/obs"
 )
 
 // Adaptive builds running through the service must not leak into the
@@ -224,5 +228,59 @@ func TestBuildShareSerialParallelIdentity(t *testing.T) {
 		if !reflect.DeepEqual(sortedOutput(s.Result.Output), sortedOutput(p.Result.Output)) {
 			t.Fatalf("job %d (%s) outputs diverge between executors", i, s.ID)
 		}
+	}
+}
+
+// TestServiceInstantsAtJobClock: an instant a service-run job marks — the
+// adaptive build's commit, here — lands at that job's own virtual time
+// under its "tenant/job#n" namespace. A service run never advances the
+// trace's sequential clock, so an instant stamped from that clock would
+// read 0 for every job and name no job.
+func TestServiceInstantsAtJobClock(t *testing.T) {
+	e := newBuildEnv(t, 1)
+	e.rt.Engine.Trace = obs.NewTrace()
+	tenants, subs := buildShareTrace(e)
+	svc, err := New(e.rt, tenants, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := svc.Run(subs)
+	var buf bytes.Buffer
+	if err := e.rt.Engine.Trace.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name, Ph string
+			Ts       float64
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	commits := map[string]float64{} // namespaced commit instant → its time in µs
+	for _, ev := range file.TraceEvents {
+		if ev.Ph == "i" && strings.Contains(ev.Name, "adaptive: committed") {
+			commits[ev.Name] = ev.Ts
+		}
+	}
+	builders := 0
+	for _, st := range statuses {
+		if st.Tenant != "bld" {
+			continue
+		}
+		builders++
+		name := fmt.Sprintf("%s/adaptive: committed %d built split(s)", st.ID, st.Result.Counters[core.CtrBuildCommitted])
+		ts, ok := commits[name]
+		if !ok {
+			t.Fatalf("no instant %q among the commit instants %v", name, commits)
+		}
+		// The commit follows the job's last phase: its time is the job's finish.
+		if want := st.Finished * 1e6; ts != want || ts <= 0 {
+			t.Fatalf("%s: commit instant at %g µs, want the job's finish %g µs", st.ID, ts, want)
+		}
+	}
+	if builders != 2 || len(commits) != builders {
+		t.Fatalf("%d builder jobs and commit instants %v, want one instant per each of 2 builders", builders, commits)
 	}
 }

@@ -1,14 +1,17 @@
 package jobsvc
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"efind/internal/adaptix"
 	"efind/internal/chaos"
 	"efind/internal/fstore"
 	"efind/internal/ixclient"
@@ -261,7 +264,7 @@ func TestRecoverCheckpointRoundTrip(t *testing.T) {
 		pool.Restore(entries)
 		want := pool.Dump()
 
-		ck, err := loadCheckpoint(checkpointOf(t, pool, t.TempDir()), nil)
+		ck, err := loadCheckpoint(checkpointOf(t, pool, t.TempDir()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,6 +278,27 @@ func TestRecoverCheckpointRoundTrip(t *testing.T) {
 		}
 		if len(got) != len(want) {
 			t.Fatalf("%d nodes: %d caches restored, want %d", nodes, len(got), len(want))
+		}
+	}
+}
+
+// TestLoadCheckpointRefusesStrayKeys: a version-3 checkpoint holds its
+// state and its value table and nothing else; an entry of any other
+// layout makes it undecodable.
+func TestLoadCheckpointRefusesStrayKeys(t *testing.T) {
+	state, _ := (&checkpoint{}).encode(nil)
+	for _, stray := range []string{"", "sub:000001"} {
+		b := fstore.NewBuilder()
+		b.Add(ckptState, ckptVersion, string(state))
+		if stray != "" {
+			b.Add(stray, 0, "x")
+		}
+		path := filepath.Join(t.TempDir(), "ckpt-000001.fst")
+		if err := b.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := loadCheckpoint(path); (err != nil) != (stray != "") || stray != "" && !strings.Contains(err.Error(), strconv.Quote(stray)) {
+			t.Fatalf("a checkpoint with stray key %q loads with error %v", stray, err)
 		}
 	}
 }
@@ -319,19 +343,19 @@ func TestRecoverFallsBackPastUndecodableCheckpoint(t *testing.T) {
 		want string
 	}{
 		"table string removed": {func(key string, rev int64, values []string) (int64, []string) {
-			if key == ckptPoolValues {
+			if key == ckptValues {
 				values = values[1:] // every row would shift by one
 			}
 			return rev, values
 		}, "value table holds"},
 		"row out of range": {func(key string, rev int64, values []string) (int64, []string) {
-			if key == ckptPoolValues {
+			if key == ckptValues {
 				rev, values = rev-1, values[:len(values)-1] // the last row's last value
 			}
 			return rev, values
 		}, "outside the"},
 		"version 1": {func(key string, rev int64, values []string) (int64, []string) {
-			if key == ckptSentinel {
+			if key == ckptState {
 				rev = 1
 			}
 			return rev, values
@@ -354,5 +378,215 @@ func TestRecoverFallsBackPastUndecodableCheckpoint(t *testing.T) {
 			}
 			compareRuns(t, ref, got, name)
 		})
+	}
+}
+
+// registryService is a one-tenant durable service in dir whose
+// checkpoints carry reg, written through fs (nil: the real filesystem).
+func registryService(t *testing.T, dir string, reg *adaptix.Registry, fs vfs.FS) *Service {
+	t.Helper()
+	svc, err := New(newEnv(t, 1).rt, []TenantConfig{{Name: "alpha"}}, Options{Durable: &Durability{Dir: dir, Registry: reg, FS: fs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// recoverRegistry recovers registryService's service from a copy of dir,
+// as a crash would have left it, into reg.
+func recoverRegistry(t *testing.T, dir string, reg *adaptix.Registry) *RecoveryReport {
+	t.Helper()
+	n, err := wal.CountRecords(vfs.OS{}, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashDir := filepath.Join(t.TempDir(), "crash")
+	if err := wal.CrashImage(vfs.OS{}, dir, crashDir, n, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc, rep, err := Recover(newEnv(t, 1).rt, []TenantConfig{{Name: "alpha"}}, Options{Durable: &Durability{Dir: crashDir, Registry: reg}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.jl.close()
+	return rep
+}
+
+// TestRecoverRegistryRoundTrip: coverage checkpointed is the coverage
+// Recover restores — an empty registry included —, merged into what the
+// recovering registry already holds (MarkBuilt is idempotent). A
+// checkpoint whose file is gone restores nothing.
+func TestRecoverRegistryRoundTrip(t *testing.T) {
+	empty, full := adaptix.NewRegistry(), adaptix.NewRegistry()
+	full.Register("alpha", 8)
+	full.Register("beta", 3)
+	for _, s := range []int{0, 2, 5} {
+		full.MarkBuilt("alpha", s)
+	}
+	full.MarkBuilt("beta", 1)
+	for name, reg := range map[string]*adaptix.Registry{"empty": empty, "full": full} {
+		dir := filepath.Join(t.TempDir(), "wal")
+		svc := registryService(t, dir, reg, nil)
+		svc.writeCheckpoint()
+		svc.jl.close()
+		if err := svc.DurableErr(); err != nil {
+			t.Fatal(err)
+		}
+		got := adaptix.NewRegistry()
+		if rep := recoverRegistry(t, dir, got); rep.Checkpoint != "ckpt-000001.fst" || got.Fingerprint() != reg.Fingerprint() {
+			t.Fatalf("%s: recovered from %q:\n%s\nwant\n%s", name, rep.Checkpoint, got.Fingerprint(), reg.Fingerprint())
+		}
+		if name == "empty" {
+			continue
+		}
+
+		merged := adaptix.NewRegistry()
+		merged.Register("beta", 3)
+		merged.MarkBuilt("beta", 2)
+		recoverRegistry(t, dir, merged)
+		if got, _ := merged.CoveredSplits("beta"); !reflect.DeepEqual(got, []int{1, 2}) {
+			t.Fatalf("merge = %v, want [1 2]", got)
+		}
+
+		if err := os.Remove(filepath.Join(dir, "ckpt-000001.fst")); err != nil {
+			t.Fatal(err)
+		}
+		missing := adaptix.NewRegistry()
+		if rep := recoverRegistry(t, dir, missing); len(rep.CheckpointsSkipped) != 1 || len(missing.Names()) != 0 {
+			t.Fatalf("a missing checkpoint: skipped %v, registry %q, want it skipped and nothing restored", rep.CheckpointsSkipped, missing.Fingerprint())
+		}
+	}
+}
+
+// swapFS writes through whichever filesystem it holds at the moment.
+type swapFS struct{ vfs.FS }
+
+// TestCheckpointFaultsNeverYieldPhantomSplits drives a checkpoint
+// through every injected write fault at a mid-commit moment: coverage
+// has grown in memory, the checkpoint of it dies, and Recover must read
+// exactly the last durable coverage. A phantom split — the registry
+// claiming a split is built when its entries never became durable —
+// would silently corrupt every future lookup that trusts coverage.
+func TestCheckpointFaultsNeverYieldPhantomSplits(t *testing.T) {
+	for _, kind := range []chaos.FaultKind{chaos.TornWrite, chaos.ShortWrite, chaos.NoSpace, chaos.RenameFail} {
+		t.Run(kind.String(), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			reg := adaptix.NewRegistry()
+			reg.Register("bix", 6)
+			reg.MarkBuilt("bix", 0)
+			fs := &swapFS{vfs.OS{}}
+			svc := registryService(t, dir, reg, fs)
+			svc.writeCheckpoint() // the last durable coverage: [0]
+			if err := svc.DurableErr(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Coverage grows in memory, then the checkpoint of it dies.
+			reg.MarkBuilt("bix", 1)
+			reg.MarkBuilt("bix", 2)
+			match := ".fstore-"
+			if kind == chaos.RenameFail {
+				match = "ckpt-000002.fst"
+			}
+			fs.FS = chaos.NewFaultFS(vfs.OS{}, chaos.FileFault{Kind: kind, Match: match})
+			svc.writeCheckpoint()
+			if err := svc.DurableErr(); err == nil {
+				t.Fatalf("%v during a checkpoint must surface as a durability error", kind)
+			}
+			fresh := adaptix.NewRegistry()
+			rep := recoverRegistry(t, dir, fresh)
+			if got, total := fresh.CoveredSplits("bix"); rep.Checkpoint != "ckpt-000001.fst" || !reflect.DeepEqual(got, []int{0}) || total != 6 {
+				t.Fatalf("recovered %v of %d from %q, want [0] of 6 from ckpt-000001.fst — %v leaked phantom splits", got, total, rep.Checkpoint, kind)
+			}
+
+			// The retry (the fault was one-shot) makes the full coverage durable.
+			svc.writeCheckpoint()
+			svc.jl.close()
+			retried := adaptix.NewRegistry()
+			recoverRegistry(t, dir, retried)
+			if got, _ := retried.CoveredSplits("bix"); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+				t.Fatalf("coverage after the retry = %v, want [0 1 2]", got)
+			}
+		})
+	}
+}
+
+// TestRecoverAppliesNoPartOfARejectedCheckpoint: a checkpoint whose
+// coverage names a split outside its index is skipped whole. The
+// registry Recover fills holds the older checkpoint's coverage and
+// nothing of the rejected one — not its first index, not the valid
+// splits of the index that holds the bad one.
+func TestRecoverAppliesNoPartOfARejectedCheckpoint(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	reg := adaptix.NewRegistry()
+	reg.Register("a", 6)
+	reg.MarkBuilt("a", 0)
+	svc := registryService(t, dir, reg, nil)
+	svc.writeCheckpoint()
+	want := reg.Fingerprint()
+	reg.MarkBuilt("a", 1)
+	reg.Register("b", 6)
+	reg.MarkBuilt("b", 0)
+	svc.writeCheckpoint()
+	svc.jl.close()
+
+	// The newest checkpoint, rewritten to hold a=[0 1] and b=[0 99] of 6.
+	rewriteCheckpoint(t, filepath.Join(dir, "ckpt-000002.fst"), func(key string, rev int64, values []string) (int64, []string) {
+		if key != ckptState {
+			return rev, values
+		}
+		ck, err := decodeState([]byte(values[0]), nil) // no pool, no value table
+		if err != nil || len(ck.indices) != 2 || ck.indices[1].name != "b" {
+			t.Fatalf("checkpoint indices %+v (err %v), want a and b", ck.indices, err)
+		}
+		ck.indices[1].splits = append(ck.indices[1].splits, 99)
+		state, _ := ck.encode(nil)
+		return rev, []string{string(state)}
+	})
+
+	fresh := adaptix.NewRegistry()
+	rep := recoverRegistry(t, dir, fresh)
+	if len(rep.CheckpointsSkipped) != 1 || !strings.Contains(rep.CheckpointsSkipped[0], "split 99") || rep.Checkpoint != "ckpt-000001.fst" {
+		t.Fatalf("skipped %v, recovered from %q: want ckpt-000002.fst skipped for split 99, ckpt-000001.fst restored", rep.CheckpointsSkipped, rep.Checkpoint)
+	}
+	if got := fresh.Fingerprint(); got != want {
+		t.Fatalf("registry after recovery:\n%swant the older checkpoint's\n%s", got, want)
+	}
+}
+
+// TestRecoverContinuesCheckpointNumbering: a recovered service names its
+// next checkpoint after the last one the journal names, so it never
+// overwrites a checkpoint an older record still names — the one
+// Recover would fall back to.
+func TestRecoverContinuesCheckpointNumbering(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	svc := registryService(t, dir, nil, nil)
+	svc.writeCheckpoint()
+	svc.writeCheckpoint()
+	svc.jl.close()
+	before := map[string][]byte{}
+	for _, name := range []string{"ckpt-000001.fst", "ckpt-000002.fst"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[name] = b
+	}
+	recovered, _, err := Recover(newEnv(t, 1).rt, []TenantConfig{{Name: "alpha"}}, Options{Durable: &Durability{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered.writeCheckpoint()
+	recovered.jl.close()
+	if err := recovered.DurableErr(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ckpt-000003.fst")); err != nil {
+		t.Fatalf("the recovered service's checkpoint is not ckpt-000003.fst: %v", err)
+	}
+	for name, b := range before {
+		if after, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(after, b) {
+			t.Fatalf("%s changed after recovery (err %v)", name, err)
+		}
 	}
 }

@@ -302,7 +302,7 @@ func TestCheckpointAllocs(t *testing.T) {
 	if limit := uint64(16<<10 + 4*32*64); big > limit {
 		t.Errorf("checkpointing 8 MB of cached values allocated %d bytes, want <= %d (a constant, 64 B per cached entry)", big, limit)
 	}
-	ck, err := loadCheckpoint(filepath.Join(dir, "ckpt-000001.fst"), nil)
+	ck, err := loadCheckpoint(filepath.Join(dir, "ckpt-000001.fst"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -296,10 +296,11 @@ func (s *Service) Run(subs []Submission) []JobStatus {
 		// Checkpoint-decided submissions report their cached status and
 		// never arrive: their effect on tenants, ledgers, pool, and
 		// registry was restored wholesale from the checkpoint.
-		for idx, st := range s.jl.decided {
-			if idx < len(jobs) {
-				jobs[idx].status = st
-				jobs[idx].decided = true
+		for _, d := range s.jl.decided {
+			if uint(d.idx) < uint(len(jobs)) {
+				j := jobs[d.idx]
+				j.status, j.decided = d.status, true
+				j.status.Recovered = true
 			}
 		}
 	}

@@ -8,9 +8,6 @@ import (
 	"math"
 	"path/filepath"
 	"slices"
-	"sort"
-	"strconv"
-	"strings"
 
 	"efind/internal/adaptix"
 	"efind/internal/core"
@@ -178,38 +175,28 @@ func (c *walCodec) count(p *int) {
 	}
 }
 
-// cmap walks a counter map in key order; an empty one reads back nil.
+// cmap walks a counter map as a list of (key, value) in key order; an
+// empty one reads back nil.
 func (c *walCodec) cmap(p *map[string]int64) {
-	n := len(*p)
-	c.count(&n)
-	if c.dec {
-		*p = nil
-		if n > 0 {
-			*p = make(map[string]int64, n)
-		}
-		for i := 0; i < n && c.err == nil; i++ {
-			var k string
-			var v int64
-			c.str(&k)
-			c.i64(&v)
-			(*p)[k] = v
-		}
-		return
-	}
-	keys := make([]string, 0, n)
+	keys := make([]string, 0, len(*p))
 	for k := range *p {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := (*p)[k]
-		c.str(&k)
-		c.i64(&v)
-	}
+	slices.Sort(keys)
+	list(c, &keys, func(k *string) {
+		v := (*p)[*k]
+		c.str(k)
+		if c.i64(&v); c.dec {
+			if *p == nil {
+				*p = make(map[string]int64)
+			}
+			(*p)[*k] = v
+		}
+	})
 }
 
 // fields walks a decided JobStatus: the stable form inside recDone
-// records and in checkpoint "sub:" entries. The Recovered flag and the
+// records and a checkpoint's decided jobs. The Recovered flag and the
 // Output file are deliberately absent: recovery synthesizes a Result
 // carrying the scalars, counters, and the output fingerprint, and marks
 // the status Recovered itself.
@@ -401,8 +388,8 @@ type journal struct {
 	err error // first durability failure (journaling degrades, the run continues)
 
 	// Recovery state (empty on a fresh service).
-	decided map[int]JobStatus // checkpoint-decided statuses by sub index
-	seeds   map[int]int64     // journaled backoff seeds by sub index
+	decided []jobState    // checkpoint-decided jobs: sub index and status
+	seeds   map[int]int64 // journaled backoff seeds by sub index
 	expect  map[expectKey][][]byte
 	report  *RecoveryReport
 
@@ -418,12 +405,11 @@ func openJournal(d *Durability) (*journal, error) {
 		return nil, err
 	}
 	return &journal{
-		d:       d,
-		fs:      fs,
-		log:     log,
-		decided: make(map[int]JobStatus),
-		seeds:   make(map[int]int64),
-		expect:  make(map[expectKey][][]byte),
+		d:      d,
+		fs:     fs,
+		log:    log,
+		seeds:  make(map[int]int64),
+		expect: make(map[expectKey][][]byte),
 	}, nil
 }
 
@@ -501,79 +487,146 @@ func (jl *journal) regFingerprint() uint64 {
 	return h.Sum64()
 }
 
-// Checkpoint snapshot schema (an fstore file in the journal directory).
+// Checkpoint snapshot (an fstore file in the journal directory): the state
+// walk under ckptState, revision = layout version, and the value table.
 const (
-	ckptSentinel   = "jobsvc-ckpt"
-	ckptVersion    = 2 // 1 stored every cache's values inline
-	ckptSubPrefix  = "sub:"
-	ckptTenPrefix  = "tn:"
-	ckptPoolPrefix = "pool:"
-	ckptPoolValues = "values"
-	ckptRegPrefix  = "reg:"
-	ckptLedMap     = "led:m"
-	ckptLedReduce  = "led:r"
+	ckptState   = "jobsvc-ckpt"
+	ckptVersion = 3 // 1 stored every cache's values inline, 2 an entry per job, tenant, ledger, cache and index
+	ckptValues  = "values"
 )
 
-// addPool adds the dumped caches to a checkpoint. Every node caches its
-// own copy of an index value, so the caches mostly hold the same entries:
-// each distinct one is stored once, in one value table — per row the key,
-// then its values: the cached strings themselves — and per cache only
-// where its entries' rows start and how many values they hold, in recency
-// order. Rows are distinct by content, not by key: an index promises
-// idempotent lookups within a job, not across jobs, so a list that differs
-// from the first one cached under its key gets its own row. buf is reused.
-func addPool(b *fstore.Builder, dump []ixclient.PoolEntry, buf []byte) []byte {
-	var table []string
-	first := make(map[[2]string]int) // {index, key} → where the first row under that key starts
-	for _, pe := range dump {
-		c := walCodec{b: buf[:0]}
+// checkpoint is every piece of state a checkpoint holds, in walk order.
+type checkpoint struct {
+	decided []jobState    // sub index and status
+	tenants []tenant      // name, seq and spend
+	ledgers [2]slotLedger // map, reduce
+	pool    []ixclient.PoolEntry
+	indices []indexCkpt // adaptive-build coverage
+}
+
+type indexCkpt struct {
+	name   string
+	total  int   // build units
+	splits []int // the committed ones, ascending
+}
+
+// fields is the checkpoint schema, walked by encode and decodeState as
+// svcRec.fields serves journal records. A read refuses a split outside its
+// index's total, so Recover never applies part of a rejected checkpoint.
+func (ck *checkpoint) fields(c *walCodec, t *valueTable) {
+	list(c, &ck.decided, func(j *jobState) {
+		c.int(&j.idx)
+		j.status.fields(c)
+	})
+	list(c, &ck.tenants, func(tn *tenant) {
+		c.str(&tn.cfg.Name)
+		c.int(&tn.seq)
+		c.f64(&tn.spent)
+	})
+	for i := range ck.ledgers {
+		ck.ledgers[i].fields(c)
+	}
+	list(c, &ck.pool, func(pe *ixclient.PoolEntry) {
 		c.str(&pe.Index)
 		c.int((*int)(&pe.Node))
 		c.i64(&pe.Hits)
 		c.i64(&pe.Misses)
 		n := len(pe.Keys)
 		c.count(&n)
-		for i, k := range pe.Keys {
-			values := pe.Values[i]
-			at, seen := first[[2]string{pe.Index, k}]
-			if end := at + 1 + len(values); !seen || end > len(table) || !slices.Equal(table[at+1:end], values) {
-				if at = len(table); !seen {
-					first[[2]string{pe.Index, k}] = at
-				}
-				table = append(append(table, k), values...)
-			}
-			row, vn := uint64(at), uint64(len(values))
-			c.u64(&row)
-			c.u64(&vn)
+		for i := 0; i < n && c.err == nil; i++ {
+			t.row(c, pe, i)
 		}
-		buf = c.b
-		b.Add(fmt.Sprintf("%s%s|%08d", ckptPoolPrefix, pe.Index, pe.Node), int64(pe.Node), string(buf))
-	}
-	b.Add(ckptPoolValues, int64(len(table)), table...)
-	return buf
+	})
+	list(c, &ck.indices, func(ix *indexCkpt) {
+		c.str(&ix.name)
+		c.int(&ix.total)
+		list(c, &ix.splits, func(s *int) {
+			if c.int(s); c.dec && c.err == nil && (*s < 0 || *s >= ix.total) {
+				c.err = fmt.Errorf("jobsvc: split %d of index %q lies outside [0,%d)", *s, ix.name, ix.total)
+			}
+		})
+	})
 }
 
-// decodePool reads one pooled cache, resolving its entries against the
-// value table; caches then share the table's strings.
-func decodePool(c *walCodec, table []string) (e ixclient.PoolEntry) {
-	c.str(&e.Index)
-	c.int((*int)(&e.Node))
-	c.i64(&e.Hits)
-	c.i64(&e.Misses)
-	var n int
+// list walks a slice's length, then each element. A read appends what
+// decodes, so a count no payload backs never sizes an allocation.
+func list[T any](c *walCodec, p *[]T, elem func(*T)) {
+	n := len(*p)
 	c.count(&n)
-	for i := 0; i < n && c.err == nil; i++ {
-		var at, vn uint64
-		c.u64(&at)
-		c.u64(&vn)
-		if c.err == nil && (at >= uint64(len(table)) || vn >= uint64(len(table))-at) {
-			c.err = fmt.Errorf("jobsvc: pool entry of %d values at %d lies outside the %d-string value table", vn, at, len(table))
-		} else if c.err == nil {
-			e.Keys = append(e.Keys, table[at])
-			e.Values = append(e.Values, table[at+1:at+1+vn:at+1+vn])
-		}
+	if c.dec {
+		*p = nil
 	}
-	return e
+	for i := 0; i < n && c.err == nil; i++ {
+		if c.dec {
+			*p = append(*p, *new(T))
+		}
+		elem(&(*p)[i])
+	}
+}
+
+// valueTable stores each distinct (index, key, value list) the pooled
+// caches hold once, as a row: the key, then the cached strings
+// themselves. Rows are distinct by content, not by key: an index promises
+// idempotent lookups within a job, not across jobs (DESIGN.md
+// "Checkpoint layout").
+type valueTable struct {
+	strs  []string
+	first map[[2]string]int // write side: {index, key} → where the first row under that key starts
+}
+
+// row walks entry i of a cache as (row start, value count): a write adds
+// its row unless the table holds it, a read appends the row to the cache.
+func (t *valueTable) row(c *walCodec, pe *ixclient.PoolEntry, i int) {
+	var at, vn uint64
+	if !c.dec {
+		key, values := pe.Keys[i], pe.Values[i]
+		start, seen := t.first[[2]string{pe.Index, key}]
+		if end := start + 1 + len(values); !seen || end > len(t.strs) || !slices.Equal(t.strs[start+1:end], values) {
+			if start = len(t.strs); !seen {
+				t.first[[2]string{pe.Index, key}] = start
+			}
+			t.strs = append(append(t.strs, key), values...)
+		}
+		at, vn = uint64(start), uint64(len(values))
+	}
+	c.u64(&at)
+	c.u64(&vn)
+	switch {
+	case !c.dec || c.err != nil:
+	case at >= uint64(len(t.strs)) || vn >= uint64(len(t.strs))-at:
+		c.err = fmt.Errorf("jobsvc: pool entry of %d values at %d lies outside the %d-string value table", vn, at, len(t.strs))
+	default:
+		pe.Keys = append(pe.Keys, t.strs[at])
+		pe.Values = append(pe.Values, t.strs[at+1:at+1+vn:at+1+vn])
+	}
+}
+
+// fields walks a ledger's slot shape and free times; a decoded one is
+// only compared against the cluster's and copied into its ledger.
+func (l *slotLedger) fields(c *walCodec) {
+	c.int(&l.perNode)
+	list(c, &l.freeAt, c.f64)
+}
+
+// encode appends the checkpoint's state walk to b and returns it with
+// the value table the walk filled.
+func (ck *checkpoint) encode(b []byte) ([]byte, []string) {
+	c := walCodec{b: b}
+	t := valueTable{first: make(map[[2]string]int)}
+	ck.fields(&c, &t)
+	return c.b, t.strs
+}
+
+// decodeState reads a checkpoint's state walk against its value table,
+// whole: trailing bytes are as malformed as missing ones.
+func decodeState(state []byte, table []string) (*checkpoint, error) {
+	ck := &checkpoint{}
+	c := walCodec{b: state, dec: true}
+	ck.fields(&c, &valueTable{strs: table})
+	if c.err == nil && len(c.b) > 0 {
+		c.err = fmt.Errorf("jobsvc: %d bytes after the checkpoint state", len(c.b))
+	}
+	return ck, c.err
 }
 
 // writeCheckpoint folds every decided job, tenant accounting, slot
@@ -586,38 +639,30 @@ func (s *Service) writeCheckpoint() {
 	if jl.log.Err() != nil {
 		return // a dead journal cannot name a checkpoint, and Recover reads none it does not name
 	}
-	b := fstore.NewBuilder()
-	b.Add(ckptSentinel, ckptVersion)
-	c := walCodec{b: jl.buf[:0]}
-	add := func(key string, rev int64) {
-		b.Add(key, rev, string(c.b))
-		c.b = c.b[:0]
-	}
-	decided := 0
+	ck := checkpoint{ledgers: [2]slotLedger{*s.mapLedger, *s.reduceLedger}}
 	for _, j := range s.jobs {
-		if !j.decided {
-			continue
+		if j.decided {
+			ck.decided = append(ck.decided, *j)
 		}
-		j.status.fields(&c)
-		add(fmt.Sprintf("%s%06d", ckptSubPrefix, j.idx), int64(j.status.State))
-		decided++
 	}
 	for _, t := range s.order {
-		tc := tenantCkpt{spent: t.spent}
-		tc.fields(&c)
-		add(ckptTenPrefix+t.cfg.Name, int64(t.seq))
+		ck.tenants = append(ck.tenants, *t)
 	}
-	s.mapLedger.fields(&c)
-	add(ckptLedMap, 0)
-	s.reduceLedger.fields(&c)
-	add(ckptLedReduce, 0)
-	jl.buf = c.b
 	if p := s.opts.SharedCache; p != nil {
-		jl.buf = addPool(b, p.Dump(), jl.buf)
+		ck.pool = p.Dump()
 	}
 	if reg := jl.d.Registry; reg != nil {
-		reg.AppendTo(b, ckptRegPrefix)
+		for _, name := range reg.Names() {
+			ix := indexCkpt{name: name}
+			ix.splits, ix.total = reg.CoveredSplits(name)
+			ck.indices = append(ck.indices, ix)
+		}
 	}
+	state, table := ck.encode(jl.buf[:0])
+	jl.buf = state
+	b := fstore.NewBuilder()
+	b.Add(ckptState, ckptVersion, string(state))
+	b.Add(ckptValues, int64(len(table)), table...)
 	name := fmt.Sprintf("ckpt-%06d.fst", jl.ckptSeq+1)
 	if err := b.WriteFileFS(jl.fs, filepath.Join(jl.d.Dir, name)); err != nil {
 		// The snapshot never became durable; keep journaling against the
@@ -626,122 +671,54 @@ func (s *Service) writeCheckpoint() {
 		return
 	}
 	jl.ckptSeq++
-	jl.append(svcRec{kind: recCkpt, file: name, n: decided})
+	jl.append(svcRec{kind: recCkpt, file: name, n: len(ck.decided)})
 	jl.newlyDecided = 0
 }
 
-// checkpoint is one loaded checkpoint snapshot.
-type checkpoint struct {
-	path    string
-	decided map[int]JobStatus
-	tenants map[string]tenantCkpt
-	ledgers map[string]slotLedger
-	pool    []ixclient.PoolEntry
-}
-
-type tenantCkpt struct {
-	seq   int // the entry's revision
-	spent float64
-}
-
-func (t *tenantCkpt) fields(c *walCodec) { c.f64(&t.spent) }
-
-// fields walks a ledger's slot shape and free times; a decoded one is
-// only compared against the cluster's and copied into its ledger.
-func (l *slotLedger) fields(c *walCodec) {
-	c.int(&l.perNode)
-	n := len(l.freeAt)
-	c.count(&n)
-	if c.dec {
-		l.freeAt = make([]float64, n)
-	}
-	for i := 0; i < n && c.err == nil; i++ {
-		c.f64(&l.freeAt[i])
-	}
-}
-
-// loadCheckpoint opens and fully decodes a checkpoint snapshot, merging
-// registry coverage into reg when given. Entries are decoded from views
-// of the mapping; the fields walks copy out what they keep. Any
-// validation or decode failure surfaces as an error so Recover can fall
-// back to an earlier checkpoint.
-func loadCheckpoint(path string, reg *adaptix.Registry) (*checkpoint, error) {
+// loadCheckpoint opens a checkpoint snapshot and decodes it whole, the
+// state from a view of the mapping (the walk copies out what it keeps).
+// Any validation or decode failure is an error, so Recover falls back to
+// an earlier checkpoint having applied nothing of this one.
+func loadCheckpoint(path string) (*checkpoint, error) {
 	snap, err := fstore.Open(path, fstore.Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer snap.Close()
-	if i, ok := snap.Find(ckptSentinel); !ok {
+	i, ok := snap.Find(ckptState)
+	if !ok {
 		return nil, fmt.Errorf("jobsvc: %s is not a service checkpoint", path)
-	} else if rev := snap.Revision(i); rev != ckptVersion {
+	}
+	if rev := snap.Revision(i); rev != ckptVersion {
 		return nil, fmt.Errorf("jobsvc: checkpoint %s is layout version %d, this build reads version %d only", path, rev, ckptVersion)
 	}
-	ck := &checkpoint{
-		path:    path,
-		decided: make(map[int]JobStatus),
-		tenants: make(map[string]tenantCkpt),
-		ledgers: make(map[string]slotLedger),
+	for j := 0; j < snap.Len(); j++ {
+		if key := snap.Key(j); key != ckptState && key != ckptValues {
+			return nil, fmt.Errorf("jobsvc: checkpoint %s holds key %q, which layout version %d does not have", path, key, ckptVersion)
+		}
 	}
 	var table []string // its revision is its length: a lost string is an error, not a shift
-	if i, ok := snap.Find(ckptPoolValues); ok {
-		if table, err = snap.Values(i); err == nil && int64(len(table)) != snap.Revision(i) {
-			err = fmt.Errorf("value table holds %d strings, want %d", len(table), snap.Revision(i))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("jobsvc: checkpoint %s: %w", path, err)
+	if j, ok := snap.Find(ckptValues); ok {
+		if table, err = snap.Values(j); err == nil && int64(len(table)) != snap.Revision(j) {
+			err = fmt.Errorf("value table holds %d strings, want %d", len(table), snap.Revision(j))
 		}
 	}
-	for i := 0; i < snap.Len(); i++ {
-		key, rev := snap.Key(i), snap.Revision(i)
-		if key == ckptSentinel || key == ckptPoolValues || strings.HasPrefix(key, ckptRegPrefix) {
-			continue // the registry is handled below via adaptix.LoadFrom (it validates ranges)
-		}
+	var ck *checkpoint
+	if err == nil {
 		values := 0
-		err := snap.View(i, func(v []byte) error {
+		err = snap.View(i, func(v []byte) error {
 			values++
-			return ck.decode(key, rev, v, table)
+			ck, err = decodeState(v, table)
+			return err
 		})
 		if err == nil && values != 1 {
-			err = fmt.Errorf("key %s has %d values, want 1", key, values)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("jobsvc: checkpoint %s: %w", path, err)
+			err = fmt.Errorf("state entry has %d values, want 1", values)
 		}
 	}
-	if reg != nil {
-		if err := reg.LoadFrom(snap, ckptRegPrefix); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, fmt.Errorf("jobsvc: checkpoint %s: %w", path, err)
 	}
 	return ck, nil
-}
-
-// decode folds one single-valued checkpoint entry into ck.
-func (ck *checkpoint) decode(key string, rev int64, v []byte, table []string) error {
-	c := &walCodec{b: v, dec: true}
-	switch {
-	case key == ckptLedMap || key == ckptLedReduce:
-		var l slotLedger
-		l.fields(c)
-		ck.ledgers[key] = l
-	case strings.HasPrefix(key, ckptSubPrefix):
-		idx, err := strconv.Atoi(key[len(ckptSubPrefix):])
-		if err != nil {
-			return fmt.Errorf("bad sub key %q", key)
-		}
-		var st JobStatus
-		st.fields(c)
-		ck.decided[idx] = st
-	case strings.HasPrefix(key, ckptTenPrefix):
-		tc := tenantCkpt{seq: int(rev)}
-		tc.fields(c)
-		ck.tenants[key[len(ckptTenPrefix):]] = tc
-	case strings.HasPrefix(key, ckptPoolPrefix):
-		ck.pool = append(ck.pool, decodePool(c, table))
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-	return c.err
 }
 
 // tenantHash fingerprints the tenant configuration for recHello.

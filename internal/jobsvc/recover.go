@@ -85,24 +85,21 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 	// skipped (their records were durable, their files were not — e.g.
 	// an injected rename failure after the journal append).
 	var ck *checkpoint
-	maxCkptSeq := 0
+	var ckFile string
+	ckpts := 0 // checkpoint records; they name ckpt-000001.fst, ckpt-000002.fst, … in journal order
 	for i := len(recs) - 1; i >= 0; i-- {
 		if recs[i].kind != recCkpt {
 			continue
 		}
-		var seq int
-		if _, err := fmt.Sscanf(recs[i].file, "ckpt-%d.fst", &seq); err == nil && seq > maxCkptSeq {
-			maxCkptSeq = seq
-		}
-		if ck != nil {
+		if ckpts++; ck != nil {
 			continue
 		}
-		c, err := loadCheckpoint(filepath.Join(d.Dir, recs[i].file), d.Registry)
+		c, err := loadCheckpoint(filepath.Join(d.Dir, recs[i].file))
 		if err != nil {
 			rep.CheckpointsSkipped = append(rep.CheckpointsSkipped, fmt.Sprintf("%s: %v", recs[i].file, err))
 			continue
 		}
-		ck = c
+		ck, ckFile = c, recs[i].file
 	}
 
 	// Truncate the torn tail before the new segment opens, so the next
@@ -129,47 +126,42 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 		return nil, nil, err
 	}
 	jl.report = rep
-	jl.ckptSeq = maxCkptSeq
+	jl.ckptSeq = ckpts
 	jl.installExpectations(recs)
 
 	if ck != nil {
-		rep.Checkpoint = filepath.Base(ck.path)
-		for idx, st := range ck.decided {
-			st.Recovered = true
-			jl.decided[idx] = st
-		}
-		rep.DecidedJobs = len(jl.decided)
-		for name, tc := range ck.tenants {
-			t, ok := s.tenants[name]
+		rep.Checkpoint = ckFile
+		jl.decided = ck.decided
+		rep.DecidedJobs = len(ck.decided)
+		for _, tc := range ck.tenants {
+			t, ok := s.tenants[tc.cfg.Name]
 			if !ok {
-				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s names tenant %q the service does not configure", ck.path, name)
+				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s names tenant %q the service does not configure", ckFile, tc.cfg.Name)
 			}
-			t.seq = tc.seq
-			t.spent = tc.spent
+			t.seq, t.spent = tc.seq, tc.spent
 		}
-		restoreLedger := func(key string, led *slotLedger) error {
-			l, ok := ck.ledgers[key]
-			if !ok {
-				return fmt.Errorf("jobsvc: checkpoint %s is missing ledger %q", ck.path, key)
-			}
+		for i, led := range []*slotLedger{s.mapLedger, s.reduceLedger} {
+			l := &ck.ledgers[i]
 			if l.perNode != led.perNode || len(l.freeAt) != len(led.freeAt) {
-				return fmt.Errorf("jobsvc: checkpoint %s ledger %q shaped %dx%d, cluster has %dx%d — recover against the same cluster config",
-					ck.path, key, len(l.freeAt)/max(l.perNode, 1), l.perNode, len(led.freeAt)/max(led.perNode, 1), led.perNode)
+				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s %s ledger shaped %dx%d, cluster has %dx%d — recover against the same cluster config",
+					ckFile, [2]string{"map", "reduce"}[i], len(l.freeAt)/max(l.perNode, 1), l.perNode, len(led.freeAt)/max(led.perNode, 1), led.perNode)
 			}
 			copy(led.freeAt, l.freeAt)
-			return nil
-		}
-		if err := restoreLedger(ckptLedMap, s.mapLedger); err != nil {
-			return nil, nil, err
-		}
-		if err := restoreLedger(ckptLedReduce, s.reduceLedger); err != nil {
-			return nil, nil, err
 		}
 		if len(ck.pool) > 0 {
 			if opts.SharedCache == nil {
-				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s holds shared-pool state but Options.SharedCache is nil", ck.path)
+				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s holds shared-pool state but Options.SharedCache is nil", ckFile)
 			}
 			opts.SharedCache.Restore(ck.pool)
+		}
+		// Past every check: a Recover that fails leaves the registry as it was.
+		if reg := d.Registry; reg != nil {
+			for _, ix := range ck.indices {
+				reg.Register(ix.name, ix.total)
+				for _, split := range ix.splits {
+					reg.MarkBuilt(ix.name, split)
+				}
+			}
 		}
 	}
 

@@ -31,7 +31,7 @@ type denv struct {
 	plan *chaos.Plan
 }
 
-func newDurableEnv(t *testing.T, parallelism int) *denv {
+func newDurableEnv(t testing.TB, parallelism int) *denv {
 	t.Helper()
 	e := newEnv(t, parallelism)
 	reg := adaptix.NewRegistry()
@@ -133,7 +133,7 @@ func durability(dir string, e *denv, salt int64) *Durability {
 
 // runDurableRef runs the reference durable trace into dir and returns
 // the statuses plus the registry fingerprint at completion.
-func runDurableRef(t *testing.T, parallelism int, dir string, salt int64) ([]JobStatus, string) {
+func runDurableRef(t testing.TB, parallelism int, dir string, salt int64) ([]JobStatus, string) {
 	t.Helper()
 	e := newDurableEnv(t, parallelism)
 	tenants, subs := durableTrace(e)

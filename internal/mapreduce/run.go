@@ -122,6 +122,10 @@ func (r *JobRun) qual(name string) string {
 	return r.ns + "/" + name
 }
 
+// Instant marks an event of the job on the trace, at the run's clock
+// (Now) in service mode, qualified by its namespace.
+func (r *JobRun) Instant(name, cat string) { r.instant(name, cat, r.vclock) }
+
 // instant emits a trace instant, at the given absolute virtual time in
 // service mode and at the trace's sequential clock otherwise.
 func (r *JobRun) instant(name, cat string, at float64) {

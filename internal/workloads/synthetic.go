@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"efind/internal/dfs"
@@ -98,9 +99,15 @@ type SpatialPoint struct {
 // Value renders the point as a stored record value.
 func (p SpatialPoint) Value() string { return fmt.Sprintf("%.4f,%.4f", p.X, p.Y) }
 
-// ParseSpatialValue parses a stored point value.
+// ParseSpatialValue parses a stored point value: two decimals, one comma.
 func ParseSpatialValue(v string) (x, y float64, ok bool) {
-	if _, err := fmt.Sscanf(v, "%f,%f", &x, &y); err != nil {
+	xs, ys, found := strings.Cut(v, ",")
+	if !found {
+		return 0, 0, false
+	}
+	x, errX := strconv.ParseFloat(xs, 64)
+	y, errY := strconv.ParseFloat(ys, 64)
+	if errX != nil || errY != nil {
 		return 0, 0, false
 	}
 	return x, y, true

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -198,5 +200,36 @@ func TestWriteSpatial(t *testing.T) {
 	}
 	if f.Records() != 500 {
 		t.Fatalf("records = %d", f.Records())
+	}
+}
+
+// TestParseSpatialValueMatchesSscanf holds the parser to fmt.Sscanf's
+// "%f,%f" reading, bit for bit, on every value SpatialPoint.Value renders:
+// Fig. 13's point sets at both scales, the origin, the extent's corner
+// and negative coordinates. What is not two numbers around a comma is
+// refused.
+func TestParseSpatialValueMatchesSscanf(t *testing.T) {
+	var pts []SpatialPoint
+	for _, n := range [][2]int{{1500, 6000}, {6000, 20000}} { // quick, full
+		pts = append(pts, GenerateSpatialPoints(SpatialConfig{Points: n[0], Extent: 1000, Clusters: 16, Seed: 21})...)
+		pts = append(pts, GenerateSpatialPoints(SpatialConfig{Points: n[1], Extent: 1000, Clusters: 16, Seed: 22})...)
+	}
+	pts = append(pts, SpatialPoint{X: 0, Y: 0}, SpatialPoint{X: 1000, Y: 1000}, SpatialPoint{X: 999.99996, Y: 0.00004},
+		SpatialPoint{X: -0.00004, Y: -12.5}, SpatialPoint{X: -1000, Y: -999.99995})
+	for _, p := range pts {
+		v := p.Value()
+		var wx, wy float64
+		if _, err := fmt.Sscanf(v, "%f,%f", &wx, &wy); err != nil {
+			t.Fatalf("Sscanf(%q): %v", v, err)
+		}
+		x, y, ok := ParseSpatialValue(v)
+		if !ok || math.Float64bits(x) != math.Float64bits(wx) || math.Float64bits(y) != math.Float64bits(wy) {
+			t.Fatalf("ParseSpatialValue(%q) = %v, %v, %v; Sscanf reads %v, %v", v, x, y, ok, wx, wy)
+		}
+	}
+	for _, bad := range []string{"", "1.0", "1.0,", "a,b"} {
+		if x, y, ok := ParseSpatialValue(bad); ok {
+			t.Errorf("ParseSpatialValue(%q) = %v, %v, true; want it refused", bad, x, y)
+		}
 	}
 }
