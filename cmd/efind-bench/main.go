@@ -1,12 +1,14 @@
 // Command efind-bench regenerates the paper's evaluation (§5): every
 // panel of Figure 11, Figure 12, Figure 13, and the ablation studies
-// DESIGN.md calls out. Results are virtual times from the cluster
-// simulation under the cost model's stipulated constants, so everything
-// the command prints or writes is identical from run to run and across
-// GOMAXPROCS values; the reproduced claims are the relative shapes, which
-// every experiment checks on its own table: the command prints the table
-// and exits 1 naming the first claim that does not hold. What the Go code
-// costs in wall time is measured by bench/, in paired runs.
+// DESIGN.md calls out. It is the experiments' only runner: its own
+// TestQuickGate and CI run the gate through it. Results are virtual
+// times from the cluster simulation under the cost model's stipulated
+// constants, so everything the command prints or writes is identical from
+// run to run and across GOMAXPROCS values; the reproduced claims are the
+// relative shapes, which every experiment checks on its own table: the
+// command prints the table and exits 1 naming the first claim that does
+// not hold. What the Go code costs in wall time is measured by bench/, in
+// paired runs.
 //
 // Usage:
 //
@@ -20,7 +22,7 @@
 //
 //	efind-bench -quick -fig 11f -trace trace.json   # Chrome trace (Perfetto)
 //	efind-bench -quick -fig 11f,12 -profile BENCH_ci.json -label ci
-//	efind-bench -quick -profile BENCH_ci.json -gate BENCH_baseline.json   # CI's gate: all experiments
+//	efind-bench -quick -gate BENCH_baseline.json   # the gate: all experiments
 //
 // With -gate, the run's profile is compared against the baseline profile
 // and the command exits 1 unless the two are equal: total virtual time,
@@ -36,7 +38,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
+	"sync"
 
 	"efind/internal/experiments"
 	"efind/internal/obs"
@@ -95,31 +99,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var tr *obs.Trace
-	if *traceOut != "" || *profileOut != "" || *gate != "" {
-		tr = obs.NewTrace()
+	newTrace := obs.NewProfileTrace // the task-span timeline is for -trace alone
+	if *traceOut != "" {
+		newTrace = obs.NewTrace
 	}
-
 	fmt.Fprintf(stdout, "EFind evaluation harness — %d experiment(s) at %s scale\n\n", len(todo), scaleName)
-	for _, e := range todo {
-		if tr != nil {
-			tr.SetSection(e.ID)
+	tr := newTrace()
+	var failed error
+	for i, done := range start(todo, scale, newTrace) {
+		o := <-done // every outcome is received, so no experiment outlives run
+		if failed != nil {
+			continue
 		}
-		tbl, err := e.Run(scale, tr)
-		if tbl != nil { // a table whose claim failed is shown and recorded too
-			if tr != nil {
-				tbl.Record(tr.Metrics, e.ID)
-			}
-			tbl.Print(stdout)
+		if o.tbl != nil { // a table whose claim failed is shown too
+			o.tbl.Print(stdout)
 			fmt.Fprintln(stdout)
 		}
-		if err != nil {
-			return fail(1, "experiment %s failed: %v", e.ID, err)
+		if o.err != nil {
+			failed = fmt.Errorf("experiment %s failed: %v", todo[i].ID, o.err)
 		}
+		tr.Append(o.tr)
 	}
-
-	if tr == nil {
-		return 0
+	if failed != nil {
+		return fail(1, "%v", failed)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(tr, *traceOut); err != nil {
@@ -147,15 +149,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// outcome is what one experiment left: its table, its trace, its error.
+type outcome struct {
+	tbl *experiments.Table
+	tr  *obs.Trace
+	err error
+}
+
+// start runs the experiments up to GOMAXPROCS at a time, one marked Alone
+// while no other runs, each into a trace of its own that also gets its
+// table's cells; the i-th channel delivers the i-th outcome. The caller
+// appends the traces in registry order, so no output shows the schedule.
+func start(todo []experiments.Experiment, scale experiments.Scale, newTrace func() *obs.Trace) []chan outcome {
+	done := make([]chan outcome, len(todo))
+	for i := range done {
+		done[i] = make(chan outcome, 1)
+	}
+	go func() {
+		var running sync.WaitGroup
+		slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+		for i, e := range todo {
+			if e.Alone {
+				running.Wait()
+			}
+			slots <- struct{}{}
+			running.Add(1)
+			go func() {
+				defer running.Done()
+				o := outcome{tr: newTrace()}
+				o.tr.SetSection(e.ID)
+				if o.tbl, o.err = e.Run(scale, o.tr); o.tbl != nil {
+					o.tbl.Record(o.tr.Metrics, e.ID)
+				}
+				done[i] <- o
+				<-slots
+			}()
+			if e.Alone {
+				running.Wait()
+			}
+		}
+	}()
+	return done
+}
+
 // writeTrace writes the Chrome trace-event file.
 func writeTrace(tr *obs.Trace, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChrome(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(tr.WriteChrome(f), f.Close())
 }

@@ -15,7 +15,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fig12.json")
 
-// Every test runs Figure 12 only: six probes, no job, under 0.1 s.
+// Every test but TestQuickGate runs Figure 12 only: six probes, no job,
+// under 0.1 s.
 const fig12Golden = "testdata/fig12.json"
 
 func bench(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -133,5 +134,17 @@ func TestStdoutReproducible(t *testing.T) {
 	code, second, stderr := bench(t, "-quick", "-fig", "12")
 	if code != 0 || first != second || !strings.Contains(first, "Figure 12") {
 		t.Fatalf("two runs differ (exit %d, stderr %q):\n%s\n---\n%s", code, stderr, first, second)
+	}
+}
+
+// TestQuickGate runs CI's gate command: every experiment at quick scale,
+// each checking the paper's claims on its table, and the run's profile —
+// every stage, index row, counter and table cell — equal to the
+// committed baseline. A change that moves a cell with every claim intact
+// fails here, naming the gauge.
+func TestQuickGate(t *testing.T) {
+	code, stdout, stderr := bench(t, "-quick", "-gate", "../../BENCH_baseline.json")
+	if code != 0 || !strings.Contains(stdout, "benchmark gate passed") {
+		t.Fatalf("efind-bench -quick -gate ../../BENCH_baseline.json: exit %d\n%s", code, stderr)
 	}
 }

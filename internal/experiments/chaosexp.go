@@ -141,7 +141,7 @@ func AblationChaos(scale Scale, _ *obs.Trace) (*Table, error) {
 // clock before the first index access and an outage window can end
 // between a failed attempt and its degraded re-run.
 func runSynChaos(scale Scale, name string, cfg *chaos.Config) (*lab, error) {
-	return runLeg(leg{trace: obs.NewTrace(), column: "cache", job: name}, func(l *lab) (strategyJob, error) {
+	return runLeg(leg{trace: obs.NewProfileTrace(), column: "cache", job: name}, func(l *lab) (strategyJob, error) {
 		input, store, err := l.genSyn(scale, 1024)
 		if err != nil {
 			return strategyJob{}, err

@@ -69,7 +69,7 @@ func cmRun(scale Scale, label string, cfg *chaos.Config, durable *jobsvc.Durabil
 		scale.SynKeyDomain = scale.ChaosMTRecords / 2
 	}
 	shape := func(c *sim.Config) { c.Nodes = scale.ChaosMTNodes }
-	return runLeg(leg{trace: obs.NewTrace(), section: "chaos-mt/" + label, shape: shape}, func(l *lab) (strategyJob, error) {
+	return runLeg(leg{trace: obs.NewProfileTrace(), section: "chaos-mt/" + label, shape: shape}, func(l *lab) (strategyJob, error) {
 		input, store, err := l.genSyn(scale, 1024)
 		if err != nil {
 			return strategyJob{}, err
@@ -154,10 +154,6 @@ func cmCompareStatuses(ref, got []jobsvc.JobStatus) error {
 //     tail included), a fresh world Recovers from it and re-runs; every
 //     status must byte-match the uninterrupted durable run.
 func ChaosMultiTenant(scale Scale, _ *obs.Trace) (*Table, error) {
-	if scale.ChaosMTNodes <= 8 || scale.ChaosMTTenants <= 0 || scale.ChaosMTJobs <= 0 {
-		return nil, fmt.Errorf("chaos-mt: scale not configured (nodes %d, tenants %d, jobs %d)",
-			scale.ChaosMTNodes, scale.ChaosMTTenants, scale.ChaosMTJobs)
-	}
 	totalJobs := scale.ChaosMTTenants * scale.ChaosMTJobs
 	tenants := cmTenants(scale)
 	cols := []string{"jobs", "makespan"}

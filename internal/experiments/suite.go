@@ -11,6 +11,8 @@ type Experiment struct {
 	// Run executes the experiment at the given scale, its labs recording
 	// into the trace (nil: none).
 	Run func(Scale, *obs.Trace) (*Table, error)
+	// Alone marks an experiment that must run while no other does.
+	Alone bool
 }
 
 // All returns every experiment in presentation order.
@@ -34,7 +36,7 @@ func All() []Experiment {
 		{ID: "ablation-chaos", Description: "Seeded fault schedules: crash, speculation, index outage — same answer", Run: AblationChaos},
 		{ID: "multi-tenant", Description: "Job service: 2 tenants sharing the cluster — fair makespans, pooled-cache uplift, cross-tenant outage", Run: MultiTenant},
 		{ID: "adaptive-build", Description: "Adaptive index creation: repeated query converges from scan cost to the indexed plan; break-even matches the cost model", Run: AdaptiveBuild},
-		{ID: "fstore-sweep", Description: "In-memory vs mmap-snapshot storage backend on the synthetic sweep — same answer required", Run: FStoreSweep},
+		{ID: "fstore-sweep", Description: "In-memory vs mmap-snapshot storage backend on the synthetic sweep — same answer required", Run: FStoreSweep, Alone: true}, // its leak check counts the process's open snapshots
 		{ID: "chaos-multitenant", Description: "Cross-job chaos at scale: crashes, speculation, and outages across tenants' concurrent jobs, plus coordinator crash recovery — same decisions required", Run: ChaosMultiTenant},
 	}
 }

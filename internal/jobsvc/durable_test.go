@@ -13,9 +13,12 @@ import (
 
 	"efind/internal/adaptix"
 	"efind/internal/chaos"
+	"efind/internal/core"
+	"efind/internal/dfs"
 	"efind/internal/fstore"
 	"efind/internal/ixclient"
 	"efind/internal/lru"
+	"efind/internal/mapreduce"
 	"efind/internal/sim"
 	"efind/internal/vfs"
 	"efind/internal/wal"
@@ -551,6 +554,44 @@ func TestRecoverAppliesNoPartOfARejectedCheckpoint(t *testing.T) {
 	}
 	if got := fresh.Fingerprint(); got != want {
 		t.Fatalf("registry after recovery:\n%swant the older checkpoint's\n%s", got, want)
+	}
+}
+
+// TestRefusedRecoverLeavesNoSegment: a checkpoint that names a tenant
+// the service does not configure, holds ledgers of another cluster shape,
+// or holds pool state with no Options.SharedCache is refused before the
+// journal's new segment opens — the directory's files stay what they were.
+func TestRefusedRecoverLeavesNoSegment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	pool := ixclient.NewPool(0)
+	pool.Restore([]ixclient.PoolEntry{{Index: "kv", Snapshot: lru.Snapshot{Keys: []string{"k"}, Values: [][]string{{"v"}}}}})
+	svc, err := New(newEnv(t, 1).rt, []TenantConfig{{Name: "alpha"}}, Options{SharedCache: pool, Durable: &Durability{Dir: dir}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.writeCheckpoint()
+	svc.jl.close()
+	cluster := sim.NewCluster(sim.DefaultConfig())
+	otherShape := core.NewRuntime(mapreduce.New(cluster, dfs.New(cluster)))
+	files := func() string { names, err := vfs.OS{}.ReadDir(dir); return fmt.Sprint(names, err) }
+	for _, tc := range []struct {
+		rt      *core.Runtime
+		tenant  string
+		pool    *ixclient.Pool
+		refusal string
+	}{
+		{newEnv(t, 1).rt, "beta", ixclient.NewPool(0), `names tenant "alpha" the service does not configure`},
+		{otherShape, "alpha", ixclient.NewPool(0), "ledger shaped"},
+		{newEnv(t, 1).rt, "alpha", nil, "Options.SharedCache is nil"},
+	} {
+		before := files()
+		_, _, err := Recover(tc.rt, []TenantConfig{{Name: tc.tenant}}, Options{SharedCache: tc.pool, Durable: &Durability{Dir: dir}})
+		if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+			t.Fatalf("Recover: %v; want the refusal %q", err, tc.refusal)
+		}
+		if after := files(); after != before {
+			t.Errorf("refused (%s): files %s, were %s", tc.refusal, after, before)
+		}
 	}
 }
 

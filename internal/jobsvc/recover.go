@@ -121,18 +121,9 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 	if err != nil {
 		return nil, nil, err
 	}
-	jl, err := openJournal(d)
-	if err != nil {
-		return nil, nil, err
-	}
-	jl.report = rep
-	jl.ckptSeq = ckpts
-	jl.installExpectations(recs)
-
+	// Every check against the service comes before the journal's new
+	// segment opens: a refused checkpoint leaves the directory as it was.
 	if ck != nil {
-		rep.Checkpoint = ckFile
-		jl.decided = ck.decided
-		rep.DecidedJobs = len(ck.decided)
 		for _, tc := range ck.tenants {
 			t, ok := s.tenants[tc.cfg.Name]
 			if !ok {
@@ -148,10 +139,23 @@ func Recover(rt *core.Runtime, tenants []TenantConfig, opts Options) (*Service, 
 			}
 			copy(led.freeAt, l.freeAt)
 		}
+		if len(ck.pool) > 0 && opts.SharedCache == nil {
+			return nil, nil, fmt.Errorf("jobsvc: checkpoint %s holds shared-pool state but Options.SharedCache is nil", ckFile)
+		}
+	}
+	jl, err := openJournal(d)
+	if err != nil {
+		return nil, nil, err
+	}
+	jl.report = rep
+	jl.ckptSeq = ckpts
+	jl.installExpectations(recs)
+
+	if ck != nil {
+		rep.Checkpoint = ckFile
+		jl.decided = ck.decided
+		rep.DecidedJobs = len(ck.decided)
 		if len(ck.pool) > 0 {
-			if opts.SharedCache == nil {
-				return nil, nil, fmt.Errorf("jobsvc: checkpoint %s holds shared-pool state but Options.SharedCache is nil", ckFile)
-			}
 			opts.SharedCache.Restore(ck.pool)
 		}
 		// Past every check: a Recover that fails leaves the registry as it was.

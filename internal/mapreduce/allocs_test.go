@@ -262,6 +262,48 @@ func slabs(n int) (k uint64) {
 	return k
 }
 
+// phaseAllocs is the least, of three, allocations of a map phase of
+// tasks one-record tasks on e — and with reduce, of a reduce phase of as
+// many one-record tasks after it.
+func phaseAllocs(t *testing.T, fs *dfs.FS, e *Engine, tasks int, reduce bool) uint64 {
+	fs.ChunkTarget = 1 // one record per chunk = one map task per record
+	records := make([]dfs.Record, tasks)
+	for i := range records {
+		records[i] = dfs.Record{Key: strconv.Itoa(i), Value: "v"}
+	}
+	in, err := fs.Create(fmt.Sprintf("in-%d-%v-%p", tasks, reduce, e.Trace), records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := &Job{Name: "allocs", Input: in}
+	if reduce {
+		job.Reduce, job.NumReduce = IdentityReduce, tasks
+		job.Partition = func(key string, n int) int { // key i to reducer i: one record each
+			i, _ := strconv.Atoi(key)
+			return i % n
+		}
+	}
+	least := ^uint64(0) // of three: the runtime's own caches (sudogs, dead goroutines) refill now and then
+	for i := 0; i < 3; i++ {
+		allocs, _ := allocsAndBytes(2, func() {
+			r := e.NewRun()
+			mp, err := r.RunMapPhase(job, nil)
+			if err != nil || len(mp.Outputs) != tasks {
+				t.Fatalf("map phase of %d tasks: %d outputs, %v", tasks, len(mp.Outputs), err)
+			}
+			if !reduce {
+				return
+			}
+			sub, err := r.RunReduceSubset(job, mp.Outputs, nil)
+			if err != nil || len(sub.Shards) != tasks || len(sub.Shards[tasks-1]) != 1 {
+				t.Fatalf("reduce phase of %d tasks: %d shards, %v", tasks, len(sub.Shards), err)
+			}
+		})
+		least = min(least, allocs)
+	}
+	return least
+}
+
 // TestPhaseAllocsPerTask pins what a phase pays per task beside the task's
 // own work: nothing. A phase of one-record tasks allocates what its reduce
 // tasks retain — a value slab and a shard each — times the task count, the
@@ -275,52 +317,14 @@ func TestPhaseAllocsPerTask(t *testing.T) {
 		t.Skip("under -race a reduce task allocates once more than it does without: the per-task count is exact only outside it")
 	}
 	const perMap, perReduce = 0, 2
-	ordinal := func(key string, n int) int { // key i to reducer i: one record each
-		i, _ := strconv.Atoi(key)
-		return i % n
-	}
 	for _, parallelism := range []int{1, 4} {
 		fs, e := parEnv(t, parallelism)
-		fs.ChunkTarget = 1 // one record per chunk = one map task per record
-		measure := func(tasks int, reduce bool) uint64 {
-			records := make([]dfs.Record, tasks)
-			for i := range records {
-				records[i] = dfs.Record{Key: strconv.Itoa(i), Value: "v"}
-			}
-			in, err := fs.Create(fmt.Sprintf("in-%d-%v", tasks, reduce), records)
-			if err != nil {
-				t.Fatal(err)
-			}
-			job := &Job{Name: "allocs", Input: in}
-			if reduce {
-				job.Reduce, job.NumReduce, job.Partition = IdentityReduce, tasks, ordinal
-			}
-			least := ^uint64(0) // of three: the runtime's own caches (sudogs, dead goroutines) refill now and then
-			for i := 0; i < 3; i++ {
-				allocs, _ := allocsAndBytes(2, func() {
-					r := e.NewRun()
-					mp, err := r.RunMapPhase(job, nil)
-					if err != nil || len(mp.Outputs) != tasks {
-						t.Fatalf("map phase of %d tasks: %d outputs, %v", tasks, len(mp.Outputs), err)
-					}
-					if !reduce {
-						return
-					}
-					sub, err := r.RunReduceSubset(job, mp.Outputs, nil)
-					if err != nil || len(sub.Shards) != tasks || len(sub.Shards[tasks-1]) != 1 {
-						t.Fatalf("reduce phase of %d tasks: %d shards, %v", tasks, len(sub.Shards), err)
-					}
-				})
-				least = min(least, allocs)
-			}
-			return least
-		}
 		for _, tc := range []struct {
 			name    string
 			reduce  bool
 			perTask uint64
 		}{{"map-only", false, perMap}, {"map+reduce", true, perMap + perReduce}} {
-			small, large := measure(200, tc.reduce), measure(2000, tc.reduce)
+			small, large := phaseAllocs(t, fs, e, 200, tc.reduce), phaseAllocs(t, fs, e, 2000, tc.reduce)
 			t.Logf("parallelism %d, %s: %d allocations for 200 tasks, %d for 2,000", parallelism, tc.name, small, large)
 			// Exact under the serial executor, whose one frame cuts all the
 			// blocks. Under the pool each worker's frame doubles its own, and

@@ -322,7 +322,7 @@ func (fr *phaseFrames) start(worker int, e *Engine, node sim.NodeID, id int, kin
 	}
 	ctx := &f.ctx
 	ctx.Node, ctx.TaskID, ctx.Split, ctx.Kind, ctx.cluster = node, id, id, kind, e.Cluster
-	ctx.base, ctx.traced = absStart, e.Trace != nil
+	ctx.base, ctx.traced = absStart, e.Trace.Timeline()
 	return f
 }
 
@@ -629,10 +629,11 @@ func (e *JobRun) RunReduceSubset(job *Job, outputs []*MapOutput, reducers []int)
 	return sub, nil
 }
 
-// emitPhase exports one completed phase to the attached trace: a task
-// span per assignment (on the node/slot lane the scheduler placed it),
-// the task's rebased sub-phase spans, a queued→scheduled wait for tasks
-// that did not start at phase begin, the phase's folded counters (into the
+// emitPhase exports one completed phase to the attached trace: if it keeps
+// a timeline, a task span per assignment (on the node/slot lane the
+// scheduler placed it), the task's rebased sub-phase spans and a
+// queued→scheduled wait for tasks that did not start at phase begin;
+// always the phase's folded counters (into the
 // unified registry), and a stage profile carrying the makespan the
 // CI regression gate budgets. Assignments arrive sorted by (start,
 // task), so emission order — and the exported file — is deterministic
@@ -654,7 +655,11 @@ func (e *JobRun) emitPhase(name, kind string, phaseBase float64, phase sim.Phase
 		base = t.Clock()
 	}
 	cfg := e.Cluster.Config()
-	for _, a := range phase.Assignments {
+	timeline := phase.Assignments
+	if !t.Timeline() { // a profile trace: no span, wait or name per task
+		timeline = nil
+	}
+	for _, a := range timeline {
 		st := stats[a.Task]
 		speed := cfg.SpeedOf(a.Node)
 		taskName := fmt.Sprintf("%s[%d]", name, st.ID)

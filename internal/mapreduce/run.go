@@ -129,12 +129,11 @@ func (r *JobRun) Instant(name, cat string) { r.instant(name, cat, r.vclock) }
 // instant emits a trace instant, at the given absolute virtual time in
 // service mode and at the trace's sequential clock otherwise.
 func (r *JobRun) instant(name, cat string, at float64) {
-	if r.Trace == nil {
+	if !r.Trace.Timeline() {
 		return
 	}
-	if r.svc {
-		r.Trace.AddInstantAt(r.qual(name), cat, at)
-		return
+	if !r.svc {
+		at = r.Trace.Clock()
 	}
-	r.Trace.AddInstant(r.qual(name), cat)
+	r.Trace.AddInstant(r.qual(name), cat, at)
 }

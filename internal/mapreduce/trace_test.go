@@ -12,13 +12,12 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden trace files")
 
-// traceRun executes the word-count job with a trace attached under the
-// given executor parallelism and returns the serialized trace and
-// profile bytes.
-func traceRun(t *testing.T, parallelism int) ([]byte, []byte) {
+// traceRun executes the word-count job with tr attached under the given
+// executor parallelism and returns the serialized trace and profile bytes.
+func traceRun(t *testing.T, parallelism int, tr *obs.Trace) ([]byte, []byte) {
 	t.Helper()
 	fs, e := parEnv(t, parallelism)
-	e.Trace = obs.NewTrace()
+	e.Trace = tr
 	in := makeInput(t, fs, "in", 600)
 	if _, err := e.Run(wordCountJob(in, "wc", false)); err != nil {
 		t.Fatal(err)
@@ -40,8 +39,8 @@ func traceRun(t *testing.T, parallelism int) ([]byte, []byte) {
 // on 8 goroutines, because everything is denominated in virtual time and
 // the parallel executor replays the serial schedule.
 func TestTraceBitIdenticalAcrossParallelism(t *testing.T) {
-	serialChrome, serialProf := traceRun(t, 1)
-	parChrome, parProf := traceRun(t, 8)
+	serialChrome, serialProf := traceRun(t, 1, obs.NewTrace())
+	parChrome, parProf := traceRun(t, 8, obs.NewTrace())
 	if !bytes.Equal(serialChrome, parChrome) {
 		t.Fatalf("chrome trace diverged between serial and parallel runs (%d vs %d bytes)", len(serialChrome), len(parChrome))
 	}
@@ -86,16 +85,43 @@ func TestTraceRecordsPhases(t *testing.T) {
 }
 
 // TestSpanHotPathAllocs pins the zero-overhead promise: with tracing off
-// (no trace attached), StartSpan/End must not allocate.
+// (no trace attached) or on a trace that keeps no timeline
+// (obs.NewProfileTrace), StartSpan/End do not allocate. A profile trace
+// records the profile a full trace records, byte for byte, and no span,
+// wait or instant; and a phase of one-record map tasks under it allocates
+// what it does with no trace at all, plus one constant: nothing per task.
 func TestSpanHotPathAllocs(t *testing.T) {
-	ctx := NewTaskContext(nil, 0, 0, MapTask)
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := ctx.StartSpan("read", "io")
-		ctx.extra += 0.001
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled span path allocates %.1f per op, want 0", allocs)
+	for _, tr := range []*obs.Trace{nil, obs.NewProfileTrace()} {
+		ctx := NewTaskContext(nil, 0, 0, MapTask)
+		ctx.traced = tr.Timeline()
+		allocs := testing.AllocsPerRun(1000, func() {
+			sp := ctx.StartSpan("read", "io")
+			ctx.extra += 0.001
+			sp.End()
+		})
+		if allocs != 0 {
+			t.Fatalf("span path with trace %p allocates %.1f per op, want 0", tr, allocs)
+		}
+	}
+
+	fullChrome, fullProf := traceRun(t, 1, obs.NewTrace())
+	chrome, prof := traceRun(t, 1, obs.NewProfileTrace())
+	if !bytes.Equal(prof, fullProf) || !bytes.Contains(chrome, []byte(`"traceEvents": [],`)) || bytes.Contains(fullChrome, []byte(`"traceEvents": [],`)) {
+		t.Fatalf("profile trace: profile equal to the full trace's %v, timeline %s; want the same profile and no event", bytes.Equal(prof, fullProf), chrome)
+	}
+
+	if raceEnabled {
+		t.Skip("the per-task count below is exact only outside -race")
+	}
+	fs, e := parEnv(t, 1)
+	extra := func(tasks int) uint64 { // what a profile trace adds to a phase of tasks tasks
+		e.Trace = nil
+		none := phaseAllocs(t, fs, e, tasks, false)
+		e.Trace = obs.NewProfileTrace()
+		return phaseAllocs(t, fs, e, tasks, false) - none
+	}
+	if small, large := extra(200), extra(2000); small != large {
+		t.Fatalf("a profile trace adds %d allocations to a phase of 200 tasks and %d to one of 2,000; want the same constant", small, large)
 	}
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,11 +25,6 @@ type chromeEvent struct {
 	Args map[string]string `json:"args,omitempty"`
 }
 
-type chromeFile struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
 const usPerSecond = 1e6
 
 // WriteChrome serializes the trace as a Chrome trace-event JSON file:
@@ -37,17 +33,13 @@ const usPerSecond = 1e6
 // waits, and global "i" instants for adaptive events. Event order — and
 // therefore the output bytes — is deterministic for a deterministic
 // trace: spans sort by (start, node, slot, name), which the virtual-time
-// scheduler fully determines.
+// scheduler fully determines (the trace's spans are sorted in place). The
+// events stream to w one at a time, as an indented {"traceEvents": [...],
+// "displayTimeUnit": "ms"} object.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	t.mu.Lock()
-	spans := make([]Span, len(t.spans))
-	copy(spans, t.spans)
-	queued := make([]queuedSpan, len(t.queued))
-	copy(queued, t.queued)
-	instants := make([]Instant, len(t.instants))
-	copy(instants, t.instants)
-	t.mu.Unlock()
-
+	defer t.mu.Unlock()
+	spans := t.spans
 	sort.SliceStable(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if a.Start != b.Start {
@@ -67,7 +59,18 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		return a.Name < b.Name
 	})
 
-	file := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
+	bw := bufio.NewWriter(w)
+	bw.WriteString("{\n \"traceEvents\": [")
+	sep := "\n  "
+	emit := func(ev chromeEvent) {
+		b, err := json.MarshalIndent(ev, "  ", " ")
+		if err != nil {
+			panic(err) // a chromeEvent always marshals
+		}
+		bw.WriteString(sep)
+		bw.Write(b)
+		sep = ",\n  "
+	}
 
 	// Name the lanes: one process per node, one thread per slot.
 	lanes := map[[2]int]bool{}
@@ -85,34 +88,32 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		return laneKeys[i][1] < laneKeys[j][1]
 	})
 	for _, k := range laneKeys {
-		file.TraceEvents = append(file.TraceEvents,
-			chromeEvent{Name: "process_name", Ph: "M", Pid: k[0], Tid: k[1],
-				Args: map[string]string{"name": fmt.Sprintf("node %d", k[0])}},
-			chromeEvent{Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1],
-				Args: map[string]string{"name": fmt.Sprintf("slot %d", k[1])}})
+		emit(chromeEvent{Name: "process_name", Ph: "M", Pid: k[0], Tid: k[1],
+			Args: map[string]string{"name": fmt.Sprintf("node %d", k[0])}})
+		emit(chromeEvent{Name: "thread_name", Ph: "M", Pid: k[0], Tid: k[1],
+			Args: map[string]string{"name": fmt.Sprintf("slot %d", k[1])}})
 	}
 
 	for _, s := range spans {
 		dur := s.Dur * usPerSecond
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
+		emit(chromeEvent{
 			Name: s.Name, Cat: s.Cat, Ph: "X",
 			Ts: s.Start * usPerSecond, Dur: &dur,
 			Pid: s.Node, Tid: s.Slot,
 		})
 	}
-	for _, q := range queued {
-		id := q.ID
-		file.TraceEvents = append(file.TraceEvents,
-			chromeEvent{Name: q.Name, Cat: "queued", Ph: "b", Ts: q.Start * usPerSecond, Pid: q.Node, ID: &id},
-			chromeEvent{Name: q.Name, Cat: "queued", Ph: "e", Ts: q.End * usPerSecond, Pid: q.Node, ID: &id})
+	for i, q := range t.queued {
+		id := i // a wait's async ID: its place in recording order
+		emit(chromeEvent{Name: q.Name, Cat: "queued", Ph: "b", Ts: q.Start * usPerSecond, Pid: q.Node, ID: &id})
+		emit(chromeEvent{Name: q.Name, Cat: "queued", Ph: "e", Ts: q.End * usPerSecond, Pid: q.Node, ID: &id})
 	}
-	for _, in := range instants {
-		file.TraceEvents = append(file.TraceEvents, chromeEvent{
-			Name: in.Name, Cat: in.Cat, Ph: "i", Ts: in.Time * usPerSecond, S: "g",
-		})
+	for _, in := range t.instants {
+		emit(chromeEvent{Name: in.Name, Cat: in.Cat, Ph: "i", Ts: in.Time * usPerSecond, S: "g"})
 	}
 
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&file)
+	if sep != "\n  " {
+		bw.WriteString("\n ")
+	}
+	bw.WriteString("],\n \"displayTimeUnit\": \"ms\"\n}\n")
+	return bw.Flush()
 }

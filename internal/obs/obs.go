@@ -12,8 +12,9 @@
 // executions of the same seed produce bit-identical trace and profile
 // files, so the CI benchmark-regression gate can diff them byte for byte.
 //
-// With tracing off (a nil *Trace on the engine) the hot path does no
-// work and allocates nothing; see TestSpanHotPathAllocs.
+// With tracing off (a nil *Trace on the engine), or on a trace that keeps
+// no timeline (NewProfileTrace), the task hot path does no work and
+// allocates nothing; see TestSpanHotPathAllocs.
 package obs
 
 import (
@@ -54,7 +55,6 @@ type Instant struct {
 type queuedSpan struct {
 	Name       string
 	Node       int
-	ID         int
 	Start, End float64
 }
 
@@ -188,11 +188,11 @@ func SortedCounters(m map[string]int64) []Metric {
 }
 
 // Trace accumulates one run's observability record: the virtual clock,
-// spans, instants, stage profiles, index profiles, and the metrics
-// registry. The engine is the only writer on the hot path (it appends
-// between phases, never inside task bodies); the mutex exists so
-// auxiliary writers (experiment harness sections, adaptive instants)
-// stay safe if they ever race.
+// the timeline (spans, queued waits, instants), stage profiles, index
+// profiles, and the metrics registry. The engine is the only writer on
+// the hot path (it appends between phases, never inside task bodies); the
+// mutex exists so auxiliary writers (experiment harness sections,
+// adaptive instants) stay safe if they ever race.
 type Trace struct {
 	// Metrics is the run's unified registry.
 	Metrics *Registry
@@ -203,15 +203,59 @@ type Trace struct {
 	spans    []Span
 	queued   []queuedSpan
 	instants []Instant
-	stages   []*StageProfile
-	stageIdx map[string]*StageProfile
+	stages   map[string]StageProfile
 	indexes  []IndexProfile
-	nextID   int
+	timeline bool
 }
 
 // NewTrace returns an empty trace with a fresh registry.
 func NewTrace() *Trace {
-	return &Trace{Metrics: NewRegistry(), stageIdx: make(map[string]*StageProfile)}
+	t := NewProfileTrace()
+	t.timeline = true
+	return t
+}
+
+// NewProfileTrace returns an empty trace that keeps what its Profile
+// holds — clock, stages, index rows, counters, gauges — and no timeline,
+// which only WriteChrome reads.
+func NewProfileTrace() *Trace {
+	return &Trace{Metrics: NewRegistry(), stages: make(map[string]StageProfile)}
+}
+
+// Timeline reports whether spans, queued waits and instants are to be
+// recorded into t: false for a nil trace and for a NewProfileTrace.
+func (t *Trace) Timeline() bool { return t != nil && t.timeline }
+
+// Append adds sub, a finished trace recorded after t's, to t, as if one
+// trace had recorded both in sequence: sub's timeline shifted by t's
+// clock, its stages folded in (equal names summed), its index rows after
+// t's, its counters added, its gauges overwriting t's; t's clock then
+// advances by sub's.
+func (t *Trace) Append(sub *Trace) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	off := t.clock
+	for _, s := range sub.spans {
+		s.Start += off
+		t.spans = append(t.spans, s)
+	}
+	for _, q := range sub.queued {
+		q.Start, q.End = q.Start+off, q.End+off
+		t.queued = append(t.queued, q)
+	}
+	for _, in := range sub.instants {
+		in.Time += off
+		t.instants = append(t.instants, in)
+	}
+	for _, s := range sub.stages {
+		t.addStage(s)
+	}
+	t.indexes = append(t.indexes, sub.indexes...)
+	t.clock += sub.clock
+	t.Metrics.AddAll("", sub.Metrics.Counters())
+	for _, g := range sub.Metrics.Gauges() {
+		t.Metrics.SetGauge(g.Name, g.Value)
+	}
 }
 
 // Clock returns the current absolute virtual time (the sum of all
@@ -258,27 +302,13 @@ func (t *Trace) AddSpan(s Span) {
 // AddQueued records a queued→scheduled wait for one task.
 func (t *Trace) AddQueued(name string, node int, start, end float64) {
 	t.mu.Lock()
-	t.queued = append(t.queued, queuedSpan{Name: name, Node: node, ID: t.nextID, Start: start, End: end})
-	t.nextID++
+	t.queued = append(t.queued, queuedSpan{Name: name, Node: node, Start: start, End: end})
 	t.mu.Unlock()
 }
 
-// AddInstant records a point event at the current clock, qualified by
-// the active section.
-func (t *Trace) AddInstant(name, cat string) {
-	t.mu.Lock()
-	if t.section != "" {
-		name = t.section + " " + name
-	}
-	t.instants = append(t.instants, Instant{Name: name, Cat: cat, Time: t.clock})
-	t.mu.Unlock()
-}
-
-// AddInstantAt records a point event at an explicit absolute virtual
-// time, qualified by the active section. Service-mode job runs use it:
-// their events carry the service timeline's absolute times rather than
-// the trace's sequential clock.
-func (t *Trace) AddInstantAt(name, cat string, at float64) {
+// AddInstant records a point event at absolute virtual time at,
+// qualified by the active section.
+func (t *Trace) AddInstant(name, cat string, at float64) {
 	t.mu.Lock()
 	if t.section != "" {
 		name = t.section + " " + name
@@ -292,17 +322,19 @@ func (t *Trace) AddInstantAt(name, cat string, at float64) {
 // one stage).
 func (t *Trace) AddStage(s StageProfile) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if prev, ok := t.stageIdx[s.Name]; ok {
+	t.addStage(s)
+	t.mu.Unlock()
+}
+
+func (t *Trace) addStage(s StageProfile) {
+	if prev, ok := t.stages[s.Name]; ok {
 		prev.VTime += s.VTime
 		prev.Tasks += s.Tasks
 		prev.LocalTasks += s.LocalTasks
 		prev.Waves += s.Waves
-		return
+		s = prev
 	}
-	cp := s
-	t.stages = append(t.stages, &cp)
-	t.stageIdx[s.Name] = &cp
+	t.stages[s.Name] = s
 }
 
 // AddIndexProfile appends one per-index modeled-vs-observed row.
@@ -318,7 +350,7 @@ func (t *Trace) Stages() []StageProfile {
 	defer t.mu.Unlock()
 	out := make([]StageProfile, 0, len(t.stages))
 	for _, s := range t.stages {
-		out = append(out, *s)
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

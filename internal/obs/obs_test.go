@@ -56,22 +56,6 @@ func TestSortedCounters(t *testing.T) {
 	}
 }
 
-func TestStageMergeByName(t *testing.T) {
-	tr := NewTrace()
-	tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 1, Tasks: 4, LocalTasks: 2, Waves: 1})
-	tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 2, Tasks: 6, LocalTasks: 3, Waves: 2})
-	tr.AddStage(StageProfile{Name: "j/reduce", Kind: "reduce", VTime: 5, Tasks: 2, Waves: 1})
-
-	stages := tr.Stages()
-	if len(stages) != 2 {
-		t.Fatalf("got %d stages, want 2 (merged)", len(stages))
-	}
-	m := stages[0] // sorted: "j/map" < "j/reduce"
-	if m.Name != "j/map" || m.VTime != 3 || m.Tasks != 10 || m.LocalTasks != 5 || m.Waves != 3 {
-		t.Fatalf("merged stage wrong: %+v", m)
-	}
-}
-
 func TestQualifyAndSection(t *testing.T) {
 	tr := NewTrace()
 	if got := tr.Qualify("map"); got != "map" {
@@ -81,21 +65,12 @@ func TestQualifyAndSection(t *testing.T) {
 	if got := tr.Qualify("map"); got != "11f/l=10/base map" {
 		t.Fatalf("qualified = %q", got)
 	}
-	tr.AddInstant("replanned", "adaptive")
+	tr.AddInstant("replanned", "adaptive", tr.Clock())
 	tr.mu.Lock()
 	name := tr.instants[0].Name
 	tr.mu.Unlock()
 	if name != "11f/l=10/base replanned" {
 		t.Fatalf("instant name = %q", name)
-	}
-}
-
-func TestClockAdvances(t *testing.T) {
-	tr := NewTrace()
-	tr.Advance(1.5)
-	tr.Advance(0.5)
-	if tr.Clock() != 2 {
-		t.Fatalf("clock = %g, want 2", tr.Clock())
 	}
 }
 
@@ -105,7 +80,7 @@ func TestWriteChromeValidJSON(t *testing.T) {
 	tr.AddSpan(Span{Name: "t1", Cat: "map", Node: 1, Slot: 0, Start: 0.2, Dur: 0.3})
 	tr.AddQueued("t1", 1, 0, 0.2)
 	tr.Advance(0.5)
-	tr.AddInstant("replanned", "adaptive")
+	tr.AddInstant("replanned", "adaptive", tr.Clock())
 
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -280,5 +255,55 @@ func TestIndexProfilesSortedByKey(t *testing.T) {
 	ips := tr.IndexProfiles()
 	if len(ips) != 2 || ips[0].Key != "a/ix" || ips[1].Key != "z/ix" {
 		t.Fatalf("index profiles not sorted: %+v", ips)
+	}
+}
+
+// TestAppendEqualsOneTrace: appending two sub-traces to an empty trace
+// gives the profile and timeline of one trace that recorded both in
+// sequence — counters summed, the last writer of a gauge kept, stages of
+// one name merged by summing, spans, waits and instants shifted by the
+// first clock, and every queued wait a distinct ID (its place in the
+// merged timeline).
+func TestAppendEqualsOneTrace(t *testing.T) {
+	record := []func(tr *Trace){func(tr *Trace) {
+		tr.AddSpan(Span{Name: "t0", Cat: "map", Node: 1, Start: tr.Clock(), Dur: 0.5})
+		tr.AddQueued("t0", 1, tr.Clock(), tr.Clock()+0.25)
+		tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 0.5, Tasks: 2, Waves: 1})
+		tr.AddIndexProfile(IndexProfile{Key: "a op/ix", Lookups: 3})
+		tr.Metrics.Add("lookups", 3)
+		tr.Metrics.SetGauge("stats.theta", 1)
+		tr.Advance(1.5)
+	}, func(tr *Trace) {
+		tr.AddSpan(Span{Name: "t1", Cat: "reduce", Slot: 1, Start: tr.Clock() + 0.125, Dur: 0.25})
+		tr.AddQueued("t1", 0, tr.Clock(), tr.Clock()+0.125)
+		tr.AddInstant("replanned", "adaptive", tr.Clock())
+		tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 0.25, Tasks: 1, LocalTasks: 1, Waves: 1})
+		tr.AddIndexProfile(IndexProfile{Key: "a op/ix", Lookups: 4})
+		tr.Metrics.Add("lookups", 4)
+		tr.Metrics.SetGauge("stats.theta", 2)
+		tr.Advance(0.75)
+	}}
+	one, appended := NewTrace(), NewTrace()
+	for _, rec := range record {
+		rec(one)
+		sub := NewTrace()
+		rec(sub)
+		appended.Append(sub)
+	}
+	var files [2]string
+	for i, tr := range []*Trace{one, appended} {
+		var b bytes.Buffer
+		if err := tr.WriteChrome(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Profile("x").Write(&b); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = b.String()
+	}
+	p := appended.Profile("x")
+	if files[0] != files[1] || p.TotalVTime != 2.25 || len(p.Stages) != 1 || p.Stages[0] != (StageProfile{"j/map", "map", 0.75, 3, 1, 2}) ||
+		len(p.Indexes) != 2 || p.Counters[0].Value != 7 || p.Gauges[0].Value != 2 || appended.queued[1] != (queuedSpan{"t1", 0, 1.5, 1.625}) {
+		t.Fatalf("appended trace:\n%s\nwant clock 2.25, one merged stage, 2 index rows, 7 lookups, the second theta, the second wait at 1.5 — one trace's:\n%s", files[1], files[0])
 	}
 }

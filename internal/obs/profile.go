@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -48,11 +49,7 @@ func (p *Profile) WriteFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return errors.Join(p.Write(f), f.Close())
 }
 
 // ReadProfile loads a profile written by Write.

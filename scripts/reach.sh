@@ -6,8 +6,9 @@
 # writes the sorted `file: func` list of functions at 0 % — line numbers
 # stripped, so unrelated edits do not churn it — to unreached.txt beside
 # this script. The traffic:
-#   - efind-bench -quick (all experiments) with -gate -profile -trace,
-#     and -quick -fig 12 (the -fig lookup);
+#   - efind-bench -quick (all experiments, as the TestQuickGate test and
+#     CI's gate run them) with -gate -profile -trace, and -quick -fig 12
+#     (the -fig lookup, no trace);
 #   - efind-plan with no flags, with -build-total, and -profile of the
 #     run's profile;
 #   - the four examples;
