@@ -1,6 +1,6 @@
 // Command efind-bench regenerates the paper's evaluation (§5): every
 // panel of Figure 11, Figure 12, Figure 13, and the ablation studies
-// DESIGN.md calls out. It is the experiments' only runner: its own
+// DESIGN.md calls out. It runs the benchmark gate: its own
 // TestQuickGate and CI run the gate through it. Results are virtual
 // times from the cluster simulation under the cost model's stipulated
 // constants, so everything the command prints or writes is identical from

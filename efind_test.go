@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"efind"
+	"efind/internal/experiments"
 )
 
 // TestPublicAPIEndToEnd drives the whole stack through the facade only:
@@ -101,5 +102,22 @@ func TestRangeStoreThroughFacade(t *testing.T) {
 	}
 	if store.Scheme().Partitions != 2 {
 		t.Fatalf("partitions = %d", store.Scheme().Partitions)
+	}
+}
+
+// TestTableCellAccess reads one cell programmatically, keeping the Table
+// API covered from outside the experiments package.
+func TestTableCellAccess(t *testing.T) {
+	tbl := &experiments.Table{Title: "demo", Columns: []string{"a", "b"}}
+	tbl.Add("row", 1.5, 2.5)
+	v, ok := tbl.Cell("row", "b")
+	if got := fmt.Sprint(v, ok); got != "2.5 true" {
+		t.Fatalf("cell = %s", got)
+	}
+	if _, ok := tbl.Cell("row", "missing"); ok {
+		t.Fatal("missing column should not resolve")
+	}
+	if _, ok := tbl.Cell("missing", "a"); ok {
+		t.Fatal("missing row should not resolve")
 	}
 }

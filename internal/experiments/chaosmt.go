@@ -154,6 +154,10 @@ func cmCompareStatuses(ref, got []jobsvc.JobStatus) error {
 //     tail included), a fresh world Recovers from it and re-runs; every
 //     status must byte-match the uninterrupted durable run.
 func ChaosMultiTenant(scale Scale, _ *obs.Trace) (*Table, error) {
+	if scale.ChaosMTNodes <= 8 || scale.ChaosMTTenants <= 0 || scale.ChaosMTJobs <= 0 {
+		return nil, fmt.Errorf("chaos-mt: scale not configured (nodes %d, tenants %d, jobs %d)",
+			scale.ChaosMTNodes, scale.ChaosMTTenants, scale.ChaosMTJobs)
+	}
 	totalJobs := scale.ChaosMTTenants * scale.ChaosMTJobs
 	tenants := cmTenants(scale)
 	cols := []string{"jobs", "makespan"}

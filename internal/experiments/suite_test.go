@@ -1,27 +1,42 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
 
-// TestExperiments runs every registered experiment at quick scale; each
-// checks the paper's claims on its own table. chaos-multitenant and
-// fstore-sweep run trimmed (the benchmark gate runs them at full quick
-// scale), and all but fstore-sweep in parallel: they share no state.
+	"efind/internal/obs"
+)
+
+// TestExperiments runs every registered experiment at quick scale with no
+// trace, as a library caller does; each checks the paper's claims on its
+// own table, and every cell must equal the gauge the benchmark gate pins
+// for it in BENCH_baseline.json, which efind-bench records from traced
+// runs: tracing must not move a number. All but an experiment marked
+// Alone run in parallel: they share no state.
 func TestExperiments(t *testing.T) {
+	base, err := obs.ReadProfile("../../BENCH_baseline.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(map[string]float64, len(base.Gauges))
+	for _, g := range base.Gauges {
+		pinned[g.Name] = g.Value
+	}
 	for _, e := range All() {
 		t.Run(e.ID, func(t *testing.T) {
-			s := QuickScale()
-			switch e.ID {
-			case "fstore-sweep": // its leak check counts the process's open snapshots
-				s.SynRecords, s.SynKeyDomain, s.SynSizes = 2000, 1000, []int{1024}
-			case "chaos-multitenant":
-				s.SynRecords, s.SynKeyDomain = 3000, 1500
-				s.ChaosMTNodes, s.ChaosMTTenants, s.ChaosMTJobs = 48, 2, 3
-				fallthrough
-			default:
+			if !e.Alone {
 				t.Parallel()
 			}
-			if _, err := e.Run(s, nil); err != nil {
+			tbl, err := e.Run(QuickScale(), nil)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for _, r := range tbl.Rows {
+				for i, v := range r.Cells {
+					name := e.ID + "/" + r.Label + "/" + tbl.Columns[i]
+					if want, ok := pinned[name]; !ok || v != want {
+						t.Errorf("cell %s = %v untraced; the baseline pins %v (present: %v)", name, v, want, ok)
+					}
+				}
 			}
 		})
 	}

@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"slices"
 	"strings"
 
 	"efind/internal/obs"
@@ -55,6 +54,25 @@ func (t *Table) Note(format string, args ...interface{}) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
+// Cell returns the value at (rowLabel, column), or (0, false) when absent.
+func (t *Table) Cell(rowLabel, column string) (float64, bool) {
+	ci := -1
+	for i, c := range t.Columns {
+		if c == column {
+			ci = i
+		}
+	}
+	if ci < 0 {
+		return 0, false
+	}
+	for _, r := range t.Rows {
+		if r.Label == rowLabel && ci < len(r.Cells) {
+			return r.Cells[ci], true
+		}
+	}
+	return 0, false
+}
+
 // claim states one of the experiment's claims about its table. The first
 // claim that fails sticks, as the experiment's error, prefixed by the
 // title; later ones, failing or not, leave it alone.
@@ -67,14 +85,9 @@ func (t *Table) claim(ok bool, format string, args ...interface{}) {
 // at returns the cell at (rowLabel, column); a missing cell fails a claim,
 // since none about it can hold.
 func (t *Table) at(rowLabel, column string) float64 {
-	ci := slices.Index(t.Columns, column)
-	for _, r := range t.Rows {
-		if r.Label == rowLabel && ci >= 0 && ci < len(r.Cells) {
-			return r.Cells[ci]
-		}
-	}
-	t.claim(false, "no cell (%s, %s)", rowLabel, column)
-	return 0
+	v, ok := t.Cell(rowLabel, column)
+	t.claim(ok, "no cell (%s, %s)", rowLabel, column)
+	return v
 }
 
 // Print renders the table in aligned columns.
@@ -127,7 +140,7 @@ type Scale struct {
 	ChaosMTRecords int
 }
 
-// QuickScale is what -quick and the benchmark gate run.
+// QuickScale is what -quick, the benchmark gate and TestExperiments run.
 func QuickScale() Scale {
 	return Scale{
 		LogEvents:         20000,

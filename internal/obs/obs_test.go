@@ -56,6 +56,22 @@ func TestSortedCounters(t *testing.T) {
 	}
 }
 
+func TestStageMergeByName(t *testing.T) {
+	tr := NewTrace()
+	tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 1, Tasks: 4, LocalTasks: 2, Waves: 1})
+	tr.AddStage(StageProfile{Name: "j/map", Kind: "map", VTime: 2, Tasks: 6, LocalTasks: 3, Waves: 2})
+	tr.AddStage(StageProfile{Name: "j/reduce", Kind: "reduce", VTime: 5, Tasks: 2, Waves: 1})
+
+	stages := tr.Stages()
+	if len(stages) != 2 {
+		t.Fatalf("got %d stages, want 2 (merged)", len(stages))
+	}
+	m := stages[0] // sorted: "j/map" < "j/reduce"
+	if m.Name != "j/map" || m.VTime != 3 || m.Tasks != 10 || m.LocalTasks != 5 || m.Waves != 3 {
+		t.Fatalf("merged stage wrong: %+v", m)
+	}
+}
+
 func TestQualifyAndSection(t *testing.T) {
 	tr := NewTrace()
 	if got := tr.Qualify("map"); got != "map" {
@@ -71,6 +87,15 @@ func TestQualifyAndSection(t *testing.T) {
 	tr.mu.Unlock()
 	if name != "11f/l=10/base replanned" {
 		t.Fatalf("instant name = %q", name)
+	}
+}
+
+func TestClockAdvances(t *testing.T) {
+	tr := NewTrace()
+	tr.Advance(1.5)
+	tr.Advance(0.5)
+	if tr.Clock() != 2 {
+		t.Fatalf("clock = %g, want 2", tr.Clock())
 	}
 }
 
