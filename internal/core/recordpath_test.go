@@ -209,8 +209,8 @@ func TestStageAllocs(t *testing.T) {
 			func(x *opExec) mapreduce.StageFactory { return x.resumeStage(1, false) }, one(Pair{Key: "ik0001", Value: attached}), 0},
 		{"shuffle emit: the encoding", mapreduce.MapTask, repart(BoundaryPre),
 			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "r1", Value: "v"}), 1},
-		{"shuffle emit, pass key: the key and the encoding", mapreduce.MapTask, repart(BoundaryPre),
-			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "p1", Value: "v"}), 2},
+		{"shuffle emit, pass key: the key and the encoding, in one", mapreduce.MapTask, repart(BoundaryPre),
+			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "p1", Value: "v"}), 1},
 		{"group idx, per value: the encoding", mapreduce.ReduceTask, repart(BoundaryIdx),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, one(Pair{Key: "ik0001", Value: pending}), 1},
 		{"group idx, per group: nothing more", mapreduce.ReduceTask, repart(BoundaryIdx),

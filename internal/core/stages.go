@@ -273,19 +273,21 @@ func (s *shuffleEmitStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
 
 func (s *shuffleEmitStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 	s.runPre(&s.c, in)
-	key, _ := shuffleKeyFor(&s.c, s.x.plan.Decisions[s.pos].Index)
-	emit(Pair{Key: key, Value: encodeCarrier(&s.c)})
+	emit(shuffleRecord(&s.c, s.x.plan.Decisions[s.pos].Index))
 }
 
 func (s *shuffleEmitStage) Close(*mapreduce.TaskContext, Emit) {}
 
-// shuffleKeyFor returns the routing key for index position ixIdx of the
-// carrier (an absent key list yields a pass-through key).
-func shuffleKeyFor(c *carrier, ixIdx int) (string, bool) {
+// shuffleRecord returns the carrier's shuffle record, keyed by the
+// routing key for index position ixIdx. An absent key list yields a
+// pass-through key, which is built with the encoding in one allocation.
+func shuffleRecord(c *carrier, ixIdx int) Pair {
 	if ixIdx >= 0 && ixIdx < len(c.Keys) && len(c.Keys[ixIdx]) > 0 {
-		return c.Keys[ixIdx][0], true
+		return Pair{Key: c.Keys[ixIdx][0], Value: encodeCarrier(c)}
 	}
-	return passKeyPrefix + c.Pair.Key, false
+	s := encodeAfter(passKeyPrefix, c.Pair.Key, c)
+	n := len(passKeyPrefix) + len(c.Pair.Key)
+	return Pair{Key: s[:n], Value: s[n:]}
 }
 
 // forwardGroup is the Reduce of every shuffle job: it hands each (key,
@@ -379,8 +381,7 @@ func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 		s.out = emit
 		s.finish(c, s.pos+1, s.restIn)
 	case s.emitNextPos >= 0:
-		nk, _ := shuffleKeyFor(c, s.x.plan.Decisions[s.emitNextPos].Index)
-		emit(Pair{Key: nk, Value: encodeCarrier(c)})
+		emit(shuffleRecord(c, s.x.plan.Decisions[s.emitNextPos].Index))
 	default:
 		emit(Pair{Key: in.Key, Value: encodeCarrier(c)})
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // carrier is the record in flight through a re-partitioning shuffle: the
@@ -125,46 +125,54 @@ func encodedLen(c *carrier) int {
 	return n
 }
 
-// encodeCarrier serializes a carrier, allocating the encoding once at its
-// exact length.
-func encodeCarrier(c *carrier) string {
-	var b strings.Builder
-	b.Grow(encodedLen(c))
-	writeStr(&b, c.Pair.Key)
-	writeStr(&b, c.Pair.Value)
-	writeInt(&b, len(c.Keys))
+// encodeCarrier serializes a carrier into one allocation of its exact
+// length.
+func encodeCarrier(c *carrier) string { return encodeAfter("", "", c) }
+
+// encodeAfter returns a, b and the encoding of c as one string, built in
+// one buffer of its exact length: the length prefixes are written
+// straight into it, and the string is the buffer itself, which nothing
+// writes to again.
+func encodeAfter(a, b string, c *carrier) string {
+	buf := make([]byte, 0, len(a)+len(b)+encodedLen(c))
+	buf = append(append(buf, a...), b...)
+	buf = appendStr(appendStr(buf, c.Pair.Key), c.Pair.Value)
+	buf = appendDecimal(buf, len(c.Keys), ';')
 	for _, ks := range c.Keys {
-		writeInt(&b, len(ks))
+		buf = appendDecimal(buf, len(ks), ';')
 		for _, k := range ks {
-			writeStr(&b, k)
+			buf = appendStr(buf, k)
 		}
 	}
-	writeInt(&b, len(c.Results))
+	buf = appendDecimal(buf, len(c.Results), ';')
 	for _, rs := range c.Results {
-		writeInt(&b, len(rs))
+		buf = appendDecimal(buf, len(rs), ';')
 		for _, kr := range rs {
-			writeStr(&b, kr.Key)
-			writeInt(&b, len(kr.Values))
+			buf = appendDecimal(appendStr(buf, kr.Key), len(kr.Values), ';')
 			for _, v := range kr.Values {
-				writeStr(&b, v)
+				buf = appendStr(buf, v)
 			}
 		}
 	}
-	return b.String()
+	return unsafe.String(unsafe.SliceData(buf), len(buf))
 }
 
-func writeDecimal(b *strings.Builder, n int, term byte) {
-	var tmp [20]byte
-	b.Write(strconv.AppendInt(tmp[:0], int64(n), 10))
-	b.WriteByte(term)
+// appendDecimal appends n ≥ 0 in decimal and the terminator, writing the
+// digits from the last.
+func appendDecimal(buf []byte, n int, term byte) []byte {
+	end := len(buf) + decimalLen(n)
+	buf = append(buf[:end], term) // the digits' room: the buffer has the capacity
+	for i := end - 1; ; i-- {
+		buf[i] = byte('0' + n%10)
+		if n /= 10; n == 0 {
+			return buf
+		}
+	}
 }
 
-func writeStr(b *strings.Builder, s string) {
-	writeDecimal(b, len(s), ':')
-	b.WriteString(s)
+func appendStr(buf []byte, s string) []byte {
+	return append(appendDecimal(buf, len(s), ':'), s...)
 }
-
-func writeInt(b *strings.Builder, n int) { writeDecimal(b, n, ';') }
 
 // maxListLen bounds every list count in a decoded carrier — the outer
 // key/result list counts and the per-list element counts alike — so a

@@ -123,20 +123,20 @@ func TestDecodeDoesNotPanicOnArbitraryInput(t *testing.T) {
 
 func TestShuffleKeyPassThrough(t *testing.T) {
 	c := &carrier{Pair: Pair{Key: "rec7", Value: "v"}, Keys: [][]string{nil}}
-	k, has := shuffleKeyFor(c, 0)
-	if has {
-		t.Fatal("record without keys should produce a pass key")
+	p := shuffleRecord(c, 0)
+	if !isPassKey(p.Key) {
+		t.Fatalf("pass key %q not recognized", p.Key)
 	}
-	if !isPassKey(k) {
-		t.Fatalf("pass key %q not recognized", k)
+	if !strings.Contains(p.Key, "rec7") {
+		t.Fatalf("pass key %q should derive from the record key for spread", p.Key)
 	}
-	if !strings.Contains(k, "rec7") {
-		t.Fatalf("pass key %q should derive from the record key for spread", k)
+	if p.Value != referenceEncoding(c) {
+		t.Fatalf("pass-key record carries %q, want %q", p.Value, referenceEncoding(c))
 	}
 	c.Keys = [][]string{{"real"}}
-	k, has = shuffleKeyFor(c, 0)
-	if !has || k != "real" || isPassKey(k) {
-		t.Fatalf("real key mishandled: %q %v", k, has)
+	p = shuffleRecord(c, 0)
+	if p.Key != "real" || isPassKey(p.Key) || p.Value != referenceEncoding(c) {
+		t.Fatalf("real key mishandled: %q %q", p.Key, p.Value)
 	}
 }
 

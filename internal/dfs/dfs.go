@@ -291,6 +291,7 @@ func (f *File) release() error {
 // the lock.
 func (f *File) persist(path string, opts fstore.Options) error {
 	b := fstore.NewBuilder()
+	b.Grow(len(f.Chunks))
 	keys := make([]string, len(f.Chunks)) // named once, for the write and for the binding
 	var names strings.Builder             // the one string every key is cut out of
 	names.Grow(9 * len(keys))

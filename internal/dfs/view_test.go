@@ -125,10 +125,9 @@ func TestChunkKeySpelling(t *testing.T) {
 // the records weigh — the snapshot streams through fstore's reused window
 // and is verified through the mapping it serves from, with no image of
 // the file and no staging copy of the records on the way to it —, and a
-// count that does not
-// grow with the chunks but for the doublings of the lists that hold them:
-// the chunk structs are one slice, their keys one string, and a chunk
-// enumerates its own records. (CreateSharded takes its shards over, so the
+// count that does not grow with the chunks: the chunk structs are one
+// slice, their keys one string, the builder's entries reserved for them
+// at once, and a chunk enumerates its own records. (CreateSharded takes its shards over, so the
 // records themselves are not part of the bill.)
 func TestPersistAllocs(t *testing.T) {
 	// The least of three creates: what the runtime allocates on the side now
@@ -177,9 +176,8 @@ func TestPersistAllocs(t *testing.T) {
 	}
 	_, many, _ := persist(64, 4)
 	t.Logf("persisting 4,096 records: %d allocations in 16 chunks, %d in 1,024: %.2f per extra chunk", few, many, float64(many-few)/(1024-16))
-	// The doublings of the builder's entry list, six from 16 to 1,024.
-	if limit := few + 16; many > limit {
-		t.Errorf("persisting allocates %d times for 16 chunks and %d for 1,024, want at most %d: none per extra chunk", few, many, limit)
+	if many != few {
+		t.Errorf("persisting allocates %d times for 16 chunks and %d for 1,024, want the same: none per extra chunk", few, many)
 	}
 }
 

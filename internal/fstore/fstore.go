@@ -111,6 +111,10 @@ func (b *Builder) Add(key string, revision int64, values ...string) {
 	b.entries = append(b.entries, entry{key: key, rev: revision, values: values})
 }
 
+// Grow makes room for n more entries, so that adding them does not grow
+// the builder's list as it goes.
+func (b *Builder) Grow(n int) { b.entries = slices.Grow(b.entries, n) }
+
 // AddSeq appends one entry whose values are enumerated, not held in a
 // slice: seq.Each calls yield once per value, in order (dfs wraps a chunk
 // in a type with the method, so it needs no closure per chunk). The write

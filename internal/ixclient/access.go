@@ -22,7 +22,7 @@ func (b *Bound) access(keys []string, cacheable, batched bool) ([][]string, erro
 	case !cacheable || mode == CacheOff:
 		vals, err = b.resolve(keys, batched)
 	case mode == CacheShadow:
-		shadow := b.c.shadow.cacheFor(b.c.ix, b.t.Node)
+		shadow := b.cache(b.c.shadow, &b.shadow)
 		for _, k := range keys {
 			b.probeShadow(shadow, k)
 		}
@@ -48,10 +48,10 @@ func (b *Bound) access(keys []string, cacheable, batched bool) ([][]string, erro
 // cache would measure.
 func (b *Bound) cached(keys []string, batched bool) ([][]string, error) {
 	c, t := b.c, b.t
-	cache := c.real.cacheFor(c.ix, t.Node)
+	cache := b.cache(c.real, &b.real)
 	var shadow *lru.Cache
 	if c.shadow != nil {
-		shadow = c.shadow.cacheFor(c.ix, t.Node)
+		shadow = b.cache(c.shadow, &b.shadow)
 	}
 	probeTime := t.Cluster().Config().CacheProbeTime
 	out := results(keys, batched, &b.res)

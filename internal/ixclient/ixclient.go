@@ -37,6 +37,7 @@ import (
 
 	"efind/internal/chaos"
 	"efind/internal/index"
+	"efind/internal/lru"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 	"efind/internal/sketch"
@@ -261,8 +262,10 @@ func (c *Client) slotsIn(tab *mapreduce.CounterTable) *clientSlots {
 // when it first opens (Client.Bind), rebinds to each later task it opens
 // for (Rebind), and looks keys up through. It holds what is constant for
 // the task — the counters' slots, each bound on the task on first use, so
-// a counter exists iff it was counted, and the FM sketch — and the scratch
-// a single-key access needs (its one-key list, the one-slot results and
+// a counter exists iff it was counted, the FM sketch, and the node's
+// caches, each looked up in its pool on first use (a crash drops them
+// only once the phase is scheduled, JobRun.crash) — and the scratch a
+// single-key access needs (its one-key list, the one-slot results and
 // miss lists), so a cache hit allocates nothing and a miss only what the
 // cache insert needs.
 //
@@ -277,6 +280,8 @@ type Bound struct {
 	slots *clientSlots
 	fm    *sketch.FM
 
+	real, shadow *lru.Cache // nil until the task's first cached access
+
 	key, missKey  [1]string
 	res, fetchRes [1][]string
 	missIdx       [1]int
@@ -289,9 +294,20 @@ func (c *Client) Bind(t *mapreduce.TaskContext) *Bound {
 
 // Rebind points the view at another task, as Bind would for it: a stage
 // reopened for its frame's next task keeps its views instead of building
-// new ones. The sketch handle is the task's, so it is fetched anew.
+// new ones. The sketch handle and the caches are the task's node's, so
+// they are fetched anew.
 func (b *Bound) Rebind(t *mapreduce.TaskContext) {
 	b.t, b.slots, b.fm = t, b.c.slotsIn(t.CounterTable()), nil
+	b.real, b.shadow = nil, nil
+}
+
+// cache returns the task's node's cache in pool p, which *held keeps
+// from the task's first look on.
+func (b *Bound) cache(p *Pool, held **lru.Cache) *lru.Cache {
+	if *held == nil {
+		*held = p.cacheFor(b.c.ix, b.t.Node)
+	}
+	return *held
 }
 
 // add counts delta on counter i, binding it on the task on first use.

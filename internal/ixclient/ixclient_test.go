@@ -128,6 +128,35 @@ func TestPerNodeCachesAreIndependent(t *testing.T) {
 	}
 }
 
+// TestReboundViewLooksItsCachesUpAgain: a view keeps its task's caches
+// from the first lookup on, and Rebind drops them, so a view rebound to a
+// task on another node — or on a node whose caches a crash dropped in
+// between — uses that node's caches, real and shadow alike.
+func TestReboundViewLooksItsCachesUpAgain(t *testing.T) {
+	for _, mode := range []CacheMode{CacheReal, CacheShadow} {
+		f := newFake("kv")
+		c := New(f, Options{Op: "op", CacheMode: mode})
+		ctx0, ctx1 := testCtx(0), testCtx(1)
+		b := c.Bind(ctx0)
+		b.Lookup("a")
+		b.Rebind(ctx1)
+		b.Lookup("a")
+		if m := ctx1.Counter(CtrMisses("op", "kv")); m != 1 {
+			t.Fatalf("mode %v: a view rebound to node 1 counted %d misses for a key node 0 cached, want 1", mode, m)
+		}
+		c.ResetNode(1)
+		ctx1 = testCtx(1)
+		b.Rebind(ctx1)
+		b.Lookup("a")
+		if m := ctx1.Counter(CtrMisses("op", "kv")); m != 1 {
+			t.Fatalf("mode %v: after node 1 crashed, its next task counted %d misses, want 1", mode, m)
+		}
+		if h, _ := c.private().cacheFor("kv", 1).Stats(); h != 0 {
+			t.Fatalf("mode %v: node 1's new cache saw %d hits, want 0", mode, h)
+		}
+	}
+}
+
 func TestRetryTransientThenSucceed(t *testing.T) {
 	f := newFake("kv")
 	f.failFirst = 2

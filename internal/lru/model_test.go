@@ -2,6 +2,7 @@ package lru
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"testing"
@@ -67,24 +68,34 @@ func dump(c *Cache) []string {
 }
 
 // check holds the cache to the model — entries oldest → newest, each
-// value the very slice the model holds, statistics — and its links and
-// blocks to their invariants: the ring runs through exactly the mapped
-// entries, and the blocks hold no more than the capacity.
+// value the very slice the model holds, statistics — and its links,
+// index and blocks to their invariants: the ring runs through exactly the
+// indexed entries, each found by its key from its home slot, the index
+// is at most half full, and the blocks hold no more than the capacity.
 func (m *model) check(t *testing.T, c *Cache, seed int64, step int) {
 	t.Helper()
 	where := func() string { return fmt.Sprintf("seed %d capacity %d step %d", seed, c.capacity, step) }
-	if c.hits != m.hits || c.misses != m.misses || len(c.items) != len(m.order) {
-		t.Fatalf("%s: %d entries, hits %d, misses %d; want %d, %d, %d", where(), len(c.items), c.hits, c.misses, len(m.order), m.hits, m.misses)
+	indexed := 0
+	for _, e := range c.index {
+		if e != nil {
+			indexed++
+		}
+	}
+	if c.hits != m.hits || c.misses != m.misses || c.count != len(m.order) || indexed != len(m.order) {
+		t.Fatalf("%s: %d entries, %d indexed, hits %d, misses %d; want %d, %d, %d", where(), c.count, indexed, c.hits, c.misses, len(m.order), m.hits, m.misses)
+	}
+	if 2*indexed > len(c.index) {
+		t.Fatalf("%s: %d entries in an index of %d slots", where(), indexed, len(c.index))
 	}
 	e := c.root.prev
 	for _, k := range m.order {
-		if e == &c.root || e.key != k || c.items[k] != e || e.prev.next != e || &e.values[0] != &m.values[k][0] {
+		if e == &c.root || e.key != k || c.find(k, maphash.String(hashSeed, k)) != e || e.prev.next != e || &e.values[0] != &m.values[k][0] {
 			t.Fatalf("%s: cache\n %v\nmodel\n %v", where(), dump(c), m.order)
 		}
 		e = e.prev
 	}
 	if e != &c.root {
-		t.Fatalf("%s: the ring holds more than the map", where())
+		t.Fatalf("%s: the ring holds more than the index", where())
 	}
 	if c.made > c.capacity {
 		t.Fatalf("%s: blocks of %d entries in a cache of capacity %d", where(), c.made, c.capacity)
@@ -99,40 +110,75 @@ func (m *model) check(t *testing.T, c *Cache, seed int64, step int) {
 func TestCacheMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		for _, capacity := range []int{1, 5, 16, 40, 300} {
-			rng := rand.New(rand.NewSource(seed))
-			c, m := New(capacity), newModel(capacity)
-			keys := make([]string, 2*capacity+4)
-			for i := range keys {
-				keys[i] = fmt.Sprintf("k%d", i)
-			}
-			var (
-				snap  *Snapshot
-				taken *model
-			)
-			for step := 0; step < 3000; step++ {
-				key := keys[rng.Intn(len(keys))]
-				switch op := rng.Intn(179); {
-				case op < 90:
-					v := []string{fmt.Sprint(step)}
-					c.Put(key, v)
-					m.put(key, v)
-				case op < 170:
-					c.Get(key)
-					m.get(key)
-				case op < 172:
-					c.Reset()
-					m = newModel(capacity)
-					if c.spare != nil {
-						t.Fatalf("seed %d capacity %d step %d: a reset cache keeps a block of the entries before it", seed, capacity, step)
-					}
-				case op < 176:
-					snap, taken = c.Snapshot(), m.clone()
-				case op < 179 && snap != nil:
-					c.Restore(snap)
-					m = taken.clone()
-				}
-				m.check(t, c, seed, step)
+			runModel(t, seed, capacity, 3000, false)
+		}
+	}
+}
+
+// TestIndexMatchesModel is the same differential run at the capacities
+// the index meets in use — one and two slots' worth, the TPC-H cache's
+// 64, the paper's 1,024 —, each cache filled first so that the stream
+// evicts on insert into a full cache from its first steps, and its index
+// moves entries back over the holes evictions leave.
+func TestIndexMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		for _, capacity := range []int{1, 2, 64, 1024} {
+			if evicted := runModel(t, seed, capacity, max(3000, 4*capacity), true); evicted == 0 {
+				t.Fatalf("seed %d capacity %d: no insert evicted", seed, capacity)
 			}
 		}
 	}
+}
+
+// runModel drives a cache and the model with one seeded stream of steps,
+// checking the cache after each, and returns how many inserts evicted.
+// With fill, the cache is filled to capacity before the stream starts.
+func runModel(t *testing.T, seed int64, capacity, steps int, fill bool) (evicted int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	c, m := New(capacity), newModel(capacity)
+	keys := make([]string, 2*capacity+4)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	put := func(key string, v []string) {
+		if _, ok := m.values[key]; !ok && len(m.order) == capacity {
+			evicted++
+		}
+		c.Put(key, v)
+		m.put(key, v)
+	}
+	if fill {
+		for i, k := range keys[:capacity] {
+			put(k, []string{fmt.Sprint("fill", i)})
+		}
+		m.check(t, c, seed, -1)
+	}
+	var (
+		snap  *Snapshot
+		taken *model
+	)
+	for step := 0; step < steps; step++ {
+		key := keys[rng.Intn(len(keys))]
+		switch op := rng.Intn(179); {
+		case op < 90:
+			put(key, []string{fmt.Sprint(step)})
+		case op < 170:
+			c.Get(key)
+			m.get(key)
+		case op < 172:
+			c.Reset()
+			m = newModel(capacity)
+			if c.spare != nil || c.index != nil {
+				t.Fatalf("seed %d capacity %d step %d: a reset cache keeps a block or the index of the entries before it", seed, capacity, step)
+			}
+		case op < 176:
+			snap, taken = c.Snapshot(), m.clone()
+		case op < 179 && snap != nil:
+			c.Restore(snap)
+			m = taken.clone()
+		}
+		m.check(t, c, seed, step)
+	}
+	return evicted
 }

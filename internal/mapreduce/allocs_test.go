@@ -39,9 +39,10 @@ func sortBudget(records, groups int) uint64 { return uint64((16*records+32*group
 
 // TestReduceTaskAllocs pins the reduce task's buffers: no copy of the input —
 // one ref per record, sorted in place of the records, on the frame's
-// buffers —, the values of every group windows of one slab, the shard sized
-// by the groups. So the allocation count depends neither on the number of
-// key groups nor on the number of runs, and the bytes are the sort's budget.
+// buffers —, the values of every group windows of one slab, the shard the
+// exact copy of what the reducer emitted. So the allocation count depends
+// neither on the number of key groups nor on the number of runs, and the
+// bytes are the sort's budget.
 func TestReduceTaskAllocs(t *testing.T) {
 	_, _, e := testEnv(t)
 	job := &Job{Name: "allocs", Reduce: firstValue, NumReduce: 1}
@@ -70,6 +71,48 @@ func TestReduceTaskAllocs(t *testing.T) {
 		if c.bytes > c.budget {
 			t.Errorf("reduce task over %d records allocates %d B, want at most %d", records, c.bytes, c.budget)
 		}
+	}
+}
+
+// TestReduceShardAllocs pins how a reduce task's shard is sized: by what
+// the reducer emits, in one allocation of exactly the records emitted. An
+// identity reducer over distinct keys fills a shard made for its input;
+// over keys that each come Θ = 4 times it fills the frame's buffer, and its
+// shard is the buffer's copy, as is an aggregating reducer's over the same
+// keys. So the three cost the same allocations — one more than a reducer
+// that emits nothing, whose empty shard costs none —, where a shard sized
+// by the groups and grown by doubling would cost a forwarding reducer
+// three.
+func TestReduceShardAllocs(t *testing.T) {
+	_, _, e := testEnv(t)
+	const records = 1000
+	drop := func(*TaskContext, string, []string, Emit) {}
+	measure := func(reduce ReduceFunc, theta, emitted int) (allocs, bytes uint64) {
+		job := &Job{Name: "shard", Reduce: reduce, NumReduce: 1}
+		runs := groupedRuns(records, records/theta, 10)
+		frames := e.newPhaseFrames(1)
+		return allocsAndBytes(20, func() {
+			shard, _ := e.runReduceTask(job, 0, 0, runs, 0, frames, 0)
+			if len(shard) != emitted || cap(shard) != emitted {
+				t.Fatalf("reduce task over %d records (Θ = %d) left a shard of %d records, capacity %d; want %d, %d", records, theta, len(shard), cap(shard), emitted, emitted)
+			}
+		})
+	}
+	identity, identityBytes := measure(IdentityReduce, 1, records)
+	forward, forwardBytes := measure(IdentityReduce, 4, records)
+	aggregate, _ := measure(firstValue, 4, records/4)
+	none, noneBytes := measure(drop, 4, 0)
+	t.Logf("reduce task over %d records: %d allocations / %d B forwarding distinct keys, %d / %d B forwarding Θ = 4, %d aggregating Θ = 4, %d / %d B emitting nothing", records, identity, identityBytes, forward, forwardBytes, aggregate, none, noneBytes)
+	if identity != none+1 || forward != none+1 || aggregate != none+1 {
+		t.Errorf("shard allocations: %d forwarding distinct keys, %d forwarding Θ = 4, %d aggregating Θ = 4, %d emitting nothing; want one more than emitting nothing for each", identity, forward, aggregate, none)
+	}
+	if raceEnabled {
+		return // the detector pads each allocation
+	}
+	// The shard is records × 32 B, which the allocator rounds up by at most
+	// an eighth.
+	if shard := forwardBytes - noneBytes; shard > records*32*9/8 {
+		t.Errorf("forwarding Θ = 4 allocates %d B more than emitting nothing, want at most %d: the shard at its exact size", shard, records*32*9/8)
 	}
 }
 

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"efind/internal/dfs"
@@ -208,6 +209,7 @@ type taskFrame struct {
 	out          *MapOutput
 	splitRecords int
 	shard        []dfs.Record // reduce sink
+	shardBuf     []dfs.Record // what a reduce task whose shard is copied out fills
 	outBytes     int
 
 	// The staging buffer and the counter row, which a task leaves clear; the
@@ -724,11 +726,20 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	// Sort by key, values in map-output order; the runs stay as they are.
 	in.sort(&f.sort)
 
-	// One record per key group is what an aggregating reducer emits, and
-	// what an identity reducer emits over distinct keys.
+	// The shard is sized by what the reducer emits. When every key group is
+	// one record, an identity, forwarding or aggregating reducer emits at
+	// most the input's records, and the shard is made that large. Else it
+	// emits one record per group or per value: it fills the frame's buffer,
+	// grown to the input's records when short, and the shard is its copy at
+	// the exact length.
 	values, groups := in.values()
 	inRecords := len(values)
-	f.shard = make([]dfs.Record, 0, groups)
+	copied := groups < inRecords
+	if copied {
+		f.shard = slices.Grow(f.shardBuf[:0], inRecords)
+	} else {
+		f.shard = make([]dfs.Record, 0, inRecords)
+	}
 	sp = ctx.StartSpan("reduce-pipeline", "pipeline")
 	pipe := f.pipeline(nil, nil, job.ReduceStagesAfter, f.shardSink)
 	pipe.Open()
@@ -739,8 +750,13 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	}
 	pipe.Close()
 	sp.End()
+	shard := f.shard
+	if copied {
+		f.shardBuf, shard = shard, make([]dfs.Record, len(shard))
+		copy(shard, f.shardBuf)
+	}
 
-	outRecords, outBytes := len(f.shard), f.outBytes
+	outRecords, outBytes := len(shard), f.outBytes
 	ctx.Cell(slotInputRecords).Add(int64(inRecords))
 	ctx.Cell(slotInputBytes).Add(int64(inBytes))
 	ctx.Cell(slotOutputRecords).Add(int64(outRecords))
@@ -751,7 +767,6 @@ func (e *Engine) runReduceTask(job *Job, r int, node sim.NodeID, runs []shuffleR
 	sp = ctx.StartSpan("dfs-write", "io")
 	ctx.Charge(e.Cluster.DFSTime(float64(outBytes)))
 	sp.End()
-	shard := f.shard
 	return shard, frames.done(worker, f)
 }
 
