@@ -151,8 +151,9 @@ func allocOp(name string) *Operator {
 var standaloneCounters = mapreduce.NewTaskContext(nil, 0, 0, mapreduce.MapTask).CounterTable()
 
 // stageAllocs opens one stage of an operator planned with decision d on a
-// fresh task and returns the steady-state allocations of fn, which gets
-// the stage's Process bound to a discarding sink.
+// fresh task and returns the steady-state allocations of fn per call,
+// averaged over 1,024 calls, which get the stage's Process bound to a
+// discarding sink.
 func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func(*opExec) mapreduce.StageFactory, fn func(process func(Pair))) float64 {
 	t.Helper()
 	op := allocOp("op")
@@ -162,15 +163,22 @@ func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func
 	stage.Open(ctx)
 	sink := func(Pair) {}
 	process := func(in Pair) { stage.Process(ctx, in, sink) }
+	const calls = 1024
 	fn(process) // warms caches, resolves cells, grows slabs
-	n := testing.AllocsPerRun(500, func() { fn(process) })
+	n := testing.AllocsPerRun(1, func() {
+		for range calls {
+			fn(process)
+		}
+	}) / calls
 	stage.Close(ctx, sink)
 	return n
 }
 
 // TestStageAllocs pins the per-record budgets of the stages (-run Allocs):
-// a carrier is task-owned scratch, so what is left is the encoding where
-// one is produced and what the user functions allocate themselves.
+// a carrier is task-owned scratch and its encoding a window of the
+// stage's byte block, so what is left is a slab now and then — at most
+// one per 16 records where encodings are produced — and what the user
+// functions allocate themselves.
 func TestStageAllocs(t *testing.T) {
 	inline := Decision{Index: 0, Strategy: LookupCache}
 	repart := func(b Boundary) Decision { return Decision{Index: 0, Strategy: Repartition, Boundary: b} }
@@ -199,7 +207,7 @@ func TestStageAllocs(t *testing.T) {
 		d       Decision
 		factory func(*opExec) mapreduce.StageFactory
 		fn      func(func(Pair))
-		want    float64
+		most    float64
 	}{
 		{"inline", mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "r1", Value: "v"}), 0},
 		{"inline, record skipped by preProcess", mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "p1", Value: "v"}), 0},
@@ -207,21 +215,21 @@ func TestStageAllocs(t *testing.T) {
 			func(x *opExec) mapreduce.StageFactory { return x.resumeStage(0, true) }, one(Pair{Key: "ik0001", Value: pending}), 0},
 		{"resume, result attached", mapreduce.MapTask, repart(BoundaryIdx),
 			func(x *opExec) mapreduce.StageFactory { return x.resumeStage(1, false) }, one(Pair{Key: "ik0001", Value: attached}), 0},
-		{"shuffle emit: the encoding", mapreduce.MapTask, repart(BoundaryPre),
-			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "r1", Value: "v"}), 1},
-		{"shuffle emit, pass key: the key and the encoding, in one", mapreduce.MapTask, repart(BoundaryPre),
-			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "p1", Value: "v"}), 1},
-		{"group idx, per value: the encoding", mapreduce.ReduceTask, repart(BoundaryIdx),
-			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, one(Pair{Key: "ik0001", Value: pending}), 1},
+		{"shuffle emit: the encoding's slabs", mapreduce.MapTask, repart(BoundaryPre),
+			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "r1", Value: "v"}), 1.0 / 16},
+		{"shuffle emit, pass key: the key and the encoding, in one window", mapreduce.MapTask, repart(BoundaryPre),
+			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "p1", Value: "v"}), 1.0 / 16},
+		{"group idx, per value: the encoding's slabs", mapreduce.ReduceTask, repart(BoundaryIdx),
+			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, one(Pair{Key: "ik0001", Value: pending}), 1.0 / 16},
 		{"group idx, per group: nothing more", mapreduce.ReduceTask, repart(BoundaryIdx),
-			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, groups(pending), 1},
+			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, groups(pending), 1.0 / 16},
 		{"group late, per value", mapreduce.ReduceTask, repart(BoundaryLate),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryLate, -1, inlineNext(x)) }, one(Pair{Key: "ik0001", Value: pending}), 0},
 		{"group late, per group", mapreduce.ReduceTask, repart(BoundaryLate),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryLate, -1, inlineNext(x)) }, groups(pending), 0},
 	} {
-		if got := stageAllocs(t, tc.kind, tc.d, tc.factory, tc.fn); got != tc.want {
-			t.Errorf("%s: %.1f allocations per record, want %.0f", tc.name, got, tc.want)
+		if got := stageAllocs(t, tc.kind, tc.d, tc.factory, tc.fn); got > tc.most {
+			t.Errorf("%s: %.4f allocations per record, want at most %.4f", tc.name, got, tc.most)
 		}
 	}
 }

@@ -316,6 +316,80 @@ func TestScratchHygieneCarrier(t *testing.T) {
 	}
 }
 
+// TestScratchHygieneEncodingBlock holds the stages' encodings to the
+// block's contract: a string cut from a stage's block is never written
+// again. Every shuffle record a stage emits — real keys and pass keys,
+// encodings small enough to share a slab and ones made alone — is kept and
+// compared byte for byte with a fresh encodeCarrier of its carrier, each
+// time more records have filled later windows and again after the stage
+// reopened for another task, on the map side and on the group side
+// (re-keying for a next shuffle, and not).
+func TestScratchHygieneEncodingBlock(t *testing.T) {
+	e := newHygieneEnv(t, 1)
+	cluster := e.rt.Engine.Cluster
+	repart := func(ix int) Decision { return Decision{Index: ix, Strategy: Repartition, Boundary: BoundaryIdx} }
+	plan := OperatorPlan{Op: e.a, Pos: HeadOp, Decisions: []Decision{repart(1), repart(2), {Index: 0, Strategy: LookupCache}}}
+	x := newOpExec(e.a, plan, &IndexJobConf{}, standaloneCounters)
+
+	type kept struct{ got, want Pair }
+	var all []kept
+	check := func(when string) {
+		t.Helper()
+		for i, k := range all {
+			if k.got != k.want {
+				t.Fatalf("%s: record %d changed after it was emitted:\n got %q\nwant %q", when, i, k.got, k.want)
+			}
+		}
+	}
+	// keepShuffle keeps what a stage emitted for the carrier c, keyed for
+	// the index at ixIdx, beside its fresh reference.
+	keepShuffle := func(got Pair, c *carrier, ixIdx int) {
+		want := Pair{Key: passKeyPrefix + c.Pair.Key, Value: encodeCarrier(c)}
+		if ixIdx < len(c.Keys) && len(c.Keys[ixIdx]) > 0 {
+			want.Key = strings.Clone(c.Keys[ixIdx][0])
+		}
+		all = append(all, kept{got, want})
+	}
+	// run feeds records through stage, one task per batch, checking every
+	// kept record after each batch and after each reopen.
+	run := func(name string, kind mapreduce.TaskKind, stage mapreduce.Stage, in []Pair, sink func(Pair)) {
+		for task, lo := 0, 0; lo < len(in); task, lo = task+1, lo+97 {
+			ctx := mapreduce.NewTaskContext(cluster, sim.NodeID(task%3), task, kind)
+			stage.Open(ctx)
+			check(fmt.Sprintf("%s, task %d reopened", name, task))
+			for _, p := range in[lo:min(lo+97, len(in))] {
+				stage.Process(ctx, p, sink)
+			}
+			stage.Close(ctx, sink)
+			check(fmt.Sprintf("%s, task %d", name, task))
+		}
+	}
+
+	// Values from empty to 2 KB: most encodings share a slab, some are
+	// made alone.
+	var in []Pair
+	for i := range 600 {
+		in = append(in, Pair{Key: fmt.Sprintf("r%05d", i), Value: strings.Repeat("v", (i*37)%2048)})
+	}
+	emitStage := x.shuffleEmitStage(0)().(*shuffleEmitStage)
+	var shuffled []Pair
+	run("shuffle emit", mapreduce.MapTask, emitStage, in, func(p Pair) {
+		keepShuffle(p, &emitStage.c, 1)
+		shuffled = append(shuffled, p)
+	})
+	slices.SortStableFunc(shuffled, func(a, b Pair) int { return strings.Compare(a.Key, b.Key) })
+
+	rekey := x.groupStage(0, BoundaryIdx, 1, nil)().(*groupStage)
+	run("group, re-keying", mapreduce.ReduceTask, rekey, shuffled, func(p Pair) { keepShuffle(p, &rekey.c, 2) })
+	last := x.groupStage(1, BoundaryIdx, -1, nil)().(*groupStage)
+	run("group", mapreduce.ReduceTask, last, shuffled, func(p Pair) {
+		all = append(all, kept{p, Pair{Key: strings.Clone(p.Key), Value: encodeCarrier(&last.c)}})
+	})
+	if len(all) != 3*len(in) {
+		t.Fatalf("%d records kept, want %d", len(all), 3*len(in))
+	}
+}
+
 // TestCorruptCarrierFailsJob feeds one corrupt carrier into each place
 // that carries one — the group reduce that forwards values unread, the one
 // that decodes to attach a result, and the resume stage of the next job —

@@ -79,6 +79,9 @@ type opTask struct {
 	// c is the record in flight: refilled by runPre or decode for every
 	// record, and done with when the stage's Process call returns.
 	c carrier
+	// enc is what the stage's carrier encodings are cut from, kept across
+	// the tasks of its frame.
+	enc byteBlock
 
 	preIn, preInBytes, preOutBytes   mapreduce.Cell
 	idxBytes, postRecords, postBytes mapreduce.Cell
@@ -273,19 +276,20 @@ func (s *shuffleEmitStage) Open(ctx *mapreduce.TaskContext) { s.open(ctx) }
 
 func (s *shuffleEmitStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 	s.runPre(&s.c, in)
-	emit(shuffleRecord(&s.c, s.x.plan.Decisions[s.pos].Index))
+	emit(shuffleRecord(&s.enc, &s.c, s.x.plan.Decisions[s.pos].Index))
 }
 
 func (s *shuffleEmitStage) Close(*mapreduce.TaskContext, Emit) {}
 
 // shuffleRecord returns the carrier's shuffle record, keyed by the
-// routing key for index position ixIdx. An absent key list yields a
-// pass-through key, which is built with the encoding in one allocation.
-func shuffleRecord(c *carrier, ixIdx int) Pair {
+// routing key for index position ixIdx, its encoding cut from blk. An
+// absent key list yields a pass-through key, which is written with the
+// encoding into the same window.
+func shuffleRecord(blk *byteBlock, c *carrier, ixIdx int) Pair {
 	if ixIdx >= 0 && ixIdx < len(c.Keys) && len(c.Keys[ixIdx]) > 0 {
-		return Pair{Key: c.Keys[ixIdx][0], Value: encodeCarrier(c)}
+		return Pair{Key: c.Keys[ixIdx][0], Value: blk.encode("", "", c)}
 	}
-	s := encodeAfter(passKeyPrefix, c.Pair.Key, c)
+	s := blk.encode(passKeyPrefix, c.Pair.Key, c)
 	n := len(passKeyPrefix) + len(c.Pair.Key)
 	return Pair{Key: s[:n], Value: s[n:]}
 }
@@ -381,9 +385,9 @@ func (s *groupStage) Process(_ *mapreduce.TaskContext, in Pair, emit Emit) {
 		s.out = emit
 		s.finish(c, s.pos+1, s.restIn)
 	case s.emitNextPos >= 0:
-		emit(shuffleRecord(c, s.x.plan.Decisions[s.emitNextPos].Index))
+		emit(shuffleRecord(&s.enc, c, s.x.plan.Decisions[s.emitNextPos].Index))
 	default:
-		emit(Pair{Key: in.Key, Value: encodeCarrier(c)})
+		emit(Pair{Key: in.Key, Value: s.enc.encode("", "", c)})
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 //
 // A carrier is scratch its task owns (opTask.c): reset or decode refills
 // it for the next record, and everything that reads it — the lookups,
-// postProcess, the stages downstream of emit, encodeCarrier — runs before
+// postProcess, the stages downstream of emit, the encoding — runs before
 // that. What it points at (Keys, Results, their inner slices) is therefore
 // valid until the stage's Process call returns; the strings themselves are
 // never reused.
@@ -104,7 +104,7 @@ func decimalLen(n int) int {
 func strLen(s string) int { return decimalLen(len(s)) + 1 + len(s) }
 func intLen(n int) int    { return decimalLen(n) + 1 }
 
-// encodedLen returns the exact length of encodeCarrier(c).
+// encodedLen returns the exact length of c's encoding.
 func encodedLen(c *carrier) int {
 	n := strLen(c.Pair.Key) + strLen(c.Pair.Value) + intLen(len(c.Keys)) + intLen(len(c.Results))
 	for _, ks := range c.Keys {
@@ -125,16 +125,17 @@ func encodedLen(c *carrier) int {
 	return n
 }
 
-// encodeCarrier serializes a carrier into one allocation of its exact
-// length.
-func encodeCarrier(c *carrier) string { return encodeAfter("", "", c) }
-
-// encodeAfter returns a, b and the encoding of c as one string, built in
-// one buffer of its exact length: the length prefixes are written
-// straight into it, and the string is the buffer itself, which nothing
+// encode returns a, b and the encoding of c as one string, written into a
+// window of exactly its length cut from blk: the length prefixes go
+// straight into it, and the string is the window itself, which nothing
 // writes to again.
-func encodeAfter(a, b string, c *carrier) string {
-	buf := make([]byte, 0, len(a)+len(b)+encodedLen(c))
+func (blk *byteBlock) encode(a, b string, c *carrier) string {
+	return appendCarrier(blk.cut(len(a)+len(b)+encodedLen(c)), a, b, c)
+}
+
+// appendCarrier writes a, b and the encoding of c into buf, which must be
+// empty with exactly the room they take, and returns buf as a string.
+func appendCarrier(buf []byte, a, b string, c *carrier) string {
 	buf = append(append(buf, a...), b...)
 	buf = appendStr(appendStr(buf, c.Pair.Key), c.Pair.Value)
 	buf = appendDecimal(buf, len(c.Keys), ';')
@@ -155,6 +156,30 @@ func encodeAfter(a, b string, c *carrier) string {
 		}
 	}
 	return unsafe.String(unsafe.SliceData(buf), len(buf))
+}
+
+// byteBlock hands out empty byte windows of a requested capacity, each
+// once, cut from slabs that double from 512 bytes to 4 KB; one of more
+// than an eighth of the next slab is made alone, so a slab is left at
+// most an eighth unused. A stage instance keeps one across the tasks of
+// its frame: the shuffle pays an allocation per slab, not per carrier.
+// A window's capacity is capped, so no later window or append reaches
+// into it, and a string cut from one stays as it was written.
+type byteBlock struct {
+	spare []byte
+	size  int
+}
+
+func (b *byteBlock) cut(n int) []byte {
+	if len(b.spare) < n {
+		if b.size = min(max(2*b.size, 512), 4<<10); 8*n > b.size {
+			return make([]byte, 0, n)
+		}
+		b.spare = make([]byte, b.size)
+	}
+	w := b.spare[:0:n]
+	b.spare = b.spare[n:]
+	return w
 }
 
 // appendDecimal appends n ≥ 0 in decimal and the terminator, writing the

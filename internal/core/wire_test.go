@@ -20,6 +20,12 @@ func decodeCarrier(s string) (*carrier, error) {
 	return c, nil
 }
 
+// encodeCarrier serializes a carrier into one allocation of its exact
+// length: the reference the stages' block-cut encodings are held to.
+func encodeCarrier(c *carrier) string {
+	return appendCarrier(make([]byte, 0, encodedLen(c)), "", "", c)
+}
+
 func TestCarrierRoundTrip(t *testing.T) {
 	c := &carrier{
 		Pair: Pair{Key: "k1", Value: "v1\twith\ttabs and 4:colons;semis"},
@@ -123,7 +129,7 @@ func TestDecodeDoesNotPanicOnArbitraryInput(t *testing.T) {
 
 func TestShuffleKeyPassThrough(t *testing.T) {
 	c := &carrier{Pair: Pair{Key: "rec7", Value: "v"}, Keys: [][]string{nil}}
-	p := shuffleRecord(c, 0)
+	p := shuffleRecord(new(byteBlock), c, 0)
 	if !isPassKey(p.Key) {
 		t.Fatalf("pass key %q not recognized", p.Key)
 	}
@@ -134,7 +140,7 @@ func TestShuffleKeyPassThrough(t *testing.T) {
 		t.Fatalf("pass-key record carries %q, want %q", p.Value, referenceEncoding(c))
 	}
 	c.Keys = [][]string{{"real"}}
-	p = shuffleRecord(c, 0)
+	p = shuffleRecord(new(byteBlock), c, 0)
 	if p.Key != "real" || isPassKey(p.Key) || p.Value != referenceEncoding(c) {
 		t.Fatalf("real key mishandled: %q %q", p.Key, p.Value)
 	}

@@ -65,7 +65,7 @@ func (p *phasePatch) mark(i int) {
 
 // applyChaos rewrites a finished phase per the job's chaos plan.
 func (e *JobRun) applyChaos(job *Job, p *phaseSpec, base float64) {
-	if job.Chaos == nil || firstError(p.errs) != nil {
+	if job.Chaos == nil || p.err != nil {
 		return
 	}
 	patch := newPhasePatch(len(p.phase.Assignments))

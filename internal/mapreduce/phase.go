@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"sync"
 
 	"efind/internal/dfs"
 	"efind/internal/sim"
@@ -41,7 +42,22 @@ type phaseSpec struct {
 	stats    []TaskStats
 	counters map[string]int64
 	phase    *sim.PhaseResult
-	errs     []error
+
+	// err is the error of the lowest-indexed task that failed (errAt).
+	// Tasks of different nodes fail concurrently, so it is written under
+	// errMu (fail), and read once the phase's workers are done.
+	errMu sync.Mutex
+	errAt int
+	err   error
+}
+
+// fail records task i's error, keeping the lowest-indexed task's.
+func (p *phaseSpec) fail(i int, err error) {
+	p.errMu.Lock()
+	defer p.errMu.Unlock()
+	if p.err == nil || i <= p.errAt {
+		p.errAt, p.err = i, err
+	}
 }
 
 // attemptResult is what one task attempt produced: a map task's
@@ -62,7 +78,6 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	n := len(p.stats)
 	ready, seq := e.beginPhase()
 	base, lease := e.grantPhase(p.kind, n, ready)
-	p.errs = make([]error, n)
 	w := &wave{e: e.Engine, job: job, p: p, base: base, seq: seq}
 	*p.phase = w.schedule(n, lease, job.downAt(base))
 	e.applyChaos(job, p, base)
@@ -70,7 +85,7 @@ func (e *JobRun) runPhase(job *Job, p *phaseSpec) error {
 	if e.arbiter != nil {
 		e.arbiter.EndPhase(p.kind, lease, base, base+p.phase.Makespan)
 	}
-	err := firstError(p.errs)
+	err := p.err
 	if err != nil && (!p.traceFailed || job.Chaos == nil) {
 		return err
 	}
@@ -135,7 +150,7 @@ func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
 		}
 		r, st, err := e.attempt(job, p, worker, i, node, w.base+start+total)
 		if err != nil {
-			p.errs[i] = err
+			p.fail(i, err)
 			return total
 		}
 		total += st.Duration * slow
@@ -151,7 +166,7 @@ func (w *wave) run(worker, j int, node sim.NodeID, start float64) float64 {
 		p.stats[i] = st
 		return total
 	}
-	p.errs[i] = fmt.Errorf("mapreduce: job %q %s failed %d attempts", job.Name, p.label(i), maxAttempts)
+	p.fail(i, fmt.Errorf("mapreduce: job %q %s failed %d attempts", job.Name, p.label(i), maxAttempts))
 	return total
 }
 
@@ -171,14 +186,4 @@ func (e *Engine) attempt(job *Job, p *phaseSpec, worker, i int, node sim.NodeID,
 	}()
 	r, st = p.run(worker, i, node, absStart)
 	return r, st, nil
-}
-
-// firstError returns the lowest-indexed task error.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

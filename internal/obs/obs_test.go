@@ -332,3 +332,58 @@ func TestAppendEqualsOneTrace(t *testing.T) {
 		t.Fatalf("appended trace:\n%s\nwant clock 2.25, one merged stage, 2 index rows, 7 lookups, the second theta, the second wait at 1.5 — one trace's:\n%s", files[1], files[0])
 	}
 }
+
+// TestAppendChromeEventMatchesMarshalIndent holds the trace writer's
+// appender to json.MarshalIndent(ev, "  ", " "), which wrote every event
+// before it: names that need escaping — '"', '\', the HTML-unsafe '<', '>'
+// and '&', control bytes, invalid UTF-8, U+2028 and U+2029 —, times at each
+// magnitude where encoding/json changes how it writes a float, negative
+// ones, and every optional field left out or set.
+func TestAppendChromeEventMatchesMarshalIndent(t *testing.T) {
+	names := []string{
+		"", "plain", `quo"te`, `back\slash`, "<a href>&amp;", "\x00\x01\x07\x08\x09\x0a\x0c\x0d\x1b\x1f\x7f",
+		"bad \xff utf8 \xc3", "truncated \xe2\x80", "line\u2028sep\u2029para", "résumé — 日本", "job/map[3]",
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1e-7, -1e-7, 1e-6, -1e-6, 9.99e-7, 1.5e-300, 1, 0.1, 123456.789, 1e20, -1e20,
+		1e21, -1e21, 999999999999999999999, 1.7976931348623157e308, 5e-324, 2.5e6, -42.125,
+	}
+	id := 7
+	var events []chromeEvent
+	for i, name := range names {
+		for j, f := range floats {
+			ev := chromeEvent{Name: name, Ph: "X", Ts: f, Pid: i, Tid: -j}
+			switch (i + j) % 5 {
+			case 0:
+				dur := floats[(j+3)%len(floats)]
+				ev.Cat, ev.Dur = names[(i+1)%len(names)], &dur
+			case 1:
+				ev.Ph, ev.ID = "b", &id
+			case 2:
+				ev.Ph, ev.S = "i", name
+			case 3:
+				ev.Ph, ev.Args = "M", map[string]string{"name": name, "a<&>": "x", "\u2028": "\xff"}
+			}
+			events = append(events, ev)
+		}
+	}
+	for _, ev := range events {
+		want, err := json.MarshalIndent(ev, "  ", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendChromeEvent([]byte("prefix"), ev); string(got) != "prefix"+string(want) {
+			t.Fatalf("event %+v:\n got %s\nwant prefix%s", ev, got, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a time of %v appended; want a panic, as MarshalIndent refuses it", f)
+				}
+			}()
+			appendChromeEvent(nil, chromeEvent{Ts: f})
+		}()
+	}
+}

@@ -7,9 +7,12 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // ran is what one task body observed.
@@ -337,10 +340,12 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestExecutorFootprintAllocs pins what the pool costs beside the tasks: a
-// fixed number of arrays sized once per phase, so a 10,000-node phase makes
-// as many allocations as a 100-node one, and a fixed number of goroutines —
-// the workers, not one per node that got work — gone when the phase returns.
+// TestExecutorFootprintAllocs pins what the pool costs beside the tasks:
+// the phase's Assignments, the pool and a closure per worker — what the
+// scheduler works in is the cluster's scratch, reset in place —, so a
+// 10,000-node phase makes as many allocations as a 100-node one, and a
+// fixed number of goroutines — the workers, not one per node that got
+// work — gone when the phase returns.
 func TestExecutorFootprintAllocs(t *testing.T) {
 	const workers, slots = 4, 2 // 2 slots per node: every node gets work
 	var peak atomic.Int32
@@ -371,8 +376,10 @@ func TestExecutorFootprintAllocs(t *testing.T) {
 	small, large := measure(100), measure(10_000)
 	t.Logf("pool executor: %.0f allocations for 100 nodes × 200 tasks, %.0f for 10,000 × 20,000; at most %d goroutines seen from a body, %d outside the phase",
 		small, large, peak.Load(), baseline)
-	if small != large || large > 24 {
-		t.Errorf("a phase allocates %.0f times on 100 nodes and %.0f on 10,000; want the same, at most 24", small, large)
+	// The Assignments, the pool, its workers' closures, the []Task
+	// adapter's two closures.
+	if want := float64(1 + 1 + workers + 2); small != large || large > want {
+		t.Errorf("a phase allocates %.0f times on 100 nodes and %.0f on 10,000; want the same, at most %.0f", small, large, want)
 	}
 	if got, limit := int(peak.Load()), baseline+workers+1; got > limit {
 		t.Errorf("a body saw %d goroutines, want at most %d (%d outside the phase + %d workers + 1)", got, limit, baseline, workers)
@@ -403,6 +410,99 @@ func TestExecutorFootprintAllocs(t *testing.T) {
 		if one, eight := bytes(1), bytes(8); max(one, eight)-min(one, eight) > tc.slack {
 			t.Errorf("parallelism %d: 256 tasks on 10,000 nodes allocate %d B at 1 slot per node and %d B at 8; want the same, within %d B",
 				tc.parallelism, one, eight, tc.slack)
+		}
+	}
+
+	// Nothing is sized by the cluster or by an earlier phase on a warm
+	// cluster: a 256-task phase after a 20,000-task one on 10,000 nodes,
+	// and a second phase at 100 and at 10,000 nodes, allocate their
+	// Assignments — once, exactly, under the serial executor — and their
+	// workers: the pool and a closure each. Their bytes are the
+	// Assignments' and a few hundred more; a node-sized array would be
+	// 40 KB or more at 10,000 nodes.
+	const slack = 16 << 10 // the Assignments' size class, the pool, the closures
+	for _, parallelism := range []int{1, workers} {
+		for _, tc := range []struct {
+			name         string
+			nodes        int
+			first, again Phase
+		}{
+			{"256 tasks after 20,000 on 10,000 nodes", 10_000, phaseOf(buildVariedTasks(20_000, 10_000)), phaseOf(buildVariedTasks(256, 10_000))},
+			{"200 tasks on 100 nodes, twice", 100, phaseOf(buildVariedTasks(200, 100)), phaseOf(buildVariedTasks(200, 100))},
+			{"20,000 tasks on 10,000 nodes, twice", 10_000, phaseOf(buildVariedTasks(20_000, 10_000)), phaseOf(buildVariedTasks(20_000, 10_000))},
+		} {
+			c := scaleCluster(tc.nodes, parallelism)
+			c.RunPhase(tc.first, slots, nil, nil)
+			allocs, bytes := math.Inf(1), uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				allocs = min(allocs, testing.AllocsPerRun(1, func() { c.RunPhase(tc.again, slots, nil, nil) }))
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/2) // AllocsPerRun runs it twice
+			}
+			want := 1.0 // the Assignments
+			if parallelism > 1 {
+				want += 1 + workers
+			}
+			assignments := uint64(tc.again.Tasks) * uint64(unsafe.Sizeof(Assignment{}))
+			if allocs != want || bytes > assignments+slack {
+				t.Errorf("parallelism %d, %s: the warm phase allocates %.0f times and %d B; want %.0f and at most %d B",
+					parallelism, tc.name, allocs, bytes, want, assignments+slack)
+			}
+		}
+	}
+}
+
+// TestConcurrentPhasesMatchSolo runs two phases at once on one cluster —
+// one takes the cluster's scheduling scratch, the other makes its own —
+// under both executors, round after round so the kept scratch passes
+// between phase shapes, and holds each result to its phase run alone. No
+// body runs before both phases have started one, so the two overlap.
+func TestConcurrentPhasesMatchSolo(t *testing.T) {
+	const nodes = 40
+	shapes := []struct{ tasks, slots int }{{300, 2}, {25, 4}}
+	for _, parallelism := range []int{1, 4} {
+		c := scaleCluster(nodes, parallelism)
+		solo := make([]PhaseResult, len(shapes))
+		phases := make([][]Task, len(shapes))
+		for k, sh := range shapes {
+			phases[k] = buildVariedTasks(sh.tasks, nodes)
+			solo[k] = scaleCluster(nodes, parallelism).SchedulePhase(phases[k], sh.slots)
+		}
+		for round := 0; round < 6; round++ {
+			var started sync.WaitGroup
+			started.Add(len(shapes))
+			gated := func(tasks []Task) []Task {
+				out := slices.Clone(tasks)
+				var once sync.Once
+				for i := range out {
+					inner := tasks[i].Run
+					out[i].Run = func(node NodeID, start float64) float64 {
+						once.Do(started.Done)
+						started.Wait()
+						return inner(node, start)
+					}
+				}
+				return out
+			}
+			got := make([]PhaseResult, len(shapes))
+			var done sync.WaitGroup
+			for k := range shapes {
+				k := (k + round) % len(shapes) // which shape asks first alternates
+				tasks := gated(phases[k])
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					got[k] = c.SchedulePhase(tasks, shapes[k].slots)
+				}()
+			}
+			done.Wait()
+			for k := range shapes {
+				if !reflect.DeepEqual(got[k], solo[k]) {
+					t.Fatalf("parallelism %d, round %d: phase of %d tasks run beside another differs from its run alone", parallelism, round, shapes[k].tasks)
+				}
+			}
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Lease is a job-scoped subset of the cluster's execution slots: for each
 // node, the slot indices (in [0, slotsPerNode)) the holder may run tasks
 // on during one phase. The multi-tenant job service carves the cluster
@@ -40,7 +42,7 @@ func (l *Lease) NodeSlots(n NodeID) []int32 {
 // slots when lease is non-nil, otherwise every slot of every node; nodes
 // for which down returns true contribute none. It counts them, and panics
 // naming the cause when there are none.
-func (c *Cluster) newSlotQueue(tasks, slotsPerNode int, lease *Lease, down func(NodeID) bool) slotQueue {
+func (c *Cluster) newSlotQueue(slotsPerNode int, lease *Lease, down func(NodeID) bool) slotQueue {
 	q := slotQueue{nodes: c.cfg.Nodes, perNode: slotsPerNode, lease: lease, down: down, node: -1}
 	q.total = q.nodes * slotsPerNode
 	if lease != nil {
@@ -59,7 +61,6 @@ func (c *Cluster) newSlotQueue(tasks, slotsPerNode int, lease *Lease, down func(
 		}
 		panic("sim: no slots available to schedule on (" + cause + ")")
 	}
-	q.freed = make(slotHeap, 0, min(tasks, q.total))
 	q.advance()
 	return q
 }
@@ -116,13 +117,20 @@ func (c *Cluster) RunPhase(ph Phase, slotsPerNode int, lease *Lease, down func(N
 	if ph.Tasks == 0 {
 		return PhaseResult{}
 	}
-	q := c.newSlotQueue(ph.Tasks, slotsPerNode, lease, down)
+	sc := c.takeScratch()
+	q := c.newSlotQueue(slotsPerNode, lease, down)
+	q.freed = slices.Grow(sc.freed[:0], min(ph.Tasks, q.total))
 	w := c.PhaseWorkers(ph.Tasks)
 	if ph.Workers > 0 {
 		w = min(w, ph.Workers)
 	}
+	var res PhaseResult
 	if w > 1 {
-		return c.schedulePhaseParallel(ph, w, &q)
+		res = c.schedulePhaseParallel(ph, w, &q, sc)
+	} else {
+		res = c.schedulePhaseSerial(ph, &q, sc)
 	}
-	return c.schedulePhaseSerial(ph, &q)
+	sc.freed, sc.picker.prefs = q.freed, nil // the closure would pin the phase
+	c.scratch.Store(sc)
+	return res
 }

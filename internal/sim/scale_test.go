@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -72,7 +73,8 @@ func buildReplicatedTasks(n, nodes int) []Task {
 // must not retain entries in proportion to the task count.
 func TestPickerCompactsDeadEntries(t *testing.T) {
 	const n, nodes, maxRetained = 10_000, 100, 128
-	p := newTaskPicker(phaseOf(buildReplicatedTasks(n, nodes)), nodes)
+	p := new(taskPicker)
+	p.reset(phaseOf(buildReplicatedTasks(n, nodes)), nodes)
 	// Drain round-robin across all nodes, like slots freeing cluster-wide;
 	// the hot queues go stale as other nodes steal their tasks.
 	for left := n; left > 0; {
@@ -167,10 +169,12 @@ func BenchmarkRunPhaseOneWave10k(b *testing.B) {
 }
 
 // TestTaskPickerAllocs pins the picker's set-up: the per-node queues are
-// windows of one flat array, so building them is the same handful of
-// allocations for 1,000 tasks and for 100,000 — and they are the queues
-// growing each by append built: every node's preferring tasks in task
-// order, out-of-range preferences ignored.
+// windows of one flat array, so building them on a new picker is the same
+// handful of allocations for 1,000 tasks and for 100,000, and on one that
+// has seen a phase as large — the cluster's scratch picker, phase after
+// phase — none; and they are the queues growing each by append built:
+// every node's preferring tasks in task order, out-of-range preferences
+// ignored, whatever the picker held before.
 func TestTaskPickerAllocs(t *testing.T) {
 	const nodes = 1000
 	build := func(n int) []Task {
@@ -179,7 +183,8 @@ func TestTaskPickerAllocs(t *testing.T) {
 		return tasks
 	}
 	small, large := build(1000), build(100_000)
-	for _, tasks := range [][]Task{small, large} {
+	kept := new(taskPicker) // set up for large, then small, then large again
+	for _, tasks := range [][]Task{large, small, large} {
 		want := make([][]int32, nodes)
 		for i, task := range tasks {
 			for _, n := range task.Preferred {
@@ -188,20 +193,29 @@ func TestTaskPickerAllocs(t *testing.T) {
 				}
 			}
 		}
-		p := newTaskPicker(phaseOf(tasks), nodes)
+		kept.reset(phaseOf(tasks), nodes)
+		if kept.left != len(tasks) || kept.next != 0 || len(kept.pending) != len(tasks) || slices.Contains(kept.pending, false) {
+			t.Fatalf("%d tasks: %d left, cursor %d, %d pending", len(tasks), kept.left, kept.next, len(kept.pending))
+		}
 		for n := range want {
-			if !reflect.DeepEqual(append([]int32(nil), p.byNode[n]...), want[n]) {
-				t.Fatalf("%d tasks: node %d queue = %v, want %v", len(tasks), n, p.byNode[n], want[n])
+			if !reflect.DeepEqual(append([]int32(nil), kept.byNode[n]...), want[n]) {
+				t.Fatalf("%d tasks: node %d queue = %v, want %v", len(tasks), n, kept.byNode[n], want[n])
 			}
-			if cap(p.byNode[n]) != len(want[n]) {
-				t.Fatalf("%d tasks: node %d queue has capacity %d for %d entries: it could grow into its neighbour", len(tasks), n, cap(p.byNode[n]), len(want[n]))
+			if cap(kept.byNode[n]) != len(want[n]) {
+				t.Fatalf("%d tasks: node %d queue has capacity %d for %d entries: it could grow into its neighbour", len(tasks), n, cap(kept.byNode[n]), len(want[n]))
 			}
+		}
+		for ti, _ := kept.pick(0); ti >= 0; ti, _ = kept.pick(NodeID(ti % nodes)) {
 		}
 	}
 	smallPhase, largePhase := phaseOf(small), phaseOf(large)
-	atSmall := testing.AllocsPerRun(5, func() { newTaskPicker(smallPhase, nodes) })
-	atLarge := testing.AllocsPerRun(5, func() { newTaskPicker(largePhase, nodes) })
-	if atSmall != atLarge || atLarge > 6 {
-		t.Errorf("newTaskPicker allocates %.0f times for 1,000 tasks and %.0f for 100,000; want the same, at most 6", atSmall, atLarge)
+	cold := func(ph Phase) float64 { return testing.AllocsPerRun(5, func() { new(taskPicker).reset(ph, nodes) }) }
+	if atSmall, atLarge := cold(smallPhase), cold(largePhase); atSmall != atLarge || atLarge > 5 {
+		t.Errorf("a new picker's set-up allocates %.0f times for 1,000 tasks and %.0f for 100,000; want the same, at most 5", atSmall, atLarge)
+	}
+	for _, ph := range []Phase{largePhase, smallPhase} {
+		if n := testing.AllocsPerRun(5, func() { kept.reset(ph, nodes) }); n != 0 {
+			t.Errorf("set-up of %d tasks on a picker that has seen 100,000 allocates %.0f times, want 0", ph.Tasks, n)
+		}
 	}
 }

@@ -206,31 +206,38 @@ type taskPicker struct {
 	byNode  [][]int32 // per-node FIFO of preferring task indices
 	next    int       // cursor for non-local pickup, in task order
 	left    int
+
+	// Set-up scratch: each node's queue length, and the array the queues
+	// are windows of.
+	counts []int
+	flat   []int32
 }
 
-// newTaskPicker lays the queues out by count → prefix → fill, each window
-// capped at its queue's length, so set-up is a fixed number of allocations
-// whatever the task count.
-func newTaskPicker(ph Phase, nodes int) *taskPicker {
-	p := &taskPicker{
-		prefs:   ph.Preferred,
-		pending: make([]bool, ph.Tasks),
-		byNode:  make([][]int32, nodes),
-		left:    ph.Tasks,
-	}
+// reset sets the picker up for a phase on a cluster of nodes, laying the
+// queues out by count → prefix → fill, each window capped at its queue's
+// length. The arrays of its last phase are reused where they have room, so
+// set-up allocates a fixed number of times whatever the task count, and
+// not at all on a picker that has seen a phase as large.
+func (p *taskPicker) reset(ph Phase, nodes int) {
+	p.prefs, p.next, p.left = ph.Preferred, 0, ph.Tasks
+	p.pending = sized(p.pending, ph.Tasks)
+	p.byNode = sized(p.byNode, nodes)
+	p.counts = sized(p.counts, nodes)
+	clear(p.counts)
 	prefers := func(n NodeID) bool { return n >= 0 && int(n) < nodes }
-	counts, total := make([]int, nodes), 0
+	total := 0
 	for i := range p.pending {
 		p.pending[i] = true
 		for _, n := range p.prefs(i) {
 			if prefers(n) {
-				counts[n]++
+				p.counts[n]++
 				total++
 			}
 		}
 	}
-	flat := make([]int32, total)
-	for n, c := range counts {
+	p.flat = sized(p.flat, total)
+	flat := p.flat
+	for n, c := range p.counts {
 		p.byNode[n], flat = flat[:0:c], flat[c:]
 	}
 	for i := range p.pending {
@@ -240,7 +247,43 @@ func newTaskPicker(ph Phase, nodes int) *taskPicker {
 			}
 		}
 	}
-	return p
+}
+
+// sized returns s at length n, on its own array when that has the room;
+// what it holds is left to the caller.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// phaseScratch is what scheduling a phase works in and throws away when
+// the phase ends, sized by its tasks and by the cluster's nodes: the
+// picker's queues, the freed slots' heap, the parallel executor's in-flight
+// heap and its pool's links, nodes and ready list, and finish's positions.
+// The Cluster keeps one between phases (Cluster.scratch), and each executor
+// resets what it uses in place, so a warm phase allocates its result and
+// its workers and nothing else.
+type phaseScratch struct {
+	picker taskPicker
+	freed  slotHeap
+	infl   lbHeap
+	next   []int32
+	nodes  []parNode
+	ready  []int32
+	pos    []int32
+}
+
+// takeScratch hands a phase the cluster's scratch, or a new one while
+// another phase holds it; RunPhase stores it back when the phase ends.
+// Unlike a sync.Pool the kept one survives collections, so a warm phase's
+// allocations are the same every time.
+func (c *Cluster) takeScratch() *phaseScratch {
+	if s := c.scratch.Swap(nil); s != nil {
+		return s
+	}
+	return new(phaseScratch)
 }
 
 // pick takes the next task for a freed slot on node, or -1 when no tasks
@@ -296,10 +339,10 @@ const errStartOrder = "sim: a phase's starts decrease in dispatch order: a task'
 // negative (errStartOrder). So only runs of equal start need ordering, and
 // tasks being 0..n-1 once each, one pass over them hands the run at lo its
 // positions lo, lo+1, … in task order; an in-place permutation moves the
-// records there. runs is scratch of len(Assignments), any contents.
-func (r *PhaseResult) finish(runs []int32) {
+// records there. runs and pos are scratch of len(Assignments), any
+// contents; pos is by task: the start of its run, then its position.
+func (r *PhaseResult) finish(runs, pos []int32) {
 	as := r.Assignments
-	pos := make([]int32, len(as)) // by task: the start of its run, then its position
 	lo := 0
 	for j, a := range as {
 		if j == 0 || a.Start != as[lo].Start {
@@ -327,9 +370,10 @@ func (r *PhaseResult) finish(runs []int32) {
 
 // schedulePhaseSerial executes every task body inline in the event loop,
 // taking slots from q (the full cluster or a job's lease).
-func (c *Cluster) schedulePhaseSerial(ph Phase, q *slotQueue) PhaseResult {
+func (c *Cluster) schedulePhaseSerial(ph Phase, q *slotQueue, sc *phaseScratch) PhaseResult {
 	res := PhaseResult{}
-	picker := newTaskPicker(ph, c.cfg.Nodes)
+	picker := &sc.picker
+	picker.reset(ph, c.cfg.Nodes)
 	res.Waves = (ph.Tasks + q.total - 1) / q.total
 	res.Assignments = make([]Assignment, 0, ph.Tasks)
 
@@ -340,6 +384,7 @@ func (c *Cluster) schedulePhaseSerial(ph Phase, q *slotQueue) PhaseResult {
 		res.Assignments = append(res.Assignments, Assignment{Task: ti, Node: NodeID(s.node), Slot: s.idx, Start: s.free, Duration: dur, Local: local})
 		q.freed.push(slot{node: s.node, idx: s.idx, free: s.free + dur})
 	}
-	res.finish(make([]int32, ph.Tasks))
+	sc.next, sc.pos = sized(sc.next, ph.Tasks), sized(sc.pos, ph.Tasks)
+	res.finish(sc.next, sc.pos)
 	return res
 }

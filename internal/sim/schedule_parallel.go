@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -67,10 +68,11 @@ type parNode struct {
 
 // workerPool runs one phase's placements on a fixed set of goroutines.
 // Everything per task is indexed by dispatch sequence number and sized once
-// for the phase: placed[seq] is the placement — the phase's assignment
-// record, its Duration written by the worker that ran it — and next[seq]
-// links it first into its node's chain, then into the chain of finished
-// work. ready lists the nodes that have work and no owner.
+// for the phase, on the cluster's scratch: placed[seq] is the placement —
+// the phase's assignment record, its Duration written by the worker that
+// ran it — and next[seq] links it first into its node's chain, then into
+// the chain of finished work. ready lists the nodes that have work and no
+// owner.
 //
 // mu guards nodes, ready, the finished chain and the links of any sequence
 // number on them; a detached chain belongs to its worker alone until it is
@@ -99,16 +101,17 @@ type workerPool struct {
 
 var errBodyExited = errors.New("sim: a task body exited its goroutine (runtime.Goexit, t.FailNow) instead of returning")
 
-func (c *Cluster) newWorkerPool(ph Phase, placed []Assignment, workers int) *workerPool {
+func (c *Cluster) newWorkerPool(ph Phase, placed []Assignment, workers int, sc *phaseScratch) *workerPool {
+	sc.next, sc.nodes = sized(sc.next, ph.Tasks), sized(sc.nodes, c.cfg.Nodes)
+	sc.ready = sized(sc.ready, min(ph.Tasks, c.cfg.Nodes))[:0] // a node is listed at most once
 	p := &workerPool{
 		c: c, run: ph.Run, placed: placed, workers: workers, live: workers,
-		next: make([]int32, ph.Tasks), nodes: make([]parNode, c.cfg.Nodes),
-		ready: make([]int32, 0, min(ph.Tasks, c.cfg.Nodes)), // a node is listed at most once
-		fin:   none, failSeq: none,
+		next: sc.next, nodes: sc.nodes, ready: sc.ready,
+		fin: none, failSeq: none,
 	}
 	p.work.L, p.done.L = &p.mu, &p.mu
 	for n := range p.nodes {
-		p.nodes[n].head = none
+		p.nodes[n] = parNode{head: none}
 	}
 	for w := 0; w < workers; w++ {
 		go p.worker(w)
@@ -229,18 +232,22 @@ func (p *workerPool) exchange(from, to int32) (fin int32, ok bool) {
 // goroutines (PhaseWorkers of the phase), keeping results bit-identical to
 // schedulePhaseSerial — a body's panic included: it is re-raised here, on
 // the caller's goroutine, once the pool is down.
-func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, q *slotQueue) PhaseResult {
+func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, q *slotQueue, sc *phaseScratch) PhaseResult {
 	res := PhaseResult{}
-	picker := newTaskPicker(ph, c.cfg.Nodes)
+	picker := &sc.picker
+	picker.reset(ph, c.cfg.Nodes)
 	res.Waves = (ph.Tasks + q.total - 1) / q.total
 	// Indexed by dispatch sequence number until the phase is over: the pool
 	// runs placements straight out of the result.
 	res.Assignments = make([]Assignment, ph.Tasks)
-	pool := c.newWorkerPool(ph, res.Assignments, workers)
+	pool := c.newWorkerPool(ph, res.Assignments, workers, sc)
 
 	// At most one task per slot is in flight; entries retired below the top
 	// linger, which is what append is for.
-	infl := lbHeap{h: make(slotHeap, 0, min(ph.Tasks, q.total)), retired: make([]bool, ph.Tasks)}
+	infl := &sc.infl
+	infl.h = slices.Grow(infl.h[:0], min(ph.Tasks, q.total))
+	infl.retired = sized(infl.retired, ph.Tasks)
+	clear(infl.retired)
 	seq, completed := int32(0), 0
 	for completed < ph.Tasks {
 		// Place every task the virtual clock has already decided: the
@@ -279,6 +286,7 @@ func (c *Cluster) schedulePhaseParallel(ph Phase, workers int, q *slotQueue) Pha
 	if pool.failSeq != none {
 		panic(pool.failure)
 	}
-	res.finish(pool.next) // the chains are done with
+	sc.pos = sized(sc.pos, ph.Tasks)
+	res.finish(pool.next, sc.pos) // the chains are done with
 	return res
 }

@@ -67,7 +67,7 @@ func TestSlotQueueMatchesHeap(t *testing.T) {
 			continue // TestZeroSlotPanicNamesCause
 		}
 		tasks := 1 + rng.Intn(2*len(ref))
-		q := c.newSlotQueue(tasks, perNode, lease, down)
+		q := c.newSlotQueue(perNode, lease, down)
 		name := fmt.Sprintf("seed %d (%d nodes × %d slots, lease %v, down %v)", seed, cfg.Nodes, perNode, lease != nil, down != nil)
 		if q.total != len(ref) {
 			t.Fatalf("%s: queue counts %d slots, the heap holds %d", name, q.total, len(ref))
@@ -131,11 +131,11 @@ func TestFinishMatchesSort(t *testing.T) {
 			want.Makespan = max(want.Makespan, a.Start+a.Duration)
 		}
 		got := PhaseResult{Assignments: as}
-		runs := make([]int32, n)
+		runs, pos := make([]int32, n), make([]int32, n)
 		for j := range runs {
-			runs[j] = int32(rng.Intn(1 << 20)) // any contents
+			runs[j], pos[j] = int32(rng.Intn(1<<20)), int32(rng.Intn(1<<20)) // any contents
 		}
-		got.finish(runs)
+		got.finish(runs, pos)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d (%d assignments): finish gave\n%+v\nsort gave\n%+v", seed, n, got, want)
 		}
@@ -147,7 +147,7 @@ func TestFinishMatchesSort(t *testing.T) {
 			t.Fatalf("a start that decreases: finish panicked with %v, want %q", got, errStartOrder)
 		}
 	}()
-	(&PhaseResult{Assignments: as}).finish(make([]int32, len(as)))
+	(&PhaseResult{Assignments: as}).finish(make([]int32, len(as)), make([]int32, len(as)))
 }
 
 // TestZeroSlotPanicNamesCause: a phase with no slot to run on panics

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a machine in the simulated cluster. Node IDs are dense
@@ -127,6 +128,10 @@ type Cluster struct {
 
 	placeMu   sync.Mutex
 	placeNext int
+
+	// scratch is what the last phase to finish scheduled in, kept for the
+	// next (takeScratch).
+	scratch atomic.Pointer[phaseScratch]
 }
 
 // NewCluster builds a cluster from cfg, panicking on invalid configuration
