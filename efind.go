@@ -25,7 +25,7 @@
 //	store.Put("alice", "…profile…")
 //
 //	op := efind.NewOperator("profiles",
-//	    func(in efind.Pair) efind.PreResult { … },
+//	    func(in efind.Pair) efind.PreResult { return efind.OneKey(in, in.Key) },
 //	    func(p efind.Pair, results [][]efind.KeyResult, emit efind.Emit) { … })
 //	op.AddIndex(store)
 //
@@ -33,6 +33,12 @@
 //	    Mapper: myMap, Reducer: myReduce}
 //	conf.AddHeadIndexOperator(op)
 //	res, _ := cluster.Submit(conf)
+//
+// preProcess returns one key list per index (PreResult.Keys, the paper's
+// {{ik_1}, …, {ik_m}}). OneKey is the common case — one key for the first
+// index, none for the others — without the lists to allocate: the runtime
+// holds the key in the task's scratch until the record's postProcess has
+// returned, and keeps nothing of it afterwards.
 //
 // See examples/ for complete programs and internal/experiments for the
 // harness that regenerates every figure of the paper's evaluation.
@@ -151,6 +157,11 @@ var ErrTransient = index.ErrTransient
 func NewOperator(name string, pre PreFunc, post PostFunc) *Operator {
 	return core.NewOperator(name, pre, post)
 }
+
+// OneKey is the preProcess result that looks key up in the operator's
+// first index and skips the others, without a key list to allocate; see
+// core.OneKey.
+func OneKey(pair Pair, key string) PreResult { return core.OneKey(pair, key) }
 
 // DefaultConfig returns the paper's testbed configuration: 12 nodes, 8
 // map and 4 reduce slots each, 1 Gbps network.

@@ -30,7 +30,7 @@ func Example() {
 
 	op := efind.NewOperator("user-city",
 		func(in efind.Pair) efind.PreResult {
-			return efind.PreResult{Pair: in, Keys: [][]string{{in.Value}}}
+			return efind.OneKey(in, in.Value)
 		},
 		func(p efind.Pair, results [][]efind.KeyResult, emit efind.Emit) {
 			if len(results[0]) > 0 && len(results[0][0].Values) > 0 {

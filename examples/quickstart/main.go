@@ -46,7 +46,7 @@ func main() {
 	// postProcess re-keys each order by product category.
 	op := efind.NewOperator("product-lookup",
 		func(in efind.Pair) efind.PreResult {
-			return efind.PreResult{Pair: in, Keys: [][]string{{in.Value}}}
+			return efind.OneKey(in, in.Value)
 		},
 		func(pair efind.Pair, results [][]efind.KeyResult, emit efind.Emit) {
 			if len(results[0]) == 0 || len(results[0][0].Values) == 0 {

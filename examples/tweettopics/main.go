@@ -43,7 +43,7 @@ func main() {
 	profileOp := efind.NewOperator("user-profile",
 		func(in efind.Pair) efind.PreResult {
 			user := strings.SplitN(in.Value, "\t", 2)[0]
-			return efind.PreResult{Pair: in, Keys: [][]string{{user}}}
+			return efind.OneKey(in, user)
 		},
 		func(pair efind.Pair, results [][]efind.KeyResult, emit efind.Emit) {
 			if len(results[0]) == 0 || len(results[0][0].Values) == 0 {
@@ -59,7 +59,7 @@ func main() {
 	topicOp := efind.NewOperator("topic-category",
 		func(in efind.Pair) efind.PreResult {
 			// Map emitted key=(city|day), value=keywords.
-			return efind.PreResult{Pair: in, Keys: [][]string{{in.Value}}}
+			return efind.OneKey(in, in.Value)
 		},
 		func(pair efind.Pair, results [][]efind.KeyResult, emit efind.Emit) {
 			if len(results[0]) == 0 || len(results[0][0].Values) == 0 {
@@ -73,7 +73,7 @@ func main() {
 	// (placed after Reduce).
 	eventOp := efind.NewOperator("important-events",
 		func(in efind.Pair) efind.PreResult {
-			return efind.PreResult{Pair: in, Keys: [][]string{{in.Key}}}
+			return efind.OneKey(in, in.Key)
 		},
 		func(pair efind.Pair, results [][]efind.KeyResult, emit efind.Emit) {
 			event := "no major events"

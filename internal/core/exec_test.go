@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -20,6 +21,7 @@ type e2eEnv struct {
 	rt      *Runtime
 	store   *kvstore.Store
 	input   *dfs.File
+	oneKey  bool // lookupOp returns its key through OneKey, not a key list
 }
 
 func newE2E(tb testing.TB, records, distinctKeys int) *e2eEnv {
@@ -66,6 +68,9 @@ func (e *e2eEnv) lookupOp(name string) *Operator {
 	op := NewOperator(name,
 		func(in Pair) PreResult {
 			fields := strings.Fields(in.Value)
+			if e.oneKey {
+				return OneKey(in, fields[len(fields)-1])
+			}
 			return PreResult{Pair: in, Keys: [][]string{{fields[len(fields)-1]}}}
 		},
 		func(pair Pair, results [][]KeyResult, emit Emit) {
@@ -155,6 +160,52 @@ func TestAllStrategiesProduceIdenticalOutput(t *testing.T) {
 			sameOutput(t, "cache", base, runMode("cache", ModeCache, 0, false))
 			sameOutput(t, "repart", base, runMode("repart", ModeCustom, Repartition, true))
 			sameOutput(t, "idxloc", base, runMode("idxloc", ModeCustom, IndexLocality, true))
+
+			// A key list and OneKey are one input to the runtime: under
+			// every strategy, boundary and the dynamic runtime, the two
+			// forms, each on an environment of its own, give the same
+			// output, counters and virtual time.
+			for _, s := range []struct {
+				label    string
+				mode     Mode
+				force    Strategy
+				boundary Boundary
+			}{
+				{"base", ModeBaseline, 0, 0},
+				{"cache", ModeCache, 0, 0},
+				{"repart-pre", ModeCustom, Repartition, BoundaryPre},
+				{"repart-idx", ModeCustom, Repartition, BoundaryIdx},
+				{"repart-late", ModeCustom, Repartition, BoundaryLate},
+				{"idxloc", ModeCustom, IndexLocality, 0},
+				{"dynamic", ModeDynamic, 0, 0},
+			} {
+				var runs [2]*JobResult
+				for i, oneKey := range []bool{false, true} {
+					e := newE2E(t, 600, 40)
+					e.oneKey = oneKey
+					op := e.lookupOp("op-" + position.name)
+					conf := e.conf("job-"+position.name+"-"+s.label, s.mode, op, position.place)
+					if s.mode == ModeCustom {
+						conf.ForceStrategy(op.Name(), e.store.Name(), s.force)
+						if s.force == Repartition {
+							conf.ForceBoundary(op.Name(), e.store.Name(), s.boundary)
+						}
+					}
+					res, err := e.rt.Submit(conf)
+					if err != nil {
+						t.Fatalf("%s, one key %v: %v", s.label, oneKey, err)
+					}
+					runs[i] = res
+				}
+				list, one := runs[0], runs[1]
+				if list.VTime != one.VTime {
+					t.Fatalf("%s: virtual time %g from a key list, %g from OneKey", s.label, list.VTime, one.VTime)
+				}
+				if !maps.Equal(list.Counters, one.Counters) {
+					t.Fatalf("%s: counters differ between a key list and OneKey:\n%v\n%v", s.label, list.Counters, one.Counters)
+				}
+				sameOutput(t, s.label+": key list vs OneKey", sortedOutput(list.Output), sortedOutput(one.Output))
+			}
 		})
 	}
 }

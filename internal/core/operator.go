@@ -33,13 +33,25 @@ type Emit = mapreduce.Emit
 
 // PreResult is what preProcess produces from an input (k1, v1): the
 // possibly modified pair plus one key list per index of the operator
-// (the paper's (k1', v1', {{ik_1}, ..., {ik_m}})).
+// (the paper's (k1', v1', {{ik_1}, ..., {ik_m}})). OneKey builds the
+// common case, one key for the first index, without the lists.
 type PreResult struct {
 	Pair Pair
 	// Keys[j] holds the lookup keys for the operator's j-th index (in
 	// AddIndex order). A nil or empty list skips that index for this
-	// record.
+	// record. Set on a OneKey result, it replaces the key.
 	Keys [][]string
+
+	key string // OneKey's key, when one is set
+	one bool
+}
+
+// OneKey returns the PreResult that looks key up in the operator's first
+// index and skips the others: PreResult{Pair: pair, Keys:
+// [][]string{{key}}} without allocating the lists, which the runtime cuts
+// from the record's own scratch. The empty string is a key.
+func OneKey(pair Pair, key string) PreResult {
+	return PreResult{Pair: pair, key: key, one: true}
 }
 
 // KeyResult is one index lookup outcome: the key and its value list {iv}.
@@ -52,6 +64,9 @@ type KeyResult struct {
 // returns until the record's postProcess has returned and keeps nothing
 // afterwards: it may return shared read-only lists, but not ones it
 // rewrites from call to call — tasks on different nodes call it at once.
+// A OneKey result has no list to share: the runtime holds its key in the
+// task's scratch for the same span, and the key may be any string, a
+// substring of the record included.
 type PreFunc func(in Pair) PreResult
 
 // PostFunc is the user postProcess method: it combines the (possibly
@@ -101,21 +116,23 @@ func (o *Operator) Indices() []index.Accessor { return o.accessors }
 func (o *Operator) NumIndices() int { return len(o.accessors) }
 
 // runPre applies the user preProcess (or the default) into the carrier,
-// one key list per index: a preProcess that returned fewer — how an
-// operator skips a record — is padded from the carrier's own headers.
+// one key list per index: the default's and OneKey's are cut from the
+// carrier's own slabs, and a preProcess that returned fewer lists — how
+// an operator skips a record — is padded from its own headers.
 func (o *Operator) runPre(in Pair, c *carrier) {
 	n := len(o.accessors)
 	c.reset(n)
 	if o.pre == nil {
-		c.Pair, c.strs = in, append(c.strs, in.Key)
-		for j := 0; j < n; j++ {
-			c.lists = append(c.lists, window(c.strs, len(c.strs)-1))
-		}
-		c.Keys = c.lists
+		c.Pair = in
+		c.oneKey(in.Key, n, true)
 		return
 	}
 	r := o.pre(in)
 	c.Pair, c.Keys = r.Pair, r.Keys
+	if r.one && r.Keys == nil {
+		c.oneKey(r.key, n, false)
+		return
+	}
 	if len(r.Keys) < n {
 		c.lists = append(c.lists, r.Keys...)
 		for len(c.lists) < n {

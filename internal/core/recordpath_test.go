@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"efind/internal/dfs"
+	"efind/internal/ixclient"
 	"efind/internal/mapreduce"
 	"efind/internal/sim"
 )
@@ -20,7 +21,7 @@ import (
 func recordPathOp(e *e2eEnv, name string) *Operator {
 	op := NewOperator(name,
 		func(in Pair) PreResult {
-			return PreResult{Pair: in, Keys: [][]string{{in.Value[strings.LastIndexByte(in.Value, ' ')+1:]}}}
+			return OneKey(in, in.Value[strings.LastIndexByte(in.Value, ' ')+1:])
 		},
 		func(pair Pair, results [][]KeyResult, emit Emit) {
 			joined := ""
@@ -130,19 +131,34 @@ func (c constIndex) Lookup(string) ([]string, error) { return c.vals, nil }
 func (constIndex) ServeTime() float64                { return 0.001 }
 func (constIndex) HostsFor(string) []sim.NodeID      { return nil }
 
-// allocOp is an operator whose own functions allocate nothing: preProcess
-// returns shared key lists (none for a record whose key starts with "p"),
-// postProcess emits the pair.
-func allocOp(name string) *Operator {
-	keys := [][]string{{"ik0001"}}
-	op := NewOperator(name,
-		func(in Pair) PreResult {
-			if strings.HasPrefix(in.Key, "p") {
-				return PreResult{Pair: in}
-			}
-			return PreResult{Pair: in, Keys: keys}
-		},
-		func(pair Pair, _ [][]KeyResult, emit Emit) { emit(pair) })
+// sharedKeyList is a preProcess that allocates nothing: it returns one
+// shared key list (none for a record whose key starts with "p").
+func sharedKeyList(in Pair) PreResult {
+	if strings.HasPrefix(in.Key, "p") {
+		return PreResult{Pair: in}
+	}
+	return PreResult{Pair: in, Keys: sharedKeys}
+}
+
+var sharedKeys = [][]string{{"ik0001"}}
+
+// keyCutFromRecord is a preProcess shaped like user code: it cuts a key of
+// its own out of each record, the last word of its value, and returns it
+// through OneKey (none for a record whose key starts with "p").
+func keyCutFromRecord(in Pair) PreResult {
+	if strings.HasPrefix(in.Key, "p") {
+		return PreResult{Pair: in}
+	}
+	return OneKey(in, in.Value[strings.LastIndexByte(in.Value, ' ')+1:])
+}
+
+// allocOp is an operator whose postProcess emits the pair and allocates
+// nothing; pre nil is sharedKeyList.
+func allocOp(name string, pre PreFunc) *Operator {
+	if pre == nil {
+		pre = sharedKeyList
+	}
+	op := NewOperator(name, pre, func(pair Pair, _ [][]KeyResult, emit Emit) { emit(pair) })
 	return op.AddIndex(constIndex{vals: []string{"value"}})
 }
 
@@ -154,9 +170,9 @@ var standaloneCounters = mapreduce.NewTaskContext(nil, 0, 0, mapreduce.MapTask).
 // fresh task and returns the steady-state allocations of fn per call,
 // averaged over 1,024 calls, which get the stage's Process bound to a
 // discarding sink.
-func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func(*opExec) mapreduce.StageFactory, fn func(process func(Pair))) float64 {
+func stageAllocs(t *testing.T, pre PreFunc, kind mapreduce.TaskKind, d Decision, factory func(*opExec) mapreduce.StageFactory, fn func(process func(Pair))) float64 {
 	t.Helper()
-	op := allocOp("op")
+	op := allocOp("op", pre)
 	x := newOpExec(op, OperatorPlan{Op: op, Pos: HeadOp, Decisions: []Decision{d}}, &IndexJobConf{}, standaloneCounters)
 	ctx := mapreduce.NewTaskContext(sim.NewCluster(sim.DefaultConfig()), 0, 0, kind)
 	stage := factory(x)()
@@ -178,7 +194,8 @@ func stageAllocs(t *testing.T, kind mapreduce.TaskKind, d Decision, factory func
 // a carrier is task-owned scratch and its encoding a window of the
 // stage's byte block, so what is left is a slab now and then — at most
 // one per 16 records where encodings are produced — and what the user
-// functions allocate themselves.
+// functions allocate themselves. A OneKey result costs what a shared key
+// list costs: the runtime holds the key in the carrier's slabs.
 func TestStageAllocs(t *testing.T) {
 	inline := Decision{Index: 0, Strategy: LookupCache}
 	repart := func(b Boundary) Decision { return Decision{Index: 0, Strategy: Repartition, Boundary: b} }
@@ -197,38 +214,42 @@ func TestStageAllocs(t *testing.T) {
 		}
 	}
 	inlineNext := func(x *opExec) []mapreduce.StageFactory {
-		next := allocOp("next")
+		next := allocOp("next", nil)
 		nx := newOpExec(next, uniformPlan(next, HeadOp, LookupCache), &IndexJobConf{}, standaloneCounters)
 		return []mapreduce.StageFactory{nx.inlineStage()}
 	}
 	for _, tc := range []struct {
 		name    string
+		pre     PreFunc // nil: sharedKeyList
 		kind    mapreduce.TaskKind
 		d       Decision
 		factory func(*opExec) mapreduce.StageFactory
 		fn      func(func(Pair))
 		most    float64
 	}{
-		{"inline", mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "r1", Value: "v"}), 0},
-		{"inline, record skipped by preProcess", mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "p1", Value: "v"}), 0},
-		{"resume, memoized lookup", mapreduce.MapTask, repart(BoundaryPre),
+		{"inline", nil, mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "r1", Value: "v"}), 0},
+		{"inline, a key cut from the record through OneKey", keyCutFromRecord, mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "r1", Value: "payload ik0001"}), 0},
+		{"inline, record skipped by preProcess", nil, mapreduce.MapTask, inline, (*opExec).inlineStage, one(Pair{Key: "p1", Value: "v"}), 0},
+		{"resume, memoized lookup", nil, mapreduce.MapTask, repart(BoundaryPre),
 			func(x *opExec) mapreduce.StageFactory { return x.resumeStage(0, true) }, one(Pair{Key: "ik0001", Value: pending}), 0},
-		{"resume, result attached", mapreduce.MapTask, repart(BoundaryIdx),
+		{"resume, result attached", nil, mapreduce.MapTask, repart(BoundaryIdx),
 			func(x *opExec) mapreduce.StageFactory { return x.resumeStage(1, false) }, one(Pair{Key: "ik0001", Value: attached}), 0},
-		{"shuffle emit: the encoding's slabs", mapreduce.MapTask, repart(BoundaryPre),
+		{"shuffle emit: the encoding's slabs", nil, mapreduce.MapTask, repart(BoundaryPre),
 			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "r1", Value: "v"}), 1.0 / 16},
-		{"shuffle emit, pass key: the key and the encoding, in one window", mapreduce.MapTask, repart(BoundaryPre),
+		{"shuffle emit, a key cut from the record through OneKey", keyCutFromRecord, mapreduce.MapTask, repart(BoundaryPre),
+			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "r1", Value: "payload ik0001"}), 1.0 / 16},
+		{"shuffle emit, pass key: the key and the encoding, in one window", nil, mapreduce.MapTask, repart(BoundaryPre),
 			func(x *opExec) mapreduce.StageFactory { return x.shuffleEmitStage(0) }, one(Pair{Key: "p1", Value: "v"}), 1.0 / 16},
-		{"group idx, per value: the encoding's slabs", mapreduce.ReduceTask, repart(BoundaryIdx),
+		{"group idx, per value: the encoding's slabs", nil, mapreduce.ReduceTask, repart(BoundaryIdx),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, one(Pair{Key: "ik0001", Value: pending}), 1.0 / 16},
-		{"group idx, per group: nothing more", mapreduce.ReduceTask, repart(BoundaryIdx),
+		{"group idx, per group: nothing more", nil, mapreduce.ReduceTask, repart(BoundaryIdx),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryIdx, -1, nil) }, groups(pending), 1.0 / 16},
-		{"group late, per value", mapreduce.ReduceTask, repart(BoundaryLate),
+		{"group late, per value", nil, mapreduce.ReduceTask, repart(BoundaryLate),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryLate, -1, inlineNext(x)) }, one(Pair{Key: "ik0001", Value: pending}), 0},
-		{"group late, per group", mapreduce.ReduceTask, repart(BoundaryLate),
+		{"group late, per group", nil, mapreduce.ReduceTask, repart(BoundaryLate),
 			func(x *opExec) mapreduce.StageFactory { return x.groupStage(0, BoundaryLate, -1, inlineNext(x)) }, groups(pending), 0},
 	} {
-		if got := stageAllocs(t, tc.kind, tc.d, tc.factory, tc.fn); got > tc.most {
+		if got := stageAllocs(t, tc.pre, tc.kind, tc.d, tc.factory, tc.fn); got > tc.most {
 			t.Errorf("%s: %.4f allocations per record, want at most %.4f", tc.name, got, tc.most)
 		}
 	}
@@ -253,7 +274,7 @@ func TestOperatorPhaseAllocsPerTask(t *testing.T) {
 	fs := dfs.New(cluster)
 	fs.ChunkTarget = 1 // one record per chunk = one map task per record
 	e := mapreduce.New(cluster, fs)
-	op := allocOp("op")
+	op := allocOp("op", nil)
 	x := newOpExec(op, uniformPlan(op, HeadOp, LookupCache), &IndexJobConf{}, e.CounterTable())
 	blocks := func(tasks int) (k uint64) {
 		for size := 16; tasks > 0; size = min(2*size, 128) {
@@ -315,26 +336,31 @@ func mallocs(fn func()) uint64 {
 // TestInlineStageAllocs pins the per-record budget of the fully inline
 // stage against a real store: with no-op user functions and a warm cache a
 // record allocates nothing — no carrier, no counter name, no closure, no
-// request.
+// request —, whether preProcess returns a shared key list or a key cut
+// from the record through OneKey.
 func TestInlineStageAllocs(t *testing.T) {
 	e := newE2E(t, 10, 5)
-	keys := [][]string{{"ik0001"}}
-	op := NewOperator("op",
-		func(in Pair) PreResult { return PreResult{Pair: in, Keys: keys} },
-		func(pair Pair, _ [][]KeyResult, emit Emit) { emit(pair) })
-	op.AddIndex(e.store)
-	plan := uniformPlan(op, HeadOp, LookupCache)
-	x := newOpExec(op, plan, &IndexJobConf{}, standaloneCounters)
-	ctx := mapreduce.NewTaskContext(e.cluster, 0, 0, mapreduce.MapTask)
-	stage := x.inlineStage()()
-	stage.Open(ctx)
-	sink := func(Pair) {}
-	in := Pair{Key: "r1", Value: "v"}
-	stage.Process(ctx, in, sink) // warms the cache, resolves the cells
-	if n := testing.AllocsPerRun(1000, func() { stage.Process(ctx, in, sink) }); n != 0 {
-		t.Errorf("one record through inlineStage allocates %.1f times, want 0", n)
-	}
-	if got := ctx.Counter("efind.op.post.out.records"); got != 1002 {
-		t.Errorf("post records = %d, want 1002", got)
+	for _, pre := range []struct {
+		name string
+		fn   PreFunc
+	}{{"a shared key list", sharedKeyList}, {"a key cut from the record through OneKey", keyCutFromRecord}} {
+		op := NewOperator("op", pre.fn, func(pair Pair, _ [][]KeyResult, emit Emit) { emit(pair) }).AddIndex(e.store)
+		plan := uniformPlan(op, HeadOp, LookupCache)
+		x := newOpExec(op, plan, &IndexJobConf{}, standaloneCounters)
+		ctx := mapreduce.NewTaskContext(e.cluster, 0, 0, mapreduce.MapTask)
+		stage := x.inlineStage()()
+		stage.Open(ctx)
+		sink := func(Pair) {}
+		in := Pair{Key: "r1", Value: "payload ik0001"}
+		stage.Process(ctx, in, sink) // warms the cache, resolves the cells
+		if n := testing.AllocsPerRun(1000, func() { stage.Process(ctx, in, sink) }); n != 0 {
+			t.Errorf("%s: one record through inlineStage allocates %.1f times, want 0", pre.name, n)
+		}
+		if got := ctx.Counter("efind.op.post.out.records"); got != 1002 {
+			t.Errorf("%s: post records = %d, want 1002", pre.name, got)
+		}
+		if got := ctx.Counter(ixclient.CtrProbes("op", e.store.Name())); got != 1002 {
+			t.Errorf("%s: cache probes = %d, want 1002", pre.name, got)
+		}
 	}
 }

@@ -60,13 +60,13 @@ func newHygieneEnv(t *testing.T, parallelism int) *hygieneEnv {
 
 	// Operator opA has three indices — one more than a carrier's inline
 	// result-list backing — and a record shape that changes with every
-	// record. Indices b and c see at most one key per record, so they can
-	// be re-partitioned.
+	// record, OneKey's among them. Indices b and c see at most one key per
+	// record, so they can be re-partitioned.
 	e.a = NewOperator("opA",
 		func(in Pair) PreResult {
 			i, _ := strconv.Atoi(in.Key[1:])
 			pair := Pair{Key: in.Key, Value: in.Value + "|pre"}
-			switch i % 6 {
+			switch i % 7 {
 			case 0: // three keys for the first index
 				return PreResult{Pair: pair, Keys: [][]string{{key("a", i, 30), key("a", i+1, 30), key("a", i+2, 30)}, {key("b", i, 20)}, {key("c", i, 10)}}}
 			case 1: // no key lists at all
@@ -77,8 +77,13 @@ func newHygieneEnv(t *testing.T, parallelism int) *hygieneEnv {
 				return PreResult{Pair: pair, Keys: [][]string{{""}, {""}, {""}}}
 			case 4: // the second index skipped
 				return PreResult{Pair: pair, Keys: [][]string{{key("a", i, 30)}, nil, {key("c", i, 10)}}}
-			default: // five results for one index
+			case 5: // five results for one index
 				return PreResult{Pair: pair, Keys: [][]string{{key("a", i, 30), key("a", i+7, 30), key("a", i+14, 30), key("a", i+21, 30), key("a", i+28, 30)}, {key("b", i, 20)}}}
+			default: // one key that the runtime holds, the empty string in every fifth
+				if i%5 == 0 {
+					return OneKey(pair, "")
+				}
+				return OneKey(pair, key("a", i, 30))
 			}
 		},
 		// One output per result of the first index — so the next operator
@@ -132,10 +137,13 @@ func renderResults(results [][]KeyResult) string {
 }
 
 // reference evaluates op over one pair the slow way: fresh key lists from
-// preProcess, one direct store lookup per key into fresh result lists,
-// postProcess.
+// preProcess (a OneKey result's spelled out), one direct store lookup per
+// key into fresh result lists, postProcess.
 func (e *hygieneEnv) reference(t *testing.T, op *Operator, in Pair, emit Emit) {
 	pr := op.pre(in)
+	if pr.one && pr.Keys == nil {
+		pr.Keys = [][]string{{pr.key}}
+	}
 	results := make([][]KeyResult, op.NumIndices())
 	for j, ks := range pr.Keys {
 		for _, k := range ks {

@@ -28,8 +28,8 @@ type carrier struct {
 	// steady state allocates nothing. A slab that grows while a record is
 	// being filled leaves the windows cut earlier on the old array, which
 	// still holds what they were given.
-	lists [][]string  // key-list headers: decoded, padded and default Keys
-	strs  []string    // decoded keys and values
+	lists [][]string  // key-list headers: decoded, padded, default and OneKey Keys
+	strs  []string    // decoded keys and values, default and OneKey keys
 	krs   []KeyResult // decoded and looked-up results
 
 	// First backing of Results and krs: the common shape — up to two
@@ -60,6 +60,20 @@ func (c *carrier) keyResults(n int) []KeyResult {
 // attach sets the result list of index ix to the one result (key, values).
 func (c *carrier) attach(ix int, key string, values []string) {
 	c.Results[ix] = append(c.keyResults(1), KeyResult{Key: key, Values: values})
+}
+
+// oneKey sets Keys to n lists cut from the carrier's slabs: key alone
+// for the first index, and for every other one if all, else none.
+func (c *carrier) oneKey(key string, n int, all bool) {
+	c.strs = append(c.strs, key)
+	k := window(c.strs, len(c.strs)-1)
+	for range n {
+		c.lists = append(c.lists, k)
+		if !all {
+			k = nil
+		}
+	}
+	c.Keys = c.lists
 }
 
 // size returns the carrier's encoded payload size in bytes without

@@ -49,7 +49,7 @@ func logJobConf(name string, input *dfs.File, geo *cloudsvc.Service) *core.Index
 			if !ok {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{ip}}}
+			return core.OneKey(in, ip)
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			region := "unknown"

@@ -16,7 +16,7 @@ import (
 func synOperator(ix index.Accessor) *core.Operator {
 	op := core.NewOperator("syn",
 		func(in core.Pair) core.PreResult {
-			return core.PreResult{Pair: in, Keys: [][]string{{workloads.SyntheticKey(in.Value)}}}
+			return core.OneKey(in, workloads.SyntheticKey(in.Value))
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			joined := ""

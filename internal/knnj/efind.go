@@ -17,7 +17,7 @@ import (
 func EFindConf(name string, input *dfs.File, idx *SpatialIndex, mode core.Mode) *core.IndexJobConf {
 	op := core.NewOperator("knn",
 		func(in core.Pair) core.PreResult {
-			return core.PreResult{Pair: in, Keys: [][]string{{in.Value}}}
+			return core.OneKey(in, in.Value)
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			if len(results[0]) == 0 {

@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -30,14 +29,10 @@ func (w *Workload) Q3Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if !ok || li.ShipDate <= Q3DateCutoff {
 				return core.PreResult{Pair: in} // filtered: no lookup
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{li.OrderKey}}}
+			return core.OneKey(in, li.OrderKey)
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
-			li, ok := ParseLineItem(pair.Value)
-			if !ok || li.ShipDate <= Q3DateCutoff {
-				return
-			}
-			order, ok := firstValue(results[0])
+			order, ok := firstValue(results[0]) // none: pre filtered the record
 			if !ok {
 				return
 			}
@@ -57,7 +52,7 @@ func (w *Workload) Q3Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if numFields(in.Value) != 10 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 7)}}} // custkey
+			return core.OneKey(in, field(in.Value, 7)) // custkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			cust, ok := firstValue(results[0])
@@ -112,7 +107,7 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if !ok {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{li.SuppKey}}}
+			return core.OneKey(in, li.SuppKey)
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			supp, ok := firstValue(results[0])
@@ -129,7 +124,7 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if numFields(in.Value) != 8 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 1)}}} // partkey
+			return core.OneKey(in, field(in.Value, 1)) // partkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			part, ok := firstValue(results[0])
@@ -149,7 +144,7 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if numFields(in.Value) != 8 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 1) + ":" + field(in.Value, 2)}}}
+			return core.OneKey(in, field(in.Value, 1)+":"+field(in.Value, 2))
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			cost, ok := firstValue(results[0])
@@ -165,7 +160,7 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if numFields(in.Value) != 9 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 0)}}} // orderkey
+			return core.OneKey(in, field(in.Value, 0)) // orderkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			order, ok := firstValue(results[0])
@@ -188,7 +183,7 @@ func (w *Workload) Q9Conf(name string, mode core.Mode) *core.IndexJobConf {
 			if numFields(in.Value) != 10 {
 				return core.PreResult{Pair: in}
 			}
-			return core.PreResult{Pair: in, Keys: [][]string{{field(in.Value, 7)}}} // nationkey
+			return core.OneKey(in, field(in.Value, 7)) // nationkey
 		},
 		func(pair core.Pair, results [][]core.KeyResult, emit core.Emit) {
 			nation, ok := firstValue(results[0])
@@ -242,5 +237,5 @@ func sumReducer(_ *mapreduce.TaskContext, key string, values []string, emit core
 		}
 		total += n
 	}
-	emit(core.Pair{Key: key, Value: fmt.Sprintf("%d", total)})
+	emit(core.Pair{Key: key, Value: strconv.Itoa(total)})
 }
